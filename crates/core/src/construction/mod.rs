@@ -409,8 +409,7 @@ pub(crate) fn ensure_connected(
 ///    far, then lowest cluster index), yielding near-disjoint per-cluster
 ///    pools.
 /// 2. **Optimistic construction** — each cluster is constructed against
-///    its restricted pool. With the `parallel` feature (default) this fans
-///    out over rayon worker threads; without it, a serial loop.
+///    its restricted pool, fanned out over rayon worker threads.
 /// 3. **Serial commit** — in cluster order, a successful optimistic layer
 ///    commits iff all its OPSs are still unclaimed; otherwise (including
 ///    optimistic failures, which may be artifacts of the restricted pool)
@@ -517,9 +516,8 @@ pub fn construct_layers(
     results
 }
 
-/// Runs `ctor` once per cluster against per-cluster pools — fanned out
-/// over rayon with the `parallel` feature, a plain loop without.
-#[cfg(feature = "parallel")]
+/// Runs `ctor` once per cluster against per-cluster pools, fanned out
+/// over rayon.
 fn construct_each(
     dc: &DataCenter,
     clusters: &[Vec<VmId>],
@@ -529,18 +527,6 @@ fn construct_each(
     use rayon::prelude::*;
     (0..clusters.len())
         .into_par_iter()
-        .map(|c| ctor.construct(dc, &clusters[c], &pools[c]))
-        .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn construct_each(
-    dc: &DataCenter,
-    clusters: &[Vec<VmId>],
-    ctor: &(dyn AlConstruct + Sync),
-    pools: &[OpsAvailability],
-) -> Vec<Result<AbstractionLayer, ConstructionError>> {
-    (0..clusters.len())
         .map(|c| ctor.construct(dc, &clusters[c], &pools[c]))
         .collect()
 }

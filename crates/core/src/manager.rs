@@ -158,75 +158,40 @@ impl ClusterManager {
         vms.sort();
         vms.dedup();
         let al = constructor.construct(dc, &vms, &self.availability)?;
-        alvc_telemetry::counter!("alvc_core.manager.clusters_created").incr();
-        alvc_telemetry::histogram!("alvc_core.manager.al_size").record(al.ops().len() as f64);
-        let id = ClusterId(self.next_id);
-        self.next_id += 1;
-        for &o in al.ops() {
-            self.availability.block(o);
-        }
-        self.clusters.insert(
-            id,
-            VirtualCluster {
-                id,
-                label: label.into(),
-                vms,
-                al,
-            },
-        );
-        Ok(id)
+        Ok(self.register_cluster(label.into(), vms, al))
     }
 
     /// Builds abstraction layers for a whole batch of cluster requests at
     /// once via [`construct_layers`]: the OPS pool is partitioned across
-    /// the requests, construction fans out in parallel (with the default
-    /// `parallel` feature), and conflicts are resolved serially in request
-    /// order. Successful requests are registered as clusters claiming
-    /// their OPSs; failures are returned per-request without touching
-    /// state.
+    /// the requests, construction fans out in parallel, and conflicts are
+    /// resolved serially in request order. Successful requests are
+    /// registered as clusters claiming their OPSs; failures are returned
+    /// per-request without touching state. Pre-interned [`LabelId`]s are
+    /// the zero-allocation form for hot batch paths.
     ///
     /// Deterministic, and the registered clusters are OPS-disjoint, but
     /// the resulting layers may differ from calling
     /// [`ClusterManager::create_cluster`] one request at a time (see
     /// [`construct_layers`]).
-    pub fn construct_all(
+    pub fn construct_all<L: Into<LabelId>>(
         &mut self,
         dc: &DataCenter,
-        requests: Vec<(String, Vec<VmId>)>,
+        requests: Vec<(L, Vec<VmId>)>,
         constructor: &(dyn AlConstruct + Sync),
     ) -> Vec<Result<ClusterId, ConstructionError>> {
-        self.construct_all_labeled(
-            dc,
-            requests
-                .into_iter()
-                .map(|(label, vms)| (LabelId::from(label), vms))
-                .collect(),
-            constructor,
-        )
-    }
-
-    /// [`ClusterManager::construct_all`] with pre-interned labels — the
-    /// zero-allocation native form used by the hot batch paths.
-    pub fn construct_all_labeled(
-        &mut self,
-        dc: &DataCenter,
-        requests: Vec<(LabelId, Vec<VmId>)>,
-        constructor: &(dyn AlConstruct + Sync),
-    ) -> Vec<Result<ClusterId, ConstructionError>> {
-        let clusters: Vec<Vec<VmId>> = requests
-            .iter()
-            .map(|(_, vms)| {
-                let mut vms = vms.clone();
+        let (labels, clusters): (Vec<LabelId>, Vec<Vec<VmId>>) = requests
+            .into_iter()
+            .map(|(label, mut vms)| {
                 vms.sort();
                 vms.dedup();
-                vms
+                (label.into(), vms)
             })
-            .collect();
+            .unzip();
         let layers = construct_layers(dc, &clusters, constructor, &self.availability);
         layers
             .into_iter()
-            .zip(requests.into_iter().zip(clusters))
-            .map(|(layer, ((label, _), vms))| layer.map(|al| self.register_cluster(label, vms, al)))
+            .zip(labels.into_iter().zip(clusters))
+            .map(|(layer, (label, vms))| layer.map(|al| self.register_cluster(label, vms, al)))
             .collect()
     }
 
@@ -307,34 +272,49 @@ impl ClusterManager {
         id: ClusterId,
         constructor: &dyn AlConstruct,
     ) -> Result<(), ConstructionError> {
+        self.rebuild_with(dc, id, None, constructor)
+    }
+
+    /// One rebuild: release the cluster's OPSs (never failed or powered-off
+    /// ones), adopt `speculative` if every one of its OPSs is free now —
+    /// else construct against the true availability — and either commit
+    /// the new layer or roll back to the old one. Unknown ids are no-op
+    /// successes.
+    fn rebuild_with(
+        &mut self,
+        dc: &DataCenter,
+        id: ClusterId,
+        speculative: Option<AbstractionLayer>,
+        constructor: &dyn AlConstruct,
+    ) -> Result<(), ConstructionError> {
         let Some(vc) = self.clusters.get(&id) else {
-            return Ok(()); // nothing to rebuild
+            return Ok(());
         };
         let old_al = vc.al.clone();
         let vms = vc.vms.clone();
-        // Release (never failed OPSs), rebuild, and either commit or roll
-        // back.
         for &o in old_al.ops() {
             if !self.ops_blocked(o) {
                 self.availability.release(o);
             }
         }
-        match constructor.construct(dc, &vms, &self.availability) {
+        let built = match speculative {
+            Some(al) if al.ops().iter().all(|&o| self.availability.is_available(o)) => Ok(al),
+            _ => constructor.construct(dc, &vms, &self.availability),
+        };
+        let (al, result) = match built {
             Ok(new_al) => {
                 alvc_telemetry::counter!("alvc_core.manager.rebuilds").incr();
-                for &o in new_al.ops() {
-                    self.availability.block(o);
-                }
-                self.clusters.get_mut(&id).expect("cluster exists").al = new_al;
-                Ok(())
+                (new_al, Ok(()))
             }
-            Err(e) => {
-                for &o in old_al.ops() {
-                    self.availability.block(o);
-                }
-                Err(e)
-            }
+            // Only this cluster's holdings were released, so the old
+            // layer is always restorable.
+            Err(e) => (old_al, Err(e)),
+        };
+        for &o in al.ops() {
+            self.availability.block(o);
         }
+        self.clusters.get_mut(&id).expect("cluster exists").al = al;
+        result
     }
 
     /// Rebuilds a batch of clusters. On a single-pod data center this is
@@ -364,59 +344,33 @@ impl ClusterManager {
         // against a view in which the whole batch's (non-failed) OPSs are
         // released. Unknown ids get no layer and stay no-op successes,
         // matching rebuild_cluster.
-        let live: Vec<(ClusterId, Vec<VmId>)> = ids
+        let live: Vec<ClusterId> = ids
             .iter()
-            .filter_map(|&id| self.clusters.get(&id).map(|vc| (id, vc.vms.clone())))
+            .copied()
+            .filter(|id| self.clusters.contains_key(id))
             .collect();
         let mut speculative_avail = self.availability.clone();
-        for (id, _) in &live {
+        for id in &live {
             for &o in self.clusters[id].al.ops() {
                 if !self.ops_blocked(o) {
                     speculative_avail.release(o);
                 }
             }
         }
-        let batch: Vec<Vec<VmId>> = live.iter().map(|(_, vms)| vms.clone()).collect();
+        let batch: Vec<Vec<VmId>> = live
+            .iter()
+            .map(|id| self.clusters[id].vms.clone())
+            .collect();
         let (layers, _report) =
             crate::shard::construct_layers_sharded(dc, &batch, constructor, &speculative_avail);
 
         // Commit phase: serial, in the given order, with rebuild_cluster's
-        // exact release/commit/rollback semantics per cluster. A
-        // speculative layer is adopted only when every one of its OPSs is
-        // still free after this cluster's own holdings are released;
-        // otherwise the serial constructor runs against the true
-        // availability.
-        let mut by_id: BTreeMap<ClusterId, Result<(), ConstructionError>> = BTreeMap::new();
-        for ((id, vms), speculative) in live.into_iter().zip(layers) {
-            let old_al = self.clusters[&id].al.clone();
-            for &o in old_al.ops() {
-                if !self.ops_blocked(o) {
-                    self.availability.release(o);
-                }
-            }
-            let built = match speculative {
-                Ok(al) if al.ops().iter().all(|&o| self.availability.is_available(o)) => Ok(al),
-                _ => constructor.construct(dc, &vms, &self.availability),
-            };
-            match built {
-                Ok(new_al) => {
-                    alvc_telemetry::counter!("alvc_core.manager.rebuilds").incr();
-                    for &o in new_al.ops() {
-                        self.availability.block(o);
-                    }
-                    self.clusters.get_mut(&id).expect("cluster exists").al = new_al;
-                    by_id.insert(id, Ok(()));
-                }
-                Err(e) => {
-                    // Only this cluster's holdings were released this
-                    // iteration, so the old layer is always restorable.
-                    for &o in old_al.ops() {
-                        self.availability.block(o);
-                    }
-                    by_id.insert(id, Err(e));
-                }
-            }
-        }
+        // exact release/commit/rollback semantics per cluster.
+        let by_id: BTreeMap<ClusterId, Result<(), ConstructionError>> = live
+            .into_iter()
+            .zip(layers)
+            .map(|(id, layer)| (id, self.rebuild_with(dc, id, layer.ok(), constructor)))
+            .collect();
         debug_assert!(self.verify_disjoint(), "batch rebuild broke disjointness");
         ids.iter()
             .map(|id| (*id, by_id.get(id).cloned().unwrap_or(Ok(()))))
@@ -887,7 +841,7 @@ mod batch_tests {
     fn construct_all_registers_disjoint_clusters() {
         let dc = dc();
         let mut mgr = ClusterManager::new();
-        let results = mgr.construct_all_labeled(&dc, requests(&dc, 8), &PaperGreedy::new());
+        let results = mgr.construct_all(&dc, requests(&dc, 8), &PaperGreedy::new());
         assert_eq!(results.len(), 6);
         for res in &results {
             let id = res.as_ref().expect("24 OPSs fit 6 small ALs");
@@ -904,8 +858,8 @@ mod batch_tests {
         let dc = dc();
         let mut a = ClusterManager::new();
         let mut b = ClusterManager::new();
-        let ra = a.construct_all_labeled(&dc, requests(&dc, 10), &PaperGreedy::new());
-        let rb = b.construct_all_labeled(&dc, requests(&dc, 10), &PaperGreedy::new());
+        let ra = a.construct_all(&dc, requests(&dc, 10), &PaperGreedy::new());
+        let rb = b.construct_all(&dc, requests(&dc, 10), &PaperGreedy::new());
         assert_eq!(ra, rb);
         let als_a: Vec<_> = a.clusters().map(|vc| vc.al().clone()).collect();
         let als_b: Vec<_> = b.clusters().map(|vc| vc.al().clone()).collect();
@@ -918,7 +872,7 @@ mod batch_tests {
         let mut mgr = ClusterManager::new();
         let mut reqs = requests(&dc, 12);
         reqs.insert(1, ("empty".into(), vec![]));
-        let results = mgr.construct_all_labeled(&dc, reqs, &PaperGreedy::new());
+        let results = mgr.construct_all(&dc, reqs, &PaperGreedy::new());
         assert_eq!(results[1], Err(ConstructionError::EmptyCluster));
         assert!(results.iter().filter(|r| r.is_ok()).count() >= 1);
         assert!(mgr.verify_disjoint());
@@ -953,7 +907,7 @@ mod batch_tests {
         let mut mgr = ClusterManager::new();
         let mut reqs = requests(&dc, 8);
         let last = reqs.split_off(4);
-        let batch = mgr.construct_all_labeled(&dc, reqs, &PaperGreedy::new());
+        let batch = mgr.construct_all(&dc, reqs, &PaperGreedy::new());
         assert!(batch.iter().all(Result::is_ok));
         for (label, vms) in last {
             if let Ok(id) = mgr.create_cluster(&dc, label, vms, &PaperGreedy::new()) {

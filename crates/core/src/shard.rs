@@ -13,8 +13,8 @@
 //!   connectivity augmentation) a switch from another pod;
 //! * clusters are split into pod-local sub-clusters, each pod's
 //!   sub-batch runs the existing flat engine **in parallel across pods**
-//!   (rayon, with the `parallel` feature), and results are collected in
-//!   pod-id order so the outcome is independent of thread schedule;
+//!   (rayon), and results are collected in pod-id order so the outcome is
+//!   independent of thread schedule;
 //! * sub-layers are then **merged at the boundary**, serially in cluster
 //!   order: a cluster spanning several pods gets the union of its pod-local
 //!   layers, re-connected through the remaining global availability (the
@@ -35,8 +35,6 @@ use alvc_topology::{DataCenter, OpsId, PodId, VmId};
 use crate::abstraction_layer::AbstractionLayer;
 use crate::construction::{construct_layers, ensure_connected, AlConstruct, OpsAvailability};
 use crate::error::ConstructionError;
-use crate::label::LabelId;
-use crate::manager::{ClusterId, ClusterManager};
 
 /// One pod's slice of the sharded state: its OPS roster and the
 /// availability template blocking everything outside the pod.
@@ -308,7 +306,6 @@ fn merge_cluster(
     ensure_connected(dc, union, pool)
 }
 
-#[cfg(feature = "parallel")]
 fn construct_pods(
     dc: &DataCenter,
     state: &ShardedState,
@@ -322,20 +319,6 @@ fn construct_pods(
     let ctx = alvc_telemetry::trace::current_ctx();
     (0..pod_batches.len())
         .into_par_iter()
-        .map(|p| construct_one_pod(dc, state, pod_batches, ctor, available, p, ctx))
-        .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn construct_pods(
-    dc: &DataCenter,
-    state: &ShardedState,
-    pod_batches: &[Vec<Vec<VmId>>],
-    ctor: &(dyn AlConstruct + Sync),
-    available: &OpsAvailability,
-) -> Vec<Vec<Result<AbstractionLayer, ConstructionError>>> {
-    let ctx = alvc_telemetry::trace::current_ctx();
-    (0..pod_batches.len())
         .map(|p| construct_one_pod(dc, state, pod_batches, ctor, available, p, ctx))
         .collect()
 }
@@ -362,38 +345,6 @@ fn construct_one_pod(
     alvc_telemetry::histogram_with("alvc_core.shard.pod_construct_us", &format!("pod{p}"))
         .record(start.elapsed().as_secs_f64() * 1e6);
     out
-}
-
-impl ClusterManager {
-    /// Pod-sharded batch construction and registration: the sharded
-    /// counterpart of [`ClusterManager::construct_all_labeled`], fanning
-    /// out per pod via [`construct_layers_sharded`]. Returns per-request
-    /// results plus the per-shard report (sub-cluster counts, estimated
-    /// shard bytes, merge/fallback counts).
-    pub fn construct_all_sharded(
-        &mut self,
-        dc: &DataCenter,
-        requests: Vec<(LabelId, Vec<VmId>)>,
-        constructor: &(dyn AlConstruct + Sync),
-    ) -> (Vec<Result<ClusterId, ConstructionError>>, ShardReport) {
-        let clusters: Vec<Vec<VmId>> = requests
-            .iter()
-            .map(|(_, vms)| {
-                let mut vms = vms.clone();
-                vms.sort();
-                vms.dedup();
-                vms
-            })
-            .collect();
-        let (layers, report) =
-            construct_layers_sharded(dc, &clusters, constructor, self.availability());
-        let results = layers
-            .into_iter()
-            .zip(requests.into_iter().zip(clusters))
-            .map(|(layer, ((label, _), vms))| layer.map(|al| self.register_cluster(label, vms, al)))
-            .collect();
-        (results, report)
-    }
 }
 
 #[cfg(test)]
@@ -502,24 +453,6 @@ mod tests {
             construct_layers_sharded(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
         assert_eq!(flat, sharded);
         assert_eq!(report.merged_clusters, 0);
-    }
-
-    #[test]
-    fn manager_construct_all_sharded_registers_disjoint() {
-        let dc = pod_dc(3, 13);
-        let mut mgr = ClusterManager::new();
-        let requests: Vec<(LabelId, Vec<VmId>)> = pod_local_clusters(&dc, 10)
-            .into_iter()
-            .enumerate()
-            .map(|(i, vms)| (LabelId::intern(&format!("shard-test-{i}")), vms))
-            .collect();
-        let n = requests.len();
-        let (results, report) = mgr.construct_all_sharded(&dc, requests, &PaperGreedy::new());
-        assert_eq!(results.len(), n);
-        assert!(results.iter().all(Result::is_ok));
-        assert!(mgr.verify_disjoint());
-        assert_eq!(mgr.availability().blocked_count(), mgr.owned_ops_count());
-        assert!(report.peak_shard_bytes() >= report.mean_shard_bytes());
     }
 
     #[test]

@@ -398,40 +398,6 @@ impl ChainSpec {
         ChainSpecBuilder::new(name)
     }
 
-    /// Creates a chain spec without a latency budget.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `ChainSpec::builder(..)`, which validates the spec and supports DAGs and placement rules"
-    )]
-    pub fn new(
-        name: impl Into<String>,
-        vnfs: Vec<VnfSpec>,
-        ingress: VmId,
-        egress: VmId,
-        bandwidth_gbps: f64,
-    ) -> Self {
-        ChainSpec {
-            name: name.into(),
-            vnfs,
-            ingress,
-            egress,
-            bandwidth_gbps,
-            max_latency_us: None,
-            rules: Vec::new(),
-            qos: None,
-        }
-    }
-
-    /// Sets a one-way latency budget (builder style).
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `ChainSpecBuilder::max_latency_us` on `ChainSpec::builder(..)`"
-    )]
-    pub fn with_max_latency_us(mut self, budget: f64) -> Self {
-        self.max_latency_us = Some(budget);
-        self
-    }
-
     /// Number of VNFs in the chain.
     pub fn len(&self) -> usize {
         self.vnfs.len()
@@ -443,8 +409,8 @@ impl ChainSpec {
     }
 
     /// Re-checks the invariants [`ChainSpecBuilder::build`] establishes, on
-    /// an already-constructed spec (e.g. one that arrived through the
-    /// deprecated constructor, deserialization, or hand-mutation).
+    /// an already-constructed spec (e.g. one that arrived through
+    /// deserialization or hand-mutation).
     ///
     /// Pure-forwarding chains (no stages) are accepted here — they were
     /// always a legal input to the orchestrator — but a stage-less loop
@@ -984,29 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_constructor_still_compiles_and_matches_builder() {
-        #[allow(deprecated)]
-        let legacy = ChainSpec::new(
-            "edge",
-            vec![VnfSpec::of(VnfType::Firewall), VnfSpec::of(VnfType::Dpi)],
-            VmId(0),
-            VmId(1),
-            2.0,
-        );
-        #[allow(deprecated)]
-        let legacy = legacy.with_max_latency_us(80.0);
-        let built = ChainSpec::builder("edge")
-            .linear([VnfSpec::of(VnfType::Firewall), VnfSpec::of(VnfType::Dpi)])
-            .ingress(VmId(0))
-            .egress(VmId(1))
-            .bandwidth_gbps(2.0)
-            .max_latency_us(80.0)
-            .build()
-            .unwrap();
-        assert_eq!(legacy, built);
-    }
-
-    #[test]
     fn builder_rejects_malformed_specs() {
         let base = || {
             ChainSpec::builder("c")
@@ -1183,15 +1126,13 @@ mod tests {
     }
 
     #[test]
-    fn validate_checks_legacy_specs() {
-        #[allow(deprecated)]
-        let mut spec = ChainSpec::new(
-            "x",
-            vec![VnfSpec::of(VnfType::Firewall)],
-            VmId(0),
-            VmId(1),
-            1.0,
-        );
+    fn validate_checks_hand_mutated_specs() {
+        let mut spec = ChainSpec::builder("x")
+            .linear([VnfSpec::of(VnfType::Firewall)])
+            .ingress(VmId(0))
+            .egress(VmId(1))
+            .build()
+            .unwrap();
         assert!(spec.validate().is_ok());
         spec.rules.push(PlacementRule::PinToPod {
             stage: 9,

@@ -16,8 +16,7 @@
 //!   ([`SchedulerMode`], weights from [`TenantQuota::weight`]), so one
 //!   tenant's burst cannot starve everyone else's queue slots. Within a
 //!   batch, maximal runs of consecutive deployments coalesce into
-//!   [`Orchestrator::deploy_chains`] bulk construction (rayon-parallel
-//!   under the `parallel` feature).
+//!   [`Orchestrator::deploy_chains`] bulk construction (rayon-parallel).
 //! * **Admission control.** Per-tenant rate and quota limits plus
 //!   capacity pre-checks reject hopeless or over-budget intents *before*
 //!   any state is touched ([`AdmissionError`]); a rejected intent leaves
@@ -519,7 +518,6 @@ impl ControlPlane {
         let mut run: Vec<(usize, String, Vec<VmId>, ChainSpec)> = Vec::new();
         // Deterministic batch-scoped admission state.
         let mut rate_used: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut pending_chains: BTreeMap<&str, usize> = BTreeMap::new();
 
         for (slot, sub) in batch.iter().enumerate() {
             let admit_start = Instant::now();
@@ -542,7 +540,7 @@ impl ControlPlane {
             }
             match &sub.intent {
                 Intent::DeployChain { vms, spec } => {
-                    match self.admit_deploy(inner, &sub.tenant, vms, spec, &pending_chains) {
+                    match self.admit_deploy(inner, &sub.tenant, vms, spec, &run) {
                         Err(rej) => {
                             self.note_admission(sub, admit_start, Some(&rej));
                             outcomes[slot] = Some(IntentOutcome::Rejected(rej));
@@ -550,7 +548,6 @@ impl ControlPlane {
                         Ok(()) => {
                             self.note_admission(sub, admit_start, None);
                             *rate_used.entry(sub.tenant.as_str()).or_insert(0) += 1;
-                            *pending_chains.entry(sub.tenant.as_str()).or_insert(0) += 1;
                             run.push((slot, sub.tenant.clone(), vms.clone(), spec.clone()));
                         }
                     }
@@ -714,14 +711,15 @@ impl ControlPlane {
         Some(ctx.trace)
     }
 
-    /// Pre-checks a deployment without touching any state.
+    /// Pre-checks a deployment without touching any state. `run` is the
+    /// pending run of deployments admitted earlier in this batch.
     fn admit_deploy(
         &self,
         inner: &Inner,
         tenant: &str,
         vms: &[VmId],
         spec: &ChainSpec,
-        pending_chains: &BTreeMap<&str, usize>,
+        run: &[(usize, String, Vec<VmId>, ChainSpec)],
     ) -> Result<(), AdmissionError> {
         if vms.is_empty() {
             return Err(AdmissionError::EmptyVmGroup);
@@ -748,10 +746,11 @@ impl ControlPlane {
             .map_err(|reason| AdmissionError::InvalidSpec { reason })?;
         if let Some(limit) = self.policy.quota_for(tenant).max_live_chains {
             // Chains admitted earlier in this batch count even though they
-            // have not executed yet (optimistic, deterministic). O(1):
-            // the per-tenant counter is maintained on deploy/teardown.
+            // have not executed yet (optimistic, deterministic): those
+            // still in the pending run here, those already flushed in the
+            // per-tenant counter maintained on deploy/teardown.
             let live = inner.live_chains.get(tenant).copied().unwrap_or(0)
-                + pending_chains.get(tenant).copied().unwrap_or(0);
+                + run.iter().filter(|(_, t, _, _)| t == tenant).count();
             if live >= limit {
                 return Err(AdmissionError::QuotaExceeded {
                     tenant: tenant.to_string(),
@@ -1143,6 +1142,38 @@ mod tests {
         );
         assert_eq!(view_before.sdn_rules, view_after.sdn_rules);
         cp.inspect(|orch| assert_eq!(orch.manager().cluster_count(), 1));
+    }
+
+    /// Regression: a mid-batch flush moves the pending run into the live
+    /// counter; counting it as pending too double-charged the quota, so
+    /// `[deploy A, teardown X, deploy B]` with one chain live and a limit
+    /// of two refused B although only A was live by then.
+    #[test]
+    fn flushed_deploys_are_not_counted_twice_against_the_quota() {
+        let dc = dc();
+        let cp = ControlPlane::builder()
+            .batch_size(8)
+            .default_quota(TenantQuota {
+                max_live_chains: Some(2),
+                max_intents_per_batch: None,
+                weight: 1,
+            })
+            .build(dc.clone());
+        let x = cp.submit("t", deploy_intent(&dc, ServiceType::WebService));
+        cp.process_all();
+        let IntentOutcome::Completed(IntentEffect::Deployed { chain }) = cp.outcome(x).unwrap()
+        else {
+            panic!("deploy failed");
+        };
+        let a = cp.submit("t", deploy_intent(&dc, ServiceType::Sns));
+        let teardown = cp.submit("t", Intent::TeardownChain { chain });
+        let b = cp.submit("t", deploy_intent(&dc, ServiceType::MapReduce));
+        assert_eq!(cp.process_batch(), 3);
+        for id in [a, teardown, b] {
+            let outcome = cp.outcome(id).unwrap();
+            assert!(outcome.is_completed(), "{outcome:?}");
+        }
+        assert_eq!(cp.view().tenant("t").live_chains, 2);
     }
 
     #[test]

@@ -1,0 +1,355 @@
+//! The chain-embedding pipeline: plan → commit → release (§IV, Figs. 5–7).
+//!
+//! The paper maps each NFC onto one VC by a single decision — place the
+//! VNFs, route inside the AL, admit, install. That decision is written
+//! here once; deployment, modification and every rung of the recovery
+//! ladder are callers that differ only in what they pass:
+//!
+//! * [`Orchestrator::plan`] reads state and touches none of it: the
+//!   slice with failed and powered-off elements hidden → hosts (from a
+//!   placer, or kept) → placement rules → route → bandwidth and latency
+//!   admission.
+//! * [`Orchestrator::commit`] makes a plan live. Flow-rule installation is
+//!   its first and only fallible step — the controller swaps a chain's own
+//!   rules atomically and keeps the old ones on overflow — so a failed
+//!   commit has changed nothing and everything after it is infallible.
+//! * [`Orchestrator::release`] is the inverse, and its instance half
+//!   ([`Orchestrator::retire`]) is also how a commit drops the hosts it
+//!   replaces.
+//!
+//! [`HostLedger`] holds the one charge/refund pair over host capacity.
+
+use std::collections::{HashMap, HashSet};
+
+use alvc_core::{AbstractionLayer, ClusterId};
+use alvc_graph::{EdgeId, NodeId};
+use alvc_optical::{route_flow_within, HybridPath};
+use alvc_topology::{DataCenter, OpsId, ServerId};
+
+use crate::chain::{ChainSpec, Nfc, NfcId};
+use crate::error::DeployError;
+use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
+use crate::orchestrator::{kbps, DeployedChain, Orchestrator};
+use crate::placement::{PlacementContext, VnfPlacer};
+use crate::vnf::{ResourceDemand, VnfSpec};
+
+/// Resources in use per optoelectronic router and per server.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HostLedger {
+    pub(crate) opto: HashMap<OpsId, ResourceDemand>,
+    pub(crate) server: HashMap<ServerId, ResourceDemand>,
+}
+
+impl HostLedger {
+    pub(crate) fn charge(&mut self, host: HostLocation, demand: &ResourceDemand) {
+        let used = match host {
+            HostLocation::Server(s) => self.server.entry(s).or_default(),
+            HostLocation::OptoRouter(o) => self.opto.entry(o).or_default(),
+        };
+        *used = used.plus(demand);
+    }
+
+    pub(crate) fn refund(&mut self, host: HostLocation, demand: &ResourceDemand) {
+        let used = match host {
+            HostLocation::Server(s) => self.server.get_mut(&s),
+            HostLocation::OptoRouter(o) => self.opto.get_mut(&o),
+        };
+        if let Some(used) = used {
+            *used = used.saturating_minus(demand);
+        }
+    }
+}
+
+/// Where an embedding's VNF hosts come from.
+#[derive(Clone, Copy)]
+pub(crate) enum HostChoice<'a> {
+    /// Ask the placer; the chain gets fresh instances.
+    Place(&'a dyn VnfPlacer),
+    /// Keep these hosts and the instances running on them.
+    Keep(&'a [HostLocation]),
+}
+
+/// Which node set an embedding may route over.
+#[derive(Clone, Copy)]
+pub(crate) enum Scope {
+    /// The chain's slice: its AL switches plus the tenant's servers.
+    Slice,
+    /// Every usable node in the data center (graceful degradation).
+    FullFabric,
+}
+
+/// A planned embedding: admitted, but nothing installed or charged yet.
+pub(crate) struct Embedding {
+    hosts: Vec<HostLocation>,
+    /// Whether `hosts` came from a placer (see [`HostChoice`]).
+    placed: bool,
+    path: HybridPath,
+    edges: Vec<EdgeId>,
+}
+
+impl Orchestrator {
+    /// Plans `spec` onto `cluster`'s slice without touching any state.
+    /// `used` is the host ledger placement sees — the live one, or a copy
+    /// without the chain's own usage ([`Orchestrator::hosts_without`]);
+    /// bandwidth is admitted against the live link ledger, so a chain being
+    /// re-embedded must have released its own commitment first.
+    pub(crate) fn plan(
+        &self,
+        dc: &DataCenter,
+        cluster: ClusterId,
+        spec: &ChainSpec,
+        choice: HostChoice<'_>,
+        scope: Scope,
+        used: &HostLedger,
+    ) -> Result<Embedding, DeployError> {
+        // A chain whose ingress/egress VM sits on a dead server cannot be
+        // served no matter where its VNFs land.
+        let ingress = dc.server_of_vm(spec.ingress);
+        let egress = dc.server_of_vm(spec.egress);
+        if !self.server_usable(ingress) || !self.server_usable(egress) {
+            return Err(DeployError::EndpointFailed);
+        }
+
+        // The slice as placement and routing may see it: failed and
+        // powered-off switches and servers are hidden, so no placer can
+        // pick one on any path (a layer whose rebuild failed keeps its
+        // dead switch).
+        let vc = self.manager.cluster(cluster).expect("slice cluster exists");
+        let al = AbstractionLayer::new(
+            vc.al()
+                .tors()
+                .iter()
+                .copied()
+                .filter(|&t| self.tor_usable(t))
+                .collect(),
+            vc.al()
+                .ops()
+                .iter()
+                .copied()
+                .filter(|&o| self.ops_usable(o))
+                .collect(),
+        );
+        let mut servers: Vec<ServerId> = vc.vms().iter().map(|&v| dc.server_of_vm(v)).collect();
+        servers.sort();
+        servers.dedup();
+        servers.retain(|&s| self.server_usable(s));
+
+        let hosts = match choice {
+            HostChoice::Keep(hosts) => hosts.to_vec(),
+            HostChoice::Place(placer) => {
+                let mut place_span = alvc_telemetry::trace::child_span("nfv.place");
+                let ctx = PlacementContext {
+                    dc,
+                    al: &al,
+                    opto_used: &used.opto,
+                    server_used: &used.server,
+                    servers: &servers,
+                };
+                match placer.place(&ctx, spec) {
+                    Ok(hosts) => hosts,
+                    Err(e) => {
+                        place_span.fail("placement");
+                        return Err(e.into());
+                    }
+                }
+            }
+        };
+        debug_assert_eq!(hosts.len(), spec.vnfs.len());
+        // Defense in depth: whatever the placer did, a layout that
+        // violates the spec's rules is rejected here — before routing,
+        // admission, or any ledger commit — so rule enforcement does not
+        // depend on which `VnfPlacer` the caller supplied, on deployment
+        // or on any later re-placement.
+        if let Some(rule) = spec.violated_rule(dc, &hosts) {
+            return Err(DeployError::RuleViolated { rule });
+        }
+
+        // Route ingress → VNFs → egress over usable elements only.
+        let mut allowed: HashSet<NodeId> = match scope {
+            Scope::Slice => al
+                .switch_nodes(dc)
+                .into_iter()
+                .chain(servers.iter().map(|&s| dc.node_of_server(s)))
+                .collect(),
+            Scope::FullFabric => {
+                let servers = dc.server_ids().filter(|&s| self.server_usable(s));
+                let tors = dc.tor_ids().filter(|&t| self.tor_usable(t));
+                let ops = dc.ops_ids().filter(|&o| self.ops_usable(o));
+                servers
+                    .map(|s| dc.node_of_server(s))
+                    .chain(tors.map(|t| dc.node_of_tor(t)))
+                    .chain(ops.map(|o| dc.node_of_ops(o)))
+                    .collect()
+            }
+        };
+        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
+        waypoints.push(dc.node_of_server(ingress));
+        for &h in &hosts {
+            let node = match h {
+                HostLocation::Server(s) => dc.node_of_server(s),
+                HostLocation::OptoRouter(o) => dc.node_of_ops(o),
+            };
+            allowed.insert(node);
+            waypoints.push(node);
+        }
+        waypoints.push(dc.node_of_server(egress));
+        let path = {
+            let mut route_span = alvc_telemetry::trace::child_span("nfv.route");
+            match route_flow_within(dc, &allowed, &waypoints) {
+                Ok(path) => path,
+                Err(e) => {
+                    route_span.fail("routing");
+                    return Err(e.into());
+                }
+            }
+        };
+
+        // Admission ("network resource requirements (node and links)",
+        // §IV.A): per-link bandwidth and the chain's latency budget.
+        let mut admit_span = alvc_telemetry::trace::child_span("nfv.admit_bandwidth");
+        let admitted = Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps)
+            .and_then(|edges| {
+                self.check_latency(spec, &path)?;
+                Ok(edges)
+            });
+        let edges = admitted.inspect_err(|e| admit_span.fail(e.code()))?;
+        Ok(Embedding {
+            hosts,
+            placed: matches!(choice, HostChoice::Place(_)),
+            path,
+            edges,
+        })
+    }
+
+    /// Makes `plan` the embedding of chain `id`: a chain unknown so far is
+    /// created and bound to `cluster`; an existing one swaps rules, path
+    /// and — if the plan re-placed it — hosts and instances. Only rule
+    /// installation can fail, and then nothing has changed.
+    pub(crate) fn commit(
+        &mut self,
+        id: NfcId,
+        cluster: ClusterId,
+        spec: ChainSpec,
+        plan: Embedding,
+    ) -> Result<(), DeployError> {
+        {
+            let mut install_span = alvc_telemetry::trace::child_span("nfv.install_rules");
+            if let Err(e) = self.sdn.try_install_path(id, &plan.path) {
+                install_span.fail("rule_table_full");
+                return Err(DeployError::RuleTableFull(e));
+            }
+        }
+        self.commit_edges(&plan.edges, spec.bandwidth_gbps);
+        let old = self.chains.remove(&id);
+        if old.is_none() {
+            self.slices
+                .bind(id, cluster)
+                .expect("fresh chain id and cluster are unbound");
+            self.changes.cluster(cluster);
+        }
+        let instances = match old {
+            Some(old) if !plan.placed => old.instances,
+            old => {
+                for iid in old.into_iter().flat_map(|chain| chain.instances) {
+                    self.retire(iid);
+                }
+                let placements = plan.hosts.iter().zip(&spec.vnfs);
+                placements.map(|(&h, &v)| self.spawn(v, h)).collect()
+            }
+        };
+        self.changes.chain(id);
+        self.chains.insert(
+            id,
+            DeployedChain {
+                nfc: Nfc::new(id, spec),
+                cluster,
+                hosts: plan.hosts,
+                instances,
+                path: plan.path,
+                edges: plan.edges,
+            },
+        );
+        Ok(())
+    }
+
+    /// Removes chain `id` and everything it holds: replicas, flow rules,
+    /// bandwidth, instances and their host capacity, the slice binding and
+    /// the virtual cluster.
+    pub(crate) fn release(&mut self, id: NfcId) -> DeployedChain {
+        // Replicas belong to the chain: scale them in first so their
+        // capacity and map entries go with it.
+        for replica in self.replicas_of(id) {
+            let _ = self.scale_in(replica);
+        }
+        let chain = self.chains.remove(&id).expect("chain exists");
+        self.sdn.remove_chain(id);
+        self.release_edges(&chain.edges, chain.nfc.spec().bandwidth_gbps);
+        for &iid in &chain.instances {
+            self.retire(iid);
+        }
+        self.slices.unbind(id);
+        self.degraded.remove(&id);
+        self.manager.remove_cluster(chain.cluster);
+        self.changes.chain(id);
+        self.changes.cluster(chain.cluster);
+        chain
+    }
+
+    /// A copy of the host ledger without `chain`'s own usage, so a
+    /// re-placement can reuse the capacity the chain already holds.
+    pub(crate) fn hosts_without(&self, chain: &DeployedChain) -> HostLedger {
+        let mut used = self.host_used.clone();
+        for (&h, v) in chain.hosts.iter().zip(chain.nfc.vnfs()) {
+            used.refund(h, &v.demand);
+        }
+        used
+    }
+
+    /// Starts an instance of `spec` on `host`, charging the host.
+    pub(crate) fn spawn(&mut self, spec: VnfSpec, host: HostLocation) -> VnfInstanceId {
+        self.host_used.charge(host, &spec.demand);
+        let iid = VnfInstanceId(self.next_instance);
+        self.next_instance += 1;
+        let mut inst = VnfInstance::new(iid, spec, host);
+        inst.activate().expect("fresh instance activates");
+        self.instances.insert(iid, inst);
+        self.changes.instance(iid);
+        iid
+    }
+
+    /// Terminates an instance (if it is still serving), refunds its host
+    /// and removes it from the instance map: keeping terminated instances
+    /// around grows memory without bound under churn.
+    pub(crate) fn retire(&mut self, iid: VnfInstanceId) {
+        let Some(mut inst) = self.instances.remove(&iid) else {
+            return;
+        };
+        if inst.state() != VnfState::Terminated {
+            inst.transition(VnfState::Terminated)
+                .expect("serving states may terminate");
+        }
+        self.host_used.refund(inst.host(), &inst.spec().demand);
+        self.changes.instance(iid);
+    }
+
+    /// Commits `bandwidth_gbps` to the ledger on every edge in `edges`.
+    pub(crate) fn commit_edges(&mut self, edges: &[EdgeId], bandwidth_gbps: f64) {
+        let bw = kbps(bandwidth_gbps);
+        for &e in edges {
+            self.link_committed.commit(e, bw);
+        }
+        self.changes.edges(edges);
+    }
+
+    /// Releases `bandwidth_gbps` from the ledger on every edge in `edges`,
+    /// dropping entries that reach zero. Integer kb/s arithmetic makes the
+    /// release exact: a commit/release round trip restores the ledger
+    /// bit-for-bit.
+    pub(crate) fn release_edges(&mut self, edges: &[EdgeId], bandwidth_gbps: f64) {
+        let bw = kbps(bandwidth_gbps);
+        for &e in edges {
+            self.link_committed.release(e, bw);
+        }
+        self.changes.edges(edges);
+    }
+}

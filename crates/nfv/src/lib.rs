@@ -42,6 +42,7 @@
 pub mod chain;
 mod changes;
 pub mod control;
+mod embed;
 pub mod error;
 pub mod ledger;
 pub mod lifecycle;

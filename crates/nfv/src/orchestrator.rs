@@ -12,23 +12,23 @@
 //! its slice, install SDN flow rules, and drive every VNF instance through
 //! its lifecycle.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use alvc_core::construction::{construct_layers, AlConstruct};
-use alvc_core::{ClusterId, ClusterManager, LabelId};
-use alvc_graph::NodeId;
+use alvc_core::{AbstractionLayer, ClusterId, ClusterManager, LabelId};
 use alvc_optical::routing::try_path_edges;
-use alvc_optical::{route_flow_within, HybridPath, OeoCostModel, RoutingError};
+use alvc_optical::{HybridPath, OeoCostModel, RoutingError};
 use alvc_topology::{
-    DataCenter, Element, ElementHealth, OpsId, PhysNode, PowerOverlay, ServerId, TorId, VmId,
+    DataCenter, Element, ElementHealth, OpsId, PowerOverlay, ServerId, TorId, VmId,
 };
 
 use crate::chain::{ChainSpec, Nfc, NfcId};
 use crate::changes::ChangeSet;
+use crate::embed::{HostChoice, HostLedger, Scope};
 use crate::error::{DeployError, Error};
 use crate::ledger::ShardedLedger;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
-use crate::placement::{PlacementContext, VnfPlacer};
+use crate::placement::VnfPlacer;
 use crate::sdn::SdnController;
 use crate::slicing::SliceRegistry;
 use crate::vnf::ResourceDemand;
@@ -110,8 +110,7 @@ pub struct Orchestrator {
     pub(crate) sdn: SdnController,
     pub(crate) chains: BTreeMap<NfcId, DeployedChain>,
     pub(crate) instances: BTreeMap<VnfInstanceId, VnfInstance>,
-    pub(crate) opto_used: HashMap<OpsId, ResourceDemand>,
-    pub(crate) server_used: HashMap<ServerId, ResourceDemand>,
+    pub(crate) host_used: HostLedger,
     /// Committed bandwidth per physical link, in integer kb/s: float Gb/s
     /// release math drifts around removal thresholds under churn, integer
     /// arithmetic round-trips exactly. Pod-sharded on multi-pod topologies
@@ -134,8 +133,7 @@ pub struct Orchestrator {
 
 /// Configures and builds an [`Orchestrator`].
 ///
-/// Replaces the constructor-per-knob pattern
-/// ([`Orchestrator::with_sdn_table_limit`] is deprecated in its favor):
+/// Replaces the constructor-per-knob pattern:
 ///
 /// ```
 /// use alvc_nfv::Orchestrator;
@@ -220,22 +218,6 @@ impl Orchestrator {
         OrchestratorBuilder::new()
     }
 
-    /// Creates an orchestrator whose switches hold at most `limit` flow
-    /// rules each (hardware TCAM capacity); deployments whose path would
-    /// overflow a switch's table are rejected with
-    /// [`DeployError::RuleTableFull`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    #[deprecated(note = "use Orchestrator::builder().sdn_table_limit(limit).build()")]
-    pub fn with_sdn_table_limit(limit: usize) -> Self {
-        Orchestrator {
-            sdn: SdnController::with_table_limit(limit),
-            ..Orchestrator::default()
-        }
-    }
-
     /// The cluster manager (read access).
     pub fn manager(&self) -> &ClusterManager {
         &self.manager
@@ -272,20 +254,6 @@ impl Orchestrator {
         self.health.ops_up(o) && self.power.is_on(Element::Ops(o))
     }
 
-    /// Whether the element behind a graph node is healthy and powered.
-    /// VM nodes inherit their server's state.
-    pub(crate) fn node_usable(&self, dc: &DataCenter, n: NodeId) -> bool {
-        if !self.health.node_up(dc, n) {
-            return false;
-        }
-        match dc.graph().node_weight(n) {
-            Some(PhysNode::Server(s)) => self.power.is_on(Element::Server(*s)),
-            Some(PhysNode::Tor(t)) => self.power.is_on(Element::Tor(*t)),
-            Some(PhysNode::Ops { id, .. }) => self.power.is_on(Element::Ops(*id)),
-            None => false,
-        }
-    }
-
     /// Iterates over deployed chains in id order.
     pub fn chains(&self) -> impl Iterator<Item = &DeployedChain> {
         self.chains.values()
@@ -303,7 +271,7 @@ impl Orchestrator {
 
     /// Resources currently used on optoelectronic router `ops`.
     pub fn opto_usage(&self, ops: OpsId) -> ResourceDemand {
-        self.opto_used.get(&ops).copied().unwrap_or_default()
+        self.host_used.opto.get(&ops).copied().unwrap_or_default()
     }
 
     /// Total O/E/O conversions across all deployed chains.
@@ -418,71 +386,17 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, Error> {
-        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
-        let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
-        let tenant: LabelId = tenant.into();
-        if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
-            alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-            trace_span.fail(DeployError::EndpointOutsideCluster.code());
-            return Err(DeployError::EndpointOutsideCluster.into());
-        }
-        // Structural validation before any state is touched: specs that
-        // bypassed ChainSpecBuilder (deprecated constructor, manual
-        // mutation) are rejected with the same typed error the control
-        // plane's admission uses.
-        if let Err(reason) = spec.validate() {
-            let e = DeployError::InvalidSpec(reason);
-            alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-            trace_span.fail(e.code());
-            return Err(e.into());
-        }
-
-        // 1. One NFC ↔ one VC: build the cluster / slice.
-        let cluster = {
-            let mut construct_span = alvc_telemetry::trace::child_span("core.construct");
-            match self
-                .manager
-                .create_cluster(dc, tenant, vms.clone(), constructor)
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                    construct_span.fail("cluster");
-                    trace_span.fail("cluster");
-                    return Err(e.into());
-                }
-            }
-        };
-        let result = self.deploy_into_cluster(dc, cluster, &vms, spec, placer);
-        match result {
-            Ok(id) => {
-                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
-                if !self.quiet {
-                    alvc_telemetry::event!(
-                        "alvc_nfv.orchestrator.chain_deployed",
-                        "nfc" = id.index(),
-                        "tenant" = tenant.as_str(),
-                    );
-                }
-                Ok(id)
-            }
-            Err(e) => {
-                self.manager.remove_cluster(cluster);
-                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                trace_span.fail(e.code());
-                Err(e.into())
-            }
-        }
+        self.deploy_one(dc, (tenant.into(), vms, spec), None, constructor, placer)
     }
 
     /// Deploys a batch of chains at once: abstraction layers for all
     /// tenants are constructed in bulk via [`construct_layers`] (fanned
-    /// out over rayon with alvc-core's default `parallel` feature), then
-    /// each chain is committed serially in request order — adopting its
-    /// pre-built layer when it is still valid and conflict-free, falling
-    /// back to a fresh serial construction otherwise. Placement, routing,
-    /// admission, and flow-rule installation stay serial: they contend on
-    /// the shared bandwidth/host ledgers and the SDN rule tables.
+    /// out over rayon), then each chain is committed serially in request
+    /// order — adopting its pre-built layer when it is still valid and
+    /// conflict-free, falling back to a fresh serial construction
+    /// otherwise. Placement, routing, admission, and flow-rule
+    /// installation stay serial: they contend on the shared bandwidth/host
+    /// ledgers and the SDN rule tables.
     ///
     /// Returns one result per request, in request order. Deterministic;
     /// failed requests roll back completely, exactly as in
@@ -514,215 +428,85 @@ impl Orchestrator {
             .into_iter()
             .zip(layers)
             .map(|((tenant, vms, spec), layer)| {
-                let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
-                let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
-                let tenant: LabelId = tenant.into();
-                let result = (|| -> Result<NfcId, Error> {
-                    if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
-                        return Err(DeployError::EndpointOutsideCluster.into());
-                    }
-                    spec.validate().map_err(DeployError::InvalidSpec)?;
-                    let adopted = layer
-                        .ok()
-                        .and_then(|al| self.manager.try_adopt_cluster(dc, tenant, vms.clone(), al));
-                    let cluster = match adopted {
-                        Some(id) => id,
-                        None => {
-                            self.manager
-                                .create_cluster(dc, tenant, vms.clone(), constructor)?
-                        }
-                    };
-                    match self.deploy_into_cluster(dc, cluster, &vms, spec, placer) {
-                        Ok(id) => Ok(id),
-                        Err(e) => {
-                            self.manager.remove_cluster(cluster);
-                            Err(e.into())
-                        }
-                    }
-                })();
-                match &result {
-                    Ok(id) => {
-                        alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
-                        if !self.quiet {
-                            alvc_telemetry::event!(
-                                "alvc_nfv.orchestrator.chain_deployed",
-                                "nfc" = id.index(),
-                                "tenant" = tenant.as_str(),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                        trace_span.fail(e.code());
-                    }
-                }
-                result
+                let request = (tenant.into(), vms, spec);
+                self.deploy_one(dc, request, layer.ok(), constructor, placer)
             })
             .collect()
+    }
+
+    /// One deployment: validate, build the slice — adopting the pre-built
+    /// `layer` when it is still valid and conflict-free, constructing one
+    /// otherwise — and embed the chain in it.
+    fn deploy_one(
+        &mut self,
+        dc: &DataCenter,
+        (tenant, vms, spec): (LabelId, Vec<VmId>, ChainSpec),
+        layer: Option<AbstractionLayer>,
+        constructor: &dyn AlConstruct,
+        placer: &dyn VnfPlacer,
+    ) -> Result<NfcId, Error> {
+        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
+        let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
+        let result = (|| -> Result<NfcId, DeployError> {
+            if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
+                return Err(DeployError::EndpointOutsideCluster);
+            }
+            // Structural validation before any state is touched: specs
+            // mutated after `ChainSpecBuilder::build` are rejected with
+            // the same typed error the control plane's admission uses.
+            spec.validate().map_err(DeployError::InvalidSpec)?;
+
+            // One NFC ↔ one VC: build the cluster / slice.
+            let adopted =
+                layer.and_then(|al| self.manager.try_adopt_cluster(dc, tenant, vms.clone(), al));
+            let cluster = match adopted {
+                Some(id) => id,
+                None => {
+                    let mut construct_span = alvc_telemetry::trace::child_span("core.construct");
+                    self.manager
+                        .create_cluster(dc, tenant, vms, constructor)
+                        .inspect_err(|_| construct_span.fail("cluster"))?
+                }
+            };
+            self.deploy_into_cluster(dc, cluster, spec, placer)
+                .inspect_err(|_| {
+                    self.manager.remove_cluster(cluster);
+                })
+        })();
+        match &result {
+            Ok(id) => {
+                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
+                if !self.quiet {
+                    alvc_telemetry::event!(
+                        "alvc_nfv.orchestrator.chain_deployed",
+                        "nfc" = id.index(),
+                        "tenant" = tenant.as_str(),
+                    );
+                }
+            }
+            Err(e) => {
+                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
+                trace_span.fail(e.code());
+            }
+        }
+        result.map_err(Error::from)
     }
 
     fn deploy_into_cluster(
         &mut self,
         dc: &DataCenter,
         cluster: ClusterId,
-        vms: &[VmId],
         spec: ChainSpec,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, DeployError> {
         // Idempotent: partitions the bandwidth ledger by pod the first time
         // a multi-pod topology is seen (a cheap no-op afterwards).
         self.link_committed.bind_pods(dc);
-        let al = self
-            .manager
-            .cluster(cluster)
-            .expect("cluster just created")
-            .al()
-            .clone();
-
-        // A chain whose ingress/egress VM sits on a dead server cannot be
-        // served no matter where its VNFs land.
-        if !self.server_usable(dc.server_of_vm(spec.ingress))
-            || !self.server_usable(dc.server_of_vm(spec.egress))
-        {
-            return Err(DeployError::EndpointFailed);
-        }
-
-        // 2. Place the VNFs (failed servers are not placement candidates).
-        let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
-        let hosts = {
-            let mut place_span = alvc_telemetry::trace::child_span("nfv.place");
-            let ctx = PlacementContext {
-                dc,
-                al: &al,
-                opto_used: &self.opto_used,
-                server_used: &self.server_used,
-                servers: &servers,
-            };
-            match placer.place(&ctx, &spec) {
-                Ok(h) => h,
-                Err(e) => {
-                    place_span.fail("placement");
-                    return Err(e.into());
-                }
-            }
-        };
-        debug_assert_eq!(hosts.len(), spec.vnfs.len());
-
-        // Defense in depth: whatever the placer did, a placement that
-        // violates the spec's rules is rejected here — before routing,
-        // admission, or any ledger commit — so rule enforcement does not
-        // depend on which `VnfPlacer` the caller supplied.
-        if let Some(rule) = spec.violated_rule(dc, &hosts) {
-            return Err(DeployError::RuleViolated { rule });
-        }
-
-        // 3. Route ingress → VNFs → egress inside the slice, over healthy
-        //    elements only.
-        let mut allowed: HashSet<NodeId> = al
-            .switch_nodes(dc)
-            .into_iter()
-            .filter(|&n| self.node_usable(dc, n))
-            .collect();
-        for &s in &servers {
-            allowed.insert(dc.node_of_server(s));
-        }
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.ingress)));
-        for h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(*s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(*o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.egress)));
-        let path = {
-            let mut route_span = alvc_telemetry::trace::child_span("nfv.route");
-            match route_flow_within(dc, &allowed, &waypoints) {
-                Ok(p) => p,
-                Err(e) => {
-                    route_span.fail("routing");
-                    return Err(e.into());
-                }
-            }
-        };
-
-        // 4. Admission ("network resource requirements (node and links)",
-        //    §IV.A): per-link bandwidth and the chain's latency budget.
-        let edges = {
-            let mut admit_span = alvc_telemetry::trace::child_span("nfv.admit_bandwidth");
-            let edges =
-                match Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps) {
-                    Ok(edges) => edges,
-                    Err(e) => {
-                        admit_span.fail(e.code());
-                        return Err(e);
-                    }
-                };
-            if let Err(e) = self.check_latency(&spec, &path) {
-                admit_span.fail(e.code());
-                return Err(e);
-            }
-            edges
-        };
-
-        // 5. Flow-rule installation is the last fallible step (TCAM
-        //    limits); everything after it is infallible commitment.
+        let choice = HostChoice::Place(placer);
+        let plan = self.plan(dc, cluster, &spec, choice, Scope::Slice, &self.host_used)?;
         let id = NfcId(self.next_chain);
-        {
-            let mut install_span = alvc_telemetry::trace::child_span("nfv.install_rules");
-            if let Err(e) = self.sdn.try_install_path(id, &path) {
-                install_span.fail("rule_table_full");
-                return Err(DeployError::RuleTableFull(e));
-            }
-        }
+        self.commit(id, cluster, spec, plan)?;
         self.next_chain += 1;
-        for &e in &edges {
-            self.link_committed.commit(e, kbps(spec.bandwidth_gbps));
-        }
-        for (h, v) in hosts.iter().zip(&spec.vnfs) {
-            match h {
-                HostLocation::Server(s) => {
-                    let e = self.server_used.entry(*s).or_default();
-                    *e = e.plus(&v.demand);
-                }
-                HostLocation::OptoRouter(o) => {
-                    let e = self.opto_used.entry(*o).or_default();
-                    *e = e.plus(&v.demand);
-                }
-            }
-        }
-        self.slices
-            .bind(id, cluster)
-            .expect("fresh chain id and cluster are unbound");
-        let mut instance_ids = Vec::with_capacity(hosts.len());
-        for (h, v) in hosts.iter().zip(&spec.vnfs) {
-            let iid = VnfInstanceId(self.next_instance);
-            self.next_instance += 1;
-            let mut inst = VnfInstance::new(iid, *v, *h);
-            inst.activate().expect("fresh instance activates");
-            self.instances.insert(iid, inst);
-            self.changes.instance(iid);
-            instance_ids.push(iid);
-        }
-        self.changes.chain(id);
-        self.changes.cluster(cluster);
-        self.changes.edges(&edges);
-        self.chains.insert(
-            id,
-            DeployedChain {
-                nfc: Nfc::new(id, spec),
-                cluster,
-                hosts,
-                instances: instance_ids,
-                path,
-                edges,
-            },
-        );
         Ok(id)
     }
 
@@ -737,70 +521,12 @@ impl Orchestrator {
         if !self.chains.contains_key(&id) {
             return Err(DeployError::UnknownChain(id).into());
         }
-        // Replicas belong to the chain: scale them in first so their
-        // capacity and map entries go with it.
-        for replica in self.replicas_of(id) {
-            let _ = self.scale_in(replica);
-        }
-        let deployed = self.chains.remove(&id).expect("checked above");
-        for (&iid, (h, v)) in deployed
-            .instances
-            .iter()
-            .zip(deployed.hosts.iter().zip(deployed.nfc.vnfs()))
-        {
-            self.terminate_and_collect(iid);
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = self.server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = self.opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        self.release_edges(&deployed.edges, deployed.nfc.spec().bandwidth_gbps);
-        self.sdn.remove_chain(id);
-        self.slices.unbind(id);
-        self.degraded.remove(&id);
-        self.manager.remove_cluster(deployed.cluster);
-        self.changes.chain(id);
-        self.changes.cluster(deployed.cluster);
-        for &iid in &deployed.instances {
-            self.changes.instance(iid);
-        }
-        self.changes.edges(&deployed.edges);
+        let deployed = self.release(id);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.teardowns").incr();
         if !self.quiet {
             alvc_telemetry::event!("alvc_nfv.orchestrator.chain_torn_down", "nfc" = id.index());
         }
         Ok(deployed)
-    }
-
-    /// Terminates an instance (if it is still serving) and removes it from
-    /// the instance map. Keeping terminated instances around grows memory
-    /// without bound under churn.
-    pub(crate) fn terminate_and_collect(&mut self, iid: VnfInstanceId) {
-        if let Some(mut inst) = self.instances.remove(&iid) {
-            if inst.state() != VnfState::Terminated {
-                inst.transition(VnfState::Terminated)
-                    .expect("serving states may terminate");
-            }
-        }
-    }
-
-    /// Releases `bandwidth_gbps` from the ledger on every edge in `edges`,
-    /// dropping entries that reach zero. Integer kb/s arithmetic makes the
-    /// release exact: a deploy/teardown round trip restores the ledger
-    /// bit-for-bit.
-    pub(crate) fn release_edges(&mut self, edges: &[alvc_graph::EdgeId], bandwidth_gbps: f64) {
-        let bw = kbps(bandwidth_gbps);
-        for &e in edges {
-            self.link_committed.release(e, bw);
-        }
     }
 
     /// Modifies a deployed chain in place (§IV.B "modification,
@@ -824,158 +550,31 @@ impl Orchestrator {
     ) -> Result<(), Error> {
         let deployed = self.chains.get(&id).ok_or(DeployError::UnknownChain(id))?;
         let cluster = deployed.cluster;
-        let vms = self
-            .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .vms()
-            .to_vec();
-        if !vms.contains(&new_spec.ingress) || !vms.contains(&new_spec.egress) {
+        let vc = self.manager.cluster(cluster).expect("slice cluster exists");
+        if !vc.vms().contains(&new_spec.ingress) || !vc.vms().contains(&new_spec.egress) {
             return Err(DeployError::EndpointOutsideCluster.into());
         }
         new_spec.validate().map_err(DeployError::InvalidSpec)?;
-        if !self.server_usable(dc.server_of_vm(new_spec.ingress))
-            || !self.server_usable(dc.server_of_vm(new_spec.egress))
-        {
-            return Err(DeployError::EndpointFailed.into());
-        }
 
-        // Plan the new placement against a ledger *without* this chain's
-        // current usage, so modification can reuse its own capacity.
-        let mut opto_used = self.opto_used.clone();
-        let mut server_used = self.server_used.clone();
-        for (h, v) in deployed.hosts.iter().zip(deployed.nfc.vnfs()) {
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
+        // Plan without this chain's own usage, so modification can reuse
+        // its capacity: hosts on a copy of the ledger, bandwidth by
+        // releasing the chain's commitment (integer, so exactly undone
+        // below if the new embedding is refused).
+        let used = self.hosts_without(deployed);
+        let (held, held_gbps) = (deployed.edges.clone(), deployed.nfc.spec().bandwidth_gbps);
+        self.release_edges(&held, held_gbps);
+        let choice = HostChoice::Place(placer);
+        let embedded = self
+            .plan(dc, cluster, &new_spec, choice, Scope::Slice, &used)
+            .and_then(|plan| self.commit(id, cluster, new_spec, plan));
+        if let Err(e) = embedded {
+            self.commit_edges(&held, held_gbps);
+            return Err(e.into());
         }
-        let al = self
-            .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .al()
-            .clone();
-        let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
-        let hosts = {
-            let ctx = PlacementContext {
-                dc,
-                al: &al,
-                opto_used: &opto_used,
-                server_used: &server_used,
-                servers: &servers,
-            };
-            placer.place(&ctx, &new_spec)?
-        };
-        // Same admission-time rule enforcement as the deploy path.
-        if let Some(rule) = new_spec.violated_rule(dc, &hosts) {
-            return Err(DeployError::RuleViolated { rule }.into());
-        }
-        let mut allowed: HashSet<NodeId> = al
-            .switch_nodes(dc)
-            .into_iter()
-            .filter(|&n| self.node_usable(dc, n))
-            .collect();
-        for &s in &servers {
-            allowed.insert(dc.node_of_server(s));
-        }
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(new_spec.ingress)));
-        for h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(*s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(*o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(new_spec.egress)));
-        let path = route_flow_within(dc, &allowed, &waypoints)?;
-
-        // Bandwidth admission against a ledger without this chain's own
-        // commitment.
-        let mut link_committed = self.link_committed.clone();
-        let old_bw = kbps(deployed.nfc.spec().bandwidth_gbps);
-        for &e in &deployed.edges {
-            link_committed.release(e, old_bw);
-        }
-        let new_edges = Self::check_bandwidth(dc, &link_committed, &path, new_spec.bandwidth_gbps)?;
-        self.check_latency(&new_spec, &path)?;
-        for &e in &new_edges {
-            link_committed.commit(e, kbps(new_spec.bandwidth_gbps));
-        }
-
-        // Commit: swap rules first (the last fallible step — the
-        // controller frees this chain's own slots during the check and the
-        // old rules survive a failure), then terminate old instances and
-        // swap ledgers.
-        let old = self.chains.remove(&id).expect("checked above");
-        if let Err(e) = self.sdn.try_install_path(id, &path) {
-            self.chains.insert(id, old);
-            return Err(DeployError::RuleTableFull(e).into());
-        }
-        // The chain's VNF set changes: the old instances are
-        // garbage-collected (their replicas go after the ledger swap, so
-        // the release lands on the live ledgers).
-        for &iid in &old.instances {
-            self.terminate_and_collect(iid);
-            self.changes.instance(iid);
-        }
-        for (h, v) in hosts.iter().zip(&new_spec.vnfs) {
-            match h {
-                HostLocation::Server(s) => {
-                    let e = server_used.entry(*s).or_default();
-                    *e = e.plus(&v.demand);
-                }
-                HostLocation::OptoRouter(o) => {
-                    let e = opto_used.entry(*o).or_default();
-                    *e = e.plus(&v.demand);
-                }
-            }
-        }
-        self.opto_used = opto_used;
-        self.server_used = server_used;
-        self.link_committed = link_committed;
-        // Replicas mirrored the old VNF set; scale them in now that the
-        // planned ledgers (which still carry their demand) are live.
+        // Replicas mirrored the old VNF set.
         for replica in self.replicas_of(id) {
             let _ = self.scale_in(replica);
         }
-        let mut instance_ids = Vec::with_capacity(hosts.len());
-        for (h, v) in hosts.iter().zip(&new_spec.vnfs) {
-            let iid = VnfInstanceId(self.next_instance);
-            self.next_instance += 1;
-            let mut inst = VnfInstance::new(iid, *v, *h);
-            inst.activate().expect("fresh instance activates");
-            self.instances.insert(iid, inst);
-            self.changes.instance(iid);
-            instance_ids.push(iid);
-        }
-        self.changes.chain(id);
-        self.changes.edges(&old.edges);
-        self.changes.edges(&new_edges);
-        self.chains.insert(
-            id,
-            DeployedChain {
-                nfc: Nfc::new(id, new_spec),
-                cluster,
-                hosts,
-                instances: instance_ids,
-                path,
-                edges: new_edges,
-            },
-        );
         alvc_telemetry::counter!("alvc_nfv.orchestrator.modifications").incr();
         if !self.quiet {
             alvc_telemetry::event!("alvc_nfv.orchestrator.chain_modified", "nfc" = id.index());
@@ -1093,8 +692,7 @@ impl Orchestrator {
             let Some(cap) = dc.opto_capacity(o) else {
                 continue;
             };
-            let used = self.opto_used.get(&o).copied().unwrap_or_default();
-            if spec.demand.fits_in(&cap, &used) {
+            if spec.demand.fits_in(&cap, &self.opto_usage(o)) {
                 replica_host = Some(HostLocation::OptoRouter(o));
                 break;
             }
@@ -1107,8 +705,8 @@ impl Orchestrator {
                 .iter()
                 .filter(|&&s| HostLocation::Server(s) != original_host && self.server_usable(s))
                 .min_by(|a, b| {
-                    let la = self.server_used.get(a).map_or(0.0, |d| d.cpu);
-                    let lb = self.server_used.get(b).map_or(0.0, |d| d.cpu);
+                    let la = self.host_used.server.get(a).map_or(0.0, |d| d.cpu);
+                    let lb = self.host_used.server.get(b).map_or(0.0, |d| d.cpu);
                     la.total_cmp(&lb).then(a.cmp(b))
                 })
                 .map(|&s| HostLocation::Server(s));
@@ -1121,31 +719,16 @@ impl Orchestrator {
         };
 
         // Commit capacity and lifecycle.
-        match host {
-            HostLocation::Server(s) => {
-                let e = self.server_used.entry(s).or_default();
-                *e = e.plus(&spec.demand);
-            }
-            HostLocation::OptoRouter(o) => {
-                let e = self.opto_used.entry(o).or_default();
-                *e = e.plus(&spec.demand);
-            }
-        }
         let original_iid = deployed.instances[chain_position];
         if let Some(inst) = self.instances.get_mut(&original_iid) {
             // Scaling event on the original; ignore if it is mid-operation.
             let _ = inst.transition(VnfState::Scaling);
             let _ = inst.transition(VnfState::Active);
         }
-        let iid = VnfInstanceId(self.next_instance);
-        self.next_instance += 1;
-        let mut inst = VnfInstance::new(iid, spec, host);
-        inst.activate().expect("fresh instance activates");
-        self.instances.insert(iid, inst);
+        let iid = self.spawn(spec, host);
         self.replicas.insert(iid, (chain, chain_position));
         self.changes.chain(chain);
         self.changes.instance(original_iid);
-        self.changes.instance(iid);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_outs").incr();
         Ok(iid)
     }
@@ -1164,28 +747,7 @@ impl Orchestrator {
             return Err(DeployError::UnknownChain(NfcId(usize::MAX)).into());
         };
         self.changes.chain(chain);
-        self.changes.instance(replica);
-        let mut inst = self
-            .instances
-            .remove(&replica)
-            .expect("replica instance exists");
-        let (host, demand) = (inst.host(), inst.spec().demand);
-        if inst.state() != VnfState::Terminated {
-            inst.transition(VnfState::Terminated)
-                .expect("serving states may terminate");
-        }
-        match host {
-            HostLocation::Server(s) => {
-                if let Some(e) = self.server_used.get_mut(&s) {
-                    *e = e.saturating_minus(&demand);
-                }
-            }
-            HostLocation::OptoRouter(o) => {
-                if let Some(e) = self.opto_used.get_mut(&o) {
-                    *e = e.saturating_minus(&demand);
-                }
-            }
-        }
+        self.retire(replica);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_ins").incr();
         Ok(())
     }
@@ -1255,7 +817,7 @@ mod tests {
             .unwrap()
             .al()
             .clone();
-        let mut allowed: HashSet<NodeId> = al.switch_nodes(&dc).into_iter().collect();
+        let mut allowed: std::collections::HashSet<_> = al.switch_nodes(&dc).into_iter().collect();
         for &v in &vms {
             allowed.insert(dc.node_of_server(dc.server_of_vm(v)));
         }
@@ -1332,7 +894,7 @@ mod tests {
         // Server capacity fully released.
         for h in chain.hosts() {
             if let HostLocation::Server(s) = h {
-                let used = orch.server_used.get(s).copied().unwrap_or_default();
+                let used = orch.host_used.server.get(s).copied().unwrap_or_default();
                 assert_eq!(used.cpu, 0.0);
             }
         }
@@ -1355,7 +917,7 @@ mod tests {
             }
             fn place(
                 &self,
-                _ctx: &PlacementContext<'_>,
+                _ctx: &crate::PlacementContext<'_>,
                 _chain: &ChainSpec,
             ) -> Result<Vec<HostLocation>, crate::PlacementError> {
                 Err(crate::PlacementError::NoElectronicHost)
@@ -1696,7 +1258,7 @@ mod modify_tests {
             .unwrap();
         assert_eq!(orch.chain(id).unwrap().nfc().spec().name, "v2");
         // Ledger reflects exactly one deployment's worth of demand.
-        let total_cpu: f64 = orch.server_used.values().map(|d| d.cpu).sum();
+        let total_cpu: f64 = orch.host_used.server.values().map(|d| d.cpu).sum();
         assert!((total_cpu - 4.0).abs() < 1e-9, "cpu ledger {total_cpu}");
     }
 }
@@ -2144,8 +1706,7 @@ mod tcam_tests {
     fn tight_table_limit_rejects_and_rolls_back() {
         let dc = dc();
         // One rule per switch: any multi-visit path overflows instantly.
-        #[allow(deprecated)] // the deprecated constructor must keep working
-        let mut orch = Orchestrator::with_sdn_table_limit(1);
+        let mut orch = Orchestrator::builder().sdn_table_limit(1).build();
         let vms: Vec<_> = dc.vm_ids().collect();
         let spec = fig5::green(vms[0], *vms.last().unwrap());
         let err = orch.deploy_chain(

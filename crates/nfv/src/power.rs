@@ -247,7 +247,7 @@ mod tests {
             .unwrap();
         assert!(vc.al().ops().iter().all(|o| !off.contains(o)));
         for &n in orch.chain(id).unwrap().path().nodes() {
-            assert!(orch.node_usable(&dc, n));
+            assert!(off.iter().all(|&o| dc.node_of_ops(o) != n));
         }
     }
 

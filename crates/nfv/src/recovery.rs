@@ -32,16 +32,16 @@
 use std::collections::{BTreeMap, HashSet};
 
 use alvc_core::construction::AlConstruct;
-use alvc_core::{AbstractionLayer, ClusterId};
+use alvc_core::ClusterId;
 use alvc_graph::NodeId;
-use alvc_optical::route_flow_within;
 use alvc_topology::{DataCenter, Element, ElementHealth, OpsId, ServerId, TorId};
 
 use crate::chain::NfcId;
+use crate::embed::{HostChoice, Scope};
 use crate::error::DeployError;
-use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId};
-use crate::orchestrator::{kbps, Orchestrator};
-use crate::placement::{PlacementContext, VnfPlacer};
+use crate::lifecycle::{HostLocation, VnfInstanceId};
+use crate::orchestrator::Orchestrator;
+use crate::placement::VnfPlacer;
 
 /// How a chain fared through one recovery attempt.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,15 +124,6 @@ impl RecoveryReport {
             .filter(|o| o.label() == label)
             .count()
     }
-}
-
-/// Which node set a recovery rung may route over.
-#[derive(Clone, Copy, PartialEq)]
-enum RecoveryScope {
-    /// The chain's (repaired) slice: its AL switches plus tenant servers.
-    Slice,
-    /// Every healthy node in the data center (graceful degradation).
-    FullFabric,
 }
 
 impl Orchestrator {
@@ -392,7 +383,6 @@ impl Orchestrator {
                 || c.hosts.iter().any(|&h| !self.host_up(h))
                 || repaired.contains(&c.cluster)
         };
-        #[cfg(feature = "parallel")]
         if dc.pod_count() > 1 {
             use rayon::prelude::*;
             let entries: Vec<_> = self.chains.iter().map(|(&id, c)| (id, c)).collect();
@@ -402,8 +392,6 @@ impl Orchestrator {
                 .collect();
             return hits.into_iter().flatten().collect();
         }
-        #[cfg(not(feature = "parallel"))]
-        let _ = dc;
         self.chains
             .iter()
             .filter(|(_, c)| hit(c))
@@ -438,42 +426,21 @@ impl Orchestrator {
         id: NfcId,
         placer: &dyn VnfPlacer,
     ) -> RecoveryOutcome {
-        let (old_edges, bandwidth_gbps, ingress, egress, hosts) = {
-            let chain = self.chains.get(&id).expect("affected chain exists");
-            (
-                chain.edges.clone(),
-                chain.nfc.spec().bandwidth_gbps,
-                chain.nfc.spec().ingress,
-                chain.nfc.spec().egress,
-                chain.hosts.clone(),
-            )
-        };
+        let chain = self.chains.get_mut(&id).expect("affected chain exists");
+        let old_edges = std::mem::take(&mut chain.edges);
+        let bandwidth_gbps = chain.nfc.spec().bandwidth_gbps;
         self.sdn.remove_chain(id);
         self.release_edges(&old_edges, bandwidth_gbps);
-        {
-            let chain = self.chains.get_mut(&id).expect("affected chain exists");
-            chain.edges.clear();
-        }
-
-        if !self.server_usable(dc.server_of_vm(ingress))
-            || !self.server_usable(dc.server_of_vm(egress))
-        {
-            self.discard_chain(id);
-            return RecoveryOutcome::Unrecoverable(DeployError::EndpointFailed);
-        }
 
         // Rung 1: same hosts, new route inside the slice.
-        if hosts.iter().all(|&h| self.host_up(h))
-            && self
-                .try_reroute(dc, id, &hosts, RecoveryScope::Slice)
-                .is_ok()
-        {
+        let hosts_up = self.chains[&id].hosts.iter().all(|&h| self.host_up(h));
+        if hosts_up && self.try_reroute(dc, id, Scope::Slice).is_ok() {
             self.degraded.remove(&id);
             return RecoveryOutcome::Rerouted;
         }
 
         // Rung 2: re-place on healthy hosts inside the slice.
-        let replace_err = match self.try_replace(dc, id, placer, RecoveryScope::Slice) {
+        let replace_err = match self.try_replace(dc, id, placer, Scope::Slice) {
             Ok(()) => {
                 self.degraded.remove(&id);
                 return RecoveryOutcome::Replaced;
@@ -482,10 +449,7 @@ impl Orchestrator {
         };
 
         // Rung 3: graceful degradation over the full healthy fabric.
-        if self
-            .try_replace(dc, id, placer, RecoveryScope::FullFabric)
-            .is_ok()
-        {
+        if self.try_replace(dc, id, placer, Scope::FullFabric).is_ok() {
             self.degraded.insert(id);
             return RecoveryOutcome::Degraded;
         }
@@ -502,246 +466,38 @@ impl Orchestrator {
         }
     }
 
-    /// Nodes a recovery route may traverse. Waypoints (endpoint servers
-    /// and VNF hosts) are added by the caller.
-    fn allowed_nodes(
-        &self,
-        dc: &DataCenter,
-        cluster: ClusterId,
-        scope: RecoveryScope,
-    ) -> HashSet<NodeId> {
-        match scope {
-            RecoveryScope::Slice => {
-                let vc = self.manager.cluster(cluster).expect("slice cluster exists");
-                let mut allowed: HashSet<NodeId> = vc
-                    .al()
-                    .switch_nodes(dc)
-                    .into_iter()
-                    .filter(|&n| self.node_usable(dc, n))
-                    .collect();
-                for &v in vc.vms() {
-                    let s = dc.server_of_vm(v);
-                    if self.server_usable(s) {
-                        allowed.insert(dc.node_of_server(s));
-                    }
-                }
-                allowed
-            }
-            RecoveryScope::FullFabric => {
-                let mut allowed = HashSet::new();
-                for s in dc.server_ids().filter(|&s| self.server_usable(s)) {
-                    allowed.insert(dc.node_of_server(s));
-                }
-                for t in dc.tor_ids().filter(|&t| self.tor_usable(t)) {
-                    allowed.insert(dc.node_of_tor(t));
-                }
-                for o in dc.ops_ids().filter(|&o| self.ops_usable(o)) {
-                    allowed.insert(dc.node_of_ops(o));
-                }
-                allowed
-            }
-        }
-    }
-
-    /// Rung 1: route the chain's existing hosts over `scope`, commit rules
-    /// and bandwidth. The chain's own network state must already be
-    /// released.
-    fn try_reroute(
-        &mut self,
-        dc: &DataCenter,
-        id: NfcId,
-        hosts: &[HostLocation],
-        scope: RecoveryScope,
-    ) -> Result<(), DeployError> {
+    /// Rung 1: route the chain's existing hosts over `scope`. The chain's
+    /// own network state must already be released.
+    fn try_reroute(&mut self, dc: &DataCenter, id: NfcId, scope: Scope) -> Result<(), DeployError> {
         let chain = self.chains.get(&id).expect("chain exists");
-        let spec = chain.nfc.spec().clone();
-        let cluster = chain.cluster;
-        let mut allowed = self.allowed_nodes(dc, cluster, scope);
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.ingress)));
-        for &h in hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.egress)));
-        let path = route_flow_within(dc, &allowed, &waypoints)?;
-        let edges = Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps)?;
-        self.check_latency(&spec, &path)?;
-        self.sdn
-            .try_install_path(id, &path)
-            .map_err(DeployError::RuleTableFull)?;
-        for &e in &edges {
-            self.link_committed.commit(e, kbps(spec.bandwidth_gbps));
-        }
-        let chain = self.chains.get_mut(&id).expect("chain exists");
-        chain.path = path;
-        chain.edges = edges;
-        Ok(())
+        let (cluster, spec) = (chain.cluster, chain.nfc.spec().clone());
+        let choice = HostChoice::Keep(&chain.hosts);
+        let plan = self.plan(dc, cluster, &spec, choice, scope, &self.host_used)?;
+        self.commit(id, cluster, spec, plan)
     }
 
-    /// Rungs 2–3: re-place the chain's VNFs on healthy hosts, route over
-    /// `scope`, and swap instances. The chain's own network state must
-    /// already be released; its host capacity is reused during planning.
+    /// Rungs 2–3: re-place the chain's VNFs on usable hosts of its slice,
+    /// route over `scope`, and swap instances. The chain's own network
+    /// state must already be released; its host capacity is reused during
+    /// planning.
     fn try_replace(
         &mut self,
         dc: &DataCenter,
         id: NfcId,
         placer: &dyn VnfPlacer,
-        scope: RecoveryScope,
+        scope: Scope,
     ) -> Result<(), DeployError> {
         let chain = self.chains.get(&id).expect("chain exists");
-        let spec = chain.nfc.spec().clone();
-        let cluster = chain.cluster;
-        let old_hosts = chain.hosts.clone();
-        let old_instances = chain.instances.clone();
-
-        let vc = self.manager.cluster(cluster).expect("slice cluster exists");
-        let vms = vc.vms().to_vec();
-        // Placement sees only the healthy part of the AL.
-        let al_view = AbstractionLayer::new(
-            vc.al()
-                .tors()
-                .iter()
-                .copied()
-                .filter(|&t| self.tor_usable(t))
-                .collect(),
-            vc.al()
-                .ops()
-                .iter()
-                .copied()
-                .filter(|&o| self.ops_usable(o))
-                .collect(),
-        );
-        let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
-
-        // Plan against ledgers without this chain's current host usage.
-        let mut opto_used = self.opto_used.clone();
-        let mut server_used = self.server_used.clone();
-        for (h, v) in old_hosts.iter().zip(spec.vnfs.iter()) {
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        let hosts = {
-            let ctx = PlacementContext {
-                dc,
-                al: &al_view,
-                opto_used: &opto_used,
-                server_used: &server_used,
-                servers: &servers,
-            };
-            placer.place(&ctx, &spec)?
-        };
-        // Re-placement must honor the spec's placement rules just like the
-        // original deployment did; a rule-oblivious placer can otherwise
-        // silently undo anti-affinity during recovery.
-        if let Some(rule) = spec.violated_rule(dc, &hosts) {
-            return Err(DeployError::RuleViolated { rule });
-        }
-
-        let mut allowed = self.allowed_nodes(dc, cluster, scope);
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.ingress)));
-        for h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(*s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(*o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.egress)));
-        let path = route_flow_within(dc, &allowed, &waypoints)?;
-        let edges = Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps)?;
-        self.check_latency(&spec, &path)?;
-        self.sdn
-            .try_install_path(id, &path)
-            .map_err(DeployError::RuleTableFull)?;
-
-        // Commit: bandwidth, host capacity, fresh instances.
-        for &e in &edges {
-            self.link_committed.commit(e, kbps(spec.bandwidth_gbps));
-        }
-        for (h, v) in hosts.iter().zip(spec.vnfs.iter()) {
-            match h {
-                HostLocation::Server(s) => {
-                    let e = server_used.entry(*s).or_default();
-                    *e = e.plus(&v.demand);
-                }
-                HostLocation::OptoRouter(o) => {
-                    let e = opto_used.entry(*o).or_default();
-                    *e = e.plus(&v.demand);
-                }
-            }
-        }
-        self.opto_used = opto_used;
-        self.server_used = server_used;
-        for &iid in &old_instances {
-            self.terminate_and_collect(iid);
-        }
-        let mut instance_ids = Vec::with_capacity(hosts.len());
-        for (h, v) in hosts.iter().zip(spec.vnfs.iter()) {
-            let iid = VnfInstanceId(self.next_instance);
-            self.next_instance += 1;
-            let mut inst = VnfInstance::new(iid, *v, *h);
-            inst.activate().expect("fresh instance activates");
-            self.instances.insert(iid, inst);
-            instance_ids.push(iid);
-        }
-        let chain = self.chains.get_mut(&id).expect("chain exists");
-        chain.hosts = hosts;
-        chain.instances = instance_ids;
-        chain.path = path;
-        chain.edges = edges;
-        Ok(())
+        let (cluster, spec) = (chain.cluster, chain.nfc.spec().clone());
+        let used = self.hosts_without(chain);
+        let plan = self.plan(dc, cluster, &spec, HostChoice::Place(placer), scope, &used)?;
+        self.commit(id, cluster, spec, plan)
     }
 
-    /// Removes what is left of an unrecoverable chain: instances,
-    /// replicas, host capacity, slice binding, and the virtual cluster.
-    /// Flow rules and bandwidth were already released by the ladder.
+    /// Removes what is left of an unrecoverable chain (flow rules and
+    /// bandwidth were already released by the ladder).
     fn discard_chain(&mut self, id: NfcId) {
-        for replica in self.replicas_of(id) {
-            let _ = self.scale_in(replica);
-        }
-        let chain = self.chains.remove(&id).expect("chain exists");
-        for (&iid, (h, v)) in chain
-            .instances
-            .iter()
-            .zip(chain.hosts.iter().zip(chain.nfc.vnfs()))
-        {
-            self.terminate_and_collect(iid);
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = self.server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = self.opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        self.slices.unbind(id);
-        self.degraded.remove(&id);
-        self.manager.remove_cluster(chain.cluster);
+        self.release(id);
         alvc_telemetry::counter!("alvc_nfv.recovery.chains_lost").incr();
         if !self.quiet {
             alvc_telemetry::event!("alvc_nfv.recovery.chain_lost", "nfc" = id.index());
@@ -1124,7 +880,7 @@ mod tests {
             }
             fn place(
                 &self,
-                ctx: &PlacementContext<'_>,
+                ctx: &crate::PlacementContext<'_>,
                 chain: &ChainSpec,
             ) -> Result<Vec<HostLocation>, PlacementError> {
                 let s = *ctx
@@ -1192,6 +948,100 @@ mod tests {
                 );
             }
         }
+        assert!(orch.verify_no_failed_references(&dc));
+    }
+
+    /// Regression: a layer that cannot be rebuilt keeps its dead switch,
+    /// and `modify_chain` on such a degraded slice used to hand the whole
+    /// layer to the placer, which could host a VNF on the failed OPS. The
+    /// placer must never see an unusable switch, on any path.
+    #[test]
+    fn modify_on_degraded_slice_never_places_on_failed_ops() {
+        use crate::chain::ChainSpec;
+        use crate::error::PlacementError;
+        use crate::vnf::{VnfSpec, VnfType};
+
+        /// Optical-first in miniature: every VNF on the layer's first
+        /// optoelectronic router, else on the first server.
+        struct OpticalFirst;
+        impl VnfPlacer for OpticalFirst {
+            fn name(&self) -> &'static str {
+                "optical-first"
+            }
+            fn place(
+                &self,
+                ctx: &crate::PlacementContext<'_>,
+                chain: &ChainSpec,
+            ) -> Result<Vec<HostLocation>, PlacementError> {
+                let host = match (ctx.opto_candidates().first(), ctx.servers.first()) {
+                    (Some(&o), _) => HostLocation::OptoRouter(o),
+                    (None, Some(&s)) => HostLocation::Server(s),
+                    (None, None) => return Err(PlacementError::NoElectronicHost),
+                };
+                Ok(vec![host; chain.vnfs.len()])
+            }
+        }
+
+        // One rack under two optoelectronic OPSs: the layer owns one, and
+        // once the other is down too it cannot be rebuilt.
+        let dc = AlvcTopologyBuilder::new()
+            .racks(1)
+            .servers_per_rack(2)
+            .vms_per_server(2)
+            .ops_count(2)
+            .tor_ops_degree(2)
+            .opto_fraction(1.0)
+            .seed(3)
+            .build();
+        let vms: Vec<VmId> = dc.vm_ids().collect();
+        let one = |name: &str, vnf| {
+            ChainSpec::builder(name)
+                .linear([VnfSpec::of(vnf)])
+                .ingress(vms[0])
+                .egress(*vms.last().unwrap())
+                .build()
+                .unwrap()
+        };
+        let mut orch = Orchestrator::new();
+        let id = orch
+            .deploy_chain(
+                &dc,
+                "t",
+                vms.clone(),
+                one("dpi", VnfType::Dpi),
+                &PaperGreedy::new(),
+                &ElectronicOnlyPlacer::new(),
+            )
+            .unwrap();
+        let cluster = orch.chain(id).unwrap().cluster();
+        let owned = orch.manager().cluster(cluster).unwrap().al().ops()[0];
+        let spare = dc.ops_ids().find(|&o| o != owned).unwrap();
+        orch.fail_ops(
+            &dc,
+            spare,
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
+        let report = orch.fail_ops(
+            &dc,
+            owned,
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
+        assert_eq!(report.outcomes().get(&id), Some(&RecoveryOutcome::Rerouted));
+        let al = orch.manager().cluster(cluster).unwrap().al();
+        assert!(
+            al.contains_ops(owned),
+            "no spare: the layer keeps its dead switch"
+        );
+
+        orch.modify_chain(&dc, id, one("fw", VnfType::Firewall), &OpticalFirst)
+            .unwrap();
+        let hosts = orch.chain(id).unwrap().hosts();
+        assert!(
+            hosts.iter().all(|h| matches!(h, HostLocation::Server(_))),
+            "placed on a failed switch: {hosts:?}"
+        );
         assert!(orch.verify_no_failed_references(&dc));
     }
 }

@@ -3,10 +3,7 @@
 //! 1. assignments returned by [`ConstraintAwarePlacer`] never violate the
 //!    chain's placement rules;
 //! 2. the bounded refinement pass never worsens the greedy score and never
-//!    introduces a rule violation;
-//! 3. a linear chain built through the DAG builder path is bit-identical —
-//!    as a spec and as a placement — to the same chain built through the
-//!    deprecated positional constructor.
+//!    introduces a rule violation.
 
 use std::collections::HashMap;
 
@@ -15,9 +12,7 @@ use alvc_core::{AbstractionLayer, OpsAvailability};
 use alvc_nfv::{
     ChainSpec, HostLocation, PlacementContext, PlacementError, VnfPlacer, VnfSpec, VnfType,
 };
-use alvc_placement::{
-    refine, ConstraintAwarePlacer, OpticalFirstPlacer, PlacementPolicy, RefineConfig,
-};
+use alvc_placement::{refine, ConstraintAwarePlacer, OpticalFirstPlacer, RefineConfig};
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect, ServerId, VmId};
 use proptest::prelude::*;
 
@@ -158,57 +153,6 @@ proptest! {
         prop_assert!(out.gap() >= 0.0);
         prop_assert!(chain.violated_rule(&dc, &out.hosts).is_none());
         prop_assert_eq!(out.hosts.len(), chain.vnfs.len());
-    }
-
-    /// A rule-free linear chain built through the DAG path equals the
-    /// deprecated positional constructor bit-for-bit — as a spec and in the
-    /// placements every strategy derives from it.
-    #[test]
-    fn dag_path_matches_legacy_path_bit_identically(
-        seed in 0u64..50,
-        kinds in proptest::collection::vec(0u8..5, 1..6),
-        bw in 1u32..100,
-    ) {
-        let vnfs: Vec<VnfSpec> = kinds.iter().map(|&k| vnf_of(k)).collect();
-        let bw_gbps = f64::from(bw) / 10.0;
-        let via_builder = ChainSpec::builder("same")
-            .linear(vnfs.clone())
-            .ingress(VmId(0))
-            .egress(VmId(1))
-            .bandwidth_gbps(bw_gbps)
-            .build()
-            .unwrap();
-        #[allow(deprecated)]
-        let via_legacy = ChainSpec::new("same", vnfs, VmId(0), VmId(1), bw_gbps);
-        prop_assert_eq!(&via_builder, &via_legacy);
-
-        let dc = dc_for(seed);
-        let al = al_for(&dc);
-        let servers: Vec<ServerId> = dc.server_ids().collect();
-        let (ou, su) = (HashMap::new(), HashMap::new());
-        let ctx = PlacementContext {
-            dc: &dc,
-            al: &al,
-            opto_used: &ou,
-            server_used: &su,
-            servers: &servers,
-        };
-        for placer in [
-            &ConstraintAwarePlacer::new() as &dyn VnfPlacer,
-            &OpticalFirstPlacer::new(),
-        ] {
-            let a = placer.place(&ctx, &via_builder);
-            let b = placer.place(&ctx, &via_legacy);
-            prop_assert_eq!(a, b);
-        }
-        // The scored surface agrees too.
-        if let (Ok((ha, sa)), Ok((hb, sb))) = (
-            ConstraintAwarePlacer::new().place_scored(&ctx, &via_builder),
-            ConstraintAwarePlacer::new().place_scored(&ctx, &via_legacy),
-        ) {
-            prop_assert_eq!(ha, hb);
-            prop_assert_eq!(sa.cost(), sb.cost());
-        }
     }
 }
 

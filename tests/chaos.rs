@@ -2,6 +2,8 @@
 //! teardown interleaved over the full stack, with global invariants
 //! checked at every step.
 
+mod common;
+
 use alvc::core::clustering::tenant_clusters;
 use alvc::core::construction::{PaperGreedy, RedundantGreedy};
 use alvc::nfv::chain::fig5;
@@ -35,6 +37,11 @@ fn chaos_steps() -> usize {
         .unwrap_or(120)
 }
 
+/// Fold of every chain and layer after each of the default 120 steps,
+/// recorded on the commit before the embedding pipeline was unified; it
+/// changes only if a host, path, id or AL choice does.
+const CHAOS_FINGERPRINT: u64 = 0x9908_98f2_8fc1_6159;
+
 #[test]
 fn orchestrator_survives_chaotic_operation_mix() {
     let dc = build();
@@ -45,6 +52,7 @@ fn orchestrator_survives_chaotic_operation_mix() {
     let tenants = tenant_clusters(&all_vms, 3);
     let mut live: Vec<(alvc::nfv::NfcId, usize)> = Vec::new();
     let mut free: Vec<usize> = (0..tenants.len()).collect();
+    let mut fp = common::Fnv::new();
 
     for step in 0..chaos_steps() {
         match rng.random_range(0..7u8) {
@@ -179,6 +187,25 @@ fn orchestrator_survives_chaotic_operation_mix() {
                 );
             }
         }
+
+        // Golden fingerprint: where this step left every chain and layer.
+        for chain in orch.chains() {
+            fp.put(chain.nfc().id().index());
+            fp.put(chain.cluster().index());
+            for &h in chain.hosts() {
+                fp.put_host(h);
+            }
+            fp.put_all(chain.path().nodes().iter().map(|n| n.index()));
+            fp.put_all(chain.edges().iter().map(|e| e.index()));
+        }
+        for vc in orch.manager().clusters() {
+            fp.put(vc.id().index());
+            fp.put_all(vc.al().ops().iter().map(|o| o.index()));
+        }
+    }
+
+    if chaos_steps() == 120 {
+        assert_eq!(fp.finish(), CHAOS_FINGERPRINT, "{:#018x}", fp.finish());
     }
 
     // Drain, then restore whatever is still failed: the clean slate must
