@@ -1,13 +1,72 @@
 //! The abstraction layer type and its validation.
 
-use std::collections::HashSet;
-
-use alvc_graph::traversal;
 use alvc_graph::NodeId;
-use alvc_topology::{DataCenter, OpsId, TorId, VmId};
+use alvc_topology::{DataCenter, OpsId, PhysNode, TorId, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::error::AlValidationError;
+
+/// The dense switch index connectivity runs on: ToR `t` sits at slot `t`,
+/// OPS `o` at slot `tor_count + o`. Servers have no slot — a layer never
+/// walks through them — so per-call scratch over the index is sized by the
+/// switch count, not by the physical graph.
+pub(crate) struct SwitchIndex<'a> {
+    dc: &'a DataCenter,
+    tor_count: usize,
+}
+
+impl<'a> SwitchIndex<'a> {
+    pub(crate) fn new(dc: &'a DataCenter) -> Self {
+        SwitchIndex {
+            dc,
+            tor_count: dc.tor_count(),
+        }
+    }
+
+    /// Number of slots (`tor_count + ops_count`).
+    pub(crate) fn len(&self) -> usize {
+        self.tor_count + self.dc.ops_count()
+    }
+
+    /// The OPS at `slot`, `None` for a ToR's slot.
+    pub(crate) fn ops_at(&self, slot: usize) -> Option<OpsId> {
+        slot.checked_sub(self.tor_count).map(OpsId)
+    }
+
+    /// The OPSs directly connected to `tor`, in adjacency order:
+    /// [`DataCenter::ops_of_tor`] without its `Vec`.
+    pub(crate) fn ops_of_tor(&self, tor: TorId) -> impl Iterator<Item = OpsId> + '_ {
+        self.neighbors(tor.index())
+            .filter_map(|slot| self.ops_at(slot))
+    }
+
+    /// Number of ToRs directly connected to `ops`:
+    /// [`DataCenter::tors_of_ops`]`.len()` without its `Vec`.
+    pub(crate) fn tor_links(&self, ops: OpsId) -> usize {
+        self.neighbors(self.tor_count + ops.index())
+            .filter(|&slot| slot < self.tor_count)
+            .count()
+    }
+
+    /// Slots of the switches adjacent to `slot`, in adjacency order.
+    pub(crate) fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        let graph = self.dc.graph();
+        let node = match self.ops_at(slot) {
+            Some(ops) => self.dc.node_of_ops(ops),
+            None => self.dc.node_of_tor(TorId(slot)),
+        };
+        graph
+            .neighbors(node)
+            .filter_map(|n| match graph.node_weight(n) {
+                Some(PhysNode::Tor(tor)) => Some(tor.index()),
+                Some(PhysNode::Ops { id, .. }) => Some(self.tor_count + id.index()),
+                _ => None,
+            })
+    }
+}
+
+/// [`AbstractionLayer::components`]' label for a switch outside the layer.
+pub(crate) const NOT_MEMBER: u32 = u32::MAX;
 
 /// An abstraction layer: the ToRs selected to reach a cluster's VMs and the
 /// OPSs selected to connect those ToRs (§III.C, Fig. 4).
@@ -111,13 +170,58 @@ impl AbstractionLayer {
             .collect()
     }
 
+    /// The layer's switches as [`SwitchIndex`] slots, ascending (ToRs, then
+    /// OPSs).
+    pub(crate) fn switch_slots<'a>(
+        &'a self,
+        switches: &SwitchIndex<'_>,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let tor_count = switches.tor_count;
+        let tors = self.tors.iter().map(|t| t.index());
+        tors.chain(self.ops.iter().map(move |o| tor_count + o.index()))
+    }
+
+    /// Labels the connected components of the layer-induced subgraph:
+    /// returns `labels` with `labels[slot]` the component of that member
+    /// switch ([`NOT_MEMBER`] for every other slot) and the number of
+    /// components. Components are numbered in slot order of their first
+    /// member, so component 0 holds the layer's first switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member switch does not exist in `switches`' data center.
+    pub(crate) fn components(&self, switches: &SwitchIndex<'_>) -> (Vec<u32>, u32) {
+        const UNLABELLED: u32 = NOT_MEMBER - 1;
+        let mut labels = vec![NOT_MEMBER; switches.len()];
+        for slot in self.switch_slots(switches) {
+            labels[slot] = UNLABELLED;
+        }
+        let mut count = 0;
+        let mut stack = Vec::new();
+        for start in self.switch_slots(switches) {
+            if labels[start] != UNLABELLED {
+                continue;
+            }
+            labels[start] = count;
+            stack.push(start);
+            while let Some(u) = stack.pop() {
+                for v in switches.neighbors(u) {
+                    if labels[v] == UNLABELLED {
+                        labels[v] = count;
+                        stack.push(v);
+                    }
+                }
+            }
+            count += 1;
+        }
+        (labels, count)
+    }
+
     /// Checks that the layer's switches form one connected component of the
     /// physical graph (traffic between any two cluster VMs can stay inside
     /// the layer).
     pub fn is_connected(&self, dc: &DataCenter) -> bool {
-        let nodes = self.switch_nodes(dc);
-        let allowed: HashSet<NodeId> = nodes.iter().copied().collect();
-        traversal::connected_within(dc.graph(), &nodes, |n| allowed.contains(&n))
+        self.components(&SwitchIndex::new(dc)).1 <= 1
     }
 
     /// Returns `true` if the layer remains fully valid after removing

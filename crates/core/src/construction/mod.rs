@@ -39,12 +39,12 @@ pub use reference::NaiveGreedy;
 pub use static_degree::StaticDegreeGreedy;
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use alvc_graph::{LazySelector, NodeId};
+use alvc_graph::LazySelector;
 use alvc_topology::{DataCenter, OpsId, TorId, VmId};
 
-use crate::abstraction_layer::AbstractionLayer;
+use crate::abstraction_layer::{AbstractionLayer, SwitchIndex, NOT_MEMBER};
 use crate::error::ConstructionError;
 
 /// Which OPSs a constructor may use. Enforces the paper's rule that "one
@@ -64,9 +64,11 @@ use crate::error::ConstructionError;
 /// avail.release(OpsId(0));
 /// assert!(avail.is_available(OpsId(0)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct OpsAvailability {
-    blocked: HashSet<OpsId>,
+    /// Bit `o % 64` of word `o / 64` is set iff OPS `o` is blocked. The
+    /// vector grows on demand: ids past its end are available.
+    blocked: Vec<u64>,
 }
 
 impl OpsAvailability {
@@ -77,31 +79,75 @@ impl OpsAvailability {
 
     /// Everything available except the given OPSs.
     pub fn with_blocked(blocked: impl IntoIterator<Item = OpsId>) -> Self {
-        OpsAvailability {
-            blocked: blocked.into_iter().collect(),
+        let mut avail = OpsAvailability::all();
+        for ops in blocked {
+            avail.block(ops);
         }
+        avail
     }
 
     /// Marks `ops` as owned by some AL.
     pub fn block(&mut self, ops: OpsId) {
-        self.blocked.insert(ops);
+        let word = ops.index() / 64;
+        if word >= self.blocked.len() {
+            self.blocked.resize(word + 1, 0);
+        }
+        self.blocked[word] |= 1 << (ops.index() % 64);
     }
 
     /// Releases `ops` back to the pool.
     pub fn release(&mut self, ops: OpsId) {
-        self.blocked.remove(&ops);
+        if let Some(word) = self.blocked.get_mut(ops.index() / 64) {
+            *word &= !(1 << (ops.index() % 64));
+        }
     }
 
     /// Returns `true` if `ops` may be used.
     pub fn is_available(&self, ops: OpsId) -> bool {
-        !self.blocked.contains(&ops)
+        self.blocked
+            .get(ops.index() / 64)
+            .is_none_or(|word| word & (1 << (ops.index() % 64)) == 0)
     }
 
     /// Number of blocked OPSs.
     pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
+        self.blocked.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Blocks everything `other` blocks.
+    pub(crate) fn block_all(&mut self, other: &OpsAvailability) {
+        if other.blocked.len() > self.blocked.len() {
+            self.blocked.resize(other.blocked.len(), 0);
+        }
+        for (word, &theirs) in self.blocked.iter_mut().zip(&other.blocked) {
+            *word |= theirs;
+        }
+    }
+
+    /// Heap bytes held by the bitset.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.blocked.len() * std::mem::size_of::<u64>()
+    }
+
+    /// The words up to the last non-zero one: the canonical form `==`
+    /// compares, so a set that grew and was released again equals `all()`.
+    fn significant_words(&self) -> &[u64] {
+        let len = self
+            .blocked
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        &self.blocked[..len]
     }
 }
+
+impl PartialEq for OpsAvailability {
+    fn eq(&self, other: &Self) -> bool {
+        self.significant_words() == other.significant_words()
+    }
+}
+
+impl Eq for OpsAvailability {}
 
 /// An abstraction layer construction algorithm.
 ///
@@ -134,7 +180,6 @@ pub trait AlConstruct {
 struct CoverCandidate<Id> {
     id: Id,
     degree: usize,
-    members: Vec<u32>,
 }
 
 /// The shared incremental greedy cover loop behind [`select_tors_greedy`]
@@ -143,7 +188,9 @@ struct CoverCandidate<Id> {
 /// through the `element → candidates` inverted index (in CSR form:
 /// element `e`'s candidates are `elem_data[elem_offsets[e]..elem_offsets
 /// [e + 1]]`, avoiding one heap allocation per element) as elements get
-/// covered. Identical output to the historical per-round rescan
+/// covered. The `candidate → elements` direction is the transpose of that
+/// index, built here in the same CSR form (no `Vec` per candidate).
+/// Identical output to the historical per-round rescan
 /// (see `reference::select_cover_naive`), in `O((cands + decays) log cands
 /// + edges)` instead of `O(rounds × edges)`.
 ///
@@ -155,7 +202,26 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
     elem_data: &[u32],
 ) -> Result<Vec<Id>, usize> {
     let n_elems = elem_offsets.len() - 1;
-    let mut gains: Vec<usize> = cands.iter().map(|c| c.members.len()).collect();
+    let elems_of = |e: usize| &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize];
+    // Candidate `ci` covers `members[member_offsets[ci]..member_offsets[ci + 1]]`,
+    // ascending.
+    let mut gains = vec![0usize; cands.len()];
+    for &ci in elem_data {
+        gains[ci as usize] += 1;
+    }
+    let mut member_offsets = Vec::with_capacity(cands.len() + 1);
+    member_offsets.push(0);
+    for &g in &gains {
+        member_offsets.push(member_offsets.last().expect("starts non-empty") + g);
+    }
+    let mut members = vec![0u32; elem_data.len()];
+    let mut next = member_offsets.clone();
+    for e in 0..n_elems {
+        for &ci in elems_of(e) {
+            members[next[ci as usize]] = e as u32;
+            next[ci as usize] += 1;
+        }
+    }
     let mut covered = vec![false; n_elems];
     let mut n_covered = 0;
     let mut used = vec![false; cands.len()];
@@ -183,13 +249,13 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
         };
         used[ci] = true;
         selected.push(cands[ci].id);
-        for k in 0..cands[ci].members.len() {
-            let e = cands[ci].members[k] as usize;
+        for &e in &members[member_offsets[ci]..member_offsets[ci + 1]] {
+            let e = e as usize;
             if !covered[e] {
                 covered[e] = true;
                 n_covered += 1;
-                decays += u64::from(elem_offsets[e + 1] - elem_offsets[e]);
-                for &cj in &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize] {
+                decays += elems_of(e).len() as u64;
+                for &cj in elems_of(e) {
                     gains[cj as usize] -= 1;
                 }
             }
@@ -214,12 +280,13 @@ pub(crate) fn select_tors_greedy(
     }
     // Dense slot table (ToR index → candidate index) and a CSR inverted
     // index: both avoid per-element hashing/allocation on the hot path.
+    let switches = SwitchIndex::new(dc);
     let mut tor_slot: Vec<u32> = vec![u32::MAX; dc.tor_count()];
     let mut cands: Vec<CoverCandidate<TorId>> = Vec::new();
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(vms.len() + 1);
     let mut elem_data: Vec<u32> = Vec::with_capacity(vms.len());
     elem_offsets.push(0);
-    for (i, &vm) in vms.iter().enumerate() {
+    for &vm in vms {
         let tors = dc.tors_of_vm(vm);
         if tors.is_empty() {
             return Err(ConstructionError::UncoverableVm(vm));
@@ -230,13 +297,10 @@ pub(crate) fn select_tors_greedy(
                 *slot = cands.len() as u32;
                 cands.push(CoverCandidate {
                     id: t,
-                    degree: dc.ops_of_tor(t).len(),
-                    members: Vec::new(),
+                    degree: switches.ops_of_tor(t).count(),
                 });
             }
-            let ci = *slot;
-            cands[ci as usize].members.push(i as u32);
-            elem_data.push(ci);
+            elem_data.push(*slot);
         }
         elem_offsets.push(elem_data.len() as u32);
     }
@@ -259,32 +323,28 @@ pub(crate) fn select_ops_greedy(
     tors: &[TorId],
     available: &OpsAvailability,
 ) -> Result<Vec<OpsId>, ConstructionError> {
+    let switches = SwitchIndex::new(dc);
     let mut ops_slot: Vec<u32> = vec![u32::MAX; dc.ops_count()];
     let mut cands: Vec<CoverCandidate<OpsId>> = Vec::new();
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
     let mut elem_data: Vec<u32> = Vec::with_capacity(tors.len());
     elem_offsets.push(0);
     for &tor in tors {
-        let i = elem_offsets.len() - 1;
-        let mut any = false;
-        for ops in dc.ops_of_tor(tor) {
+        let first = elem_data.len();
+        for ops in switches.ops_of_tor(tor) {
             if available.is_available(ops) {
                 let slot = &mut ops_slot[ops.index()];
                 if *slot == u32::MAX {
                     *slot = cands.len() as u32;
                     cands.push(CoverCandidate {
                         id: ops,
-                        degree: dc.tors_of_ops(ops).len(),
-                        members: Vec::new(),
+                        degree: switches.tor_links(ops),
                     });
                 }
-                let ci = *slot;
-                cands[ci as usize].members.push(i as u32);
-                elem_data.push(ci);
-                any = true;
+                elem_data.push(*slot);
             }
         }
-        if !any {
+        if elem_data.len() == first {
             return Err(ConstructionError::UncoverableTor(tor));
         }
         elem_offsets.push(elem_data.len() as u32);
@@ -299,8 +359,18 @@ pub(crate) fn select_ops_greedy(
 }
 
 /// Connectivity augmentation: while the layer's switches form more than one
-/// component, BFS from the first component through available (non-member)
-/// OPSs to reach another component, and absorb the OPSs on that path.
+/// component, connect the nearest other component to the one holding the
+/// layer's first switch through available (non-member) OPSs, absorbing the
+/// OPSs on that shortest path.
+///
+/// One search over the dense [`SwitchIndex`]: components are labelled
+/// once, and the joined set grows along a distance-ordered frontier that is
+/// **re-seeded at distance 0** with every absorbed path and every joined
+/// component. Labels only ever fall, so each join is the shortest
+/// connection from everything joined so far — the greedy rule of the
+/// restarting search this replaced (`reference::ensure_connected_restart`)
+/// — without restarting, re-labelling or re-checking connectivity. All
+/// scratch is per call and sized by the switch count.
 ///
 /// # Errors
 ///
@@ -310,87 +380,99 @@ pub(crate) fn ensure_connected(
     mut al: AbstractionLayer,
     available: &OpsAvailability,
 ) -> Result<AbstractionLayer, ConstructionError> {
-    loop {
-        if al.is_connected(dc) {
-            return Ok(al);
+    let switches = SwitchIndex::new(dc);
+    let (mut component, n_components) = al.components(&switches);
+    if n_components <= 1 {
+        return Ok(al);
+    }
+    let members: Vec<usize> = al.switch_slots(&switches).collect();
+    // dist[s]: fewest hops found so far from the joined set to slot s;
+    // prev[s]: the slot it was reached from; frontier[d]: FIFO of the slots
+    // labelled d (an entry whose label has since fallen is skipped).
+    let mut dist = vec![usize::MAX; switches.len()];
+    let mut prev = vec![0usize; switches.len()];
+    let mut frontier: Vec<VecDeque<usize>> = vec![VecDeque::new()];
+    join_component(0, &members, &mut component, &mut dist, &mut frontier[0]);
+    let mut unjoined = n_components - 1;
+    let mut d = 0;
+    while unjoined > 0 {
+        let Some(u) = frontier[d].pop_front() else {
+            d += 1;
+            if d == frontier.len() {
+                return Err(ConstructionError::Disconnected);
+            }
+            continue;
+        };
+        if dist[u] != d {
+            continue;
         }
-        // Label the current components of the AL-induced subgraph.
-        let members: Vec<NodeId> = al.switch_nodes(dc);
-        let member_set: HashSet<NodeId> = members.iter().copied().collect();
-        let mut component: HashMap<NodeId, usize> = HashMap::new();
-        let mut n_components = 0;
-        for &start in &members {
-            if component.contains_key(&start) {
+        if d + 1 == frontier.len() {
+            frontier.push(VecDeque::new());
+        }
+        for v in switches.neighbors(u) {
+            if dist[v] <= d + 1 {
                 continue;
             }
-            let label = n_components;
-            n_components += 1;
-            let mut queue = VecDeque::from([start]);
-            component.insert(start, label);
-            while let Some(u) = queue.pop_front() {
-                for v in dc.graph().neighbors(u) {
-                    if member_set.contains(&v) && !component.contains_key(&v) {
-                        component.insert(v, label);
-                        queue.push_back(v);
-                    }
+            if component[v] == NOT_MEMBER {
+                // Walkable iff an available OPS (a foreign ToR is not).
+                if switches
+                    .ops_at(v)
+                    .is_some_and(|o| available.is_available(o))
+                {
+                    dist[v] = d + 1;
+                    prev[v] = u;
+                    frontier[d + 1].push_back(v);
                 }
+                continue;
+            }
+            // `v` is the nearest switch of a component not joined yet
+            // (joined members sit at distance 0): absorb the OPSs on the
+            // path back to the joined set, join the component, and restart
+            // the frontier from distance 0 with both. At `d == 0` nothing
+            // is absorbed and `u`'s scan simply goes on.
+            let joining = component[v];
+            let mut on_path = u;
+            while dist[on_path] > 0 {
+                let ops = switches.ops_at(on_path).expect("only OPSs are walked");
+                al.insert_ops(ops);
+                component[on_path] = 0;
+                dist[on_path] = 0;
+                frontier[0].push_back(on_path);
+                on_path = prev[on_path];
+            }
+            join_component(
+                joining,
+                &members,
+                &mut component,
+                &mut dist,
+                &mut frontier[0],
+            );
+            unjoined -= 1;
+            if d > 0 {
+                // `u` was absorbed and queued again with the rest.
+                d = 0;
+                break;
             }
         }
-        debug_assert!(n_components > 1);
+    }
+    Ok(al)
+}
 
-        // BFS from component 0 through walkable nodes: members or available
-        // OPSs not yet in the layer. Stop at the first node of a different
-        // component.
-        let walkable = |n: NodeId| -> bool {
-            if member_set.contains(&n) {
-                return true;
-            }
-            match dc.graph().node_weight(n) {
-                Some(alvc_topology::PhysNode::Ops { id, .. }) => available.is_available(*id),
-                _ => false,
-            }
-        };
-        let sources: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|n| component[n] == 0)
-            .collect();
-        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut visited: HashSet<NodeId> = sources.iter().copied().collect();
-        let mut queue: VecDeque<NodeId> = sources.into_iter().collect();
-        let mut reached: Option<NodeId> = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for v in dc.graph().neighbors(u) {
-                if visited.contains(&v) || !walkable(v) {
-                    continue;
-                }
-                visited.insert(v);
-                prev.insert(v, u);
-                if component.get(&v).copied().unwrap_or(0) != 0 && member_set.contains(&v) {
-                    reached = Some(v);
-                    break 'bfs;
-                }
-                queue.push_back(v);
-            }
-        }
-        let Some(mut cur) = reached else {
-            return Err(ConstructionError::Disconnected);
-        };
-        // Absorb the OPSs on the connecting path.
-        let mut absorbed = false;
-        while let Some(&p) = prev.get(&cur) {
-            if !member_set.contains(&cur) {
-                if let Some(alvc_topology::PhysNode::Ops { id, .. }) = dc.graph().node_weight(cur) {
-                    al.insert_ops(*id);
-                    absorbed = true;
-                }
-            }
-            cur = p;
-        }
-        if !absorbed {
-            // The path used only existing members yet components differ —
-            // cannot happen, but guard against infinite loops.
-            return Err(ConstructionError::Disconnected);
+/// [`ensure_connected`]'s join: the members of component `label` become
+/// part of the joined set (component 0, distance 0) and are queued as seeds,
+/// in slot order.
+fn join_component(
+    label: u32,
+    members: &[usize],
+    component: &mut [u32],
+    dist: &mut [usize],
+    seeds: &mut VecDeque<usize>,
+) {
+    for &m in members {
+        if component[m] == label {
+            component[m] = 0;
+            dist[m] = 0;
+            seeds.push_back(m);
         }
     }
 }
@@ -435,45 +517,44 @@ pub fn construct_layers(
     }
     let _span = alvc_telemetry::span!("alvc_core.construction.construct_layers_us");
     // Phase 1: deterministic pool partition over the contested candidates.
-    let mut requests: BTreeMap<OpsId, Vec<usize>> = BTreeMap::new();
+    // Candidates are gathered once per distinct ToR of a cluster (a rack's
+    // VMs all share its uplinks), as (OPS, requesting cluster) pairs.
+    let switches = SwitchIndex::new(dc);
+    let mut requests: Vec<(OpsId, usize)> = Vec::new();
+    let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
     for (c, vms) in clusters.iter().enumerate() {
-        let mut cands: Vec<OpsId> = Vec::new();
         for &vm in vms {
             for &tor in dc.tors_of_vm(vm) {
-                for ops in dc.ops_of_tor(tor) {
-                    if available.is_available(ops) {
-                        cands.push(ops);
-                    }
+                if std::mem::replace(&mut tor_seen_by[tor.index()], c) != c {
+                    let uplinks = switches.ops_of_tor(tor);
+                    requests.extend(
+                        uplinks
+                            .filter(|&o| available.is_available(o))
+                            .map(|o| (o, c)),
+                    );
                 }
             }
         }
-        cands.sort();
-        cands.dedup();
-        for o in cands {
-            requests.entry(o).or_default().push(c);
-        }
     }
+    requests.sort_unstable();
+    requests.dedup();
+    // Every pool starts without any requested OPS; then each one, in id
+    // order, goes back to its requester with the fewest assignments so far
+    // (then the lowest cluster index).
+    let mut contested = available.clone();
+    for &(o, _) in &requests {
+        contested.block(o);
+    }
+    let mut pools = vec![contested; clusters.len()];
     let mut assigned = vec![0usize; clusters.len()];
-    let mut owner: HashMap<OpsId, usize> = HashMap::new();
-    for (&o, reqs) in &requests {
-        let &winner = reqs
+    for reqs in requests.chunk_by(|a, b| a.0 == b.0) {
+        let &(o, winner) = reqs
             .iter()
-            .min_by_key(|&&c| (assigned[c], c))
-            .expect("every requested OPS has a requester");
-        owner.insert(o, winner);
+            .min_by_key(|&&(_, c)| (assigned[c], c))
+            .expect("chunks are non-empty");
         assigned[winner] += 1;
+        pools[winner].release(o);
     }
-    let pools: Vec<OpsAvailability> = (0..clusters.len())
-        .map(|c| {
-            let mut pool = available.clone();
-            for (&o, &w) in &owner {
-                if w != c {
-                    pool.block(o);
-                }
-            }
-            pool
-        })
-        .collect();
 
     // Phase 2: optimistic construction against the restricted pools.
     let optimistic = construct_each(dc, clusters, ctor, &pools);
@@ -535,6 +616,7 @@ fn construct_each(
 mod tests {
     use super::*;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType};
+    use std::collections::HashSet;
 
     fn line_core_dc() -> DataCenter {
         // tor0-ops0, tor1-ops2; ops0-ops1-ops2 chain. Covers need ops0+ops2,
@@ -564,6 +646,47 @@ mod tests {
         assert_eq!(a.blocked_count(), 1);
         a.release(OpsId(1));
         assert!(a.is_available(OpsId(1)));
+    }
+
+    #[test]
+    fn availability_bitset_grows_on_demand_and_compares_canonically() {
+        let far = OpsId(1000);
+        let mut a = OpsAvailability::all();
+        // Releasing a never-blocked id past the end is a no-op.
+        a.release(far);
+        assert_eq!(a.heap_bytes(), 0);
+        assert!(a.is_available(far));
+        // Blocking an id past the end grows the set.
+        a.block(far);
+        assert!(!a.is_available(far));
+        assert!(a.is_available(OpsId(999)) && a.is_available(OpsId(1001)));
+        assert!(a.heap_bytes() >= 1000 / 8);
+        // Double block / double release count once.
+        a.block(far);
+        a.block(OpsId(3));
+        assert_eq!(a.blocked_count(), 2);
+        a.release(far);
+        a.release(far);
+        assert_eq!(a.blocked_count(), 1);
+        // `==` ignores trailing zero words.
+        assert_eq!(a, OpsAvailability::with_blocked([OpsId(3)]));
+        assert_ne!(a, OpsAvailability::all());
+        let mut b = OpsAvailability::with_blocked([far]);
+        b.release(far);
+        assert_eq!(b, OpsAvailability::all());
+    }
+
+    #[test]
+    fn block_all_is_the_union_of_both_blocked_sets() {
+        let mut a = OpsAvailability::with_blocked([OpsId(1)]);
+        a.block_all(&OpsAvailability::with_blocked([OpsId(2), OpsId(200)]));
+        assert_eq!(
+            a,
+            OpsAvailability::with_blocked([OpsId(1), OpsId(2), OpsId(200)])
+        );
+        let mut long = OpsAvailability::with_blocked([OpsId(500)]);
+        long.block_all(&OpsAvailability::with_blocked([OpsId(0)]));
+        assert_eq!(long.blocked_count(), 2);
     }
 
     #[test]

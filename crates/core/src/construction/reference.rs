@@ -9,6 +9,9 @@
 //!   selectors return identical results on random topologies;
 //! * **benchmarking** — the `e3_al_construction` experiment measures the
 //!   engine speedup against these baselines.
+//!
+//! The restarting connectivity augmentation that the one-pass
+//! `ensure_connected` replaced is kept here too, compiled for tests only.
 
 use std::collections::{HashMap, HashSet};
 
@@ -203,11 +206,115 @@ impl AlConstruct for NaiveGreedy {
     }
 }
 
+/// The restarting connectivity augmentation [`ensure_connected`] replaced,
+/// kept verbatim as the test oracle for its greedy rule: while the layer's
+/// switches form more than one component, BFS from the first component
+/// through available (non-member) OPSs to reach another component, absorb
+/// the OPSs on that path, and start over.
+///
+/// # Errors
+///
+/// [`ConstructionError::Disconnected`] if no such path exists.
+#[cfg(test)]
+pub(crate) fn ensure_connected_restart(
+    dc: &DataCenter,
+    mut al: AbstractionLayer,
+    available: &OpsAvailability,
+) -> Result<AbstractionLayer, ConstructionError> {
+    use alvc_graph::NodeId;
+    use std::collections::VecDeque;
+
+    loop {
+        if al.is_connected(dc) {
+            return Ok(al);
+        }
+        // Label the current components of the AL-induced subgraph.
+        let members: Vec<NodeId> = al.switch_nodes(dc);
+        let member_set: HashSet<NodeId> = members.iter().copied().collect();
+        let mut component: HashMap<NodeId, usize> = HashMap::new();
+        let mut n_components = 0;
+        for &start in &members {
+            if component.contains_key(&start) {
+                continue;
+            }
+            let label = n_components;
+            n_components += 1;
+            let mut queue = VecDeque::from([start]);
+            component.insert(start, label);
+            while let Some(u) = queue.pop_front() {
+                for v in dc.graph().neighbors(u) {
+                    if member_set.contains(&v) && !component.contains_key(&v) {
+                        component.insert(v, label);
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+        debug_assert!(n_components > 1);
+
+        // BFS from component 0 through walkable nodes: members or available
+        // OPSs not yet in the layer. Stop at the first node of a different
+        // component.
+        let walkable = |n: NodeId| -> bool {
+            if member_set.contains(&n) {
+                return true;
+            }
+            match dc.graph().node_weight(n) {
+                Some(alvc_topology::PhysNode::Ops { id, .. }) => available.is_available(*id),
+                _ => false,
+            }
+        };
+        let sources: Vec<NodeId> = members
+            .iter()
+            .copied()
+            .filter(|n| component[n] == 0)
+            .collect();
+        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut visited: HashSet<NodeId> = sources.iter().copied().collect();
+        let mut queue: VecDeque<NodeId> = sources.into_iter().collect();
+        let mut reached: Option<NodeId> = None;
+        'bfs: while let Some(u) = queue.pop_front() {
+            for v in dc.graph().neighbors(u) {
+                if visited.contains(&v) || !walkable(v) {
+                    continue;
+                }
+                visited.insert(v);
+                prev.insert(v, u);
+                if component.get(&v).copied().unwrap_or(0) != 0 && member_set.contains(&v) {
+                    reached = Some(v);
+                    break 'bfs;
+                }
+                queue.push_back(v);
+            }
+        }
+        let Some(mut cur) = reached else {
+            return Err(ConstructionError::Disconnected);
+        };
+        // Absorb the OPSs on the connecting path.
+        let mut absorbed = false;
+        while let Some(&p) = prev.get(&cur) {
+            if !member_set.contains(&cur) {
+                if let Some(alvc_topology::PhysNode::Ops { id, .. }) = dc.graph().node_weight(cur) {
+                    al.insert_ops(*id);
+                    absorbed = true;
+                }
+            }
+            cur = p;
+        }
+        if !absorbed {
+            // The path used only existing members yet components differ —
+            // cannot happen, but guard against infinite loops.
+            return Err(ConstructionError::Disconnected);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::construction::PaperGreedy;
-    use alvc_topology::AlvcTopologyBuilder;
+    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
+    use proptest::prelude::*;
 
     /// The tentpole's equivalence guarantee: heap-based PaperGreedy and the
     /// naive rescan produce identical layers (including identical errors)
@@ -265,5 +372,129 @@ mod tests {
     #[test]
     fn name_is_stable() {
         assert_eq!(NaiveGreedy::new().name(), "naive-greedy");
+    }
+
+    /// One random augmentation problem: a single- or multi-pod topology
+    /// (none, ring or full-mesh core; 0–3 gateway lanes), an arbitrary
+    /// layer on it, and a blocked set. `draws[i]` decides switch `i`'s
+    /// role: a ToR joins the layer on 0–2; an OPS joins it on 0–1 and is
+    /// blocked on 2–3.
+    #[derive(Debug)]
+    struct AugmentCase {
+        core: u8,
+        pods: usize,
+        lanes: usize,
+        racks: usize,
+        ops: usize,
+        degree: usize,
+        seed: u64,
+        draws: Vec<u8>,
+    }
+
+    impl AugmentCase {
+        fn strategy() -> impl Strategy<Value = AugmentCase> {
+            (
+                0u8..3,
+                1usize..6,
+                0usize..4,
+                1usize..5,
+                1usize..8,
+                1usize..4,
+                0u64..1000,
+                proptest::collection::vec(0u8..8, 64),
+            )
+                .prop_map(|(core, pods, lanes, racks, ops, degree, seed, draws)| {
+                    AugmentCase {
+                        core,
+                        pods,
+                        lanes,
+                        racks,
+                        ops,
+                        degree,
+                        seed,
+                        draws,
+                    }
+                })
+        }
+
+        fn build(&self) -> (DataCenter, AbstractionLayer, OpsAvailability) {
+            let dc = AlvcTopologyBuilder::new()
+                .racks(self.racks)
+                .ops_count(self.ops)
+                .tor_ops_degree(self.degree)
+                .interconnect(match self.core {
+                    0 => OpsInterconnect::None,
+                    1 => OpsInterconnect::Ring,
+                    _ => OpsInterconnect::FullMesh,
+                })
+                .pods(self.pods)
+                .boundary_gateways(self.lanes)
+                .seed(self.seed)
+                .build();
+            let draw = |i: usize| self.draws[i % self.draws.len()];
+            let tors = dc.tor_ids().filter(|t| draw(t.index()) < 3).collect();
+            let role = |o: &OpsId| draw(dc.tor_count() + o.index());
+            let ops = dc.ops_ids().filter(|o| role(o) < 2).collect();
+            let blocked = dc.ops_ids().filter(|o| (2..4).contains(&role(o)));
+            let avail = OpsAvailability::with_blocked(blocked);
+            (dc, AbstractionLayer::new(tors, ops), avail)
+        }
+    }
+
+    /// The one-pass kernel against the restarting search it replaced:
+    /// same feasibility on every case, every `Ok` layer connected, a
+    /// superset of its input and grown only by OPSs `available` allows;
+    /// and, tie-breaks aside, the same greedy rule — over the whole corpus
+    /// it absorbs no more OPSs than the reference + 0.5 %.
+    /// `AbstractionLayer::is_connected` is checked against
+    /// `traversal::connected_within` on the same layers.
+    #[test]
+    fn one_pass_augmentation_matches_the_restarting_reference() {
+        use std::cell::Cell;
+        let (kernel_total, reference_total) = (Cell::new(0usize), Cell::new(0usize));
+        let several_absorbed = Cell::new(0usize);
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(3000),
+            "one_pass_augmentation_matches_the_restarting_reference",
+            AugmentCase::strategy(),
+            |case| {
+                let (dc, al, avail) = case.build();
+                let nodes = al.switch_nodes(&dc);
+                prop_assert_eq!(
+                    al.is_connected(&dc),
+                    alvc_graph::traversal::connected_within(dc.graph(), &nodes, |n| nodes
+                        .contains(&n))
+                );
+                let kernel = ensure_connected(&dc, al.clone(), &avail);
+                let reference = ensure_connected_restart(&dc, al.clone(), &avail);
+                prop_assert_eq!(kernel.as_ref().err(), reference.as_ref().err());
+                let (Ok(kernel), Ok(reference)) = (kernel, reference) else {
+                    return Ok(());
+                };
+                prop_assert!(kernel.is_connected(&dc));
+                prop_assert_eq!(kernel.tors(), al.tors());
+                prop_assert!(al.ops().iter().all(|&o| kernel.contains_ops(o)));
+                prop_assert!(kernel
+                    .ops()
+                    .iter()
+                    .all(|&o| al.contains_ops(o) || avail.is_available(o)));
+                kernel_total.set(kernel_total.get() + kernel.ops_count() - al.ops_count());
+                reference_total.set(reference_total.get() + reference.ops_count() - al.ops_count());
+                if reference.ops_count() - al.ops_count() > 1 {
+                    several_absorbed.set(several_absorbed.get() + 1);
+                }
+                Ok(())
+            },
+        );
+        let (kernel, reference) = (kernel_total.get(), reference_total.get());
+        assert!(
+            several_absorbed.get() > 300,
+            "corpus too easy: {} cases absorbed more than one OPS",
+            several_absorbed.get()
+        );
+        assert!(
+            kernel as f64 <= reference as f64 * 1.005,
+            "kernel absorbed {kernel} OPSs, the reference {reference}"
+        );
     }
 }

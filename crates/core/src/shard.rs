@@ -60,19 +60,14 @@ impl PodShard {
     /// outside the pod is blocked, plus everything `global` blocks.
     pub fn availability(&self, global: &OpsAvailability) -> OpsAvailability {
         let mut avail = self.foreign_blocked.clone();
-        for &o in &self.ops {
-            if !global.is_available(o) {
-                avail.block(o);
-            }
-        }
+        avail.block_all(global);
         avail
     }
 
-    /// Estimated resident bytes of this shard's bookkeeping (OPS roster +
-    /// foreign-block set, counting hash-set slots at ~2× entry size).
+    /// Resident bytes of this shard's bookkeeping: the OPS roster plus the
+    /// words of the foreign-block bitset.
     pub fn memory_bytes(&self) -> usize {
-        self.ops.len() * size_of::<OpsId>()
-            + self.foreign_blocked.blocked_count() * size_of::<OpsId>() * 2
+        self.ops.len() * size_of::<OpsId>() + self.foreign_blocked.heap_bytes()
     }
 }
 
@@ -102,13 +97,16 @@ impl ShardedState {
         for ops in dc.ops_ids() {
             per_pod[dc.pod_of_ops(ops).index()].push(ops);
         }
+        // Every pod's template blocks the whole roster but its own slice.
+        let everything = OpsAvailability::with_blocked(dc.ops_ids());
         let shards = per_pod
             .into_iter()
             .enumerate()
             .map(|(p, ops)| {
-                let foreign_blocked = OpsAvailability::with_blocked(
-                    dc.ops_ids().filter(|o| dc.pod_of_ops(*o).index() != p),
-                );
+                let mut foreign_blocked = everything.clone();
+                for &o in &ops {
+                    foreign_blocked.release(o);
+                }
                 PodShard {
                     pod: PodId(p),
                     ops,
@@ -294,10 +292,6 @@ fn merge_cluster(
         tors.extend_from_slice(al.tors());
         ops.extend_from_slice(al.ops());
     }
-    tors.sort();
-    tors.dedup();
-    ops.sort();
-    ops.dedup();
     let union = AbstractionLayer::new(tors, ops);
     if subs.len() == 1 {
         return Ok(union);
@@ -342,9 +336,50 @@ fn construct_one_pod(
     let start = std::time::Instant::now();
     let avail = state.shard(PodId(p)).availability(available);
     let out = construct_layers(dc, &pod_batches[p], ctor, &avail);
-    alvc_telemetry::histogram_with("alvc_core.shard.pod_construct_us", &format!("pod{p}"))
-        .record(start.elapsed().as_secs_f64() * 1e6);
+    alvc_telemetry::histogram_with(
+        "alvc_core.shard.pod_construct_us",
+        PodLabel::new(p).as_str(),
+    )
+    .record(start.elapsed().as_secs_f64() * 1e6);
     out
+}
+
+/// The histogram label `pod{p}`, written into a stack buffer: it is built
+/// once per pod per call, too often for a `String` each time.
+struct PodLabel {
+    buf: [u8; PodLabel::CAPACITY],
+    len: usize,
+}
+
+impl PodLabel {
+    /// `"pod"` and the 20 digits of `u64::MAX`.
+    const CAPACITY: usize = 3 + 20;
+
+    fn new(p: usize) -> Self {
+        use std::fmt::Write;
+        let mut label = PodLabel {
+            buf: [0; PodLabel::CAPACITY],
+            len: 0,
+        };
+        write!(label, "pod{p}").expect("a pod index fits the buffer");
+        label
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("only ASCII was written")
+    }
+}
+
+impl std::fmt::Write for PodLabel {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(std::fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +476,57 @@ mod tests {
         let pods: HashSet<_> = al.ops().iter().map(|&o| dc.pod_of_ops(o)).collect();
         assert!(pods.len() >= 2, "layer spans pods");
         assert_eq!(report.merged_clusters + report.fallbacks, 1);
+    }
+
+    #[test]
+    fn more_cross_pod_clusters_than_gateway_lanes_fail_cleanly() {
+        // Pods meet only at their gateway lanes, and a cross-pod layer
+        // keeps the lane it claims: with 2 lanes the first 2 of 4 all-pod
+        // clusters merge, the other 2 fall back and fail as disconnected.
+        let (pods, lanes, n_clusters) = (3, 2, 4);
+        let dc = AlvcTopologyBuilder::new()
+            .racks(n_clusters)
+            .servers_per_rack(1)
+            .vms_per_server(2)
+            .ops_count(12)
+            .tor_ops_degree(3)
+            .interconnect(OpsInterconnect::FullMesh)
+            .pods(pods)
+            .boundary_gateways(lanes)
+            .seed(5)
+            .build();
+        // Cluster k: the VMs of every pod's k-th rack.
+        let mut clusters: Vec<Vec<VmId>> = vec![Vec::new(); n_clusters];
+        for vm in dc.vm_ids() {
+            clusters[dc.tor_of_vm(vm).index() % n_clusters].push(vm);
+        }
+        let (results, report) =
+            construct_layers_sharded(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
+        assert_eq!(report.merged_clusters, n_clusters);
+        assert_eq!(report.fallbacks, n_clusters - lanes);
+        let mut seen: HashSet<OpsId> = HashSet::new();
+        for (c, res) in results.iter().enumerate() {
+            if c < lanes {
+                let al = res.as_ref().expect("a free lane connects the pods");
+                assert!(al.validate(&dc, &clusters[c]).is_ok());
+                assert!(al.is_connected(&dc));
+                for &o in al.ops() {
+                    assert!(seen.insert(o), "OPS {o} claimed by two layers");
+                }
+            } else {
+                assert_eq!(res, &Err(ConstructionError::Disconnected));
+            }
+        }
+    }
+
+    #[test]
+    fn pod_label_matches_the_formatted_string() {
+        assert_eq!(PodLabel::new(0).as_str(), "pod0");
+        assert_eq!(PodLabel::new(95).as_str(), "pod95");
+        assert_eq!(
+            PodLabel::new(usize::MAX).as_str(),
+            format!("pod{}", usize::MAX)
+        );
     }
 
     #[test]

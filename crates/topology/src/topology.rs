@@ -90,6 +90,16 @@ impl DataCenter {
         DataCenter::default()
     }
 
+    /// Creates an empty data center whose physical graph has room for
+    /// `nodes` nodes and `links` links, so a generator that knows its size
+    /// builds the graph without regrowing it.
+    pub(crate) fn with_capacity(nodes: usize, links: usize) -> Self {
+        DataCenter {
+            graph: Graph::with_capacity(nodes, links),
+            ..DataCenter::default()
+        }
+    }
+
     // ----- construction -----------------------------------------------
 
     /// Adds a rack with its ToR switch to the default pod; returns
