@@ -1,13 +1,16 @@
-//! Batch-scoped dirty tracking for incremental [`StateView`] publication.
+//! Batch-scoped dirty tracking: the only channel between the
+//! [`Orchestrator`] and the published [`StateView`].
 //!
-//! Every orchestrator mutation marks the entities it touched; after each
-//! batch the control plane takes the accumulated [`ChangeSet`] and patches
-//! only those entries into the previous snapshot instead of re-capturing
-//! the whole world (see `StateView::apply_delta`). Operations whose blast
-//! radius is not cheaply enumerable — element failures, restores,
-//! re-optimization, re-clustering — set [`ChangeSet::full`] and fall back
-//! to a full `StateView::capture` for that batch.
+//! Every orchestrator mutation — tenant or operator — marks the entries it
+//! touched; after each batch the control plane takes the accumulated
+//! [`ChangeSet`] and `StateView::apply_delta` patches exactly those entries
+//! into the previous snapshot. An entry nobody marked is shared with the
+//! previous snapshot, so a mutation that forgets its mark publishes a stale
+//! view — the debug oracle in `ControlPlane::execute_batch` and the
+//! `prop_control` property test compare every published view against an
+//! independent `StateView::capture`.
 //!
+//! [`Orchestrator`]: crate::orchestrator::Orchestrator
 //! [`StateView`]: crate::control::StateView
 
 use std::collections::BTreeSet;
@@ -18,16 +21,12 @@ use crate::chain::NfcId;
 use crate::lifecycle::VnfInstanceId;
 
 /// The entities mutated since the last snapshot was published.
-///
-/// Once [`ChangeSet::full`] is set, fine-grained marks stop accumulating:
-/// the next publication rebuilds everything anyway.
 #[derive(Debug, Default)]
 pub(crate) struct ChangeSet {
-    /// A global operation ran; the next snapshot must be a full capture.
-    pub(crate) full: bool,
-    /// Chains deployed, modified, scaled, or torn down.
+    /// Chains deployed, modified, scaled, rerouted, or torn down.
     pub(crate) chains: BTreeSet<NfcId>,
-    /// Virtual clusters created or destroyed.
+    /// Virtual clusters created, destroyed, re-membered, or whose
+    /// abstraction layer was repaired.
     pub(crate) clusters: BTreeSet<ClusterId>,
     /// VNF instances created, transitioned, or garbage-collected.
     pub(crate) instances: BTreeSet<VnfInstanceId>,
@@ -36,42 +35,24 @@ pub(crate) struct ChangeSet {
 }
 
 impl ChangeSet {
-    /// Marks the whole world dirty (global operations: failure recovery,
-    /// re-optimization, re-clustering).
-    pub(crate) fn mark_full(&mut self) {
-        self.full = true;
-        self.chains.clear();
-        self.clusters.clear();
-        self.instances.clear();
-        self.edges.clear();
-    }
-
     /// Marks one chain dirty (present, changed, or removed).
     pub(crate) fn chain(&mut self, id: NfcId) {
-        if !self.full {
-            self.chains.insert(id);
-        }
+        self.chains.insert(id);
     }
 
     /// Marks one virtual cluster dirty.
     pub(crate) fn cluster(&mut self, id: ClusterId) {
-        if !self.full {
-            self.clusters.insert(id);
-        }
+        self.clusters.insert(id);
     }
 
     /// Marks one VNF instance dirty.
     pub(crate) fn instance(&mut self, id: VnfInstanceId) {
-        if !self.full {
-            self.instances.insert(id);
-        }
+        self.instances.insert(id);
     }
 
     /// Marks a set of physical links dirty.
     pub(crate) fn edges(&mut self, edges: &[alvc_graph::EdgeId]) {
-        if !self.full {
-            self.edges.extend(edges.iter().copied());
-        }
+        self.edges.extend(edges.iter().copied());
     }
 
     /// Takes the accumulated changes, leaving an empty set behind.

@@ -25,9 +25,8 @@
 //! * **Lock-free snapshot reads.** [`ControlPlane::view`] hands out an
 //!   `Arc<StateView>` published at the last batch boundary; readers never
 //!   block the write path and always see a consistent world. Publication
-//!   is incremental: each batch patches only the entities it touched into
-//!   the previous snapshot (global operations fall back to a full
-//!   capture).
+//!   is incremental: every batch, tenant or operator, patches only the
+//!   entries it touched into the previous snapshot.
 //! * **Replayable log.** Every executed intent lands in the
 //!   [`IntentLog`] with its batch index and outcome — the scheduler's
 //!   drain order *is* the recorded batch order, so
@@ -615,28 +614,28 @@ impl ControlPlane {
         inner.intents_processed += batch.len() as u64;
         alvc_telemetry::counter!("alvc_nfv.control.batches").incr();
         alvc_telemetry::gauge!("alvc_nfv.control.queue_depth").set(self.queue.lock().len() as f64);
-        // Publish incrementally: patch the entities this batch touched
-        // into the previous snapshot; global operations marked the whole
-        // world dirty and fall back to a full capture.
+        // Publish: patch the entries this batch marked into the previous
+        // snapshot.
         let changes = inner.orch.changes.take();
-        let view = if changes.full {
+        let prev = self.view.read().clone();
+        let view = StateView::apply_delta(
+            &prev,
+            inner.batches,
+            inner.intents_processed,
+            &inner.orch,
+            &inner.owners,
+            &changes,
+        );
+        debug_assert_eq!(
+            view,
             StateView::capture(
                 inner.batches,
                 inner.intents_processed,
                 &inner.orch,
                 &inner.owners,
-            )
-        } else {
-            let prev = self.view.read().clone();
-            StateView::apply_delta(
-                &prev,
-                inner.batches,
-                inner.intents_processed,
-                &inner.orch,
-                &inner.owners,
-                &changes,
-            )
-        };
+            ),
+            "a mutation in this batch did not mark an entry it touched"
+        );
         *self.view.write() = Arc::new(view);
         batch.len()
     }

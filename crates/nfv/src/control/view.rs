@@ -9,15 +9,16 @@
 //! exactly the world as of some batch boundary, never a half-applied
 //! intent.
 //!
-//! Publication is **incremental**: the orchestrator marks every entity a
-//! batch mutated (see [`crate::changes`]), and
+//! Publication is **incremental**, and there is one publication path: the
+//! orchestrator marks every entry a batch mutated (see
+//! [`crate::changes`]) — tenant intents and operator intents alike — and
 //! [`StateView::apply_delta`] patches only those entries into a clone of
-//! the previous snapshot — per-entry `Arc`s make the clone a pile of
+//! the previous snapshot. Per-entry `Arc`s make the clone a pile of
 //! reference-count bumps, so publication cost tracks the batch's blast
-//! radius, not the size of the data center. Global operations (failure
-//! recovery, re-optimization, re-clustering) fall back to a full
-//! [`StateView::capture`]. A property test pins `apply_delta` ≡
-//! `capture` after every batch.
+//! radius, not the size of the data center. [`StateView::capture`] builds
+//! the initial view and otherwise serves as the independent oracle: a
+//! debug assertion after every batch and a property test pin
+//! `apply_delta` ≡ `capture`.
 //!
 //! Every collection is a `BTreeMap`/`BTreeSet` so two views compare
 //! field-for-field deterministically; the replay property test leans on
@@ -26,12 +27,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use alvc_core::ClusterId;
+use alvc_core::{ClusterId, VirtualCluster};
 use alvc_topology::{Element, OpsId, VmId};
 
 use crate::chain::NfcId;
 use crate::changes::ChangeSet;
-use crate::lifecycle::{HostLocation, VnfInstanceId, VnfState};
+use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::orchestrator::{DeployedChain, Orchestrator};
 
 /// One deployed chain as seen by readers.
@@ -147,6 +148,23 @@ fn chain_view(
     }
 }
 
+/// Builds the reader-facing view of one VNF instance.
+fn instance_view(inst: &VnfInstance) -> InstanceView {
+    InstanceView {
+        state: inst.state(),
+        host: inst.host(),
+    }
+}
+
+/// Builds the reader-facing view of one virtual cluster.
+fn cluster_view(vc: &VirtualCluster) -> ClusterSliceView {
+    ClusterSliceView {
+        label: vc.label().to_string(),
+        vms: vc.vms().to_vec(),
+        ops: vc.al().ops().to_vec(),
+    }
+}
+
 /// Rebuilds the per-tenant aggregates from a (possibly patched) chain
 /// map. O(live chains + replicas) — independent of topology size.
 fn tenant_aggregates(
@@ -171,9 +189,10 @@ fn tenant_aggregates(
 }
 
 impl StateView {
-    /// Captures the orchestrator's observable state. `owners` maps each
-    /// live chain to its tenant (maintained by the control plane, which
-    /// executes every mutation).
+    /// Captures the orchestrator's observable state from scratch: the
+    /// initial view, and the oracle [`StateView::apply_delta`] is checked
+    /// against. `owners` maps each live chain to its tenant (maintained by
+    /// the control plane, which executes every mutation).
     pub(crate) fn capture(
         version: u64,
         intents_processed: u64,
@@ -189,29 +208,12 @@ impl StateView {
         let instances = orch
             .instances
             .iter()
-            .map(|(&id, inst)| {
-                (
-                    id,
-                    InstanceView {
-                        state: inst.state(),
-                        host: inst.host(),
-                    },
-                )
-            })
+            .map(|(&id, inst)| (id, instance_view(inst)))
             .collect();
         let clusters = orch
             .manager
             .clusters()
-            .map(|vc| {
-                (
-                    vc.id(),
-                    Arc::new(ClusterSliceView {
-                        label: vc.label().to_string(),
-                        vms: vc.vms().to_vec(),
-                        ops: vc.al().ops().to_vec(),
-                    }),
-                )
-            })
+            .map(|vc| (vc.id(), Arc::new(cluster_view(vc))))
             .collect();
         let link_committed_kbps: BTreeMap<_, _> = orch.link_committed.iter().collect();
         let total_committed_kbps = link_committed_kbps.values().sum();
@@ -231,12 +233,8 @@ impl StateView {
     }
 
     /// Builds the next snapshot by patching `changes` into a clone of
-    /// `prev` — the incremental twin of [`StateView::capture`], used for
-    /// every batch whose blast radius the orchestrator could enumerate.
-    ///
-    /// The caller must hand in a `ChangeSet` with
-    /// [`full`](ChangeSet::full) unset; global operations go through
-    /// `capture` instead.
+    /// `prev` — the incremental twin of [`StateView::capture`], and how
+    /// every batch is published.
     pub(crate) fn apply_delta(
         prev: &StateView,
         version: u64,
@@ -245,7 +243,6 @@ impl StateView {
         owners: &BTreeMap<NfcId, String>,
         changes: &ChangeSet,
     ) -> StateView {
-        debug_assert!(!changes.full, "full change sets go through capture");
         let mut view = prev.clone();
         view.version = version;
         view.intents_processed = intents_processed;
@@ -264,13 +261,7 @@ impl StateView {
         for &iid in &changes.instances {
             match orch.instances.get(&iid) {
                 Some(inst) => {
-                    view.instances.insert(
-                        iid,
-                        InstanceView {
-                            state: inst.state(),
-                            host: inst.host(),
-                        },
-                    );
+                    view.instances.insert(iid, instance_view(inst));
                 }
                 None => {
                     view.instances.remove(&iid);
@@ -280,14 +271,7 @@ impl StateView {
         for &cid in &changes.clusters {
             match orch.manager.cluster(cid) {
                 Some(vc) => {
-                    view.clusters.insert(
-                        cid,
-                        Arc::new(ClusterSliceView {
-                            label: vc.label().to_string(),
-                            vms: vc.vms().to_vec(),
-                            ops: vc.al().ops().to_vec(),
-                        }),
-                    );
+                    view.clusters.insert(cid, Arc::new(cluster_view(vc)));
                 }
                 None => {
                     view.clusters.remove(&cid);

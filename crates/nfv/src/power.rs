@@ -97,11 +97,6 @@ impl Orchestrator {
             }
         }
         self.power.set(element, state);
-        // Powered-off elements change the usable substrate for every
-        // tenant, so the next published StateView must be a full capture.
-        if state == PowerState::PoweredOff || previous == PowerState::PoweredOff {
-            self.changes.mark_full();
-        }
         alvc_telemetry::counter_with("alvc_nfv.power.transitions", state.label()).incr();
         alvc_telemetry::gauge!("alvc_nfv.power.powered_off_elements")
             .set(self.power.powered_off_count() as f64);

@@ -77,7 +77,6 @@ impl Orchestrator {
         let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.recluster_us");
         let mut trace_span = alvc_telemetry::trace::child_span("nfv.recluster");
         trace_span.add_field("moves", moves.len());
-        self.changes.mark_full();
         let mut report = ReclusterReport::default();
 
         // Chain endpoints are pinned: moving one out of its cluster would
@@ -105,8 +104,11 @@ impl Orchestrator {
             }
             self.manager.remove_vm(mv.from, mv.vm);
             self.manager.add_vm(mv.to, mv.vm);
-            affected.insert(mv.from);
-            affected.insert(mv.to);
+            // Membership changed; the layers phase 2 rebuilds are a subset.
+            for cid in [mv.from, mv.to] {
+                affected.insert(cid);
+                self.changes.cluster(cid);
+            }
             report.applied += 1;
         }
 

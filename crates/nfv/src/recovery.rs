@@ -148,7 +148,6 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> RecoveryReport {
-        self.changes.mark_full();
         self.fail_element(dc, Element::Ops(ops), Some(constructor), placer)
     }
 
@@ -161,7 +160,6 @@ impl Orchestrator {
         server: ServerId,
         placer: &dyn VnfPlacer,
     ) -> RecoveryReport {
-        self.changes.mark_full();
         self.fail_element(dc, Element::Server(server), None, placer)
     }
 
@@ -175,7 +173,6 @@ impl Orchestrator {
         tor: TorId,
         placer: &dyn VnfPlacer,
     ) -> RecoveryReport {
-        self.changes.mark_full();
         self.fail_element(dc, Element::Tor(tor), None, placer)
     }
 
@@ -185,7 +182,6 @@ impl Orchestrator {
         let was_failed = self.health.restore(Element::Ops(ops));
         if was_failed {
             self.manager.restore_ops(ops);
-            self.changes.mark_full();
             alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
         }
         was_failed
@@ -195,7 +191,6 @@ impl Orchestrator {
     pub fn restore_server(&mut self, server: ServerId) -> bool {
         let was_failed = self.health.restore(Element::Server(server));
         if was_failed {
-            self.changes.mark_full();
             alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
         }
         was_failed
@@ -207,7 +202,6 @@ impl Orchestrator {
         let was_failed = self.health.restore(Element::Tor(tor));
         if was_failed {
             self.manager.restore_tor(tor);
-            self.changes.mark_full();
             alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
         }
         was_failed
@@ -222,9 +216,6 @@ impl Orchestrator {
         placer: &dyn VnfPlacer,
     ) -> BTreeMap<NfcId, RecoveryOutcome> {
         let ids: Vec<NfcId> = self.degraded.iter().copied().collect();
-        if !ids.is_empty() {
-            self.changes.mark_full();
-        }
         let mut outcomes = BTreeMap::new();
         for id in ids {
             let outcome = self.recover_chain(dc, id, placer);
@@ -309,22 +300,17 @@ impl Orchestrator {
                 match self.manager.fail_ops(dc, o, ctor) {
                     Ok(Some(c)) => repaired.push(c),
                     Ok(None) => {}
-                    Err(_) => {
-                        // Rebuild failed: the owner keeps its degraded AL;
-                        // its chains still need chain-level recovery.
-                        if let Some(c) = self
-                            .manager
-                            .clusters()
-                            .find(|vc| vc.al().contains_ops(o))
-                            .map(|vc| vc.id())
-                        {
-                            repaired.push(c);
-                        }
-                    }
+                    // Rebuild failed: the owner keeps its degraded AL;
+                    // its chains still need chain-level recovery.
+                    Err(_) => repaired.extend(self.manager.ops_owner(o)),
                 }
             }
             Element::Tor(t) => repaired = self.manager.fail_tor(dc, t),
             Element::Server(_) => {}
+        }
+        // The AL layer shrank or rebuilt these slices' layers.
+        for &c in &repaired {
+            self.changes.cluster(c);
         }
 
         // Replicas on dead elements are force-scaled-in before chain
@@ -348,7 +334,7 @@ impl Orchestrator {
         // or the chain's slice was repaired out from under its route.
         let node = element_node(dc, element);
         let repaired: HashSet<ClusterId> = repaired.into_iter().collect();
-        let affected = self.affected_chains(dc, node, &repaired);
+        let affected = self.affected_chains(node, &repaired);
 
         let mut outcomes = BTreeMap::new();
         for id in affected {
@@ -367,34 +353,18 @@ impl Orchestrator {
         RecoveryReport { element, outcomes }
     }
 
-    /// The chains a failure at `node` touches: path crosses the node, a
-    /// VNF host died, or the chain's slice is in `repaired`. The scan is
-    /// read-only, so on multi-pod topologies it fans out over the rayon
-    /// pool; output is in chain-id order either way, keeping the recovery
-    /// ladder (and hence intent-log replay) deterministic.
-    fn affected_chains(
-        &self,
-        dc: &DataCenter,
-        node: NodeId,
-        repaired: &HashSet<ClusterId>,
-    ) -> Vec<NfcId> {
-        let hit = |c: &crate::orchestrator::DeployedChain| {
-            c.path.nodes().contains(&node)
-                || c.hosts.iter().any(|&h| !self.host_up(h))
-                || repaired.contains(&c.cluster)
-        };
-        if dc.pod_count() > 1 {
-            use rayon::prelude::*;
-            let entries: Vec<_> = self.chains.iter().map(|(&id, c)| (id, c)).collect();
-            let hits: Vec<Option<NfcId>> = entries
-                .par_iter()
-                .map(|&(id, c)| if hit(c) { Some(id) } else { None })
-                .collect();
-            return hits.into_iter().flatten().collect();
-        }
+    /// The chains a failure at `node` touches, in chain-id order (which
+    /// keeps the recovery ladder, and hence intent-log replay,
+    /// deterministic): path crosses the node, a VNF host died, or the
+    /// chain's slice is in `repaired`.
+    fn affected_chains(&self, node: NodeId, repaired: &HashSet<ClusterId>) -> Vec<NfcId> {
         self.chains
             .iter()
-            .filter(|(_, c)| hit(c))
+            .filter(|(_, c)| {
+                c.path.nodes().contains(&node)
+                    || c.hosts.iter().any(|&h| !self.host_up(h))
+                    || repaired.contains(&c.cluster)
+            })
             .map(|(&id, _)| id)
             .collect()
     }

@@ -6,17 +6,26 @@
 
 use std::sync::Arc;
 
+use alvc_affinity::VmMove;
 use alvc_nfv::chain::fig5;
 use alvc_nfv::{
     AdmissionError, ChainSpec, ControlPlane, Intent, IntentEffect, IntentOutcome, NfcId,
     SchedulerMode, StateView, TenantQuota, VnfInstanceId, VnfSpec, VnfType,
 };
-use alvc_topology::{AlvcTopologyBuilder, DataCenter, Element, OpsInterconnect, VmId};
+use alvc_topology::{
+    AlvcTopologyBuilder, DataCenter, Element, OpsId, OpsInterconnect, PowerState, TorId, VmId,
+};
 use proptest::prelude::*;
 
 fn dc_for(seed: u64) -> Arc<DataCenter> {
+    dc_with_pods(seed, 1)
+}
+
+/// The same per-pod shape replicated over `pods` pods.
+fn dc_with_pods(seed: u64, pods: usize) -> Arc<DataCenter> {
     Arc::new(
         AlvcTopologyBuilder::new()
+            .pods(pods)
             .racks(6)
             .servers_per_rack(2)
             .vms_per_server(2)
@@ -41,6 +50,11 @@ fn spec_for(kind: u8, ingress: VmId, egress: VmId) -> ChainSpec {
             .build()
             .unwrap(),
     }
+}
+
+/// The `kind`-th element of `xs`, wrapping around; `None` if it is empty.
+fn pick<T: Copy>(xs: &[T], kind: u8) -> Option<T> {
+    xs.get(kind as usize % xs.len().max(1)).copied()
 }
 
 fn control_plane(dc: &Arc<DataCenter>, batch_size: usize) -> ControlPlane {
@@ -250,62 +264,126 @@ proptest! {
         prop_assert_eq!(live.intent_log(), fresh.intent_log());
     }
 
-    /// Incremental-publication property: after every batch — including
-    /// batches with failures, restores, and reoptimizes that force a full
-    /// capture — the published snapshot equals a from-scratch
-    /// `StateView::capture` of the live orchestrator.
+    /// Incremental-publication property: after every batch — tenant
+    /// intents and every operator intent alike (server, OPS and ToR
+    /// failures and restores, reoptimizes, re-clusterings, power
+    /// transitions), on one pod and on two — the published snapshot equals
+    /// a from-scratch `StateView::capture` of the live orchestrator.
     #[test]
     fn incremental_view_equals_full_capture_after_every_batch(
         seed in 0u64..50,
+        pods in 1usize..3,
         batch_size in 1usize..5,
-        script in proptest::collection::vec((0u8..8, 0u8..4), 1..16),
+        script in proptest::collection::vec((0u8..18, 0u8..4), 1..40),
     ) {
-        let dc = dc_for(seed);
+        let dc = dc_with_pods(seed, pods);
         let vms: Vec<VmId> = dc.vm_ids().collect();
         let half = vms.len() / 2;
         let groups = [vms[..half].to_vec(), vms[half..].to_vec()];
+        // Chain endpoints; re-clustering refuses to move them.
+        let pinned = [vms[0], vms[half - 1], vms[half], vms[vms.len() - 1]];
         let cp = control_plane(&dc, batch_size);
         let mut replicas: Vec<VnfInstanceId> = Vec::new();
+        let mut powered_off: Vec<OpsId> = Vec::new();
+        let operator = |intent: Intent| ("operator".to_string(), intent);
         for (op, kind) in script {
             let tenant = format!("t{}", kind % 2);
             let group = &groups[(kind % 2) as usize];
-            let first_chain: Option<NfcId> = cp.view().chains_of(&tenant).first().copied();
+            let view = cp.view();
+            let first_chain: Option<NfcId> = view.chains_of(&tenant).first().copied();
             let (tenant, intent) = match op {
-                0 | 1 => (tenant, Intent::DeployChain {
+                // Deploys carry extra weight (14..) so that the operator
+                // intents below mostly find live chains and clusters.
+                0 | 1 | 14.. => (tenant, Intent::DeployChain {
                     vms: group.clone(),
                     spec: spec_for(kind, group[0], *group.last().unwrap()),
                 }),
                 2 => match first_chain {
                     Some(chain) => (tenant, Intent::TeardownChain { chain }),
-                    None => ("operator".to_string(), Intent::Reoptimize),
+                    None => operator(Intent::Reoptimize),
                 },
                 3 => match first_chain {
                     Some(chain) => (tenant, Intent::ModifyChain {
                         chain,
                         spec: spec_for(kind + 1, group[0], *group.last().unwrap()),
                     }),
-                    None => ("operator".to_string(), Intent::Reoptimize),
+                    None => operator(Intent::Reoptimize),
                 },
                 4 => match first_chain {
                     Some(chain) => (tenant, Intent::ScaleOut { chain, position: 0 }),
-                    None => ("operator".to_string(), Intent::Reoptimize),
+                    None => operator(Intent::Reoptimize),
                 },
                 5 => match replicas.pop() {
                     Some(replica) => (tenant, Intent::ScaleIn { replica }),
-                    None => ("operator".to_string(), Intent::Reoptimize),
+                    None => operator(Intent::Reoptimize),
                 },
-                6 => (
-                    "operator".to_string(),
-                    Intent::FailElement {
-                        element: Element::Server(dc.server_of_vm(groups[(kind % 2) as usize][0])),
-                    },
-                ),
-                _ => (
-                    "operator".to_string(),
-                    Intent::RestoreElement {
-                        element: Element::Server(dc.server_of_vm(groups[(kind % 2) as usize][0])),
-                    },
-                ),
+                6 => operator(Intent::FailElement {
+                    element: Element::Server(dc.server_of_vm(group[0])),
+                }),
+                7 => operator(Intent::RestoreElement {
+                    element: Element::Server(dc.server_of_vm(group[0])),
+                }),
+                // An OPS some live cluster's abstraction layer owns: the AL
+                // layer shrinks or rebuilds that cluster.
+                8 => {
+                    let owned: Vec<OpsId> =
+                        view.clusters.values().flat_map(|c| c.ops.clone()).collect();
+                    operator(pick(&owned, kind).map_or(Intent::Reoptimize, |ops| {
+                        Intent::FailElement { element: Element::Ops(ops) }
+                    }))
+                }
+                // A currently failed OPS or ToR (op 7 restores servers).
+                9 => {
+                    let is_switch = |e: &Element| !matches!(e, Element::Server(_));
+                    let down: Vec<Element> =
+                        view.failed_elements.iter().copied().filter(is_switch).collect();
+                    operator(pick(&down, kind).map_or(Intent::Reoptimize, |element| {
+                        Intent::RestoreElement { element }
+                    }))
+                }
+                // A ToR listed by a live abstraction layer.
+                10 => {
+                    let tors: Vec<TorId> = cp.inspect(|orch| {
+                        let layers = orch.manager().clusters();
+                        layers.flat_map(|vc| vc.al().tors().to_vec()).collect()
+                    });
+                    operator(pick(&tors, kind).map_or(Intent::Reoptimize, |tor| {
+                        Intent::FailElement { element: Element::Tor(tor) }
+                    }))
+                }
+                // One valid move between the first and the last live
+                // cluster (a stale one if there is only one cluster).
+                11 => {
+                    let from = view.clusters.iter().next();
+                    let to = view.clusters.keys().next_back();
+                    let vm = from.and_then(|(_, c)| c.vms.iter().find(|vm| !pinned.contains(vm)));
+                    match (from, to, vm) {
+                        (Some((&from, _)), Some(&to), Some(&vm)) => {
+                            operator(Intent::Recluster { moves: vec![VmMove { vm, from, to }] })
+                        }
+                        _ => operator(Intent::Reoptimize),
+                    }
+                }
+                // Off, then (op 13) back on: an OPS no layer owns.
+                12 => {
+                    let unowned: Vec<OpsId> = dc
+                        .ops_ids()
+                        .filter(|o| view.clusters.values().all(|c| !c.ops.contains(o)))
+                        .collect();
+                    let ops = pick(&unowned, kind).expect("no layer owns every OPS");
+                    powered_off.push(ops);
+                    operator(Intent::SetPowerState {
+                        element: Element::Ops(ops),
+                        state: PowerState::PoweredOff,
+                    })
+                }
+                13 => match powered_off.pop() {
+                    Some(ops) => operator(Intent::SetPowerState {
+                        element: Element::Ops(ops),
+                        state: PowerState::Active,
+                    }),
+                    None => operator(Intent::Reoptimize),
+                },
             };
             let id = cp.submit(&tenant, intent);
             cp.process_batch();
