@@ -1,36 +1,33 @@
-//! E10 (control plane): multi-tenant intent throughput and latency.
+//! E10 (control plane): causal tracing, flight recorder and SLO monitor
+//! under a multi-tenant intent mix.
 //!
-//! N tenant threads submit weighted mixed intent streams (deploy /
-//! teardown / modify / scale, from `alvc-sim`'s [`IntentMix`]) against one
-//! shared [`ControlPlane`], while an operator thread injects failure /
-//! restore / reoptimize intents. The main thread drives batches and
-//! measures per-intent submit→completion latency. After each run the
-//! recorded intent log is replayed on a fresh control plane and the final
-//! [`alvc_nfv::StateView`]s are compared — the determinism claim, checked
-//! at bench scale.
+//! Four tenants submit weighted mixed intent streams (deploy / teardown /
+//! modify / scale, from `alvc-sim`'s [`IntentMix`]) round-robin against one
+//! [`ControlPlane`], with periodic operator fail / restore churn. The mix
+//! runs single-threaded and twice per round — tracing off, tracing on with
+//! the flight recorder and an SLO monitor (including one deliberately
+//! unmeetable p99 objective) — so the wall-time difference measures
+//! tracing, not scheduling (DESIGN.md §14). Gates: causal trace trees are
+//! complete for ≥ 99 % of intents and the induced SLO breach shows up in
+//! the report and in the dump; the tracing overhead against its 2 % budget
+//! is reported. Shrink the run with `E10_TRACE_INTENTS=<n>`.
 //!
-//! A second, single-threaded **trace phase** (DESIGN.md §14) then runs the
-//! same intent mix twice — tracing off, tracing on with the flight
-//! recorder and an SLO monitor (including one deliberately unmeetable p99
-//! objective) — and checks that causal trace trees are complete for ≥99%
-//! of intents and that the runtime tracing overhead stays within budget.
-//! Shrink it with `E10_TRACE_INTENTS=<n>`.
+//! The multi-threaded open-loop throughput / latency phase that used to
+//! run first is gone: its percentiles did not repeat between identical
+//! runs, and `benchmark/` (closed-loop, seeded; see `benchmark/README.md`)
+//! owns intent throughput and latency.
 //!
-//! Emits `results/BENCH_control_plane.json`,
-//! `results/BENCH_trace_overhead.json`, and the flight-recorder dump
+//! Emits `results/BENCH_trace_overhead.json` and the flight-recorder dump
 //! `results/trace_dump.jsonl` (rendered by `alvc-trace`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use alvc_bench::{f2, print_table, write_results, Json};
+use alvc_bench::{spec_of, write_results, Json, Op, Report};
 use alvc_nfv::{
-    ChainSpec, ControlPlane, Intent, IntentEffect, IntentId, IntentOutcome, TenantQuota,
-    VnfInstanceId, VnfSpec, VnfType,
+    ControlPlane, Intent, IntentEffect, IntentId, IntentOutcome, TenantQuota, VnfInstanceId,
 };
-use alvc_sim::workload::ChainBlueprint;
 use alvc_sim::{ChainWorkload, IntentMix, IntentOp, MixWeights};
 use alvc_telemetry::recorder::{
     clear_recorder, configure_recorder, recorder_entries, RecorderEntry,
@@ -39,8 +36,6 @@ use alvc_telemetry::trace::set_tracing_enabled;
 use alvc_telemetry::{SloMonitor, SloReport, SloSpec, SpanRecord, TraceId};
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, Element, OpsId, OpsInterconnect, VmId};
 
-const TENANT_COUNTS: [usize; 4] = [2, 4, 8, 16];
-const INTENTS_PER_TENANT: usize = 40;
 const BATCH_SIZE: usize = 16;
 
 /// Tenants driven round-robin by the single-threaded trace phase.
@@ -56,258 +51,8 @@ const TRACE_RECORDER_CAPACITY: usize = 1 << 18;
 /// Acceptance budget for tracing-on vs tracing-off wall time.
 const TRACE_OVERHEAD_BUDGET: f64 = 0.02;
 
-fn topology() -> Arc<DataCenter> {
-    Arc::new(
-        AlvcTopologyBuilder::new()
-            .racks(16)
-            .servers_per_rack(4)
-            .vms_per_server(2)
-            .ops_count(48)
-            .tor_ops_degree(8)
-            .opto_fraction(0.5)
-            .interconnect(OpsInterconnect::FullMesh)
-            .seed(10)
-            .build(),
-    )
-}
-
-fn control_plane(dc: &Arc<DataCenter>) -> ControlPlane {
-    ControlPlane::builder()
-        .batch_size(BATCH_SIZE)
-        .default_quota(TenantQuota::new(6, 8))
-        .tenant_quota("operator", TenantQuota::unlimited())
-        .build(dc.clone())
-}
-
-/// Maps a sim blueprint onto a concrete chain spec: heavy VNFs become DPI
-/// (electronic-only), light ones firewalls (optoelectronic-eligible).
-fn spec_of(bp: &ChainBlueprint) -> ChainSpec {
-    let vnfs: Vec<VnfSpec> = bp
-        .heavy
-        .iter()
-        .map(|&h| VnfSpec::of(if h { VnfType::Dpi } else { VnfType::Firewall }))
-        .collect();
-    let b = ChainSpec::builder("gen")
-        .ingress(bp.ingress)
-        .egress(bp.egress);
-    let b = if vnfs.is_empty() {
-        b.passthrough()
-    } else {
-        b.linear(vnfs)
-    };
-    b.build().expect("blueprint specs are valid")
-}
-
-/// One tenant's submission loop: draw ops from the mix, resolve targets
-/// against the tenant's own live chains (via lock-free snapshots), and
-/// record every ticket with its submit instant.
-#[allow(clippy::type_complexity)]
-fn run_tenant(
-    cp: Arc<ControlPlane>,
-    tenant: String,
-    group: Vec<VmId>,
-    seed: u64,
-    pending: Arc<Mutex<Vec<(IntentId, Instant)>>>,
-) -> usize {
-    let mut mix = IntentMix::new(
-        MixWeights::default(),
-        ChainWorkload::new(1, 4, 0.4, seed),
-        seed,
-    );
-    let mut scale_out_tickets: Vec<IntentId> = Vec::new();
-    let mut replicas = Vec::new();
-    let mut submitted = 0;
-    for _ in 0..INTENTS_PER_TENANT {
-        let view = cp.view();
-        let own = view.chains_of(&tenant);
-        let intent = match mix.next(&group) {
-            IntentOp::Deploy(bp) => Intent::DeployChain {
-                vms: group.clone(),
-                spec: spec_of(&bp),
-            },
-            IntentOp::Teardown => match own.first() {
-                Some(&chain) => Intent::TeardownChain { chain },
-                None => continue,
-            },
-            IntentOp::Modify(bp) => match own.last() {
-                Some(&chain) => Intent::ModifyChain {
-                    chain,
-                    spec: spec_of(&bp),
-                },
-                None => continue,
-            },
-            IntentOp::ScaleOut => match own.first() {
-                Some(&chain) => Intent::ScaleOut { chain, position: 0 },
-                None => continue,
-            },
-            IntentOp::ScaleIn => {
-                // Harvest replica ids from resolved scale-out tickets.
-                scale_out_tickets.retain(|&t| match cp.outcome(t) {
-                    Some(IntentOutcome::Completed(IntentEffect::ScaledOut { replica, .. })) => {
-                        replicas.push(replica);
-                        false
-                    }
-                    Some(_) => false,
-                    None => true,
-                });
-                match replicas.pop() {
-                    Some(replica) => Intent::ScaleIn { replica },
-                    None => continue,
-                }
-            }
-        };
-        let is_scale_out = matches!(intent, Intent::ScaleOut { .. });
-        let id = cp.submit(&tenant, intent);
-        pending
-            .lock()
-            .expect("pending lock")
-            .push((id, Instant::now()));
-        if is_scale_out {
-            scale_out_tickets.push(id);
-        }
-        submitted += 1;
-    }
-    submitted
-}
-
-/// The operator's side channel: a few failure / restore / reoptimize
-/// cycles against OPS elements, exercising the recovery ladder under load.
-fn run_operator(cp: Arc<ControlPlane>, pending: Arc<Mutex<Vec<(IntentId, Instant)>>>) -> usize {
-    let mut submitted = 0;
-    for k in 0..3u32 {
-        for intent in [
-            Intent::FailElement {
-                element: Element::Ops(OpsId(k as usize)),
-            },
-            Intent::RestoreElement {
-                element: Element::Ops(OpsId(k as usize)),
-            },
-            Intent::Reoptimize,
-        ] {
-            let id = cp.submit("operator", intent);
-            pending
-                .lock()
-                .expect("pending lock")
-                .push((id, Instant::now()));
-            submitted += 1;
-            std::thread::yield_now();
-        }
-    }
-    submitted
-}
-
-struct RunResult {
-    tenants: usize,
-    intents: usize,
-    completed: usize,
-    rejected: usize,
-    failed: usize,
-    batches: u64,
-    wall_ms: f64,
-    intents_per_sec: f64,
-    latencies_us: Vec<f64>,
-    replay_identical: bool,
-}
-
-fn run_scenario(dc: &Arc<DataCenter>, tenants: usize) -> RunResult {
-    let vms: Vec<VmId> = dc.vm_ids().collect();
-    let per = vms.len() / tenants;
-    let cp = Arc::new(control_plane(dc));
-    let pending: Arc<Mutex<Vec<(IntentId, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
-    let live_submitters = Arc::new(AtomicUsize::new(tenants + 1));
-
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for t in 0..tenants {
-        let cp = cp.clone();
-        let pending = pending.clone();
-        let live = live_submitters.clone();
-        let group = vms[t * per..(t + 1) * per].to_vec();
-        handles.push(std::thread::spawn(move || {
-            let n = run_tenant(cp, format!("tenant-{t}"), group, 1000 + t as u64, pending);
-            live.fetch_sub(1, Ordering::SeqCst);
-            n
-        }));
-    }
-    {
-        let cp = cp.clone();
-        let pending = pending.clone();
-        let live = live_submitters.clone();
-        handles.push(std::thread::spawn(move || {
-            let n = run_operator(cp, pending);
-            live.fetch_sub(1, Ordering::SeqCst);
-            n
-        }));
-    }
-
-    // Drive batches until every submitter has finished and every ticket
-    // has resolved, recording submit→completion latency per intent.
-    let mut latencies_us: Vec<f64> = Vec::new();
-    loop {
-        let processed = cp.process_batch();
-        let now = Instant::now();
-        {
-            let mut p = pending.lock().expect("pending lock");
-            p.retain(|&(id, at)| {
-                if cp.outcome(id).is_some() {
-                    latencies_us.push((now - at).as_secs_f64() * 1e6);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let drained = pending.lock().expect("pending lock").is_empty();
-        if processed == 0
-            && drained
-            && cp.queue_depth() == 0
-            && live_submitters.load(Ordering::SeqCst) == 0
-        {
-            break;
-        }
-        if processed == 0 {
-            std::thread::yield_now();
-        }
-    }
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let intents: usize = handles
-        .into_iter()
-        .map(|h| h.join().expect("submitter"))
-        .sum();
-    assert_eq!(latencies_us.len(), intents, "every ticket measured");
-
-    let log = cp.intent_log();
-    let (mut completed, mut rejected, mut failed) = (0, 0, 0);
-    for record in log.records() {
-        match record.outcome {
-            IntentOutcome::Completed(_) => completed += 1,
-            IntentOutcome::Rejected(_) => rejected += 1,
-            IntentOutcome::Failed(_) => failed += 1,
-        }
-    }
-    let live_view = cp.view();
-    let replayed = control_plane(dc).replay(&log);
-    RunResult {
-        tenants,
-        intents,
-        completed,
-        rejected,
-        failed,
-        batches: live_view.version,
-        wall_ms,
-        intents_per_sec: intents as f64 / (wall_ms / 1e3),
-        latencies_us,
-        replay_identical: *live_view == *replayed,
-    }
-}
-
-fn pctl(sorted: &[f64], q: f64) -> f64 {
-    sorted[(((sorted.len() as f64) * q).ceil() as usize).clamp(1, sorted.len()) - 1]
-}
-
-/// One tenant of the trace phase: the same mix/targeting logic as
-/// [`run_tenant`], minus threads — the phase is single-threaded so the
-/// tracing-on/off wall-time comparison measures tracing, not scheduling.
+/// One tenant: its VM group, its intent mix, and the scale-out tickets
+/// waiting to be harvested into replica ids for later scale-ins.
 struct TraceTenant {
     name: String,
     group: Vec<VmId>,
@@ -533,9 +278,9 @@ fn trace_coverage(cp: &ControlPlane, ids: &[IntentId]) -> (usize, usize) {
 
 /// The trace phase proper: warm up, interleave three tracing-off and
 /// three tracing-on passes (min-of-3 each side — interleaving cancels
-/// clock/thermal drift, the min sheds scheduler noise), check tree
-/// completeness and the induced SLO breach, dump the recorder, and write
-/// `BENCH_trace_overhead.json`.
+/// clock/thermal drift, the min sheds scheduler noise), dump the recorder,
+/// and write `BENCH_trace_overhead.json` with the completeness and
+/// induced-breach gates.
 fn trace_phase() {
     let target: usize = std::env::var("E10_TRACE_INTENTS")
         .ok()
@@ -568,55 +313,9 @@ fn trace_phase() {
         wall_on,
         TRACE_OVERHEAD_BUDGET * 100.0
     );
-    assert!(
-        coverage >= 0.99,
-        "causal trees must be complete for >=99% of intents, got {complete}/{total}"
-    );
     let report = traced.report.take().expect("traced pass produced a report");
-    assert!(
-        report.breaches.iter().any(|b| b.slo == "induced_p99"),
-        "the deliberately unmeetable p99 objective must breach"
-    );
     let dump = traced.cp.dump_flight_recorder();
-    assert!(
-        dump.contains("\"kind\":\"breach\""),
-        "SLO breaches must appear in the flight-recorder dump"
-    );
     let dump_path = write_results("trace_dump.jsonl", &dump);
-
-    let slo_results: Vec<Json> = report
-        .results
-        .iter()
-        .map(|r| {
-            Json::object()
-                .field("slo", r.slo.clone())
-                .field("windows", r.windows)
-                .field("breaches", r.breaches)
-                .field("worst", (r.worst * 1e3).round() / 1e3)
-                .field("threshold", r.threshold)
-        })
-        .collect();
-    let doc = Json::object()
-        .field("bench", "trace_overhead")
-        .field("intents", total)
-        .field("wall_ms_off", (wall_off * 1e3).round() / 1e3)
-        .field("wall_ms_on", (wall_on * 1e3).round() / 1e3)
-        .field("slo_observe_ms", (traced.observe_ms * 1e3).round() / 1e3)
-        .field("overhead_frac", (overhead * 1e4).round() / 1e4)
-        .field("budget_frac", TRACE_OVERHEAD_BUDGET)
-        .field("within_budget", overhead <= TRACE_OVERHEAD_BUDGET)
-        .field("traces_complete", complete)
-        .field("traces_total", total)
-        .field("trace_coverage", (coverage * 1e4).round() / 1e4)
-        .field(
-            "slo",
-            Json::object()
-                .field("windows", report.windows)
-                .field("breaches", report.breaches.len())
-                .field("results", Json::Array(slo_results)),
-        )
-        .field("dump", "trace_dump.jsonl");
-    let path = write_results("BENCH_trace_overhead.json", &doc.pretty());
     println!(
         "SLO windows: {}, breaches: {} (induced_p99 deliberately unmeetable)",
         report.windows,
@@ -629,90 +328,67 @@ fn trace_phase() {
             TRACE_OVERHEAD_BUDGET * 100.0
         );
     }
-    println!("wrote {} and {}", path.display(), dump_path.display());
+    println!("wrote {}", dump_path.display());
+
+    let mut result = Report::new(
+        "trace_overhead",
+        "e10_control_plane",
+        target < DEFAULT_TRACE_INTENTS,
+    );
+    result.config(
+        Json::object()
+            .field("target_intents", target)
+            .field("tenants", TRACE_TENANTS)
+            .field("batch_size", BATCH_SIZE)
+            .field("recorder_capacity", TRACE_RECORDER_CAPACITY)
+            .field("overhead_budget_frac", TRACE_OVERHEAD_BUDGET)
+            .field("dump", "trace_dump.jsonl"),
+    );
+    result.rows(
+        "overhead",
+        [Json::object()
+            .field("intents", total)
+            .field("wall_ms_off", (wall_off * 1e3).round() / 1e3)
+            .field("wall_ms_on", (wall_on * 1e3).round() / 1e3)
+            .field("slo_observe_ms", (traced.observe_ms * 1e3).round() / 1e3)
+            .field("overhead_frac", (overhead * 1e4).round() / 1e4)
+            .field("within_budget", overhead <= TRACE_OVERHEAD_BUDGET)
+            .field("traces_complete", complete)
+            .field("slo_windows", report.windows)
+            .field("slo_breaches", report.breaches.len())],
+    );
+    result.rows(
+        "slo",
+        report.results.iter().map(|r| {
+            Json::object()
+                .field("slo", r.slo.clone())
+                .field("windows", r.windows)
+                .field("breaches", r.breaches)
+                .field("worst", (r.worst * 1e3).round() / 1e3)
+                .field("threshold", r.threshold)
+        }),
+    );
+    // DESIGN.md §14: causal trees reconstruct for ≥ 99 % of intents, and
+    // the deliberately unmeetable p99 objective breaches — in the
+    // monitor's report and as records in the flight-recorder dump.
+    let induced = report
+        .breaches
+        .iter()
+        .filter(|b| b.slo == "induced_p99")
+        .count();
+    result.gate("trace_coverage", coverage, Op::Ge, 0.99);
+    result.gate("induced_p99_breaches", induced as f64, Op::Ge, 1.0);
+    result.gate(
+        "dump_breach_records",
+        dump.matches("\"kind\":\"breach\"").count() as f64,
+        Op::Ge,
+        1.0,
+    );
+    result.finish("BENCH_trace_overhead.json");
 }
 
 fn main() {
-    println!("E10: intent-based control plane — throughput and latency\n");
-    let dc = topology();
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
-    for &tenants in &TENANT_COUNTS {
-        let mut r = run_scenario(&dc, tenants);
-        r.latencies_us
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let mean = r.latencies_us.iter().sum::<f64>() / r.latencies_us.len() as f64;
-        let (p50, p95, p99) = (
-            pctl(&r.latencies_us, 0.50),
-            pctl(&r.latencies_us, 0.95),
-            pctl(&r.latencies_us, 0.99),
-        );
-        assert!(r.replay_identical, "replay must reproduce the live view");
-        rows.push(vec![
-            r.tenants.to_string(),
-            r.intents.to_string(),
-            format!("{}/{}/{}", r.completed, r.rejected, r.failed),
-            r.batches.to_string(),
-            f2(r.intents_per_sec),
-            f2(p50 / 1e3),
-            f2(p95 / 1e3),
-            f2(p99 / 1e3),
-            r.replay_identical.to_string(),
-        ]);
-        runs.push(
-            Json::object()
-                .field("tenants", r.tenants)
-                .field("intents", r.intents)
-                .field("completed", r.completed)
-                .field("rejected", r.rejected)
-                .field("failed", r.failed)
-                .field("batches", r.batches as f64)
-                .field("wall_ms", (r.wall_ms * 1e3).round() / 1e3)
-                .field("intents_per_sec", (r.intents_per_sec * 1e3).round() / 1e3)
-                .field(
-                    "latency_us",
-                    Json::object()
-                        .field("mean", (mean * 1e3).round() / 1e3)
-                        .field("p50", (p50 * 1e3).round() / 1e3)
-                        .field("p95", (p95 * 1e3).round() / 1e3)
-                        .field("p99", (p99 * 1e3).round() / 1e3),
-                )
-                .field("replay_identical", r.replay_identical),
-        );
-    }
-    print_table(
-        &[
-            "tenants",
-            "intents",
-            "ok/rej/fail",
-            "batches",
-            "intents/s",
-            "p50 ms",
-            "p95 ms",
-            "p99 ms",
-            "replay==",
-        ],
-        &rows,
-    );
-
-    let doc = Json::object()
-        .field("bench", "control_plane")
-        .field("batch_size", BATCH_SIZE)
-        .field("intents_per_tenant", INTENTS_PER_TENANT)
-        .field(
-            "topology",
-            Json::object()
-                .field("vms", dc.vm_count())
-                .field("ops", dc.ops_count()),
-        )
-        .field("runs", Json::Array(runs));
-    let path = write_results("BENCH_control_plane.json", &doc.pretty());
-    println!("\nwrote {}", path.display());
-    println!(
-        "\nLatency is submit→batch-completion as observed by the driver; every run's\n\
-         intent log replays to a bit-identical StateView on a fresh control plane."
-    );
-
+    println!("E10: intent-based control plane — causal tracing under a multi-tenant mix");
     if alvc_telemetry::telemetry_compiled() {
         trace_phase();
     } else {

@@ -9,28 +9,27 @@
 //!
 //! Two phases run back to back: the legacy FIFO scheduler as a reduced
 //! baseline, then the deficit-round-robin scheduler at the full target
-//! (≥1M intents, override with `E12_INTENTS`). Each phase reports
-//! throughput, p50/p95/p99 submit→completion latency (overall and split
-//! heavy vs. light), a per-tenant Jain fairness index over the sustained
-//! window (service normalized by the max-min fair share of the batch
-//! capacity under the offered load), peak bookkeeping-map sizes (the
-//! trace-context and outcome maps the leak fixes bounded), and a
-//! bit-identical intent-log replay check.
+//! (≥1M intents, override with `E12_INTENTS`). Each phase reports a
+//! per-tenant Jain fairness index over the sustained window (service
+//! normalized by the max-min fair share of the batch capacity under the
+//! offered load), peak bookkeeping-map sizes (the trace-context and
+//! outcome maps the leak fixes bounded), and a bit-identical intent-log
+//! replay check. The arrivals are open-loop, so submit→completion latency
+//! here is queue wait under overload and does not repeat between runs:
+//! throughput and latency are `benchmark/`'s closed-loop numbers
+//! (`benchmark/README.md`), not this experiment's.
 //!
-//! Emits `results/BENCH_online_control.json`, validated against
-//! `schemas/online_control.schema.json` by `validate_online_control`.
+//! Emits `results/BENCH_online_control.json` with the DESIGN.md §15 gates.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use alvc_affinity::VmMove;
-use alvc_bench::{f2, print_table, write_results, Json, Scale};
+use alvc_bench::{print_table, spec_of, Json, Op, Report, Scale};
 use alvc_nfv::{
-    ChainSpec, ControlPlane, Intent, IntentEffect, IntentId, IntentOutcome, NfcId, SchedulerMode,
-    StateView, TenantQuota, VnfInstanceId, VnfSpec, VnfType,
+    ControlPlane, Intent, IntentEffect, IntentId, IntentOutcome, NfcId, SchedulerMode, StateView,
+    TenantQuota, VnfInstanceId,
 };
-use alvc_sim::workload::ChainBlueprint;
 use alvc_sim::{AsymmetricLoad, ChainWorkload, IntentOp, MixWeights};
 use alvc_topology::{DataCenter, Element, OpsId, VmId};
 
@@ -54,28 +53,11 @@ const OUTCOME_RETENTION: usize = 65_536;
 const QUOTA_LIVE_CHAINS: usize = 6;
 /// Full-scale intent target (override with `E12_INTENTS`).
 const DEFAULT_TARGET: usize = 1_000_000;
+/// Minimum Jain fairness index the DRR run must reach.
+const MIN_JAIN: f64 = 0.9;
 /// The FIFO baseline runs at `target / FIFO_DIVISOR`.
 const FIFO_DIVISOR: usize = 5;
 const SEED: u64 = 12;
-
-/// Maps a sim blueprint onto a concrete chain spec: heavy VNFs become
-/// DPI (electronic-only), light ones firewalls.
-fn spec_of(bp: &ChainBlueprint) -> ChainSpec {
-    let vnfs: Vec<VnfSpec> = bp
-        .heavy
-        .iter()
-        .map(|&h| VnfSpec::of(if h { VnfType::Dpi } else { VnfType::Firewall }))
-        .collect();
-    let b = ChainSpec::builder("gen")
-        .ingress(bp.ingress)
-        .egress(bp.egress);
-    let b = if vnfs.is_empty() {
-        b.passthrough()
-    } else {
-        b.linear(vnfs)
-    };
-    b.build().expect("blueprint specs are valid")
-}
 
 /// One tenant's target-resolution state: scale-out tickets waiting to be
 /// harvested into replica ids for later scale-ins.
@@ -187,44 +169,6 @@ fn jain(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-fn pctl(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[(((sorted.len() as f64) * q).ceil() as usize).clamp(1, sorted.len()) - 1]
-}
-
-struct LatencySummary {
-    mean: f64,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-}
-
-fn summarize(mut ms: Vec<f64>) -> LatencySummary {
-    ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let mean = if ms.is_empty() {
-        0.0
-    } else {
-        ms.iter().sum::<f64>() / ms.len() as f64
-    };
-    LatencySummary {
-        mean,
-        p50: pctl(&ms, 0.50),
-        p95: pctl(&ms, 0.95),
-        p99: pctl(&ms, 0.99),
-    }
-}
-
-fn latency_json(l: &LatencySummary) -> Json {
-    let r = |v: f64| (v * 1e3).round() / 1e3;
-    Json::object()
-        .field("mean", r(l.mean))
-        .field("p50", r(l.p50))
-        .field("p95", r(l.p95))
-        .field("p99", r(l.p99))
-}
-
 struct PhaseResult {
     scheduler: &'static str,
     intents: usize,
@@ -233,10 +177,6 @@ struct PhaseResult {
     failed: usize,
     batches: u64,
     wall_ms: f64,
-    intents_per_sec: f64,
-    latency: LatencySummary,
-    heavy_latency: LatencySummary,
-    light_latency: LatencySummary,
     jain: f64,
     service: Vec<usize>,
     fair_share: Vec<f64>,
@@ -303,53 +243,33 @@ fn run_phase(
     let groups: Vec<Vec<VmId>> = tenants.iter().map(|t| t.group.clone()).collect();
     let rounds = target.div_ceil(load.arrivals_per_round());
 
-    let mut submit_instants: Vec<Instant> = Vec::with_capacity(target + 1024);
-    let mut batch_ends: BTreeMap<u64, Instant> = BTreeMap::new();
     let mut peak_trace_map = 0usize;
     let mut peak_outcome_map = 0usize;
     let mut peak_queue_depth = 0usize;
-
-    fn submit(cp: &ControlPlane, instants: &mut Vec<Instant>, tenant: &str, i: Intent) {
-        let id = cp.submit(tenant, i);
-        assert_eq!(id.0 as usize, instants.len(), "intent ids are dense");
-        instants.push(Instant::now());
-    }
 
     let started = Instant::now();
     for round in 0..rounds {
         let view = cp.view();
         for (t, op) in load.round(&groups) {
             let intent = tenants[t].resolve(&cp, &view, op);
-            submit(&cp, &mut submit_instants, &tenants[t].name, intent);
+            cp.submit(&tenants[t].name, intent);
         }
         // The operator's side channel: failure churn, re-optimization,
         // and adaptive re-clustering, all through the same queue.
         if round % 64 == 0 {
             let element = Element::Ops(OpsId((round / 64) % 3));
-            submit(
-                &cp,
-                &mut submit_instants,
-                "operator",
-                Intent::FailElement { element },
-            );
-            submit(
-                &cp,
-                &mut submit_instants,
-                "operator",
-                Intent::RestoreElement { element },
-            );
+            cp.submit("operator", Intent::FailElement { element });
+            cp.submit("operator", Intent::RestoreElement { element });
         }
         if round % 512 == 256 {
-            submit(&cp, &mut submit_instants, "operator", Intent::Reoptimize);
+            cp.submit("operator", Intent::Reoptimize);
         }
         if round % 1024 == 512 {
             if let Some(intent) = recluster_intent(&view) {
-                submit(&cp, &mut submit_instants, "operator", intent);
+                cp.submit("operator", intent);
             }
         }
-        if cp.process_batch() > 0 {
-            batch_ends.insert(cp.view().version - 1, Instant::now());
-        }
+        cp.process_batch();
         peak_trace_map = peak_trace_map.max(cp.trace_map_len());
         peak_outcome_map = peak_outcome_map.max(cp.outcome_map_len());
         peak_queue_depth = peak_queue_depth.max(cp.queue_depth());
@@ -357,7 +277,6 @@ fn run_phase(
     let sustained_batches = cp.view().version;
     // Drain the overload backlog.
     while cp.process_batch() > 0 {
-        batch_ends.insert(cp.view().version - 1, Instant::now());
         peak_trace_map = peak_trace_map.max(cp.trace_map_len());
         peak_outcome_map = peak_outcome_map.max(cp.outcome_map_len());
     }
@@ -366,30 +285,18 @@ fn run_phase(
         alvc_telemetry::trace::set_tracing_enabled(false);
     }
 
-    // Everything below reads the recorded log: outcome counts, per-intent
-    // latency (submit instant → its batch's end instant), and per-tenant
-    // service over the sustained (pre-drain) window.
+    // Everything below reads the recorded log: outcome counts and
+    // per-tenant service over the sustained (pre-drain) window.
     let log = cp.intent_log();
     let tenant_index =
         |name: &str| -> Option<usize> { name.strip_prefix("tenant-").and_then(|s| s.parse().ok()) };
     let (mut completed, mut rejected, mut failed) = (0usize, 0usize, 0usize);
-    let mut all_ms = Vec::with_capacity(log.len());
-    let mut heavy_ms = Vec::new();
-    let mut light_ms = Vec::new();
     let mut service = vec![0usize; tenants_total];
     for record in log.records() {
         match record.outcome {
             IntentOutcome::Completed(_) => completed += 1,
             IntentOutcome::Rejected(_) => rejected += 1,
             IntentOutcome::Failed(_) => failed += 1,
-        }
-        let end = batch_ends[&record.batch];
-        let ms = (end - submit_instants[record.id.0 as usize]).as_secs_f64() * 1e3;
-        all_ms.push(ms);
-        match tenant_index(&record.tenant) {
-            Some(0) => heavy_ms.push(ms),
-            Some(_) => light_ms.push(ms),
-            None => {}
         }
         if record.batch < sustained_batches {
             if let Some(t) = tenant_index(&record.tenant) {
@@ -424,10 +331,6 @@ fn run_phase(
         failed,
         batches: cp.view().version,
         wall_ms,
-        intents_per_sec: intents as f64 / (wall_ms / 1e3),
-        latency: summarize(all_ms),
-        heavy_latency: summarize(heavy_ms),
-        light_latency: summarize(light_ms),
         jain,
         service,
         fair_share,
@@ -448,10 +351,6 @@ fn phase_json(r: &PhaseResult) -> Json {
         .field("failed", r.failed)
         .field("batches", r.batches as f64)
         .field("wall_ms", (r.wall_ms * 1e3).round() / 1e3)
-        .field("intents_per_sec", (r.intents_per_sec * 1e3).round() / 1e3)
-        .field("latency_ms", latency_json(&r.latency))
-        .field("heavy_latency_ms", latency_json(&r.heavy_latency))
-        .field("light_latency_ms", latency_json(&r.light_latency))
         .field(
             "fairness",
             Json::object()
@@ -513,67 +412,73 @@ fn main() {
             r.scheduler.to_string(),
             r.intents.to_string(),
             format!("{}/{}/{}", r.completed, r.rejected, r.failed),
-            f2(r.intents_per_sec),
-            f2(r.latency.p50),
-            f2(r.latency.p99),
-            f2(r.light_latency.p99),
             format!("{:.3}", r.jain),
             r.replay_identical.to_string(),
         ]);
     }
     print_table(
-        &[
-            "scheduler",
-            "intents",
-            "ok/rej/fail",
-            "intents/s",
-            "p50 ms",
-            "p99 ms",
-            "light p99",
-            "jain",
-            "replay==",
-        ],
+        &["scheduler", "intents", "ok/rej/fail", "jain", "replay=="],
         &rows,
     );
     println!(
         "\npeak bookkeeping (drr): trace map {} / outcome map {} / queue {}",
         drr.peak_trace_map, drr.peak_outcome_map, drr.peak_queue_depth
     );
-    assert!(fifo.replay_identical && drr.replay_identical);
 
-    let doc = Json::object()
-        .field("bench", "online_control")
-        .field("smoke", smoke)
-        .field(
-            "topology",
-            Json::object()
-                .field("name", scale.name)
-                .field("vms", dc.vm_count())
-                .field("ops", dc.ops_count()),
-        )
-        .field(
-            "config",
-            Json::object()
-                .field("target_intents", target)
-                .field("batch_size", BATCH_SIZE)
-                .field("heavy_burst", HEAVY_BURST)
-                .field("light_burst", LIGHT_BURST)
-                .field("light_tenants", LIGHT_TENANTS)
-                .field("asymmetry", HEAVY_BURST / LIGHT_BURST)
-                .field("group_vms", GROUP_VMS)
-                .field("quota_live_chains", QUOTA_LIVE_CHAINS)
-                .field("outcome_retention", OUTCOME_RETENTION),
-        )
-        .field(
-            "runs",
-            Json::Array(vec![phase_json(&fifo), phase_json(&drr)]),
-        )
-        .field("jain_gain", ((drr.jain - fifo.jain) * 1e4).round() / 1e4);
-    let path = write_results("BENCH_online_control.json", &doc.pretty());
-    println!("\nwrote {}", path.display());
+    let mut report = Report::new("online_control", "e12_online_control", smoke);
+    report.config(
+        Json::object()
+            .field("topology", scale.name)
+            .field("vms", dc.vm_count())
+            .field("ops", dc.ops_count())
+            .field("target_intents", target)
+            .field("batch_size", BATCH_SIZE)
+            .field("heavy_burst", HEAVY_BURST)
+            .field("light_burst", LIGHT_BURST)
+            .field("light_tenants", LIGHT_TENANTS)
+            .field("asymmetry", HEAVY_BURST / LIGHT_BURST)
+            .field("group_vms", GROUP_VMS)
+            .field("quota_live_chains", QUOTA_LIVE_CHAINS)
+            .field("outcome_retention", OUTCOME_RETENTION),
+    );
+    report.rows("runs", [phase_json(&fifo), phase_json(&drr)]);
+    // DESIGN.md §15: both logs replay, the bookkeeping maps stay bounded
+    // (outcomes by the retention window, trace contexts by the queue
+    // backlog plus the one batch in flight), DRR is fair, at full volume.
+    for r in [&fifo, &drr] {
+        let name = |gate: &str| format!("{}_{gate}", r.scheduler);
+        report.gate(
+            &name("replay_identical"),
+            f64::from(r.replay_identical),
+            Op::Eq,
+            1.0,
+        );
+        report.gate(
+            &name("peak_outcome_map"),
+            r.peak_outcome_map as f64,
+            Op::Le,
+            OUTCOME_RETENTION as f64,
+        );
+        report.gate(
+            &name("trace_map_excess"),
+            r.peak_trace_map as f64 - r.peak_queue_depth as f64,
+            Op::Le,
+            BATCH_SIZE as f64,
+        );
+    }
+    report.gate("drr_jain", drr.jain, Op::Ge, MIN_JAIN);
+    if !smoke {
+        report.gate(
+            "drr_intents",
+            drr.intents as f64,
+            Op::Ge,
+            DEFAULT_TARGET as f64,
+        );
+    }
     println!(
         "\nFIFO serves proportionally to arrival rate — light tenants wait behind the\n\
          heavy tenant's backlog — while DRR holds every tenant at its max-min fair\n\
          share; both logs replay to bit-identical views on a fresh control plane."
     );
+    report.finish("BENCH_online_control.json");
 }

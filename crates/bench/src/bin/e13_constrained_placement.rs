@@ -22,15 +22,13 @@
 //!
 //! `E13_CHAINS` overrides the per-width chain count (smoke runs use a
 //! smaller count and drop the dc-100k tier). Emits
-//! `results/BENCH_constrained_placement.json`, validated against
-//! `schemas/constrained_placement.schema.json` by
-//! `validate_constrained_placement`.
+//! `results/BENCH_constrained_placement.json` with the DESIGN.md §16 gates.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use alvc_bench::{f2, print_table, write_results, Json, Scale};
+use alvc_bench::{f2, print_table, Json, Op, Report, Scale};
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::OpsAvailability;
 use alvc_nfv::{
@@ -47,6 +45,8 @@ const WIDTHS: [usize; 4] = [2, 4, 6, 8];
 /// VMs in the measured tenant slice.
 const GROUP_VMS: usize = 48;
 const SEED: u64 = 13;
+/// Slack for "refinement never worsens the greedy" on mean costs.
+const COST_EPS: f64 = 1e-3;
 
 /// Deterministic VNF kind for stage `s` of chain `i`: a light-heavy mix
 /// (heavy VNFs cannot enter the optical domain, creating real trade-offs).
@@ -333,9 +333,10 @@ fn run_deployment(scale: &Scale, chains: usize) -> DeployResult {
     }
 }
 
-fn row_json(r: &WidthRow) -> Json {
+fn row_json(tier: &str, r: &WidthRow) -> Json {
     let r3 = |v: f64| (v * 1e3).round() / 1e3;
     Json::object()
+        .field("tier", tier)
         .field("width", r.width)
         .field("chains", r.chains)
         .field("placed", r.placed)
@@ -349,15 +350,6 @@ fn row_json(r: &WidthRow) -> Json {
         .field("refined_cost_mean", r3(r.refined_cost_mean))
         .field("gap_mean", (r.gap_mean * 1e6).round() / 1e6)
         .field("gap_max", (r.gap_max * 1e6).round() / 1e6)
-}
-
-fn tier_json(t: &TierResult) -> Json {
-    Json::object()
-        .field("name", t.name)
-        .field("vms", t.vms)
-        .field("ops", t.ops)
-        .field("build_ms", (t.build_ms * 1e3).round() / 1e3)
-        .field("rows", Json::Array(t.rows.iter().map(row_json).collect()))
 }
 
 fn main() {
@@ -425,46 +417,94 @@ fn main() {
         deploy.intents_rejected,
         deploy.replay_identical
     );
-    assert!(deploy.replay_identical);
 
-    let doc = Json::object()
-        .field("bench", "constrained_placement")
-        .field("smoke", smoke)
-        .field(
-            "config",
+    let mut report = Report::new("constrained_placement", "e13_constrained_placement", smoke);
+    report.config(
+        Json::object()
+            .field("chains_per_width", chains)
+            .field(
+                "widths",
+                Json::Array(WIDTHS.iter().map(|&w| Json::from(w)).collect()),
+            )
+            .field("group_vms", GROUP_VMS)
+            .field("refine_max_rounds", RefineConfig::default().max_rounds)
+            .field("refine_max_moves", RefineConfig::default().max_moves),
+    );
+    report.rows(
+        "tiers",
+        tier_results.iter().map(|t| {
             Json::object()
-                .field("chains_per_width", chains)
-                .field(
-                    "widths",
-                    Json::Array(WIDTHS.iter().map(|&w| Json::from(w)).collect()),
-                )
-                .field("group_vms", GROUP_VMS)
-                .field("refine_max_rounds", RefineConfig::default().max_rounds)
-                .field("refine_max_moves", RefineConfig::default().max_moves),
-        )
-        .field(
-            "tiers",
-            Json::Array(tier_results.iter().map(tier_json).collect()),
-        )
-        .field(
-            "deployment",
-            Json::object()
-                .field("tier", deploy.tier)
-                .field("requested", deploy.requested)
-                .field("deployed", deploy.deployed)
-                .field("rejected", deploy.rejected)
-                .field("rule_violations", deploy.rule_violations)
-                .field("intents", deploy.intents)
-                .field("intents_completed", deploy.intents_completed)
-                .field("intents_rejected", deploy.intents_rejected)
-                .field("replay_identical", deploy.replay_identical),
-        );
-    let path = write_results("BENCH_constrained_placement.json", &doc.pretty());
-    println!("\nwrote {}", path.display());
+                .field("tier", t.name)
+                .field("vms", t.vms)
+                .field("ops", t.ops)
+                .field("build_ms", (t.build_ms * 1e3).round() / 1e3)
+        }),
+    );
+    report.rows(
+        "placement",
+        tier_results
+            .iter()
+            .flat_map(|t| t.rows.iter().map(|r| row_json(t.name, r))),
+    );
+    report.rows(
+        "deployment",
+        [Json::object()
+            .field("tier", deploy.tier)
+            .field("requested", deploy.requested)
+            .field("deployed", deploy.deployed)
+            .field("rejected", deploy.rejected)
+            .field("rule_violations", deploy.rule_violations)
+            .field("intents", deploy.intents)
+            .field("intents_completed", deploy.intents_completed)
+            .field("intents_rejected", deploy.intents_rejected)],
+    );
+    // DESIGN.md §16: the placer admits no violating assignment, refinement
+    // never worsens the greedy, the solve-time trend has ≥ 2 widths, full
+    // runs reach dc-100k, and deployments stay rule-clean and replayable.
+    let rows = || tier_results.iter().flat_map(|t| t.rows.iter());
+    let mut widths: Vec<usize> = rows().map(|r| r.width).collect();
+    widths.sort_unstable();
+    widths.dedup();
+    let rule_violations: usize = rows().map(|r| r.rule_violations).sum();
+    let worst_refinement = rows()
+        .map(|r| r.refined_cost_mean - r.greedy_cost_mean)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let min_gap = rows()
+        .map(|r| r.gap_mean.min(r.gap_max))
+        .fold(f64::INFINITY, f64::min);
+    let min_placed = rows().map(|r| r.placed).min().unwrap_or(0);
+    report.gate("rule_violations", rule_violations as f64, Op::Eq, 0.0);
+    report.gate(
+        "max_refined_minus_greedy_cost",
+        worst_refinement,
+        Op::Le,
+        COST_EPS,
+    );
+    report.gate("min_gap", min_gap, Op::Ge, 0.0);
+    report.gate("min_placed", min_placed as f64, Op::Ge, 1.0);
+    report.gate("distinct_widths", widths.len() as f64, Op::Ge, 2.0);
+    if !smoke {
+        let dc_100k = tier_results.iter().filter(|t| t.name == "dc-100k").count();
+        report.gate("dc_100k_tiers", dc_100k as f64, Op::Ge, 1.0);
+    }
+    report.gate(
+        "deployment_rule_violations",
+        deploy.rule_violations as f64,
+        Op::Eq,
+        0.0,
+    );
+    report.gate("deployed_chains", deploy.deployed as f64, Op::Ge, 1.0);
+    report.gate(
+        "deployment_replay_identical",
+        f64::from(deploy.replay_identical),
+        Op::Eq,
+        1.0,
+    );
     println!(
         "\nThe constraint-aware placer admits only rule-clean assignments (violations\n\
          column must read 0 everywhere); the rule-oblivious baseline shows how many\n\
          assignments admission would have had to reject, and the bounded local search\n\
          quantifies how far the greedy sits from its refined optimum."
     );
+    report.finish("BENCH_constrained_placement.json");
 }

@@ -9,17 +9,13 @@
 use std::time::Instant;
 
 use alvc_bench::{
-    f2, measure, print_table, telemetry_json, write_results, Json, LatencyStats, Scale,
+    deploy_fig5_chains, f2, measure, print_table, Json, LatencyStats, Op, Report, Scale,
 };
-use alvc_core::clustering::tenant_clusters;
 use alvc_core::construction::{
     AlConstruct, CostAwareGreedy, ExactCover, NaiveGreedy, PaperGreedy, RandomSelection,
     StaticDegreeGreedy,
 };
 use alvc_core::{service_clusters, ClusterManager, OpsAvailability};
-use alvc_nfv::chain::fig5;
-use alvc_nfv::Orchestrator;
-use alvc_placement::OpticalFirstPlacer;
 use alvc_topology::{DataCenter, VmId};
 
 /// Speedup targets from the incremental-engine work (ROADMAP perf PR).
@@ -31,38 +27,6 @@ const BATCH_TARGET: f64 = 3.0;
 /// budget: telemetry compiled out must stay within 2% of this baseline).
 const PR1_KERNEL_10K_LAZY_US: f64 = 395.295;
 const OVERHEAD_BUDGET: f64 = 0.02;
-
-/// Deploys Fig. 5's three chains so a bench run exercises the orchestrator
-/// probes (`alvc_nfv.orchestrator.*`) alongside the construction kernel;
-/// returns the deployed-chain count.
-fn orchestrate_chains() -> usize {
-    let dc = Scale::LADDER[1].build(23);
-    let mut orch = Orchestrator::new();
-    let all_vms: Vec<_> = dc.vm_ids().collect();
-    let tenants = tenant_clusters(&all_vms, 3);
-    let specs = [
-        fig5::blue(tenants[0].vms[0], *tenants[0].vms.last().unwrap()),
-        fig5::black(tenants[1].vms[0], *tenants[1].vms.last().unwrap()),
-        fig5::green(tenants[2].vms[0], *tenants[2].vms.last().unwrap()),
-    ];
-    let mut deployed = 0usize;
-    for (tenant, spec) in tenants.iter().zip(specs) {
-        if orch
-            .deploy_chain(
-                &dc,
-                tenant.label,
-                tenant.vms.clone(),
-                spec,
-                &PaperGreedy::new(),
-                &OpticalFirstPlacer::new(),
-            )
-            .is_ok()
-        {
-            deployed += 1;
-        }
-    }
-    deployed
-}
 
 /// Construction-kernel scales: whole-DC clusters at 1k / 10k / 100k VMs.
 const KERNEL_SCALES: [(Scale, usize); 3] = [
@@ -107,7 +71,10 @@ fn cmp_json(label: &str, naive: LatencyStats, lazy: LatencyStats) -> (f64, Json)
 /// Benchmarks the greedy-construction kernel (no augmentation, whole-DC
 /// cluster) at one scale: rescan baseline vs the heap-backed incremental
 /// engine.
-fn kernel_bench(scale: &Scale, iters: usize) -> (f64, f64, Json, Vec<String>) {
+///
+/// Returns (speedup, incremental mean µs, whether the two engines picked
+/// different AL sizes, result row, table row).
+fn kernel_bench(scale: &Scale, iters: usize) -> (f64, f64, bool, Json, Vec<String>) {
     let dc = scale.build(23);
     let vms: Vec<VmId> = dc.vm_ids().collect();
     let naive_ctor = NaiveGreedy::without_augmentation();
@@ -125,16 +92,13 @@ fn kernel_bench(scale: &Scale, iters: usize) -> (f64, f64, Json, Vec<String>) {
     });
     let size_naive = naive_ctor.construct(&dc, &vms, &all).unwrap().ops_count();
     let size_lazy = lazy_ctor.construct(&dc, &vms, &all).unwrap().ops_count();
-    assert_eq!(
-        size_naive, size_lazy,
-        "rescan and incremental greedy must pick identical layers"
-    );
     let lazy_mean_us = lazy.mean_us;
     let (speedup, cmp) = cmp_json(scale.name, naive, lazy);
     let json = Json::object()
         .field("scale", scale.name)
         .field("vms", vms.len())
         .field("ops", scale.ops)
+        .field("al_size_naive", size_naive)
         .field("al_size", size_lazy)
         .field("iters", iters)
         .field("comparison", cmp);
@@ -147,7 +111,7 @@ fn kernel_bench(scale: &Scale, iters: usize) -> (f64, f64, Json, Vec<String>) {
         f2(lazy.p99_us / 1e3),
         format!("{speedup:.2}x"),
     ];
-    (speedup, lazy_mean_us, json, row)
+    (speedup, lazy_mean_us, size_naive != size_lazy, json, row)
 }
 
 /// Builds the 64-cluster batch scenario: racks are divided into groups and
@@ -329,8 +293,10 @@ fn main() {
     let mut kernel_json = Vec::new();
     let mut kernel_10k_speedup = 0.0;
     let mut kernel_10k_lazy_us = 0.0;
+    let mut al_size_mismatches = 0usize;
     for (scale, iters) in &KERNEL_SCALES {
-        let (speedup, lazy_mean_us, json, row) = kernel_bench(scale, *iters);
+        let (speedup, lazy_mean_us, mismatch, json, row) = kernel_bench(scale, *iters);
+        al_size_mismatches += usize::from(mismatch);
         if scale.name == Scale::LADDER[4].name {
             kernel_10k_speedup = speedup;
             kernel_10k_lazy_us = lazy_mean_us;
@@ -446,7 +412,7 @@ fn main() {
 
     // Orchestration pass: deploy Fig. 5's chains so the emitted telemetry
     // snapshot carries nonzero orchestrator probes, not just construction.
-    let chains_deployed = orchestrate_chains();
+    let chains_deployed = deploy_fig5_chains(23);
     println!("\norchestration pass: deployed {chains_deployed}/3 Fig. 5 chains");
 
     let kernel_met = kernel_10k_speedup >= KERNEL_10K_TARGET;
@@ -458,61 +424,14 @@ fn main() {
         if batch_met { "MET" } else { "MISSED" },
     );
 
-    let json = Json::object()
-        .field("experiment", "e3_al_construction")
-        .field(
-            "description",
-            "rescan greedy vs incremental lazy-greedy engine",
-        )
-        .field("kernel", Json::Array(kernel_json))
-        .field("per_cluster", per_cluster_json)
-        .field(
-            "batch",
-            Json::object()
-                .field("clusters", requests.len())
-                .field("vms", batch_dc.vm_count())
-                .field("serial_feasible", serial_ok)
-                .field("batch_feasible", batch_ok)
-                .field("comparison", batch_cmp),
-        )
-        .field(
-            "targets",
-            Json::object()
-                .field("kernel_10k_speedup_min", KERNEL_10K_TARGET)
-                .field(
-                    "kernel_10k_speedup",
-                    (kernel_10k_speedup * 100.0).round() / 100.0,
-                )
-                .field("kernel_10k_met", kernel_met)
-                .field("batch_speedup_min", BATCH_TARGET)
-                .field("batch_speedup", (batch_speedup * 100.0).round() / 100.0)
-                .field("batch_met", batch_met),
-        )
-        .field("chains_deployed", chains_deployed)
-        .field("telemetry_enabled", alvc_telemetry::telemetry_compiled())
-        .field("telemetry", telemetry_json());
-    let path = write_results("BENCH_al_construction.json", &json.pretty());
-    println!("wrote {}", path.display());
-
-    // Overhead guard: with probes compiled out, the kernel must sit within
-    // the budget of PR 1's recorded (pre-telemetry) baseline. Written only
-    // from the probes-off build so the on/off numbers never overwrite each
-    // other.
+    // Overhead guard: with probes compiled out, the kernel should sit
+    // within the budget of PR 1's recorded (pre-telemetry) baseline. Written
+    // only from the probes-off build so the on/off numbers never overwrite
+    // each other; that baseline is one host's, so the ratio is reported,
+    // not gated.
     if !alvc_telemetry::telemetry_compiled() {
         let ratio = kernel_10k_lazy_us / PR1_KERNEL_10K_LAZY_US;
         let within = ratio <= 1.0 + OVERHEAD_BUDGET;
-        let guard = Json::object()
-            .field("experiment", "telemetry_overhead_guard")
-            .field(
-                "description",
-                "pod-10k construction kernel, telemetry compiled out, vs PR 1 baseline",
-            )
-            .field("baseline_mean_us", PR1_KERNEL_10K_LAZY_US)
-            .field("measured_mean_us", kernel_10k_lazy_us)
-            .field("ratio", (ratio * 1000.0).round() / 1000.0)
-            .field("budget", 1.0 + OVERHEAD_BUDGET)
-            .field("within_budget", within);
-        let guard_path = write_results("BENCH_telemetry_overhead.json", &guard.pretty());
         println!(
             "overhead guard: {kernel_10k_lazy_us:.3} µs vs baseline \
              {PR1_KERNEL_10K_LAZY_US:.3} µs ({:.1}% {}, budget {:.0}%) -> {}",
@@ -521,6 +440,66 @@ fn main() {
             OVERHEAD_BUDGET * 100.0,
             if within { "WITHIN" } else { "EXCEEDED" },
         );
-        println!("wrote {}", guard_path.display());
+        let mut guard = Report::new("telemetry_overhead", "e3_al_construction", false);
+        guard.config(
+            Json::object()
+                .field(
+                    "description",
+                    "pod-10k construction kernel, telemetry compiled out, vs PR 1 baseline",
+                )
+                .field("baseline_mean_us", PR1_KERNEL_10K_LAZY_US)
+                .field("budget", 1.0 + OVERHEAD_BUDGET),
+        );
+        guard.rows(
+            "guard",
+            [Json::object()
+                .field("measured_mean_us", kernel_10k_lazy_us)
+                .field("ratio", (ratio * 1000.0).round() / 1000.0)
+                .field("within_budget", within)],
+        );
+        guard.finish("BENCH_telemetry_overhead.json");
     }
+
+    let mut report = Report::new("al_construction", "e3_al_construction", false);
+    report.config(
+        Json::object()
+            .field(
+                "description",
+                "rescan greedy vs incremental lazy-greedy engine",
+            )
+            .field("kernel_10k_speedup_min", KERNEL_10K_TARGET)
+            .field("batch_speedup_min", BATCH_TARGET),
+    );
+    report.rows("kernel", kernel_json);
+    report.rows("per_cluster", [per_cluster_json]);
+    report.rows(
+        "batch",
+        [Json::object()
+            .field("clusters", requests.len())
+            .field("vms", batch_dc.vm_count())
+            .field("serial_feasible", serial_ok)
+            .field("batch_feasible", batch_ok)
+            .field("comparison", batch_cmp)],
+    );
+    report.rows(
+        "targets",
+        [Json::object()
+            .field(
+                "kernel_10k_speedup",
+                (kernel_10k_speedup * 100.0).round() / 100.0,
+            )
+            .field("kernel_10k_met", kernel_met)
+            .field("batch_speedup", (batch_speedup * 100.0).round() / 100.0)
+            .field("batch_met", batch_met)
+            .field("chains_deployed", chains_deployed)],
+    );
+    // Rescan and incremental greedy must pick identical layers; the
+    // speedup targets above are host-dependent and stay MET/MISSED prints.
+    report.gate(
+        "kernel_al_size_mismatches",
+        al_size_mismatches as f64,
+        Op::Eq,
+        0.0,
+    );
+    report.finish("BENCH_al_construction.json");
 }

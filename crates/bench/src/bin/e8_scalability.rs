@@ -6,48 +6,24 @@
 
 use std::time::Instant;
 
-use alvc_bench::{f2, print_table, telemetry_json, write_results, Json, Scale};
-use alvc_core::clustering::tenant_clusters;
+use alvc_bench::{deploy_fig5_chains, f2, print_table, Json, Op, Report, Scale};
 use alvc_core::construction::{AlConstruct, NaiveGreedy, PaperGreedy, RandomSelection};
 use alvc_core::{construct_layers_sharded, service_clusters, OpsAvailability};
-use alvc_nfv::chain::fig5;
-use alvc_nfv::Orchestrator;
-use alvc_placement::OpticalFirstPlacer;
 
-/// Deploys Fig. 5's chains at the `small` scale so the telemetry snapshot
-/// also covers the orchestrator path, not just construction.
-fn orchestrate_chains() -> usize {
-    let dc = Scale::LADDER[1].build(19);
-    let mut orch = Orchestrator::new();
-    let all_vms: Vec<_> = dc.vm_ids().collect();
-    let tenants = tenant_clusters(&all_vms, 3);
-    let specs = [
-        fig5::blue(tenants[0].vms[0], *tenants[0].vms.last().unwrap()),
-        fig5::black(tenants[1].vms[0], *tenants[1].vms.last().unwrap()),
-        fig5::green(tenants[2].vms[0], *tenants[2].vms.last().unwrap()),
-    ];
-    let mut deployed = 0usize;
-    for (tenant, spec) in tenants.iter().zip(specs) {
-        if orch
-            .deploy_chain(
-                &dc,
-                tenant.label,
-                tenant.vms.clone(),
-                spec,
-                &PaperGreedy::new(),
-                &OpticalFirstPlacer::new(),
-            )
-            .is_ok()
-        {
-            deployed += 1;
-        }
-    }
-    deployed
+/// One sharded DC tier's outcome: its table row, its result row, and the
+/// scalars the acceptance gates are computed from.
+struct DcTier {
+    table: Vec<String>,
+    json: Json,
+    construct_ms: f64,
+    failed_clusters: usize,
+    per_shard_len_mismatch: bool,
+    peak_shard_bytes_mismatch: bool,
+    all_fallback: bool,
 }
 
-/// Runs the sharded construction path on one hyperscale DC tier and
-/// returns (table row, JSON row, construction wall-clock in ms).
-fn run_dc_tier(scale: &Scale) -> (Vec<String>, Json, f64) {
+/// Runs the sharded construction path on one hyperscale DC tier.
+fn run_dc_tier(scale: &Scale) -> DcTier {
     let build_start = Instant::now();
     // Four services, as in the other disjointness-sensitive experiments:
     // the sharded path constructs the clusters OPS-disjoint, and the
@@ -60,17 +36,12 @@ fn run_dc_tier(scale: &Scale) -> (Vec<String>, Json, f64) {
     let (results, report) =
         construct_layers_sharded(&dc, &specs, &PaperGreedy::new(), &OpsAvailability::all());
     let construct_ms = start.elapsed().as_secs_f64() * 1e3;
-    let failed: Vec<_> = results
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().err().map(|e| (clusters[i].label, e)))
-        .collect();
-    assert!(
-        failed.is_empty(),
-        "all service clusters must construct at {}: {failed:?}",
-        scale.name
-    );
-    let row = vec![
+    for (cluster, result) in clusters.iter().zip(&results) {
+        if let Err(e) = result {
+            println!("{}: cluster {:?} failed: {e}", scale.name, cluster.label);
+        }
+    }
+    let table = vec![
         scale.name.to_string(),
         scale.vm_count().to_string(),
         scale.pods.to_string(),
@@ -107,7 +78,16 @@ fn run_dc_tier(scale: &Scale) -> (Vec<String>, Json, f64) {
                     .collect(),
             ),
         );
-    (row, json, construct_ms)
+    let max_shard_bytes = report.per_shard.iter().map(|&(_, b)| b).max().unwrap_or(0);
+    DcTier {
+        table,
+        json,
+        construct_ms,
+        failed_clusters: results.iter().filter(|r| r.is_err()).count(),
+        per_shard_len_mismatch: report.per_shard.len() != scale.pods,
+        peak_shard_bytes_mismatch: max_shard_bytes != report.peak_shard_bytes(),
+        all_fallback: report.fallbacks >= clusters.len(),
+    }
 }
 
 /// The DC-ladder tiers selected by `E8_DC_TIERS` (comma-separated names;
@@ -140,6 +120,7 @@ fn main() {
     println!("E8: scalability of AL construction (claim of §I / [15])\n");
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut max_ms_per_cluster = 0.0_f64;
     for scale in Scale::LADDER {
         let dc = scale.build(19);
         let clusters = service_clusters(&dc);
@@ -159,6 +140,7 @@ fn main() {
             let elapsed = start.elapsed();
             let mean_al = total_ops as f64 / clusters.len() as f64;
             let ms_per_cluster = elapsed.as_secs_f64() * 1e3 / clusters.len() as f64;
+            max_ms_per_cluster = max_ms_per_cluster.max(ms_per_cluster);
             rows.push(vec![
                 scale.name.to_string(),
                 scale.vm_count().to_string(),
@@ -198,25 +180,15 @@ fn main() {
     // Hyperscale tiers: the pod-10k shape replicated across pods, built
     // once per tier and constructed through the sharded (pod-parallel)
     // path. `E8_DC_TIERS` selects tiers (CI runs dc-100k only);
-    // `E8_SCALE_BUDGET_MS` turns the dc-100k wall clock into a hard gate.
-    let mut dc_rows = Vec::new();
-    let mut dc_table = Vec::new();
-    for scale in selected_dc_tiers() {
-        let (row, json, construct_ms) = run_dc_tier(&scale);
-        if scale.name == "dc-100k" {
-            if let Ok(budget) = std::env::var("E8_SCALE_BUDGET_MS") {
-                let budget: f64 = budget.parse().expect("E8_SCALE_BUDGET_MS must be a number");
-                assert!(
-                    construct_ms <= budget,
-                    "dc-100k construction took {construct_ms:.1} ms, budget {budget} ms"
-                );
-            }
-        }
-        dc_rows.push(json);
-        dc_table.push(row);
-    }
-    if !dc_table.is_empty() {
+    // `E8_SCALE_BUDGET_MS` gates the dc-100k wall clock.
+    let dc_tiers = selected_dc_tiers();
+    let budget_ms: Option<f64> = std::env::var("E8_SCALE_BUDGET_MS")
+        .ok()
+        .map(|b| b.parse().expect("E8_SCALE_BUDGET_MS must be a number"));
+    let tiers: Vec<DcTier> = dc_tiers.iter().map(run_dc_tier).collect();
+    if !tiers.is_empty() {
         println!("\nsharded full-DC construction (pod-parallel, merge at boundary):\n");
+        let dc_table: Vec<Vec<String>> = tiers.iter().map(|t| t.table.clone()).collect();
         print_table(
             &[
                 "scale",
@@ -231,26 +203,56 @@ fn main() {
             &dc_table,
         );
     }
-    // The hot paths intern labels once; any subsequent String round-trip
-    // would bump this counter. Keep it at zero.
-    assert_eq!(
-        alvc_telemetry::counter!("alvc_core.label.clones").value(),
-        0,
-        "hot paths must not re-intern label strings"
-    );
-    let chains_deployed = orchestrate_chains();
+    // The construction hot paths intern labels once; any subsequent String
+    // round-trip would bump this counter.
+    let label_clones = alvc_telemetry::counter!("alvc_core.label.clones").value();
+    let chains_deployed = deploy_fig5_chains(19);
     println!("\norchestration pass: deployed {chains_deployed}/3 Fig. 5 chains");
-    let json = Json::object()
-        .field("experiment", "e8_scalability")
-        .field(
-            "description",
-            "AL construction time and size across the scale ladder",
-        )
-        .field("rows", Json::Array(json_rows))
-        .field("dc_rows", Json::Array(dc_rows))
-        .field("chains_deployed", chains_deployed)
-        .field("telemetry_enabled", alvc_telemetry::telemetry_compiled())
-        .field("telemetry", telemetry_json());
-    let path = write_results("BENCH_scalability.json", &json.pretty());
-    println!("wrote {}", path.display());
+
+    let smoke = dc_tiers.len() < Scale::DC_LADDER.len();
+    let mut report = Report::new("scalability", "e8_scalability", smoke);
+    report.config(
+        Json::object()
+            .field("seed", 19usize)
+            .field(
+                "dc_tiers",
+                Json::Array(dc_tiers.iter().map(|s| Json::from(s.name)).collect()),
+            )
+            .field("scale_budget_ms", budget_ms.map_or(Json::Null, Json::from)),
+    );
+    let count = |flag: fn(&DcTier) -> bool| tiers.iter().filter(|t| flag(t)).count() as f64;
+    report.gate("max_ms_per_cluster", max_ms_per_cluster, Op::Lt, 1000.0);
+    report.gate(
+        "per_shard_len_mismatches",
+        count(|t| t.per_shard_len_mismatch),
+        Op::Eq,
+        0.0,
+    );
+    report.gate(
+        "peak_shard_bytes_mismatches",
+        count(|t| t.peak_shard_bytes_mismatch),
+        Op::Eq,
+        0.0,
+    );
+    report.gate("all_fallback_tiers", count(|t| t.all_fallback), Op::Eq, 0.0);
+    let failed_clusters: usize = tiers.iter().map(|t| t.failed_clusters).sum();
+    report.gate("failed_clusters", failed_clusters as f64, Op::Eq, 0.0);
+    report.gate("label_clones", label_clones as f64, Op::Eq, 0.0);
+    if let (Some(budget), Some(tier)) =
+        (budget_ms, dc_tiers.iter().position(|s| s.name == "dc-100k"))
+    {
+        report.gate(
+            "dc100k_construct_ms",
+            tiers[tier].construct_ms,
+            Op::Le,
+            budget,
+        );
+    }
+    report.rows("flat", json_rows);
+    report.rows("sharded", tiers.into_iter().map(|t| t.json));
+    report.rows(
+        "orchestration",
+        [Json::object().field("chains_deployed", chains_deployed)],
+    );
+    report.finish("BENCH_scalability.json");
 }

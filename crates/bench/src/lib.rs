@@ -1,13 +1,19 @@
-//! Shared harness for the AL-VC experiments (E1–E10 in DESIGN.md).
+//! Shared harness for the AL-VC experiments (E1–E14 in DESIGN.md).
 //!
 //! Each `e*` binary in `src/bin/` regenerates one of the paper's figures or
-//! quantified claims as a plain-text table; the Criterion benches in
-//! `benches/` measure the hot paths. This library holds the pieces they
-//! share: standard topology scenarios and a fixed-width table printer.
+//! quantified claims as a plain-text table. This library holds the pieces
+//! they share: standard topology scenarios, a fixed-width table printer,
+//! and the result envelope ([`Report`]) with its acceptance gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use alvc_core::clustering::tenant_clusters;
+use alvc_core::construction::PaperGreedy;
+use alvc_nfv::chain::fig5;
+use alvc_nfv::{ChainSpec, Orchestrator, VnfSpec, VnfType};
+use alvc_placement::OpticalFirstPlacer;
+use alvc_sim::workload::ChainBlueprint;
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect};
 
 /// A named topology scale used across experiments.
@@ -165,6 +171,57 @@ impl Scale {
     }
 }
 
+/// Deploys Fig. 5's three chains at the `small` scale so a construction
+/// bench's telemetry snapshot also carries the orchestrator probes
+/// (`alvc_nfv.orchestrator.*`); returns the deployed-chain count.
+pub fn deploy_fig5_chains(seed: u64) -> usize {
+    let dc = Scale::LADDER[1].build(seed);
+    let mut orch = Orchestrator::new();
+    let all_vms: Vec<_> = dc.vm_ids().collect();
+    let tenants = tenant_clusters(&all_vms, 3);
+    let specs = [
+        fig5::blue(tenants[0].vms[0], *tenants[0].vms.last().unwrap()),
+        fig5::black(tenants[1].vms[0], *tenants[1].vms.last().unwrap()),
+        fig5::green(tenants[2].vms[0], *tenants[2].vms.last().unwrap()),
+    ];
+    let mut deployed = 0usize;
+    for (tenant, spec) in tenants.iter().zip(specs) {
+        if orch
+            .deploy_chain(
+                &dc,
+                tenant.label,
+                tenant.vms.clone(),
+                spec,
+                &PaperGreedy::new(),
+                &OpticalFirstPlacer::new(),
+            )
+            .is_ok()
+        {
+            deployed += 1;
+        }
+    }
+    deployed
+}
+
+/// Maps a sim blueprint onto a concrete chain spec: heavy VNFs become DPI
+/// (electronic-only), light ones firewalls (optoelectronic-eligible).
+pub fn spec_of(bp: &ChainBlueprint) -> ChainSpec {
+    let vnfs: Vec<VnfSpec> = bp
+        .heavy
+        .iter()
+        .map(|&h| VnfSpec::of(if h { VnfType::Dpi } else { VnfType::Firewall }))
+        .collect();
+    let b = ChainSpec::builder("gen")
+        .ingress(bp.ingress)
+        .egress(bp.egress);
+    let b = if vnfs.is_empty() {
+        b.passthrough()
+    } else {
+        b.linear(vnfs)
+    };
+    b.build().expect("blueprint specs are valid")
+}
+
 /// Prints a fixed-width table: a header row, a separator, then rows.
 ///
 /// # Example
@@ -218,11 +275,13 @@ pub fn pct(x: f64) -> String {
 }
 
 pub mod json;
+pub mod report;
 pub mod schema;
 pub mod stats;
 pub mod telemetry_export;
 
 pub use json::Json;
+pub use report::{Op, Report};
 pub use stats::{measure, LatencyStats};
 pub use telemetry_export::telemetry_json;
 

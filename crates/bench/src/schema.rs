@@ -1,11 +1,9 @@
-//! The JSON-Schema-subset validator shared by the `validate_*` result
-//! gates (`validate_snapshot`, `validate_reclustering`).
+//! The JSON-Schema-subset validator behind the `validate` bin.
 //!
 //! Supports exactly the subset the schemas under `schemas/` use: `type`
 //! (string form), `required`, `properties`, `items`, `minimum`, and the
 //! custom `format: "probe-name"` (the `alvc_<crate>.<subsystem>.<metric>`
-//! probe naming convention from DESIGN.md §9). Anything fancier should
-//! grow here, in one place, with every gate picking it up.
+//! probe naming convention from DESIGN.md §9).
 
 use crate::json::Json;
 

@@ -18,7 +18,6 @@
 //!   every greedy cover (lazy deletion of stale entries).
 //! * [`traversal`] — BFS/DFS orders, connected components, reachability.
 //! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
-//! * [`unionfind`] — disjoint set union used by the topology generators.
 //!
 //! # Example
 //!
@@ -55,7 +54,6 @@ pub mod lazy_greedy;
 pub mod matching;
 pub mod shortest_path;
 pub mod traversal;
-pub mod unionfind;
 
 pub use bipartite::{Bipartite, BipartiteCsr, LeftId, RightId};
 pub use cover::{SetCoverInstance, VertexCover};
@@ -64,4 +62,3 @@ pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use lazy_greedy::{LazySelector, SelectorStats, TotalF64};
 pub use matching::Matching;
-pub use unionfind::UnionFind;

@@ -4,7 +4,7 @@ use alvc_graph::cover::{greedy_vertex_cover, konig_vertex_cover, SetCoverInstanc
 use alvc_graph::matching::hopcroft_karp;
 use alvc_graph::shortest_path::{bfs_distances, dijkstra};
 use alvc_graph::traversal::{bfs_order, connected_components, is_connected};
-use alvc_graph::{Bipartite, Graph, LeftId, NodeId, RightId, UnionFind};
+use alvc_graph::{Bipartite, Graph, LeftId, NodeId, RightId};
 use proptest::prelude::*;
 
 /// Strategy: a random bipartite graph as (n_left, n_right, edges).
@@ -130,20 +130,15 @@ proptest! {
         }
     }
 
-    /// BFS reachability agrees with union-find connectivity.
+    /// BFS reachability agrees with the component labelling.
     #[test]
-    fn bfs_agrees_with_union_find((n, edges) in graph_strategy()) {
+    fn bfs_agrees_with_components((n, edges) in graph_strategy()) {
         let g = build_graph(n, &edges);
-        let mut uf = UnionFind::new(n);
-        for &(a, b, _) in &edges {
-            uf.union(a, b);
-        }
         let reach = bfs_order(&g, NodeId(0));
+        let (label, comps) = connected_components(&g);
         for t in 0..n {
-            prop_assert_eq!(reach.contains(&NodeId(t)), uf.connected(0, t));
+            prop_assert_eq!(reach.contains(&NodeId(t)), label[t] == label[0]);
         }
-        let (_, comps) = connected_components(&g);
-        prop_assert_eq!(comps, uf.component_count());
         prop_assert_eq!(is_connected(&g), comps <= 1);
     }
 

@@ -20,7 +20,6 @@
 //!   onto deployed chains, replayed by
 //!   [`FlowSim::run_with_outages`](flowsim::FlowSim::run_with_outages)
 //!   (experiment E9);
-//! * [`linkload`] — per-link byte accounting and hotspot reports;
 //! * [`metrics`] — counters and sample summaries (mean/percentiles);
 //! * [`intents`] — weighted multi-tenant intent streams for the
 //!   control-plane experiment (E10);
@@ -39,7 +38,6 @@ pub mod failure;
 pub mod fairshare;
 pub mod flowsim;
 pub mod intents;
-pub mod linkload;
 pub mod metrics;
 pub mod traffic;
 pub mod workload;
@@ -50,7 +48,6 @@ pub use failure::{chain_outages, FailureSchedule, OutageEvent};
 pub use fairshare::{simulate_fair_share, FairFlow, FairShareReport};
 pub use flowsim::{ChainLoad, FlowSim, SimReport};
 pub use intents::{AsymmetricLoad, IntentMix, IntentOp, MixWeights};
-pub use linkload::LinkLoad;
 pub use metrics::{Counter, Summary};
 pub use traffic::{matrix_of_pairs, LocalityReport, PairDemand, TrafficMatrix};
 pub use workload::{

@@ -1,7 +1,7 @@
 //! The queryable data center topology.
 
 use alvc_graph::cover::SetCoverInstance;
-use alvc_graph::{Bipartite, Graph, NodeId};
+use alvc_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::element::{Domain, LinkAttrs, OptoCapacity, PhysNode};
@@ -610,36 +610,6 @@ impl DataCenter {
 
     // ----- covering-problem views (used by alvc-core) -------------------
 
-    /// Builds the VM↔ToR bipartite graph of Fig. 4 restricted to `vms`:
-    /// an edge joins a VM to each ToR its server can reach.
-    pub fn vm_tor_bipartite(&self, vms: &[VmId]) -> Bipartite<VmId, TorId, ()> {
-        let mut b = Bipartite::new();
-        let mut tor_idx = std::collections::HashMap::new();
-        let lefts: Vec<_> = vms.iter().map(|&vm| b.add_left(vm)).collect();
-        for (i, &vm) in vms.iter().enumerate() {
-            for &tor in self.tors_of_vm(vm) {
-                let &mut r = tor_idx.entry(tor).or_insert_with(|| b.add_right(tor));
-                b.add_edge(lefts[i], r, ());
-            }
-        }
-        b
-    }
-
-    /// Builds the ToR↔OPS bipartite graph restricted to `tors` (all OPSs
-    /// adjacent to any of them appear on the right).
-    pub fn tor_ops_bipartite(&self, tors: &[TorId]) -> Bipartite<TorId, OpsId, ()> {
-        let mut b = Bipartite::new();
-        let mut ops_idx = std::collections::HashMap::new();
-        let lefts: Vec<_> = tors.iter().map(|&t| b.add_left(t)).collect();
-        for (i, &tor) in tors.iter().enumerate() {
-            for ops in self.ops_of_tor(tor) {
-                let &mut r = ops_idx.entry(ops).or_insert_with(|| b.add_right(ops));
-                b.add_edge(lefts[i], r, ());
-            }
-        }
-        b
-    }
-
     /// Builds the OPS set-cover instance over `tors`: universe = the given
     /// ToRs, one candidate set per OPS listing the ToRs it connects.
     ///
@@ -796,26 +766,6 @@ mod tests {
         assert!(!dc.vms_of_server(ServerId(0)).contains(&vm));
         // Self-migration is a no-op.
         assert_eq!(dc.migrate_vm(vm, ServerId(3)), ServerId(3));
-    }
-
-    #[test]
-    fn vm_tor_bipartite_shape() {
-        let dc = small_dc();
-        let vms: Vec<_> = dc.vms_of_service(ServiceType::WebService);
-        let b = dc.vm_tor_bipartite(&vms);
-        assert_eq!(b.left_count(), 4);
-        assert_eq!(b.right_count(), 2); // both racks host web VMs
-        assert_eq!(b.edge_count(), 4); // one primary ToR each
-        assert!(b.left_side_covered());
-    }
-
-    #[test]
-    fn tor_ops_bipartite_shape() {
-        let dc = small_dc();
-        let b = dc.tor_ops_bipartite(&[TorId(0), TorId(1)]);
-        assert_eq!(b.left_count(), 2);
-        assert_eq!(b.right_count(), 3);
-        assert_eq!(b.edge_count(), 4);
     }
 
     #[test]
