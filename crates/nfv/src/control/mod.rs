@@ -25,8 +25,10 @@
 //! * **Lock-free snapshot reads.** [`ControlPlane::view`] hands out an
 //!   `Arc<StateView>` published at the last batch boundary; readers never
 //!   block the write path and always see a consistent world. Publication
-//!   is incremental: every batch, tenant or operator, patches only the
-//!   entries it touched into the previous snapshot.
+//!   is incremental and double-buffered: every batch, tenant or operator,
+//!   patches only the entries it touched into the snapshot retired one
+//!   publish earlier, so nothing is cloned unless a reader still holds
+//!   that one.
 //! * **Replayable log.** Every executed intent lands in the
 //!   [`IntentLog`] with its batch index and outcome — the scheduler's
 //!   drain order *is* the recorded batch order, so
@@ -84,6 +86,7 @@ use alvc_telemetry::{FieldValue, TraceCtx, TraceId};
 use alvc_topology::{DataCenter, Element, VmId};
 
 use crate::chain::{ChainSpec, NfcId};
+use crate::changes::ChangeSet;
 use crate::error::Error;
 use crate::orchestrator::{kbps, Orchestrator};
 use crate::placement::{ElectronicOnlyPlacer, VnfPlacer};
@@ -96,19 +99,74 @@ struct Submission {
     intent: Intent,
 }
 
+/// A live chain's tenant, and what that tenant's aggregate counts for it.
+struct Owner {
+    tenant: String,
+    /// The committed kb/s counted for the chain; `None` until
+    /// [`Inner::settle`] has seen it live.
+    counted_kbps: Option<u64>,
+}
+
 /// State guarded by the write-path lock: the orchestrator plus the
 /// bookkeeping only intent execution touches.
 struct Inner {
     orch: Orchestrator,
     /// Live chain → owning tenant; maintained here because the control
     /// plane executes every mutation.
-    owners: BTreeMap<NfcId, String>,
-    /// Live chains per tenant — the `owners` multiset inverted, so the
-    /// quota check is O(1) instead of a scan over every deployed chain.
-    live_chains: BTreeMap<String, usize>,
+    owners: BTreeMap<NfcId, Owner>,
+    /// Per-tenant usage — `owners` inverted and summed, kept current by
+    /// [`Inner::settle`]. Serves the quota check and the published
+    /// [`StateView::tenants`]; only tenants with live chains appear.
+    tenants: BTreeMap<String, TenantView>,
+    /// Entries the orchestrator marked during this batch so far.
+    marks: ChangeSet,
+    /// The snapshot retired by the previous publish — the buffer the next
+    /// publish patches — and the marks it has not seen: the previous
+    /// batch's.
+    spare: Arc<StateView>,
+    spare_marks: ChangeSet,
     log: IntentLog,
     batches: u64,
     intents_processed: u64,
+}
+
+impl Inner {
+    /// Reconciles `owners` and `tenants` with the chains the orchestrator
+    /// marked since the last call, and moves the marks to the batch's. Run
+    /// after every execution step, so admission later in the same batch
+    /// sees exact ownership and quota usage — whichever intent removed or
+    /// changed a chain (a teardown, or a failure's recovery ladder
+    /// discarding it).
+    fn settle(&mut self) {
+        let step = self.orch.changes.take();
+        for &id in &step.chains {
+            let Some(owner) = self.owners.get_mut(&id) else {
+                continue;
+            };
+            let now = self.orch.chains.get(&id).map(|c| c.bandwidth_kbps());
+            if !self.tenants.contains_key(&owner.tenant) {
+                self.tenants
+                    .insert(owner.tenant.clone(), TenantView::default());
+            }
+            let usage = self.tenants.get_mut(&owner.tenant).expect("just ensured");
+            usage.live_chains = usage.live_chains + usize::from(now.is_some())
+                - usize::from(owner.counted_kbps.is_some());
+            usage.committed_kbps =
+                usage.committed_kbps + now.unwrap_or(0) - owner.counted_kbps.unwrap_or(0);
+            usage.replicas = usage
+                .replicas
+                .checked_add_signed(step.replicas.get(&id).copied().unwrap_or(0))
+                .expect("a tenant loses only replicas it was counted");
+            owner.counted_kbps = now;
+            if usage.live_chains == 0 {
+                self.tenants.remove(&owner.tenant);
+            }
+            if now.is_none() {
+                self.owners.remove(&id);
+            }
+        }
+        self.marks.absorb(&step);
+    }
 }
 
 /// An executed intent's published record: its outcome plus the causal
@@ -233,15 +291,32 @@ impl ControlPlaneBuilder {
             .map(|(_, _, _, link)| kbps(link.bandwidth_gbps))
             .max()
             .unwrap_or(0);
+        // Chains a pre-configured orchestrator brings along belong to the
+        // empty tenant; the initial capture covers whatever it marked.
+        let mut orch = self.orchestrator;
+        orch.changes.take();
+        let owners: BTreeMap<NfcId, Owner> = orch
+            .chains()
+            .map(|chain| {
+                let owner = Owner {
+                    tenant: String::new(),
+                    counted_kbps: Some(chain.bandwidth_kbps()),
+                };
+                (chain.nfc().id(), owner)
+            })
+            .collect();
+        let view = StateView::capture(0, 0, &orch, &owners);
         let inner = Inner {
-            orch: self.orchestrator,
-            owners: BTreeMap::new(),
-            live_chains: BTreeMap::new(),
+            orch,
+            owners,
+            tenants: view.tenants.clone(),
+            marks: ChangeSet::default(),
+            spare: Arc::new(view.clone()),
+            spare_marks: ChangeSet::default(),
             log: IntentLog::new(),
             batches: 0,
             intents_processed: 0,
         };
-        let view = StateView::capture(0, 0, &inner.orch, &inner.owners);
         ControlPlane {
             dc,
             batch_size: self.batch_size,
@@ -569,6 +644,7 @@ impl ControlPlane {
                             let mut exec_span = alvc_telemetry::trace::child_span("intent.execute");
                             let start = Instant::now();
                             let outcome = self.execute_other(inner, &sub.tenant, other);
+                            inner.settle();
                             record_latency(start.elapsed().as_secs_f64() * 1e6);
                             exec_span.set_status(outcome.label());
                             if let IntentOutcome::Failed(e) = &outcome {
@@ -614,20 +690,23 @@ impl ControlPlane {
         inner.intents_processed += batch.len() as u64;
         alvc_telemetry::counter!("alvc_nfv.control.batches").incr();
         alvc_telemetry::gauge!("alvc_nfv.control.queue_depth").set(self.queue.lock().len() as f64);
-        // Publish: patch the entries this batch marked into the previous
-        // snapshot.
-        let changes = inner.orch.changes.take();
-        let prev = self.view.read().clone();
-        let view = StateView::apply_delta(
-            &prev,
+        // Publish: the spare buffer lags by the previous batch, so patch
+        // that batch's marks and this one's into it, then swap it with the
+        // current snapshot. `make_mut` patches in place unless a reader
+        // still holds the buffer — only then is a view cloned.
+        let marks = std::mem::take(&mut inner.marks);
+        inner.spare_marks.absorb(&marks);
+        let view = Arc::make_mut(&mut inner.spare);
+        view.apply_delta(
             inner.batches,
             inner.intents_processed,
             &inner.orch,
             &inner.owners,
-            &changes,
+            &inner.tenants,
+            &inner.spare_marks,
         );
         debug_assert_eq!(
-            view,
+            *view,
             StateView::capture(
                 inner.batches,
                 inner.intents_processed,
@@ -636,7 +715,8 @@ impl ControlPlane {
             ),
             "a mutation in this batch did not mark an entry it touched"
         );
-        *self.view.write() = Arc::new(view);
+        std::mem::swap(&mut *self.view.write(), &mut inner.spare);
+        inner.spare_marks = marks;
         batch.len()
     }
 
@@ -747,8 +827,8 @@ impl ControlPlane {
             // Chains admitted earlier in this batch count even though they
             // have not executed yet (optimistic, deterministic): those
             // still in the pending run here, those already flushed in the
-            // per-tenant counter maintained on deploy/teardown.
-            let live = inner.live_chains.get(tenant).copied().unwrap_or(0)
+            // tenant's settled usage.
+            let live = inner.tenants.get(tenant).map_or(0, |t| t.live_chains)
                 + run.iter().filter(|(_, t, _, _)| t == tenant).count();
             if live >= limit {
                 return Err(AdmissionError::QuotaExceeded {
@@ -774,7 +854,7 @@ impl ControlPlane {
             });
         }
         if let Some(chain) = intent.target_chain() {
-            if inner.owners.get(&chain).map(String::as_str) != Some(tenant) {
+            if inner.owners.get(&chain).map(|o| o.tenant.as_str()) != Some(tenant) {
                 return Err(AdmissionError::NotOwner {
                     tenant: tenant.to_string(),
                     chain,
@@ -786,7 +866,7 @@ impl ControlPlane {
                 .orch
                 .replica_chain(*replica)
                 .and_then(|chain| inner.owners.get(&chain))
-                .is_some_and(|t| t == tenant);
+                .is_some_and(|o| o.tenant == tenant);
             if !owned {
                 return Err(AdmissionError::UnknownReplica {
                     tenant: tenant.to_string(),
@@ -883,13 +963,17 @@ impl ControlPlane {
             );
             outcomes[slot] = Some(match result {
                 Ok(chain) => {
-                    inner.owners.insert(chain, tenant.to_string());
-                    *inner.live_chains.entry(tenant.to_string()).or_insert(0) += 1;
+                    let owner = Owner {
+                        tenant: tenant.to_string(),
+                        counted_kbps: None,
+                    };
+                    inner.owners.insert(chain, owner);
                     IntentOutcome::Completed(IntentEffect::Deployed { chain })
                 }
                 Err(e) => IntentOutcome::Failed(e),
             });
         }
+        inner.settle();
     }
 
     /// Executes one admitted non-deployment intent.
@@ -898,17 +982,7 @@ impl ControlPlane {
         match intent {
             Intent::DeployChain { .. } => unreachable!("deployments go through flush_deploys"),
             Intent::TeardownChain { chain } => match inner.orch.teardown_chain(*chain) {
-                Ok(_) => {
-                    if let Some(owner) = inner.owners.remove(chain) {
-                        if let Some(count) = inner.live_chains.get_mut(&owner) {
-                            *count -= 1;
-                            if *count == 0 {
-                                inner.live_chains.remove(&owner);
-                            }
-                        }
-                    }
-                    IntentOutcome::Completed(IntentEffect::TornDown { chain: *chain })
-                }
+                Ok(_) => IntentOutcome::Completed(IntentEffect::TornDown { chain: *chain }),
                 Err(e) => IntentOutcome::Failed(e),
             },
             Intent::ModifyChain { chain, spec } => {
@@ -1056,11 +1130,31 @@ mod tests {
     fn views_are_immutable_snapshots() {
         let dc = dc();
         let cp = ControlPlane::new(dc.clone());
-        let before = cp.view();
-        cp.submit("web", deploy_intent(&dc, ServiceType::WebService));
+        // Three batches, a reader holding the snapshot of each: the
+        // publisher alternates two buffers and must never patch one that
+        // is still held.
+        let v0 = cp.view();
+        let web = cp.submit("web", deploy_intent(&dc, ServiceType::WebService));
         cp.process_all();
-        assert_eq!(before.chain_count(), 0, "old snapshot untouched");
-        assert_eq!(cp.view().chain_count(), 1);
+        let v1 = cp.view();
+        cp.submit("sns", deploy_intent(&dc, ServiceType::Sns));
+        cp.process_all();
+        let v2 = cp.view();
+        let IntentOutcome::Completed(IntentEffect::Deployed { chain }) = cp.outcome(web).unwrap()
+        else {
+            panic!("deploy failed");
+        };
+        cp.submit("web", Intent::TeardownChain { chain });
+        cp.process_all();
+        let v3 = cp.view();
+        for (version, (view, chains)) in [(&v0, 0), (&v1, 1), (&v2, 2), (&v3, 1)].iter().enumerate()
+        {
+            assert_eq!(view.version, version as u64);
+            assert_eq!(view.chain_count(), *chains, "snapshot {version} untouched");
+        }
+        assert_eq!(v1.tenant("web").live_chains, 1);
+        assert_eq!(v2.tenant("sns").live_chains, 1);
+        assert_eq!(v3.tenant("web").live_chains, 0);
     }
 
     #[test]
@@ -1173,6 +1267,79 @@ mod tests {
             assert!(outcome.is_completed(), "{outcome:?}");
         }
         assert_eq!(cp.view().tenant("t").live_chains, 2);
+    }
+
+    /// Regression: rung 4 of the recovery ladder discards a chain nothing
+    /// can serve. Ownership and the quota counter used to change only on
+    /// the tenant's own deploy and teardown, so the dead chain counted
+    /// against `max_live_chains` forever.
+    #[test]
+    fn chain_discarded_by_recovery_releases_its_quota() {
+        let dc = dc();
+        let cp = ControlPlane::builder()
+            .default_quota(TenantQuota::new(1, 8))
+            .build(dc.clone());
+        // The quota counter and the published aggregate agree throughout.
+        let live_chains = |expected: usize| {
+            let counted = cp
+                .inner
+                .lock()
+                .tenants
+                .get("web")
+                .map_or(0, |t| t.live_chains);
+            assert_eq!(counted, expected);
+            assert_eq!(cp.view().tenant("web").live_chains, expected);
+        };
+        let first = cp.submit("web", deploy_intent(&dc, ServiceType::WebService));
+        cp.process_all();
+        assert!(cp.outcome(first).unwrap().is_completed());
+        live_chains(1);
+
+        let ingress = dc.vms_of_service(ServiceType::WebService)[0];
+        let element = Element::Server(dc.server_of_vm(ingress));
+        let fail = cp.submit("operator", Intent::FailElement { element });
+        cp.process_all();
+        assert!(matches!(
+            cp.outcome(fail).unwrap(),
+            IntentOutcome::Completed(IntentEffect::Recovered {
+                affected: 1,
+                serving: 0
+            })
+        ));
+        assert_eq!(cp.view().chain_count(), 0);
+        live_chains(0);
+
+        cp.submit("operator", Intent::RestoreElement { element });
+        let second = cp.submit("web", deploy_intent(&dc, ServiceType::WebService));
+        cp.process_all();
+        let outcome = cp.outcome(second).unwrap();
+        assert!(outcome.is_completed(), "{outcome:?}");
+        live_chains(1);
+    }
+
+    /// Chains deployed before the control plane existed are the empty
+    /// tenant's: counted in the first view and released like any other.
+    #[test]
+    fn adopted_chains_belong_to_the_empty_tenant() {
+        let dc = dc();
+        let mut orch = Orchestrator::new();
+        let vms = dc.vms_of_service(ServiceType::WebService);
+        let spec = fig5::black(vms[0], *vms.last().unwrap());
+        let (ctor, placer) = (PaperGreedy::new(), ElectronicOnlyPlacer::new());
+        let chain = orch
+            .deploy_chain(&dc, "web", vms.clone(), spec, &ctor, &placer)
+            .unwrap();
+        orch.scale_out(&dc, chain, 0).unwrap();
+        let cp = ControlPlane::builder().orchestrator(orch).build(dc.clone());
+        let adopted = cp.view().tenant("");
+        assert_eq!((adopted.live_chains, adopted.replicas), (1, 1));
+        assert_eq!(cp.view().chains[&chain].tenant, "");
+
+        let element = Element::Server(dc.server_of_vm(vms[0]));
+        cp.submit("operator", Intent::FailElement { element });
+        cp.process_all();
+        assert_eq!(cp.view().chain_count(), 0);
+        assert_eq!(cp.view().tenant(""), TenantView::default());
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! Publication is **incremental**, and there is one publication path: the
 //! orchestrator marks every entry a batch mutated (see
 //! [`crate::changes`]) — tenant intents and operator intents alike — and
-//! [`StateView::apply_delta`] patches only those entries into a clone of
-//! the previous snapshot. Per-entry `Arc`s make the clone a pile of
-//! reference-count bumps, so publication cost tracks the batch's blast
-//! radius, not the size of the data center. [`StateView::capture`] builds
-//! the initial view and otherwise serves as the independent oracle: a
-//! debug assertion after every batch and a property test pin
-//! `apply_delta` ≡ `capture`.
+//! [`StateView::apply_delta`] patches only those entries, in place, into
+//! the snapshot buffer the control plane retired one publish earlier (it
+//! keeps two and alternates). Publication cost therefore tracks the
+//! batch's blast radius, not the size of the data center or of the live
+//! tenant state; the buffer is cloned only while a reader still holds it,
+//! and per-entry `Arc`s make that clone a pile of reference-count bumps.
+//! [`StateView::capture`] builds the initial view and otherwise serves as
+//! the independent oracle: a debug assertion after every batch and a
+//! property test pin `apply_delta` ≡ `capture`.
 //!
 //! Every collection is a `BTreeMap`/`BTreeSet` so two views compare
 //! field-for-field deterministically; the replay property test leans on
@@ -34,6 +36,8 @@ use crate::chain::NfcId;
 use crate::changes::ChangeSet;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::orchestrator::{DeployedChain, Orchestrator};
+
+use super::Owner;
 
 /// One deployed chain as seen by readers.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,8 +100,8 @@ pub struct TenantView {
 /// An immutable, internally consistent snapshot of everything the control
 /// plane exposes to readers.
 ///
-/// Chain and cluster entries sit behind per-entry `Arc`s so incremental
-/// publication can clone the previous snapshot cheaply; `Arc`
+/// Chain and cluster entries sit behind per-entry `Arc`s so a snapshot a
+/// reader still holds can be cloned cheaply at publication; `Arc`
 /// dereferences transparently, so field access reads the same as before
 /// (`view.chains[&id].vnf_count`).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -131,16 +135,19 @@ pub struct StateView {
 /// Builds the reader-facing view of one deployed chain.
 fn chain_view(
     orch: &Orchestrator,
-    owners: &BTreeMap<NfcId, String>,
+    owners: &BTreeMap<NfcId, Owner>,
     id: NfcId,
     deployed: &DeployedChain,
 ) -> ChainView {
     ChainView {
-        tenant: owners.get(&id).cloned().unwrap_or_default(),
+        tenant: owners
+            .get(&id)
+            .map(|o| o.tenant.clone())
+            .unwrap_or_default(),
         cluster: deployed.cluster(),
         name: deployed.nfc().spec().name.clone(),
         vnf_count: deployed.nfc().vnfs().len(),
-        bandwidth_kbps: crate::orchestrator::kbps(deployed.nfc().spec().bandwidth_gbps),
+        bandwidth_kbps: deployed.bandwidth_kbps(),
         hop_count: deployed.path().hop_count(),
         oeo_conversions: deployed.oeo_conversions(),
         instances: deployed.instances().to_vec(),
@@ -165,12 +172,12 @@ fn cluster_view(vc: &VirtualCluster) -> ClusterSliceView {
     }
 }
 
-/// Rebuilds the per-tenant aggregates from a (possibly patched) chain
-/// map. O(live chains + replicas) — independent of topology size.
+/// Builds the per-tenant aggregates from scratch, for
+/// [`StateView::capture`]: O(live chains + replicas).
 fn tenant_aggregates(
     chains: &BTreeMap<NfcId, Arc<ChainView>>,
     orch: &Orchestrator,
-    owners: &BTreeMap<NfcId, String>,
+    owners: &BTreeMap<NfcId, Owner>,
 ) -> BTreeMap<String, TenantView> {
     let mut tenants: BTreeMap<String, TenantView> = BTreeMap::new();
     for chain in chains.values() {
@@ -179,8 +186,8 @@ fn tenant_aggregates(
         entry.committed_kbps += chain.bandwidth_kbps;
     }
     for (chain, _) in orch.replicas.values() {
-        if let Some(tenant) = owners.get(chain) {
-            if let Some(entry) = tenants.get_mut(tenant) {
+        if let Some(owner) = owners.get(chain) {
+            if let Some(entry) = tenants.get_mut(&owner.tenant) {
                 entry.replicas += 1;
             }
         }
@@ -193,11 +200,11 @@ impl StateView {
     /// initial view, and the oracle [`StateView::apply_delta`] is checked
     /// against. `owners` maps each live chain to its tenant (maintained by
     /// the control plane, which executes every mutation).
-    pub(crate) fn capture(
+    pub(super) fn capture(
         version: u64,
         intents_processed: u64,
         orch: &Orchestrator,
-        owners: &BTreeMap<NfcId, String>,
+        owners: &BTreeMap<NfcId, Owner>,
     ) -> StateView {
         let chains: BTreeMap<NfcId, Arc<ChainView>> = orch
             .chains
@@ -232,69 +239,83 @@ impl StateView {
         }
     }
 
-    /// Builds the next snapshot by patching `changes` into a clone of
-    /// `prev` — the incremental twin of [`StateView::capture`], and how
-    /// every batch is published.
-    pub(crate) fn apply_delta(
-        prev: &StateView,
+    /// Turns this snapshot into the next one by re-reading every entry
+    /// `changes` marks from the live orchestrator — the incremental twin of
+    /// [`StateView::capture`], and how every batch is published. `self`
+    /// may lag the orchestrator by several batches as long as `changes`
+    /// holds every mark made since it was current. `tenants` is the
+    /// control plane's maintained per-tenant aggregate; the tenants of the
+    /// marked chains are the only ones whose entry can have moved.
+    pub(super) fn apply_delta(
+        &mut self,
         version: u64,
         intents_processed: u64,
         orch: &Orchestrator,
-        owners: &BTreeMap<NfcId, String>,
+        owners: &BTreeMap<NfcId, Owner>,
+        tenants: &BTreeMap<String, TenantView>,
         changes: &ChangeSet,
-    ) -> StateView {
-        let mut view = prev.clone();
-        view.version = version;
-        view.intents_processed = intents_processed;
+    ) {
+        self.version = version;
+        self.intents_processed = intents_processed;
 
         for &id in &changes.chains {
-            match orch.chains.get(&id) {
-                Some(deployed) => {
-                    view.chains
-                        .insert(id, Arc::new(chain_view(orch, owners, id, deployed)));
+            let now = orch
+                .chains
+                .get(&id)
+                .map(|deployed| Arc::new(chain_view(orch, owners, id, deployed)));
+            let was = match &now {
+                Some(chain) => self.chains.insert(id, chain.clone()),
+                None => self.chains.remove(&id),
+            };
+            // A chain never changes hands, so either side names the tenant.
+            let Some(chain) = now.or(was) else { continue };
+            match (
+                tenants.get(&chain.tenant),
+                self.tenants.get_mut(&chain.tenant),
+            ) {
+                (Some(&aggregate), Some(entry)) => *entry = aggregate,
+                (Some(&aggregate), None) => {
+                    self.tenants.insert(chain.tenant.clone(), aggregate);
                 }
-                None => {
-                    view.chains.remove(&id);
+                (None, _) => {
+                    self.tenants.remove(&chain.tenant);
                 }
             }
         }
         for &iid in &changes.instances {
             match orch.instances.get(&iid) {
                 Some(inst) => {
-                    view.instances.insert(iid, instance_view(inst));
+                    self.instances.insert(iid, instance_view(inst));
                 }
                 None => {
-                    view.instances.remove(&iid);
+                    self.instances.remove(&iid);
                 }
             }
         }
         for &cid in &changes.clusters {
             match orch.manager.cluster(cid) {
                 Some(vc) => {
-                    view.clusters.insert(cid, Arc::new(cluster_view(vc)));
+                    self.clusters.insert(cid, Arc::new(cluster_view(vc)));
                 }
                 None => {
-                    view.clusters.remove(&cid);
+                    self.clusters.remove(&cid);
                 }
             }
         }
         for &edge in &changes.edges {
             let now = orch.link_committed.committed(edge);
             let before = if now == 0 {
-                view.link_committed_kbps.remove(&edge).unwrap_or(0)
+                self.link_committed_kbps.remove(&edge).unwrap_or(0)
             } else {
-                view.link_committed_kbps.insert(edge, now).unwrap_or(0)
+                self.link_committed_kbps.insert(edge, now).unwrap_or(0)
             };
-            view.total_committed_kbps = view.total_committed_kbps - before + now;
+            self.total_committed_kbps = self.total_committed_kbps - before + now;
         }
-        // Cheap wholesale rebuilds: aggregates over live chains/replicas
-        // and the (small) global sets. Everything here is O(live state),
-        // not O(topology).
-        view.tenants = tenant_aggregates(&view.chains, orch, owners);
-        view.failed_elements = orch.health.failed().into_iter().collect();
-        view.degraded_chains = orch.degraded.iter().copied().collect();
-        view.sdn_rules = orch.sdn.total_rules();
-        view
+        // The (small) global sets are rebuilt wholesale: O(failed
+        // elements + degraded chains).
+        self.failed_elements = orch.health.failed().into_iter().collect();
+        self.degraded_chains = orch.degraded.iter().copied().collect();
+        self.sdn_rules = orch.sdn.total_rules();
     }
 
     /// Number of deployed chains.

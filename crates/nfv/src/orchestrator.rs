@@ -80,6 +80,12 @@ impl DeployedChain {
     pub fn oeo_conversions(&self) -> usize {
         self.path.oeo_conversions()
     }
+
+    /// The chain's requested bandwidth in the ledger's integer kb/s — what
+    /// its view shows and what its tenant's usage counts.
+    pub(crate) fn bandwidth_kbps(&self) -> u64 {
+        kbps(self.nfc.spec().bandwidth_gbps)
+    }
 }
 
 /// The AL-VC orchestrator.
@@ -727,7 +733,7 @@ impl Orchestrator {
         }
         let iid = self.spawn(spec, host);
         self.replicas.insert(iid, (chain, chain_position));
-        self.changes.chain(chain);
+        self.changes.replica(chain, 1);
         self.changes.instance(original_iid);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_outs").incr();
         Ok(iid)
@@ -746,7 +752,7 @@ impl Orchestrator {
         let Some((chain, _)) = self.replicas.remove(&replica) else {
             return Err(DeployError::UnknownChain(NfcId(usize::MAX)).into());
         };
-        self.changes.chain(chain);
+        self.changes.replica(chain, -1);
         self.retire(replica);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_ins").incr();
         Ok(())

@@ -48,6 +48,8 @@ pub struct FlowRule {
 pub struct SdnController {
     rules: BTreeMap<NfcId, Vec<FlowRule>>,
     per_switch: HashMap<NodeId, usize>,
+    /// Rules across all switches (the sum of `rules`' lengths).
+    total: usize,
     /// Flow-table capacity per switch (TCAM size); `None` = unlimited.
     table_limit: Option<usize>,
 }
@@ -154,6 +156,7 @@ impl SdnController {
             *self.per_switch.entry(n).or_insert(0) += 1;
         }
         let count = rules.len();
+        self.total += count;
         self.rules.insert(chain, rules);
         count
     }
@@ -171,6 +174,7 @@ impl SdnController {
                 }
             }
         }
+        self.total -= rules.len();
         rules.len()
     }
 
@@ -186,7 +190,7 @@ impl SdnController {
 
     /// Total rules across all switches.
     pub fn total_rules(&self) -> usize {
-        self.rules.values().map(|v| v.len()).sum()
+        self.total
     }
 
     /// Number of chains with installed paths.

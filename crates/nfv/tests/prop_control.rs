@@ -268,13 +268,17 @@ proptest! {
     /// intents and every operator intent alike (server, OPS and ToR
     /// failures and restores, reoptimizes, re-clusterings, power
     /// transitions), on one pod and on two — the published snapshot equals
-    /// a from-scratch `StateView::capture` of the live orchestrator.
+    /// a from-scratch `StateView::capture` of the live orchestrator. The
+    /// script also takes `cp.view()` handles and holds them across 1–4
+    /// later batches, so publication patches both a buffer it owns and a
+    /// clone of one a reader pins; a held snapshot must keep the value it
+    /// had when taken (a reused buffer is never one a reader holds).
     #[test]
     fn incremental_view_equals_full_capture_after_every_batch(
         seed in 0u64..50,
         pods in 1usize..3,
         batch_size in 1usize..5,
-        script in proptest::collection::vec((0u8..18, 0u8..4), 1..40),
+        script in proptest::collection::vec((0u8..18, 0u8..4, 0u8..8), 1..40),
     ) {
         let dc = dc_with_pods(seed, pods);
         let vms: Vec<VmId> = dc.vm_ids().collect();
@@ -285,8 +289,11 @@ proptest! {
         let cp = control_plane(&dc, batch_size);
         let mut replicas: Vec<VnfInstanceId> = Vec::new();
         let mut powered_off: Vec<OpsId> = Vec::new();
+        // Reader handles: the snapshot, a deep copy of what it held when
+        // taken, and for how many more batches it stays pinned.
+        let mut held: Vec<(Arc<StateView>, StateView, u8)> = Vec::new();
         let operator = |intent: Intent| ("operator".to_string(), intent);
-        for (op, kind) in script {
+        for (op, kind, hold) in script {
             let tenant = format!("t{}", kind % 2);
             let group = &groups[(kind % 2) as usize];
             let view = cp.view();
@@ -395,9 +402,22 @@ proptest! {
             // The invariant under test: what was published incrementally
             // is exactly what a full capture of the live world yields.
             prop_assert_eq!(&*cp.view(), &*cp.recompute_view());
+            for (handle, taken, batches_left) in &mut held {
+                prop_assert_eq!(&**handle, &*taken);
+                *batches_left -= 1;
+            }
+            held.retain(|(_, _, batches_left)| *batches_left > 0);
+            if (1..=4).contains(&hold) {
+                let handle = cp.view();
+                let taken = StateView::clone(&handle);
+                held.push((handle, taken, hold));
+            }
         }
         cp.process_all();
         prop_assert_eq!(&*cp.view(), &*cp.recompute_view());
+        for (handle, taken, _) in &held {
+            prop_assert_eq!(&**handle, taken);
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Waypoint routing over the physical graph, with optional slice
 //! restriction.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -67,54 +68,136 @@ fn latency_cost(attrs: &LinkAttrs) -> u64 {
     (attrs.latency_us * 10.0).round().max(0.0) as u64
 }
 
-fn segment(
+/// The cheapest-latency link joining `a` and `b` (of equally cheap
+/// parallel links the first), `None` if the nodes are not adjacent. Scans
+/// the shorter adjacency list: a switch of a full-mesh core has hundreds
+/// of links, the ToR or server at the other end a few.
+fn cheapest_link(
     graph: &Graph<PhysNode, LinkAttrs>,
-    from: NodeId,
-    to: NodeId,
-    allowed: Option<&HashSet<NodeId>>,
-) -> Result<HybridPath, RoutingError> {
-    // Restricted routing: forbid disallowed *intermediate* nodes by giving
-    // their incident edges infinite cost. Simpler: run Dijkstra on a cost
-    // function that returns u64::MAX/4 for edges touching a forbidden node;
-    // such edges are never chosen unless no other route exists, so verify
-    // the resulting path afterwards.
-    let path = dijkstra(graph, from, to, |e, attrs| {
-        if let Some(allowed) = allowed {
-            let (a, b) = graph.edge_endpoints(e).expect("edge exists");
-            let node_ok = |n: NodeId| n == from || n == to || allowed.contains(&n);
-            if !node_ok(a) || !node_ok(b) {
-                return u64::MAX / 8;
-            }
-        }
-        latency_cost(attrs)
-    })
-    .map_err(|_| RoutingError::NoRoute { from, to })?;
-    if let Some(allowed) = allowed {
-        for &n in &path.nodes {
-            if n != from && n != to && !allowed.contains(&n) {
-                return Err(RoutingError::NoRoute { from, to });
-            }
-        }
-    }
-    // Annotate with link domains and real latency.
-    let mut domains = Vec::with_capacity(path.nodes.len().saturating_sub(1));
+    a: NodeId,
+    b: NodeId,
+) -> Option<(alvc_graph::EdgeId, &LinkAttrs)> {
+    let (from, to) = if graph.degree(a) <= graph.degree(b) {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    graph
+        .incident_edges(from)
+        .filter(|&(_, n)| n == to)
+        .map(|(e, _)| (e, graph.edge_weight(e).expect("edge exists")))
+        .min_by(|(_, x), (_, y)| x.latency_us.total_cmp(&y.latency_us))
+}
+
+/// Builds the hybrid path over `nodes`, each hop on its cheapest link.
+fn annotate(graph: &Graph<PhysNode, LinkAttrs>, nodes: Vec<NodeId>) -> HybridPath {
+    let mut domains = Vec::with_capacity(nodes.len().saturating_sub(1));
     let mut latency = 0.0;
-    for w in path.nodes.windows(2) {
-        // Cheapest-latency parallel edge between w[0] and w[1].
-        let attrs = graph
-            .incident_edges(w[0])
-            .filter(|&(_, n)| n == w[1])
-            .map(|(e, _)| *graph.edge_weight(e).expect("edge exists"))
-            .min_by(|a, b| {
-                a.latency_us
-                    .partial_cmp(&b.latency_us)
-                    .expect("latency is finite")
-            })
-            .expect("path edges exist");
+    for w in nodes.windows(2) {
+        let (_, attrs) = cheapest_link(graph, w[0], w[1]).expect("path edges exist");
         domains.push(attrs.domain);
         latency += attrs.latency_us;
     }
-    Ok(HybridPath::new(path.nodes, domains, latency))
+    HybridPath::new(nodes, domains, latency)
+}
+
+/// Latency-minimal search confined to a slice: the same Dijkstra as
+/// [`alvc_graph::shortest_path::dijkstra`] — strict `<` relaxation, heap
+/// ordered by `(distance, node index)` — but its state is sized by the
+/// slice, not the graph, and it never relaxes an edge into a node outside
+/// the slice. One instance serves every leg of a routing call.
+struct SliceSearch<'a> {
+    graph: &'a Graph<PhysNode, LinkAttrs>,
+    /// The allowed nodes and every waypoint, ascending: a node's position
+    /// is its dense index, so dense order is node-index order and ties pop
+    /// exactly as they do in the whole-graph search.
+    nodes: Vec<NodeId>,
+    /// Whether `nodes[i]` may be transited. A waypoint outside the allowed
+    /// set may only start or end a leg.
+    transit: Vec<bool>,
+    dist: Vec<u64>,
+    prev: Vec<usize>,
+}
+
+impl<'a> SliceSearch<'a> {
+    fn new(
+        graph: &'a Graph<PhysNode, LinkAttrs>,
+        allowed: &HashSet<NodeId>,
+        waypoints: &[NodeId],
+    ) -> Self {
+        let mut nodes: Vec<NodeId> = allowed.iter().chain(waypoints).copied().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut transit = vec![true; nodes.len()];
+        for w in waypoints {
+            if !allowed.contains(w) {
+                transit[nodes.binary_search(w).expect("waypoints are indexed")] = false;
+            }
+        }
+        SliceSearch {
+            graph,
+            dist: vec![u64::MAX; nodes.len()],
+            prev: vec![usize::MAX; nodes.len()],
+            nodes,
+            transit,
+        }
+    }
+
+    /// The node sequence of the cheapest `from` → `to` path whose interior
+    /// lies in the allowed set, `None` if there is none.
+    fn leg(&mut self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        let n = self.graph.node_count();
+        if from.index() >= n || to.index() >= n {
+            return None;
+        }
+        let source = self
+            .nodes
+            .binary_search(&from)
+            .expect("waypoints are indexed");
+        let target = self
+            .nodes
+            .binary_search(&to)
+            .expect("waypoints are indexed");
+        self.dist.fill(u64::MAX);
+        self.prev.fill(usize::MAX);
+        let mut heap = BinaryHeap::new();
+        self.dist[source] = 0;
+        heap.push(Reverse((0u64, source)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > self.dist[u] {
+                continue;
+            }
+            if u == target {
+                break;
+            }
+            for (e, v) in self.graph.incident_edges(self.nodes[u]) {
+                let Ok(v) = self.nodes.binary_search(&v) else {
+                    continue;
+                };
+                if !self.transit[v] && v != source && v != target {
+                    continue;
+                }
+                let attrs = self.graph.edge_weight(e).expect("edge exists");
+                let nd = d.saturating_add(latency_cost(attrs));
+                if nd < self.dist[v] {
+                    self.dist[v] = nd;
+                    self.prev[v] = u;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        if self.dist[target] == u64::MAX {
+            return None;
+        }
+        let mut path = vec![to];
+        let mut cur = target;
+        while self.prev[cur] != usize::MAX {
+            cur = self.prev[cur];
+            path.push(self.nodes[cur]);
+        }
+        path.reverse();
+        Some(path)
+    }
 }
 
 /// Routes a flow through `waypoints` (≥ 2 physical nodes, in visiting
@@ -139,19 +222,33 @@ fn segment(
 /// # Ok::<(), alvc_optical::RoutingError>(())
 /// ```
 pub fn route_flow(dc: &DataCenter, waypoints: &[NodeId]) -> Result<HybridPath, RoutingError> {
-    route_impl(dc, waypoints, None)
+    let graph = dc.graph();
+    route_legs(graph, waypoints, |from, to| {
+        let path = dijkstra(graph, from, to, |_, attrs| latency_cost(attrs));
+        path.ok().map(|p| p.nodes)
+    })
 }
 
 /// Like [`route_flow`], but intermediate nodes are restricted to `allowed`
 /// (waypoints themselves are always permitted). This implements slice
 /// isolation: a chain routed within its AL may only transit the AL's
-/// switches.
+/// switches. The search runs inside the slice — its cost follows the size
+/// of `allowed`, not of the data center.
 pub fn route_flow_within(
     dc: &DataCenter,
     allowed: &HashSet<NodeId>,
     waypoints: &[NodeId],
 ) -> Result<HybridPath, RoutingError> {
-    route_impl(dc, waypoints, Some(allowed))
+    route_within(dc.graph(), allowed, waypoints)
+}
+
+fn route_within(
+    graph: &Graph<PhysNode, LinkAttrs>,
+    allowed: &HashSet<NodeId>,
+    waypoints: &[NodeId],
+) -> Result<HybridPath, RoutingError> {
+    let mut slice = SliceSearch::new(graph, allowed, waypoints);
+    route_legs(graph, waypoints, |from, to| slice.leg(from, to))
 }
 
 /// Like [`route_flow`], but equal-latency paths are tie-broken by a
@@ -168,18 +265,11 @@ pub fn route_flow_ecmp(
     waypoints: &[NodeId],
     flow_hash: u64,
 ) -> Result<HybridPath, RoutingError> {
-    if waypoints.len() < 2 {
-        return Err(RoutingError::TooFewWaypoints);
-    }
     let graph = dc.graph();
-    let mut full = HybridPath::empty();
-    for w in waypoints.windows(2) {
-        if w[0] == w[1] {
-            continue;
-        }
+    route_legs(graph, waypoints, |from, to| {
         // Scale latency so the hash jitter (0..8) never changes which
         // paths are latency-minimal (min link latency is 1 µs = 160 units).
-        let path = dijkstra(graph, w[0], w[1], |e, attrs| {
+        let path = dijkstra(graph, from, to, |e, attrs| {
             let jitter = {
                 // SplitMix-style mix of edge id and flow hash.
                 let mut x = flow_hash ^ (e.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -189,34 +279,9 @@ pub fn route_flow_ecmp(
                 x % 8
             };
             (attrs.latency_us * 160.0).round() as u64 + jitter
-        })
-        .map_err(|_| RoutingError::NoRoute {
-            from: w[0],
-            to: w[1],
-        })?;
-        let mut domains = Vec::with_capacity(path.nodes.len().saturating_sub(1));
-        let mut latency = 0.0;
-        for hop in path.nodes.windows(2) {
-            let attrs = graph
-                .incident_edges(hop[0])
-                .filter(|&(_, n)| n == hop[1])
-                .map(|(e, _)| *graph.edge_weight(e).expect("edge exists"))
-                .min_by(|a, b| {
-                    a.latency_us
-                        .partial_cmp(&b.latency_us)
-                        .expect("latency is finite")
-                })
-                .expect("path edges exist");
-            domains.push(attrs.domain);
-            latency += attrs.latency_us;
-        }
-        full.join(&HybridPath::new(path.nodes, domains, latency));
-    }
-    if full.nodes().is_empty() {
-        full = HybridPath::new(vec![waypoints[0]], vec![], 0.0);
-    }
-    record_route(&full);
-    Ok(full)
+        });
+        path.ok().map(|p| p.nodes)
+    })
 }
 
 /// The concrete edges a path traverses: for each hop, the
@@ -245,14 +310,7 @@ pub fn try_path_edges(
     path.nodes()
         .windows(2)
         .map(|w| {
-            dc.graph()
-                .incident_edges(w[0])
-                .filter(|&(_, n)| n == w[1])
-                .min_by(|&(a, _), &(b, _)| {
-                    let la = dc.graph().edge_weight(a).expect("edge exists").latency_us;
-                    let lb = dc.graph().edge_weight(b).expect("edge exists").latency_us;
-                    la.total_cmp(&lb)
-                })
+            cheapest_link(dc.graph(), w[0], w[1])
                 .map(|(e, _)| e)
                 .ok_or(RoutingError::MissingLink {
                     from: w[0],
@@ -262,10 +320,10 @@ pub fn try_path_edges(
         .collect()
 }
 
-fn route_impl(
-    dc: &DataCenter,
+fn route_legs(
+    graph: &Graph<PhysNode, LinkAttrs>,
     waypoints: &[NodeId],
-    allowed: Option<&HashSet<NodeId>>,
+    mut leg: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
 ) -> Result<HybridPath, RoutingError> {
     if waypoints.len() < 2 {
         return Err(RoutingError::TooFewWaypoints);
@@ -275,8 +333,11 @@ fn route_impl(
         if w[0] == w[1] {
             continue; // co-located waypoints need no hop
         }
-        let seg = segment(dc.graph(), w[0], w[1], allowed)?;
-        full.join(&seg);
+        let nodes = leg(w[0], w[1]).ok_or(RoutingError::NoRoute {
+            from: w[0],
+            to: w[1],
+        })?;
+        full.join(&annotate(graph, nodes));
     }
     if full.nodes().is_empty() {
         // All waypoints co-located.
@@ -294,6 +355,220 @@ fn record_route(path: &HybridPath) {
     alvc_telemetry::counter!("alvc_optical.routing.routes").incr();
     alvc_telemetry::counter!("alvc_optical.oeo.conversions").add(path.oeo_conversions() as u64);
     alvc_telemetry::histogram!("alvc_optical.routing.path_latency_us").record(path.latency_us());
+}
+
+/// The restricted search [`SliceSearch`] replaced, kept as the reference
+/// it is tested against: Dijkstra over the whole graph with every edge
+/// that touches a forbidden node charged `u64::MAX / 8`, and the path
+/// verified afterwards.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use alvc_topology::{AlvcTopologyBuilder, Domain, OpsInterconnect};
+    use proptest::prelude::*;
+
+    fn segment(
+        graph: &Graph<PhysNode, LinkAttrs>,
+        from: NodeId,
+        to: NodeId,
+        allowed: Option<&HashSet<NodeId>>,
+    ) -> Result<HybridPath, RoutingError> {
+        // Restricted routing: forbid disallowed *intermediate* nodes by giving
+        // their incident edges infinite cost. Simpler: run Dijkstra on a cost
+        // function that returns u64::MAX/4 for edges touching a forbidden node;
+        // such edges are never chosen unless no other route exists, so verify
+        // the resulting path afterwards.
+        let path = dijkstra(graph, from, to, |e, attrs| {
+            if let Some(allowed) = allowed {
+                let (a, b) = graph.edge_endpoints(e).expect("edge exists");
+                let node_ok = |n: NodeId| n == from || n == to || allowed.contains(&n);
+                if !node_ok(a) || !node_ok(b) {
+                    return u64::MAX / 8;
+                }
+            }
+            latency_cost(attrs)
+        })
+        .map_err(|_| RoutingError::NoRoute { from, to })?;
+        if let Some(allowed) = allowed {
+            for &n in &path.nodes {
+                if n != from && n != to && !allowed.contains(&n) {
+                    return Err(RoutingError::NoRoute { from, to });
+                }
+            }
+        }
+        // Annotate with link domains and real latency.
+        let mut domains = Vec::with_capacity(path.nodes.len().saturating_sub(1));
+        let mut latency = 0.0;
+        for w in path.nodes.windows(2) {
+            // Cheapest-latency parallel edge between w[0] and w[1].
+            let attrs = graph
+                .incident_edges(w[0])
+                .filter(|&(_, n)| n == w[1])
+                .map(|(e, _)| *graph.edge_weight(e).expect("edge exists"))
+                .min_by(|a, b| {
+                    a.latency_us
+                        .partial_cmp(&b.latency_us)
+                        .expect("latency is finite")
+                })
+                .expect("path edges exist");
+            domains.push(attrs.domain);
+            latency += attrs.latency_us;
+        }
+        Ok(HybridPath::new(path.nodes, domains, latency))
+    }
+
+    fn route_within(
+        graph: &Graph<PhysNode, LinkAttrs>,
+        allowed: &HashSet<NodeId>,
+        waypoints: &[NodeId],
+    ) -> Result<HybridPath, RoutingError> {
+        if waypoints.len() < 2 {
+            return Err(RoutingError::TooFewWaypoints);
+        }
+        let mut full = HybridPath::empty();
+        for w in waypoints.windows(2) {
+            if w[0] == w[1] {
+                continue;
+            }
+            full.join(&segment(graph, w[0], w[1], Some(allowed))?);
+        }
+        if full.nodes().is_empty() {
+            full = HybridPath::new(vec![waypoints[0]], vec![], 0.0);
+        }
+        Ok(full)
+    }
+
+    /// A random fabric (single- or multi-pod; no, ring or full-mesh core)
+    /// with extra parallel links of other latencies and domains, a random
+    /// allowed set and 2–6 random waypoints. `draws` decides per node
+    /// whether it is allowed, so slices come out connected, disconnected
+    /// and with endpoints outside them.
+    #[derive(Debug)]
+    struct RouteCase {
+        core: u8,
+        pods: usize,
+        racks: usize,
+        ops: usize,
+        degree: usize,
+        seed: u64,
+        density: u8,
+        draws: Vec<u8>,
+        parallel: Vec<(usize, u8)>,
+        waypoints: Vec<usize>,
+    }
+
+    impl RouteCase {
+        fn strategy() -> impl Strategy<Value = RouteCase> {
+            (
+                (0u8..3, 1usize..4, 1usize..5, 1usize..8, 1usize..4),
+                0u64..1000,
+                1u8..9,
+                proptest::collection::vec(0u8..8, 64),
+                proptest::collection::vec((0usize..10_000, 0u8..6), 0..12),
+                proptest::collection::vec(0usize..10_000, 2..7),
+            )
+                .prop_map(
+                    |(
+                        (core, pods, racks, ops, degree),
+                        seed,
+                        density,
+                        draws,
+                        parallel,
+                        waypoints,
+                    )| {
+                        RouteCase {
+                            core,
+                            pods,
+                            racks,
+                            ops,
+                            degree,
+                            seed,
+                            density,
+                            draws,
+                            parallel,
+                            waypoints,
+                        }
+                    },
+                )
+        }
+
+        fn build(&self) -> (Graph<PhysNode, LinkAttrs>, HashSet<NodeId>, Vec<NodeId>) {
+            let dc = AlvcTopologyBuilder::new()
+                .racks(self.racks)
+                .servers_per_rack(2)
+                .ops_count(self.ops)
+                .tor_ops_degree(self.degree)
+                .interconnect(match self.core {
+                    0 => OpsInterconnect::None,
+                    1 => OpsInterconnect::Ring,
+                    _ => OpsInterconnect::FullMesh,
+                })
+                .pods(self.pods)
+                .boundary_gateways(1)
+                .seed(self.seed)
+                .build();
+            let mut graph = dc.graph().clone();
+            for &(pick, kind) in &self.parallel {
+                let e = alvc_graph::EdgeId(pick % graph.edge_count());
+                let (a, b) = graph.edge_endpoints(e).expect("edge exists");
+                let mut attrs = *graph.edge_weight(e).expect("edge exists");
+                // Cheaper, equal, dearer and free twins, some in the other
+                // domain: the hop annotation must pick the same one.
+                attrs.latency_us = [0.0, 0.5, 1.0, 1.0, 2.0, 3.0][kind as usize];
+                if kind % 2 == 1 {
+                    attrs.domain = match attrs.domain {
+                        Domain::Optical => Domain::Electronic,
+                        Domain::Electronic => Domain::Optical,
+                    };
+                }
+                graph.add_edge(a, b, attrs);
+            }
+            let n = graph.node_count();
+            let allowed = (0..n)
+                .filter(|&i| self.draws[i % self.draws.len()] < self.density)
+                .map(NodeId)
+                .collect();
+            // Index `n` is no node of the graph: an unroutable endpoint.
+            let waypoints = self.waypoints.iter().map(|&w| NodeId(w % (n + 1)));
+            (graph, allowed, waypoints.collect())
+        }
+    }
+
+    /// The slice search against the penalise-and-verify search it
+    /// replaced: the identical `Result` — node sequence, link domains,
+    /// latency, and `NoRoute` naming the same leg.
+    #[test]
+    fn slice_search_matches_the_penalised_reference() {
+        use std::cell::Cell;
+        let (routed, unroutable, outside) =
+            (Cell::new(0usize), Cell::new(0usize), Cell::new(0usize));
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(3000),
+            "slice_search_matches_the_penalised_reference",
+            RouteCase::strategy(),
+            |case| {
+                let (graph, allowed, waypoints) = case.build();
+                let kernel = super::route_within(&graph, &allowed, &waypoints);
+                let reference = route_within(&graph, &allowed, &waypoints);
+                prop_assert_eq!(&kernel, &reference);
+                match kernel {
+                    Ok(path) if path.hop_count() > 0 => routed.set(routed.get() + 1),
+                    Ok(_) => {}
+                    Err(_) => unroutable.set(unroutable.get() + 1),
+                }
+                if waypoints.iter().any(|w| !allowed.contains(w)) {
+                    outside.set(outside.get() + 1);
+                }
+                Ok(())
+            },
+        );
+        let (routed, unroutable, outside) = (routed.get(), unroutable.get(), outside.get());
+        assert!(
+            routed > 500 && unroutable > 500 && outside > 500,
+            "corpus too one-sided: {routed} routed, {unroutable} unroutable, \
+             {outside} with a waypoint outside the slice"
+        );
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! and a thread-local event buffer that spills into a capped global sink.
 
 use std::cell::RefCell;
-use std::collections::btree_map::Entry as MapEntry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -222,12 +221,20 @@ enum Metric {
     Hist(Arc<HistCell>),
 }
 
-type Key = (&'static str, String);
-
-/// The metric registry: a sorted map from `(name, label)` to cells.
+/// The metric registry: a sorted map from name, then label, to cells.
+/// Keyed in two levels so a lookup borrows both parts: only the first
+/// registration of a `(name, label)` pair allocates the label.
 #[derive(Default)]
 pub struct Registry {
-    map: RwLock<BTreeMap<Key, Metric>>,
+    map: RwLock<BTreeMap<&'static str, BTreeMap<String, Metric>>>,
+}
+
+/// Every registered cell in `(name, label)` order.
+fn cells<'a>(
+    map: &'a BTreeMap<&'static str, BTreeMap<String, Metric>>,
+) -> impl Iterator<Item = (&'static str, &'a String, &'a Metric)> {
+    map.iter()
+        .flat_map(|(&name, labels)| labels.iter().map(move |(label, m)| (name, label, m)))
 }
 
 fn kind_mismatch(name: &str) -> ! {
@@ -235,100 +242,69 @@ fn kind_mismatch(name: &str) -> ! {
 }
 
 impl Registry {
+    /// The handle `pick` makes of the cell `name`/`label`, registering
+    /// `new()` on first use.
+    fn cell<T>(
+        &self,
+        name: &'static str,
+        label: &str,
+        pick: impl Fn(&Metric) -> Option<T>,
+        new: impl FnOnce() -> Metric,
+    ) -> T {
+        let handle = |m: &Metric| pick(m).unwrap_or_else(|| kind_mismatch(name));
+        let map = self.map.read().expect("telemetry registry poisoned");
+        if let Some(m) = map.get(name).and_then(|labels| labels.get(label)) {
+            return handle(m);
+        }
+        drop(map);
+        let mut map = self.map.write().expect("telemetry registry poisoned");
+        let labels = map.entry(name).or_default();
+        if !labels.contains_key(label) {
+            labels.insert(label.to_owned(), new());
+        }
+        handle(&labels[label])
+    }
+
     /// Returns (registering on first use) the counter `name`/`label`.
     pub fn counter(&self, name: &'static str, label: &str) -> Counter {
-        if let Some(m) = self
-            .map
-            .read()
-            .expect("telemetry registry poisoned")
-            .get(&(name, label.to_owned()))
-        {
-            return match m {
-                Metric::Counter(c) => Counter(c.clone()),
-                _ => kind_mismatch(name),
-            };
-        }
-        let mut map = self.map.write().expect("telemetry registry poisoned");
-        match map.entry((name, label.to_owned())) {
-            MapEntry::Occupied(e) => match e.get() {
-                Metric::Counter(c) => Counter(c.clone()),
-                _ => kind_mismatch(name),
-            },
-            MapEntry::Vacant(slot) => {
-                let cell = Arc::new(CounterCell::default());
-                slot.insert(Metric::Counter(cell.clone()));
-                Counter(cell)
-            }
-        }
+        let pick = |m: &Metric| match m {
+            Metric::Counter(c) => Some(Counter(c.clone())),
+            _ => None,
+        };
+        self.cell(name, label, pick, || Metric::Counter(Arc::default()))
     }
 
     /// Returns (registering on first use) the gauge `name`/`label`.
     pub fn gauge(&self, name: &'static str, label: &str) -> Gauge {
-        if let Some(m) = self
-            .map
-            .read()
-            .expect("telemetry registry poisoned")
-            .get(&(name, label.to_owned()))
-        {
-            return match m {
-                Metric::Gauge(g) => Gauge(g.clone()),
-                _ => kind_mismatch(name),
-            };
-        }
-        let mut map = self.map.write().expect("telemetry registry poisoned");
-        match map.entry((name, label.to_owned())) {
-            MapEntry::Occupied(e) => match e.get() {
-                Metric::Gauge(g) => Gauge(g.clone()),
-                _ => kind_mismatch(name),
-            },
-            MapEntry::Vacant(slot) => {
-                let cell = Arc::new(GaugeCell::default());
-                slot.insert(Metric::Gauge(cell.clone()));
-                Gauge(cell)
-            }
-        }
+        let pick = |m: &Metric| match m {
+            Metric::Gauge(g) => Some(Gauge(g.clone())),
+            _ => None,
+        };
+        self.cell(name, label, pick, || Metric::Gauge(Arc::default()))
     }
 
     /// Returns (registering on first use) the histogram `name`/`label`.
     pub fn histogram(&self, name: &'static str, label: &str) -> Histogram {
-        if let Some(m) = self
-            .map
-            .read()
-            .expect("telemetry registry poisoned")
-            .get(&(name, label.to_owned()))
-        {
-            return match m {
-                Metric::Hist(h) => Histogram(h.clone()),
-                _ => kind_mismatch(name),
-            };
-        }
-        let mut map = self.map.write().expect("telemetry registry poisoned");
-        match map.entry((name, label.to_owned())) {
-            MapEntry::Occupied(e) => match e.get() {
-                Metric::Hist(h) => Histogram(h.clone()),
-                _ => kind_mismatch(name),
-            },
-            MapEntry::Vacant(slot) => {
-                let cell = Arc::new(HistCell::default());
-                slot.insert(Metric::Hist(cell.clone()));
-                Histogram(cell)
-            }
-        }
+        let pick = |m: &Metric| match m {
+            Metric::Hist(h) => Some(Histogram(h.clone())),
+            _ => None,
+        };
+        self.cell(name, label, pick, || Metric::Hist(Arc::default()))
     }
 
     /// Captures every registered metric, sorted by `(name, label)`.
     pub fn snapshot(&self) -> Snapshot {
         let map = self.map.read().expect("telemetry registry poisoned");
         let mut snap = Snapshot::default();
-        for ((name, label), metric) in map.iter() {
+        for (name, label, metric) in cells(&map) {
             match metric {
                 Metric::Counter(c) => snap.counters.push(CounterSnapshot {
-                    name: (*name).to_owned(),
+                    name: name.to_owned(),
                     label: label.clone(),
                     value: c.v.load(Ordering::Relaxed),
                 }),
                 Metric::Gauge(g) => snap.gauges.push(GaugeSnapshot {
-                    name: (*name).to_owned(),
+                    name: name.to_owned(),
                     label: label.clone(),
                     value: f64::from_bits(g.bits.load(Ordering::Relaxed)),
                 }),
@@ -344,9 +320,9 @@ impl Registry {
     /// per-window bucket counts.
     pub fn histograms_raw(&self) -> Vec<(String, String, LogHistogram)> {
         let map = self.map.read().expect("telemetry registry poisoned");
-        map.iter()
-            .filter_map(|((name, label), metric)| match metric {
-                Metric::Hist(h) => Some(((*name).to_owned(), label.clone(), h.raw())),
+        cells(&map)
+            .filter_map(|(name, label, metric)| match metric {
+                Metric::Hist(h) => Some((name.to_owned(), label.clone(), h.raw())),
                 _ => None,
             })
             .collect()
@@ -356,7 +332,7 @@ impl Registry {
     /// their identity), which is what lets benches reset between phases.
     pub fn reset(&self) {
         let map = self.map.read().expect("telemetry registry poisoned");
-        for metric in map.values() {
+        for (_, _, metric) in cells(&map) {
             match metric {
                 Metric::Counter(c) => c.v.store(0, Ordering::Relaxed),
                 Metric::Gauge(g) => g.bits.store(0f64.to_bits(), Ordering::Relaxed),
