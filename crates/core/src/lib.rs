@@ -52,12 +52,13 @@ pub mod label;
 pub mod manager;
 pub mod shard;
 pub mod update_cost;
+mod virtual_cluster;
 
 pub use abstraction_layer::AbstractionLayer;
 pub use clustering::{service_clusters, ClusterSpec};
 pub use construction::{construct_layers, OpsAvailability};
 pub use error::{AlValidationError, ConstructionError};
 pub use label::LabelId;
-pub use manager::{ClusterId, ClusterManager, VirtualCluster};
+pub use manager::{ClusterId, ClusterManager, ClusterSlice, VirtualCluster};
 pub use shard::{construct_layers_sharded, ShardReport, ShardedState};
 pub use update_cost::{ChurnEvent, UpdateCost, UpdateCostModel};

@@ -9,6 +9,7 @@ use crate::abstraction_layer::AbstractionLayer;
 use crate::construction::{construct_layers, AlConstruct, OpsAvailability};
 use crate::error::ConstructionError;
 use crate::label::LabelId;
+pub use crate::virtual_cluster::{ClusterSlice, VirtualCluster};
 
 /// Identifier of a virtual cluster issued by a [`ClusterManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -24,44 +25,6 @@ impl ClusterId {
 impl std::fmt::Display for ClusterId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "vc-{}", self.0)
-    }
-}
-
-/// A virtual cluster: a labeled VM group plus its abstraction layer
-/// ("A particular group of VMs and its corresponding AL forms a Virtual
-/// Cluster", §I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VirtualCluster {
-    id: ClusterId,
-    label: LabelId,
-    vms: Vec<VmId>,
-    al: AbstractionLayer,
-}
-
-impl VirtualCluster {
-    /// The cluster id.
-    pub fn id(&self) -> ClusterId {
-        self.id
-    }
-
-    /// The human-readable label (service name or tenant).
-    pub fn label(&self) -> &'static str {
-        self.label.as_str()
-    }
-
-    /// The interned label id (integer compare, no string walk).
-    pub fn label_id(&self) -> LabelId {
-        self.label
-    }
-
-    /// The member VMs, sorted.
-    pub fn vms(&self) -> &[VmId] {
-        &self.vms
-    }
-
-    /// The abstraction layer.
-    pub fn al(&self) -> &AbstractionLayer {
-        &self.al
     }
 }
 
@@ -129,8 +92,8 @@ impl ClusterManager {
     pub fn ops_owner(&self, ops: OpsId) -> Option<ClusterId> {
         self.clusters
             .values()
-            .find(|vc| vc.al.contains_ops(ops))
-            .map(|vc| vc.id)
+            .find(|vc| vc.al().contains_ops(ops))
+            .map(|vc| vc.id())
     }
 
     /// Finds a cluster by label. Resolves the text through the intern
@@ -138,7 +101,7 @@ impl ClusterManager {
     /// compare, and an unknown label never grows the table.
     pub fn cluster_by_label(&self, label: &str) -> Option<&VirtualCluster> {
         let id = LabelId::lookup(label)?;
-        self.clusters.values().find(|vc| vc.label == id)
+        self.clusters.values().find(|vc| vc.label_id() == id)
     }
 
     /// Builds an abstraction layer for `vms` with `constructor` and
@@ -216,7 +179,7 @@ impl ClusterManager {
             self.availability.block(o);
         }
         self.clusters
-            .insert(id, VirtualCluster { id, label, vms, al });
+            .insert(id, VirtualCluster::new(id, label, vms, al));
         id
     }
 
@@ -237,12 +200,48 @@ impl ClusterManager {
     ) -> Option<ClusterId> {
         vms.sort();
         vms.dedup();
-        if al.validate(dc, &vms).is_err()
-            || al.ops().iter().any(|&o| !self.availability.is_available(o))
-        {
+        if !self.adoptable(dc, &vms, &al) {
             return None;
         }
         Some(self.register_cluster(label.into(), vms, al))
+    }
+
+    /// Whether `al` is valid for `vms` and all of its OPSs are available.
+    fn adoptable(&self, dc: &DataCenter, vms: &[VmId], al: &AbstractionLayer) -> bool {
+        al.validate(dc, vms).is_ok() && al.ops().iter().all(|&o| self.availability.is_available(o))
+    }
+
+    /// [`ClusterManager::try_adopt_cluster`] falling back on
+    /// [`ClusterManager::create_cluster`] in one call, so the VM list need
+    /// not be copied to survive a refused adoption: registers `vms` with
+    /// the pre-built `layer` if there is one, it is valid for them and all
+    /// of its OPSs are still available, otherwise with a layer
+    /// `constructor` builds now — traced as a `core.construct` span.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the constructor's [`ConstructionError`]; on error no
+    /// state changes.
+    pub fn adopt_or_create(
+        &mut self,
+        dc: &DataCenter,
+        label: impl Into<LabelId>,
+        mut vms: Vec<VmId>,
+        layer: Option<AbstractionLayer>,
+        constructor: &dyn AlConstruct,
+    ) -> Result<ClusterId, ConstructionError> {
+        vms.sort();
+        vms.dedup();
+        match layer {
+            Some(al) if self.adoptable(dc, &vms, &al) => {
+                Ok(self.register_cluster(label.into(), vms, al))
+            }
+            _ => {
+                let mut construct_span = alvc_telemetry::trace::child_span("core.construct");
+                self.create_cluster(dc, label, vms, constructor)
+                    .inspect_err(|_| construct_span.fail("cluster"))
+            }
+        }
     }
 
     /// Destroys a cluster and releases its OPSs (failed OPSs stay
@@ -251,7 +250,7 @@ impl ClusterManager {
     pub fn remove_cluster(&mut self, id: ClusterId) -> Option<VirtualCluster> {
         let vc = self.clusters.remove(&id)?;
         alvc_telemetry::counter!("alvc_core.manager.clusters_removed").incr();
-        for &o in vc.al.ops() {
+        for &o in vc.al().ops() {
             if !self.ops_blocked(o) {
                 self.availability.release(o);
             }
@@ -290,8 +289,8 @@ impl ClusterManager {
         let Some(vc) = self.clusters.get(&id) else {
             return Ok(());
         };
-        let old_al = vc.al.clone();
-        let vms = vc.vms.clone();
+        let old_al = vc.al().clone();
+        let vms = vc.vms().to_vec();
         for &o in old_al.ops() {
             if !self.ops_blocked(o) {
                 self.availability.release(o);
@@ -313,7 +312,7 @@ impl ClusterManager {
         for &o in al.ops() {
             self.availability.block(o);
         }
-        self.clusters.get_mut(&id).expect("cluster exists").al = al;
+        self.set_layer(id, al);
         result
     }
 
@@ -351,7 +350,7 @@ impl ClusterManager {
             .collect();
         let mut speculative_avail = self.availability.clone();
         for id in &live {
-            for &o in self.clusters[id].al.ops() {
+            for &o in self.clusters[id].al().ops() {
                 if !self.ops_blocked(o) {
                     speculative_avail.release(o);
                 }
@@ -359,7 +358,7 @@ impl ClusterManager {
         }
         let batch: Vec<Vec<VmId>> = live
             .iter()
-            .map(|id| self.clusters[id].vms.clone())
+            .map(|id| self.clusters[id].vms().to_vec())
             .collect();
         let (layers, _report) =
             crate::shard::construct_layers_sharded(dc, &batch, constructor, &speculative_avail);
@@ -411,11 +410,16 @@ impl ClusterManager {
         // on other OPSs.
         let vc = self.clusters.get(&owner).expect("owner exists");
         let shrunk = AbstractionLayer::new(
-            vc.al.tors().to_vec(),
-            vc.al.ops().iter().copied().filter(|&o| o != ops).collect(),
+            vc.al().tors().to_vec(),
+            vc.al()
+                .ops()
+                .iter()
+                .copied()
+                .filter(|&o| o != ops)
+                .collect(),
         );
         if shrunk.validate(dc, vc.vms()).is_ok() {
-            self.clusters.get_mut(&owner).expect("owner exists").al = shrunk;
+            self.set_layer(owner, shrunk);
             return Ok(Some(owner));
         }
         self.rebuild_cluster(dc, owner, constructor)?;
@@ -439,6 +443,12 @@ impl ClusterManager {
     /// no AL owns it: it is failed or deliberately powered off.
     fn ops_blocked(&self, ops: OpsId) -> bool {
         self.failed.contains(&ops) || self.powered_off.contains(&ops)
+    }
+
+    /// Replaces a live cluster's abstraction layer.
+    fn set_layer(&mut self, id: ClusterId, al: AbstractionLayer) {
+        let vc = self.clusters.get_mut(&id).expect("cluster exists");
+        vc.update(|_, layer| *layer = al);
     }
 
     /// Blocks a healthy, unowned OPS from AL construction (a planned
@@ -502,17 +512,22 @@ impl ClusterManager {
         let affected: Vec<ClusterId> = self
             .clusters
             .values()
-            .filter(|vc| vc.al.contains_tor(tor))
-            .map(|vc| vc.id)
+            .filter(|vc| vc.al().contains_tor(tor))
+            .map(|vc| vc.id())
             .collect();
         for &id in &affected {
             let vc = self.clusters.get(&id).expect("affected cluster exists");
             let shrunk = AbstractionLayer::new(
-                vc.al.tors().iter().copied().filter(|&t| t != tor).collect(),
-                vc.al.ops().to_vec(),
+                vc.al()
+                    .tors()
+                    .iter()
+                    .copied()
+                    .filter(|&t| t != tor)
+                    .collect(),
+                vc.al().ops().to_vec(),
             );
             if shrunk.validate(dc, vc.vms()).is_ok() {
-                self.clusters.get_mut(&id).expect("cluster exists").al = shrunk;
+                self.set_layer(id, shrunk);
             }
         }
         affected
@@ -542,7 +557,7 @@ impl ClusterManager {
     pub fn verify_no_failed_in_use(&self) -> bool {
         self.clusters
             .values()
-            .all(|vc| vc.al.ops().iter().all(|o| !self.failed.contains(o)))
+            .all(|vc| vc.al().ops().iter().all(|o| !self.failed.contains(o)))
     }
 
     /// Adds a VM to a cluster's membership *without* rebuilding the AL.
@@ -553,10 +568,10 @@ impl ClusterManager {
         let Some(vc) = self.clusters.get_mut(&id) else {
             return false;
         };
-        match vc.vms.binary_search(&vm) {
+        match vc.vms().binary_search(&vm) {
             Ok(_) => false,
             Err(pos) => {
-                vc.vms.insert(pos, vm);
+                vc.update(|vms, _| vms.insert(pos, vm));
                 true
             }
         }
@@ -568,12 +583,26 @@ impl ClusterManager {
         let Some(vc) = self.clusters.get_mut(&id) else {
             return false;
         };
-        match vc.vms.binary_search(&vm) {
+        match vc.vms().binary_search(&vm) {
             Ok(pos) => {
-                vc.vms.remove(pos);
+                vc.update(|vms, _| {
+                    vms.remove(pos);
+                });
                 true
             }
             Err(_) => false,
+        }
+    }
+
+    /// Tells the manager that `vm` runs on another server than before
+    /// ([`DataCenter::migrate_vm`]): every cluster it is a member of
+    /// forgets the [`VirtualCluster::slice`] it kept, which was derived
+    /// from the old placement. Memberships and layers stay as they are.
+    pub fn vm_migrated(&mut self, vm: VmId) {
+        for vc in self.clusters.values_mut() {
+            if vc.vms().binary_search(&vm).is_ok() {
+                vc.update(|_, _| {});
+            }
         }
     }
 
@@ -581,7 +610,7 @@ impl ClusterManager {
     pub fn verify_disjoint(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
         for vc in self.clusters.values() {
-            for &o in vc.al.ops() {
+            for &o in vc.al().ops() {
                 if !seen.insert(o) {
                     return false;
                 }
@@ -592,7 +621,7 @@ impl ClusterManager {
 
     /// Total OPSs currently owned by some AL.
     pub fn owned_ops_count(&self) -> usize {
-        self.clusters.values().map(|vc| vc.al.ops_count()).sum()
+        self.clusters.values().map(|vc| vc.al().ops_count()).sum()
     }
 }
 

@@ -157,6 +157,7 @@ impl UpdateCostModel {
     ) -> Result<UpdateCost, crate::error::ConstructionError> {
         let predicted = self.alvc_cost(dc, manager, cluster, ChurnEvent::Migrate { vm, target });
         dc.migrate_vm(vm, target);
+        manager.vm_migrated(vm);
         if predicted.al_rebuilt {
             let before = manager
                 .cluster(cluster)

@@ -18,6 +18,7 @@
 //!   every greedy cover (lazy deletion of stale entries).
 //! * [`traversal`] — BFS/DFS orders, connected components, reachability.
 //! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
+//! * [`slice`] — a node subset indexed once as a dense CSR subgraph.
 //!
 //! # Example
 //!
@@ -53,6 +54,7 @@ pub mod graph;
 pub mod lazy_greedy;
 pub mod matching;
 pub mod shortest_path;
+pub mod slice;
 pub mod traversal;
 
 pub use bipartite::{Bipartite, BipartiteCsr, LeftId, RightId};
@@ -62,3 +64,4 @@ pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use lazy_greedy::{LazySelector, SelectorStats, TotalF64};
 pub use matching::Matching;
+pub use slice::{SliceGraph, SliceLink};

@@ -82,6 +82,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use alvc_core::construction::{AlConstruct, PaperGreedy};
+use alvc_core::LabelId;
 use alvc_telemetry::{FieldValue, TraceCtx, TraceId};
 use alvc_topology::{DataCenter, Element, VmId};
 
@@ -920,34 +921,30 @@ impl ControlPlane {
         let _g = alvc_telemetry::trace::enter(self.trace_ctx_of(batch[drained[0].0].id));
         let mut bulk_span = alvc_telemetry::trace::child_span("intent.execute_bulk");
         bulk_span.add_field("coalesced", coalesced);
-        let results: Vec<(usize, &str, Result<NfcId, Error>)> = if drained.len() == 1 {
-            let (slot, tenant, vms, spec) = &drained[0];
-            let result = inner.orch.deploy_chain(
-                &self.dc,
-                tenant,
-                vms.clone(),
-                spec.clone(),
-                &*self.constructor,
-                &*self.placer,
-            );
-            vec![(*slot, tenant.as_str(), result)]
-        } else {
-            let requests: Vec<(String, Vec<VmId>, ChainSpec)> = drained
-                .iter()
-                .map(|(_, tenant, vms, spec)| (tenant.clone(), vms.clone(), spec.clone()))
-                .collect();
-            let results =
+        // The run owns its VM lists and specs: they move into the
+        // orchestrator, which keeps them, without another copy.
+        let (who, mut requests): (Vec<_>, Vec<_>) = drained
+            .into_iter()
+            .map(|(slot, tenant, vms, spec)| {
+                let label = LabelId::from(tenant.as_str());
+                ((slot, tenant), (label, vms, spec))
+            })
+            .unzip();
+        let (constructor, placer) = (&*self.constructor, &*self.placer);
+        let results: Vec<Result<NfcId, Error>> = if coalesced == 1 {
+            let (tenant, vms, spec) = requests.pop().expect("a run of one");
+            let deployed =
                 inner
                     .orch
-                    .deploy_chains(&self.dc, requests, &*self.constructor, &*self.placer);
-            drained
-                .iter()
-                .zip(results)
-                .map(|((slot, tenant, _, _), result)| (*slot, tenant.as_str(), result))
-                .collect()
+                    .deploy_chain(&self.dc, tenant, vms, spec, constructor, placer);
+            vec![deployed]
+        } else {
+            inner
+                .orch
+                .deploy_chains(&self.dc, requests, constructor, placer)
         };
-        let per_intent_us = start.elapsed().as_secs_f64() * 1e6 / drained.len() as f64;
-        for (slot, tenant, result) in results {
+        let per_intent_us = start.elapsed().as_secs_f64() * 1e6 / coalesced as f64;
+        for ((slot, tenant), result) in who.into_iter().zip(results) {
             record_latency(per_intent_us);
             let (status, code) = match &result {
                 Ok(_) => ("completed", ""),
@@ -964,7 +961,7 @@ impl ControlPlane {
             outcomes[slot] = Some(match result {
                 Ok(chain) => {
                     let owner = Owner {
-                        tenant: tenant.to_string(),
+                        tenant,
                         counted_kbps: None,
                     };
                     inner.owners.insert(chain, owner);

@@ -6,9 +6,9 @@
 //! ladder are callers that differ only in what they pass:
 //!
 //! * [`Orchestrator::plan`] reads state and touches none of it: the
-//!   slice with failed and powered-off elements hidden → hosts (from a
-//!   placer, or kept) → placement rules → route → bandwidth and latency
-//!   admission.
+//!   slice its cluster keeps ([`alvc_core::VirtualCluster::slice`]), with
+//!   failed and powered-off elements masked out → hosts (from a placer, or
+//!   kept) → placement rules → route → bandwidth and latency admission.
 //! * [`Orchestrator::commit`] makes a plan live. Flow-rule installation is
 //!   its first and only fallible step — the controller swaps a chain's own
 //!   rules atomically and keeps the old ones on overflow — so a failed
@@ -21,9 +21,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use alvc_core::{AbstractionLayer, ClusterId};
+use alvc_core::{AbstractionLayer, ClusterId, ClusterSlice};
 use alvc_graph::{EdgeId, NodeId};
-use alvc_optical::{route_flow_within, HybridPath};
+use alvc_optical::{route_flow_in_slice, route_flow_within, HybridPath};
 use alvc_topology::{DataCenter, OpsId, ServerId};
 
 use crate::chain::{ChainSpec, Nfc, NfcId};
@@ -110,29 +110,45 @@ impl Orchestrator {
             return Err(DeployError::EndpointFailed);
         }
 
-        // The slice as placement and routing may see it: failed and
-        // powered-off switches and servers are hidden, so no placer can
-        // pick one on any path (a layer whose rebuild failed keeps its
-        // dead switch).
+        // What the cluster keeps of its own slice — server list and indexed
+        // subgraph — is a function of its membership and layer alone; a
+        // failure, restore or power transition changes neither, so nothing
+        // here is rebuilt for them: they are masked out below.
         let vc = self.manager.cluster(cluster).expect("slice cluster exists");
-        let al = AbstractionLayer::new(
-            vc.al()
-                .tors()
-                .iter()
-                .copied()
-                .filter(|&t| self.tor_usable(t))
-                .collect(),
-            vc.al()
-                .ops()
-                .iter()
-                .copied()
-                .filter(|&o| self.ops_usable(o))
-                .collect(),
+        let slice = vc.slice(dc);
+        debug_assert_eq!(
+            slice,
+            &ClusterSlice::of(dc, vc.vms(), vc.al()),
+            "{cluster} kept a slice across a change of its VMs or layer"
         );
-        let mut servers: Vec<ServerId> = vc.vms().iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
+
+        // The slice as placement may see it: failed and powered-off
+        // switches and servers are hidden, so no placer can pick one on
+        // any path (a layer whose rebuild failed keeps its dead switch).
+        // Nearly always nothing is hidden and the cluster's own layer and
+        // server list are handed on as they are.
+        let (usable_al, usable_servers);
+        let tors_usable = vc.al().tors().iter().all(|&t| self.tor_usable(t));
+        let al = if tors_usable && vc.al().ops().iter().all(|&o| self.ops_usable(o)) {
+            vc.al()
+        } else {
+            let tors = vc.al().tors().iter().copied();
+            let ops = vc.al().ops().iter().copied();
+            usable_al = AbstractionLayer::new(
+                tors.filter(|&t| self.tor_usable(t)).collect(),
+                ops.filter(|&o| self.ops_usable(o)).collect(),
+            );
+            &usable_al
+        };
+        let servers = if slice.servers().iter().all(|&s| self.server_usable(s)) {
+            slice.servers()
+        } else {
+            let servers = slice.servers().iter().copied();
+            usable_servers = servers
+                .filter(|&s| self.server_usable(s))
+                .collect::<Vec<_>>();
+            &usable_servers
+        };
 
         let hosts = match choice {
             HostChoice::Keep(hosts) => hosts.to_vec(),
@@ -140,10 +156,10 @@ impl Orchestrator {
                 let mut place_span = alvc_telemetry::trace::child_span("nfv.place");
                 let ctx = PlacementContext {
                     dc,
-                    al: &al,
+                    al,
                     opto_used: &used.opto,
                     server_used: &used.server,
-                    servers: &servers,
+                    servers,
                 };
                 match placer.place(&ctx, spec) {
                     Ok(hosts) => hosts,
@@ -164,38 +180,30 @@ impl Orchestrator {
             return Err(DeployError::RuleViolated { rule });
         }
 
-        // Route ingress → VNFs → egress over usable elements only.
-        let mut allowed: HashSet<NodeId> = match scope {
-            Scope::Slice => al
-                .switch_nodes(dc)
-                .into_iter()
-                .chain(servers.iter().map(|&s| dc.node_of_server(s)))
-                .collect(),
-            Scope::FullFabric => {
-                let servers = dc.server_ids().filter(|&s| self.server_usable(s));
-                let tors = dc.tor_ids().filter(|&t| self.tor_usable(t));
-                let ops = dc.ops_ids().filter(|&o| self.ops_usable(o));
-                servers
-                    .map(|s| dc.node_of_server(s))
-                    .chain(tors.map(|t| dc.node_of_tor(t)))
-                    .chain(ops.map(|o| dc.node_of_ops(o)))
-                    .collect()
-            }
-        };
+        // Route ingress → VNFs → egress over usable elements only; the
+        // hosts themselves are always permitted.
         let mut waypoints = Vec::with_capacity(hosts.len() + 2);
         waypoints.push(dc.node_of_server(ingress));
-        for &h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
+        waypoints.extend(hosts.iter().map(|&h| match h {
+            HostLocation::Server(s) => dc.node_of_server(s),
+            HostLocation::OptoRouter(o) => dc.node_of_ops(o),
+        }));
         waypoints.push(dc.node_of_server(egress));
         let path = {
             let mut route_span = alvc_telemetry::trace::child_span("nfv.route");
-            match route_flow_within(dc, &allowed, &waypoints) {
+            let routed = match scope {
+                Scope::Slice => {
+                    let open = |n| waypoints.contains(&n) || self.node_usable(dc, n);
+                    route_flow_in_slice(dc, slice.graph(), open, &waypoints)
+                }
+                Scope::FullFabric => {
+                    let usable = dc.graph().node_ids().filter(|&n| self.node_usable(dc, n));
+                    let allowed: HashSet<NodeId> =
+                        usable.chain(waypoints.iter().copied()).collect();
+                    route_flow_within(dc, &allowed, &waypoints)
+                }
+            };
+            match routed {
                 Ok(path) => path,
                 Err(e) => {
                     route_span.fail("routing");

@@ -19,7 +19,7 @@ use alvc_core::{AbstractionLayer, ClusterId, ClusterManager, LabelId};
 use alvc_optical::routing::try_path_edges;
 use alvc_optical::{HybridPath, OeoCostModel, RoutingError};
 use alvc_topology::{
-    DataCenter, Element, ElementHealth, OpsId, PowerOverlay, ServerId, TorId, VmId,
+    DataCenter, Element, ElementHealth, OpsId, PhysNode, PowerOverlay, ServerId, TorId, VmId,
 };
 
 use crate::chain::{ChainSpec, Nfc, NfcId};
@@ -123,6 +123,10 @@ pub struct Orchestrator {
     /// (see [`ShardedLedger`]); unbound it behaves as one flat map.
     pub(crate) link_committed: ShardedLedger,
     pub(crate) replicas: BTreeMap<VnfInstanceId, (NfcId, usize)>,
+    /// The keys of `replicas` ordered by chain, so a chain's replicas are
+    /// a range and not a scan of every replica in the data center. Written
+    /// together with `replicas`, by `scale_out` and `scale_in` only.
+    chain_replicas: BTreeSet<(NfcId, VnfInstanceId)>,
     pub(crate) health: ElementHealth,
     pub(crate) power: PowerOverlay,
     pub(crate) degraded: BTreeSet<NfcId>,
@@ -258,6 +262,17 @@ impl Orchestrator {
     /// Whether an OPS is both healthy and powered.
     pub(crate) fn ops_usable(&self, o: OpsId) -> bool {
         self.health.ops_up(o) && self.power.is_on(Element::Ops(o))
+    }
+
+    /// Whether the element at graph node `n` is usable; a node that is no
+    /// element of `dc` is not.
+    pub(crate) fn node_usable(&self, dc: &DataCenter, n: alvc_graph::NodeId) -> bool {
+        match dc.graph().node_weight(n) {
+            Some(PhysNode::Server(s)) => self.server_usable(*s),
+            Some(PhysNode::Tor(t)) => self.tor_usable(*t),
+            Some(PhysNode::Ops { id, .. }) => self.ops_usable(*id),
+            None => false,
+        }
     }
 
     /// Iterates over deployed chains in id order.
@@ -415,27 +430,26 @@ impl Orchestrator {
         placer: &dyn VnfPlacer,
     ) -> Vec<Result<NfcId, Error>> {
         // Same membership normalization create_cluster applies, so the
-        // bulk-built layers match what the fallback path would see.
-        let clusters: Vec<Vec<VmId>> = requests
-            .iter()
-            .map(|(_, vms, _)| {
-                let mut vms = vms.clone();
+        // bulk-built layers match what the fallback path would see; done
+        // once, on the request's own vector, which then becomes the
+        // cluster's.
+        let (clusters, rest): (Vec<Vec<VmId>>, Vec<(LabelId, ChainSpec)>) = requests
+            .into_iter()
+            .map(|(tenant, mut vms, spec)| {
                 vms.sort();
                 vms.dedup();
-                vms
+                (vms, (tenant.into(), spec))
             })
-            .collect();
+            .unzip();
         let layers = {
             let mut construct_span = alvc_telemetry::trace::child_span("core.construct_bulk");
             construct_span.add_field("clusters", clusters.len());
             construct_layers(dc, &clusters, constructor, self.manager.availability())
         };
+        let requests = clusters.into_iter().zip(rest).zip(layers);
         requests
-            .into_iter()
-            .zip(layers)
-            .map(|((tenant, vms, spec), layer)| {
-                let request = (tenant.into(), vms, spec);
-                self.deploy_one(dc, request, layer.ok(), constructor, placer)
+            .map(|((vms, (tenant, spec)), layer)| {
+                self.deploy_one(dc, (tenant, vms, spec), layer.ok(), constructor, placer)
             })
             .collect()
     }
@@ -463,17 +477,9 @@ impl Orchestrator {
             spec.validate().map_err(DeployError::InvalidSpec)?;
 
             // One NFC ↔ one VC: build the cluster / slice.
-            let adopted =
-                layer.and_then(|al| self.manager.try_adopt_cluster(dc, tenant, vms.clone(), al));
-            let cluster = match adopted {
-                Some(id) => id,
-                None => {
-                    let mut construct_span = alvc_telemetry::trace::child_span("core.construct");
-                    self.manager
-                        .create_cluster(dc, tenant, vms, constructor)
-                        .inspect_err(|_| construct_span.fail("cluster"))?
-                }
-            };
+            let cluster = self
+                .manager
+                .adopt_or_create(dc, tenant, vms, layer, constructor)?;
             self.deploy_into_cluster(dc, cluster, spec, placer)
                 .inspect_err(|_| {
                     self.manager.remove_cluster(cluster);
@@ -631,11 +637,9 @@ impl Orchestrator {
     /// The replica instances created for `chain` by
     /// [`Orchestrator::scale_out`], in creation order.
     pub fn replicas_of(&self, chain: NfcId) -> Vec<VnfInstanceId> {
-        self.replicas
-            .iter()
-            .filter(|(_, &(c, _))| c == chain)
-            .map(|(&iid, _)| iid)
-            .collect()
+        let of_chain = (chain, VnfInstanceId(0))..=(chain, VnfInstanceId(usize::MAX));
+        let replicas = self.chain_replicas.range(of_chain);
+        replicas.map(|&(_, iid)| iid).collect()
     }
 
     /// The chain a live replica belongs to, `None` if `id` is not a
@@ -675,23 +679,12 @@ impl Orchestrator {
         };
         let spec = deployed.nfc.vnfs()[chain_position];
         let cluster = deployed.cluster;
-        let al = self
-            .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .al()
-            .clone();
-        let vms = self
-            .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .vms()
-            .to_vec();
+        let vc = self.manager.cluster(cluster).expect("slice cluster exists");
 
         // Prefer a different healthy optoelectronic router with capacity;
         // fall back to a different healthy least-loaded server.
         let mut replica_host = None;
-        for &o in al.ops() {
+        for &o in vc.al().ops() {
             if HostLocation::OptoRouter(o) == original_host || !self.ops_usable(o) {
                 continue;
             }
@@ -704,10 +697,9 @@ impl Orchestrator {
             }
         }
         if replica_host.is_none() {
-            let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-            servers.sort();
-            servers.dedup();
-            replica_host = servers
+            replica_host = vc
+                .slice(dc)
+                .servers()
                 .iter()
                 .filter(|&&s| HostLocation::Server(s) != original_host && self.server_usable(s))
                 .min_by(|a, b| {
@@ -733,6 +725,7 @@ impl Orchestrator {
         }
         let iid = self.spawn(spec, host);
         self.replicas.insert(iid, (chain, chain_position));
+        self.chain_replicas.insert((chain, iid));
         self.changes.replica(chain, 1);
         self.changes.instance(original_iid);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_outs").incr();
@@ -752,6 +745,7 @@ impl Orchestrator {
         let Some((chain, _)) = self.replicas.remove(&replica) else {
             return Err(DeployError::UnknownChain(NfcId(usize::MAX)).into());
         };
+        self.chain_replicas.remove(&(chain, replica));
         self.changes.replica(chain, -1);
         self.retire(replica);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_ins").incr();
@@ -1507,6 +1501,65 @@ mod scaling_tests {
         }
         // Double scale-in fails.
         assert!(orch.scale_in(replica).is_err());
+    }
+
+    /// `replicas_of` reads a per-chain range of an index kept beside the
+    /// replica map; it must return what scanning the map returns — same
+    /// replicas, creation order — however scale-outs and scale-ins on
+    /// several chains interleave.
+    #[test]
+    fn replicas_of_matches_a_scan_of_the_replica_map() {
+        let dc = AlvcTopologyBuilder::new()
+            .racks(9)
+            .servers_per_rack(2)
+            .vms_per_server(2)
+            .ops_count(24)
+            .tor_ops_degree(6)
+            .opto_fraction(0.5)
+            .seed(61)
+            .build();
+        let mut orch = Orchestrator::new();
+        let vms: Vec<_> = dc.vm_ids().collect();
+        let chains: Vec<NfcId> = vms
+            .chunks(12)
+            .enumerate()
+            .map(|(i, group)| {
+                let spec = fig5::black(group[0], group[11]);
+                let tenant = format!("t{i}");
+                let (ctor, placer) = (PaperGreedy::new(), ElectronicOnlyPlacer::new());
+                orch.deploy_chain(&dc, &tenant, group.to_vec(), spec, &ctor, &placer)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(chains.len(), 3);
+        let scan = |orch: &Orchestrator, chain: NfcId| -> Vec<VnfInstanceId> {
+            let of_chain = orch.replicas.iter().filter(|(_, &(c, _))| c == chain);
+            of_chain.map(|(&iid, _)| iid).collect()
+        };
+        let mut live = Vec::new();
+        // One scale-out per step on the named chain; every fourth step
+        // first scales the second-oldest live replica in.
+        let script = [0, 1, 2, 1, 0, 2, 2, 1, 0, 0, 2, 1];
+        for (step, &c) in script.iter().enumerate() {
+            if step % 4 == 3 && live.len() > 1 {
+                orch.scale_in(live.remove(1)).unwrap();
+            }
+            live.push(orch.scale_out(&dc, chains[c], step % 2).unwrap());
+            for &chain in &chains {
+                assert_eq!(orch.replicas_of(chain), scan(&orch, chain), "step {step}");
+                for replica in orch.replicas_of(chain) {
+                    assert_eq!(orch.replica_chain(replica), Some(chain));
+                }
+            }
+        }
+        assert_eq!(orch.replica_count(), live.len());
+        // A teardown takes the chain's replicas with it and no one else's.
+        orch.teardown_chain(chains[1]).unwrap();
+        assert!(orch.replicas_of(chains[1]).is_empty());
+        for &chain in &chains {
+            assert_eq!(orch.replicas_of(chain), scan(&orch, chain));
+        }
+        assert_eq!(orch.replica_count(), orch.chain_replicas.len());
     }
 
     #[test]

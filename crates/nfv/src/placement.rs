@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use alvc_core::AbstractionLayer;
-use alvc_topology::{DataCenter, OpsId, ServerId};
+use alvc_topology::{DataCenter, OpsId, RackId, ServerId};
 
 use crate::chain::ChainSpec;
 use crate::error::PlacementError;
@@ -33,7 +33,7 @@ pub struct PlacementContext<'a> {
     /// Resources already consumed on each server.
     pub server_used: &'a HashMap<ServerId, ResourceDemand>,
     /// Servers the chain may use for electronic VNFs (the tenant's
-    /// servers).
+    /// servers), each listed once.
     pub servers: &'a [ServerId],
 }
 
@@ -120,30 +120,37 @@ impl VnfPlacer for ElectronicOnlyPlacer {
             return Err(PlacementError::NoElectronicHost);
         }
         // Track incremental load locally (servers have ample capacity in
-        // the model; balancing is for realism of rule/energy spread).
-        let mut load: HashMap<ServerId, f64> = ctx
+        // the model; balancing is for realism of rule/energy spread), in
+        // vectors parallel to `ctx.servers`.
+        let mut load: Vec<f64> = ctx
             .servers
             .iter()
-            .map(|&s| (s, ctx.used_on_server(s).cpu))
+            .map(|&s| ctx.used_on_server(s).cpu)
+            .collect();
+        let racks: Vec<RackId> = ctx
+            .servers
+            .iter()
+            .map(|&s| ctx.dc.rack_of_server(s))
             .collect();
         let mut hosts = Vec::with_capacity(chain.vnfs.len());
         let mut last_rack = None;
         for spec in &chain.vnfs {
-            let pick = |avoid: Option<alvc_topology::RackId>| {
-                ctx.servers
-                    .iter()
-                    .filter(|&&s| avoid != Some(ctx.dc.rack_of_server(s)))
-                    .min_by(|a, b| load[a].total_cmp(&load[b]).then(a.cmp(b)))
-                    .copied()
+            let pick = |avoid: Option<RackId>| {
+                (0..ctx.servers.len())
+                    .filter(|&i| avoid != Some(racks[i]))
+                    .min_by(|&a, &b| {
+                        let by_load = load[a].total_cmp(&load[b]);
+                        by_load.then(ctx.servers[a].cmp(&ctx.servers[b]))
+                    })
             };
             // Anti-affinity first; fall back when every server shares the
             // previous rack.
-            let server = pick(last_rack)
+            let i = pick(last_rack)
                 .or_else(|| pick(None))
                 .expect("servers non-empty");
-            last_rack = Some(ctx.dc.rack_of_server(server));
-            *load.get_mut(&server).expect("tracked") += spec.demand.cpu;
-            hosts.push(HostLocation::Server(server));
+            last_rack = Some(racks[i]);
+            load[i] += spec.demand.cpu;
+            hosts.push(HostLocation::Server(ctx.servers[i]));
         }
         Ok(hosts)
     }
@@ -293,5 +300,87 @@ mod tests {
         };
         assert!(!ctx.fits_on_opto(o, &ResourceDemand::new(1.0, 0.0, 0.0)));
         assert!(ctx.fits_on_opto(o, &ResourceDemand::new(0.5, 0.0, 0.0)));
+    }
+
+    /// `ElectronicOnlyPlacer::place` as it was before its loads and racks
+    /// moved into vectors parallel to `ctx.servers`: a `HashMap` built per
+    /// call and two hash lookups per comparison. Kept as the oracle the
+    /// index-addressed body is held to.
+    fn place_by_hash_map(ctx: &PlacementContext<'_>, chain: &ChainSpec) -> Vec<HostLocation> {
+        let mut load: HashMap<ServerId, f64> = ctx
+            .servers
+            .iter()
+            .map(|&s| (s, ctx.used_on_server(s).cpu))
+            .collect();
+        let mut hosts = Vec::with_capacity(chain.vnfs.len());
+        let mut last_rack = None;
+        for spec in &chain.vnfs {
+            let pick = |avoid: Option<RackId>| {
+                ctx.servers
+                    .iter()
+                    .filter(|&&s| avoid != Some(ctx.dc.rack_of_server(s)))
+                    .min_by(|a, b| load[a].total_cmp(&load[b]).then(a.cmp(b)))
+                    .copied()
+            };
+            let server = pick(last_rack)
+                .or_else(|| pick(None))
+                .expect("servers non-empty");
+            last_rack = Some(ctx.dc.rack_of_server(server));
+            *load.get_mut(&server).expect("tracked") += spec.demand.cpu;
+            hosts.push(HostLocation::Server(server));
+        }
+        hosts
+    }
+
+    proptest::proptest! {
+        /// Same hosts as the hash-map body on random contexts: servers
+        /// already loaded (ties and near-ties included), slices of one
+        /// rack (anti-affinity must fall back), 1–4 VNFs of mixed demand.
+        #[test]
+        fn index_addressed_picks_equal_the_hash_map_body(
+            racks in 1usize..5,
+            per_rack in 1usize..5,
+            member in proptest::collection::vec(0u8..10, 16),
+            preload in proptest::collection::vec(0u8..4, 16),
+            vnfs in proptest::collection::vec(0usize..4, 1..5),
+        ) {
+            let dc = AlvcTopologyBuilder::new()
+                .racks(racks)
+                .servers_per_rack(per_rack)
+                .vms_per_server(1)
+                .ops_count(4)
+                .seed(7)
+                .build();
+            let al = AbstractionLayer::new(vec![], vec![]);
+            let mut servers: Vec<ServerId> = dc
+                .server_ids()
+                .filter(|s| member[s.index() % member.len()] < 7)
+                .collect();
+            if servers.is_empty() {
+                servers.push(ServerId(0));
+            }
+            let used: HashMap<ServerId, ResourceDemand> = servers
+                .iter()
+                .map(|&s| (s, preload[s.index() % preload.len()]))
+                .filter(|&(_, units)| units > 0)
+                .map(|(s, units)| (s, ResourceDemand::new(f64::from(units) * 0.5, 0.0, 0.0)))
+                .collect();
+            let ctx = PlacementContext {
+                dc: &dc,
+                al: &al,
+                opto_used: &HashMap::new(),
+                server_used: &used,
+                servers: &servers,
+            };
+            let kinds = [VnfType::Firewall, VnfType::Dpi, VnfType::Nat, VnfType::VideoTranscoder];
+            let chain = ChainSpec::builder("oracle")
+                .linear(vnfs.iter().map(|&k| VnfSpec::of(kinds[k])))
+                .ingress(VmId(0))
+                .egress(VmId(0))
+                .build()
+                .unwrap();
+            let hosts = ElectronicOnlyPlacer::new().place(&ctx, &chain).unwrap();
+            proptest::prop_assert_eq!(hosts, place_by_hash_map(&ctx, &chain));
+        }
     }
 }

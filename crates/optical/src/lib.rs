@@ -35,4 +35,7 @@ pub mod routing;
 pub use energy::EnergyModel;
 pub use oeo::OeoCostModel;
 pub use path::HybridPath;
-pub use routing::{route_flow, route_flow_ecmp, route_flow_within, try_path_edges, RoutingError};
+pub use routing::{
+    route_flow, route_flow_ecmp, route_flow_in_slice, route_flow_within, try_path_edges,
+    RoutingError,
+};

@@ -7,8 +7,8 @@ use std::error::Error;
 use std::fmt;
 
 use alvc_graph::shortest_path::dijkstra;
-use alvc_graph::{Graph, NodeId};
-use alvc_topology::{DataCenter, LinkAttrs, PhysNode};
+use alvc_graph::{Graph, NodeId, SliceGraph};
+use alvc_topology::{slice_graph, DataCenter, LinkAttrs, PhysNode};
 
 use crate::path::HybridPath;
 
@@ -63,11 +63,6 @@ impl fmt::Display for RoutingError {
 
 impl Error for RoutingError {}
 
-/// Latency in tenths of microseconds as an integer Dijkstra cost.
-fn latency_cost(attrs: &LinkAttrs) -> u64 {
-    (attrs.latency_us * 10.0).round().max(0.0) as u64
-}
-
 /// The cheapest-latency link joining `a` and `b` (of equally cheap
 /// parallel links the first), `None` if the nodes are not adjacent. Scans
 /// the shorter adjacency list: a switch of a full-mesh core has hundreds
@@ -101,88 +96,65 @@ fn annotate(graph: &Graph<PhysNode, LinkAttrs>, nodes: Vec<NodeId>) -> HybridPat
     HybridPath::new(nodes, domains, latency)
 }
 
-/// Latency-minimal search confined to a slice: the same Dijkstra as
+/// Latency-minimal search inside a slice: the same Dijkstra as
 /// [`alvc_graph::shortest_path::dijkstra`] — strict `<` relaxation, heap
-/// ordered by `(distance, node index)` — but its state is sized by the
-/// slice, not the graph, and it never relaxes an edge into a node outside
-/// the slice. One instance serves every leg of a routing call.
-struct SliceSearch<'a> {
-    graph: &'a Graph<PhysNode, LinkAttrs>,
-    /// The allowed nodes and every waypoint, ascending: a node's position
-    /// is its dense index, so dense order is node-index order and ties pop
-    /// exactly as they do in the whole-graph search.
-    nodes: Vec<NodeId>,
-    /// Whether `nodes[i]` may be transited. A waypoint outside the allowed
-    /// set may only start or end a leg.
-    transit: Vec<bool>,
+/// ordered by `(distance, node index)`, and a slice's dense order is node
+/// order, so ties pop exactly as they do in the whole-graph search — but
+/// its state is sized by the slice and a leg walks the slice's own links.
+/// One instance serves every leg of a routing call.
+struct SliceSearch<'a, F> {
+    slice: &'a SliceGraph,
+    /// Whether member `i` may be transited; a closed member may still
+    /// start or end a leg.
+    open: F,
     dist: Vec<u64>,
-    prev: Vec<usize>,
+    prev: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl<'a> SliceSearch<'a> {
-    fn new(
-        graph: &'a Graph<PhysNode, LinkAttrs>,
-        allowed: &HashSet<NodeId>,
-        waypoints: &[NodeId],
-    ) -> Self {
-        let mut nodes: Vec<NodeId> = allowed.iter().chain(waypoints).copied().collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let mut transit = vec![true; nodes.len()];
-        for w in waypoints {
-            if !allowed.contains(w) {
-                transit[nodes.binary_search(w).expect("waypoints are indexed")] = false;
-            }
-        }
+impl<'a, F: Fn(usize) -> bool> SliceSearch<'a, F> {
+    fn new(slice: &'a SliceGraph, open: F) -> Self {
         SliceSearch {
-            graph,
-            dist: vec![u64::MAX; nodes.len()],
-            prev: vec![usize::MAX; nodes.len()],
-            nodes,
-            transit,
+            slice,
+            open,
+            dist: vec![u64::MAX; slice.len()],
+            prev: vec![u32::MAX; slice.len()],
+            heap: BinaryHeap::new(),
         }
     }
 
     /// The node sequence of the cheapest `from` → `to` path whose interior
-    /// lies in the allowed set, `None` if there is none.
+    /// is open, `None` if there is none or an end is no member.
     fn leg(&mut self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        let n = self.graph.node_count();
-        if from.index() >= n || to.index() >= n {
-            return None;
-        }
-        let source = self
-            .nodes
-            .binary_search(&from)
-            .expect("waypoints are indexed");
-        let target = self
-            .nodes
-            .binary_search(&to)
-            .expect("waypoints are indexed");
+        let slice = self.slice;
+        let source = slice.index_of(from)?;
+        let target = slice.index_of(to)?;
         self.dist.fill(u64::MAX);
-        self.prev.fill(usize::MAX);
-        let mut heap = BinaryHeap::new();
+        self.prev.fill(u32::MAX);
+        self.heap.clear();
         self.dist[source] = 0;
-        heap.push(Reverse((0u64, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
+        self.heap.push(Reverse((0, source as u32)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            let u = u as usize;
             if d > self.dist[u] {
                 continue;
             }
             if u == target {
                 break;
             }
-            for (e, v) in self.graph.incident_edges(self.nodes[u]) {
-                let Ok(v) = self.nodes.binary_search(&v) else {
-                    continue;
-                };
-                if !self.transit[v] && v != source && v != target {
-                    continue;
-                }
-                let attrs = self.graph.edge_weight(e).expect("edge exists");
-                let nd = d.saturating_add(latency_cost(attrs));
-                if nd < self.dist[v] {
+            for link in slice.links_of(u) {
+                let v = link.to as usize;
+                let nd = d.saturating_add(link.cost);
+                // Besides the target only a node a path can pass through
+                // is worth entering: open, and with a second link to leave
+                // by. A node with one link in the slice (a single-homed
+                // server) is interior to no path, so skipping it changes
+                // no distance and no predecessor.
+                let transit = || slice.links_of(v).len() > 1 && (self.open)(v);
+                if nd < self.dist[v] && (v == target || transit()) {
                     self.dist[v] = nd;
-                    self.prev[v] = u;
-                    heap.push(Reverse((nd, v)));
+                    self.prev[v] = u as u32;
+                    self.heap.push(Reverse((nd, v as u32)));
                 }
             }
         }
@@ -191,9 +163,9 @@ impl<'a> SliceSearch<'a> {
         }
         let mut path = vec![to];
         let mut cur = target;
-        while self.prev[cur] != usize::MAX {
-            cur = self.prev[cur];
-            path.push(self.nodes[cur]);
+        while self.prev[cur] != u32::MAX {
+            cur = self.prev[cur] as usize;
+            path.push(slice.nodes()[cur]);
         }
         path.reverse();
         Some(path)
@@ -224,7 +196,7 @@ impl<'a> SliceSearch<'a> {
 pub fn route_flow(dc: &DataCenter, waypoints: &[NodeId]) -> Result<HybridPath, RoutingError> {
     let graph = dc.graph();
     route_legs(graph, waypoints, |from, to| {
-        let path = dijkstra(graph, from, to, |_, attrs| latency_cost(attrs));
+        let path = dijkstra(graph, from, to, |_, attrs| attrs.latency_cost());
         path.ok().map(|p| p.nodes)
     })
 }
@@ -232,8 +204,10 @@ pub fn route_flow(dc: &DataCenter, waypoints: &[NodeId]) -> Result<HybridPath, R
 /// Like [`route_flow`], but intermediate nodes are restricted to `allowed`
 /// (waypoints themselves are always permitted). This implements slice
 /// isolation: a chain routed within its AL may only transit the AL's
-/// switches. The search runs inside the slice — its cost follows the size
-/// of `allowed`, not of the data center.
+/// switches. The slice is indexed once per call and every leg searched
+/// inside it — the cost follows the size of `allowed`, not of the data
+/// center. A caller that routes over the same node set again and again
+/// keeps the index and calls [`route_flow_in_slice`].
 pub fn route_flow_within(
     dc: &DataCenter,
     allowed: &HashSet<NodeId>,
@@ -247,8 +221,52 @@ fn route_within(
     allowed: &HashSet<NodeId>,
     waypoints: &[NodeId],
 ) -> Result<HybridPath, RoutingError> {
-    let mut slice = SliceSearch::new(graph, allowed, waypoints);
-    route_legs(graph, waypoints, |from, to| slice.leg(from, to))
+    let slice = slice_graph(graph, allowed.iter().chain(waypoints).copied().collect());
+    // A waypoint outside the allowed set may only start or end a leg.
+    let closed: Vec<usize> = waypoints
+        .iter()
+        .filter(|w| !allowed.contains(w))
+        .map(|&w| slice.index_of(w).expect("waypoints are members"))
+        .collect();
+    let mut search = SliceSearch::new(&slice, |i| !closed.contains(&i));
+    route_legs(graph, waypoints, |from, to| search.leg(from, to))
+}
+
+/// [`route_flow_within`] over a slice indexed beforehand by
+/// [`slice_graph`] from `dc`'s graph: the allowed nodes are the members of
+/// `slice`, and the waypoints, for which `open` holds. Nothing is built
+/// per call, so elements that come and go (failures, power) belong in
+/// `open` — it is asked only about nodes the search reaches — and the
+/// index stays valid for as long as the slice's membership does.
+///
+/// A waypoint that is no member of `slice` sends the call through
+/// [`route_flow_within`]; the result is the same either way.
+///
+/// # Errors
+///
+/// As [`route_flow`].
+pub fn route_flow_in_slice(
+    dc: &DataCenter,
+    slice: &SliceGraph,
+    open: impl Fn(NodeId) -> bool,
+    waypoints: &[NodeId],
+) -> Result<HybridPath, RoutingError> {
+    route_in_slice(dc.graph(), slice, open, waypoints)
+}
+
+fn route_in_slice(
+    graph: &Graph<PhysNode, LinkAttrs>,
+    slice: &SliceGraph,
+    open: impl Fn(NodeId) -> bool,
+    waypoints: &[NodeId],
+) -> Result<HybridPath, RoutingError> {
+    if waypoints.iter().any(|&w| slice.index_of(w).is_none()) {
+        let members = slice.nodes().iter().chain(waypoints);
+        let allowed = members.copied().filter(|&n| open(n)).collect();
+        return route_within(graph, &allowed, waypoints);
+    }
+    let mut search = SliceSearch::new(slice, |i| open(slice.nodes()[i]));
+    route_legs(graph, waypoints, |from, to| search.leg(from, to))
 }
 
 /// Like [`route_flow`], but equal-latency paths are tie-broken by a
@@ -386,7 +404,7 @@ mod reference {
                     return u64::MAX / 8;
                 }
             }
-            latency_cost(attrs)
+            attrs.latency_cost()
         })
         .map_err(|_| RoutingError::NoRoute { from, to })?;
         if let Some(allowed) = allowed {
@@ -536,37 +554,103 @@ mod reference {
 
     /// The slice search against the penalise-and-verify search it
     /// replaced: the identical `Result` — node sequence, link domains,
-    /// latency, and `NoRoute` naming the same leg.
+    /// latency, and `NoRoute` naming the same leg — both when the slice is
+    /// indexed for the one call and when it was indexed beforehand over a
+    /// larger membership, part of it closed (how an orchestrator routes
+    /// inside a cluster with failed elements).
     #[test]
     fn slice_search_matches_the_penalised_reference() {
         use std::cell::Cell;
-        let (routed, unroutable, outside) =
-            (Cell::new(0usize), Cell::new(0usize), Cell::new(0usize));
+        let counts: [Cell<usize>; 5] = Default::default();
+        let [routed, unroutable, outside, kept, rebuilt] = &counts;
+        let bump = |c: &Cell<usize>| c.set(c.get() + 1);
         proptest::test_runner::run(
             ProptestConfig::with_cases(3000),
             "slice_search_matches_the_penalised_reference",
             RouteCase::strategy(),
             |case| {
                 let (graph, allowed, waypoints) = case.build();
-                let kernel = super::route_within(&graph, &allowed, &waypoints);
                 let reference = route_within(&graph, &allowed, &waypoints);
+                let kernel = super::route_within(&graph, &allowed, &waypoints);
                 prop_assert_eq!(&kernel, &reference);
+
+                // Indexed beforehand: the allowed nodes and most of the
+                // others as closed members. Some waypoint is now and then
+                // no member at all, or no node of the graph.
+                let closed = (0..graph.node_count())
+                    .filter(|i| case.draws[(i + 7) % case.draws.len()] < 6)
+                    .map(NodeId);
+                let slice = slice_graph(&graph, allowed.iter().copied().chain(closed).collect());
+                let open = |n: NodeId| allowed.contains(&n);
+                let retained = route_in_slice(&graph, &slice, open, &waypoints);
+                prop_assert_eq!(&retained, &reference);
+
                 match kernel {
-                    Ok(path) if path.hop_count() > 0 => routed.set(routed.get() + 1),
+                    Ok(path) if path.hop_count() > 0 => bump(routed),
                     Ok(_) => {}
-                    Err(_) => unroutable.set(unroutable.get() + 1),
+                    Err(_) => bump(unroutable),
                 }
                 if waypoints.iter().any(|w| !allowed.contains(w)) {
-                    outside.set(outside.get() + 1);
+                    bump(outside);
+                }
+                if waypoints.iter().all(|&w| slice.index_of(w).is_some()) {
+                    bump(kept);
+                } else {
+                    bump(rebuilt);
                 }
                 Ok(())
             },
         );
-        let (routed, unroutable, outside) = (routed.get(), unroutable.get(), outside.get());
+        let [routed, unroutable, outside, kept, rebuilt] = counts.map(Cell::into_inner);
+        let enough = |n: usize| n > 500 && n < 2500;
         assert!(
-            routed > 500 && unroutable > 500 && outside > 500,
-            "corpus too one-sided: {routed} routed, {unroutable} unroutable, \
-             {outside} with a waypoint outside the slice"
+            [routed, unroutable, outside, kept, rebuilt]
+                .into_iter()
+                .all(enough),
+            "corpus too one-sided: {routed} routed, {unroutable} unroutable, {outside} with a \
+             waypoint outside the allowed set, {kept} searched on the kept index, {rebuilt} \
+             with a waypoint outside it"
+        );
+    }
+
+    /// The search enters no node it cannot leave again — but that is a
+    /// question of links, not of node kind: a dual-homed server that is
+    /// the only bridge between two ToRs is transited.
+    #[test]
+    fn a_dual_homed_server_still_bridges_two_tors() {
+        use alvc_topology::ServiceType;
+        let mut dc = DataCenter::new();
+        let (r0, t0) = dc.add_rack();
+        let (r1, t1) = dc.add_rack();
+        let a = dc.add_server(r0);
+        let bridge = dc.add_server(r0);
+        dc.add_access_link(bridge, t1);
+        let b = dc.add_server(r1);
+        for s in [a, bridge, b] {
+            dc.add_vm(s, ServiceType::WebService);
+        }
+        let node = |s| dc.node_of_server(s);
+        let all: HashSet<NodeId> = dc.graph().node_ids().collect();
+        let expected = [
+            node(a),
+            dc.node_of_tor(t0),
+            node(bridge),
+            dc.node_of_tor(t1),
+            node(b),
+        ];
+        let one_shot = route_flow_within(&dc, &all, &[node(a), node(b)]).unwrap();
+        assert_eq!(one_shot.nodes(), &expected[..]);
+        let slice = slice_graph(dc.graph(), all.iter().copied().collect());
+        let kept = route_flow_in_slice(&dc, &slice, |_| true, &[node(a), node(b)]).unwrap();
+        assert_eq!(kept, one_shot);
+        // Closing the bridge cuts the racks apart.
+        let closed = route_flow_in_slice(&dc, &slice, |n| n != node(bridge), &[node(a), node(b)]);
+        assert_eq!(
+            closed,
+            Err(RoutingError::NoRoute {
+                from: node(a),
+                to: node(b)
+            })
         );
     }
 }

@@ -1,5 +1,6 @@
 //! Physical network elements and link attributes.
 
+use alvc_graph::{Graph, NodeId, SliceGraph};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{OpsId, ServerId, TorId};
@@ -155,6 +156,22 @@ impl LinkAttrs {
             latency_us: 2.0,
         }
     }
+
+    /// The link's latency in tenths of a microsecond: the integer cost
+    /// every latency-minimal search runs on, so that all of them agree on
+    /// which path is cheapest.
+    pub fn latency_cost(&self) -> u64 {
+        (self.latency_us * 10.0).round().max(0.0) as u64
+    }
+}
+
+/// Indexes the subgraph `nodes` induce in a physical graph, each link
+/// priced by [`LinkAttrs::latency_cost`] — the form slice-confined routing
+/// searches. Every such index is made here, whether a router builds it for
+/// one call or a virtual cluster keeps it, so they cannot disagree on
+/// membership order or cost.
+pub fn slice_graph(graph: &Graph<PhysNode, LinkAttrs>, nodes: Vec<NodeId>) -> SliceGraph {
+    SliceGraph::build(graph, nodes, LinkAttrs::latency_cost)
 }
 
 #[cfg(test)]

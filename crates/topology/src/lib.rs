@@ -51,7 +51,7 @@ pub mod stats;
 pub mod topology;
 pub mod validate;
 
-pub use element::{Domain, LinkAttrs, OptoCapacity, PhysNode};
+pub use element::{slice_graph, Domain, LinkAttrs, OptoCapacity, PhysNode};
 pub use generators::{
     fat_tree, leaf_spine, AlvcTopologyBuilder, FatTreeParams, LeafSpineParams, OpsInterconnect,
 };
