@@ -33,35 +33,29 @@ impl<'a> SwitchIndex<'a> {
         slot.checked_sub(self.tor_count).map(OpsId)
     }
 
-    /// The OPSs directly connected to `tor`, in adjacency order:
-    /// [`DataCenter::ops_of_tor`] without its `Vec`.
-    pub(crate) fn ops_of_tor(&self, tor: TorId) -> impl Iterator<Item = OpsId> + '_ {
-        self.neighbors(tor.index())
-            .filter_map(|slot| self.ops_at(slot))
-    }
-
-    /// Number of ToRs directly connected to `ops`:
-    /// [`DataCenter::tors_of_ops`]`.len()` without its `Vec`.
-    pub(crate) fn tor_links(&self, ops: OpsId) -> usize {
-        self.neighbors(self.tor_count + ops.index())
-            .filter(|&slot| slot < self.tor_count)
-            .count()
-    }
-
-    /// Slots of the switches adjacent to `slot`, in adjacency order.
-    pub(crate) fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
-        let graph = self.dc.graph();
-        let node = match self.ops_at(slot) {
-            Some(ops) => self.dc.node_of_ops(ops),
-            None => self.dc.node_of_tor(TorId(slot)),
+    /// Slots of the switches adjacent to `slot`, in adjacency order. A
+    /// ToR's switch neighbours are exactly its uplinks, in link order, so
+    /// they come from the incidence; an OPS's ToRs and core links are
+    /// interleaved in its adjacency list, which is walked.
+    pub(crate) fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + 'a {
+        let (tor_count, dc) = (self.tor_count, self.dc);
+        let graph = dc.graph();
+        let (uplinks, core) = match self.ops_at(slot) {
+            None => (dc.uplinks_of_tor(TorId(slot)), None),
+            Some(ops) => (&[][..], Some(graph.neighbors(dc.node_of_ops(ops)))),
         };
-        graph
-            .neighbors(node)
-            .filter_map(|n| match graph.node_weight(n) {
+        let core = core
+            .into_iter()
+            .flatten()
+            .filter_map(move |n| match graph.node_weight(n) {
                 Some(PhysNode::Tor(tor)) => Some(tor.index()),
-                Some(PhysNode::Ops { id, .. }) => Some(self.tor_count + id.index()),
+                Some(PhysNode::Ops { id, .. }) => Some(tor_count + id.index()),
                 _ => None,
-            })
+            });
+        uplinks
+            .iter()
+            .map(move |o| tor_count + o.index())
+            .chain(core)
     }
 }
 
@@ -153,7 +147,7 @@ impl AbstractionLayer {
     /// OPS.
     pub fn covers_tors(&self, dc: &DataCenter) -> Result<(), AlValidationError> {
         for &tor in &self.tors {
-            let covered = dc.ops_of_tor(tor).iter().any(|&o| self.contains_ops(o));
+            let covered = dc.uplinks_of_tor(tor).iter().any(|&o| self.contains_ops(o));
             if !covered {
                 return Err(AlValidationError::TorNotCovered(tor));
             }
@@ -465,6 +459,126 @@ mod survivability_tests {
             );
             for o in &critical {
                 assert!(al.contains_ops(*o));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod incidence_tests {
+    use super::*;
+    use alvc_topology::generators::{leaf_spine, LeafSpineParams};
+    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
+    use proptest::prelude::*;
+
+    /// The graph walk `DataCenter::ops_of_tor` did before the data center
+    /// kept its uplink incidence: the OPSs in `tor`'s adjacency list.
+    fn ops_of_tor_by_adjacency(dc: &DataCenter, tor: TorId) -> Vec<OpsId> {
+        let graph = dc.graph();
+        graph
+            .neighbors(dc.node_of_tor(tor))
+            .filter_map(|n| match graph.node_weight(n) {
+                Some(PhysNode::Ops { id, .. }) => Some(*id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The graph walk `DataCenter::tors_of_ops` did: the ToRs in `ops`'
+    /// adjacency list.
+    fn tors_of_ops_by_adjacency(dc: &DataCenter, ops: OpsId) -> Vec<TorId> {
+        let graph = dc.graph();
+        graph
+            .neighbors(dc.node_of_ops(ops))
+            .filter_map(|n| match graph.node_weight(n) {
+                Some(PhysNode::Tor(id)) => Some(*id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Builder topologies — 1–3 pods; none / ring / full-mesh core; 0–3
+    /// gateway lanes; a ToR degree that may exceed the OPS count;
+    /// dual-homed servers — or, for `kind == 3`, an electronic leaf–spine
+    /// fabric wired by `connect_tor_ops_with(electronic_agg)`.
+    fn topology_strategy() -> impl Strategy<Value = DataCenter> {
+        (
+            (1usize..4, 1usize..5, 1usize..6, 1usize..9),
+            (0u8..3, 0usize..4, 0u8..2, 0u64..1000),
+            0u8..4,
+        )
+            .prop_map(
+                |((pods, racks, ops, degree), (core, lanes, dual, seed), kind)| {
+                    if kind == 3 {
+                        return leaf_spine(&LeafSpineParams {
+                            leaves: racks,
+                            spines: ops,
+                            servers_per_rack: 2,
+                            vms_per_server: 1,
+                            seed,
+                        });
+                    }
+                    let interconnect = match core {
+                        0 => OpsInterconnect::None,
+                        1 => OpsInterconnect::Ring,
+                        _ => OpsInterconnect::FullMesh,
+                    };
+                    AlvcTopologyBuilder::new()
+                        .racks(racks)
+                        .servers_per_rack(2)
+                        .vms_per_server(1)
+                        .ops_count(ops)
+                        .tor_ops_degree(degree)
+                        .interconnect(interconnect)
+                        .dual_home_prob(if dual == 1 { 0.5 } else { 0.0 })
+                        .pods(pods)
+                        .boundary_gateways(lanes)
+                        .seed(seed)
+                        .build()
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The incidence the data center keeps is its graph: after
+        /// generation and a round of repeated and fresh `connect_tor_ops`
+        /// calls, `ops_of_tor`, `uplinks_of_tor`, `tors_of_ops` and a ToR
+        /// slot's `SwitchIndex::neighbors` each equal the adjacency filter,
+        /// element for element and in order, and no uplink is listed twice.
+        #[test]
+        fn incidence_equals_the_adjacency_filter(
+            dc in topology_strategy(),
+            extra in 0usize..1000,
+        ) {
+            let mut dc = dc;
+            for tor in dc.tor_ids().collect::<Vec<_>>() {
+                // Re-connect an existing uplink (a no-op) and connect one
+                // more OPS (new unless it is already an uplink).
+                if let Some(&first) = dc.uplinks_of_tor(tor).first() {
+                    dc.connect_tor_ops(tor, first);
+                }
+                let ops = OpsId((tor.index() * 7 + extra) % dc.ops_count());
+                dc.connect_tor_ops(tor, ops);
+                dc.connect_tor_ops(tor, ops);
+            }
+            let switches = SwitchIndex::new(&dc);
+            for tor in dc.tor_ids() {
+                let reference = ops_of_tor_by_adjacency(&dc, tor);
+                prop_assert_eq!(dc.ops_of_tor(tor), reference.clone());
+                prop_assert_eq!(dc.uplinks_of_tor(tor), &reference[..]);
+                let slots: Vec<usize> = switches.neighbors(tor.index()).collect();
+                let expected: Vec<usize> =
+                    reference.iter().map(|o| dc.tor_count() + o.index()).collect();
+                prop_assert_eq!(slots, expected);
+                let mut distinct = reference.clone();
+                distinct.sort();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), reference.len(), "tor {} lists an uplink twice", tor);
+            }
+            for ops in dc.ops_ids() {
+                prop_assert_eq!(dc.tors_of_ops(ops), &tors_of_ops_by_adjacency(&dc, ops)[..]);
             }
         }
     }

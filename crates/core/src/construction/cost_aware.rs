@@ -116,8 +116,8 @@ impl AlConstruct for CostAwareGreedy {
             }
             let covered: Vec<usize> = dc
                 .tors_of_ops(ops)
-                .into_iter()
-                .filter_map(|t| tor_pos.get(&t).copied())
+                .iter()
+                .filter_map(|t| tor_pos.get(t).copied())
                 .collect();
             if !covered.is_empty() {
                 candidates.push(ops);

@@ -99,7 +99,7 @@ impl AlConstruct for ExactCover {
         let mut ops_sets: HashMap<OpsId, Vec<usize>> = HashMap::new();
         for (i, &tor) in tors.iter().enumerate() {
             let mut any = false;
-            for ops in dc.ops_of_tor(tor) {
+            for &ops in dc.uplinks_of_tor(tor) {
                 if available.is_available(ops) {
                     ops_sets.entry(ops).or_default().push(i);
                     any = true;

@@ -280,7 +280,6 @@ pub(crate) fn select_tors_greedy(
     }
     // Dense slot table (ToR index → candidate index) and a CSR inverted
     // index: both avoid per-element hashing/allocation on the hot path.
-    let switches = SwitchIndex::new(dc);
     let mut tor_slot: Vec<u32> = vec![u32::MAX; dc.tor_count()];
     let mut cands: Vec<CoverCandidate<TorId>> = Vec::new();
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(vms.len() + 1);
@@ -297,7 +296,7 @@ pub(crate) fn select_tors_greedy(
                 *slot = cands.len() as u32;
                 cands.push(CoverCandidate {
                     id: t,
-                    degree: switches.ops_of_tor(t).count(),
+                    degree: dc.uplinks_of_tor(t).len(),
                 });
             }
             elem_data.push(*slot);
@@ -323,7 +322,6 @@ pub(crate) fn select_ops_greedy(
     tors: &[TorId],
     available: &OpsAvailability,
 ) -> Result<Vec<OpsId>, ConstructionError> {
-    let switches = SwitchIndex::new(dc);
     let mut ops_slot: Vec<u32> = vec![u32::MAX; dc.ops_count()];
     let mut cands: Vec<CoverCandidate<OpsId>> = Vec::new();
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
@@ -331,14 +329,14 @@ pub(crate) fn select_ops_greedy(
     elem_offsets.push(0);
     for &tor in tors {
         let first = elem_data.len();
-        for ops in switches.ops_of_tor(tor) {
+        for &ops in dc.uplinks_of_tor(tor) {
             if available.is_available(ops) {
                 let slot = &mut ops_slot[ops.index()];
                 if *slot == u32::MAX {
                     *slot = cands.len() as u32;
                     cands.push(CoverCandidate {
                         id: ops,
-                        degree: switches.tor_links(ops),
+                        degree: dc.tors_of_ops(ops).len(),
                     });
                 }
                 elem_data.push(*slot);
@@ -491,21 +489,21 @@ fn join_component(
 ///    far, then lowest cluster index), yielding near-disjoint per-cluster
 ///    pools.
 /// 2. **Optimistic construction** — each cluster is constructed against
-///    its restricted pool, fanned out over rayon worker threads.
+///    its restricted pool, in the calling thread: a layer costs tens of
+///    microseconds, less than spawning a thread to build it.
 /// 3. **Serial commit** — in cluster order, a successful optimistic layer
 ///    commits iff all its OPSs are still unclaimed; otherwise (including
 ///    optimistic failures, which may be artifacts of the restricted pool)
-///    the cluster is re-constructed serially against the true remaining
+///    the cluster is re-constructed against the true remaining
 ///    availability.
 ///
-/// Guarantees: the result is **deterministic** (independent of thread
-/// schedule), committed layers are pairwise **OPS-disjoint** and disjoint
-/// from `available`'s blocked set, and every `Ok` layer is a valid output
-/// of `ctor` for its cluster. The result is *not* guaranteed to equal
-/// folding [`AlConstruct::construct`] serially over the clusters: an
-/// optimistic layer built from a restricted pool may commit even though a
-/// serial pass — seeing more candidates — would have chosen differently
-/// (see `DESIGN.md`).
+/// Guarantees: the result is **deterministic**, committed layers are
+/// pairwise **OPS-disjoint** and disjoint from `available`'s blocked set,
+/// and every `Ok` layer is a valid output of `ctor` for its cluster. The
+/// result is *not* guaranteed to equal folding [`AlConstruct::construct`]
+/// serially over the clusters: an optimistic layer built from a restricted
+/// pool may commit even though a serial pass — seeing more candidates —
+/// would have chosen differently (see `DESIGN.md`).
 pub fn construct_layers(
     dc: &DataCenter,
     clusters: &[Vec<VmId>],
@@ -519,18 +517,17 @@ pub fn construct_layers(
     // Phase 1: deterministic pool partition over the contested candidates.
     // Candidates are gathered once per distinct ToR of a cluster (a rack's
     // VMs all share its uplinks), as (OPS, requesting cluster) pairs.
-    let switches = SwitchIndex::new(dc);
     let mut requests: Vec<(OpsId, usize)> = Vec::new();
     let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
     for (c, vms) in clusters.iter().enumerate() {
         for &vm in vms {
             for &tor in dc.tors_of_vm(vm) {
                 if std::mem::replace(&mut tor_seen_by[tor.index()], c) != c {
-                    let uplinks = switches.ops_of_tor(tor);
+                    let uplinks = dc.uplinks_of_tor(tor).iter();
                     requests.extend(
                         uplinks
-                            .filter(|&o| available.is_available(o))
-                            .map(|o| (o, c)),
+                            .filter(|&&o| available.is_available(o))
+                            .map(|&o| (o, c)),
                     );
                 }
             }
@@ -556,25 +553,24 @@ pub fn construct_layers(
         pools[winner].release(o);
     }
 
-    // Phase 2: optimistic construction against the restricted pools.
-    let optimistic = construct_each(dc, clusters, ctor, &pools);
-
-    // Phase 3: serial conflict resolution in cluster order. The commit
-    // check also catches overlaps the partition cannot see, e.g. two
-    // connectivity augmentations absorbing the same unrequested bridge OPS.
+    // Phases 2 and 3, one cluster at a time in cluster order: the
+    // optimistic layer is built against the cluster's restricted pool and
+    // commits iff all its OPSs are still unclaimed. The commit check also
+    // catches overlaps the partition cannot see, e.g. two connectivity
+    // augmentations absorbing the same unrequested bridge OPS.
     let mut pool = available.clone();
     let mut results = Vec::with_capacity(clusters.len());
     let mut optimistic_commits: u64 = 0;
     let mut conflict_fallbacks: u64 = 0;
-    for (c, opt) in optimistic.into_iter().enumerate() {
-        let resolved = match opt {
+    for (vms, restricted) in clusters.iter().zip(&pools) {
+        let resolved = match ctor.construct(dc, vms, restricted) {
             Ok(al) if al.ops().iter().all(|&o| pool.is_available(o)) => {
                 optimistic_commits += 1;
                 Ok(al)
             }
             _ => {
                 conflict_fallbacks += 1;
-                ctor.construct(dc, &clusters[c], &pool)
+                ctor.construct(dc, vms, &pool)
             }
         };
         if let Ok(al) = &resolved {
@@ -595,21 +591,6 @@ pub fn construct_layers(
         "conflict_fallbacks" = conflict_fallbacks,
     );
     results
-}
-
-/// Runs `ctor` once per cluster against per-cluster pools, fanned out
-/// over rayon.
-fn construct_each(
-    dc: &DataCenter,
-    clusters: &[Vec<VmId>],
-    ctor: &(dyn AlConstruct + Sync),
-    pools: &[OpsAvailability],
-) -> Vec<Result<AbstractionLayer, ConstructionError>> {
-    use rayon::prelude::*;
-    (0..clusters.len())
-        .into_par_iter()
-        .map(|c| ctor.construct(dc, &clusters[c], &pools[c]))
-        .collect()
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ impl AlConstruct for RandomSelection {
             }
             let mut gain = false;
             for t in dc.tors_of_ops(cand) {
-                if let Some(&i) = tor_pos.get(&t) {
+                if let Some(&i) = tor_pos.get(t) {
                     if !covered[i] {
                         covered[i] = true;
                         n_covered += 1;

@@ -83,7 +83,7 @@ impl AlConstruct for RedundantGreedy {
         let mut tor_cands: Vec<Vec<u32>> = vec![Vec::new(); tors.len()];
         for (i, &tor) in tors.iter().enumerate() {
             let mut uplinks = 0usize;
-            for o in dc.ops_of_tor(tor) {
+            for &o in dc.uplinks_of_tor(tor) {
                 if !available.is_available(o) {
                     continue;
                 }
@@ -172,9 +172,9 @@ mod tests {
         al.tors()
             .iter()
             .map(|&t| {
-                dc.ops_of_tor(t)
-                    .into_iter()
-                    .filter(|&o| al.contains_ops(o))
+                dc.uplinks_of_tor(t)
+                    .iter()
+                    .filter(|&&o| al.contains_ops(o))
                     .count()
             })
             .min()

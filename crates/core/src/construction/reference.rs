@@ -55,7 +55,7 @@ pub fn select_tors_greedy_naive(
             if gain == 0 {
                 continue;
             }
-            let out_degree = dc.ops_of_tor(tor).len();
+            let out_degree = dc.uplinks_of_tor(tor).len();
             let candidate = (gain, out_degree, tor);
             best = Some(match best {
                 None => candidate,
@@ -102,7 +102,7 @@ pub fn select_ops_greedy_naive(
     let mut ops_tors: HashMap<OpsId, Vec<usize>> = HashMap::new();
     for (i, &tor) in tors.iter().enumerate() {
         let mut any = false;
-        for ops in dc.ops_of_tor(tor) {
+        for &ops in dc.uplinks_of_tor(tor) {
             if available.is_available(ops) {
                 ops_tors.entry(ops).or_default().push(i);
                 any = true;

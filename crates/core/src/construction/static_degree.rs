@@ -58,7 +58,7 @@ impl AlConstruct for StaticDegreeGreedy {
         order.sort_by_key(|t| {
             (
                 std::cmp::Reverse(tor_members[t].len()),
-                std::cmp::Reverse(dc.ops_of_tor(*t).len()),
+                std::cmp::Reverse(dc.uplinks_of_tor(*t).len()),
                 *t,
             )
         });
@@ -89,7 +89,7 @@ impl AlConstruct for StaticDegreeGreedy {
         let mut ops_members: HashMap<OpsId, Vec<usize>> = HashMap::new();
         for (&tor, &i) in &tor_pos {
             let mut any = false;
-            for o in dc.ops_of_tor(tor) {
+            for &o in dc.uplinks_of_tor(tor) {
                 if available.is_available(o) {
                     ops_members.entry(o).or_default().push(i);
                     any = true;

@@ -126,8 +126,8 @@ impl ClusterManager {
 
     /// Builds abstraction layers for a whole batch of cluster requests at
     /// once via [`construct_layers`]: the OPS pool is partitioned across
-    /// the requests, construction fans out in parallel, and conflicts are
-    /// resolved serially in request order. Successful requests are
+    /// the requests, each request is built against its share, and
+    /// conflicts are resolved in request order. Successful requests are
     /// registered as clusters claiming their OPSs; failures are returned
     /// per-request without touching state. Pre-interned [`LabelId`]s are
     /// the zero-allocation form for hot batch paths.
@@ -183,40 +183,18 @@ impl ClusterManager {
         id
     }
 
-    /// Adopts a pre-built abstraction layer as a new cluster if it is
-    /// valid for `vms` and all of its OPSs are still available; returns
-    /// `None` (without touching state) otherwise.
-    ///
-    /// This is the commit half of an optimistic construct-then-adopt
-    /// pipeline: build layers in bulk with [`construct_layers`], then
-    /// adopt each one, falling back to
-    /// [`ClusterManager::create_cluster`] for the rejects.
-    pub fn try_adopt_cluster(
-        &mut self,
-        dc: &DataCenter,
-        label: impl Into<LabelId>,
-        mut vms: Vec<VmId>,
-        al: AbstractionLayer,
-    ) -> Option<ClusterId> {
-        vms.sort();
-        vms.dedup();
-        if !self.adoptable(dc, &vms, &al) {
-            return None;
-        }
-        Some(self.register_cluster(label.into(), vms, al))
-    }
-
     /// Whether `al` is valid for `vms` and all of its OPSs are available.
     fn adoptable(&self, dc: &DataCenter, vms: &[VmId], al: &AbstractionLayer) -> bool {
         al.validate(dc, vms).is_ok() && al.ops().iter().all(|&o| self.availability.is_available(o))
     }
 
-    /// [`ClusterManager::try_adopt_cluster`] falling back on
-    /// [`ClusterManager::create_cluster`] in one call, so the VM list need
-    /// not be copied to survive a refused adoption: registers `vms` with
-    /// the pre-built `layer` if there is one, it is valid for them and all
-    /// of its OPSs are still available, otherwise with a layer
-    /// `constructor` builds now — traced as a `core.construct` span.
+    /// The commit half of an optimistic construct-then-adopt pipeline
+    /// (layers built in bulk with [`construct_layers`]): registers `vms`
+    /// with the pre-built `layer` if there is one, it is valid for them and
+    /// all of its OPSs are still available, otherwise — falling back on
+    /// [`ClusterManager::create_cluster`], so the VM list need not be
+    /// copied to survive a refused adoption — with a layer `constructor`
+    /// builds now, traced as a `core.construct` span.
     ///
     /// # Errors
     ///
@@ -908,8 +886,27 @@ mod batch_tests {
         assert!(mgr.cluster_by_label("empty").is_none());
     }
 
+    /// A constructor that never builds: an `adopt_or_create` returning
+    /// its error refused the offered layer.
+    pub(super) struct NeverBuilds;
+
+    impl AlConstruct for NeverBuilds {
+        fn name(&self) -> &'static str {
+            "never-builds"
+        }
+
+        fn construct(
+            &self,
+            _: &DataCenter,
+            _: &[VmId],
+            _: &OpsAvailability,
+        ) -> Result<AbstractionLayer, ConstructionError> {
+            Err(ConstructionError::Disconnected)
+        }
+    }
+
     #[test]
-    fn try_adopt_commits_only_available_valid_layers() {
+    fn adopt_or_create_adopts_only_available_valid_layers() {
         let dc = dc();
         let mut mgr = ClusterManager::new();
         let vms: Vec<_> = dc.vm_ids().take(8).collect();
@@ -917,17 +914,24 @@ mod batch_tests {
             .construct(&dc, &vms, &OpsAvailability::all())
             .unwrap();
         let id = mgr
-            .try_adopt_cluster(&dc, "first", vms.clone(), al.clone())
+            .adopt_or_create(&dc, "first", vms.clone(), Some(al.clone()), &NeverBuilds)
             .expect("fresh layer adopts");
         assert_eq!(mgr.cluster(id).unwrap().al(), &al);
         // Second adoption of the same layer conflicts on its OPSs.
-        assert!(mgr
-            .try_adopt_cluster(&dc, "dup", vms.clone(), al.clone())
-            .is_none());
-        // A layer that does not cover its VMs is rejected.
-        let wrong: Vec<_> = dc.vm_ids().collect();
-        assert!(mgr.try_adopt_cluster(&dc, "bad", wrong, al).is_none());
+        assert_eq!(
+            mgr.adopt_or_create(&dc, "dup", vms.clone(), Some(al.clone()), &NeverBuilds),
+            Err(ConstructionError::Disconnected)
+        );
         assert_eq!(mgr.cluster_count(), 1);
+        // A layer that does not cover its VMs is refused, even with every
+        // OPS free.
+        let wrong: Vec<_> = dc.vm_ids().collect();
+        let mut fresh = ClusterManager::new();
+        assert!(fresh
+            .adopt_or_create(&dc, "bad", wrong, Some(al), &NeverBuilds)
+            .is_err());
+        assert_eq!(fresh.cluster_count(), 0);
+        assert_eq!(fresh.availability().blocked_count(), 0);
     }
 
     #[test]
@@ -1190,7 +1194,7 @@ mod tor_failure_tests {
         let mut mgr = ClusterManager::new();
         let al = AbstractionLayer::new(vec![t0, t1], vec![o0]);
         let id = mgr
-            .try_adopt_cluster(&dc, "dual", vec![vm], al)
+            .adopt_or_create(&dc, "dual", vec![vm], Some(al), &batch_tests::NeverBuilds)
             .expect("hand-built layer is valid");
         let affected = mgr.fail_tor(&dc, t0);
         assert_eq!(affected, vec![id]);

@@ -18,7 +18,7 @@
 //!   every greedy cover (lazy deletion of stale entries).
 //! * [`traversal`] — BFS/DFS orders, connected components, reachability.
 //! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
-//! * [`slice`] — a node subset indexed once as a dense CSR subgraph.
+//! * [`slice`](mod@slice) — a node subset indexed once as a dense CSR subgraph.
 //!
 //! # Example
 //!

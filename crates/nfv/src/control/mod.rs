@@ -16,7 +16,8 @@
 //!   ([`SchedulerMode`], weights from [`TenantQuota::weight`]), so one
 //!   tenant's burst cannot starve everyone else's queue slots. Within a
 //!   batch, maximal runs of consecutive deployments coalesce into
-//!   [`Orchestrator::deploy_chains`] bulk construction (rayon-parallel).
+//!   [`Orchestrator::deploy_chains`] bulk construction (one pool
+//!   partition for the run, layers built in the calling thread).
 //! * **Admission control.** Per-tenant rate and quota limits plus
 //!   capacity pre-checks reject hopeless or over-budget intents *before*
 //!   any state is touched ([`AdmissionError`]); a rejected intent leaves

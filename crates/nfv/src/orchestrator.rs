@@ -411,11 +411,11 @@ impl Orchestrator {
     }
 
     /// Deploys a batch of chains at once: abstraction layers for all
-    /// tenants are constructed in bulk via [`construct_layers`] (fanned
-    /// out over rayon), then each chain is committed serially in request
-    /// order — adopting its pre-built layer when it is still valid and
-    /// conflict-free, falling back to a fresh serial construction
-    /// otherwise. Placement, routing, admission, and flow-rule
+    /// tenants are constructed in bulk via [`construct_layers`] (one OPS
+    /// pool partition, built in the calling thread), then each chain is
+    /// committed serially in request order — adopting its pre-built layer
+    /// when it is still valid and conflict-free, falling back to a fresh
+    /// serial construction otherwise. Placement, routing, admission, and flow-rule
     /// installation stay serial: they contend on the shared bandwidth/host
     /// ledgers and the SDN rule tables.
     ///

@@ -561,7 +561,7 @@ mod tests {
             .seed(2)
             .build();
         for t in dc.tor_ids() {
-            assert_eq!(dc.ops_of_tor(t).len(), 3, "tor {t} degree");
+            assert_eq!(dc.uplinks_of_tor(t).len(), 3, "tor {t} degree");
         }
     }
 
@@ -574,7 +574,7 @@ mod tests {
             .seed(3)
             .build();
         for t in dc.tor_ids() {
-            assert_eq!(dc.ops_of_tor(t).len(), 2);
+            assert_eq!(dc.uplinks_of_tor(t).len(), 2);
         }
     }
 
@@ -612,7 +612,7 @@ mod tests {
             .build();
         assert_eq!(a.graph().edge_count(), b.graph().edge_count());
         for t in a.tor_ids() {
-            assert_eq!(a.ops_of_tor(t), b.ops_of_tor(t));
+            assert_eq!(a.uplinks_of_tor(t), b.uplinks_of_tor(t));
         }
         for vm in a.vm_ids() {
             assert_eq!(a.service_of_vm(vm), b.service_of_vm(vm));
@@ -633,7 +633,9 @@ mod tests {
             .tor_ops_degree(3)
             .seed(2)
             .build();
-        let differs = a.tor_ids().any(|t| a.ops_of_tor(t) != b.ops_of_tor(t));
+        let differs = a
+            .tor_ids()
+            .any(|t| a.uplinks_of_tor(t) != b.uplinks_of_tor(t));
         assert!(differs, "seeds should change uplink wiring");
     }
 
@@ -755,7 +757,7 @@ mod tests {
             .build();
         for t in dc.tor_ids() {
             let pod = dc.pod_of_tor(t);
-            for o in dc.ops_of_tor(t) {
+            for &o in dc.uplinks_of_tor(t) {
                 assert_eq!(dc.pod_of_ops(o), pod, "uplink of {t} crosses pods");
             }
         }
@@ -776,7 +778,7 @@ mod tests {
         assert!(dc.is_core_connected());
         // ToR attachments never cross pods; only the gateway ring does.
         for a in dc.ops_ids() {
-            for t in dc.tors_of_ops(a) {
+            for &t in dc.tors_of_ops(a) {
                 assert_eq!(dc.pod_of_tor(t), dc.pod_of_ops(a));
             }
         }
@@ -801,7 +803,7 @@ mod tests {
             .build();
         assert_eq!(legacy.graph().edge_count(), pods1.graph().edge_count());
         for t in legacy.tor_ids() {
-            assert_eq!(legacy.ops_of_tor(t), pods1.ops_of_tor(t));
+            assert_eq!(legacy.uplinks_of_tor(t), pods1.uplinks_of_tor(t));
         }
         for vm in legacy.vm_ids() {
             assert_eq!(legacy.service_of_vm(vm), pods1.service_of_vm(vm));
@@ -842,7 +844,7 @@ mod tests {
         let b = AlvcTopologyBuilder::new().pods(3).seed(9).build();
         assert_eq!(a.graph().edge_count(), b.graph().edge_count());
         for t in a.tor_ids() {
-            assert_eq!(a.ops_of_tor(t), b.ops_of_tor(t));
+            assert_eq!(a.uplinks_of_tor(t), b.uplinks_of_tor(t));
         }
     }
 
@@ -854,7 +856,7 @@ mod tests {
         assert_eq!(dc.vm_count(), 4 * 4 * 2);
         // Every leaf sees every spine.
         for t in dc.tor_ids() {
-            assert_eq!(dc.ops_of_tor(t).len(), 2);
+            assert_eq!(dc.uplinks_of_tor(t).len(), 2);
         }
         assert!(dc.optoelectronic_ops().is_empty());
     }

@@ -54,7 +54,10 @@ impl TopologyStats {
         let mean_tor_ops_degree = if tor_count == 0 {
             0.0
         } else {
-            dc.tor_ids().map(|t| dc.ops_of_tor(t).len()).sum::<usize>() as f64 / tor_count as f64
+            dc.tor_ids()
+                .map(|t| dc.uplinks_of_tor(t).len())
+                .sum::<usize>() as f64
+                / tor_count as f64
         };
         let mean_ops_tor_degree = if ops_count == 0 {
             0.0

@@ -35,6 +35,11 @@ struct TorRecord {
     rack: RackId,
     node: NodeId,
     pod: PodId,
+    /// OPSs this ToR has uplinks to, in link order — the ToR half of the
+    /// ToR↔OPS incidence. Like `ServerRecord::tors` for access links it is
+    /// part of the data center, written only by
+    /// [`DataCenter::connect_tor_ops_with`] when it adds the link.
+    ops: Vec<OpsId>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,6 +47,9 @@ struct OpsRecord {
     node: NodeId,
     opto: Option<OptoCapacity>,
     pod: PodId,
+    /// ToRs with an uplink to this OPS, in link order — the OPS half of the
+    /// incidence, written with `TorRecord::ops`.
+    tors: Vec<TorId>,
 }
 
 /// A data center: racks of servers behind ToR switches, an OPS core, and
@@ -68,7 +76,7 @@ struct OpsRecord {
 /// let ops = dc.add_ops(None);
 /// dc.connect_tor_ops(tor, ops);
 /// assert_eq!(dc.tor_of_vm(vm), tor);
-/// assert_eq!(dc.ops_of_tor(tor), vec![ops]);
+/// assert_eq!(dc.uplinks_of_tor(tor), &[ops]);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DataCenter {
@@ -117,7 +125,12 @@ impl DataCenter {
         let rack = RackId(self.racks.len());
         let tor = TorId(self.tors.len());
         let node = self.graph.add_node(PhysNode::Tor(tor));
-        self.tors.push(TorRecord { rack, node, pod });
+        self.tors.push(TorRecord {
+            rack,
+            node,
+            pod,
+            ops: Vec::new(),
+        });
         self.racks.push(RackRecord {
             tor,
             servers: Vec::new(),
@@ -189,7 +202,12 @@ impl DataCenter {
     pub fn add_ops_in_pod(&mut self, opto: Option<OptoCapacity>, pod: PodId) -> OpsId {
         let ops = OpsId(self.opss.len());
         let node = self.graph.add_node(PhysNode::Ops { id: ops, opto });
-        self.opss.push(OpsRecord { node, opto, pod });
+        self.opss.push(OpsRecord {
+            node,
+            opto,
+            pod,
+            tors: Vec::new(),
+        });
         self.pods = self.pods.max(pod.0 + 1);
         ops
     }
@@ -211,6 +229,10 @@ impl DataCenter {
     ///
     /// Has no effect if the link already exists.
     ///
+    /// This is the only writer of the ToR↔OPS incidence
+    /// ([`DataCenter::uplinks_of_tor`], [`DataCenter::tors_of_ops`]): both
+    /// lists grow here, in link order, exactly when the link is added.
+    ///
     /// # Panics
     ///
     /// Panics if either endpoint does not exist.
@@ -220,6 +242,8 @@ impl DataCenter {
             return;
         }
         self.graph.add_edge(tn, on, attrs);
+        self.tors[tor.0].ops.push(ops);
+        self.opss[ops.0].tors.push(tor);
     }
 
     /// Connects two OPSs with an optical core link.
@@ -496,34 +520,34 @@ impl DataCenter {
         s
     }
 
-    /// OPSs directly connected to `tor`.
+    /// OPSs directly connected to `tor`, in link order, as an owned list
+    /// ([`DataCenter::uplinks_of_tor`] borrows it). Kept because the
+    /// regression benchmark collects it; it goes when `benchmark/`
+    /// switches to `uplinks_of_tor` (ROADMAP).
     ///
     /// # Panics
     ///
     /// Panics if `tor` does not exist.
     pub fn ops_of_tor(&self, tor: TorId) -> Vec<OpsId> {
-        self.graph
-            .neighbors(self.tors[tor.0].node)
-            .filter_map(|n| match self.graph.node_weight(n) {
-                Some(PhysNode::Ops { id, .. }) => Some(*id),
-                _ => None,
-            })
-            .collect()
+        self.uplinks_of_tor(tor).to_vec()
     }
 
-    /// ToRs directly connected to `ops`.
+    /// OPSs directly connected to `tor`, in link order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tor` does not exist.
+    pub fn uplinks_of_tor(&self, tor: TorId) -> &[OpsId] {
+        &self.tors[tor.0].ops
+    }
+
+    /// ToRs directly connected to `ops`, in link order.
     ///
     /// # Panics
     ///
     /// Panics if `ops` does not exist.
-    pub fn tors_of_ops(&self, ops: OpsId) -> Vec<TorId> {
-        self.graph
-            .neighbors(self.opss[ops.0].node)
-            .filter_map(|n| match self.graph.node_weight(n) {
-                Some(PhysNode::Tor(id)) => Some(*id),
-                _ => None,
-            })
-            .collect()
+    pub fn tors_of_ops(&self, ops: OpsId) -> &[TorId] {
+        &self.opss[ops.0].tors
     }
 
     /// The optoelectronic capacity of `ops`, `None` for pure packet
@@ -623,8 +647,8 @@ impl DataCenter {
         for ops in self.ops_ids() {
             let covered: Vec<usize> = self
                 .tors_of_ops(ops)
-                .into_iter()
-                .filter_map(|t| tor_pos.get(&t).copied())
+                .iter()
+                .filter_map(|t| tor_pos.get(t).copied())
                 .collect();
             if !covered.is_empty() {
                 sets.push(covered);
@@ -697,12 +721,11 @@ mod tests {
     #[test]
     fn tor_ops_adjacency() {
         let dc = small_dc();
-        let mut o = dc.ops_of_tor(TorId(0));
-        o.sort();
-        assert_eq!(o, vec![OpsId(0), OpsId(1)]);
-        let mut t = dc.tors_of_ops(OpsId(1));
-        t.sort();
-        assert_eq!(t, vec![TorId(0), TorId(1)]);
+        // Both lists are in link order.
+        assert_eq!(dc.ops_of_tor(TorId(0)), vec![OpsId(0), OpsId(1)]);
+        assert_eq!(dc.uplinks_of_tor(TorId(1)), &[OpsId(1), OpsId(2)]);
+        assert_eq!(dc.tors_of_ops(OpsId(1)), &[TorId(0), TorId(1)]);
+        assert_eq!(dc.tors_of_ops(OpsId(0)), &[TorId(0)]);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl DataCenter {
             }
         }
         for tor in self.tor_ids() {
-            if self.ops_of_tor(tor).is_empty() && self.ops_count() > 0 {
+            if self.uplinks_of_tor(tor).is_empty() && self.ops_count() > 0 {
                 return Err(TopologyError::TorWithoutUplink(tor));
             }
         }
