@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use alvc_bench::{deploy_fig5_chains, f2, print_table, Json, Op, Report, Scale};
-use alvc_core::construction::{AlConstruct, NaiveGreedy, PaperGreedy, RandomSelection};
+use alvc_core::construction::{AlConstruct, PaperGreedy, RandomSelection};
 use alvc_core::{construct_layers_sharded, service_clusters, OpsAvailability};
 
 /// One sharded DC tier's outcome: its table row, its result row, and the
@@ -126,7 +126,6 @@ fn main() {
         let clusters = service_clusters(&dc);
         for (name, ctor) in [
             ("paper-greedy", &PaperGreedy::new() as &dyn AlConstruct),
-            ("naive-greedy", &NaiveGreedy::new()),
             ("random [15]", &RandomSelection::new(1)),
         ] {
             let start = Instant::now();

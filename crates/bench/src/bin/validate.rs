@@ -77,13 +77,7 @@ const fn full_run(gate: &'static str, op: Op, bound: Option<f64>) -> Required {
 /// Every bench and the gates it must carry (DESIGN.md §19 has the same
 /// table with the experiment each row comes from).
 const REQUIRED: &[(&str, &[Required])] = &[
-    (
-        "al_construction",
-        &[always("kernel_al_size_mismatches", Op::Eq, 0.0)],
-    ),
-    // The probes-off overhead ratio is against a baseline measured on one
-    // particular host; it is reported, not gated.
-    ("telemetry_overhead", &[]),
+    ("al_construction", &[always("invalid_layers", Op::Eq, 0.0)]),
     (
         "scalability",
         &[
@@ -675,6 +669,9 @@ mod tests {
                 checked += 1;
             }
         }
-        assert!(checked >= 8, "only {checked} result files found");
+        assert!(
+            checked >= REQUIRED.len(),
+            "only {checked} result files found"
+        );
     }
 }

@@ -277,12 +277,10 @@ pub fn pct(x: f64) -> String {
 pub mod json;
 pub mod report;
 pub mod schema;
-pub mod stats;
 pub mod telemetry_export;
 
 pub use json::Json;
 pub use report::{Op, Report};
-pub use stats::{measure, LatencyStats};
 pub use telemetry_export::telemetry_json;
 
 /// Writes `content` to `results/<filename>` at the repository root

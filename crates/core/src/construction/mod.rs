@@ -27,7 +27,8 @@ mod exact;
 mod paper;
 mod random;
 mod redundant;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 mod static_degree;
 
 pub use cost_aware::CostAwareGreedy;
@@ -35,7 +36,6 @@ pub use exact::ExactCover;
 pub use paper::PaperGreedy;
 pub use random::RandomSelection;
 pub use redundant::RedundantGreedy;
-pub use reference::NaiveGreedy;
 pub use static_degree::StaticDegreeGreedy;
 
 use std::cmp::Reverse;
@@ -190,8 +190,8 @@ struct CoverCandidate<Id> {
 /// [e + 1]]`, avoiding one heap allocation per element) as elements get
 /// covered. The `candidate → elements` direction is the transpose of that
 /// index, built here in the same CSR form (no `Vec` per candidate).
-/// Identical output to the historical per-round rescan
-/// (see `reference::select_cover_naive`), in `O((cands + decays) log cands
+/// Identical output to the historical per-round rescans kept as the test
+/// oracle in `reference`, in `O((cands + decays) log cands
 /// + edges)` instead of `O(rounds × edges)`.
 ///
 /// Returns the chosen candidate ids (selection order) or the index of the
@@ -270,7 +270,7 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
 /// still-uncovered VMs; ties break toward the ToR with more OPS uplinks
 /// (the paper's "incoming and outgoing connections" weight), then the lower
 /// id. Runs on the incremental lazy-greedy engine; output is identical to
-/// [`reference::select_tors_greedy_naive`].
+/// the test-only rescan `reference::select_tors_greedy_naive`.
 pub(crate) fn select_tors_greedy(
     dc: &DataCenter,
     vms: &[VmId],
@@ -316,7 +316,7 @@ pub(crate) fn select_tors_greedy(
 /// OPSs: repeatedly pick the available OPS covering the most uncovered
 /// ToRs; ties break toward the OPS with more ToR links, then the lower id.
 /// Runs on the incremental lazy-greedy engine; output is identical to
-/// [`reference::select_ops_greedy_naive`].
+/// the test-only rescan `reference::select_ops_greedy_naive`.
 pub(crate) fn select_ops_greedy(
     dc: &DataCenter,
     tors: &[TorId],
@@ -478,8 +478,9 @@ fn join_component(
 // ----- batch (fleet) construction ----------------------------------------
 
 /// Constructs one abstraction layer per VM cluster against a shared OPS
-/// pool — the batch engine behind [`crate::ClusterManager::construct_all`]
-/// and the NFV orchestrator's bulk chain deployment.
+/// pool — the batch engine behind the NFV orchestrator's bulk chain
+/// deployment, whose layers [`crate::ClusterManager::adopt_or_create`]
+/// commits.
 ///
 /// Three phases:
 ///

@@ -1,17 +1,12 @@
-//! Reference rescan implementations of the greedy selection stages.
+//! Reference rescan implementations of the greedy selection stages,
+//! compiled for tests only.
 //!
 //! The production selectors in [`super`] run on the incremental lazy-greedy
 //! engine ([`alvc_graph::lazy_greedy`]). The per-round full rescans they
-//! replaced live here, byte-for-byte equivalent in output, serving two
-//! purposes:
-//!
-//! * **equivalence testing** — property tests assert the heap-based
-//!   selectors return identical results on random topologies;
-//! * **benchmarking** — the `e3_al_construction` experiment measures the
-//!   engine speedup against these baselines.
-//!
-//! The restarting connectivity augmentation that the one-pass
-//! `ensure_connected` replaced is kept here too, compiled for tests only.
+//! replaced live here, byte-for-byte equivalent in output, as the oracle
+//! the heap-based selectors are tested against on random topologies. The
+//! restarting connectivity augmentation that the one-pass
+//! `ensure_connected` replaced is kept here for the same reason.
 
 use std::collections::{HashMap, HashSet};
 
@@ -24,7 +19,7 @@ use crate::error::ConstructionError;
 /// Naive greedy ToR selection: per-round rescan of every candidate ToR.
 /// Same tie-break as `select_tors_greedy` — `(gain, OPS uplink
 /// count, Reverse(id))` — so the output is identical.
-pub fn select_tors_greedy_naive(
+pub(crate) fn select_tors_greedy_naive(
     dc: &DataCenter,
     vms: &[VmId],
 ) -> Result<Vec<TorId>, ConstructionError> {
@@ -94,7 +89,7 @@ pub fn select_tors_greedy_naive(
 /// Naive greedy OPS selection: per-round rescan of every available OPS.
 /// Same tie-break as `select_ops_greedy` — `(gain, ToR link count,
 /// Reverse(id))` — so the output is identical.
-pub fn select_ops_greedy_naive(
+pub(crate) fn select_ops_greedy_naive(
     dc: &DataCenter,
     tors: &[TorId],
     available: &OpsAvailability,
@@ -162,22 +157,21 @@ pub fn select_ops_greedy_naive(
 }
 
 /// [`super::PaperGreedy`]'s pipeline on the naive rescan selectors: the
-/// speedup baseline for the incremental engine, and the oracle for
-/// equivalence tests (`NaiveGreedy` and `PaperGreedy` must return identical
-/// layers on every input).
+/// oracle for equivalence tests (`NaiveGreedy` and `PaperGreedy` must
+/// return identical layers on every input).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NaiveGreedy {
+pub(crate) struct NaiveGreedy {
     skip_augmentation: bool,
 }
 
 impl NaiveGreedy {
     /// Creates the constructor with augmentation enabled.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NaiveGreedy::default()
     }
 
     /// Creates the constructor without the connectivity augmentation pass.
-    pub fn without_augmentation() -> Self {
+    pub(crate) fn without_augmentation() -> Self {
         NaiveGreedy {
             skip_augmentation: true,
         }
@@ -215,7 +209,6 @@ impl AlConstruct for NaiveGreedy {
 /// # Errors
 ///
 /// [`ConstructionError::Disconnected`] if no such path exists.
-#[cfg(test)]
 pub(crate) fn ensure_connected_restart(
     dc: &DataCenter,
     mut al: AbstractionLayer,
@@ -343,6 +336,37 @@ mod tests {
                 assert_eq!(heap, naive, "divergence at seed {seed}");
             }
         }
+    }
+
+    /// Rescan ≡ incremental on one whole-DC cluster at the 1k-VM shape
+    /// (16 racks × 16 servers × 4 VMs, 48 OPSs, degree 8, full-mesh core),
+    /// with and without augmentation: well past the racks the random
+    /// topologies above reach.
+    #[test]
+    fn heap_pipeline_equals_naive_pipeline_on_a_whole_dc_cluster() {
+        let dc = AlvcTopologyBuilder::new()
+            .racks(16)
+            .servers_per_rack(16)
+            .vms_per_server(4)
+            .ops_count(48)
+            .tor_ops_degree(8)
+            .opto_fraction(0.5)
+            .interconnect(OpsInterconnect::FullMesh)
+            .seed(23)
+            .build();
+        let vms: Vec<_> = dc.vm_ids().collect();
+        assert_eq!(vms.len(), 1024);
+        let all = OpsAvailability::all();
+        let bare = PaperGreedy::without_augmentation().construct(&dc, &vms, &all);
+        assert!(bare.is_ok());
+        assert_eq!(
+            bare,
+            NaiveGreedy::without_augmentation().construct(&dc, &vms, &all)
+        );
+        assert_eq!(
+            PaperGreedy::new().construct(&dc, &vms, &all),
+            NaiveGreedy::new().construct(&dc, &vms, &all)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use alvc_topology::{DataCenter, OpsId, TorId, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::abstraction_layer::AbstractionLayer;
-use crate::construction::{construct_layers, AlConstruct, OpsAvailability};
+use crate::construction::{AlConstruct, OpsAvailability};
 use crate::error::ConstructionError;
 use crate::label::LabelId;
 pub use crate::virtual_cluster::{ClusterSlice, VirtualCluster};
@@ -124,40 +124,6 @@ impl ClusterManager {
         Ok(self.register_cluster(label.into(), vms, al))
     }
 
-    /// Builds abstraction layers for a whole batch of cluster requests at
-    /// once via [`construct_layers`]: the OPS pool is partitioned across
-    /// the requests, each request is built against its share, and
-    /// conflicts are resolved in request order. Successful requests are
-    /// registered as clusters claiming their OPSs; failures are returned
-    /// per-request without touching state. Pre-interned [`LabelId`]s are
-    /// the zero-allocation form for hot batch paths.
-    ///
-    /// Deterministic, and the registered clusters are OPS-disjoint, but
-    /// the resulting layers may differ from calling
-    /// [`ClusterManager::create_cluster`] one request at a time (see
-    /// [`construct_layers`]).
-    pub fn construct_all<L: Into<LabelId>>(
-        &mut self,
-        dc: &DataCenter,
-        requests: Vec<(L, Vec<VmId>)>,
-        constructor: &(dyn AlConstruct + Sync),
-    ) -> Vec<Result<ClusterId, ConstructionError>> {
-        let (labels, clusters): (Vec<LabelId>, Vec<Vec<VmId>>) = requests
-            .into_iter()
-            .map(|(label, mut vms)| {
-                vms.sort();
-                vms.dedup();
-                (label.into(), vms)
-            })
-            .unzip();
-        let layers = construct_layers(dc, &clusters, constructor, &self.availability);
-        layers
-            .into_iter()
-            .zip(labels.into_iter().zip(clusters))
-            .map(|(layer, (label, vms))| layer.map(|al| self.register_cluster(label, vms, al)))
-            .collect()
-    }
-
     /// Registers an already-constructed cluster, claiming its OPSs. The
     /// caller must guarantee the layer's OPSs are currently available
     /// (checked in debug builds).
@@ -189,7 +155,8 @@ impl ClusterManager {
     }
 
     /// The commit half of an optimistic construct-then-adopt pipeline
-    /// (layers built in bulk with [`construct_layers`]): registers `vms`
+    /// (layers built in bulk with
+    /// [`construct_layers`](crate::construct_layers)): registers `vms`
     /// with the pre-built `layer` if there is one, it is valid for them and
     /// all of its OPSs are still available, otherwise — falling back on
     /// [`ClusterManager::create_cluster`], so the VM list need not be
@@ -807,7 +774,7 @@ mod tests {
 #[cfg(test)]
 mod batch_tests {
     use super::*;
-    use crate::construction::PaperGreedy;
+    use crate::construction::{construct_layers, PaperGreedy};
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
 
     fn dc() -> DataCenter {
@@ -842,48 +809,6 @@ mod batch_tests {
             .enumerate()
             .map(|(i, c)| (batch_label(i), c.to_vec()))
             .collect()
-    }
-
-    #[test]
-    fn construct_all_registers_disjoint_clusters() {
-        let dc = dc();
-        let mut mgr = ClusterManager::new();
-        let results = mgr.construct_all(&dc, requests(&dc, 8), &PaperGreedy::new());
-        assert_eq!(results.len(), 6);
-        for res in &results {
-            let id = res.as_ref().expect("24 OPSs fit 6 small ALs");
-            let vc = mgr.cluster(*id).unwrap();
-            assert!(vc.al().validate(&dc, vc.vms()).is_ok());
-        }
-        assert!(mgr.verify_disjoint());
-        assert_eq!(mgr.cluster_count(), 6);
-        assert_eq!(mgr.availability().blocked_count(), mgr.owned_ops_count());
-    }
-
-    #[test]
-    fn construct_all_is_deterministic() {
-        let dc = dc();
-        let mut a = ClusterManager::new();
-        let mut b = ClusterManager::new();
-        let ra = a.construct_all(&dc, requests(&dc, 10), &PaperGreedy::new());
-        let rb = b.construct_all(&dc, requests(&dc, 10), &PaperGreedy::new());
-        assert_eq!(ra, rb);
-        let als_a: Vec<_> = a.clusters().map(|vc| vc.al().clone()).collect();
-        let als_b: Vec<_> = b.clusters().map(|vc| vc.al().clone()).collect();
-        assert_eq!(als_a, als_b);
-    }
-
-    #[test]
-    fn construct_all_reports_failures_without_state() {
-        let dc = dc();
-        let mut mgr = ClusterManager::new();
-        let mut reqs = requests(&dc, 12);
-        reqs.insert(1, ("empty".into(), vec![]));
-        let results = mgr.construct_all(&dc, reqs, &PaperGreedy::new());
-        assert_eq!(results[1], Err(ConstructionError::EmptyCluster));
-        assert!(results.iter().filter(|r| r.is_ok()).count() >= 1);
-        assert!(mgr.verify_disjoint());
-        assert!(mgr.cluster_by_label("empty").is_none());
     }
 
     /// A constructor that never builds: an `adopt_or_create` returning
@@ -934,14 +859,23 @@ mod batch_tests {
         assert_eq!(fresh.availability().blocked_count(), 0);
     }
 
+    /// The orchestrator's bulk path: layers from [`construct_layers`]
+    /// adopted one by one, then serial creations on the remaining pool.
     #[test]
     fn batch_then_incremental_interoperate() {
         let dc = dc();
         let mut mgr = ClusterManager::new();
         let mut reqs = requests(&dc, 8);
         let last = reqs.split_off(4);
-        let batch = mgr.construct_all(&dc, reqs, &PaperGreedy::new());
-        assert!(batch.iter().all(Result::is_ok));
+        let clusters: Vec<Vec<VmId>> = reqs.iter().map(|(_, vms)| vms.clone()).collect();
+        let layers = construct_layers(&dc, &clusters, &PaperGreedy::new(), mgr.availability());
+        for ((label, vms), layer) in reqs.into_iter().zip(layers) {
+            let layer = layer.expect("24 OPSs fit 4 small ALs");
+            let id = mgr
+                .adopt_or_create(&dc, label, vms, Some(layer.clone()), &NeverBuilds)
+                .expect("a conflict-free batch layer adopts");
+            assert_eq!(mgr.cluster(id).unwrap().al(), &layer);
+        }
         for (label, vms) in last {
             if let Ok(id) = mgr.create_cluster(&dc, label, vms, &PaperGreedy::new()) {
                 let vc = mgr.cluster(id).unwrap();
@@ -949,6 +883,7 @@ mod batch_tests {
             }
         }
         assert!(mgr.verify_disjoint());
+        assert_eq!(mgr.availability().blocked_count(), mgr.owned_ops_count());
     }
 }
 

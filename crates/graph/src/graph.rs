@@ -426,18 +426,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let (g, _) = triangle();
-        let json = serde_json_like(&g);
-        assert!(json.contains("nodes"));
-    }
-
-    // serde_json is not a dependency; exercise Serialize via the compact
-    // `serde` test writer instead: here we simply ensure the types implement
-    // Serialize by formatting through a no-op serializer substitute.
-    fn serde_json_like<T: serde::Serialize>(_t: &T) -> String {
-        // Compile-time check only.
-        "nodes".to_string()
+    fn graph_types_implement_serde() {
+        // serde_json is not a dependency: the bound itself is the check.
+        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
+        assert_serde::<Graph<u32, f64>>();
+        assert_serde::<NodeId>();
+        assert_serde::<EdgeId>();
     }
 
     #[test]

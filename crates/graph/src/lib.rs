@@ -9,35 +9,29 @@
 //! * [`Graph`] — an undirected adjacency-list graph with typed node and edge
 //!   weights, stable integer ids, and O(1) amortized insertion.
 //! * [`DiGraph`] — a directed variant used for NFC forwarding graphs.
-//! * [`Bipartite`] — a two-sided graph used for VM↔ToR and ToR↔OPS
-//!   connectivity, with conversions to covering instances.
-//! * [`matching`] — Hopcroft–Karp maximum bipartite matching.
-//! * [`cover`] — minimum vertex cover via König's theorem (exact, bipartite),
-//!   greedy vertex cover, and greedy / branch-and-bound set cover.
+//! * [`cover`] — greedy weighted and exact branch-and-bound set cover.
 //! * [`lazy_greedy`] — the heap-backed incremental selection engine behind
 //!   every greedy cover (lazy deletion of stale entries).
-//! * [`traversal`] — BFS/DFS orders, connected components, reachability.
+//! * [`traversal`] — BFS orders, connected components, reachability.
 //! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
 //! * [`slice`](mod@slice) — a node subset indexed once as a dense CSR subgraph.
 //!
 //! # Example
 //!
-//! Build a bipartite graph and compute an exact minimum vertex cover:
+//! Select the OPSs that cover a cluster's ToRs, greedily and exactly:
 //!
 //! ```
-//! use alvc_graph::{Bipartite, cover};
+//! use alvc_graph::SetCoverInstance;
 //!
-//! // Three left nodes (machines), two right nodes (switches).
-//! let mut b = Bipartite::new();
-//! let machines: Vec<_> = (0..3).map(|i| b.add_left(i)).collect();
-//! let switches: Vec<_> = (0..2).map(|i| b.add_right(i)).collect();
-//! b.add_edge(machines[0], switches[0], ());
-//! b.add_edge(machines[1], switches[0], ());
-//! b.add_edge(machines[2], switches[1], ());
+//! // Four ToRs (the universe); each OPS covers the ToRs it links to.
+//! let ops = vec![vec![0, 1], vec![2], vec![3], vec![2, 3]];
+//! let inst = SetCoverInstance::new(4, ops);
 //!
-//! let cover = cover::konig_vertex_cover(&b);
-//! // Covering both switches covers every edge.
-//! assert_eq!(cover.size(), 2);
+//! let greedy = inst.greedy_weighted(&[1.0; 4]).unwrap();
+//! let exact = inst.branch_and_bound().unwrap().unwrap();
+//! assert!(inst.is_cover(&greedy));
+//! assert_eq!(greedy, vec![0, 3]);
+//! assert_eq!(exact.len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,22 +40,18 @@
 // process's stdout/stderr (enforced under cargo clippy).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod bipartite;
 pub mod cover;
 pub mod digraph;
 pub mod error;
 pub mod graph;
 pub mod lazy_greedy;
-pub mod matching;
 pub mod shortest_path;
 pub mod slice;
 pub mod traversal;
 
-pub use bipartite::{Bipartite, BipartiteCsr, LeftId, RightId};
-pub use cover::{SetCoverInstance, VertexCover};
+pub use cover::SetCoverInstance;
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use lazy_greedy::{LazySelector, SelectorStats, TotalF64};
-pub use matching::Matching;
 pub use slice::{SliceGraph, SliceLink};

@@ -1,4 +1,4 @@
-//! Breadth-first / depth-first traversal and connectivity queries.
+//! Breadth-first traversal and connectivity queries.
 
 use crate::graph::{Graph, NodeId};
 
@@ -33,34 +33,6 @@ pub fn bfs_order<N, E>(graph: &Graph<N, E>, start: NodeId) -> Vec<NodeId> {
             if !visited[v.0] {
                 visited[v.0] = true;
                 queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Returns the nodes reachable from `start` in DFS preorder.
-///
-/// # Panics
-///
-/// Panics if `start` is not a node of `graph`.
-pub fn dfs_order<N, E>(graph: &Graph<N, E>, start: NodeId) -> Vec<NodeId> {
-    assert!(start.0 < graph.node_count(), "start node out of range");
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u.0] {
-            continue;
-        }
-        visited[u.0] = true;
-        order.push(u);
-        // Push neighbors in reverse so lower-indexed neighbors come first.
-        let mut nbrs: Vec<_> = graph.neighbors(u).collect();
-        nbrs.reverse();
-        for v in nbrs {
-            if !visited[v.0] {
-                stack.push(v);
             }
         }
     }
@@ -158,14 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn dfs_visits_whole_component() {
-        let (g, [a, b, c, _]) = path_plus_isolated();
-        let order = dfs_order(&g, a);
-        assert_eq!(order.len(), 3);
-        assert!(order.contains(&b) && order.contains(&c));
-    }
-
-    #[test]
     fn components_counted() {
         let (g, [a, _, _, d]) = path_plus_isolated();
         let (labels, count) = connected_components(&g);
@@ -219,174 +183,5 @@ mod tests {
         }
         assert_eq!(bfs_order(&g, ids[0]).len(), 5);
         assert!(is_connected(&g));
-    }
-}
-
-/// Computes the articulation points (cut vertices) of the graph: nodes
-/// whose removal increases the number of connected components. Iterative
-/// Tarjan lowlink computation, O(V + E).
-///
-/// The AL-VC layers use this to find switches that are single points of
-/// failure for slice connectivity.
-pub fn articulation_points<N, E>(graph: &Graph<N, E>) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![usize::MAX; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut is_cut = vec![false; n];
-    let mut timer = 0usize;
-
-    for root in 0..n {
-        if disc[root] != usize::MAX {
-            continue;
-        }
-        // Iterative DFS; each frame tracks the neighbor cursor.
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        let mut root_children = 0usize;
-        disc[root] = timer;
-        low[root] = timer;
-        timer += 1;
-        while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
-            let neighbors: Vec<usize> = graph.neighbors(NodeId(u)).map(|v| v.index()).collect();
-            if *cursor < neighbors.len() {
-                let v = neighbors[*cursor];
-                *cursor += 1;
-                if disc[v] == usize::MAX {
-                    parent[v] = u;
-                    if u == root {
-                        root_children += 1;
-                    }
-                    disc[v] = timer;
-                    low[v] = timer;
-                    timer += 1;
-                    stack.push((v, 0));
-                } else if v != parent[u] {
-                    low[u] = low[u].min(disc[v]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _)) = stack.last() {
-                    low[p] = low[p].min(low[u]);
-                    if p != root && low[u] >= disc[p] {
-                        is_cut[p] = true;
-                    }
-                }
-            }
-        }
-        if root_children > 1 {
-            is_cut[root] = true;
-        }
-    }
-    (0..n).filter(|&i| is_cut[i]).map(NodeId).collect()
-}
-
-#[cfg(test)]
-mod articulation_tests {
-    use super::*;
-
-    fn graph_of(n: usize, edges: &[(usize, usize)]) -> Graph<(), ()> {
-        let mut g = Graph::new();
-        for _ in 0..n {
-            g.add_node(());
-        }
-        for &(a, b) in edges {
-            g.add_edge(NodeId(a), NodeId(b), ());
-        }
-        g
-    }
-
-    #[test]
-    fn path_interior_nodes_are_cuts() {
-        let g = graph_of(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(articulation_points(&g), vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn cycle_has_no_cuts() {
-        let g = graph_of(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert!(articulation_points(&g).is_empty());
-    }
-
-    #[test]
-    fn star_center_is_a_cut() {
-        let g = graph_of(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(articulation_points(&g), vec![NodeId(0)]);
-    }
-
-    #[test]
-    fn bridge_between_cycles() {
-        // Two triangles joined at node 2–3 bridge: 2 and 3 are cuts.
-        let g = graph_of(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]);
-        let mut cuts = articulation_points(&g);
-        cuts.sort();
-        assert_eq!(cuts, vec![NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn disconnected_components_handled() {
-        // Component A: path 0-1-2 (1 is a cut); component B: edge 3-4.
-        let g = graph_of(5, &[(0, 1), (1, 2), (3, 4)]);
-        assert_eq!(articulation_points(&g), vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let g: Graph<(), ()> = Graph::new();
-        assert!(articulation_points(&g).is_empty());
-        let g = graph_of(1, &[]);
-        assert!(articulation_points(&g).is_empty());
-    }
-
-    #[test]
-    fn agrees_with_brute_force_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..30 {
-            let n = rng.random_range(2..10usize);
-            let m = rng.random_range(0..20usize);
-            let edges: Vec<(usize, usize)> = (0..m)
-                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
-                .filter(|&(a, b)| a != b)
-                .collect();
-            let g = graph_of(n, &edges);
-            let fast: std::collections::HashSet<_> = articulation_points(&g).into_iter().collect();
-            // Brute force: removing v increases component count among the
-            // remaining nodes.
-            let (_, base) = connected_components(&g);
-            for v in 0..n {
-                let others: Vec<NodeId> = (0..n).filter(|&i| i != v).map(NodeId).collect();
-                // Count components of the graph minus v.
-                let mut seen = vec![false; n];
-                seen[v] = true;
-                let mut comps = 0;
-                for &s in &others {
-                    if seen[s.index()] {
-                        continue;
-                    }
-                    comps += 1;
-                    let mut queue = std::collections::VecDeque::from([s]);
-                    seen[s.index()] = true;
-                    while let Some(u) = queue.pop_front() {
-                        for w in g.neighbors(u) {
-                            if !seen[w.index()] {
-                                seen[w.index()] = true;
-                                queue.push_back(w);
-                            }
-                        }
-                    }
-                }
-                // v isolated contributes no component of its own; compare
-                // against base adjusted for v being its own component.
-                let v_isolated = g.degree(NodeId(v)) == 0;
-                let base_without_v = if v_isolated { base - 1 } else { base };
-                let brute_cut = comps > base_without_v;
-                assert_eq!(
-                    fast.contains(&NodeId(v)),
-                    brute_cut,
-                    "node {v} in graph {edges:?}"
-                );
-            }
-        }
     }
 }

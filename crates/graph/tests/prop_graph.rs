@@ -1,33 +1,10 @@
 //! Property-based tests for the graph substrate.
 
-use alvc_graph::cover::{greedy_vertex_cover, konig_vertex_cover, SetCoverInstance};
-use alvc_graph::matching::hopcroft_karp;
+use alvc_graph::cover::SetCoverInstance;
 use alvc_graph::shortest_path::{bfs_distances, dijkstra};
 use alvc_graph::traversal::{bfs_order, connected_components, is_connected};
-use alvc_graph::{Bipartite, Graph, LeftId, NodeId, RightId};
+use alvc_graph::{Graph, NodeId};
 use proptest::prelude::*;
-
-/// Strategy: a random bipartite graph as (n_left, n_right, edges).
-fn bipartite_strategy() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize)>)> {
-    (1usize..12, 1usize..12).prop_flat_map(|(nl, nr)| {
-        let edges = proptest::collection::vec((0..nl, 0..nr), 0..40);
-        (Just(nl), Just(nr), edges)
-    })
-}
-
-fn build_bipartite(nl: usize, nr: usize, edges: &[(usize, usize)]) -> Bipartite<(), (), ()> {
-    let mut b = Bipartite::new();
-    for _ in 0..nl {
-        b.add_left(());
-    }
-    for _ in 0..nr {
-        b.add_right(());
-    }
-    for &(l, r) in edges {
-        b.add_edge(LeftId(l), RightId(r), ());
-    }
-    b
-}
 
 /// Strategy: a random undirected graph as (n, edges).
 fn graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u64)>)> {
@@ -49,46 +26,6 @@ fn build_graph(n: usize, edges: &[(usize, usize, u64)]) -> Graph<(), u64> {
 }
 
 proptest! {
-    /// König's theorem: the cover is valid and |cover| == |max matching|.
-    #[test]
-    fn konig_cover_is_valid_and_optimal((nl, nr, edges) in bipartite_strategy()) {
-        let b = build_bipartite(nl, nr, &edges);
-        let m = hopcroft_karp(&b);
-        let c = konig_vertex_cover(&b);
-        prop_assert!(c.covers(&b));
-        prop_assert_eq!(c.size(), m.size());
-    }
-
-    /// Greedy cover is valid and never smaller than the optimum.
-    #[test]
-    fn greedy_cover_valid_and_at_least_optimal((nl, nr, edges) in bipartite_strategy()) {
-        let b = build_bipartite(nl, nr, &edges);
-        let greedy = greedy_vertex_cover(&b);
-        let exact = konig_vertex_cover(&b);
-        prop_assert!(greedy.covers(&b));
-        prop_assert!(greedy.size() >= exact.size());
-        // Max-degree greedy vertex cover is a ln-factor approximation; on
-        // these small instances it stays within 2x of optimal.
-        prop_assert!(greedy.size() <= exact.size() * 2 + 1);
-    }
-
-    /// The matching returned is a matching: each node used at most once,
-    /// each pair is an edge.
-    #[test]
-    fn matching_is_consistent((nl, nr, edges) in bipartite_strategy()) {
-        let b = build_bipartite(nl, nr, &edges);
-        let m = hopcroft_karp(&b);
-        let mut left_used = vec![false; nl];
-        let mut right_used = vec![false; nr];
-        for (l, r) in m.pairs() {
-            prop_assert!(b.contains_edge(l, r));
-            prop_assert!(!left_used[l.index()]);
-            prop_assert!(!right_used[r.index()]);
-            left_used[l.index()] = true;
-            right_used[r.index()] = true;
-        }
-    }
-
     /// Dijkstra with unit weights agrees with BFS hop distances.
     #[test]
     fn dijkstra_unit_weight_equals_bfs((n, edges) in graph_strategy()) {
@@ -155,7 +92,7 @@ proptest! {
             .map(|s| s.into_iter().map(|e| e % universe).collect())
             .collect();
         let inst = SetCoverInstance::new(universe, sets);
-        match (inst.greedy(), inst.branch_and_bound().unwrap()) {
+        match (inst.greedy_weighted(&vec![1.0; inst.set_count()]), inst.branch_and_bound().unwrap()) {
             (Some(g), Some(e)) => {
                 prop_assert!(inst.is_cover(&g));
                 prop_assert!(inst.is_cover(&e));

@@ -1,18 +1,12 @@
 //! Equivalence properties for the incremental lazy-greedy engine.
 //!
-//! The heap-based implementations (`greedy`, `greedy_weighted`,
-//! `greedy_vertex_cover`) encode the historical rescan tie-breaks in their
-//! heap keys, so on every instance they must produce *exactly* the same
-//! output as the `*_naive` reference rescans — same sets, same order — not
-//! merely a cover of the same size. The documented tie-breaks:
-//!
-//! * unweighted set cover: highest gain, then lowest set index;
-//! * weighted set cover: lowest `weight/gain` density, then lowest index;
-//! * vertex cover: highest degree, right side beats left on cross-side
-//!   ties, highest index within a side.
+//! The heap-based `greedy_weighted` encodes the historical rescan
+//! tie-break in its heap key (lowest `weight/gain` density, then lowest set
+//! index), so on every instance it must produce *exactly* the same output
+//! as the `greedy_weighted_naive` reference rescan — same sets, same order —
+//! not merely a cover of the same size.
 
-use alvc_graph::cover::{greedy_vertex_cover, greedy_vertex_cover_naive, SetCoverInstance};
-use alvc_graph::{Bipartite, LeftId, RightId};
+use alvc_graph::cover::SetCoverInstance;
 use proptest::prelude::*;
 
 /// Strategy: a random set-cover instance as (universe_size, sets). Sets may
@@ -25,43 +19,7 @@ fn set_cover_strategy() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
     })
 }
 
-fn bipartite_strategy() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize)>)> {
-    (1usize..14, 1usize..14).prop_flat_map(|(nl, nr)| {
-        let edges = proptest::collection::vec((0..nl, 0..nr), 0..50);
-        (Just(nl), Just(nr), edges)
-    })
-}
-
-fn build_bipartite(nl: usize, nr: usize, edges: &[(usize, usize)]) -> Bipartite<(), (), ()> {
-    let mut b = Bipartite::new();
-    for _ in 0..nl {
-        b.add_left(());
-    }
-    for _ in 0..nr {
-        b.add_right(());
-    }
-    for &(l, r) in edges {
-        b.add_edge(LeftId(l), RightId(r), ());
-    }
-    b
-}
-
 proptest! {
-    /// Heap-based greedy set cover selects the identical sets in the
-    /// identical order as the naive rescan (or identically returns `None`).
-    #[test]
-    fn heap_set_cover_equals_naive((u, sets) in set_cover_strategy()) {
-        let inst = SetCoverInstance::new(u, sets);
-        let heap = inst.greedy();
-        let naive = inst.greedy_naive();
-        prop_assert_eq!(&heap, &naive);
-        if let Some(chosen) = heap {
-            prop_assert!(inst.is_cover(&chosen));
-        } else {
-            prop_assert!(!inst.is_coverable());
-        }
-    }
-
     /// Heap-based weighted greedy equals the naive rescan on random
     /// positive finite weights: identical choices, identical order.
     #[test]
@@ -80,17 +38,11 @@ proptest! {
             .collect();
         let heap = inst.greedy_weighted(&weights);
         let naive = inst.greedy_weighted_naive(&weights);
-        prop_assert_eq!(heap, naive);
-    }
-
-    /// Heap-based greedy vertex cover equals the naive rescan: same
-    /// vertices on each side, same selection order.
-    #[test]
-    fn heap_vertex_cover_equals_naive((nl, nr, edges) in bipartite_strategy()) {
-        let b = build_bipartite(nl, nr, &edges);
-        let heap = greedy_vertex_cover(&b);
-        let naive = greedy_vertex_cover_naive(&b);
         prop_assert_eq!(&heap, &naive);
-        prop_assert!(heap.covers(&b));
+        if let Some(chosen) = heap {
+            prop_assert!(inst.is_cover(&chosen));
+        } else {
+            prop_assert!(!inst.is_coverable());
+        }
     }
 }

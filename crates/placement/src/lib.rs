@@ -22,10 +22,10 @@
 //!   [`alvc_nfv::PlacementError::RuleUnsatisfiable`] when a rule empties a
 //!   candidate set.
 //!
-//! The [`PlacementPolicy`] trait layers a multi-resource
-//! [`PlacementScore`] (O/E/O conversions, AL spill, server makespan,
-//! converted bandwidth) over every strategy, and [`refine::refine`] runs a
-//! bounded local search that descends on that score and reports the
+//! [`score_assignment`] prices any strategy's assignment with a
+//! multi-resource [`PlacementScore`] (O/E/O conversions, AL spill, server
+//! makespan, converted bandwidth), and [`refine::refine`] runs a bounded
+//! local search that descends on that score and reports the
 //! greedy-vs-refined optimality gap.
 //!
 //! [`estimate::estimated_oeo`] predicts a host assignment's conversion
@@ -48,5 +48,5 @@ pub mod refine;
 pub use constrained::ConstraintAwarePlacer;
 pub use cost_driven::CostDrivenPlacer;
 pub use optical_first::OpticalFirstPlacer;
-pub use policy::{score_assignment, PlacementPolicy, PlacementScore};
+pub use policy::{score_assignment, PlacementScore};
 pub use refine::{refine, RefineConfig, RefineOutcome};

@@ -1,8 +1,7 @@
-//! The [`PlacementPolicy`] trait: multi-resource scored placement layered
-//! over [`VnfPlacer`].
+//! Multi-resource scoring of a placement.
 //!
-//! Every placement strategy produces a host per VNF; a *policy*
-//! additionally prices the whole assignment with a [`PlacementScore`] over
+//! Every placement strategy produces a host per VNF; [`score_assignment`]
+//! prices the whole assignment with a [`PlacementScore`] over
 //! four resource dimensions — O/E/O conversions, AL spill (light VNFs that
 //! leaked into the electronic domain), electronic CPU makespan, and the
 //! bandwidth dragged through O/E/O dips. One scalar [`PlacementScore::cost`]
@@ -11,15 +10,10 @@
 
 use std::collections::HashMap;
 
-use alvc_nfv::{
-    ChainSpec, ElectronicOnlyPlacer, HostLocation, PlacementContext, PlacementError, VnfPlacer,
-};
+use alvc_nfv::{ChainSpec, HostLocation, PlacementContext};
 use alvc_topology::{Domain, OpsId, ServerId};
 
-use crate::constrained::ConstraintAwarePlacer;
-use crate::cost_driven::CostDrivenPlacer;
 use crate::estimate::estimated_oeo;
-use crate::optical_first::OpticalFirstPlacer;
 
 /// Cost weight of one O/E/O conversion (the paper's headline metric).
 pub const W_OEO: f64 = 10.0;
@@ -60,7 +54,7 @@ impl PlacementScore {
 }
 
 /// Scores `hosts` (one per VNF of `chain`) against `ctx`: the shared
-/// multi-resource scoring function every [`PlacementPolicy`] defaults to.
+/// multi-resource scoring function, whatever strategy produced `hosts`.
 pub fn score_assignment(
     ctx: &PlacementContext<'_>,
     chain: &ChainSpec,
@@ -98,45 +92,6 @@ pub fn score_assignment(
         oeo_bandwidth_gbps: 2.0 * oeo as f64 * chain.bandwidth_gbps,
     }
 }
-
-/// A placement strategy that also prices its assignments: the scored
-/// surface over [`VnfPlacer`].
-///
-/// The default methods delegate to [`score_assignment`], so implementing
-/// the policy for an existing placer is a one-line opt-in; strategies with
-/// a private cost model can override [`PlacementPolicy::score`].
-pub trait PlacementPolicy: VnfPlacer {
-    /// Prices an assignment produced by any strategy under this policy's
-    /// cost model.
-    fn score(
-        &self,
-        ctx: &PlacementContext<'_>,
-        chain: &ChainSpec,
-        hosts: &[HostLocation],
-    ) -> PlacementScore {
-        score_assignment(ctx, chain, hosts)
-    }
-
-    /// Places the chain and prices the result in one call.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`VnfPlacer::place`] returns.
-    fn place_scored(
-        &self,
-        ctx: &PlacementContext<'_>,
-        chain: &ChainSpec,
-    ) -> Result<(Vec<HostLocation>, PlacementScore), PlacementError> {
-        let hosts = self.place(ctx, chain)?;
-        let score = self.score(ctx, chain, &hosts);
-        Ok((hosts, score))
-    }
-}
-
-impl PlacementPolicy for OpticalFirstPlacer {}
-impl PlacementPolicy for CostDrivenPlacer {}
-impl PlacementPolicy for ElectronicOnlyPlacer {}
-impl PlacementPolicy for ConstraintAwarePlacer {}
 
 /// Checks opto-router capacity for a whole assignment at once: the demand
 /// the assignment adds to each router must fit on top of the context's

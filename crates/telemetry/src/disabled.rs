@@ -1,8 +1,6 @@
 //! No-op twins of the probe API, compiled when the `telemetry` feature is
 //! off. Every type is a zero-sized struct and every method an empty inline
-//! function, so instrumented call sites optimize away entirely (the bench
-//! guard in `results/BENCH_telemetry_overhead.json` holds this to ≤2% on
-//! the e3 kernel).
+//! function, so instrumented call sites optimize away entirely.
 
 use crate::snapshot::Snapshot;
 use crate::types::{Event, FieldValue};

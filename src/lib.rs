@@ -54,8 +54,8 @@ pub mod prelude {
     };
     pub use alvc_optical::OeoCostModel;
     pub use alvc_placement::{
-        refine, ConstraintAwarePlacer, OpticalFirstPlacer, PlacementPolicy, PlacementScore,
-        RefineConfig, RefineOutcome,
+        refine, ConstraintAwarePlacer, OpticalFirstPlacer, PlacementScore, RefineConfig,
+        RefineOutcome,
     };
     pub use alvc_topology::{
         AlvcTopologyBuilder, DataCenter, Element, OpsInterconnect, PowerState, ServiceMix,
