@@ -1,7 +1,7 @@
 //! The abstraction layer type and its validation.
 
 use alvc_graph::NodeId;
-use alvc_topology::{DataCenter, OpsId, PhysNode, TorId, VmId};
+use alvc_topology::{DataCenter, Element, OpsId, TorId, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::error::AlValidationError;
@@ -34,28 +34,43 @@ impl<'a> SwitchIndex<'a> {
     }
 
     /// Slots of the switches adjacent to `slot`, in adjacency order. A
-    /// ToR's switch neighbours are exactly its uplinks, in link order, so
-    /// they come from the incidence; an OPS's ToRs and core links are
-    /// interleaved in its adjacency list, which is walked.
+    /// ToR's switch neighbours are exactly its uplinks, in link order; an
+    /// OPS's are its ToRs and core links interleaved in link order. The
+    /// data center keeps both lists, so the graph is not walked.
     pub(crate) fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + 'a {
         let (tor_count, dc) = (self.tor_count, self.dc);
-        let graph = dc.graph();
-        let (uplinks, core) = match self.ops_at(slot) {
-            None => (dc.uplinks_of_tor(TorId(slot)), None),
-            Some(ops) => (&[][..], Some(graph.neighbors(dc.node_of_ops(ops)))),
-        };
-        let core = core
-            .into_iter()
-            .flatten()
-            .filter_map(move |n| match graph.node_weight(n) {
-                Some(PhysNode::Tor(tor)) => Some(tor.index()),
-                Some(PhysNode::Ops { id, .. }) => Some(tor_count + id.index()),
-                _ => None,
-            });
-        uplinks
-            .iter()
-            .map(move |o| tor_count + o.index())
-            .chain(core)
+        match self.ops_at(slot) {
+            None => Neighbors::Uplinks(dc.uplinks_of_tor(TorId(slot)).iter(), tor_count),
+            Some(ops) => Neighbors::Switches(dc.switches_of_ops(ops), tor_count),
+        }
+    }
+}
+
+/// [`SwitchIndex::neighbors`]: one arm per slot kind, each with the slot's
+/// `tor_count` offset. A plain two-variant iterator, because chaining the
+/// two lists cost a state check per neighbour on walks that make a
+/// million visits.
+enum Neighbors<'a, S> {
+    Uplinks(std::slice::Iter<'a, OpsId>, usize),
+    Switches(S, usize),
+}
+
+impl<S: Iterator<Item = Element>> Iterator for Neighbors<'_, S> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Neighbors::Uplinks(uplinks, tor_count) => {
+                uplinks.next().map(|o| *tor_count + o.index())
+            }
+            Neighbors::Switches(switches, tor_count) => {
+                switches.next().map(|switch| match switch {
+                    Element::Tor(tor) => tor.index(),
+                    Element::Ops(ops) => *tor_count + ops.index(),
+                    Element::Server(_) => unreachable!("an OPS links only to switches"),
+                })
+            }
+        }
     }
 }
 
@@ -253,17 +268,18 @@ impl AbstractionLayer {
             .collect()
     }
 
-    /// Full validation: OPS existence, VM coverage, ToR coverage, and
-    /// connectivity.
+    /// Full validation: ToR and OPS existence, VM coverage, ToR coverage,
+    /// and connectivity.
     ///
     /// # Errors
     ///
     /// Returns the first violated property.
     pub fn validate(&self, dc: &DataCenter, vms: &[VmId]) -> Result<(), AlValidationError> {
-        for &o in &self.ops {
-            if o.index() >= dc.ops_count() {
-                return Err(AlValidationError::UnknownOps(o));
-            }
+        if let Some(&t) = self.tors.iter().find(|t| t.index() >= dc.tor_count()) {
+            return Err(AlValidationError::UnknownTor(t));
+        }
+        if let Some(&o) = self.ops.iter().find(|o| o.index() >= dc.ops_count()) {
+            return Err(AlValidationError::UnknownOps(o));
         }
         self.covers_vms(dc, vms)?;
         self.covers_tors(dc)?;
@@ -362,6 +378,12 @@ mod tests {
         assert_eq!(
             al.validate(&dc, &[]),
             Err(AlValidationError::UnknownOps(OpsId(42)))
+        );
+        // An unknown ToR is an error too, not an out-of-bounds panic.
+        let al = AbstractionLayer::new(vec![TorId(0), TorId(7)], vec![OpsId(1)]);
+        assert_eq!(
+            al.validate(&dc, &[]),
+            Err(AlValidationError::UnknownTor(TorId(7)))
         );
     }
 
@@ -468,7 +490,7 @@ mod survivability_tests {
 mod incidence_tests {
     use super::*;
     use alvc_topology::generators::{leaf_spine, LeafSpineParams};
-    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
+    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, PhysNode};
     use proptest::prelude::*;
 
     /// The graph walk `DataCenter::ops_of_tor` did before the data center
@@ -492,6 +514,21 @@ mod incidence_tests {
             .neighbors(dc.node_of_ops(ops))
             .filter_map(|n| match graph.node_weight(n) {
                 Some(PhysNode::Tor(id)) => Some(*id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The graph walk `SwitchIndex::neighbors` did for an OPS slot before
+    /// the data center kept its switch list: the ToRs and OPSs in `ops`'
+    /// adjacency list.
+    fn switches_of_ops_by_adjacency(dc: &DataCenter, ops: OpsId) -> Vec<Element> {
+        let graph = dc.graph();
+        graph
+            .neighbors(dc.node_of_ops(ops))
+            .filter_map(|n| match graph.node_weight(n) {
+                Some(PhysNode::Tor(id)) => Some(Element::Tor(*id)),
+                Some(PhysNode::Ops { id, .. }) => Some(Element::Ops(*id)),
                 _ => None,
             })
             .collect()
@@ -544,9 +581,10 @@ mod incidence_tests {
 
         /// The incidence the data center keeps is its graph: after
         /// generation and a round of repeated and fresh `connect_tor_ops`
-        /// calls, `ops_of_tor`, `uplinks_of_tor`, `tors_of_ops` and a ToR
-        /// slot's `SwitchIndex::neighbors` each equal the adjacency filter,
-        /// element for element and in order, and no uplink is listed twice.
+        /// and `connect_ops_ops` calls, `ops_of_tor`, `uplinks_of_tor`,
+        /// `tors_of_ops`, `switches_of_ops` and every slot's
+        /// `SwitchIndex::neighbors` each equal the adjacency filter, element
+        /// for element and in order, and no link is listed twice.
         #[test]
         fn incidence_equals_the_adjacency_filter(
             dc in topology_strategy(),
@@ -562,6 +600,20 @@ mod incidence_tests {
                 let ops = OpsId((tor.index() * 7 + extra) % dc.ops_count());
                 dc.connect_tor_ops(tor, ops);
                 dc.connect_tor_ops(tor, ops);
+            }
+            for a in dc.ops_ids().collect::<Vec<_>>() {
+                // The same for core links, plus a self-connection (a no-op).
+                let first = dc.switches_of_ops(a).find_map(|s| match s {
+                    Element::Ops(b) => Some(b),
+                    _ => None,
+                });
+                if let Some(b) = first {
+                    dc.connect_ops_ops(a, b);
+                }
+                dc.connect_ops_ops(a, a);
+                let b = OpsId((a.index() * 5 + extra) % dc.ops_count());
+                dc.connect_ops_ops(a, b);
+                dc.connect_ops_ops(b, a);
             }
             let switches = SwitchIndex::new(&dc);
             for tor in dc.tor_ids() {
@@ -579,6 +631,23 @@ mod incidence_tests {
             }
             for ops in dc.ops_ids() {
                 prop_assert_eq!(dc.tors_of_ops(ops), &tors_of_ops_by_adjacency(&dc, ops)[..]);
+                let reference = switches_of_ops_by_adjacency(&dc, ops);
+                prop_assert_eq!(dc.switches_of_ops(ops).collect::<Vec<_>>(), reference.clone());
+                let slot = dc.tor_count() + ops.index();
+                let slots: Vec<usize> = switches.neighbors(slot).collect();
+                let expected: Vec<usize> = reference
+                    .iter()
+                    .map(|s| match s {
+                        Element::Tor(t) => t.index(),
+                        Element::Ops(o) => dc.tor_count() + o.index(),
+                        Element::Server(_) => unreachable!("filtered out"),
+                    })
+                    .collect();
+                prop_assert_eq!(slots, expected);
+                let mut distinct = reference.clone();
+                distinct.sort();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), reference.len(), "{} lists a switch twice", ops);
             }
         }
     }

@@ -81,6 +81,8 @@ pub enum AlValidationError {
     NotConnected,
     /// An OPS in the AL does not exist in the data center.
     UnknownOps(OpsId),
+    /// A ToR in the AL does not exist in the data center.
+    UnknownTor(TorId),
 }
 
 impl fmt::Display for AlValidationError {
@@ -97,6 +99,9 @@ impl fmt::Display for AlValidationError {
             }
             AlValidationError::UnknownOps(ops) => {
                 write!(f, "ops {ops} does not exist in the data center")
+            }
+            AlValidationError::UnknownTor(tor) => {
+                write!(f, "tor {tor} does not exist in the data center")
             }
         }
     }
@@ -140,6 +145,9 @@ mod tests {
         assert!(AlValidationError::UnknownOps(OpsId(2))
             .to_string()
             .contains("ops-2"));
+        assert!(AlValidationError::UnknownTor(TorId(5))
+            .to_string()
+            .contains("tor-5"));
     }
 
     #[test]

@@ -42,11 +42,24 @@ impl From<usize> for EdgeId {
     }
 }
 
+/// The stored form of a node or edge index: link ends are kept as `u32`, so
+/// an adjacency entry is 8 bytes and an edge record's endpoints 8 more. Ids
+/// widen back to [`NodeId`] / [`EdgeId`] at the API.
+fn narrow(index: usize, what: &str) -> u32 {
+    u32::try_from(index).unwrap_or_else(|_| panic!("a graph holds at most 2^32 {what}"))
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct EdgeRecord<E> {
-    a: NodeId,
-    b: NodeId,
+    a: u32,
+    b: u32,
     weight: E,
+}
+
+impl<E> EdgeRecord<E> {
+    fn endpoints(&self) -> (NodeId, NodeId) {
+        (NodeId(self.a as usize), NodeId(self.b as usize))
+    }
 }
 
 /// An undirected multigraph stored as adjacency lists.
@@ -55,6 +68,9 @@ struct EdgeRecord<E> {
 /// `E` the edge weight (link attributes). Parallel edges and self-loops are
 /// permitted; the covering algorithms in [`crate::cover`] treat parallel
 /// edges as a single constraint.
+///
+/// Link ends are stored as `u32`: a graph holds at most 2³² nodes and 2³²
+/// edges, and [`Graph::add_node`] / [`Graph::add_edge`] panic past that.
 ///
 /// # Example
 ///
@@ -73,7 +89,7 @@ pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeRecord<E>>,
     /// adjacency[v] = list of (edge id, other endpoint)
-    adjacency: Vec<Vec<(EdgeId, NodeId)>>,
+    adjacency: Vec<Vec<(u32, u32)>>,
 }
 
 impl<N, E> Default for Graph<N, E> {
@@ -117,8 +133,12 @@ impl<N, E> Graph<N, E> {
     }
 
     /// Adds a node carrying `weight` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph already holds 2³² nodes.
     pub fn add_node(&mut self, weight: N) -> NodeId {
-        let id = NodeId(self.nodes.len());
+        let id = NodeId(narrow(self.nodes.len(), "nodes") as usize);
         self.nodes.push(weight);
         self.adjacency.push(Vec::new());
         id
@@ -128,15 +148,19 @@ impl<N, E> Graph<N, E> {
     ///
     /// # Panics
     ///
-    /// Panics if `a` or `b` is not a node of this graph.
+    /// Panics if `a` or `b` is not a node of this graph, or if the graph
+    /// already holds 2³² edges.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, weight: E) -> EdgeId {
         assert!(a.0 < self.nodes.len(), "edge endpoint {a:?} out of range");
         assert!(b.0 < self.nodes.len(), "edge endpoint {b:?} out of range");
         let id = EdgeId(self.edges.len());
+        let e = narrow(id.0, "edges");
+        // Both ends are below `node_count`, which `add_node` keeps ≤ 2³².
+        let (a, b) = (a.0 as u32, b.0 as u32);
         self.edges.push(EdgeRecord { a, b, weight });
-        self.adjacency[a.0].push((id, b));
+        self.adjacency[a as usize].push((e, b));
         if a != b {
-            self.adjacency[b.0].push((id, a));
+            self.adjacency[b as usize].push((e, a));
         }
         id
     }
@@ -181,7 +205,7 @@ impl<N, E> Graph<N, E> {
 
     /// Returns the endpoints `(a, b)` of `edge`.
     pub fn edge_endpoints(&self, edge: EdgeId) -> Option<(NodeId, NodeId)> {
-        self.edges.get(edge.0).map(|e| (e.a, e.b))
+        self.edges.get(edge.0).map(EdgeRecord::endpoints)
     }
 
     /// Degree of `node` (self-loops count once).
@@ -200,7 +224,9 @@ impl<N, E> Graph<N, E> {
     ///
     /// Panics if `node` is not a node of this graph.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adjacency[node.0].iter().map(|&(_, n)| n)
+        self.adjacency[node.0]
+            .iter()
+            .map(|&(_, n)| NodeId(n as usize))
     }
 
     /// Iterates over `(edge id, neighbor)` pairs incident to `node`.
@@ -209,7 +235,9 @@ impl<N, E> Graph<N, E> {
     ///
     /// Panics if `node` is not a node of this graph.
     pub fn incident_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.adjacency[node.0].iter().copied()
+        self.adjacency[node.0]
+            .iter()
+            .map(|&(e, n)| (EdgeId(e as usize), NodeId(n as usize)))
     }
 
     /// Iterates over all node ids.
@@ -229,10 +257,10 @@ impl<N, E> Graph<N, E> {
 
     /// Iterates over `(id, a, b, weight)` for all edges.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, &E)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (EdgeId(i), e.a, e.b, &e.weight))
+        self.edges.iter().enumerate().map(|(i, e)| {
+            let (a, b) = e.endpoints();
+            (EdgeId(i), a, b, &e.weight)
+        })
     }
 
     /// Returns `true` if some edge joins `a` and `b`.
@@ -246,6 +274,7 @@ impl<N, E> Graph<N, E> {
         } else {
             (b, a)
         };
+        let to = to.0 as u32;
         self.adjacency[from.0].iter().any(|&(_, n)| n == to)
     }
 
@@ -254,10 +283,12 @@ impl<N, E> Graph<N, E> {
         if a.0 >= self.nodes.len() {
             return None;
         }
+        // An id past `u32::MAX` is no node, so it matches no entry.
+        let b = u32::try_from(b.0).ok()?;
         self.adjacency[a.0]
             .iter()
             .find(|&&(_, n)| n == b)
-            .map(|&(e, _)| e)
+            .map(|&(e, _)| EdgeId(e as usize))
     }
 
     /// Maps node and edge weights into a new graph with identical structure.
@@ -432,6 +463,17 @@ mod tests {
         assert_serde::<Graph<u32, f64>>();
         assert_serde::<NodeId>();
         assert_serde::<EdgeId>();
+    }
+
+    #[test]
+    fn link_ends_are_stored_in_four_bytes() {
+        let mut g: Graph<(), [f64; 3]> = Graph::new();
+        let a = g.add_node(());
+        g.add_edge(a, a, [0.0; 3]);
+        // (edge, node) per adjacency entry; two ends before a 24-byte
+        // weight (the size of the data center's link attributes).
+        assert_eq!(std::mem::size_of_val(&g.adjacency[0][0]), 8);
+        assert_eq!(std::mem::size_of_val(&g.edges[0]), 32);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use alvc_graph::cover::SetCoverInstance;
 use alvc_graph::shortest_path::{bfs_distances, dijkstra};
 use alvc_graph::traversal::{bfs_order, connected_components, is_connected};
-use alvc_graph::{Graph, NodeId};
+use alvc_graph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random undirected graph as (n, edges).
@@ -25,7 +25,66 @@ fn build_graph(n: usize, edges: &[(usize, usize, u64)]) -> Graph<(), u64> {
     g
 }
 
+/// The plain edge-list model the graph must agree with: node `v`'s links,
+/// in edge order, each as `(edge, far end)` — a self-loop once.
+fn model_incident(edges: &[(usize, usize, u64)], v: usize) -> Vec<(EdgeId, NodeId)> {
+    edges
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &(a, b, _))| match (a == v, b == v) {
+            (true, _) => Some((EdgeId(i), NodeId(b))),
+            (false, true) => Some((EdgeId(i), NodeId(a))),
+            _ => None,
+        })
+        .collect()
+}
+
 proptest! {
+    /// Every query agrees with a plain edge list, on multigraphs with
+    /// self-loops and parallel links (few nodes make both common), for ids
+    /// in and out of range.
+    #[test]
+    fn queries_match_an_edge_list_model(
+        (n, edges) in (1usize..6).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0..n, 0..n, 1u64..100), 0..30))
+        })
+    ) {
+        let g = build_graph(n, &edges);
+        prop_assert_eq!(g.node_count(), n);
+        prop_assert_eq!(g.edge_count(), edges.len());
+        let listed: Vec<_> = g.edges().map(|(e, a, b, &w)| (e, a, b, w)).collect();
+        let model: Vec<_> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b, w))| (EdgeId(i), NodeId(a), NodeId(b), w))
+            .collect();
+        prop_assert_eq!(listed, model);
+        for (i, &(a, b, _)) in edges.iter().enumerate() {
+            prop_assert_eq!(g.edge_endpoints(EdgeId(i)), Some((NodeId(a), NodeId(b))));
+        }
+        prop_assert_eq!(g.edge_endpoints(EdgeId(edges.len())), None);
+        for v in 0..n {
+            let incident = model_incident(&edges, v);
+            prop_assert_eq!(g.incident_edges(NodeId(v)).collect::<Vec<_>>(), incident.clone());
+            let far: Vec<NodeId> = incident.iter().map(|&(_, u)| u).collect();
+            prop_assert_eq!(g.neighbors(NodeId(v)).collect::<Vec<_>>(), far);
+            prop_assert_eq!(g.degree(NodeId(v)), incident.len());
+        }
+        for a in 0..n + 2 {
+            for b in 0..n + 2 {
+                let first = (a < n)
+                    .then(|| model_incident(&edges, a))
+                    .and_then(|inc| inc.into_iter().find(|&(_, u)| u == NodeId(b)))
+                    .map(|(e, _)| e);
+                prop_assert_eq!(g.find_edge(NodeId(a), NodeId(b)), first);
+                let joined = edges
+                    .iter()
+                    .any(|&(x, y, _)| (x, y) == (a, b) || (y, x) == (a, b));
+                prop_assert_eq!(g.contains_edge(NodeId(a), NodeId(b)), joined);
+            }
+        }
+    }
+
     /// Dijkstra with unit weights agrees with BFS hop distances.
     #[test]
     fn dijkstra_unit_weight_equals_bfs((n, edges) in graph_strategy()) {

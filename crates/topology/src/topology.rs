@@ -5,6 +5,7 @@ use alvc_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::element::{Domain, LinkAttrs, OptoCapacity, PhysNode};
+use crate::health::Element;
 use crate::ids::{OpsId, PodId, RackId, ServerId, TorId, VmId};
 use crate::service::ServiceType;
 
@@ -50,6 +51,45 @@ struct OpsRecord {
     /// ToRs with an uplink to this OPS, in link order — the OPS half of the
     /// incidence, written with `TorRecord::ops`.
     tors: Vec<TorId>,
+    /// The switches this OPS links to, ToRs and OPSs interleaved in link
+    /// order: its graph adjacency without the node weights, which a walk
+    /// over a full-mesh core would otherwise read once per link. Written
+    /// only by [`DataCenter::connect_tor_ops_with`] and
+    /// [`DataCenter::connect_ops_ops_with`], when they add the link.
+    switches: Vec<PackedSwitch>,
+}
+
+/// A switch in an OPS's switch list, in four bytes: the top bit marks an
+/// OPS, the other 31 hold the ToR or OPS index.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct PackedSwitch(u32);
+
+impl PackedSwitch {
+    const OPS: u32 = 1 << 31;
+
+    fn new(index: usize, ops_bit: u32) -> Self {
+        match u32::try_from(index) {
+            Ok(i) if i < Self::OPS => PackedSwitch(i | ops_bit),
+            _ => panic!("switch index {index} does not fit in 31 bits"),
+        }
+    }
+
+    fn tor(tor: TorId) -> Self {
+        PackedSwitch::new(tor.0, 0)
+    }
+
+    fn ops(ops: OpsId) -> Self {
+        PackedSwitch::new(ops.0, Self::OPS)
+    }
+
+    fn unpack(self) -> Element {
+        let index = (self.0 & !Self::OPS) as usize;
+        if self.0 & Self::OPS == 0 {
+            Element::Tor(TorId(index))
+        } else {
+            Element::Ops(OpsId(index))
+        }
+    }
 }
 
 /// A data center: racks of servers behind ToR switches, an OPS core, and
@@ -207,6 +247,7 @@ impl DataCenter {
             opto,
             pod,
             tors: Vec::new(),
+            switches: Vec::new(),
         });
         self.pods = self.pods.max(pod.0 + 1);
         ops
@@ -231,7 +272,8 @@ impl DataCenter {
     ///
     /// This is the only writer of the ToR↔OPS incidence
     /// ([`DataCenter::uplinks_of_tor`], [`DataCenter::tors_of_ops`]): both
-    /// lists grow here, in link order, exactly when the link is added.
+    /// lists grow here, in link order, exactly when the link is added, and
+    /// so does the OPS's [`DataCenter::switches_of_ops`].
     ///
     /// # Panics
     ///
@@ -243,7 +285,9 @@ impl DataCenter {
         }
         self.graph.add_edge(tn, on, attrs);
         self.tors[tor.0].ops.push(ops);
-        self.opss[ops.0].tors.push(tor);
+        let ops_rec = &mut self.opss[ops.0];
+        ops_rec.tors.push(tor);
+        ops_rec.switches.push(PackedSwitch::tor(tor));
     }
 
     /// Connects two OPSs with an optical core link.
@@ -262,6 +306,8 @@ impl DataCenter {
     /// [`LinkAttrs::electronic_agg`] links).
     ///
     /// Has no effect on self-connections or if the link already exists.
+    /// Otherwise both OPSs' [`DataCenter::switches_of_ops`] grow with the
+    /// link.
     ///
     /// # Panics
     ///
@@ -275,6 +321,8 @@ impl DataCenter {
             return;
         }
         self.graph.add_edge(an, bn, attrs);
+        self.opss[a.0].switches.push(PackedSwitch::ops(b));
+        self.opss[b.0].switches.push(PackedSwitch::ops(a));
     }
 
     /// Migrates `vm` to `target` server (used by the update-cost
@@ -550,6 +598,19 @@ impl DataCenter {
         &self.opss[ops.0].tors
     }
 
+    /// The switches directly connected to `ops` — ToRs over uplinks, OPSs
+    /// over core links — interleaved in link order, which is the order of
+    /// its graph adjacency. A walk of the switch fabric reads these four
+    /// bytes a link instead of the adjacency entry and the neighbour's node
+    /// weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` does not exist.
+    pub fn switches_of_ops(&self, ops: OpsId) -> impl Iterator<Item = Element> + '_ {
+        self.opss[ops.0].switches.iter().map(|s| s.unpack())
+    }
+
     /// The optoelectronic capacity of `ops`, `None` for pure packet
     /// switches.
     ///
@@ -729,6 +790,12 @@ mod tests {
     }
 
     #[test]
+    fn a_switch_list_entry_is_four_bytes() {
+        let dc = small_dc();
+        assert_eq!(std::mem::size_of_val(&dc.opss[0].switches[0]), 4);
+    }
+
+    #[test]
     fn optoelectronic_listing() {
         let dc = small_dc();
         assert_eq!(dc.optoelectronic_ops(), vec![OpsId(1)]);
@@ -762,6 +829,12 @@ mod tests {
         assert_eq!(dc.graph().edge_count(), before + 1);
         dc.connect_ops_ops(OpsId(2), OpsId(0));
         assert_eq!(dc.graph().edge_count(), before + 1);
+        // The switch lists grew once, with the one new link, in link order.
+        let switches = |o| dc.switches_of_ops(OpsId(o)).collect::<Vec<_>>();
+        let (tor, ops) = (|t| Element::Tor(TorId(t)), |o| Element::Ops(OpsId(o)));
+        assert_eq!(switches(0), vec![tor(0), ops(2)]);
+        assert_eq!(switches(1), vec![tor(0), tor(1)]);
+        assert_eq!(switches(2), vec![tor(1), ops(0)]);
     }
 
     #[test]
