@@ -52,8 +52,8 @@ fn run(
             .ops_owner(victim)
             .and_then(|c| mgr.cluster(c))
             .map(|vc| vc.al().clone());
-        match mgr.fail_ops(&dc, victim, ctor) {
-            Ok(Some(cluster)) => {
+        match mgr.fail(&dc, Element::Ops(victim), ctor).pop() {
+            Some((cluster, Ok(()))) => {
                 let after = mgr.cluster(cluster).expect("owner exists").al();
                 let before = before.expect("owner had an AL");
                 let shrank = after.ops().iter().all(|o| before.contains_ops(*o));
@@ -65,8 +65,8 @@ fn run(
                     touches += before.ops_count() + after.ops_count();
                 }
             }
-            Ok(None) => idle += 1,
-            Err(_) => unrecoverable += 1,
+            Some((_, Err(_))) => unrecoverable += 1,
+            None => idle += 1,
         }
     }
     let attempted = shrinks + rebuilds + unrecoverable;
@@ -130,19 +130,11 @@ fn run_chain_recovery(scale: &Scale, seed: u64, rows: &mut Vec<Vec<String>>) {
     let mut counts = [0usize; 4]; // rerouted, replaced, degraded, unrecoverable
     for event in schedule.events() {
         if event.up {
-            match event.element {
-                Element::Server(s) => orch.restore_server(s),
-                Element::Tor(t) => orch.restore_tor(t),
-                Element::Ops(o) => orch.restore_ops(o),
-            };
+            orch.restore_element(event.element);
             let _ = orch.reoptimize_degraded(&dc, &placer);
             continue;
         }
-        let report = match event.element {
-            Element::Server(s) => orch.fail_server(&dc, s, &placer),
-            Element::Tor(t) => orch.fail_tor(&dc, t, &placer),
-            Element::Ops(o) => orch.fail_ops(&dc, o, &ctor, &placer),
-        };
+        let report = orch.fail_element(&dc, event.element, &ctor, &placer);
         counts[0] += report.count_of("rerouted");
         counts[1] += report.count_of("replaced");
         counts[2] += report.count_of("degraded");

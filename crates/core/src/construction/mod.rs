@@ -508,7 +508,7 @@ fn join_component(
 pub fn construct_layers(
     dc: &DataCenter,
     clusters: &[Vec<VmId>],
-    ctor: &(dyn AlConstruct + Sync),
+    ctor: &dyn AlConstruct,
     available: &OpsAvailability,
 ) -> Vec<Result<AbstractionLayer, ConstructionError>> {
     if clusters.is_empty() {

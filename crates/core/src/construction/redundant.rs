@@ -5,7 +5,7 @@
 //! selected ToR to be covered by at least `r` distinct OPSs of the layer,
 //! so any `r - 1` OPS failures leave the cover intact and repair reduces
 //! to *shrinking* the layer instead of rebuilding it (see
-//! [`crate::ClusterManager::fail_ops`]'s shrink-first path and experiment
+//! [`crate::ClusterManager::fail`]'s shrink-first path and experiment
 //! E9).
 
 use std::cmp::Reverse;

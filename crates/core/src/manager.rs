@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use alvc_topology::{DataCenter, OpsId, TorId, VmId};
+use alvc_topology::{
+    DataCenter, Element, ElementHealth, OpsId, PowerOverlay, PowerState, TorId, VmId,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::abstraction_layer::AbstractionLayer;
@@ -32,6 +34,11 @@ impl std::fmt::Display for ClusterId {
 /// paper's invariant that "one OPS cannot be part of two ALs at the same
 /// time".
 ///
+/// The manager is also the one owner of substrate state: which elements
+/// are failed ([`ElementHealth`]) and which are in which power state
+/// ([`PowerOverlay`]). Its OPS availability view is, at every step, the
+/// OPSs some layer owns plus the failed and the powered-off ones.
+///
 /// # Example
 ///
 /// ```
@@ -56,9 +63,8 @@ impl std::fmt::Display for ClusterId {
 pub struct ClusterManager {
     clusters: BTreeMap<ClusterId, VirtualCluster>,
     availability: OpsAvailability,
-    failed: std::collections::HashSet<OpsId>,
-    failed_tors: std::collections::HashSet<TorId>,
-    powered_off: std::collections::HashSet<OpsId>,
+    health: ElementHealth,
+    power: PowerOverlay,
     next_id: usize,
 }
 
@@ -73,9 +79,20 @@ impl ClusterManager {
         self.clusters.len()
     }
 
-    /// The current OPS availability view (owned OPSs are blocked).
+    /// The current OPS availability view: owned, failed and powered-off
+    /// OPSs are blocked.
     pub fn availability(&self) -> &OpsAvailability {
         &self.availability
+    }
+
+    /// Which substrate elements are failed.
+    pub fn health(&self) -> &ElementHealth {
+        &self.health
+    }
+
+    /// The power state of every substrate element.
+    pub fn power(&self) -> &PowerOverlay {
+        &self.power
     }
 
     /// Looks up a cluster.
@@ -189,9 +206,9 @@ impl ClusterManager {
         }
     }
 
-    /// Destroys a cluster and releases its OPSs (failed OPSs stay
-    /// blocked). Returns the removed cluster, or `None` if `id` is
-    /// unknown.
+    /// Destroys a cluster and releases its OPSs (failed and powered-off
+    /// OPSs stay blocked). Returns the removed cluster, or `None` if `id`
+    /// is unknown.
     pub fn remove_cluster(&mut self, id: ClusterId) -> Option<VirtualCluster> {
         let vc = self.clusters.remove(&id)?;
         alvc_telemetry::counter!("alvc_core.manager.clusters_removed").incr();
@@ -204,7 +221,9 @@ impl ClusterManager {
     }
 
     /// Rebuilds a cluster's AL from scratch (used after membership churn).
-    /// The cluster's own OPSs are released for reuse during reconstruction.
+    /// The cluster's own OPSs — never failed or powered-off ones — are
+    /// released for reuse during reconstruction. Unknown ids are no-op
+    /// successes.
     ///
     /// # Errors
     ///
@@ -214,21 +233,6 @@ impl ClusterManager {
         &mut self,
         dc: &DataCenter,
         id: ClusterId,
-        constructor: &dyn AlConstruct,
-    ) -> Result<(), ConstructionError> {
-        self.rebuild_with(dc, id, None, constructor)
-    }
-
-    /// One rebuild: release the cluster's OPSs (never failed or powered-off
-    /// ones), adopt `speculative` if every one of its OPSs is free now —
-    /// else construct against the true availability — and either commit
-    /// the new layer or roll back to the old one. Unknown ids are no-op
-    /// successes.
-    fn rebuild_with(
-        &mut self,
-        dc: &DataCenter,
-        id: ClusterId,
-        speculative: Option<AbstractionLayer>,
         constructor: &dyn AlConstruct,
     ) -> Result<(), ConstructionError> {
         let Some(vc) = self.clusters.get(&id) else {
@@ -241,11 +245,7 @@ impl ClusterManager {
                 self.availability.release(o);
             }
         }
-        let built = match speculative {
-            Some(al) if al.ops().iter().all(|&o| self.availability.is_available(o)) => Ok(al),
-            _ => constructor.construct(dc, &vms, &self.availability),
-        };
-        let (al, result) = match built {
+        let (al, result) = match constructor.construct(dc, &vms, &self.availability) {
             Ok(new_al) => {
                 alvc_telemetry::counter!("alvc_core.manager.rebuilds").incr();
                 (new_al, Ok(()))
@@ -261,133 +261,150 @@ impl ClusterManager {
         result
     }
 
-    /// Rebuilds a batch of clusters. On a single-pod data center this is
-    /// exactly a [`ClusterManager::rebuild_cluster`] loop in the given
-    /// order (bit-identical results); on a multi-pod topology replacement
-    /// layers are first built **speculatively** shard-parallel via
-    /// [`construct_layers_sharded`](crate::shard::construct_layers_sharded)
-    /// (against a view with the whole batch's OPSs released), then
-    /// committed serially in the given order — a speculative layer is
-    /// adopted when its OPSs are still free, and conflicting or failed
-    /// clusters fall back to the serial rebuild path. Failed rebuilds roll
-    /// back to the old layer either way. Deterministic in both modes.
-    pub fn rebuild_clusters(
+    /// Marks `element` failed and repairs every layer that lists it.
+    /// Returns those layers' clusters in id order, each with the outcome of
+    /// its repair; empty if the element was already failed or no layer
+    /// lists it.
+    ///
+    /// * An OPS is unavailable to constructors until
+    ///   [`ClusterManager::restore`]. Its owner is repaired shrink-first: a
+    ///   redundant AL (see `construction::RedundantGreedy`) may stay valid
+    ///   with the switch simply dropped — no churn on other OPSs — and is
+    ///   rebuilt with `constructor` otherwise. If that rebuild fails the
+    ///   owner keeps its degraded AL, still listing the failed switch, and
+    ///   its entry carries the error, so the operator can retry after
+    ///   restoring capacity.
+    /// * A ToR is shrunk out of every AL that stays valid without it, which
+    ///   also drops it from the slice's routing surface. An AL that *needs*
+    ///   the ToR (single-homed VMs behind it) keeps it, degraded, for the
+    ///   orchestrator to handle per chain.
+    /// * A server touches no layer: ALs are switch sets.
+    pub fn fail(
         &mut self,
         dc: &DataCenter,
-        ids: &[ClusterId],
-        constructor: &(dyn AlConstruct + Sync),
+        element: Element,
+        constructor: &dyn AlConstruct,
     ) -> Vec<(ClusterId, Result<(), ConstructionError>)> {
-        if dc.pod_count() <= 1 || ids.len() <= 1 {
-            return ids
-                .iter()
-                .map(|&id| (id, self.rebuild_cluster(dc, id, constructor)))
-                .collect();
+        if !self.health.fail(element) {
+            return Vec::new();
         }
-        let _span = alvc_telemetry::span!("alvc_core.manager.rebuild_batch_us");
-        // Speculative phase: construct every replacement layer in parallel
-        // against a view in which the whole batch's (non-failed) OPSs are
-        // released. Unknown ids get no layer and stay no-op successes,
-        // matching rebuild_cluster.
-        let live: Vec<ClusterId> = ids
-            .iter()
-            .copied()
-            .filter(|id| self.clusters.contains_key(id))
-            .collect();
-        let mut speculative_avail = self.availability.clone();
-        for id in &live {
-            for &o in self.clusters[id].al().ops() {
-                if !self.ops_blocked(o) {
-                    speculative_avail.release(o);
-                }
-            }
+        match element {
+            Element::Ops(ops) => self.fail_ops(dc, ops, constructor).into_iter().collect(),
+            Element::Tor(tor) => self.fail_tor(dc, tor),
+            Element::Server(_) => Vec::new(),
         }
-        let batch: Vec<Vec<VmId>> = live
-            .iter()
-            .map(|id| self.clusters[id].vms().to_vec())
-            .collect();
-        let (layers, _report) =
-            crate::shard::construct_layers_sharded(dc, &batch, constructor, &speculative_avail);
-
-        // Commit phase: serial, in the given order, with rebuild_cluster's
-        // exact release/commit/rollback semantics per cluster.
-        let by_id: BTreeMap<ClusterId, Result<(), ConstructionError>> = live
-            .into_iter()
-            .zip(layers)
-            .map(|(id, layer)| (id, self.rebuild_with(dc, id, layer.ok(), constructor)))
-            .collect();
-        debug_assert!(self.verify_disjoint(), "batch rebuild broke disjointness");
-        ids.iter()
-            .map(|id| (*id, by_id.get(id).cloned().unwrap_or(Ok(()))))
-            .collect()
     }
 
-    /// Marks `ops` as failed (hardware outage): it becomes permanently
-    /// unavailable to constructors until [`ClusterManager::restore_ops`],
-    /// and the AL that owned it — if any — is rebuilt around the failure.
-    ///
-    /// Returns the id of the rebuilt cluster, or `None` if no AL owned the
-    /// switch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the rebuild failure; the owning cluster then keeps its
-    /// degraded AL (still containing the failed switch) so the operator can
-    /// retry after restoring capacity — mirroring how an orchestrator
-    /// flags, but does not silently drop, an unrecoverable slice.
-    pub fn fail_ops(
+    /// [`ClusterManager::fail`] for an OPS already marked failed: block it
+    /// and repair its owner, if any.
+    fn fail_ops(
         &mut self,
         dc: &DataCenter,
         ops: OpsId,
         constructor: &dyn AlConstruct,
-    ) -> Result<Option<ClusterId>, ConstructionError> {
-        if !self.failed.insert(ops) {
-            return Ok(None); // already failed
-        }
+    ) -> Option<(ClusterId, Result<(), ConstructionError>)> {
         alvc_telemetry::counter!("alvc_core.manager.ops_failures").incr();
         alvc_telemetry::event!("alvc_core.manager.ops_failed", "ops" = ops.index());
         self.availability.block(ops);
-        let Some(owner) = self.ops_owner(ops) else {
-            return Ok(None);
-        };
-        // Shrink-first repair: a redundant AL (see
-        // `construction::RedundantGreedy`) may remain a valid layer after
-        // simply dropping the failed switch — no reconstruction, no churn
-        // on other OPSs.
-        let vc = self.clusters.get(&owner).expect("owner exists");
-        let shrunk = AbstractionLayer::new(
-            vc.al().tors().to_vec(),
-            vc.al()
-                .ops()
-                .iter()
-                .copied()
-                .filter(|&o| o != ops)
-                .collect(),
-        );
+        let owner = self.ops_owner(ops)?;
+        let vc = &self.clusters[&owner];
+        let kept = vc.al().ops().iter().copied().filter(|&o| o != ops);
+        let shrunk = AbstractionLayer::new(vc.al().tors().to_vec(), kept.collect());
         if shrunk.validate(dc, vc.vms()).is_ok() {
             self.set_layer(owner, shrunk);
-            return Ok(Some(owner));
+            return Some((owner, Ok(())));
         }
-        self.rebuild_cluster(dc, owner, constructor)?;
-        Ok(Some(owner))
+        Some((owner, self.rebuild_cluster(dc, owner, constructor)))
     }
 
-    /// Brings a failed OPS back: it becomes available again unless some AL
-    /// still lists it (a degraded AL left over from a failed rebuild) or it
-    /// is powered off.
-    pub fn restore_ops(&mut self, ops: OpsId) {
-        if self.failed.remove(&ops) {
-            alvc_telemetry::counter!("alvc_core.manager.ops_restores").incr();
-            alvc_telemetry::event!("alvc_core.manager.ops_restored", "ops" = ops.index());
-            if self.ops_owner(ops).is_none() && !self.powered_off.contains(&ops) {
-                self.availability.release(ops);
+    /// [`ClusterManager::fail`] for a ToR already marked failed: shrink it
+    /// out of every layer that can spare it.
+    fn fail_tor(
+        &mut self,
+        dc: &DataCenter,
+        tor: TorId,
+    ) -> Vec<(ClusterId, Result<(), ConstructionError>)> {
+        alvc_telemetry::counter!("alvc_core.manager.tor_failures").incr();
+        alvc_telemetry::event!("alvc_core.manager.tor_failed", "tor" = tor.index());
+        let listing: Vec<ClusterId> = self
+            .clusters
+            .values()
+            .filter(|vc| vc.al().contains_tor(tor))
+            .map(|vc| vc.id())
+            .collect();
+        for &id in &listing {
+            let vc = &self.clusters[&id];
+            let kept = vc.al().tors().iter().copied().filter(|&t| t != tor);
+            let shrunk = AbstractionLayer::new(kept.collect(), vc.al().ops().to_vec());
+            if shrunk.validate(dc, vc.vms()).is_ok() {
+                self.set_layer(id, shrunk);
             }
         }
+        listing.into_iter().map(|id| (id, Ok(()))).collect()
+    }
+
+    /// Brings a failed element back. A restored OPS is available to
+    /// constructors again unless some AL still lists it (a degraded AL left
+    /// over from a failed rebuild) or it is powered off. Returns `true` if
+    /// the element was failed.
+    pub fn restore(&mut self, element: Element) -> bool {
+        if !self.health.restore(element) {
+            return false;
+        }
+        match element {
+            Element::Ops(ops) => {
+                alvc_telemetry::counter!("alvc_core.manager.ops_restores").incr();
+                alvc_telemetry::event!("alvc_core.manager.ops_restored", "ops" = ops.index());
+                if !self.ops_blocked(ops) && self.ops_owner(ops).is_none() {
+                    self.availability.release(ops);
+                }
+            }
+            Element::Tor(tor) => {
+                alvc_telemetry::counter!("alvc_core.manager.tor_restores").incr();
+                alvc_telemetry::event!("alvc_core.manager.tor_restored", "tor" = tor.index());
+            }
+            Element::Server(_) => {}
+        }
+        true
+    }
+
+    /// Moves `element` to power `state` and returns its previous state.
+    /// Setting the current state again changes nothing. A powered-off OPS
+    /// is unavailable to constructors until it is powered on and neither
+    /// failed nor owned. Whether the element is idle in fact is the
+    /// caller's to check; the manager only guards its own invariant.
+    ///
+    /// # Errors
+    ///
+    /// `Err(ops)` — and nothing changes — if `state` powers off an OPS
+    /// that an AL owns: recluster it away first.
+    pub fn set_power(&mut self, element: Element, state: PowerState) -> Result<PowerState, OpsId> {
+        let previous = self.power.state(element);
+        if previous == state {
+            return Ok(previous);
+        }
+        if let Element::Ops(ops) = element {
+            if state == PowerState::PoweredOff {
+                if self.ops_owner(ops).is_some() {
+                    return Err(ops);
+                }
+                alvc_telemetry::counter!("alvc_core.manager.ops_power_downs").incr();
+                self.availability.block(ops);
+            } else if previous == PowerState::PoweredOff {
+                alvc_telemetry::counter!("alvc_core.manager.ops_power_ups").incr();
+                if self.health.ops_up(ops) && self.ops_owner(ops).is_none() {
+                    self.availability.release(ops);
+                }
+            }
+        }
+        self.power.set(element, state);
+        Ok(previous)
     }
 
     /// Whether `ops` must stay blocked in the availability view even when
-    /// no AL owns it: it is failed or deliberately powered off.
+    /// no AL owns it: it is failed or powered off.
     fn ops_blocked(&self, ops: OpsId) -> bool {
-        self.failed.contains(&ops) || self.powered_off.contains(&ops)
+        !self.health.ops_up(ops) || !self.power.is_on(Element::Ops(ops))
     }
 
     /// Replaces a live cluster's abstraction layer.
@@ -396,113 +413,13 @@ impl ClusterManager {
         vc.update(|_, layer| *layer = al);
     }
 
-    /// Blocks a healthy, unowned OPS from AL construction (a planned
-    /// power-down, as opposed to [`ClusterManager::fail_ops`]'s outage).
-    /// Returns `false` — and changes nothing — if the switch is failed,
-    /// owned by a cluster, or already powered off.
-    pub fn power_off_ops(&mut self, ops: OpsId) -> bool {
-        if self.failed.contains(&ops) || self.ops_owner(ops).is_some() {
-            return false;
-        }
-        if !self.powered_off.insert(ops) {
-            return false;
-        }
-        alvc_telemetry::counter!("alvc_core.manager.ops_power_downs").incr();
-        self.availability.block(ops);
-        true
-    }
-
-    /// Returns a powered-off OPS to service: constructors may pick it
-    /// again. Returns `false` if it was not powered off.
-    pub fn power_on_ops(&mut self, ops: OpsId) -> bool {
-        if !self.powered_off.remove(&ops) {
-            return false;
-        }
-        alvc_telemetry::counter!("alvc_core.manager.ops_power_ups").incr();
-        if !self.failed.contains(&ops) && self.ops_owner(ops).is_none() {
-            self.availability.release(ops);
-        }
-        true
-    }
-
-    /// Currently powered-off OPSs, sorted.
-    pub fn powered_off_ops(&self) -> Vec<OpsId> {
-        let mut v: Vec<_> = self.powered_off.iter().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Currently failed OPSs, sorted.
-    pub fn failed_ops(&self) -> Vec<OpsId> {
-        let mut v: Vec<_> = self.failed.iter().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Marks `tor` as failed (mirrors the orchestrator's element-health
-    /// view at the AL layer) and shrinks it out of every AL that can spare
-    /// it: an AL whose VMs are all dual-homed stays valid with the dead ToR
-    /// dropped, which also removes the switch from the slice's routing
-    /// surface. ALs that *need* the ToR (single-homed VMs behind it) keep
-    /// it and are left degraded for the orchestrator to handle per chain.
-    ///
-    /// Returns the ids of every cluster whose AL listed the ToR, shrunk or
-    /// not; an empty vector if the ToR was already failed or unused.
-    pub fn fail_tor(&mut self, dc: &DataCenter, tor: TorId) -> Vec<ClusterId> {
-        if !self.failed_tors.insert(tor) {
-            return Vec::new(); // already failed
-        }
-        alvc_telemetry::counter!("alvc_core.manager.tor_failures").incr();
-        alvc_telemetry::event!("alvc_core.manager.tor_failed", "tor" = tor.index());
-        let affected: Vec<ClusterId> = self
-            .clusters
-            .values()
-            .filter(|vc| vc.al().contains_tor(tor))
-            .map(|vc| vc.id())
-            .collect();
-        for &id in &affected {
-            let vc = self.clusters.get(&id).expect("affected cluster exists");
-            let shrunk = AbstractionLayer::new(
-                vc.al()
-                    .tors()
-                    .iter()
-                    .copied()
-                    .filter(|&t| t != tor)
-                    .collect(),
-                vc.al().ops().to_vec(),
-            );
-            if shrunk.validate(dc, vc.vms()).is_ok() {
-                self.set_layer(id, shrunk);
-            }
-        }
-        affected
-    }
-
-    /// Brings a failed ToR back. Returns `true` if it was failed.
-    pub fn restore_tor(&mut self, tor: TorId) -> bool {
-        if self.failed_tors.remove(&tor) {
-            alvc_telemetry::counter!("alvc_core.manager.tor_restores").incr();
-            alvc_telemetry::event!("alvc_core.manager.tor_restored", "tor" = tor.index());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Currently failed ToRs, sorted.
-    pub fn failed_tors(&self) -> Vec<TorId> {
-        let mut v: Vec<_> = self.failed_tors.iter().copied().collect();
-        v.sort();
-        v
-    }
-
     /// Returns `true` if no live AL contains a failed OPS. (A failed ToR
     /// may legitimately remain listed when single-homed VMs leave the AL no
     /// valid shrink; chain-level recovery routes around it.)
     pub fn verify_no_failed_in_use(&self) -> bool {
         self.clusters
             .values()
-            .all(|vc| vc.al().ops().iter().all(|o| !self.failed.contains(o)))
+            .all(|vc| vc.al().ops().iter().all(|&o| self.health.ops_up(o)))
     }
 
     /// Adds a VM to a cluster's membership *without* rebuilding the AL.
@@ -905,6 +822,10 @@ mod failure_tests {
             .build()
     }
 
+    fn failed_ops(mgr: &ClusterManager) -> Vec<OpsId> {
+        mgr.health().failed_ops().collect()
+    }
+
     #[test]
     fn failing_owned_ops_rebuilds_the_owner() {
         let dc = dc();
@@ -918,14 +839,14 @@ mod failure_tests {
             )
             .unwrap();
         let victim = mgr.cluster(id).unwrap().al().ops()[0];
-        let rebuilt = mgr.fail_ops(&dc, victim, &PaperGreedy::new()).unwrap();
-        assert_eq!(rebuilt, Some(id));
+        let repaired = mgr.fail(&dc, Element::Ops(victim), &PaperGreedy::new());
+        assert_eq!(repaired, vec![(id, Ok(()))]);
         let vc = mgr.cluster(id).unwrap();
         assert!(!vc.al().contains_ops(victim), "failed OPS evicted");
         assert!(vc.al().validate(&dc, vc.vms()).is_ok());
         assert!(mgr.verify_no_failed_in_use());
         assert!(!mgr.availability().is_available(victim));
-        assert_eq!(mgr.failed_ops(), vec![victim]);
+        assert_eq!(failed_ops(&mgr), vec![victim]);
     }
 
     #[test]
@@ -944,10 +865,9 @@ mod failure_tests {
             .ops_ids()
             .find(|&o| !mgr.cluster(id).unwrap().al().contains_ops(o))
             .unwrap();
-        assert_eq!(
-            mgr.fail_ops(&dc, unowned, &PaperGreedy::new()).unwrap(),
-            None
-        );
+        assert!(mgr
+            .fail(&dc, Element::Ops(unowned), &PaperGreedy::new())
+            .is_empty());
         assert!(!mgr.availability().is_available(unowned));
     }
 
@@ -955,10 +875,10 @@ mod failure_tests {
     fn double_failure_is_idempotent() {
         let dc = dc();
         let mut mgr = ClusterManager::new();
-        let o = dc.ops_ids().next().unwrap();
-        assert!(mgr.fail_ops(&dc, o, &PaperGreedy::new()).unwrap().is_none());
-        assert!(mgr.fail_ops(&dc, o, &PaperGreedy::new()).unwrap().is_none());
-        assert_eq!(mgr.failed_ops().len(), 1);
+        let o = Element::Ops(dc.ops_ids().next().unwrap());
+        assert!(mgr.fail(&dc, o, &PaperGreedy::new()).is_empty());
+        assert!(mgr.fail(&dc, o, &PaperGreedy::new()).is_empty());
+        assert_eq!(mgr.health().failed(), vec![o]);
     }
 
     #[test]
@@ -966,11 +886,11 @@ mod failure_tests {
         let dc = dc();
         let mut mgr = ClusterManager::new();
         let o = dc.ops_ids().next().unwrap();
-        mgr.fail_ops(&dc, o, &PaperGreedy::new()).unwrap();
+        mgr.fail(&dc, Element::Ops(o), &PaperGreedy::new());
         assert!(!mgr.availability().is_available(o));
-        mgr.restore_ops(o);
+        assert!(mgr.restore(Element::Ops(o)));
         assert!(mgr.availability().is_available(o));
-        assert!(mgr.failed_ops().is_empty());
+        assert!(mgr.health().all_healthy());
     }
 
     #[test]
@@ -985,16 +905,14 @@ mod failure_tests {
         let mut recovered = 0;
         let mut failed_rebuild = false;
         for o in dc.ops_ids() {
-            match mgr.fail_ops(&dc, o, &PaperGreedy::new()) {
-                Ok(_) => {
-                    recovered += 1;
-                    let vc = mgr.cluster(id).unwrap();
-                    assert!(vc.al().validate(&dc, vc.vms()).is_ok());
-                }
-                Err(_) => {
-                    failed_rebuild = true;
-                    break;
-                }
+            let repaired = mgr.fail(&dc, Element::Ops(o), &PaperGreedy::new());
+            if repaired.iter().all(|(_, r)| r.is_ok()) {
+                recovered += 1;
+                let vc = mgr.cluster(id).unwrap();
+                assert!(vc.al().validate(&dc, vc.vms()).is_ok());
+            } else {
+                failed_rebuild = true;
+                break;
             }
         }
         assert!(recovered > 0, "some failures must be recoverable");
@@ -1018,11 +936,43 @@ mod failure_tests {
             )
             .unwrap();
         let victim = mgr.cluster(id).unwrap().al().ops()[0];
-        mgr.fail_ops(&dc, victim, &PaperGreedy::new()).unwrap();
+        mgr.fail(&dc, Element::Ops(victim), &PaperGreedy::new());
         mgr.remove_cluster(id).unwrap();
         assert!(!mgr.availability().is_available(victim), "failure persists");
         // Non-failed OPSs were released.
         assert_eq!(mgr.availability().blocked_count(), 1);
+    }
+
+    #[test]
+    fn power_off_blocks_unowned_ops_and_refuses_owned_ones() {
+        let dc = dc();
+        let mut mgr = ClusterManager::new();
+        let id = mgr
+            .create_cluster(
+                &dc,
+                "web",
+                dc.vms_of_service(ServiceType::WebService),
+                &PaperGreedy::new(),
+            )
+            .unwrap();
+        let owned = mgr.cluster(id).unwrap().al().ops()[0];
+        let spare = dc.ops_ids().find(|&o| mgr.ops_owner(o).is_none()).unwrap();
+        let off = PowerState::PoweredOff;
+        assert_eq!(mgr.set_power(Element::Ops(owned), off), Err(owned));
+        assert!(mgr.power().all_active());
+        assert_eq!(
+            mgr.set_power(Element::Ops(spare), off),
+            Ok(PowerState::Active)
+        );
+        assert!(!mgr.availability().is_available(spare));
+        // A failure and a power-down block the switch independently: it is
+        // free again only once both are undone.
+        mgr.fail(&dc, Element::Ops(spare), &PaperGreedy::new());
+        let on = PowerState::Active;
+        assert_eq!(mgr.set_power(Element::Ops(spare), on), Ok(off));
+        assert!(!mgr.availability().is_available(spare));
+        assert!(mgr.restore(Element::Ops(spare)));
+        assert!(mgr.availability().is_available(spare));
     }
 }
 
@@ -1053,7 +1003,7 @@ mod shrink_repair_tests {
             .unwrap();
         let before = mgr.cluster(id).unwrap().al().clone();
         let victim = before.ops()[0];
-        mgr.fail_ops(&dc, victim, &RedundantGreedy::new(2)).unwrap();
+        mgr.fail(&dc, Element::Ops(victim), &RedundantGreedy::new(2));
         let after = mgr.cluster(id).unwrap().al().clone();
         // Shrink: exactly the victim left; everything else untouched.
         assert_eq!(after.ops_count(), before.ops_count() - 1);
@@ -1075,7 +1025,8 @@ mod shrink_repair_tests {
         // uniquely covers some ToR in a greedy minimum); expect a rebuild
         // that brings in at least one fresh OPS.
         let victim = before.ops()[0];
-        mgr.fail_ops(&dc, victim, &PaperGreedy::new()).unwrap();
+        let repaired = mgr.fail(&dc, Element::Ops(victim), &PaperGreedy::new());
+        assert_eq!(repaired, vec![(id, Ok(()))]);
         let after = mgr.cluster(id).unwrap().al().clone();
         assert!(!after.contains_ops(victim));
         assert!(after.validate(&dc, mgr.cluster(id).unwrap().vms()).is_ok());
@@ -1097,7 +1048,7 @@ mod shrink_repair_tests {
                 continue;
             }
             let victim = before.ops()[victim_idx];
-            mgr.fail_ops(&dc, victim, &RedundantGreedy::new(2)).unwrap();
+            mgr.fail(&dc, Element::Ops(victim), &RedundantGreedy::new(2));
             let after = mgr.cluster(id).unwrap().al().clone();
             assert!(
                 after.ops().iter().all(|o| before.contains_ops(*o)),
@@ -1112,6 +1063,10 @@ mod tor_failure_tests {
     use super::*;
     use crate::construction::PaperGreedy;
     use alvc_topology::{AlvcTopologyBuilder, ServiceType};
+
+    fn failed_tors(mgr: &ClusterManager) -> Vec<TorId> {
+        mgr.health().failed_tors().collect()
+    }
 
     #[test]
     fn fail_tor_shrinks_al_when_vms_are_dual_homed() {
@@ -1131,13 +1086,13 @@ mod tor_failure_tests {
         let id = mgr
             .adopt_or_create(&dc, "dual", vec![vm], Some(al), &batch_tests::NeverBuilds)
             .expect("hand-built layer is valid");
-        let affected = mgr.fail_tor(&dc, t0);
-        assert_eq!(affected, vec![id]);
+        let affected = mgr.fail(&dc, Element::Tor(t0), &batch_tests::NeverBuilds);
+        assert_eq!(affected, vec![(id, Ok(()))]);
         let vc = mgr.cluster(id).unwrap();
         assert!(!vc.al().contains_tor(t0), "dead ToR shrunk out");
         assert!(vc.al().contains_tor(t1));
         assert!(vc.al().validate(&dc, vc.vms()).is_ok());
-        assert_eq!(mgr.failed_tors(), vec![t0]);
+        assert_eq!(failed_tors(&mgr), vec![t0]);
     }
 
     #[test]
@@ -1160,14 +1115,16 @@ mod tor_failure_tests {
             )
             .unwrap();
         let victim = mgr.cluster(id).unwrap().al().tors()[0];
-        let affected = mgr.fail_tor(&dc, victim);
-        assert_eq!(affected, vec![id]);
+        let affected = mgr.fail(&dc, Element::Tor(victim), &PaperGreedy::new());
+        assert_eq!(affected, vec![(id, Ok(()))]);
         // Single-homed VMs leave no valid shrink: the AL keeps the ToR and
         // the failure is handled above, at the chain level.
         assert!(mgr.cluster(id).unwrap().al().contains_tor(victim));
-        assert_eq!(mgr.failed_tors(), vec![victim]);
+        assert_eq!(failed_tors(&mgr), vec![victim]);
         // Idempotent.
-        assert!(mgr.fail_tor(&dc, victim).is_empty());
+        assert!(mgr
+            .fail(&dc, Element::Tor(victim), &PaperGreedy::new())
+            .is_empty());
     }
 
     #[test]
@@ -1178,12 +1135,12 @@ mod tor_failure_tests {
             .seed(3)
             .build();
         let mut mgr = ClusterManager::new();
-        let t = dc.tor_ids().next().unwrap();
-        assert!(!mgr.restore_tor(t), "nothing failed yet");
-        mgr.fail_tor(&dc, t);
-        assert_eq!(mgr.failed_tors(), vec![t]);
-        assert!(mgr.restore_tor(t));
-        assert!(mgr.failed_tors().is_empty());
-        assert!(!mgr.restore_tor(t));
+        let t = Element::Tor(dc.tor_ids().next().unwrap());
+        assert!(!mgr.restore(t), "nothing failed yet");
+        mgr.fail(&dc, t, &PaperGreedy::new());
+        assert_eq!(mgr.health().failed(), vec![t]);
+        assert!(mgr.restore(t));
+        assert!(mgr.health().all_healthy());
+        assert!(!mgr.restore(t));
     }
 }

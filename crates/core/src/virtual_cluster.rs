@@ -145,7 +145,7 @@ mod tests {
     use super::*;
     use crate::construction::PaperGreedy;
     use crate::manager::ClusterManager;
-    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
+    use alvc_topology::{AlvcTopologyBuilder, Element, OpsInterconnect, PowerState};
 
     fn dc() -> DataCenter {
         AlvcTopologyBuilder::new()
@@ -210,20 +210,26 @@ mod tests {
         assert_ne!(moved, shrunk);
 
         let ops = mgr.cluster(id).unwrap().al().ops()[0];
-        mgr.fail_ops(&dc, ops, &PaperGreedy::new()).unwrap();
+        assert_eq!(
+            mgr.fail(&dc, Element::Ops(ops), &PaperGreedy::new()).len(),
+            1
+        );
         let repaired = fresh(&mgr, &dc);
         assert_eq!(repaired.graph().index_of(dc.node_of_ops(ops)), None);
-        let tor = mgr.cluster(id).unwrap().al().tors()[0];
-        mgr.fail_tor(&dc, tor);
+        let tor = Element::Tor(mgr.cluster(id).unwrap().al().tors()[0]);
+        assert_eq!(mgr.fail(&dc, tor, &PaperGreedy::new()).len(), 1);
         fresh(&mgr, &dc);
 
         // Restores and power transitions write neither field: the slice
         // stays as it is, not merely equal.
         let kept: *const ClusterSlice = mgr.cluster(id).unwrap().slice(&dc);
-        mgr.restore_ops(ops);
-        mgr.restore_tor(tor);
+        for element in [Element::Ops(ops), tor] {
+            assert!(mgr.restore(element));
+        }
         let spare = dc.ops_ids().find(|&o| mgr.ops_owner(o).is_none()).unwrap();
-        assert!(mgr.power_off_ops(spare) && mgr.power_on_ops(spare));
+        for state in [PowerState::PoweredOff, PowerState::Active] {
+            assert!(mgr.set_power(Element::Ops(spare), state).is_ok());
+        }
         assert!(std::ptr::eq(kept, mgr.cluster(id).unwrap().slice(&dc)));
     }
 

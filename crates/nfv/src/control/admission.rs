@@ -21,8 +21,9 @@
 //!    deployed chain.
 //! 3. **Capacity & authority pre-checks** — structurally unservable
 //!    requests (empty VM group, endpoints outside the group, non-finite or
-//!    unservable bandwidth), intents against chains the tenant does not
-//!    own, and operator-only intents from ordinary tenants.
+//!    unservable bandwidth), VMs and elements the data center does not
+//!    have, intents against chains the tenant does not own, and
+//!    operator-only intents from ordinary tenants.
 //!
 //! Quotas also carry the tenant's scheduling [`TenantQuota::weight`],
 //! consumed by the control plane's deficit-round-robin scheduler (see
@@ -32,6 +33,8 @@
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
+
+use alvc_topology::{Element, VmId};
 
 use crate::chain::{ChainSpecError, NfcId};
 use crate::lifecycle::VnfInstanceId;
@@ -163,6 +166,17 @@ pub enum AdmissionError {
     },
     /// A deployment over an empty VM group can never succeed.
     EmptyVmGroup,
+    /// A deployment names a VM the data center does not have.
+    UnknownVm {
+        /// The first unknown VM of the group.
+        vm: VmId,
+    },
+    /// A failure, restore or power intent names an element the data
+    /// center does not have.
+    UnknownElement {
+        /// The unknown element.
+        element: Element,
+    },
     /// A chain endpoint is not a member of the submitted VM group; the
     /// deployment would be rejected after cluster construction, so it is
     /// refused before.
@@ -202,6 +216,8 @@ impl AdmissionError {
             AdmissionError::NotOwner { .. } => "not_owner",
             AdmissionError::UnknownReplica { .. } => "unknown_replica",
             AdmissionError::EmptyVmGroup => "empty_vm_group",
+            AdmissionError::UnknownVm { .. } => "unknown_vm",
+            AdmissionError::UnknownElement { .. } => "unknown_element",
             AdmissionError::EndpointOutsideGroup => "endpoint_outside_group",
             AdmissionError::InvalidBandwidth { .. } => "invalid_bandwidth",
             AdmissionError::BandwidthUnservable { .. } => "bandwidth_unservable",
@@ -237,6 +253,12 @@ impl fmt::Display for AdmissionError {
             }
             AdmissionError::EmptyVmGroup => {
                 write!(f, "a chain cannot be deployed over an empty vm group")
+            }
+            AdmissionError::UnknownVm { vm } => {
+                write!(f, "the data center has no {vm}")
+            }
+            AdmissionError::UnknownElement { element } => {
+                write!(f, "the data center has no {element}")
             }
             AdmissionError::EndpointOutsideGroup => {
                 write!(f, "chain endpoints must belong to the submitted vm group")
@@ -304,6 +326,10 @@ mod tests {
                 replica: VnfInstanceId(1),
             },
             AdmissionError::EmptyVmGroup,
+            AdmissionError::UnknownVm { vm: VmId(9) },
+            AdmissionError::UnknownElement {
+                element: Element::Ops(alvc_topology::OpsId(9)),
+            },
             AdmissionError::EndpointOutsideGroup,
             AdmissionError::InvalidBandwidth {
                 requested_gbps: f64::NAN,

@@ -85,7 +85,7 @@ use parking_lot::{Mutex, RwLock};
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::LabelId;
 use alvc_telemetry::{FieldValue, TraceCtx, TraceId};
-use alvc_topology::{DataCenter, Element, VmId};
+use alvc_topology::{DataCenter, VmId};
 
 use crate::chain::{ChainSpec, NfcId};
 use crate::changes::ChangeSet;
@@ -805,6 +805,9 @@ impl ControlPlane {
         if vms.is_empty() {
             return Err(AdmissionError::EmptyVmGroup);
         }
+        if let Some(&vm) = vms.iter().find(|vm| vm.index() >= self.dc.vm_count()) {
+            return Err(AdmissionError::UnknownVm { vm });
+        }
         if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
             return Err(AdmissionError::EndpointOutsideGroup);
         }
@@ -854,6 +857,14 @@ impl ControlPlane {
             return Err(AdmissionError::NotAuthorized {
                 tenant: tenant.to_string(),
             });
+        }
+        if let Intent::FailElement { element }
+        | Intent::RestoreElement { element }
+        | Intent::SetPowerState { element, .. } = intent
+        {
+            if self.dc.node_of_element(*element).is_none() {
+                return Err(AdmissionError::UnknownElement { element: *element });
+            }
         }
         if let Some(chain) = intent.target_chain() {
             if inner.owners.get(&chain).map(|o| o.tenant.as_str()) != Some(tenant) {
@@ -1006,28 +1017,17 @@ impl ControlPlane {
                 Err(e) => IntentOutcome::Failed(e),
             },
             Intent::FailElement { element } => {
-                let report = match *element {
-                    Element::Ops(ops) => {
-                        inner
-                            .orch
-                            .fail_ops(&self.dc, ops, &*self.constructor, &*self.placer)
-                    }
-                    Element::Server(server) => {
-                        inner.orch.fail_server(&self.dc, server, &*self.placer)
-                    }
-                    Element::Tor(tor) => inner.orch.fail_tor(&self.dc, tor, &*self.placer),
-                };
+                let (constructor, placer) = (&*self.constructor, &*self.placer);
+                let report = inner
+                    .orch
+                    .fail_element(&self.dc, *element, constructor, placer);
                 IntentOutcome::Completed(IntentEffect::Recovered {
                     affected: report.affected_count(),
                     serving: report.serving_count(),
                 })
             }
             Intent::RestoreElement { element } => {
-                let was_failed = match *element {
-                    Element::Ops(ops) => inner.orch.restore_ops(ops),
-                    Element::Server(server) => inner.orch.restore_server(server),
-                    Element::Tor(tor) => inner.orch.restore_tor(tor),
-                };
+                let was_failed = inner.orch.restore_element(*element);
                 IntentOutcome::Completed(IntentEffect::Restored { was_failed })
             }
             Intent::Reoptimize => {
@@ -1077,7 +1077,9 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::chain::fig5;
-    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType};
+    use alvc_topology::{
+        AlvcTopologyBuilder, Element, OpsId, OpsInterconnect, PowerState, ServerId, ServiceType,
+    };
 
     fn dc() -> Arc<DataCenter> {
         Arc::new(
@@ -1492,6 +1494,68 @@ mod tests {
         ));
         assert!(cp.outcome(reopt).unwrap().is_completed());
         assert!(cp.view().failed_elements.is_empty());
+    }
+
+    /// Intents naming an element or a VM the data center does not have
+    /// are refused at admission, before anything is touched: the view and
+    /// the OPS availability stay as they were, and the log replays to the
+    /// same view.
+    #[test]
+    fn unknown_elements_and_vms_are_rejected_without_side_effects() {
+        let dc = dc();
+        let live = ControlPlane::new(dc.clone());
+        live.submit("web", deploy_intent(&dc, ServiceType::WebService));
+        live.process_all();
+        // One id past the last OPS too: an unknown id must not grow the view.
+        let availability = |cp: &ControlPlane| {
+            cp.inspect(|orch| {
+                let free = |o| orch.manager().availability().is_available(OpsId(o));
+                (0..=dc.ops_count()).map(free).collect::<Vec<_>>()
+            })
+        };
+        let (view_before, free_before) = (live.view(), availability(&live));
+
+        let ops = Element::Ops(OpsId(dc.ops_count()));
+        let server = Element::Server(ServerId(dc.server_count()));
+        let vm = VmId(dc.vm_count());
+        let mut vms = dc.vms_of_service(ServiceType::Sns);
+        let spec = fig5::black(vms[0], *vms.last().unwrap());
+        vms.push(vm);
+        let power_off = Intent::SetPowerState {
+            element: server,
+            state: PowerState::PoweredOff,
+        };
+        let tickets = [
+            live.submit("operator", Intent::FailElement { element: ops }),
+            live.submit("operator", Intent::RestoreElement { element: ops }),
+            live.submit("operator", power_off),
+            live.submit("sns", Intent::DeployChain { vms, spec }),
+        ];
+        live.process_all();
+        let rejections = [
+            AdmissionError::UnknownElement { element: ops },
+            AdmissionError::UnknownElement { element: ops },
+            AdmissionError::UnknownElement { element: server },
+            AdmissionError::UnknownVm { vm },
+        ];
+        for (ticket, rejection) in tickets.into_iter().zip(rejections) {
+            let rejected = IntentOutcome::Rejected(rejection);
+            assert_eq!(live.outcome(ticket), Some(rejected));
+        }
+        assert_eq!(AdmissionError::UnknownVm { vm }.code(), "unknown_vm");
+        let unknown = AdmissionError::UnknownElement { element: server };
+        assert_eq!(unknown.code(), "unknown_element");
+
+        let mut after = (*live.view()).clone();
+        assert_eq!(after.intents_processed, view_before.intents_processed + 4);
+        after.version = view_before.version;
+        after.intents_processed = view_before.intents_processed;
+        assert_eq!(after, *view_before);
+        assert_eq!(availability(&live), free_before);
+        live.inspect(|orch| assert!(orch.verify_no_failed_references(&dc)));
+
+        let fresh = ControlPlane::new(dc.clone());
+        assert_eq!(*fresh.replay(&live.intent_log()), *live.view());
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl StateView {
             clusters,
             link_committed_kbps,
             tenants,
-            failed_elements: orch.health.failed().into_iter().collect(),
+            failed_elements: orch.health().failed().into_iter().collect(),
             degraded_chains: orch.degraded.iter().copied().collect(),
             sdn_rules: orch.sdn.total_rules(),
             total_committed_kbps,
@@ -313,7 +313,7 @@ impl StateView {
         }
         // The (small) global sets are rebuilt wholesale: O(failed
         // elements + degraded chains).
-        self.failed_elements = orch.health.failed().into_iter().collect();
+        self.failed_elements = orch.health().failed().into_iter().collect();
         self.degraded_chains = orch.degraded.iter().copied().collect();
         self.sdn_rules = orch.sdn.total_rules();
     }

@@ -230,7 +230,7 @@ impl Orchestrator {
     }
 
     /// Makes `plan` the embedding of chain `id`: a chain unknown so far is
-    /// created and bound to `cluster`; an existing one swaps rules, path
+    /// created on `cluster`, its slice; an existing one swaps rules, path
     /// and — if the plan re-placed it — hosts and instances. Only rule
     /// installation can fail, and then nothing has changed.
     pub(crate) fn commit(
@@ -250,9 +250,6 @@ impl Orchestrator {
         self.commit_edges(&plan.edges, spec.bandwidth_gbps);
         let old = self.chains.remove(&id);
         if old.is_none() {
-            self.slices
-                .bind(id, cluster)
-                .expect("fresh chain id and cluster are unbound");
             self.changes.cluster(cluster);
         }
         let instances = match old {
@@ -281,8 +278,8 @@ impl Orchestrator {
     }
 
     /// Removes chain `id` and everything it holds: replicas, flow rules,
-    /// bandwidth, instances and their host capacity, the slice binding and
-    /// the virtual cluster.
+    /// bandwidth, instances and their host capacity, and the virtual
+    /// cluster.
     pub(crate) fn release(&mut self, id: NfcId) -> DeployedChain {
         // Replicas belong to the chain: scale them in first so their
         // capacity and map entries go with it.
@@ -295,7 +292,6 @@ impl Orchestrator {
         for &iid in &chain.instances {
             self.retire(iid);
         }
-        self.slices.unbind(id);
         self.degraded.remove(&id);
         self.manager.remove_cluster(chain.cluster);
         self.changes.chain(id);

@@ -13,18 +13,20 @@
 //!   scaling, termination, and update events during the life cycle of VNF";
 //! * [`sdn`] — the SDN controller: provisions connectivity by installing
 //!   per-chain flow rules along computed paths;
-//! * [`slicing`] — optical slice accounting: "divide the optical network
-//!   into virtual slices and allocate each slice to a single NFC. In AL-VC,
-//!   that division is in the shape of ALs";
 //! * [`placement`] — the [`placement::VnfPlacer`] trait implemented by the
 //!   strategies in the `alvc-placement` crate;
 //! * [`orchestrator`] — the network orchestrator for multi-tenant
 //!   SDN-enabled networks, "responsible for managing (provisioning,
 //!   creation, modification, upgradation, and deletion) of multiple NFCs",
-//!   mapping **one NFC to one virtual cluster**;
-//! * [`recovery`] — the failure-recovery subsystem: element failures enter
-//!   at the orchestrator, the AL layer repairs slices, and every affected
-//!   chain climbs the reroute → replace → degrade ladder;
+//!   mapping **one NFC to one virtual cluster**. That cluster's AL is the
+//!   chain's optical slice — "divide the optical network into virtual
+//!   slices and allocate each slice to a single NFC. In AL-VC, that
+//!   division is in the shape of ALs" — so [`DeployedChain::cluster`] is
+//!   the whole slice binding;
+//! * [`recovery`] — the failure-recovery subsystem: element failures and
+//!   restores enter at the orchestrator, one call each, the cluster manager
+//!   records them and repairs slices, and every affected chain climbs the
+//!   reroute → replace → degrade ladder;
 //! * [`recluster`] — adaptive re-clustering execution: applies an
 //!   `alvc_affinity` migration plan to live cluster membership, rebuilds
 //!   invalidated abstraction layers, and reroutes the chains they carried;
@@ -52,7 +54,6 @@ pub mod power;
 pub mod recluster;
 pub mod recovery;
 pub mod sdn;
-pub mod slicing;
 pub mod vnf;
 
 pub use chain::{
@@ -72,5 +73,4 @@ pub use placement::{ElectronicOnlyPlacer, PlacementContext, VnfPlacer};
 pub use recluster::ReclusterReport;
 pub use recovery::{RecoveryOutcome, RecoveryReport};
 pub use sdn::{FlowRule, SdnController, TableFull};
-pub use slicing::{OpticalSlice, SliceRegistry};
 pub use vnf::{ResourceDemand, VnfSpec, VnfType};

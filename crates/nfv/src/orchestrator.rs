@@ -18,9 +18,7 @@ use alvc_core::construction::{construct_layers, AlConstruct};
 use alvc_core::{AbstractionLayer, ClusterId, ClusterManager, LabelId};
 use alvc_optical::routing::try_path_edges;
 use alvc_optical::{HybridPath, OeoCostModel, RoutingError};
-use alvc_topology::{
-    DataCenter, Element, ElementHealth, OpsId, PhysNode, PowerOverlay, ServerId, TorId, VmId,
-};
+use alvc_topology::{DataCenter, Element, OpsId, PhysNode, ServerId, TorId, VmId};
 
 use crate::chain::{ChainSpec, Nfc, NfcId};
 use crate::changes::ChangeSet;
@@ -30,7 +28,6 @@ use crate::ledger::ShardedLedger;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::placement::VnfPlacer;
 use crate::sdn::SdnController;
-use crate::slicing::SliceRegistry;
 use crate::vnf::ResourceDemand;
 
 /// A chain the orchestrator has fully deployed.
@@ -112,7 +109,6 @@ impl DeployedChain {
 #[derive(Debug, Default)]
 pub struct Orchestrator {
     pub(crate) manager: ClusterManager,
-    pub(crate) slices: SliceRegistry,
     pub(crate) sdn: SdnController,
     pub(crate) chains: BTreeMap<NfcId, DeployedChain>,
     pub(crate) instances: BTreeMap<VnfInstanceId, VnfInstance>,
@@ -127,8 +123,6 @@ pub struct Orchestrator {
     /// a range and not a scan of every replica in the data center. Written
     /// together with `replicas`, by `scale_out` and `scale_in` only.
     chain_replicas: BTreeSet<(NfcId, VnfInstanceId)>,
-    pub(crate) health: ElementHealth,
-    pub(crate) power: PowerOverlay,
     pub(crate) degraded: BTreeSet<NfcId>,
     /// Entities mutated since the control plane last published a snapshot;
     /// drives incremental `StateView` publication (see [`crate::changes`]).
@@ -233,11 +227,6 @@ impl Orchestrator {
         &self.manager
     }
 
-    /// The slice registry (read access).
-    pub fn slices(&self) -> &SliceRegistry {
-        &self.slices
-    }
-
     /// The SDN controller (read access).
     pub fn sdn(&self) -> &SdnController {
         &self.sdn
@@ -251,17 +240,17 @@ impl Orchestrator {
     /// Whether a server is both healthy and powered: usable for new
     /// placements and routes.
     pub(crate) fn server_usable(&self, s: ServerId) -> bool {
-        self.health.server_up(s) && self.power.is_on(Element::Server(s))
+        self.manager.health().server_up(s) && self.manager.power().is_on(Element::Server(s))
     }
 
     /// Whether a ToR is both healthy and powered.
     pub(crate) fn tor_usable(&self, t: TorId) -> bool {
-        self.health.tor_up(t) && self.power.is_on(Element::Tor(t))
+        self.manager.health().tor_up(t) && self.manager.power().is_on(Element::Tor(t))
     }
 
     /// Whether an OPS is both healthy and powered.
     pub(crate) fn ops_usable(&self, o: OpsId) -> bool {
-        self.health.ops_up(o) && self.power.is_on(Element::Ops(o))
+        self.manager.health().ops_up(o) && self.manager.power().is_on(Element::Ops(o))
     }
 
     /// Whether the element at graph node `n` is usable; a node that is no
@@ -426,7 +415,7 @@ impl Orchestrator {
         &mut self,
         dc: &DataCenter,
         requests: Vec<(T, Vec<VmId>, ChainSpec)>,
-        constructor: &(dyn AlConstruct + Sync),
+        constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> Vec<Result<NfcId, Error>> {
         // Same membership normalization create_cluster applies, so the
@@ -524,7 +513,7 @@ impl Orchestrator {
 
     /// Tears a chain down: terminates and garbage-collects its VNFs (and
     /// any scale-out replicas), removes its flow rules, releases host
-    /// capacity, unbinds the slice, and destroys the virtual cluster.
+    /// capacity, and destroys the virtual cluster (the chain's slice).
     ///
     /// # Errors
     ///
@@ -796,7 +785,8 @@ mod tests {
         assert_eq!(chain.hosts().len(), 2);
         assert_eq!(chain.instances().len(), 2);
         assert!(chain.path().hop_count() > 0);
-        assert_eq!(orch.slices().cluster_of(id), Some(chain.cluster()));
+        assert!(orch.manager().cluster(chain.cluster()).is_some());
+        assert_eq!(orch.manager().cluster_count(), 1);
         assert!(orch.sdn().total_rules() > 0);
         for &iid in chain.instances() {
             assert_eq!(orch.instance(iid).unwrap().state(), VnfState::Active);
@@ -882,7 +872,6 @@ mod tests {
         assert_eq!(removed.nfc().id(), id);
         assert_eq!(orch.chain_count(), 0);
         assert_eq!(orch.sdn().total_rules(), 0);
-        assert!(orch.slices().is_empty());
         assert_eq!(orch.manager().cluster_count(), 0);
         for &iid in chain.instances() {
             assert!(
@@ -1025,13 +1014,16 @@ mod batch_deploy_tests {
         assert!(deployed >= 2, "most tenants deploy on a 24-OPS mesh");
         assert_eq!(orch.chain_count(), deployed);
         assert!(orch.manager().verify_disjoint());
+        // One chain per cluster, and no cluster without its chain.
+        let mut clusters = BTreeSet::new();
         for id in results.into_iter().flatten() {
             let chain = orch.chain(id).unwrap();
-            assert_eq!(orch.slices().cluster_of(id), Some(chain.cluster()));
+            assert!(clusters.insert(chain.cluster()), "{id} shares a slice");
             for &iid in chain.instances() {
                 assert_eq!(orch.instance(iid).unwrap().state(), VnfState::Active);
             }
         }
+        assert_eq!(clusters.len(), orch.manager().cluster_count());
     }
 
     #[test]

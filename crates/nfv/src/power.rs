@@ -17,9 +17,10 @@ use crate::orchestrator::Orchestrator;
 use crate::recovery::{element_node, host_on};
 
 impl Orchestrator {
-    /// The orchestrator's power-state overlay.
+    /// The power state of every substrate element, as the cluster manager
+    /// keeps it.
     pub fn power(&self) -> &PowerOverlay {
-        &self.power
+        self.manager.power()
     }
 
     /// Whether `element` carries any live orchestrator state: a flow rule
@@ -72,34 +73,24 @@ impl Orchestrator {
         element: Element,
         state: PowerState,
     ) -> Result<PowerState, PowerError> {
-        let previous = self.power.state(element);
+        let previous = self.power().state(element);
         if previous == state {
             return Ok(previous);
         }
-        if !self.health.is_up(element) {
+        if !self.health().is_up(element) {
             return Err(PowerError::Failed { element });
         }
         if state != PowerState::Active && self.element_in_use(dc, element) {
             return Err(PowerError::InUse { element });
         }
-        if state == PowerState::PoweredOff {
-            if let Element::Ops(ops) = element {
-                // Blocks the switch in the manager's availability view so
-                // no future AL construction or rebuild picks it.
-                if !self.manager.power_off_ops(ops) {
-                    return Err(PowerError::OpsOwned { ops });
-                }
-            }
-        }
-        if previous == PowerState::PoweredOff {
-            if let Element::Ops(ops) = element {
-                self.manager.power_on_ops(ops);
-            }
-        }
-        self.power.set(element, state);
+        // The manager blocks a powered-off OPS in its availability view, so
+        // no later AL construction or rebuild picks it.
+        self.manager
+            .set_power(element, state)
+            .map_err(|ops| PowerError::OpsOwned { ops })?;
         alvc_telemetry::counter_with("alvc_nfv.power.transitions", state.label()).incr();
         alvc_telemetry::gauge!("alvc_nfv.power.powered_off_elements")
-            .set(self.power.powered_off_count() as f64);
+            .set(self.power().powered_off_count() as f64);
         if !self.quiet {
             alvc_telemetry::event!(
                 "alvc_nfv.power.transition",
@@ -251,7 +242,8 @@ mod tests {
         let dc = dc();
         let mut orch = Orchestrator::new();
         let ops = dc.ops_ids().next().unwrap();
-        orch.fail_ops(&dc, ops, &PaperGreedy::new(), &ElectronicOnlyPlacer::new());
+        let (ctor, placer) = (PaperGreedy::new(), ElectronicOnlyPlacer::new());
+        orch.fail_element(&dc, Element::Ops(ops), &ctor, &placer);
         assert_eq!(
             orch.set_power_state(&dc, Element::Ops(ops), PowerState::PoweredOff),
             Err(PowerError::Failed {

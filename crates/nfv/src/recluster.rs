@@ -71,7 +71,7 @@ impl Orchestrator {
         &mut self,
         dc: &DataCenter,
         moves: &[VmMove],
-        constructor: &(dyn AlConstruct + Sync),
+        constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> ReclusterReport {
         let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.recluster_us");
@@ -113,46 +113,22 @@ impl Orchestrator {
         }
 
         // Phase 2: rebuild ALs invalidated by the new membership, in
-        // cluster-id order — batched through rebuild_clusters, which runs
-        // the replacement constructions shard-parallel across pods on
-        // multi-pod topologies (and is a plain rebuild_cluster loop on
-        // single-pod ones, bit-identical to the historical serial path, so
-        // intent-log replay is unaffected). Track which clusters' OPS sets
-        // actually changed — only those chains need rerouting.
+        // cluster-id order. Track which clusters' OPS sets actually changed
+        // — only those chains need rerouting.
         let mut changed: BTreeSet<ClusterId> = BTreeSet::new();
-        let stale_clusters: Vec<ClusterId> = affected
-            .iter()
-            .copied()
-            .filter(|&cid| {
-                self.manager.cluster(cid).is_some_and(|vc| {
-                    !vc.vms().is_empty() && vc.al().validate(dc, vc.vms()).is_err()
-                })
-            })
-            .collect();
-        let before: Vec<Vec<_>> = stale_clusters
-            .iter()
-            .map(|&cid| {
-                self.manager
-                    .cluster(cid)
-                    .expect("filtered to live clusters")
-                    .al()
-                    .ops()
-                    .to_vec()
-            })
-            .collect();
-        let rebuilt = self
-            .manager
-            .rebuild_clusters(dc, &stale_clusters, constructor);
-        for ((cid, result), before_ops) in rebuilt.into_iter().zip(before) {
-            match result {
+        for cid in affected {
+            let Some(vc) = self.manager.cluster(cid) else {
+                continue;
+            };
+            if vc.vms().is_empty() || vc.al().validate(dc, vc.vms()).is_ok() {
+                continue;
+            }
+            let before = vc.al().ops().to_vec();
+            match self.manager.rebuild_cluster(dc, cid, constructor) {
                 Ok(()) => {
                     report.als_rebuilt += 1;
-                    let after = self
-                        .manager
-                        .cluster(cid)
-                        .map(|vc| vc.al().ops().to_vec())
-                        .unwrap_or_default();
-                    if after != before_ops {
+                    let after = self.manager.cluster(cid).map(|vc| vc.al().ops());
+                    if after != Some(&before[..]) {
                         changed.insert(cid);
                     }
                 }

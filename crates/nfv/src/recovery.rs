@@ -1,13 +1,15 @@
 //! Orchestrator-level failure recovery (§IV flexibility claim, completed).
 //!
-//! [`ClusterManager::fail_ops`](alvc_core::ClusterManager::fail_ops) repairs
-//! the abstraction layer around a failed switch, but a repair the layers
-//! above never hear about leaves deployed chains serving stale state: routes
-//! through the dead switch, flow rules on it, bandwidth ledger entries over
-//! its links. This module lifts the failure entry points to the
-//! orchestrator — [`Orchestrator::fail_ops`], [`Orchestrator::fail_server`],
-//! [`Orchestrator::fail_tor`] — so a substrate failure propagates through
-//! every ledger in one step.
+//! [`ClusterManager::fail`](alvc_core::ClusterManager::fail) records a
+//! failure and repairs the abstraction layers around it, but a repair the
+//! layers above never hear about leaves deployed chains serving stale
+//! state: routes through the dead element, flow rules on it, bandwidth
+//! ledger entries over its links. This module lifts the failure workflow
+//! to the orchestrator — [`Orchestrator::fail_element`] and
+//! [`Orchestrator::restore_element`], one call each whatever the element
+//! — so a substrate failure propagates through every ledger in one step.
+//! The cluster manager stays the one owner of element health; the
+//! orchestrator reads it from there.
 //!
 //! # The recovery ladder
 //!
@@ -34,7 +36,7 @@ use std::collections::{BTreeMap, HashSet};
 use alvc_core::construction::AlConstruct;
 use alvc_core::ClusterId;
 use alvc_graph::NodeId;
-use alvc_topology::{DataCenter, Element, ElementHealth, OpsId, ServerId, TorId};
+use alvc_topology::{DataCenter, Element, ElementHealth};
 
 use crate::chain::NfcId;
 use crate::embed::{HostChoice, Scope};
@@ -127,9 +129,10 @@ impl RecoveryReport {
 }
 
 impl Orchestrator {
-    /// The orchestrator's element-health overlay.
+    /// Which substrate elements are failed, as the cluster manager keeps
+    /// it.
     pub fn health(&self) -> &ElementHealth {
-        &self.health
+        self.manager.health()
     }
 
     /// Chains currently running outside their slice
@@ -138,70 +141,104 @@ impl Orchestrator {
         self.degraded.iter().copied().collect()
     }
 
-    /// Fails an optical packet switch: the AL layer repairs affected slices
-    /// (shrink-first, then rebuild), then every chain whose path, hosts, or
-    /// slice touched the switch is taken through the recovery ladder.
-    pub fn fail_ops(
+    /// Fails a substrate element. The cluster manager records the failure
+    /// and repairs the layers that list the element
+    /// ([`ClusterManager::fail`](alvc_core::ClusterManager::fail): an OPS's
+    /// owner shrink-first, then rebuilt with `constructor`; a ToR shrunk
+    /// out of every layer that can spare it; a server touches no layer).
+    /// Then every chain whose path crosses the element, whose VNF host
+    /// died, or whose slice was repaired climbs the recovery ladder with
+    /// `placer` — a dead endpoint server makes a chain
+    /// [`RecoveryOutcome::Unrecoverable`]. Failing an element that is
+    /// already down does nothing and reports no chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dc` has no such element; the control plane rejects one
+    /// at admission.
+    pub fn fail_element(
         &mut self,
         dc: &DataCenter,
-        ops: OpsId,
+        element: Element,
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> RecoveryReport {
-        self.fail_element(dc, Element::Ops(ops), Some(constructor), placer)
-    }
-
-    /// Fails a server: chains whose VNFs, ingress, or egress lived on it
-    /// are taken through the recovery ladder (a dead endpoint server makes
-    /// a chain [`RecoveryOutcome::Unrecoverable`]).
-    pub fn fail_server(
-        &mut self,
-        dc: &DataCenter,
-        server: ServerId,
-        placer: &dyn VnfPlacer,
-    ) -> RecoveryReport {
-        self.fail_element(dc, Element::Server(server), None, placer)
-    }
-
-    /// Fails a ToR switch: ALs that can spare it are shrunk at the AL
-    /// layer, then every chain whose path crossed it is taken through the
-    /// recovery ladder (dual-homed servers reach the fabric through their
-    /// other ToR).
-    pub fn fail_tor(
-        &mut self,
-        dc: &DataCenter,
-        tor: TorId,
-        placer: &dyn VnfPlacer,
-    ) -> RecoveryReport {
-        self.fail_element(dc, Element::Tor(tor), None, placer)
-    }
-
-    /// Restores a failed OPS at both the orchestrator and AL layer.
-    /// Returns `true` if it was failed.
-    pub fn restore_ops(&mut self, ops: OpsId) -> bool {
-        let was_failed = self.health.restore(Element::Ops(ops));
-        if was_failed {
-            self.manager.restore_ops(ops);
-            alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
+        let node = element_node(dc, element);
+        if !self.manager.health().is_up(element) {
+            // Already down: the first failure did the work.
+            return RecoveryReport {
+                element,
+                outcomes: BTreeMap::new(),
+            };
         }
-        was_failed
-    }
-
-    /// Restores a failed server. Returns `true` if it was failed.
-    pub fn restore_server(&mut self, server: ServerId) -> bool {
-        let was_failed = self.health.restore(Element::Server(server));
-        if was_failed {
-            alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
+        let _span = alvc_telemetry::span!("alvc_nfv.recovery.repair_latency_us");
+        alvc_telemetry::counter!("alvc_nfv.recovery.element_failures").incr();
+        if !self.quiet {
+            alvc_telemetry::event!(
+                "alvc_nfv.recovery.element_failed",
+                "element" = element.to_string().as_str(),
+            );
         }
-        was_failed
+
+        // The AL layer shrinks or rebuilds these slices' layers. A slice
+        // whose rebuild failed keeps its degraded layer, and its chains
+        // still need chain-level recovery all the same.
+        let repaired: HashSet<ClusterId> = self
+            .manager
+            .fail(dc, element, constructor)
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
+        for &c in &repaired {
+            self.changes.cluster(c);
+        }
+
+        // Replicas on dead elements are force-scaled-in before chain
+        // recovery runs, so no instance survives on a failed host.
+        let dead_replicas: Vec<VnfInstanceId> = self
+            .replicas
+            .keys()
+            .copied()
+            .filter(|iid| {
+                self.instances
+                    .get(iid)
+                    .is_some_and(|i| !self.host_up(i.host()))
+            })
+            .collect();
+        for replica in dead_replicas {
+            let _ = self.scale_in(replica);
+        }
+
+        // Affected: path crosses the dead node (endpoints included — a
+        // path starts and ends at the endpoint servers), a VNF host died,
+        // or the chain's slice was repaired out from under its route.
+        let affected = self.affected_chains(node, &repaired);
+
+        let mut outcomes = BTreeMap::new();
+        for id in affected {
+            let outcome = self.recover_chain(dc, id, placer);
+            alvc_telemetry::counter_with("alvc_nfv.recovery.outcomes", outcome.label()).incr();
+            if !self.quiet {
+                alvc_telemetry::event!(
+                    "alvc_nfv.recovery.chain_recovered",
+                    "nfc" = id.index(),
+                    "outcome" = outcome.label(),
+                );
+            }
+            outcomes.insert(id, outcome);
+        }
+        alvc_telemetry::gauge!("alvc_nfv.recovery.degraded_chains").set(self.degraded.len() as f64);
+        RecoveryReport { element, outcomes }
     }
 
-    /// Restores a failed ToR at both the orchestrator and AL layer.
-    /// Returns `true` if it was failed.
-    pub fn restore_tor(&mut self, tor: TorId) -> bool {
-        let was_failed = self.health.restore(Element::Tor(tor));
+    /// Restores a failed element. The cluster manager returns a restored
+    /// OPS to the pool unless a layer still lists it or it is powered off;
+    /// chains stranded outside their slices wait for
+    /// [`Orchestrator::reoptimize_degraded`]. Returns `true` if the element
+    /// was failed.
+    pub fn restore_element(&mut self, element: Element) -> bool {
+        let was_failed = self.manager.restore(element);
         if was_failed {
-            self.manager.restore_tor(tor);
             alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
         }
         was_failed
@@ -242,7 +279,7 @@ impl Orchestrator {
     }
 
     fn no_failed_references(&self, dc: &DataCenter) -> bool {
-        for element in self.health.failed() {
+        for element in self.health().failed() {
             let node = element_node(dc, element);
             if self.sdn.rules_on_switch(node) > 0 {
                 return false;
@@ -267,90 +304,6 @@ impl Orchestrator {
             }
         }
         true
-    }
-
-    fn fail_element(
-        &mut self,
-        dc: &DataCenter,
-        element: Element,
-        constructor: Option<&dyn AlConstruct>,
-        placer: &dyn VnfPlacer,
-    ) -> RecoveryReport {
-        if !self.health.fail(element) {
-            // Already down: the first failure did the work.
-            return RecoveryReport {
-                element,
-                outcomes: BTreeMap::new(),
-            };
-        }
-        let _span = alvc_telemetry::span!("alvc_nfv.recovery.repair_latency_us");
-        alvc_telemetry::counter!("alvc_nfv.recovery.element_failures").incr();
-        if !self.quiet {
-            alvc_telemetry::event!(
-                "alvc_nfv.recovery.element_failed",
-                "element" = element.to_string().as_str(),
-            );
-        }
-
-        // Mirror into the AL layer; it repairs slices where it can.
-        let mut repaired: Vec<ClusterId> = Vec::new();
-        match element {
-            Element::Ops(o) => {
-                let ctor = constructor.expect("fail_ops passes a constructor");
-                match self.manager.fail_ops(dc, o, ctor) {
-                    Ok(Some(c)) => repaired.push(c),
-                    Ok(None) => {}
-                    // Rebuild failed: the owner keeps its degraded AL;
-                    // its chains still need chain-level recovery.
-                    Err(_) => repaired.extend(self.manager.ops_owner(o)),
-                }
-            }
-            Element::Tor(t) => repaired = self.manager.fail_tor(dc, t),
-            Element::Server(_) => {}
-        }
-        // The AL layer shrank or rebuilt these slices' layers.
-        for &c in &repaired {
-            self.changes.cluster(c);
-        }
-
-        // Replicas on dead elements are force-scaled-in before chain
-        // recovery runs, so no instance survives on a failed host.
-        let dead_replicas: Vec<VnfInstanceId> = self
-            .replicas
-            .keys()
-            .copied()
-            .filter(|iid| {
-                self.instances
-                    .get(iid)
-                    .is_some_and(|i| !self.host_up(i.host()))
-            })
-            .collect();
-        for replica in dead_replicas {
-            let _ = self.scale_in(replica);
-        }
-
-        // Affected: path crosses the dead node (endpoints included — a
-        // path starts and ends at the endpoint servers), a VNF host died,
-        // or the chain's slice was repaired out from under its route.
-        let node = element_node(dc, element);
-        let repaired: HashSet<ClusterId> = repaired.into_iter().collect();
-        let affected = self.affected_chains(node, &repaired);
-
-        let mut outcomes = BTreeMap::new();
-        for id in affected {
-            let outcome = self.recover_chain(dc, id, placer);
-            alvc_telemetry::counter_with("alvc_nfv.recovery.outcomes", outcome.label()).incr();
-            if !self.quiet {
-                alvc_telemetry::event!(
-                    "alvc_nfv.recovery.chain_recovered",
-                    "nfc" = id.index(),
-                    "outcome" = outcome.label(),
-                );
-            }
-            outcomes.insert(id, outcome);
-        }
-        alvc_telemetry::gauge!("alvc_nfv.recovery.degraded_chains").set(self.degraded.len() as f64);
-        RecoveryReport { element, outcomes }
     }
 
     /// The chains a failure at `node` touches, in chain-id order (which
@@ -475,12 +428,14 @@ impl Orchestrator {
     }
 }
 
+/// The graph node of `element`.
+///
+/// # Panics
+///
+/// Panics if `dc` has no such element.
 pub(crate) fn element_node(dc: &DataCenter, element: Element) -> NodeId {
-    match element {
-        Element::Server(s) => dc.node_of_server(s),
-        Element::Tor(t) => dc.node_of_tor(t),
-        Element::Ops(o) => dc.node_of_ops(o),
-    }
+    dc.node_of_element(element)
+        .unwrap_or_else(|| panic!("{element} is no element of the data center"))
 }
 
 pub(crate) fn host_on(host: HostLocation, element: Element) -> bool {
@@ -497,7 +452,7 @@ mod tests {
     use crate::chain::fig5;
     use crate::placement::ElectronicOnlyPlacer;
     use alvc_core::construction::PaperGreedy;
-    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType, VmId};
+    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType, TorId, VmId};
 
     fn dc() -> DataCenter {
         AlvcTopologyBuilder::new()
@@ -560,7 +515,12 @@ mod tests {
             .find(|&o| path_nodes.contains(&dc.node_of_ops(o)))
             .expect("slice path crosses an AL OPS");
 
-        let report = orch.fail_ops(&dc, dead, &PaperGreedy::new(), &ElectronicOnlyPlacer::new());
+        let report = orch.fail_element(
+            &dc,
+            Element::Ops(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         assert_eq!(report.element(), Element::Ops(dead));
         let outcome = report.outcomes().get(&id).expect("chain was affected");
         assert!(
@@ -606,7 +566,12 @@ mod tests {
         else {
             return; // anti-affinity put every VNF on an endpoint server
         };
-        let report = orch.fail_server(&dc, dead, &ElectronicOnlyPlacer::new());
+        let report = orch.fail_element(
+            &dc,
+            Element::Server(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         let outcome = report.outcomes().get(&id).expect("chain was affected");
         assert!(
             matches!(
@@ -633,7 +598,12 @@ mod tests {
         let vms = dc.vms_of_service(ServiceType::WebService);
         let ingress_server = dc.server_of_vm(vms[0]);
         let id = deploy(&mut orch, &dc, "web", vms);
-        let report = orch.fail_server(&dc, ingress_server, &ElectronicOnlyPlacer::new());
+        let report = orch.fail_element(
+            &dc,
+            Element::Server(ingress_server),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         assert_eq!(
             report.outcomes().get(&id),
             Some(&RecoveryOutcome::Unrecoverable(DeployError::EndpointFailed))
@@ -644,7 +614,6 @@ mod tests {
         assert_eq!(orch.chain_count(), 0);
         assert_eq!(orch.sdn().total_rules(), 0);
         assert_eq!(orch.instance_count(), 0);
-        assert!(orch.slices().is_empty());
         assert_eq!(orch.manager().cluster_count(), 0);
         assert!(orch.verify_no_failed_references(&dc));
     }
@@ -685,7 +654,12 @@ mod tests {
             return;
         };
         let sns_before = orch.chain(sns).unwrap().clone();
-        let report = orch.fail_ops(&dc, dead, &PaperGreedy::new(), &ElectronicOnlyPlacer::new());
+        let report = orch.fail_element(
+            &dc,
+            Element::Ops(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         assert!(report.outcomes().contains_key(&web));
         assert!(!report.outcomes().contains_key(&sns));
         assert_eq!(orch.chain(sns).unwrap(), &sns_before);
@@ -708,12 +682,25 @@ mod tests {
             .al()
             .clone();
         let dead = al.ops()[0];
-        let first = orch.fail_ops(&dc, dead, &PaperGreedy::new(), &ElectronicOnlyPlacer::new());
-        let second = orch.fail_ops(&dc, dead, &PaperGreedy::new(), &ElectronicOnlyPlacer::new());
+        let first = orch.fail_element(
+            &dc,
+            Element::Ops(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
+        let second = orch.fail_element(
+            &dc,
+            Element::Ops(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         assert_eq!(second.affected_count(), 0, "second failure is a no-op");
         let _ = first;
-        assert!(orch.restore_ops(dead));
-        assert!(!orch.restore_ops(dead), "already restored");
+        assert!(orch.restore_element(Element::Ops(dead)));
+        assert!(
+            !orch.restore_element(Element::Ops(dead)),
+            "already restored"
+        );
         assert!(orch.health().all_healthy());
         // The restored switch is usable again: a fresh deployment works.
         let vms = dc.vms_of_service(ServiceType::MapReduce);
@@ -759,7 +746,12 @@ mod tests {
             .clone();
         assert_eq!(al_a.ops_count(), 1, "minimal AL on a 2-OPS core");
         let dead = al_a.ops()[0];
-        let report = orch.fail_ops(&dc, dead, &PaperGreedy::new(), &ElectronicOnlyPlacer::new());
+        let report = orch.fail_element(
+            &dc,
+            Element::Ops(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         let outcome = report.outcomes().get(&a).expect("chain a affected");
         assert_eq!(
             outcome,
@@ -779,7 +771,7 @@ mod tests {
             .contains(&other_ops_node));
 
         // Restore and pull the chain back into its slice.
-        assert!(orch.restore_ops(dead));
+        assert!(orch.restore_element(Element::Ops(dead)));
         let outcomes = orch.reoptimize_degraded(&dc, &ElectronicOnlyPlacer::new());
         assert!(outcomes.get(&a).expect("reoptimized").is_serving());
         assert!(orch.degraded_chains().is_empty());
@@ -815,7 +807,12 @@ mod tests {
             .collect();
         assert!(!path_tors.is_empty(), "chain path crosses ToRs");
         let dead = path_tors[0];
-        let report = orch.fail_tor(&dc, dead, &ElectronicOnlyPlacer::new());
+        let report = orch.fail_element(
+            &dc,
+            Element::Tor(dead),
+            &PaperGreedy::new(),
+            &ElectronicOnlyPlacer::new(),
+        );
         let outcome = report.outcomes().get(&id).expect("chain was affected");
         // Single-homed servers behind the dead ToR make their VMs
         // unreachable, so any outcome is legal — but state must be clean.
@@ -830,7 +827,7 @@ mod tests {
         } else {
             assert!(orch.chain(id).is_none());
         }
-        assert!(orch.restore_tor(dead));
+        assert!(orch.restore_element(Element::Tor(dead)));
     }
 
     /// Regression: re-placement during recovery (and hence
@@ -896,7 +893,12 @@ mod tests {
         else {
             return; // every VNF landed on an endpoint server
         };
-        let report = orch.fail_server(&dc, dead, &ColocatingPlacer);
+        let report = orch.fail_element(
+            &dc,
+            Element::Server(dead),
+            &PaperGreedy::new(),
+            &ColocatingPlacer,
+        );
         let outcome = report.outcomes().get(&id).expect("chain was affected");
         // The colocating placer cannot satisfy anti-affinity, so the chain
         // either survives with its rules intact (it cannot) or is torn
@@ -986,15 +988,15 @@ mod tests {
         let cluster = orch.chain(id).unwrap().cluster();
         let owned = orch.manager().cluster(cluster).unwrap().al().ops()[0];
         let spare = dc.ops_ids().find(|&o| o != owned).unwrap();
-        orch.fail_ops(
+        orch.fail_element(
             &dc,
-            spare,
+            Element::Ops(spare),
             &PaperGreedy::new(),
             &ElectronicOnlyPlacer::new(),
         );
-        let report = orch.fail_ops(
+        let report = orch.fail_element(
             &dc,
-            owned,
+            Element::Ops(owned),
             &PaperGreedy::new(),
             &ElectronicOnlyPlacer::new(),
         );

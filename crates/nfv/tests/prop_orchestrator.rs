@@ -38,8 +38,10 @@ fn spec_for(kind: u8, ingress: VmId, egress: VmId) -> ChainSpec {
 fn check_invariants(dc: &DataCenter, orch: &Orchestrator) {
     // OPS-disjoint slices.
     assert!(orch.manager().verify_disjoint());
-    // One cluster per chain and vice versa.
-    assert_eq!(orch.chain_count(), orch.slices().len());
+    // One cluster per chain and vice versa: the chains' clusters are
+    // distinct, and there are as many as the manager holds.
+    let clusters: std::collections::BTreeSet<_> = orch.chains().map(|c| c.cluster()).collect();
+    assert_eq!(orch.chain_count(), clusters.len());
     assert_eq!(orch.chain_count(), orch.manager().cluster_count());
     // Rules exactly cover deployed paths.
     let expected_rules: usize = orch.chains().map(|c| c.path().nodes().len()).sum();

@@ -5,9 +5,10 @@
 //! substrate outages. The topology itself is immutable during operation —
 //! failures do not remove nodes from the graph — so health is tracked as an
 //! overlay: a set of failed elements consulted by placement, routing, and
-//! recovery. [`ElementHealth`] is that overlay; the orchestrator owns one
-//! and the cluster manager mirrors the switch-level part of it in its OPS
-//! availability view.
+//! recovery. [`ElementHealth`] is that overlay. One instance exists per
+//! running system: the cluster manager (`alvc_core::ClusterManager`) owns
+//! it, blocks failed OPSs in its availability view, and everything above
+//! reads it from there.
 
 use std::collections::BTreeSet;
 
@@ -204,11 +205,14 @@ mod tests {
             (Element::Tor(tor), dc.node_of_tor(tor)),
             (Element::Ops(ops), dc.node_of_ops(ops)),
         ] {
+            assert_eq!(dc.node_of_element(element), Some(node));
             assert!(h.node_up(&dc, node));
             h.fail(element);
             assert!(!h.node_up(&dc, node));
             h.restore(element);
         }
+        let unknown = Element::Ops(OpsId(dc.ops_count()));
+        assert_eq!(dc.node_of_element(unknown), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Per-element power states: the substrate-level half of the energy plane.
 //!
-//! [`PowerOverlay`] mirrors [`ElementHealth`](crate::health::ElementHealth):
-//! a deterministic overlay over the immutable topology recording which
+//! [`PowerOverlay`] is, like [`ElementHealth`](crate::health::ElementHealth),
+//! a deterministic overlay over the immutable topology, recording which
 //! elements are [`PowerState::Idle`] or [`PowerState::PoweredOff`] (every
-//! untracked element is [`PowerState::Active`]). Unlike a failure, a power
-//! transition is *planned*: the orchestrator only powers an element down
-//! once nothing references it, so no recovery ladder runs.
+//! untracked element is [`PowerState::Active`]). The cluster manager
+//! (`alvc_core::ClusterManager`) owns the one instance beside the health
+//! overlay. Unlike a failure, a power transition is *planned*: the
+//! orchestrator only powers an element down once nothing references it,
+//! so no recovery ladder runs.
 //!
 //! Transitions follow `Active ⇄ Idle ⇄ PoweredOff` (and `Active ⇄
 //! PoweredOff` directly); the overlay counts them per target state so the

@@ -665,6 +665,16 @@ impl DataCenter {
         self.servers[server.0].node
     }
 
+    /// Graph node of `element`, `None` if the data center has no such
+    /// element.
+    pub fn node_of_element(&self, element: Element) -> Option<NodeId> {
+        match element {
+            Element::Server(s) => self.servers.get(s.0).map(|r| r.node),
+            Element::Tor(t) => self.tors.get(t.0).map(|r| r.node),
+            Element::Ops(o) => self.opss.get(o.0).map(|r| r.node),
+        }
+    }
+
     /// Iterates over `(edge id, attributes)` of all physical links.
     pub fn links(&self) -> impl Iterator<Item = (alvc_graph::EdgeId, &LinkAttrs)> {
         self.graph.edges().map(|(e, _, _, w)| (e, w))

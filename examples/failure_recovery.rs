@@ -48,8 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .al()
             .ops()[0];
         println!("\nround {round}: failing {victim}");
-        match mgr.fail_ops(&dc, victim, &PaperGreedy::new())? {
-            Some(cluster) => {
+        match mgr
+            .fail(&dc, Element::Ops(victim), &PaperGreedy::new())
+            .pop()
+        {
+            Some((cluster, repaired)) => {
+                repaired?;
                 let vc = mgr.cluster(cluster).unwrap();
                 println!(
                     "  rebuilt '{}' around the failure; new AL: {:?} (valid: {})",
@@ -67,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nfailed switches: {:?}; ALs disjoint: {}; no failed switch in use: {}",
-        mgr.failed_ops()
-            .iter()
+        mgr.health()
+            .failed_ops()
             .map(|o| o.to_string())
             .collect::<Vec<_>>(),
         mgr.verify_disjoint(),
@@ -76,8 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Restore one and show it returns to the pool.
-    let restored = mgr.failed_ops()[0];
-    mgr.restore_ops(restored);
+    let restored = mgr.health().failed_ops().next().unwrap();
+    mgr.restore(Element::Ops(restored));
     println!(
         "restored {restored}; available again: {}",
         mgr.availability().is_available(restored)
@@ -90,7 +94,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let id = mgr2.create_cluster(&dc, "r2", vms, &RedundantGreedy::new(2))?;
     let before = mgr2.cluster(id).unwrap().al().clone();
     let victim = before.ops()[0];
-    mgr2.fail_ops(&dc, victim, &RedundantGreedy::new(2))?;
+    for (_, repaired) in mgr2.fail(&dc, Element::Ops(victim), &RedundantGreedy::new(2)) {
+        repaired?;
+    }
     let after = mgr2.cluster(id).unwrap().al().clone();
     let shrank = after.ops().iter().all(|o| before.contains_ops(*o));
     println!(
@@ -121,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .clone();
     let victim = al.ops()[0];
     println!("\norchestrator: deployed chain {chain:?}; failing its AL switch {victim}");
-    let report = orch.fail_ops(&dc, victim, &ctor, &placer);
+    let report = orch.fail_element(&dc, Element::Ops(victim), &ctor, &placer);
     for (id, outcome) in report.outcomes() {
         println!("  chain {id:?}: {outcome}");
     }
@@ -138,12 +144,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let host = *host;
         println!("orchestrator: failing VNF host {host}");
-        let report = orch.fail_server(&dc, host, &placer);
+        let report = orch.fail_element(&dc, Element::Server(host), &ctor, &placer);
         for (id, outcome) in report.outcomes() {
             println!("  chain {id:?}: {outcome}");
         }
     }
-    orch.restore_ops(victim);
+    orch.restore_element(Element::Ops(victim));
     let back = orch.reoptimize_degraded(&dc, &placer);
     println!(
         "restored {victim}; reoptimized {} degraded chain(s); elements still failed: {}",

@@ -117,31 +117,15 @@ fn orchestrator_survives_chaotic_operation_mix() {
             // and may discard chains it cannot save.
             5 => {
                 if rng.random::<f64>() < 0.6 {
-                    match rng.random_range(0..3u8) {
-                        0 => {
-                            let s = ServerId(rng.random_range(0..dc.server_count()));
-                            let _ = orch.fail_server(&dc, s, &OpticalFirstPlacer::new());
-                        }
-                        1 => {
-                            let t = TorId(rng.random_range(0..dc.tor_count()));
-                            let _ = orch.fail_tor(&dc, t, &OpticalFirstPlacer::new());
-                        }
-                        _ => {
-                            let o = OpsId(rng.random_range(0..dc.ops_count()));
-                            let _ = orch.fail_ops(
-                                &dc,
-                                o,
-                                &PaperGreedy::new(),
-                                &OpticalFirstPlacer::new(),
-                            );
-                        }
-                    }
+                    let element = match rng.random_range(0..3u8) {
+                        0 => Element::Server(ServerId(rng.random_range(0..dc.server_count()))),
+                        1 => Element::Tor(TorId(rng.random_range(0..dc.tor_count()))),
+                        _ => Element::Ops(OpsId(rng.random_range(0..dc.ops_count()))),
+                    };
+                    let (ctor, placer) = (PaperGreedy::new(), OpticalFirstPlacer::new());
+                    let _ = orch.fail_element(&dc, element, &ctor, &placer);
                 } else if let Some(&element) = orch.health().failed().first() {
-                    match element {
-                        Element::Server(s) => assert!(orch.restore_server(s)),
-                        Element::Tor(t) => assert!(orch.restore_tor(t)),
-                        Element::Ops(o) => assert!(orch.restore_ops(o)),
-                    }
+                    assert!(orch.restore_element(element));
                     // Pull degraded chains back into their slices.
                     let _ = orch.reoptimize_degraded(&dc, &OpticalFirstPlacer::new());
                 }
@@ -214,11 +198,7 @@ fn orchestrator_survives_chaotic_operation_mix() {
         orch.teardown_chain(id).expect("live chain");
     }
     for element in orch.health().failed() {
-        match element {
-            Element::Server(s) => assert!(orch.restore_server(s)),
-            Element::Tor(t) => assert!(orch.restore_tor(t)),
-            Element::Ops(o) => assert!(orch.restore_ops(o)),
-        }
+        assert!(orch.restore_element(element));
     }
     assert!(orch.health().all_healthy());
     assert_eq!(orch.chain_count(), 0);
@@ -247,7 +227,8 @@ fn cluster_manager_survives_failure_storm_with_redundancy() {
     let mut recovered = 0;
     for _ in 0..12 {
         let &victim = pool.choose(&mut rng).unwrap();
-        if mgr.fail_ops(&dc, victim, &ctor).is_ok() {
+        let repaired = mgr.fail(&dc, Element::Ops(victim), &ctor);
+        if repaired.iter().all(|(_, r)| r.is_ok()) {
             recovered += 1;
         }
         assert!(mgr.verify_disjoint());
