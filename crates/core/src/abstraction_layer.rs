@@ -146,10 +146,13 @@ impl AbstractionLayer {
         }
     }
 
-    /// Checks that every VM in `vms` is served by at least one selected
-    /// ToR.
+    /// Checks that every VM in `vms` exists in `dc` and is served by at
+    /// least one selected ToR.
     pub fn covers_vms(&self, dc: &DataCenter, vms: &[VmId]) -> Result<(), AlValidationError> {
         for &vm in vms {
+            if vm.index() >= dc.vm_count() {
+                return Err(AlValidationError::UnknownVm(vm));
+            }
             let covered = dc.tors_of_vm(vm).iter().any(|&t| self.contains_tor(t));
             if !covered {
                 return Err(AlValidationError::VmNotCovered(vm));
@@ -268,8 +271,8 @@ impl AbstractionLayer {
             .collect()
     }
 
-    /// Full validation: ToR and OPS existence, VM coverage, ToR coverage,
-    /// and connectivity.
+    /// Full validation: ToR, OPS and VM existence, VM coverage, ToR
+    /// coverage, and connectivity.
     ///
     /// # Errors
     ///
@@ -384,6 +387,21 @@ mod tests {
         assert_eq!(
             al.validate(&dc, &[]),
             Err(AlValidationError::UnknownTor(TorId(7)))
+        );
+    }
+
+    #[test]
+    fn unknown_vm_detected() {
+        let dc = dc_two_racks();
+        let al = AbstractionLayer::new(vec![TorId(0), TorId(1)], vec![OpsId(1)]);
+        let vms = [VmId(0), VmId(2)];
+        assert_eq!(
+            al.covers_vms(&dc, &vms),
+            Err(AlValidationError::UnknownVm(VmId(2)))
+        );
+        assert_eq!(
+            al.validate(&dc, &vms),
+            Err(AlValidationError::UnknownVm(VmId(2)))
         );
     }
 
@@ -584,7 +602,9 @@ mod incidence_tests {
         /// and `connect_ops_ops` calls, `ops_of_tor`, `uplinks_of_tor`,
         /// `tors_of_ops`, `switches_of_ops` and every slot's
         /// `SwitchIndex::neighbors` each equal the adjacency filter, element
-        /// for element and in order, and no link is listed twice.
+        /// for element and in order, and no link is listed twice; and
+        /// `is_boundary_ops` holds exactly for the OPSs with a neighbour
+        /// OPS in another pod (the extra round adds cross-pod core links).
         #[test]
         fn incidence_equals_the_adjacency_filter(
             dc in topology_strategy(),
@@ -648,6 +668,10 @@ mod incidence_tests {
                 distinct.sort();
                 distinct.dedup();
                 prop_assert_eq!(distinct.len(), reference.len(), "{} lists a switch twice", ops);
+                let crosses_pods = reference.iter().any(|s| {
+                    matches!(s, Element::Ops(o) if dc.pod_of_ops(*o) != dc.pod_of_ops(ops))
+                });
+                prop_assert_eq!(dc.is_boundary_ops(ops), crosses_pods, "{} boundary flag", ops);
             }
         }
     }

@@ -393,10 +393,14 @@ pub(crate) fn ensure_connected(
     join_component(0, &members, &mut component, &mut dist, &mut frontier[0]);
     let mut unjoined = n_components - 1;
     let mut d = 0;
+    let mut visits: u64 = 0;
+    let count_visits =
+        |visits| alvc_telemetry::counter!("alvc_core.construction.augment_visits").add(visits);
     while unjoined > 0 {
         let Some(u) = frontier[d].pop_front() else {
             d += 1;
             if d == frontier.len() {
+                count_visits(visits);
                 return Err(ConstructionError::Disconnected);
             }
             continue;
@@ -408,6 +412,7 @@ pub(crate) fn ensure_connected(
             frontier.push(VecDeque::new());
         }
         for v in switches.neighbors(u) {
+            visits += 1;
             if dist[v] <= d + 1 {
                 continue;
             }
@@ -453,6 +458,7 @@ pub(crate) fn ensure_connected(
             }
         }
     }
+    count_visits(visits);
     Ok(al)
 }
 
@@ -476,6 +482,33 @@ fn join_component(
 }
 
 // ----- batch (fleet) construction ----------------------------------------
+
+/// A phase-1 request of [`construct_layers`]: cluster `c` asks for OPS `o`,
+/// packed into one `u64` with the OPS in the high half, so the keys sort
+/// (and deduplicate) exactly as the `(o, c)` pairs would, at half their
+/// size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Request(u64);
+
+impl Request {
+    /// # Panics
+    ///
+    /// Panics if the OPS or the cluster index does not fit in 32 bits.
+    fn new(ops: OpsId, cluster: usize) -> Self {
+        match (u32::try_from(ops.index()), u32::try_from(cluster)) {
+            (Ok(o), Ok(c)) => Request(u64::from(o) << 32 | u64::from(c)),
+            _ => panic!("request of cluster {cluster} for {ops} does not fit in 32-bit halves"),
+        }
+    }
+
+    fn ops(self) -> OpsId {
+        OpsId((self.0 >> 32) as usize)
+    }
+
+    fn cluster(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+}
 
 /// Constructs one abstraction layer per VM cluster against a shared OPS
 /// pool — the batch engine behind the NFV orchestrator's bulk chain
@@ -517,8 +550,8 @@ pub fn construct_layers(
     let _span = alvc_telemetry::span!("alvc_core.construction.construct_layers_us");
     // Phase 1: deterministic pool partition over the contested candidates.
     // Candidates are gathered once per distinct ToR of a cluster (a rack's
-    // VMs all share its uplinks), as (OPS, requesting cluster) pairs.
-    let mut requests: Vec<(OpsId, usize)> = Vec::new();
+    // VMs all share its uplinks), as (OPS, requesting cluster) requests.
+    let mut requests: Vec<Request> = Vec::new();
     let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
     for (c, vms) in clusters.iter().enumerate() {
         for &vm in vms {
@@ -528,7 +561,7 @@ pub fn construct_layers(
                     requests.extend(
                         uplinks
                             .filter(|&&o| available.is_available(o))
-                            .map(|&o| (o, c)),
+                            .map(|&o| Request::new(o, c)),
                     );
                 }
             }
@@ -540,18 +573,19 @@ pub fn construct_layers(
     // order, goes back to its requester with the fewest assignments so far
     // (then the lowest cluster index).
     let mut contested = available.clone();
-    for &(o, _) in &requests {
-        contested.block(o);
+    for r in &requests {
+        contested.block(r.ops());
     }
     let mut pools = vec![contested; clusters.len()];
     let mut assigned = vec![0usize; clusters.len()];
-    for reqs in requests.chunk_by(|a, b| a.0 == b.0) {
-        let &(o, winner) = reqs
+    for reqs in requests.chunk_by(|a, b| a.ops() == b.ops()) {
+        let winner = reqs
             .iter()
-            .min_by_key(|&&(_, c)| (assigned[c], c))
+            .map(|r| r.cluster())
+            .min_by_key(|&c| (assigned[c], c))
             .expect("chunks are non-empty");
         assigned[winner] += 1;
-        pools[winner].release(o);
+        pools[winner].release(reqs[0].ops());
     }
 
     // Phases 2 and 3, one cluster at a time in cluster order: the
@@ -737,6 +771,34 @@ mod tests {
             select_ops_greedy(&dc, &[t0], &none),
             Err(ConstructionError::UncoverableTor(t0))
         );
+    }
+
+    #[test]
+    fn requests_sort_and_dedup_as_their_pairs() {
+        let max = u32::MAX as usize;
+        let pairs = [
+            (OpsId(3), 1),
+            (OpsId(0), 7),
+            (OpsId(max), max),
+            (OpsId(3), 0),
+            (OpsId(0), max),
+            (OpsId(0), 7),
+        ];
+        let mut keys: Vec<Request> = pairs.iter().map(|&(o, c)| Request::new(o, c)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut expected = pairs.to_vec();
+        expected.sort_unstable();
+        expected.dedup();
+        let unpacked: Vec<(OpsId, usize)> = keys.iter().map(|r| (r.ops(), r.cluster())).collect();
+        assert_eq!(unpacked, expected);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "32-bit halves")]
+    fn a_request_past_32_bits_panics() {
+        Request::new(OpsId(1 << 32), 0);
     }
 
     #[test]

@@ -83,6 +83,8 @@ pub enum AlValidationError {
     UnknownOps(OpsId),
     /// A ToR in the AL does not exist in the data center.
     UnknownTor(TorId),
+    /// A cluster VM does not exist in the data center.
+    UnknownVm(VmId),
 }
 
 impl fmt::Display for AlValidationError {
@@ -102,6 +104,9 @@ impl fmt::Display for AlValidationError {
             }
             AlValidationError::UnknownTor(tor) => {
                 write!(f, "tor {tor} does not exist in the data center")
+            }
+            AlValidationError::UnknownVm(vm) => {
+                write!(f, "vm {vm} does not exist in the data center")
             }
         }
     }
@@ -148,6 +153,9 @@ mod tests {
         assert!(AlValidationError::UnknownTor(TorId(5))
             .to_string()
             .contains("tor-5"));
+        assert!(AlValidationError::UnknownVm(VmId(9))
+            .to_string()
+            .contains("vm-9 does not exist"));
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //!   failures fall back to a serial whole-DC construction for that cluster,
 //!   so the sharded path never returns worse answers than the flat one —
 //!   only faster ones.
+//! * the merge walks the **boundary**, not the pods: pods meet only at
+//!   boundary OPSs ([`DataCenter::is_boundary_ops`], an OPS with a core
+//!   link into another pod). In a pod where the cluster's sub-layer holds
+//!   an OPS linked to every boundary OPS of the pod — every pod of a
+//!   gatewayed or full-mesh build — the walk skips the pod's other OPSs,
+//!   which never shorten a path between pods. The layers are exactly those
+//!   of a walk over the whole pool (a property test holds the two equal),
+//!   for a fraction of the neighbour visits.
 //!
 //! Determinism: pod fan-out order, per-pod sub-batches, and the merge loop
 //! are all fixed by (pod id, cluster index); no step depends on thread
@@ -30,7 +38,7 @@
 
 use std::mem::size_of;
 
-use alvc_topology::{DataCenter, OpsId, PodId, VmId};
+use alvc_topology::{DataCenter, Element, OpsId, PodId, VmId};
 
 use crate::abstraction_layer::AbstractionLayer;
 use crate::construction::{construct_layers, ensure_connected, AlConstruct, OpsAvailability};
@@ -87,16 +95,23 @@ impl PodShard {
 #[derive(Debug, Clone)]
 pub struct ShardedState {
     shards: Vec<PodShard>,
+    /// Per pod, the template a cross-pod merge may add to its walk: it
+    /// blocks the pod's non-boundary OPSs if every boundary OPS of the pod
+    /// ([`DataCenter::is_boundary_ops`]) links to each of them, and
+    /// nothing otherwise (see `merge_cluster`).
+    interiors: Vec<OpsAvailability>,
 }
 
 impl ShardedState {
-    /// Builds the pod partition of `dc`.
+    /// Builds the pod partition of `dc`, with the per-pod templates the
+    /// cross-pod merges skip pod interiors by.
     pub fn new(dc: &DataCenter) -> Self {
         let n = dc.pod_count();
         let mut per_pod: Vec<Vec<OpsId>> = vec![Vec::new(); n];
         for ops in dc.ops_ids() {
             per_pod[dc.pod_of_ops(ops).index()].push(ops);
         }
+        let interiors = interior_templates(dc, &per_pod);
         // Every pod's template blocks the whole roster but its own slice.
         let everything = OpsAvailability::with_blocked(dc.ops_ids());
         let shards = per_pod
@@ -114,7 +129,7 @@ impl ShardedState {
                 }
             })
             .collect();
-        ShardedState { shards }
+        ShardedState { shards, interiors }
     }
 
     /// Number of shards (= pods).
@@ -152,9 +167,46 @@ impl ShardedState {
     }
 }
 
+/// [`ShardedState`]'s per-pod merge templates: the pod's non-boundary
+/// OPSs, blocked, when every boundary OPS of the pod links to all of them;
+/// an empty template when some boundary OPS does not (a ring core whose
+/// one boundary OPS is a ring member, say). Reads each boundary OPS's
+/// switch list once.
+fn interior_templates(dc: &DataCenter, per_pod: &[Vec<OpsId>]) -> Vec<OpsAvailability> {
+    const BOUNDARY: usize = usize::MAX;
+    // interior_pod[o]: the pod of non-boundary OPS `o`, BOUNDARY otherwise.
+    let mut interior_pod = vec![BOUNDARY; dc.ops_count()];
+    for (p, ops) in per_pod.iter().enumerate() {
+        for &o in ops {
+            if !dc.is_boundary_ops(o) {
+                interior_pod[o.index()] = p;
+            }
+        }
+    }
+    per_pod
+        .iter()
+        .enumerate()
+        .map(|(p, ops)| {
+            let interior = ops.iter().copied().filter(|&o| !dc.is_boundary_ops(o));
+            let n_interior = interior.clone().count();
+            let spanned = ops.iter().filter(|&&b| dc.is_boundary_ops(b)).all(|&b| {
+                let linked = dc
+                    .switches_of_ops(b)
+                    .filter(|s| matches!(s, Element::Ops(o) if interior_pod[o.index()] == p));
+                linked.count() == n_interior
+            });
+            if spanned {
+                OpsAvailability::with_blocked(interior)
+            } else {
+                OpsAvailability::all()
+            }
+        })
+        .collect()
+}
+
 /// Per-shard construction statistics reported by
 /// [`construct_layers_sharded`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Per pod: (sub-clusters constructed, estimated shard bytes).
     pub per_shard: Vec<(usize, usize)>,
@@ -199,14 +251,27 @@ pub fn construct_layers_sharded(
     Vec<Result<AbstractionLayer, ConstructionError>>,
     ShardReport,
 ) {
-    let mut report = ShardReport::default();
     if clusters.is_empty() {
-        return (Vec::new(), report);
+        return (Vec::new(), ShardReport::default());
     }
     let _span = alvc_telemetry::span!("alvc_core.shard.construct_layers_sharded_us");
     let mut _trace_span = alvc_telemetry::trace::child_span("core.construct_sharded");
     _trace_span.add_field("clusters", clusters.len());
-    let state = ShardedState::new(dc);
+    construct_with_state(dc, &ShardedState::new(dc), clusters, ctor, available)
+}
+
+/// [`construct_layers_sharded`] over the partition `state` of `dc`.
+fn construct_with_state(
+    dc: &DataCenter,
+    state: &ShardedState,
+    clusters: &[Vec<VmId>],
+    ctor: &(dyn AlConstruct + Sync),
+    available: &OpsAvailability,
+) -> (
+    Vec<Result<AbstractionLayer, ConstructionError>>,
+    ShardReport,
+) {
+    let mut report = ShardReport::default();
     let n_pods = state.shard_count();
 
     // Split every cluster into pod-local sub-clusters and bucket them by
@@ -227,7 +292,7 @@ pub fn construct_layers_sharded(
     // Shard-parallel construction: each pod runs the flat batch engine
     // against its foreign-blocked availability. Results are collected in
     // pod order, so the fan-out is deterministic.
-    let pod_results = construct_pods(dc, &state, &pod_batches, ctor, available);
+    let pod_results = construct_pods(dc, state, &pod_batches, ctor, available);
     for (p, shard) in state.shards().enumerate() {
         report.per_shard.push((
             pod_batches[p].len(),
@@ -243,7 +308,7 @@ pub fn construct_layers_sharded(
     let mut pool = available.clone();
     let mut results = Vec::with_capacity(clusters.len());
     for (c, subs) in sub_of_cluster.iter().enumerate() {
-        let merged = merge_cluster(dc, subs, &pod_results, &pool, &mut report);
+        let merged = merge_cluster(dc, state, subs, &pod_results, &pool, &mut report);
         let resolved = match merged {
             Ok(al) => Ok(al),
             Err(_) => {
@@ -268,10 +333,22 @@ pub fn construct_layers_sharded(
 
 /// Merges a cluster's pod-local sub-layers: single-pod clusters pass
 /// through; multi-pod unions are re-connected through the remaining global
-/// availability. Errors if any sub-layer failed or a sub-layer OPS was
-/// already claimed during the merge loop.
+/// availability. Errors if any sub-layer failed, a sub-layer OPS was
+/// already claimed during the merge loop, or the union cannot be
+/// connected.
+///
+/// The walk skips the interior of every pod whose sub-layer holds a
+/// non-boundary OPS and whose template (`ShardedState::interiors`) is
+/// not empty. There, that OPS links to every boundary OPS of the pod, so
+/// each way out of the pod is one hop from the layer, and an interior OPS
+/// (linked only to its own pod's switches, on data centers whose uplinks
+/// stay inside their pod, as every generator's do) never shortens a path.
+/// The layers are those of a walk over the whole pool; the walk visits a
+/// small fraction of the switches. Pods the cluster only crosses keep
+/// their interiors walkable, since a path may switch gateway lanes there.
 fn merge_cluster(
     dc: &DataCenter,
+    state: &ShardedState,
     subs: &[(usize, usize)],
     pod_results: &[Vec<Result<AbstractionLayer, ConstructionError>>],
     pool: &OpsAvailability,
@@ -297,7 +374,16 @@ fn merge_cluster(
         return Ok(union);
     }
     report.merged_clusters += 1;
-    ensure_connected(dc, union, pool)
+    let mut walkable = pool.clone();
+    for &(p, i) in subs {
+        let holds_interior = pod_results[p][i]
+            .as_ref()
+            .is_ok_and(|al| al.ops().iter().any(|&o| !dc.is_boundary_ops(o)));
+        if holds_interior {
+            walkable.block_all(&state.interiors[p]);
+        }
+    }
+    ensure_connected(dc, union, &walkable)
 }
 
 fn construct_pods(
@@ -387,6 +473,7 @@ mod tests {
     use super::*;
     use crate::construction::PaperGreedy;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn pod_dc(pods: usize, seed: u64) -> DataCenter {
@@ -539,6 +626,191 @@ mod tests {
             construct_layers_sharded(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
         assert_eq!(flat, sharded);
         assert_eq!(report.merged_clusters, 0);
+    }
+
+    /// The sharded engine with the merge walking the whole remaining pool,
+    /// pod interiors included: the rule before the boundary walk.
+    fn construct_layers_sharded_unrestricted(
+        dc: &DataCenter,
+        clusters: &[Vec<VmId>],
+        ctor: &(dyn AlConstruct + Sync),
+        available: &OpsAvailability,
+    ) -> (
+        Vec<Result<AbstractionLayer, ConstructionError>>,
+        ShardReport,
+    ) {
+        let mut state = ShardedState::new(dc);
+        state.interiors.fill(OpsAvailability::all());
+        construct_with_state(dc, &state, clusters, ctor, available)
+    }
+
+    /// Multi-pod builder topologies: 2–5 pods; none, ring or full-mesh
+    /// pod cores; 0–3 gateway lanes.
+    fn multi_pod_strategy() -> impl Strategy<Value = DataCenter> {
+        (
+            (2usize..6, 1usize..4, 1usize..3, 1usize..8),
+            (1usize..5, 0usize..4, 0u8..3, 0u64..1000),
+        )
+            .prop_map(|((pods, racks, vms, ops), (degree, lanes, core, seed))| {
+                let interconnect = match core {
+                    0 => OpsInterconnect::None,
+                    1 => OpsInterconnect::Ring,
+                    _ => OpsInterconnect::FullMesh,
+                };
+                AlvcTopologyBuilder::new()
+                    .racks(racks)
+                    .servers_per_rack(2)
+                    .vms_per_server(vms)
+                    .ops_count(ops)
+                    .tor_ops_degree(degree)
+                    .interconnect(interconnect)
+                    .pods(pods)
+                    .boundary_gateways(lanes)
+                    .seed(seed)
+                    .build()
+            })
+    }
+
+    /// Clusters over every VM: dealt round-robin (`pod_pairs == false`),
+    /// so most span every pod, or one per pod `p` holding alternate VMs of
+    /// pods `p` and `p - 2`, so a merge may cross a pod the cluster has no
+    /// VM in.
+    fn clusters_of(dc: &DataCenter, n: usize, pod_pairs: bool) -> Vec<Vec<VmId>> {
+        let n = if pod_pairs { dc.pod_count() } else { n };
+        let mut clusters: Vec<Vec<VmId>> = vec![Vec::new(); n];
+        for (i, vm) in dc.vm_ids().enumerate() {
+            let c = if pod_pairs {
+                (dc.pod_of_vm(vm).index() + i % 2 * 2) % n
+            } else {
+                i % n
+            };
+            clusters[c].push(vm);
+        }
+        clusters.retain(|c| !c.is_empty());
+        clusters
+    }
+
+    /// Asserts the boundary merge equals the merge over the whole pool,
+    /// layers, errors and report alike, and returns it.
+    fn assert_exact(
+        dc: &DataCenter,
+        clusters: &[Vec<VmId>],
+    ) -> (
+        Vec<Result<AbstractionLayer, ConstructionError>>,
+        ShardReport,
+    ) {
+        let all = OpsAvailability::all();
+        let boundary = construct_layers_sharded(dc, clusters, &PaperGreedy::new(), &all);
+        let whole = construct_layers_sharded_unrestricted(dc, clusters, &PaperGreedy::new(), &all);
+        assert_eq!(boundary, whole);
+        boundary
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Skipping pod interiors merges exactly as walking the whole pool
+        /// did: the same layers, errors and report.
+        #[test]
+        fn boundary_merge_equals_the_unrestricted_merge(
+            dc in multi_pod_strategy(),
+            n in 1usize..5,
+            pod_pairs in 0u8..2,
+        ) {
+            assert_exact(&dc, &clusters_of(&dc, n, pod_pairs == 1));
+        }
+    }
+
+    #[test]
+    fn a_ring_pod_whose_boundary_is_a_ring_member_stays_walkable() {
+        // Ring cores of 6 and no gateway lanes: pods meet only at their
+        // first OPSs. Rack 2's one uplink is its pod's OPS 2, two ring hops
+        // from the first OPS, so the merge crosses OPS 1 of both pods.
+        let dc = AlvcTopologyBuilder::new()
+            .racks(3)
+            .servers_per_rack(1)
+            .vms_per_server(1)
+            .ops_count(6)
+            .tor_ops_degree(1)
+            .interconnect(OpsInterconnect::Ring)
+            .pods(2)
+            .seed(1)
+            .build();
+        let cluster: Vec<VmId> = dc
+            .vm_ids()
+            .filter(|&vm| dc.tor_of_vm(vm).index() % 3 == 2)
+            .collect();
+        let (results, report) = assert_exact(&dc, &[cluster]);
+        assert_eq!((report.merged_clusters, report.fallbacks), (1, 0));
+        let ops: Vec<usize> = results[0]
+            .as_ref()
+            .expect("merged")
+            .ops()
+            .iter()
+            .map(|o| o.index())
+            .collect();
+        assert_eq!(ops, vec![0, 1, 2, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_pod_the_cluster_only_crosses_stays_walkable() {
+        // Pods 0-1-2-3 in a ring with two gateway lanes. The first cluster
+        // (pods 0 and 3) takes lane 0 there, the second (pods 2 and 3)
+        // lane 1, so the third (pods 0 and 2) enters pod 1 on lane 1 and
+        // leaves on lane 0, switching lanes through one of pod 1's
+        // ordinary OPSs.
+        let dc = AlvcTopologyBuilder::new()
+            .racks(2)
+            .servers_per_rack(1)
+            .vms_per_server(1)
+            .ops_count(4)
+            .tor_ops_degree(2)
+            .interconnect(OpsInterconnect::FullMesh)
+            .pods(4)
+            .boundary_gateways(2)
+            .seed(0)
+            .build();
+        let vm = |pod: usize, rack: usize| VmId(pod * 2 + rack);
+        let clusters = vec![
+            vec![vm(0, 0), vm(3, 0)],
+            vec![vm(2, 0), vm(3, 1)],
+            vec![vm(0, 1), vm(2, 1)],
+        ];
+        let (results, report) = assert_exact(&dc, &clusters);
+        assert_eq!((report.merged_clusters, report.fallbacks), (3, 0));
+        let crossing = results[2].as_ref().expect("merged");
+        assert!(crossing
+            .ops()
+            .iter()
+            .any(|&o| dc.pod_of_ops(o) == PodId(1) && !dc.is_boundary_ops(o)));
+    }
+
+    #[test]
+    fn a_pod_whose_layer_holds_only_boundary_ops_stays_walkable() {
+        // Pod 0's boundary OPSs b1 (linked to pod 2's dead end z) and b2
+        // (linked to pod 1's q) meet only through the interior OPS x. The
+        // layer holds b1 alone in pod 0, so the merge needs x.
+        use alvc_topology::ServiceType;
+        let mut dc = DataCenter::new();
+        let mut vms = Vec::new();
+        let mut tors = Vec::new();
+        for pod in [PodId(0), PodId(1)] {
+            let (rack, tor) = dc.add_rack_in_pod(pod);
+            let server = dc.add_server(rack);
+            vms.push(dc.add_vm(server, ServiceType::WebService));
+            tors.push(tor);
+        }
+        let [b1, x, b2] = [(); 3].map(|_| dc.add_ops_in_pod(None, PodId(0)));
+        let q = dc.add_ops_in_pod(None, PodId(1));
+        let z = dc.add_ops_in_pod(None, PodId(2));
+        dc.connect_tor_ops(tors[0], b1);
+        dc.connect_tor_ops(tors[1], q);
+        for (a, b) in [(b1, x), (x, b2), (b2, q), (b1, z)] {
+            dc.connect_ops_ops(a, b);
+        }
+        let (results, report) = assert_exact(&dc, &[vms]);
+        assert_eq!((report.merged_clusters, report.fallbacks), (1, 0));
+        assert_eq!(results[0].as_ref().expect("merged").ops(), &[b1, x, b2, q]);
     }
 
     #[test]

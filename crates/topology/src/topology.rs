@@ -57,6 +57,10 @@ struct OpsRecord {
     /// only by [`DataCenter::connect_tor_ops_with`] and
     /// [`DataCenter::connect_ops_ops_with`], when they add the link.
     switches: Vec<PackedSwitch>,
+    /// Whether this OPS has a core link to an OPS in another pod. Written
+    /// only by [`DataCenter::connect_ops_ops_with`], with the link.
+    #[serde(default)]
+    boundary: bool,
 }
 
 /// A switch in an OPS's switch list, in four bytes: the top bit marks an
@@ -248,6 +252,7 @@ impl DataCenter {
             pod,
             tors: Vec::new(),
             switches: Vec::new(),
+            boundary: false,
         });
         self.pods = self.pods.max(pod.0 + 1);
         ops
@@ -307,7 +312,9 @@ impl DataCenter {
     ///
     /// Has no effect on self-connections or if the link already exists.
     /// Otherwise both OPSs' [`DataCenter::switches_of_ops`] grow with the
-    /// link.
+    /// link, and if the two lie in different pods both become boundary
+    /// OPSs ([`DataCenter::is_boundary_ops`]); this is the flag's only
+    /// writer.
     ///
     /// # Panics
     ///
@@ -321,8 +328,12 @@ impl DataCenter {
             return;
         }
         self.graph.add_edge(an, bn, attrs);
-        self.opss[a.0].switches.push(PackedSwitch::ops(b));
-        self.opss[b.0].switches.push(PackedSwitch::ops(a));
+        let crosses = self.opss[a.0].pod != self.opss[b.0].pod;
+        for (end, other) in [(a, b), (b, a)] {
+            let rec = &mut self.opss[end.0];
+            rec.switches.push(PackedSwitch::ops(other));
+            rec.boundary |= crosses;
+        }
     }
 
     /// Migrates `vm` to `target` server (used by the update-cost
@@ -609,6 +620,18 @@ impl DataCenter {
     /// Panics if `ops` does not exist.
     pub fn switches_of_ops(&self, ops: OpsId) -> impl Iterator<Item = Element> + '_ {
         self.opss[ops.0].switches.iter().map(|s| s.unpack())
+    }
+
+    /// Returns `true` if `ops` has a core link to an OPS in another pod.
+    /// When every ToR's uplinks stay inside its pod, as every generator
+    /// builds them, pods meet only at such OPSs: a path between two pods
+    /// enters and leaves each pod through one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` does not exist.
+    pub fn is_boundary_ops(&self, ops: OpsId) -> bool {
+        self.opss[ops.0].boundary
     }
 
     /// The optoelectronic capacity of `ops`, `None` for pure packet
