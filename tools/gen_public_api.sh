@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Regenerates schemas/public_api.txt: the declared public API surface of
-# the facade crate (src/), the NFV/control-plane crate (crates/nfv/), the
-# placement crate (crates/placement/), the adaptive-clustering crate
-# (crates/affinity/), and the energy/QoS plane (crates/energy/).
+# every library crate in the workspace. The crate list is derived, not
+# written down: the facade (src/) plus every crates/*/src except
+# crates/bench. crates/bench is the experiment harness; only its own
+# binaries call it, so its surface is not an API anyone else depends on.
 #
-# The file is a grep-level inventory — one line per `pub` declaration,
-# prefixed with its source file — committed to the repository so that CI
-# can fail when the public surface drifts without the snapshot (and the
-# docs that go with it) being updated deliberately:
+# The file is a grep-level inventory — one line per `pub` declaration
+# and per `#[macro_export]` macro, prefixed with its source file —
+# committed to the repository so that CI can fail when the public
+# surface drifts without the snapshot (and the docs that go with it)
+# being updated deliberately:
 #
 #     tools/gen_public_api.sh
 #     git diff --exit-code schemas/public_api.txt
@@ -25,6 +27,17 @@ surface_of() {
     awk '
         /^(mod tests|#\[cfg\(test\)\])/ { intest = 1 }
         intest { next }
+        /^[[:space:]]*#\[macro_export\]/ { exported = 1; next }
+        exported && /^[[:space:]]*macro_rules! / {
+            line = $0
+            sub(/^[[:space:]]+/, "", line)
+            sub(/[[:space:]]*\{.*$/, "", line)
+            printf "%s: #[macro_export] %s\n", FILENAME, line
+            exported = 0
+            next
+        }
+        /^[[:space:]]*#\[/ { next }
+        { exported = 0 }
         /^[[:space:]]*pub (fn|struct|enum|trait|mod|type|const|use|static) / {
             line = $0
             sub(/^[[:space:]]+/, "", line)
@@ -36,11 +49,16 @@ surface_of() {
     ' "$1"
 }
 
+crates=(src)
+for dir in crates/*/src; do
+    [ "$dir" = crates/bench/src ] || crates+=("$dir")
+done
+
 {
-    echo "# Public API surface of the alvc facade, alvc-nfv, alvc-placement, alvc-affinity, and alvc-energy."
+    echo "# Public API surface of every library crate: ${crates[*]}."
     echo "# Generated by tools/gen_public_api.sh — do not edit by hand."
-    find src crates/nfv/src crates/placement/src crates/affinity/src crates/energy/src -name '*.rs' | LC_ALL=C sort | while read -r f; do
+    find "${crates[@]}" -name '*.rs' | LC_ALL=C sort | while read -r f; do
         surface_of "$f"
     done
 } >"$out"
-echo "wrote $out ($(grep -c ': pub ' "$out") declarations)" >&2
+echo "wrote $out ($(grep -vc '^#' "$out") declarations)" >&2
