@@ -85,11 +85,6 @@ impl AffinityClusterer {
         AffinityClusterer { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> ClustererConfig {
-        self.config
-    }
-
     /// Proposes a re-clustering of the VMs in `current`, guided by
     /// `stats`. The result has exactly one spec per input spec, in the
     /// same order and with the same labels — only membership moves. VMs

@@ -65,7 +65,7 @@ struct PairCounter {
 /// c.observe(VmId(1), VmId(0), 500, 1_000_000_000); // direction ignored
 /// let stats = c.snapshot();
 /// assert_eq!(stats.pair_count(), 1);
-/// assert!(stats.weight_between(VmId(0), VmId(1)) > 500.0);
+/// assert!(stats.total_weight() > 500.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrafficCollector {
@@ -104,16 +104,6 @@ impl TrafficCollector {
     /// The configuration the collector was built with.
     pub fn config(&self) -> CollectorConfig {
         self.config
-    }
-
-    /// VM pairs currently tracked (bounded by `capacity`).
-    pub fn tracked_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Total observations fed in so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// Decay factor from `last_ns` to `now_ns` for a given half-life.
@@ -250,25 +240,13 @@ impl TrafficStats {
 
     /// The decayed weight between two VMs (0 if untracked). Direction is
     /// ignored.
-    pub fn weight_between(&self, x: VmId, y: VmId) -> f64 {
+    #[cfg(test)]
+    fn weight_between(&self, x: VmId, y: VmId) -> f64 {
         let key = if x <= y { (x, y) } else { (y, x) };
         self.pairs
             .binary_search_by(|p| (p.a, p.b).cmp(&key))
             .map(|i| self.pairs[i].weight)
             .unwrap_or(0.0)
-    }
-
-    /// The `k` heaviest pairs, weight-descending (ties broken by VM id for
-    /// determinism).
-    pub fn top_k(&self, k: usize) -> Vec<PairTraffic> {
-        let mut sorted: Vec<PairTraffic> = self.pairs.clone();
-        sorted.sort_by(|x, y| {
-            y.weight
-                .total_cmp(&x.weight)
-                .then((x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        sorted.truncate(k);
-        sorted
     }
 }
 
@@ -330,8 +308,8 @@ mod tests {
         for i in 0..10 {
             c.observe(vm(i), vm(100 + i), (i as u64 + 1) * 100, 0);
         }
-        assert!(c.tracked_pairs() <= 4);
         let s = c.snapshot();
+        assert!(s.pair_count() <= 4);
         assert!(s.evictions >= 6);
         assert!(
             s.error_bound > 0.0,
@@ -356,9 +334,7 @@ mod tests {
             );
         }
         let s = c.snapshot();
-        let top = s.top_k(1);
-        assert_eq!((top[0].a, top[0].b), (vm(0), vm(1)));
-        assert!(top[0].weight > 1_000_000.0);
+        assert!(s.weight_between(vm(0), vm(1)) > 1_000_000.0);
     }
 
     #[test]
@@ -378,18 +354,6 @@ mod tests {
         feed(&mut a);
         feed(&mut b);
         assert_eq!(a.snapshot(), b.snapshot());
-    }
-
-    #[test]
-    fn top_k_orders_by_weight_then_id() {
-        let mut c = TrafficCollector::new(CollectorConfig::default());
-        c.observe(vm(0), vm(1), 100, 0);
-        c.observe(vm(2), vm(3), 300, 0);
-        c.observe(vm(4), vm(5), 100, 0);
-        let top = c.snapshot().top_k(3);
-        assert_eq!((top[0].a, top[0].b), (vm(2), vm(3)));
-        assert_eq!((top[1].a, top[1].b), (vm(0), vm(1)), "tie broken by id");
-        assert_eq!((top[2].a, top[2].b), (vm(4), vm(5)));
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! let proposed = AffinityClusterer::default().propose(&specs, &stats);
 //! let plan = MigrationPlanner::new(HysteresisPolicy::default())
 //!     .plan(&dc, &mgr, &current, &proposed, &stats);
-//! assert!(plan.is_empty(), "no traffic observed, nothing to fix");
+//! assert!(plan.moves.is_empty(), "no traffic observed, nothing to fix");
 //! ```
 
 #![forbid(unsafe_code)]

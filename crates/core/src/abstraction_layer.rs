@@ -123,24 +123,19 @@ impl AbstractionLayer {
         self.tors.len()
     }
 
-    /// Total switches (ToRs + OPSs) the layer occupies.
-    pub fn switch_count(&self) -> usize {
-        self.tors.len() + self.ops.len()
-    }
-
     /// Returns `true` if `ops` belongs to this layer.
     pub fn contains_ops(&self, ops: OpsId) -> bool {
         self.ops.binary_search(&ops).is_ok()
     }
 
     /// Returns `true` if `tor` belongs to this layer.
-    pub fn contains_tor(&self, tor: TorId) -> bool {
+    pub(crate) fn contains_tor(&self, tor: TorId) -> bool {
         self.tors.binary_search(&tor).is_ok()
     }
 
     /// Adds an OPS (keeps the set sorted/deduplicated). Used by the
     /// connectivity augmentation pass.
-    pub fn insert_ops(&mut self, ops: OpsId) {
+    pub(crate) fn insert_ops(&mut self, ops: OpsId) {
         if let Err(pos) = self.ops.binary_search(&ops) {
             self.ops.insert(pos, ops);
         }
@@ -163,7 +158,7 @@ impl AbstractionLayer {
 
     /// Checks that every selected ToR is adjacent to at least one selected
     /// OPS.
-    pub fn covers_tors(&self, dc: &DataCenter) -> Result<(), AlValidationError> {
+    pub(crate) fn covers_tors(&self, dc: &DataCenter) -> Result<(), AlValidationError> {
         for &tor in &self.tors {
             let covered = dc.uplinks_of_tor(tor).iter().any(|&o| self.contains_ops(o));
             if !covered {
@@ -232,43 +227,8 @@ impl AbstractionLayer {
     /// Checks that the layer's switches form one connected component of the
     /// physical graph (traffic between any two cluster VMs can stay inside
     /// the layer).
-    pub fn is_connected(&self, dc: &DataCenter) -> bool {
+    pub(crate) fn is_connected(&self, dc: &DataCenter) -> bool {
         self.components(&SwitchIndex::new(dc)).1 <= 1
-    }
-
-    /// Returns `true` if the layer remains fully valid after removing
-    /// *any single* OPS — the survivability property that
-    /// [`crate::construction::RedundantGreedy`] with `r = 2` aims for
-    /// (coverage is guaranteed by construction; connectivity of the
-    /// shrunken layer is what this additionally checks).
-    ///
-    /// An empty layer trivially survives. Quadratic in layer size.
-    pub fn survives_single_failure(&self, dc: &DataCenter, vms: &[VmId]) -> bool {
-        self.ops.iter().all(|&victim| {
-            let shrunk = AbstractionLayer::new(
-                self.tors.clone(),
-                self.ops.iter().copied().filter(|&o| o != victim).collect(),
-            );
-            shrunk.validate(dc, vms).is_ok()
-        })
-    }
-
-    /// The OPSs whose individual loss would break the layer (coverage or
-    /// connectivity) — its single points of failure. Empty for layers
-    /// built by [`crate::construction::RedundantGreedy`] with `r ≥ 2` on
-    /// well-connected cores. Quadratic in layer size.
-    pub fn critical_ops(&self, dc: &DataCenter, vms: &[VmId]) -> Vec<OpsId> {
-        self.ops
-            .iter()
-            .copied()
-            .filter(|&victim| {
-                let shrunk = AbstractionLayer::new(
-                    self.tors.clone(),
-                    self.ops.iter().copied().filter(|&o| o != victim).collect(),
-                );
-                shrunk.validate(dc, vms).is_err()
-            })
-            .collect()
     }
 
     /// Full validation: ToR, OPS and VM existence, VM coverage, ToR
@@ -325,7 +285,6 @@ mod tests {
         );
         assert_eq!(al.tors(), &[TorId(0), TorId(1)]);
         assert_eq!(al.ops(), &[OpsId(0), OpsId(2)]);
-        assert_eq!(al.switch_count(), 4);
     }
 
     #[test]
@@ -428,79 +387,6 @@ mod tests {
         // ops0 and ops1 share tor0 → connected through it.
         let al = AbstractionLayer::new(vec![TorId(0)], vec![OpsId(0), OpsId(1)]);
         assert!(al.is_connected(&dc));
-    }
-}
-
-#[cfg(test)]
-mod survivability_tests {
-    use super::*;
-    use crate::construction::{AlConstruct, PaperGreedy, RedundantGreedy};
-    use crate::OpsAvailability;
-    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
-
-    fn dc() -> DataCenter {
-        AlvcTopologyBuilder::new()
-            .racks(8)
-            .servers_per_rack(2)
-            .vms_per_server(2)
-            .ops_count(20)
-            .tor_ops_degree(4)
-            .interconnect(OpsInterconnect::FullMesh)
-            .seed(91)
-            .build()
-    }
-
-    #[test]
-    fn r2_layers_survive_single_failures() {
-        let dc = dc();
-        let vms: Vec<_> = dc.vm_ids().collect();
-        let al = RedundantGreedy::new(2)
-            .construct(&dc, &vms, &OpsAvailability::all())
-            .unwrap();
-        assert!(al.survives_single_failure(&dc, &vms));
-    }
-
-    #[test]
-    fn minimum_layers_do_not_survive() {
-        let dc = dc();
-        let vms: Vec<_> = dc.vm_ids().collect();
-        let al = PaperGreedy::new()
-            .construct(&dc, &vms, &OpsAvailability::all())
-            .unwrap();
-        // A greedy-minimum layer has at least one OPS that uniquely covers
-        // some ToR, so it cannot survive every single failure (unless the
-        // layer is larger than strictly needed due to augmentation).
-        if al.ops_count() > 1 {
-            assert!(!al.survives_single_failure(&dc, &vms));
-        }
-    }
-
-    #[test]
-    fn empty_layer_trivially_survives() {
-        let dc = dc();
-        assert!(AbstractionLayer::default().survives_single_failure(&dc, &[]));
-    }
-
-    #[test]
-    fn critical_ops_consistent_with_survivability() {
-        let dc = dc();
-        let vms: Vec<_> = dc.vm_ids().collect();
-        for ctor in [
-            &PaperGreedy::new() as &dyn AlConstruct,
-            &RedundantGreedy::new(2),
-        ] {
-            let al = ctor.construct(&dc, &vms, &OpsAvailability::all()).unwrap();
-            let critical = al.critical_ops(&dc, &vms);
-            assert_eq!(
-                critical.is_empty(),
-                al.survives_single_failure(&dc, &vms),
-                "{}",
-                ctor.name()
-            );
-            for o in &critical {
-                assert!(al.contains_ops(*o));
-            }
-        }
     }
 }
 

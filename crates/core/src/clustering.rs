@@ -4,7 +4,7 @@
 //! offering web services can be grouped separately, and so on. The number of
 //! services in a data center is defined by the network operator."
 
-use alvc_topology::{DataCenter, ServiceType, VmId};
+use alvc_topology::{DataCenter, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::label::LabelId;
@@ -64,18 +64,6 @@ pub fn service_clusters(dc: &DataCenter) -> Vec<ClusterSpec> {
         .collect()
 }
 
-/// Groups the VMs of the given services only (in the given order), skipping
-/// services with no VMs.
-pub fn clusters_for_services(dc: &DataCenter, services: &[ServiceType]) -> Vec<ClusterSpec> {
-    services
-        .iter()
-        .filter_map(|&service| {
-            let vms = dc.vms_of_service(service);
-            (!vms.is_empty()).then(|| ClusterSpec::new(service.label(), vms))
-        })
-        .collect()
-}
-
 /// Splits `vms` into `n` balanced per-tenant groups (round-robin), labeling
 /// them `tenant-0..n`. Used by the multi-tenant NFC experiments where one
 /// cluster hosts one chain per tenant.
@@ -99,7 +87,7 @@ pub fn tenant_clusters(vms: &[VmId], n: usize) -> Vec<ClusterSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alvc_topology::{AlvcTopologyBuilder, ServiceMix};
+    use alvc_topology::AlvcTopologyBuilder;
 
     #[test]
     fn spec_dedups_and_sorts() {
@@ -135,18 +123,6 @@ mod tests {
                 c.vms.iter().map(|&vm| dc.service_of_vm(vm)).collect();
             assert_eq!(services.len(), 1, "cluster {} mixes services", c.label);
         }
-    }
-
-    #[test]
-    fn clusters_for_services_filters() {
-        let dc = AlvcTopologyBuilder::new()
-            .service_mix(ServiceMix::uniform(&[ServiceType::WebService]))
-            .seed(1)
-            .build();
-        let got = clusters_for_services(&dc, &[ServiceType::WebService, ServiceType::Backup]);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].label, "web");
-        assert_eq!(got[0].len(), dc.vm_count());
     }
 
     #[test]

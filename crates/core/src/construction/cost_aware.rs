@@ -79,7 +79,7 @@ impl CostAwareGreedy {
     }
 
     /// The cost of one OPS under this model.
-    pub fn ops_cost(&self, dc: &DataCenter, ops: OpsId) -> f64 {
+    fn ops_cost(&self, dc: &DataCenter, ops: OpsId) -> f64 {
         if dc.opto_capacity(ops).is_some() {
             self.opto_cost
         } else {

@@ -57,12 +57,10 @@ use crate::error::ConstructionError;
 /// use alvc_core::OpsAvailability;
 /// use alvc_topology::OpsId;
 ///
-/// let mut avail = OpsAvailability::all();
-/// assert!(avail.is_available(OpsId(0)));
-/// avail.block(OpsId(0));
+/// assert!(OpsAvailability::all().is_available(OpsId(0)));
+/// let avail = OpsAvailability::with_blocked([OpsId(0)]);
 /// assert!(!avail.is_available(OpsId(0)));
-/// avail.release(OpsId(0));
-/// assert!(avail.is_available(OpsId(0)));
+/// assert!(avail.is_available(OpsId(1)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OpsAvailability {
@@ -87,7 +85,7 @@ impl OpsAvailability {
     }
 
     /// Marks `ops` as owned by some AL.
-    pub fn block(&mut self, ops: OpsId) {
+    pub(crate) fn block(&mut self, ops: OpsId) {
         let word = ops.index() / 64;
         if word >= self.blocked.len() {
             self.blocked.resize(word + 1, 0);
@@ -96,7 +94,7 @@ impl OpsAvailability {
     }
 
     /// Releases `ops` back to the pool.
-    pub fn release(&mut self, ops: OpsId) {
+    pub(crate) fn release(&mut self, ops: OpsId) {
         if let Some(word) = self.blocked.get_mut(ops.index() / 64) {
             *word &= !(1 << (ops.index() % 64));
         }

@@ -40,11 +40,6 @@ impl RedundantGreedy {
         assert!(r > 0, "redundancy factor must be at least 1");
         RedundantGreedy { r }
     }
-
-    /// The redundancy factor.
-    pub fn redundancy(&self) -> usize {
-        self.r
-    }
 }
 
 impl Default for RedundantGreedy {
@@ -266,8 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn name_and_accessor() {
+    fn name() {
         assert_eq!(RedundantGreedy::default().name(), "redundant-greedy");
-        assert_eq!(RedundantGreedy::default().redundancy(), 2);
     }
 }

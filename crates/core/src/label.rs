@@ -70,7 +70,7 @@ impl LabelId {
     /// `None` if no cluster ever used this label. This keeps query paths
     /// (e.g. [`crate::ClusterManager::cluster_by_label`]) from growing the
     /// intern table on misses.
-    pub fn lookup(text: &str) -> Option<LabelId> {
+    pub(crate) fn lookup(text: &str) -> Option<LabelId> {
         let int = interner().lock().expect("label interner poisoned");
         int.by_text.get(text).map(|&id| LabelId(id))
     }
@@ -79,11 +79,6 @@ impl LabelId {
     pub fn as_str(self) -> &'static str {
         let int = interner().lock().expect("label interner poisoned");
         int.texts[self.0 as usize]
-    }
-
-    /// The raw intern-table index.
-    pub fn index(self) -> usize {
-        self.0 as usize
     }
 }
 

@@ -460,7 +460,7 @@ impl ClusterManager {
     /// ([`DataCenter::migrate_vm`]): every cluster it is a member of
     /// forgets the [`VirtualCluster::slice`] it kept, which was derived
     /// from the old placement. Memberships and layers stay as they are.
-    pub fn vm_migrated(&mut self, vm: VmId) {
+    pub(crate) fn vm_migrated(&mut self, vm: VmId) {
         for vc in self.clusters.values_mut() {
             if vc.vms().binary_search(&vm).is_ok() {
                 vc.update(|_, _| {});

@@ -7,7 +7,7 @@
 //! cluster. This module partitions the problem by **pod** (see
 //! [`alvc_topology::PodId`]):
 //!
-//! * each pod gets its own [`PodShard`] — the pod's OPS list plus an
+//! * each pod gets its own `PodShard` — the pod's OPS list plus an
 //!   availability template in which every *foreign* OPS is blocked, so a
 //!   constructor running inside the shard can never select (or absorb, via
 //!   connectivity augmentation) a switch from another pod;
@@ -47,26 +47,21 @@ use crate::error::ConstructionError;
 /// One pod's slice of the sharded state: its OPS roster and the
 /// availability template blocking everything outside the pod.
 #[derive(Debug, Clone)]
-pub struct PodShard {
-    pod: PodId,
+pub(crate) struct PodShard {
     ops: Vec<OpsId>,
     foreign_blocked: OpsAvailability,
 }
 
 impl PodShard {
-    /// The pod this shard covers.
-    pub fn pod(&self) -> PodId {
-        self.pod
-    }
-
     /// The pod's OPSs, in id order.
-    pub fn ops(&self) -> &[OpsId] {
+    #[cfg(test)]
+    fn ops(&self) -> &[OpsId] {
         &self.ops
     }
 
     /// An availability view for constructing inside this shard: every OPS
     /// outside the pod is blocked, plus everything `global` blocks.
-    pub fn availability(&self, global: &OpsAvailability) -> OpsAvailability {
+    pub(crate) fn availability(&self, global: &OpsAvailability) -> OpsAvailability {
         let mut avail = self.foreign_blocked.clone();
         avail.block_all(global);
         avail
@@ -74,12 +69,12 @@ impl PodShard {
 
     /// Resident bytes of this shard's bookkeeping: the OPS roster plus the
     /// words of the foreign-block bitset.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.ops.len() * size_of::<OpsId>() + self.foreign_blocked.heap_bytes()
     }
 }
 
-/// The pod partition of a data center: one [`PodShard`] per pod.
+/// The pod partition of a data center: one `PodShard` per pod.
 ///
 /// # Example
 ///
@@ -88,9 +83,10 @@ impl PodShard {
 /// use alvc_topology::AlvcTopologyBuilder;
 ///
 /// let dc = AlvcTopologyBuilder::new().racks(2).ops_count(3).pods(4).seed(1).build();
-/// let state = ShardedState::new(&dc);
-/// assert_eq!(state.shard_count(), 4);
-/// assert_eq!(state.shards().map(|s| s.ops().len()).sum::<usize>(), dc.ops_count());
+/// let _state = ShardedState::new(&dc);
+/// let vms: Vec<_> = dc.vm_ids().collect();
+/// let groups = ShardedState::split_by_pod(&dc, &vms);
+/// assert_eq!(groups.iter().map(|(_, g)| g.len()).sum::<usize>(), vms.len());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedState {
@@ -116,14 +112,12 @@ impl ShardedState {
         let everything = OpsAvailability::with_blocked(dc.ops_ids());
         let shards = per_pod
             .into_iter()
-            .enumerate()
-            .map(|(p, ops)| {
+            .map(|ops| {
                 let mut foreign_blocked = everything.clone();
                 for &o in &ops {
                     foreign_blocked.release(o);
                 }
                 PodShard {
-                    pod: PodId(p),
                     ops,
                     foreign_blocked,
                 }
@@ -133,7 +127,7 @@ impl ShardedState {
     }
 
     /// Number of shards (= pods).
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -142,12 +136,12 @@ impl ShardedState {
     /// # Panics
     ///
     /// Panics if `pod` is out of range.
-    pub fn shard(&self, pod: PodId) -> &PodShard {
+    pub(crate) fn shard(&self, pod: PodId) -> &PodShard {
         &self.shards[pod.index()]
     }
 
     /// Iterates over shards in pod order.
-    pub fn shards(&self) -> impl Iterator<Item = &PodShard> {
+    pub(crate) fn shards(&self) -> impl Iterator<Item = &PodShard> {
         self.shards.iter()
     }
 
@@ -505,9 +499,9 @@ mod tests {
         let state = ShardedState::new(&dc);
         assert_eq!(state.shard_count(), 3);
         let mut seen = HashSet::new();
-        for shard in state.shards() {
+        for (p, shard) in state.shards().enumerate() {
             for &o in shard.ops() {
-                assert_eq!(dc.pod_of_ops(o), shard.pod());
+                assert_eq!(dc.pod_of_ops(o), PodId(p));
                 assert!(seen.insert(o));
             }
             assert!(shard.memory_bytes() > 0);

@@ -85,7 +85,7 @@ impl UpdateCostModel {
     /// # Panics
     ///
     /// Panics if `vm` or `target` does not exist in `dc`.
-    pub fn alvc_cost(
+    pub(crate) fn alvc_cost(
         &self,
         dc: &DataCenter,
         manager: &ClusterManager,

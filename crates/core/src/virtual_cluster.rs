@@ -108,7 +108,7 @@ impl VirtualCluster {
     }
 
     /// The interned label id (integer compare, no string walk).
-    pub fn label_id(&self) -> LabelId {
+    pub(crate) fn label_id(&self) -> LabelId {
         self.label
     }
 

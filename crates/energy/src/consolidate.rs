@@ -123,7 +123,8 @@ pub struct ConsolidationPlan {
 
 impl ConsolidationPlan {
     /// Whether the plan proposes no action.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.moves.is_empty() && self.power_downs.is_empty() && self.power_ups.is_empty()
     }
 
@@ -191,16 +192,6 @@ impl ConsolidationPlanner {
     /// Current mode.
     pub fn mode(&self) -> ConsolidationMode {
         self.mode
-    }
-
-    /// The configuration the planner runs under.
-    pub fn config(&self) -> &ConsolidationConfig {
-        &self.config
-    }
-
-    /// Highest total load weight observed so far.
-    pub fn peak_weight(&self) -> f64 {
-        self.peak_weight
     }
 
     /// Predicted p99 one-way latency (µs) over all deployed chains, and

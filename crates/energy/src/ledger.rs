@@ -127,24 +127,14 @@ impl PowerLedger {
         }
     }
 
-    /// The pricing model.
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
     /// Cumulative integrated energy, in joules.
     pub fn energy_j(&self) -> f64 {
         self.energy_j
     }
 
-    /// Number of samples taken.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// Instantaneous draw of the data center under `orch`'s current
     /// element states and flows. Pure — does not advance the ledger.
-    pub fn measure(&self, dc: &DataCenter, orch: &Orchestrator) -> PowerBreakdown {
+    pub(crate) fn measure(&self, dc: &DataCenter, orch: &Orchestrator) -> PowerBreakdown {
         let carrying = carrying_elements(dc, orch);
         let mut power = PowerBreakdown::default();
         for e in all_elements(dc) {
@@ -208,7 +198,7 @@ impl PowerLedger {
 }
 
 /// All substrate elements of `dc`, in deterministic (family, id) order.
-pub fn all_elements(dc: &DataCenter) -> impl Iterator<Item = Element> + '_ {
+pub(crate) fn all_elements(dc: &DataCenter) -> impl Iterator<Item = Element> + '_ {
     dc.ops_ids()
         .map(Element::Ops)
         .chain(dc.tor_ids().map(Element::Tor))
@@ -256,7 +246,7 @@ mod tests {
         let orch = Orchestrator::new();
         let ledger = PowerLedger::new(PowerModel::default());
         let power = ledger.measure(&dc, &orch);
-        let m = ledger.model();
+        let m = ledger.model;
         let expect = dc.ops_count() as f64 * m.ops_idle_w
             + dc.tor_count() as f64 * m.tor_idle_w
             + dc.server_count() as f64 * m.server_idle_w;
@@ -288,7 +278,7 @@ mod tests {
             .unwrap();
         let after = ledger.measure(&dc, &orch);
         assert!(
-            (before.total_w() - after.total_w() - ledger.model().ops_idle_w).abs() < 1e-9,
+            (before.total_w() - after.total_w() - ledger.model.ops_idle_w).abs() < 1e-9,
             "one idle OPS's draw disappears"
         );
     }
@@ -305,7 +295,7 @@ mod tests {
         // Out-of-order samples charge nothing.
         let s2 = ledger.sample(&dc, &orch, 5.0);
         assert_eq!(s2.energy_j, s1.energy_j);
-        assert_eq!(ledger.samples(), 3);
+        assert_eq!(ledger.samples, 3);
     }
 
     #[test]

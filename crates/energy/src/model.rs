@@ -25,29 +25,13 @@ pub enum ElementFamily {
 
 impl ElementFamily {
     /// The family of a substrate element.
-    pub fn of(element: Element) -> ElementFamily {
+    pub(crate) fn of(element: Element) -> ElementFamily {
         match element {
             Element::Ops(_) => ElementFamily::Ops,
             Element::Tor(_) => ElementFamily::Tor,
             Element::Server(_) => ElementFamily::Server,
         }
     }
-
-    /// Stable snake_case label for telemetry and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ElementFamily::Ops => "ops",
-            ElementFamily::Tor => "tor",
-            ElementFamily::Server => "server",
-        }
-    }
-
-    /// All families, in telemetry order.
-    pub const ALL: [ElementFamily; 3] = [
-        ElementFamily::Ops,
-        ElementFamily::Tor,
-        ElementFamily::Server,
-    ];
 }
 
 /// Wattage assignments per element family plus per-flow energy.
@@ -92,7 +76,7 @@ impl Default for PowerModel {
 
 impl PowerModel {
     /// `(active, idle)` wattage of one family.
-    pub fn family_watts(&self, family: ElementFamily) -> (f64, f64) {
+    pub(crate) fn family_watts(&self, family: ElementFamily) -> (f64, f64) {
         match family {
             ElementFamily::Ops => (self.ops_active_w, self.ops_idle_w),
             ElementFamily::Tor => (self.tor_active_w, self.tor_idle_w),
@@ -103,7 +87,12 @@ impl PowerModel {
     /// Instantaneous draw of one element in `state`, `carrying` live
     /// flows/hosts or not. Powered-off elements draw nothing; powered
     /// elements draw idle watts unless they actually carry something.
-    pub fn element_power_w(&self, element: Element, state: PowerState, carrying: bool) -> f64 {
+    pub(crate) fn element_power_w(
+        &self,
+        element: Element,
+        state: PowerState,
+        carrying: bool,
+    ) -> f64 {
         let (active, idle) = self.family_watts(ElementFamily::of(element));
         match state {
             PowerState::PoweredOff => 0.0,
@@ -122,7 +111,7 @@ impl PowerModel {
     /// `bandwidth_gbps` along `path`, in watts. Energy per second equals
     /// the per-bit path energy times the offered bit rate, so power grows
     /// with hop count and with every O/E/O conversion on the path.
-    pub fn flow_power_w(&self, path: &HybridPath, bandwidth_gbps: f64) -> f64 {
+    pub(crate) fn flow_power_w(&self, path: &HybridPath, bandwidth_gbps: f64) -> f64 {
         let bytes_per_s = bandwidth_gbps * 1e9 / 8.0;
         self.flow.total_energy_nj(path, bytes_per_s as u64) * 1e-9
     }
@@ -164,9 +153,13 @@ mod tests {
             m.element_power_w(Element::Ops(OpsId(0)), PowerState::Active, true),
             m.element_power_w(Element::Server(ServerId(0)), PowerState::Active, true),
         );
-        for f in ElementFamily::ALL {
+        for f in [
+            ElementFamily::Ops,
+            ElementFamily::Tor,
+            ElementFamily::Server,
+        ] {
             let (active, idle) = m.family_watts(f);
-            assert!(active > idle, "{}: active must exceed idle", f.label());
+            assert!(active > idle, "{f:?}: active must exceed idle");
         }
     }
 

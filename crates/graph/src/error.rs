@@ -14,13 +14,6 @@ pub enum GraphError {
         /// Number of nodes actually present.
         node_count: usize,
     },
-    /// An edge id did not refer to an edge of the graph it was used with.
-    InvalidEdge {
-        /// The offending edge index.
-        index: usize,
-        /// Number of edges actually present.
-        edge_count: usize,
-    },
     /// An exact algorithm was invoked on an instance larger than it supports.
     InstanceTooLarge {
         /// Human-readable name of the algorithm.
@@ -39,9 +32,6 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::InvalidNode { index, node_count } => {
                 write!(f, "node index {index} out of range ({node_count} nodes)")
-            }
-            GraphError::InvalidEdge { index, edge_count } => {
-                write!(f, "edge index {index} out of range ({edge_count} edges)")
             }
             GraphError::InstanceTooLarge {
                 algorithm,
@@ -68,10 +58,6 @@ mod tests {
             GraphError::InvalidNode {
                 index: 3,
                 node_count: 1,
-            },
-            GraphError::InvalidEdge {
-                index: 9,
-                edge_count: 2,
             },
             GraphError::InstanceTooLarge {
                 algorithm: "bnb_set_cover",

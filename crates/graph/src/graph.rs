@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::GraphError;
-
 /// Index of a node inside a [`Graph`].
 ///
 /// Node ids are dense, stable, and only meaningful for the graph that issued
@@ -127,11 +125,6 @@ impl<N, E> Graph<N, E> {
         self.edges.len()
     }
 
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Adds a node carrying `weight` and returns its id.
     ///
     /// # Panics
@@ -165,42 +158,14 @@ impl<N, E> Graph<N, E> {
         id
     }
 
-    /// Fallible variant of [`Graph::add_edge`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidNode`] if either endpoint is not a node
-    /// of this graph.
-    pub fn try_add_edge(&mut self, a: NodeId, b: NodeId, weight: E) -> Result<EdgeId, GraphError> {
-        for id in [a, b] {
-            if id.0 >= self.nodes.len() {
-                return Err(GraphError::InvalidNode {
-                    index: id.0,
-                    node_count: self.nodes.len(),
-                });
-            }
-        }
-        Ok(self.add_edge(a, b, weight))
-    }
-
     /// Returns the weight of `node`, or `None` if out of range.
     pub fn node_weight(&self, node: NodeId) -> Option<&N> {
         self.nodes.get(node.0)
     }
 
-    /// Returns a mutable reference to the weight of `node`.
-    pub fn node_weight_mut(&mut self, node: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(node.0)
-    }
-
     /// Returns the weight of `edge`, or `None` if out of range.
     pub fn edge_weight(&self, edge: EdgeId) -> Option<&E> {
         self.edges.get(edge.0).map(|e| &e.weight)
-    }
-
-    /// Returns a mutable reference to the weight of `edge`.
-    pub fn edge_weight_mut(&mut self, edge: EdgeId) -> Option<&mut E> {
-        self.edges.get_mut(edge.0).map(|e| &mut e.weight)
     }
 
     /// Returns the endpoints `(a, b)` of `edge`.
@@ -243,16 +208,6 @@ impl<N, E> Graph<N, E> {
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len()).map(NodeId)
-    }
-
-    /// Iterates over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
-    }
-
-    /// Iterates over `(id, weight)` for all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.nodes.iter().enumerate().map(|(i, w)| (NodeId(i), w))
     }
 
     /// Iterates over `(id, a, b, weight)` for all edges.
@@ -353,7 +308,6 @@ mod tests {
     #[test]
     fn empty_graph_has_no_nodes_or_edges() {
         let g: Graph<(), ()> = Graph::new();
-        assert!(g.is_empty());
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
     }
@@ -415,27 +369,6 @@ mod tests {
         g.add_edge(a, b, 2);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.degree(a), 2);
-    }
-
-    #[test]
-    fn try_add_edge_rejects_bad_endpoint() {
-        let mut g: Graph<(), ()> = Graph::new();
-        let a = g.add_node(());
-        let err = g.try_add_edge(a, NodeId(7), ()).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::InvalidNode {
-                index: 7,
-                node_count: 1
-            }
-        );
-    }
-
-    #[test]
-    fn node_weight_mut_updates() {
-        let (mut g, [a, _, _]) = triangle();
-        *g.node_weight_mut(a).unwrap() = 42;
-        assert_eq!(g.node_weight(a), Some(&42));
     }
 
     #[test]

@@ -103,14 +103,6 @@ pub struct SelectorStats {
 }
 
 impl<K: Ord> LazySelector<K> {
-    /// Creates an empty selector.
-    pub fn new() -> Self {
-        LazySelector {
-            heap: BinaryHeap::new(),
-            stats: SelectorStats::default(),
-        }
-    }
-
     /// Creates an empty selector with room for `n` entries.
     pub fn with_capacity(n: usize) -> Self {
         LazySelector {
@@ -120,18 +112,9 @@ impl<K: Ord> LazySelector<K> {
     }
 
     /// Operation counts accumulated so far.
-    pub fn stats(&self) -> SelectorStats {
+    #[cfg(test)]
+    fn stats(&self) -> SelectorStats {
         self.stats
-    }
-
-    /// Number of heap entries, counting stale duplicates.
-    pub fn entry_count(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Offers candidate `id` with its current score.
@@ -238,7 +221,7 @@ mod tests {
     fn stale_entries_are_refreshed_not_selected() {
         // Candidate 0 starts highest but decays below candidate 1.
         let mut scores = [10usize, 7];
-        let mut sel = LazySelector::new();
+        let mut sel = LazySelector::with_capacity(4);
         sel.push(0, scores[0]);
         sel.push(1, scores[1]);
         scores[0] = 3;
@@ -253,21 +236,21 @@ mod tests {
 
     #[test]
     fn dead_candidates_are_skipped() {
-        let mut sel = LazySelector::new();
+        let mut sel = LazySelector::with_capacity(4);
         sel.push(0, 5usize);
         sel.push(1, 4);
         assert_eq!(
             sel.pop_max(|i| if i == 0 { None } else { Some(4) }),
             Some(1)
         );
-        assert!(sel.is_empty());
+        assert_eq!(sel.pop_max(|_| Some(4usize)), None);
     }
 
     #[test]
     fn composite_keys_break_ties_deterministically() {
         // Equal gains: Reverse(id) prefers the lowest id, as the naive
         // first-max rescan would.
-        let mut sel = LazySelector::new();
+        let mut sel = LazySelector::with_capacity(4);
         for i in 0..4usize {
             sel.push(i, (3usize, Reverse(i)));
         }
@@ -277,7 +260,7 @@ mod tests {
     #[test]
     fn stats_count_pushes_pops_refreshes_and_skips() {
         let mut scores = [10usize, 7];
-        let mut sel = LazySelector::new();
+        let mut sel = LazySelector::with_capacity(4);
         sel.push(0, scores[0]);
         sel.push(1, scores[1]);
         scores[0] = 3;

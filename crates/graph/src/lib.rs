@@ -8,7 +8,6 @@
 //!
 //! * [`Graph`] — an undirected adjacency-list graph with typed node and edge
 //!   weights, stable integer ids, and O(1) amortized insertion.
-//! * [`DiGraph`] — a directed variant used for NFC forwarding graphs.
 //! * [`cover`] — greedy weighted and exact branch-and-bound set cover.
 //! * [`lazy_greedy`] — the heap-backed incremental selection engine behind
 //!   every greedy cover (lazy deletion of stale entries).
@@ -21,7 +20,7 @@
 //! Select the OPSs that cover a cluster's ToRs, greedily and exactly:
 //!
 //! ```
-//! use alvc_graph::SetCoverInstance;
+//! use alvc_graph::cover::SetCoverInstance;
 //!
 //! // Four ToRs (the universe); each OPS covers the ToRs it links to.
 //! let ops = vec![vec![0, 1], vec![2], vec![3], vec![2, 3]];
@@ -41,7 +40,6 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod cover;
-pub mod digraph;
 pub mod error;
 pub mod graph;
 pub mod lazy_greedy;
@@ -49,8 +47,6 @@ pub mod shortest_path;
 pub mod slice;
 pub mod traversal;
 
-pub use cover::SetCoverInstance;
-pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use lazy_greedy::{LazySelector, SelectorStats, TotalF64};

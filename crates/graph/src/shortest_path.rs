@@ -16,13 +16,6 @@ pub struct CostedPath {
     pub cost: u64,
 }
 
-impl CostedPath {
-    /// Number of hops (edges) on the path.
-    pub fn hop_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-}
-
 /// Computes a minimum-cost path from `source` to `target` using Dijkstra's
 /// algorithm with the given non-negative edge cost function.
 ///
@@ -128,20 +121,6 @@ pub fn bfs_distances<N, E>(graph: &Graph<N, E>, source: NodeId) -> Vec<u64> {
     dist
 }
 
-/// Computes a minimum-hop path from `source` to `target`.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidNode`] for out-of-range endpoints and
-/// [`GraphError::NoPath`] if unreachable.
-pub fn bfs_path<N, E>(
-    graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-) -> Result<CostedPath, GraphError> {
-    dijkstra(graph, source, target, |_, _| 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +145,6 @@ mod tests {
         let p = dijkstra(&g, a, d, |_, &w| w).unwrap();
         assert_eq!(p.cost, 2);
         assert_eq!(p.nodes, vec![a, b, d]);
-        assert_eq!(p.hop_count(), 2);
     }
 
     #[test]
@@ -175,7 +153,6 @@ mod tests {
         let p = dijkstra(&g, a, a, |_, &w| w).unwrap();
         assert_eq!(p.cost, 0);
         assert_eq!(p.nodes, vec![a]);
-        assert_eq!(p.hop_count(), 0);
     }
 
     #[test]
@@ -217,13 +194,6 @@ mod tests {
         assert_eq!(dist[b.0], 1);
         assert_eq!(dist[c.0], 1);
         assert_eq!(dist[d.0], 2);
-    }
-
-    #[test]
-    fn bfs_path_ignores_weights() {
-        let (g, [a, _, _, d]) = weighted_square();
-        let p = bfs_path(&g, a, d).unwrap();
-        assert_eq!(p.cost, 2); // two hops either way
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //! "An NFC is defined as a set of Network Functions (NFs), packet
 //! processing order (simple or complex), network resource requirements
 //! (node and links), and network forwarding graph." The paper considers
-//! per-user/per-application chains, which are linear paths; the
-//! [`ForwardingGraph`] type additionally supports the "complex" (branching)
-//! processing order and linearizes it for deployment.
+//! per-user/per-application chains, which are linear paths.
 //!
 //! Chains are built through [`ChainSpec::builder`], which accepts either a
-//! linear stage list ([`ChainSpecBuilder::linear`]) or a partial-order DAG
-//! ([`ChainSpecBuilder::stage`] + [`ChainSpecBuilder::dependency`]),
-//! attaches typed [`PlacementRule`]s, and validates the whole specification
-//! at build time — malformed chains are a [`ChainSpecError`], not a
-//! deployment-time surprise.
+//! linear stage list ([`ChainSpecBuilder::linear`]) or a "complex"
+//! processing order as a partial order: stages plus precedence pairs
+//! ([`ChainSpecBuilder::stage`] + [`ChainSpecBuilder::dependency`]). It
+//! attaches typed [`PlacementRule`]s, linearizes the partial order, and
+//! validates the whole specification at build time — malformed chains are
+//! a [`ChainSpecError`], not a deployment-time surprise.
 
-use alvc_graph::{DiGraph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use alvc_topology::{DataCenter, PodId, VmId};
 use serde::{Deserialize, Serialize};
 
@@ -44,18 +45,11 @@ impl std::fmt::Display for NfcId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageId(usize);
 
-impl StageId {
-    /// Returns the raw insertion index within the builder.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// A placement constraint attached to a [`ChainSpec`].
 ///
 /// Stage indices refer to positions in the chain's final linear VNF order
 /// (`ChainSpec::vnfs`); [`ChainSpecBuilder`] translates [`StageId`] handles
-/// into those positions when it linearizes the forwarding DAG. Rules are
+/// into those positions when it linearizes the stage order. Rules are
 /// enforced at admission: a placement that violates any rule is rejected
 /// with a typed error before any state is committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,19 +96,9 @@ pub(crate) fn host_pod(dc: &DataCenter, host: HostLocation) -> PodId {
 }
 
 impl PlacementRule {
-    /// Short machine-readable label for reports and error payloads.
-    pub fn code(&self) -> &'static str {
-        match self {
-            PlacementRule::AntiAffinity { .. } => "anti_affinity",
-            PlacementRule::Affinity { .. } => "affinity",
-            PlacementRule::Colocate { .. } => "colocate",
-            PlacementRule::PinToPod { .. } => "pin_to_pod",
-        }
-    }
-
     /// Returns `true` if `hosts` (one per chain position) satisfies this
     /// rule. Positions beyond `hosts` count as unsatisfied.
-    pub fn satisfied_by(&self, dc: &DataCenter, hosts: &[HostLocation]) -> bool {
+    pub(crate) fn satisfied_by(&self, dc: &DataCenter, hosts: &[HostLocation]) -> bool {
         let host = |i: usize| hosts.get(i).copied();
         match *self {
             PlacementRule::AntiAffinity { a, b } => match (host(a), host(b)) {
@@ -136,7 +120,7 @@ impl PlacementRule {
     }
 
     /// The stage positions this rule mentions.
-    pub fn stages(&self) -> (usize, Option<usize>) {
+    pub(crate) fn stages(&self) -> (usize, Option<usize>) {
         match *self {
             PlacementRule::AntiAffinity { a, b }
             | PlacementRule::Affinity { a, b }
@@ -183,9 +167,10 @@ pub enum ChainSpecError {
         /// The offending value.
         budget_us: f64,
     },
-    /// The forwarding DAG has a dependency cycle and cannot linearize.
+    /// The stage dependencies form a cycle and cannot linearize.
     CyclicDag,
-    /// A placement rule names a stage the chain does not have.
+    /// A placement rule or dependency names a stage the chain does not
+    /// have.
     UnknownStage {
         /// The out-of-range stage position.
         stage: usize,
@@ -217,27 +202,6 @@ pub enum ChainSpecError {
     },
 }
 
-impl ChainSpecError {
-    /// Stable machine-readable error code.
-    pub fn code(&self) -> &'static str {
-        match self {
-            ChainSpecError::EmptyName => "empty_name",
-            ChainSpecError::EmptyChain => "empty_chain",
-            ChainSpecError::LoopWithoutStage => "loop_without_stage",
-            ChainSpecError::MissingIngress => "missing_ingress",
-            ChainSpecError::MissingEgress => "missing_egress",
-            ChainSpecError::InvalidBandwidth { .. } => "invalid_bandwidth",
-            ChainSpecError::InvalidLatencyBudget { .. } => "invalid_latency_budget",
-            ChainSpecError::CyclicDag => "cyclic_dag",
-            ChainSpecError::UnknownStage { .. } => "unknown_stage",
-            ChainSpecError::SelfReferentialRule { .. } => "self_referential_rule",
-            ChainSpecError::ConflictingRules { .. } => "conflicting_rules",
-            ChainSpecError::InvalidSlo { .. } => "invalid_slo",
-            ChainSpecError::InvalidQosWeight { .. } => "invalid_qos_weight",
-        }
-    }
-}
-
 impl std::fmt::Display for ChainSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
@@ -265,12 +229,9 @@ impl std::fmt::Display for ChainSpecError {
                     "latency budget {budget_us} us is not finite and positive"
                 )
             }
-            ChainSpecError::CyclicDag => write!(f, "forwarding DAG has a cycle"),
+            ChainSpecError::CyclicDag => write!(f, "stage dependencies have a cycle"),
             ChainSpecError::UnknownStage { stage, stages } => {
-                write!(
-                    f,
-                    "rule names stage {stage} but the chain has {stages} stages"
-                )
+                write!(f, "stage {stage} named but the chain has {stages} stages")
             }
             ChainSpecError::SelfReferentialRule { stage } => {
                 write!(f, "rule names stage {stage} on both sides")
@@ -318,19 +279,13 @@ impl QosClass {
         }
     }
 
-    /// Sets the relative weight (builder style).
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = weight;
-        self
-    }
-
     /// Checks the class's numeric invariants.
     ///
     /// # Errors
     ///
     /// [`ChainSpecError::InvalidSlo`] or
     /// [`ChainSpecError::InvalidQosWeight`].
-    pub fn validate(&self) -> Result<(), ChainSpecError> {
+    pub(crate) fn validate(&self) -> Result<(), ChainSpecError> {
         if !self.latency_slo_us.is_finite() || self.latency_slo_us <= 0.0 {
             return Err(ChainSpecError::InvalidSlo {
                 slo_us: self.latency_slo_us,
@@ -419,7 +374,7 @@ impl ChainSpec {
     /// # Errors
     ///
     /// The first [`ChainSpecError`] found.
-    pub fn validate(&self) -> Result<(), ChainSpecError> {
+    pub(crate) fn validate(&self) -> Result<(), ChainSpecError> {
         if self.name.is_empty() {
             return Err(ChainSpecError::EmptyName);
         }
@@ -514,25 +469,26 @@ enum DraftRule {
     PinToPod(StageId, PodId),
 }
 
-/// Validating builder for [`ChainSpec`]: linear stage lists or partial-order
-/// DAGs, typed placement rules, and build-time error reporting.
+/// Validating builder for [`ChainSpec`]: linear stage lists or partial
+/// orders, typed placement rules, and build-time error reporting.
 ///
 /// Stages are added with [`ChainSpecBuilder::linear`] (each stage depends on
 /// the previous one in the list) or [`ChainSpecBuilder::stage`] +
 /// [`ChainSpecBuilder::dependency`] for branching ("complex") processing
-/// orders; the two compose. [`ChainSpecBuilder::build`] linearizes the DAG
-/// with a stable topological sort (ties broken by insertion order), so the
-/// resulting spec is a pure function of the declared structure.
+/// orders; the two compose. [`ChainSpecBuilder::build`] linearizes the
+/// partial order with a stable topological sort (ties broken by insertion
+/// order), so the resulting spec is a pure function of the declared
+/// structure.
 #[derive(Debug, Clone, Default)]
 pub struct ChainSpecBuilder {
     name: String,
-    graph: ForwardingGraph,
+    stages: Vec<VnfSpec>,
+    /// `(before, after)` stage indices, in declaration order.
+    deps: Vec<(usize, usize)>,
     ingress: Option<VmId>,
     egress: Option<VmId>,
     bandwidth_gbps: f64,
-    max_latency_us: Option<f64>,
     rules: Vec<DraftRule>,
-    qos: Option<QosClass>,
     passthrough: bool,
 }
 
@@ -547,12 +503,15 @@ impl ChainSpecBuilder {
 
     /// Adds one unordered stage and returns its handle.
     pub fn stage(&mut self, spec: VnfSpec) -> StageId {
-        StageId(self.graph.add_vnf(spec).index())
+        self.stages.push(spec);
+        StageId(self.stages.len() - 1)
     }
 
-    /// Declares that `before` must process packets before `after`.
+    /// Declares that `before` must process packets before `after`. A stage
+    /// this builder never issued fails [`ChainSpecBuilder::build`] with
+    /// [`ChainSpecError::UnknownStage`].
     pub fn dependency(&mut self, before: StageId, after: StageId) -> &mut Self {
-        self.graph.add_dependency(NodeId(before.0), NodeId(after.0));
+        self.deps.push((before.0, after.0));
         self
     }
 
@@ -566,21 +525,6 @@ impl ChainSpecBuilder {
                 self.dependency(p, id);
             }
             prev = Some(id);
-        }
-        self
-    }
-
-    /// Absorbs a prebuilt [`ForwardingGraph`]; its [`NodeId`]s become
-    /// [`StageId`]s offset by the number of stages already added.
-    pub fn graph(mut self, graph: &ForwardingGraph) -> Self {
-        let offset = self.graph.len();
-        for n in graph.graph.node_ids() {
-            self.graph
-                .add_vnf(*graph.graph.node_weight(n).expect("node exists"));
-        }
-        for (_, from, to, ()) in graph.graph.edges() {
-            self.graph
-                .add_dependency(NodeId(from.index() + offset), NodeId(to.index() + offset));
         }
         self
     }
@@ -600,19 +544,6 @@ impl ChainSpecBuilder {
     /// Sets the requested bandwidth (default 1 Gb/s).
     pub fn bandwidth_gbps(mut self, gbps: f64) -> Self {
         self.bandwidth_gbps = gbps;
-        self
-    }
-
-    /// Sets the one-way latency budget in microseconds.
-    pub fn max_latency_us(mut self, budget: f64) -> Self {
-        self.max_latency_us = Some(budget);
-        self
-    }
-
-    /// Attaches a QoS class: a standing latency SLO (checked at admission
-    /// and on every reroute) and a relative weight.
-    pub fn qos(mut self, qos: QosClass) -> Self {
-        self.qos = Some(qos);
         self
     }
 
@@ -657,7 +588,7 @@ impl ChainSpecBuilder {
         }
         let ingress = self.ingress.ok_or(ChainSpecError::MissingIngress)?;
         let egress = self.egress.ok_or(ChainSpecError::MissingEgress)?;
-        if self.graph.is_empty() {
+        if self.stages.is_empty() {
             if ingress == egress {
                 return Err(ChainSpecError::LoopWithoutStage);
             }
@@ -665,30 +596,24 @@ impl ChainSpecBuilder {
                 return Err(ChainSpecError::EmptyChain);
             }
         }
-        let order = self
-            .graph
-            .linearized_ids()
-            .ok_or(ChainSpecError::CyclicDag)?;
-        let mut position = vec![0usize; order.len()];
-        for (pos, node) in order.iter().enumerate() {
-            position[node.index()] = pos;
-        }
-        // Range-check rule stages before remapping: `position` is indexed
-        // by the raw builder stage id, so an unknown stage must surface as
-        // a typed error, not an out-of-bounds panic.
-        let stages = order.len();
-        for rule in &self.rules {
-            let (x, y) = match *rule {
+        // Range-check dependency stages before sorting and rule stages
+        // before remapping: both index by the raw builder stage id, so an
+        // unknown stage must surface as a typed error, not a panic.
+        let stages = self.stages.len();
+        in_range(stages, self.deps.iter().flat_map(|&(a, b)| [a, b]))?;
+        let order = linearize(stages, &self.deps).ok_or(ChainSpecError::CyclicDag)?;
+        in_range(
+            stages,
+            self.rules.iter().flat_map(|rule| match *rule {
                 DraftRule::AntiAffinity(a, b)
                 | DraftRule::Affinity(a, b)
-                | DraftRule::Colocate(a, b) => (a, b),
-                DraftRule::PinToPod(s, _) => (s, s),
-            };
-            for s in [x, y] {
-                if s.0 >= stages {
-                    return Err(ChainSpecError::UnknownStage { stage: s.0, stages });
-                }
-            }
+                | DraftRule::Colocate(a, b) => [a.0, b.0],
+                DraftRule::PinToPod(s, _) => [s.0, s.0],
+            }),
+        )?;
+        let mut position = vec![0usize; stages];
+        for (pos, &stage) in order.iter().enumerate() {
+            position[stage] = pos;
         }
         let at = |s: StageId| position[s.0];
         let sorted = |a: StageId, b: StageId| {
@@ -714,23 +639,57 @@ impl ChainSpecBuilder {
                 DraftRule::PinToPod(s, pod) => PlacementRule::PinToPod { stage: at(s), pod },
             })
             .collect();
-        let vnfs: Vec<VnfSpec> = order
-            .iter()
-            .map(|&n| *self.graph.graph.node_weight(n).expect("node exists"))
-            .collect();
+        let vnfs: Vec<VnfSpec> = order.iter().map(|&s| self.stages[s]).collect();
         let spec = ChainSpec {
             name: self.name,
             vnfs,
             ingress,
             egress,
             bandwidth_gbps: self.bandwidth_gbps,
-            max_latency_us: self.max_latency_us,
+            max_latency_us: None,
             rules,
-            qos: self.qos,
+            qos: None,
         };
         spec.validate()?;
         Ok(spec)
     }
+}
+
+/// [`ChainSpecError::UnknownStage`] for the first of `named` that is not
+/// below `stages`.
+fn in_range(stages: usize, mut named: impl Iterator<Item = usize>) -> Result<(), ChainSpecError> {
+    match named.find(|&stage| stage >= stages) {
+        Some(stage) => Err(ChainSpecError::UnknownStage { stage, stages }),
+        None => Ok(()),
+    }
+}
+
+/// The stage ids `0..stages` in the unique topological order under `deps`
+/// (`(before, after)` pairs) that takes the smallest ready id first (Kahn's
+/// algorithm over a min-heap), or `None` if `deps` has a cycle. The order is
+/// a pure function of the stages and pairs, not of the pairs' order.
+fn linearize(stages: usize, deps: &[(usize, usize)]) -> Option<Vec<usize>> {
+    let mut indeg = vec![0usize; stages];
+    let mut after: Vec<Vec<usize>> = vec![Vec::new(); stages];
+    for &(a, b) in deps {
+        indeg[b] += 1;
+        after[a].push(b);
+    }
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..stages)
+        .filter(|&i| indeg[i] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::with_capacity(stages);
+    while let Some(Reverse(u)) = ready.pop() {
+        order.push(u);
+        for &v in &after[u] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                ready.push(Reverse(v));
+            }
+        }
+    }
+    (order.len() == stages).then_some(order)
 }
 
 impl From<usize> for StageId {
@@ -750,7 +709,7 @@ pub struct Nfc {
 
 impl Nfc {
     /// Wraps a spec under its assigned id (called by the orchestrator).
-    pub fn new(id: NfcId, spec: ChainSpec) -> Self {
+    pub(crate) fn new(id: NfcId, spec: ChainSpec) -> Self {
         Nfc { id, spec }
     }
 
@@ -767,103 +726,6 @@ impl Nfc {
     /// The VNFs in processing order.
     pub fn vnfs(&self) -> &[VnfSpec] {
         &self.spec.vnfs
-    }
-}
-
-/// A branching forwarding graph over VNFs ("complex" processing order).
-///
-/// Deployment requires an order, obtained by a stable topological sort
-/// (ties broken by smallest [`NodeId`], so the order is a pure function of
-/// the graph's structure); cyclic graphs are rejected.
-///
-/// # Example
-///
-/// ```
-/// use alvc_nfv::{ForwardingGraph, VnfSpec, VnfType};
-///
-/// let mut g = ForwardingGraph::new();
-/// let fw = g.add_vnf(VnfSpec::of(VnfType::Firewall));
-/// let dpi = g.add_vnf(VnfSpec::of(VnfType::Dpi));
-/// let lb = g.add_vnf(VnfSpec::of(VnfType::LoadBalancer));
-/// g.add_dependency(fw, dpi);
-/// g.add_dependency(fw, lb);
-/// let order = g.linearize().unwrap();
-/// assert_eq!(order.len(), 3);
-/// assert_eq!(order[0].vnf_type, VnfType::Firewall);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ForwardingGraph {
-    graph: DiGraph<VnfSpec, ()>,
-}
-
-impl ForwardingGraph {
-    /// Creates an empty forwarding graph.
-    pub fn new() -> Self {
-        ForwardingGraph::default()
-    }
-
-    /// Adds a VNF node.
-    pub fn add_vnf(&mut self, spec: VnfSpec) -> NodeId {
-        self.graph.add_node(spec)
-    }
-
-    /// Declares that `before` must process packets before `after`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is not in the graph.
-    pub fn add_dependency(&mut self, before: NodeId, after: NodeId) {
-        self.graph.add_edge(before, after, ());
-    }
-
-    /// Number of VNFs.
-    pub fn len(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// The stable linear order as node ids, or `None` if cyclic.
-    pub fn linearized_ids(&self) -> Option<Vec<NodeId>> {
-        self.graph.stable_topological_order()
-    }
-
-    /// Produces a linear processing order respecting every dependency, or
-    /// `None` if the graph is cyclic. Ties between independent branches are
-    /// broken deterministically by insertion order.
-    pub fn linearize(&self) -> Option<Vec<VnfSpec>> {
-        let order = self.linearized_ids()?;
-        Some(
-            order
-                .into_iter()
-                .map(|n| *self.graph.node_weight(n).expect("node exists"))
-                .collect(),
-        )
-    }
-
-    /// Builds a linear spec from this graph.
-    ///
-    /// Returns `None` if the graph is cyclic.
-    pub fn into_chain_spec(
-        &self,
-        name: impl Into<String>,
-        ingress: VmId,
-        egress: VmId,
-        bandwidth_gbps: f64,
-    ) -> Option<ChainSpec> {
-        Some(ChainSpec {
-            name: name.into(),
-            vnfs: self.linearize()?,
-            ingress,
-            egress,
-            bandwidth_gbps,
-            max_latency_us: None,
-            rules: Vec::new(),
-            qos: None,
-        })
     }
 }
 
@@ -994,21 +856,23 @@ mod tests {
                 .unwrap_err(),
             ChainSpecError::LoopWithoutStage
         );
+        assert!(matches!(
+            base().bandwidth_gbps(f64::NAN).build().unwrap_err(),
+            ChainSpecError::InvalidBandwidth { .. }
+        ));
         assert_eq!(
-            base().bandwidth_gbps(f64::NAN).build().unwrap_err().code(),
-            "invalid_bandwidth"
+            base().bandwidth_gbps(0.0).build().unwrap_err(),
+            ChainSpecError::InvalidBandwidth {
+                requested_gbps: 0.0
+            }
         );
+        let mut spec = base().build().unwrap();
+        spec.max_latency_us = Some(f64::INFINITY);
         assert_eq!(
-            base().bandwidth_gbps(0.0).build().unwrap_err().code(),
-            "invalid_bandwidth"
-        );
-        assert_eq!(
-            base()
-                .max_latency_us(f64::INFINITY)
-                .build()
-                .unwrap_err()
-                .code(),
-            "invalid_latency_budget"
+            spec.validate().unwrap_err(),
+            ChainSpecError::InvalidLatencyBudget {
+                budget_us: f64::INFINITY
+            }
         );
     }
 
@@ -1087,8 +951,9 @@ mod tests {
 
     #[test]
     fn same_structure_linearizes_identically_regardless_of_edge_order() {
-        // Same DAG, dependency declarations in different orders: the
-        // linearization (and thus the deployed chain) must be identical.
+        // Same partial order, dependency declarations in different orders:
+        // the linearization (and thus the deployed chain) must be identical,
+        // with ties between the branches broken by the smaller stage id.
         let build = |edge_order_flipped: bool| {
             let mut b = ChainSpec::builder("det");
             let a = b.stage(VnfSpec::of(VnfType::Firewall));
@@ -1106,23 +971,35 @@ mod tests {
             b.dependency(y, z);
             b.ingress(VmId(0)).egress(VmId(1)).build().unwrap()
         };
-        assert_eq!(build(false), build(true));
+        let spec = build(false);
+        assert_eq!(spec, build(true));
+        let types: Vec<_> = spec.vnfs.iter().map(|v| v.vnf_type).collect();
+        assert_eq!(
+            types,
+            vec![
+                VnfType::Firewall,
+                VnfType::Dpi,
+                VnfType::Nat,
+                VnfType::LoadBalancer
+            ]
+        );
     }
 
     #[test]
-    fn builder_absorbs_forwarding_graph() {
-        let mut g = ForwardingGraph::new();
-        let fw = g.add_vnf(VnfSpec::of(VnfType::Firewall));
-        let lb = g.add_vnf(VnfSpec::of(VnfType::LoadBalancer));
-        g.add_dependency(fw, lb);
-        let spec = ChainSpec::builder("absorbed")
-            .graph(&g)
-            .ingress(VmId(0))
-            .egress(VmId(1))
-            .build()
-            .unwrap();
-        assert_eq!(spec.len(), 2);
-        assert_eq!(spec.vnfs[0].vnf_type, VnfType::Firewall);
+    fn dependency_on_an_unissued_stage_is_a_typed_error() {
+        // A dependency on a stage the builder never issued fails the build
+        // with the error a rule naming that stage gets, not a panic.
+        let mut b = ChainSpec::builder("dangling");
+        let x = b.stage(VnfSpec::of(VnfType::Firewall));
+        b.stage(VnfSpec::of(VnfType::Nat));
+        b.dependency(x, StageId::from(9));
+        assert_eq!(
+            b.ingress(VmId(0)).egress(VmId(1)).build().unwrap_err(),
+            ChainSpecError::UnknownStage {
+                stage: 9,
+                stages: 2
+            }
+        );
     }
 
     #[test]
@@ -1154,83 +1031,6 @@ mod tests {
         assert_eq!(nfc.vnfs().len(), 2);
         assert_eq!(nfc.id().to_string(), "nfc-4");
         assert_eq!(nfc.spec().name, "fig5-black");
-    }
-
-    #[test]
-    fn forwarding_graph_linearizes_diamond() {
-        let mut g = ForwardingGraph::new();
-        let a = g.add_vnf(VnfSpec::of(VnfType::Firewall));
-        let b = g.add_vnf(VnfSpec::of(VnfType::Dpi));
-        let c = g.add_vnf(VnfSpec::of(VnfType::Nat));
-        let d = g.add_vnf(VnfSpec::of(VnfType::LoadBalancer));
-        g.add_dependency(a, b);
-        g.add_dependency(a, c);
-        g.add_dependency(b, d);
-        g.add_dependency(c, d);
-        let order = g.linearize().unwrap();
-        let pos = |t: VnfType| order.iter().position(|s| s.vnf_type == t).unwrap();
-        assert!(pos(VnfType::Firewall) < pos(VnfType::Dpi));
-        assert!(pos(VnfType::Firewall) < pos(VnfType::Nat));
-        assert!(pos(VnfType::Dpi) < pos(VnfType::LoadBalancer));
-        assert!(pos(VnfType::Nat) < pos(VnfType::LoadBalancer));
-    }
-
-    #[test]
-    fn linearization_is_stable_under_edge_insertion_order() {
-        // Regression: the old linearization used an unstable Kahn queue, so
-        // tie ordering depended on edge insertion order.
-        let build = |flip: bool| {
-            let mut g = ForwardingGraph::new();
-            let a = g.add_vnf(VnfSpec::of(VnfType::Firewall));
-            let b = g.add_vnf(VnfSpec::of(VnfType::Dpi));
-            let c = g.add_vnf(VnfSpec::of(VnfType::Nat));
-            let d = g.add_vnf(VnfSpec::of(VnfType::LoadBalancer));
-            if flip {
-                g.add_dependency(a, c);
-                g.add_dependency(a, b);
-            } else {
-                g.add_dependency(a, b);
-                g.add_dependency(a, c);
-            }
-            g.add_dependency(b, d);
-            g.add_dependency(c, d);
-            g.linearize().unwrap()
-        };
-        let order = build(false);
-        assert_eq!(order, build(true));
-        let types: Vec<_> = order.iter().map(|s| s.vnf_type).collect();
-        assert_eq!(
-            types,
-            vec![
-                VnfType::Firewall,
-                VnfType::Dpi,
-                VnfType::Nat,
-                VnfType::LoadBalancer
-            ]
-        );
-    }
-
-    #[test]
-    fn cyclic_forwarding_graph_rejected() {
-        let mut g = ForwardingGraph::new();
-        let a = g.add_vnf(VnfSpec::of(VnfType::Firewall));
-        let b = g.add_vnf(VnfSpec::of(VnfType::Nat));
-        g.add_dependency(a, b);
-        g.add_dependency(b, a);
-        assert!(g.linearize().is_none());
-        assert!(g.into_chain_spec("x", VmId(0), VmId(1), 1.0).is_none());
-    }
-
-    #[test]
-    fn forwarding_graph_to_chain_spec() {
-        let mut g = ForwardingGraph::new();
-        g.add_vnf(VnfSpec::of(VnfType::Firewall));
-        assert_eq!(g.len(), 1);
-        assert!(!g.is_empty());
-        let spec = g.into_chain_spec("solo", VmId(5), VmId(6), 4.0).unwrap();
-        assert_eq!(spec.len(), 1);
-        assert_eq!(spec.bandwidth_gbps, 4.0);
-        assert_eq!(spec.ingress, VmId(5));
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl TenantQuota {
         }
     }
 
-    /// Sets the deficit-round-robin scheduling weight.
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        self.weight = weight;
-        self
-    }
-
     /// The weight the scheduler actually uses (`0` reads as `1`).
     pub(crate) fn effective_weight(&self) -> u64 {
         u64::from(self.weight.max(1))
@@ -102,22 +96,12 @@ impl Default for AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// The default policy: unlimited quotas, operator tenant `"operator"`.
-    pub fn new() -> Self {
-        AdmissionPolicy::default()
-    }
-
     /// The quota applying to `tenant` (override or default).
-    pub fn quota_for(&self, tenant: &str) -> TenantQuota {
+    pub(crate) fn quota_for(&self, tenant: &str) -> TenantQuota {
         self.overrides
             .get(tenant)
             .copied()
             .unwrap_or(self.default_quota)
-    }
-
-    /// The tenant allowed to submit operator-only intents.
-    pub fn operator(&self) -> &str {
-        &self.operator
     }
 }
 
@@ -294,14 +278,16 @@ mod tests {
 
     #[test]
     fn policy_resolves_overrides_then_default() {
-        let mut policy = AdmissionPolicy::new();
-        policy.default_quota = TenantQuota::new(4, 2);
+        let mut policy = AdmissionPolicy {
+            default_quota: TenantQuota::new(4, 2),
+            ..AdmissionPolicy::default()
+        };
         policy
             .overrides
             .insert("big".to_string(), TenantQuota::unlimited());
         assert_eq!(policy.quota_for("small"), TenantQuota::new(4, 2));
         assert_eq!(policy.quota_for("big"), TenantQuota::unlimited());
-        assert_eq!(policy.operator(), "operator");
+        assert_eq!(policy.operator, "operator");
     }
 
     #[test]

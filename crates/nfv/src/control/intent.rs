@@ -19,13 +19,6 @@ use crate::lifecycle::VnfInstanceId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IntentId(pub u64);
 
-impl IntentId {
-    /// The raw submission index.
-    pub fn index(self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for IntentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "intent-{}", self.0)
@@ -139,7 +132,7 @@ pub enum IntentKind {
 
 impl IntentKind {
     /// Short label for telemetry and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             IntentKind::DeployChain => "deploy_chain",
             IntentKind::TeardownChain => "teardown_chain",
@@ -186,7 +179,7 @@ impl Intent {
 
     /// The chain this intent targets, when it targets exactly one
     /// *existing* chain ([`Intent::DeployChain`] creates its own).
-    pub fn target_chain(&self) -> Option<NfcId> {
+    pub(crate) fn target_chain(&self) -> Option<NfcId> {
         match self {
             Intent::TeardownChain { chain }
             | Intent::ModifyChain { chain, .. }
@@ -331,7 +324,7 @@ pub struct IntentLog {
 
 impl IntentLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IntentLog::default()
     }
 
@@ -352,15 +345,6 @@ impl IntentLog {
     /// `true` when nothing has been executed yet.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Number of records with the given outcome label (`"completed"`,
-    /// `"rejected"`, `"failed"`).
-    pub fn count_of(&self, label: &str) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.outcome.label() == label)
-            .count()
     }
 }
 
@@ -487,8 +471,14 @@ mod tests {
             outcome: IntentOutcome::Rejected(AdmissionError::NotAuthorized { tenant: "b".into() }),
         });
         assert_eq!(log.len(), 2);
-        assert_eq!(log.count_of("completed"), 1);
-        assert_eq!(log.count_of("rejected"), 1);
-        assert_eq!(log.count_of("failed"), 0);
+        let count_of = |label| {
+            log.records()
+                .iter()
+                .filter(|r| r.outcome.label() == label)
+                .count()
+        };
+        assert_eq!(count_of("completed"), 1);
+        assert_eq!(count_of("rejected"), 1);
+        assert_eq!(count_of("failed"), 0);
     }
 }

@@ -187,7 +187,6 @@ pub struct ControlPlaneBuilder {
     batch_size: usize,
     policy: AdmissionPolicy,
     orchestrator: Orchestrator,
-    constructor: Box<dyn AlConstruct + Send + Sync>,
     placer: Box<dyn VnfPlacer + Send + Sync>,
     scheduler: SchedulerMode,
     outcome_retention: Option<usize>,
@@ -199,7 +198,6 @@ impl Default for ControlPlaneBuilder {
             batch_size: 32,
             policy: AdmissionPolicy::default(),
             orchestrator: Orchestrator::new(),
-            constructor: Box::new(PaperGreedy::new()),
             placer: Box::new(ElectronicOnlyPlacer::new()),
             scheduler: SchedulerMode::default(),
             outcome_retention: None,
@@ -209,7 +207,7 @@ impl Default for ControlPlaneBuilder {
 
 impl ControlPlaneBuilder {
     /// Starts from the defaults.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ControlPlaneBuilder::default()
     }
 
@@ -245,15 +243,9 @@ impl ControlPlaneBuilder {
 
     /// Brings a pre-configured orchestrator (SDN table limits, O/E/O cost
     /// model — see [`crate::OrchestratorBuilder`]).
-    pub fn orchestrator(mut self, orch: Orchestrator) -> Self {
+    #[cfg(test)]
+    fn orchestrator(mut self, orch: Orchestrator) -> Self {
         self.orchestrator = orch;
-        self
-    }
-
-    /// The abstraction-layer constructor used for deployments and OPS
-    /// failure repair (default: [`PaperGreedy`]).
-    pub fn constructor(mut self, c: impl AlConstruct + Send + Sync + 'static) -> Self {
-        self.constructor = Box::new(c);
         self
     }
 
@@ -323,7 +315,7 @@ impl ControlPlaneBuilder {
             dc,
             batch_size: self.batch_size,
             policy: self.policy,
-            constructor: self.constructor,
+            constructor: Box::new(PaperGreedy::new()),
             placer: self.placer,
             max_link_kbps,
             outcome_retention: self.outcome_retention,
@@ -384,16 +376,6 @@ impl ControlPlane {
     /// The data center this control plane manages.
     pub fn data_center(&self) -> &Arc<DataCenter> {
         &self.dc
-    }
-
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// The admission policy.
-    pub fn policy(&self) -> &AdmissionPolicy {
-        &self.policy
     }
 
     /// Enqueues an intent on behalf of `tenant` and returns its ticket.
@@ -494,7 +476,7 @@ impl ControlPlane {
         f(&self.inner.lock().orch)
     }
 
-    /// Executes up to [`ControlPlane::batch_size`] queued intents in
+    /// Executes up to [`ControlPlaneBuilder::batch_size`] queued intents in
     /// submission order and publishes a fresh [`StateView`]. Returns the
     /// number executed (0 when the queue was empty).
     pub fn process_batch(&self) -> usize {

@@ -324,13 +324,15 @@ impl StateView {
     }
 
     /// Number of live VNF instances.
-    pub fn instance_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn instance_count(&self) -> usize {
         self.instances.len()
     }
 
-    /// Bandwidth (Gb/s) committed on a physical link.
-    pub fn committed_bandwidth_gbps(&self, edge: alvc_graph::EdgeId) -> f64 {
-        self.link_committed_kbps.get(&edge).copied().unwrap_or(0) as f64 / 1e6
+    /// The aggregate usage of `tenant`, zero if it runs nothing.
+    #[cfg(test)]
+    pub(crate) fn tenant(&self, tenant: &str) -> TenantView {
+        self.tenants.get(tenant).copied().unwrap_or_default()
     }
 
     /// The chains owned by `tenant`, in id order.
@@ -340,10 +342,5 @@ impl StateView {
             .filter(|(_, c)| c.tenant == tenant)
             .map(|(&id, _)| id)
             .collect()
-    }
-
-    /// The aggregate usage of `tenant`, zero if it runs nothing.
-    pub fn tenant(&self, tenant: &str) -> TenantView {
-        self.tenants.get(tenant).copied().unwrap_or_default()
     }
 }

@@ -148,7 +148,7 @@ pub enum DeployError {
 impl DeployError {
     /// A stable machine-readable reason code, used as the `code` field of
     /// trace spans and flight-recorder dumps.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             DeployError::Cluster(_) => "cluster",
             DeployError::Placement(_) => "placement",
@@ -261,7 +261,7 @@ pub enum PowerError {
 
 impl PowerError {
     /// A stable machine-readable reason code.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             PowerError::InUse { .. } => "element_in_use",
             PowerError::Failed { .. } => "element_failed",
@@ -370,7 +370,7 @@ pub enum ErrorKind {
 impl ErrorKind {
     /// A stable machine-readable reason code, used as the `code` field of
     /// trace spans and flight-recorder dumps.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             ErrorKind::Cluster => "cluster",
             ErrorKind::Placement => "placement",
@@ -394,7 +394,7 @@ impl ErrorKind {
 impl Error {
     /// A stable machine-readable reason code: admission rejections and
     /// deploy failures report their specific variant's code, everything
-    /// else the [`ErrorKind::code`].
+    /// else the code of its [`ErrorKind`].
     pub fn code(&self) -> &'static str {
         match self {
             Error::Admission(e) => e.code(),
@@ -432,14 +432,6 @@ impl Error {
     pub fn as_deploy(&self) -> Option<&DeployError> {
         match self {
             Error::Deploy(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The wrapped [`AdmissionError`], if that is what this is.
-    pub fn as_admission(&self) -> Option<&AdmissionError> {
-        match self {
-            Error::Admission(e) => Some(e),
             _ => None,
         }
     }
@@ -604,7 +596,6 @@ mod tests {
             e.as_deploy(),
             Some(DeployError::InsufficientBandwidth { .. })
         ));
-        assert!(e.as_admission().is_none());
         assert!(e.to_string().contains("Gb/s"));
     }
 }

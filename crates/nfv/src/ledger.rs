@@ -22,20 +22,6 @@ use alvc_topology::DataCenter;
 
 /// Committed bandwidth per physical link, in integer kb/s, partitioned by
 /// pod.
-///
-/// # Example
-///
-/// ```
-/// use alvc_graph::EdgeId;
-/// use alvc_nfv::ShardedLedger;
-///
-/// let mut ledger = ShardedLedger::default();
-/// ledger.commit(EdgeId(3), 1_000_000);
-/// ledger.release(EdgeId(3), 400_000);
-/// assert_eq!(ledger.committed(EdgeId(3)), 600_000);
-/// ledger.release(EdgeId(3), 600_000);
-/// assert!(ledger.is_empty());
-/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedLedger {
     /// Edge index → shard. Empty while unbound (single shard 0).
@@ -76,7 +62,7 @@ impl ShardedLedger {
     }
 
     /// Committed kb/s on `e` (0 if absent).
-    pub fn committed(&self, e: EdgeId) -> u64 {
+    pub(crate) fn committed(&self, e: EdgeId) -> u64 {
         if self.shards.is_empty() {
             return 0;
         }
@@ -107,20 +93,10 @@ impl ShardedLedger {
         }
     }
 
-    /// Number of edges with live commitments.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
-    }
-
-    /// Whether no edge has a live commitment.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashMap::is_empty)
-    }
-
     /// Iterates over `(edge, kb/s)` entries, shard by shard. Order within a
     /// shard is unspecified; collect into a `BTreeMap` for deterministic
     /// snapshots.
-    pub fn iter(&self) -> impl Iterator<Item = (EdgeId, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (EdgeId, u64)> + '_ {
         self.shards
             .iter()
             .flat_map(|s| s.iter().map(|(&e, &b)| (e, b)))
@@ -128,29 +104,45 @@ impl ShardedLedger {
 
     /// Iterates over edges with live commitments (same order caveat as
     /// [`ShardedLedger::iter`]).
-    pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.iter().map(|(e, _)| e)
     }
 
+    /// Number of edges with live commitments.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.shards.iter().map(HashMap::len).sum()
+    }
+
+    /// Whether no edge has a live commitment.
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.shards.iter().all(HashMap::is_empty)
+    }
+
     /// Number of shards (1 while unbound).
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shards.len().max(1)
     }
 
     /// Live entries per shard, in pod order.
-    pub fn shard_lens(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(HashMap::len).collect()
     }
 
     /// Estimated resident bytes per shard (entries × key+value size, with
     /// ~2× hash-table slot overhead), in pod order.
-    pub fn shard_memory_bytes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn shard_memory_bytes(&self) -> Vec<usize> {
         let entry = std::mem::size_of::<(EdgeId, u64)>();
         self.shards.iter().map(|s| s.len() * entry * 2).collect()
     }
 
     /// Largest per-shard estimated footprint in bytes.
-    pub fn peak_shard_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn peak_shard_bytes(&self) -> usize {
         self.shard_memory_bytes().into_iter().max().unwrap_or(0)
     }
 }

@@ -57,8 +57,7 @@ pub mod sdn;
 pub mod vnf;
 
 pub use chain::{
-    ChainSpec, ChainSpecBuilder, ChainSpecError, ForwardingGraph, Nfc, NfcId, PlacementRule,
-    QosClass, StageId,
+    ChainSpec, ChainSpecBuilder, ChainSpecError, Nfc, NfcId, PlacementRule, QosClass, StageId,
 };
 pub use control::{
     AdmissionError, AdmissionPolicy, ChainView, ClusterSliceView, ControlPlane,
@@ -66,11 +65,9 @@ pub use control::{
     IntentOutcome, IntentRecord, SchedulerMode, StateView, TenantQuota, TenantView,
 };
 pub use error::{DeployError, Error, ErrorKind, LifecycleError, PlacementError, PowerError};
-pub use ledger::ShardedLedger;
 pub use lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 pub use orchestrator::{DeployedChain, Orchestrator, OrchestratorBuilder};
 pub use placement::{ElectronicOnlyPlacer, PlacementContext, VnfPlacer};
-pub use recluster::ReclusterReport;
 pub use recovery::{RecoveryOutcome, RecoveryReport};
 pub use sdn::{FlowRule, SdnController, TableFull};
 pub use vnf::{ResourceDemand, VnfSpec, VnfType};

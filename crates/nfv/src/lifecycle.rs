@@ -76,7 +76,7 @@ pub enum VnfState {
 impl VnfState {
     /// Static lowercase name, used as the telemetry label of
     /// `alvc_nfv.lifecycle.transitions` and by [`std::fmt::Display`].
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             VnfState::Requested => "requested",
             VnfState::Instantiating => "instantiating",
@@ -88,7 +88,7 @@ impl VnfState {
     }
 
     /// Legal direct transitions of the lifecycle state machine.
-    pub fn can_transition_to(self, next: VnfState) -> bool {
+    pub(crate) fn can_transition_to(self, next: VnfState) -> bool {
         use VnfState::*;
         matches!(
             (self, next),
@@ -114,24 +114,6 @@ impl std::fmt::Display for VnfState {
 }
 
 /// A VNF instance with its lifecycle state and transition history.
-///
-/// # Example
-///
-/// ```
-/// use alvc_nfv::{HostLocation, VnfInstance, VnfInstanceId, VnfSpec, VnfState, VnfType};
-/// use alvc_topology::ServerId;
-///
-/// let mut inst = VnfInstance::new(
-///     VnfInstanceId(0),
-///     VnfSpec::of(VnfType::Firewall),
-///     HostLocation::Server(ServerId(2)),
-/// );
-/// inst.transition(VnfState::Instantiating)?;
-/// inst.transition(VnfState::Active)?;
-/// assert_eq!(inst.state(), VnfState::Active);
-/// assert_eq!(inst.history().len(), 3); // Requested, Instantiating, Active
-/// # Ok::<(), alvc_nfv::LifecycleError>(())
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VnfInstance {
     id: VnfInstanceId,
@@ -143,7 +125,7 @@ pub struct VnfInstance {
 
 impl VnfInstance {
     /// Creates an instance in [`VnfState::Requested`].
-    pub fn new(id: VnfInstanceId, spec: VnfSpec, host: HostLocation) -> Self {
+    pub(crate) fn new(id: VnfInstanceId, spec: VnfSpec, host: HostLocation) -> Self {
         VnfInstance {
             id,
             spec,
@@ -153,13 +135,8 @@ impl VnfInstance {
         }
     }
 
-    /// The instance id.
-    pub fn id(&self) -> VnfInstanceId {
-        self.id
-    }
-
     /// The VNF spec.
-    pub fn spec(&self) -> &VnfSpec {
+    pub(crate) fn spec(&self) -> &VnfSpec {
         &self.spec
     }
 
@@ -183,7 +160,7 @@ impl VnfInstance {
     /// # Errors
     ///
     /// [`LifecycleError`] if the transition is not legal.
-    pub fn transition(&mut self, next: VnfState) -> Result<(), LifecycleError> {
+    pub(crate) fn transition(&mut self, next: VnfState) -> Result<(), LifecycleError> {
         if !self.state.can_transition_to(next) {
             return Err(LifecycleError {
                 from: self.state,
@@ -203,7 +180,7 @@ impl VnfInstance {
     /// # Errors
     ///
     /// Fails if the instance is not in [`VnfState::Requested`].
-    pub fn activate(&mut self) -> Result<(), LifecycleError> {
+    pub(crate) fn activate(&mut self) -> Result<(), LifecycleError> {
         self.transition(VnfState::Instantiating)?;
         self.transition(VnfState::Active)
     }

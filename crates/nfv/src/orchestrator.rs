@@ -141,11 +141,9 @@ pub struct Orchestrator {
 ///
 /// ```
 /// use alvc_nfv::Orchestrator;
-/// use alvc_optical::OeoCostModel;
 ///
 /// let orch = Orchestrator::builder()
 ///     .sdn_table_limit(1024)
-///     .oeo_model(OeoCostModel::default())
 ///     .quiet(true)
 ///     .build();
 /// assert_eq!(orch.chain_count(), 0);
@@ -153,14 +151,13 @@ pub struct Orchestrator {
 #[derive(Debug, Default)]
 pub struct OrchestratorBuilder {
     sdn_table_limit: Option<usize>,
-    oeo: Option<OeoCostModel>,
     quiet: bool,
 }
 
 impl OrchestratorBuilder {
     /// Starts from the defaults: unlimited SDN flow tables, the default
     /// O/E/O cost model, telemetry events on.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OrchestratorBuilder::default()
     }
 
@@ -173,12 +170,6 @@ impl OrchestratorBuilder {
     /// Panics (in [`OrchestratorBuilder::build`]) if `limit` is zero.
     pub fn sdn_table_limit(mut self, limit: usize) -> Self {
         self.sdn_table_limit = Some(limit);
-        self
-    }
-
-    /// Overrides the O/E/O cost model used for latency-budget admission.
-    pub fn oeo_model(mut self, model: OeoCostModel) -> Self {
-        self.oeo = Some(model);
         self
     }
 
@@ -198,7 +189,6 @@ impl OrchestratorBuilder {
                 Some(limit) => SdnController::with_table_limit(limit),
                 None => SdnController::default(),
             },
-            oeo: self.oeo.unwrap_or_default(),
             quiet: self.quiet,
             ..Orchestrator::default()
         }
@@ -633,7 +623,7 @@ impl Orchestrator {
 
     /// The chain a live replica belongs to, `None` if `id` is not a
     /// replica (chain members and terminated replicas do not count).
-    pub fn replica_chain(&self, id: VnfInstanceId) -> Option<NfcId> {
+    pub(crate) fn replica_chain(&self, id: VnfInstanceId) -> Option<NfcId> {
         self.replicas.get(&id).map(|&(chain, _)| chain)
     }
 

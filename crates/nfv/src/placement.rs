@@ -57,15 +57,6 @@ impl PlacementContext<'_> {
     pub fn used_on_server(&self, server: ServerId) -> ResourceDemand {
         self.server_used.get(&server).copied().unwrap_or_default()
     }
-
-    /// Returns `true` if `demand` fits on optoelectronic router `ops`
-    /// given current usage.
-    pub fn fits_on_opto(&self, ops: OpsId, demand: &ResourceDemand) -> bool {
-        match self.dc.opto_capacity(ops) {
-            Some(cap) => demand.fits_in(&cap, &self.used_on_opto(ops)),
-            None => false,
-        }
-    }
 }
 
 /// A VNF placement strategy.
@@ -267,39 +258,6 @@ mod tests {
             assert!(al.contains_ops(*o));
             assert!(dc.opto_capacity(*o).is_some());
         }
-        if let Some(&o) = cands.first() {
-            assert!(ctx.fits_on_opto(o, &VnfType::Firewall.default_demand()));
-            assert!(!ctx.fits_on_opto(o, &VnfType::VideoTranscoder.default_demand()));
-        }
-    }
-
-    #[test]
-    fn context_fit_respects_prior_usage() {
-        let (dc, al) = setup();
-        let cands = {
-            let ctx = PlacementContext {
-                dc: &dc,
-                al: &al,
-                opto_used: &HashMap::new(),
-                server_used: &HashMap::new(),
-                servers: &[],
-            };
-            ctx.opto_candidates()
-        };
-        let Some(&o) = cands.first() else {
-            return;
-        };
-        let mut used = HashMap::new();
-        used.insert(o, ResourceDemand::new(3.5, 0.0, 0.0)); // cap cpu = 4
-        let ctx = PlacementContext {
-            dc: &dc,
-            al: &al,
-            opto_used: &used,
-            server_used: &HashMap::new(),
-            servers: &[],
-        };
-        assert!(!ctx.fits_on_opto(o, &ResourceDemand::new(1.0, 0.0, 0.0)));
-        assert!(ctx.fits_on_opto(o, &ResourceDemand::new(0.5, 0.0, 0.0)));
     }
 
     /// `ElectronicOnlyPlacer::place` as it was before its loads and racks

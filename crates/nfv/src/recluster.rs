@@ -40,7 +40,7 @@ use crate::recovery::RecoveryOutcome;
 /// What applying one re-clustering plan did. All counters are in units of
 /// the plan's moves, clusters, or chains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReclusterReport {
+pub(crate) struct ReclusterReport {
     /// Moves applied to cluster membership.
     pub applied: usize,
     /// Moves skipped: self-moves, unknown clusters, VMs no longer in the
@@ -67,7 +67,7 @@ impl Orchestrator {
     ///
     /// Never fails: stale or unsafe moves are counted in
     /// [`ReclusterReport::skipped`] and the rest of the plan proceeds.
-    pub fn apply_recluster(
+    pub(crate) fn apply_recluster(
         &mut self,
         dc: &DataCenter,
         moves: &[VmMove],

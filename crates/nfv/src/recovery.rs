@@ -65,12 +65,12 @@ pub enum RecoveryOutcome {
 impl RecoveryOutcome {
     /// `true` while the chain still carries traffic (anything but
     /// [`RecoveryOutcome::Unrecoverable`]).
-    pub fn is_serving(&self) -> bool {
+    pub(crate) fn is_serving(&self) -> bool {
         !matches!(self, RecoveryOutcome::Unrecoverable(_))
     }
 
     /// A short label for telemetry and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RecoveryOutcome::Rerouted => "rerouted",
             RecoveryOutcome::Replaced => "replaced",
@@ -97,11 +97,6 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// The element whose failure triggered this report.
-    pub fn element(&self) -> Element {
-        self.element
-    }
-
     /// Outcome per affected chain, in chain-id order. Empty when the
     /// element was already failed or carried no chain state.
     pub fn outcomes(&self) -> &BTreeMap<NfcId, RecoveryOutcome> {
@@ -109,12 +104,12 @@ impl RecoveryReport {
     }
 
     /// Number of chains the failure touched.
-    pub fn affected_count(&self) -> usize {
+    pub(crate) fn affected_count(&self) -> usize {
         self.outcomes.len()
     }
 
     /// Number of affected chains still serving traffic.
-    pub fn serving_count(&self) -> usize {
+    pub(crate) fn serving_count(&self) -> usize {
         self.outcomes.values().filter(|o| o.is_serving()).count()
     }
 
@@ -521,7 +516,7 @@ mod tests {
             &PaperGreedy::new(),
             &ElectronicOnlyPlacer::new(),
         );
-        assert_eq!(report.element(), Element::Ops(dead));
+        assert_eq!(report.element, Element::Ops(dead));
         let outcome = report.outcomes().get(&id).expect("chain was affected");
         assert!(
             outcome.is_serving(),

@@ -40,7 +40,7 @@ pub struct FlowRule {
 /// let path = HybridPath::new(vec![NodeId(0), NodeId(1), NodeId(2)], vec![Optical; 2], 2.0);
 /// let installed = ctl.install_path(NfcId(0), &path);
 /// assert_eq!(installed, 3);
-/// assert_eq!(ctl.rules_for_chain(NfcId(0)).len(), 3);
+/// assert_eq!(ctl.total_rules(), 3);
 /// ctl.remove_chain(NfcId(0));
 /// assert_eq!(ctl.total_rules(), 0);
 /// ```
@@ -88,17 +88,12 @@ impl SdnController {
     /// # Panics
     ///
     /// Panics if `limit` is zero.
-    pub fn with_table_limit(limit: usize) -> Self {
+    pub(crate) fn with_table_limit(limit: usize) -> Self {
         assert!(limit > 0, "table limit must be positive");
         SdnController {
             table_limit: Some(limit),
             ..SdnController::default()
         }
-    }
-
-    /// The per-switch rule limit, if any.
-    pub fn table_limit(&self) -> Option<usize> {
-        self.table_limit
     }
 
     /// Fallible installation: like [`SdnController::install_path`], but
@@ -109,7 +104,7 @@ impl SdnController {
     /// # Errors
     ///
     /// [`TableFull`] naming the first saturated switch.
-    pub fn try_install_path(
+    pub(crate) fn try_install_path(
         &mut self,
         chain: NfcId,
         path: &HybridPath,
@@ -178,32 +173,20 @@ impl SdnController {
         rules.len()
     }
 
-    /// The rules currently installed for `chain` (empty if none).
-    pub fn rules_for_chain(&self, chain: NfcId) -> &[FlowRule] {
-        self.rules.get(&chain).map_or(&[], |v| v.as_slice())
+    /// Number of rules resident on `switch`.
+    pub(crate) fn rules_on_switch(&self, switch: NodeId) -> usize {
+        self.per_switch.get(&switch).copied().unwrap_or(0)
     }
 
-    /// Number of rules resident on `switch`.
-    pub fn rules_on_switch(&self, switch: NodeId) -> usize {
-        self.per_switch.get(&switch).copied().unwrap_or(0)
+    /// The rules currently installed for `chain` (empty if none).
+    #[cfg(test)]
+    fn rules_for_chain(&self, chain: NfcId) -> &[FlowRule] {
+        self.rules.get(&chain).map_or(&[], |v| v.as_slice())
     }
 
     /// Total rules across all switches.
     pub fn total_rules(&self) -> usize {
         self.total
-    }
-
-    /// Number of chains with installed paths.
-    pub fn chain_count(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// The most-loaded switch and its rule count, if any rules exist.
-    pub fn hottest_switch(&self) -> Option<(NodeId, usize)> {
-        self.per_switch
-            .iter()
-            .max_by_key(|&(n, c)| (*c, std::cmp::Reverse(n.index())))
-            .map(|(&n, &c)| (n, c))
     }
 }
 
@@ -225,7 +208,6 @@ mod tests {
         let mut ctl = SdnController::new();
         assert_eq!(ctl.install_path(NfcId(0), &path(&[0, 1, 2, 3])), 4);
         assert_eq!(ctl.total_rules(), 4);
-        assert_eq!(ctl.chain_count(), 1);
         let rules = ctl.rules_for_chain(NfcId(0));
         assert_eq!(rules[0].in_port, None);
         assert_eq!(rules[0].out_port, Some(NodeId(1)));
@@ -249,7 +231,6 @@ mod tests {
         ctl.install_path(NfcId(0), &path(&[0, 1, 2]));
         ctl.install_path(NfcId(1), &path(&[3, 1, 4]));
         assert_eq!(ctl.rules_on_switch(NodeId(1)), 2);
-        assert_eq!(ctl.hottest_switch(), Some((NodeId(1), 2)));
         ctl.remove_chain(NfcId(0));
         assert_eq!(ctl.rules_on_switch(NodeId(1)), 1);
         assert_eq!(ctl.rules_on_switch(NodeId(0)), 0);
@@ -260,7 +241,6 @@ mod tests {
         let mut ctl = SdnController::new();
         assert_eq!(ctl.remove_chain(NfcId(9)), 0);
         assert!(ctl.rules_for_chain(NfcId(9)).is_empty());
-        assert_eq!(ctl.hottest_switch(), None);
     }
 
     #[test]
@@ -290,7 +270,7 @@ mod table_limit_tests {
     #[test]
     fn limit_rejects_overflow_and_installs_nothing() {
         let mut ctl = SdnController::with_table_limit(2);
-        assert_eq!(ctl.table_limit(), Some(2));
+        assert_eq!(ctl.table_limit, Some(2));
         ctl.try_install_path(NfcId(0), &path(&[0, 1])).unwrap();
         ctl.try_install_path(NfcId(1), &path(&[1, 2])).unwrap();
         // Switch 1 now holds 2 rules; a third chain through it must fail.
@@ -320,7 +300,7 @@ mod table_limit_tests {
     #[test]
     fn unlimited_controller_never_rejects() {
         let mut ctl = SdnController::new();
-        assert_eq!(ctl.table_limit(), None);
+        assert_eq!(ctl.table_limit, None);
         for i in 0..100 {
             ctl.try_install_path(NfcId(i), &path(&[0, 1])).unwrap();
         }

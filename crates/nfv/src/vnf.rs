@@ -35,20 +35,8 @@ pub enum VnfType {
 }
 
 impl VnfType {
-    /// The catalog of built-in (non-custom) types.
-    pub const BUILTIN: [VnfType; 8] = [
-        VnfType::Firewall,
-        VnfType::Dpi,
-        VnfType::LoadBalancer,
-        VnfType::Nat,
-        VnfType::SecurityGateway,
-        VnfType::Ids,
-        VnfType::WanOptimizer,
-        VnfType::VideoTranscoder,
-    ];
-
     /// A short label for reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             VnfType::Firewall => "firewall".into(),
             VnfType::Dpi => "dpi".into(),
@@ -106,7 +94,7 @@ impl ResourceDemand {
     /// Panics if any component is negative or non-finite (NaN/infinity).
     /// Rejecting non-finite demands here keeps every downstream load
     /// comparison (host selection, scaling) total-order safe.
-    pub fn new(cpu: f64, memory_gib: f64, storage_gib: f64) -> Self {
+    pub(crate) fn new(cpu: f64, memory_gib: f64, storage_gib: f64) -> Self {
         assert!(
             cpu.is_finite() && memory_gib.is_finite() && storage_gib.is_finite(),
             "resource demand components must be finite"
@@ -124,7 +112,7 @@ impl ResourceDemand {
 
     /// Component-wise difference, clamped at zero (used when releasing
     /// capacity on teardown).
-    pub fn saturating_minus(&self, other: &ResourceDemand) -> ResourceDemand {
+    pub(crate) fn saturating_minus(&self, other: &ResourceDemand) -> ResourceDemand {
         ResourceDemand {
             cpu: (self.cpu - other.cpu).max(0.0),
             memory_gib: (self.memory_gib - other.memory_gib).max(0.0),
@@ -170,11 +158,6 @@ impl VnfSpec {
         }
     }
 
-    /// Creates a spec with an explicit demand.
-    pub fn with_demand(vnf_type: VnfType, demand: ResourceDemand) -> Self {
-        VnfSpec { vnf_type, demand }
-    }
-
     /// Returns `true` if the spec fits an *empty* optoelectronic router of
     /// the given capacity — the §IV.D test for "VNFs only with low resource
     /// demands need to be implemented in this domain".
@@ -190,8 +173,18 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         use std::collections::HashSet;
-        let labels: HashSet<_> = VnfType::BUILTIN.iter().map(|v| v.label()).collect();
-        assert_eq!(labels.len(), VnfType::BUILTIN.len());
+        let builtin = [
+            VnfType::Firewall,
+            VnfType::Dpi,
+            VnfType::LoadBalancer,
+            VnfType::Nat,
+            VnfType::SecurityGateway,
+            VnfType::Ids,
+            VnfType::WanOptimizer,
+            VnfType::VideoTranscoder,
+        ];
+        let labels: HashSet<_> = builtin.iter().map(|v| v.label()).collect();
+        assert_eq!(labels.len(), builtin.len());
         assert_eq!(VnfType::Custom(7).label(), "custom-7");
     }
 
@@ -247,11 +240,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_demand_rejected() {
         ResourceDemand::new(-1.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn with_demand_overrides_default() {
-        let s = VnfSpec::with_demand(VnfType::Dpi, ResourceDemand::new(1.0, 1.0, 1.0));
-        assert!(s.fits_optoelectronic(&OptoCapacity::small()));
     }
 }

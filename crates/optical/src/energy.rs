@@ -41,7 +41,7 @@ impl Default for EnergyModel {
 impl EnergyModel {
     /// Switching (forwarding) energy of a flow of `flow_bytes` along
     /// `path`, excluding conversions, in nanojoules.
-    pub fn switching_energy_nj(&self, path: &HybridPath, flow_bytes: u64) -> f64 {
+    pub(crate) fn switching_energy_nj(&self, path: &HybridPath, flow_bytes: u64) -> f64 {
         let bits = flow_bytes as f64 * 8.0;
         path.link_domains()
             .iter()

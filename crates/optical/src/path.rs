@@ -73,7 +73,7 @@ impl HybridPath {
     }
 
     /// Per-link domains, in order.
-    pub fn link_domains(&self) -> &[Domain] {
+    pub(crate) fn link_domains(&self) -> &[Domain] {
         &self.links
     }
 
@@ -92,7 +92,7 @@ impl HybridPath {
     /// # Panics
     ///
     /// Panics if `other` does not start at this path's last node.
-    pub fn join(&mut self, other: &HybridPath) {
+    pub(crate) fn join(&mut self, other: &HybridPath) {
         if other.nodes.is_empty() {
             return;
         }

@@ -3,11 +3,6 @@
 use alvc_nfv::HostLocation;
 use alvc_topology::Domain;
 
-/// The domain sequence a flow visits at its VNFs, in chain order.
-pub fn domain_sequence(hosts: &[HostLocation]) -> Vec<Domain> {
-    hosts.iter().map(|h| h.domain()).collect()
-}
-
 /// Estimated O/E/O conversions of a host assignment: the number of maximal
 /// electronic runs among the VNF hosts.
 ///
@@ -108,9 +103,5 @@ mod tests {
     #[test]
     fn split_counts() {
         assert_eq!(domain_split(&[s(0), o(0), s(1)]), (2, 1));
-        assert_eq!(
-            domain_sequence(&[s(0), o(0)]),
-            vec![Domain::Electronic, Domain::Optical]
-        );
     }
 }

@@ -5,11 +5,7 @@
 //! peak, …) each holding a load level in `[0, 1]`, optionally punctuated
 //! by flash crowds — short overrides that spike the level regardless of
 //! the phase underneath. [`DiurnalLoad`] is a pure function of the epoch
-//! index, so it composes with any seeded generator: scale an
-//! [`AsymmetricLoad`](crate::AsymmetricLoad) burst with
-//! [`DiurnalLoad::scaled`], or draw per-phase blueprints from a
-//! [`ChainWorkload::reseeded`](crate::ChainWorkload::reseeded) copy keyed
-//! by [`DiurnalLoad::phase_index`].
+//! index, so it composes with any seeded generator.
 
 /// One phase of the diurnal cycle: a named load plateau.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +20,7 @@ pub struct DiurnalPhase {
 
 impl DiurnalPhase {
     /// A named plateau of `level` load for `epochs` epochs.
-    pub fn new(name: &'static str, level: f64, epochs: u64) -> Self {
+    pub(crate) fn new(name: &'static str, level: f64, epochs: u64) -> Self {
         DiurnalPhase {
             name,
             level,
@@ -48,8 +44,6 @@ impl DiurnalPhase {
 /// let load = DiurnalLoad::standard_day(4).with_flash_crowd(6, 2, 1.0);
 /// assert_eq!(load.level(0), 0.2);           // trough
 /// assert_eq!(load.level(6), 1.0);           // flash crowd overrides
-/// assert_eq!(load.scaled(0, 50), 10);       // 20% of a 50-op burst
-/// assert_eq!(load.level(0), load.level(load.cycle_epochs()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalLoad {
@@ -66,7 +60,7 @@ impl DiurnalLoad {
     ///
     /// Panics if `phases` is empty, any phase has zero epochs, or any
     /// level is outside `[0, 1]`.
-    pub fn new(phases: Vec<DiurnalPhase>) -> Self {
+    pub(crate) fn new(phases: Vec<DiurnalPhase>) -> Self {
         assert!(!phases.is_empty(), "at least one phase");
         for p in &phases {
             assert!(
@@ -117,13 +111,13 @@ impl DiurnalLoad {
     }
 
     /// Epochs in one full cycle of the phase table.
-    pub fn cycle_epochs(&self) -> u64 {
+    pub(crate) fn cycle_epochs(&self) -> u64 {
         self.phases.iter().map(|p| p.epochs).sum()
     }
 
     /// Index into the phase table at `epoch` (flash crowds do not change
     /// the underlying phase).
-    pub fn phase_index(&self, epoch: u64) -> usize {
+    pub(crate) fn phase_index(&self, epoch: u64) -> usize {
         let mut e = epoch % self.cycle_epochs();
         for (i, p) in self.phases.iter().enumerate() {
             if e < p.epochs {
@@ -149,13 +143,6 @@ impl DiurnalLoad {
             }
         }
         level
-    }
-
-    /// Scales a peak per-epoch volume (ops, flows, bursts) by the level at
-    /// `epoch`, rounding half up so a nonzero level never silently rounds
-    /// an offered load of one to zero.
-    pub fn scaled(&self, epoch: u64, peak: usize) -> usize {
-        (self.level(epoch) * peak as f64).round() as usize
     }
 }
 
@@ -197,13 +184,6 @@ mod tests {
         assert_eq!(load.level(1), 0.8);
         assert_eq!(load.level(2), 1.0);
         assert_eq!(load.level(3), 0.8);
-    }
-
-    #[test]
-    fn scaled_rounds_not_truncates() {
-        let load = DiurnalLoad::new(vec![DiurnalPhase::new("low", 0.25, 1)]);
-        assert_eq!(load.scaled(0, 10), 3); // 2.5 rounds up
-        assert_eq!(load.scaled(0, 2), 1); // 0.5 stays visible
     }
 
     #[test]

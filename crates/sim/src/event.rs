@@ -4,28 +4,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulation time in nanoseconds.
-pub type SimTime = u64;
+pub(crate) type SimTime = u64;
 
 /// A time-ordered event queue with FIFO tie-breaking (events scheduled at
 /// the same instant pop in scheduling order), making simulations
 /// deterministic regardless of payload type.
-///
-/// # Example
-///
-/// ```
-/// use alvc_sim::EventQueue;
-///
-/// let mut q: EventQueue<&str> = EventQueue::new();
-/// q.schedule(20, "late");
-/// q.schedule(10, "early");
-/// q.schedule(10, "early-second");
-/// assert_eq!(q.pop(), Some((10, "early")));
-/// assert_eq!(q.pop(), Some((10, "early-second")));
-/// assert_eq!(q.pop(), Some((20, "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     payloads: Vec<Option<E>>,
     seq: u64,
@@ -40,7 +25,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             payloads: Vec::new(),
@@ -50,18 +35,8 @@ impl<E> EventQueue<E> {
     }
 
     /// The time of the most recently popped event (0 before any pop).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -69,34 +44,19 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past (before `now`) is allowed but the event pops
     /// immediately with its recorded time; simulations that never schedule
     /// backwards observe monotone `now`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         let idx = self.payloads.len();
         self.payloads.push(Some(event));
         self.heap.push(Reverse((at, self.seq, idx)));
         self.seq += 1;
     }
 
-    /// Schedules `event` `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now.saturating_add(delay), event);
-    }
-
     /// Pops the earliest event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse((at, _, idx)) = self.heap.pop()?;
         self.now = self.now.max(at);
         let payload = self.payloads[idx].take().expect("event popped once");
         Some((at, payload))
-    }
-
-    /// Pops the earliest event only if it is scheduled at or before
-    /// `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let &Reverse((at, _, _)) = self.heap.peek()?;
-        if at > deadline {
-            return None;
-        }
-        self.pop()
     }
 }
 
@@ -107,7 +67,6 @@ mod tests {
     #[test]
     fn empty_queue() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.now(), 0);
     }
@@ -141,26 +100,6 @@ mod tests {
         assert_eq!(q.now(), 5);
         q.pop();
         assert_eq!(q.now(), 10);
-    }
-
-    #[test]
-    fn schedule_after_uses_now() {
-        let mut q = EventQueue::new();
-        q.schedule(100, 'a');
-        q.pop();
-        q.schedule_after(50, 'b');
-        assert_eq!(q.pop(), Some((150, 'b')));
-    }
-
-    #[test]
-    fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(10, 'a');
-        q.schedule(20, 'b');
-        assert_eq!(q.pop_until(15), Some((10, 'a')));
-        assert_eq!(q.pop_until(15), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_until(20), Some((20, 'b')));
     }
 
     #[test]

@@ -38,14 +38,9 @@ pub struct FailureSchedule {
 }
 
 impl FailureSchedule {
-    /// An empty schedule (no outages).
-    pub fn none() -> Self {
-        FailureSchedule::default()
-    }
-
     /// Builds a schedule from explicit events (sorted by time, failures
     /// before restores at equal times).
-    pub fn from_events(mut events: Vec<OutageEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<OutageEvent>) -> Self {
         events.sort_by_key(|e| (e.at_ns, e.up));
         FailureSchedule { events }
     }
@@ -97,7 +92,7 @@ impl FailureSchedule {
 
     /// The half-open `[down, up)` intervals during which `element` is
     /// down, merged where overlapping.
-    pub fn down_intervals(&self, element: Element) -> Vec<(u64, u64)> {
+    pub(crate) fn down_intervals(&self, element: Element) -> Vec<(u64, u64)> {
         let mut intervals = Vec::new();
         let mut depth = 0usize;
         let mut down_since = 0u64;
@@ -118,13 +113,6 @@ impl FailureSchedule {
             }
         }
         merge_intervals(intervals)
-    }
-
-    /// Returns `true` if `element` is down at time `t_ns`.
-    pub fn is_down(&self, element: Element, t_ns: u64) -> bool {
-        self.down_intervals(element)
-            .iter()
-            .any(|&(a, b)| a <= t_ns && t_ns < b)
     }
 
     /// Distinct elements the schedule touches, in first-event order.
@@ -235,11 +223,7 @@ mod tests {
             },
         ]);
         assert_eq!(s.down_intervals(e), vec![(100, 500)]);
-        assert!(s.is_down(e, 100));
-        assert!(s.is_down(e, 499));
-        assert!(!s.is_down(e, 500));
-        assert!(!s.is_down(e, 99));
-        assert!(!s.is_down(Element::Ops(OpsId(1)), 200));
+        assert_eq!(s.down_intervals(Element::Ops(OpsId(1))), vec![]);
     }
 
     #[test]

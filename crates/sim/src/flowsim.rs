@@ -146,7 +146,7 @@ impl FlowSim {
     /// re-clustering loop: an `alvc_affinity::TrafficCollector` subscribes
     /// here to build its decayed per-VM-pair statistics without the
     /// simulator knowing anything about clustering.
-    pub fn run_observed(
+    pub(crate) fn run_observed(
         &self,
         horizon_s: f64,
         seed: u64,

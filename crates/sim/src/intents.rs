@@ -32,19 +32,6 @@ pub enum IntentOp {
     ScaleIn,
 }
 
-impl IntentOp {
-    /// A stable snake_case label for reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            IntentOp::Deploy(_) => "deploy",
-            IntentOp::Teardown => "teardown",
-            IntentOp::Modify(_) => "modify",
-            IntentOp::ScaleOut => "scale_out",
-            IntentOp::ScaleIn => "scale_in",
-        }
-    }
-}
-
 /// Relative draw weights for the five operation families. Only ratios
 /// matter; weights need not sum to one.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,17 +63,6 @@ impl Default for MixWeights {
 }
 
 impl MixWeights {
-    /// A pure-deployment mix (capacity fill experiments).
-    pub fn deploy_only() -> Self {
-        MixWeights {
-            deploy: 1.0,
-            teardown: 0.0,
-            modify: 0.0,
-            scale_out: 0.0,
-            scale_in: 0.0,
-        }
-    }
-
     fn total(&self) -> f64 {
         self.deploy + self.teardown + self.modify + self.scale_out + self.scale_in
     }
@@ -102,7 +78,7 @@ impl MixWeights {
 ///
 /// let vms: Vec<VmId> = (0..8).map(VmId).collect();
 /// let mut mix = IntentMix::new(MixWeights::default(), ChainWorkload::new(1, 3, 0.3, 7), 7);
-/// let ops = mix.generate(&vms, 100);
+/// let ops: Vec<_> = (0..100).map(|_| mix.next(&vms)).collect();
 /// assert_eq!(ops.len(), 100);
 /// ```
 #[derive(Debug)]
@@ -172,11 +148,6 @@ impl IntentMix {
         }
         IntentOp::ScaleIn
     }
-
-    /// Generates a stream of `n` operations.
-    pub fn generate(&mut self, vms: &[VmId], n: usize) -> Vec<IntentOp> {
-        (0..n).map(|_| self.next(vms)).collect()
-    }
 }
 
 /// A deliberately unfair multi-tenant arrival process: tenant `0` (the
@@ -193,7 +164,6 @@ impl IntentMix {
 pub struct AsymmetricLoad {
     mixes: Vec<IntentMix>,
     bursts: Vec<usize>,
-    offered: Vec<usize>,
 }
 
 impl AsymmetricLoad {
@@ -227,15 +197,11 @@ impl AsymmetricLoad {
             .collect();
         let mut bursts = vec![light_burst; tenants];
         bursts[0] = heavy_burst;
-        AsymmetricLoad {
-            mixes,
-            bursts,
-            offered: vec![0; tenants],
-        }
+        AsymmetricLoad { mixes, bursts }
     }
 
     /// Number of tenants (heavy tenant included).
-    pub fn tenants(&self) -> usize {
+    pub(crate) fn tenants(&self) -> usize {
         self.bursts.len()
     }
 
@@ -249,11 +215,6 @@ impl AsymmetricLoad {
         self.bursts.iter().sum()
     }
 
-    /// Cumulative ops tenant `t` has offered so far.
-    pub fn offered(&self, t: usize) -> usize {
-        self.offered[t]
-    }
-
     /// One arrival round: `(tenant, op)` pairs, the heavy tenant's entire
     /// burst first, then each light tenant's in index order. `groups[t]`
     /// supplies tenant `t`'s VM endpoints for blueprint-carrying ops.
@@ -264,7 +225,6 @@ impl AsymmetricLoad {
             for _ in 0..self.bursts[t] {
                 out.push((t, self.mixes[t].next(group)));
             }
-            self.offered[t] += self.bursts[t];
         }
         out
     }
@@ -282,16 +242,21 @@ mod tests {
         IntentMix::new(weights, ChainWorkload::new(1, 3, 0.25, seed), seed)
     }
 
+    fn generate(mix: &mut IntentMix, n: usize) -> Vec<IntentOp> {
+        let vms = vms();
+        (0..n).map(|_| mix.next(&vms)).collect()
+    }
+
     #[test]
     fn deterministic_per_seed() {
-        let a = mix(MixWeights::default(), 11).generate(&vms(), 50);
-        let b = mix(MixWeights::default(), 11).generate(&vms(), 50);
+        let a = generate(&mut mix(MixWeights::default(), 11), 50);
+        let b = generate(&mut mix(MixWeights::default(), 11), 50);
         assert_eq!(a, b);
     }
 
     #[test]
     fn weights_shape_the_stream() {
-        let ops = mix(MixWeights::default(), 3).generate(&vms(), 2000);
+        let ops = generate(&mut mix(MixWeights::default(), 3), 2000);
         let deploys = ops
             .iter()
             .filter(|o| matches!(o, IntentOp::Deploy(_)))
@@ -309,21 +274,20 @@ mod tests {
 
     #[test]
     fn deploy_only_mix_never_churns() {
-        let ops = mix(MixWeights::deploy_only(), 5).generate(&vms(), 200);
+        let ops = generate(
+            &mut mix(
+                MixWeights {
+                    deploy: 1.0,
+                    teardown: 0.0,
+                    modify: 0.0,
+                    scale_out: 0.0,
+                    scale_in: 0.0,
+                },
+                5,
+            ),
+            200,
+        );
         assert!(ops.iter().all(|o| matches!(o, IntentOp::Deploy(_))));
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        let bp = ChainWorkload::new(1, 1, 0.0, 0)
-            .generate(&vms(), 1)
-            .pop()
-            .unwrap();
-        assert_eq!(IntentOp::Deploy(bp.clone()).label(), "deploy");
-        assert_eq!(IntentOp::Teardown.label(), "teardown");
-        assert_eq!(IntentOp::Modify(bp).label(), "modify");
-        assert_eq!(IntentOp::ScaleOut.label(), "scale_out");
-        assert_eq!(IntentOp::ScaleIn.label(), "scale_in");
     }
 
     #[test]
@@ -340,9 +304,6 @@ mod tests {
         for light in 1..9 {
             let at = 50 + (light - 1) * 5;
             assert!(round[at..at + 5].iter().all(|&(t, _)| t == light));
-        }
-        for t in 0..9 {
-            assert_eq!(load.offered(t), load.burst(t));
         }
     }
 

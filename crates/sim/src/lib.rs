@@ -43,12 +43,10 @@ pub mod traffic;
 pub mod workload;
 
 pub use diurnal::{DiurnalLoad, DiurnalPhase};
-pub use event::EventQueue;
 pub use failure::{chain_outages, FailureSchedule, OutageEvent};
-pub use fairshare::{simulate_fair_share, FairFlow, FairShareReport};
 pub use flowsim::{ChainLoad, FlowSim, SimReport};
 pub use intents::{AsymmetricLoad, IntentMix, IntentOp, MixWeights};
-pub use metrics::{Counter, Summary};
+pub use metrics::Summary;
 pub use traffic::{matrix_of_pairs, LocalityReport, PairDemand, TrafficMatrix};
 pub use workload::{
     ChainBlueprint, ChainWorkload, FlowSizeDistribution, PoissonArrivals, ServiceTraffic,

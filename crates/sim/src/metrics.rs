@@ -1,60 +1,15 @@
-//! Counters and sample summaries.
+//! Sample summaries.
 //!
 //! [`Summary`] is backed by [`alvc_telemetry::LogHistogram`], so memory is
 //! bounded (a fixed set of log-spaced buckets) no matter how many samples a
-//! simulation records. Count, sum, mean, stddev, min, and max are exact;
-//! interior percentiles are approximate with at most ~9.1% relative error
-//! (`p0`/`p100` remain exact).
+//! simulation records. `p0`/`p100` (the min and max) are exact; interior
+//! percentiles are approximate with at most ~9.1% relative error.
 
 use alvc_telemetry::LogHistogram;
 use serde::{Deserialize, Serialize};
 
-/// A monotonically increasing counter. Saturates at [`u64::MAX`] instead of
-/// overflowing, so a hot loop can increment unconditionally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zero counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n`, saturating at [`u64::MAX`].
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Increments by one, saturating at [`u64::MAX`].
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A bounded-memory summary over recorded samples: count, sum, min/max, mean,
-/// stddev, and approximate percentiles from a log-bucketed histogram.
-///
-/// # Example
-///
-/// ```
-/// use alvc_sim::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0, 4.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 4);
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 4.0);
-/// let p50 = s.percentile(50.0);
-/// assert!((p50 - 2.0).abs() / 2.0 < 0.095, "{p50}");
-/// ```
+/// A bounded-memory summary over recorded samples: exact extremes and
+/// approximate percentiles from a log-bucketed histogram.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     hist: LogHistogram,
@@ -66,47 +21,21 @@ impl Summary {
         Summary::default()
     }
 
+    /// Arithmetic mean (0 for an empty summary).
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
+        self.hist.mean()
+    }
+
     /// Records a sample.
     ///
     /// # Panics
     ///
     /// Panics if `value` is NaN or infinite.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "summary samples must not be NaN");
         assert!(value.is_finite(), "summary samples must be finite");
         self.hist.record(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        // Saturating cast: the histogram counts in u64; usize is narrower only
-        // on 32-bit targets, where 2^32 samples is already unreachable.
-        usize::try_from(self.hist.count()).unwrap_or(usize::MAX)
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.hist.count() == 0
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.hist.sum()
-    }
-
-    /// Arithmetic mean (0 for an empty summary).
-    pub fn mean(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// Minimum (0 for an empty summary).
-    pub fn min(&self) -> f64 {
-        self.hist.min().unwrap_or(0.0)
-    }
-
-    /// Maximum (0 for an empty summary).
-    pub fn max(&self) -> f64 {
-        self.hist.max().unwrap_or(0.0)
     }
 
     /// The `p`-th percentile (0 for an empty summary). `p = 0` and `p = 100`
@@ -120,21 +49,6 @@ impl Summary {
         assert!((0.0..=100.0).contains(&p), "percentile must be in 0..=100");
         self.hist.percentile(p)
     }
-
-    /// Standard deviation (population; 0 for fewer than two samples).
-    pub fn stddev(&self) -> f64 {
-        self.hist.stddev()
-    }
-
-    /// Merges another summary's samples into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.hist.merge(&other.hist);
-    }
-
-    /// The backing histogram (e.g. for bucket-level export).
-    pub fn histogram(&self) -> &LogHistogram {
-        &self.hist
-    }
 }
 
 #[cfg(test)]
@@ -142,33 +56,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_overflowing() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.incr();
-        assert_eq!(c.value(), u64::MAX);
-        c.incr();
-        c.add(17);
-        assert_eq!(c.value(), u64::MAX);
-    }
-
-    #[test]
     fn empty_summary_is_zeroes() {
         let s = Summary::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(s.percentile(0.0), 0.0);
         assert_eq!(s.percentile(99.0), 0.0);
-        assert_eq!(s.stddev(), 0.0);
+        assert_eq!(s.percentile(100.0), 0.0);
     }
 
     #[test]
@@ -177,17 +69,11 @@ mod tests {
         for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
             s.record(v);
         }
-        assert_eq!(s.count(), 5);
-        assert_eq!(s.sum(), 15.0);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
         // Extremes are exact; the median carries bucketing error.
         assert_eq!(s.percentile(0.0), 1.0);
         let p50 = s.percentile(50.0);
         assert!((p50 - 3.0).abs() / 3.0 < 0.095, "{p50}");
         assert_eq!(s.percentile(100.0), 5.0);
-        assert!((s.stddev() - 2.0f64.sqrt()).abs() < 1e-9);
     }
 
     #[test]
@@ -212,7 +98,7 @@ mod tests {
         assert_eq!(s.percentile(50.0), 10.0);
         s.record(0.0);
         assert_eq!(s.percentile(50.0), 0.0);
-        assert_eq!(s.max(), 10.0);
+        assert_eq!(s.percentile(100.0), 10.0);
     }
 
     #[test]
@@ -221,27 +107,14 @@ mod tests {
         for i in 0..200_000u32 {
             s.record(f64::from(i) + 0.5);
         }
-        assert_eq!(s.count(), 200_000);
+        assert_eq!(s.hist.count(), 200_000);
         // The backing store is a fixed bucket array, not retained samples.
         assert_eq!(
-            s.histogram().bucket_counts().len(),
+            s.hist.bucket_counts().len(),
             alvc_telemetry::hist::BUCKET_COUNT
         );
         let p50 = s.percentile(50.0);
         assert!((p50 - 100_000.0).abs() / 100_000.0 < 0.095, "{p50}");
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        a.record(1.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 4.0);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 3.0);
     }
 
     #[test]

@@ -23,50 +23,23 @@ pub struct PairDemand {
 /// Workload generators emit individual [`GeneratedFlow`]s, but every
 /// consumer (locality reports, the affinity collector, cost models)
 /// only cares about the per-pair totals — so the matrix stores exactly
-/// those, in O(pairs) memory instead of O(flows), with an indexed
-/// accessor ([`demand_between`](TrafficMatrix::demand_between)) that a
-/// flat flow list cannot offer.
+/// those, in O(pairs) memory instead of O(flows).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficMatrix {
     demands: BTreeMap<(VmId, VmId), PairDemand>,
-    total_flows: usize,
-    total_bytes: u64,
 }
 
 impl TrafficMatrix {
     /// Creates an empty matrix.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TrafficMatrix::default()
     }
 
     /// Adds a demand, merging it into the `(src, dst)` aggregate.
-    pub fn push(&mut self, flow: GeneratedFlow) {
+    pub(crate) fn push(&mut self, flow: GeneratedFlow) {
         let d = self.demands.entry((flow.src, flow.dst)).or_default();
         d.bytes += flow.bytes;
         d.flows += 1;
-        self.total_flows += 1;
-        self.total_bytes += flow.bytes;
-    }
-
-    /// Number of individual flows pushed (not distinct pairs).
-    pub fn len(&self) -> usize {
-        self.total_flows
-    }
-
-    /// Whether the matrix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.total_flows == 0
-    }
-
-    /// Number of distinct `(src, dst)` pairs with demand.
-    pub fn pair_count(&self) -> usize {
-        self.demands.len()
-    }
-
-    /// The aggregate demand from `src` to `dst`, if any. Directional:
-    /// `a→b` and `b→a` are distinct entries.
-    pub fn demand_between(&self, src: VmId, dst: VmId) -> Option<PairDemand> {
-        self.demands.get(&(src, dst)).copied()
     }
 
     /// Iterates over `(src, dst, demand)` aggregates in pair order.
@@ -78,11 +51,6 @@ impl TrafficMatrix {
     /// `alvc_affinity::TrafficCollector::observe_pairs` consumes.
     pub fn pair_demands(&self) -> impl Iterator<Item = (VmId, VmId, u64)> + '_ {
         self.demands.iter().map(|(&(s, d), p)| (s, d, p.bytes))
-    }
-
-    /// Total bytes across all demands.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 }
 
@@ -193,8 +161,7 @@ mod tests {
         assert_eq!(r.intra_bytes, 150);
         assert_eq!(r.inter_bytes, 0);
         assert_eq!(r.intra_byte_share(), 1.0);
-        assert_eq!(m.total_bytes(), 150);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.pairs().count(), 2);
     }
 
     #[test]
@@ -215,7 +182,7 @@ mod tests {
     #[test]
     fn extend_and_iterate() {
         let mut m = TrafficMatrix::new();
-        assert!(m.is_empty());
+        assert_eq!(m.pairs().count(), 0);
         m.push(GeneratedFlow {
             src: VmId(0),
             dst: VmId(1),
@@ -226,7 +193,7 @@ mod tests {
             dst: VmId(0),
             bytes: 20,
         }]);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.pairs().map(|(_, _, d)| d.flows).sum::<usize>(), 2);
         assert_eq!(m.pairs().map(|(_, _, d)| d.bytes).sum::<u64>(), 30);
     }
 
@@ -246,21 +213,21 @@ mod tests {
             bytes: 7,
         });
         // Three flows, but only two directional pairs.
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.pair_count(), 2);
+        let pairs: Vec<_> = m.pairs().collect();
         assert_eq!(
-            m.demand_between(VmId(0), VmId(1)),
-            Some(PairDemand {
-                bytes: 25,
-                flows: 2
-            })
+            pairs,
+            vec![
+                (
+                    VmId(0),
+                    VmId(1),
+                    PairDemand {
+                        bytes: 25,
+                        flows: 2
+                    }
+                ),
+                (VmId(1), VmId(0), PairDemand { bytes: 7, flows: 1 }),
+            ]
         );
-        assert_eq!(
-            m.demand_between(VmId(1), VmId(0)),
-            Some(PairDemand { bytes: 7, flows: 1 })
-        );
-        assert_eq!(m.demand_between(VmId(0), VmId(2)), None);
-        assert_eq!(m.total_bytes(), 32);
         let triples: Vec<_> = m.pair_demands().collect();
         assert_eq!(triples, vec![(VmId(0), VmId(1), 25), (VmId(1), VmId(0), 7)]);
     }

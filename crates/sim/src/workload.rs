@@ -426,7 +426,7 @@ impl ChainWorkload {
     /// A fresh generator with the same shape parameters (length range,
     /// heavy probability) but an independent seed — one per tenant in
     /// multi-tenant load generators.
-    pub fn reseeded(&self, seed: u64) -> Self {
+    pub(crate) fn reseeded(&self, seed: u64) -> Self {
         ChainWorkload::new(self.min_len, self.max_len, self.heavy_prob, seed)
     }
 

@@ -113,12 +113,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot::default()
 }
 
-/// Always empty.
-#[inline(always)]
-pub fn histograms_raw() -> Vec<(String, String, crate::hist::LogHistogram)> {
-    Vec::new()
-}
-
 /// Always 0.
 #[inline(always)]
 pub fn now_monotonic_us() -> u64 {
@@ -154,9 +148,4 @@ pub fn drain_events() -> Vec<Event> {
 /// Always empty.
 pub fn drain_events_jsonl() -> String {
     String::new()
-}
-
-/// Always 0.
-pub fn events_dropped() -> u64 {
-    0
 }

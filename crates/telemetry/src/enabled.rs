@@ -225,7 +225,7 @@ enum Metric {
 /// Keyed in two levels so a lookup borrows both parts: only the first
 /// registration of a `(name, label)` pair allocates the label.
 #[derive(Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     map: RwLock<BTreeMap<&'static str, BTreeMap<String, Metric>>>,
 }
 
@@ -318,7 +318,7 @@ impl Registry {
     /// (full bucket counts, not just summary percentiles), keyed by
     /// `(name, label)`. The SLO monitor diffs successive captures to get
     /// per-window bucket counts.
-    pub fn histograms_raw(&self) -> Vec<(String, String, LogHistogram)> {
+    pub(crate) fn histograms_raw(&self) -> Vec<(String, String, LogHistogram)> {
         let map = self.map.read().expect("telemetry registry poisoned");
         cells(&map)
             .filter_map(|(name, label, metric)| match metric {
@@ -343,7 +343,7 @@ impl Registry {
 }
 
 /// The process-wide registry used by the free functions and macros.
-pub fn global() -> &'static Registry {
+pub(crate) fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::default)
 }
@@ -385,7 +385,7 @@ pub fn snapshot() -> Snapshot {
 
 /// Raw log-bucket histograms of the global registry (see
 /// [`Registry::histograms_raw`]).
-pub fn histograms_raw() -> Vec<(String, String, LogHistogram)> {
+pub(crate) fn histograms_raw() -> Vec<(String, String, LogHistogram)> {
     global().histograms_raw()
 }
 
@@ -451,8 +451,6 @@ impl Drop for Span {
 /// Global event switch; recording is off by default so steady-state probes
 /// cost one relaxed load when nobody is listening.
 static EVENTS_ENABLED: AtomicBool = AtomicBool::new(false);
-/// Events discarded because the global sink was full.
-static EVENTS_DROPPED: AtomicU64 = AtomicU64::new(0);
 /// Spill target for thread-local buffers; capped at [`SINK_CAP`].
 static SINK: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 
@@ -482,13 +480,9 @@ fn spill(local: &mut Vec<Event>) {
         return;
     }
     let mut sink = SINK.lock().expect("telemetry event sink poisoned");
-    for ev in local.drain(..) {
-        if sink.len() < SINK_CAP {
-            sink.push(ev);
-        } else {
-            EVENTS_DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    // Events past the cap are discarded.
+    let room = SINK_CAP.saturating_sub(sink.len());
+    sink.extend(local.drain(..).take(room));
 }
 
 /// Turns structured-event recording on or off (off by default).
@@ -545,9 +539,4 @@ pub fn drain_events_jsonl() -> String {
         out.push('\n');
     }
     out
-}
-
-/// Number of events dropped because the sink was full.
-pub fn events_dropped() -> u64 {
-    EVENTS_DROPPED.load(Ordering::Relaxed)
 }

@@ -15,7 +15,7 @@
 //! and `percentile(100)` are always exact.
 
 /// Sub-buckets per power of two (quarter-octave resolution).
-pub const SUB_BUCKETS: usize = 4;
+pub(crate) const SUB_BUCKETS: usize = 4;
 /// Smallest finite bucket edge is `2^MIN_EXP`.
 const MIN_EXP: i32 = -20;
 /// Overflow bucket starts at `2^MAX_EXP`.
@@ -57,11 +57,8 @@ fn bucket_rep(i: usize) -> f64 {
 /// A fixed-memory histogram over positive-skewed data (latencies, sizes,
 /// counts) with exact `count`/`sum`/`min`/`max` and ~9%-accurate quantiles.
 ///
-/// Non-finite samples are rejected with a panic in [`record`]; use
-/// [`try_record`] for a non-panicking variant.
-///
-/// [`record`]: LogHistogram::record
-/// [`try_record`]: LogHistogram::try_record
+/// Non-finite samples are rejected with a panic in
+/// [`record`](LogHistogram::record).
 #[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
@@ -76,11 +73,6 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one finite sample.
     ///
     /// # Panics
@@ -89,16 +81,6 @@ impl LogHistogram {
     pub fn record(&mut self, v: f64) {
         assert!(v.is_finite(), "LogHistogram sample must be finite, got {v}");
         self.record_finite(v);
-    }
-
-    /// Records `v` and returns `true`, or rejects a non-finite sample and
-    /// returns `false`.
-    pub fn try_record(&mut self, v: f64) -> bool {
-        if !v.is_finite() {
-            return false;
-        }
-        self.record_finite(v);
-        true
     }
 
     fn record_finite(&mut self, v: f64) {
@@ -264,7 +246,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zeroes() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0.0);
         assert_eq!(h.min(), None);
@@ -280,7 +262,7 @@ mod tests {
         // Registry snapshots and SLO window deltas rebuild histograms via
         // `from_bucket_counts` with `min`/`max` unknown; quantiles must
         // fall back to bucket representatives instead of panicking.
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(10.0);
         h.record(100.0);
         let rebuilt =
@@ -296,7 +278,7 @@ mod tests {
 
     #[test]
     fn single_sample_every_percentile_is_exact() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(42.0);
         for p in [0.0, 1.0, 50.0, 95.0, 99.0, 100.0] {
             assert_eq!(h.percentile(p), 42.0, "p{p}");
@@ -308,13 +290,8 @@ mod tests {
 
     #[test]
     fn nan_and_infinity_are_rejected() {
-        let mut h = LogHistogram::new();
-        assert!(!h.try_record(f64::NAN));
-        assert!(!h.try_record(f64::INFINITY));
-        assert!(!h.try_record(f64::NEG_INFINITY));
-        assert_eq!(h.count(), 0);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut h = LogHistogram::new();
+            let mut h = LogHistogram::default();
             let caught = std::panic::catch_unwind(move || h.record(bad));
             assert!(caught.is_err(), "record({bad}) must panic");
         }
@@ -344,7 +321,7 @@ mod tests {
         assert_eq!(bucket_index(f64::MAX), OVERFLOW_BUCKET);
         assert_eq!(bucket_index((MAX_EXP as f64).exp2()), OVERFLOW_BUCKET);
 
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(0.0);
         h.record(-3.0);
         h.record(1e20);
@@ -358,7 +335,7 @@ mod tests {
 
     #[test]
     fn count_saturates_instead_of_overflowing() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(1.0);
         h.count = u64::MAX;
         h.record(1.0);
@@ -367,7 +344,7 @@ mod tests {
 
     #[test]
     fn merge_combines_counts_and_extremes() {
-        let (mut a, mut b) = (LogHistogram::new(), LogHistogram::new());
+        let (mut a, mut b) = (LogHistogram::default(), LogHistogram::default());
         for v in [1.0, 2.0, 3.0] {
             a.record(v);
         }
@@ -379,7 +356,7 @@ mod tests {
         assert_eq!(a.min(), Some(0.5));
         assert_eq!(a.max(), Some(100.0));
         assert!((a.sum() - 106.5).abs() < 1e-9);
-        let empty = LogHistogram::new();
+        let empty = LogHistogram::default();
         let before = a.clone();
         a.merge(&empty);
         assert_eq!(a, before);
@@ -387,7 +364,7 @@ mod tests {
 
     #[test]
     fn percentiles_track_known_distribution_within_bucket_error() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for i in 1..=1000 {
             h.record(i as f64);
         }
@@ -403,7 +380,7 @@ mod tests {
     proptest! {
         #[test]
         fn percentile_is_monotone_and_bounded(samples in proptest::collection::vec(1e-6f64..1e12, 1..200)) {
-            let mut h = LogHistogram::new();
+            let mut h = LogHistogram::default();
             for &s in &samples {
                 h.record(s);
             }
@@ -420,7 +397,7 @@ mod tests {
 
         #[test]
         fn quantiles_stay_within_relative_error(samples in proptest::collection::vec(1e-3f64..1e9, 1..300), p in 1.0f64..99.0) {
-            let mut h = LogHistogram::new();
+            let mut h = LogHistogram::default();
             for &s in &samples {
                 h.record(s);
             }

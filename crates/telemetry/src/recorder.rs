@@ -37,7 +37,8 @@ impl RecorderEntry {
     /// Renders the entry as one JSON object (a JSON-lines record, no
     /// trailing newline). Spans carry `"kind":"span"`, events
     /// `"kind":"event"`, breaches `"kind":"breach"`.
-    pub fn to_json_line(&self) -> String {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn to_json_line(&self) -> String {
         match self {
             RecorderEntry::Span(s) => s.to_json_line(),
             RecorderEntry::Event(e) => {
@@ -91,7 +92,7 @@ mod imp {
     impl FlightRecorder {
         /// Creates a recorder retaining the last `capacity` entries
         /// (clamped to at least 1).
-        pub fn new(capacity: usize) -> FlightRecorder {
+        pub(crate) fn new(capacity: usize) -> FlightRecorder {
             let cap = capacity.max(1);
             FlightRecorder {
                 slots: (0..cap).map(|_| Mutex::new(None)).collect(),
@@ -100,12 +101,12 @@ mod imp {
         }
 
         /// The configured capacity in entries.
-        pub fn capacity(&self) -> usize {
+        pub(crate) fn capacity(&self) -> usize {
             self.slots.len()
         }
 
         /// Appends one entry, overwriting the oldest when full.
-        pub fn record(&self, entry: RecorderEntry) {
+        pub(crate) fn record(&self, entry: RecorderEntry) {
             let seq = self.head.fetch_add(1, Ordering::Relaxed);
             let idx = (seq % self.slots.len() as u64) as usize;
             let mut slot = self.slots[idx].lock().expect("recorder slot poisoned");
@@ -113,24 +114,19 @@ mod imp {
         }
 
         /// Entries currently retained (≤ capacity).
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             (self.head.load(Ordering::Relaxed) as usize).min(self.slots.len())
         }
 
-        /// `true` when nothing has been recorded.
-        pub fn is_empty(&self) -> bool {
-            self.head.load(Ordering::Relaxed) == 0
-        }
-
         /// Entries dropped to the drop-oldest policy so far.
-        pub fn overwritten(&self) -> u64 {
+        pub(crate) fn overwritten(&self) -> u64 {
             let head = self.head.load(Ordering::Relaxed);
             head.saturating_sub(self.slots.len() as u64)
         }
 
         /// Clones the retained entries in record order (oldest first).
         /// Non-draining: concurrent writers keep appending.
-        pub fn entries(&self) -> Vec<RecorderEntry> {
+        pub(crate) fn entries(&self) -> Vec<RecorderEntry> {
             let mut pairs: Vec<(u64, RecorderEntry)> = Vec::with_capacity(self.len());
             for slot in &self.slots {
                 let guard = slot.lock().expect("recorder slot poisoned");
@@ -144,7 +140,7 @@ mod imp {
 
         /// Renders the retained entries as JSON lines (oldest first, one
         /// object per line, trailing newline when non-empty).
-        pub fn dump_jsonl(&self) -> String {
+        pub(crate) fn dump_jsonl(&self) -> String {
             let mut out = String::new();
             for entry in self.entries() {
                 out.push_str(&entry.to_json_line());
@@ -154,7 +150,7 @@ mod imp {
         }
 
         /// Drops every retained entry and resets the sequence counter.
-        pub fn clear(&self) {
+        pub(crate) fn clear(&self) {
             for slot in &self.slots {
                 *slot.lock().expect("recorder slot poisoned") = None;
             }
@@ -248,58 +244,6 @@ mod imp {
     /// No-op flight recorder: records nothing, dumps nothing.
     #[derive(Default, Clone, Copy)]
     pub struct FlightRecorder;
-
-    impl FlightRecorder {
-        /// No-op.
-        #[inline(always)]
-        pub fn new(_capacity: usize) -> FlightRecorder {
-            FlightRecorder
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn capacity(&self) -> usize {
-            0
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _entry: RecorderEntry) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        /// Always `true`.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn overwritten(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn entries(&self) -> Vec<RecorderEntry> {
-            Vec::new()
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn dump_jsonl(&self) -> String {
-            String::new()
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn clear(&self) {}
-    }
 
     /// A no-op recorder handle.
     #[inline(always)]
@@ -416,7 +360,7 @@ mod tests {
         let r = FlightRecorder::new(2);
         r.record(span(1));
         r.clear();
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         assert_eq!(r.entries().len(), 0);
     }
 }

@@ -120,7 +120,7 @@ impl SloSpec {
 
     /// A dwell bound: `gauge` (selector `label`) may exceed `threshold`
     /// for at most `max_windows` consecutive windows.
-    pub fn gauge_dwell(
+    pub(crate) fn gauge_dwell(
         name: impl Into<String>,
         gauge: impl Into<String>,
         label: impl Into<String>,
@@ -249,7 +249,8 @@ pub struct SloBreach {
 impl SloBreach {
     /// Renders the breach as one JSON object (a JSON-lines record with
     /// `"kind":"breach"`, no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"kind\":\"breach\",\"slo\":");
         push_json_string(&mut out, &self.slo);
@@ -267,6 +268,7 @@ impl SloBreach {
     }
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn finite(v: f64) -> f64 {
     if v.is_finite() {
         v
@@ -301,13 +303,6 @@ pub struct SloReport {
     pub results: Vec<SloResult>,
     /// Every breach, in evaluation order.
     pub breaches: Vec<SloBreach>,
-}
-
-impl SloReport {
-    /// `true` when no objective breached in any window.
-    pub fn is_met(&self) -> bool {
-        self.breaches.is_empty()
-    }
 }
 
 #[cfg(feature = "telemetry")]
@@ -683,11 +678,6 @@ mod tests {
             "{\"kind\":\"breach\",\"slo\":\"p99-intent\",\"subject\":\"tenant-3\",\
              \"observed\":7210.5,\"threshold\":5000,\"window\":4,\"ts_us\":99}"
         );
-    }
-
-    #[test]
-    fn empty_report_is_met() {
-        assert!(SloReport::default().is_met());
     }
 
     /// Regression: from the second window on, the p99 objective evaluates

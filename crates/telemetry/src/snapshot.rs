@@ -77,7 +77,8 @@ impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format.
     /// Metric names have `.` folded to `_`; histograms are rendered as
     /// summaries (`quantile` labels plus `_sum`/`_count`).
-    pub fn to_prometheus_text(&self) -> String {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         for c in &self.counters {
             let name = sanitize(&c.name);
@@ -102,6 +103,7 @@ impl Snapshot {
     }
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -110,12 +112,14 @@ fn num(v: f64) -> String {
     }
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn label_part(label: &str) -> String {
     if label.is_empty() {
         String::new()
@@ -124,6 +128,7 @@ fn label_part(label: &str) -> String {
     }
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn quantile_part(label: &str, q: &str) -> String {
     if label.is_empty() {
         format!("{{quantile=\"{q}\"}}")

@@ -31,10 +31,11 @@ pub struct TraceId(pub u64);
 
 impl TraceId {
     /// The absent trace.
-    pub const NONE: TraceId = TraceId(0);
+    pub(crate) const NONE: TraceId = TraceId(0);
 
     /// `true` for the reserved absent id.
-    pub fn is_none(self) -> bool {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 }
@@ -52,7 +53,7 @@ pub struct SpanId(pub u64);
 
 impl SpanId {
     /// The absent span (a root span's parent).
-    pub const NONE: SpanId = SpanId(0);
+    pub(crate) const NONE: SpanId = SpanId(0);
 
     /// `true` for the reserved absent id.
     pub fn is_none(self) -> bool {
@@ -77,7 +78,8 @@ impl TraceCtx {
     };
 
     /// `true` when there is no trace to attach to.
-    pub fn is_none(self) -> bool {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn is_none(self) -> bool {
         self.trace.is_none()
     }
 }
@@ -91,7 +93,7 @@ pub struct SpanRecord {
     pub trace: TraceId,
     /// This span's id (unique process-wide, not just per trace).
     pub span: SpanId,
-    /// The parent span, [`SpanId::NONE`] for a root.
+    /// The parent span, the absent id `SpanId(0)` for a root.
     pub parent: SpanId,
     /// Static stage name (`intent.admission`, `core.construct_pod`, …).
     pub name: &'static str,
@@ -111,7 +113,8 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// Renders the span as one JSON object (a JSON-lines record with
     /// `"kind":"span"`, no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(128);
         let _ = write!(
             out,
@@ -181,7 +184,7 @@ mod imp {
         TRACING.load(Ordering::Relaxed)
     }
 
-    /// Allocates a fresh trace id (never [`TraceId::NONE`]).
+    /// Allocates a fresh trace id (never the reserved absent id 0).
     pub fn new_trace() -> TraceId {
         TraceId(NEXT_TRACE.fetch_add(1, Ordering::Relaxed))
     }
@@ -259,11 +262,6 @@ mod imp {
                 trace: o.rec.trace,
                 span: o.rec.span,
             })
-        }
-
-        /// `true` when the span will be recorded on drop.
-        pub fn is_recording(&self) -> bool {
-            self.0.is_some()
         }
 
         /// Overrides the status (default `"ok"`).
@@ -352,15 +350,6 @@ mod imp {
     pub fn child_span(name: &'static str) -> ActiveSpan {
         let ctx = current_ctx();
         if ctx.is_none() {
-            return ActiveSpan(None);
-        }
-        open_span(ctx.trace, ctx.span, name)
-    }
-
-    /// Opens a child span under an explicit parent context (for work
-    /// attributed to a trace that is not ambient on this thread).
-    pub fn child_span_of(ctx: TraceCtx, name: &'static str) -> ActiveSpan {
-        if !tracing_enabled() || ctx.is_none() {
             return ActiveSpan(None);
         }
         open_span(ctx.trace, ctx.span, name)
@@ -502,12 +491,6 @@ mod imp {
             TraceCtx::NONE
         }
 
-        /// Always `false`.
-        #[inline(always)]
-        pub fn is_recording(&self) -> bool {
-            false
-        }
-
         /// No-op.
         #[inline(always)]
         pub fn set_status(&mut self, _status: &'static str) {}
@@ -534,12 +517,6 @@ mod imp {
     /// No-op.
     #[inline(always)]
     pub fn child_span(_name: &'static str) -> ActiveSpan {
-        ActiveSpan
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn child_span_of(_ctx: TraceCtx, _name: &'static str) -> ActiveSpan {
         ActiveSpan
     }
 
@@ -580,9 +557,8 @@ mod imp {
 }
 
 pub use imp::{
-    child_span, child_span_of, current_ctx, enter, new_root_ctx, new_trace, record_root,
-    record_span, root_span, set_tracing_enabled, spans_dropped, tracing_enabled, ActiveSpan,
-    CtxGuard, MAX_SPAN_DEPTH,
+    child_span, current_ctx, enter, new_root_ctx, new_trace, record_root, record_span, root_span,
+    set_tracing_enabled, spans_dropped, tracing_enabled, ActiveSpan, CtxGuard, MAX_SPAN_DEPTH,
 };
 
 #[cfg(test)]
@@ -624,7 +600,7 @@ mod tests {
         // Tracing is off by default: no ambient context, inert guards.
         assert_eq!(current_ctx(), TraceCtx::NONE);
         let s = root_span("x");
-        assert!(!s.is_recording());
+        assert_eq!(s.ctx(), TraceCtx::NONE);
         assert_eq!(
             record_span(TraceCtx::NONE, "y", 1.0, "ok", "", vec![]),
             TraceCtx::NONE

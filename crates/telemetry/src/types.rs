@@ -65,6 +65,7 @@ impl From<String> for FieldValue {
 }
 
 impl FieldValue {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn render_json(&self, out: &mut String) {
         match self {
             FieldValue::U64(v) => {
@@ -99,7 +100,8 @@ pub struct Event {
 impl Event {
     /// Renders the event as one JSON object (a JSON-lines record, no
     /// trailing newline).
-    pub fn to_json_line(&self) -> String {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(64);
         out.push_str("{\"ts_us\":");
         let _ = write!(out, "{}", self.ts_us);
@@ -116,6 +118,7 @@ impl Event {
     }
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

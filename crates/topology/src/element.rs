@@ -91,24 +91,6 @@ pub enum PhysNode {
     },
 }
 
-impl PhysNode {
-    /// The domain of this node.
-    pub fn domain(&self) -> Domain {
-        match self {
-            PhysNode::Server(_) => Domain::Electronic,
-            // A ToR is the conversion boundary; we count it electronic, the
-            // optical side starts on its core-facing links.
-            PhysNode::Tor(_) => Domain::Electronic,
-            PhysNode::Ops { .. } => Domain::Optical,
-        }
-    }
-
-    /// Returns `true` if the node is an OPS with optoelectronic capability.
-    pub fn is_optoelectronic(&self) -> bool {
-        matches!(self, PhysNode::Ops { opto: Some(_), .. })
-    }
-}
-
 /// Attributes of a physical link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkAttrs {
@@ -122,7 +104,7 @@ pub struct LinkAttrs {
 
 impl LinkAttrs {
     /// A server↔ToR access link: electronic, 10 Gb/s, 2 µs.
-    pub fn access() -> Self {
+    pub(crate) fn access() -> Self {
         LinkAttrs {
             domain: Domain::Electronic,
             bandwidth_gbps: 10.0,
@@ -131,7 +113,7 @@ impl LinkAttrs {
     }
 
     /// A ToR↔OPS uplink: optical, 100 Gb/s, 1 µs.
-    pub fn optical_uplink() -> Self {
+    pub(crate) fn optical_uplink() -> Self {
         LinkAttrs {
             domain: Domain::Optical,
             bandwidth_gbps: 100.0,
@@ -140,7 +122,7 @@ impl LinkAttrs {
     }
 
     /// An OPS↔OPS core link: optical, 400 Gb/s, 1 µs.
-    pub fn optical_core() -> Self {
+    pub(crate) fn optical_core() -> Self {
         LinkAttrs {
             domain: Domain::Optical,
             bandwidth_gbps: 400.0,
@@ -149,7 +131,7 @@ impl LinkAttrs {
     }
 
     /// An electronic aggregation link (baseline leaf–spine): 40 Gb/s, 2 µs.
-    pub fn electronic_agg() -> Self {
+    pub(crate) fn electronic_agg() -> Self {
         LinkAttrs {
             domain: Domain::Electronic,
             bandwidth_gbps: 40.0,
@@ -177,35 +159,6 @@ pub fn slice_graph(graph: &Graph<PhysNode, LinkAttrs>, nodes: Vec<NodeId>) -> Sl
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn domains_of_nodes() {
-        assert_eq!(PhysNode::Server(ServerId(0)).domain(), Domain::Electronic);
-        assert_eq!(PhysNode::Tor(TorId(0)).domain(), Domain::Electronic);
-        assert_eq!(
-            PhysNode::Ops {
-                id: OpsId(0),
-                opto: None
-            }
-            .domain(),
-            Domain::Optical
-        );
-    }
-
-    #[test]
-    fn optoelectronic_detection() {
-        let plain = PhysNode::Ops {
-            id: OpsId(0),
-            opto: None,
-        };
-        let opto = PhysNode::Ops {
-            id: OpsId(1),
-            opto: Some(OptoCapacity::small()),
-        };
-        assert!(!plain.is_optoelectronic());
-        assert!(opto.is_optoelectronic());
-        assert!(!PhysNode::Server(ServerId(0)).is_optoelectronic());
-    }
 
     #[test]
     fn capacity_fits() {

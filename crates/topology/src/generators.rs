@@ -130,12 +130,6 @@ impl AlvcTopologyBuilder {
         self
     }
 
-    /// Capacity given to each optoelectronic router.
-    pub fn opto_capacity(mut self, cap: OptoCapacity) -> Self {
-        self.opto_capacity = cap;
-        self
-    }
-
     /// OPS core interconnect pattern.
     pub fn interconnect(mut self, i: OpsInterconnect) -> Self {
         self.interconnect = i;
@@ -497,7 +491,7 @@ impl Default for LeafSpineParams {
 ///
 /// Spines are modeled as OPS nodes without optical links or optoelectronic
 /// capacity so the same covering/query machinery applies; every link carries
-/// [`crate::LinkAttrs::electronic_agg`] attributes, so domain-aware cost
+/// `LinkAttrs::electronic_agg` attributes, so domain-aware cost
 /// models see a purely electronic fabric.
 ///
 /// # Panics
@@ -741,8 +735,10 @@ mod tests {
         assert_eq!(dc.ops_count(), 18);
         assert_eq!(dc.vm_count(), 3 * 4 * 2 * 2);
         for p in dc.pod_ids() {
-            assert_eq!(dc.tors_of_pod(p).len(), 4, "pod {p} ToRs");
-            assert_eq!(dc.ops_of_pod(p).len(), 6, "pod {p} OPSs");
+            let tors = dc.tor_ids().filter(|&t| dc.pod_of_tor(t) == p).count();
+            let ops = dc.ops_ids().filter(|&o| dc.pod_of_ops(o) == p).count();
+            assert_eq!(tors, 4, "pod {p} ToRs");
+            assert_eq!(ops, 6, "pod {p} OPSs");
         }
     }
 
@@ -900,7 +896,7 @@ impl Default for FatTreeParams {
 ///
 /// Mapping onto the AL-VC element model: edge switches are ToRs;
 /// aggregation and core switches are OPS nodes without optical links or
-/// optoelectronic capacity, joined by [`crate::LinkAttrs::electronic_agg`]
+/// optoelectronic capacity, joined by `LinkAttrs::electronic_agg`
 /// links, so domain-aware cost models see a purely electronic fabric.
 /// Aggregation switches occupy OPS ids `0..k²/2` (pod-major); core
 /// switches follow.

@@ -12,12 +12,9 @@
 
 use std::collections::BTreeSet;
 
-use alvc_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::element::PhysNode;
 use crate::ids::{OpsId, ServerId, TorId};
-use crate::topology::DataCenter;
 
 /// A failable substrate element: a server, a ToR switch, or an optical
 /// packet switch.
@@ -50,7 +47,7 @@ impl std::fmt::Display for Element {
 /// ```
 /// use alvc_topology::{Element, ElementHealth, OpsId, ServerId};
 ///
-/// let mut health = ElementHealth::new();
+/// let mut health = ElementHealth::default();
 /// assert!(health.fail(Element::Ops(OpsId(3))));
 /// assert!(!health.fail(Element::Ops(OpsId(3))), "already down");
 /// assert!(!health.is_up(Element::Ops(OpsId(3))));
@@ -66,11 +63,6 @@ pub struct ElementHealth {
 }
 
 impl ElementHealth {
-    /// Creates an overlay with every element healthy.
-    pub fn new() -> Self {
-        ElementHealth::default()
-    }
-
     /// Marks `element` failed; returns `true` if it was up until now.
     pub fn fail(&mut self, element: Element) -> bool {
         match element {
@@ -113,17 +105,6 @@ impl ElementHealth {
         !self.ops.contains(&o)
     }
 
-    /// Returns `true` if the graph node `n` maps to a healthy element.
-    /// Nodes outside `dc` are treated as healthy (no evidence of failure).
-    pub fn node_up(&self, dc: &DataCenter, n: NodeId) -> bool {
-        match dc.graph().node_weight(n) {
-            Some(PhysNode::Server(s)) => self.server_up(*s),
-            Some(PhysNode::Tor(t)) => self.tor_up(*t),
-            Some(PhysNode::Ops { id, .. }) => self.ops_up(*id),
-            None => true,
-        }
-    }
-
     /// Currently failed elements, servers first, each kind sorted by id.
     pub fn failed(&self) -> Vec<Element> {
         self.servers
@@ -132,11 +113,6 @@ impl ElementHealth {
             .chain(self.tors.iter().map(|&t| Element::Tor(t)))
             .chain(self.ops.iter().map(|&o| Element::Ops(o)))
             .collect()
-    }
-
-    /// Currently failed servers, sorted.
-    pub fn failed_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.servers.iter().copied()
     }
 
     /// Currently failed ToRs, sorted.
@@ -167,7 +143,7 @@ mod tests {
 
     #[test]
     fn fail_restore_round_trip_per_kind() {
-        let mut h = ElementHealth::new();
+        let mut h = ElementHealth::default();
         let elems = [
             Element::Server(ServerId(1)),
             Element::Tor(TorId(2)),
@@ -189,14 +165,13 @@ mod tests {
     }
 
     #[test]
-    fn node_up_maps_graph_nodes_to_elements() {
+    fn node_of_element_maps_elements_to_graph_nodes() {
         let dc = AlvcTopologyBuilder::new()
             .racks(2)
             .servers_per_rack(1)
             .ops_count(4)
             .seed(3)
             .build();
-        let mut h = ElementHealth::new();
         let server = dc.server_ids().next().unwrap();
         let tor = dc.tor_ids().next().unwrap();
         let ops = dc.ops_ids().next().unwrap();
@@ -206,10 +181,6 @@ mod tests {
             (Element::Ops(ops), dc.node_of_ops(ops)),
         ] {
             assert_eq!(dc.node_of_element(element), Some(node));
-            assert!(h.node_up(&dc, node));
-            h.fail(element);
-            assert!(!h.node_up(&dc, node));
-            h.restore(element);
         }
         let unknown = Element::Ops(OpsId(dc.ops_count()));
         assert_eq!(dc.node_of_element(unknown), None);
@@ -217,15 +188,13 @@ mod tests {
 
     #[test]
     fn failed_iterators_are_sorted() {
-        let mut h = ElementHealth::new();
+        let mut h = ElementHealth::default();
         for i in [5usize, 1, 3] {
             h.fail(Element::Ops(OpsId(i)));
             h.fail(Element::Server(ServerId(i)));
         }
         let ops: Vec<_> = h.failed_ops().collect();
         assert_eq!(ops, vec![OpsId(1), OpsId(3), OpsId(5)]);
-        let servers: Vec<_> = h.failed_servers().collect();
-        assert_eq!(servers, vec![ServerId(1), ServerId(3), ServerId(5)]);
         assert_eq!(h.failed_tors().count(), 0);
     }
 

@@ -64,22 +64,15 @@ impl std::fmt::Display for PowerState {
 /// assert_eq!(power.state(ops), PowerState::Active);
 /// assert_eq!(power.set(ops, PowerState::PoweredOff), PowerState::Active);
 /// assert!(!power.is_on(ops));
-/// assert_eq!(power.powered_off(), vec![ops]);
+/// assert_eq!(power.powered_off_count(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PowerOverlay {
     /// Elements not currently `Active`.
     states: BTreeMap<Element, PowerState>,
-    /// Completed transitions by target state: `[active, idle, powered_off]`.
-    transitions: [u64; 3],
 }
 
 impl PowerOverlay {
-    /// Creates an overlay with every element active.
-    pub fn new() -> Self {
-        PowerOverlay::default()
-    }
-
     /// The element's current power state.
     pub fn state(&self, element: Element) -> PowerState {
         self.states
@@ -93,49 +86,15 @@ impl PowerOverlay {
         self.state(element) != PowerState::PoweredOff
     }
 
-    /// Sets the element's power state and returns the previous one. A
-    /// no-op transition (same state) is not counted.
+    /// Sets the element's power state and returns the previous one.
     pub fn set(&mut self, element: Element, state: PowerState) -> PowerState {
         let previous = self.state(element);
-        if previous == state {
-            return previous;
-        }
-        match state {
-            PowerState::Active => {
-                self.states.remove(&element);
-                self.transitions[0] += 1;
-            }
-            PowerState::Idle => {
-                self.states.insert(element, state);
-                self.transitions[1] += 1;
-            }
-            PowerState::PoweredOff => {
-                self.states.insert(element, state);
-                self.transitions[2] += 1;
-            }
+        if state == PowerState::Active {
+            self.states.remove(&element);
+        } else {
+            self.states.insert(element, state);
         }
         previous
-    }
-
-    /// Elements currently in `state`, in element order. For
-    /// [`PowerState::Active`] this returns the empty vector — the overlay
-    /// does not know the topology's full element population.
-    pub fn in_state(&self, state: PowerState) -> Vec<Element> {
-        self.states
-            .iter()
-            .filter(|&(_, &s)| s == state)
-            .map(|(&e, _)| e)
-            .collect()
-    }
-
-    /// Elements currently powered off, in element order.
-    pub fn powered_off(&self) -> Vec<Element> {
-        self.in_state(PowerState::PoweredOff)
-    }
-
-    /// Elements currently idle, in element order.
-    pub fn idle(&self) -> Vec<Element> {
-        self.in_state(PowerState::Idle)
     }
 
     /// Number of powered-off elements.
@@ -144,15 +103,6 @@ impl PowerOverlay {
             .values()
             .filter(|&&s| s == PowerState::PoweredOff)
             .count()
-    }
-
-    /// Completed transitions into `state` over the overlay's lifetime.
-    pub fn transitions_into(&self, state: PowerState) -> u64 {
-        match state {
-            PowerState::Active => self.transitions[0],
-            PowerState::Idle => self.transitions[1],
-            PowerState::PoweredOff => self.transitions[2],
-        }
     }
 
     /// Whether every element is active (the default state).
@@ -168,7 +118,7 @@ mod tests {
 
     #[test]
     fn default_is_all_active() {
-        let p = PowerOverlay::new();
+        let p = PowerOverlay::default();
         assert!(p.all_active());
         assert!(p.is_on(Element::Ops(OpsId(0))));
         assert_eq!(p.state(Element::Server(ServerId(5))), PowerState::Active);
@@ -176,41 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn transitions_round_trip_and_are_counted() {
-        let mut p = PowerOverlay::new();
+    fn transitions_round_trip() {
+        let mut p = PowerOverlay::default();
         let e = Element::Tor(TorId(2));
         assert_eq!(p.set(e, PowerState::Idle), PowerState::Active);
         assert_eq!(p.set(e, PowerState::PoweredOff), PowerState::Idle);
         assert!(!p.is_on(e));
         assert_eq!(p.set(e, PowerState::Active), PowerState::PoweredOff);
         assert!(p.all_active());
-        assert_eq!(p.transitions_into(PowerState::Idle), 1);
-        assert_eq!(p.transitions_into(PowerState::PoweredOff), 1);
-        assert_eq!(p.transitions_into(PowerState::Active), 1);
-    }
-
-    #[test]
-    fn no_op_transitions_are_not_counted() {
-        let mut p = PowerOverlay::new();
-        let e = Element::Ops(OpsId(1));
-        p.set(e, PowerState::Active);
-        assert_eq!(p.transitions_into(PowerState::Active), 0);
-        p.set(e, PowerState::Idle);
-        p.set(e, PowerState::Idle);
-        assert_eq!(p.transitions_into(PowerState::Idle), 1);
-    }
-
-    #[test]
-    fn listings_are_ordered_and_state_scoped() {
-        let mut p = PowerOverlay::new();
-        p.set(Element::Ops(OpsId(3)), PowerState::PoweredOff);
-        p.set(Element::Ops(OpsId(1)), PowerState::PoweredOff);
-        p.set(Element::Server(ServerId(0)), PowerState::Idle);
-        assert_eq!(
-            p.powered_off(),
-            vec![Element::Ops(OpsId(1)), Element::Ops(OpsId(3))]
-        );
-        assert_eq!(p.idle(), vec![Element::Server(ServerId(0))]);
-        assert_eq!(p.powered_off_count(), 2);
     }
 }

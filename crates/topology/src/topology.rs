@@ -33,7 +33,6 @@ struct VmRecord {
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TorRecord {
-    rack: RackId,
     node: NodeId,
     pod: PodId,
     /// OPSs this ToR has uplinks to, in link order — the ToR half of the
@@ -170,7 +169,6 @@ impl DataCenter {
         let tor = TorId(self.tors.len());
         let node = self.graph.add_node(PhysNode::Tor(tor));
         self.tors.push(TorRecord {
-            rack,
             node,
             pod,
             ops: Vec::new(),
@@ -283,7 +281,7 @@ impl DataCenter {
     /// # Panics
     ///
     /// Panics if either endpoint does not exist.
-    pub fn connect_tor_ops_with(&mut self, tor: TorId, ops: OpsId, attrs: LinkAttrs) {
+    pub(crate) fn connect_tor_ops_with(&mut self, tor: TorId, ops: OpsId, attrs: LinkAttrs) {
         let (tn, on) = (self.tors[tor.0].node, self.opss[ops.0].node);
         if self.graph.contains_edge(tn, on) {
             return;
@@ -319,7 +317,7 @@ impl DataCenter {
     /// # Panics
     ///
     /// Panics if either endpoint does not exist.
-    pub fn connect_ops_ops_with(&mut self, a: OpsId, b: OpsId, attrs: LinkAttrs) {
+    pub(crate) fn connect_ops_ops_with(&mut self, a: OpsId, b: OpsId, attrs: LinkAttrs) {
         if a == b {
             return;
         }
@@ -425,26 +423,6 @@ impl DataCenter {
         self.pod_of_tor(self.tor_of_vm(vm))
     }
 
-    /// ToRs belonging to `pod`, in id order.
-    pub fn tors_of_pod(&self, pod: PodId) -> Vec<TorId> {
-        self.tors
-            .iter()
-            .enumerate()
-            .filter(|(_, rec)| rec.pod == pod)
-            .map(|(i, _)| TorId(i))
-            .collect()
-    }
-
-    /// OPSs belonging to `pod`, in id order.
-    pub fn ops_of_pod(&self, pod: PodId) -> Vec<OpsId> {
-        self.opss
-            .iter()
-            .enumerate()
-            .filter(|(_, rec)| rec.pod == pod)
-            .map(|(i, _)| OpsId(i))
-            .collect()
-    }
-
     /// Iterates over all pod ids.
     pub fn pod_ids(&self) -> impl Iterator<Item = PodId> {
         (0..self.pod_count()).map(PodId)
@@ -534,15 +512,6 @@ impl DataCenter {
         self.servers[server.0].rack
     }
 
-    /// The rack a ToR switch serves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tor` does not exist.
-    pub fn rack_of_tor(&self, tor: TorId) -> RackId {
-        self.tors[tor.0].rack
-    }
-
     /// The rack ToR of `server`.
     ///
     /// # Panics
@@ -557,7 +526,8 @@ impl DataCenter {
     /// # Panics
     ///
     /// Panics if `server` does not exist.
-    pub fn vms_of_server(&self, server: ServerId) -> &[VmId] {
+    #[cfg(test)]
+    pub(crate) fn vms_of_server(&self, server: ServerId) -> &[VmId] {
         &self.servers[server.0].vms
     }
 

@@ -15,7 +15,7 @@ use crate::topology::DataCenter;
 /// A violated structural invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum TopologyError {
+pub(crate) enum TopologyError {
     /// A server has no access link to any ToR.
     ServerWithoutTor(ServerId),
     /// A ToR serves no rack... a rack exists without a ToR record.
@@ -70,7 +70,7 @@ impl DataCenter {
     /// # Errors
     ///
     /// The first violated invariant, as a [`TopologyError`].
-    pub fn validate(&self) -> Result<(), TopologyError> {
+    pub(crate) fn validate(&self) -> Result<(), TopologyError> {
         for server in self.server_ids() {
             let vms = self.vms_of_server(server);
             for &vm in vms {
