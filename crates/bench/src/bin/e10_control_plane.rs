@@ -4,25 +4,21 @@
 //! Four tenants submit weighted mixed intent streams (deploy / teardown /
 //! modify / scale, from `alvc-sim`'s [`IntentMix`]) round-robin against one
 //! [`ControlPlane`], with periodic operator fail / restore churn. The mix
-//! runs single-threaded and twice per round — tracing off, tracing on with
-//! the flight recorder and an SLO monitor (including one deliberately
-//! unmeetable p99 objective) — so the wall-time difference measures
-//! tracing, not scheduling (DESIGN.md §14). Gates: causal trace trees are
-//! complete for ≥ 99 % of intents and the induced SLO breach shows up in
-//! the report and in the dump; the tracing overhead against its 2 % budget
-//! is reported. Shrink the run with `E10_TRACE_INTENTS=<n>`.
+//! runs single-threaded with tracing, the flight recorder and an SLO
+//! monitor on, one objective being a deliberately unmeetable p99
+//! (DESIGN.md §14). Gates: causal trace trees are complete for ≥ 99 % of
+//! intents, and the induced SLO breach shows up in the report and in the
+//! dump.
 //!
-//! The multi-threaded open-loop throughput / latency phase that used to
-//! run first is gone: its percentiles did not repeat between identical
-//! runs, and `benchmark/` (closed-loop, seeded; see `benchmark/README.md`)
-//! owns intent throughput and latency.
+//! Nothing here is timed. Intent throughput and latency, and what tracing
+//! costs them (`bench.trace_overhead_frac`), are `benchmark/`'s closed-loop
+//! numbers (`benchmark/README.md`).
 //!
-//! Emits `results/BENCH_trace_overhead.json` and the flight-recorder dump
+//! Emits `results/BENCH_causal_tracing.json` and the flight-recorder dump
 //! `results/trace_dump.jsonl` (rendered by `alvc-trace`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use alvc_bench::{spec_of, write_results, Json, Op, Report};
 use alvc_nfv::{
@@ -40,16 +36,14 @@ const BATCH_SIZE: usize = 16;
 
 /// Tenants driven round-robin by the single-threaded trace phase.
 const TRACE_TENANTS: usize = 4;
-/// Intents per trace-phase pass (override with `E10_TRACE_INTENTS`).
-const DEFAULT_TRACE_INTENTS: usize = 10_000;
+/// Intents in the traced pass.
+const TRACE_INTENTS: usize = 10_000;
 /// SLO windows close every this many rounds during the traced pass.
 const OBSERVE_EVERY: u64 = 64;
 /// Recorder capacity for the traced pass: comfortably above the ~8 spans
 /// an accepted deploy produces times the intent count, so the
 /// completeness check never races the drop-oldest policy.
 const TRACE_RECORDER_CAPACITY: usize = 1 << 18;
-/// Acceptance budget for tracing-on vs tracing-off wall time.
-const TRACE_OVERHEAD_BUDGET: f64 = 0.02;
 
 /// One tenant: its VM group, its intent mix, and the scale-out tickets
 /// waiting to be harvested into replica ids for later scale-ins.
@@ -125,8 +119,8 @@ fn slo_specs() -> Vec<SloSpec> {
 
 /// The trace phase's own topology: the ladder's rack scale with a much
 /// deeper OPS pool, so the steady state is dominated by *successful*
-/// construction/placement/routing work — the representative regime for an
-/// overhead measurement — instead of fast-failing on OPS exhaustion.
+/// construction/placement/routing work — deep trace trees — instead of
+/// fast-failing on OPS exhaustion.
 fn trace_topology() -> Arc<DataCenter> {
     Arc::new(
         AlvcTopologyBuilder::new()
@@ -157,26 +151,19 @@ fn trace_mix_weights() -> MixWeights {
 }
 
 struct TracePass {
-    wall_ms: f64,
     cp: ControlPlane,
     ids: Vec<IntentId>,
-    report: Option<SloReport>,
-    /// Time spent inside `SloMonitor::observe`, excluded from `wall_ms`:
-    /// window evaluation is monitoring-plane work on an amortized cadence,
-    /// not per-intent tracing overhead.
-    observe_ms: f64,
+    report: SloReport,
 }
 
-/// Runs `target` intents through a fresh control plane, single-threaded,
-/// round-robin across [`TRACE_TENANTS`] tenants with periodic operator
-/// fail/restore churn. With `traced`, tracing + flight recorder + SLO
-/// monitor are on for the duration.
-fn run_trace_pass(dc: &Arc<DataCenter>, target: usize, traced: bool) -> TracePass {
-    if traced {
-        configure_recorder(TRACE_RECORDER_CAPACITY);
-        clear_recorder();
-        set_tracing_enabled(true);
-    }
+/// Runs [`TRACE_INTENTS`] intents through a fresh control plane,
+/// single-threaded, round-robin across [`TRACE_TENANTS`] tenants with
+/// periodic operator fail/restore churn, with tracing, the flight recorder
+/// and the SLO monitor on.
+fn run_trace_pass(dc: &Arc<DataCenter>) -> TracePass {
+    configure_recorder(TRACE_RECORDER_CAPACITY);
+    clear_recorder();
+    set_tracing_enabled(true);
     let cp = ControlPlane::builder()
         .batch_size(BATCH_SIZE)
         .default_quota(TenantQuota::new(12, 16))
@@ -197,13 +184,11 @@ fn run_trace_pass(dc: &Arc<DataCenter>, target: usize, traced: bool) -> TracePas
             replicas: Vec::new(),
         })
         .collect();
-    let mut monitor = traced.then(|| SloMonitor::new(slo_specs()));
+    let mut monitor = SloMonitor::new(slo_specs());
 
-    let started = Instant::now();
-    let mut observing = std::time::Duration::ZERO;
-    let mut ids: Vec<IntentId> = Vec::with_capacity(target + 2);
+    let mut ids: Vec<IntentId> = Vec::with_capacity(TRACE_INTENTS + 2);
     let mut round = 0u64;
-    while ids.len() < target {
+    while ids.len() < TRACE_INTENTS {
         for tenant in &mut tenants {
             if let Some(intent) = tenant.next(&cp) {
                 ids.push(cp.submit(&tenant.name, intent));
@@ -217,30 +202,16 @@ fn run_trace_pass(dc: &Arc<DataCenter>, target: usize, traced: bool) -> TracePas
         cp.process_all();
         round += 1;
         if round.is_multiple_of(OBSERVE_EVERY) {
-            if let Some(m) = monitor.as_mut() {
-                let at = Instant::now();
-                m.observe();
-                observing += at.elapsed();
-            }
+            monitor.observe();
         }
     }
     cp.process_all();
-    let report = monitor.map(|mut m| {
-        let at = Instant::now();
-        m.observe();
-        observing += at.elapsed();
-        m.report()
-    });
-    let wall_ms = (started.elapsed() - observing).as_secs_f64() * 1e3;
-    if traced {
-        set_tracing_enabled(false);
-    }
+    monitor.observe();
+    set_tracing_enabled(false);
     TracePass {
-        wall_ms,
         cp,
         ids,
-        report,
-        observe_ms: observing.as_secs_f64() * 1e3,
+        report: monitor.report(),
     }
 }
 
@@ -276,83 +247,40 @@ fn trace_coverage(cp: &ControlPlane, ids: &[IntentId]) -> (usize, usize) {
     (complete, ids.len())
 }
 
-/// The trace phase proper: warm up, interleave three tracing-off and
-/// three tracing-on passes (min-of-3 each side — interleaving cancels
-/// clock/thermal drift, the min sheds scheduler noise), dump the recorder,
-/// and write `BENCH_trace_overhead.json` with the completeness and
+/// The trace phase proper: one traced pass, the recorder dumped, and
+/// `BENCH_causal_tracing.json` written with the completeness and
 /// induced-breach gates.
 fn trace_phase() {
-    let target: usize = std::env::var("E10_TRACE_INTENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TRACE_INTENTS);
-    println!("\nE10 trace phase: causal tracing, flight recorder, SLO monitor ({target} intents)");
-    let dc = trace_topology();
-    run_trace_pass(&dc, target / 10 + 1, false); // warm-up
-
-    let mut wall_off = f64::INFINITY;
-    let mut wall_on = f64::INFINITY;
-    let mut traced = None;
-    for _ in 0..3 {
-        wall_off = wall_off.min(run_trace_pass(&dc, target, false).wall_ms);
-        let pass = run_trace_pass(&dc, target, true);
-        wall_on = wall_on.min(pass.wall_ms);
-        // Keep the last pass: its spans are the recorder's live contents.
-        traced = Some(pass);
-    }
-    let mut traced = traced.expect("at least one traced pass ran");
-
+    println!(
+        "\nE10 trace phase: causal tracing, flight recorder, SLO monitor ({TRACE_INTENTS} intents)"
+    );
+    let traced = run_trace_pass(&trace_topology());
     let (complete, total) = trace_coverage(&traced.cp, &traced.ids);
     let coverage = complete as f64 / total as f64;
-    let overhead = (wall_on - wall_off) / wall_off;
-    println!(
-        "trace trees complete: {complete}/{total}; tracing overhead {:.2}% \
-         (off {:.1} ms, on {:.1} ms, budget {:.0}%)",
-        overhead * 100.0,
-        wall_off,
-        wall_on,
-        TRACE_OVERHEAD_BUDGET * 100.0
-    );
-    let report = traced.report.take().expect("traced pass produced a report");
+    println!("trace trees complete: {complete}/{total}");
+    let report = traced.report;
     let dump = traced.cp.dump_flight_recorder();
-    let dump_path = write_results("trace_dump.jsonl", &dump);
+    write_results("trace_dump.jsonl", &dump);
     println!(
         "SLO windows: {}, breaches: {} (induced_p99 deliberately unmeetable)",
         report.windows,
         report.breaches.len()
     );
-    if overhead > TRACE_OVERHEAD_BUDGET {
-        eprintln!(
-            "warning: tracing overhead {:.2}% exceeds the {:.0}% budget on this host",
-            overhead * 100.0,
-            TRACE_OVERHEAD_BUDGET * 100.0
-        );
-    }
-    println!("wrote {}", dump_path.display());
+    println!("wrote results/trace_dump.jsonl");
 
-    let mut result = Report::new(
-        "trace_overhead",
-        "e10_control_plane",
-        target < DEFAULT_TRACE_INTENTS,
-    );
+    let mut result = Report::new("causal_tracing", "e10_control_plane");
     result.config(
         Json::object()
-            .field("target_intents", target)
+            .field("target_intents", TRACE_INTENTS)
             .field("tenants", TRACE_TENANTS)
             .field("batch_size", BATCH_SIZE)
             .field("recorder_capacity", TRACE_RECORDER_CAPACITY)
-            .field("overhead_budget_frac", TRACE_OVERHEAD_BUDGET)
             .field("dump", "trace_dump.jsonl"),
     );
     result.rows(
-        "overhead",
+        "coverage",
         [Json::object()
             .field("intents", total)
-            .field("wall_ms_off", (wall_off * 1e3).round() / 1e3)
-            .field("wall_ms_on", (wall_on * 1e3).round() / 1e3)
-            .field("slo_observe_ms", (traced.observe_ms * 1e3).round() / 1e3)
-            .field("overhead_frac", (overhead * 1e4).round() / 1e4)
-            .field("within_budget", overhead <= TRACE_OVERHEAD_BUDGET)
             .field("traces_complete", complete)
             .field("slo_windows", report.windows)
             .field("slo_breaches", report.breaches.len())],
@@ -384,7 +312,7 @@ fn trace_phase() {
         Op::Ge,
         1.0,
     );
-    result.finish("BENCH_trace_overhead.json");
+    result.finish("BENCH_causal_tracing.json");
 }
 
 fn main() {

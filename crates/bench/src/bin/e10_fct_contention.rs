@@ -5,7 +5,7 @@
 //! times — is pushed through the AL-VC optical core (100 Gb/s uplinks) and
 //! through a conventional electronic leaf–spine (40 Gb/s aggregation), and
 //! max–min fair sharing determines completion times. The optical core's
-//! headroom should show up as lower tail FCT at high load.
+//! headroom should show up as lower FCT at high load.
 
 use alvc_bench::{f2, print_table};
 use alvc_optical::routing::route_flow_ecmp;
@@ -104,15 +104,19 @@ fn main() {
     assert_eq!(ft.server_count(), alvc.server_count());
 
     let mut rows = Vec::new();
+    // Leaf-spine's median FCT over AL-VC's, at the last (highest) load.
+    let mut p50_ratio = 0.0;
     // Elephant flows (50 MB) at offered loads of 200/400/800 Gb/s.
     for &(rate, n) in &[(500.0, 300usize), (1000.0, 400), (2000.0, 600)] {
         let wl = workload(&alvc, rate, n, 9);
+        let mut p50s = Vec::new();
         for (name, dc) in [
             ("AL-VC optical", &alvc),
             ("leaf-spine", &ls),
             ("fat-tree k=8", &ft),
         ] {
             let (p50, p99, thr, peak) = run(dc, &wl);
+            p50s.push(p50);
             rows.push(vec![
                 format!("{rate:.0}/s"),
                 name.to_string(),
@@ -122,6 +126,7 @@ fn main() {
                 f2(peak),
             ]);
         }
+        p50_ratio = p50s[1] / p50s[0];
     }
     print_table(
         &[
@@ -139,8 +144,9 @@ fn main() {
          optical uplinks per rack make the fabric non-blocking (access-limited), so\n\
          it matches the k=8 fat-tree — which needs {} electronic switches and four\n\
          uplinks per edge to get there — while the port-count-equivalent leaf-spine\n\
-         (2×40 Gb/s) congests and doubles tail completion times. That is §III.B's\n\
-         'higher bandwidth' argument, quantified.",
-        ft.tor_count() + ft.ops_count()
+         (2×40 Gb/s) congests: at the highest load its median completion time is\n\
+         {:.1}× AL-VC's. That is §III.B's 'higher bandwidth' argument, quantified.",
+        ft.tor_count() + ft.ops_count(),
+        p50_ratio
     );
 }

@@ -23,8 +23,7 @@
 //! intra-AL share over static under drift, and its intent log replays to a
 //! bit-identical [`StateView`].
 //!
-//! Emits `results/BENCH_reclustering.json` (`--smoke` shrinks the
-//! topology and epoch count for CI).
+//! Emits `results/BENCH_reclustering.json`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -49,55 +48,19 @@ const EPOCH_NS: u64 = 10_000_000_000;
 const DRIFT_FRACTION: f64 = 0.3;
 const MIN_GAIN_TARGET: f64 = 0.15;
 
-struct Config {
-    smoke: bool,
-    scale: Scale,
-    services: usize,
-    pre_drift_epochs: u64,
-    post_drift_epochs: u64,
-}
-
-impl Config {
-    fn new(smoke: bool) -> Config {
-        if smoke {
-            Config {
-                smoke,
-                scale: Scale {
-                    name: "smoke",
-                    racks: 8,
-                    servers_per_rack: 2,
-                    vms_per_server: 2,
-                    ops: 32,
-                    degree: 8,
-                    pods: 1,
-                },
-                services: 3,
-                pre_drift_epochs: 3,
-                post_drift_epochs: 6,
-            }
-        } else {
-            Config {
-                smoke,
-                scale: Scale {
-                    name: "e11",
-                    racks: 16,
-                    servers_per_rack: 4,
-                    vms_per_server: 2,
-                    ops: 48,
-                    degree: 8,
-                    pods: 1,
-                },
-                services: 4,
-                pre_drift_epochs: 6,
-                post_drift_epochs: 12,
-            }
-        }
-    }
-
-    fn epochs(&self) -> u64 {
-        self.pre_drift_epochs + self.post_drift_epochs
-    }
-}
+/// The topology: 128 VMs across 16 racks, 48 OPSs.
+const SCALE: Scale = Scale {
+    name: "e11",
+    racks: 16,
+    servers_per_rack: 4,
+    vms_per_server: 2,
+    ops: 48,
+    degree: 8,
+    pods: 1,
+};
+const SERVICES: usize = 4;
+const PRE_DRIFT_EPOCHS: u64 = 6;
+const POST_DRIFT_EPOCHS: u64 = 12;
 
 fn control_plane(dc: &Arc<DataCenter>) -> ControlPlane {
     ControlPlane::builder()
@@ -309,15 +272,10 @@ fn random_moves(view: &StateView, pinned: &BTreeSet<VmId>) -> Vec<VmMove> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let cfg = Config::new(smoke);
-    println!(
-        "E11: adaptive re-clustering under drift ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
+    println!("E11: adaptive re-clustering under drift\n");
 
-    let dc = Arc::new(cfg.scale.build_with_services(SEED, cfg.services));
-    let services = &ServiceType::BUILTIN[..cfg.services];
+    let dc = Arc::new(SCALE.build_with_services(SEED, SERVICES));
+    let services = &ServiceType::BUILTIN[..SERVICES];
     let mut static_v = Variant::deploy("static", &dc, services);
     let mut adaptive_v = Variant::deploy("adaptive", &dc, services);
     let mut random_v = Variant::deploy("random", &dc, services);
@@ -353,8 +311,8 @@ fn main() {
     let mut stationary_plans = 0;
     let mut stationary_moves = 0;
     let mut rows = Vec::new();
-    for epoch in 0..cfg.epochs() {
-        if epoch == cfg.pre_drift_epochs {
+    for epoch in 0..PRE_DRIFT_EPOCHS + POST_DRIFT_EPOCHS {
+        if epoch == PRE_DRIFT_EPOCHS {
             drifted_vms = apply_drift(&mut groups, &pinned, DRIFT_FRACTION);
             random_v.recluster(random_moves(&random_v.cp.view(), &pinned));
         }
@@ -367,7 +325,7 @@ fn main() {
             epoch_moves = plan.moves.len();
             adaptive_v.recluster(plan.moves);
         }
-        if epoch < cfg.pre_drift_epochs {
+        if epoch < PRE_DRIFT_EPOCHS {
             stationary_plans += usize::from(plan.approved);
             stationary_moves += epoch_moves;
         }
@@ -378,7 +336,7 @@ fn main() {
         }
         rows.push(vec![
             epoch.to_string(),
-            if epoch < cfg.pre_drift_epochs {
+            if epoch < PRE_DRIFT_EPOCHS {
                 "stationary"
             } else {
                 "drifted"
@@ -397,7 +355,7 @@ fn main() {
 
     // Final score: mean intra share over the last third of the drifted
     // window (steady state after the loop converged).
-    let window = (cfg.post_drift_epochs as usize / 3).max(1);
+    let window = (POST_DRIFT_EPOCHS as usize / 3).max(1);
     let gain_over_static = adaptive_v.final_share(window) - static_v.final_share(window);
     let gain_over_random = adaptive_v.final_share(window) - random_v.final_share(window);
 
@@ -433,14 +391,14 @@ fn main() {
             .field("als_rebuilt", v.als_rebuilt)
             .field("chains_rerouted", v.chains_rerouted)
     };
-    let mut report = Report::new("reclustering", "e11_adaptive_clustering", cfg.smoke);
+    let mut report = Report::new("reclustering", "e11_adaptive_clustering");
     report.config(
         Json::object()
             .field("vms", dc.vm_count())
             .field("ops", dc.ops_count())
             .field("clusters", cluster_count)
-            .field("pre_drift_epochs", cfg.pre_drift_epochs as f64)
-            .field("post_drift_epochs", cfg.post_drift_epochs as f64)
+            .field("pre_drift_epochs", PRE_DRIFT_EPOCHS)
+            .field("post_drift_epochs", POST_DRIFT_EPOCHS)
             .field("drift_fraction", DRIFT_FRACTION)
             .field("epoch_s", EPOCH_NS as f64 / 1e9)
             .field("half_life_s", collector_config.half_life_s)

@@ -9,7 +9,7 @@
 //!
 //! Two phases run back to back: the legacy FIFO scheduler as a reduced
 //! baseline, then the deficit-round-robin scheduler at the full target
-//! (≥1M intents, override with `E12_INTENTS`). Each phase reports a
+//! (≥1M intents). Each phase reports a
 //! per-tenant Jain fairness index over the sustained window (service
 //! normalized by the max-min fair share of the batch capacity under the
 //! offered load), peak bookkeeping-map sizes (the trace-context and
@@ -22,7 +22,6 @@
 //! Emits `results/BENCH_online_control.json` with the DESIGN.md §15 gates.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use alvc_affinity::VmMove;
 use alvc_bench::{print_table, spec_of, Json, Op, Report, Scale};
@@ -51,11 +50,11 @@ const OUTCOME_RETENTION: usize = 65_536;
 /// Live-chain quota per tenant: keeps the deployed state bounded over a
 /// million-intent run (excess deploys reject in O(1)).
 const QUOTA_LIVE_CHAINS: usize = 6;
-/// Full-scale intent target (override with `E12_INTENTS`).
-const DEFAULT_TARGET: usize = 1_000_000;
+/// Intent target of the DRR phase.
+const TARGET: usize = 1_000_000;
 /// Minimum Jain fairness index the DRR run must reach.
 const MIN_JAIN: f64 = 0.9;
-/// The FIFO baseline runs at `target / FIFO_DIVISOR`.
+/// The FIFO baseline runs at `TARGET / FIFO_DIVISOR`.
 const FIFO_DIVISOR: usize = 5;
 const SEED: u64 = 12;
 
@@ -176,7 +175,6 @@ struct PhaseResult {
     rejected: usize,
     failed: usize,
     batches: u64,
-    wall_ms: f64,
     jain: f64,
     service: Vec<usize>,
     fair_share: Vec<f64>,
@@ -201,17 +199,17 @@ fn build_control_plane(dc: &Arc<DataCenter>, mode: SchedulerMode) -> ControlPlan
         .build(dc.clone())
 }
 
-/// One sustained phase: round-based arrivals (heavy burst first) with one
-/// batch executed per round, followed by a full drain, measurement from
-/// the recorded log, and a replay check on a fresh control plane.
+/// One sustained phase, traced: round-based arrivals (heavy burst first)
+/// with one batch executed per round, followed by a full drain,
+/// measurement from the recorded log, and a replay check on a fresh
+/// control plane.
 fn run_phase(
     dc: &Arc<DataCenter>,
     mode: SchedulerMode,
     scheduler: &'static str,
     target: usize,
-    traced: bool,
 ) -> PhaseResult {
-    let traced = traced && alvc_telemetry::telemetry_compiled();
+    let traced = alvc_telemetry::telemetry_compiled();
     if traced {
         alvc_telemetry::recorder::configure_recorder(1 << 16);
         alvc_telemetry::recorder::clear_recorder();
@@ -247,7 +245,6 @@ fn run_phase(
     let mut peak_outcome_map = 0usize;
     let mut peak_queue_depth = 0usize;
 
-    let started = Instant::now();
     for round in 0..rounds {
         let view = cp.view();
         for (t, op) in load.round(&groups) {
@@ -280,7 +277,6 @@ fn run_phase(
         peak_trace_map = peak_trace_map.max(cp.trace_map_len());
         peak_outcome_map = peak_outcome_map.max(cp.outcome_map_len());
     }
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     if traced {
         alvc_telemetry::trace::set_tracing_enabled(false);
     }
@@ -330,7 +326,6 @@ fn run_phase(
         rejected,
         failed,
         batches: cp.view().version,
-        wall_ms,
         jain,
         service,
         fair_share,
@@ -350,7 +345,6 @@ fn phase_json(r: &PhaseResult) -> Json {
         .field("rejected", r.rejected)
         .field("failed", r.failed)
         .field("batches", r.batches as f64)
-        .field("wall_ms", (r.wall_ms * 1e3).round() / 1e3)
         .field(
             "fairness",
             Json::object()
@@ -377,34 +371,21 @@ fn phase_json(r: &PhaseResult) -> Json {
 }
 
 fn main() {
-    let target: usize = std::env::var("E12_INTENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TARGET);
-    let smoke = target < DEFAULT_TARGET;
     println!(
-        "E12: online control plane — {target} mixed intents, {} tenants at 10:1 load, dc-100k\n",
+        "E12: online control plane — {TARGET} mixed intents, {} tenants at 10:1 load, dc-100k\n",
         LIGHT_TENANTS + 1
     );
     let scale = Scale::DC_LADDER[0];
-    let built = Instant::now();
     let dc = Arc::new(scale.build(SEED));
     println!(
-        "topology {}: {} VMs, {} OPSs ({:.1} s to build)\n",
+        "topology {}: {} VMs, {} OPSs\n",
         scale.name,
         dc.vm_count(),
-        dc.ops_count(),
-        built.elapsed().as_secs_f64()
+        dc.ops_count()
     );
 
-    let fifo = run_phase(
-        &dc,
-        SchedulerMode::Fifo,
-        "fifo",
-        target / FIFO_DIVISOR,
-        false,
-    );
-    let drr = run_phase(&dc, SchedulerMode::DeficitRoundRobin, "drr", target, true);
+    let fifo = run_phase(&dc, SchedulerMode::Fifo, "fifo", TARGET / FIFO_DIVISOR);
+    let drr = run_phase(&dc, SchedulerMode::DeficitRoundRobin, "drr", TARGET);
 
     let mut rows = Vec::new();
     for r in [&fifo, &drr] {
@@ -425,13 +406,13 @@ fn main() {
         drr.peak_trace_map, drr.peak_outcome_map, drr.peak_queue_depth
     );
 
-    let mut report = Report::new("online_control", "e12_online_control", smoke);
+    let mut report = Report::new("online_control", "e12_online_control");
     report.config(
         Json::object()
             .field("topology", scale.name)
             .field("vms", dc.vm_count())
             .field("ops", dc.ops_count())
-            .field("target_intents", target)
+            .field("target_intents", TARGET)
             .field("batch_size", BATCH_SIZE)
             .field("heavy_burst", HEAVY_BURST)
             .field("light_burst", LIGHT_BURST)
@@ -467,14 +448,7 @@ fn main() {
         );
     }
     report.gate("drr_jain", drr.jain, Op::Ge, MIN_JAIN);
-    if !smoke {
-        report.gate(
-            "drr_intents",
-            drr.intents as f64,
-            Op::Ge,
-            DEFAULT_TARGET as f64,
-        );
-    }
+    report.gate("drr_intents", drr.intents as f64, Op::Ge, TARGET as f64);
     println!(
         "\nFIFO serves proportionally to arrival rate — light tenants wait behind the\n\
          heavy tenant's backlog — while DRR holds every tenant at its max-min fair\n\

@@ -12,21 +12,18 @@
 //!    must be zero), the rule-oblivious optical-first baseline (its
 //!    violation count shows what admission would have rejected), and the
 //!    constraint-aware result refined by the bounded local search
-//!    ([`fn@refine`]), which reports the greedy-vs-refined optimality gap and
-//!    per-width solve times.
+//!    ([`fn@refine`]), which reports the greedy-vs-refined optimality gap.
 //! 2. **Deployment** — the same specs go through
 //!    [`Orchestrator::deploy_chains`] and through control-plane intents
 //!    with the constraint-aware placer wired in; every deployed chain is
 //!    re-checked against its rules and the recorded intent log must replay
 //!    to a bit-identical state view.
 //!
-//! `E13_CHAINS` overrides the per-width chain count (smoke runs use a
-//! smaller count and drop the dc-100k tier). Emits
-//! `results/BENCH_constrained_placement.json` with the DESIGN.md §16 gates.
+//! Emits `results/BENCH_constrained_placement.json` with the DESIGN.md §16
+//! gates.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use alvc_bench::{f2, print_table, Json, Op, Report, Scale};
 use alvc_core::construction::{AlConstruct, PaperGreedy};
@@ -38,8 +35,10 @@ use alvc_nfv::{
 use alvc_placement::{refine, ConstraintAwarePlacer, OpticalFirstPlacer, RefineConfig};
 use alvc_topology::{OpsId, ServerId, VmId};
 
-/// Chains generated per width per tier (override with `E13_CHAINS`).
-const DEFAULT_CHAINS: usize = 96;
+/// Chains generated per width per tier.
+const CHAINS: usize = 96;
+/// Chains pushed through the deployment phase.
+const DEPLOY_CHAINS: usize = 32;
 /// Chain widths (stage counts) swept per tier.
 const WIDTHS: [usize; 4] = [2, 4, 6, 8];
 /// VMs in the measured tenant slice.
@@ -109,14 +108,10 @@ fn with_endpoints(mut spec: ChainSpec, group: &[VmId]) -> ChainSpec {
 
 struct WidthRow {
     width: usize,
-    chains: usize,
     placed: usize,
     unsatisfiable: usize,
     rule_violations: usize,
     baseline_violations: usize,
-    solve_us_mean: f64,
-    solve_us_max: f64,
-    refine_us_mean: f64,
     greedy_cost_mean: f64,
     refined_cost_mean: f64,
     gap_mean: f64,
@@ -127,16 +122,13 @@ struct TierResult {
     name: &'static str,
     vms: usize,
     ops: usize,
-    build_ms: f64,
     rows: Vec<WidthRow>,
 }
 
 /// Phase 1 on one tier: place every generated chain three ways inside a
 /// fixed tenant slice and aggregate per width.
-fn run_tier(scale: &Scale, chains: usize) -> TierResult {
-    let built = Instant::now();
+fn run_tier(scale: &Scale) -> TierResult {
     let dc = scale.build(SEED);
-    let build_ms = built.elapsed().as_secs_f64() * 1e3;
     let group: Vec<VmId> = dc.vm_ids().take(GROUP_VMS).collect();
     let al = PaperGreedy::new()
         .construct(&dc, &group, &OpsAvailability::all())
@@ -165,19 +157,13 @@ fn run_tier(scale: &Scale, chains: usize) -> TierResult {
         let mut unsatisfiable = 0usize;
         let mut rule_violations = 0usize;
         let mut baseline_violations = 0usize;
-        let mut solve_us = Vec::with_capacity(chains);
-        let mut refine_us = Vec::with_capacity(chains);
-        let mut greedy_costs = Vec::with_capacity(chains);
-        let mut refined_costs = Vec::with_capacity(chains);
-        let mut gaps = Vec::with_capacity(chains);
-        for i in 0..chains {
+        let mut greedy_costs = Vec::with_capacity(CHAINS);
+        let mut refined_costs = Vec::with_capacity(CHAINS);
+        let mut gaps = Vec::with_capacity(CHAINS);
+        for i in 0..CHAINS {
             let spec = with_endpoints(chain_of(i, width), &group);
-            let t = Instant::now();
             let hosts = match placer.place(&ctx, &spec) {
-                Ok(h) => {
-                    solve_us.push(t.elapsed().as_secs_f64() * 1e6);
-                    h
-                }
+                Ok(h) => h,
                 Err(PlacementError::RuleUnsatisfiable { .. }) => {
                     unsatisfiable += 1;
                     continue;
@@ -193,9 +179,7 @@ fn run_tier(scale: &Scale, chains: usize) -> TierResult {
                     baseline_violations += 1;
                 }
             }
-            let t = Instant::now();
             let out = refine(&ctx, &spec, hosts, cfg);
-            refine_us.push(t.elapsed().as_secs_f64() * 1e6);
             greedy_costs.push(out.initial.cost());
             refined_costs.push(out.refined.cost());
             gaps.push(out.gap());
@@ -210,14 +194,10 @@ fn run_tier(scale: &Scale, chains: usize) -> TierResult {
         let max = |xs: &[f64]| xs.iter().copied().fold(0.0, f64::max);
         rows.push(WidthRow {
             width,
-            chains,
             placed,
             unsatisfiable,
             rule_violations,
             baseline_violations,
-            solve_us_mean: mean(&solve_us),
-            solve_us_max: max(&solve_us),
-            refine_us_mean: mean(&refine_us),
             greedy_cost_mean: mean(&greedy_costs),
             refined_cost_mean: mean(&refined_costs),
             gap_mean: mean(&gaps),
@@ -228,7 +208,6 @@ fn run_tier(scale: &Scale, chains: usize) -> TierResult {
         name: scale.name,
         vms: dc.vm_count(),
         ops: dc.ops_count(),
-        build_ms,
         rows,
     }
 }
@@ -248,7 +227,7 @@ struct DeployResult {
 /// Phase 2: batch deployment through [`Orchestrator::deploy_chains`] with
 /// the constraint-aware placer, rule re-check on every deployed chain, then
 /// the same specs through control-plane intents with a replay check.
-fn run_deployment(scale: &Scale, chains: usize) -> DeployResult {
+fn run_deployment(scale: &Scale) -> DeployResult {
     let dc = Arc::new(scale.build(SEED));
     let vms: Vec<VmId> = dc.vm_ids().collect();
     let tenants = 4usize;
@@ -258,7 +237,7 @@ fn run_deployment(scale: &Scale, chains: usize) -> DeployResult {
             vms[base..base + GROUP_VMS].to_vec()
         })
         .collect();
-    let requests: Vec<(String, Vec<VmId>, ChainSpec)> = (0..chains)
+    let requests: Vec<(String, Vec<VmId>, ChainSpec)> = (0..DEPLOY_CHAINS)
         .map(|i| {
             let t = i % tenants;
             let spec = with_endpoints(chain_of(i, WIDTHS[i % WIDTHS.len()]), &groups[t]);
@@ -338,14 +317,11 @@ fn row_json(tier: &str, r: &WidthRow) -> Json {
     Json::object()
         .field("tier", tier)
         .field("width", r.width)
-        .field("chains", r.chains)
+        .field("chains", CHAINS)
         .field("placed", r.placed)
         .field("unsatisfiable", r.unsatisfiable)
         .field("rule_violations", r.rule_violations)
         .field("baseline_violations", r.baseline_violations)
-        .field("solve_us_mean", r3(r.solve_us_mean))
-        .field("solve_us_max", r3(r.solve_us_max))
-        .field("refine_us_mean", r3(r.refine_us_mean))
         .field("greedy_cost_mean", r3(r.greedy_cost_mean))
         .field("refined_cost_mean", r3(r.refined_cost_mean))
         .field("gap_mean", (r.gap_mean * 1e6).round() / 1e6)
@@ -353,22 +329,13 @@ fn row_json(tier: &str, r: &WidthRow) -> Json {
 }
 
 fn main() {
-    let chains: usize = std::env::var("E13_CHAINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CHAINS);
-    let smoke = chains < DEFAULT_CHAINS;
     println!(
-        "E13: constraint-aware placement — {chains} DAG chains per width {WIDTHS:?}, \
+        "E13: constraint-aware placement — {CHAINS} DAG chains per width {WIDTHS:?}, \
          rules enforced at placement\n"
     );
 
-    let mut tiers: Vec<&Scale> = vec![&Scale::LADDER[1], &Scale::LADDER[2]];
-    if !smoke {
-        // The sharded multi-pod tier rides only in full runs.
-        tiers.push(&Scale::DC_LADDER[0]);
-    }
-    let tier_results: Vec<TierResult> = tiers.iter().map(|s| run_tier(s, chains)).collect();
+    let tiers = [&Scale::LADDER[1], &Scale::LADDER[2], &Scale::DC_LADDER[0]];
+    let tier_results: Vec<TierResult> = tiers.into_iter().map(run_tier).collect();
 
     let mut table = Vec::new();
     for t in &tier_results {
@@ -376,11 +343,9 @@ fn main() {
             table.push(vec![
                 t.name.to_string(),
                 r.width.to_string(),
-                format!("{}/{}", r.placed, r.chains),
+                format!("{}/{CHAINS}", r.placed),
                 r.rule_violations.to_string(),
                 r.baseline_violations.to_string(),
-                f2(r.solve_us_mean),
-                f2(r.refine_us_mean),
                 f2(r.greedy_cost_mean),
                 f2(r.refined_cost_mean),
                 format!("{:.4}", r.gap_mean),
@@ -394,8 +359,6 @@ fn main() {
             "placed",
             "violations",
             "baseline viol.",
-            "solve µs",
-            "refine µs",
             "greedy cost",
             "refined cost",
             "gap",
@@ -403,7 +366,7 @@ fn main() {
         &table,
     );
 
-    let deploy = run_deployment(&Scale::LADDER[1], chains.min(32));
+    let deploy = run_deployment(&Scale::LADDER[1]);
     println!(
         "\ndeployment ({}): {}/{} chains deployed ({} rejected), {} rule violations; \
          {} intents ({} completed, {} rejected), replay identical: {}",
@@ -418,10 +381,11 @@ fn main() {
         deploy.replay_identical
     );
 
-    let mut report = Report::new("constrained_placement", "e13_constrained_placement", smoke);
+    let mut report = Report::new("constrained_placement", "e13_constrained_placement");
     report.config(
         Json::object()
-            .field("chains_per_width", chains)
+            .field("chains_per_width", CHAINS)
+            .field("deploy_chains", DEPLOY_CHAINS)
             .field(
                 "widths",
                 Json::Array(WIDTHS.iter().map(|&w| Json::from(w)).collect()),
@@ -437,7 +401,6 @@ fn main() {
                 .field("tier", t.name)
                 .field("vms", t.vms)
                 .field("ops", t.ops)
-                .field("build_ms", (t.build_ms * 1e3).round() / 1e3)
         }),
     );
     report.rows(
@@ -459,8 +422,8 @@ fn main() {
             .field("intents_rejected", deploy.intents_rejected)],
     );
     // DESIGN.md §16: the placer admits no violating assignment, refinement
-    // never worsens the greedy, the solve-time trend has ≥ 2 widths, full
-    // runs reach dc-100k, and deployments stay rule-clean and replayable.
+    // never worsens the greedy, the gap trend has ≥ 2 widths, and
+    // deployments stay rule-clean and replayable.
     let rows = || tier_results.iter().flat_map(|t| t.rows.iter());
     let mut widths: Vec<usize> = rows().map(|r| r.width).collect();
     widths.sort_unstable();
@@ -483,10 +446,6 @@ fn main() {
     report.gate("min_gap", min_gap, Op::Ge, 0.0);
     report.gate("min_placed", min_placed as f64, Op::Ge, 1.0);
     report.gate("distinct_widths", widths.len() as f64, Op::Ge, 2.0);
-    if !smoke {
-        let dc_100k = tier_results.iter().filter(|t| t.name == "dc-100k").count();
-        report.gate("dc_100k_tiers", dc_100k as f64, Op::Ge, 1.0);
-    }
     report.gate(
         "deployment_rule_violations",
         deploy.rule_violations as f64,

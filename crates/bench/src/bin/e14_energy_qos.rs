@@ -19,15 +19,9 @@
 //! Acceptance (DESIGN.md §17): ≥ 3 distinct diurnal load levels, zero SLO
 //! violations anywhere, consolidation cutting draw ≥ 20% at the trough,
 //! and the consolidated plane's intent log replaying bit-identically.
-//! The second phase times one consolidation planning pass against the
-//! sharded dc-100k tier under the scale-smoke budget.
-//!
-//! Knobs: `E14_PHASES` (comma list of `diurnal,scale`; smoke runs drop
-//! `scale`), `E14_EPOCHS` (epochs per diurnal phase),
-//! `E14_SCALE_BUDGET_MS` (dc-100k planning budget).
+//! What planning costs is `benchmark/`'s `energy.plan_us` (`ops-day`).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use alvc_affinity::{CollectorConfig, TrafficCollector};
 use alvc_bench::{f2, pct, print_table, Json, Op, Report, Scale};
@@ -52,20 +46,11 @@ const EPOCH_NS: u64 = 10_000_000_000;
 const DAYS: u64 = 2;
 /// Per-pair traffic weight at peak load (scaled by the diurnal level).
 const PEAK_PAIR_WEIGHT: f64 = 1_000_000.0;
-/// Epochs per diurnal phase (override with `E14_EPOCHS`).
-const DEFAULT_EPOCHS: u64 = 4;
+/// Epochs per diurnal phase.
+const EPOCHS_PER_PHASE: u64 = 4;
 /// The trough's required draw reduction under consolidation.
 const MIN_TROUGH_SAVING: f64 = 0.20;
-/// dc-100k planning budget in ms (override with `E14_SCALE_BUDGET_MS`).
-const DEFAULT_SCALE_BUDGET_MS: f64 = 1000.0;
 const SERVICES: usize = 3;
-
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// A fig. 5 chain over one service's VMs with the QoS class attached.
 fn qos_spec(service_index: usize, vms: &[VmId], slo_us: f64) -> ChainSpec {
@@ -187,7 +172,7 @@ struct DiurnalResult {
     ops: usize,
 }
 
-fn run_diurnal(epochs_per_phase: u64) -> DiurnalResult {
+fn run_diurnal() -> DiurnalResult {
     let scale = Scale {
         name: "e14",
         racks: 8,
@@ -212,9 +197,9 @@ fn run_diurnal(epochs_per_phase: u64) -> DiurnalResult {
 
     // The flash crowd lands on the last epoch of day two's trough: the
     // safety valve must re-power a consolidated fabric mid-trough.
-    let cycle = 4 * epochs_per_phase;
-    let flash_epoch = cycle + epochs_per_phase - 1;
-    let day = DiurnalLoad::standard_day(epochs_per_phase).with_flash_crowd(flash_epoch, 1, 1.0);
+    let cycle = 4 * EPOCHS_PER_PHASE;
+    let flash_epoch = cycle + EPOCHS_PER_PHASE - 1;
+    let day = DiurnalLoad::standard_day(EPOCHS_PER_PHASE).with_flash_crowd(flash_epoch, 1, 1.0);
     let epochs = DAYS * cycle;
 
     let mut collector = TrafficCollector::new(CollectorConfig {
@@ -339,8 +324,8 @@ struct ParetoPoint {
 /// Day-two epochs aggregated per offered load level: the energy-vs-p99
 /// Pareto front (always-on pays flat watts at every level; consolidation
 /// trades nothing on p99 because powered-off elements never carry flows).
-fn pareto(rows: &[EpochRow], epochs_per_phase: u64) -> Vec<ParetoPoint> {
-    let day2 = 4 * epochs_per_phase;
+fn pareto(rows: &[EpochRow]) -> Vec<ParetoPoint> {
+    let day2 = 4 * EPOCHS_PER_PHASE;
     let mut levels: Vec<f64> = rows
         .iter()
         .filter(|r| r.epoch >= day2)
@@ -373,93 +358,12 @@ fn pareto(rows: &[EpochRow], epochs_per_phase: u64) -> Vec<ParetoPoint> {
         .collect()
 }
 
-struct ScaleResult {
-    tier: &'static str,
-    vms: usize,
-    ops: usize,
-    build_ms: f64,
-    plan_ms: f64,
-    budget_ms: f64,
-    power_downs: usize,
-    plans_identical: bool,
-}
-
-/// Phase 2: one consolidation planning pass against the sharded dc-100k
-/// tier, timed against the scale-smoke budget and planned twice for
-/// bit-identical determinism.
-fn run_scale(budget_ms: f64) -> ScaleResult {
-    let scale = &Scale::DC_LADDER[0];
-    let built = Instant::now();
-    let dc = scale.build_with_services(SEED, 4);
-    let build_ms = built.elapsed().as_secs_f64() * 1e3;
-
-    let mut orch = Orchestrator::new();
-    for (i, &service) in ServiceType::BUILTIN[..4].iter().enumerate() {
-        let vms: Vec<VmId> = dc.vms_of_service(service).into_iter().take(64).collect();
-        let spec = qos_spec(i, &vms, 1e9);
-        orch.deploy_chain(
-            &dc,
-            format!("t{i}"),
-            vms,
-            spec,
-            &PaperGreedy::new(),
-            &ElectronicOnlyPlacer::new(),
-        )
-        .expect("dc-100k chain deploys");
-    }
-
-    let mut collector = TrafficCollector::new(CollectorConfig {
-        capacity: 1024,
-        half_life_s: EPOCH_S / 2.0,
-    });
-    let vms: Vec<VmId> = dc.vm_ids().take(2).collect();
-    collector.observe_pairs([(vms[0], vms[1], 1_000_000)], EPOCH_NS);
-    let peak = collector.snapshot();
-    collector.observe_pairs([(vms[0], vms[1], 0)], 20 * EPOCH_NS);
-    let ebb = collector.snapshot();
-
-    let plan_once = || {
-        let mut planner = ConsolidationPlanner::new(ConsolidationConfig::default());
-        planner.plan(&dc, &orch, &peak);
-        let t = Instant::now();
-        let plan = planner.plan(&dc, &orch, &ebb);
-        (plan, t.elapsed().as_secs_f64() * 1e3)
-    };
-    let (plan, plan_ms) = plan_once();
-    let (replanned, _) = plan_once();
-
-    ScaleResult {
-        tier: scale.name,
-        vms: dc.vm_count(),
-        ops: dc.ops_count(),
-        build_ms,
-        plan_ms,
-        budget_ms,
-        power_downs: plan.power_downs.len(),
-        plans_identical: plan == replanned,
-    }
-}
-
 fn main() {
-    let phases: Vec<String> = env_or("E14_PHASES", "diurnal,scale".to_string())
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    let epochs_per_phase: u64 = env_or("E14_EPOCHS", DEFAULT_EPOCHS);
-    let budget_ms: f64 = env_or("E14_SCALE_BUDGET_MS", DEFAULT_SCALE_BUDGET_MS);
-    let smoke = epochs_per_phase < DEFAULT_EPOCHS || !phases.iter().any(|p| p == "scale");
     println!(
-        "E14: energy- and QoS-aware consolidation — {DAYS} diurnal days × {} epochs/phase, \
-         phases {phases:?}\n",
-        epochs_per_phase
+        "E14: energy- and QoS-aware consolidation — {DAYS} diurnal days × \
+         {EPOCHS_PER_PHASE} epochs/phase\n"
     );
-
-    assert!(
-        phases.iter().any(|p| p == "diurnal"),
-        "the diurnal phase is the experiment; E14_PHASES must include it"
-    );
-    let d = run_diurnal(epochs_per_phase);
+    let d = run_diurnal();
 
     let mut table = Vec::new();
     for r in &d.rows {
@@ -483,7 +387,7 @@ fn main() {
         &table,
     );
 
-    let points = pareto(&d.rows, epochs_per_phase);
+    let points = pareto(&d.rows);
     let trough_points: Vec<&ParetoPoint> = points
         .iter()
         .filter(|p| p.level == points[0].level)
@@ -561,18 +465,14 @@ fn main() {
             .field("p99_consolidated_us", p.p99_consolidated_us)
             .field("saving_fraction", p.saving)
     };
-    let mut report = Report::new("energy_qos", "e14_energy_qos", smoke);
+    let mut report = Report::new("energy_qos", "e14_energy_qos");
     report.config(
         Json::object()
-            .field(
-                "phases_run",
-                Json::Array(phases.iter().map(|p| Json::from(p.as_str())).collect()),
-            )
             .field("vms", d.vms)
             .field("ops", d.ops)
             .field("chains", SERVICES)
             .field("days", DAYS as f64)
-            .field("epochs_per_phase", epochs_per_phase as f64)
+            .field("epochs_per_phase", EPOCHS_PER_PHASE)
             .field("epoch_s", EPOCH_S)
             .field("slo_us", d.slo_us)
             .field("peak_pair_weight", PEAK_PAIR_WEIGHT)
@@ -584,8 +484,7 @@ fn main() {
             .field(
                 "keep_free_ops",
                 ConsolidationConfig::default().keep_free_ops,
-            )
-            .field("scale_budget_ms", budget_ms),
+            ),
     );
     report.rows("epochs", d.rows.iter().map(epoch_json));
     report.rows("pareto", points.iter().map(point_json));
@@ -648,42 +547,6 @@ fn main() {
         Op::Eq,
         1.0,
     );
-
-    if phases.iter().any(|p| p == "scale") {
-        let s = run_scale(budget_ms);
-        println!(
-            "\nscale ({}): {} VMs / {} OPSs built in {:.0} ms; consolidation planned in \
-             {:.2} ms (budget {:.0} ms), {} power-downs, plans identical: {}",
-            s.tier,
-            s.vms,
-            s.ops,
-            s.build_ms,
-            s.plan_ms,
-            s.budget_ms,
-            s.power_downs,
-            s.plans_identical,
-        );
-        report.rows(
-            "scale",
-            [Json::object()
-                .field("tier", s.tier)
-                .field("vms", s.vms)
-                .field("ops", s.ops)
-                .field("build_ms", s.build_ms)
-                .field("plan_ms", s.plan_ms)
-                .field("power_downs", s.power_downs)],
-        );
-        // An idle dc-100k offers power-down candidates, planned inside the
-        // budget and identically twice.
-        report.gate("scale_plan_ms", s.plan_ms, Op::Lt, s.budget_ms);
-        report.gate(
-            "scale_plans_identical",
-            f64::from(s.plans_identical),
-            Op::Eq,
-            1.0,
-        );
-        report.gate("scale_power_downs", s.power_downs as f64, Op::Ge, 1.0);
-    }
 
     println!(
         "\nThe consolidated plane pays the same p99 as always-on at every load level —\n\

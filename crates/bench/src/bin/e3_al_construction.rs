@@ -4,9 +4,7 @@
 //! baseline of the authors' prior work \[15\], the non-adaptive
 //! static-degree ablation, and the exact branch-and-bound optimum, on
 //! per-service clusters. Reported: AL size (the quantity the paper
-//! minimizes), approximation ratio to the optimum, and construction time.
-
-use std::time::Instant;
+//! minimizes) and the approximation ratio to the optimum.
 
 use alvc_bench::{deploy_fig5_chains, f2, print_table, Json, Op, Report, Scale};
 use alvc_core::construction::{
@@ -53,7 +51,6 @@ fn main() {
         let mut sizes = Vec::new();
         let mut ratios = Vec::new();
         let mut valid = 0usize;
-        let start = Instant::now();
         for (c, &opt) in clusters.iter().zip(&exact_sizes) {
             let al = ctor
                 .construct(&dc, &c.vms, &OpsAvailability::all())
@@ -64,7 +61,6 @@ fn main() {
             sizes.push(al.ops_count());
             ratios.push(al.ops_count() as f64 / opt as f64);
         }
-        let elapsed_us = start.elapsed().as_micros() as f64 / clusters.len() as f64;
         let mean_size = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         let max_size = *sizes.iter().max().unwrap();
         let mean_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
@@ -84,7 +80,6 @@ fn main() {
             max_size.to_string(),
             f2(mean_ratio),
             format!("{valid}/{}", clusters.len()),
-            f2(elapsed_us),
         ]);
     }
     print_table(
@@ -94,7 +89,6 @@ fn main() {
             "max |AL|",
             "ratio vs opt",
             "valid",
-            "mean µs/cluster",
         ],
         &rows,
     );
@@ -175,7 +169,7 @@ fn main() {
     let chains_deployed = deploy_fig5_chains(23);
     println!("\norchestration pass: deployed {chains_deployed}/3 Fig. 5 chains");
 
-    let mut report = Report::new("al_construction", "e3_al_construction", false);
+    let mut report = Report::new("al_construction", "e3_al_construction");
     report.config(
         Json::object()
             .field(

@@ -33,126 +33,80 @@ const RESULT_SCHEMA: &str = include_str!("../../../../schemas/bench_result.schem
 const TELEMETRY_SCHEMA: &str = include_str!("../../../../schemas/telemetry_snapshot.schema.json");
 const TRACE_SCHEMA: &str = include_str!("../../../../schemas/trace_dump.schema.json");
 
-/// When a required gate must be present in a result file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum When {
-    /// In every run.
-    Always,
-    /// In runs at the documented scale (`smoke: false`); smoke runs may
-    /// skip the phase that produces it.
-    FullRun,
-    /// Only when the run set the budget the gate compares against.
-    IfEmitted,
-}
-
-/// One acceptance invariant a bench must carry. Whenever the gate is
-/// present its operator must match, and so must its bound — except for
-/// `bound: None`, a wall-clock budget the run sets for its own host
-/// (`E8_SCALE_BUDGET_MS`, `E14_SCALE_BUDGET_MS`) and records in `config`.
-struct Required {
-    gate: &'static str,
-    op: Op,
-    bound: Option<f64>,
-    when: When,
-}
-
-const fn always(gate: &'static str, op: Op, bound: f64) -> Required {
-    Required {
-        gate,
-        op,
-        bound: Some(bound),
-        when: When::Always,
-    }
-}
-
-const fn full_run(gate: &'static str, op: Op, bound: Option<f64>) -> Required {
-    Required {
-        gate,
-        op,
-        bound,
-        when: When::FullRun,
-    }
-}
+/// One acceptance invariant a bench must carry, `(gate, op, bound)`: the
+/// gate must be present with exactly this operator and bound.
+type Required = (&'static str, Op, f64);
 
 /// Every bench and the gates it must carry (DESIGN.md §19 has the same
 /// table with the experiment each row comes from).
 const REQUIRED: &[(&str, &[Required])] = &[
-    ("al_construction", &[always("invalid_layers", Op::Eq, 0.0)]),
+    ("al_construction", &[("invalid_layers", Op::Eq, 0.0)]),
     (
         "scalability",
         &[
-            always("max_ms_per_cluster", Op::Lt, 1000.0),
-            always("per_shard_len_mismatches", Op::Eq, 0.0),
-            always("peak_shard_bytes_mismatches", Op::Eq, 0.0),
-            always("all_fallback_tiers", Op::Eq, 0.0),
-            always("failed_clusters", Op::Eq, 0.0),
-            always("label_clones", Op::Eq, 0.0),
-            Required {
-                gate: "dc100k_construct_ms",
-                op: Op::Le,
-                bound: None,
-                when: When::IfEmitted,
-            },
+            ("greedy_not_smaller_scales", Op::Eq, 0.0),
+            ("per_shard_len_mismatches", Op::Eq, 0.0),
+            ("peak_shard_bytes_mismatches", Op::Eq, 0.0),
+            ("all_fallback_tiers", Op::Eq, 0.0),
+            ("failed_clusters", Op::Eq, 0.0),
+            ("label_clones", Op::Eq, 0.0),
+            ("dc1m_augment_visits", Op::Le, 8_000_000.0),
         ],
     ),
     (
-        "trace_overhead",
+        "causal_tracing",
         &[
-            always("trace_coverage", Op::Ge, 0.99),
-            always("induced_p99_breaches", Op::Ge, 1.0),
-            always("dump_breach_records", Op::Ge, 1.0),
+            ("trace_coverage", Op::Ge, 0.99),
+            ("induced_p99_breaches", Op::Ge, 1.0),
+            ("dump_breach_records", Op::Ge, 1.0),
         ],
     ),
     (
         "reclustering",
         &[
-            always("stationary_plans_approved", Op::Eq, 0.0),
-            always("stationary_moves_applied", Op::Eq, 0.0),
-            always("adaptive_gain_over_static", Op::Ge, 0.15),
-            always("replay_identical", Op::Eq, 1.0),
+            ("stationary_plans_approved", Op::Eq, 0.0),
+            ("stationary_moves_applied", Op::Eq, 0.0),
+            ("adaptive_gain_over_static", Op::Ge, 0.15),
+            ("replay_identical", Op::Eq, 1.0),
         ],
     ),
     (
         "online_control",
         &[
-            always("fifo_replay_identical", Op::Eq, 1.0),
-            always("drr_replay_identical", Op::Eq, 1.0),
-            always("fifo_peak_outcome_map", Op::Le, 65_536.0),
-            always("drr_peak_outcome_map", Op::Le, 65_536.0),
+            ("fifo_replay_identical", Op::Eq, 1.0),
+            ("drr_replay_identical", Op::Eq, 1.0),
+            ("fifo_peak_outcome_map", Op::Le, 65_536.0),
+            ("drr_peak_outcome_map", Op::Le, 65_536.0),
             // peak_trace_map − peak_queue_depth against one batch in flight.
-            always("fifo_trace_map_excess", Op::Le, 64.0),
-            always("drr_trace_map_excess", Op::Le, 64.0),
-            always("drr_jain", Op::Ge, 0.9),
-            full_run("drr_intents", Op::Ge, Some(1_000_000.0)),
+            ("fifo_trace_map_excess", Op::Le, 64.0),
+            ("drr_trace_map_excess", Op::Le, 64.0),
+            ("drr_jain", Op::Ge, 0.9),
+            ("drr_intents", Op::Ge, 1_000_000.0),
         ],
     ),
     (
         "constrained_placement",
         &[
-            always("rule_violations", Op::Eq, 0.0),
-            always("max_refined_minus_greedy_cost", Op::Le, 1e-3),
-            always("min_gap", Op::Ge, 0.0),
-            always("min_placed", Op::Ge, 1.0),
-            always("distinct_widths", Op::Ge, 2.0),
-            full_run("dc_100k_tiers", Op::Ge, Some(1.0)),
-            always("deployment_rule_violations", Op::Eq, 0.0),
-            always("deployed_chains", Op::Ge, 1.0),
-            always("deployment_replay_identical", Op::Eq, 1.0),
+            ("rule_violations", Op::Eq, 0.0),
+            ("max_refined_minus_greedy_cost", Op::Le, 1e-3),
+            ("min_gap", Op::Ge, 0.0),
+            ("min_placed", Op::Ge, 1.0),
+            ("distinct_widths", Op::Ge, 2.0),
+            ("deployment_rule_violations", Op::Eq, 0.0),
+            ("deployed_chains", Op::Ge, 1.0),
+            ("deployment_replay_identical", Op::Eq, 1.0),
         ],
     ),
     (
         "energy_qos",
         &[
-            always("slo_violations", Op::Eq, 0.0),
-            always("epochs_with_slo_violations", Op::Eq, 0.0),
-            always("pareto_levels", Op::Ge, 3.0),
-            always("max_consolidated_minus_always_on_w", Op::Le, 1e-6),
-            always("trough_saving_fraction", Op::Ge, 0.20),
-            always("energy_saved_j", Op::Gt, 0.0),
-            always("replay_identical", Op::Eq, 1.0),
-            full_run("scale_plan_ms", Op::Lt, None),
-            full_run("scale_plans_identical", Op::Eq, Some(1.0)),
-            full_run("scale_power_downs", Op::Ge, Some(1.0)),
+            ("slo_violations", Op::Eq, 0.0),
+            ("epochs_with_slo_violations", Op::Eq, 0.0),
+            ("pareto_levels", Op::Ge, 3.0),
+            ("max_consolidated_minus_always_on_w", Op::Le, 1e-6),
+            ("trough_saving_fraction", Op::Ge, 0.20),
+            ("energy_saved_j", Op::Gt, 0.0),
+            ("replay_identical", Op::Eq, 1.0),
         ],
     ),
 ];
@@ -164,26 +118,16 @@ const REQUIRED: &[(&str, &[Required])] = &[
 /// or any gauge). Every bench deploys chains, so the selector /
 /// construction / orchestrator trio always applies; e8 additionally proves
 /// the label-interning counter exists (its `label_clones` gate holds it at
-/// zero) plus, when sharded DC tiers ran, the pod-sharded construction
-/// probes; e11 must light up all three affinity subsystems and e14 the
-/// energy plane.
-fn required_families(bench: &str, doc: &Json) -> Vec<(&'static str, bool)> {
+/// zero) plus the pod-sharded construction probes; e11 must light up all
+/// three affinity subsystems and e14 the energy plane.
+fn required_families(bench: &str) -> Vec<(&'static str, bool)> {
     let mut families = vec![
         ("alvc_graph.selector.", true),
         ("alvc_core.construction.", true),
         ("alvc_nfv.orchestrator.", true),
     ];
     match bench {
-        "scalability" => {
-            families.push(("alvc_core.label.", false));
-            let ran_sharded = doc
-                .get("rows")
-                .and_then(Json::as_array)
-                .is_some_and(|rows| rows.iter().any(|r| str_field(r, "table") == "sharded"));
-            if ran_sharded {
-                families.push(("alvc_core.shard.", true));
-            }
-        }
+        "scalability" => families.extend([("alvc_core.label.", false), ("alvc_core.shard.", true)]),
         "reclustering" => families.extend([
             ("alvc_affinity.collector.", true),
             ("alvc_affinity.clusterer.", true),
@@ -209,14 +153,14 @@ fn num_field(value: &Json, key: &str) -> f64 {
 
 /// Checks that every required probe family is present and, where
 /// demanded, shows nonzero activity in one of the three metric kinds.
-fn check_probe_coverage(bench: &str, doc: &Json, snapshot: &Json) -> Result<(), String> {
+fn check_probe_coverage(bench: &str, snapshot: &Json) -> Result<(), String> {
     let section = |name: &str| snapshot.get(name).and_then(Json::as_array).unwrap_or(&[]);
     let (counters, gauges, histograms) = (
         section("counters"),
         section("gauges"),
         section("histograms"),
     );
-    for (prefix, nonzero) in required_families(bench, doc) {
+    for (prefix, nonzero) in required_families(bench) {
         let named = |entry: &Json| str_field(entry, "name").starts_with(prefix);
         let seen =
             counters.iter().any(named) || gauges.iter().any(named) || histograms.iter().any(named);
@@ -245,7 +189,6 @@ fn parse_schema(text: &str) -> Json {
 fn check_result(doc: &Json) -> Result<String, String> {
     check_schema(doc, &parse_schema(RESULT_SCHEMA), "$")?;
     let bench = str_field(doc, "bench");
-    let smoke = doc.get("smoke").and_then(Json::as_bool) == Some(true);
     let (_, required) = REQUIRED
         .iter()
         .find(|(name, _)| *name == bench)
@@ -271,30 +214,20 @@ fn check_result(doc: &Json) -> Result<String, String> {
             return Err(format!("gate {name} appears twice"));
         }
     }
-    for req in *required {
-        let needed = match req.when {
-            When::Always => true,
-            When::FullRun => !smoke,
-            When::IfEmitted => false,
+    for &(gate, want_op, want_bound) in *required {
+        let Some(&(op, bound)) = gates.get(gate) else {
+            return Err(format!("{bench}: required gate {gate} is missing"));
         };
-        let Some(&(op, bound)) = gates.get(req.gate) else {
-            if needed {
-                return Err(format!("{bench}: required gate {} is missing", req.gate));
-            }
-            continue;
-        };
-        if op != req.op {
+        if op != want_op {
             return Err(format!(
-                "gate {}: operator {} where {bench} requires {}",
-                req.gate,
+                "gate {gate}: operator {} where {bench} requires {}",
                 op.symbol(),
-                req.op.symbol()
+                want_op.symbol()
             ));
         }
-        if let Some(want) = req.bound.filter(|&want| want != bound) {
+        if bound != want_bound {
             return Err(format!(
-                "gate {}: bound {bound} where {bench} requires {want}",
-                req.gate
+                "gate {gate}: bound {bound} where {bench} requires {want_bound}"
             ));
         }
     }
@@ -302,7 +235,7 @@ fn check_result(doc: &Json) -> Result<String, String> {
     let snapshot = doc.get("telemetry").ok_or("no `telemetry` section")?;
     check_schema(snapshot, &parse_schema(TELEMETRY_SCHEMA), "telemetry")?;
     let probes = if snapshot.get("enabled").and_then(Json::as_bool) == Some(true) {
-        check_probe_coverage(bench, doc, snapshot)?;
+        check_probe_coverage(bench, snapshot)?;
         "all probe families covered"
     } else {
         "probes compiled out"
@@ -430,21 +363,20 @@ mod tests {
     /// A probes-off envelope for `bench` carrying every gate of its table
     /// except `without`, each sitting exactly on its bound (strict gates
     /// one step inside); `doctored` replaces the gate of the same name.
-    fn envelope(bench: &str, smoke: bool, without: &str, doctored: Option<Json>) -> Json {
+    fn envelope(bench: &str, without: &str, doctored: Option<Json>) -> Json {
         let (_, required) = REQUIRED.iter().find(|(name, _)| *name == bench).unwrap();
         let gates: Vec<Json> = required
             .iter()
-            .filter(|req| req.gate != without)
-            .map(|req| {
-                let bound = req.bound.unwrap_or(400.0);
-                let observed = match req.op {
+            .filter(|&&(gate, _, _)| gate != without)
+            .map(|&(gate, op, bound)| {
+                let observed = match op {
                     Op::Lt => bound - 1.0,
                     Op::Gt => bound + 1.0,
                     _ => bound,
                 };
                 match &doctored {
-                    Some(gate) if str_field(gate, "name") == req.gate => gate.clone(),
-                    _ => gate_json(req.gate, observed, req.op, bound),
+                    Some(doctored) if str_field(doctored, "name") == gate => doctored.clone(),
+                    _ => gate_json(gate, observed, op, bound),
                 }
             })
             .collect();
@@ -452,7 +384,6 @@ mod tests {
         Json::object()
             .field("bench", bench)
             .field("experiment", "unit-test")
-            .field("smoke", smoke)
             .field("config", Json::object())
             .field("rows", empty())
             .field("gates", gates)
@@ -466,80 +397,53 @@ mod tests {
             )
     }
 
-    fn every_required() -> impl Iterator<Item = (&'static str, &'static Required)> {
-        REQUIRED
-            .iter()
-            .flat_map(|(bench, reqs)| reqs.iter().map(move |req| (*bench, req)))
+    fn every_required() -> impl Iterator<Item = (&'static str, &'static str, Op, f64)> {
+        REQUIRED.iter().flat_map(|&(bench, reqs)| {
+            reqs.iter()
+                .map(move |&(gate, op, bound)| (bench, gate, op, bound))
+        })
     }
 
     #[test]
-    fn undoctored_envelopes_pass_full_and_smoke() {
+    fn undoctored_envelopes_pass() {
         for (bench, _) in REQUIRED {
-            for smoke in [false, true] {
-                check_result(&envelope(bench, smoke, "", None)).unwrap_or_else(|e| panic!("{e}"));
-            }
+            check_result(&envelope(bench, "", None)).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
     #[test]
     fn a_missing_required_gate_fails() {
-        for (bench, req) in every_required() {
-            let full = check_result(&envelope(bench, false, req.gate, None));
-            let smoke = check_result(&envelope(bench, true, req.gate, None));
-            match req.when {
-                When::Always => {
-                    for result in [full, smoke] {
-                        let err = result.expect_err(req.gate);
-                        assert!(err.contains(req.gate) && err.contains("missing"), "{err}");
-                    }
-                }
-                When::FullRun => {
-                    let err = full.expect_err(req.gate);
-                    assert!(err.contains(req.gate) && err.contains("missing"), "{err}");
-                    smoke.unwrap_or_else(|e| panic!("{}: {e}", req.gate));
-                }
-                When::IfEmitted => {
-                    full.unwrap_or_else(|e| panic!("{}: {e}", req.gate));
-                }
-            }
+        for (bench, gate, _, _) in every_required() {
+            let err = check_result(&envelope(bench, gate, None)).expect_err(gate);
+            assert!(err.contains(gate) && err.contains("missing"), "{err}");
         }
     }
 
     #[test]
     fn a_violated_gate_fails_whatever_its_pass_field_says() {
-        for (bench, req) in every_required() {
-            let bound = req.bound.unwrap_or(400.0);
-            let gate = gate_json(req.gate, violating(req.op, bound), req.op, bound);
-            let err = check_result(&envelope(bench, false, "", Some(gate))).expect_err(req.gate);
-            assert!(err.contains(req.gate) && err.contains("failed"), "{err}");
+        for (bench, gate, op, bound) in every_required() {
+            let doctored = gate_json(gate, violating(op, bound), op, bound);
+            let err = check_result(&envelope(bench, "", Some(doctored))).expect_err(gate);
+            assert!(err.contains(gate) && err.contains("failed"), "{err}");
         }
     }
 
     #[test]
     fn a_loosened_bound_or_swapped_operator_fails() {
-        for (bench, req) in every_required() {
-            if let Some(bound) = req.bound {
-                let gate = gate_json(
-                    req.gate,
-                    violating(req.op, bound),
-                    req.op,
-                    loosened(req.op, bound),
-                );
-                let err =
-                    check_result(&envelope(bench, false, "", Some(gate))).expect_err(req.gate);
-                assert!(err.contains(req.gate) && err.contains("bound"), "{err}");
-            }
+        for (bench, gate, op, bound) in every_required() {
+            let doctored = gate_json(gate, violating(op, bound), op, loosened(op, bound));
+            let err = check_result(&envelope(bench, "", Some(doctored))).expect_err(gate);
+            assert!(err.contains(gate) && err.contains("bound"), "{err}");
             // `>=` for `<`/`<=`/`==` and `<=` for `>`/`>=`, observed on the
             // bound so the swapped gate itself holds.
-            let bound = req.bound.unwrap_or(400.0);
-            let swapped = if matches!(req.op, Op::Ge | Op::Gt) {
+            let swapped = if matches!(op, Op::Ge | Op::Gt) {
                 Op::Le
             } else {
                 Op::Ge
             };
-            let gate = gate_json(req.gate, bound, swapped, bound);
-            let err = check_result(&envelope(bench, false, "", Some(gate))).expect_err(req.gate);
-            assert!(err.contains(req.gate) && err.contains("operator"), "{err}");
+            let doctored = gate_json(gate, bound, swapped, bound);
+            let err = check_result(&envelope(bench, "", Some(doctored))).expect_err(gate);
+            assert!(err.contains(gate) && err.contains("operator"), "{err}");
         }
     }
 
@@ -552,7 +456,7 @@ mod tests {
         let peak_trace_map = peak_queue_depth + 65.0;
         let gate = |excess: f64| {
             let doctored = gate_json("drr_trace_map_excess", excess, Op::Le, batch_size);
-            check_result(&envelope("online_control", false, "", Some(doctored)))
+            check_result(&envelope("online_control", "", Some(doctored)))
         };
         let err = gate(peak_trace_map - peak_queue_depth).unwrap_err();
         assert!(
@@ -570,10 +474,10 @@ mod tests {
             .field("op", "==")
             .field("bound", 0.0)
             .field("pass", false);
-        let err = check_result(&envelope("scalability", true, "", Some(honest_failure)));
+        let err = check_result(&envelope("scalability", "", Some(honest_failure)));
         assert!(err.unwrap_err().contains("pass: false"));
 
-        let mut doc = envelope("scalability", true, "", None);
+        let mut doc = envelope("scalability", "", None);
         if let Json::Object(fields) = &mut doc {
             for (key, value) in fields.iter_mut() {
                 if let (true, Json::Array(gates)) = (key.as_str() == "gates", value) {
@@ -583,7 +487,7 @@ mod tests {
         }
         assert!(check_result(&doc).unwrap_err().contains("twice"));
 
-        let mut doc = envelope("scalability", true, "", None);
+        let mut doc = envelope("scalability", "", None);
         if let Json::Object(fields) = &mut doc {
             fields[0].1 = Json::from("scalability_v2");
         }
@@ -595,7 +499,7 @@ mod tests {
             .field("op", "~=")
             .field("bound", 0.0)
             .field("pass", true);
-        let err = check_result(&envelope("scalability", true, "", Some(gate)));
+        let err = check_result(&envelope("scalability", "", Some(gate)));
         assert!(err.unwrap_err().contains("unknown operator"));
     }
 
@@ -608,7 +512,7 @@ mod tests {
                 .field("value", value)
         };
         let with_counters = |counters: Vec<Json>| {
-            let mut doc = envelope("reclustering", false, "", None);
+            let mut doc = envelope("reclustering", "", None);
             if let Json::Object(fields) = &mut doc {
                 fields.last_mut().unwrap().1 = Json::object()
                     .field("enabled", true)

@@ -95,7 +95,7 @@ impl Scale {
     /// The hyperscale data-center ladder for the sharded construction
     /// path: the pod-10k shape replicated across pods (pod-local cores
     /// joined by a boundary ring), reaching ~100k and ~1M VMs. Used by E8's
-    /// sharded section and the CI scale-smoke job.
+    /// sharded section, E12 and E13.
     pub const DC_LADDER: [Scale; 2] = [
         Scale {
             name: "dc-100k",
@@ -285,18 +285,16 @@ pub use telemetry_export::telemetry_json;
 
 /// Writes `content` to `results/<filename>` at the repository root
 /// (resolved relative to this crate's manifest, so it works from any
-/// working directory) and returns the path written.
+/// working directory).
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written — experiment binaries want the
 /// failure loud, not silent.
-pub fn write_results(filename: &str, content: &str) -> std::path::PathBuf {
+pub fn write_results(filename: &str, content: &str) {
     let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
     std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(filename);
-    std::fs::write(&path, content).expect("write results file");
-    path
+    std::fs::write(dir.join(filename), content).expect("write results file");
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! (DESIGN.md §19), and the gates that decide a run's exit status.
 //!
 //! ```json
-//! {"bench": "...", "experiment": "...", "smoke": false, "config": {...},
+//! {"bench": "...", "experiment": "...", "config": {...},
 //!  "rows": [{"table": "...", ...}],
 //!  "gates": [{"name": "...", "observed": 0, "op": "==", "bound": 0, "pass": true}],
 //!  "telemetry": {...}}
@@ -68,7 +68,6 @@ impl Op {
 pub struct Report {
     bench: &'static str,
     experiment: &'static str,
-    smoke: bool,
     config: Json,
     rows: Vec<Json>,
     gates: Vec<Gate>,
@@ -90,19 +89,18 @@ impl Gate {
 
 impl Report {
     /// A report for `results/BENCH_<bench>.json`, produced by the bin
-    /// `experiment`; `smoke` marks a run shrunk below its documented scale.
-    pub fn new(bench: &'static str, experiment: &'static str, smoke: bool) -> Report {
+    /// `experiment`.
+    pub fn new(bench: &'static str, experiment: &'static str) -> Report {
         Report {
             bench,
             experiment,
-            smoke,
             config: Json::object(),
             rows: Vec::new(),
             gates: Vec::new(),
         }
     }
 
-    /// Sets the run's configuration object (scale, seeds, knobs, budgets).
+    /// Sets the run's configuration object (scale, seeds, sizes).
     pub fn config(&mut self, config: Json) {
         self.config = config;
     }
@@ -145,7 +143,6 @@ impl Report {
         Json::object()
             .field("bench", self.bench)
             .field("experiment", self.experiment)
-            .field("smoke", self.smoke)
             .field("config", self.config.clone())
             .field("rows", self.rows.clone())
             .field("gates", gates)
@@ -155,8 +152,8 @@ impl Report {
     /// Writes `results/<filename>`, prints the gate verdicts, and exits
     /// non-zero if any gate failed.
     pub fn finish(self, filename: &str) {
-        let path = write_results(filename, &self.to_json().pretty());
-        println!("\nwrote {}", path.display());
+        write_results(filename, &self.to_json().pretty());
+        println!("\nwrote results/{filename}");
         if self.gates.is_empty() {
             return;
         }
@@ -202,13 +199,13 @@ mod tests {
 
     #[test]
     fn envelope_carries_tagged_rows_and_evaluated_gates() {
-        let mut report = Report::new("scalability", "e8_scalability", true);
+        let mut report = Report::new("scalability", "e8_scalability");
         report.config(Json::object().field("seed", 19usize));
-        report.rows("flat", [Json::object().field("ms_per_cluster", 0.5)]);
-        report.gate("max_ms_per_cluster", 0.5, Op::Lt, 1000.0);
+        report.rows("flat", [Json::object().field("mean_al_size", 5.0)]);
+        report.gate("failed_clusters", 0.0, Op::Eq, 0.0);
         report.gate("label_clones", 2.0, Op::Eq, 0.0);
         let doc = report.to_json();
-        for key in ["bench", "experiment", "smoke", "config", "telemetry"] {
+        for key in ["bench", "experiment", "config", "telemetry"] {
             assert!(doc.get(key).is_some(), "{key}");
         }
         let rows = doc.get("rows").and_then(Json::as_array).unwrap();

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! A dump is produced by `ControlPlane::dump_flight_recorder()`, by the
-//! e10 bench in trace mode (`E10_TRACE=1`), or automatically as a
-//! post-mortem when an invariant breaks.
+//! e10 control-plane experiment (`results/trace_dump.jsonl`), or
+//! automatically as a post-mortem when an invariant breaks.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
