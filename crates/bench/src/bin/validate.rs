@@ -50,7 +50,8 @@ const REQUIRED: &[(&str, &[Required])] = &[
             ("all_fallback_tiers", Op::Eq, 0.0),
             ("failed_clusters", Op::Eq, 0.0),
             ("label_clones", Op::Eq, 0.0),
-            ("dc1m_augment_visits", Op::Le, 8_000_000.0),
+            ("dc1m_augment_visits", Op::Le, 1_200_000.0),
+            ("dc1m_layers_built", Op::Le, 480.0),
         ],
     ),
     (

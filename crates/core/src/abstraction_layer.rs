@@ -13,6 +13,9 @@ use crate::error::AlValidationError;
 pub(crate) struct SwitchIndex<'a> {
     dc: &'a DataCenter,
     tor_count: usize,
+    /// Whether [`SwitchIndex::neighbors`] may read exterior lists; off only
+    /// for the tests that hold the walks equal to walks over whole lists.
+    exterior_lists: bool,
 }
 
 impl<'a> SwitchIndex<'a> {
@@ -20,6 +23,16 @@ impl<'a> SwitchIndex<'a> {
         SwitchIndex {
             dc,
             tor_count: dc.tor_count(),
+            exterior_lists: true,
+        }
+    }
+
+    /// An index whose walks read every OPS's whole switch list.
+    #[cfg(test)]
+    pub(crate) fn whole_lists(dc: &'a DataCenter) -> Self {
+        SwitchIndex {
+            exterior_lists: false,
+            ..SwitchIndex::new(dc)
         }
     }
 
@@ -33,29 +46,64 @@ impl<'a> SwitchIndex<'a> {
         slot.checked_sub(self.tor_count).map(OpsId)
     }
 
+    /// The pod of the OPS at `slot`, `None` for a ToR's slot.
+    pub(crate) fn pod_at(&self, slot: usize) -> Option<usize> {
+        self.ops_at(slot).map(|o| self.dc.pod_of_ops(o).index())
+    }
+
+    /// The pod of the OPS at `slot` if it is a non-boundary OPS, the kind
+    /// of switch an exterior list leaves out; `None` otherwise.
+    pub(crate) fn interior_pod(&self, slot: usize) -> Option<usize> {
+        let ops = self.ops_at(slot)?;
+        (!self.dc.is_boundary_ops(ops)).then(|| self.dc.pod_of_ops(ops).index())
+    }
+
     /// Slots of the switches adjacent to `slot`, in adjacency order. A
     /// ToR's switch neighbours are exactly its uplinks, in link order; an
-    /// OPS's are its ToRs and core links interleaved in link order. The
-    /// data center keeps both lists, so the graph is not walked.
-    pub(crate) fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + 'a {
+    /// OPS's are its ToRs and core links interleaved in link order, or with
+    /// `exterior` the same without the non-boundary OPSs of its own pod
+    /// ([`DataCenter::exterior_switches_of_ops`]). The data center keeps
+    /// every list, so the graph is not walked.
+    pub(crate) fn neighbors(
+        &self,
+        slot: usize,
+        exterior: bool,
+    ) -> impl Iterator<Item = usize> + 'a {
         let (tor_count, dc) = (self.tor_count, self.dc);
         match self.ops_at(slot) {
             None => Neighbors::Uplinks(dc.uplinks_of_tor(TorId(slot)).iter(), tor_count),
+            Some(ops) if exterior && self.exterior_lists => {
+                Neighbors::Exterior(dc.exterior_switches_of_ops(ops), tor_count)
+            }
             Some(ops) => Neighbors::Switches(dc.switches_of_ops(ops), tor_count),
         }
     }
 }
 
-/// [`SwitchIndex::neighbors`]: one arm per slot kind, each with the slot's
-/// `tor_count` offset. A plain two-variant iterator, because chaining the
-/// two lists cost a state check per neighbour on walks that make a
-/// million visits.
-enum Neighbors<'a, S> {
+/// [`SwitchIndex::neighbors`]: one arm per list, each with the slot's
+/// `tor_count` offset. A plain enum of iterators, because chaining the
+/// lists cost a state check per neighbour on walks that make a million
+/// visits.
+enum Neighbors<'a, S, E> {
     Uplinks(std::slice::Iter<'a, OpsId>, usize),
     Switches(S, usize),
+    Exterior(E, usize),
 }
 
-impl<S: Iterator<Item = Element>> Iterator for Neighbors<'_, S> {
+/// The slot of a switch an OPS links to.
+fn switch_slot(switch: Element, tor_count: usize) -> usize {
+    match switch {
+        Element::Tor(tor) => tor.index(),
+        Element::Ops(ops) => tor_count + ops.index(),
+        Element::Server(_) => unreachable!("an OPS links only to switches"),
+    }
+}
+
+impl<S, E> Iterator for Neighbors<'_, S, E>
+where
+    S: Iterator<Item = Element>,
+    E: Iterator<Item = Element>,
+{
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
@@ -64,11 +112,10 @@ impl<S: Iterator<Item = Element>> Iterator for Neighbors<'_, S> {
                 uplinks.next().map(|o| *tor_count + o.index())
             }
             Neighbors::Switches(switches, tor_count) => {
-                switches.next().map(|switch| match switch {
-                    Element::Tor(tor) => tor.index(),
-                    Element::Ops(ops) => *tor_count + ops.index(),
-                    Element::Server(_) => unreachable!("an OPS links only to switches"),
-                })
+                switches.next().map(|s| switch_slot(s, *tor_count))
+            }
+            Neighbors::Exterior(switches, tor_count) => {
+                switches.next().map(|s| switch_slot(s, *tor_count))
             }
         }
     }
@@ -198,29 +245,63 @@ impl AbstractionLayer {
     ///
     /// Panics if a member switch does not exist in `switches`' data center.
     pub(crate) fn components(&self, switches: &SwitchIndex<'_>) -> (Vec<u32>, u32) {
+        self.components_with(switches, &mut Vec::new())
+    }
+
+    /// [`AbstractionLayer::components`], keeping its per-pod count of
+    /// unlabelled non-boundary members in `unlabelled` (all zeros on
+    /// return, for the caller to reuse).
+    ///
+    /// Once every non-boundary member OPS of a pod is labelled, the flood
+    /// scans an OPS of that pod over its exterior list
+    /// ([`DataCenter::exterior_switches_of_ops`]): the entries the list
+    /// leaves out are then non-members or labelled members, where the scan
+    /// does nothing. Labels and their order are those of a flood over the
+    /// whole switch lists; in a full-mesh pod only the pod's first scanned
+    /// OPS reads its interior.
+    pub(crate) fn components_with(
+        &self,
+        switches: &SwitchIndex<'_>,
+        unlabelled: &mut Vec<u32>,
+    ) -> (Vec<u32>, u32) {
         const UNLABELLED: u32 = NOT_MEMBER - 1;
         let mut labels = vec![NOT_MEMBER; switches.len()];
+        unlabelled.clear();
+        unlabelled.resize(switches.dc.pod_count(), 0);
         for slot in self.switch_slots(switches) {
             labels[slot] = UNLABELLED;
+            if let Some(p) = switches.interior_pod(slot) {
+                unlabelled[p] += 1;
+            }
         }
         let mut count = 0;
         let mut stack = Vec::new();
+        let mut visits: u64 = 0;
         for start in self.switch_slots(switches) {
             if labels[start] != UNLABELLED {
                 continue;
             }
             labels[start] = count;
+            if let Some(p) = switches.interior_pod(start) {
+                unlabelled[p] -= 1;
+            }
             stack.push(start);
             while let Some(u) = stack.pop() {
-                for v in switches.neighbors(u) {
+                let exterior = switches.pod_at(u).is_some_and(|p| unlabelled[p] == 0);
+                for v in switches.neighbors(u, exterior) {
+                    visits += 1;
                     if labels[v] == UNLABELLED {
                         labels[v] = count;
+                        if let Some(p) = switches.interior_pod(v) {
+                            unlabelled[p] -= 1;
+                        }
                         stack.push(v);
                     }
                 }
             }
             count += 1;
         }
+        alvc_telemetry::counter!("alvc_core.construction.label_visits").add(visits);
         (labels, count)
     }
 
@@ -438,6 +519,38 @@ mod incidence_tests {
             .collect()
     }
 
+    /// `ops`' switch list without the non-boundary OPSs of its own pod:
+    /// what `DataCenter::exterior_switches_of_ops` must hold.
+    fn exterior_by_filter(dc: &DataCenter, ops: OpsId) -> Vec<Element> {
+        let pod = dc.pod_of_ops(ops);
+        dc.switches_of_ops(ops)
+            .filter(|s| match s {
+                Element::Ops(o) => dc.pod_of_ops(*o) != pod || dc.is_boundary_ops(*o),
+                _ => true,
+            })
+            .collect()
+    }
+
+    /// Every OPS's exterior list, and its exterior `SwitchIndex` slots,
+    /// equal the filtered switch list.
+    fn check_exteriors(dc: &DataCenter) -> Result<(), TestCaseError> {
+        let switches = SwitchIndex::new(dc);
+        for ops in dc.ops_ids() {
+            let reference = exterior_by_filter(dc, ops);
+            let exterior: Vec<Element> = dc.exterior_switches_of_ops(ops).collect();
+            prop_assert_eq!(&exterior, &reference, "{} exterior list", ops);
+            let slots: Vec<usize> = switches
+                .neighbors(dc.tor_count() + ops.index(), true)
+                .collect();
+            let expected: Vec<usize> = reference
+                .iter()
+                .map(|&s| switch_slot(s, dc.tor_count()))
+                .collect();
+            prop_assert_eq!(slots, expected);
+        }
+        Ok(())
+    }
+
     /// Builder topologies — 1–3 pods; none / ring / full-mesh core; 0–3
     /// gateway lanes; a ToR degree that may exceed the OPS count;
     /// dual-homed servers — or, for `kind == 3`, an electronic leaf–spine
@@ -491,21 +604,32 @@ mod incidence_tests {
         /// for element and in order, and no link is listed twice; and
         /// `is_boundary_ops` holds exactly for the OPSs with a neighbour
         /// OPS in another pod (the extra round adds cross-pod core links).
+        /// Every OPS's exterior list equals its switch list without the
+        /// non-boundary OPSs of its pod after generation and after every
+        /// link of the extra round, which promotes OPSs whose pod-mates
+        /// already link to them; a clone, the one copy the vendored serde
+        /// stand-in allows, carries the lists.
         #[test]
         fn incidence_equals_the_adjacency_filter(
             dc in topology_strategy(),
             extra in 0usize..1000,
         ) {
+            fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
+            assert_serde::<DataCenter>();
             let mut dc = dc;
+            check_exteriors(&dc)?;
             for tor in dc.tor_ids().collect::<Vec<_>>() {
                 // Re-connect an existing uplink (a no-op) and connect one
                 // more OPS (new unless it is already an uplink).
                 if let Some(&first) = dc.uplinks_of_tor(tor).first() {
                     dc.connect_tor_ops(tor, first);
+                    check_exteriors(&dc)?;
                 }
                 let ops = OpsId((tor.index() * 7 + extra) % dc.ops_count());
                 dc.connect_tor_ops(tor, ops);
+                check_exteriors(&dc)?;
                 dc.connect_tor_ops(tor, ops);
+                check_exteriors(&dc)?;
             }
             for a in dc.ops_ids().collect::<Vec<_>>() {
                 // The same for core links, plus a self-connection (a no-op).
@@ -515,18 +639,39 @@ mod incidence_tests {
                 });
                 if let Some(b) = first {
                     dc.connect_ops_ops(a, b);
+                    check_exteriors(&dc)?;
                 }
                 dc.connect_ops_ops(a, a);
                 let b = OpsId((a.index() * 5 + extra) % dc.ops_count());
                 dc.connect_ops_ops(a, b);
+                check_exteriors(&dc)?;
                 dc.connect_ops_ops(b, a);
+                check_exteriors(&dc)?;
             }
+            // Promote a non-boundary OPS that pod-mates link to, if any, by
+            // linking it into another pod.
+            let mate_linked = |dc: &DataCenter, o: OpsId| {
+                !dc.is_boundary_ops(o)
+                    && dc.switches_of_ops(o).any(|s| {
+                        matches!(s, Element::Ops(m) if dc.pod_of_ops(m) == dc.pod_of_ops(o))
+                    })
+            };
+            let late = dc.ops_ids().find(|&o| mate_linked(&dc, o));
+            let foreign = late.and_then(|o| {
+                dc.ops_ids().find(|&f| dc.pod_of_ops(f) != dc.pod_of_ops(o))
+            });
+            if let (Some(o), Some(f)) = (late, foreign) {
+                dc.connect_ops_ops(o, f);
+                prop_assert!(dc.is_boundary_ops(o));
+                check_exteriors(&dc)?;
+            }
+            check_exteriors(&dc.clone())?;
             let switches = SwitchIndex::new(&dc);
             for tor in dc.tor_ids() {
                 let reference = ops_of_tor_by_adjacency(&dc, tor);
                 prop_assert_eq!(dc.ops_of_tor(tor), reference.clone());
                 prop_assert_eq!(dc.uplinks_of_tor(tor), &reference[..]);
-                let slots: Vec<usize> = switches.neighbors(tor.index()).collect();
+                let slots: Vec<usize> = switches.neighbors(tor.index(), false).collect();
                 let expected: Vec<usize> =
                     reference.iter().map(|o| dc.tor_count() + o.index()).collect();
                 prop_assert_eq!(slots, expected);
@@ -540,7 +685,7 @@ mod incidence_tests {
                 let reference = switches_of_ops_by_adjacency(&dc, ops);
                 prop_assert_eq!(dc.switches_of_ops(ops).collect::<Vec<_>>(), reference.clone());
                 let slot = dc.tor_count() + ops.index();
-                let slots: Vec<usize> = switches.neighbors(slot).collect();
+                let slots: Vec<usize> = switches.neighbors(slot, false).collect();
                 let expected: Vec<usize> = reference
                     .iter()
                     .map(|s| match s {

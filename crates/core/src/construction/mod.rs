@@ -163,6 +163,8 @@ pub trait AlConstruct {
     ///
     /// See [`ConstructionError`]; in particular constructors fail rather
     /// than return a layer that does not cover or connect the cluster.
+    /// [`construct_layers`] relies on this to skip a build no covering
+    /// layer can come out of.
     fn construct(
         &self,
         dc: &DataCenter,
@@ -368,27 +370,72 @@ pub(crate) fn select_ops_greedy(
 /// — without restarting, re-labelling or re-checking connectivity. All
 /// scratch is per call and sized by the switch count.
 ///
+/// A pod's interior drops out of the walk once it has nothing left to
+/// report: when every non-boundary member OPS of the pod is joined and
+/// `available` holds no non-boundary OPS of the pod outside the layer, an
+/// OPS of that pod is scanned over its exterior list
+/// ([`alvc_topology::DataCenter::exterior_switches_of_ops`]). The entries
+/// that list leaves out would be joined members (distance 0) or blocked
+/// OPSs, where the scan does nothing, so distances, frontier order and the
+/// absorbed OPSs are those of a walk over the whole lists.
+///
 /// # Errors
 ///
 /// [`ConstructionError::Disconnected`] if no such path exists.
 pub(crate) fn ensure_connected(
     dc: &DataCenter,
+    al: AbstractionLayer,
+    available: &OpsAvailability,
+) -> Result<AbstractionLayer, ConstructionError> {
+    connect_over(&SwitchIndex::new(dc), al, available)
+}
+
+/// [`ensure_connected`] over `switches`.
+fn connect_over(
+    switches: &SwitchIndex<'_>,
     mut al: AbstractionLayer,
     available: &OpsAvailability,
 ) -> Result<AbstractionLayer, ConstructionError> {
-    let switches = SwitchIndex::new(dc);
-    let (mut component, n_components) = al.components(&switches);
+    let mut open = Vec::new();
+    let (mut component, n_components) = al.components_with(switches, &mut open);
     if n_components <= 1 {
         return Ok(al);
     }
-    let members: Vec<usize> = al.switch_slots(&switches).collect();
+    let members: Vec<usize> = al.switch_slots(switches).collect();
+    // open[p]: pod p's non-boundary members not joined yet, plus its
+    // walkable non-boundary OPSs outside the layer (`components_with` left
+    // every count at 0). An OPS of pod p is scanned over its exterior list
+    // once open[p] is 0.
+    for &m in &members {
+        if let Some(p) = switches.interior_pod(m) {
+            open[p] += 1;
+        }
+    }
+    for (slot, &label) in component.iter().enumerate() {
+        let walkable = switches
+            .ops_at(slot)
+            .is_some_and(|o| available.is_available(o));
+        if walkable && label == NOT_MEMBER {
+            if let Some(p) = switches.interior_pod(slot) {
+                open[p] += 1;
+            }
+        }
+    }
     // dist[s]: fewest hops found so far from the joined set to slot s;
     // prev[s]: the slot it was reached from; frontier[d]: FIFO of the slots
     // labelled d (an entry whose label has since fallen is skipped).
     let mut dist = vec![usize::MAX; switches.len()];
     let mut prev = vec![0usize; switches.len()];
     let mut frontier: Vec<VecDeque<usize>> = vec![VecDeque::new()];
-    join_component(0, &members, &mut component, &mut dist, &mut frontier[0]);
+    join_component(
+        0,
+        &members,
+        switches,
+        &mut component,
+        &mut dist,
+        &mut open,
+        &mut frontier[0],
+    );
     let mut unjoined = n_components - 1;
     let mut d = 0;
     let mut visits: u64 = 0;
@@ -409,7 +456,8 @@ pub(crate) fn ensure_connected(
         if d + 1 == frontier.len() {
             frontier.push(VecDeque::new());
         }
-        for v in switches.neighbors(u) {
+        let exterior = switches.pod_at(u).is_some_and(|p| open[p] == 0);
+        for v in switches.neighbors(u, exterior) {
             visits += 1;
             if dist[v] <= d + 1 {
                 continue;
@@ -444,8 +492,10 @@ pub(crate) fn ensure_connected(
             join_component(
                 joining,
                 &members,
+                switches,
                 &mut component,
                 &mut dist,
+                &mut open,
                 &mut frontier[0],
             );
             unjoined -= 1;
@@ -462,12 +512,14 @@ pub(crate) fn ensure_connected(
 
 /// [`ensure_connected`]'s join: the members of component `label` become
 /// part of the joined set (component 0, distance 0) and are queued as seeds,
-/// in slot order.
+/// in slot order; each joined non-boundary OPS lowers its pod's `open`.
 fn join_component(
     label: u32,
     members: &[usize],
+    switches: &SwitchIndex<'_>,
     component: &mut [u32],
     dist: &mut [usize],
+    open: &mut [u32],
     seeds: &mut VecDeque<usize>,
 ) {
     for &m in members {
@@ -475,6 +527,9 @@ fn join_component(
             component[m] = 0;
             dist[m] = 0;
             seeds.push_back(m);
+            if let Some(p) = switches.interior_pod(m) {
+                open[p] -= 1;
+            }
         }
     }
 }
@@ -508,6 +563,91 @@ impl Request {
     }
 }
 
+/// Phase 1 of [`construct_layers`]: each cluster's restricted pool, and
+/// the ToRs its optimistic build needs an uplink for.
+struct Partition {
+    /// Per cluster, the OPSs its optimistic build may use.
+    pools: Vec<OpsAvailability>,
+    /// Cluster `c`'s needed ToRs are
+    /// `needed[needed_ends[c]..needed_ends[c + 1]]`: its distinct ToRs if
+    /// every VM of the cluster has one ToR, none otherwise.
+    needed: Vec<TorId>,
+    needed_ends: Vec<usize>,
+}
+
+impl Partition {
+    /// The deterministic pool partition over the contested candidates.
+    /// Candidates are gathered once per distinct ToR of a cluster (a rack's
+    /// VMs all share its uplinks), as (OPS, requesting cluster) requests.
+    /// Every pool starts without any requested OPS; then each one, in id
+    /// order, goes back to its requester with the fewest assignments so far
+    /// (then the lowest cluster index).
+    fn new(dc: &DataCenter, clusters: &[Vec<VmId>], available: &OpsAvailability) -> Self {
+        let mut requests: Vec<Request> = Vec::new();
+        let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
+        let mut needed: Vec<TorId> = Vec::new();
+        let mut needed_ends = Vec::with_capacity(clusters.len() + 1);
+        needed_ends.push(0);
+        for (c, vms) in clusters.iter().enumerate() {
+            let mut single_homed = true;
+            for &vm in vms {
+                let tors = dc.tors_of_vm(vm);
+                single_homed &= tors.len() == 1;
+                for &tor in tors {
+                    if std::mem::replace(&mut tor_seen_by[tor.index()], c) != c {
+                        needed.push(tor);
+                        let uplinks = dc.uplinks_of_tor(tor).iter();
+                        requests.extend(
+                            uplinks
+                                .filter(|&&o| available.is_available(o))
+                                .map(|&o| Request::new(o, c)),
+                        );
+                    }
+                }
+            }
+            if !single_homed {
+                needed.truncate(needed_ends[c]);
+            }
+            needed_ends.push(needed.len());
+        }
+        requests.sort_unstable();
+        requests.dedup();
+        let mut contested = available.clone();
+        for r in &requests {
+            contested.block(r.ops());
+        }
+        let mut pools = vec![contested; clusters.len()];
+        let mut assigned = vec![0usize; clusters.len()];
+        for reqs in requests.chunk_by(|a, b| a.ops() == b.ops()) {
+            let winner = reqs
+                .iter()
+                .map(|r| r.cluster())
+                .min_by_key(|&c| (assigned[c], c))
+                .expect("chunks are non-empty");
+            assigned[winner] += 1;
+            pools[winner].release(reqs[0].ops());
+        }
+        Partition {
+            pools,
+            needed,
+            needed_ends,
+        }
+    }
+
+    /// Whether cluster `c`'s optimistic build must fail: a ToR it needs has
+    /// no uplink in its pool. Each of the cluster's VMs has one ToR, so a
+    /// VM on that ToR can be covered only through it, and the ToR only
+    /// through an uplink the build may use.
+    fn doomed(&self, dc: &DataCenter, c: usize) -> bool {
+        let needed = &self.needed[self.needed_ends[c]..self.needed_ends[c + 1]];
+        needed.iter().any(|&tor| {
+            !dc.uplinks_of_tor(tor)
+                .iter()
+                .any(|&o| self.pools[c].is_available(o))
+        })
+    }
+}
+
 /// Constructs one abstraction layer per VM cluster against a shared OPS
 /// pool — the batch engine behind the NFV orchestrator's bulk chain
 /// deployment, whose layers [`crate::ClusterManager::adopt_or_create`]
@@ -522,12 +662,17 @@ impl Request {
 ///    pools.
 /// 2. **Optimistic construction** — each cluster is constructed against
 ///    its restricted pool, in the calling thread: a layer costs tens of
-///    microseconds, less than spawning a thread to build it.
+///    microseconds, less than spawning a thread to build it. A cluster
+///    whose VMs are all single-homed and one of whose ToRs has no uplink
+///    left in its restricted pool skips this build: such a VM can be
+///    covered only through that ToR, and the ToR only through an uplink,
+///    so every constructor must fail there ([`AlConstruct::construct`]
+///    returns no layer that does not cover its cluster).
 /// 3. **Serial commit** — in cluster order, a successful optimistic layer
 ///    commits iff all its OPSs are still unclaimed; otherwise (including
-///    optimistic failures, which may be artifacts of the restricted pool)
-///    the cluster is re-constructed against the true remaining
-///    availability.
+///    optimistic failures, which may be artifacts of the restricted pool,
+///    and skipped builds) the cluster is re-constructed against the true
+///    remaining availability.
 ///
 /// Guarantees: the result is **deterministic**, committed layers are
 /// pairwise **OPS-disjoint** and disjoint from `available`'s blocked set,
@@ -546,63 +691,33 @@ pub fn construct_layers(
         return Vec::new();
     }
     let _span = alvc_telemetry::span!("alvc_core.construction.construct_layers_us");
-    // Phase 1: deterministic pool partition over the contested candidates.
-    // Candidates are gathered once per distinct ToR of a cluster (a rack's
-    // VMs all share its uplinks), as (OPS, requesting cluster) requests.
-    let mut requests: Vec<Request> = Vec::new();
-    let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
-    for (c, vms) in clusters.iter().enumerate() {
-        for &vm in vms {
-            for &tor in dc.tors_of_vm(vm) {
-                if std::mem::replace(&mut tor_seen_by[tor.index()], c) != c {
-                    let uplinks = dc.uplinks_of_tor(tor).iter();
-                    requests.extend(
-                        uplinks
-                            .filter(|&&o| available.is_available(o))
-                            .map(|&o| Request::new(o, c)),
-                    );
-                }
-            }
-        }
-    }
-    requests.sort_unstable();
-    requests.dedup();
-    // Every pool starts without any requested OPS; then each one, in id
-    // order, goes back to its requester with the fewest assignments so far
-    // (then the lowest cluster index).
-    let mut contested = available.clone();
-    for r in &requests {
-        contested.block(r.ops());
-    }
-    let mut pools = vec![contested; clusters.len()];
-    let mut assigned = vec![0usize; clusters.len()];
-    for reqs in requests.chunk_by(|a, b| a.ops() == b.ops()) {
-        let winner = reqs
-            .iter()
-            .map(|r| r.cluster())
-            .min_by_key(|&c| (assigned[c], c))
-            .expect("chunks are non-empty");
-        assigned[winner] += 1;
-        pools[winner].release(reqs[0].ops());
-    }
+    let partition = Partition::new(dc, clusters, available);
 
     // Phases 2 and 3, one cluster at a time in cluster order: the
-    // optimistic layer is built against the cluster's restricted pool and
-    // commits iff all its OPSs are still unclaimed. The commit check also
-    // catches overlaps the partition cannot see, e.g. two connectivity
-    // augmentations absorbing the same unrequested bridge OPS.
+    // optimistic layer is built against the cluster's restricted pool,
+    // unless that build is doomed, and commits iff all its OPSs are still
+    // unclaimed. The commit check also catches overlaps the partition
+    // cannot see, e.g. two connectivity augmentations absorbing the same
+    // unrequested bridge OPS.
     let mut pool = available.clone();
     let mut results = Vec::with_capacity(clusters.len());
     let mut optimistic_commits: u64 = 0;
     let mut conflict_fallbacks: u64 = 0;
-    for (vms, restricted) in clusters.iter().zip(&pools) {
-        let resolved = match ctor.construct(dc, vms, restricted) {
-            Ok(al) if al.ops().iter().all(|&o| pool.is_available(o)) => {
+    let mut layers_built: u64 = 0;
+    for (c, vms) in clusters.iter().enumerate() {
+        let restricted = &partition.pools[c];
+        let optimistic = (!partition.doomed(dc, c)).then(|| {
+            layers_built += 1;
+            ctor.construct(dc, vms, restricted)
+        });
+        let resolved = match optimistic {
+            Some(Ok(al)) if al.ops().iter().all(|&o| pool.is_available(o)) => {
                 optimistic_commits += 1;
                 Ok(al)
             }
             _ => {
                 conflict_fallbacks += 1;
+                layers_built += 1;
                 ctor.construct(dc, vms, &pool)
             }
         };
@@ -617,6 +732,7 @@ pub fn construct_layers(
     }
     alvc_telemetry::counter!("alvc_core.construction.optimistic_commits").add(optimistic_commits);
     alvc_telemetry::counter!("alvc_core.construction.conflict_fallbacks").add(conflict_fallbacks);
+    alvc_telemetry::counter!("alvc_core.construction.layers_built").add(layers_built);
     alvc_telemetry::event!(
         "alvc_core.construction.batch",
         "clusters" = clusters.len(),
@@ -630,6 +746,7 @@ pub fn construct_layers(
 mod tests {
     use super::*;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType};
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn line_core_dc() -> DataCenter {
@@ -911,6 +1028,262 @@ mod tests {
         let dc = AlvcTopologyBuilder::new().seed(0).build();
         assert!(
             construct_layers(&dc, &[], &PaperGreedy::new(), &OpsAvailability::all()).is_empty()
+        );
+    }
+
+    #[test]
+    fn a_dual_homed_vm_keeps_its_optimistic_build() {
+        // Cluster 0 (VM a on t1) wins t1's one uplink o1, so cluster 1's
+        // pool leaves t1 without an uplink. Cluster 1's VM b also hangs off
+        // t2, whose two uplinks it keeps: a layer through t2 exists, and
+        // the optimistic build must run and commit it.
+        let mut dc = DataCenter::new();
+        let (r1, t1) = dc.add_rack();
+        let (r2, t2) = dc.add_rack();
+        let s1 = dc.add_server(r1);
+        let a = dc.add_vm(s1, ServiceType::WebService);
+        let s2 = dc.add_server(r1);
+        let b = dc.add_vm(s2, ServiceType::WebService);
+        dc.add_access_link(s2, t2);
+        dc.add_server(r2);
+        let [o1, o2, o3] = [(); 3].map(|_| dc.add_ops(None));
+        dc.connect_tor_ops(t1, o1);
+        dc.connect_tor_ops(t2, o2);
+        dc.connect_tor_ops(t2, o3);
+        dc.connect_ops_ops(o2, o3);
+        let clusters = vec![vec![a], vec![b]];
+        let partition = Partition::new(&dc, &clusters, &OpsAvailability::all());
+        assert!(!partition.pools[1].is_available(o1));
+        assert!(!partition.doomed(&dc, 1), "b is covered through t2");
+        let layer = PaperGreedy::new().construct(&dc, &[b], &partition.pools[1]);
+        assert_eq!(layer.as_ref().map(AbstractionLayer::tors), Ok(&[t2][..]));
+        // Single-homed, the same VM has no way around t1.
+        let mut single = dc.clone();
+        let s3 = single.add_server(r1);
+        let c = single.add_vm(s3, ServiceType::WebService);
+        let clusters = vec![vec![a], vec![c]];
+        let partition = Partition::new(&single, &clusters, &OpsAvailability::all());
+        assert!(partition.doomed(&single, 1));
+        let results = construct_layers(
+            &single,
+            &clusters,
+            &PaperGreedy::new(),
+            &OpsAvailability::all(),
+        );
+        assert_eq!(
+            results[0].as_ref().map(AbstractionLayer::ops),
+            Ok(&[o1][..])
+        );
+        assert_eq!(results[1], Err(ConstructionError::UncoverableTor(t1)));
+    }
+
+    /// The flood `AbstractionLayer::components` made before the exterior
+    /// lists, over the physical graph's whole adjacency: a depth-first
+    /// search from each unlabelled member in slot order.
+    fn components_by_adjacency(dc: &DataCenter, al: &AbstractionLayer) -> (Vec<u32>, u32) {
+        use alvc_topology::PhysNode;
+        const UNLABELLED: u32 = NOT_MEMBER - 1;
+        let switches = SwitchIndex::new(dc);
+        let tor_count = dc.tor_count();
+        let node_of = |slot: usize| match switches.ops_at(slot) {
+            Some(ops) => dc.node_of_ops(ops),
+            None => dc.node_of_tor(TorId(slot)),
+        };
+        let mut labels = vec![NOT_MEMBER; switches.len()];
+        for slot in al.switch_slots(&switches) {
+            labels[slot] = UNLABELLED;
+        }
+        let mut count = 0;
+        for start in al.switch_slots(&switches) {
+            if labels[start] != UNLABELLED {
+                continue;
+            }
+            labels[start] = count;
+            let mut stack = vec![start];
+            while let Some(u) = stack.pop() {
+                for n in dc.graph().neighbors(node_of(u)) {
+                    let v = match dc.graph().node_weight(n) {
+                        Some(PhysNode::Tor(t)) => t.index(),
+                        Some(PhysNode::Ops { id, .. }) => tor_count + id.index(),
+                        _ => continue,
+                    };
+                    if labels[v] == UNLABELLED {
+                        labels[v] = count;
+                        stack.push(v);
+                    }
+                }
+            }
+            count += 1;
+        }
+        (labels, count)
+    }
+
+    /// Multi-pod builder topologies (1–4 pods; none, ring or full-mesh
+    /// cores; 0–3 gateway lanes) plus up to 3 hand-built ToR uplinks and 3
+    /// core links made after the pods were wired, either of which may
+    /// cross pods (a late core link promotes OPSs whose pod-mates already
+    /// link to them); then a layer and a blocked set drawn over it, as in
+    /// `reference`'s augmentation corpus.
+    fn exterior_case() -> impl Strategy<Value = (DataCenter, AbstractionLayer, OpsAvailability)> {
+        (
+            (1usize..5, 1usize..5, 1usize..8, 1usize..4),
+            (0u8..3, 0usize..4, 0usize..4, 0u64..1000),
+            proptest::collection::vec(0u8..8, 64),
+        )
+            .prop_map(
+                |((pods, racks, ops, degree), (core, lanes, extras, seed), draws)| {
+                    use rand::{rngs::StdRng, RngExt, SeedableRng};
+                    let mut dc = AlvcTopologyBuilder::new()
+                        .racks(racks)
+                        .ops_count(ops)
+                        .tor_ops_degree(degree)
+                        .interconnect(match core {
+                            0 => OpsInterconnect::None,
+                            1 => OpsInterconnect::Ring,
+                            _ => OpsInterconnect::FullMesh,
+                        })
+                        .pods(pods)
+                        .boundary_gateways(lanes)
+                        .seed(seed)
+                        .build();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    for _ in 0..extras {
+                        let tor = TorId(rng.random_range(0..dc.tor_count()));
+                        let [o, a, b] = [(); 3].map(|_| OpsId(rng.random_range(0..dc.ops_count())));
+                        dc.connect_tor_ops(tor, o);
+                        dc.connect_ops_ops(a, b);
+                    }
+                    let draw = |i: usize| draws[i % draws.len()];
+                    let tors = dc.tor_ids().filter(|t| draw(t.index()) < 3).collect();
+                    let role = |o: &OpsId| draw(dc.tor_count() + o.index());
+                    let ops = dc.ops_ids().filter(|o| role(o) < 2).collect();
+                    let blocked = dc.ops_ids().filter(|o| (2..4).contains(&role(o)));
+                    let avail = OpsAvailability::with_blocked(blocked);
+                    (dc, AbstractionLayer::new(tors, ops), avail)
+                },
+            )
+    }
+
+    /// Every workspace constructor.
+    fn every_constructor() -> Vec<Box<dyn AlConstruct>> {
+        vec![
+            Box::new(PaperGreedy::new()),
+            Box::new(PaperGreedy::without_augmentation()),
+            Box::new(RandomSelection::new(3)),
+            Box::new(ExactCover::new()),
+            Box::new(StaticDegreeGreedy::new()),
+            Box::new(CostAwareGreedy::new(1.0, 2.0)),
+            Box::new(RedundantGreedy::new(2)),
+            Box::new(reference::NaiveGreedy::new()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Reading exterior lists changes no walk: the labelling equals a
+        /// flood over the whole adjacency, label for label, and the
+        /// augmentation equals the same walk over whole switch lists,
+        /// layers and errors alike.
+        #[test]
+        fn exterior_walks_equal_whole_list_walks(
+            (dc, al, avail) in exterior_case(),
+        ) {
+            let switches = SwitchIndex::new(&dc);
+            prop_assert_eq!(al.components(&switches), components_by_adjacency(&dc, &al));
+            let exterior = connect_over(&switches, al.clone(), &avail);
+            let whole = connect_over(&SwitchIndex::whole_lists(&dc), al, &avail);
+            prop_assert_eq!(&exterior, &whole);
+            if let Ok(layer) = exterior {
+                prop_assert_eq!(
+                    layer.components(&switches),
+                    components_by_adjacency(&dc, &layer)
+                );
+            }
+        }
+    }
+
+    /// Single- or dual-homed builder topologies with scarce uplinks (1–3
+    /// per ToR, 1–6 OPSs a pod, 1–2 pods), a random blocked set and 2–5
+    /// clusters dealt round-robin.
+    fn skip_case() -> impl Strategy<Value = (DataCenter, Vec<Vec<VmId>>, OpsAvailability)> {
+        (
+            (1usize..3, 2usize..7, 1usize..7, 1usize..4),
+            (0u8..3, 0u8..2, 2usize..6, 0u64..1000),
+            proptest::collection::vec(0u8..6, 16),
+        )
+            .prop_map(
+                |((pods, racks, ops, degree), (core, dual, n, seed), draws)| {
+                    let dc = AlvcTopologyBuilder::new()
+                        .racks(racks)
+                        .servers_per_rack(2)
+                        .vms_per_server(2)
+                        .ops_count(ops)
+                        .tor_ops_degree(degree)
+                        .interconnect(match core {
+                            0 => OpsInterconnect::None,
+                            1 => OpsInterconnect::Ring,
+                            _ => OpsInterconnect::FullMesh,
+                        })
+                        .dual_home_prob(if dual == 1 { 0.5 } else { 0.0 })
+                        .pods(pods)
+                        .seed(seed)
+                        .build();
+                    let mut clusters: Vec<Vec<VmId>> = vec![Vec::new(); n];
+                    for (i, vm) in dc.vm_ids().enumerate() {
+                        clusters[i % n].push(vm);
+                    }
+                    let blocked = dc.ops_ids().filter(|o| draws[o.index() % draws.len()] == 0);
+                    (dc, clusters, OpsAvailability::with_blocked(blocked))
+                },
+            )
+    }
+
+    /// The premise of `construct_layers`' skip: whenever it skips a
+    /// cluster's optimistic build, every workspace constructor fails on
+    /// that cluster's restricted pool. Over the corpus, skips must fire
+    /// often, on single- and dual-homed topologies alike, and the batch
+    /// must still hand out disjoint, valid layers.
+    #[test]
+    fn a_skipped_build_fails_for_every_constructor() {
+        use std::cell::Cell;
+        let skips = Cell::new(0usize);
+        let dual_homed_skips = Cell::new(0usize);
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(512),
+            "a_skipped_build_fails_for_every_constructor",
+            skip_case(),
+            |(dc, clusters, avail)| {
+                let partition = Partition::new(&dc, &clusters, &avail);
+                let dual = dc.vm_ids().any(|vm| dc.tors_of_vm(vm).len() > 1);
+                for (c, vms) in clusters.iter().enumerate() {
+                    if !partition.doomed(&dc, c) {
+                        continue;
+                    }
+                    skips.set(skips.get() + 1);
+                    dual_homed_skips.set(dual_homed_skips.get() + usize::from(dual));
+                    for ctor in every_constructor() {
+                        let built = ctor.construct(&dc, vms, &partition.pools[c]);
+                        prop_assert!(built.is_err(), "{} built {:?}", ctor.name(), built);
+                    }
+                }
+                let results = construct_layers(&dc, &clusters, &PaperGreedy::new(), &avail);
+                let mut seen = HashSet::new();
+                for (c, layer) in results.iter().enumerate() {
+                    if let Ok(layer) = layer {
+                        prop_assert!(layer.validate(&dc, &clusters[c]).is_ok());
+                        prop_assert!(layer.ops().iter().all(|&o| avail.is_available(o)));
+                        prop_assert!(layer.ops().iter().all(|&o| seen.insert(o)));
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(skips.get() > 200, "only {} skips", skips.get());
+        assert!(
+            dual_homed_skips.get() > 20,
+            "only {} skips on dual-homed topologies",
+            dual_homed_skips.get()
         );
     }
 

@@ -30,6 +30,14 @@
 //!   which never shorten a path between pods. The layers are exactly those
 //!   of a walk over the whole pool (a property test holds the two equal),
 //!   for a fraction of the neighbour visits.
+//! * with those interiors blocked, the walk reads an OPS of such a pod over
+//!   its exterior list ([`DataCenter::exterior_switches_of_ops`]) once the
+//!   layer's interior OPSs there are joined, so a full-mesh interior is not
+//!   re-read per OPS; the labelling before it does the same
+//!   (`construction::ensure_connected` has the rule). Each pod's
+//!   build skips its optimistic try when its pool leaves a single-homed
+//!   cluster's ToR without an uplink, since every constructor must fail
+//!   there ([`construct_layers`]).
 //!
 //! Determinism: pod fan-out order, per-pod sub-batches, and the merge loop
 //! are all fixed by (pod id, cluster index); no step depends on thread
@@ -322,6 +330,8 @@ fn construct_with_state(
     }
     alvc_telemetry::counter!("alvc_core.shard.merged_clusters").add(report.merged_clusters as u64);
     alvc_telemetry::counter!("alvc_core.shard.fallbacks").add(report.fallbacks as u64);
+    // Each fallback built one layer.
+    alvc_telemetry::counter!("alvc_core.construction.layers_built").add(report.fallbacks as u64);
     (results, report)
 }
 

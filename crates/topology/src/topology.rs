@@ -56,6 +56,13 @@ struct OpsRecord {
     /// only by [`DataCenter::connect_tor_ops_with`] and
     /// [`DataCenter::connect_ops_ops_with`], when they add the link.
     switches: Vec<PackedSwitch>,
+    /// `switches` without the non-boundary OPSs of this OPS's own pod, in
+    /// the same link order: the links a walk still has to read once the
+    /// pod's interior can no longer change its answer. Written only by
+    /// [`DataCenter::connect_tor_ops_with`] and
+    /// [`DataCenter::connect_ops_ops_with`], with the link or with the
+    /// promotion of a pod-mate to boundary.
+    exterior: Vec<PackedSwitch>,
     /// Whether this OPS has a core link to an OPS in another pod. Written
     /// only by [`DataCenter::connect_ops_ops_with`], with the link.
     #[serde(default)]
@@ -64,7 +71,7 @@ struct OpsRecord {
 
 /// A switch in an OPS's switch list, in four bytes: the top bit marks an
 /// OPS, the other 31 hold the ToR or OPS index.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct PackedSwitch(u32);
 
 impl PackedSwitch {
@@ -250,6 +257,7 @@ impl DataCenter {
             pod,
             tors: Vec::new(),
             switches: Vec::new(),
+            exterior: Vec::new(),
             boundary: false,
         });
         self.pods = self.pods.max(pod.0 + 1);
@@ -276,7 +284,8 @@ impl DataCenter {
     /// This is the only writer of the ToR↔OPS incidence
     /// ([`DataCenter::uplinks_of_tor`], [`DataCenter::tors_of_ops`]): both
     /// lists grow here, in link order, exactly when the link is added, and
-    /// so does the OPS's [`DataCenter::switches_of_ops`].
+    /// so do the OPS's [`DataCenter::switches_of_ops`] and
+    /// [`DataCenter::exterior_switches_of_ops`].
     ///
     /// # Panics
     ///
@@ -291,6 +300,7 @@ impl DataCenter {
         let ops_rec = &mut self.opss[ops.0];
         ops_rec.tors.push(tor);
         ops_rec.switches.push(PackedSwitch::tor(tor));
+        ops_rec.exterior.push(PackedSwitch::tor(tor));
     }
 
     /// Connects two OPSs with an optical core link.
@@ -312,7 +322,10 @@ impl DataCenter {
     /// Otherwise both OPSs' [`DataCenter::switches_of_ops`] grow with the
     /// link, and if the two lie in different pods both become boundary
     /// OPSs ([`DataCenter::is_boundary_ops`]); this is the flag's only
-    /// writer.
+    /// writer. Each OPS's [`DataCenter::exterior_switches_of_ops`] grows
+    /// with the link unless the other end is a non-boundary OPS of its own
+    /// pod, and an OPS promoted to boundary here joins the exterior lists
+    /// of the pod-mates already linked to it, at its link-order place.
     ///
     /// # Panics
     ///
@@ -327,10 +340,52 @@ impl DataCenter {
         }
         self.graph.add_edge(an, bn, attrs);
         let crosses = self.opss[a.0].pod != self.opss[b.0].pod;
+        let promoted = [a, b].map(|end| crosses && !self.opss[end.0].boundary);
         for (end, other) in [(a, b), (b, a)] {
+            let exterior = crosses || self.opss[other.0].boundary;
             let rec = &mut self.opss[end.0];
             rec.switches.push(PackedSwitch::ops(other));
+            if exterior {
+                rec.exterior.push(PackedSwitch::ops(other));
+            }
             rec.boundary |= crosses;
+        }
+        for (end, promoted) in [a, b].into_iter().zip(promoted) {
+            if promoted {
+                self.promote_in_exteriors(end);
+            }
+        }
+    }
+
+    /// Inserts `ops`, just promoted to boundary, into the exterior list of
+    /// every pod-mate linked to it, at the place its link holds in that
+    /// pod-mate's switch list. The exterior list is a subsequence of the
+    /// switch list, so one backward walk over both finds the place; for a
+    /// link made after most of the pod-mate's others, as a generator's
+    /// boundary links are, the walk is short.
+    fn promote_in_exteriors(&mut self, ops: OpsId) {
+        let pod = self.opss[ops.0].pod;
+        let target = PackedSwitch::ops(ops);
+        let mates: Vec<OpsId> = self.opss[ops.0]
+            .switches
+            .iter()
+            .filter_map(|s| match s.unpack() {
+                Element::Ops(o) if self.opss[o.0].pod == pod => Some(o),
+                _ => None,
+            })
+            .collect();
+        for mate in mates {
+            let rec = &mut self.opss[mate.0];
+            let mut at = rec.exterior.len();
+            for &s in rec.switches.iter().rev() {
+                if s == target {
+                    break;
+                }
+                if at > 0 && rec.exterior[at - 1] == s {
+                    at -= 1;
+                }
+            }
+            rec.exterior.insert(at, target);
         }
     }
 
@@ -590,6 +645,20 @@ impl DataCenter {
     /// Panics if `ops` does not exist.
     pub fn switches_of_ops(&self, ops: OpsId) -> impl Iterator<Item = Element> + '_ {
         self.opss[ops.0].switches.iter().map(|s| s.unpack())
+    }
+
+    /// [`DataCenter::switches_of_ops`] without the non-boundary OPSs of
+    /// `ops`' own pod, in the same link order: its ToRs, the boundary OPSs
+    /// of its pod and its OPSs in other pods. Once a walk has nothing left
+    /// to find among a pod's non-boundary OPSs, it reads an OPS of the pod
+    /// here instead of the whole switch list, which in a full-mesh pod is
+    /// mostly that interior.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` does not exist.
+    pub fn exterior_switches_of_ops(&self, ops: OpsId) -> impl Iterator<Item = Element> + '_ {
+        self.opss[ops.0].exterior.iter().map(|s| s.unpack())
     }
 
     /// Returns `true` if `ops` has a core link to an OPS in another pod.
