@@ -172,10 +172,10 @@ fn main() {
          persists at every scale."
     );
     // Hyperscale tiers: the pod-10k shape replicated across pods, built
-    // once per tier and constructed through the sharded (pod-parallel)
-    // path.
+    // once per tier and constructed through the sharded path, one pod at
+    // a time.
     let tiers: Vec<DcTier> = Scale::DC_LADDER.iter().map(run_dc_tier).collect();
-    println!("\nsharded full-DC construction (pod-parallel, merge at boundary):\n");
+    println!("\nsharded full-DC construction (one pod at a time, merge at boundary):\n");
     let dc_table: Vec<Vec<String>> = tiers.iter().map(|t| t.table.clone()).collect();
     print_table(
         &[

@@ -190,8 +190,9 @@ struct CoverCandidate<Id> {
 /// [e + 1]]`, avoiding one heap allocation per element) as elements get
 /// covered. The `candidate → elements` direction is the transpose of that
 /// index, built here in the same CSR form (no `Vec` per candidate).
-/// Identical output to the historical per-round rescans kept as the test
-/// oracle in `reference`, in `O((cands + decays) log cands
+/// Element `e` counts `weights[e]` items toward a gain (one without
+/// `weights`). Identical output to the historical per-round rescans kept
+/// as the test oracle in `reference`, in `O((cands + decays) log cands
 /// + edges)` instead of `O(rounds × edges)`.
 ///
 /// Returns the chosen candidate ids (selection order) or the index of the
@@ -200,19 +201,25 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
     cands: &[CoverCandidate<Id>],
     elem_offsets: &[u32],
     elem_data: &[u32],
+    weights: Option<&[u32]>,
 ) -> Result<Vec<Id>, usize> {
     let n_elems = elem_offsets.len() - 1;
     let elems_of = |e: usize| &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize];
+    let weight = |e: usize| weights.map_or(1, |w| u64::from(w[e]));
     // Candidate `ci` covers `members[member_offsets[ci]..member_offsets[ci + 1]]`,
-    // ascending.
-    let mut gains = vec![0usize; cands.len()];
-    for &ci in elem_data {
-        gains[ci as usize] += 1;
+    // ascending. Its key is `keys[ci]`: the gain in the high 32 bits, the
+    // rank in the tie-break order `(degree, Reverse(id))` in the low 32 (both
+    // fit, as the `u32` indices do), so the selector compares integers.
+    let mut member_offsets = vec![0usize; cands.len() + 1];
+    let mut keys = vec![0u64; cands.len()];
+    for e in 0..n_elems {
+        for &ci in elems_of(e) {
+            member_offsets[ci as usize + 1] += 1;
+            keys[ci as usize] += weight(e);
+        }
     }
-    let mut member_offsets = Vec::with_capacity(cands.len() + 1);
-    member_offsets.push(0);
-    for &g in &gains {
-        member_offsets.push(member_offsets.last().expect("starts non-empty") + g);
+    for ci in 0..cands.len() {
+        member_offsets[ci + 1] += member_offsets[ci];
     }
     let mut members = vec![0u32; elem_data.len()];
     let mut next = member_offsets.clone();
@@ -222,6 +229,13 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
             next[ci as usize] += 1;
         }
     }
+    // `next` is spent; it now holds the tie-break order.
+    next.clear();
+    next.extend(0..cands.len());
+    next.sort_unstable_by_key(|&ci| (cands[ci].degree, Reverse(cands[ci].id)));
+    for (rank, &ci) in next.iter().enumerate() {
+        keys[ci] = keys[ci] << 32 | rank as u64;
+    }
     let mut covered = vec![false; n_elems];
     let mut n_covered = 0;
     let mut used = vec![false; cands.len()];
@@ -229,16 +243,14 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
     // Gain decrements, accumulated per covered element (its full candidate
     // list is walked exactly once) so the inner decay loop stays untouched.
     let mut decays: u64 = 0;
-    let key = |ci: usize, gain: usize| (gain, cands[ci].degree, Reverse(cands[ci].id));
     let mut selector = LazySelector::with_capacity(cands.len());
-    for (ci, &g) in gains.iter().enumerate() {
-        if g > 0 {
-            selector.push(ci, key(ci, g));
+    for (ci, &key) in keys.iter().enumerate() {
+        if key >> 32 > 0 {
+            selector.push(ci, key);
         }
     }
     while n_covered < n_elems {
-        let Some(ci) =
-            selector.pop_max(|ci| (!used[ci] && gains[ci] > 0).then(|| key(ci, gains[ci])))
+        let Some(ci) = selector.pop_max(|ci| (!used[ci] && keys[ci] >> 32 > 0).then_some(keys[ci]))
         else {
             alvc_telemetry::counter!("alvc_core.construction.rounds").add(selected.len() as u64);
             alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
@@ -256,7 +268,7 @@ fn greedy_cover_indexed<Id: Copy + Ord>(
                 n_covered += 1;
                 decays += elems_of(e).len() as u64;
                 for &cj in elems_of(e) {
-                    gains[cj as usize] -= 1;
+                    keys[cj as usize] -= weight(e) << 32;
                 }
             }
         }
@@ -278,16 +290,30 @@ pub(crate) fn select_tors_greedy(
     if vms.is_empty() {
         return Err(ConstructionError::EmptyCluster);
     }
-    // Dense slot table (ToR index → candidate index) and a CSR inverted
-    // index: both avoid per-element hashing/allocation on the hot path.
+    // Dense slot tables (ToR index → candidate index, and → the element of
+    // the VMs homed on that ToR alone) and a CSR inverted index: no hashing
+    // or per-element allocation. A rack's single-homed VMs are one element
+    // weighted by their count, a dual-homed VM one of its own, so there are
+    // at most as many elements as racks without dual-homing.
+    let cap = vms.len().min(dc.tor_count());
     let mut tor_slot: Vec<u32> = vec![u32::MAX; dc.tor_count()];
+    let mut tor_elem: Vec<u32> = vec![u32::MAX; dc.tor_count()];
     let mut cands: Vec<CoverCandidate<TorId>> = Vec::new();
-    let mut elem_offsets: Vec<u32> = Vec::with_capacity(vms.len() + 1);
-    let mut elem_data: Vec<u32> = Vec::with_capacity(vms.len());
+    let mut elem_offsets: Vec<u32> = Vec::with_capacity(cap + 1);
+    let mut elem_data: Vec<u32> = Vec::with_capacity(cap);
+    let mut weights: Vec<u32> = Vec::with_capacity(cap);
+    let mut first_vm: Vec<VmId> = Vec::with_capacity(cap);
     elem_offsets.push(0);
     for &vm in vms {
         let tors = dc.tors_of_vm(vm);
-        if tors.is_empty() {
+        if let [t] = tors {
+            let e = tor_elem[t.index()];
+            if e != u32::MAX {
+                weights[e as usize] += 1;
+                continue;
+            }
+            tor_elem[t.index()] = weights.len() as u32;
+        } else if tors.is_empty() {
             return Err(ConstructionError::UncoverableVm(vm));
         }
         for &t in tors {
@@ -302,13 +328,15 @@ pub(crate) fn select_tors_greedy(
             elem_data.push(*slot);
         }
         elem_offsets.push(elem_data.len() as u32);
+        weights.push(1);
+        first_vm.push(vm);
     }
-    match greedy_cover_indexed(&cands, &elem_offsets, &elem_data) {
+    match greedy_cover_indexed(&cands, &elem_offsets, &elem_data, Some(&weights)) {
         Ok(mut selected) => {
             selected.sort();
             Ok(selected)
         }
-        Err(i) => Err(ConstructionError::UncoverableVm(vms[i])),
+        Err(e) => Err(ConstructionError::UncoverableVm(first_vm[e])),
     }
 }
 
@@ -347,7 +375,7 @@ pub(crate) fn select_ops_greedy(
         }
         elem_offsets.push(elem_data.len() as u32);
     }
-    match greedy_cover_indexed(&cands, &elem_offsets, &elem_data) {
+    match greedy_cover_indexed(&cands, &elem_offsets, &elem_data, None) {
         Ok(mut selected) => {
             selected.sort();
             Ok(selected)

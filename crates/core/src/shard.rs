@@ -11,10 +11,9 @@
 //!   availability template in which every *foreign* OPS is blocked, so a
 //!   constructor running inside the shard can never select (or absorb, via
 //!   connectivity augmentation) a switch from another pod;
-//! * clusters are split into pod-local sub-clusters, each pod's
-//!   sub-batch runs the existing flat engine **in parallel across pods**
-//!   (rayon), and results are collected in pod-id order so the outcome is
-//!   independent of thread schedule;
+//! * clusters are split into pod-local sub-clusters, and each pod's
+//!   sub-batch runs the existing flat engine, one pod after another in
+//!   pod-id order, in the calling thread;
 //! * sub-layers are then **merged at the boundary**, serially in cluster
 //!   order: a cluster spanning several pods gets the union of its pod-local
 //!   layers, re-connected through the remaining global availability (the
@@ -39,10 +38,9 @@
 //!   cluster's ToR without an uplink, since every constructor must fail
 //!   there ([`construct_layers`]).
 //!
-//! Determinism: pod fan-out order, per-pod sub-batches, and the merge loop
-//! are all fixed by (pod id, cluster index); no step depends on thread
-//! timing. On a single-pod data center the sharded path degenerates to the
-//! flat engine exactly.
+//! Determinism: the pod loop, per-pod sub-batches, and the merge loop are
+//! all fixed by (pod id, cluster index). On a single-pod data center the
+//! sharded path degenerates to the flat engine exactly.
 
 use std::mem::size_of;
 
@@ -139,15 +137,6 @@ impl ShardedState {
         self.shards.len()
     }
 
-    /// The shard of `pod`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pod` is out of range.
-    pub(crate) fn shard(&self, pod: PodId) -> &PodShard {
-        &self.shards[pod.index()]
-    }
-
     /// Iterates over shards in pod order.
     pub(crate) fn shards(&self) -> impl Iterator<Item = &PodShard> {
         self.shards.iter()
@@ -235,19 +224,17 @@ impl ShardReport {
     }
 }
 
-/// Pod-sharded batch construction: like
-/// [`construct_layers`] but
-/// partitioned by pod and fanned out shard-parallel, with
+/// Pod-sharded batch construction: like [`construct_layers`] but
+/// partitioned by pod, each pod built in turn in the calling thread, with
 /// merge-at-boundary for clusters spanning pods.
 ///
-/// Guarantees, matching the flat engine: deterministic (independent of
-/// thread schedule), committed layers pairwise OPS-disjoint and disjoint
-/// from `available`'s blocked set, and every `Ok` layer valid for its
-/// cluster.
+/// Guarantees, matching the flat engine: deterministic, committed layers
+/// pairwise OPS-disjoint and disjoint from `available`'s blocked set, and
+/// every `Ok` layer valid for its cluster.
 pub fn construct_layers_sharded(
     dc: &DataCenter,
     clusters: &[Vec<VmId>],
-    ctor: &(dyn AlConstruct + Sync),
+    ctor: &dyn AlConstruct,
     available: &OpsAvailability,
 ) -> (
     Vec<Result<AbstractionLayer, ConstructionError>>,
@@ -267,7 +254,7 @@ fn construct_with_state(
     dc: &DataCenter,
     state: &ShardedState,
     clusters: &[Vec<VmId>],
-    ctor: &(dyn AlConstruct + Sync),
+    ctor: &dyn AlConstruct,
     available: &OpsAvailability,
 ) -> (
     Vec<Result<AbstractionLayer, ConstructionError>>,
@@ -291,15 +278,26 @@ fn construct_with_state(
         sub_of_cluster.push(subs);
     }
 
-    // Shard-parallel construction: each pod runs the flat batch engine
-    // against its foreign-blocked availability. Results are collected in
-    // pod order, so the fan-out is deterministic.
-    let pod_results = construct_pods(dc, state, &pod_batches, ctor, available);
-    for (p, shard) in state.shards().enumerate() {
+    // Pod by pod, the flat batch engine against the pod's foreign-blocked
+    // availability, timed into `alvc_core.shard.pod_construct_us{pod<n>}`
+    // (the per-pod SLO base) under a `core.construct_pod` span.
+    let mut pod_results = Vec::with_capacity(n_pods);
+    for (p, (shard, batch)) in state.shards().zip(&pod_batches).enumerate() {
+        let mut sp = alvc_telemetry::trace::child_span("core.construct_pod");
+        sp.add_field("pod", p);
+        sp.add_field("sub_clusters", batch.len());
+        let start = std::time::Instant::now();
+        let avail = shard.availability(available);
+        pod_results.push(construct_layers(dc, batch, ctor, &avail));
+        alvc_telemetry::histogram_with(
+            "alvc_core.shard.pod_construct_us",
+            PodLabel::new(p).as_str(),
+        )
+        .record(start.elapsed().as_secs_f64() * 1e6);
         report.per_shard.push((
-            pod_batches[p].len(),
+            batch.len(),
             shard.memory_bytes()
-                + pod_batches[p]
+                + batch
                     .iter()
                     .map(|g| g.len() * size_of::<VmId>())
                     .sum::<usize>(),
@@ -388,50 +386,6 @@ fn merge_cluster(
         }
     }
     ensure_connected(dc, union, &walkable)
-}
-
-fn construct_pods(
-    dc: &DataCenter,
-    state: &ShardedState,
-    pod_batches: &[Vec<Vec<VmId>>],
-    ctor: &(dyn AlConstruct + Sync),
-    available: &OpsAvailability,
-) -> Vec<Vec<Result<AbstractionLayer, ConstructionError>>> {
-    use rayon::prelude::*;
-    // Rayon workers have no ambient trace context: capture the caller's
-    // before the fan-out so per-pod spans parent under it.
-    let ctx = alvc_telemetry::trace::current_ctx();
-    (0..pod_batches.len())
-        .into_par_iter()
-        .map(|p| construct_one_pod(dc, state, pod_batches, ctor, available, p, ctx))
-        .collect()
-}
-
-/// One pod's shard-local construction, timed into the per-pod
-/// `alvc_core.shard.pod_construct_us` histogram (the per-pod SLO base) and
-/// traced as a `core.construct_pod` child span of `ctx`.
-fn construct_one_pod(
-    dc: &DataCenter,
-    state: &ShardedState,
-    pod_batches: &[Vec<Vec<VmId>>],
-    ctor: &(dyn AlConstruct + Sync),
-    available: &OpsAvailability,
-    p: usize,
-    ctx: alvc_telemetry::TraceCtx,
-) -> Vec<Result<AbstractionLayer, ConstructionError>> {
-    let _g = alvc_telemetry::trace::enter(ctx);
-    let mut sp = alvc_telemetry::trace::child_span("core.construct_pod");
-    sp.add_field("pod", p);
-    sp.add_field("sub_clusters", pod_batches[p].len());
-    let start = std::time::Instant::now();
-    let avail = state.shard(PodId(p)).availability(available);
-    let out = construct_layers(dc, &pod_batches[p], ctor, &avail);
-    alvc_telemetry::histogram_with(
-        "alvc_core.shard.pod_construct_us",
-        PodLabel::new(p).as_str(),
-    )
-    .record(start.elapsed().as_secs_f64() * 1e6);
-    out
 }
 
 /// The histogram label `pod{p}`, written into a stack buffer: it is built
@@ -523,9 +477,9 @@ mod tests {
     fn shard_availability_blocks_foreign_and_global() {
         let dc = pod_dc(2, 2);
         let state = ShardedState::new(&dc);
-        let shard = state.shard(PodId(0));
+        let shard = &state.shards[0];
         let own = shard.ops()[0];
-        let foreign = state.shard(PodId(1)).ops()[0];
+        let foreign = state.shards[1].ops()[0];
         let mut global = OpsAvailability::all();
         global.block(own);
         let avail = shard.availability(&global);
@@ -637,7 +591,7 @@ mod tests {
     fn construct_layers_sharded_unrestricted(
         dc: &DataCenter,
         clusters: &[Vec<VmId>],
-        ctor: &(dyn AlConstruct + Sync),
+        ctor: &dyn AlConstruct,
         available: &OpsAvailability,
     ) -> (
         Vec<Result<AbstractionLayer, ConstructionError>>,

@@ -11,9 +11,9 @@
 //! through every orchestrator signature, the active [`TraceCtx`] lives on
 //! a bounded per-thread stack. [`enter`] pushes an existing context (e.g.
 //! an intent's root) for a scope; [`child_span`] opens a span under
-//! whatever context is current. Code that fans out over a thread pool
-//! captures [`current_ctx`] before the fan-out and [`enter`]s it inside
-//! each task, so per-pod construction work parents correctly.
+//! whatever context is current, so a stage nested in another parents under
+//! it with no help. The control plane [`enter`]s an intent's root around
+//! the work it runs for that intent, on whichever thread runs the batch.
 //!
 //! Everything is gated twice: compiled out entirely without the
 //! `telemetry` feature (all guards are no-ops), and runtime-gated behind
@@ -195,7 +195,7 @@ mod imp {
 
     /// The ambient context on this thread, [`TraceCtx::NONE`] when
     /// tracing is off or nothing is entered.
-    pub fn current_ctx() -> TraceCtx {
+    pub(crate) fn current_ctx() -> TraceCtx {
         if !tracing_enabled() {
             return TraceCtx::NONE;
         }
@@ -223,10 +223,10 @@ mod imp {
         }
     }
 
-    /// Makes `ctx` the ambient context for the guard's lifetime. Used to
-    /// re-enter an intent's root on the executing thread (including rayon
-    /// workers: capture [`current_ctx`] before the fan-out, `enter` it
-    /// inside each task). Inert when tracing is off or `ctx` is none.
+    /// Makes `ctx` the ambient context for the guard's lifetime. The
+    /// control plane uses it to re-enter an intent's root on the thread
+    /// executing the intent's batch, so the stages it runs there parent
+    /// under that root. Inert when tracing is off or `ctx` is none.
     pub fn enter(ctx: TraceCtx) -> CtxGuard {
         if !tracing_enabled() || ctx.is_none() {
             return CtxGuard { pushed: false };
@@ -456,12 +456,6 @@ mod imp {
         TraceId::NONE
     }
 
-    /// Always [`TraceCtx::NONE`].
-    #[inline(always)]
-    pub fn current_ctx() -> TraceCtx {
-        TraceCtx::NONE
-    }
-
     /// Always 0.
     #[inline(always)]
     pub fn spans_dropped() -> u64 {
@@ -557,7 +551,7 @@ mod imp {
 }
 
 pub use imp::{
-    child_span, current_ctx, enter, new_root_ctx, new_trace, record_root, record_span, root_span,
+    child_span, enter, new_root_ctx, new_trace, record_root, record_span, root_span,
     set_tracing_enabled, spans_dropped, tracing_enabled, ActiveSpan, CtxGuard, MAX_SPAN_DEPTH,
 };
 
@@ -598,7 +592,7 @@ mod tests {
     #[test]
     fn disabled_tracing_is_inert() {
         // Tracing is off by default: no ambient context, inert guards.
-        assert_eq!(current_ctx(), TraceCtx::NONE);
+        assert_eq!(imp::current_ctx(), TraceCtx::NONE);
         let s = root_span("x");
         assert_eq!(s.ctx(), TraceCtx::NONE);
         assert_eq!(

@@ -102,6 +102,9 @@ impl PackedSwitch {
     }
 }
 
+/// The `DataCenter::sole_tors` entry of a VM whose server is dual-homed.
+const NOT_SOLE: TorId = TorId(usize::MAX);
+
 /// A data center: racks of servers behind ToR switches, an OPS core, and
 /// VMs placed on the servers.
 ///
@@ -134,6 +137,10 @@ pub struct DataCenter {
     racks: Vec<RackRecord>,
     servers: Vec<ServerRecord>,
     vms: Vec<VmRecord>,
+    /// Per VM, its server's ToR if that is its only one, else [`NOT_SOLE`]:
+    /// a derived index that `add_vm`, `add_access_link` and `migrate_vm`
+    /// keep in step (DESIGN.md §3).
+    sole_tors: Vec<TorId>,
     tors: Vec<TorRecord>,
     opss: Vec<OpsRecord>,
     /// Number of pods (locality shards); `0` in legacy serialized form
@@ -225,6 +232,9 @@ impl DataCenter {
         let (snode, tnode) = (srec.node, self.tors[tor.0].node);
         self.graph.add_edge(snode, tnode, LinkAttrs::access());
         self.servers[server.0].tors.push(tor);
+        for &vm in &self.servers[server.0].vms {
+            self.sole_tors[vm.0] = NOT_SOLE;
+        }
     }
 
     /// Places a new VM with `service` on `server`.
@@ -236,8 +246,17 @@ impl DataCenter {
         assert!(server.0 < self.servers.len(), "server {server} not found");
         let vm = VmId(self.vms.len());
         self.vms.push(VmRecord { server, service });
+        self.sole_tors.push(self.sole_tor_of(server));
         self.servers[server.0].vms.push(vm);
         vm
+    }
+
+    /// `server`'s ToR if it has exactly one, [`NOT_SOLE`] otherwise.
+    fn sole_tor_of(&self, server: ServerId) -> TorId {
+        match self.servers[server.0].tors[..] {
+            [tor] => tor,
+            _ => NOT_SOLE,
+        }
     }
 
     /// Adds an OPS to the core (default pod); `opto` gives it
@@ -404,6 +423,7 @@ impl DataCenter {
         self.servers[old.0].vms.retain(|&v| v != vm);
         self.servers[target.0].vms.push(vm);
         self.vms[vm.0].server = target;
+        self.sole_tors[vm.0] = self.sole_tor_of(target);
         old
     }
 
@@ -544,8 +564,8 @@ impl DataCenter {
     ///
     /// Panics if `vm` does not exist.
     pub fn tor_of_vm(&self, vm: VmId) -> TorId {
-        let server = self.vms[vm.0].server;
-        self.racks[self.servers[server.0].rack.0].tor
+        // A server's first access link is its rack's ToR.
+        self.tors_of_vm(vm)[0]
     }
 
     /// All ToRs reachable from `vm`'s server over access links (≥1; more if
@@ -555,7 +575,10 @@ impl DataCenter {
     ///
     /// Panics if `vm` does not exist.
     pub fn tors_of_vm(&self, vm: VmId) -> &[TorId] {
-        &self.servers[self.vms[vm.0].server.0].tors
+        match &self.sole_tors[vm.0] {
+            &NOT_SOLE => &self.servers[self.vms[vm.0].server.0].tors,
+            sole => std::slice::from_ref(sole),
+        }
     }
 
     /// The rack of `server`.
@@ -916,6 +939,16 @@ mod tests {
         dc.add_access_link(server, TorId(1));
         let vm = dc.vms_of_server(server)[0];
         assert_eq!(dc.tors_of_vm(vm), &[TorId(0), TorId(1)]);
+        // A VM placed or migrated there later sees both ToRs; one
+        // migrated away sees its new server's one.
+        let late = dc.add_vm(server, ServiceType::Storage);
+        assert_eq!(dc.tors_of_vm(late), &[TorId(0), TorId(1)]);
+        let moved = dc.vms_of_server(ServerId(3))[0];
+        dc.migrate_vm(moved, server);
+        assert_eq!(dc.tors_of_vm(moved), &[TorId(0), TorId(1)]);
+        assert_eq!(dc.tor_of_vm(moved), TorId(0));
+        dc.migrate_vm(vm, ServerId(3));
+        assert_eq!(dc.tors_of_vm(vm), &[TorId(1)]);
         // Re-adding is a no-op.
         let edges = dc.graph().edge_count();
         dc.add_access_link(server, TorId(1));
