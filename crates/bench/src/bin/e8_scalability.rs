@@ -8,7 +8,9 @@
 //! serial fallback. Work is counted, not timed: each DC tier reports the
 //! neighbour visits its component labelling and connectivity augmentation
 //! made and the layers its constructor built, and dc-1m's augmentation
-//! visits and layers built are gates. Construction speed is `benchmark/`'s
+//! visits and layers built are gates. dc-1m also prints its greedy
+//! selector's pops and stale refreshes: the bucket-queue engine has none
+//! of the latter, and a gate holds them at zero. Construction speed is `benchmark/`'s
 //! `dc-construct` workload.
 
 use alvc_bench::{deploy_fig5_chains, f2, print_table, Json, Op, Report, Scale};
@@ -33,6 +35,8 @@ struct DcTier {
     json: Json,
     augment_visits: u64,
     layers_built: u64,
+    selector_pops: u64,
+    stale_refreshes: u64,
     failed_clusters: usize,
     per_shard_len_mismatch: bool,
     peak_shard_bytes_mismatch: bool,
@@ -51,13 +55,15 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         "alvc_core.construction.label_visits",
         "alvc_core.construction.augment_visits",
         "alvc_core.construction.layers_built",
+        "alvc_graph.selector.pops",
+        "alvc_graph.selector.stale_refreshes",
     ]
     .map(alvc_telemetry::counter);
     let before = counters.each_ref().map(|c| c.value());
     let (results, report) =
         construct_layers_sharded(&dc, &specs, &PaperGreedy::new(), &OpsAvailability::all());
-    let [label_visits, augment_visits, layers_built] =
-        [0, 1, 2].map(|i| counters[i].value() - before[i]);
+    let [label_visits, augment_visits, layers_built, selector_pops, stale_refreshes] =
+        [0, 1, 2, 3, 4].map(|i| counters[i].value() - before[i]);
     for (cluster, result) in clusters.iter().zip(&results) {
         if let Err(e) = result {
             println!("{}: cluster {:?} failed: {e}", scale.name, cluster.label);
@@ -93,6 +99,8 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         .field("label_visits", label_visits)
         .field("augment_visits", augment_visits)
         .field("layers_built", layers_built)
+        .field("selector_pops", selector_pops)
+        .field("stale_refreshes", stale_refreshes)
         .field("peak_shard_bytes", report.peak_shard_bytes())
         .field("mean_shard_bytes", report.mean_shard_bytes())
         .field("merged_clusters", report.merged_clusters)
@@ -117,6 +125,8 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         json,
         augment_visits,
         layers_built,
+        selector_pops,
+        stale_refreshes,
         failed_clusters: results.iter().filter(|r| r.is_err()).count(),
         per_shard_len_mismatch: report.per_shard.len() != scale.pods,
         peak_shard_bytes_mismatch: max_shard_bytes != report.peak_shard_bytes(),
@@ -193,6 +203,12 @@ fn main() {
         ],
         &dc_table,
     );
+    let dc1m = Scale::DC_LADDER.iter().position(|s| s.name == "dc-1m");
+    let dc1m = &tiers[dc1m.expect("dc-1m is on the ladder")];
+    println!(
+        "\ndc-1m greedy selector: {} pops, {} stale refreshes",
+        dc1m.selector_pops, dc1m.stale_refreshes
+    );
     // The construction hot paths intern labels once; any subsequent String
     // round-trip would bump this counter.
     let label_clones = alvc_telemetry::counter!("alvc_core.label.clones").value();
@@ -234,8 +250,6 @@ fn main() {
     let failed_clusters: usize = tiers.iter().map(|t| t.failed_clusters).sum();
     report.gate("failed_clusters", failed_clusters as f64, Op::Eq, 0.0);
     report.gate("label_clones", label_clones as f64, Op::Eq, 0.0);
-    let dc1m = Scale::DC_LADDER.iter().position(|s| s.name == "dc-1m");
-    let dc1m = &tiers[dc1m.expect("dc-1m is on the ladder")];
     report.gate(
         "dc1m_augment_visits",
         dc1m.augment_visits as f64,
@@ -247,6 +261,12 @@ fn main() {
         dc1m.layers_built as f64,
         Op::Le,
         DC1M_LAYERS_BUILT,
+    );
+    report.gate(
+        "dc1m_stale_refreshes",
+        dc1m.stale_refreshes as f64,
+        Op::Eq,
+        0.0,
     );
     report.rows("flat", json_rows);
     report.rows("sharded", tiers.into_iter().map(|t| t.json));

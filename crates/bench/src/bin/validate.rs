@@ -52,6 +52,7 @@ const REQUIRED: &[(&str, &[Required])] = &[
             ("label_clones", Op::Eq, 0.0),
             ("dc1m_augment_visits", Op::Le, 1_200_000.0),
             ("dc1m_layers_built", Op::Le, 480.0),
+            ("dc1m_stale_refreshes", Op::Eq, 0.0),
         ],
     ),
     (

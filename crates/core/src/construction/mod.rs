@@ -38,10 +38,9 @@ pub use random::RandomSelection;
 pub use redundant::RedundantGreedy;
 pub use static_degree::StaticDegreeGreedy;
 
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 
-use alvc_graph::LazySelector;
+use alvc_graph::BucketSelector;
 use alvc_topology::{DataCenter, OpsId, TorId, VmId};
 
 use crate::abstraction_layer::{AbstractionLayer, SwitchIndex, NOT_MEMBER};
@@ -175,113 +174,236 @@ pub trait AlConstruct {
 
 // ----- shared pipeline pieces used by the concrete constructors -----------
 
-/// A covering candidate (a ToR covering VMs, or an OPS covering ToRs) in
-/// the compact indexed form the incremental greedy loop works on.
-struct CoverCandidate<Id> {
-    id: Id,
-    degree: usize,
+/// Each maximal run of consecutive `vms` that share one ToR list, with that
+/// list. A cluster lists a rack's VMs together, so a pass over the runs
+/// reads each rack's ToRs once rather than once per VM. Correct for any VM
+/// order: a run may be a single VM.
+pub(crate) fn rack_runs<'a>(
+    dc: &'a DataCenter,
+    vms: &'a [VmId],
+) -> impl Iterator<Item = (&'a [TorId], &'a [VmId])> + 'a {
+    let mut rest = vms;
+    std::iter::from_fn(move || {
+        let (&first, tail) = rest.split_first()?;
+        let tors = dc.tors_of_vm(first);
+        let len = 1 + tail
+            .iter()
+            .take_while(|&&vm| dc.tors_of_vm(vm) == tors)
+            .count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some((tors, run))
+    })
+}
+
+/// A cover's candidates among the ToR (or OPS) ids of the data center: a
+/// bitset marking them, and a dense table that holds each one's degree,
+/// then its rank once [`Candidates::rank_by_degree`] has run. Words
+/// `lo..hi` of the bitset bound the marks, so every pass reads only the
+/// marked ids of that span (which for a pod-local cluster lies in its
+/// pod) and skips the rest a word at a time.
+struct Candidates {
+    marked: Vec<u64>,
+    table: Vec<u32>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Candidates {
+    /// No candidates among `ids` ids.
+    fn new(ids: usize) -> Self {
+        Candidates {
+            marked: vec![0; ids.div_ceil(64)],
+            table: vec![0; ids],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    /// Marks `id` as a candidate.
+    fn mark(&mut self, id: usize) {
+        self.marked[id / 64] |= 1 << (id % 64);
+        self.lo = self.lo.min(id / 64);
+        self.hi = self.hi.max(id / 64 + 1);
+    }
+
+    /// The marked ids, ascending (or, reversed, descending).
+    fn ids(marked: &[u64], lo: usize, hi: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        let lo = lo.min(hi);
+        marked[lo..hi]
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, &word)| SetBits {
+                word,
+                base: (lo + i) * 64,
+            })
+    }
+
+    /// Ranks the marked candidates in the tie-break order `(degree,
+    /// Reverse(id))`, writing each one's rank into the table: a counting
+    /// pass over the degrees, placed in descending id order, so equal
+    /// degrees rank the lower id higher. No comparison sort. Returns the
+    /// number of candidates.
+    fn rank_by_degree(&mut self, degree: impl Fn(usize) -> usize) -> usize {
+        let Candidates {
+            marked,
+            table,
+            lo,
+            hi,
+        } = self;
+        let mut max_degree = 0;
+        for id in Self::ids(marked, *lo, *hi) {
+            let d = degree(id);
+            table[id] = d as u32;
+            max_degree = max_degree.max(d);
+        }
+        // starts[d + 1] counts degree d, then starts[d] becomes the next
+        // rank of degree d.
+        let mut starts = vec![0u32; max_degree + 2];
+        for id in Self::ids(marked, *lo, *hi) {
+            starts[table[id] as usize + 1] += 1;
+        }
+        for d in 1..starts.len() {
+            starts[d] += starts[d - 1];
+        }
+        for id in Self::ids(marked, *lo, *hi).rev() {
+            let next = &mut starts[table[id] as usize];
+            table[id] = *next;
+            *next += 1;
+        }
+        starts.last().map_or(0, |&n| n as usize)
+    }
+
+    /// Candidate `id`'s rank.
+    fn rank(&self, id: usize) -> u32 {
+        self.table[id]
+    }
+
+    /// The ids of the ranks [`greedy_cover_indexed`] chose, in id order.
+    fn chosen<Id>(&self, chosen: &[bool], id: impl Fn(usize) -> Id) -> Vec<Id> {
+        Self::ids(&self.marked, self.lo, self.hi)
+            .filter(|&i| chosen[self.table[i] as usize])
+            .map(id)
+            .collect()
+    }
+}
+
+/// The set bits of one bitset word, as indices offset by `base`, from
+/// either end.
+struct SetBits {
+    word: u64,
+    base: usize,
+}
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let bit = (self.word != 0).then(|| self.word.trailing_zeros() as usize)?;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
+impl DoubleEndedIterator for SetBits {
+    fn next_back(&mut self) -> Option<usize> {
+        let bit = (self.word != 0).then(|| 63 - self.word.leading_zeros() as usize)?;
+        self.word &= !(1 << bit);
+        Some(self.base + bit)
+    }
 }
 
 /// The shared incremental greedy cover loop behind [`select_tors_greedy`]
 /// and [`select_ops_greedy`]: repeatedly select the candidate maximizing
-/// `(gain, degree, Reverse(id))` via a [`LazySelector`], decaying gains
-/// through the `element → candidates` inverted index (in CSR form:
-/// element `e`'s candidates are `elem_data[elem_offsets[e]..elem_offsets
-/// [e + 1]]`, avoiding one heap allocation per element) as elements get
-/// covered. The `candidate → elements` direction is the transpose of that
-/// index, built here in the same CSR form (no `Vec` per candidate).
-/// Element `e` counts `weights[e]` items toward a gain (one without
-/// `weights`). Identical output to the historical per-round rescans kept
-/// as the test oracle in `reference`, in `O((cands + decays) log cands
-/// + edges)` instead of `O(rounds × edges)`.
+/// `(gain, rank)` via a [`BucketSelector`], where the caller numbers the
+/// `n_cands` candidates `0..n_cands` in the tie-break order `(degree,
+/// Reverse(id))` ([`Candidates::rank_by_degree`]). Gains decay through the `element →
+/// candidates` inverted index, in CSR form over ranks (element `e`'s
+/// candidates are `elem_data[elem_offsets[e]..elem_offsets[e + 1]]`,
+/// avoiding one heap allocation per element), as elements get covered. The
+/// `candidate → elements` direction is the transpose of that index, built
+/// here in the same CSR form (no `Vec` per candidate). Element `e` counts
+/// `weights[e]` items toward a gain (one without `weights`). Identical
+/// output to the historical per-round rescans kept as the test oracle in
+/// `reference`, in `O(cands + edges + g_max · cands / 64)` with no heap
+/// and no sort, where `g_max` is the largest initial gain.
 ///
-/// Returns the chosen candidate ids (selection order) or the index of the
-/// first element left uncoverable.
-fn greedy_cover_indexed<Id: Copy + Ord>(
-    cands: &[CoverCandidate<Id>],
+/// Returns which ranks were chosen, or the index of the first element left
+/// uncoverable.
+fn greedy_cover_indexed(
+    n_cands: usize,
     elem_offsets: &[u32],
     elem_data: &[u32],
     weights: Option<&[u32]>,
-) -> Result<Vec<Id>, usize> {
+) -> Result<Vec<bool>, usize> {
     let n_elems = elem_offsets.len() - 1;
     let elems_of = |e: usize| &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize];
-    let weight = |e: usize| weights.map_or(1, |w| u64::from(w[e]));
-    // Candidate `ci` covers `members[member_offsets[ci]..member_offsets[ci + 1]]`,
-    // ascending. Its key is `keys[ci]`: the gain in the high 32 bits, the
-    // rank in the tie-break order `(degree, Reverse(id))` in the low 32 (both
-    // fit, as the `u32` indices do), so the selector compares integers.
-    let mut member_offsets = vec![0usize; cands.len() + 1];
-    let mut keys = vec![0u64; cands.len()];
+    let weight = |e: usize| weights.map_or(1, |w| w[e]);
+    // Rank `r` covers `members[member_offsets[r]..member_offsets[r + 1]]`,
+    // ascending: counts go to `member_offsets[r + 2]`, their prefix sums
+    // make `member_offsets[r + 1]` the cursor of `r`, and filling in
+    // element order leaves it at `r`'s end.
+    let mut member_offsets = vec![0u32; n_cands + 2];
+    let mut gains = vec![0u32; n_cands];
     for e in 0..n_elems {
-        for &ci in elems_of(e) {
-            member_offsets[ci as usize + 1] += 1;
-            keys[ci as usize] += weight(e);
+        for &r in elems_of(e) {
+            member_offsets[r as usize + 2] += 1;
+            gains[r as usize] += weight(e);
         }
     }
-    for ci in 0..cands.len() {
-        member_offsets[ci + 1] += member_offsets[ci];
+    for r in 2..member_offsets.len() {
+        member_offsets[r] += member_offsets[r - 1];
     }
     let mut members = vec![0u32; elem_data.len()];
-    let mut next = member_offsets.clone();
     for e in 0..n_elems {
-        for &ci in elems_of(e) {
-            members[next[ci as usize]] = e as u32;
-            next[ci as usize] += 1;
+        for &r in elems_of(e) {
+            let cursor = &mut member_offsets[r as usize + 1];
+            members[*cursor as usize] = e as u32;
+            *cursor += 1;
         }
-    }
-    // `next` is spent; it now holds the tie-break order.
-    next.clear();
-    next.extend(0..cands.len());
-    next.sort_unstable_by_key(|&ci| (cands[ci].degree, Reverse(cands[ci].id)));
-    for (rank, &ci) in next.iter().enumerate() {
-        keys[ci] = keys[ci] << 32 | rank as u64;
     }
     let mut covered = vec![false; n_elems];
     let mut n_covered = 0;
-    let mut used = vec![false; cands.len()];
-    let mut selected = Vec::new();
+    let mut chosen = vec![false; n_cands];
+    let mut rounds: u64 = 0;
     // Gain decrements, accumulated per covered element (its full candidate
     // list is walked exactly once) so the inner decay loop stays untouched.
     let mut decays: u64 = 0;
-    let mut selector = LazySelector::with_capacity(cands.len());
-    for (ci, &key) in keys.iter().enumerate() {
-        if key >> 32 > 0 {
-            selector.push(ci, key);
-        }
-    }
+    let mut selector = BucketSelector::new(gains);
+    let flush = |rounds, decays| {
+        alvc_telemetry::counter!("alvc_core.construction.rounds").add(rounds);
+        alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
+    };
     while n_covered < n_elems {
-        let Some(ci) = selector.pop_max(|ci| (!used[ci] && keys[ci] >> 32 > 0).then_some(keys[ci]))
-        else {
-            alvc_telemetry::counter!("alvc_core.construction.rounds").add(selected.len() as u64);
-            alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
+        let Some(r) = selector.pop_max() else {
+            flush(rounds, decays);
             return Err(covered
                 .iter()
                 .position(|&c| !c)
                 .expect("uncovered element exists"));
         };
-        used[ci] = true;
-        selected.push(cands[ci].id);
-        for &e in &members[member_offsets[ci]..member_offsets[ci + 1]] {
+        rounds += 1;
+        chosen[r] = true;
+        for &e in &members[member_offsets[r] as usize..member_offsets[r + 1] as usize] {
             let e = e as usize;
             if !covered[e] {
                 covered[e] = true;
                 n_covered += 1;
                 decays += elems_of(e).len() as u64;
-                for &cj in elems_of(e) {
-                    keys[cj as usize] -= weight(e) << 32;
+                for &other in elems_of(e) {
+                    selector.decay(other as usize, weight(e));
                 }
             }
         }
     }
-    alvc_telemetry::counter!("alvc_core.construction.rounds").add(selected.len() as u64);
-    alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
-    Ok(selected)
+    flush(rounds, decays);
+    Ok(chosen)
 }
 
 /// Greedy ToR selection: repeatedly pick the ToR covering the most
 /// still-uncovered VMs; ties break toward the ToR with more OPS uplinks
 /// (the paper's "incoming and outgoing connections" weight), then the lower
-/// id. Runs on the incremental lazy-greedy engine; output is identical to
+/// id. Runs on the bucket-queue greedy engine; output is identical to
 /// the test-only rescan `reference::select_tors_greedy_naive`.
 pub(crate) fn select_tors_greedy(
     dc: &DataCenter,
@@ -290,52 +412,47 @@ pub(crate) fn select_tors_greedy(
     if vms.is_empty() {
         return Err(ConstructionError::EmptyCluster);
     }
-    // Dense slot tables (ToR index → candidate index, and → the element of
-    // the VMs homed on that ToR alone) and a CSR inverted index: no hashing
-    // or per-element allocation. A rack's single-homed VMs are one element
-    // weighted by their count, a dual-homed VM one of its own, so there are
-    // at most as many elements as racks without dual-homing.
+    // The candidate ToRs, a dense table from a ToR to the element of the
+    // VMs homed on it alone, and a CSR inverted index: no hashing or
+    // per-element allocation. A run of VMs sharing their ToRs adds its
+    // length to one element's weight, and a rack's single-homed VMs all
+    // fold into one element, so there are at most as many elements as
+    // racks without dual-homing. The index holds ToR ids until the ranks
+    // replace them.
     let cap = vms.len().min(dc.tor_count());
-    let mut tor_slot: Vec<u32> = vec![u32::MAX; dc.tor_count()];
+    let mut cands = Candidates::new(dc.tor_count());
     let mut tor_elem: Vec<u32> = vec![u32::MAX; dc.tor_count()];
-    let mut cands: Vec<CoverCandidate<TorId>> = Vec::new();
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(cap + 1);
     let mut elem_data: Vec<u32> = Vec::with_capacity(cap);
     let mut weights: Vec<u32> = Vec::with_capacity(cap);
     let mut first_vm: Vec<VmId> = Vec::with_capacity(cap);
     elem_offsets.push(0);
-    for &vm in vms {
-        let tors = dc.tors_of_vm(vm);
+    for (tors, run) in rack_runs(dc, vms) {
+        let len = run.len() as u32;
         if let [t] = tors {
             let e = tor_elem[t.index()];
             if e != u32::MAX {
-                weights[e as usize] += 1;
+                weights[e as usize] += len;
                 continue;
             }
             tor_elem[t.index()] = weights.len() as u32;
         } else if tors.is_empty() {
-            return Err(ConstructionError::UncoverableVm(vm));
+            return Err(ConstructionError::UncoverableVm(run[0]));
         }
         for &t in tors {
-            let slot = &mut tor_slot[t.index()];
-            if *slot == u32::MAX {
-                *slot = cands.len() as u32;
-                cands.push(CoverCandidate {
-                    id: t,
-                    degree: dc.uplinks_of_tor(t).len(),
-                });
-            }
-            elem_data.push(*slot);
+            cands.mark(t.index());
+            elem_data.push(t.index() as u32);
         }
         elem_offsets.push(elem_data.len() as u32);
-        weights.push(1);
-        first_vm.push(vm);
+        weights.push(len);
+        first_vm.push(run[0]);
     }
-    match greedy_cover_indexed(&cands, &elem_offsets, &elem_data, Some(&weights)) {
-        Ok(mut selected) => {
-            selected.sort();
-            Ok(selected)
-        }
+    let n_cands = cands.rank_by_degree(|t| dc.uplinks_of_tor(TorId(t)).len());
+    for t in &mut elem_data {
+        *t = cands.rank(*t as usize);
+    }
+    match greedy_cover_indexed(n_cands, &elem_offsets, &elem_data, Some(&weights)) {
+        Ok(chosen) => Ok(cands.chosen(&chosen, TorId)),
         Err(e) => Err(ConstructionError::UncoverableVm(first_vm[e])),
     }
 }
@@ -343,15 +460,14 @@ pub(crate) fn select_tors_greedy(
 /// Greedy OPS selection over the selected ToRs, restricted to available
 /// OPSs: repeatedly pick the available OPS covering the most uncovered
 /// ToRs; ties break toward the OPS with more ToR links, then the lower id.
-/// Runs on the incremental lazy-greedy engine; output is identical to
+/// Runs on the bucket-queue greedy engine; output is identical to
 /// the test-only rescan `reference::select_ops_greedy_naive`.
 pub(crate) fn select_ops_greedy(
     dc: &DataCenter,
     tors: &[TorId],
     available: &OpsAvailability,
 ) -> Result<Vec<OpsId>, ConstructionError> {
-    let mut ops_slot: Vec<u32> = vec![u32::MAX; dc.ops_count()];
-    let mut cands: Vec<CoverCandidate<OpsId>> = Vec::new();
+    let mut cands = Candidates::new(dc.ops_count());
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
     let mut elem_data: Vec<u32> = Vec::with_capacity(tors.len());
     elem_offsets.push(0);
@@ -359,15 +475,8 @@ pub(crate) fn select_ops_greedy(
         let first = elem_data.len();
         for &ops in dc.uplinks_of_tor(tor) {
             if available.is_available(ops) {
-                let slot = &mut ops_slot[ops.index()];
-                if *slot == u32::MAX {
-                    *slot = cands.len() as u32;
-                    cands.push(CoverCandidate {
-                        id: ops,
-                        degree: dc.tors_of_ops(ops).len(),
-                    });
-                }
-                elem_data.push(*slot);
+                cands.mark(ops.index());
+                elem_data.push(ops.index() as u32);
             }
         }
         if elem_data.len() == first {
@@ -375,11 +484,12 @@ pub(crate) fn select_ops_greedy(
         }
         elem_offsets.push(elem_data.len() as u32);
     }
-    match greedy_cover_indexed(&cands, &elem_offsets, &elem_data, None) {
-        Ok(mut selected) => {
-            selected.sort();
-            Ok(selected)
-        }
+    let n_cands = cands.rank_by_degree(|o| dc.tors_of_ops(OpsId(o)).len());
+    for o in &mut elem_data {
+        *o = cands.rank(*o as usize);
+    }
+    match greedy_cover_indexed(n_cands, &elem_offsets, &elem_data, None) {
+        Ok(chosen) => Ok(cands.chosen(&chosen, OpsId)),
         Err(i) => Err(ConstructionError::UncoverableTor(tors[i])),
     }
 }
@@ -564,33 +674,6 @@ fn join_component(
 
 // ----- batch (fleet) construction ----------------------------------------
 
-/// A phase-1 request of [`construct_layers`]: cluster `c` asks for OPS `o`,
-/// packed into one `u64` with the OPS in the high half, so the keys sort
-/// (and deduplicate) exactly as the `(o, c)` pairs would, at half their
-/// size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Request(u64);
-
-impl Request {
-    /// # Panics
-    ///
-    /// Panics if the OPS or the cluster index does not fit in 32 bits.
-    fn new(ops: OpsId, cluster: usize) -> Self {
-        match (u32::try_from(ops.index()), u32::try_from(cluster)) {
-            (Ok(o), Ok(c)) => Request(u64::from(o) << 32 | u64::from(c)),
-            _ => panic!("request of cluster {cluster} for {ops} does not fit in 32-bit halves"),
-        }
-    }
-
-    fn ops(self) -> OpsId {
-        OpsId((self.0 >> 32) as usize)
-    }
-
-    fn cluster(self) -> usize {
-        (self.0 & u64::from(u32::MAX)) as usize
-    }
-}
-
 /// Phase 1 of [`construct_layers`]: each cluster's restricted pool, and
 /// the ToRs its optimistic build needs an uplink for.
 struct Partition {
@@ -606,30 +689,39 @@ struct Partition {
 impl Partition {
     /// The deterministic pool partition over the contested candidates.
     /// Candidates are gathered once per distinct ToR of a cluster (a rack's
-    /// VMs all share its uplinks), as (OPS, requesting cluster) requests.
-    /// Every pool starts without any requested OPS; then each one, in id
-    /// order, goes back to its requester with the fewest assignments so far
-    /// (then the lowest cluster index).
+    /// VMs all share its uplinks, and a run of them is read once), as
+    /// (OPS, requesting cluster) requests. Every pool starts without any
+    /// requested OPS; then each one, in id order, goes back to its
+    /// requester with the fewest assignments so far (then the lowest
+    /// cluster index).
+    ///
+    /// The requests are bucketed by OPS with a counting sort over the ids
+    /// they span. They are generated cluster by cluster, so each bucket
+    /// lists its requesters in cluster order, a cluster's repeats adjacent.
     fn new(dc: &DataCenter, clusters: &[Vec<VmId>], available: &OpsAvailability) -> Self {
-        let mut requests: Vec<Request> = Vec::new();
+        // Cluster c requested `requested[request_ends[c]..request_ends[c + 1]]`.
+        let mut requested: Vec<OpsId> = Vec::new();
+        let mut request_ends = Vec::with_capacity(clusters.len() + 1);
+        request_ends.push(0);
+        let (mut lo, mut hi) = (usize::MAX, 0);
         let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
         let mut needed: Vec<TorId> = Vec::new();
         let mut needed_ends = Vec::with_capacity(clusters.len() + 1);
         needed_ends.push(0);
         for (c, vms) in clusters.iter().enumerate() {
             let mut single_homed = true;
-            for &vm in vms {
-                let tors = dc.tors_of_vm(vm);
+            for (tors, _) in rack_runs(dc, vms) {
                 single_homed &= tors.len() == 1;
                 for &tor in tors {
                     if std::mem::replace(&mut tor_seen_by[tor.index()], c) != c {
                         needed.push(tor);
-                        let uplinks = dc.uplinks_of_tor(tor).iter();
-                        requests.extend(
-                            uplinks
-                                .filter(|&&o| available.is_available(o))
-                                .map(|&o| Request::new(o, c)),
-                        );
+                        for &o in dc.uplinks_of_tor(tor) {
+                            if available.is_available(o) {
+                                requested.push(o);
+                                lo = lo.min(o.index());
+                                hi = hi.max(o.index() + 1);
+                            }
+                        }
                     }
                 }
             }
@@ -637,23 +729,48 @@ impl Partition {
                 needed.truncate(needed_ends[c]);
             }
             needed_ends.push(needed.len());
+            request_ends.push(requested.len());
         }
-        requests.sort_unstable();
-        requests.dedup();
+        // OPS `lo + k`'s requesters are
+        // `requesters[bucket_offsets[k]..bucket_offsets[k + 1]]`, filled
+        // through `bucket_offsets[k + 1]` as a cursor (see
+        // `greedy_cover_indexed`).
+        let ids = lo.min(hi)..hi;
+        let mut bucket_offsets = vec![0usize; ids.len() + 2];
+        for o in &requested {
+            bucket_offsets[o.index() - ids.start + 2] += 1;
+        }
+        for k in 2..bucket_offsets.len() {
+            bucket_offsets[k] += bucket_offsets[k - 1];
+        }
+        let mut requesters = vec![0usize; requested.len()];
+        for c in 0..clusters.len() {
+            for o in &requested[request_ends[c]..request_ends[c + 1]] {
+                let cursor = &mut bucket_offsets[o.index() - ids.start + 1];
+                requesters[*cursor] = c;
+                *cursor += 1;
+            }
+        }
+        let buckets = || {
+            ids.clone()
+                .zip(bucket_offsets.windows(2))
+                .map(|(o, b)| (OpsId(o), &requesters[b[0]..b[1]]))
+                .filter(|(_, bucket)| !bucket.is_empty())
+        };
         let mut contested = available.clone();
-        for r in &requests {
-            contested.block(r.ops());
+        for (o, _) in buckets() {
+            contested.block(o);
         }
         let mut pools = vec![contested; clusters.len()];
         let mut assigned = vec![0usize; clusters.len()];
-        for reqs in requests.chunk_by(|a, b| a.ops() == b.ops()) {
-            let winner = reqs
+        for (o, bucket) in buckets() {
+            let winner = bucket
                 .iter()
-                .map(|r| r.cluster())
+                .copied()
                 .min_by_key(|&c| (assigned[c], c))
-                .expect("chunks are non-empty");
+                .expect("buckets are non-empty");
             assigned[winner] += 1;
-            pools[winner].release(reqs[0].ops());
+            pools[winner].release(o);
         }
         Partition {
             pools,
@@ -916,32 +1033,55 @@ mod tests {
         );
     }
 
+    /// Rack runs cut any VM order into maximal runs of shared ToRs: the
+    /// runs concatenate back to the input, every VM of a run has the run's
+    /// ToRs, and neighbouring runs differ.
     #[test]
-    fn requests_sort_and_dedup_as_their_pairs() {
-        let max = u32::MAX as usize;
-        let pairs = [
-            (OpsId(3), 1),
-            (OpsId(0), 7),
-            (OpsId(max), max),
-            (OpsId(3), 0),
-            (OpsId(0), max),
-            (OpsId(0), 7),
-        ];
-        let mut keys: Vec<Request> = pairs.iter().map(|&(o, c)| Request::new(o, c)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut expected = pairs.to_vec();
-        expected.sort_unstable();
-        expected.dedup();
-        let unpacked: Vec<(OpsId, usize)> = keys.iter().map(|r| (r.ops(), r.cluster())).collect();
-        assert_eq!(unpacked, expected);
+    fn rack_runs_are_maximal_in_any_order() {
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+        for seed in 0..32u64 {
+            let dc = AlvcTopologyBuilder::new()
+                .racks(4)
+                .servers_per_rack(3)
+                .vms_per_server(2)
+                .dual_home_prob(0.4)
+                .seed(seed)
+                .build();
+            let mut vms: Vec<_> = dc.vm_ids().collect();
+            if seed % 2 == 1 {
+                vms.shuffle(&mut StdRng::seed_from_u64(seed));
+            }
+            let runs: Vec<_> = rack_runs(&dc, &vms).collect();
+            let flat: Vec<VmId> = runs.iter().flat_map(|(_, run)| run.to_vec()).collect();
+            assert_eq!(flat, vms);
+            for (tors, run) in &runs {
+                assert!(!run.is_empty());
+                assert!(run.iter().all(|&vm| dc.tors_of_vm(vm) == *tors));
+            }
+            assert!(runs.windows(2).all(|w| w[0].0 != w[1].0));
+        }
+        assert_eq!(rack_runs(&line_core_dc(), &[]).count(), 0);
     }
 
-    #[cfg(target_pointer_width = "64")]
     #[test]
-    #[should_panic(expected = "32-bit halves")]
-    fn a_request_past_32_bits_panics() {
-        Request::new(OpsId(1 << 32), 0);
+    fn ranks_follow_degree_then_reverse_id() {
+        // Ids 3..8 and 70 marked, degrees 2, 1, 2, 1, 2 and 1: the order
+        // (degree, Reverse(id)) is 70, 6, 4, 7, 5, 3.
+        let mut cands = Candidates::new(130);
+        for id in (3..8).chain([70]) {
+            cands.mark(id);
+        }
+        let n = cands.rank_by_degree(|id| if id % 2 == 0 { 1 } else { 2 });
+        assert_eq!(n, 6);
+        assert_eq!(&cands.table[3..8], &[5, 2, 4, 1, 3]);
+        assert_eq!(cands.rank(70), 0);
+        let chosen = [true, true, false, false, true, true];
+        assert_eq!(
+            cands.chosen(&chosen, OpsId),
+            vec![OpsId(3), OpsId(5), OpsId(6), OpsId(70)]
+        );
+        assert_eq!(Candidates::new(4).rank_by_degree(|_| 0), 0);
+        assert!(Candidates::new(0).chosen(&[], OpsId).is_empty());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Reference rescan implementations of the greedy selection stages,
 //! compiled for tests only.
 //!
-//! The production selectors in [`super`] run on the incremental lazy-greedy
+//! The production selectors in [`super`] run on the bucket-queue greedy
 //! engine ([`alvc_graph::lazy_greedy`]). The per-round full rescans they
 //! replaced live here, byte-for-byte equivalent in output, as the oracle
-//! the heap-based selectors are tested against on random topologies. The
+//! the incremental selectors are tested against on random topologies. The
 //! restarting connectivity augmentation that the one-pass
-//! `ensure_connected` replaced is kept here for the same reason.
+//! `ensure_connected` replaced, and the sort-and-deduplicate grant that
+//! phase 1 of `construct_layers` replaced with a counting sort, are kept
+//! here for the same reason.
 
 use std::collections::{HashMap, HashSet};
 
@@ -154,6 +156,62 @@ pub(crate) fn select_ops_greedy_naive(
     }
     selected.sort();
     Ok(selected)
+}
+
+/// Every (OPS, cluster) request phase 1 of `construct_layers` makes, read
+/// VM by VM: cluster `c` requests each available uplink of each distinct
+/// ToR of its VMs, once per ToR, in cluster order.
+pub(crate) fn phase1_requests(
+    dc: &DataCenter,
+    clusters: &[Vec<VmId>],
+    available: &OpsAvailability,
+) -> Vec<(OpsId, usize)> {
+    let mut requests = Vec::new();
+    for (c, vms) in clusters.iter().enumerate() {
+        let mut seen = HashSet::new();
+        for &vm in vms {
+            for &tor in dc.tors_of_vm(vm) {
+                if seen.insert(tor) {
+                    let uplinks = dc.uplinks_of_tor(tor).iter();
+                    requests.extend(
+                        uplinks
+                            .filter(|&&o| available.is_available(o))
+                            .map(|&o| (o, c)),
+                    );
+                }
+            }
+        }
+    }
+    requests
+}
+
+/// The grant `Partition::new` made before its counting sort, kept as the
+/// oracle for it: sort and deduplicate the requests, block every requested
+/// OPS in every pool, then give each OPS's chunk, in id order, to the
+/// requester with the fewest grants so far, then the lowest cluster index.
+pub(crate) fn pools_by_sort(
+    mut requests: Vec<(OpsId, usize)>,
+    n_clusters: usize,
+    available: &OpsAvailability,
+) -> Vec<OpsAvailability> {
+    requests.sort_unstable();
+    requests.dedup();
+    let mut contested = available.clone();
+    for &(o, _) in &requests {
+        contested.block(o);
+    }
+    let mut pools = vec![contested; n_clusters];
+    let mut assigned = vec![0usize; n_clusters];
+    for reqs in requests.chunk_by(|a, b| a.0 == b.0) {
+        let winner = reqs
+            .iter()
+            .map(|&(_, c)| c)
+            .min_by_key(|&c| (assigned[c], c))
+            .expect("chunks are non-empty");
+        assigned[winner] += 1;
+        pools[winner].release(reqs[0].0);
+    }
+    pools
 }
 
 /// [`super::PaperGreedy`]'s pipeline on the naive rescan selectors: the
@@ -308,9 +366,10 @@ mod tests {
     use crate::construction::PaperGreedy;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, seq::SliceRandom, RngExt, SeedableRng};
 
-    /// The tentpole's equivalence guarantee: heap-based PaperGreedy and the
-    /// naive rescan produce identical layers (including identical errors)
+    /// The engine's equivalence guarantee: the incremental PaperGreedy and
+    /// the naive rescan produce identical layers (including identical errors)
     /// across random topologies, availabilities, and cluster shapes.
     #[test]
     fn heap_pipeline_equals_naive_pipeline_on_random_topologies() {
@@ -369,28 +428,162 @@ mod tests {
         );
     }
 
-    #[test]
-    fn naive_selectors_match_incremental_selectors() {
-        use crate::construction::{select_ops_greedy, select_tors_greedy};
-        for seed in 0..40u64 {
-            let dc = AlvcTopologyBuilder::new()
-                .racks(6)
-                .ops_count(8)
-                .tor_ops_degree(3)
-                .dual_home_prob(0.4)
-                .seed(seed)
-                .build();
-            let vms: Vec<_> = dc.vm_ids().collect();
-            let tors = select_tors_greedy(&dc, &vms);
-            assert_eq!(tors, select_tors_greedy_naive(&dc, &vms));
-            if let Ok(tors) = tors {
-                let avail = OpsAvailability::all();
-                assert_eq!(
-                    select_ops_greedy(&dc, &tors, &avail),
-                    select_ops_greedy_naive(&dc, &tors, &avail)
+    /// A cluster of `dc`'s VMs (each kept with probability 3/4, so it may
+    /// be empty) in id order, shuffled, or rack-interleaved: one VM of each
+    /// rack in turn, so every run of shared ToRs has length 1.
+    fn drawn_vms(dc: &DataCenter, order: u8, rng: &mut StdRng) -> Vec<VmId> {
+        let mut vms: Vec<VmId> = dc
+            .vm_ids()
+            .filter(|_| rng.random_range(0..4u8) > 0)
+            .collect();
+        match order {
+            0 => {}
+            1 => vms.shuffle(rng),
+            _ => {
+                let mut seen = vec![0usize; dc.tor_count()];
+                let mut keyed: Vec<(usize, TorId, VmId)> = vms
+                    .iter()
+                    .map(|&vm| {
+                        let tor = dc.tor_of_vm(vm);
+                        seen[tor.index()] += 1;
+                        (seen[tor.index()], tor, vm)
+                    })
+                    .collect();
+                keyed.sort_unstable();
+                vms = keyed.into_iter().map(|(_, _, vm)| vm).collect();
+            }
+        }
+        vms
+    }
+
+    /// One greedy-stage problem: a 1–2 pod topology, dual-homed with
+    /// probability 0 to 0.5; one case in eight has racks of 1,000 VMs. A
+    /// cluster drawn by [`drawn_vms`], an arbitrary ToR list (repeats
+    /// allowed) for the OPS stage on its own, and a blocked set.
+    fn greedy_case() -> impl Strategy<Value = (DataCenter, Vec<VmId>, Vec<TorId>, OpsAvailability)>
+    {
+        (
+            (1usize..3, 1usize..7, 1usize..5, 1usize..5),
+            (1usize..10, 1usize..5, 0u8..6, 0u8..3),
+            (0u8..8, 0u64..1000),
+        )
+            .prop_map(
+                |((pods, racks, servers, per_server), (ops, degree, dual, order), (big, seed))| {
+                    let (racks, servers, per_server) = if big == 0 {
+                        (2, 250, 4)
+                    } else {
+                        (racks, servers, per_server)
+                    };
+                    let dc = AlvcTopologyBuilder::new()
+                        .racks(racks)
+                        .servers_per_rack(servers)
+                        .vms_per_server(per_server)
+                        .ops_count(ops)
+                        .tor_ops_degree(degree)
+                        .dual_home_prob(f64::from(dual) / 10.0)
+                        .pods(pods)
+                        .seed(seed)
+                        .build();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let vms = drawn_vms(&dc, order, &mut rng);
+                    let n_tors = rng.random_range(0..2 * dc.tor_count() + 1);
+                    let tors = (0..n_tors)
+                        .map(|_| TorId(rng.random_range(0..dc.tor_count())))
+                        .collect();
+                    let blocked: Vec<OpsId> = dc
+                        .ops_ids()
+                        .filter(|_| rng.random_range(0..5u8) == 0)
+                        .collect();
+                    (dc, vms, tors, OpsAvailability::with_blocked(blocked))
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bucket-queue selectors equal the naive rescans, errors
+        /// included: the ToR stage on the drawn cluster, and the OPS stage
+        /// both on the ToRs it selected and on an arbitrary ToR list.
+        #[test]
+        fn naive_selectors_match_incremental_selectors(
+            (dc, vms, tors, avail) in greedy_case(),
+        ) {
+            use crate::construction::{select_ops_greedy, select_tors_greedy};
+            let selected = select_tors_greedy(&dc, &vms);
+            prop_assert_eq!(&selected, &select_tors_greedy_naive(&dc, &vms));
+            for tors in selected.iter().chain([&tors]) {
+                prop_assert_eq!(
+                    select_ops_greedy(&dc, tors, &avail),
+                    select_ops_greedy_naive(&dc, tors, &avail)
                 );
             }
         }
+    }
+
+    /// `Partition::new`'s counting-sort grant equals the sorted grant it
+    /// replaced on 1–2 pod topologies (dual-homed or not, 1–4 uplinks a
+    /// ToR), with 1–5 clusters drawn over shared racks in id, shuffled or
+    /// rack-interleaved order, and a blocked set. The corpus must contest
+    /// OPSs (two clusters request one) and repeat requests (one cluster
+    /// requests an OPS through two ToRs) often.
+    #[test]
+    fn counting_sort_grant_matches_the_sorted_grant() {
+        use crate::construction::Partition;
+        use std::cell::Cell;
+        let (contested, repeated) = (Cell::new(0usize), Cell::new(0usize));
+        let strategy = (
+            (1usize..3, 1usize..7, 1usize..4, 1usize..10),
+            (1usize..5, 0u8..2, 1usize..6, 0u8..3, 0u64..1000),
+        );
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(512),
+            "counting_sort_grant_matches_the_sorted_grant",
+            strategy,
+            |((pods, racks, servers, ops), (degree, dual, n, order, seed))| {
+                let dc = AlvcTopologyBuilder::new()
+                    .racks(racks)
+                    .servers_per_rack(servers)
+                    .vms_per_server(2)
+                    .ops_count(ops)
+                    .tor_ops_degree(degree)
+                    .dual_home_prob(if dual == 1 { 0.5 } else { 0.0 })
+                    .pods(pods)
+                    .seed(seed)
+                    .build();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let clusters: Vec<Vec<VmId>> =
+                    (0..n).map(|_| drawn_vms(&dc, order, &mut rng)).collect();
+                let blocked: Vec<OpsId> = dc
+                    .ops_ids()
+                    .filter(|_| rng.random_range(0..6u8) == 0)
+                    .collect();
+                let avail = OpsAvailability::with_blocked(blocked);
+                let requests = phase1_requests(&dc, &clusters, &avail);
+                let mut pairs = requests.clone();
+                pairs.sort_unstable();
+                let distinct = pairs.len();
+                pairs.dedup();
+                repeated.set(repeated.get() + usize::from(pairs.len() < distinct));
+                let shared = pairs.windows(2).any(|w| w[0].0 == w[1].0);
+                contested.set(contested.get() + usize::from(shared));
+                prop_assert_eq!(
+                    Partition::new(&dc, &clusters, &avail).pools,
+                    pools_by_sort(requests, clusters.len(), &avail)
+                );
+                Ok(())
+            },
+        );
+        assert!(
+            contested.get() > 200,
+            "only {} contested cases",
+            contested.get()
+        );
+        assert!(
+            repeated.get() > 100,
+            "only {} repeated cases",
+            repeated.get()
+        );
     }
 
     #[test]

@@ -47,7 +47,9 @@ use std::mem::size_of;
 use alvc_topology::{DataCenter, Element, OpsId, PodId, VmId};
 
 use crate::abstraction_layer::AbstractionLayer;
-use crate::construction::{construct_layers, ensure_connected, AlConstruct, OpsAvailability};
+use crate::construction::{
+    construct_layers, ensure_connected, rack_runs, AlConstruct, OpsAvailability,
+};
 use crate::error::ConstructionError;
 
 /// One pod's slice of the sharded state: its OPS roster and the
@@ -143,11 +145,13 @@ impl ShardedState {
     }
 
     /// Splits `vms` into pod-local groups, in pod order; empty pods are
-    /// omitted. Order within a group follows the input order.
+    /// omitted. Order within a group follows the input order. A run of VMs
+    /// sharing their ToRs shares its pod, so each run costs one pod lookup
+    /// and one copy.
     pub fn split_by_pod(dc: &DataCenter, vms: &[VmId]) -> Vec<(PodId, Vec<VmId>)> {
         let mut per_pod: Vec<Vec<VmId>> = vec![Vec::new(); dc.pod_count()];
-        for &vm in vms {
-            per_pod[dc.pod_of_vm(vm).index()].push(vm);
+        for (_, run) in rack_runs(dc, vms) {
+            per_pod[dc.pod_of_vm(run[0]).index()].extend_from_slice(run);
         }
         per_pod
             .into_iter()

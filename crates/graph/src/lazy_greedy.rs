@@ -22,6 +22,11 @@
 //! (e.g. `(gain, Reverse(index))` for "highest gain, then lowest index"),
 //! which lets each call site reproduce its historical rescan semantics
 //! exactly.
+//!
+//! When the scores are small integers and the tie-break is a fixed rank,
+//! [`BucketSelector`] does the same job with no heap and no stale entries:
+//! one bitset per score over the candidate ranks, where a decay moves one
+//! bit to a lower bucket.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -83,23 +88,37 @@ pub struct LazySelector<K: Ord> {
     stats: SelectorStats,
 }
 
-/// Operation counts accumulated by a [`LazySelector`] over its lifetime.
+/// Operation counts accumulated by a selector over its lifetime.
 ///
 /// The counters are plain fields (kept in all builds — they cost one
-/// register increment per heap operation); with the `telemetry` feature on
+/// register increment per operation); with the `telemetry` feature on
 /// they are flushed into the global `alvc_graph.selector.*` counters when
 /// the selector drops, which is how bench runs decompose a greedy pass
 /// into heap work vs. stale refreshes vs. dead skips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectorStats {
-    /// Entries offered via [`LazySelector::push`].
-    pub pushes: u64,
-    /// Successful selections returned by [`LazySelector::pop_max`].
-    pub pops: u64,
+struct SelectorStats {
+    /// Candidates offered.
+    pushes: u64,
+    /// Successful selections.
+    pops: u64,
     /// Stale entries re-pushed with a refreshed key before retrying.
-    pub stale_refreshes: u64,
+    stale_refreshes: u64,
     /// Entries discarded because the candidate was no longer selectable.
-    pub dead_skips: u64,
+    dead_skips: u64,
+}
+
+impl SelectorStats {
+    /// Adds the counts to the global `alvc_graph.selector.*` counters.
+    #[cfg(feature = "telemetry")]
+    fn flush(self) {
+        if self == SelectorStats::default() {
+            return;
+        }
+        alvc_telemetry::counter!("alvc_graph.selector.pushes").add(self.pushes);
+        alvc_telemetry::counter!("alvc_graph.selector.pops").add(self.pops);
+        alvc_telemetry::counter!("alvc_graph.selector.stale_refreshes").add(self.stale_refreshes);
+        alvc_telemetry::counter!("alvc_graph.selector.dead_skips").add(self.dead_skips);
+    }
 }
 
 impl<K: Ord> LazySelector<K> {
@@ -159,14 +178,128 @@ impl<K: Ord> LazySelector<K> {
 #[cfg(feature = "telemetry")]
 impl<K: Ord> Drop for LazySelector<K> {
     fn drop(&mut self) {
-        let s = self.stats;
-        if s.pushes == 0 && s.pops == 0 && s.stale_refreshes == 0 && s.dead_skips == 0 {
+        self.stats.flush();
+    }
+}
+
+/// A bucket-queue maximum selector over candidate *ranks* with small
+/// integer gains: the candidate of highest gain wins, and among equal
+/// gains the one of higher rank. The caller encodes its tie-break in the
+/// ranks, numbering the candidates `0..n` in ascending tie-break order.
+///
+/// Gains only fall ([`decay`](Self::decay)), so no entry goes stale and
+/// nothing is re-evaluated. Bucket `g` is a bitset over the ranks holding
+/// the candidates whose gain is `g`:
+///
+/// * a pop takes the highest set bit of the highest non-empty bucket, and
+///   that bucket pointer only ever moves down (the top gain never rises);
+/// * a decay moves one bit to a lower bucket, or out of the buckets when
+///   the gain reaches 0.
+///
+/// Memory is `g_max · ⌈n / 64⌉` words for the buckets plus one `u32` gain
+/// per candidate, where `g_max` is the largest initial gain; a whole run of
+/// pops scans each bucket word at most once on the way down, plus one
+/// bucket per pop.
+///
+/// # Example
+///
+/// ```
+/// use alvc_graph::lazy_greedy::BucketSelector;
+///
+/// // Ranks 0..3 with gains 3, 5, 5: rank 2 wins the tie at 5.
+/// let mut sel = BucketSelector::new(vec![3, 5, 5]);
+/// assert_eq!(sel.pop_max(), Some(2));
+/// sel.decay(1, 4);
+/// assert_eq!(sel.pop_max(), Some(0));
+/// assert_eq!(sel.pop_max(), Some(1));
+/// assert_eq!(sel.pop_max(), None);
+/// ```
+#[derive(Debug)]
+pub struct BucketSelector {
+    /// `gains[r]`: rank `r`'s current gain; 0 once selected or exhausted.
+    gains: Vec<u32>,
+    /// Bucket `g ≥ 1` is `buckets[(g - 1) * width..g * width]`.
+    buckets: Vec<u64>,
+    /// Words per bucket, `⌈n / 64⌉`.
+    width: usize,
+    /// The highest bucket that may be non-empty; 0 when all are empty.
+    top: usize,
+    stats: SelectorStats,
+}
+
+impl BucketSelector {
+    /// A selector over ranks `0..gains.len()`, rank `r` starting at
+    /// `gains[r]`. A rank of gain 0 is never selected.
+    pub fn new(gains: Vec<u32>) -> Self {
+        let width = gains.len().div_ceil(64);
+        let top = gains.iter().copied().max().unwrap_or(0) as usize;
+        let mut buckets = vec![0u64; top * width];
+        let mut pushes = 0;
+        for (r, &g) in gains.iter().enumerate() {
+            if g > 0 {
+                buckets[(g as usize - 1) * width + r / 64] |= 1 << (r % 64);
+                pushes += 1;
+            }
+        }
+        BucketSelector {
+            gains,
+            buckets,
+            width,
+            top,
+            stats: SelectorStats {
+                pushes,
+                ..SelectorStats::default()
+            },
+        }
+    }
+
+    /// Removes and returns the rank of highest gain, the higher rank on a
+    /// tie; `None` once every gain is 0.
+    pub fn pop_max(&mut self) -> Option<usize> {
+        while self.top > 0 {
+            let bucket = &mut self.buckets[(self.top - 1) * self.width..self.top * self.width];
+            if let Some(w) = bucket.iter().rposition(|&word| word != 0) {
+                let bit = 63 - bucket[w].leading_zeros() as usize;
+                bucket[w] &= !(1 << bit);
+                let rank = w * 64 + bit;
+                self.gains[rank] = 0;
+                self.stats.pops += 1;
+                return Some(rank);
+            }
+            self.top -= 1;
+        }
+        None
+    }
+
+    /// Lowers rank `rank`'s gain by `by`. A rank already selected, or
+    /// whose gain is 0, ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `by` exceeds the rank's current gain.
+    pub fn decay(&mut self, rank: usize, by: u32) {
+        let gain = self.gains[rank];
+        if gain == 0 {
             return;
         }
-        alvc_telemetry::counter!("alvc_graph.selector.pushes").add(s.pushes);
-        alvc_telemetry::counter!("alvc_graph.selector.pops").add(s.pops);
-        alvc_telemetry::counter!("alvc_graph.selector.stale_refreshes").add(s.stale_refreshes);
-        alvc_telemetry::counter!("alvc_graph.selector.dead_skips").add(s.dead_skips);
+        debug_assert!(by <= gain, "decay of rank {rank} below zero");
+        let (word, bit) = (rank / 64, 1u64 << (rank % 64));
+        self.buckets[(gain as usize - 1) * self.width + word] &= !bit;
+        let gain = gain.saturating_sub(by);
+        self.gains[rank] = gain;
+        if gain > 0 {
+            self.buckets[(gain as usize - 1) * self.width + word] |= bit;
+        }
+    }
+}
+
+/// Flushes the pushes and pops into the global `alvc_graph.selector.*`
+/// counters, as [`LazySelector`] does (a bucket queue has no stale
+/// refreshes or dead skips to report).
+#[cfg(feature = "telemetry")]
+impl Drop for BucketSelector {
+    fn drop(&mut self) {
+        self.stats.flush();
     }
 }
 
@@ -277,6 +410,50 @@ mod tests {
                 dead_skips: 1,
             }
         );
+    }
+
+    #[test]
+    fn bucket_ties_go_to_the_higher_rank() {
+        let mut sel = BucketSelector::new(vec![4, 4, 2, 4]);
+        assert_eq!(sel.pop_max(), Some(3));
+        assert_eq!(sel.pop_max(), Some(1));
+        assert_eq!(sel.pop_max(), Some(0));
+        assert_eq!(sel.pop_max(), Some(2));
+        assert_eq!(sel.pop_max(), None);
+    }
+
+    #[test]
+    fn a_gain_decayed_to_zero_is_never_selected() {
+        // 130 ranks: three bucket words, so the scan crosses words.
+        let mut gains = vec![0u32; 130];
+        gains[129] = 3;
+        gains[5] = 2;
+        gains[70] = 2;
+        let mut sel = BucketSelector::new(gains);
+        sel.decay(129, 1);
+        sel.decay(129, 2);
+        // Decays of an exhausted rank are ignored.
+        sel.decay(129, 5);
+        assert_eq!(sel.pop_max(), Some(70));
+        // A selected rank ignores decays too.
+        sel.decay(70, 2);
+        sel.decay(5, 1);
+        assert_eq!(sel.pop_max(), Some(5));
+        assert_eq!(sel.pop_max(), None);
+        assert_eq!(
+            sel.stats,
+            SelectorStats {
+                pushes: 3,
+                pops: 2,
+                ..SelectorStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn an_empty_selector_pops_nothing() {
+        assert_eq!(BucketSelector::new(Vec::new()).pop_max(), None);
+        assert_eq!(BucketSelector::new(vec![0, 0]).pop_max(), None);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`Graph`] — an undirected adjacency-list graph with typed node and edge
 //!   weights, stable integer ids, and O(1) amortized insertion.
 //! * [`cover`] — greedy weighted and exact branch-and-bound set cover.
-//! * [`lazy_greedy`] — the heap-backed incremental selection engine behind
-//!   every greedy cover (lazy deletion of stale entries).
+//! * [`lazy_greedy`] — the incremental selection engines behind every
+//!   greedy cover: a heap with lazy deletion of stale entries, and a bucket
+//!   queue for small integer gains.
 //! * [`traversal`] — BFS orders, connected components, reachability.
 //! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
 //! * [`slice`](mod@slice) — a node subset indexed once as a dense CSR subgraph.
@@ -49,5 +50,5 @@ pub mod traversal;
 
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
-pub use lazy_greedy::{LazySelector, SelectorStats, TotalF64};
+pub use lazy_greedy::{BucketSelector, LazySelector, TotalF64};
 pub use slice::{SliceGraph, SliceLink};
