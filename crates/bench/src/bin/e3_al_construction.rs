@@ -7,9 +7,7 @@
 //! minimizes) and the approximation ratio to the optimum.
 
 use alvc_bench::{deploy_fig5_chains, f2, print_table, Json, Op, Report, Scale};
-use alvc_core::construction::{
-    AlConstruct, CostAwareGreedy, ExactCover, PaperGreedy, RandomSelection, StaticDegreeGreedy,
-};
+use alvc_core::construction::{AlConstruct, ExactCover, PaperGreedy, RandomSelection};
 use alvc_core::{service_clusters, OpsAvailability};
 
 fn main() {
@@ -28,7 +26,7 @@ fn main() {
 
     let constructors: Vec<(&str, Box<dyn AlConstruct>)> = vec![
         ("paper-greedy", Box::new(PaperGreedy::new())),
-        ("static-degree", Box::new(StaticDegreeGreedy::new())),
+        ("static-degree", Box::new(PaperGreedy::static_degree())),
         ("random [15]", Box::new(RandomSelection::new(3))),
         ("exact (B&B)", Box::new(ExactCover::new())),
     ];
@@ -132,7 +130,8 @@ fn main() {
     // Ablation (extension): heterogeneous switch costs. When optoelectronic
     // routers are priced above plain OPSs, the cost-aware weighted greedy
     // should spend less on them than the count-minimizing paper greedy.
-    let pricy = CostAwareGreedy::new(1.0, 4.0);
+    let (plain, opto) = (1.0, 4.0);
+    let pricy = PaperGreedy::cost_aware(plain, opto);
     let mut paper_cost = 0.0;
     let mut aware_cost = 0.0;
     let mut paper_opto = 0usize;
@@ -146,8 +145,14 @@ fn main() {
             let aware = pricy
                 .construct(&dc, &c.vms, &OpsAvailability::all())
                 .expect("construction feasible");
-            paper_cost += pricy.al_cost(&dc, &paper);
-            aware_cost += pricy.al_cost(&dc, &aware);
+            let cost = |al: &alvc_core::AbstractionLayer| -> f64 {
+                al.ops()
+                    .iter()
+                    .map(|&o| dc.opto_capacity(o).map_or(plain, |_| opto))
+                    .sum()
+            };
+            paper_cost += cost(&paper);
+            aware_cost += cost(&aware);
             let count_opto = |al: &alvc_core::AbstractionLayer| {
                 al.ops()
                     .iter()

@@ -9,7 +9,7 @@
 
 use alvc_bench::{f2, print_table};
 use alvc_core::clustering::tenant_clusters;
-use alvc_core::construction::{AlConstruct, CostAwareGreedy, PaperGreedy};
+use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_nfv::chain::fig5;
 use alvc_nfv::{ChainSpec, ElectronicOnlyPlacer, Orchestrator, VnfPlacer, VnfSpec, VnfType};
 use alvc_optical::EnergyModel;
@@ -176,7 +176,7 @@ fn main() {
         let vm_groups: Vec<Vec<VmId>> = groups.iter().map(|g| g.vms.clone()).collect();
         for (label, ctor) in [
             ("paper", &PaperGreedy::new() as &dyn AlConstruct),
-            ("aware", &CostAwareGreedy::new(2.0, 1.0)),
+            ("aware", &PaperGreedy::cost_aware(2.0, 1.0)),
         ] {
             let mut orch = Orchestrator::new();
             for (group, spec) in groups.iter().zip(chain_population(&vm_groups)) {

@@ -6,11 +6,11 @@
 //! and at what switch-touch cost — compared with the flat baseline where
 //! any core failure forces a network-wide reconvergence. The
 //! `redundant-greedy (r=2)` rows use double ToR coverage
-//! (`RedundantGreedy`), which turns most single failures into shrink-only
+//! (`PaperGreedy::redundant(2)`), which turns most single failures into shrink-only
 //! repairs.
 
 use alvc_bench::{f2, pct, print_table, Scale};
-use alvc_core::construction::{AlConstruct, PaperGreedy, RedundantGreedy};
+use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::{service_clusters, ClusterManager};
 use alvc_nfv::chain::fig5;
 use alvc_nfv::Orchestrator;
@@ -183,7 +183,7 @@ fn main() {
         );
         run(
             scale,
-            &RedundantGreedy::new(2),
+            &PaperGreedy::redundant(2),
             "redundant (r=2)",
             2,
             &mut rows,

@@ -10,11 +10,12 @@
 //!    the OPSs against the selected ToRs … this set of OPSs will be declared
 //!    as the final AL".
 //!
-//! This module implements that pipeline ([`PaperGreedy`]), the random
-//! baseline of the authors' prior work \[15\] ([`RandomSelection`]), an
+//! This module implements that pipeline ([`PaperGreedy`], on one greedy
+//! engine whose configurations also give the non-adaptive static-degree
+//! ablation, r-fold coverage and a switch-cost objective), the random
+//! baseline of the authors' prior work \[15\] ([`RandomSelection`]), and an
 //! exact branch-and-bound variant ([`ExactCover`]) quantifying how close the
-//! greedy comes to the true minimum, and a non-adaptive static-degree
-//! ablation ([`StaticDegreeGreedy`]).
+//! greedy comes to the true minimum.
 //!
 //! All constructors finish with a **connectivity augmentation** pass: cover
 //! feasibility alone does not make the selected switches one connected
@@ -22,21 +23,15 @@
 //! disconnected we grow it along shortest OPS paths until it is, or fail
 //! with [`ConstructionError::Disconnected`].
 
-mod cost_aware;
 mod exact;
 mod paper;
 mod random;
-mod redundant;
 #[cfg(test)]
 mod reference;
-mod static_degree;
 
-pub use cost_aware::CostAwareGreedy;
 pub use exact::ExactCover;
 pub use paper::PaperGreedy;
 pub use random::RandomSelection;
-pub use redundant::RedundantGreedy;
-pub use static_degree::StaticDegreeGreedy;
 
 use std::collections::VecDeque;
 
@@ -313,82 +308,87 @@ impl DoubleEndedIterator for SetBits {
     }
 }
 
-/// The shared incremental greedy cover loop behind [`select_tors_greedy`]
-/// and [`select_ops_greedy`]: repeatedly select the candidate maximizing
-/// `(gain, rank)` via a [`BucketSelector`], where the caller numbers the
-/// `n_cands` candidates `0..n_cands` in the tie-break order `(degree,
-/// Reverse(id))` ([`Candidates::rank_by_degree`]). Gains decay through the `element →
-/// candidates` inverted index, in CSR form over ranks (element `e`'s
-/// candidates are `elem_data[elem_offsets[e]..elem_offsets[e + 1]]`,
-/// avoiding one heap allocation per element), as elements get covered. The
-/// `candidate → elements` direction is the transpose of that index, built
-/// here in the same CSR form (no `Vec` per candidate). Element `e` counts
-/// `weights[e]` items toward a gain (one without `weights`). Identical
-/// output to the historical per-round rescans kept as the test oracle in
-/// `reference`, in `O(cands + edges + g_max · cands / 64)` with no heap
-/// and no sort, where `g_max` is the largest initial gain.
+/// The shared greedy cover loop behind [`select_tors_greedy`] and
+/// [`select_ops_greedy`]. The caller numbers the `n_cands` candidates
+/// `0..n_cands` in the tie-break order `(degree, Reverse(id))`
+/// ([`Candidates::rank_by_degree`]); element `e`'s candidates are
+/// `elem_data[elem_offsets[e]..elem_offsets[e + 1]]` (CSR over ranks, no
+/// allocation per element), and the loop builds the transpose in the same
+/// form. Element `e` wants `min(r, its candidates)` distinct candidates
+/// chosen; until then it adds `weights[e]` (or 1) to each candidate's
+/// gain. Each round a [`BucketSelector`] pops the candidate maximizing
+/// `(gain, rank)`, which lowers the need of every element it serves. With
+/// `adaptive`, an element whose need reaches 0 decays its candidates'
+/// gains; without, nothing decays, candidates pop in their initial order,
+/// and a pop that serves no element in need is skipped.
 ///
-/// Returns which ranks were chosen, or the index of the first element left
-/// uncoverable.
+/// Identical output to the per-round rescans kept as the test oracle in
+/// `reference`, in `O(cands + edges + g_max · cands / 64)` with no heap
+/// and no sort, where `g_max` is the largest initial gain. The callers
+/// give every element a candidate, so every need is met. Returns which
+/// ranks were chosen.
 fn greedy_cover_indexed(
     n_cands: usize,
     elem_offsets: &[u32],
     elem_data: &[u32],
     weights: Option<&[u32]>,
-) -> Result<Vec<bool>, usize> {
+    r: usize,
+    adaptive: bool,
+) -> Vec<bool> {
     let n_elems = elem_offsets.len() - 1;
     let elems_of = |e: usize| &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize];
     let weight = |e: usize| weights.map_or(1, |w| w[e]);
-    // Rank `r` covers `members[member_offsets[r]..member_offsets[r + 1]]`,
-    // ascending: counts go to `member_offsets[r + 2]`, their prefix sums
-    // make `member_offsets[r + 1]` the cursor of `r`, and filling in
-    // element order leaves it at `r`'s end.
+    // Rank `c` serves `members[member_offsets[c]..member_offsets[c + 1]]`,
+    // ascending: counts go to `member_offsets[c + 2]`, their prefix sums
+    // make `member_offsets[c + 1]` the cursor of `c`, and filling in
+    // element order leaves it at `c`'s end.
     let mut member_offsets = vec![0u32; n_cands + 2];
     let mut gains = vec![0u32; n_cands];
     for e in 0..n_elems {
-        for &r in elems_of(e) {
-            member_offsets[r as usize + 2] += 1;
-            gains[r as usize] += weight(e);
+        for &c in elems_of(e) {
+            member_offsets[c as usize + 2] += 1;
+            gains[c as usize] += weight(e);
         }
     }
-    for r in 2..member_offsets.len() {
-        member_offsets[r] += member_offsets[r - 1];
+    for c in 2..member_offsets.len() {
+        member_offsets[c] += member_offsets[c - 1];
     }
     let mut members = vec![0u32; elem_data.len()];
     for e in 0..n_elems {
-        for &r in elems_of(e) {
-            let cursor = &mut member_offsets[r as usize + 1];
+        for &c in elems_of(e) {
+            let cursor = &mut member_offsets[c as usize + 1];
             members[*cursor as usize] = e as u32;
             *cursor += 1;
         }
     }
-    let mut covered = vec![false; n_elems];
-    let mut n_covered = 0;
+    let mut need: Vec<u32> = (0..n_elems)
+        .map(|e| elems_of(e).len().min(r) as u32)
+        .collect();
+    let mut unmet = need.iter().filter(|&&n| n > 0).count();
     let mut chosen = vec![false; n_cands];
     let mut rounds: u64 = 0;
     // Gain decrements, accumulated per covered element (its full candidate
     // list is walked exactly once) so the inner decay loop stays untouched.
     let mut decays: u64 = 0;
     let mut selector = BucketSelector::new(gains);
-    let flush = |rounds, decays| {
-        alvc_telemetry::counter!("alvc_core.construction.rounds").add(rounds);
-        alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
-    };
-    while n_covered < n_elems {
-        let Some(r) = selector.pop_max() else {
-            flush(rounds, decays);
-            return Err(covered
-                .iter()
-                .position(|&c| !c)
-                .expect("uncovered element exists"));
-        };
+    while unmet > 0 {
+        let c = selector
+            .pop_max()
+            .expect("an element with unmet need has an unchosen candidate");
+        let served = &members[member_offsets[c] as usize..member_offsets[c + 1] as usize];
+        if !adaptive && served.iter().all(|&e| need[e as usize] == 0) {
+            continue;
+        }
         rounds += 1;
-        chosen[r] = true;
-        for &e in &members[member_offsets[r] as usize..member_offsets[r + 1] as usize] {
+        chosen[c] = true;
+        for &e in served {
             let e = e as usize;
-            if !covered[e] {
-                covered[e] = true;
-                n_covered += 1;
+            if need[e] == 0 {
+                continue;
+            }
+            need[e] -= 1;
+            unmet -= usize::from(need[e] == 0);
+            if adaptive && need[e] == 0 {
                 decays += elems_of(e).len() as u64;
                 for &other in elems_of(e) {
                     selector.decay(other as usize, weight(e));
@@ -396,18 +396,21 @@ fn greedy_cover_indexed(
             }
         }
     }
-    flush(rounds, decays);
-    Ok(chosen)
+    alvc_telemetry::counter!("alvc_core.construction.rounds").add(rounds);
+    alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
+    chosen
 }
 
 /// Greedy ToR selection: repeatedly pick the ToR covering the most
 /// still-uncovered VMs; ties break toward the ToR with more OPS uplinks
 /// (the paper's "incoming and outgoing connections" weight), then the lower
-/// id. Runs on the bucket-queue greedy engine; output is identical to
-/// the test-only rescan `reference::select_tors_greedy_naive`.
+/// id. Every VM is covered once; `adaptive` as in [`greedy_cover_indexed`].
+/// Output is identical to the test-only rescan
+/// `reference::select_tors_greedy_naive`.
 pub(crate) fn select_tors_greedy(
     dc: &DataCenter,
     vms: &[VmId],
+    adaptive: bool,
 ) -> Result<Vec<TorId>, ConstructionError> {
     if vms.is_empty() {
         return Err(ConstructionError::EmptyCluster);
@@ -425,7 +428,6 @@ pub(crate) fn select_tors_greedy(
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(cap + 1);
     let mut elem_data: Vec<u32> = Vec::with_capacity(cap);
     let mut weights: Vec<u32> = Vec::with_capacity(cap);
-    let mut first_vm: Vec<VmId> = Vec::with_capacity(cap);
     elem_offsets.push(0);
     for (tors, run) in rack_runs(dc, vms) {
         let len = run.len() as u32;
@@ -445,27 +447,35 @@ pub(crate) fn select_tors_greedy(
         }
         elem_offsets.push(elem_data.len() as u32);
         weights.push(len);
-        first_vm.push(run[0]);
     }
     let n_cands = cands.rank_by_degree(|t| dc.uplinks_of_tor(TorId(t)).len());
     for t in &mut elem_data {
         *t = cands.rank(*t as usize);
     }
-    match greedy_cover_indexed(n_cands, &elem_offsets, &elem_data, Some(&weights)) {
-        Ok(chosen) => Ok(cands.chosen(&chosen, TorId)),
-        Err(e) => Err(ConstructionError::UncoverableVm(first_vm[e])),
-    }
+    let chosen = greedy_cover_indexed(
+        n_cands,
+        &elem_offsets,
+        &elem_data,
+        Some(&weights),
+        1,
+        adaptive,
+    );
+    Ok(cands.chosen(&chosen, TorId))
 }
 
 /// Greedy OPS selection over the selected ToRs, restricted to available
 /// OPSs: repeatedly pick the available OPS covering the most uncovered
 /// ToRs; ties break toward the OPS with more ToR links, then the lower id.
-/// Runs on the bucket-queue greedy engine; output is identical to
-/// the test-only rescan `reference::select_ops_greedy_naive`.
+/// `r` and `adaptive` as in [`greedy_cover_indexed`]. Output is identical
+/// to the test-only rescan `reference::select_ops_greedy_naive`. An
+/// uncoverable ToR is reported as the first of `tors` without an available
+/// uplink.
 pub(crate) fn select_ops_greedy(
     dc: &DataCenter,
     tors: &[TorId],
     available: &OpsAvailability,
+    r: usize,
+    adaptive: bool,
 ) -> Result<Vec<OpsId>, ConstructionError> {
     let mut cands = Candidates::new(dc.ops_count());
     let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
@@ -488,10 +498,8 @@ pub(crate) fn select_ops_greedy(
     for o in &mut elem_data {
         *o = cands.rank(*o as usize);
     }
-    match greedy_cover_indexed(n_cands, &elem_offsets, &elem_data, None) {
-        Ok(chosen) => Ok(cands.chosen(&chosen, OpsId)),
-        Err(i) => Err(ConstructionError::UncoverableTor(tors[i])),
-    }
+    let chosen = greedy_cover_indexed(n_cands, &elem_offsets, &elem_data, None, r, adaptive);
+    Ok(cands.chosen(&chosen, OpsId))
 }
 
 /// Connectivity augmentation: while the layer's switches form more than one
@@ -969,7 +977,7 @@ mod tests {
     fn select_tors_greedy_covers_all_vms() {
         let dc = AlvcTopologyBuilder::new().racks(6).seed(3).build();
         let vms: Vec<_> = dc.vm_ids().collect();
-        let tors = select_tors_greedy(&dc, &vms).unwrap();
+        let tors = select_tors_greedy(&dc, &vms, true).unwrap();
         // Single-homed servers: every rack hosting VMs must appear.
         assert_eq!(tors.len(), 6);
     }
@@ -985,7 +993,7 @@ mod tests {
         dc.add_vm(s0, ServiceType::WebService);
         dc.add_vm(s1, ServiceType::WebService);
         dc.add_access_link(s1, TorId(0));
-        let tors = select_tors_greedy(&dc, &dc.vm_ids().collect::<Vec<_>>()).unwrap();
+        let tors = select_tors_greedy(&dc, &dc.vm_ids().collect::<Vec<_>>(), true).unwrap();
         assert_eq!(tors, vec![TorId(0)]);
     }
 
@@ -993,7 +1001,7 @@ mod tests {
     fn select_tors_empty_cluster_rejected() {
         let dc = AlvcTopologyBuilder::new().seed(0).build();
         assert_eq!(
-            select_tors_greedy(&dc, &[]),
+            select_tors_greedy(&dc, &[], true),
             Err(ConstructionError::EmptyCluster)
         );
     }
@@ -1011,7 +1019,7 @@ mod tests {
         dc.connect_tor_ops(t0, o1);
         dc.connect_tor_ops(t1, o1);
         dc.connect_tor_ops(t1, o2);
-        let ops = select_ops_greedy(&dc, &[t0, t1], &OpsAvailability::all()).unwrap();
+        let ops = select_ops_greedy(&dc, &[t0, t1], &OpsAvailability::all(), 1, true).unwrap();
         assert_eq!(ops, vec![o1]);
     }
 
@@ -1024,11 +1032,11 @@ mod tests {
         dc.connect_tor_ops(t0, o0);
         dc.connect_tor_ops(t0, o1);
         let avail = OpsAvailability::with_blocked([o0]);
-        let ops = select_ops_greedy(&dc, &[t0], &avail).unwrap();
+        let ops = select_ops_greedy(&dc, &[t0], &avail, 1, true).unwrap();
         assert_eq!(ops, vec![o1]);
         let none = OpsAvailability::with_blocked([o0, o1]);
         assert_eq!(
-            select_ops_greedy(&dc, &[t0], &none),
+            select_ops_greedy(&dc, &[t0], &none, 1, true),
             Err(ConstructionError::UncoverableTor(t0))
         );
     }
@@ -1339,9 +1347,9 @@ mod tests {
             Box::new(PaperGreedy::without_augmentation()),
             Box::new(RandomSelection::new(3)),
             Box::new(ExactCover::new()),
-            Box::new(StaticDegreeGreedy::new()),
-            Box::new(CostAwareGreedy::new(1.0, 2.0)),
-            Box::new(RedundantGreedy::new(2)),
+            Box::new(PaperGreedy::static_degree()),
+            Box::new(PaperGreedy::redundant(2)),
+            Box::new(PaperGreedy::cost_aware(1.0, 2.0)),
             Box::new(reference::NaiveGreedy::new()),
         ]
     }
@@ -1462,8 +1470,8 @@ mod tests {
             .seed(1)
             .build();
         let vms: Vec<_> = dc.vm_ids().collect();
-        let tors = select_tors_greedy(&dc, &vms).unwrap();
-        let ops = select_ops_greedy(&dc, &tors, &OpsAvailability::all()).unwrap();
+        let tors = select_tors_greedy(&dc, &vms, true).unwrap();
+        let ops = select_ops_greedy(&dc, &tors, &OpsAvailability::all(), 1, true).unwrap();
         let al = AbstractionLayer::new(tors, ops.clone());
         if al.is_connected(&dc) {
             let same = ensure_connected(&dc, al.clone(), &OpsAvailability::all()).unwrap();

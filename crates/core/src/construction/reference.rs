@@ -19,11 +19,13 @@ use crate::construction::{ensure_connected, AlConstruct, OpsAvailability};
 use crate::error::ConstructionError;
 
 /// Naive greedy ToR selection: per-round rescan of every candidate ToR.
-/// Same tie-break as `select_tors_greedy` — `(gain, OPS uplink
-/// count, Reverse(id))` — so the output is identical.
+/// Same rule as `select_tors_greedy` — every VM is covered once, and the
+/// key is `(gain, OPS uplink count, Reverse(id))`, with the initial gain in
+/// place of the gain when not `adaptive` — so the output is identical.
 pub(crate) fn select_tors_greedy_naive(
     dc: &DataCenter,
     vms: &[VmId],
+    adaptive: bool,
 ) -> Result<Vec<TorId>, ConstructionError> {
     if vms.is_empty() {
         return Err(ConstructionError::EmptyCluster);
@@ -38,124 +40,78 @@ pub(crate) fn select_tors_greedy_naive(
             tor_vms.entry(t).or_default().push(i);
         }
     }
-    let mut covered = vec![false; vms.len()];
-    let mut n_covered = 0;
-    let mut selected = Vec::new();
-    let mut used: HashSet<TorId> = HashSet::new();
-    while n_covered < vms.len() {
-        let mut best: Option<(usize, usize, TorId)> = None; // (gain, out_degree, tor)
-        for (&tor, members) in &tor_vms {
-            if used.contains(&tor) {
-                continue;
-            }
-            let gain = members.iter().filter(|&&i| !covered[i]).count();
-            if gain == 0 {
-                continue;
-            }
-            let out_degree = dc.uplinks_of_tor(tor).len();
-            let candidate = (gain, out_degree, tor);
-            best = Some(match best {
-                None => candidate,
-                Some(cur) => {
-                    // Higher gain, then higher out-degree, then lower id.
-                    if (candidate.0, candidate.1, std::cmp::Reverse(candidate.2))
-                        > (cur.0, cur.1, std::cmp::Reverse(cur.2))
-                    {
-                        candidate
-                    } else {
-                        cur
-                    }
-                }
-            });
-        }
-        let Some((_, _, tor)) = best else {
-            let vm = vms[covered
-                .iter()
-                .position(|&c| !c)
-                .expect("uncovered vm exists")];
-            return Err(ConstructionError::UncoverableVm(vm));
-        };
-        used.insert(tor);
-        selected.push(tor);
-        for &i in &tor_vms[&tor] {
-            if !covered[i] {
-                covered[i] = true;
-                n_covered += 1;
-            }
-        }
-    }
-    selected.sort();
-    Ok(selected)
+    Ok(rescan(&tor_vms, vec![1; vms.len()], adaptive, |t| {
+        dc.uplinks_of_tor(t).len()
+    }))
 }
 
 /// Naive greedy OPS selection: per-round rescan of every available OPS.
-/// Same tie-break as `select_ops_greedy` — `(gain, ToR link count,
-/// Reverse(id))` — so the output is identical.
+/// Same rule as `select_ops_greedy` — ToR `i` of `tors` wants `min(r, its
+/// available uplinks)` of them, and the key is `(gain, ToR link count,
+/// Reverse(id))`, with the initial gain in place of the gain when not
+/// `adaptive` — so the output is identical.
 pub(crate) fn select_ops_greedy_naive(
     dc: &DataCenter,
     tors: &[TorId],
     available: &OpsAvailability,
+    r: usize,
+    adaptive: bool,
 ) -> Result<Vec<OpsId>, ConstructionError> {
     let mut ops_tors: HashMap<OpsId, Vec<usize>> = HashMap::new();
+    let mut need = Vec::with_capacity(tors.len());
     for (i, &tor) in tors.iter().enumerate() {
-        let mut any = false;
+        let mut uplinks = 0;
         for &ops in dc.uplinks_of_tor(tor) {
             if available.is_available(ops) {
                 ops_tors.entry(ops).or_default().push(i);
-                any = true;
+                uplinks += 1;
             }
         }
-        if !any {
+        if uplinks == 0 {
             return Err(ConstructionError::UncoverableTor(tor));
         }
+        need.push(uplinks.min(r));
     }
-    let mut covered = vec![false; tors.len()];
-    let mut n_covered = 0;
+    Ok(rescan(&ops_tors, need, adaptive, |o| {
+        dc.tors_of_ops(o).len()
+    }))
+}
+
+/// The rescan both naive stages share: while some element still needs a
+/// candidate, scan every unused candidate serving one, pick the maximum of
+/// `(gain, degree, Reverse(id))` — the gain counting the members whose
+/// need is above 0, or, when not `adaptive`, all of its members, since
+/// every element starts with need at least 1 — and lower the need of each
+/// of its members. Returns the picks in id order.
+fn rescan<Id: Copy + Ord + std::hash::Hash>(
+    members_of: &HashMap<Id, Vec<usize>>,
+    mut need: Vec<usize>,
+    adaptive: bool,
+    degree: impl Fn(Id) -> usize,
+) -> Vec<Id> {
     let mut selected = Vec::new();
-    let mut used: HashSet<OpsId> = HashSet::new();
-    while n_covered < tors.len() {
-        let mut best: Option<(usize, usize, OpsId)> = None;
-        for (&ops, members) in &ops_tors {
-            if used.contains(&ops) {
+    let mut used: HashSet<Id> = HashSet::new();
+    while need.iter().any(|&n| n > 0) {
+        let mut best: Option<(usize, usize, std::cmp::Reverse<Id>)> = None;
+        for (&id, members) in members_of {
+            let gain = members.iter().filter(|&&i| need[i] > 0).count();
+            if used.contains(&id) || gain == 0 {
                 continue;
             }
-            let gain = members.iter().filter(|&&i| !covered[i]).count();
-            if gain == 0 {
-                continue;
-            }
-            let degree = dc.tors_of_ops(ops).len();
-            let candidate = (gain, degree, ops);
-            best = Some(match best {
-                None => candidate,
-                Some(cur) => {
-                    if (candidate.0, candidate.1, std::cmp::Reverse(candidate.2))
-                        > (cur.0, cur.1, std::cmp::Reverse(cur.2))
-                    {
-                        candidate
-                    } else {
-                        cur
-                    }
-                }
-            });
+            let weight = if adaptive { gain } else { members.len() };
+            let candidate = (weight, degree(id), std::cmp::Reverse(id));
+            best = best.max(Some(candidate));
         }
-        let Some((_, _, ops)) = best else {
-            let tor = tors[covered
-                .iter()
-                .position(|&c| !c)
-                .expect("uncovered tor exists")];
-            return Err(ConstructionError::UncoverableTor(tor));
-        };
-        used.insert(ops);
-        selected.push(ops);
-        for &i in &ops_tors[&ops] {
-            if !covered[i] {
-                covered[i] = true;
-                n_covered += 1;
-            }
+        let (_, _, std::cmp::Reverse(id)) =
+            best.expect("an element with unmet need has a candidate");
+        used.insert(id);
+        selected.push(id);
+        for &i in &members_of[&id] {
+            need[i] = need[i].saturating_sub(1);
         }
     }
     selected.sort();
-    Ok(selected)
+    selected
 }
 
 /// Every (OPS, cluster) request phase 1 of `construct_layers` makes, read
@@ -247,8 +203,8 @@ impl AlConstruct for NaiveGreedy {
         vms: &[VmId],
         available: &OpsAvailability,
     ) -> Result<AbstractionLayer, ConstructionError> {
-        let tors = select_tors_greedy_naive(dc, vms)?;
-        let ops = select_ops_greedy_naive(dc, &tors, available)?;
+        let tors = select_tors_greedy_naive(dc, vms, true)?;
+        let ops = select_ops_greedy_naive(dc, &tors, available, 1, true)?;
         let al = AbstractionLayer::new(tors, ops);
         if self.skip_augmentation {
             Ok(al)
@@ -503,19 +459,22 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The bucket-queue selectors equal the naive rescans, errors
-        /// included: the ToR stage on the drawn cluster, and the OPS stage
-        /// both on the ToRs it selected and on an arbitrary ToR list.
+        /// included, with and without adaptive weights: the ToR stage on
+        /// the drawn cluster, and the OPS stage, for every demand `r`, both
+        /// on the ToRs it selected and on an arbitrary ToR list.
         #[test]
         fn naive_selectors_match_incremental_selectors(
             (dc, vms, tors, avail) in greedy_case(),
+            r in 1usize..=3,
+            adaptive in prop_oneof![Just(true), Just(false)],
         ) {
             use crate::construction::{select_ops_greedy, select_tors_greedy};
-            let selected = select_tors_greedy(&dc, &vms);
-            prop_assert_eq!(&selected, &select_tors_greedy_naive(&dc, &vms));
+            let selected = select_tors_greedy(&dc, &vms, adaptive);
+            prop_assert_eq!(&selected, &select_tors_greedy_naive(&dc, &vms, adaptive));
             for tors in selected.iter().chain([&tors]) {
                 prop_assert_eq!(
-                    select_ops_greedy(&dc, tors, &avail),
-                    select_ops_greedy_naive(&dc, tors, &avail)
+                    select_ops_greedy(&dc, tors, &avail, r, adaptive),
+                    select_ops_greedy_naive(&dc, tors, &avail, r, adaptive)
                 );
             }
         }

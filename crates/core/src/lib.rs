@@ -12,10 +12,11 @@
 //!   (coverage + connectivity);
 //! * [`construction`] — the paper's max-weight greedy
 //!   ([`construction::PaperGreedy`]), the random baseline of the authors'
-//!   prior work \[15\] ([`construction::RandomSelection`]), an exact
-//!   branch-and-bound constructor ([`construction::ExactCover`]) and a
-//!   static-degree ablation ([`construction::StaticDegreeGreedy`]), all
-//!   behind the [`construction::AlConstruct`] trait;
+//!   prior work \[15\] ([`construction::RandomSelection`]) and an exact
+//!   branch-and-bound constructor ([`construction::ExactCover`]), all
+//!   behind the [`construction::AlConstruct`] trait; the greedy's
+//!   configurations give the static-degree ablation, r-fold coverage and
+//!   a switch-cost objective;
 //! * [`clustering`] — service-based VM grouping (§III.A);
 //! * [`ClusterManager`] — creates/destroys/rebuilds VCs while enforcing
 //!   OPS-disjointness between ALs;

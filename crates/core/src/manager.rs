@@ -268,7 +268,7 @@ impl ClusterManager {
     ///
     /// * An OPS is unavailable to constructors until
     ///   [`ClusterManager::restore`]. Its owner is repaired shrink-first: a
-    ///   redundant AL (see `construction::RedundantGreedy`) may stay valid
+    ///   redundant AL (see `construction::PaperGreedy::redundant`) may stay valid
     ///   with the switch simply dropped — no churn on other OPSs — and is
     ///   rebuilt with `constructor` otherwise. If that rebuild fails the
     ///   owner keeps its degraded AL, still listing the failed switch, and
@@ -979,7 +979,7 @@ mod failure_tests {
 #[cfg(test)]
 mod shrink_repair_tests {
     use super::*;
-    use crate::construction::{PaperGreedy, RedundantGreedy};
+    use crate::construction::PaperGreedy;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect};
 
     fn dc() -> DataCenter {
@@ -999,11 +999,11 @@ mod shrink_repair_tests {
         let dc = dc();
         let mut mgr = ClusterManager::new();
         let id = mgr
-            .create_cluster(&dc, "r2", dc.vm_ids().collect(), &RedundantGreedy::new(2))
+            .create_cluster(&dc, "r2", dc.vm_ids().collect(), &PaperGreedy::redundant(2))
             .unwrap();
         let before = mgr.cluster(id).unwrap().al().clone();
         let victim = before.ops()[0];
-        mgr.fail(&dc, Element::Ops(victim), &RedundantGreedy::new(2));
+        mgr.fail(&dc, Element::Ops(victim), &PaperGreedy::redundant(2));
         let after = mgr.cluster(id).unwrap().al().clone();
         // Shrink: exactly the victim left; everything else untouched.
         assert_eq!(after.ops_count(), before.ops_count() - 1);
@@ -1041,14 +1041,14 @@ mod shrink_repair_tests {
         for victim_idx in 0..3 {
             let mut mgr = ClusterManager::new();
             let id = mgr
-                .create_cluster(&dc, "r2", dc.vm_ids().collect(), &RedundantGreedy::new(2))
+                .create_cluster(&dc, "r2", dc.vm_ids().collect(), &PaperGreedy::redundant(2))
                 .unwrap();
             let before = mgr.cluster(id).unwrap().al().clone();
             if victim_idx >= before.ops_count() {
                 continue;
             }
             let victim = before.ops()[victim_idx];
-            mgr.fail(&dc, Element::Ops(victim), &RedundantGreedy::new(2));
+            mgr.fail(&dc, Element::Ops(victim), &PaperGreedy::redundant(2));
             let after = mgr.cluster(id).unwrap().al().clone();
             assert!(
                 after.ops().iter().all(|o| before.contains_ops(*o)),

@@ -10,11 +10,8 @@
 //! the failing neighborhood is swept exhaustively here instead: 1000
 //! topology seeds of the exact recorded shape.
 
-use alvc_core::construction::{
-    AlConstruct, CostAwareGreedy, ExactCover, PaperGreedy, RandomSelection, RedundantGreedy,
-    StaticDegreeGreedy,
-};
-use alvc_core::OpsAvailability;
+use alvc_core::construction::{AlConstruct, ExactCover, PaperGreedy, RandomSelection};
+use alvc_core::{ConstructionError, OpsAvailability};
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect};
 
 fn regression_shape(seed: u64) -> DataCenter {
@@ -31,14 +28,17 @@ fn regression_shape(seed: u64) -> DataCenter {
         .build()
 }
 
+/// Every constructor that promises a valid layer: each configuration of
+/// `PaperGreedy` but `without_augmentation`, which returns its bare cover
+/// unconnected.
 fn constructors() -> Vec<Box<dyn AlConstruct>> {
     vec![
         Box::new(PaperGreedy::new()),
-        Box::new(StaticDegreeGreedy::new()),
+        Box::new(PaperGreedy::static_degree()),
+        Box::new(PaperGreedy::redundant(2)),
+        Box::new(PaperGreedy::cost_aware(1.0, 2.0)),
         Box::new(RandomSelection::new(3)),
         Box::new(ExactCover::new()),
-        Box::new(CostAwareGreedy::default()),
-        Box::new(RedundantGreedy::new(2)),
     ]
 }
 
@@ -76,6 +76,21 @@ fn constructors_stay_deterministic_on_the_regression_shape() {
             let a = ctor.construct(&dc, &vms, &OpsAvailability::all());
             let b = ctor.construct(&dc, &vms, &OpsAvailability::all());
             assert_eq!(a, b, "{} not deterministic at seed {seed}", ctor.name());
+        }
+        // With every OPS blocked no ToR can be covered: every call fails
+        // the same way, naming the cluster's first ToR in id order.
+        let none = OpsAvailability::with_blocked(dc.ops_ids());
+        let first_tor = vms.iter().map(|&vm| dc.tor_of_vm(vm)).min().unwrap();
+        let bare: Box<dyn AlConstruct> = Box::new(PaperGreedy::without_augmentation());
+        for ctor in constructors().into_iter().chain([bare]) {
+            for _ in 0..24 {
+                assert_eq!(
+                    ctor.construct(&dc, &vms, &none),
+                    Err(ConstructionError::UncoverableTor(first_tor)),
+                    "{} on a blocked pool at seed {seed}",
+                    ctor.name()
+                );
+            }
         }
     }
 }

@@ -63,15 +63,6 @@ impl SetCoverInstance {
         self.sets.len()
     }
 
-    /// The elements of set `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set(&self, i: usize) -> &[usize] {
-        &self.sets[i]
-    }
-
     /// Returns `true` if the union of all sets covers the universe.
     pub fn is_coverable(&self) -> bool {
         let mut seen = vec![false; self.universe_size];

@@ -1,10 +1,18 @@
-//! Incremental lazy-greedy selection.
+//! Incremental greedy selection.
 //!
 //! Every covering algorithm in this workspace repeats the same step: pick
 //! the candidate with the maximum current score, where scores only ever
 //! *decrease* as elements get covered. The classical implementation rescans
-//! all candidates per round (`O(rounds × candidates)` score evaluations);
-//! [`LazySelector`] replaces the rescan with a max-heap and *lazy deletion*:
+//! all candidates per round (`O(rounds × candidates)` score evaluations).
+//!
+//! When the scores are small integers and the tie-break is a fixed rank, as
+//! in every abstraction-layer constructor's covers, [`BucketSelector`]
+//! replaces the rescan with no heap and no stale entries: one bitset per
+//! score over the candidate ranks, where a decay moves one bit to a lower
+//! bucket.
+//!
+//! Float scores (the weighted set cover's densities in [`crate::cover`])
+//! use a crate-private max-heap with *lazy deletion* instead:
 //!
 //! 1. every candidate is pushed once with its initial score;
 //! 2. to select, pop the top entry and ask the caller for the candidate's
@@ -22,11 +30,6 @@
 //! (e.g. `(gain, Reverse(index))` for "highest gain, then lowest index"),
 //! which lets each call site reproduce its historical rescan semantics
 //! exactly.
-//!
-//! When the scores are small integers and the tie-break is a fixed rank,
-//! [`BucketSelector`] does the same job with no heap and no stale entries:
-//! one bitset per score over the candidate ranks, where a decay moves one
-//! bit to a lower bucket.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -66,24 +69,8 @@ impl<K: Ord> Ord for Entry<K> {
 ///
 /// Requires the score of every candidate to be non-increasing over the
 /// selector's lifetime (the lazy-greedy invariant).
-///
-/// # Example
-///
-/// ```
-/// use alvc_graph::lazy_greedy::LazySelector;
-///
-/// let mut scores = [3usize, 5, 4];
-/// let mut sel = LazySelector::with_capacity(3);
-/// for (i, &s) in scores.iter().enumerate() {
-///     sel.push(i, s);
-/// }
-/// // Candidate 1 decays before selection; the stale entry is refreshed.
-/// scores[1] = 1;
-/// let current = |i: usize| if scores[i] > 0 { Some(scores[i]) } else { None };
-/// assert_eq!(sel.pop_max(current), Some(2));
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct LazySelector<K: Ord> {
+pub(crate) struct LazySelector<K: Ord> {
     heap: BinaryHeap<Entry<K>>,
     stats: SelectorStats,
 }
@@ -123,7 +110,7 @@ impl SelectorStats {
 
 impl<K: Ord> LazySelector<K> {
     /// Creates an empty selector with room for `n` entries.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         LazySelector {
             heap: BinaryHeap::with_capacity(n),
             stats: SelectorStats::default(),
@@ -137,7 +124,7 @@ impl<K: Ord> LazySelector<K> {
     }
 
     /// Offers candidate `id` with its current score.
-    pub fn push(&mut self, id: usize, key: K) {
+    pub(crate) fn push(&mut self, id: usize, key: K) {
         self.stats.pushes += 1;
         self.heap.push(Entry { key, id });
     }
@@ -150,7 +137,7 @@ impl<K: Ord> LazySelector<K> {
     /// before retrying; dead entries are dropped.
     ///
     /// Returns `None` when no selectable candidate remains.
-    pub fn pop_max(&mut self, mut current: impl FnMut(usize) -> Option<K>) -> Option<usize> {
+    pub(crate) fn pop_max(&mut self, mut current: impl FnMut(usize) -> Option<K>) -> Option<usize> {
         while let Some(top) = self.heap.pop() {
             match current(top.id) {
                 None => self.stats.dead_skips += 1,
@@ -294,8 +281,8 @@ impl BucketSelector {
 }
 
 /// Flushes the pushes and pops into the global `alvc_graph.selector.*`
-/// counters, as [`LazySelector`] does (a bucket queue has no stale
-/// refreshes or dead skips to report).
+/// counters, as the lazy heap does (a bucket queue has no stale refreshes
+/// or dead skips to report).
 #[cfg(feature = "telemetry")]
 impl Drop for BucketSelector {
     fn drop(&mut self) {
@@ -310,7 +297,7 @@ impl Drop for BucketSelector {
 ///
 /// Comparisons panic if either value is NaN.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TotalF64(pub f64);
+pub(crate) struct TotalF64(pub(crate) f64);
 
 impl Eq for TotalF64 {}
 
@@ -332,6 +319,19 @@ impl Ord for TotalF64 {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
+
+    #[test]
+    fn a_decayed_candidate_is_refreshed_before_selection() {
+        let mut scores = [3usize, 5, 4];
+        let mut sel = LazySelector::with_capacity(3);
+        for (i, &s) in scores.iter().enumerate() {
+            sel.push(i, s);
+        }
+        // Candidate 1 decays before selection; the stale entry is refreshed.
+        scores[1] = 1;
+        let current = |i: usize| if scores[i] > 0 { Some(scores[i]) } else { None };
+        assert_eq!(sel.pop_max(current), Some(2));
+    }
 
     #[test]
     fn selects_maximum_and_exhausts() {

@@ -10,8 +10,9 @@
 //!   weights, stable integer ids, and O(1) amortized insertion.
 //! * [`cover`] — greedy weighted and exact branch-and-bound set cover.
 //! * [`lazy_greedy`] — the incremental selection engines behind every
-//!   greedy cover: a heap with lazy deletion of stale entries, and a bucket
-//!   queue for small integer gains.
+//!   greedy cover: a bucket queue for small integer gains, and (for the
+//!   weighted cover's float densities) a heap with lazy deletion of stale
+//!   entries.
 //! * [`traversal`] — BFS orders, connected components, reachability.
 //! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
 //! * [`slice`](mod@slice) — a node subset indexed once as a dense CSR subgraph.
@@ -50,5 +51,5 @@ pub mod traversal;
 
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
-pub use lazy_greedy::{BucketSelector, LazySelector, TotalF64};
+pub use lazy_greedy::BucketSelector;
 pub use slice::{SliceGraph, SliceLink};

@@ -6,7 +6,6 @@
 //!
 //! Run with: `cargo run --example failure_recovery`
 
-use alvc::core::construction::RedundantGreedy;
 use alvc::nfv::HostLocation;
 use alvc::prelude::*;
 
@@ -91,10 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // of rebuilding: only the failed switch is touched.
     let mut mgr2 = ClusterManager::new();
     let vms: Vec<_> = dc.vm_ids().collect();
-    let id = mgr2.create_cluster(&dc, "r2", vms, &RedundantGreedy::new(2))?;
+    let id = mgr2.create_cluster(&dc, "r2", vms, &PaperGreedy::redundant(2))?;
     let before = mgr2.cluster(id).unwrap().al().clone();
     let victim = before.ops()[0];
-    for (_, repaired) in mgr2.fail(&dc, Element::Ops(victim), &RedundantGreedy::new(2)) {
+    for (_, repaired) in mgr2.fail(&dc, Element::Ops(victim), &PaperGreedy::redundant(2)) {
         repaired?;
     }
     let after = mgr2.cluster(id).unwrap().al().clone();

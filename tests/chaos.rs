@@ -5,7 +5,7 @@
 mod common;
 
 use alvc::core::clustering::tenant_clusters;
-use alvc::core::construction::{PaperGreedy, RedundantGreedy};
+use alvc::core::construction::PaperGreedy;
 use alvc::nfv::chain::fig5;
 use alvc::nfv::Orchestrator;
 use alvc::placement::OpticalFirstPlacer;
@@ -212,7 +212,7 @@ fn orchestrator_survives_chaotic_operation_mix() {
 fn cluster_manager_survives_failure_storm_with_redundancy() {
     let dc = build();
     let mut mgr = alvc::core::ClusterManager::new();
-    let ctor = RedundantGreedy::new(2);
+    let ctor = PaperGreedy::redundant(2);
     let all_vms: Vec<_> = dc.vm_ids().collect();
     let groups = tenant_clusters(&all_vms, 2);
     let mut ids = Vec::new();

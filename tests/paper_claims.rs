@@ -2,9 +2,7 @@
 //! one experiment (E1–E8) at reduced scale so the suite stays fast; the
 //! full sweeps live in the `alvc-bench` binaries.
 
-use alvc::core::construction::{
-    AlConstruct, ExactCover, PaperGreedy, RandomSelection, StaticDegreeGreedy,
-};
+use alvc::core::construction::{AlConstruct, ExactCover, PaperGreedy, RandomSelection};
 use alvc::core::{service_clusters, ChurnEvent, ClusterManager, OpsAvailability, UpdateCostModel};
 use alvc::nfv::chain::fig5;
 use alvc::nfv::{ElectronicOnlyPlacer, Orchestrator, VnfPlacer};
@@ -101,7 +99,7 @@ fn claim_adaptive_weight_helps() {
                 .construct(&dc, &c.vms, &OpsAvailability::all())
                 .unwrap()
                 .ops_count();
-            fixed += StaticDegreeGreedy::new()
+            fixed += PaperGreedy::static_degree()
                 .construct(&dc, &c.vms, &OpsAvailability::all())
                 .unwrap()
                 .ops_count();

@@ -1,7 +1,7 @@
 //! Stress: hundreds of randomized chains deployed and torn down through
 //! the orchestrator without leaking any resource.
 
-use alvc::core::construction::CostAwareGreedy;
+use alvc::core::construction::PaperGreedy;
 use alvc::nfv::{ChainSpec, Orchestrator, VnfSpec, VnfType};
 use alvc::placement::{CostDrivenPlacer, OpticalFirstPlacer};
 use alvc::sim::workload::ChainWorkload;
@@ -28,7 +28,7 @@ fn three_hundred_random_chains_deploy_cleanly() {
     // oblivious to VNF hosting and may build ALs with no optoelectronic
     // routers at all; pricing opto routers *below* plain switches pulls
     // them into every slice.
-    let nfv_aware = CostAwareGreedy::new(2.0, 1.0);
+    let nfv_aware = PaperGreedy::cost_aware(2.0, 1.0);
     let light = [
         VnfType::Firewall,
         VnfType::Nat,
