@@ -158,6 +158,17 @@ impl<N, E> Graph<N, E> {
         id
     }
 
+    /// Makes room in `node`'s adjacency list for exactly `additional` more
+    /// links, so a builder that knows a node's degree grows the list once
+    /// instead of by doubling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of this graph.
+    pub fn reserve_links(&mut self, node: NodeId, additional: usize) {
+        self.adjacency[node.0].reserve_exact(additional);
+    }
+
     /// Returns the weight of `node`, or `None` if out of range.
     pub fn node_weight(&self, node: NodeId) -> Option<&N> {
         self.nodes.get(node.0)

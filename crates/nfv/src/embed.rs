@@ -49,13 +49,42 @@ impl HostLedger {
         *used = used.plus(demand);
     }
 
-    pub(crate) fn refund(&mut self, host: HostLocation, demand: &ResourceDemand) {
-        let used = match host {
+    fn entry(&mut self, host: HostLocation) -> Option<&mut ResourceDemand> {
+        match host {
             HostLocation::Server(s) => self.server.get_mut(&s),
             HostLocation::OptoRouter(o) => self.opto.get_mut(&o),
-        };
-        if let Some(used) = used {
+        }
+    }
+
+    pub(crate) fn refund(&mut self, host: HostLocation, demand: &ResourceDemand) {
+        if let Some(used) = self.entry(host) {
             *used = used.saturating_minus(demand);
+        }
+    }
+
+    /// Refunds each `(host, demand)` in turn and returns the entries it
+    /// changed, each as it was just before its refund, for
+    /// [`HostLedger::restore`].
+    fn refund_saving<'a>(
+        &mut self,
+        refunds: impl Iterator<Item = (HostLocation, &'a ResourceDemand)>,
+    ) -> Vec<(HostLocation, ResourceDemand)> {
+        let mut saved = Vec::new();
+        for (host, demand) in refunds {
+            if let Some(used) = self.entry(host) {
+                saved.push((host, *used));
+                *used = used.saturating_minus(demand);
+            }
+        }
+        saved
+    }
+
+    /// Puts back the entries [`HostLedger::refund_saving`] changed, last
+    /// first, so a host refunded twice ends at the value it had before
+    /// the first refund: the ledger is bit-for-bit as it was.
+    fn restore(&mut self, saved: Vec<(HostLocation, ResourceDemand)>) {
+        for (host, was) in saved.into_iter().rev() {
+            *self.entry(host).expect("a saved entry is never removed") = was;
         }
     }
 }
@@ -89,10 +118,11 @@ pub(crate) struct Embedding {
 
 impl Orchestrator {
     /// Plans `spec` onto `cluster`'s slice without touching any state.
-    /// `used` is the host ledger placement sees — the live one, or a copy
-    /// without the chain's own usage ([`Orchestrator::hosts_without`]);
-    /// bandwidth is admitted against the live link ledger, so a chain being
-    /// re-embedded must have released its own commitment first.
+    /// Placement sees the live host ledger — a re-placement plans through
+    /// [`Orchestrator::plan_replacement`], which takes the chain's own
+    /// usage out of it for the call — and bandwidth is admitted against
+    /// the live link ledger, so a chain being re-embedded must have
+    /// released its own commitment first.
     pub(crate) fn plan(
         &self,
         dc: &DataCenter,
@@ -100,7 +130,6 @@ impl Orchestrator {
         spec: &ChainSpec,
         choice: HostChoice<'_>,
         scope: Scope,
-        used: &HostLedger,
     ) -> Result<Embedding, DeployError> {
         // A chain whose ingress/egress VM sits on a dead server cannot be
         // served no matter where its VNFs land.
@@ -157,8 +186,8 @@ impl Orchestrator {
                 let ctx = PlacementContext {
                     dc,
                     al,
-                    opto_used: &used.opto,
-                    server_used: &used.server,
+                    opto_used: &self.host_used.opto,
+                    server_used: &self.host_used.server,
                     servers,
                 };
                 match placer.place(&ctx, spec) {
@@ -299,14 +328,28 @@ impl Orchestrator {
         chain
     }
 
-    /// A copy of the host ledger without `chain`'s own usage, so a
-    /// re-placement can reuse the capacity the chain already holds.
-    pub(crate) fn hosts_without(&self, chain: &DeployedChain) -> HostLedger {
-        let mut used = self.host_used.clone();
-        for (&h, v) in chain.hosts.iter().zip(chain.nfc.vnfs()) {
-            used.refund(h, &v.demand);
-        }
-        used
+    /// [`Orchestrator::plan`] of `spec` for chain `id` with the chain's own
+    /// host usage refunded, so a re-placement can reuse the capacity the
+    /// chain already holds. The refunds are made in the live ledger and
+    /// undone, entry by entry, before it returns: nothing is copied, and
+    /// the ledger ends bit-for-bit as it was.
+    pub(crate) fn plan_replacement(
+        &mut self,
+        dc: &DataCenter,
+        id: NfcId,
+        spec: &ChainSpec,
+        placer: &dyn VnfPlacer,
+        scope: Scope,
+    ) -> Result<Embedding, DeployError> {
+        let chain = &self.chains[&id];
+        let cluster = chain.cluster;
+        let refunds = chain.hosts.iter().zip(chain.nfc.vnfs());
+        let saved = self
+            .host_used
+            .refund_saving(refunds.map(|(&h, v)| (h, &v.demand)));
+        let plan = self.plan(dc, cluster, spec, HostChoice::Place(placer), scope);
+        self.host_used.restore(saved);
+        plan
     }
 
     /// Starts an instance of `spec` on `host`, charging the host.

@@ -494,7 +494,7 @@ impl Orchestrator {
         // a multi-pod topology is seen (a cheap no-op afterwards).
         self.link_committed.bind_pods(dc);
         let choice = HostChoice::Place(placer);
-        let plan = self.plan(dc, cluster, &spec, choice, Scope::Slice, &self.host_used)?;
+        let plan = self.plan(dc, cluster, &spec, choice, Scope::Slice)?;
         let id = NfcId(self.next_chain);
         self.commit(id, cluster, spec, plan)?;
         self.next_chain += 1;
@@ -548,15 +548,13 @@ impl Orchestrator {
         new_spec.validate().map_err(DeployError::InvalidSpec)?;
 
         // Plan without this chain's own usage, so modification can reuse
-        // its capacity: hosts on a copy of the ledger, bandwidth by
+        // its capacity: hosts by refunding it for the plan, bandwidth by
         // releasing the chain's commitment (integer, so exactly undone
         // below if the new embedding is refused).
-        let used = self.hosts_without(deployed);
         let (held, held_gbps) = (deployed.edges.clone(), deployed.nfc.spec().bandwidth_gbps);
         self.release_edges(&held, held_gbps);
-        let choice = HostChoice::Place(placer);
         let embedded = self
-            .plan(dc, cluster, &new_spec, choice, Scope::Slice, &used)
+            .plan_replacement(dc, id, &new_spec, placer, Scope::Slice)
             .and_then(|plan| self.commit(id, cluster, new_spec, plan));
         if let Err(e) = embedded {
             self.commit_edges(&held, held_gbps);

@@ -390,7 +390,7 @@ impl Orchestrator {
         let chain = self.chains.get(&id).expect("chain exists");
         let (cluster, spec) = (chain.cluster, chain.nfc.spec().clone());
         let choice = HostChoice::Keep(&chain.hosts);
-        let plan = self.plan(dc, cluster, &spec, choice, scope, &self.host_used)?;
+        let plan = self.plan(dc, cluster, &spec, choice, scope)?;
         self.commit(id, cluster, spec, plan)
     }
 
@@ -407,8 +407,7 @@ impl Orchestrator {
     ) -> Result<(), DeployError> {
         let chain = self.chains.get(&id).expect("chain exists");
         let (cluster, spec) = (chain.cluster, chain.nfc.spec().clone());
-        let used = self.hosts_without(chain);
-        let plan = self.plan(dc, cluster, &spec, HostChoice::Place(placer), scope, &used)?;
+        let plan = self.plan_replacement(dc, id, &spec, placer, scope)?;
         self.commit(id, cluster, spec, plan)
     }
 

@@ -87,29 +87,6 @@ impl HybridPath {
         self.latency_us
     }
 
-    /// Appends another path that starts where this one ends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` does not start at this path's last node.
-    pub(crate) fn join(&mut self, other: &HybridPath) {
-        if other.nodes.is_empty() {
-            return;
-        }
-        if self.nodes.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        assert_eq!(
-            *self.nodes.last().expect("non-empty"),
-            other.nodes[0],
-            "joined path must start at the current endpoint"
-        );
-        self.nodes.extend_from_slice(&other.nodes[1..]);
-        self.links.extend_from_slice(&other.links);
-        self.latency_us += other.latency_us;
-    }
-
     /// Number of adjacent link pairs whose domain differs (each is one
     /// O→E or E→O conversion point).
     pub fn domain_crossings(&self) -> usize {
@@ -223,35 +200,6 @@ mod tests {
     fn trailing_electronic_run_not_counted() {
         let p = path(&[O, O, E, E]);
         assert_eq!(p.oeo_conversions(), 0);
-    }
-
-    #[test]
-    fn join_concatenates() {
-        let mut a = path(&[E, O]);
-        let b = HybridPath::new(vec![NodeId(2), NodeId(3)], vec![O], 5.0);
-        a.join(&b);
-        assert_eq!(a.hop_count(), 3);
-        assert_eq!(a.latency_us(), 7.0);
-        assert_eq!(a.nodes().len(), 4);
-    }
-
-    #[test]
-    fn join_empty_paths() {
-        let mut a = HybridPath::empty();
-        let b = path(&[O, E]);
-        a.join(&b);
-        assert_eq!(a, b);
-        let mut c = b.clone();
-        c.join(&HybridPath::empty());
-        assert_eq!(c, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "must start at the current endpoint")]
-    fn join_mismatched_endpoint_panics() {
-        let mut a = path(&[O]);
-        let b = HybridPath::new(vec![NodeId(9), NodeId(10)], vec![O], 1.0);
-        a.join(&b);
     }
 
     #[test]

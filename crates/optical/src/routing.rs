@@ -84,18 +84,6 @@ fn cheapest_link(
         .min_by(|(_, x), (_, y)| x.latency_us.total_cmp(&y.latency_us))
 }
 
-/// Builds the hybrid path over `nodes`, each hop on its cheapest link.
-fn annotate(graph: &Graph<PhysNode, LinkAttrs>, nodes: Vec<NodeId>) -> HybridPath {
-    let mut domains = Vec::with_capacity(nodes.len().saturating_sub(1));
-    let mut latency = 0.0;
-    for w in nodes.windows(2) {
-        let (_, attrs) = cheapest_link(graph, w[0], w[1]).expect("path edges exist");
-        domains.push(attrs.domain);
-        latency += attrs.latency_us;
-    }
-    HybridPath::new(nodes, domains, latency)
-}
-
 /// Latency-minimal search inside a slice: the same Dijkstra as
 /// [`alvc_graph::shortest_path::dijkstra`] — strict `<` relaxation, heap
 /// ordered by `(distance, node index)`, and a slice's dense order is node
@@ -123,12 +111,14 @@ impl<'a, F: Fn(usize) -> bool> SliceSearch<'a, F> {
         }
     }
 
-    /// The node sequence of the cheapest `from` → `to` path whose interior
-    /// is open, `None` if there is none or an end is no member.
-    fn leg(&mut self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+    /// Appends to `path` the nodes after `from` of the cheapest `from` →
+    /// `to` path whose interior is open; `false`, with `path` untouched, if
+    /// there is none or an end is no member.
+    fn leg(&mut self, from: NodeId, to: NodeId, path: &mut Vec<NodeId>) -> bool {
         let slice = self.slice;
-        let source = slice.index_of(from)?;
-        let target = slice.index_of(to)?;
+        let (Some(source), Some(target)) = (slice.index_of(from), slice.index_of(to)) else {
+            return false;
+        };
         self.dist.fill(u64::MAX);
         self.prev.fill(u32::MAX);
         self.heap.clear();
@@ -159,16 +149,17 @@ impl<'a, F: Fn(usize) -> bool> SliceSearch<'a, F> {
             }
         }
         if self.dist[target] == u64::MAX {
-            return None;
+            return false;
         }
-        let mut path = vec![to];
+        // The predecessor chain ends at the source, which has none.
+        let start = path.len();
         let mut cur = target;
-        while self.prev[cur] != u32::MAX {
-            cur = self.prev[cur] as usize;
+        while cur != source {
             path.push(slice.nodes()[cur]);
+            cur = self.prev[cur] as usize;
         }
-        path.reverse();
-        Some(path)
+        path[start..].reverse();
+        true
     }
 }
 
@@ -195,9 +186,10 @@ impl<'a, F: Fn(usize) -> bool> SliceSearch<'a, F> {
 /// ```
 pub fn route_flow(dc: &DataCenter, waypoints: &[NodeId]) -> Result<HybridPath, RoutingError> {
     let graph = dc.graph();
-    route_legs(graph, waypoints, |from, to| {
-        let path = dijkstra(graph, from, to, |_, attrs| attrs.latency_cost());
-        path.ok().map(|p| p.nodes)
+    route_legs(graph, waypoints, |from, to, path| {
+        let leg = dijkstra(graph, from, to, |_, attrs| attrs.latency_cost());
+        leg.map(|leg| path.extend_from_slice(&leg.nodes[1..]))
+            .is_ok()
     })
 }
 
@@ -229,7 +221,9 @@ fn route_within(
         .map(|&w| slice.index_of(w).expect("waypoints are members"))
         .collect();
     let mut search = SliceSearch::new(&slice, |i| !closed.contains(&i));
-    route_legs(graph, waypoints, |from, to| search.leg(from, to))
+    route_legs(graph, waypoints, |from, to, path| {
+        search.leg(from, to, path)
+    })
 }
 
 /// [`route_flow_within`] over a slice indexed beforehand by
@@ -266,7 +260,9 @@ fn route_in_slice(
         return route_within(graph, &allowed, waypoints);
     }
     let mut search = SliceSearch::new(slice, |i| open(slice.nodes()[i]));
-    route_legs(graph, waypoints, |from, to| search.leg(from, to))
+    route_legs(graph, waypoints, |from, to, path| {
+        search.leg(from, to, path)
+    })
 }
 
 /// Like [`route_flow`], but equal-latency paths are tie-broken by a
@@ -284,10 +280,10 @@ pub fn route_flow_ecmp(
     flow_hash: u64,
 ) -> Result<HybridPath, RoutingError> {
     let graph = dc.graph();
-    route_legs(graph, waypoints, |from, to| {
+    route_legs(graph, waypoints, |from, to, path| {
         // Scale latency so the hash jitter (0..8) never changes which
         // paths are latency-minimal (min link latency is 1 µs = 160 units).
-        let path = dijkstra(graph, from, to, |e, attrs| {
+        let leg = dijkstra(graph, from, to, |e, attrs| {
             let jitter = {
                 // SplitMix-style mix of edge id and flow hash.
                 let mut x = flow_hash ^ (e.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -298,7 +294,8 @@ pub fn route_flow_ecmp(
             };
             (attrs.latency_us * 160.0).round() as u64 + jitter
         });
-        path.ok().map(|p| p.nodes)
+        leg.map(|leg| path.extend_from_slice(&leg.nodes[1..]))
+            .is_ok()
     })
 }
 
@@ -338,29 +335,43 @@ pub fn try_path_edges(
         .collect()
 }
 
+/// Routes each leg between consecutive distinct waypoints with `leg`,
+/// which appends to the path the nodes of its route after the leg's first
+/// (or reports that there is none), and puts every hop on its cheapest
+/// link. One node list and one domain list serve the whole path; a leg's
+/// latency is summed on its own and then added to the total, so the sum
+/// is the same float, bit for bit, as adding up per-leg paths.
 fn route_legs(
     graph: &Graph<PhysNode, LinkAttrs>,
     waypoints: &[NodeId],
-    mut leg: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
+    mut leg: impl FnMut(NodeId, NodeId, &mut Vec<NodeId>) -> bool,
 ) -> Result<HybridPath, RoutingError> {
     if waypoints.len() < 2 {
         return Err(RoutingError::TooFewWaypoints);
     }
-    let mut full = HybridPath::empty();
+    let mut nodes = vec![waypoints[0]];
+    let (mut domains, mut latency) = (Vec::new(), 0.0);
     for w in waypoints.windows(2) {
         if w[0] == w[1] {
             continue; // co-located waypoints need no hop
         }
-        let nodes = leg(w[0], w[1]).ok_or(RoutingError::NoRoute {
-            from: w[0],
-            to: w[1],
-        })?;
-        full.join(&annotate(graph, nodes));
+        let start = nodes.len();
+        if !leg(w[0], w[1], &mut nodes) {
+            return Err(RoutingError::NoRoute {
+                from: w[0],
+                to: w[1],
+            });
+        }
+        let mut leg_latency = 0.0;
+        for hop in nodes[start - 1..].windows(2) {
+            let (_, attrs) = cheapest_link(graph, hop[0], hop[1]).expect("path edges exist");
+            domains.push(attrs.domain);
+            leg_latency += attrs.latency_us;
+        }
+        latency += leg_latency;
     }
-    if full.nodes().is_empty() {
-        // All waypoints co-located.
-        full = HybridPath::new(vec![waypoints[0]], vec![], 0.0);
-    }
+    // All waypoints co-located: the path is the first of them.
+    let full = HybridPath::new(nodes, domains, latency);
     record_route(&full);
     Ok(full)
 }
@@ -443,17 +454,19 @@ mod reference {
         if waypoints.len() < 2 {
             return Err(RoutingError::TooFewWaypoints);
         }
-        let mut full = HybridPath::empty();
+        let mut nodes = vec![waypoints[0]];
+        let (mut domains, mut latency) = (Vec::new(), 0.0);
         for w in waypoints.windows(2) {
             if w[0] == w[1] {
                 continue;
             }
-            full.join(&segment(graph, w[0], w[1], Some(allowed))?);
+            let leg = segment(graph, w[0], w[1], Some(allowed))?;
+            assert_eq!(leg.nodes()[0], *nodes.last().expect("non-empty"));
+            nodes.extend_from_slice(&leg.nodes()[1..]);
+            domains.extend_from_slice(leg.link_domains());
+            latency += leg.latency_us();
         }
-        if full.nodes().is_empty() {
-            full = HybridPath::new(vec![waypoints[0]], vec![], 0.0);
-        }
-        Ok(full)
+        Ok(HybridPath::new(nodes, domains, latency))
     }
 
     /// A random fabric (single- or multi-pod; no, ring or full-mesh core)

@@ -9,10 +9,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::element::OptoCapacity;
+use crate::element::{LinkAttrs, OptoCapacity};
 use crate::ids::{PodId, TorId};
 use crate::service::ServiceMix;
-use crate::topology::DataCenter;
+use crate::topology::{DataCenter, DcSize};
 
 /// How the OPSs of the optical core are interconnected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,13 +200,15 @@ impl AlvcTopologyBuilder {
             return self.build_pods();
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut dc = DataCenter::new();
+        let degree = self.tor_ops_degree.clamp(1, self.ops_count);
+        let mut dc = DataCenter::with_capacity(self.size());
 
         // Racks, servers, VMs.
-        let mut rack_ids = Vec::with_capacity(self.racks);
+        let mut tor_ids = Vec::with_capacity(self.racks);
         for _ in 0..self.racks {
-            let (rack, _tor) = dc.add_rack();
-            rack_ids.push(rack);
+            let (rack, tor) = dc.add_rack();
+            dc.reserve_rack(rack, self.servers_per_rack, degree);
+            tor_ids.push(tor);
             for _ in 0..self.servers_per_rack {
                 let server = dc.add_server(rack);
                 for _ in 0..self.vms_per_server {
@@ -226,23 +228,8 @@ impl AlvcTopologyBuilder {
             .map(|&is_opto| dc.add_ops(is_opto.then_some(self.opto_capacity)))
             .collect();
 
-        // ToR uplinks: each ToR picks `degree` distinct OPSs at random, but
-        // every OPS gets at least one ToR when possible (round-robin first).
-        let degree = self.tor_ops_degree.clamp(1, self.ops_count);
-        for (t, _) in rack_ids.iter().enumerate() {
-            let tor = TorId(t);
-            let mut picks: Vec<usize> = Vec::with_capacity(degree);
-            // Round-robin guarantees core usage spread.
-            picks.push(t % self.ops_count);
-            let mut candidates: Vec<usize> = (0..self.ops_count)
-                .filter(|&o| o != t % self.ops_count)
-                .collect();
-            candidates.shuffle(&mut rng);
-            picks.extend(candidates.into_iter().take(degree - 1));
-            for o in picks {
-                dc.connect_tor_ops(tor, ops_ids[o]);
-            }
-        }
+        // ToR uplinks.
+        self.connect_uplinks(&mut dc, &tor_ids, &ops_ids, &mut rng);
 
         // Dual-homing.
         if self.dual_home_prob > 0.0 && self.racks > 1 {
@@ -259,58 +246,121 @@ impl AlvcTopologyBuilder {
         }
 
         // OPS interconnect.
+        self.connect_core(&mut dc, &ops_ids, &mut rng, 0);
+        dc
+    }
+
+    /// The links each OPS of a regular core gets from
+    /// [`AlvcTopologyBuilder::connect_core`]; `0` for a random core, whose
+    /// draws are not known ahead.
+    fn core_links_per_ops(&self) -> usize {
+        match self.interconnect {
+            OpsInterconnect::None | OpsInterconnect::Random(_) => 0,
+            OpsInterconnect::Ring => ring_degree(self.ops_count),
+            OpsInterconnect::FullMesh => self.ops_count - 1,
+        }
+    }
+
+    /// Number of elements and links the builder makes: exact for the
+    /// regular cores, an upper bound for a random core (it skips links it
+    /// already drew) and with dual-homing, which it counts as one extra
+    /// access link per server (a server draws it at random).
+    fn size(&self) -> DcSize {
+        let degree = self.tor_ops_degree.clamp(1, self.ops_count);
+        let servers = self.racks * self.servers_per_rack;
+        let dual_homed = if self.dual_home_prob > 0.0 && self.racks > 1 {
+            servers
+        } else {
+            0
+        };
+        let core_links = match self.interconnect {
+            OpsInterconnect::Random(d) => self.ops_count * d.min(self.ops_count - 1),
+            _ => self.ops_count * self.core_links_per_ops() / 2,
+        };
+        // The first-OPS ring, or one ring per gateway lane.
+        let ring_links = self.pods * ring_degree(self.pods) / 2;
+        let (gateways, boundary_links) = match (self.pods, self.boundary_gateways) {
+            (1, _) => (0, 0),
+            (_, 0) => (0, ring_links),
+            (_, lanes) => (lanes, lanes * ring_links),
+        };
+        let pod_links =
+            servers + dual_homed + self.racks * degree + core_links + gateways * self.ops_count;
+        DcSize {
+            racks: self.pods * self.racks,
+            servers: self.pods * servers,
+            vms: self.pods * servers * self.vms_per_server,
+            opss: self.pods * (self.ops_count + gateways),
+            links: self.pods * pod_links + boundary_links,
+        }
+    }
+
+    /// Uplinks `tors` to `ops`: each ToR picks `degree` distinct OPSs at
+    /// random, its round-robin OPS first, so every OPS gets a ToR when
+    /// there are enough. One candidate buffer serves every ToR.
+    fn connect_uplinks(
+        &self,
+        dc: &mut DataCenter,
+        tors: &[TorId],
+        ops: &[crate::OpsId],
+        rng: &mut StdRng,
+    ) {
+        let degree = self.tor_ops_degree.clamp(1, self.ops_count);
+        let mut candidates = Vec::with_capacity(self.ops_count);
+        for (t, &tor) in tors.iter().enumerate() {
+            let round_robin = t % self.ops_count;
+            candidates.clear();
+            candidates.extend((0..self.ops_count).filter(|&o| o != round_robin));
+            candidates.shuffle(rng);
+            dc.connect_tor_ops(tor, ops[round_robin]);
+            for &o in &candidates[..degree - 1] {
+                dc.connect_tor_ops(tor, ops[o]);
+            }
+        }
+    }
+
+    /// Interconnects `ops`, one pod's core, after making room at each OPS
+    /// for its core links and `gateways` links to the pod's boundary
+    /// gateways, still to come. A full mesh makes each pair once, so its
+    /// links skip the duplicate check; a ring of two and a random core
+    /// draw some pairs twice and keep it.
+    fn connect_core(
+        &self,
+        dc: &mut DataCenter,
+        ops: &[crate::OpsId],
+        rng: &mut StdRng,
+        gateways: usize,
+    ) {
+        for &o in ops {
+            dc.reserve_ops_links(o, self.core_links_per_ops() + gateways, gateways);
+        }
+        let n = ops.len();
         match self.interconnect {
             OpsInterconnect::None => {}
             OpsInterconnect::Ring => {
-                if self.ops_count > 1 {
-                    for i in 0..self.ops_count {
-                        dc.connect_ops_ops(ops_ids[i], ops_ids[(i + 1) % self.ops_count]);
+                if n > 1 {
+                    for i in 0..n {
+                        dc.connect_ops_ops(ops[i], ops[(i + 1) % n]);
                     }
                 }
             }
             OpsInterconnect::FullMesh => {
-                for i in 0..self.ops_count {
-                    for j in (i + 1)..self.ops_count {
-                        dc.connect_ops_ops(ops_ids[i], ops_ids[j]);
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        dc.connect_new_ops_ops(ops[i], ops[j], LinkAttrs::optical_core());
                     }
                 }
             }
             OpsInterconnect::Random(d) => {
-                for i in 0..self.ops_count {
-                    let mut others: Vec<usize> = (0..self.ops_count).filter(|&j| j != i).collect();
-                    others.shuffle(&mut rng);
+                for i in 0..n {
+                    let mut others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
+                    others.shuffle(rng);
                     for &j in others.iter().take(d) {
-                        dc.connect_ops_ops(ops_ids[i], ops_ids[j]);
+                        dc.connect_ops_ops(ops[i], ops[j]);
                     }
                 }
             }
         }
-
-        dc
-    }
-
-    /// Nodes and links of the multi-pod graph: exact for the regular cores,
-    /// an upper bound for a random core (it skips links it already drew),
-    /// and not counting dual-homing links (drawn at random).
-    fn multi_pod_graph_size(&self) -> (usize, usize) {
-        let degree = self.tor_ops_degree.clamp(1, self.ops_count);
-        let servers = self.racks * self.servers_per_rack;
-        let core_links = match self.interconnect {
-            OpsInterconnect::None => 0,
-            OpsInterconnect::Ring if self.ops_count > 1 => self.ops_count,
-            OpsInterconnect::Ring => 0,
-            OpsInterconnect::FullMesh => self.ops_count * (self.ops_count - 1) / 2,
-            OpsInterconnect::Random(d) => self.ops_count * d.min(self.ops_count - 1),
-        };
-        // Lane links, or the first-OPS ring when there are no gateways.
-        let boundary_links = self.boundary_gateways.max(1);
-        let pod_nodes = self.racks + servers + self.ops_count + self.boundary_gateways;
-        let pod_links = servers
-            + self.racks * degree
-            + core_links
-            + self.boundary_gateways * self.ops_count
-            + boundary_links;
-        (self.pods * pod_nodes, self.pods * pod_links)
     }
 
     /// The multi-pod generator behind [`AlvcTopologyBuilder::pods`]: the
@@ -325,8 +375,10 @@ impl AlvcTopologyBuilder {
         // whichever allocator arena its first few bytes came from — a
         // different one from one build to the next, which showed as a
         // 17 MiB swing in peak RSS.
-        let (nodes, links) = self.multi_pod_graph_size();
-        let mut dc = DataCenter::with_capacity(nodes, links);
+        let mut dc = DataCenter::with_capacity(self.size());
+        // Per pod gateway lane, the links its gateway gets from the lane
+        // ring.
+        let lane_links = ring_degree(self.pods);
         let n_opto = (self.opto_fraction * self.ops_count as f64).round() as usize;
         let mut pod_first_ops = Vec::with_capacity(self.pods);
         let mut pod_gateways: Vec<Vec<crate::OpsId>> = Vec::with_capacity(self.pods);
@@ -337,6 +389,7 @@ impl AlvcTopologyBuilder {
             let mut tor_ids = Vec::with_capacity(self.racks);
             for _ in 0..self.racks {
                 let (rack, tor) = dc.add_rack_in_pod(pod_id);
+                dc.reserve_rack(rack, self.servers_per_rack, degree);
                 tor_ids.push(tor);
                 for _ in 0..self.servers_per_rack {
                     let server = dc.add_server(rack);
@@ -357,18 +410,7 @@ impl AlvcTopologyBuilder {
             pod_first_ops.push(ops_ids[0]);
 
             // Pod-local uplinks: round-robin first, random extras.
-            for (t, &tor) in tor_ids.iter().enumerate() {
-                let mut picks: Vec<usize> = Vec::with_capacity(degree);
-                picks.push(t % self.ops_count);
-                let mut candidates: Vec<usize> = (0..self.ops_count)
-                    .filter(|&o| o != t % self.ops_count)
-                    .collect();
-                candidates.shuffle(&mut rng);
-                picks.extend(candidates.into_iter().take(degree - 1));
-                for o in picks {
-                    dc.connect_tor_ops(tor, ops_ids[o]);
-                }
-            }
+            self.connect_uplinks(&mut dc, &tor_ids, &ops_ids, &mut rng);
 
             // Pod-local dual-homing.
             if self.dual_home_prob > 0.0 && self.racks > 1 {
@@ -388,45 +430,20 @@ impl AlvcTopologyBuilder {
                 }
             }
 
-            // Pod-local OPS interconnect.
-            match self.interconnect {
-                OpsInterconnect::None => {}
-                OpsInterconnect::Ring => {
-                    if self.ops_count > 1 {
-                        for i in 0..self.ops_count {
-                            dc.connect_ops_ops(ops_ids[i], ops_ids[(i + 1) % self.ops_count]);
-                        }
-                    }
-                }
-                OpsInterconnect::FullMesh => {
-                    for i in 0..self.ops_count {
-                        for j in (i + 1)..self.ops_count {
-                            dc.connect_ops_ops(ops_ids[i], ops_ids[j]);
-                        }
-                    }
-                }
-                OpsInterconnect::Random(d) => {
-                    for i in 0..self.ops_count {
-                        let mut others: Vec<usize> =
-                            (0..self.ops_count).filter(|&j| j != i).collect();
-                        others.shuffle(&mut rng);
-                        for &j in others.iter().take(d) {
-                            dc.connect_ops_ops(ops_ids[i], ops_ids[j]);
-                        }
-                    }
-                }
-            }
+            // Pod-local OPS interconnect, with room for the gateway links.
+            self.connect_core(&mut dc, &ops_ids, &mut rng, self.boundary_gateways);
 
             // Dedicated boundary gateways: pure-optical, no ToR uplinks
             // (zero VM coverage — greedy never selects them), meshed into
             // the pod-local core so any intra-pod layer reaches them in
-            // one hop.
+            // one hop. Each pair is new.
             let gws: Vec<crate::OpsId> = (0..self.boundary_gateways)
                 .map(|_| dc.add_ops_in_pod(None, pod_id))
                 .collect();
             for &g in &gws {
+                dc.reserve_ops_links(g, self.ops_count + lane_links, lane_links);
                 for &o in &ops_ids {
-                    dc.connect_ops_ops(g, o);
+                    dc.connect_new_ops_ops(g, o, LinkAttrs::optical_core());
                 }
             }
             pod_gateways.push(gws);
@@ -457,6 +474,13 @@ impl AlvcTopologyBuilder {
         }
         dc
     }
+}
+
+/// Links each member of a ring over `n` members gets: two, but one in a
+/// ring of two, which draws its one pair twice, and none in a ring of one.
+/// The ring has `n * ring_degree(n) / 2` links.
+fn ring_degree(n: usize) -> usize {
+    n.saturating_sub(1).min(2)
 }
 
 /// Parameters for the electronic leaf–spine baseline.
@@ -807,31 +831,170 @@ mod tests {
         assert_eq!(legacy.pod_count(), 1);
     }
 
+    /// Every element list and the link list are sized once, up front:
+    /// exactly for the regular cores, and with room for every
+    /// dual-homing link when servers draw them.
     #[test]
-    fn multi_pod_graph_is_sized_exactly_up_front() {
-        for interconnect in [
-            OpsInterconnect::None,
-            OpsInterconnect::Ring,
-            OpsInterconnect::FullMesh,
-        ] {
-            for lanes in [0, 3] {
-                let builder = AlvcTopologyBuilder::new()
-                    .racks(3)
-                    .servers_per_rack(2)
-                    .ops_count(5)
-                    .tor_ops_degree(2)
-                    .interconnect(interconnect)
-                    .pods(4)
-                    .boundary_gateways(lanes)
-                    .seed(11);
-                let dc = builder.build();
-                assert_eq!(
-                    (dc.graph().node_count(), dc.graph().edge_count()),
-                    builder.multi_pod_graph_size(),
-                    "{interconnect:?}, {lanes} lanes"
-                );
+    fn the_data_center_is_sized_up_front() {
+        for pods in [1, 2, 4] {
+            for interconnect in [
+                OpsInterconnect::None,
+                OpsInterconnect::Ring,
+                OpsInterconnect::FullMesh,
+            ] {
+                for (ops, lanes, dual) in [(2, 0, 0.0), (5, 0, 0.0), (5, 3, 0.0), (5, 3, 0.5)] {
+                    let builder = AlvcTopologyBuilder::new()
+                        .racks(3)
+                        .servers_per_rack(2)
+                        .vms_per_server(3)
+                        .ops_count(ops)
+                        .tor_ops_degree(2)
+                        .interconnect(interconnect)
+                        .pods(pods)
+                        .boundary_gateways(lanes)
+                        .dual_home_prob(dual)
+                        .seed(11);
+                    let (dc, size) = (builder.build(), builder.size());
+                    let shape = format!("{pods} pods, {interconnect:?}, {ops} OPSs, {lanes} lanes");
+                    let counts = (dc.rack_count(), dc.server_count(), dc.vm_count());
+                    assert_eq!(counts, (size.racks, size.servers, size.vms), "{shape}");
+                    assert_eq!(dc.ops_count(), size.opss, "{shape}");
+                    let links = dc.graph().edge_count();
+                    if dual == 0.0 {
+                        assert_eq!(links, size.links, "{shape}");
+                    } else {
+                        let drawn = links - (size.links - size.servers);
+                        assert!(drawn > 0 && drawn <= size.servers, "{shape}: {drawn} drawn");
+                    }
+                }
             }
         }
+    }
+
+    /// A fresh data center with `dc`'s elements, every link of `dc`
+    /// re-added in link order through the checked public paths.
+    fn rebuilt_through_checked_paths(dc: &DataCenter) -> DataCenter {
+        use crate::element::PhysNode;
+        let graph = dc.graph();
+        let mut fresh = DataCenter::new();
+        // Elements are added in node order, each just before the first
+        // link that needs it, as the generator adds them.
+        let add_nodes = |fresh: &mut DataCenter, count: usize| {
+            while fresh.graph().node_count() < count {
+                let node = alvc_graph::NodeId(fresh.graph().node_count());
+                match *graph.node_weight(node).expect("node exists") {
+                    PhysNode::Tor(t) => {
+                        fresh.add_rack_in_pod(dc.pod_of_tor(t));
+                    }
+                    PhysNode::Server(s) => {
+                        // Adds the server's rack access link with it.
+                        let server = fresh.add_server(dc.rack_of_server(s));
+                        for &vm in dc.vms_of_server(s) {
+                            fresh.add_vm(server, dc.service_of_vm(vm));
+                        }
+                    }
+                    PhysNode::Ops { id, opto } => {
+                        fresh.add_ops_in_pod(opto, dc.pod_of_ops(id));
+                    }
+                }
+            }
+        };
+        for (e, a, b, _) in graph.edges() {
+            add_nodes(&mut fresh, a.index().max(b.index()) + 1);
+            if fresh.graph().edge_count() > e.index() {
+                continue;
+            }
+            let node = |n| *graph.node_weight(n).expect("node exists");
+            match (node(a), node(b)) {
+                (PhysNode::Server(s), PhysNode::Tor(t)) => fresh.add_access_link(s, t),
+                (PhysNode::Tor(t), PhysNode::Ops { id, .. }) => fresh.connect_tor_ops(t, id),
+                (PhysNode::Ops { id: x, .. }, PhysNode::Ops { id: y, .. }) => {
+                    fresh.connect_ops_ops(x, y)
+                }
+                other => panic!("no generator makes a link {other:?}"),
+            }
+        }
+        add_nodes(&mut fresh, graph.node_count());
+        fresh
+    }
+
+    /// The builder's unchecked links and pre-sized lists leave the same
+    /// data center as adding every link through the checked paths: the
+    /// same links in the same order, and the same adjacency, incidence,
+    /// switch, exterior and boundary records. A ring of two OPSs and a
+    /// lane ring of two pods draw each pair twice and must keep one.
+    #[test]
+    fn the_builder_equals_checked_construction() {
+        use proptest::prelude::*;
+        use std::cell::Cell;
+        let (ring_of_two, lane_ring_of_two) = (Cell::new(0), Cell::new(0));
+        let bump = |c: &Cell<usize>| c.set(c.get() + 1);
+        let shape = (
+            1usize..4,
+            0usize..4,
+            1usize..4,
+            0usize..5,
+            0usize..4,
+            0u8..2,
+            1usize..4,
+            1usize..5,
+        );
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(160),
+            "the_builder_equals_checked_construction",
+            (shape, 0u64..1000),
+            |((pods, core, d, ops, lanes, dual, racks, degree), seed)| {
+                let ops = [1, 2, 3, 4, 288][ops];
+                let interconnect = [
+                    OpsInterconnect::None,
+                    OpsInterconnect::Ring,
+                    OpsInterconnect::FullMesh,
+                    OpsInterconnect::Random(d),
+                ][core];
+                let dc = AlvcTopologyBuilder::new()
+                    .racks(racks)
+                    .servers_per_rack(2)
+                    .vms_per_server(2)
+                    .ops_count(ops)
+                    .tor_ops_degree(degree)
+                    .interconnect(interconnect)
+                    .pods(pods)
+                    .boundary_gateways(lanes)
+                    .dual_home_prob(f64::from(dual) * 0.5)
+                    .seed(seed)
+                    .build();
+                let fresh = rebuilt_through_checked_paths(&dc);
+                let (g, f) = (dc.graph(), fresh.graph());
+                prop_assert_eq!(g.node_count(), f.node_count());
+                prop_assert!(g.edges().eq(f.edges()));
+                for n in g.node_ids() {
+                    prop_assert!(g.incident_edges(n).eq(f.incident_edges(n)));
+                }
+                for t in dc.tor_ids() {
+                    prop_assert_eq!(dc.uplinks_of_tor(t), fresh.uplinks_of_tor(t));
+                }
+                for o in dc.ops_ids() {
+                    prop_assert_eq!(dc.tors_of_ops(o), fresh.tors_of_ops(o));
+                    prop_assert!(dc.switches_of_ops(o).eq(fresh.switches_of_ops(o)));
+                    let exterior = dc.exterior_switches_of_ops(o);
+                    prop_assert!(exterior.eq(fresh.exterior_switches_of_ops(o)));
+                    prop_assert_eq!(dc.is_boundary_ops(o), fresh.is_boundary_ops(o));
+                }
+                if interconnect == OpsInterconnect::Ring && ops == 2 {
+                    bump(&ring_of_two);
+                }
+                if pods == 2 && lanes > 0 {
+                    bump(&lane_ring_of_two);
+                }
+                Ok(())
+            },
+        );
+        let (ring_of_two, lane_ring_of_two) = (ring_of_two.get(), lane_ring_of_two.get());
+        assert!(
+            ring_of_two >= 3 && lane_ring_of_two >= 3,
+            "corpus too thin: {ring_of_two} rings of two OPSs, {lane_ring_of_two} lane rings of \
+             two pods"
+        );
     }
 
     #[test]

@@ -102,6 +102,17 @@ impl PackedSwitch {
     }
 }
 
+/// How many elements and links a generator is about to add: what
+/// [`DataCenter::with_capacity`] makes room for. A rack counts its ToR.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DcSize {
+    pub(crate) racks: usize,
+    pub(crate) servers: usize,
+    pub(crate) vms: usize,
+    pub(crate) opss: usize,
+    pub(crate) links: usize,
+}
+
 /// The `DataCenter::sole_tors` entry of a VM whose server is dual-homed.
 const NOT_SOLE: TorId = TorId(usize::MAX);
 
@@ -155,13 +166,20 @@ impl DataCenter {
         DataCenter::default()
     }
 
-    /// Creates an empty data center whose physical graph has room for
-    /// `nodes` nodes and `links` links, so a generator that knows its size
-    /// builds the graph without regrowing it.
-    pub(crate) fn with_capacity(nodes: usize, links: usize) -> Self {
+    /// Creates an empty data center with room for `size`: its element
+    /// lists and its physical graph, so a generator that knows its size
+    /// builds them without regrowing them.
+    pub(crate) fn with_capacity(size: DcSize) -> Self {
+        let nodes = size.racks + size.servers + size.opss;
         DataCenter {
-            graph: Graph::with_capacity(nodes, links),
-            ..DataCenter::default()
+            graph: Graph::with_capacity(nodes, size.links),
+            racks: Vec::with_capacity(size.racks),
+            servers: Vec::with_capacity(size.servers),
+            vms: Vec::with_capacity(size.vms),
+            sole_tors: Vec::with_capacity(size.vms),
+            tors: Vec::with_capacity(size.racks),
+            opss: Vec::with_capacity(size.opss),
+            pods: 0,
         }
     }
 
@@ -193,6 +211,16 @@ impl DataCenter {
         });
         self.pods = self.pods.max(pod.0 + 1);
         (rack, tor)
+    }
+
+    /// Makes room, once, for `servers` more servers in `rack` and `uplinks`
+    /// more uplinks at its ToR: in the rack's server list, the ToR's uplink
+    /// list and the ToR's graph adjacency.
+    pub(crate) fn reserve_rack(&mut self, rack: RackId, servers: usize, uplinks: usize) {
+        let tor = &mut self.tors[self.racks[rack.0].tor.0];
+        tor.ops.reserve_exact(uplinks);
+        self.graph.reserve_links(tor.node, servers + uplinks);
+        self.racks[rack.0].servers.reserve_exact(servers);
     }
 
     /// Adds a server to `rack`, wired to the rack's ToR with an access link.
@@ -283,6 +311,17 @@ impl DataCenter {
         ops
     }
 
+    /// Makes room, once, for `links` more core links at `ops`, in its graph
+    /// adjacency and its switch list, and for `exterior` of them in its
+    /// exterior list: those to other pods and to pod-mates that will be
+    /// boundary OPSs.
+    pub(crate) fn reserve_ops_links(&mut self, ops: OpsId, links: usize, exterior: usize) {
+        let rec = &mut self.opss[ops.0];
+        rec.switches.reserve_exact(links);
+        rec.exterior.reserve_exact(exterior);
+        self.graph.reserve_links(rec.node, links);
+    }
+
     /// Connects `tor` to `ops` with an optical uplink.
     ///
     /// Has no effect if the link already exists.
@@ -354,9 +393,22 @@ impl DataCenter {
             return;
         }
         let (an, bn) = (self.opss[a.0].node, self.opss[b.0].node);
-        if self.graph.contains_edge(an, bn) {
-            return;
+        if !self.graph.contains_edge(an, bn) {
+            self.connect_new_ops_ops(a, b, attrs);
         }
+    }
+
+    /// [`DataCenter::connect_ops_ops_with`] for a link its caller makes
+    /// once: two distinct OPSs not linked yet, as a generator's full mesh
+    /// and gateway links are. It skips the scan for a duplicate, a walk of
+    /// an adjacency list that in a full-mesh core makes a pod's links cost
+    /// the cube of its OPSs; everything else is the same.
+    pub(crate) fn connect_new_ops_ops(&mut self, a: OpsId, b: OpsId, attrs: LinkAttrs) {
+        let (an, bn) = (self.opss[a.0].node, self.opss[b.0].node);
+        debug_assert!(
+            a != b && !self.graph.contains_edge(an, bn),
+            "{a}-{b} is no new core link"
+        );
         self.graph.add_edge(an, bn, attrs);
         let crosses = self.opss[a.0].pod != self.opss[b.0].pod;
         let promoted = [a, b].map(|end| crosses && !self.opss[end.0].boundary);

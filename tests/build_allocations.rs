@@ -1,0 +1,78 @@
+//! Allocations of a data-center build, counted by a counting global
+//! allocator. The allocator counts for the whole test binary, so this file
+//! holds the one test that reads it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use alvc::topology::{AlvcTopologyBuilder, OpsInterconnect};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain statistic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Two pods of the hyperscale ladder's pod (`Scale::DC_LADDER` in
+/// `crates/bench`): 96 racks x 28 servers x 4 VMs, 288 OPSs in a full
+/// mesh, 12 uplinks per ToR, 8 boundary gateways.
+fn two_pods() -> AlvcTopologyBuilder {
+    AlvcTopologyBuilder::new()
+        .racks(96)
+        .servers_per_rack(28)
+        .vms_per_server(4)
+        .ops_count(288)
+        .tor_ops_degree(12)
+        .opto_fraction(0.5)
+        .interconnect(OpsInterconnect::FullMesh)
+        .pods(2)
+        .boundary_gateways(8)
+        .seed(1)
+}
+
+/// A build sizes each list once: a rack's servers and a ToR's uplinks and
+/// adjacency when the rack is added, an OPS's adjacency, switch and
+/// exterior lists once its uplinks are in. What is left is mostly a
+/// server's three small lists (adjacency, ToRs, VMs). An OPS list that
+/// grows by doubling again, or a per-link allocation, breaks the bound:
+/// 1.05 x the 21,779 allocations the build makes.
+#[test]
+fn a_two_pod_build_sizes_its_lists_once() {
+    let builder = two_pods();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let dc = builder.build();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(dc.ops_count(), 2 * (288 + 8));
+    assert!(
+        allocations <= 22_868,
+        "a two-pod build made {allocations} allocations"
+    );
+}
