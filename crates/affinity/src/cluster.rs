@@ -20,12 +20,11 @@ use alvc_topology::VmId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::collector::TrafficStats;
 
 /// Label-propagation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClustererConfig {
     /// Hard cap on proposed cluster size. `0` derives the cap as one more
     /// than the largest current cluster — the single slot of headroom lets

@@ -19,10 +19,9 @@
 use std::collections::BTreeMap;
 
 use alvc_topology::VmId;
-use serde::{Deserialize, Serialize};
 
 /// Collector sizing and decay parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectorConfig {
     /// Maximum VM pairs tracked at once (the memory bound).
     pub capacity: usize,
@@ -200,7 +199,7 @@ impl TrafficCollector {
 }
 
 /// One VM pair's decayed traffic weight (unordered: `a <= b`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairTraffic {
     /// The smaller endpoint.
     pub a: VmId,
@@ -212,7 +211,7 @@ pub struct PairTraffic {
 
 /// An immutable snapshot of the collector: every tracked pair's decayed
 /// weight at one instant, ordered by VM id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficStats {
     /// The snapshot instant (the collector's high-water clock).
     pub now_ns: u64,

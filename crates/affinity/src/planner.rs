@@ -14,12 +14,11 @@ use std::collections::BTreeMap;
 
 use alvc_core::{ClusterId, ClusterManager, ClusterSpec, UpdateCostModel};
 use alvc_topology::{DataCenter, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::collector::TrafficStats;
 
 /// One VM changing clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmMove {
     /// The moving VM.
     pub vm: VmId,
@@ -31,7 +30,7 @@ pub struct VmMove {
 
 /// Aggregate predicted price of a plan, summed over per-move
 /// [`alvc_core::UpdateCost`]s.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCost {
     /// ToR switches whose tables change.
     pub tors_updated: usize,
@@ -49,7 +48,7 @@ impl PlanCost {
 }
 
 /// The hysteresis gate's thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HysteresisPolicy {
     /// Minimum predicted intra-cluster share gain (absolute, 0..=1) for a
     /// plan to be approved.
@@ -68,7 +67,7 @@ impl Default for HysteresisPolicy {
 }
 
 /// A priced, gated re-clustering plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReclusterPlan {
     /// Membership moves, in VM order (deterministic).
     pub moves: Vec<VmMove>,
@@ -185,8 +184,6 @@ impl MigrationPlanner {
 
         alvc_telemetry::counter!("alvc_affinity.planner.plans").incr();
         alvc_telemetry::gauge!("alvc_affinity.planner.predicted_gain").set(gain);
-        // Probes-off builds expand both counters to the same no-op.
-        #[allow(clippy::if_same_then_else)]
         if approved {
             alvc_telemetry::counter!("alvc_affinity.planner.moves_proposed")
                 .add(moves.len() as u64);

@@ -317,9 +317,5 @@ fn trace_phase() {
 
 fn main() {
     println!("E10: intent-based control plane — causal tracing under a multi-tenant mix");
-    if alvc_telemetry::telemetry_compiled() {
-        trace_phase();
-    } else {
-        println!("\ntrace phase skipped: probes compiled out (--no-default-features)");
-    }
+    trace_phase();
 }

@@ -209,12 +209,9 @@ fn run_phase(
     scheduler: &'static str,
     target: usize,
 ) -> PhaseResult {
-    let traced = alvc_telemetry::telemetry_compiled();
-    if traced {
-        alvc_telemetry::recorder::configure_recorder(1 << 16);
-        alvc_telemetry::recorder::clear_recorder();
-        alvc_telemetry::trace::set_tracing_enabled(true);
-    }
+    alvc_telemetry::recorder::configure_recorder(1 << 16);
+    alvc_telemetry::recorder::clear_recorder();
+    alvc_telemetry::trace::set_tracing_enabled(true);
     let cp = build_control_plane(dc, mode);
     let vms: Vec<VmId> = dc.vm_ids().collect();
     let tenants_total = LIGHT_TENANTS + 1;
@@ -277,9 +274,7 @@ fn run_phase(
         peak_trace_map = peak_trace_map.max(cp.trace_map_len());
         peak_outcome_map = peak_outcome_map.max(cp.outcome_map_len());
     }
-    if traced {
-        alvc_telemetry::trace::set_tracing_enabled(false);
-    }
+    alvc_telemetry::trace::set_tracing_enabled(false);
 
     // Everything below reads the recorded log: outcome counts and
     // per-tenant service over the sustained (pre-drain) window.

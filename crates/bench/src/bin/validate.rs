@@ -236,13 +236,11 @@ fn check_result(doc: &Json) -> Result<String, String> {
 
     let snapshot = doc.get("telemetry").ok_or("no `telemetry` section")?;
     check_schema(snapshot, &parse_schema(TELEMETRY_SCHEMA), "telemetry")?;
-    let probes = if snapshot.get("enabled").and_then(Json::as_bool) == Some(true) {
-        check_probe_coverage(bench, snapshot)?;
-        "all probe families covered"
-    } else {
-        "probes compiled out"
-    };
-    Ok(format!("{bench}: {} gate(s) hold; {probes}", gates.len()))
+    check_probe_coverage(bench, snapshot)?;
+    Ok(format!(
+        "{bench}: {} gate(s) hold; all probe families covered",
+        gates.len()
+    ))
 }
 
 /// Checks one flight-recorder dump; `Ok` carries the one-line summary.
@@ -362,9 +360,10 @@ mod tests {
             .field("pass", true)
     }
 
-    /// A probes-off envelope for `bench` carrying every gate of its table
-    /// except `without`, each sitting exactly on its bound (strict gates
-    /// one step inside); `doctored` replaces the gate of the same name.
+    /// An envelope for `bench` carrying every gate of its table except
+    /// `without`, each sitting exactly on its bound (strict gates one step
+    /// inside), and one active counter per required probe family;
+    /// `doctored` replaces the gate of the same name.
     fn envelope(bench: &str, without: &str, doctored: Option<Json>) -> Json {
         let (_, required) = REQUIRED.iter().find(|(name, _)| *name == bench).unwrap();
         let gates: Vec<Json> = required
@@ -382,6 +381,15 @@ mod tests {
                 }
             })
             .collect();
+        let counters: Vec<Json> = required_families(bench)
+            .into_iter()
+            .map(|(prefix, _)| {
+                Json::object()
+                    .field("name", format!("{prefix}probe"))
+                    .field("label", "")
+                    .field("value", 1.0)
+            })
+            .collect();
         let empty = || Json::Array(Vec::new());
         Json::object()
             .field("bench", bench)
@@ -392,8 +400,7 @@ mod tests {
             .field(
                 "telemetry",
                 Json::object()
-                    .field("enabled", false)
-                    .field("counters", empty())
+                    .field("counters", counters)
                     .field("gauges", empty())
                     .field("histograms", empty()),
             )
@@ -505,6 +512,24 @@ mod tests {
         assert!(err.unwrap_err().contains("unknown operator"));
     }
 
+    /// A snapshot cannot opt out of the coverage check: one that says
+    /// `"enabled": false` and records nothing fails like any other.
+    #[test]
+    fn a_snapshot_saying_probes_are_off_still_needs_coverage() {
+        for (bench, _) in REQUIRED {
+            let mut doc = envelope(bench, "", None);
+            if let Json::Object(fields) = &mut doc {
+                fields.last_mut().unwrap().1 = Json::object()
+                    .field("enabled", false)
+                    .field("counters", Json::Array(Vec::new()))
+                    .field("gauges", Json::Array(Vec::new()))
+                    .field("histograms", Json::Array(Vec::new()));
+            }
+            let err = check_result(&doc).unwrap_err();
+            assert!(err.contains("no probe under"), "{bench}: {err}");
+        }
+    }
+
     #[test]
     fn probes_on_snapshot_must_cover_the_bench_families() {
         let counter = |name: &str, value: f64| {
@@ -517,7 +542,6 @@ mod tests {
             let mut doc = envelope("reclustering", "", None);
             if let Json::Object(fields) = &mut doc {
                 fields.last_mut().unwrap().1 = Json::object()
-                    .field("enabled", true)
                     .field("counters", counters)
                     .field("gauges", Json::Array(Vec::new()))
                     .field("histograms", Json::Array(Vec::new()));

@@ -1,9 +1,7 @@
 //! Renders the process-global telemetry registry into the bench [`Json`]
 //! shape embedded in every `results/BENCH_*.json`.
 //!
-//! The section always exists so downstream tooling can key on it; the
-//! `enabled` flag distinguishes a probes-off build (empty snapshot) from a
-//! run that genuinely recorded nothing.
+//! The section always exists so downstream tooling can key on it.
 
 use crate::json::Json;
 
@@ -11,7 +9,6 @@ use crate::json::Json;
 ///
 /// ```json
 /// {
-///   "enabled": true,
 ///   "counters": [{"name": "...", "label": "...", "value": 1}],
 ///   "gauges":   [{"name": "...", "label": "...", "value": 0.5}],
 ///   "histograms": [{"name": "...", "count": 9, "p50": ..., ...}]
@@ -58,7 +55,6 @@ pub fn telemetry_json() -> Json {
         })
         .collect();
     Json::object()
-        .field("enabled", alvc_telemetry::telemetry_compiled())
         .field("counters", counters)
         .field("gauges", gauges)
         .field("histograms", histograms)
@@ -71,10 +67,6 @@ mod tests {
     #[test]
     fn telemetry_json_has_all_sections() {
         let j = telemetry_json();
-        assert_eq!(
-            j.get("enabled").and_then(Json::as_bool),
-            Some(alvc_telemetry::telemetry_compiled())
-        );
         for section in ["counters", "gauges", "histograms"] {
             assert!(
                 j.get(section).and_then(Json::as_array).is_some(),
@@ -83,7 +75,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn recorded_probes_appear_in_json() {
         alvc_telemetry::counter!("alvc_bench.test.export_probe").add(3);

@@ -2,7 +2,6 @@
 
 use alvc_graph::NodeId;
 use alvc_topology::{DataCenter, Element, OpsId, TorId, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::error::AlValidationError;
 
@@ -134,7 +133,7 @@ pub(crate) const NOT_MEMBER: u32 = u32::MAX;
 /// Invariants are *not* enforced on construction — a constructor builds the
 /// layer and [`AbstractionLayer::validate`] checks it, so experiments can
 /// also measure how often a (random) baseline produces invalid layers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbstractionLayer {
     tors: Vec<TorId>,
     ops: Vec<OpsId>,
@@ -607,15 +606,12 @@ mod incidence_tests {
         /// Every OPS's exterior list equals its switch list without the
         /// non-boundary OPSs of its pod after generation and after every
         /// link of the extra round, which promotes OPSs whose pod-mates
-        /// already link to them; a clone, the one copy the vendored serde
-        /// stand-in allows, carries the lists.
+        /// already link to them; a clone carries the lists.
         #[test]
         fn incidence_equals_the_adjacency_filter(
             dc in topology_strategy(),
             extra in 0usize..1000,
         ) {
-            fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-            assert_serde::<DataCenter>();
             let mut dc = dc;
             check_exteriors(&dc)?;
             for tor in dc.tor_ids().collect::<Vec<_>>() {

@@ -5,12 +5,11 @@
 //! services in a data center is defined by the network operator."
 
 use alvc_topology::{DataCenter, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::label::LabelId;
 
 /// A named group of VMs destined to become one virtual cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Interned label (service name or tenant id).
     pub label: LabelId,

@@ -18,8 +18,6 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 /// An interned cluster label: a copyable handle to a process-wide string.
 ///
 /// # Example
@@ -33,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.as_str(), "web");
 /// assert_eq!(a, "web");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelId(u32);
 
 struct Interner {

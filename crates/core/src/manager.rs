@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use alvc_topology::{
     DataCenter, Element, ElementHealth, OpsId, PowerOverlay, PowerState, TorId, VmId,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::abstraction_layer::AbstractionLayer;
 use crate::construction::{AlConstruct, OpsAvailability};
@@ -14,7 +13,7 @@ use crate::label::LabelId;
 pub use crate::virtual_cluster::{ClusterSlice, VirtualCluster};
 
 /// Identifier of a virtual cluster issued by a [`ClusterManager`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub usize);
 
 impl ClusterId {

@@ -16,14 +16,13 @@
 //! Experiment E7 sweeps churn over both models.
 
 use alvc_topology::{DataCenter, ServerId, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::abstraction_layer::AbstractionLayer;
 use crate::construction::AlConstruct;
 use crate::manager::{ClusterId, ClusterManager};
 
 /// A churn event applied to the data center.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
     /// `vm` moves to `target` server.
     Migrate {
@@ -35,7 +34,7 @@ pub enum ChurnEvent {
 }
 
 /// The switches touched by one update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateCost {
     /// ToR switches whose tables changed.
     pub tors_updated: usize,

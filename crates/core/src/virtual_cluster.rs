@@ -20,7 +20,6 @@ use std::sync::OnceLock;
 
 use alvc_graph::SliceGraph;
 use alvc_topology::{slice_graph, DataCenter, ServerId, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::abstraction_layer::AbstractionLayer;
 use crate::label::LabelId;
@@ -67,14 +66,13 @@ impl ClusterSlice {
 /// A virtual cluster: a labeled VM group plus its abstraction layer
 /// ("A particular group of VMs and its corresponding AL forms a Virtual
 /// Cluster", §I).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VirtualCluster {
     id: ClusterId,
     label: LabelId,
     vms: Vec<VmId>,
     al: AbstractionLayer,
     /// [`ClusterSlice::of`] the two fields above, once someone asked.
-    #[serde(skip)]
     slice: OnceLock<ClusterSlice>,
 }
 

@@ -14,8 +14,6 @@
 //! on any host. The counters are process-wide, so this file holds the one
 //! test that reads them.
 
-#![cfg(feature = "telemetry")]
-
 use alvc_core::construction::PaperGreedy;
 use alvc_core::{construct_layers_sharded, OpsAvailability};
 use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, VmId};

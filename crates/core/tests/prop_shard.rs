@@ -175,9 +175,6 @@ proptest! {
 /// `core.construct_sharded` span under the ambient context, with one
 /// `core.construct_pod` child per pod, whether or not the pod had
 /// sub-clusters to build.
-/// Probes-off builds compile tracing to no-ops, so there is nothing to
-/// observe without the feature.
-#[cfg(feature = "telemetry")]
 #[test]
 fn sharded_construction_emits_per_pod_spans() {
     let dc = AlvcTopologyBuilder::new()

@@ -32,7 +32,6 @@ use alvc_affinity::{
 use alvc_core::ClusterSpec;
 use alvc_nfv::{Intent, Orchestrator};
 use alvc_topology::{DataCenter, Element, PowerState};
-use serde::{Deserialize, Serialize};
 
 use crate::ledger::{all_elements, carrying_elements};
 
@@ -79,7 +78,7 @@ impl Default for ConsolidationConfig {
 }
 
 /// Which side of the hysteresis band the planner is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsolidationMode {
     /// Full fabric powered; no consolidation in force.
     Normal,

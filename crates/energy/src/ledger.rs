@@ -13,12 +13,11 @@ use std::collections::BTreeSet;
 use alvc_graph::NodeId;
 use alvc_nfv::{HostLocation, Orchestrator};
 use alvc_topology::{DataCenter, Element, PhysNode, PowerState};
-use serde::{Deserialize, Serialize};
 
 use crate::model::{ElementFamily, PowerModel};
 
 /// Instantaneous draw split by family, in watts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Draw of all optical packet switches.
     pub ops_w: f64,
@@ -46,7 +45,7 @@ impl PowerBreakdown {
 }
 
 /// One ledger sample: the instantaneous state at `ts_s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Sample timestamp on the caller's clock, in seconds.
     pub ts_s: f64,

@@ -10,10 +10,9 @@
 
 use alvc_optical::{EnergyModel, HybridPath};
 use alvc_topology::{Element, PowerState};
-use serde::{Deserialize, Serialize};
 
 /// The three substrate element families the power model prices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ElementFamily {
     /// Optical packet switches.
     Ops,
@@ -42,7 +41,7 @@ impl ElementFamily {
 /// [`PowerState::PoweredOff`]. Flow power adds the per-bit switching and
 /// O/E/O conversion energy of `flow` at the flow's offered rate, so a
 /// longer or conversion-heavier path costs proportionally more.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// OPS active draw (W).
     pub ops_active_w: f64,

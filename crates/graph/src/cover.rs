@@ -17,15 +17,13 @@
 
 use std::cmp::Reverse;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 use crate::lazy_greedy::{LazySelector, TotalF64};
 
 /// A set cover instance: a universe `0..universe_size` and a family of
 /// subsets. The AL-VC OPS-selection step is the instance whose universe is
 /// the cluster's ToRs and whose sets are the ToR-neighborhoods of each OPS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetCoverInstance {
     universe_size: usize,
     sets: Vec<Vec<usize>>,

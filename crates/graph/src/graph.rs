@@ -1,17 +1,15 @@
 //! Undirected adjacency-list graph with typed node and edge weights.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node inside a [`Graph`].
 ///
 /// Node ids are dense, stable, and only meaningful for the graph that issued
 /// them. They are ordinary `usize` indices wrapped in a newtype so that node
 /// and edge indices cannot be confused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Index of an edge inside a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
 impl NodeId {
@@ -47,7 +45,7 @@ fn narrow(index: usize, what: &str) -> u32 {
     u32::try_from(index).unwrap_or_else(|_| panic!("a graph holds at most 2^32 {what}"))
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct EdgeRecord<E> {
     a: u32,
     b: u32,
@@ -82,7 +80,7 @@ impl<E> EdgeRecord<E> {
 /// assert_eq!(g.edge_weight(e), Some(&40));
 /// assert_eq!(g.neighbors(a).collect::<Vec<_>>(), vec![b]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeRecord<E>>,
@@ -398,15 +396,6 @@ mod tests {
         let g: Graph<u32, ()> = (0..5).collect();
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn graph_types_implement_serde() {
-        // serde_json is not a dependency: the bound itself is the check.
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<Graph<u32, f64>>();
-        assert_serde::<NodeId>();
-        assert_serde::<EdgeId>();
     }
 
     #[test]

@@ -77,10 +77,9 @@ pub(crate) struct LazySelector<K: Ord> {
 
 /// Operation counts accumulated by a selector over its lifetime.
 ///
-/// The counters are plain fields (kept in all builds — they cost one
-/// register increment per operation); with the `telemetry` feature on
-/// they are flushed into the global `alvc_graph.selector.*` counters when
-/// the selector drops, which is how bench runs decompose a greedy pass
+/// The counters are plain fields (they cost one register increment per
+/// operation), flushed into the global `alvc_graph.selector.*` counters
+/// when the selector drops, which is how bench runs decompose a greedy pass
 /// into heap work vs. stale refreshes vs. dead skips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SelectorStats {
@@ -96,7 +95,6 @@ struct SelectorStats {
 
 impl SelectorStats {
     /// Adds the counts to the global `alvc_graph.selector.*` counters.
-    #[cfg(feature = "telemetry")]
     fn flush(self) {
         if self == SelectorStats::default() {
             return;
@@ -160,9 +158,7 @@ impl<K: Ord> LazySelector<K> {
 }
 
 /// Flushes the per-selector operation counts into the global
-/// `alvc_graph.selector.*` counters. Only compiled with the `telemetry`
-/// feature: without it, dropping a selector stays trivial.
-#[cfg(feature = "telemetry")]
+/// `alvc_graph.selector.*` counters.
 impl<K: Ord> Drop for LazySelector<K> {
     fn drop(&mut self) {
         self.stats.flush();
@@ -283,7 +279,6 @@ impl BucketSelector {
 /// Flushes the pushes and pops into the global `alvc_graph.selector.*`
 /// counters, as the lazy heap does (a bucket queue has no stale refreshes
 /// or dead skips to report).
-#[cfg(feature = "telemetry")]
 impl Drop for BucketSelector {
     fn drop(&mut self) {
         self.stats.flush();

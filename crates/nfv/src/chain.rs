@@ -17,13 +17,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use alvc_topology::{DataCenter, PodId, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::lifecycle::HostLocation;
 use crate::vnf::VnfSpec;
 
 /// Identifier of a deployed chain, issued by the orchestrator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NfcId(pub usize);
 
 impl NfcId {
@@ -52,7 +51,7 @@ pub struct StageId(usize);
 /// into those positions when it linearizes the stage order. Rules are
 /// enforced at admission: a placement that violates any rule is rejected
 /// with a typed error before any state is committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlacementRule {
     /// Stages `a` and `b` must run on distinct hosts (fault isolation).
@@ -260,7 +259,7 @@ impl std::error::Error for ChainSpecError {}
 /// path latency exceeds `latency_slo_us`, and the `alvc-energy`
 /// consolidation planner never proposes a power-down whose predicted p99
 /// would violate it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosClass {
     /// One-way p99 latency objective for the chain's path, in
     /// microseconds.
@@ -301,7 +300,7 @@ impl QosClass {
 }
 
 /// A chain to deploy: what the tenant hands the orchestrator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainSpec {
     /// Human-readable chain name.
     pub name: String,
@@ -318,11 +317,9 @@ pub struct ChainSpec {
     /// rejects deployments whose routed path exceeds it.
     pub max_latency_us: Option<f64>,
     /// Placement constraints over stage positions, enforced at admission.
-    #[serde(default)]
     pub rules: Vec<PlacementRule>,
     /// Optional QoS class: a standing latency SLO (enforced at admission
     /// and on every reroute) plus a relative weight.
-    #[serde(default)]
     pub qos: Option<QosClass>,
 }
 
@@ -701,7 +698,7 @@ impl From<usize> for StageId {
 }
 
 /// A deployed chain (spec plus its orchestrator-assigned id).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Nfc {
     id: NfcId,
     spec: ChainSpec,

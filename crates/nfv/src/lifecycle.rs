@@ -5,13 +5,12 @@
 //! during the life cycle of VNF."
 
 use alvc_topology::{Domain, OpsId, ServerId};
-use serde::{Deserialize, Serialize};
 
 use crate::error::LifecycleError;
 use crate::vnf::VnfSpec;
 
 /// Identifier of a VNF instance, issued by the orchestrator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VnfInstanceId(pub usize);
 
 impl VnfInstanceId {
@@ -29,7 +28,7 @@ impl std::fmt::Display for VnfInstanceId {
 
 /// Where a VNF instance runs: on a server (electronic domain) or on an
 /// optoelectronic router (optical domain, §IV.D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostLocation {
     /// Electronic host.
     Server(ServerId),
@@ -57,7 +56,7 @@ impl std::fmt::Display for HostLocation {
 }
 
 /// Lifecycle states of a VNF instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VnfState {
     /// Requested by a tenant, not yet scheduled.
     Requested,
@@ -114,7 +113,7 @@ impl std::fmt::Display for VnfState {
 }
 
 /// A VNF instance with its lifecycle state and transition history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VnfInstance {
     id: VnfInstanceId,
     spec: VnfSpec,

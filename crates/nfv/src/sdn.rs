@@ -9,12 +9,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use alvc_graph::NodeId;
 use alvc_optical::HybridPath;
-use serde::{Deserialize, Serialize};
 
 use crate::chain::NfcId;
 
 /// A forwarding rule installed on one switch for one chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRule {
     /// The chain the rule belongs to.
     pub chain: NfcId,

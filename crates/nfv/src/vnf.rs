@@ -8,11 +8,10 @@
 //! domain."
 
 use alvc_topology::OptoCapacity;
-use serde::{Deserialize, Serialize};
 
 /// Network function families mentioned by the paper plus common middlebox
 /// types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VnfType {
     /// Stateless/stateful packet filter.
     Firewall,
@@ -76,7 +75,7 @@ impl std::fmt::Display for VnfType {
 }
 
 /// Resources a VNF instance needs from its host.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceDemand {
     /// vCPU-equivalents.
     pub cpu: f64,
@@ -141,7 +140,7 @@ impl ResourceDemand {
 }
 
 /// A VNF to instantiate: a type plus its (possibly overridden) demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VnfSpec {
     /// The function type.
     pub vnf_type: VnfType,

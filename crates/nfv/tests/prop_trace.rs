@@ -6,10 +6,6 @@
 //! The flight recorder and the tracing flag are process-global, so every
 //! test here serializes on one lock and filters recorder contents down to
 //! the trace ids the control plane under test handed out.
-//!
-//! Probes-off builds compile tracing to no-ops — nothing to observe, so
-//! the whole suite is gated on the feature.
-#![cfg(feature = "telemetry")]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};

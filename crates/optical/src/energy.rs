@@ -6,8 +6,6 @@
 //! bit than optical forwarding, and each O/E/O conversion adds transponder
 //! energy on top.
 
-use serde::{Deserialize, Serialize};
-
 use crate::oeo::OeoCostModel;
 use crate::path::HybridPath;
 use alvc_topology::Domain;
@@ -18,7 +16,7 @@ use alvc_topology::Domain;
 /// ≈ 10 nJ/bit/hop, optical forwarding ≈ 1 nJ/bit/hop, O/E/O conversion
 /// ≈ 5 nJ/bit — values chosen to reproduce the *ordering* reported for
 /// optical DCNs, not any specific hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per bit per electronic hop (nJ).
     pub electronic_nj_per_bit_hop: f64,

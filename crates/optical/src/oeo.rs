@@ -1,7 +1,5 @@
 //! O/E/O conversion cost: proportional to flow length (§IV.D).
 
-use serde::{Deserialize, Serialize};
-
 use crate::path::HybridPath;
 
 /// Conversion cost model: "Cost of this conversion corresponds to the
@@ -21,7 +19,7 @@ use crate::path::HybridPath;
 /// let two = m.conversion_energy_nj(2_000_000);
 /// assert!((two - 2.0 * one).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OeoCostModel {
     /// Energy per bit converted, in nanojoules. Synthetic calibration:
     /// 5 nJ/bit for a full O→E→O transit of commodity transponders.

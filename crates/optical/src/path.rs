@@ -2,7 +2,6 @@
 
 use alvc_graph::NodeId;
 use alvc_topology::Domain;
-use serde::{Deserialize, Serialize};
 
 /// A physical path through the data center with each traversed link's
 /// domain recorded.
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.oeo_conversions(), 0);
 /// assert_eq!(p.domain_crossings(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridPath {
     nodes: Vec<NodeId>,
     links: Vec<Domain>,

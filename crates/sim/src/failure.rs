@@ -16,12 +16,11 @@ use alvc_graph::NodeId;
 use alvc_topology::{DataCenter, Element};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::flowsim::ChainLoad;
 
 /// One edge of an outage: an element going down or coming back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageEvent {
     /// Simulated time of the transition, in nanoseconds.
     pub at_ns: u64,
@@ -32,7 +31,7 @@ pub struct OutageEvent {
 }
 
 /// A deterministic schedule of element outages over a simulation horizon.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureSchedule {
     events: Vec<OutageEvent>,
 }

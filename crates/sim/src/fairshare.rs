@@ -18,7 +18,6 @@ use alvc_graph::EdgeId;
 use alvc_optical::routing::path_edges;
 use alvc_optical::HybridPath;
 use alvc_topology::DataCenter;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::Summary;
 
@@ -34,7 +33,7 @@ pub struct FairFlow {
 }
 
 /// Results of a fair-share simulation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FairShareReport {
     /// Completed flows.
     pub flows: u64,

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use alvc_nfv::NfcId;
 use alvc_optical::{EnergyModel, HybridPath};
-use serde::{Deserialize, Serialize};
 
 use crate::event::EventQueue;
 use crate::metrics::Summary;
@@ -32,7 +31,7 @@ pub struct ChainLoad {
 }
 
 /// Per-chain simulation results.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChainReport {
     /// Completed flows.
     pub flows: u64,
@@ -47,7 +46,7 @@ pub struct ChainReport {
 }
 
 /// Aggregate simulation results.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Per-chain breakdown.
     pub per_chain: BTreeMap<usize, ChainReport>,
@@ -63,7 +62,6 @@ pub struct SimReport {
     pub peak_in_flight: usize,
     /// Flows that arrived while their chain's substrate was down (outage
     /// replay via [`FlowSim::run_with_outages`]) and were lost.
-    #[serde(default)]
     pub dropped_flows: u64,
 }
 

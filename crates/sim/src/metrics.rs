@@ -6,11 +6,10 @@
 //! percentiles are approximate with at most ~9.1% relative error.
 
 use alvc_telemetry::LogHistogram;
-use serde::{Deserialize, Serialize};
 
 /// A bounded-memory summary over recorded samples: exact extremes and
 /// approximate percentiles from a log-bucketed histogram.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     hist: LogHistogram,
 }

@@ -2,14 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use alvc_topology::{DataCenter, VmId};
 
 use crate::workload::GeneratedFlow;
 
 /// Aggregate demand between one ordered `(src, dst)` VM pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairDemand {
     /// Total bytes from `src` to `dst`.
     pub bytes: u64,
@@ -24,7 +22,7 @@ pub struct PairDemand {
 /// consumer (locality reports, the affinity collector, cost models)
 /// only cares about the per-pair totals — so the matrix stores exactly
 /// those, in O(pairs) memory instead of O(flows).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficMatrix {
     demands: BTreeMap<(VmId, VmId), PairDemand>,
 }
@@ -72,7 +70,7 @@ impl Extend<GeneratedFlow> for TrafficMatrix {
 
 /// How much of a traffic matrix stays inside service clusters — the
 /// quantitative version of Fig. 1/3's motivation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalityReport {
     /// Bytes between same-service VMs.
     pub intra_bytes: u64,

@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use alvc_topology::{DataCenter, ServiceType, VmId};
 
@@ -59,7 +58,7 @@ impl PoissonArrivals {
 }
 
 /// Flow size distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlowSizeDistribution {
     /// Every flow has the same size.
     Constant(u64),
@@ -134,7 +133,7 @@ pub struct ServiceTraffic {
 }
 
 /// One generated flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeneratedFlow {
     /// Source VM.
     pub src: VmId,

@@ -1,4 +1,5 @@
-//! Real probe implementations, compiled when the `telemetry` feature is on.
+//! The probe implementations: metric cells, handles, the registry, spans
+//! and the event subscriber.
 //!
 //! Everything here is std-only: atomics for the hot path, one `RwLock`ed
 //! `BTreeMap` for registration (cold — call sites cache handles via the
@@ -14,11 +15,6 @@ use std::time::Instant;
 use crate::hist::{bucket_index, LogHistogram, BUCKET_COUNT};
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
 use crate::types::{Event, FieldValue};
-
-/// Whether probes are compiled in this build.
-pub const fn telemetry_compiled() -> bool {
-    true
-}
 
 // ---------------------------------------------------------------- cells --
 
@@ -113,20 +109,7 @@ impl HistCell {
     }
 
     fn snapshot(&self, name: &str, label: &str) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
-        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
-        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
-        let (min, max) = if min.is_finite() {
-            (Some(min), Some(max))
-        } else {
-            (None, None)
-        };
-        let h = LogHistogram::from_bucket_counts(counts, sum, min, max);
+        let h = self.raw();
         HistogramSnapshot {
             name: name.to_owned(),
             label: label.to_owned(),

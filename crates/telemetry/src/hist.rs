@@ -60,7 +60,6 @@ fn bucket_rep(i: usize) -> f64 {
 /// Non-finite samples are rejected with a panic in
 /// [`record`](LogHistogram::record).
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     /// Lazily allocated to keep empty histograms cheap; `BUCKET_COUNT`
     /// entries once any sample lands.
@@ -121,7 +120,6 @@ impl LogHistogram {
 
     /// Reconstructs a histogram from raw bucket counts (registry snapshots);
     /// `sumsq` is unknown there, so [`stddev`](Self::stddev) reports 0.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn from_bucket_counts(
         counts: Vec<u64>,
         sum: f64,

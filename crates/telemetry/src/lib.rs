@@ -15,17 +15,6 @@
 //! suffixes for microsecond-denominated histograms (see DESIGN.md §9 for
 //! the probe inventory).
 //!
-//! # Feature gating
-//!
-//! The `telemetry` cargo feature (default-on) selects between the real
-//! implementation and a no-op twin with the identical API: with the
-//! feature off, handles are zero-sized, every method is an empty inline
-//! function, and the [`counter!`]/[`histogram!`]/[`span!`]/[`event!`]
-//! macros expand without evaluating their arguments — a disabled probe
-//! costs nothing. [`LogHistogram`] and the snapshot types are compiled
-//! unconditionally so data structures (e.g. `alvc_sim::Summary`) can build
-//! on them in any configuration.
-//!
 //! # Hot-path usage
 //!
 //! The free functions ([`counter`](fn@counter), [`histogram`](fn@histogram), …) take a registry lock
@@ -35,7 +24,6 @@
 //! ```
 //! alvc_telemetry::counter!("alvc_doc.example.widgets").add(3);
 //! let snap = alvc_telemetry::snapshot();
-//! # #[cfg(feature = "telemetry")]
 //! assert_eq!(snap.counters.iter().find(|c| c.name == "alvc_doc.example.widgets").unwrap().value, 3);
 //! ```
 
@@ -50,15 +38,8 @@ mod snapshot;
 pub mod trace;
 mod types;
 
-#[cfg(feature = "telemetry")]
 mod enabled;
-#[cfg(feature = "telemetry")]
 pub use enabled::*;
-
-#[cfg(not(feature = "telemetry"))]
-mod disabled;
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::*;
 
 pub use hist::LogHistogram;
 pub use recorder::{FlightRecorder, Postmortem, RecorderEntry};
@@ -68,10 +49,6 @@ pub use trace::{ActiveSpan, SpanId, SpanRecord, TraceCtx, TraceId};
 pub use types::{Event, FieldValue};
 
 /// Returns a `&'static Counter` for `name`, cached per call site.
-///
-/// With the `telemetry` feature off this expands to a no-op handle and
-/// `name` is not evaluated.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
@@ -80,23 +57,7 @@ macro_rules! counter {
     }};
 }
 
-/// Returns a `&'static Counter` for `name`, cached per call site.
-///
-/// With the `telemetry` feature off this expands to a no-op handle and
-/// `name` is not evaluated.
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{
-        &$crate::Counter
-    }};
-}
-
 /// Returns a `&'static Gauge` for `name`, cached per call site.
-///
-/// With the `telemetry` feature off this expands to a no-op handle and
-/// `name` is not evaluated.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
@@ -105,23 +66,7 @@ macro_rules! gauge {
     }};
 }
 
-/// Returns a `&'static Gauge` for `name`, cached per call site.
-///
-/// With the `telemetry` feature off this expands to a no-op handle and
-/// `name` is not evaluated.
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        &$crate::Gauge
-    }};
-}
-
 /// Returns a `&'static Histogram` for `name`, cached per call site.
-///
-/// With the `telemetry` feature off this expands to a no-op handle and
-/// `name` is not evaluated.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
@@ -130,22 +75,7 @@ macro_rules! histogram {
     }};
 }
 
-/// Returns a `&'static Histogram` for `name`, cached per call site.
-///
-/// With the `telemetry` feature off this expands to a no-op handle and
-/// `name` is not evaluated.
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        &$crate::Histogram
-    }};
-}
-
 /// Starts a [`Span`] recording into the histogram `name` when dropped.
-///
-/// With the `telemetry` feature off this expands to a zero-sized guard.
-#[cfg(feature = "telemetry")]
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -153,24 +83,11 @@ macro_rules! span {
     };
 }
 
-/// Starts a [`Span`] recording into the histogram `name` when dropped.
-///
-/// With the `telemetry` feature off this expands to a zero-sized guard.
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::Span
-    };
-}
-
 /// Records a structured event: `event!("name", "key" = value, ...)`.
 ///
 /// Field values go through [`FieldValue::from`], so integers, floats,
 /// bools, and strings all work. The field expressions are only evaluated
-/// when event recording is enabled ([`set_events_enabled`]); with the
-/// `telemetry` feature off the whole invocation compiles to nothing.
-#[cfg(feature = "telemetry")]
+/// when event recording is enabled ([`set_events_enabled`]).
 #[macro_export]
 macro_rules! event {
     ($name:expr $(, $key:literal = $value:expr)* $(,)?) => {
@@ -181,23 +98,4 @@ macro_rules! event {
             );
         }
     };
-}
-
-/// Records a structured event: `event!("name", "key" = value, ...)`.
-///
-/// Field values go through [`FieldValue::from`], so integers, floats,
-/// bools, and strings all work. The field expressions are only evaluated
-/// when event recording is enabled ([`set_events_enabled`]); with the
-/// `telemetry` feature off the whole invocation compiles to nothing.
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! event {
-    ($name:expr $(, $key:literal = $value:expr)* $(,)?) => {{
-        // Reference the field expressions from a never-called closure so
-        // "only used in telemetry" bindings don't warn, without evaluating
-        // anything.
-        let _ = || {
-            $(let _ = &$value;)*
-        };
-    }};
 }

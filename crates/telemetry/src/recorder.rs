@@ -21,8 +21,7 @@ use crate::trace::SpanRecord;
 use crate::types::Event;
 
 /// One retained entry: a finished span, a structured event, or an SLO
-/// breach. Compiled unconditionally so dump consumers build in any
-/// configuration.
+/// breach.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecorderEntry {
     /// A finished trace span.
@@ -37,7 +36,6 @@ impl RecorderEntry {
     /// Renders the entry as one JSON object (a JSON-lines record, no
     /// trailing newline). Spans carry `"kind":"span"`, events
     /// `"kind":"event"`, breaches `"kind":"breach"`.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn to_json_line(&self) -> String {
         match self {
             RecorderEntry::Span(s) => s.to_json_line(),
@@ -67,7 +65,6 @@ pub struct Postmortem {
     pub dump_jsonl: String,
 }
 
-#[cfg(feature = "telemetry")]
 mod imp {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -234,71 +231,13 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{Postmortem, RecorderEntry};
-
-    /// Default ring capacity (no-op twin).
-    pub const DEFAULT_RECORDER_CAPACITY: usize = 1 << 16;
-
-    /// No-op flight recorder: records nothing, dumps nothing.
-    #[derive(Default, Clone, Copy)]
-    pub struct FlightRecorder;
-
-    /// A no-op recorder handle.
-    #[inline(always)]
-    pub fn recorder() -> FlightRecorder {
-        FlightRecorder
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn configure_recorder(_capacity: usize) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn recorder_record(_entry: RecorderEntry) {}
-
-    /// Always empty.
-    #[inline(always)]
-    pub fn recorder_entries() -> Vec<RecorderEntry> {
-        Vec::new()
-    }
-
-    /// Always empty.
-    #[inline(always)]
-    pub fn recorder_dump_jsonl() -> String {
-        String::new()
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn recorder_overwritten() -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn clear_recorder() {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn postmortem(_reason: &str) {}
-
-    /// Always empty.
-    #[inline(always)]
-    pub fn take_postmortems() -> Vec<Postmortem> {
-        Vec::new()
-    }
-}
-
 pub use imp::{
     clear_recorder, configure_recorder, postmortem, recorder, recorder_dump_jsonl,
     recorder_entries, recorder_overwritten, recorder_record, take_postmortems, FlightRecorder,
     DEFAULT_RECORDER_CAPACITY,
 };
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::{SpanId, SpanRecord, TraceId};

@@ -249,7 +249,6 @@ pub struct SloBreach {
 impl SloBreach {
     /// Renders the breach as one JSON object (a JSON-lines record with
     /// `"kind":"breach"`, no trailing newline).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"kind\":\"breach\",\"slo\":");
@@ -268,7 +267,6 @@ impl SloBreach {
     }
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn finite(v: f64) -> f64 {
     if v.is_finite() {
         v
@@ -305,7 +303,6 @@ pub struct SloReport {
     pub breaches: Vec<SloBreach>,
 }
 
-#[cfg(feature = "telemetry")]
 mod imp {
     use std::collections::BTreeMap;
 
@@ -565,35 +562,6 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{SloBreach, SloReport, SloSpec};
-
-    /// No-op SLO monitor: observes nothing, reports empty.
-    #[derive(Default)]
-    pub struct SloMonitor;
-
-    impl SloMonitor {
-        /// No-op.
-        #[inline(always)]
-        pub fn new(_specs: Vec<SloSpec>) -> SloMonitor {
-            SloMonitor
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn observe(&mut self) -> Vec<SloBreach> {
-            Vec::new()
-        }
-
-        /// Always the empty report.
-        #[inline(always)]
-        pub fn report(&self) -> SloReport {
-            SloReport::default()
-        }
-    }
-}
-
 pub use imp::SloMonitor;
 
 #[cfg(test)]
@@ -683,7 +651,6 @@ mod tests {
     /// Regression: from the second window on, the p99 objective evaluates
     /// a delta histogram rebuilt from raw bucket counts (no exact
     /// `min`/`max`); `observe` must keep evaluating instead of panicking.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn p99_objective_evaluates_across_windows() {
         let mut m = SloMonitor::new(vec![SloSpec::p99_latency_us(

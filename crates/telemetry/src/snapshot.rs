@@ -1,11 +1,9 @@
-//! Point-in-time views of the metrics registry, compiled regardless of the
-//! `telemetry` feature (a disabled build snapshots to empty collections).
+//! Point-in-time views of the metrics registry.
 
 use std::fmt::Write as _;
 
 /// A counter's value at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CounterSnapshot {
     /// Metric name (`alvc_<crate>.<subsystem>.<metric>`).
     pub name: String,
@@ -17,7 +15,6 @@ pub struct CounterSnapshot {
 
 /// A gauge's value at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GaugeSnapshot {
     /// Metric name.
     pub name: String,
@@ -29,7 +26,6 @@ pub struct GaugeSnapshot {
 
 /// A histogram's distribution summary at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: String,
@@ -57,7 +53,6 @@ pub struct HistogramSnapshot {
 
 /// All registered metrics at one instant, sorted by `(name, label)`.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Snapshot {
     /// Counters.
     pub counters: Vec<CounterSnapshot>,
@@ -68,8 +63,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Returns `true` when no metrics were registered (always the case in a
-    /// `--no-default-features` build).
+    /// Returns `true` when no metrics were registered.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
@@ -77,7 +71,6 @@ impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format.
     /// Metric names have `.` folded to `_`; histograms are rendered as
     /// summaries (`quantile` labels plus `_sum`/`_count`).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         for c in &self.counters {
@@ -103,7 +96,6 @@ impl Snapshot {
     }
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -112,14 +104,12 @@ fn num(v: f64) -> String {
     }
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn label_part(label: &str) -> String {
     if label.is_empty() {
         String::new()
@@ -128,7 +118,6 @@ fn label_part(label: &str) -> String {
     }
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn quantile_part(label: &str, q: &str) -> String {
     if label.is_empty() {
         format!("{{quantile=\"{q}\"}}")

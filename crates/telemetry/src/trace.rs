@@ -15,10 +15,8 @@
 //! it with no help. The control plane [`enter`]s an intent's root around
 //! the work it runs for that intent, on whichever thread runs the batch.
 //!
-//! Everything is gated twice: compiled out entirely without the
-//! `telemetry` feature (all guards are no-ops), and runtime-gated behind
-//! [`set_tracing_enabled`] (one relaxed atomic load per call site when
-//! off). Finished spans are pushed into the
+//! Everything is runtime-gated behind [`set_tracing_enabled`] (one
+//! relaxed atomic load per call site when off). Finished spans are pushed into the
 //! [flight recorder](crate::recorder); nothing here allocates or locks
 //! while tracing is disabled.
 
@@ -34,7 +32,6 @@ impl TraceId {
     pub(crate) const NONE: TraceId = TraceId(0);
 
     /// `true` for the reserved absent id.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
@@ -78,15 +75,13 @@ impl TraceCtx {
     };
 
     /// `true` when there is no trace to attach to.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn is_none(self) -> bool {
         self.trace.is_none()
     }
 }
 
 /// One finished span, as retained by the flight recorder and rendered
-/// into JSON-lines dumps. Compiled unconditionally so dump consumers
-/// (`tools/alvc-trace`, the bench validators) build in any configuration.
+/// into JSON-lines dumps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// The trace this span belongs to.
@@ -113,7 +108,6 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// Renders the span as one JSON object (a JSON-lines record with
     /// `"kind":"span"`, no trailing newline).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(128);
         let _ = write!(
@@ -146,7 +140,6 @@ impl SpanRecord {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod imp {
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -432,124 +425,6 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{SpanId, TraceCtx, TraceId};
-    use crate::types::FieldValue;
-
-    /// Bound on each thread's open-span stack (unused no-op twin).
-    pub const MAX_SPAN_DEPTH: usize = 64;
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set_tracing_enabled(_on: bool) {}
-
-    /// Always `false`.
-    #[inline(always)]
-    pub fn tracing_enabled() -> bool {
-        false
-    }
-
-    /// Always [`TraceId::NONE`].
-    #[inline(always)]
-    pub fn new_trace() -> TraceId {
-        TraceId::NONE
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn spans_dropped() -> u64 {
-        0
-    }
-
-    /// No-op context guard.
-    #[must_use = "the context is ambient only while the guard lives"]
-    #[derive(Clone, Copy, Default)]
-    pub struct CtxGuard;
-
-    /// No-op.
-    #[inline(always)]
-    pub fn enter(_ctx: TraceCtx) -> CtxGuard {
-        CtxGuard
-    }
-
-    /// No-op span guard.
-    #[must_use = "a span measures until it is dropped"]
-    #[derive(Default)]
-    pub struct ActiveSpan;
-
-    impl ActiveSpan {
-        /// Always [`TraceCtx::NONE`].
-        #[inline(always)]
-        pub fn ctx(&self) -> TraceCtx {
-            TraceCtx::NONE
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn set_status(&mut self, _status: &'static str) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn set_code(&mut self, _code: &'static str) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn fail(&mut self, _code: &'static str) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add_field(&mut self, _key: &'static str, _value: impl Into<FieldValue>) {}
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn root_span(_name: &'static str) -> ActiveSpan {
-        ActiveSpan
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn child_span(_name: &'static str) -> ActiveSpan {
-        ActiveSpan
-    }
-
-    /// Always [`TraceCtx::NONE`].
-    #[inline(always)]
-    pub fn new_root_ctx() -> TraceCtx {
-        TraceCtx::NONE
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_root(
-        _ctx: TraceCtx,
-        _name: &'static str,
-        _start_us: u64,
-        _duration_us: f64,
-        _status: &'static str,
-        _code: &'static str,
-        _fields: Vec<(&'static str, FieldValue)>,
-    ) {
-    }
-
-    /// Always [`TraceCtx::NONE`].
-    #[inline(always)]
-    pub fn record_span(
-        _parent: TraceCtx,
-        _name: &'static str,
-        _duration_us: f64,
-        _status: &'static str,
-        _code: &'static str,
-        _fields: Vec<(&'static str, FieldValue)>,
-    ) -> TraceCtx {
-        TraceCtx::NONE
-    }
-
-    // Unused-import silencer: SpanId participates in the public types only.
-    const _: SpanId = SpanId::NONE;
-}
-
 pub use imp::{
     child_span, enter, new_root_ctx, new_trace, record_root, record_span, root_span,
     set_tracing_enabled, spans_dropped, tracing_enabled, ActiveSpan, CtxGuard, MAX_SPAN_DEPTH,
@@ -588,7 +463,6 @@ mod tests {
         assert!(!TraceId(1).is_none());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn disabled_tracing_is_inert() {
         // Tracing is off by default: no ambient context, inert guards.

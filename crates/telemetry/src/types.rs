@@ -1,5 +1,4 @@
-//! Structured event types, compiled regardless of the `telemetry` feature
-//! so downstream signatures stay stable.
+//! Structured event types.
 
 use std::fmt::Write as _;
 
@@ -65,7 +64,6 @@ impl From<String> for FieldValue {
 }
 
 impl FieldValue {
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn render_json(&self, out: &mut String) {
         match self {
             FieldValue::U64(v) => {
@@ -100,7 +98,6 @@ pub struct Event {
 impl Event {
     /// Renders the event as one JSON object (a JSON-lines record, no
     /// trailing newline).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(64);
         out.push_str("{\"ts_us\":");
@@ -118,7 +115,6 @@ impl Event {
     }
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

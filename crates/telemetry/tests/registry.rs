@@ -6,7 +6,6 @@
 
 use alvc_telemetry as tel;
 
-#[cfg(feature = "telemetry")]
 mod enabled {
     use super::tel;
 
@@ -162,24 +161,5 @@ mod enabled {
         tel::counter("alvc_test.prom.counter").add(2);
         let text = tel::prometheus_text();
         assert!(text.contains("# TYPE alvc_test_prom_counter counter"));
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use super::tel;
-
-    #[test]
-    fn disabled_probes_are_inert_and_snapshot_is_empty() {
-        tel::counter!("alvc_test.off.counter").add(5);
-        tel::histogram!("alvc_test.off.hist").record(1.0);
-        let _span = tel::span!("alvc_test.off.span_us");
-        tel::set_events_enabled(true);
-        tel::event!("alvc_test.off.event", "n" = 1u64);
-        assert!(!tel::events_enabled());
-        assert!(tel::snapshot().is_empty());
-        assert!(tel::drain_events().is_empty());
-        assert_eq!(tel::prometheus_text(), "");
-        assert!(!tel::telemetry_compiled());
     }
 }

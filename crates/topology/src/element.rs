@@ -1,7 +1,6 @@
 //! Physical network elements and link attributes.
 
 use alvc_graph::{Graph, NodeId, SliceGraph};
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{OpsId, ServerId, TorId};
 
@@ -10,7 +9,7 @@ use crate::ids::{OpsId, ServerId, TorId};
 /// Flows crossing from [`Domain::Optical`] to [`Domain::Electronic`] (or
 /// back) incur an O/E/O conversion whose cost the paper argues should be
 /// minimized by placing VNFs on optoelectronic routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// The optical packet-switched core.
     Optical,
@@ -33,7 +32,7 @@ impl std::fmt::Display for Domain {
 /// limited buffer, storage, and processing capability. Therefore, they are
 /// capable to host VNFs." Units are abstract: CPU in vCPU-equivalents,
 /// memory/storage in GiB, buffer in MiB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptoCapacity {
     /// Processing capacity available for VNFs.
     pub cpu: f64,
@@ -74,7 +73,7 @@ impl Default for OptoCapacity {
 ///
 /// VMs are *not* physical nodes; they are placed on servers and reached
 /// through the server's access link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhysNode {
     /// A physical server (electronic domain).
     Server(ServerId),
@@ -92,7 +91,7 @@ pub enum PhysNode {
 }
 
 /// Attributes of a physical link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAttrs {
     /// The domain traffic travels in on this link.
     pub domain: Domain,

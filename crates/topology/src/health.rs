@@ -12,13 +12,11 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{OpsId, ServerId, TorId};
 
 /// A failable substrate element: a server, a ToR switch, or an optical
 /// packet switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Element {
     /// A physical server (takes its VMs and hosted VNFs down with it).
     Server(ServerId),
@@ -55,7 +53,7 @@ impl std::fmt::Display for Element {
 /// assert!(health.restore(Element::Ops(OpsId(3))));
 /// assert!(health.all_healthy());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElementHealth {
     servers: BTreeSet<ServerId>,
     tors: BTreeSet<TorId>,

@@ -4,14 +4,10 @@
 //! never be used where a [`TorId`] is expected (C-NEWTYPE). Ids are dense
 //! indices issued by the [`crate::DataCenter`] that owns them.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub usize);
 
         impl $name {

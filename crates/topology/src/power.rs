@@ -15,12 +15,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::health::Element;
 
 /// The power state of one substrate element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PowerState {
     /// Powered and carrying (or ready to carry) traffic — the default.
     Active,
@@ -66,7 +64,7 @@ impl std::fmt::Display for PowerState {
 /// assert!(!power.is_on(ops));
 /// assert_eq!(power.powered_off_count(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PowerOverlay {
     /// Elements not currently `Active`.
     states: BTreeMap<Element, PowerState>,

@@ -6,11 +6,9 @@
 //! virtual cluster. "The number of services in a data center is defined by
 //! the network operator", hence [`ServiceType::Custom`].
 
-use serde::{Deserialize, Serialize};
-
 /// The service a VM provides. Same-service VMs exhibit high traffic
 /// correlation and are clustered together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceType {
     /// Three-tier web serving.
     WebService,
@@ -87,7 +85,7 @@ impl std::fmt::Display for ServiceType {
 /// let mix = ServiceMix::uniform(&[ServiceType::WebService, ServiceType::MapReduce]);
 /// assert_ne!(mix, ServiceMix::default());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceMix {
     entries: Vec<(ServiceType, f64)>,
 }

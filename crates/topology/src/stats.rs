@@ -1,7 +1,5 @@
 //! Topology statistics used by the E2 report.
 
-use serde::{Deserialize, Serialize};
-
 use crate::element::Domain;
 use crate::topology::DataCenter;
 
@@ -17,7 +15,7 @@ use crate::topology::DataCenter;
 /// assert_eq!(stats.vm_count, dc.vm_count());
 /// assert!(stats.core_connected);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyStats {
     /// Number of racks.
     pub rack_count: usize,

@@ -2,20 +2,19 @@
 
 use alvc_graph::cover::SetCoverInstance;
 use alvc_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::element::{Domain, LinkAttrs, OptoCapacity, PhysNode};
 use crate::health::Element;
 use crate::ids::{OpsId, PodId, RackId, ServerId, TorId, VmId};
 use crate::service::ServiceType;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct RackRecord {
     tor: TorId,
     servers: Vec<ServerId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ServerRecord {
     rack: RackId,
     node: NodeId,
@@ -25,13 +24,13 @@ struct ServerRecord {
     vms: Vec<VmId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct VmRecord {
     server: ServerId,
     service: ServiceType,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TorRecord {
     node: NodeId,
     pod: PodId,
@@ -42,7 +41,7 @@ struct TorRecord {
     ops: Vec<OpsId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct OpsRecord {
     node: NodeId,
     opto: Option<OptoCapacity>,
@@ -65,13 +64,12 @@ struct OpsRecord {
     exterior: Vec<PackedSwitch>,
     /// Whether this OPS has a core link to an OPS in another pod. Written
     /// only by [`DataCenter::connect_ops_ops_with`], with the link.
-    #[serde(default)]
     boundary: bool,
 }
 
 /// A switch in an OPS's switch list, in four bytes: the top bit marks an
 /// OPS, the other 31 hold the ToR or OPS index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PackedSwitch(u32);
 
 impl PackedSwitch {
@@ -142,7 +140,7 @@ const NOT_SOLE: TorId = TorId(usize::MAX);
 /// assert_eq!(dc.tor_of_vm(vm), tor);
 /// assert_eq!(dc.uplinks_of_tor(tor), &[ops]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DataCenter {
     graph: Graph<PhysNode, LinkAttrs>,
     racks: Vec<RackRecord>,
@@ -154,9 +152,7 @@ pub struct DataCenter {
     sole_tors: Vec<TorId>,
     tors: Vec<TorRecord>,
     opss: Vec<OpsRecord>,
-    /// Number of pods (locality shards); `0` in legacy serialized form
-    /// means the single default pod.
-    #[serde(default)]
+    /// Number of pods (locality shards); `0` means the single default pod.
     pods: usize,
 }
 
