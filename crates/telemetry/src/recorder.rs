@@ -19,6 +19,8 @@
 use crate::slo::SloBreach;
 use crate::trace::SpanRecord;
 use crate::types::Event;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// One retained entry: a finished span, a structured event, or an SLO
 /// breach.
@@ -65,177 +67,164 @@ pub struct Postmortem {
     pub dump_jsonl: String,
 }
 
-mod imp {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock, RwLock};
+/// Default ring capacity (entries), enough for several thousand
+/// intents' worth of spans at ~4–6 spans per intent.
+pub const DEFAULT_RECORDER_CAPACITY: usize = 1 << 16;
 
-    use super::{Postmortem, RecorderEntry};
+/// Post-mortems retained before the oldest are dropped.
+const MAX_POSTMORTEMS: usize = 8;
 
-    /// Default ring capacity (entries), enough for several thousand
-    /// intents' worth of spans at ~4–6 spans per intent.
-    pub const DEFAULT_RECORDER_CAPACITY: usize = 1 << 16;
+/// The ring buffer itself. Usually accessed through the global
+/// instance ([`recorder_record`], [`recorder_dump_jsonl`], …), but
+/// constructible standalone for tests.
+pub struct FlightRecorder {
+    slots: Vec<Mutex<Option<(u64, RecorderEntry)>>>,
+    head: AtomicU64,
+}
 
-    /// Post-mortems retained before the oldest are dropped.
-    const MAX_POSTMORTEMS: usize = 8;
-
-    /// The ring buffer itself. Usually accessed through the global
-    /// instance ([`recorder_record`], [`recorder_dump_jsonl`], …), but
-    /// constructible standalone for tests.
-    pub struct FlightRecorder {
-        slots: Vec<Mutex<Option<(u64, RecorderEntry)>>>,
-        head: AtomicU64,
+impl FlightRecorder {
+    /// Creates a recorder retaining the last `capacity` entries
+    /// (clamped to at least 1).
+    pub(crate) fn new(capacity: usize) -> FlightRecorder {
+        let cap = capacity.max(1);
+        FlightRecorder {
+            slots: (0..cap).map(|_| Mutex::new(None)).collect(),
+            head: AtomicU64::new(0),
+        }
     }
 
-    impl FlightRecorder {
-        /// Creates a recorder retaining the last `capacity` entries
-        /// (clamped to at least 1).
-        pub(crate) fn new(capacity: usize) -> FlightRecorder {
-            let cap = capacity.max(1);
-            FlightRecorder {
-                slots: (0..cap).map(|_| Mutex::new(None)).collect(),
-                head: AtomicU64::new(0),
+    /// The configured capacity in entries.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Appends one entry, overwriting the oldest when full.
+    pub(crate) fn record(&self, entry: RecorderEntry) {
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let idx = (seq % self.slots.len() as u64) as usize;
+        let mut slot = self.slots[idx].lock().expect("recorder slot poisoned");
+        *slot = Some((seq, entry));
+    }
+
+    /// Entries currently retained (≤ capacity).
+    pub(crate) fn len(&self) -> usize {
+        (self.head.load(Ordering::Relaxed) as usize).min(self.slots.len())
+    }
+
+    /// Entries dropped to the drop-oldest policy so far.
+    pub(crate) fn overwritten(&self) -> u64 {
+        let head = self.head.load(Ordering::Relaxed);
+        head.saturating_sub(self.slots.len() as u64)
+    }
+
+    /// Clones the retained entries in record order (oldest first).
+    /// Non-draining: concurrent writers keep appending.
+    pub(crate) fn entries(&self) -> Vec<RecorderEntry> {
+        let mut pairs: Vec<(u64, RecorderEntry)> = Vec::with_capacity(self.len());
+        for slot in &self.slots {
+            let guard = slot.lock().expect("recorder slot poisoned");
+            if let Some((seq, entry)) = guard.as_ref() {
+                pairs.push((*seq, entry.clone()));
             }
         }
+        pairs.sort_by_key(|(seq, _)| *seq);
+        pairs.into_iter().map(|(_, e)| e).collect()
+    }
 
-        /// The configured capacity in entries.
-        pub(crate) fn capacity(&self) -> usize {
-            self.slots.len()
+    /// Renders the retained entries as JSON lines (oldest first, one
+    /// object per line, trailing newline when non-empty).
+    pub(crate) fn dump_jsonl(&self) -> String {
+        let mut out = String::new();
+        for entry in self.entries() {
+            out.push_str(&entry.to_json_line());
+            out.push('\n');
         }
+        out
+    }
 
-        /// Appends one entry, overwriting the oldest when full.
-        pub(crate) fn record(&self, entry: RecorderEntry) {
-            let seq = self.head.fetch_add(1, Ordering::Relaxed);
-            let idx = (seq % self.slots.len() as u64) as usize;
-            let mut slot = self.slots[idx].lock().expect("recorder slot poisoned");
-            *slot = Some((seq, entry));
+    /// Drops every retained entry and resets the sequence counter.
+    pub(crate) fn clear(&self) {
+        for slot in &self.slots {
+            *slot.lock().expect("recorder slot poisoned") = None;
         }
-
-        /// Entries currently retained (≤ capacity).
-        pub(crate) fn len(&self) -> usize {
-            (self.head.load(Ordering::Relaxed) as usize).min(self.slots.len())
-        }
-
-        /// Entries dropped to the drop-oldest policy so far.
-        pub(crate) fn overwritten(&self) -> u64 {
-            let head = self.head.load(Ordering::Relaxed);
-            head.saturating_sub(self.slots.len() as u64)
-        }
-
-        /// Clones the retained entries in record order (oldest first).
-        /// Non-draining: concurrent writers keep appending.
-        pub(crate) fn entries(&self) -> Vec<RecorderEntry> {
-            let mut pairs: Vec<(u64, RecorderEntry)> = Vec::with_capacity(self.len());
-            for slot in &self.slots {
-                let guard = slot.lock().expect("recorder slot poisoned");
-                if let Some((seq, entry)) = guard.as_ref() {
-                    pairs.push((*seq, entry.clone()));
-                }
-            }
-            pairs.sort_by_key(|(seq, _)| *seq);
-            pairs.into_iter().map(|(_, e)| e).collect()
-        }
-
-        /// Renders the retained entries as JSON lines (oldest first, one
-        /// object per line, trailing newline when non-empty).
-        pub(crate) fn dump_jsonl(&self) -> String {
-            let mut out = String::new();
-            for entry in self.entries() {
-                out.push_str(&entry.to_json_line());
-                out.push('\n');
-            }
-            out
-        }
-
-        /// Drops every retained entry and resets the sequence counter.
-        pub(crate) fn clear(&self) {
-            for slot in &self.slots {
-                *slot.lock().expect("recorder slot poisoned") = None;
-            }
-            self.head.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn global() -> &'static RwLock<Arc<FlightRecorder>> {
-        static R: OnceLock<RwLock<Arc<FlightRecorder>>> = OnceLock::new();
-        R.get_or_init(|| RwLock::new(Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY))))
-    }
-
-    fn postmortems() -> &'static Mutex<Vec<Postmortem>> {
-        static P: OnceLock<Mutex<Vec<Postmortem>>> = OnceLock::new();
-        P.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    /// A handle on the current global recorder.
-    pub fn recorder() -> Arc<FlightRecorder> {
-        global().read().expect("recorder lock poisoned").clone()
-    }
-
-    /// Replaces the global recorder when `capacity` differs from the
-    /// current one (entries are kept otherwise, so repeated
-    /// same-capacity configuration calls are cheap no-ops).
-    pub fn configure_recorder(capacity: usize) {
-        let capacity = capacity.max(1);
-        let mut guard = global().write().expect("recorder lock poisoned");
-        if guard.capacity() != capacity {
-            *guard = Arc::new(FlightRecorder::new(capacity));
-        }
-    }
-
-    /// Appends one entry to the global recorder.
-    pub fn recorder_record(entry: RecorderEntry) {
-        recorder().record(entry);
-    }
-
-    /// Clones the global recorder's retained entries (oldest first).
-    pub fn recorder_entries() -> Vec<RecorderEntry> {
-        recorder().entries()
-    }
-
-    /// Renders the global recorder as JSON lines (oldest first).
-    pub fn recorder_dump_jsonl() -> String {
-        recorder().dump_jsonl()
-    }
-
-    /// Entries lost to drop-oldest in the global recorder so far.
-    pub fn recorder_overwritten() -> u64 {
-        recorder().overwritten()
-    }
-
-    /// Empties the global recorder.
-    pub fn clear_recorder() {
-        recorder().clear();
-    }
-
-    /// Captures a post-mortem: freezes the current recorder contents
-    /// under `reason` for later collection with [`take_postmortems`].
-    /// At most 8 post-mortems are retained (oldest dropped); the
-    /// `alvc_telemetry.recorder.postmortems` counter tracks captures.
-    pub fn postmortem(reason: &str) {
-        let dump = Postmortem {
-            reason: reason.to_owned(),
-            ts_us: crate::now_monotonic_us(),
-            dump_jsonl: recorder_dump_jsonl(),
-        };
-        let mut store = postmortems().lock().expect("postmortem store poisoned");
-        if store.len() >= MAX_POSTMORTEMS {
-            store.remove(0);
-        }
-        store.push(dump);
-        drop(store);
-        crate::counter("alvc_telemetry.recorder.postmortems").incr();
-    }
-
-    /// Takes every captured post-mortem, leaving the store empty.
-    pub fn take_postmortems() -> Vec<Postmortem> {
-        std::mem::take(&mut *postmortems().lock().expect("postmortem store poisoned"))
+        self.head.store(0, Ordering::Relaxed);
     }
 }
 
-pub use imp::{
-    clear_recorder, configure_recorder, postmortem, recorder, recorder_dump_jsonl,
-    recorder_entries, recorder_overwritten, recorder_record, take_postmortems, FlightRecorder,
-    DEFAULT_RECORDER_CAPACITY,
-};
+fn global() -> &'static RwLock<Arc<FlightRecorder>> {
+    static R: OnceLock<RwLock<Arc<FlightRecorder>>> = OnceLock::new();
+    R.get_or_init(|| RwLock::new(Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY))))
+}
+
+fn postmortems() -> &'static Mutex<Vec<Postmortem>> {
+    static P: OnceLock<Mutex<Vec<Postmortem>>> = OnceLock::new();
+    P.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// A handle on the current global recorder.
+pub fn recorder() -> Arc<FlightRecorder> {
+    global().read().expect("recorder lock poisoned").clone()
+}
+
+/// Replaces the global recorder when `capacity` differs from the
+/// current one (entries are kept otherwise, so repeated
+/// same-capacity configuration calls are cheap no-ops).
+pub fn configure_recorder(capacity: usize) {
+    let capacity = capacity.max(1);
+    let mut guard = global().write().expect("recorder lock poisoned");
+    if guard.capacity() != capacity {
+        *guard = Arc::new(FlightRecorder::new(capacity));
+    }
+}
+
+/// Appends one entry to the global recorder.
+pub fn recorder_record(entry: RecorderEntry) {
+    recorder().record(entry);
+}
+
+/// Clones the global recorder's retained entries (oldest first).
+pub fn recorder_entries() -> Vec<RecorderEntry> {
+    recorder().entries()
+}
+
+/// Renders the global recorder as JSON lines (oldest first).
+pub fn recorder_dump_jsonl() -> String {
+    recorder().dump_jsonl()
+}
+
+/// Entries lost to drop-oldest in the global recorder so far.
+pub fn recorder_overwritten() -> u64 {
+    recorder().overwritten()
+}
+
+/// Empties the global recorder.
+pub fn clear_recorder() {
+    recorder().clear();
+}
+
+/// Captures a post-mortem: freezes the current recorder contents
+/// under `reason` for later collection with [`take_postmortems`].
+/// At most 8 post-mortems are retained (oldest dropped); the
+/// `alvc_telemetry.recorder.postmortems` counter tracks captures.
+pub fn postmortem(reason: &str) {
+    let dump = Postmortem {
+        reason: reason.to_owned(),
+        ts_us: crate::now_monotonic_us(),
+        dump_jsonl: recorder_dump_jsonl(),
+    };
+    let mut store = postmortems().lock().expect("postmortem store poisoned");
+    if store.len() >= MAX_POSTMORTEMS {
+        store.remove(0);
+    }
+    store.push(dump);
+    drop(store);
+    crate::counter("alvc_telemetry.recorder.postmortems").incr();
+}
+
+/// Takes every captured post-mortem, leaving the store empty.
+pub fn take_postmortems() -> Vec<Postmortem> {
+    std::mem::take(&mut *postmortems().lock().expect("postmortem store poisoned"))
+}
 
 #[cfg(test)]
 mod tests {

@@ -31,7 +31,10 @@
 //! (and potentially one breach) per label — this is how "per-tenant" and
 //! "per-pod" objectives work without enumerating tenants or pods up front.
 
+use crate::hist::LogHistogram;
+use crate::recorder::{recorder_record, RecorderEntry};
 use crate::types::push_json_string;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// What one SLO objective measures.
@@ -303,266 +306,254 @@ pub struct SloReport {
     pub breaches: Vec<SloBreach>,
 }
 
-mod imp {
-    use std::collections::BTreeMap;
+/// Evaluates a set of [`SloSpec`]s over sliding windows of the global
+/// registry (see the module docs). Construct with the specs, call
+/// [`observe`](SloMonitor::observe) once per window, collect the
+/// [`SloReport`] at the end.
+pub struct SloMonitor {
+    specs: Vec<SloSpec>,
+    /// Previous capture of every histogram's raw bucket counts + sum,
+    /// keyed `(name, label)`.
+    prev_hists: BTreeMap<(String, String), (Vec<u64>, f64)>,
+    /// Previous capture of every counter, keyed `(name, label)`.
+    prev_counters: BTreeMap<(String, String), u64>,
+    /// Consecutive over-threshold windows per `(spec index, subject)`.
+    dwell: BTreeMap<(usize, String), u64>,
+    /// Evaluable-window and breach tallies per spec index, plus the
+    /// worst observed value.
+    stats: Vec<(u64, u64, f64)>,
+    window: u64,
+    breaches: Vec<SloBreach>,
+}
 
-    use super::{SloBreach, SloKind, SloReport, SloResult, SloSpec};
-    use crate::hist::LogHistogram;
-    use crate::recorder::{recorder_record, RecorderEntry};
-
-    /// Evaluates a set of [`SloSpec`]s over sliding windows of the global
-    /// registry (see the module docs). Construct with the specs, call
-    /// [`observe`](SloMonitor::observe) once per window, collect the
-    /// [`SloReport`] at the end.
-    pub struct SloMonitor {
-        specs: Vec<SloSpec>,
-        /// Previous capture of every histogram's raw bucket counts + sum,
-        /// keyed `(name, label)`.
-        prev_hists: BTreeMap<(String, String), (Vec<u64>, f64)>,
-        /// Previous capture of every counter, keyed `(name, label)`.
-        prev_counters: BTreeMap<(String, String), u64>,
-        /// Consecutive over-threshold windows per `(spec index, subject)`.
-        dwell: BTreeMap<(usize, String), u64>,
-        /// Evaluable-window and breach tallies per spec index, plus the
-        /// worst observed value.
-        stats: Vec<(u64, u64, f64)>,
-        window: u64,
-        breaches: Vec<SloBreach>,
+impl SloMonitor {
+    /// Creates a monitor over `specs`, capturing the current registry
+    /// state as the baseline for the first window.
+    pub fn new(specs: Vec<SloSpec>) -> SloMonitor {
+        let stats = vec![(0, 0, 0.0); specs.len()];
+        let mut m = SloMonitor {
+            specs,
+            prev_hists: BTreeMap::new(),
+            prev_counters: BTreeMap::new(),
+            dwell: BTreeMap::new(),
+            stats,
+            window: 0,
+            breaches: Vec::new(),
+        };
+        m.capture_baseline();
+        m
     }
 
-    impl SloMonitor {
-        /// Creates a monitor over `specs`, capturing the current registry
-        /// state as the baseline for the first window.
-        pub fn new(specs: Vec<SloSpec>) -> SloMonitor {
-            let stats = vec![(0, 0, 0.0); specs.len()];
-            let mut m = SloMonitor {
-                specs,
-                prev_hists: BTreeMap::new(),
-                prev_counters: BTreeMap::new(),
-                dwell: BTreeMap::new(),
-                stats,
-                window: 0,
-                breaches: Vec::new(),
-            };
-            m.capture_baseline();
-            m
-        }
+    fn capture_baseline(&mut self) {
+        self.prev_hists = crate::histograms_raw()
+            .into_iter()
+            .map(|(n, l, h)| ((n, l), (h.bucket_counts().to_vec(), h.sum())))
+            .collect();
+        self.prev_counters = crate::snapshot()
+            .counters
+            .into_iter()
+            .map(|c| ((c.name, c.label), c.value))
+            .collect();
+    }
 
-        fn capture_baseline(&mut self) {
-            self.prev_hists = crate::histograms_raw()
-                .into_iter()
-                .map(|(n, l, h)| ((n, l), (h.bucket_counts().to_vec(), h.sum())))
-                .collect();
-            self.prev_counters = crate::snapshot()
-                .counters
-                .into_iter()
-                .map(|c| ((c.name, c.label), c.value))
-                .collect();
-        }
+    /// Closes the current window: evaluates every spec against the
+    /// samples recorded since the previous `observe` (or since
+    /// construction), records breaches into the flight recorder, and
+    /// returns the breaches from *this* window.
+    pub fn observe(&mut self) -> Vec<SloBreach> {
+        self.window += 1;
+        let ts_us = crate::now_monotonic_us();
+        let hists = crate::histograms_raw();
+        let snap = crate::snapshot();
+        let mut new_breaches = Vec::new();
 
-        /// Closes the current window: evaluates every spec against the
-        /// samples recorded since the previous `observe` (or since
-        /// construction), records breaches into the flight recorder, and
-        /// returns the breaches from *this* window.
-        pub fn observe(&mut self) -> Vec<SloBreach> {
-            self.window += 1;
-            let ts_us = crate::now_monotonic_us();
-            let hists = crate::histograms_raw();
-            let snap = crate::snapshot();
-            let mut new_breaches = Vec::new();
-
-            for (idx, spec) in self.specs.iter().enumerate() {
-                match &spec.kind {
-                    SloKind::P99LatencyUs {
-                        histogram,
-                        label,
-                        max_us,
-                    } => {
-                        let mut evaluable = false;
-                        for (name, lbl, h) in &hists {
-                            if name != histogram || !label_matches(label, lbl) {
-                                continue;
-                            }
-                            let prev = self.prev_hists.get(&(name.clone(), lbl.clone()));
-                            let windowed = window_hist(h, prev);
-                            if windowed.count() == 0 {
-                                continue;
-                            }
-                            evaluable = true;
-                            let p99 = windowed.percentile(99.0);
-                            let stat = &mut self.stats[idx];
-                            stat.2 = stat.2.max(p99);
-                            if p99 > *max_us {
-                                new_breaches.push(SloBreach {
-                                    slo: spec.name.clone(),
-                                    subject: lbl.clone(),
-                                    observed: p99,
-                                    threshold: *max_us,
-                                    window: self.window,
-                                    ts_us,
-                                });
-                                self.stats[idx].1 += 1;
-                            }
+        for (idx, spec) in self.specs.iter().enumerate() {
+            match &spec.kind {
+                SloKind::P99LatencyUs {
+                    histogram,
+                    label,
+                    max_us,
+                } => {
+                    let mut evaluable = false;
+                    for (name, lbl, h) in &hists {
+                        if name != histogram || !label_matches(label, lbl) {
+                            continue;
                         }
-                        if evaluable {
-                            self.stats[idx].0 += 1;
+                        let prev = self.prev_hists.get(&(name.clone(), lbl.clone()));
+                        let windowed = window_hist(h, prev);
+                        if windowed.count() == 0 {
+                            continue;
+                        }
+                        evaluable = true;
+                        let p99 = windowed.percentile(99.0);
+                        let stat = &mut self.stats[idx];
+                        stat.2 = stat.2.max(p99);
+                        if p99 > *max_us {
+                            new_breaches.push(SloBreach {
+                                slo: spec.name.clone(),
+                                subject: lbl.clone(),
+                                observed: p99,
+                                threshold: *max_us,
+                                window: self.window,
+                                ts_us,
+                            });
+                            self.stats[idx].1 += 1;
                         }
                     }
-                    SloKind::RejectionRate {
-                        rejected,
-                        total,
-                        max_rate,
-                    } => {
-                        let mut evaluable = false;
-                        for c in &snap.counters {
-                            if &c.name != total {
-                                continue;
-                            }
-                            let d_total =
-                                c.value - prev_counter(&self.prev_counters, total, &c.label);
-                            if d_total == 0 {
-                                continue;
-                            }
-                            let rej_now = snap
-                                .counters
-                                .iter()
-                                .find(|r| &r.name == rejected && r.label == c.label)
-                                .map_or(0, |r| r.value);
-                            let d_rej =
-                                rej_now - prev_counter(&self.prev_counters, rejected, &c.label);
-                            evaluable = true;
-                            let rate = d_rej as f64 / d_total as f64;
-                            let stat = &mut self.stats[idx];
-                            stat.2 = stat.2.max(rate);
-                            if rate > *max_rate {
-                                new_breaches.push(SloBreach {
-                                    slo: spec.name.clone(),
-                                    subject: c.label.clone(),
-                                    observed: rate,
-                                    threshold: *max_rate,
-                                    window: self.window,
-                                    ts_us,
-                                });
-                                self.stats[idx].1 += 1;
-                            }
+                    if evaluable {
+                        self.stats[idx].0 += 1;
+                    }
+                }
+                SloKind::RejectionRate {
+                    rejected,
+                    total,
+                    max_rate,
+                } => {
+                    let mut evaluable = false;
+                    for c in &snap.counters {
+                        if &c.name != total {
+                            continue;
                         }
-                        if evaluable {
-                            self.stats[idx].0 += 1;
+                        let d_total = c.value - prev_counter(&self.prev_counters, total, &c.label);
+                        if d_total == 0 {
+                            continue;
+                        }
+                        let rej_now = snap
+                            .counters
+                            .iter()
+                            .find(|r| &r.name == rejected && r.label == c.label)
+                            .map_or(0, |r| r.value);
+                        let d_rej = rej_now - prev_counter(&self.prev_counters, rejected, &c.label);
+                        evaluable = true;
+                        let rate = d_rej as f64 / d_total as f64;
+                        let stat = &mut self.stats[idx];
+                        stat.2 = stat.2.max(rate);
+                        if rate > *max_rate {
+                            new_breaches.push(SloBreach {
+                                slo: spec.name.clone(),
+                                subject: c.label.clone(),
+                                observed: rate,
+                                threshold: *max_rate,
+                                window: self.window,
+                                ts_us,
+                            });
+                            self.stats[idx].1 += 1;
                         }
                     }
-                    SloKind::GaugeDwell {
-                        gauge,
-                        label,
-                        threshold,
-                        max_windows,
-                    } => {
-                        let mut evaluable = false;
-                        for g in &snap.gauges {
-                            if &g.name != gauge || !label_matches(label, &g.label) {
-                                continue;
-                            }
-                            evaluable = true;
-                            let key = (idx, g.label.clone());
-                            let run = self.dwell.entry(key).or_insert(0);
-                            if g.value > *threshold {
-                                *run += 1;
-                            } else {
-                                *run = 0;
-                            }
-                            let stat = &mut self.stats[idx];
-                            stat.2 = stat.2.max(*run as f64);
-                            if *run > *max_windows {
-                                new_breaches.push(SloBreach {
-                                    slo: spec.name.clone(),
-                                    subject: g.label.clone(),
-                                    observed: *run as f64,
-                                    threshold: *max_windows as f64,
-                                    window: self.window,
-                                    ts_us,
-                                });
-                                self.stats[idx].1 += 1;
-                            }
+                    if evaluable {
+                        self.stats[idx].0 += 1;
+                    }
+                }
+                SloKind::GaugeDwell {
+                    gauge,
+                    label,
+                    threshold,
+                    max_windows,
+                } => {
+                    let mut evaluable = false;
+                    for g in &snap.gauges {
+                        if &g.name != gauge || !label_matches(label, &g.label) {
+                            continue;
                         }
-                        if evaluable {
-                            self.stats[idx].0 += 1;
+                        evaluable = true;
+                        let key = (idx, g.label.clone());
+                        let run = self.dwell.entry(key).or_insert(0);
+                        if g.value > *threshold {
+                            *run += 1;
+                        } else {
+                            *run = 0;
                         }
+                        let stat = &mut self.stats[idx];
+                        stat.2 = stat.2.max(*run as f64);
+                        if *run > *max_windows {
+                            new_breaches.push(SloBreach {
+                                slo: spec.name.clone(),
+                                subject: g.label.clone(),
+                                observed: *run as f64,
+                                threshold: *max_windows as f64,
+                                window: self.window,
+                                ts_us,
+                            });
+                            self.stats[idx].1 += 1;
+                        }
+                    }
+                    if evaluable {
+                        self.stats[idx].0 += 1;
                     }
                 }
             }
-
-            // Roll the capture forward for the next window.
-            self.prev_hists = hists
-                .into_iter()
-                .map(|(n, l, h)| ((n, l), (h.bucket_counts().to_vec(), h.sum())))
-                .collect();
-            self.prev_counters = snap
-                .counters
-                .into_iter()
-                .map(|c| ((c.name, c.label), c.value))
-                .collect();
-
-            for b in &new_breaches {
-                recorder_record(RecorderEntry::Breach(b.clone()));
-                crate::counter("alvc_telemetry.slo.breaches").incr();
-            }
-            self.breaches.extend(new_breaches.clone());
-            new_breaches
         }
 
-        /// The accumulated report across every window observed so far.
-        pub fn report(&self) -> SloReport {
-            SloReport {
-                windows: self.window,
-                results: self
-                    .specs
-                    .iter()
-                    .zip(&self.stats)
-                    .map(|(spec, &(windows, breaches, worst))| SloResult {
-                        slo: spec.name.clone(),
-                        windows,
-                        breaches,
-                        worst,
-                        threshold: match &spec.kind {
-                            SloKind::P99LatencyUs { max_us, .. } => *max_us,
-                            SloKind::RejectionRate { max_rate, .. } => *max_rate,
-                            SloKind::GaugeDwell { max_windows, .. } => *max_windows as f64,
-                        },
-                    })
-                    .collect(),
-                breaches: self.breaches.clone(),
-            }
-        }
-    }
-
-    fn label_matches(selector: &str, label: &str) -> bool {
-        selector == "*" || selector == label
-    }
-
-    fn prev_counter(prev: &BTreeMap<(String, String), u64>, name: &str, label: &str) -> u64 {
-        prev.get(&(name.to_owned(), label.to_owned()))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Reconstructs the histogram of samples recorded *since* `prev` was
-    /// captured, from raw bucket-count deltas. Min/max are unknowable for
-    /// a window, so p0/p100 fall back to bucket representatives.
-    fn window_hist(current: &LogHistogram, prev: Option<&(Vec<u64>, f64)>) -> LogHistogram {
-        let cur_counts = current.bucket_counts();
-        let Some((prev_counts, prev_sum)) = prev else {
-            return current.clone();
-        };
-        let diff: Vec<u64> = cur_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c.saturating_sub(prev_counts.get(i).copied().unwrap_or(0)))
+        // Roll the capture forward for the next window.
+        self.prev_hists = hists
+            .into_iter()
+            .map(|(n, l, h)| ((n, l), (h.bucket_counts().to_vec(), h.sum())))
             .collect();
-        let sum = (current.sum() - prev_sum).max(0.0);
-        LogHistogram::from_bucket_counts(diff, sum, None, None)
+        self.prev_counters = snap
+            .counters
+            .into_iter()
+            .map(|c| ((c.name, c.label), c.value))
+            .collect();
+
+        for b in &new_breaches {
+            recorder_record(RecorderEntry::Breach(b.clone()));
+            crate::counter("alvc_telemetry.slo.breaches").incr();
+        }
+        self.breaches.extend(new_breaches.clone());
+        new_breaches
+    }
+
+    /// The accumulated report across every window observed so far.
+    pub fn report(&self) -> SloReport {
+        SloReport {
+            windows: self.window,
+            results: self
+                .specs
+                .iter()
+                .zip(&self.stats)
+                .map(|(spec, &(windows, breaches, worst))| SloResult {
+                    slo: spec.name.clone(),
+                    windows,
+                    breaches,
+                    worst,
+                    threshold: match &spec.kind {
+                        SloKind::P99LatencyUs { max_us, .. } => *max_us,
+                        SloKind::RejectionRate { max_rate, .. } => *max_rate,
+                        SloKind::GaugeDwell { max_windows, .. } => *max_windows as f64,
+                    },
+                })
+                .collect(),
+            breaches: self.breaches.clone(),
+        }
     }
 }
 
-pub use imp::SloMonitor;
+fn label_matches(selector: &str, label: &str) -> bool {
+    selector == "*" || selector == label
+}
+
+fn prev_counter(prev: &BTreeMap<(String, String), u64>, name: &str, label: &str) -> u64 {
+    prev.get(&(name.to_owned(), label.to_owned()))
+        .copied()
+        .unwrap_or(0)
+}
+
+/// Reconstructs the histogram of samples recorded *since* `prev` was
+/// captured, from raw bucket-count deltas. Min/max are unknowable for
+/// a window, so p0/p100 fall back to bucket representatives.
+fn window_hist(current: &LogHistogram, prev: Option<&(Vec<u64>, f64)>) -> LogHistogram {
+    let cur_counts = current.bucket_counts();
+    let Some((prev_counts, prev_sum)) = prev else {
+        return current.clone();
+    };
+    let diff: Vec<u64> = cur_counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| c.saturating_sub(prev_counts.get(i).copied().unwrap_or(0)))
+        .collect();
+    let sum = (current.sum() - prev_sum).max(0.0);
+    LogHistogram::from_bucket_counts(diff, sum, None, None)
+}
 
 #[cfg(test)]
 mod tests {

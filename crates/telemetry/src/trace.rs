@@ -20,8 +20,12 @@
 //! [flight recorder](crate::recorder); nothing here allocates or locks
 //! while tracing is disabled.
 
+use crate::recorder::{recorder_record, RecorderEntry};
 use crate::types::FieldValue;
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Identifier of one causal trace. `0` is reserved for "no trace".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -140,295 +144,280 @@ impl SpanRecord {
     }
 }
 
-mod imp {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::Instant;
+/// Global tracing switch; off by default so steady-state probe sites
+/// cost one relaxed load when nobody is tracing.
+static TRACING: AtomicBool = AtomicBool::new(false);
+static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
+static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
+/// Spans made inert because a thread's open-span stack was full.
+static DEPTH_DROPS: AtomicU64 = AtomicU64::new(0);
 
-    use super::{SpanId, SpanRecord, TraceCtx, TraceId};
-    use crate::recorder::{recorder_record, RecorderEntry};
-    use crate::types::FieldValue;
+/// Bound on each thread's open-span stack: spans opened deeper than
+/// this are inert (recorded nowhere) rather than growing memory.
+pub const MAX_SPAN_DEPTH: usize = 64;
 
-    /// Global tracing switch; off by default so steady-state probe sites
-    /// cost one relaxed load when nobody is tracing.
-    static TRACING: AtomicBool = AtomicBool::new(false);
-    static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
-    static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
-    /// Spans made inert because a thread's open-span stack was full.
-    static DEPTH_DROPS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static STACK: RefCell<Vec<TraceCtx>> = const { RefCell::new(Vec::new()) };
+}
 
-    /// Bound on each thread's open-span stack: spans opened deeper than
-    /// this are inert (recorded nowhere) rather than growing memory.
-    pub const MAX_SPAN_DEPTH: usize = 64;
+/// Turns span recording on or off (off by default). Disabled tracing
+/// leaves every guard inert and every context [`TraceCtx::NONE`].
+pub fn set_tracing_enabled(on: bool) {
+    TRACING.store(on, Ordering::Relaxed);
+}
 
-    thread_local! {
-        static STACK: RefCell<Vec<TraceCtx>> = const { RefCell::new(Vec::new()) };
+/// Whether span recording is currently on.
+#[inline]
+pub fn tracing_enabled() -> bool {
+    TRACING.load(Ordering::Relaxed)
+}
+
+/// Allocates a fresh trace id (never the reserved absent id 0).
+pub fn new_trace() -> TraceId {
+    TraceId(NEXT_TRACE.fetch_add(1, Ordering::Relaxed))
+}
+
+fn new_span() -> SpanId {
+    SpanId(NEXT_SPAN.fetch_add(1, Ordering::Relaxed))
+}
+
+/// The ambient context on this thread, [`TraceCtx::NONE`] when
+/// tracing is off or nothing is entered.
+pub(crate) fn current_ctx() -> TraceCtx {
+    if !tracing_enabled() {
+        return TraceCtx::NONE;
     }
+    STACK.with(|s| s.borrow().last().copied().unwrap_or(TraceCtx::NONE))
+}
 
-    /// Turns span recording on or off (off by default). Disabled tracing
-    /// leaves every guard inert and every context [`TraceCtx::NONE`].
-    pub fn set_tracing_enabled(on: bool) {
-        TRACING.store(on, Ordering::Relaxed);
-    }
+/// Spans made inert because a thread's open-span stack was full.
+pub fn spans_dropped() -> u64 {
+    DEPTH_DROPS.load(Ordering::Relaxed)
+}
 
-    /// Whether span recording is currently on.
-    #[inline]
-    pub fn tracing_enabled() -> bool {
-        TRACING.load(Ordering::Relaxed)
-    }
+/// RAII guard restoring the ambient stack when dropped.
+#[must_use = "the context is ambient only while the guard lives"]
+pub struct CtxGuard {
+    pushed: bool,
+}
 
-    /// Allocates a fresh trace id (never the reserved absent id 0).
-    pub fn new_trace() -> TraceId {
-        TraceId(NEXT_TRACE.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn new_span() -> SpanId {
-        SpanId(NEXT_SPAN.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The ambient context on this thread, [`TraceCtx::NONE`] when
-    /// tracing is off or nothing is entered.
-    pub(crate) fn current_ctx() -> TraceCtx {
-        if !tracing_enabled() {
-            return TraceCtx::NONE;
-        }
-        STACK.with(|s| s.borrow().last().copied().unwrap_or(TraceCtx::NONE))
-    }
-
-    /// Spans made inert because a thread's open-span stack was full.
-    pub fn spans_dropped() -> u64 {
-        DEPTH_DROPS.load(Ordering::Relaxed)
-    }
-
-    /// RAII guard restoring the ambient stack when dropped.
-    #[must_use = "the context is ambient only while the guard lives"]
-    pub struct CtxGuard {
-        pushed: bool,
-    }
-
-    impl Drop for CtxGuard {
-        fn drop(&mut self) {
-            if self.pushed {
-                STACK.with(|s| {
-                    s.borrow_mut().pop();
-                });
-            }
-        }
-    }
-
-    /// Makes `ctx` the ambient context for the guard's lifetime. The
-    /// control plane uses it to re-enter an intent's root on the thread
-    /// executing the intent's batch, so the stages it runs there parent
-    /// under that root. Inert when tracing is off or `ctx` is none.
-    pub fn enter(ctx: TraceCtx) -> CtxGuard {
-        if !tracing_enabled() || ctx.is_none() {
-            return CtxGuard { pushed: false };
-        }
-        let pushed = STACK.with(|s| {
-            let mut st = s.borrow_mut();
-            if st.len() >= MAX_SPAN_DEPTH {
-                DEPTH_DROPS.fetch_add(1, Ordering::Relaxed);
-                false
-            } else {
-                st.push(ctx);
-                true
-            }
-        });
-        CtxGuard { pushed }
-    }
-
-    struct Open {
-        rec: SpanRecord,
-        start: Instant,
-    }
-
-    /// An open span: measures from creation to drop, then lands in the
-    /// flight recorder. Inert (zero-cost beyond the guard) when tracing
-    /// is off, no ambient context exists, or the depth bound was hit.
-    #[must_use = "a span measures until it is dropped"]
-    pub struct ActiveSpan(Option<Open>);
-
-    impl ActiveSpan {
-        /// This span's context, for parenting work on other threads.
-        pub fn ctx(&self) -> TraceCtx {
-            self.0.as_ref().map_or(TraceCtx::NONE, |o| TraceCtx {
-                trace: o.rec.trace,
-                span: o.rec.span,
-            })
-        }
-
-        /// Overrides the status (default `"ok"`).
-        pub fn set_status(&mut self, status: &'static str) {
-            if let Some(o) = &mut self.0 {
-                o.rec.status = status;
-            }
-        }
-
-        /// Sets the machine-readable reason code.
-        pub fn set_code(&mut self, code: &'static str) {
-            if let Some(o) = &mut self.0 {
-                o.rec.code = code;
-            }
-        }
-
-        /// Marks the span failed with a reason code
-        /// (`set_status("error")` + `set_code(code)`).
-        pub fn fail(&mut self, code: &'static str) {
-            self.set_status("error");
-            self.set_code(code);
-        }
-
-        /// Attaches one key/value field.
-        pub fn add_field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-            if let Some(o) = &mut self.0 {
-                o.rec.fields.push((key, value.into()));
-            }
-        }
-    }
-
-    impl Drop for ActiveSpan {
-        fn drop(&mut self) {
-            let Some(mut open) = self.0.take() else {
-                return;
-            };
+impl Drop for CtxGuard {
+    fn drop(&mut self) {
+        if self.pushed {
             STACK.with(|s| {
                 s.borrow_mut().pop();
             });
-            open.rec.duration_us = open.start.elapsed().as_secs_f64() * 1e6;
-            recorder_record(RecorderEntry::Span(open.rec));
-        }
-    }
-
-    fn open_span(trace: TraceId, parent: SpanId, name: &'static str) -> ActiveSpan {
-        let span = new_span();
-        let pushed = STACK.with(|s| {
-            let mut st = s.borrow_mut();
-            if st.len() >= MAX_SPAN_DEPTH {
-                return false;
-            }
-            st.push(TraceCtx { trace, span });
-            true
-        });
-        if !pushed {
-            DEPTH_DROPS.fetch_add(1, Ordering::Relaxed);
-            return ActiveSpan(None);
-        }
-        ActiveSpan(Some(Open {
-            rec: SpanRecord {
-                trace,
-                span,
-                parent,
-                name,
-                start_us: crate::now_monotonic_us(),
-                duration_us: 0.0,
-                status: "ok",
-                code: "",
-                fields: Vec::new(),
-            },
-            start: Instant::now(),
-        }))
-    }
-
-    /// Opens a root span under a brand-new trace.
-    pub fn root_span(name: &'static str) -> ActiveSpan {
-        if !tracing_enabled() {
-            return ActiveSpan(None);
-        }
-        open_span(new_trace(), SpanId::NONE, name)
-    }
-
-    /// Opens a child span under the ambient context (inert when there is
-    /// none). The child becomes ambient itself until dropped, so nested
-    /// stages parent naturally.
-    pub fn child_span(name: &'static str) -> ActiveSpan {
-        let ctx = current_ctx();
-        if ctx.is_none() {
-            return ActiveSpan(None);
-        }
-        open_span(ctx.trace, ctx.span, name)
-    }
-
-    /// Allocates a root context *without* opening a guard: the caller
-    /// closes it later with [`record_root`]. Used for intent roots, whose
-    /// lifetime (submission → outcome) spans threads and batches.
-    pub fn new_root_ctx() -> TraceCtx {
-        if !tracing_enabled() {
-            return TraceCtx::NONE;
-        }
-        TraceCtx {
-            trace: new_trace(),
-            span: new_span(),
-        }
-    }
-
-    /// Records the root span for a context from [`new_root_ctx`], with an
-    /// explicit start timestamp and duration.
-    pub fn record_root(
-        ctx: TraceCtx,
-        name: &'static str,
-        start_us: u64,
-        duration_us: f64,
-        status: &'static str,
-        code: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) {
-        if ctx.is_none() {
-            return;
-        }
-        recorder_record(RecorderEntry::Span(SpanRecord {
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: SpanId::NONE,
-            name,
-            start_us,
-            duration_us,
-            status,
-            code,
-            fields,
-        }));
-    }
-
-    /// Records an already-measured span under `parent` and returns the
-    /// new span's context. Used for per-item attribution of coalesced
-    /// work, where the item's share of a bulk run is computed after the
-    /// fact. Inert (returns [`TraceCtx::NONE`]) when tracing is off or
-    /// `parent` is none.
-    pub fn record_span(
-        parent: TraceCtx,
-        name: &'static str,
-        duration_us: f64,
-        status: &'static str,
-        code: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) -> TraceCtx {
-        if !tracing_enabled() || parent.is_none() {
-            return TraceCtx::NONE;
-        }
-        let span = new_span();
-        let now = crate::now_monotonic_us();
-        let start_us = now.saturating_sub(duration_us.max(0.0) as u64);
-        recorder_record(RecorderEntry::Span(SpanRecord {
-            trace: parent.trace,
-            span,
-            parent: parent.span,
-            name,
-            start_us,
-            duration_us,
-            status,
-            code,
-            fields,
-        }));
-        TraceCtx {
-            trace: parent.trace,
-            span,
         }
     }
 }
 
-pub use imp::{
-    child_span, enter, new_root_ctx, new_trace, record_root, record_span, root_span,
-    set_tracing_enabled, spans_dropped, tracing_enabled, ActiveSpan, CtxGuard, MAX_SPAN_DEPTH,
-};
+/// Makes `ctx` the ambient context for the guard's lifetime. The
+/// control plane uses it to re-enter an intent's root on the thread
+/// executing the intent's batch, so the stages it runs there parent
+/// under that root. Inert when tracing is off or `ctx` is none.
+pub fn enter(ctx: TraceCtx) -> CtxGuard {
+    if !tracing_enabled() || ctx.is_none() {
+        return CtxGuard { pushed: false };
+    }
+    let pushed = STACK.with(|s| {
+        let mut st = s.borrow_mut();
+        if st.len() >= MAX_SPAN_DEPTH {
+            DEPTH_DROPS.fetch_add(1, Ordering::Relaxed);
+            false
+        } else {
+            st.push(ctx);
+            true
+        }
+    });
+    CtxGuard { pushed }
+}
+
+struct Open {
+    rec: SpanRecord,
+    start: Instant,
+}
+
+/// An open span: measures from creation to drop, then lands in the
+/// flight recorder. Inert (zero-cost beyond the guard) when tracing
+/// is off, no ambient context exists, or the depth bound was hit.
+#[must_use = "a span measures until it is dropped"]
+pub struct ActiveSpan(Option<Open>);
+
+impl ActiveSpan {
+    /// This span's context, for parenting work on other threads.
+    pub fn ctx(&self) -> TraceCtx {
+        self.0.as_ref().map_or(TraceCtx::NONE, |o| TraceCtx {
+            trace: o.rec.trace,
+            span: o.rec.span,
+        })
+    }
+
+    /// Overrides the status (default `"ok"`).
+    pub fn set_status(&mut self, status: &'static str) {
+        if let Some(o) = &mut self.0 {
+            o.rec.status = status;
+        }
+    }
+
+    /// Sets the machine-readable reason code.
+    pub fn set_code(&mut self, code: &'static str) {
+        if let Some(o) = &mut self.0 {
+            o.rec.code = code;
+        }
+    }
+
+    /// Marks the span failed with a reason code
+    /// (`set_status("error")` + `set_code(code)`).
+    pub fn fail(&mut self, code: &'static str) {
+        self.set_status("error");
+        self.set_code(code);
+    }
+
+    /// Attaches one key/value field.
+    pub fn add_field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+        if let Some(o) = &mut self.0 {
+            o.rec.fields.push((key, value.into()));
+        }
+    }
+}
+
+impl Drop for ActiveSpan {
+    fn drop(&mut self) {
+        let Some(mut open) = self.0.take() else {
+            return;
+        };
+        STACK.with(|s| {
+            s.borrow_mut().pop();
+        });
+        open.rec.duration_us = open.start.elapsed().as_secs_f64() * 1e6;
+        recorder_record(RecorderEntry::Span(open.rec));
+    }
+}
+
+fn open_span(trace: TraceId, parent: SpanId, name: &'static str) -> ActiveSpan {
+    let span = new_span();
+    let pushed = STACK.with(|s| {
+        let mut st = s.borrow_mut();
+        if st.len() >= MAX_SPAN_DEPTH {
+            return false;
+        }
+        st.push(TraceCtx { trace, span });
+        true
+    });
+    if !pushed {
+        DEPTH_DROPS.fetch_add(1, Ordering::Relaxed);
+        return ActiveSpan(None);
+    }
+    ActiveSpan(Some(Open {
+        rec: SpanRecord {
+            trace,
+            span,
+            parent,
+            name,
+            start_us: crate::now_monotonic_us(),
+            duration_us: 0.0,
+            status: "ok",
+            code: "",
+            fields: Vec::new(),
+        },
+        start: Instant::now(),
+    }))
+}
+
+/// Opens a root span under a brand-new trace.
+pub fn root_span(name: &'static str) -> ActiveSpan {
+    if !tracing_enabled() {
+        return ActiveSpan(None);
+    }
+    open_span(new_trace(), SpanId::NONE, name)
+}
+
+/// Opens a child span under the ambient context (inert when there is
+/// none). The child becomes ambient itself until dropped, so nested
+/// stages parent naturally.
+pub fn child_span(name: &'static str) -> ActiveSpan {
+    let ctx = current_ctx();
+    if ctx.is_none() {
+        return ActiveSpan(None);
+    }
+    open_span(ctx.trace, ctx.span, name)
+}
+
+/// Allocates a root context *without* opening a guard: the caller
+/// closes it later with [`record_root`]. Used for intent roots, whose
+/// lifetime (submission → outcome) spans threads and batches.
+pub fn new_root_ctx() -> TraceCtx {
+    if !tracing_enabled() {
+        return TraceCtx::NONE;
+    }
+    TraceCtx {
+        trace: new_trace(),
+        span: new_span(),
+    }
+}
+
+/// Records the root span for a context from [`new_root_ctx`], with an
+/// explicit start timestamp and duration.
+pub fn record_root(
+    ctx: TraceCtx,
+    name: &'static str,
+    start_us: u64,
+    duration_us: f64,
+    status: &'static str,
+    code: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+) {
+    if ctx.is_none() {
+        return;
+    }
+    recorder_record(RecorderEntry::Span(SpanRecord {
+        trace: ctx.trace,
+        span: ctx.span,
+        parent: SpanId::NONE,
+        name,
+        start_us,
+        duration_us,
+        status,
+        code,
+        fields,
+    }));
+}
+
+/// Records an already-measured span under `parent` and returns the
+/// new span's context. Used for per-item attribution of coalesced
+/// work, where the item's share of a bulk run is computed after the
+/// fact. Inert (returns [`TraceCtx::NONE`]) when tracing is off or
+/// `parent` is none.
+pub fn record_span(
+    parent: TraceCtx,
+    name: &'static str,
+    duration_us: f64,
+    status: &'static str,
+    code: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+) -> TraceCtx {
+    if !tracing_enabled() || parent.is_none() {
+        return TraceCtx::NONE;
+    }
+    let span = new_span();
+    let now = crate::now_monotonic_us();
+    let start_us = now.saturating_sub(duration_us.max(0.0) as u64);
+    recorder_record(RecorderEntry::Span(SpanRecord {
+        trace: parent.trace,
+        span,
+        parent: parent.span,
+        name,
+        start_us,
+        duration_us,
+        status,
+        code,
+        fields,
+    }));
+    TraceCtx {
+        trace: parent.trace,
+        span,
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -466,7 +455,7 @@ mod tests {
     #[test]
     fn disabled_tracing_is_inert() {
         // Tracing is off by default: no ambient context, inert guards.
-        assert_eq!(imp::current_ctx(), TraceCtx::NONE);
+        assert_eq!(current_ctx(), TraceCtx::NONE);
         let s = root_span("x");
         assert_eq!(s.ctx(), TraceCtx::NONE);
         assert_eq!(
