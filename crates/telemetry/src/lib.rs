@@ -33,16 +33,15 @@
 
 pub mod hist;
 pub mod recorder;
+mod registry;
 pub mod slo;
 mod snapshot;
 pub mod trace;
 mod types;
 
-mod enabled;
-pub use enabled::*;
-
 pub use hist::LogHistogram;
 pub use recorder::{FlightRecorder, Postmortem, RecorderEntry};
+pub use registry::*;
 pub use slo::{SloBreach, SloKind, SloMonitor, SloReport, SloResult, SloSpec};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
 pub use trace::{ActiveSpan, SpanId, SpanRecord, TraceCtx, TraceId};

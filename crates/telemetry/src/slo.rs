@@ -7,8 +7,8 @@
 //! windows**: each [`observe`](SloMonitor::observe) call diffs the current
 //! registry contents against the previous call's capture, so every window
 //! sees only the samples recorded since the last one (reconstructed into a
-//! windowed [`LogHistogram`](crate::LogHistogram) from raw bucket-count
-//! deltas — no per-sample retention).
+//! windowed [`LogHistogram`] from raw bucket-count deltas — no per-sample
+//! retention).
 //!
 //! Violations become [`SloBreach`] records: pushed into the
 //! [flight recorder](crate::recorder) (kind `"breach"`), counted on
