@@ -531,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn probes_on_snapshot_must_cover_the_bench_families() {
+    fn a_snapshot_must_cover_the_bench_families() {
         let counter = |name: &str, value: f64| {
             Json::object()
                 .field("name", name)

@@ -16,9 +16,9 @@
 //! the work it runs for that intent, on whichever thread runs the batch.
 //!
 //! Everything is runtime-gated behind [`set_tracing_enabled`] (one
-//! relaxed atomic load per call site when off). Finished spans are pushed into the
-//! [flight recorder](crate::recorder); nothing here allocates or locks
-//! while tracing is disabled.
+//! relaxed atomic load per call site when off). Finished spans are pushed
+//! into the [flight recorder](crate::recorder); nothing here allocates or
+//! locks while tracing is disabled.
 
 use crate::recorder::{recorder_record, RecorderEntry};
 use crate::types::FieldValue;
