@@ -72,7 +72,7 @@ pub fn dijkstra<N, E>(
         if u == target.0 {
             break;
         }
-        for (e, v) in graph.incident_edges(NodeId(u)) {
+        graph.incident_edges(NodeId(u)).for_each(|(e, v)| {
             let w = cost(e, graph.edge_weight(e).expect("edge exists"));
             let nd = d.saturating_add(w);
             if nd < dist[v.0] {
@@ -80,7 +80,7 @@ pub fn dijkstra<N, E>(
                 prev[v.0] = Some(NodeId(u));
                 heap.push(Reverse((nd, v.0)));
             }
-        }
+        });
     }
     if dist[target.0] == u64::MAX {
         return Err(GraphError::NoPath);
@@ -111,12 +111,12 @@ pub fn bfs_distances<N, E>(graph: &Graph<N, E>, source: NodeId) -> Vec<u64> {
     dist[source.0] = 0;
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
-        for v in graph.neighbors(u) {
+        graph.neighbors(u).for_each(|v| {
             if dist[v.0] == u64::MAX {
                 dist[v.0] = dist[u.0] + 1;
                 queue.push_back(v);
             }
-        }
+        });
     }
     dist
 }

@@ -97,12 +97,12 @@ impl SliceGraph {
         offsets.push(0);
         for &n in &nodes {
             if n.0 < graph.node_count() {
-                for (e, far) in graph.incident_edges(n) {
+                graph.incident_edges(n).for_each(|(e, far)| {
                     if let Some(to) = dense(far) {
                         let cost = cost(graph.edge_weight(e).expect("edge exists"));
                         links.push(SliceLink { to, cost });
                     }
-                }
+                });
             }
             assert!(links.len() < u32::MAX as usize, "slice too large to index");
             offsets.push(links.len() as u32);
@@ -165,20 +165,37 @@ mod tests {
 
     proptest! {
         /// Every member's links are exactly its adjacency list filtered to
-        /// members, in adjacency order, with the far end's dense index.
+        /// members, in adjacency order, with the far end's dense index —
+        /// also in a graph where a complete block of `len` nodes from
+        /// `first` sits among the stored links, before stored link `at`.
+        /// The adjacency is read off the plain edge list, with the block's
+        /// pairs listed one by one where it was added.
         #[test]
         fn links_are_the_filtered_adjacency(
             n in 1usize..40,
             edges in proptest::collection::vec((0usize..40, 0usize..40, 0u64..9), 0..120),
             picks in proptest::collection::vec(0usize..44, 0..50),
+            (first, len, at) in (0usize..40, 0usize..13, 0usize..121),
         ) {
             let mut g: Graph<(), u64> = Graph::new();
             for _ in 0..n {
                 g.add_node(());
             }
-            for (a, b, w) in edges {
-                g.add_edge(NodeId(a % n), NodeId(b % n), w);
+            let first = first % n;
+            let (len, at) = (len.min(n - first), at.min(edges.len()));
+            let edges: Vec<(usize, usize, u64)> =
+                edges.into_iter().map(|(a, b, w)| (a % n, b % n, w)).collect();
+            for &(a, b, w) in &edges[..at] {
+                g.add_edge(NodeId(a), NodeId(b), w);
             }
+            g.add_complete_block(NodeId(first), len, 4);
+            for &(a, b, w) in &edges[at..] {
+                g.add_edge(NodeId(a), NodeId(b), w);
+            }
+            let end = first + len;
+            let pairs = (first..end).flat_map(|i| (i + 1..end).map(move |j| (i, j, 4)));
+            let listed: Vec<(usize, usize, u64)> =
+                edges[..at].iter().copied().chain(pairs).chain(edges[at..].iter().copied()).collect();
             let members: Vec<NodeId> = picks.into_iter().map(NodeId).collect();
             let slice = SliceGraph::build(&g, members.clone(), |&w| w);
             let mut expected = members;
@@ -187,14 +204,16 @@ mod tests {
             prop_assert_eq!(slice.nodes(), &expected[..]);
             for (i, &node) in expected.iter().enumerate() {
                 prop_assert_eq!(slice.index_of(node), Some(i));
-                let want: Vec<(NodeId, u64)> = if node.0 < n {
-                    g.incident_edges(node)
-                        .filter(|(_, far)| expected.contains(far))
-                        .map(|(e, far)| (far, *g.edge_weight(e).unwrap()))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                // A self-loop is listed once.
+                let want: Vec<(NodeId, u64)> = listed
+                    .iter()
+                    .filter_map(|&(a, b, w)| match (a == node.0, b == node.0) {
+                        (true, _) => Some((NodeId(b), w)),
+                        (false, true) => Some((NodeId(a), w)),
+                        _ => None,
+                    })
+                    .filter(|(far, _)| expected.contains(far))
+                    .collect();
                 let got: Vec<(NodeId, u64)> = slice
                     .links_of(i)
                     .iter()

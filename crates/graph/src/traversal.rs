@@ -29,12 +29,12 @@ pub fn bfs_order<N, E>(graph: &Graph<N, E>, start: NodeId) -> Vec<NodeId> {
     queue.push_back(start);
     while let Some(u) = queue.pop_front() {
         order.push(u);
-        for v in graph.neighbors(u) {
+        graph.neighbors(u).for_each(|v| {
             if !visited[v.0] {
                 visited[v.0] = true;
                 queue.push_back(v);
             }
-        }
+        });
     }
     order
 }
@@ -96,12 +96,12 @@ pub fn connected_within<N, E>(
     visited[first.0] = true;
     queue.push_back(first);
     while let Some(u) = queue.pop_front() {
-        for v in graph.neighbors(u) {
+        graph.neighbors(u).for_each(|v| {
             if !visited[v.0] && allowed(v) {
                 visited[v.0] = true;
                 queue.push_back(v);
             }
-        }
+        });
     }
     nodes.iter().all(|&n| visited[n.0])
 }

@@ -39,17 +39,90 @@ fn model_incident(edges: &[(usize, usize, u64)], v: usize) -> Vec<(EdgeId, NodeI
         .collect()
 }
 
+/// A complete block to insert into an edge list: `len` nodes from `first`
+/// on, linked under `weight` just before stored link `at`, with `twins`
+/// (member pairs, counted from `first`) stored right after it as parallel
+/// links.
+#[derive(Debug, Clone)]
+struct BlockCase {
+    first: usize,
+    len: usize,
+    at: usize,
+    weight: u64,
+    twins: Vec<(usize, usize, u64)>,
+}
+
+/// Strategy: `(n, edges)` over few nodes, so that self-loops and parallel
+/// links are common, and in two cases of three a complete block of 0–12
+/// nodes (the node count grows to hold it), in one of those with twins.
+fn model_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u64)>, Option<BlockCase>)> {
+    (1usize..6, 0u8..3, 0usize..13).prop_flat_map(|(base, kind, len)| {
+        let len = if kind == 0 { 0 } else { len };
+        (0..base).prop_flat_map(move |first| {
+            let n = base.max(first + len);
+            let twins = if kind == 2 && len > 1 { 1..6 } else { 0..1 };
+            (
+                Just(n),
+                proptest::collection::vec((0..n, 0..n, 1u64..100), 0..30),
+                (0usize..31, 1u64..100),
+                proptest::collection::vec((0..len.max(1), 0..len.max(1), 1u64..100), twins),
+            )
+                .prop_map(move |(n, edges, (at, weight), twins)| {
+                    let block = (kind > 0).then(|| BlockCase {
+                        first,
+                        len,
+                        at: at.min(edges.len()),
+                        weight,
+                        twins,
+                    });
+                    (n, edges, block)
+                })
+        })
+    })
+}
+
+/// The graph `edges` and `block` describe, the block added as one.
+fn build_with_block(n: usize, edges: &[(usize, usize, u64)], block: &BlockCase) -> Graph<(), u64> {
+    let mut g = build_graph(n, &edges[..block.at]);
+    g.add_complete_block(NodeId(block.first), block.len, block.weight);
+    for &(i, j, w) in &block.twins {
+        g.add_edge(NodeId(block.first + i), NodeId(block.first + j), w);
+    }
+    for &(a, b, w) in &edges[block.at..] {
+        g.add_edge(NodeId(a), NodeId(b), w);
+    }
+    g
+}
+
+/// The plain edge list of the same graph: the block's pairs listed one by
+/// one, `(i, j)` for `i < j` in lexicographic order, where it was added.
+fn listed_with_block(edges: &[(usize, usize, u64)], block: &BlockCase) -> Vec<(usize, usize, u64)> {
+    let (first, end) = (block.first, block.first + block.len);
+    let pairs = (first..end).flat_map(|i| (i + 1..end).map(move |j| (i, j, block.weight)));
+    let twins = block
+        .twins
+        .iter()
+        .map(|&(i, j, w)| (first + i, first + j, w));
+    edges[..block.at]
+        .iter()
+        .copied()
+        .chain(pairs)
+        .chain(twins)
+        .chain(edges[block.at..].iter().copied())
+        .collect()
+}
+
 proptest! {
     /// Every query agrees with a plain edge list, on multigraphs with
     /// self-loops and parallel links (few nodes make both common), for ids
-    /// in and out of range.
+    /// in and out of range — also when a complete block sits among the
+    /// stored links, with stored twins of its links after it.
     #[test]
-    fn queries_match_an_edge_list_model(
-        (n, edges) in (1usize..6).prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec((0..n, 0..n, 1u64..100), 0..30))
-        })
-    ) {
-        let g = build_graph(n, &edges);
+    fn queries_match_an_edge_list_model((n, edges, block) in model_strategy()) {
+        let (g, edges) = match &block {
+            Some(block) => (build_with_block(n, &edges, block), listed_with_block(&edges, block)),
+            None => (build_graph(n, &edges), edges),
+        };
         prop_assert_eq!(g.node_count(), n);
         prop_assert_eq!(g.edge_count(), edges.len());
         let listed: Vec<_> = g.edges().map(|(e, a, b, &w)| (e, a, b, w)).collect();
@@ -59,10 +132,12 @@ proptest! {
             .map(|(i, &(a, b, w))| (EdgeId(i), NodeId(a), NodeId(b), w))
             .collect();
         prop_assert_eq!(listed, model);
-        for (i, &(a, b, _)) in edges.iter().enumerate() {
+        for (i, &(a, b, w)) in edges.iter().enumerate() {
             prop_assert_eq!(g.edge_endpoints(EdgeId(i)), Some((NodeId(a), NodeId(b))));
+            prop_assert_eq!(g.edge_weight(EdgeId(i)), Some(&w));
         }
         prop_assert_eq!(g.edge_endpoints(EdgeId(edges.len())), None);
+        prop_assert_eq!(g.edge_weight(EdgeId(edges.len())), None);
         for v in 0..n {
             let incident = model_incident(&edges, v);
             prop_assert_eq!(g.incident_edges(NodeId(v)).collect::<Vec<_>>(), incident.clone());
@@ -89,10 +164,9 @@ proptest! {
     #[test]
     fn dijkstra_unit_weight_equals_bfs((n, edges) in graph_strategy()) {
         let g = build_graph(n, &edges);
-        let unit = g.map(|_, _| (), |_, _| 1u64);
-        let dist = bfs_distances(&unit, NodeId(0));
+        let dist = bfs_distances(&g, NodeId(0));
         for (t, &d) in dist.iter().enumerate() {
-            match dijkstra(&unit, NodeId(0), NodeId(t), |_, &w| w) {
+            match dijkstra(&g, NodeId(0), NodeId(t), |_, _| 1) {
                 Ok(p) => prop_assert_eq!(p.cost, d),
                 Err(_) => prop_assert_eq!(d, u64::MAX),
             }

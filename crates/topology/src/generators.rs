@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::element::{LinkAttrs, OptoCapacity};
+use crate::element::OptoCapacity;
 use crate::ids::{PodId, TorId};
 use crate::service::ServiceMix;
 use crate::topology::{DataCenter, DcSize};
@@ -250,20 +250,21 @@ impl AlvcTopologyBuilder {
         dc
     }
 
-    /// The links each OPS of a regular core gets from
-    /// [`AlvcTopologyBuilder::connect_core`]; `0` for a random core, whose
-    /// draws are not known ahead.
+    /// The stored links each OPS of a regular core gets from
+    /// [`AlvcTopologyBuilder::connect_core`]: none in a full mesh, whose
+    /// links are one complete block of the graph, and `0` for a random
+    /// core, whose draws are not known ahead.
     fn core_links_per_ops(&self) -> usize {
         match self.interconnect {
-            OpsInterconnect::None | OpsInterconnect::Random(_) => 0,
+            OpsInterconnect::None | OpsInterconnect::FullMesh | OpsInterconnect::Random(_) => 0,
             OpsInterconnect::Ring => ring_degree(self.ops_count),
-            OpsInterconnect::FullMesh => self.ops_count - 1,
         }
     }
 
-    /// Number of elements and links the builder makes: exact for the
-    /// regular cores, an upper bound for a random core (it skips links it
-    /// already drew) and with dual-homing, which it counts as one extra
+    /// Number of elements and stored links the builder makes (a full
+    /// mesh's links are stored as one block and not counted): exact for
+    /// the regular cores, an upper bound for a random core (it skips links
+    /// it already drew) and with dual-homing, which it counts as one extra
     /// access link per server (a server draws it at random).
     fn size(&self) -> DcSize {
         let degree = self.tor_ops_degree.clamp(1, self.ops_count);
@@ -320,10 +321,10 @@ impl AlvcTopologyBuilder {
     }
 
     /// Interconnects `ops`, one pod's core, after making room at each OPS
-    /// for its core links and `gateways` links to the pod's boundary
-    /// gateways, still to come. A full mesh makes each pair once, so its
-    /// links skip the duplicate check; a ring of two and a random core
-    /// draw some pairs twice and keep it.
+    /// for its stored core links and `gateways` links to the pod's
+    /// boundary gateways, still to come. A full mesh is one complete block
+    /// of the graph ([`DataCenter::connect_ops_mesh`]); a ring of two and a
+    /// random core draw some pairs twice and keep the duplicate check.
     fn connect_core(
         &self,
         dc: &mut DataCenter,
@@ -332,7 +333,7 @@ impl AlvcTopologyBuilder {
         gateways: usize,
     ) {
         for &o in ops {
-            dc.reserve_ops_links(o, self.core_links_per_ops() + gateways, gateways);
+            dc.reserve_ops_links(o, self.core_links_per_ops() + gateways);
         }
         let n = ops.len();
         match self.interconnect {
@@ -344,13 +345,7 @@ impl AlvcTopologyBuilder {
                     }
                 }
             }
-            OpsInterconnect::FullMesh => {
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        dc.connect_new_ops_ops(ops[i], ops[j], LinkAttrs::optical_core());
-                    }
-                }
-            }
+            OpsInterconnect::FullMesh => dc.connect_ops_mesh(ops),
             OpsInterconnect::Random(d) => {
                 for i in 0..n {
                     let mut others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
@@ -441,10 +436,7 @@ impl AlvcTopologyBuilder {
                 .map(|_| dc.add_ops_in_pod(None, pod_id))
                 .collect();
             for &g in &gws {
-                dc.reserve_ops_links(g, self.ops_count + lane_links, lane_links);
-                for &o in &ops_ids {
-                    dc.connect_new_ops_ops(g, o, LinkAttrs::optical_core());
-                }
+                dc.connect_gateway(g, &ops_ids, lane_links);
             }
             pod_gateways.push(gws);
         }
@@ -831,9 +823,10 @@ mod tests {
         assert_eq!(legacy.pod_count(), 1);
     }
 
-    /// Every element list and the link list are sized once, up front:
-    /// exactly for the regular cores, and with room for every
-    /// dual-homing link when servers draw them.
+    /// Every element list and the list of stored links are sized once, up
+    /// front: exactly for the regular cores, and with room for every
+    /// dual-homing link when servers draw them. A full mesh's links are one
+    /// complete block of the graph and take no room.
     #[test]
     fn the_data_center_is_sized_up_front() {
         for pods in [1, 2, 4] {
@@ -859,7 +852,11 @@ mod tests {
                     let counts = (dc.rack_count(), dc.server_count(), dc.vm_count());
                     assert_eq!(counts, (size.racks, size.servers, size.vms), "{shape}");
                     assert_eq!(dc.ops_count(), size.opss, "{shape}");
-                    let links = dc.graph().edge_count();
+                    let mesh = match interconnect {
+                        OpsInterconnect::FullMesh => pods * ops * (ops - 1) / 2,
+                        _ => 0,
+                    };
+                    let links = dc.graph().edge_count() - mesh;
                     if dual == 0.0 {
                         assert_eq!(links, size.links, "{shape}");
                     } else {

@@ -50,21 +50,47 @@ struct OpsRecord {
     /// incidence, written with `TorRecord::ops`.
     tors: Vec<TorId>,
     /// The switches this OPS links to, ToRs and OPSs interleaved in link
-    /// order: its graph adjacency without the node weights, which a walk
-    /// over a full-mesh core would otherwise read once per link. Written
-    /// only by [`DataCenter::connect_tor_ops_with`] and
-    /// [`DataCenter::connect_ops_ops_with`], when they add the link.
-    switches: Vec<PackedSwitch>,
-    /// `switches` without the non-boundary OPSs of this OPS's own pod, in
-    /// the same link order: the links a walk still has to read once the
-    /// pod's interior can no longer change its answer. Written only by
+    /// order — its graph adjacency without the node weights — except its
+    /// links to a full mesh (`mesh`). Written only by
     /// [`DataCenter::connect_tor_ops_with`] and
-    /// [`DataCenter::connect_ops_ops_with`], with the link or with the
-    /// promotion of a pod-mate to boundary.
-    exterior: Vec<PackedSwitch>,
+    /// [`DataCenter::connect_new_ops_ops`], when they add the link.
+    switches: Vec<PackedSwitch>,
+    /// The full-mesh core this OPS is in, or is attached to as a gateway
+    /// linked to every member ([`DataCenter::connect_gateway`]), and where
+    /// its links to the members fall in `switches`, which does not list
+    /// them.
+    mesh: Option<MeshPlace>,
     /// Whether this OPS has a core link to an OPS in another pod. Written
     /// only by [`DataCenter::connect_ops_ops_with`], with the link.
     boundary: bool,
+}
+
+/// A full-mesh core kept as one complete block of the graph
+/// ([`Graph::add_complete_block`]): the OPSs `first..first + len`, all of
+/// one pod, linked pairwise, and which of them are boundary OPSs.
+#[derive(Debug, Clone)]
+struct OpsMesh {
+    first: usize,
+    len: usize,
+    /// The members with a core link into another pod, ascending. Written
+    /// only by [`DataCenter::connect_ops_mesh`] and
+    /// [`DataCenter::connect_new_ops_ops`], with the flag.
+    boundary: Vec<OpsId>,
+}
+
+impl OpsMesh {
+    fn contains(&self, ops: OpsId) -> bool {
+        (self.first..self.first + self.len).contains(&ops.0)
+    }
+}
+
+/// The full-mesh core an OPS is in or attached to, and where its links to
+/// the mesh fall in its switch list: after its first `at` stored switches,
+/// which have lower link ids.
+#[derive(Debug, Clone, Copy)]
+struct MeshPlace {
+    mesh: u32,
+    at: u32,
 }
 
 /// A switch in an OPS's switch list, in four bytes: the top bit marks an
@@ -100,8 +126,30 @@ impl PackedSwitch {
     }
 }
 
-/// How many elements and links a generator is about to add: what
-/// [`DataCenter::with_capacity`] makes room for. A rack counts its ToR.
+/// An OPS's switches in link order: its stored switches with link ids
+/// below its mesh's, then `mates` from its mesh, then the stored rest.
+struct OpsSwitches<'a, M> {
+    below: std::slice::Iter<'a, PackedSwitch>,
+    mates: M,
+    above: std::slice::Iter<'a, PackedSwitch>,
+}
+
+impl<M: Iterator<Item = Element>> Iterator for OpsSwitches<'_, M> {
+    type Item = Element;
+
+    fn next(&mut self) -> Option<Element> {
+        if let Some(s) = self.below.next() {
+            return Some(s.unpack());
+        }
+        self.mates
+            .next()
+            .or_else(|| self.above.next().map(|s| s.unpack()))
+    }
+}
+
+/// How many elements and stored links a generator is about to add: what
+/// [`DataCenter::with_capacity`] makes room for. A rack counts its ToR; a
+/// full mesh, stored as one block, adds no stored link.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DcSize {
     pub(crate) racks: usize,
@@ -152,6 +200,7 @@ pub struct DataCenter {
     sole_tors: Vec<TorId>,
     tors: Vec<TorRecord>,
     opss: Vec<OpsRecord>,
+    meshes: Vec<OpsMesh>,
     /// Number of pods (locality shards); `0` means the single default pod.
     pods: usize,
 }
@@ -175,6 +224,7 @@ impl DataCenter {
             sole_tors: Vec::with_capacity(size.vms),
             tors: Vec::with_capacity(size.racks),
             opss: Vec::with_capacity(size.opss),
+            meshes: Vec::new(),
             pods: 0,
         }
     }
@@ -300,21 +350,18 @@ impl DataCenter {
             pod,
             tors: Vec::new(),
             switches: Vec::new(),
-            exterior: Vec::new(),
+            mesh: None,
             boundary: false,
         });
         self.pods = self.pods.max(pod.0 + 1);
         ops
     }
 
-    /// Makes room, once, for `links` more core links at `ops`, in its graph
-    /// adjacency and its switch list, and for `exterior` of them in its
-    /// exterior list: those to other pods and to pod-mates that will be
-    /// boundary OPSs.
-    pub(crate) fn reserve_ops_links(&mut self, ops: OpsId, links: usize, exterior: usize) {
+    /// Makes room, once, for `links` more stored core links at `ops`, in
+    /// its graph adjacency and its switch list.
+    pub(crate) fn reserve_ops_links(&mut self, ops: OpsId, links: usize) {
         let rec = &mut self.opss[ops.0];
         rec.switches.reserve_exact(links);
-        rec.exterior.reserve_exact(exterior);
         self.graph.reserve_links(rec.node, links);
     }
 
@@ -354,7 +401,6 @@ impl DataCenter {
         let ops_rec = &mut self.opss[ops.0];
         ops_rec.tors.push(tor);
         ops_rec.switches.push(PackedSwitch::tor(tor));
-        ops_rec.exterior.push(PackedSwitch::tor(tor));
     }
 
     /// Connects two OPSs with an optical core link.
@@ -372,14 +418,11 @@ impl DataCenter {
     /// baselines model aggregation/core switches as OPS nodes joined by
     /// [`LinkAttrs::electronic_agg`] links).
     ///
-    /// Has no effect on self-connections or if the link already exists.
-    /// Otherwise both OPSs' [`DataCenter::switches_of_ops`] grow with the
-    /// link, and if the two lie in different pods both become boundary
-    /// OPSs ([`DataCenter::is_boundary_ops`]); this is the flag's only
-    /// writer. Each OPS's [`DataCenter::exterior_switches_of_ops`] grows
-    /// with the link unless the other end is a non-boundary OPS of its own
-    /// pod, and an OPS promoted to boundary here joins the exterior lists
-    /// of the pod-mates already linked to it, at its link-order place.
+    /// Has no effect on self-connections or if the link already exists,
+    /// a link of a full-mesh core included. Otherwise both OPSs'
+    /// [`DataCenter::switches_of_ops`] grow with the link, and if the two
+    /// lie in different pods both become boundary OPSs
+    /// ([`DataCenter::is_boundary_ops`]); this is the flag's only writer.
     ///
     /// # Panics
     ///
@@ -395,10 +438,11 @@ impl DataCenter {
     }
 
     /// [`DataCenter::connect_ops_ops_with`] for a link its caller makes
-    /// once: two distinct OPSs not linked yet, as a generator's full mesh
-    /// and gateway links are. It skips the scan for a duplicate, a walk of
-    /// an adjacency list that in a full-mesh core makes a pod's links cost
-    /// the cube of its OPSs; everything else is the same.
+    /// once: two distinct OPSs not linked yet, as a generator's gateway
+    /// links are ([`DataCenter::connect_gateway`]). It skips the scan for a
+    /// duplicate, a walk of an adjacency list that for a gateway linked to
+    /// all of its pod makes the pod's gateway links cost the square of its
+    /// OPSs; everything else is the same.
     pub(crate) fn connect_new_ops_ops(&mut self, a: OpsId, b: OpsId, attrs: LinkAttrs) {
         let (an, bn) = (self.opss[a.0].node, self.opss[b.0].node);
         debug_assert!(
@@ -407,52 +451,100 @@ impl DataCenter {
         );
         self.graph.add_edge(an, bn, attrs);
         let crosses = self.opss[a.0].pod != self.opss[b.0].pod;
-        let promoted = [a, b].map(|end| crosses && !self.opss[end.0].boundary);
         for (end, other) in [(a, b), (b, a)] {
-            let exterior = crosses || self.opss[other.0].boundary;
             let rec = &mut self.opss[end.0];
-            rec.switches.push(PackedSwitch::ops(other));
-            if exterior {
-                rec.exterior.push(PackedSwitch::ops(other));
+            let mesh = rec.mesh.map(|place| &mut self.meshes[place.mesh as usize]);
+            // A gateway's links to the mesh it is attached to are the
+            // mesh's run in its switch list.
+            if !mesh.as_ref().is_some_and(|m| m.contains(other)) {
+                rec.switches.push(PackedSwitch::ops(other));
             }
-            rec.boundary |= crosses;
-        }
-        for (end, promoted) in [a, b].into_iter().zip(promoted) {
-            if promoted {
-                self.promote_in_exteriors(end);
+            if crosses && !rec.boundary {
+                rec.boundary = true;
+                if let Some(m) = mesh.filter(|m| m.contains(end)) {
+                    m.boundary
+                        .insert(m.boundary.partition_point(|&o| o < end), end);
+                }
             }
         }
     }
 
-    /// Inserts `ops`, just promoted to boundary, into the exterior list of
-    /// every pod-mate linked to it, at the place its link holds in that
-    /// pod-mate's switch list. The exterior list is a subsequence of the
-    /// switch list, so one backward walk over both finds the place; for a
-    /// link made after most of the pod-mate's others, as a generator's
-    /// boundary links are, the walk is short.
-    fn promote_in_exteriors(&mut self, ops: OpsId) {
-        let pod = self.opss[ops.0].pod;
-        let target = PackedSwitch::ops(ops);
-        let mates: Vec<OpsId> = self.opss[ops.0]
-            .switches
-            .iter()
-            .filter_map(|s| match s.unpack() {
-                Element::Ops(o) if self.opss[o.0].pod == pod => Some(o),
-                _ => None,
-            })
-            .collect();
-        for mate in mates {
-            let rec = &mut self.opss[mate.0];
-            let mut at = rec.exterior.len();
-            for &s in rec.switches.iter().rev() {
-                if s == target {
-                    break;
-                }
-                if at > 0 && rec.exterior[at - 1] == s {
-                    at -= 1;
-                }
-            }
-            rec.exterior.insert(at, target);
+    /// Links boundary gateway `gateway` to each of `ops`, its pod's core,
+    /// with new optical core links in order, after making room at it for
+    /// `later` more core links. The links are stored, as any gateway link
+    /// is. When `ops` is one full mesh ([`DataCenter::connect_ops_mesh`]),
+    /// the gateway's switch list holds them as the mesh's run at their
+    /// place, as a member's list does, and not as an entry a link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gateway` is in or attached to a mesh already.
+    pub(crate) fn connect_gateway(&mut self, gateway: OpsId, ops: &[OpsId], later: usize) {
+        let place = ops.first().and_then(|o| self.opss[o.0].mesh);
+        let meshed = place.filter(|p| {
+            let mesh = &self.meshes[p.mesh as usize];
+            mesh.first == ops[0].0 && mesh.len == ops.len()
+        });
+        let rec = &mut self.opss[gateway.0];
+        assert!(rec.mesh.is_none(), "{gateway} is in a mesh already");
+        let listed = if meshed.is_some() { 0 } else { ops.len() };
+        rec.switches.reserve_exact(listed + later);
+        self.graph.reserve_links(rec.node, ops.len() + later);
+        rec.mesh = meshed.map(|p| MeshPlace {
+            mesh: p.mesh,
+            at: u32::try_from(rec.switches.len()).expect("fewer than 2^32 switches"),
+        });
+        for &o in ops {
+            self.connect_new_ops_ops(gateway, o, LinkAttrs::optical_core());
+        }
+    }
+
+    /// Links the OPSs `ops` pairwise with optical core links, as
+    /// [`DataCenter::connect_new_ops_ops`] over the pairs `(i, j)`, `i <
+    /// j`, in lexicographic order would, but as one complete block of the
+    /// graph: no pair stores a link record, an adjacency entry or a
+    /// switch-list entry. The OPSs must be one pod's, not linked to each
+    /// other yet, and added one after another, so that their ids and graph
+    /// nodes each form one run; and each OPS is in at most one mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is not such a run.
+    pub(crate) fn connect_ops_mesh(&mut self, ops: &[OpsId]) {
+        let Some(&first) = ops.first() else {
+            return;
+        };
+        let (node, pod) = (self.opss[first.0].node, self.opss[first.0].pod);
+        for (k, &o) in ops.iter().enumerate() {
+            let rec = &self.opss[o.0];
+            assert!(
+                o.0 == first.0 + k && rec.node.0 == node.0 + k && rec.pod == pod,
+                "{o} breaks the mesh's run of OPSs and nodes in one pod"
+            );
+            assert!(rec.mesh.is_none(), "{o} is in a mesh already");
+            debug_assert!(
+                !self
+                    .switches_of_ops(o)
+                    .any(|s| matches!(s, Element::Ops(m) if ops.contains(&m))),
+                "{o} is linked into the mesh already"
+            );
+        }
+        if ops.len() < 2 {
+            return;
+        }
+        self.graph
+            .add_complete_block(node, ops.len(), LinkAttrs::optical_core());
+        let mesh = u32::try_from(self.meshes.len()).expect("fewer than 2^32 meshes");
+        let boundary = ops.iter().copied().filter(|o| self.opss[o.0].boundary);
+        self.meshes.push(OpsMesh {
+            first: first.0,
+            len: ops.len(),
+            boundary: boundary.collect(),
+        });
+        for o in ops {
+            let rec = &mut self.opss[o.0];
+            let at = u32::try_from(rec.switches.len()).expect("fewer than 2^32 switches");
+            rec.mesh = Some(MeshPlace { mesh, at });
         }
     }
 
@@ -705,31 +797,67 @@ impl DataCenter {
         &self.opss[ops.0].tors
     }
 
+    /// `ops`' stored switch list split where its mesh's links fall, and
+    /// the mesh; outside a mesh, the whole list comes first.
+    fn mesh_split(&self, ops: OpsId) -> (&[PackedSwitch], Option<&OpsMesh>, &[PackedSwitch]) {
+        let rec = &self.opss[ops.0];
+        match rec.mesh {
+            Some(place) => {
+                let (below, above) = rec.switches.split_at(place.at as usize);
+                (below, Some(&self.meshes[place.mesh as usize]), above)
+            }
+            None => (&rec.switches, None, &[]),
+        }
+    }
+
     /// The switches directly connected to `ops` — ToRs over uplinks, OPSs
     /// over core links — interleaved in link order, which is the order of
     /// its graph adjacency. A walk of the switch fabric reads these four
-    /// bytes a link instead of the adjacency entry and the neighbour's node
-    /// weight.
+    /// bytes a stored link instead of the adjacency entry and the
+    /// neighbour's node weight; the pod-mates of a full-mesh core come from
+    /// the mesh's run of OPS ids, ascending, at the place of its links.
     ///
     /// # Panics
     ///
     /// Panics if `ops` does not exist.
     pub fn switches_of_ops(&self, ops: OpsId) -> impl Iterator<Item = Element> + '_ {
-        self.opss[ops.0].switches.iter().map(|s| s.unpack())
+        let (below, mesh, above) = self.mesh_split(ops);
+        let mates = mesh.map_or(0..0, |m| m.first..m.first + m.len);
+        OpsSwitches {
+            below: below.iter(),
+            mates: mates
+                .filter(move |&o| o != ops.0)
+                .map(|o| Element::Ops(OpsId(o))),
+            above: above.iter(),
+        }
     }
 
     /// [`DataCenter::switches_of_ops`] without the non-boundary OPSs of
     /// `ops`' own pod, in the same link order: its ToRs, the boundary OPSs
     /// of its pod and its OPSs in other pods. Once a walk has nothing left
     /// to find among a pod's non-boundary OPSs, it reads an OPS of the pod
-    /// here instead of the whole switch list, which in a full-mesh pod is
-    /// mostly that interior.
+    /// here instead of the whole switch list: its stored list filtered,
+    /// and of a full-mesh core only the boundary members.
     ///
     /// # Panics
     ///
     /// Panics if `ops` does not exist.
     pub fn exterior_switches_of_ops(&self, ops: OpsId) -> impl Iterator<Item = Element> + '_ {
-        self.opss[ops.0].exterior.iter().map(|s| s.unpack())
+        let (below, mesh, above) = self.mesh_split(ops);
+        let mates = mesh.map_or(&[][..], |m| &m.boundary[..]);
+        let pod = self.opss[ops.0].pod;
+        let switches = OpsSwitches {
+            below: below.iter(),
+            mates: mates
+                .iter()
+                .filter(move |&&o| o != ops)
+                .map(|&o| Element::Ops(o)),
+            above: above.iter(),
+        };
+        switches.filter(move |s| match *s {
+            Element::Ops(o) => self.opss[o.0].pod != pod || self.opss[o.0].boundary,
+            _ => true,
+        })
     }
 
     /// Returns `true` if `ops` has a core link to an OPS in another pod.
@@ -978,6 +1106,33 @@ mod tests {
         assert_eq!(switches(0), vec![tor(0), ops(2)]);
         assert_eq!(switches(1), vec![tor(0), tor(1)]);
         assert_eq!(switches(2), vec![tor(1), ops(0)]);
+    }
+
+    /// A link of a full-mesh core is a link like any other to the
+    /// duplicate check: re-connecting two pod-mates, either way round, or
+    /// an OPS to itself, adds nothing.
+    #[test]
+    fn duplicate_links_ignored_inside_a_full_mesh() {
+        let mut dc = crate::AlvcTopologyBuilder::new()
+            .ops_count(5)
+            .interconnect(crate::OpsInterconnect::FullMesh)
+            .pods(2)
+            .seed(3)
+            .build();
+        let lists = |dc: &DataCenter, o: OpsId| {
+            let switches: Vec<Element> = dc.switches_of_ops(o).collect();
+            (switches, dc.exterior_switches_of_ops(o).collect::<Vec<_>>())
+        };
+        let edges = dc.graph().edge_count();
+        // OPS 0 is its pod's boundary OPS, OPS 3 an interior one.
+        let (a, b) = (OpsId(0), OpsId(3));
+        assert!(dc.is_boundary_ops(a) && !dc.is_boundary_ops(b));
+        let before = (lists(&dc, a), lists(&dc, b));
+        for (x, y) in [(a, b), (b, a), (a, a)] {
+            dc.connect_ops_ops(x, y);
+            assert_eq!(dc.graph().edge_count(), edges);
+            assert_eq!((lists(&dc, a), lists(&dc, b)), before);
+        }
     }
 
     #[test]
