@@ -1,6 +1,6 @@
 //! Virtual cluster lifecycle management with OPS-disjointness enforcement.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use alvc_topology::{
     DataCenter, Element, ElementHealth, OpsId, PowerOverlay, PowerState, TorId, VmId,
@@ -61,6 +61,12 @@ impl std::fmt::Display for ClusterId {
 #[derive(Debug, Clone, Default)]
 pub struct ClusterManager {
     clusters: BTreeMap<ClusterId, VirtualCluster>,
+    /// The cluster whose layer lists each owned OPS: the layers' OPS sets
+    /// read the other way round. Written only where a layer is registered,
+    /// replaced or removed (`register_cluster`, `set_layer`,
+    /// `remove_cluster`); [`ClusterManager::verify_disjoint`] checks it
+    /// against the layers.
+    owner: HashMap<OpsId, ClusterId>,
     availability: OpsAvailability,
     health: ElementHealth,
     power: PowerOverlay,
@@ -104,8 +110,16 @@ impl ClusterManager {
         self.clusters.values()
     }
 
-    /// Finds the cluster owning `ops`, if any.
+    /// Finds the cluster owning `ops`, if any: one table read.
     pub fn ops_owner(&self, ops: OpsId) -> Option<ClusterId> {
+        let owner = self.owner.get(&ops).copied();
+        debug_assert_eq!(owner, self.ops_owner_scan(ops), "owner table of {ops}");
+        owner
+    }
+
+    /// [`ClusterManager::ops_owner`] by a search of every layer: the
+    /// oracle of the owner table.
+    fn ops_owner_scan(&self, ops: OpsId) -> Option<ClusterId> {
         self.clusters
             .values()
             .find(|vc| vc.al().contains_ops(ops))
@@ -159,6 +173,7 @@ impl ClusterManager {
         self.next_id += 1;
         for &o in al.ops() {
             self.availability.block(o);
+            self.owner.insert(o, id);
         }
         self.clusters
             .insert(id, VirtualCluster::new(id, label, vms, al));
@@ -212,6 +227,7 @@ impl ClusterManager {
         let vc = self.clusters.remove(&id)?;
         alvc_telemetry::counter!("alvc_core.manager.clusters_removed").incr();
         for &o in vc.al().ops() {
+            self.owner.remove(&o);
             if !self.ops_blocked(o) {
                 self.availability.release(o);
             }
@@ -409,6 +425,12 @@ impl ClusterManager {
     /// Replaces a live cluster's abstraction layer.
     fn set_layer(&mut self, id: ClusterId, al: AbstractionLayer) {
         let vc = self.clusters.get_mut(&id).expect("cluster exists");
+        for o in vc.al().ops() {
+            self.owner.remove(o);
+        }
+        for &o in al.ops() {
+            self.owner.insert(o, id);
+        }
         vc.update(|_, layer| *layer = al);
     }
 
@@ -467,17 +489,22 @@ impl ClusterManager {
         }
     }
 
-    /// Checks the paper's invariant: no OPS appears in two ALs.
+    /// Checks the paper's invariant: no OPS appears in two ALs. The owner
+    /// table is its witness: every OPS a layer lists maps to that layer's
+    /// cluster, and the table holds no other entry. An OPS listed twice
+    /// cannot map to both listings, so it fails the check, and so does a
+    /// table entry no layer lists.
     pub fn verify_disjoint(&self) -> bool {
-        let mut seen = std::collections::HashSet::new();
+        let mut listed = 0;
         for vc in self.clusters.values() {
             for &o in vc.al().ops() {
-                if !seen.insert(o) {
+                listed += 1;
+                if self.owner.get(&o) != Some(&vc.id()) {
                     return false;
                 }
             }
         }
-        true
+        listed == self.owner.len()
     }
 
     /// Total OPSs currently owned by some AL.

@@ -549,6 +549,28 @@ impl<N, E> Graph<N, E> {
         }
     }
 
+    /// `node`'s links in [`Graph::incident_edges`] order, in three parts:
+    /// its stored links with ids below its block's, its block as the
+    /// members' node range (`node` included) with the weight their links
+    /// share, and its stored links with ids above. Outside a block, all
+    /// its stored links come first.
+    #[inline]
+    pub(crate) fn link_parts(
+        &self,
+        node: NodeId,
+    ) -> (
+        Adjacency<'_>,
+        Option<(std::ops::Range<usize>, &E)>,
+        Adjacency<'_>,
+    ) {
+        let (below, run, above) = self.split(node.0);
+        let block = run.map(|r| {
+            let weight = &self.blocks[self.block_of[node.0] as usize].weight;
+            (r.first..r.end(), weight)
+        });
+        (below, block, above)
+    }
+
     /// Degree of `node` (self-loops count once).
     ///
     /// # Panics

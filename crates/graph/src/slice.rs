@@ -7,7 +7,7 @@
 //! walks `links_of(i)` instead of asking, for every link of the big graph,
 //! whether its far end is a member.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId};
 
 /// One directed half of a link between two members of a [`SliceGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +52,9 @@ impl SliceGraph {
     /// that are no node of `graph` become members without links.
     ///
     /// One pass over the members' adjacency lists; membership of a far end
-    /// is one probe of a scratch table sized by the slice.
+    /// is one probe of a scratch table sized by the slice. A member of a
+    /// complete block ([`Graph::add_complete_block`]) reads its members
+    /// among the block's nodes as one range of the sorted member list.
     ///
     /// # Panics
     ///
@@ -95,14 +97,30 @@ impl SliceGraph {
         let mut links = Vec::with_capacity(2 * nodes.len());
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
         offsets.push(0);
-        for &n in &nodes {
+        let stored = |links: &mut Vec<SliceLink>, adjacency: &[(u32, u32)]| {
+            for &(e, far) in adjacency {
+                if let Some(to) = dense(NodeId(far as usize)) {
+                    let weight = graph.edge_weight(EdgeId(e as usize));
+                    let cost = cost(weight.expect("edge exists"));
+                    links.push(SliceLink { to, cost });
+                }
+            }
+        };
+        for (i, &n) in nodes.iter().enumerate() {
             if n.0 < graph.node_count() {
-                graph.incident_edges(n).for_each(|(e, far)| {
-                    if let Some(to) = dense(far) {
-                        let cost = cost(graph.edge_weight(e).expect("edge exists"));
-                        links.push(SliceLink { to, cost });
-                    }
-                });
+                let (below, block, above) = graph.link_parts(n);
+                stored(&mut links, below);
+                // The members among a complete block's nodes are one run
+                // of `nodes`, found by two binary searches, not one probe
+                // per block mate.
+                if let Some((mates, weight)) = block {
+                    let cost = cost(weight);
+                    let lo = nodes.partition_point(|m| m.0 < mates.start);
+                    let hi = nodes.partition_point(|m| m.0 < mates.end);
+                    let to = (lo..hi).filter(|&j| j != i).map(|j| j as u32);
+                    links.extend(to.map(|to| SliceLink { to, cost }));
+                }
+                stored(&mut links, above);
             }
             assert!(links.len() < u32::MAX as usize, "slice too large to index");
             offsets.push(links.len() as u32);

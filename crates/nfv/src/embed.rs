@@ -18,19 +18,27 @@
 //!   replaces.
 //!
 //! [`HostLedger`] holds the one charge/refund pair over host capacity.
+//!
+//! The same four calls keep the orchestrator's reverse indexes, which the
+//! operator paths read instead of scanning every chain: the instances on
+//! each host (`spawn`, `retire`), the chain of each cluster and the chain
+//! endpoints per VM (`commit`, `release`). The SDN controller keeps the
+//! chains on each switch with the rules themselves. Debug builds check all
+//! of them against a scan of the chains after every commit and release.
 
 use std::collections::{HashMap, HashSet};
 
 use alvc_core::{AbstractionLayer, ClusterId, ClusterSlice};
 use alvc_graph::{EdgeId, NodeId};
 use alvc_optical::{route_flow_in_slice, route_flow_within, HybridPath};
-use alvc_topology::{DataCenter, OpsId, ServerId};
+use alvc_topology::{DataCenter, Element, OpsId, ServerId, VmId};
 
 use crate::chain::{ChainSpec, Nfc, NfcId};
 use crate::error::DeployError;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::orchestrator::{kbps, DeployedChain, Orchestrator};
 use crate::placement::{PlacementContext, VnfPlacer};
+use crate::recovery::element_host;
 use crate::vnf::{ResourceDemand, VnfSpec};
 
 /// Resources in use per optoelectronic router and per server.
@@ -278,8 +286,23 @@ impl Orchestrator {
         }
         self.commit_edges(&plan.edges, spec.bandwidth_gbps);
         let old = self.chains.remove(&id);
-        if old.is_none() {
-            self.changes.cluster(cluster);
+        let ends = |spec: &ChainSpec| (spec.ingress, spec.egress);
+        match &old {
+            None => {
+                self.changes.cluster(cluster);
+                let held = self.cluster_chain.insert(cluster, id);
+                debug_assert_eq!(held, None, "{cluster} already serves a chain");
+                self.pin_endpoints(&spec);
+            }
+            Some(old) => {
+                debug_assert_eq!(old.cluster, cluster, "a chain keeps its cluster");
+                // A re-embedding of the same spec, or a modification that
+                // keeps its endpoints, leaves the counts as they are.
+                if ends(old.nfc.spec()) != ends(&spec) {
+                    self.unpin_endpoints(old.nfc.spec());
+                    self.pin_endpoints(&spec);
+                }
+            }
         }
         let instances = match old {
             Some(old) if !plan.placed => old.instances,
@@ -288,7 +311,7 @@ impl Orchestrator {
                     self.retire(iid);
                 }
                 let placements = plan.hosts.iter().zip(&spec.vnfs);
-                placements.map(|(&h, &v)| self.spawn(v, h)).collect()
+                placements.map(|(&h, &v)| self.spawn(v, h, id)).collect()
             }
         };
         self.changes.chain(id);
@@ -303,6 +326,10 @@ impl Orchestrator {
                 edges: plan.edges,
             },
         );
+        debug_assert!(
+            self.indexes_match_scans(),
+            "commit of {id} left an index stale"
+        );
         Ok(())
     }
 
@@ -316,6 +343,8 @@ impl Orchestrator {
             let _ = self.scale_in(replica);
         }
         let chain = self.chains.remove(&id).expect("chain exists");
+        self.unpin_endpoints(chain.nfc.spec());
+        self.cluster_chain.remove(&chain.cluster);
         self.sdn.remove_chain(id);
         self.release_edges(&chain.edges, chain.nfc.spec().bandwidth_gbps);
         for &iid in &chain.instances {
@@ -325,6 +354,10 @@ impl Orchestrator {
         self.manager.remove_cluster(chain.cluster);
         self.changes.chain(id);
         self.changes.cluster(chain.cluster);
+        debug_assert!(
+            self.indexes_match_scans(),
+            "release of {id} left an index stale"
+        );
         chain
     }
 
@@ -352,14 +385,22 @@ impl Orchestrator {
         plan
     }
 
-    /// Starts an instance of `spec` on `host`, charging the host.
-    pub(crate) fn spawn(&mut self, spec: VnfSpec, host: HostLocation) -> VnfInstanceId {
+    /// Starts an instance of `spec` on `host` for `chain`, charging the
+    /// host.
+    pub(crate) fn spawn(
+        &mut self,
+        spec: VnfSpec,
+        host: HostLocation,
+        chain: NfcId,
+    ) -> VnfInstanceId {
         self.host_used.charge(host, &spec.demand);
         let iid = VnfInstanceId(self.next_instance);
         self.next_instance += 1;
         let mut inst = VnfInstance::new(iid, spec, host);
         inst.activate().expect("fresh instance activates");
         self.instances.insert(iid, inst);
+        // Ids only grow, so a push keeps the host's list ascending.
+        self.hosted.entry(host).or_default().push((iid, chain));
         self.changes.instance(iid);
         iid
     }
@@ -376,7 +417,85 @@ impl Orchestrator {
                 .expect("serving states may terminate");
         }
         self.host_used.refund(inst.host(), &inst.spec().demand);
+        let hosted = self
+            .hosted
+            .get_mut(&inst.host())
+            .expect("a live host has a list");
+        let at = hosted.binary_search_by_key(&iid, |&(i, _)| i);
+        hosted.remove(at.expect("a live instance is on its host's list"));
         self.changes.instance(iid);
+    }
+
+    /// The live instances on `element`, ascending, each with its chain;
+    /// none on a ToR, which hosts no VNF.
+    pub(crate) fn hosted_on(&self, element: Element) -> &[(VnfInstanceId, NfcId)] {
+        let list = element_host(element).and_then(|host| self.hosted.get(&host));
+        list.map_or(&[], Vec::as_slice)
+    }
+
+    /// Counts `spec`'s ingress and egress as chain endpoints.
+    fn pin_endpoints(&mut self, spec: &ChainSpec) {
+        for vm in [spec.ingress, spec.egress] {
+            *self.endpoints.entry(vm).or_default() += 1;
+        }
+    }
+
+    /// Undoes [`Orchestrator::pin_endpoints`] of `spec`.
+    fn unpin_endpoints(&mut self, spec: &ChainSpec) {
+        for vm in [spec.ingress, spec.egress] {
+            let count = self.endpoints.get_mut(&vm).expect("a pinned endpoint");
+            *count -= 1;
+            if *count == 0 {
+                self.endpoints.remove(&vm);
+            }
+        }
+    }
+
+    /// Whether every reverse index holds what a scan of the chains,
+    /// instances and replicas computes: the per-switch chain lists, the
+    /// instances per host, the endpoint counts and the chain per cluster.
+    /// The oracle debug builds run after every commit and release.
+    fn indexes_match_scans(&self) -> bool {
+        let mut hosted: HashMap<HostLocation, Vec<(VnfInstanceId, NfcId)>> = HashMap::new();
+        let members = self
+            .chains
+            .values()
+            .flat_map(|c| c.instances.iter().map(|&i| (i, c.nfc.id())));
+        let replicas = self.replicas.iter().map(|(&iid, &(chain, _))| (iid, chain));
+        let mut serving: Vec<(VnfInstanceId, NfcId)> = members.chain(replicas).collect();
+        serving.sort_unstable();
+        for (iid, chain) in serving {
+            let Some(instance) = self.instances.get(&iid) else {
+                return false;
+            };
+            hosted
+                .entry(instance.host())
+                .or_default()
+                .push((iid, chain));
+        }
+        let listed = self.hosted.iter().filter(|(_, list)| !list.is_empty());
+        let hosted_ok = listed.count() == hosted.len()
+            && hosted
+                .iter()
+                .all(|(host, list)| self.hosted.get(host) == Some(list));
+
+        let mut endpoints: HashMap<VmId, u32> = HashMap::new();
+        for chain in self.chains.values() {
+            for vm in [chain.nfc.spec().ingress, chain.nfc.spec().egress] {
+                *endpoints.entry(vm).or_default() += 1;
+            }
+        }
+        let cluster_chain: HashMap<ClusterId, NfcId> = self
+            .chains
+            .values()
+            .map(|c| (c.cluster, c.nfc.id()))
+            .collect();
+
+        self.sdn.lists_match_rules()
+            && hosted_ok
+            && self.instances.len() == self.hosted.values().map(Vec::len).sum::<usize>()
+            && endpoints == self.endpoints
+            && cluster_chain == self.cluster_chain
     }
 
     /// Commits `bandwidth_gbps` to the ledger on every edge in `edges`.

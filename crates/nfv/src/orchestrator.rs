@@ -12,7 +12,7 @@
 //! its slice, install SDN flow rules, and drive every VNF instance through
 //! its lifecycle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use alvc_core::construction::{construct_layers, AlConstruct};
 use alvc_core::{AbstractionLayer, ClusterId, ClusterManager, LabelId};
@@ -123,6 +123,18 @@ pub struct Orchestrator {
     /// a range and not a scan of every replica in the data center. Written
     /// together with `replicas`, by `scale_out` and `scale_in` only.
     chain_replicas: BTreeSet<(NfcId, VnfInstanceId)>,
+    /// The live instances on each host, ascending by id, each with the
+    /// chain it serves (a replica's chain included). Written only by
+    /// `spawn` and `retire`; a host keeps its list, empty or not, once it
+    /// held an instance.
+    pub(crate) hosted: HashMap<HostLocation, Vec<(VnfInstanceId, NfcId)>>,
+    /// How many live chains have each VM as ingress or egress (twice for a
+    /// chain whose ingress is its egress). Written only by `commit` and
+    /// `release`.
+    pub(crate) endpoints: HashMap<VmId, u32>,
+    /// The chain of each live cluster: one chain per cluster. Written only
+    /// by `commit` and `release`.
+    pub(crate) cluster_chain: HashMap<ClusterId, NfcId>,
     pub(crate) degraded: BTreeSet<NfcId>,
     /// Entities mutated since the control plane last published a snapshot;
     /// drives incremental `StateView` publication (see [`crate::changes`]).
@@ -700,7 +712,7 @@ impl Orchestrator {
             let _ = inst.transition(VnfState::Scaling);
             let _ = inst.transition(VnfState::Active);
         }
-        let iid = self.spawn(spec, host);
+        let iid = self.spawn(spec, host, chain);
         self.replicas.insert(iid, (chain, chain_position));
         self.chain_replicas.insert((chain, iid));
         self.changes.replica(chain, 1);

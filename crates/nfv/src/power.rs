@@ -28,7 +28,21 @@ impl Orchestrator {
     /// on it, or a bandwidth commitment on one of its links. Elements in
     /// use must stay [`PowerState::Active`]; the consolidation planner in
     /// `alvc-energy` uses this as its safety predicate.
+    ///
+    /// Two index reads answer it: the rules on the node and the instances
+    /// on the element. A live chain holds one rule per node of its path,
+    /// so a path crossing the node, and the bandwidth it commits on a link
+    /// at the node, leave a rule there.
     pub fn element_in_use(&self, dc: &DataCenter, element: Element) -> bool {
+        let node = element_node(dc, element);
+        let in_use = self.sdn.rules_on_switch(node) > 0 || !self.hosted_on(element).is_empty();
+        debug_assert_eq!(in_use, self.element_in_use_scan(dc, element), "{element}");
+        in_use
+    }
+
+    /// [`Orchestrator::element_in_use`] by a scan of every chain, committed
+    /// link and instance: the oracle of the two indexes it reads.
+    fn element_in_use_scan(&self, dc: &DataCenter, element: Element) -> bool {
         let node = element_node(dc, element);
         if self.sdn.rules_on_switch(node) > 0 {
             return true;
@@ -48,10 +62,7 @@ impl Orchestrator {
                 }
             }
         }
-        if self.instances.values().any(|i| host_on(i.host(), element)) {
-            return true;
-        }
-        false
+        self.instances.values().any(|i| host_on(i.host(), element))
     }
 
     /// Moves `element` to `state`, returning the previous state.

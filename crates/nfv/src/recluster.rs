@@ -79,14 +79,6 @@ impl Orchestrator {
         trace_span.add_field("moves", moves.len());
         let mut report = ReclusterReport::default();
 
-        // Chain endpoints are pinned: moving one out of its cluster would
-        // strand the chain's ingress/egress outside its own slice.
-        let pinned: BTreeSet<VmId> = self
-            .chains
-            .values()
-            .flat_map(|c| [c.nfc.spec().ingress, c.nfc.spec().egress])
-            .collect();
-
         // Phase 1: membership, in plan order.
         let mut affected: BTreeSet<ClusterId> = BTreeSet::new();
         for mv in moves {
@@ -95,7 +87,7 @@ impl Orchestrator {
                 .cluster(mv.from)
                 .is_some_and(|vc| vc.vms().contains(&mv.vm));
             let valid = mv.from != mv.to
-                && !pinned.contains(&mv.vm)
+                && !self.is_endpoint(mv.vm)
                 && source_holds_vm
                 && self.manager.cluster(mv.to).is_some();
             if !valid {
@@ -137,12 +129,13 @@ impl Orchestrator {
         }
 
         // Phase 3: reroute chains whose slice changed, in chain-id order.
-        let stale: Vec<NfcId> = self
-            .chains
+        let mut stale: Vec<NfcId> = changed
             .iter()
-            .filter(|(_, c)| changed.contains(&c.cluster))
-            .map(|(&id, _)| id)
+            .filter_map(|c| self.cluster_chain.get(c).copied())
             .collect();
+        stale.sort_unstable();
+        debug_assert_eq!(stale, self.chains_of_scan(&changed));
+        alvc_telemetry::counter!("alvc_nfv.operator.chains_examined").add(stale.len() as u64);
         for id in stale {
             match self.recover_chain(dc, id, placer) {
                 RecoveryOutcome::Rerouted | RecoveryOutcome::Replaced => {
@@ -175,6 +168,29 @@ impl Orchestrator {
             );
         }
         report
+    }
+
+    /// Whether `vm` is a live chain's ingress or egress. Chain endpoints
+    /// are pinned: moving one out of its cluster would strand the chain's
+    /// ingress/egress outside its own slice.
+    fn is_endpoint(&self, vm: VmId) -> bool {
+        let pinned = self.endpoints.contains_key(&vm);
+        debug_assert_eq!(
+            pinned,
+            self.chains
+                .values()
+                .any(|c| c.nfc.spec().ingress == vm || c.nfc.spec().egress == vm),
+            "endpoint count of {vm}"
+        );
+        pinned
+    }
+
+    /// The chains of `clusters` in id order, by a scan of every chain: the
+    /// oracle of the chain-per-cluster index.
+    fn chains_of_scan(&self, clusters: &BTreeSet<ClusterId>) -> Vec<NfcId> {
+        let chains = self.chains.iter();
+        let of = chains.filter(|(_, c)| clusters.contains(&c.cluster));
+        of.map(|(&id, _)| id).collect()
     }
 }
 

@@ -31,7 +31,7 @@
 //! Each rung returns a [`RecoveryOutcome`]; [`RecoveryReport`] collects the
 //! per-chain outcomes of one failure event.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use alvc_core::construction::AlConstruct;
 use alvc_core::ClusterId;
@@ -178,7 +178,7 @@ impl Orchestrator {
         // The AL layer shrinks or rebuilds these slices' layers. A slice
         // whose rebuild failed keeps its degraded layer, and its chains
         // still need chain-level recovery all the same.
-        let repaired: HashSet<ClusterId> = self
+        let repaired: Vec<ClusterId> = self
             .manager
             .fail(dc, element, constructor)
             .into_iter()
@@ -189,17 +189,14 @@ impl Orchestrator {
         }
 
         // Replicas on dead elements are force-scaled-in before chain
-        // recovery runs, so no instance survives on a failed host.
-        let dead_replicas: Vec<VnfInstanceId> = self
-            .replicas
-            .keys()
-            .copied()
-            .filter(|iid| {
-                self.instances
-                    .get(iid)
-                    .is_some_and(|i| !self.host_up(i.host()))
-            })
+        // recovery runs, so no instance survives on a failed host. Nothing
+        // referenced a failed element before this call, so the dead
+        // replicas are the ones this element hosts.
+        let hosted = self.hosted_on(element).iter().map(|&(iid, _)| iid);
+        let dead_replicas: Vec<VnfInstanceId> = hosted
+            .filter(|iid| self.replicas.contains_key(iid))
             .collect();
+        debug_assert_eq!(dead_replicas, self.dead_replicas_scan(), "{element}");
         for replica in dead_replicas {
             let _ = self.scale_in(replica);
         }
@@ -207,7 +204,8 @@ impl Orchestrator {
         // Affected: path crosses the dead node (endpoints included — a
         // path starts and ends at the endpoint servers), a VNF host died,
         // or the chain's slice was repaired out from under its route.
-        let affected = self.affected_chains(node, &repaired);
+        let affected = self.affected_chains(node, element, &repaired);
+        alvc_telemetry::counter!("alvc_nfv.operator.chains_examined").add(affected.len() as u64);
 
         let mut outcomes = BTreeMap::new();
         for id in affected {
@@ -248,6 +246,7 @@ impl Orchestrator {
         placer: &dyn VnfPlacer,
     ) -> BTreeMap<NfcId, RecoveryOutcome> {
         let ids: Vec<NfcId> = self.degraded.iter().copied().collect();
+        alvc_telemetry::counter!("alvc_nfv.operator.chains_examined").add(ids.len() as u64);
         let mut outcomes = BTreeMap::new();
         for id in ids {
             let outcome = self.recover_chain(dc, id, placer);
@@ -301,11 +300,38 @@ impl Orchestrator {
         true
     }
 
-    /// The chains a failure at `node` touches, in chain-id order (which
-    /// keeps the recovery ladder, and hence intent-log replay,
+    /// The chains a failure of `element` at `node` touches, in chain-id
+    /// order (which keeps the recovery ladder, and hence intent-log replay,
     /// deterministic): path crosses the node, a VNF host died, or the
-    /// chain's slice is in `repaired`.
-    fn affected_chains(&self, node: NodeId, repaired: &HashSet<ClusterId>) -> Vec<NfcId> {
+    /// chain's slice is in `repaired`. Three index reads: the chains with
+    /// a rule on the node, the chain of each repaired cluster, and the
+    /// chains with an instance on the element — a chain's only dead host,
+    /// since nothing referenced a failed element before this failure.
+    fn affected_chains(
+        &self,
+        node: NodeId,
+        element: Element,
+        repaired: &[ClusterId],
+    ) -> Vec<NfcId> {
+        let crossing = self.sdn.chains_on_switch(node).iter().copied();
+        let slices = repaired
+            .iter()
+            .filter_map(|c| self.cluster_chain.get(c).copied());
+        let hosting = self.hosted_on(element).iter().map(|&(_, chain)| chain);
+        let mut affected: Vec<NfcId> = crossing.chain(slices).chain(hosting).collect();
+        affected.sort_unstable();
+        affected.dedup();
+        debug_assert_eq!(
+            affected,
+            self.affected_chains_scan(node, repaired),
+            "{element}"
+        );
+        affected
+    }
+
+    /// [`Orchestrator::affected_chains`] by a scan of every chain: the
+    /// oracle of the three indexes it reads.
+    fn affected_chains_scan(&self, node: NodeId, repaired: &[ClusterId]) -> Vec<NfcId> {
         self.chains
             .iter()
             .filter(|(_, c)| {
@@ -314,6 +340,20 @@ impl Orchestrator {
                     || repaired.contains(&c.cluster)
             })
             .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// The live replicas on a host that is down, by a scan of every
+    /// replica: the oracle of the dead replicas `fail_element` reads off
+    /// the failed element's instance list.
+    fn dead_replicas_scan(&self) -> Vec<VnfInstanceId> {
+        let replicas = self.replicas.keys().copied();
+        replicas
+            .filter(|iid| {
+                self.instances
+                    .get(iid)
+                    .is_some_and(|i| !self.host_up(i.host()))
+            })
             .collect()
     }
 
@@ -348,6 +388,7 @@ impl Orchestrator {
         let old_edges = std::mem::take(&mut chain.edges);
         let bandwidth_gbps = chain.nfc.spec().bandwidth_gbps;
         self.sdn.remove_chain(id);
+        alvc_telemetry::counter!("alvc_nfv.operator.links_examined").add(old_edges.len() as u64);
         self.release_edges(&old_edges, bandwidth_gbps);
 
         // Rung 1: same hosts, new route inside the slice.
@@ -432,6 +473,15 @@ pub(crate) fn element_node(dc: &DataCenter, element: Element) -> NodeId {
         .unwrap_or_else(|| panic!("{element} is no element of the data center"))
 }
 
+/// The host `element` is to a VNF instance; a ToR hosts none.
+pub(crate) fn element_host(element: Element) -> Option<HostLocation> {
+    match element {
+        Element::Server(s) => Some(HostLocation::Server(s)),
+        Element::Ops(o) => Some(HostLocation::OptoRouter(o)),
+        Element::Tor(_) => None,
+    }
+}
+
 pub(crate) fn host_on(host: HostLocation, element: Element) -> bool {
     match (host, element) {
         (HostLocation::Server(s), Element::Server(fs)) => s == fs,
@@ -447,6 +497,7 @@ mod tests {
     use crate::placement::ElectronicOnlyPlacer;
     use alvc_core::construction::PaperGreedy;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType, TorId, VmId};
+    use std::collections::HashSet;
 
     fn dc() -> DataCenter {
         AlvcTopologyBuilder::new()

@@ -3,7 +3,7 @@
 //! "SDN controller provision, control, and manage the optical network and
 //! provide virtual connectivity services to users between VMs hosting
 //! VNFs." Concretely it installs one forwarding rule per switch along each
-//! chain's path and tracks table occupancy per switch.
+//! chain's path and tracks, per switch, the chains holding a rule there.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -46,7 +46,13 @@ pub struct FlowRule {
 #[derive(Debug, Clone, Default)]
 pub struct SdnController {
     rules: BTreeMap<NfcId, Vec<FlowRule>>,
-    per_switch: HashMap<NodeId, usize>,
+    /// Per switch, the chains with a rule on it, one entry per rule and in
+    /// no order: the list's length is the switch's table occupancy, and as
+    /// a chain holds one rule per node of its path, the list names the
+    /// chains whose path crosses the switch. A switch keeps its list, empty
+    /// or not, once it held a rule, so churn over the same switches
+    /// allocates nothing; there are at most as many lists as switches.
+    per_switch: HashMap<NodeId, Vec<NfcId>>,
     /// Rules across all switches (the sum of `rules`' lengths).
     total: usize,
     /// Flow-table capacity per switch (TCAM size); `None` = unlimited.
@@ -121,8 +127,7 @@ impl SdnController {
                 *incoming.entry(n).or_insert(0) += 1;
             }
             for (&n, &add) in &incoming {
-                let current = self.per_switch.get(&n).copied().unwrap_or(0)
-                    - freed.get(&n).copied().unwrap_or(0);
+                let current = self.rules_on_switch(n) - freed.get(&n).copied().unwrap_or(0);
                 if current + add > limit {
                     return Err(TableFull { switch: n, limit });
                 }
@@ -147,7 +152,7 @@ impl SdnController {
                 in_port: (i > 0).then(|| nodes[i - 1]),
                 out_port: (i + 1 < nodes.len()).then(|| nodes[i + 1]),
             });
-            *self.per_switch.entry(n).or_insert(0) += 1;
+            self.per_switch.entry(n).or_default().push(chain);
         }
         let count = rules.len();
         self.total += count;
@@ -161,12 +166,12 @@ impl SdnController {
             return 0;
         };
         for r in &rules {
-            if let Some(c) = self.per_switch.get_mut(&r.switch) {
-                *c -= 1;
-                if *c == 0 {
-                    self.per_switch.remove(&r.switch);
-                }
-            }
+            let chains = self
+                .per_switch
+                .get_mut(&r.switch)
+                .expect("a rule's switch has a list");
+            let at = chains.iter().position(|&c| c == chain);
+            chains.swap_remove(at.expect("a rule's chain is on its switch's list"));
         }
         self.total -= rules.len();
         rules.len()
@@ -174,7 +179,33 @@ impl SdnController {
 
     /// Number of rules resident on `switch`.
     pub(crate) fn rules_on_switch(&self, switch: NodeId) -> usize {
-        self.per_switch.get(&switch).copied().unwrap_or(0)
+        self.chains_on_switch(switch).len()
+    }
+
+    /// The chains with a rule on `switch`, one entry per rule, in no
+    /// order: the chains whose path crosses it.
+    pub(crate) fn chains_on_switch(&self, switch: NodeId) -> &[NfcId] {
+        self.per_switch.get(&switch).map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether every switch's chain list holds what a scan of the installed
+    /// rules finds there: the oracle of the per-switch lists.
+    pub(crate) fn lists_match_rules(&self) -> bool {
+        let mut scanned: HashMap<NodeId, Vec<NfcId>> = HashMap::new();
+        for r in self.rules.values().flatten() {
+            scanned.entry(r.switch).or_default().push(r.chain);
+        }
+        let listed = self
+            .per_switch
+            .iter()
+            .filter(|(_, chains)| !chains.is_empty());
+        listed.count() == scanned.len()
+            && scanned.into_iter().all(|(switch, mut chains)| {
+                let mut listed = self.chains_on_switch(switch).to_vec();
+                listed.sort_unstable();
+                chains.sort_unstable();
+                listed == chains
+            })
     }
 
     /// The rules currently installed for `chain` (empty if none).

@@ -1,10 +1,17 @@
 //! Property tests: the orchestrator's bookkeeping survives arbitrary
-//! interleavings of deploy / modify / lifecycle / teardown operations.
+//! interleavings of deploy / modify / lifecycle / teardown operations, and
+//! the reverse indexes the operator paths read answer as the whole-state
+//! scans they replaced, after every step and through element failures.
 
 use alvc_core::construction::PaperGreedy;
 use alvc_nfv::chain::fig5;
-use alvc_nfv::{ChainSpec, ElectronicOnlyPlacer, NfcId, Orchestrator, VnfSpec, VnfType};
-use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect, VmId};
+use alvc_nfv::{
+    ChainSpec, DeployedChain, ElectronicOnlyPlacer, HostLocation, NfcId, Orchestrator,
+    VnfInstanceId, VnfSpec, VnfType,
+};
+use alvc_topology::{
+    AlvcTopologyBuilder, DataCenter, Element, OpsId, OpsInterconnect, ServerId, TorId, VmId,
+};
 use proptest::prelude::*;
 
 fn dc_for(seed: u64) -> DataCenter {
@@ -59,6 +66,89 @@ fn check_invariants(dc: &DataCenter, orch: &Orchestrator) {
         orch.instance_count(),
         expected_instances + orch.replica_count()
     );
+}
+
+/// Every server, ToR and OPS of `dc`.
+fn elements(dc: &DataCenter) -> Vec<Element> {
+    let servers = (0..dc.server_count()).map(|i| Element::Server(ServerId(i)));
+    let tors = (0..dc.tor_count()).map(|i| Element::Tor(TorId(i)));
+    let ops = (0..dc.ops_count()).map(|i| Element::Ops(OpsId(i)));
+    servers.chain(tors).chain(ops).collect()
+}
+
+fn hosted_on(host: HostLocation, element: Element) -> bool {
+    match (host, element) {
+        (HostLocation::Server(s), Element::Server(e)) => s == e,
+        (HostLocation::OptoRouter(o), Element::Ops(e)) => o == e,
+        _ => false,
+    }
+}
+
+/// The live replicas on `element`, by a scan of every chain's replicas.
+fn replicas_on(orch: &Orchestrator, element: Element) -> Vec<VnfInstanceId> {
+    let replicas = orch.chains().flat_map(|c| orch.replicas_of(c.nfc().id()));
+    let on = |r: &VnfInstanceId| hosted_on(orch.instance(*r).unwrap().host(), element);
+    replicas.filter(on).collect()
+}
+
+/// `Orchestrator::element_in_use` as the whole-state scan it replaced
+/// answers it: a chain path crossing the element's node, a chain host or
+/// replica on the element, or a committed link ending at its node.
+fn in_use_by_scan(dc: &DataCenter, orch: &Orchestrator, element: Element) -> bool {
+    let node = dc.node_of_element(element).unwrap();
+    let ends_at_node = |&l: &alvc_graph::EdgeId| {
+        let (a, b) = dc.graph().edge_endpoints(l).unwrap();
+        a == node || b == node
+    };
+    orch.chains().any(|c| {
+        c.path().nodes().contains(&node)
+            || c.hosts().iter().any(|&h| hosted_on(h, element))
+            || c.edges().iter().any(ends_at_node)
+    }) || !replicas_on(orch, element).is_empty()
+}
+
+/// The chains `fail_element(element)` recovers, as the whole-state scan it
+/// replaced finds them before the failure: the path crosses the element's
+/// node, a host is the element, or the layer lists the element.
+fn affected_by_scan(dc: &DataCenter, orch: &Orchestrator, element: Element) -> Vec<NfcId> {
+    if !orch.health().is_up(element) {
+        return Vec::new();
+    }
+    let node = dc.node_of_element(element).unwrap();
+    let listed = |c: &DeployedChain| {
+        let al = orch.manager().cluster(c.cluster()).unwrap().al();
+        match element {
+            Element::Ops(o) => al.contains_ops(o),
+            Element::Tor(t) => al.tors().contains(&t),
+            Element::Server(_) => false,
+        }
+    };
+    let affected = orch.chains().filter(|c| {
+        c.path().nodes().contains(&node)
+            || c.hosts().iter().any(|&h| hosted_on(h, element))
+            || listed(c)
+    });
+    affected.map(|c| c.nfc().id()).collect()
+}
+
+/// The operator paths' reverse indexes answer as the scans they replaced:
+/// `element_in_use` for every element, `ops_owner` for every OPS.
+fn check_indexes(dc: &DataCenter, orch: &Orchestrator) {
+    for element in elements(dc) {
+        assert_eq!(
+            orch.element_in_use(dc, element),
+            in_use_by_scan(dc, orch, element),
+            "element_in_use({element})"
+        );
+    }
+    for o in dc.ops_ids() {
+        let owner = orch.manager().clusters().find(|vc| vc.al().contains_ops(o));
+        assert_eq!(
+            orch.manager().ops_owner(o),
+            owner.map(|vc| vc.id()),
+            "ops_owner({o})"
+        );
+    }
 }
 
 proptest! {
@@ -123,6 +213,7 @@ proptest! {
                 }
             }
             check_invariants(&dc, &orch);
+            check_indexes(&dc, &orch);
         }
         // Drain and verify the clean slate.
         for id in live {
@@ -134,6 +225,75 @@ proptest! {
         prop_assert_eq!(orch.instance_count(), 0);
         for o in dc.optoelectronic_ops() {
             prop_assert_eq!(orch.opto_usage(o).cpu, 0.0);
+        }
+    }
+
+    /// Element failures read the reverse indexes: the chains a failure
+    /// recovers and the replicas it scales in are the ones the scans find,
+    /// through failures, restores, reoptimizations, scaling and churn.
+    #[test]
+    fn failures_recover_what_the_scans_find(
+        seed in 0u64..200,
+        script in proptest::collection::vec((0u8..6, 0usize..1000), 1..24),
+    ) {
+        let dc = dc_for(seed);
+        let (ctor, placer) = (PaperGreedy::new(), ElectronicOnlyPlacer::new());
+        let mut orch = Orchestrator::new();
+        let vms: Vec<VmId> = dc.vm_ids().collect();
+        let half = vms.len() / 2;
+        let groups = [vms[..half].to_vec(), vms[half..].to_vec()];
+        let all = elements(&dc);
+        for (op, pick) in script {
+            match op {
+                0 => {
+                    // Deploy into a group no live chain holds.
+                    let held: Vec<VmId> = orch.chains().map(|c| c.nfc().spec().ingress).collect();
+                    if let Some(group) = groups.iter().find(|g| !held.contains(&g[0])) {
+                        let spec = spec_for(pick as u8, group[0], *group.last().unwrap());
+                        let tenant = format!("tenant-{}", group[0].index());
+                        let _ = orch.deploy_chain(&dc, tenant, group.clone(), spec, &ctor, &placer);
+                    }
+                }
+                1 => {
+                    let element = all[pick % all.len()];
+                    let affected = affected_by_scan(&dc, &orch, element);
+                    let dead = replicas_on(&orch, element);
+                    let report = orch.fail_element(&dc, element, &ctor, &placer);
+                    let recovered: Vec<NfcId> = report.outcomes().keys().copied().collect();
+                    prop_assert_eq!(recovered, affected);
+                    prop_assert!(dead.iter().all(|&r| orch.instance(r).is_none()));
+                }
+                2 => {
+                    let failed = orch.health().failed();
+                    if !failed.is_empty() {
+                        orch.restore_element(failed[pick % failed.len()]);
+                        let _ = orch.reoptimize_degraded(&dc, &placer);
+                    }
+                }
+                3 => {
+                    let ids: Vec<NfcId> = orch.chains().map(|c| c.nfc().id()).collect();
+                    if let Some(&id) = ids.get(pick % ids.len().max(1)) {
+                        let _ = orch.scale_out(&dc, id, 0);
+                    }
+                }
+                4 => {
+                    let ids: Vec<NfcId> = orch.chains().map(|c| c.nfc().id()).collect();
+                    if let Some(&id) = ids.get(pick % ids.len().max(1)) {
+                        prop_assert!(orch.teardown_chain(id).is_ok());
+                    }
+                }
+                _ => {
+                    let ids: Vec<NfcId> = orch.chains().map(|c| c.nfc().id()).collect();
+                    if let Some(&id) = ids.get(pick % ids.len().max(1)) {
+                        let spec = orch.chain(id).unwrap().nfc().spec();
+                        let spec = spec_for(pick as u8 + 1, spec.ingress, spec.egress);
+                        let _ = orch.modify_chain(&dc, id, spec, &placer);
+                    }
+                }
+            }
+            prop_assert!(orch.manager().verify_disjoint());
+            prop_assert!(orch.verify_no_failed_references(&dc));
+            check_indexes(&dc, &orch);
         }
     }
 

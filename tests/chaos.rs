@@ -7,7 +7,7 @@ mod common;
 use alvc::core::clustering::tenant_clusters;
 use alvc::core::construction::PaperGreedy;
 use alvc::nfv::chain::fig5;
-use alvc::nfv::Orchestrator;
+use alvc::nfv::{HostLocation, NfcId, Orchestrator, VnfInstanceId};
 use alvc::placement::OpticalFirstPlacer;
 use alvc::topology::{
     AlvcTopologyBuilder, DataCenter, Element, OpsId, OpsInterconnect, ServerId, TorId,
@@ -27,6 +27,89 @@ fn build() -> DataCenter {
         .interconnect(OpsInterconnect::FullMesh)
         .seed(777)
         .build()
+}
+
+/// Every server, ToR and OPS of `dc`.
+fn elements(dc: &DataCenter) -> Vec<Element> {
+    let servers = (0..dc.server_count()).map(|i| Element::Server(ServerId(i)));
+    let tors = (0..dc.tor_count()).map(|i| Element::Tor(TorId(i)));
+    let ops = (0..dc.ops_count()).map(|i| Element::Ops(OpsId(i)));
+    servers.chain(tors).chain(ops).collect()
+}
+
+fn hosted_on(host: HostLocation, element: Element) -> bool {
+    match (host, element) {
+        (HostLocation::Server(s), Element::Server(e)) => s == e,
+        (HostLocation::OptoRouter(o), Element::Ops(e)) => o == e,
+        _ => false,
+    }
+}
+
+/// The live replicas on `element`, by a scan of every chain's replicas.
+fn replicas_on(orch: &Orchestrator, element: Element) -> Vec<VnfInstanceId> {
+    let replicas = orch.chains().flat_map(|c| orch.replicas_of(c.nfc().id()));
+    let on = |r: &VnfInstanceId| hosted_on(orch.instance(*r).unwrap().host(), element);
+    replicas.filter(on).collect()
+}
+
+/// `Orchestrator::element_in_use` as the whole-state scan it replaced
+/// answers it: a chain path crossing the element's node, a chain host or
+/// replica on the element, or a committed link ending at its node.
+fn in_use_by_scan(dc: &DataCenter, orch: &Orchestrator, element: Element) -> bool {
+    let node = dc.node_of_element(element).unwrap();
+    let ends_at_node = |&l: &alvc::graph::EdgeId| {
+        let (a, b) = dc.graph().edge_endpoints(l).unwrap();
+        a == node || b == node
+    };
+    orch.chains().any(|c| {
+        c.path().nodes().contains(&node)
+            || c.hosts().iter().any(|&h| hosted_on(h, element))
+            || c.edges().iter().any(ends_at_node)
+    }) || !replicas_on(orch, element).is_empty()
+}
+
+/// The chains `fail_element(element)` recovers, as the whole-state scan it
+/// replaced finds them before the failure: the path crosses the element's
+/// node, a host is the element, or the layer lists the element.
+fn affected_by_scan(dc: &DataCenter, orch: &Orchestrator, element: Element) -> Vec<NfcId> {
+    if !orch.health().is_up(element) {
+        return Vec::new();
+    }
+    let node = dc.node_of_element(element).unwrap();
+    let listed = |c: &alvc::nfv::DeployedChain| {
+        let al = orch.manager().cluster(c.cluster()).unwrap().al();
+        match element {
+            Element::Ops(o) => al.contains_ops(o),
+            Element::Tor(t) => al.tors().contains(&t),
+            Element::Server(_) => false,
+        }
+    };
+    let affected = orch.chains().filter(|c| {
+        c.path().nodes().contains(&node)
+            || c.hosts().iter().any(|&h| hosted_on(h, element))
+            || listed(c)
+    });
+    affected.map(|c| c.nfc().id()).collect()
+}
+
+/// The operator paths' reverse indexes answer as the scans they replaced:
+/// `element_in_use` for every element, `ops_owner` for every OPS.
+fn check_indexes(dc: &DataCenter, orch: &Orchestrator, step: usize) {
+    for element in elements(dc) {
+        assert_eq!(
+            orch.element_in_use(dc, element),
+            in_use_by_scan(dc, orch, element),
+            "step {step}: element_in_use({element})"
+        );
+    }
+    for o in dc.ops_ids() {
+        let owner = orch.manager().clusters().find(|vc| vc.al().contains_ops(o));
+        assert_eq!(
+            orch.manager().ops_owner(o),
+            owner.map(|vc| vc.id()),
+            "step {step}: ops_owner({o})"
+        );
+    }
 }
 
 /// Step count, overridable for the CI chaos job (`CHAOS_STEPS=1000`).
@@ -123,7 +206,15 @@ fn orchestrator_survives_chaotic_operation_mix() {
                         _ => Element::Ops(OpsId(rng.random_range(0..dc.ops_count()))),
                     };
                     let (ctor, placer) = (PaperGreedy::new(), OpticalFirstPlacer::new());
-                    let _ = orch.fail_element(&dc, element, &ctor, &placer);
+                    let affected = affected_by_scan(&dc, &orch, element);
+                    let dead = replicas_on(&orch, element);
+                    let report = orch.fail_element(&dc, element, &ctor, &placer);
+                    let recovered: Vec<NfcId> = report.outcomes().keys().copied().collect();
+                    assert_eq!(recovered, affected, "step {step}: chains {element} affects");
+                    assert!(
+                        dead.iter().all(|&r| orch.instance(r).is_none()),
+                        "step {step}: a replica on {element} survived"
+                    );
                 } else if let Some(&element) = orch.health().failed().first() {
                     assert!(orch.restore_element(element));
                     // Pull degraded chains back into their slices.
@@ -157,6 +248,7 @@ fn orchestrator_survives_chaotic_operation_mix() {
             chain_instances + orch.replica_count(),
             "step {step}: instance leak"
         );
+        check_indexes(&dc, &orch, step);
         for &(id, _) in &live {
             let chain = orch.chain(id).expect("live chain");
             let vc = orch.manager().cluster(chain.cluster()).expect("slice");
