@@ -33,7 +33,7 @@ use alvc_core::ClusterSpec;
 use alvc_nfv::{Intent, Orchestrator};
 use alvc_topology::{DataCenter, Element, PowerState};
 
-use crate::ledger::{all_elements, carrying_elements};
+use crate::ledger::all_elements;
 
 /// Tuning for the consolidation loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,20 +223,13 @@ impl ConsolidationPlanner {
     /// abstraction layer, honoring the free-OPS floor and the per-plan
     /// cap.
     fn power_down_candidates(&self, dc: &DataCenter, orch: &Orchestrator) -> Vec<Element> {
-        let carrying = carrying_elements(dc, orch);
         let mut free_ops_kept = 0usize;
         let mut out = Vec::new();
         for e in all_elements(dc) {
             if out.len() == self.config.max_power_downs {
                 break;
             }
-            if orch.power().state(e) == PowerState::PoweredOff || carrying.contains(&e) {
-                continue;
-            }
-            // The orchestrator's own predicate is authoritative (it also
-            // sees flow rules and bandwidth commitments); the capped
-            // candidate list keeps this exact check cheap.
-            if orch.element_in_use(dc, e) {
+            if orch.power().state(e) == PowerState::PoweredOff || orch.element_in_use(dc, e) {
                 continue;
             }
             if let Element::Ops(ops) = e {
@@ -415,7 +408,7 @@ mod tests {
         let plan = p.plan(&dc, &orch, &stats);
         assert!(!plan.power_downs.is_empty(), "ebb must consolidate");
         assert_eq!(p.mode(), ConsolidationMode::Consolidated);
-        let carrying = carrying_elements(&dc, &orch);
+        let carrying = crate::sweep::carrying_elements(&dc, &orch);
         for &e in &plan.power_downs {
             assert!(!carrying.contains(&e), "{e} carries live state");
             assert!(!orch.element_in_use(&dc, e));

@@ -2,17 +2,15 @@
 //!
 //! [`PowerLedger::sample`] computes the data center's instantaneous draw
 //! — every element priced by its power state and whether it carries
-//! anything, plus per-flow switching/conversion power — and integrates it
-//! into cumulative watt-seconds between samples (left-Riemann: the draw
-//! measured at a sample is charged until the next one). Sampling is a
+//! anything ([`Orchestrator::element_in_use`]), plus per-flow
+//! switching/conversion power — and integrates it into cumulative
+//! watt-seconds between samples (left-Riemann: the draw measured at a
+//! sample is charged until the next one). Sampling is a
 //! pure function of orchestrator state and the sample timestamps, so a
 //! replayed run integrates to bit-identical joules.
 
-use std::collections::BTreeSet;
-
-use alvc_graph::NodeId;
-use alvc_nfv::{HostLocation, Orchestrator};
-use alvc_topology::{DataCenter, Element, PhysNode, PowerState};
+use alvc_nfv::Orchestrator;
+use alvc_topology::{DataCenter, Element, PowerState};
 
 use crate::model::{ElementFamily, PowerModel};
 
@@ -70,51 +68,6 @@ pub struct PowerLedger {
     samples: u64,
 }
 
-/// The substrate element a path node corresponds to.
-fn element_of_node(dc: &DataCenter, n: NodeId) -> Option<Element> {
-    match dc.graph().node_weight(n)? {
-        PhysNode::Server(s) => Some(Element::Server(*s)),
-        PhysNode::Tor(t) => Some(Element::Tor(*t)),
-        PhysNode::Ops { id, .. } => Some(Element::Ops(*id)),
-    }
-}
-
-fn element_of_host(host: HostLocation) -> Element {
-    match host {
-        HostLocation::Server(s) => Element::Server(s),
-        HostLocation::OptoRouter(o) => Element::Ops(o),
-    }
-}
-
-/// Every element touched by a live chain: path nodes, VNF hosts, and
-/// scale-out replica hosts — the set that must draw active watts (and that
-/// consolidation must never power off). One sweep over the chains, so
-/// pricing a 100k-VM snapshot does not pay per-element scans.
-pub fn carrying_elements(dc: &DataCenter, orch: &Orchestrator) -> BTreeSet<Element> {
-    let mut used = BTreeSet::new();
-    for chain in orch.chains() {
-        for &n in chain.path().nodes() {
-            if let Some(e) = element_of_node(dc, n) {
-                used.insert(e);
-            }
-        }
-        for &h in chain.hosts() {
-            used.insert(element_of_host(h));
-        }
-        for &iid in chain.instances() {
-            if let Some(i) = orch.instance(iid) {
-                used.insert(element_of_host(i.host()));
-            }
-        }
-        for iid in orch.replicas_of(chain.nfc().id()) {
-            if let Some(i) = orch.instance(iid) {
-                used.insert(element_of_host(i.host()));
-            }
-        }
-    }
-    used
-}
-
 impl PowerLedger {
     /// A ledger pricing with `model`, starting at zero joules.
     pub fn new(model: PowerModel) -> Self {
@@ -131,22 +84,37 @@ impl PowerLedger {
         self.energy_j
     }
 
-    /// Instantaneous draw of the data center under `orch`'s current
-    /// element states and flows. Pure — does not advance the ledger.
-    pub(crate) fn measure(&self, dc: &DataCenter, orch: &Orchestrator) -> PowerBreakdown {
-        let carrying = carrying_elements(dc, orch);
-        let mut power = PowerBreakdown::default();
+    /// The sample of `orch`'s current element states and flows at `ts_s`,
+    /// holding the energy integrated so far: one pass over the elements
+    /// prices and counts each, asking [`Orchestrator::element_in_use`]
+    /// whether it carries anything. Pure — does not advance the ledger.
+    pub(crate) fn measure(&self, dc: &DataCenter, orch: &Orchestrator, ts_s: f64) -> PowerSample {
+        let mut sample = PowerSample {
+            ts_s,
+            power: PowerBreakdown::default(),
+            powered_off: 0,
+            idle: 0,
+            carrying: 0,
+            energy_j: self.energy_j,
+        };
         for e in all_elements(dc) {
             let state = orch.power().state(e);
-            let w = self.model.element_power_w(e, state, carrying.contains(&e));
-            *power.family_mut(ElementFamily::of(e)) += w;
+            // A powered-off element draws nothing and counts as off.
+            let carrying = state != PowerState::PoweredOff && orch.element_in_use(dc, e);
+            let w = self.model.element_power_w(e, state, carrying);
+            *sample.power.family_mut(ElementFamily::of(e)) += w;
+            match state {
+                PowerState::PoweredOff => sample.powered_off += 1,
+                _ if carrying => sample.carrying += 1,
+                _ => sample.idle += 1,
+            }
         }
         for chain in orch.chains() {
-            power.flow_w += self
+            sample.power.flow_w += self
                 .model
                 .flow_power_w(chain.path(), chain.nfc().spec().bandwidth_gbps);
         }
-        power
+        sample
     }
 
     /// Takes a sample at `ts_s` (caller's monotone clock): measures the
@@ -156,23 +124,15 @@ impl PowerLedger {
     /// Out-of-order timestamps charge nothing (the interval is clamped to
     /// zero) rather than rewinding the ledger.
     pub fn sample(&mut self, dc: &DataCenter, orch: &Orchestrator, ts_s: f64) -> PowerSample {
-        let power = self.measure(dc, orch);
+        let mut sample = self.measure(dc, orch, ts_s);
+        let power = sample.power;
         if let Some((t0, w0)) = self.last {
             let dt = (ts_s - t0).max(0.0);
             self.energy_j += w0 * dt;
         }
+        sample.energy_j = self.energy_j;
         self.last = Some((ts_s, power.total_w()));
         self.samples += 1;
-
-        let carrying_set = carrying_elements(dc, orch);
-        let (mut off, mut idle, mut carrying) = (0usize, 0usize, 0usize);
-        for e in all_elements(dc) {
-            match orch.power().state(e) {
-                PowerState::PoweredOff => off += 1,
-                _ if carrying_set.contains(&e) => carrying += 1,
-                _ => idle += 1,
-            }
-        }
 
         alvc_telemetry::gauge!("alvc_energy.power.total_w").set(power.total_w());
         alvc_telemetry::gauge_with("alvc_energy.power.family_w", "ops").set(power.ops_w);
@@ -180,19 +140,11 @@ impl PowerLedger {
         alvc_telemetry::gauge_with("alvc_energy.power.family_w", "server").set(power.server_w);
         alvc_telemetry::gauge_with("alvc_energy.power.family_w", "flow").set(power.flow_w);
         alvc_telemetry::gauge!("alvc_energy.ledger.energy_j").set(self.energy_j);
-        alvc_telemetry::gauge!("alvc_energy.elements.powered_off").set(off as f64);
-        alvc_telemetry::gauge!("alvc_energy.elements.idle").set(idle as f64);
-        alvc_telemetry::gauge!("alvc_energy.elements.carrying").set(carrying as f64);
+        alvc_telemetry::gauge!("alvc_energy.elements.powered_off").set(sample.powered_off as f64);
+        alvc_telemetry::gauge!("alvc_energy.elements.idle").set(sample.idle as f64);
+        alvc_telemetry::gauge!("alvc_energy.elements.carrying").set(sample.carrying as f64);
         alvc_telemetry::counter!("alvc_energy.ledger.samples").incr();
-
-        PowerSample {
-            ts_s,
-            power,
-            powered_off: off,
-            idle,
-            carrying,
-            energy_j: self.energy_j,
-        }
+        sample
     }
 }
 
@@ -244,7 +196,7 @@ mod tests {
         let dc = dc();
         let orch = Orchestrator::new();
         let ledger = PowerLedger::new(PowerModel::default());
-        let power = ledger.measure(&dc, &orch);
+        let power = ledger.measure(&dc, &orch, 0.0).power;
         let m = ledger.model;
         let expect = dc.ops_count() as f64 * m.ops_idle_w
             + dc.tor_count() as f64 * m.tor_idle_w
@@ -258,12 +210,15 @@ mod tests {
         let dc = dc();
         let mut orch = Orchestrator::new();
         let ledger = PowerLedger::new(PowerModel::default());
-        let before = ledger.measure(&dc, &orch);
+        let before = ledger.measure(&dc, &orch, 0.0);
         deploy(&dc, &mut orch);
-        let after = ledger.measure(&dc, &orch);
-        assert!(after.total_w() > before.total_w());
-        assert!(after.flow_w > 0.0, "flows draw switching power");
-        assert!(!carrying_elements(&dc, &orch).is_empty());
+        let after = ledger.measure(&dc, &orch, 0.0);
+        assert!(after.power.total_w() > before.power.total_w());
+        assert!(after.power.flow_w > 0.0, "flows draw switching power");
+        let carrying = crate::sweep::carrying_elements(&dc, &orch).len();
+        assert!(carrying > 0);
+        assert_eq!(after.carrying, carrying);
+        assert_eq!(after.idle + after.carrying, before.idle);
     }
 
     #[test]
@@ -271,11 +226,11 @@ mod tests {
         let dc = dc();
         let mut orch = Orchestrator::new();
         let ledger = PowerLedger::new(PowerModel::default());
-        let before = ledger.measure(&dc, &orch);
+        let before = ledger.measure(&dc, &orch, 0.0).power;
         let ops = dc.ops_ids().next().unwrap();
         orch.set_power_state(&dc, Element::Ops(ops), PowerState::PoweredOff)
             .unwrap();
-        let after = ledger.measure(&dc, &orch);
+        let after = ledger.measure(&dc, &orch, 0.0).power;
         assert!(
             (before.total_w() - after.total_w() - ledger.model.ops_idle_w).abs() < 1e-9,
             "one idle OPS's draw disappears"

@@ -38,3 +38,7 @@ pub use consolidate::{
 };
 pub use ledger::{PowerBreakdown, PowerLedger, PowerSample};
 pub use model::{ElementFamily, PowerModel};
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod sweep;

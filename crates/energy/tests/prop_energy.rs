@@ -4,18 +4,20 @@
 //! seeded history — deploys, load signal, planning, ledger sampling —
 //! reproduces bit-identical joules, plans, and control-plane state views.
 
+mod common;
+
 use std::sync::Arc;
 
 use alvc_affinity::{CollectorConfig, TrafficCollector, TrafficStats};
 use alvc_core::construction::PaperGreedy;
-use alvc_energy::ledger::carrying_elements;
 use alvc_energy::{ConsolidationConfig, ConsolidationPlanner, PowerLedger, PowerModel};
 use alvc_nfv::chain::fig5;
 use alvc_nfv::{
     ChainSpec, ControlPlane, ElectronicOnlyPlacer, Intent, NfcId, Orchestrator, QosClass,
     TenantQuota,
 };
-use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect, PowerState, VmId};
+use alvc_topology::{AlvcTopologyBuilder, DataCenter, Element, OpsInterconnect, PowerState, VmId};
+use common::carrying_elements;
 use proptest::prelude::*;
 
 fn dc_for(seed: u64, racks: usize) -> DataCenter {
@@ -139,6 +141,21 @@ proptest! {
         for &e in &carrying_after {
             prop_assert_eq!(orch.power().state(e), PowerState::Active);
         }
+        // A ledger sample counts what the sweep finds.
+        let sample = PowerLedger::new(PowerModel::default()).sample(&dc, &orch, 0.0);
+        let elements: Vec<Element> = dc
+            .ops_ids()
+            .map(Element::Ops)
+            .chain(dc.tor_ids().map(Element::Tor))
+            .chain(dc.server_ids().map(Element::Server))
+            .collect();
+        let off = elements
+            .iter()
+            .filter(|&&e| orch.power().state(e) == PowerState::PoweredOff)
+            .count();
+        prop_assert_eq!(sample.powered_off, off);
+        prop_assert_eq!(sample.carrying, carrying_after.len());
+        prop_assert_eq!(sample.idle, elements.len() - off - carrying_after.len());
     }
 
     /// SLO gate: when any QoS-classed chain's predicted latency exceeds

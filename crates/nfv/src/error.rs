@@ -4,9 +4,8 @@
 //! [`PlacementError`]) describe exactly what went wrong inside one
 //! subsystem; the unified [`enum@Error`] wraps them (plus routing and
 //! control-plane admission failures) so every [`crate::Orchestrator`] and
-//! [`crate::ControlPlane`] entry point returns a single type. Match on
-//! [`Error::kind`] for stable coarse dispatch, or destructure the wrapped
-//! enum when the detail matters.
+//! [`crate::ControlPlane`] entry point returns a single type. Match on the
+//! wrapped enum; [`Error::code`] names the failure as a stable string.
 
 use std::error::Error as StdError;
 use std::fmt;
@@ -305,10 +304,10 @@ impl StdError for PowerError {}
 /// keep working one level down:
 ///
 /// ```
-/// use alvc_nfv::{DeployError, Error, ErrorKind, NfcId};
+/// use alvc_nfv::{DeployError, Error, NfcId};
 ///
 /// let e = Error::from(DeployError::UnknownChain(NfcId(7)));
-/// assert_eq!(e.kind(), ErrorKind::UnknownChain);
+/// assert_eq!(e.code(), "unknown_chain");
 /// match e {
 ///     Error::Deploy(DeployError::UnknownChain(id)) => assert_eq!(id, NfcId(7)),
 ///     other => panic!("unexpected {other}"),
@@ -330,101 +329,17 @@ pub enum Error {
     Power(PowerError),
 }
 
-/// Coarse, stable classification of an [`enum@Error`]; use it to dispatch
-/// without matching the wrapped enums exhaustively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum ErrorKind {
-    /// Virtual cluster / abstraction layer construction failed.
-    Cluster,
-    /// VNF placement failed.
-    Placement,
-    /// Path routing failed.
-    Routing,
-    /// A referenced chain does not exist.
-    UnknownChain,
-    /// Chain endpoints left the tenant's VM group.
-    EndpointOutsideCluster,
-    /// A link cannot carry the requested bandwidth.
-    InsufficientBandwidth,
-    /// A switch flow table is full.
-    RuleTableFull,
-    /// The routed path exceeds the chain's latency budget.
-    LatencyBudgetExceeded,
-    /// A path references a link missing from the topology.
-    MissingEdge,
-    /// A chain endpoint VM sits on a failed server.
-    EndpointFailed,
-    /// The chain specification is malformed.
-    InvalidSpec,
-    /// The placement violates one of the chain's placement rules.
-    RuleViolated,
-    /// An illegal VNF lifecycle transition.
-    Lifecycle,
-    /// The control plane's admission checks rejected the request.
-    Admission,
-    /// A power-state transition was rejected.
-    Power,
-}
-
-impl ErrorKind {
-    /// A stable machine-readable reason code, used as the `code` field of
-    /// trace spans and flight-recorder dumps.
-    pub(crate) fn code(self) -> &'static str {
-        match self {
-            ErrorKind::Cluster => "cluster",
-            ErrorKind::Placement => "placement",
-            ErrorKind::Routing => "routing",
-            ErrorKind::UnknownChain => "unknown_chain",
-            ErrorKind::EndpointOutsideCluster => "endpoint_outside_cluster",
-            ErrorKind::InsufficientBandwidth => "insufficient_bandwidth",
-            ErrorKind::RuleTableFull => "rule_table_full",
-            ErrorKind::LatencyBudgetExceeded => "latency_budget_exceeded",
-            ErrorKind::MissingEdge => "missing_edge",
-            ErrorKind::EndpointFailed => "endpoint_failed",
-            ErrorKind::InvalidSpec => "invalid_spec",
-            ErrorKind::RuleViolated => "rule_violated",
-            ErrorKind::Lifecycle => "lifecycle",
-            ErrorKind::Admission => "admission",
-            ErrorKind::Power => "power",
-        }
-    }
-}
-
 impl Error {
-    /// A stable machine-readable reason code: admission rejections and
-    /// deploy failures report their specific variant's code, everything
-    /// else the code of its [`ErrorKind`].
+    /// A stable machine-readable reason code, used as the `code` field of
+    /// trace spans and flight-recorder dumps: admission rejections, deploy
+    /// failures and power rejections report their specific variant's code.
     pub fn code(&self) -> &'static str {
         match self {
             Error::Admission(e) => e.code(),
             Error::Deploy(e) => e.code(),
             Error::Power(e) => e.code(),
-            other => other.kind().code(),
-        }
-    }
-
-    /// The coarse, stable classification of this error.
-    pub fn kind(&self) -> ErrorKind {
-        match self {
-            Error::Deploy(e) => match e {
-                DeployError::Cluster(_) => ErrorKind::Cluster,
-                DeployError::Placement(_) => ErrorKind::Placement,
-                DeployError::Routing(_) => ErrorKind::Routing,
-                DeployError::UnknownChain(_) => ErrorKind::UnknownChain,
-                DeployError::EndpointOutsideCluster => ErrorKind::EndpointOutsideCluster,
-                DeployError::InsufficientBandwidth { .. } => ErrorKind::InsufficientBandwidth,
-                DeployError::RuleTableFull(_) => ErrorKind::RuleTableFull,
-                DeployError::LatencyBudgetExceeded { .. } => ErrorKind::LatencyBudgetExceeded,
-                DeployError::MissingEdge { .. } => ErrorKind::MissingEdge,
-                DeployError::EndpointFailed => ErrorKind::EndpointFailed,
-                DeployError::InvalidSpec(_) => ErrorKind::InvalidSpec,
-                DeployError::RuleViolated { .. } => ErrorKind::RuleViolated,
-            },
-            Error::Lifecycle(_) => ErrorKind::Lifecycle,
-            Error::Routing(_) => ErrorKind::Routing,
-            Error::Admission(_) => ErrorKind::Admission,
-            Error::Power(_) => ErrorKind::Power,
+            Error::Lifecycle(_) => "lifecycle",
+            Error::Routing(_) => "routing",
         }
     }
 
@@ -554,33 +469,27 @@ mod tests {
     }
 
     #[test]
-    fn unified_error_kinds_are_stable() {
-        let cases: Vec<(Error, ErrorKind)> = vec![
+    fn unified_error_codes_are_stable() {
+        let cases: Vec<(Error, &str)> = vec![
             (
                 DeployError::EndpointOutsideCluster.into(),
-                ErrorKind::EndpointOutsideCluster,
+                "endpoint_outside_cluster",
             ),
-            (
-                DeployError::UnknownChain(NfcId(1)).into(),
-                ErrorKind::UnknownChain,
-            ),
+            (DeployError::UnknownChain(NfcId(1)).into(), "unknown_chain"),
             (
                 LifecycleError {
                     from: VnfState::Active,
                     to: VnfState::Requested,
                 }
                 .into(),
-                ErrorKind::Lifecycle,
+                "lifecycle",
             ),
-            (RoutingError::TooFewWaypoints.into(), ErrorKind::Routing),
-            (ConstructionError::EmptyCluster.into(), ErrorKind::Cluster),
-            (
-                PlacementError::NoElectronicHost.into(),
-                ErrorKind::Placement,
-            ),
+            (RoutingError::TooFewWaypoints.into(), "routing"),
+            (ConstructionError::EmptyCluster.into(), "cluster"),
+            (PlacementError::NoElectronicHost.into(), "placement"),
         ];
-        for (e, kind) in cases {
-            assert_eq!(e.kind(), kind, "{e:?}");
+        for (e, code) in cases {
+            assert_eq!(e.code(), code, "{e:?}");
             assert!(e.source().is_some() || !e.to_string().is_empty());
         }
     }
@@ -591,7 +500,7 @@ mod tests {
             requested_gbps: 5.0,
             available_gbps: 1.0,
         });
-        assert_eq!(e.kind(), ErrorKind::InsufficientBandwidth);
+        assert_eq!(e.code(), "insufficient_bandwidth");
         assert!(matches!(
             e.as_deploy(),
             Some(DeployError::InsufficientBandwidth { .. })

@@ -64,10 +64,10 @@ pub use control::{
     ControlPlaneBuilder, InstanceView, Intent, IntentEffect, IntentId, IntentKind, IntentLog,
     IntentOutcome, IntentRecord, SchedulerMode, StateView, TenantQuota, TenantView,
 };
-pub use error::{DeployError, Error, ErrorKind, LifecycleError, PlacementError, PowerError};
+pub use error::{DeployError, Error, LifecycleError, PlacementError, PowerError};
 pub use lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 pub use orchestrator::{DeployedChain, Orchestrator, OrchestratorBuilder};
 pub use placement::{ElectronicOnlyPlacer, PlacementContext, VnfPlacer};
 pub use recovery::{RecoveryOutcome, RecoveryReport};
-pub use sdn::{FlowRule, SdnController, TableFull};
+pub use sdn::{SdnController, TableFull};
 pub use vnf::{ResourceDemand, VnfSpec, VnfType};

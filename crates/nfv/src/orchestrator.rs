@@ -115,8 +115,7 @@ pub struct Orchestrator {
     pub(crate) host_used: HostLedger,
     /// Committed bandwidth per physical link, in integer kb/s: float Gb/s
     /// release math drifts around removal thresholds under churn, integer
-    /// arithmetic round-trips exactly. Pod-sharded on multi-pod topologies
-    /// (see [`ShardedLedger`]); unbound it behaves as one flat map.
+    /// arithmetic round-trips exactly.
     pub(crate) link_committed: ShardedLedger,
     pub(crate) replicas: BTreeMap<VnfInstanceId, (NfcId, usize)>,
     /// The keys of `replicas` ordered by chain, so a chain's replicas are
@@ -502,9 +501,6 @@ impl Orchestrator {
         spec: ChainSpec,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, DeployError> {
-        // Idempotent: partitions the bandwidth ledger by pod the first time
-        // a multi-pod topology is seen (a cheap no-op afterwards).
-        self.link_committed.bind_pods(dc);
         let choice = HostChoice::Place(placer);
         let plan = self.plan(dc, cluster, &spec, choice, Scope::Slice)?;
         let id = NfcId(self.next_chain);

@@ -3,7 +3,9 @@
 //! "SDN controller provision, control, and manage the optical network and
 //! provide virtual connectivity services to users between VMs hosting
 //! VNFs." Concretely it installs one forwarding rule per switch along each
-//! chain's path and tracks, per switch, the chains holding a rule there.
+//! chain's path and tracks, per switch, the chains holding a rule there. A
+//! chain's rules are its path's switches in order: the rule on a switch
+//! matches traffic from the switch before it and forwards to the one after.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -11,19 +13,6 @@ use alvc_graph::NodeId;
 use alvc_optical::HybridPath;
 
 use crate::chain::NfcId;
-
-/// A forwarding rule installed on one switch for one chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowRule {
-    /// The chain the rule belongs to.
-    pub chain: NfcId,
-    /// Switch (graph node) holding the rule.
-    pub switch: NodeId,
-    /// Where matched packets come from (previous hop), if any.
-    pub in_port: Option<NodeId>,
-    /// Where matched packets go (next hop), if any.
-    pub out_port: Option<NodeId>,
-}
 
 /// Tracks installed flow rules per chain and per switch.
 ///
@@ -45,7 +34,8 @@ pub struct FlowRule {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SdnController {
-    rules: BTreeMap<NfcId, Vec<FlowRule>>,
+    /// Per chain, the switches holding its rules, in path order.
+    rules: BTreeMap<NfcId, Vec<NodeId>>,
     /// Per switch, the chains with a rule on it, one entry per rule and in
     /// no order: the list's length is the switch's table occupancy, and as
     /// a chain holds one rule per node of its path, the list names the
@@ -118,8 +108,8 @@ impl SdnController {
             // Slots freed by replacing this chain's old rules.
             let mut freed: HashMap<NodeId, usize> = HashMap::new();
             if let Some(old) = self.rules.get(&chain) {
-                for r in old {
-                    *freed.entry(r.switch).or_insert(0) += 1;
+                for &n in old {
+                    *freed.entry(n).or_insert(0) += 1;
                 }
             }
             let mut incoming: HashMap<NodeId, usize> = HashMap::new();
@@ -144,37 +134,29 @@ impl SdnController {
     pub fn install_path(&mut self, chain: NfcId, path: &HybridPath) -> usize {
         self.remove_chain(chain);
         let nodes = path.nodes();
-        let mut rules = Vec::with_capacity(nodes.len());
-        for (i, &n) in nodes.iter().enumerate() {
-            rules.push(FlowRule {
-                chain,
-                switch: n,
-                in_port: (i > 0).then(|| nodes[i - 1]),
-                out_port: (i + 1 < nodes.len()).then(|| nodes[i + 1]),
-            });
+        for &n in nodes {
             self.per_switch.entry(n).or_default().push(chain);
         }
-        let count = rules.len();
-        self.total += count;
-        self.rules.insert(chain, rules);
-        count
+        self.total += nodes.len();
+        self.rules.insert(chain, nodes.to_vec());
+        nodes.len()
     }
 
     /// Removes every rule of `chain`; returns how many were removed.
     pub fn remove_chain(&mut self, chain: NfcId) -> usize {
-        let Some(rules) = self.rules.remove(&chain) else {
+        let Some(switches) = self.rules.remove(&chain) else {
             return 0;
         };
-        for r in &rules {
+        for n in &switches {
             let chains = self
                 .per_switch
-                .get_mut(&r.switch)
+                .get_mut(n)
                 .expect("a rule's switch has a list");
             let at = chains.iter().position(|&c| c == chain);
             chains.swap_remove(at.expect("a rule's chain is on its switch's list"));
         }
-        self.total -= rules.len();
-        rules.len()
+        self.total -= switches.len();
+        switches.len()
     }
 
     /// Number of rules resident on `switch`.
@@ -188,12 +170,14 @@ impl SdnController {
         self.per_switch.get(&switch).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether every switch's chain list holds what a scan of the installed
-    /// rules finds there: the oracle of the per-switch lists.
+    /// Whether every switch's chain list holds what a scan of the chains'
+    /// switch lists finds there: the oracle of the per-switch lists.
     pub(crate) fn lists_match_rules(&self) -> bool {
         let mut scanned: HashMap<NodeId, Vec<NfcId>> = HashMap::new();
-        for r in self.rules.values().flatten() {
-            scanned.entry(r.switch).or_default().push(r.chain);
+        for (&chain, switches) in &self.rules {
+            for &n in switches {
+                scanned.entry(n).or_default().push(chain);
+            }
         }
         let listed = self
             .per_switch
@@ -208,10 +192,10 @@ impl SdnController {
             })
     }
 
-    /// The rules currently installed for `chain` (empty if none).
+    /// The switches holding `chain`'s rules, in path order (empty if none).
     #[cfg(test)]
-    fn rules_for_chain(&self, chain: NfcId) -> &[FlowRule] {
-        self.rules.get(&chain).map_or(&[], |v| v.as_slice())
+    fn rules_for_chain(&self, chain: NfcId) -> &[NodeId] {
+        self.rules.get(&chain).map_or(&[], Vec::as_slice)
     }
 
     /// Total rules across all switches.
@@ -238,11 +222,10 @@ mod tests {
         let mut ctl = SdnController::new();
         assert_eq!(ctl.install_path(NfcId(0), &path(&[0, 1, 2, 3])), 4);
         assert_eq!(ctl.total_rules(), 4);
-        let rules = ctl.rules_for_chain(NfcId(0));
-        assert_eq!(rules[0].in_port, None);
-        assert_eq!(rules[0].out_port, Some(NodeId(1)));
-        assert_eq!(rules[3].in_port, Some(NodeId(2)));
-        assert_eq!(rules[3].out_port, None);
+        // In path order: each rule's ports are its neighbours in the list.
+        let switches = [0, 1, 2, 3].map(NodeId);
+        assert_eq!(ctl.rules_for_chain(NfcId(0)), switches);
+        assert!(ctl.lists_match_rules());
     }
 
     #[test]
@@ -278,9 +261,7 @@ mod tests {
         let mut ctl = SdnController::new();
         let p = HybridPath::new(vec![NodeId(7)], vec![], 0.0);
         assert_eq!(ctl.install_path(NfcId(0), &p), 1);
-        let rules = ctl.rules_for_chain(NfcId(0));
-        assert_eq!(rules[0].in_port, None);
-        assert_eq!(rules[0].out_port, None);
+        assert_eq!(ctl.rules_for_chain(NfcId(0)), [NodeId(7)]);
     }
 }
 

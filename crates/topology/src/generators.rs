@@ -160,8 +160,7 @@ impl AlvcTopologyBuilder {
     /// ToR uplinks and the OPS interconnect stay pod-local, and a boundary
     /// ring over the first OPS of each pod keeps the core connected.
     ///
-    /// `pods(1)` (the default) is exactly the historical single-pod
-    /// generator: identical RNG stream, identical topology.
+    /// `pods(1)` (the default) is one pod with no boundary ring.
     pub fn pods(mut self, n: usize) -> Self {
         self.pods = n.max(1);
         self
@@ -184,7 +183,12 @@ impl AlvcTopologyBuilder {
         self
     }
 
-    /// Generates the data center.
+    /// Generates the data center: the configured shape is instantiated
+    /// once per pod (pod-major element ids), every random choice stays
+    /// pod-local, and a boundary ring over the first OPS of each pod (or
+    /// over each gateway lane) joins the per-pod cores. Each pod draws, in
+    /// order, its services, opto shuffle, uplinks, dual-homing and core; a
+    /// single pod gets no gateways and no ring.
     ///
     /// # Panics
     ///
@@ -196,57 +200,113 @@ impl AlvcTopologyBuilder {
             "need at least one server per rack"
         );
         assert!(self.ops_count > 0, "need at least one OPS");
-        if self.pods > 1 {
-            return self.build_pods();
-        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let degree = self.tor_ops_degree.clamp(1, self.ops_count);
+        // The graph is sized up front: at hyperscale its link list runs to
+        // tens of MB, and a list regrown by doubling can settle in
+        // whichever allocator arena its first few bytes came from — a
+        // different one from one build to the next, which showed as a
+        // 17 MiB swing in peak RSS.
         let mut dc = DataCenter::with_capacity(self.size());
-
-        // Racks, servers, VMs.
-        let mut tor_ids = Vec::with_capacity(self.racks);
-        for _ in 0..self.racks {
-            let (rack, tor) = dc.add_rack();
-            dc.reserve_rack(rack, self.servers_per_rack, degree);
-            tor_ids.push(tor);
-            for _ in 0..self.servers_per_rack {
-                let server = dc.add_server(rack);
-                for _ in 0..self.vms_per_server {
-                    let service = self.service_mix.sample(rng.random());
-                    dc.add_vm(server, service);
-                }
-            }
-        }
-
-        // OPS core: first `ceil(fraction * n)` switches optoelectronic, then
-        // shuffled so positions are random but the count exact.
+        let lanes = if self.pods > 1 {
+            self.boundary_gateways
+        } else {
+            0
+        };
+        // Per pod gateway lane, the links its gateway gets from the lane
+        // ring.
+        let lane_links = ring_degree(self.pods);
         let n_opto = (self.opto_fraction * self.ops_count as f64).round() as usize;
-        let mut opto_flags: Vec<bool> = (0..self.ops_count).map(|i| i < n_opto).collect();
-        opto_flags.shuffle(&mut rng);
-        let ops_ids: Vec<_> = opto_flags
-            .iter()
-            .map(|&is_opto| dc.add_ops(is_opto.then_some(self.opto_capacity)))
-            .collect();
+        let mut pod_first_ops = Vec::with_capacity(self.pods);
+        let mut pod_gateways: Vec<Vec<crate::OpsId>> = Vec::with_capacity(self.pods);
 
-        // ToR uplinks.
-        self.connect_uplinks(&mut dc, &tor_ids, &ops_ids, &mut rng);
-
-        // Dual-homing.
-        if self.dual_home_prob > 0.0 && self.racks > 1 {
-            for server in dc.server_ids().collect::<Vec<_>>() {
-                if rng.random::<f64>() < self.dual_home_prob {
-                    let home = dc.rack_of_server(server);
-                    let mut other = rng.random_range(0..self.racks);
-                    if other == home.index() {
-                        other = (other + 1) % self.racks;
+        for pod in 0..self.pods {
+            let pod_id = PodId(pod);
+            // Racks, servers, VMs of this pod.
+            let mut tor_ids = Vec::with_capacity(self.racks);
+            for _ in 0..self.racks {
+                let (rack, tor) = dc.add_rack_in_pod(pod_id);
+                dc.reserve_rack(rack, self.servers_per_rack, degree);
+                tor_ids.push(tor);
+                for _ in 0..self.servers_per_rack {
+                    let server = dc.add_server(rack);
+                    for _ in 0..self.vms_per_server {
+                        let service = self.service_mix.sample(rng.random());
+                        dc.add_vm(server, service);
                     }
-                    dc.add_access_link(server, TorId(other));
                 }
             }
+
+            // This pod's OPS slice, opto flags shuffled pod-locally.
+            let mut opto_flags: Vec<bool> = (0..self.ops_count).map(|i| i < n_opto).collect();
+            opto_flags.shuffle(&mut rng);
+            let ops_ids: Vec<_> = opto_flags
+                .iter()
+                .map(|&is_opto| dc.add_ops_in_pod(is_opto.then_some(self.opto_capacity), pod_id))
+                .collect();
+            pod_first_ops.push(ops_ids[0]);
+
+            // Pod-local uplinks: round-robin first, random extras.
+            self.connect_uplinks(&mut dc, &tor_ids, &ops_ids, &mut rng);
+
+            // Pod-local dual-homing.
+            if self.dual_home_prob > 0.0 && self.racks > 1 {
+                let first_rack = pod * self.racks;
+                let first_server = pod * self.racks * self.servers_per_rack;
+                let n_servers = self.racks * self.servers_per_rack;
+                for s in first_server..first_server + n_servers {
+                    if rng.random::<f64>() < self.dual_home_prob {
+                        let server = crate::ServerId(s);
+                        let home = dc.rack_of_server(server);
+                        let mut other = rng.random_range(0..self.racks);
+                        if first_rack + other == home.index() {
+                            other = (other + 1) % self.racks;
+                        }
+                        dc.add_access_link(server, tor_ids[other]);
+                    }
+                }
+            }
+
+            // Pod-local OPS interconnect, with room for the gateway links.
+            self.connect_core(&mut dc, &ops_ids, &mut rng, lanes);
+
+            // Dedicated boundary gateways: pure-optical, no ToR uplinks
+            // (zero VM coverage — greedy never selects them), meshed into
+            // the pod-local core so any intra-pod layer reaches them in
+            // one hop. Each pair is new.
+            let gws: Vec<crate::OpsId> = (0..lanes)
+                .map(|_| dc.add_ops_in_pod(None, pod_id))
+                .collect();
+            for &g in &gws {
+                dc.connect_gateway(g, &ops_ids, lane_links);
+            }
+            pod_gateways.push(gws);
         }
 
-        // OPS interconnect.
-        self.connect_core(&mut dc, &ops_ids, &mut rng, 0);
+        if lanes > 0 {
+            // One boundary ring per gateway lane: lane i of pod p connects
+            // to lane i of pod p+1, so up to `boundary_gateways` mutually
+            // OPS-disjoint abstraction layers can each claim a lane.
+            for p in 0..self.pods {
+                let next = (p + 1) % self.pods;
+                let pairs: Vec<(crate::OpsId, crate::OpsId)> = pod_gateways[p]
+                    .iter()
+                    .zip(&pod_gateways[next])
+                    .map(|(&a, &b)| (a, b))
+                    .collect();
+                for (a, b) in pairs {
+                    dc.connect_ops_ops(a, b);
+                }
+            }
+        } else {
+            // Boundary ring over the pods' first OPSs keeps the core
+            // connected while crossing pods through exactly one well-known
+            // gateway pair. A single pod's ring is a self-connection,
+            // which adds no link.
+            for p in 0..self.pods {
+                dc.connect_ops_ops(pod_first_ops[p], pod_first_ops[(p + 1) % self.pods]);
+            }
+        }
         dc
     }
 
@@ -356,115 +416,6 @@ impl AlvcTopologyBuilder {
                 }
             }
         }
-    }
-
-    /// The multi-pod generator behind [`AlvcTopologyBuilder::pods`]: the
-    /// configured shape is instantiated once per pod (pod-major element
-    /// ids), every random choice stays pod-local, and a boundary ring over
-    /// the first OPS of each pod joins the per-pod cores.
-    fn build_pods(&self) -> DataCenter {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let degree = self.tor_ops_degree.clamp(1, self.ops_count);
-        // The graph is sized up front: at hyperscale its link list runs to
-        // tens of MB, and a list regrown by doubling can settle in
-        // whichever allocator arena its first few bytes came from — a
-        // different one from one build to the next, which showed as a
-        // 17 MiB swing in peak RSS.
-        let mut dc = DataCenter::with_capacity(self.size());
-        // Per pod gateway lane, the links its gateway gets from the lane
-        // ring.
-        let lane_links = ring_degree(self.pods);
-        let n_opto = (self.opto_fraction * self.ops_count as f64).round() as usize;
-        let mut pod_first_ops = Vec::with_capacity(self.pods);
-        let mut pod_gateways: Vec<Vec<crate::OpsId>> = Vec::with_capacity(self.pods);
-
-        for pod in 0..self.pods {
-            let pod_id = PodId(pod);
-            // Racks, servers, VMs of this pod.
-            let mut tor_ids = Vec::with_capacity(self.racks);
-            for _ in 0..self.racks {
-                let (rack, tor) = dc.add_rack_in_pod(pod_id);
-                dc.reserve_rack(rack, self.servers_per_rack, degree);
-                tor_ids.push(tor);
-                for _ in 0..self.servers_per_rack {
-                    let server = dc.add_server(rack);
-                    for _ in 0..self.vms_per_server {
-                        let service = self.service_mix.sample(rng.random());
-                        dc.add_vm(server, service);
-                    }
-                }
-            }
-
-            // This pod's OPS slice, opto flags shuffled pod-locally.
-            let mut opto_flags: Vec<bool> = (0..self.ops_count).map(|i| i < n_opto).collect();
-            opto_flags.shuffle(&mut rng);
-            let ops_ids: Vec<_> = opto_flags
-                .iter()
-                .map(|&is_opto| dc.add_ops_in_pod(is_opto.then_some(self.opto_capacity), pod_id))
-                .collect();
-            pod_first_ops.push(ops_ids[0]);
-
-            // Pod-local uplinks: round-robin first, random extras.
-            self.connect_uplinks(&mut dc, &tor_ids, &ops_ids, &mut rng);
-
-            // Pod-local dual-homing.
-            if self.dual_home_prob > 0.0 && self.racks > 1 {
-                let first_rack = pod * self.racks;
-                let first_server = pod * self.racks * self.servers_per_rack;
-                let n_servers = self.racks * self.servers_per_rack;
-                for s in first_server..first_server + n_servers {
-                    if rng.random::<f64>() < self.dual_home_prob {
-                        let server = crate::ServerId(s);
-                        let home = dc.rack_of_server(server);
-                        let mut other = rng.random_range(0..self.racks);
-                        if first_rack + other == home.index() {
-                            other = (other + 1) % self.racks;
-                        }
-                        dc.add_access_link(server, tor_ids[other]);
-                    }
-                }
-            }
-
-            // Pod-local OPS interconnect, with room for the gateway links.
-            self.connect_core(&mut dc, &ops_ids, &mut rng, self.boundary_gateways);
-
-            // Dedicated boundary gateways: pure-optical, no ToR uplinks
-            // (zero VM coverage — greedy never selects them), meshed into
-            // the pod-local core so any intra-pod layer reaches them in
-            // one hop. Each pair is new.
-            let gws: Vec<crate::OpsId> = (0..self.boundary_gateways)
-                .map(|_| dc.add_ops_in_pod(None, pod_id))
-                .collect();
-            for &g in &gws {
-                dc.connect_gateway(g, &ops_ids, lane_links);
-            }
-            pod_gateways.push(gws);
-        }
-
-        if self.boundary_gateways > 0 {
-            // One boundary ring per gateway lane: lane i of pod p connects
-            // to lane i of pod p+1, so up to `boundary_gateways` mutually
-            // OPS-disjoint abstraction layers can each claim a lane.
-            for p in 0..self.pods {
-                let next = (p + 1) % self.pods;
-                let lanes: Vec<(crate::OpsId, crate::OpsId)> = pod_gateways[p]
-                    .iter()
-                    .zip(&pod_gateways[next])
-                    .map(|(&a, &b)| (a, b))
-                    .collect();
-                for (a, b) in lanes {
-                    dc.connect_ops_ops(a, b);
-                }
-            }
-        } else {
-            // Boundary ring over the pods' first OPSs keeps the core
-            // connected while crossing pods through exactly one well-known
-            // gateway pair.
-            for p in 0..self.pods {
-                dc.connect_ops_ops(pod_first_ops[p], pod_first_ops[(p + 1) % self.pods]);
-            }
-        }
-        dc
     }
 }
 
@@ -794,33 +745,6 @@ mod tests {
                 assert_eq!(dc.pod_of_tor(t), dc.pod_of_ops(a));
             }
         }
-    }
-
-    #[test]
-    fn pods_one_is_byte_identical_to_legacy_path() {
-        let legacy = AlvcTopologyBuilder::new()
-            .racks(6)
-            .ops_count(8)
-            .tor_ops_degree(3)
-            .dual_home_prob(0.3)
-            .seed(42)
-            .build();
-        let pods1 = AlvcTopologyBuilder::new()
-            .racks(6)
-            .ops_count(8)
-            .tor_ops_degree(3)
-            .dual_home_prob(0.3)
-            .pods(1)
-            .seed(42)
-            .build();
-        assert_eq!(legacy.graph().edge_count(), pods1.graph().edge_count());
-        for t in legacy.tor_ids() {
-            assert_eq!(legacy.uplinks_of_tor(t), pods1.uplinks_of_tor(t));
-        }
-        for vm in legacy.vm_ids() {
-            assert_eq!(legacy.service_of_vm(vm), pods1.service_of_vm(vm));
-        }
-        assert_eq!(legacy.pod_count(), 1);
     }
 
     /// Every element list and the list of stored links are sized once, up

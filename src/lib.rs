@@ -47,10 +47,10 @@ pub mod prelude {
     pub use alvc_nfv::ledger::ShardedLedger;
     pub use alvc_nfv::{
         AdmissionError, ChainSpec, ChainSpecBuilder, ChainSpecError, ControlPlane,
-        ControlPlaneBuilder, DeployError, DeployedChain, ElectronicOnlyPlacer, Error, ErrorKind,
-        Intent, IntentEffect, IntentId, IntentLog, IntentOutcome, NfcId, Orchestrator,
-        OrchestratorBuilder, PlacementRule, QosClass, StageId, StateView, TenantQuota,
-        VnfInstanceId, VnfPlacer, VnfSpec, VnfType,
+        ControlPlaneBuilder, DeployError, DeployedChain, ElectronicOnlyPlacer, Error, Intent,
+        IntentEffect, IntentId, IntentLog, IntentOutcome, NfcId, Orchestrator, OrchestratorBuilder,
+        PlacementRule, QosClass, StageId, StateView, TenantQuota, VnfInstanceId, VnfPlacer,
+        VnfSpec, VnfType,
     };
     pub use alvc_optical::OeoCostModel;
     pub use alvc_placement::{
