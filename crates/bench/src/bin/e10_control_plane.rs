@@ -292,7 +292,6 @@ fn trace_phase() {
                 .field("slo", r.slo.clone())
                 .field("windows", r.windows)
                 .field("breaches", r.breaches)
-                .field("worst", (r.worst * 1e3).round() / 1e3)
                 .field("threshold", r.threshold)
         }),
     );

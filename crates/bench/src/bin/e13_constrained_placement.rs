@@ -4,18 +4,20 @@
 //! Extends E6's placement study to the redesigned `ChainSpec` surface:
 //! chains are built through the DAG builder with typed placement rules
 //! (anti-affinity, affinity, colocation, pod pinning) and placed by the
-//! [`ConstraintAwarePlacer`]. Two phases:
+//! [`OpticalFirstPlacer`], which prunes every stage's candidates by the
+//! rules. Two phases:
 //!
 //! 1. **Placement quality** — per topology tier and chain width, a
 //!    deterministic population of DAG-built chains (fan-out varies with
-//!    width) is placed three ways: the constraint-aware placer (violations
-//!    must be zero), the rule-oblivious optical-first baseline (its
-//!    violation count shows what admission would have rejected), and the
-//!    constraint-aware result refined by the bounded local search
-//!    ([`fn@refine`]), which reports the greedy-vs-refined optimality gap.
+//!    width) is placed three ways: by the placer under the chain's rules
+//!    (violations must be zero), by the same placer on the spec with its
+//!    rules cleared (the rule-blind baseline: its violation count shows
+//!    what admission would have rejected), and by the ruled placement
+//!    refined by the bounded local search ([`fn@refine`]), which reports
+//!    the greedy-vs-refined optimality gap.
 //! 2. **Deployment** — the same specs go through
 //!    [`Orchestrator::deploy_chains`] and through control-plane intents
-//!    with the constraint-aware placer wired in; every deployed chain is
+//!    with the placer wired in; every deployed chain is
 //!    re-checked against its rules and the recorded intent log must replay
 //!    to a bit-identical state view.
 //!
@@ -32,7 +34,7 @@ use alvc_nfv::{
     ChainSpec, ControlPlane, Intent, IntentOutcome, Orchestrator, PlacementContext, PlacementError,
     ResourceDemand, VnfPlacer, VnfSpec, VnfType,
 };
-use alvc_placement::{refine, ConstraintAwarePlacer, OpticalFirstPlacer, RefineConfig};
+use alvc_placement::{refine, OpticalFirstPlacer, RefineConfig};
 use alvc_topology::{OpsId, ServerId, VmId};
 
 /// Chains generated per width per tier.
@@ -147,8 +149,7 @@ fn run_tier(scale: &Scale) -> TierResult {
         server_used: &server_used,
         servers: &servers,
     };
-    let placer = ConstraintAwarePlacer::new();
-    let baseline = OpticalFirstPlacer::new();
+    let placer = OpticalFirstPlacer::new();
     let cfg = RefineConfig::default();
 
     let mut rows = Vec::new();
@@ -174,7 +175,9 @@ fn run_tier(scale: &Scale) -> TierResult {
             if spec.violated_rule(&dc, &hosts).is_some() {
                 rule_violations += 1;
             }
-            if let Ok(bh) = baseline.place(&ctx, &spec) {
+            let mut rule_blind = spec.clone();
+            rule_blind.rules.clear();
+            if let Ok(bh) = placer.place(&ctx, &rule_blind) {
                 if spec.violated_rule(&dc, &bh).is_some() {
                     baseline_violations += 1;
                 }
@@ -225,7 +228,7 @@ struct DeployResult {
 }
 
 /// Phase 2: batch deployment through [`Orchestrator::deploy_chains`] with
-/// the constraint-aware placer, rule re-check on every deployed chain, then
+/// the rule-aware placer, rule re-check on every deployed chain, then
 /// the same specs through control-plane intents with a replay check.
 fn run_deployment(scale: &Scale) -> DeployResult {
     let dc = Arc::new(scale.build(SEED));
@@ -251,7 +254,7 @@ fn run_deployment(scale: &Scale) -> DeployResult {
         &dc,
         requests.clone(),
         &PaperGreedy::new(),
-        &ConstraintAwarePlacer::new(),
+        &OpticalFirstPlacer::new(),
     );
     let mut deployed = 0usize;
     let mut rejected = 0usize;
@@ -274,7 +277,7 @@ fn run_deployment(scale: &Scale) -> DeployResult {
     let build_cp = || {
         ControlPlane::builder()
             .batch_size(16)
-            .placer(ConstraintAwarePlacer::new())
+            .placer(OpticalFirstPlacer::new())
             .build(dc.clone())
     };
     let cp = build_cp();

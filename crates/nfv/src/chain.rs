@@ -95,27 +95,53 @@ pub(crate) fn host_pod(dc: &DataCenter, host: HostLocation) -> PodId {
 }
 
 impl PlacementRule {
+    /// Whether the rule holds on the hosts `host` gives per stage position,
+    /// or `None` while a stage it names has no host.
+    fn holds(&self, dc: &DataCenter, host: impl Fn(usize) -> Option<HostLocation>) -> Option<bool> {
+        let pair = |a: usize, b: usize| Some((host(a)?, host(b)?));
+        Some(match *self {
+            PlacementRule::AntiAffinity { a, b } => {
+                let (ha, hb) = pair(a, b)?;
+                ha != hb
+            }
+            PlacementRule::Affinity { a, b } => {
+                let (ha, hb) = pair(a, b)?;
+                host_pod(dc, ha) == host_pod(dc, hb)
+            }
+            PlacementRule::Colocate { a, b } => {
+                let (ha, hb) = pair(a, b)?;
+                ha == hb
+            }
+            PlacementRule::PinToPod { stage, pod } => host_pod(dc, host(stage)?) == pod,
+        })
+    }
+
     /// Returns `true` if `hosts` (one per chain position) satisfies this
     /// rule. Positions beyond `hosts` count as unsatisfied.
     pub(crate) fn satisfied_by(&self, dc: &DataCenter, hosts: &[HostLocation]) -> bool {
-        let host = |i: usize| hosts.get(i).copied();
-        match *self {
-            PlacementRule::AntiAffinity { a, b } => match (host(a), host(b)) {
-                (Some(ha), Some(hb)) => ha != hb,
-                _ => false,
-            },
-            PlacementRule::Affinity { a, b } => match (host(a), host(b)) {
-                (Some(ha), Some(hb)) => host_pod(dc, ha) == host_pod(dc, hb),
-                _ => false,
-            },
-            PlacementRule::Colocate { a, b } => match (host(a), host(b)) {
-                (Some(ha), Some(hb)) => ha == hb,
-                _ => false,
-            },
-            PlacementRule::PinToPod { stage, pod } => {
-                host(stage).is_some_and(|h| host_pod(dc, h) == pod)
+        self.holds(dc, |i| hosts.get(i).copied()).unwrap_or(false)
+    }
+
+    /// Returns `true` unless putting stage `position` on `host`, after the
+    /// stages already on `placed` (a prefix of the chain, one host per
+    /// position), breaks this rule. A rule naming a stage that is not
+    /// placed yet cannot be broken yet and passes: the prefix check a
+    /// placer prunes its candidates with, stage by stage.
+    pub fn admits(
+        &self,
+        dc: &DataCenter,
+        placed: &[HostLocation],
+        position: usize,
+        host: HostLocation,
+    ) -> bool {
+        let host_at = |i: usize| {
+            if i == position {
+                Some(host)
+            } else {
+                placed.get(i).copied()
             }
-        }
+        };
+        self.holds(dc, host_at).unwrap_or(true)
     }
 
     /// The stage positions this rule mentions.

@@ -139,9 +139,6 @@ pub struct Orchestrator {
     /// drives incremental `StateView` publication (see [`crate::changes`]).
     pub(crate) changes: ChangeSet,
     oeo: OeoCostModel,
-    /// Suppresses per-operation telemetry events (counters and spans still
-    /// fire); set via [`OrchestratorBuilder::quiet`].
-    pub(crate) quiet: bool,
     pub(crate) next_chain: usize,
     pub(crate) next_instance: usize,
 }
@@ -155,19 +152,17 @@ pub struct Orchestrator {
 ///
 /// let orch = Orchestrator::builder()
 ///     .sdn_table_limit(1024)
-///     .quiet(true)
 ///     .build();
 /// assert_eq!(orch.chain_count(), 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct OrchestratorBuilder {
     sdn_table_limit: Option<usize>,
-    quiet: bool,
 }
 
 impl OrchestratorBuilder {
     /// Starts from the defaults: unlimited SDN flow tables, the default
-    /// O/E/O cost model, telemetry events on.
+    /// O/E/O cost model.
     pub(crate) fn new() -> Self {
         OrchestratorBuilder::default()
     }
@@ -184,15 +179,6 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// Suppresses per-operation telemetry *events* (chain deployed, torn
-    /// down, modified, recovery steps). Counters, gauges, and latency
-    /// spans still fire; this only silences the high-volume event stream
-    /// for hot loops like benchmarks.
-    pub fn quiet(mut self, quiet: bool) -> Self {
-        self.quiet = quiet;
-        self
-    }
-
     /// Builds the orchestrator.
     pub fn build(self) -> Orchestrator {
         Orchestrator {
@@ -200,7 +186,6 @@ impl OrchestratorBuilder {
                 Some(limit) => SdnController::with_table_limit(limit),
                 None => SdnController::default(),
             },
-            quiet: self.quiet,
             ..Orchestrator::default()
         }
     }
@@ -478,13 +463,11 @@ impl Orchestrator {
         match &result {
             Ok(id) => {
                 alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
-                if !self.quiet {
-                    alvc_telemetry::event!(
-                        "alvc_nfv.orchestrator.chain_deployed",
-                        "nfc" = id.index(),
-                        "tenant" = tenant.as_str(),
-                    );
-                }
+                alvc_telemetry::event!(
+                    "alvc_nfv.orchestrator.chain_deployed",
+                    "nfc" = id.index(),
+                    "tenant" = tenant.as_str(),
+                );
             }
             Err(e) => {
                 alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
@@ -522,9 +505,7 @@ impl Orchestrator {
         }
         let deployed = self.release(id);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.teardowns").incr();
-        if !self.quiet {
-            alvc_telemetry::event!("alvc_nfv.orchestrator.chain_torn_down", "nfc" = id.index());
-        }
+        alvc_telemetry::event!("alvc_nfv.orchestrator.chain_torn_down", "nfc" = id.index());
         Ok(deployed)
     }
 
@@ -573,9 +554,7 @@ impl Orchestrator {
             let _ = self.scale_in(replica);
         }
         alvc_telemetry::counter!("alvc_nfv.orchestrator.modifications").incr();
-        if !self.quiet {
-            alvc_telemetry::event!("alvc_nfv.orchestrator.chain_modified", "nfc" = id.index());
-        }
+        alvc_telemetry::event!("alvc_nfv.orchestrator.chain_modified", "nfc" = id.index());
         Ok(())
     }
 

@@ -102,13 +102,11 @@ impl Orchestrator {
         alvc_telemetry::counter_with("alvc_nfv.power.transitions", state.label()).incr();
         alvc_telemetry::gauge!("alvc_nfv.power.powered_off_elements")
             .set(self.power().powered_off_count() as f64);
-        if !self.quiet {
-            alvc_telemetry::event!(
-                "alvc_nfv.power.transition",
-                "element" = element.to_string().as_str(),
-                "state" = state.label(),
-            );
-        }
+        alvc_telemetry::event!(
+            "alvc_nfv.power.transition",
+            "element" = element.to_string().as_str(),
+            "state" = state.label(),
+        );
         Ok(previous)
     }
 }

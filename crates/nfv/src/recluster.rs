@@ -157,16 +157,14 @@ impl Orchestrator {
             .add(report.skipped as u64);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.recluster_als_rebuilt")
             .add(report.als_rebuilt as u64);
-        if !self.quiet {
-            alvc_telemetry::event!(
-                "alvc_nfv.orchestrator.reclustered",
-                "applied" = report.applied,
-                "skipped" = report.skipped,
-                "als_rebuilt" = report.als_rebuilt,
-                "chains_rerouted" = report.chains_rerouted,
-                "chains_degraded" = report.chains_degraded,
-            );
-        }
+        alvc_telemetry::event!(
+            "alvc_nfv.orchestrator.reclustered",
+            "applied" = report.applied,
+            "skipped" = report.skipped,
+            "als_rebuilt" = report.als_rebuilt,
+            "chains_rerouted" = report.chains_rerouted,
+            "chains_degraded" = report.chains_degraded,
+        );
         report
     }
 
@@ -217,7 +215,7 @@ mod tests {
 
     /// Deploys one chain per service and returns (orchestrator, chain ids).
     fn deployed(dc: &DataCenter) -> (Orchestrator, Vec<NfcId>) {
-        let mut orch = Orchestrator::builder().quiet(true).build();
+        let mut orch = Orchestrator::new();
         let mut ids = Vec::new();
         for service in [ServiceType::WebService, ServiceType::Sns] {
             let vms = dc.vms_of_service(service);

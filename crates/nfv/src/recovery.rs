@@ -168,12 +168,10 @@ impl Orchestrator {
         }
         let _span = alvc_telemetry::span!("alvc_nfv.recovery.repair_latency_us");
         alvc_telemetry::counter!("alvc_nfv.recovery.element_failures").incr();
-        if !self.quiet {
-            alvc_telemetry::event!(
-                "alvc_nfv.recovery.element_failed",
-                "element" = element.to_string().as_str(),
-            );
-        }
+        alvc_telemetry::event!(
+            "alvc_nfv.recovery.element_failed",
+            "element" = element.to_string().as_str(),
+        );
 
         // The AL layer shrinks or rebuilds these slices' layers. A slice
         // whose rebuild failed keeps its degraded layer, and its chains
@@ -211,13 +209,11 @@ impl Orchestrator {
         for id in affected {
             let outcome = self.recover_chain(dc, id, placer);
             alvc_telemetry::counter_with("alvc_nfv.recovery.outcomes", outcome.label()).incr();
-            if !self.quiet {
-                alvc_telemetry::event!(
-                    "alvc_nfv.recovery.chain_recovered",
-                    "nfc" = id.index(),
-                    "outcome" = outcome.label(),
-                );
-            }
+            alvc_telemetry::event!(
+                "alvc_nfv.recovery.chain_recovered",
+                "nfc" = id.index(),
+                "outcome" = outcome.label(),
+            );
             outcomes.insert(id, outcome);
         }
         alvc_telemetry::gauge!("alvc_nfv.recovery.degraded_chains").set(self.degraded.len() as f64);
@@ -457,9 +453,7 @@ impl Orchestrator {
     fn discard_chain(&mut self, id: NfcId) {
         self.release(id);
         alvc_telemetry::counter!("alvc_nfv.recovery.chains_lost").incr();
-        if !self.quiet {
-            alvc_telemetry::event!("alvc_nfv.recovery.chain_lost", "nfc" = id.index());
-        }
+        alvc_telemetry::event!("alvc_nfv.recovery.chain_lost", "nfc" = id.index());
     }
 }
 

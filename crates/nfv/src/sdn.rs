@@ -130,15 +130,29 @@ impl SdnController {
     /// traversed node); returns how many rules were installed.
     ///
     /// Installing a second path for the same chain *replaces* the previous
-    /// rules (chain modification, §IV.B).
+    /// rules (chain modification, §IV.B). Only the switches whose rule count
+    /// for the chain changes have their chain list touched: the old and
+    /// new paths are compared as multisets of nodes.
     pub fn install_path(&mut self, chain: NfcId, path: &HybridPath) -> usize {
-        self.remove_chain(chain);
         let nodes = path.nodes();
-        for &n in nodes {
-            self.per_switch.entry(n).or_default().push(chain);
+        let old = self.rules.insert(chain, nodes.to_vec()).unwrap_or_default();
+        // Per switch, +1 for each new rule and −1 for each old one.
+        let added = nodes.iter().map(|&n| (n, 1));
+        let mut delta: Vec<(NodeId, isize)> = added.chain(old.iter().map(|&n| (n, -1))).collect();
+        delta.sort_unstable_by_key(|&(n, _)| n);
+        for run in delta.chunk_by(|x, y| x.0 == y.0) {
+            let change: isize = run.iter().map(|&(_, d)| d).sum();
+            if change == 0 {
+                continue;
+            }
+            let chains = self.per_switch.entry(run[0].0).or_default();
+            for _ in change..0 {
+                let at = chains.iter().position(|&c| c == chain);
+                chains.swap_remove(at.expect("a rule's chain is on its switch's list"));
+            }
+            chains.extend((0..change).map(|_| chain));
         }
-        self.total += nodes.len();
-        self.rules.insert(chain, nodes.to_vec());
+        self.total = self.total + nodes.len() - old.len();
         nodes.len()
     }
 
@@ -236,6 +250,40 @@ mod tests {
         assert_eq!(ctl.total_rules(), 2);
         assert_eq!(ctl.rules_on_switch(NodeId(1)), 0);
         assert_eq!(ctl.rules_on_switch(NodeId(5)), 1);
+    }
+
+    #[test]
+    fn identical_reinstall_leaves_every_list_as_it_was() {
+        let mut ctl = SdnController::new();
+        ctl.install_path(NfcId(0), &path(&[0, 1, 2, 3]));
+        ctl.install_path(NfcId(1), &path(&[4, 1, 2, 5]));
+        ctl.install_path(NfcId(2), &path(&[6, 1, 7]));
+        let before = ctl.per_switch.clone();
+        assert_eq!(ctl.install_path(NfcId(0), &path(&[0, 1, 2, 3])), 4);
+        assert_eq!(ctl.per_switch, before);
+        assert_eq!(ctl.total_rules(), 11);
+        assert!(ctl.lists_match_rules());
+    }
+
+    #[test]
+    fn partial_path_change_keeps_lists_and_rules_in_step() {
+        let mut ctl = SdnController::new();
+        ctl.install_path(NfcId(0), &path(&[0, 1, 2, 3]));
+        ctl.install_path(NfcId(1), &path(&[4, 1, 2, 5]));
+        let untouched = ctl.chains_on_switch(NodeId(1)).to_vec();
+        // Switches 0 and 1 keep their rule, 2 and 3 lose it, 8 and 9 gain
+        // one; a path may cross a switch twice.
+        ctl.install_path(NfcId(0), &path(&[0, 1, 8, 9, 8]));
+        assert!(ctl.lists_match_rules());
+        assert_eq!(ctl.chains_on_switch(NodeId(1)), untouched);
+        assert_eq!(ctl.chains_on_switch(NodeId(2)), [NfcId(1)]);
+        assert_eq!(ctl.rules_on_switch(NodeId(3)), 0);
+        assert_eq!(ctl.rules_on_switch(NodeId(8)), 2);
+        assert_eq!(ctl.total_rules(), 9);
+        ctl.install_path(NfcId(0), &path(&[0, 8]));
+        assert!(ctl.lists_match_rules());
+        assert_eq!(ctl.rules_on_switch(NodeId(8)), 1);
+        assert_eq!(ctl.total_rules(), 6);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use alvc_nfv::{ChainSpec, HostLocation, PlacementContext, PlacementError, VnfPla
 use alvc_topology::{OpsId, ServerId};
 
 use crate::estimate::estimated_oeo;
-use crate::optical_first::least_loaded_server;
+use crate::optical_first::{no_host, Usage};
 
 /// Places VNFs to minimize *O/E/O conversions*, not merely to maximize the
 /// number of optical VNFs.
@@ -39,17 +39,16 @@ impl CostDrivenPlacer {
     }
 }
 
-/// Attempts to bin-pack the optical VNFs (by index) onto the candidate
-/// routers best-fit-decreasing; returns the router per VNF index or `None`
+/// Attempts to bin-pack the optical VNFs (by index) onto the routers
+/// `opto` best-fit-decreasing; returns the router per VNF index or `None`
 /// if packing fails.
 fn pack_optical(
     ctx: &PlacementContext<'_>,
     chain: &ChainSpec,
+    opto: &[OpsId],
     optical: &[usize],
 ) -> Option<HashMap<usize, OpsId>> {
-    let opto = ctx.opto_candidates();
-    let mut used: HashMap<OpsId, ResourceDemand> =
-        opto.iter().map(|&o| (o, ctx.used_on_opto(o))).collect();
+    let mut usage = Usage::default();
     // Largest CPU demand first for better packing.
     let mut order: Vec<usize> = optical.to_vec();
     order.sort_by(|&a, &b| {
@@ -61,22 +60,9 @@ fn pack_optical(
     });
     let mut assignment = HashMap::new();
     for i in order {
-        let demand = chain.vnfs[i].demand;
-        let best = opto
-            .iter()
-            .filter(|&&o| {
-                let cap = ctx.dc.opto_capacity(o).expect("opto candidate");
-                demand.fits_in(&cap, &used[&o])
-            })
-            .min_by(|&&a, &&b| {
-                let rem = |o: OpsId| {
-                    ctx.dc.opto_capacity(o).expect("candidate").cpu - used[&o].cpu - demand.cpu
-                };
-                rem(a).total_cmp(&rem(b)).then(a.cmp(&b))
-            })
-            .copied()?;
-        let e = used.get_mut(&best).expect("tracked");
-        *e = e.plus(&demand);
+        let demand = &chain.vnfs[i].demand;
+        let best = usage.best_fit(ctx, opto.iter().copied(), demand)?;
+        usage.commit(ctx, HostLocation::OptoRouter(best), demand);
         assignment.insert(i, best);
     }
     Some(assignment)
@@ -113,7 +99,7 @@ impl VnfPlacer for CostDrivenPlacer {
 
         // Evict until the optical set packs onto the routers.
         let assignment = loop {
-            if let Some(a) = pack_optical(ctx, chain, &optical) {
+            if let Some(a) = pack_optical(ctx, chain, &opto, &optical) {
                 break a;
             }
             // Choose the eviction with the least conversion increase.
@@ -152,26 +138,18 @@ impl VnfPlacer for CostDrivenPlacer {
         };
 
         // Materialize: optical VNFs on their routers, the rest on servers.
-        let mut server_load: HashMap<ServerId, f64> = ctx
-            .servers
-            .iter()
-            .map(|&s| (s, ctx.used_on_server(s).cpu))
-            .collect();
+        let mut usage = Usage::default();
         let mut hosts = Vec::with_capacity(n);
         for (i, spec) in chain.vnfs.iter().enumerate() {
-            if let Some(&o) = assignment.get(&i) {
-                hosts.push(HostLocation::OptoRouter(o));
-            } else {
-                let Some(server) = least_loaded_server(ctx.servers, &server_load) else {
-                    return Err(if ctx.servers.is_empty() {
-                        PlacementError::NoElectronicHost
-                    } else {
-                        PlacementError::NoCapacity { chain_position: i }
-                    });
-                };
-                *server_load.entry(server).or_insert(0.0) += spec.demand.cpu;
-                hosts.push(HostLocation::Server(server));
-            }
+            let host = match assignment.get(&i) {
+                Some(&o) => HostLocation::OptoRouter(o),
+                None => match usage.least_loaded(ctx, ctx.servers.iter().copied()) {
+                    Some(s) => HostLocation::Server(s),
+                    None => return Err(no_host(ctx, i)),
+                },
+            };
+            usage.commit(ctx, host, &spec.demand);
+            hosts.push(host);
         }
         Ok(hosts)
     }

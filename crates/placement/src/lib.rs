@@ -10,17 +10,16 @@
 //!
 //! * [`OpticalFirstPlacer`] — the paper's rule: place each VNF on an
 //!   optoelectronic router of the slice whenever it fits, otherwise on a
-//!   server;
+//!   server, with the chain's typed [`alvc_nfv::PlacementRule`]s
+//!   (anti-affinity, affinity, colocation, pod pinning) pruning every
+//!   stage's candidates and
+//!   [`alvc_nfv::PlacementError::RuleUnsatisfiable`] naming a rule that
+//!   empties them;
 //! * [`CostDrivenPlacer`] — when optical capacity is scarce, spends it on
 //!   the VNFs whose move actually removes an O/E/O conversion (breaking up
 //!   electronic runs is worthless unless a whole run is eliminated);
 //! * [`alvc_nfv::ElectronicOnlyPlacer`] — the "before" baseline (all VNFs
-//!   electronic), defined next to the trait;
-//! * [`ConstraintAwarePlacer`] — enforces the chain's typed
-//!   [`alvc_nfv::PlacementRule`]s (anti-affinity, affinity, colocation,
-//!   pod pinning) during host selection, failing with
-//!   [`alvc_nfv::PlacementError::RuleUnsatisfiable`] when a rule empties a
-//!   candidate set.
+//!   electronic), defined next to the trait.
 //!
 //! [`score_assignment`] prices any strategy's assignment with a
 //! multi-resource [`PlacementScore`] (O/E/O conversions, AL spill, server
@@ -38,14 +37,12 @@
 // process's stdout/stderr (enforced under cargo clippy).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod constrained;
 pub mod cost_driven;
 pub mod estimate;
 pub mod optical_first;
 pub mod policy;
 pub mod refine;
 
-pub use constrained::ConstraintAwarePlacer;
 pub use cost_driven::CostDrivenPlacer;
 pub use optical_first::OpticalFirstPlacer;
 pub use policy::{score_assignment, PlacementScore};

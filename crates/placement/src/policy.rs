@@ -16,15 +16,15 @@ use alvc_topology::{Domain, OpsId, ServerId};
 use crate::estimate::estimated_oeo;
 
 /// Cost weight of one O/E/O conversion (the paper's headline metric).
-pub(crate) const W_OEO: f64 = 10.0;
+const W_OEO: f64 = 10.0;
 /// Cost weight of one spilled light VNF (optical capacity left unused
 /// while a light VNF burns a conversion-prone electronic slot).
-pub(crate) const W_SPILL: f64 = 4.0;
+const W_SPILL: f64 = 4.0;
 /// Cost weight of the peak per-server CPU load (load balance).
-pub(crate) const W_BALANCE: f64 = 1.0;
+const W_BALANCE: f64 = 1.0;
 /// Cost weight per Gb/s dragged through O/E/O dips (each conversion takes
 /// the flow down and back up an access link).
-pub(crate) const W_BANDWIDTH: f64 = 0.5;
+const W_BANDWIDTH: f64 = 0.5;
 
 /// Multi-resource quality of one host assignment (lower is better on every
 /// axis).
@@ -95,8 +95,7 @@ pub fn score_assignment(
 
 /// Checks opto-router capacity for a whole assignment at once: the demand
 /// the assignment adds to each router must fit on top of the context's
-/// committed usage. Shared by the constraint-aware placer (for swap
-/// feasibility) and the refinement pass.
+/// committed usage. The refinement pass checks every move with it.
 pub(crate) fn assignment_fits_opto(
     ctx: &PlacementContext<'_>,
     chain: &ChainSpec,

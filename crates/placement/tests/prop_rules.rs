@@ -1,8 +1,11 @@
-//! Property tests for the constraint-aware placement surface:
+//! Property tests for placement under rules:
 //!
-//! 1. assignments returned by [`ConstraintAwarePlacer`] never violate the
+//! 1. assignments returned by [`OpticalFirstPlacer`] never violate the
 //!    chain's placement rules;
-//! 2. the bounded refinement pass never worsens the greedy score and never
+//! 2. on routers and servers already loaded, the ruled placement is the
+//!    rule-free one whenever that one keeps the rules: no rules is the
+//!    empty rule set, not another algorithm;
+//! 3. the bounded refinement pass never worsens the greedy score and never
 //!    introduces a rule violation.
 
 use std::collections::HashMap;
@@ -10,9 +13,10 @@ use std::collections::HashMap;
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::{AbstractionLayer, OpsAvailability};
 use alvc_nfv::{
-    ChainSpec, HostLocation, PlacementContext, PlacementError, VnfPlacer, VnfSpec, VnfType,
+    ChainSpec, HostLocation, PlacementContext, PlacementError, ResourceDemand, VnfPlacer, VnfSpec,
+    VnfType,
 };
-use alvc_placement::{refine, ConstraintAwarePlacer, OpticalFirstPlacer, RefineConfig};
+use alvc_placement::{refine, OpticalFirstPlacer, RefineConfig};
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect, ServerId, VmId};
 use proptest::prelude::*;
 
@@ -65,10 +69,17 @@ fn ruled_chain(kinds: &[u8], rule_picks: &[(u8, u8, u8)]) -> Option<ChainSpec> {
     b.ingress(VmId(0)).egress(VmId(1)).build().ok()
 }
 
+/// `chain` with its rules cleared.
+fn rule_free(chain: &ChainSpec) -> ChainSpec {
+    let mut free = chain.clone();
+    free.rules.clear();
+    free
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever the constraint-aware placer returns satisfies every rule;
+    /// Whatever the placer returns satisfies every rule;
     /// when it errors with `RuleUnsatisfiable` the offending rule really is
     /// one of the chain's rules.
     #[test]
@@ -91,7 +102,7 @@ proptest! {
             server_used: &su,
             servers: &servers,
         };
-        match ConstraintAwarePlacer::new().place(&ctx, &chain) {
+        match OpticalFirstPlacer::new().place(&ctx, &chain) {
             Ok(hosts) => {
                 prop_assert_eq!(hosts.len(), chain.vnfs.len());
                 prop_assert!(chain.violated_rule(&dc, &hosts).is_none());
@@ -136,15 +147,15 @@ proptest! {
         };
         let use_constrained = use_constrained == 1;
         let placed = if use_constrained {
-            ConstraintAwarePlacer::new().place(&ctx, &chain)
-        } else {
             OpticalFirstPlacer::new().place(&ctx, &chain)
+        } else {
+            OpticalFirstPlacer::new().place(&ctx, &rule_free(&chain))
         };
         let Ok(hosts) = placed else {
             return Ok(());
         };
         if chain.violated_rule(&dc, &hosts).is_some() {
-            // The unconstrained greedy may violate rules; refinement's
+            // The rule-free placement may violate rules; refinement's
             // contract only covers rule-clean inputs.
             return Ok(());
         }
@@ -153,6 +164,76 @@ proptest! {
         prop_assert!(out.gap() >= 0.0);
         prop_assert!(chain.violated_rule(&dc, &out.hosts).is_none());
         prop_assert_eq!(out.hosts.len(), chain.vnfs.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On random prior router and server load: when the rule-free
+    /// placement keeps the chain's rules, the ruled placement is that
+    /// placement; otherwise it is rule-clean or fails naming one of the
+    /// chain's rules.
+    #[test]
+    fn ruled_placement_is_the_rule_free_one_when_that_keeps_the_rules(
+        seed in 0u64..50,
+        kinds in proptest::collection::vec(0u8..5, 1..7),
+        rule_picks in proptest::collection::vec((0u8..3, 0u8..8, 0u8..8), 0..4),
+        router_load in proptest::collection::vec(0u8..9, 12),
+        server_load in proptest::collection::vec(0u8..9, 8),
+    ) {
+        let Some(chain) = ruled_chain(&kinds, &rule_picks) else {
+            return Ok(());
+        };
+        let dc = dc_for(seed);
+        let al = al_for(&dc);
+        let servers: Vec<ServerId> = dc.server_ids().collect();
+        // Up to a whole router (4 CPU, 8 GiB) and up to 4 CPU a server.
+        let ou: HashMap<_, _> = dc
+            .optoelectronic_ops()
+            .into_iter()
+            .map(|o| {
+                let u = f64::from(router_load[o.index() % router_load.len()]);
+                let used = ResourceDemand {
+                    cpu: u * 0.5,
+                    memory_gib: u,
+                    storage_gib: u,
+                };
+                (o, used)
+            })
+            .collect();
+        let su: HashMap<_, _> = servers
+            .iter()
+            .map(|&s| {
+                let u = f64::from(server_load[s.index() % server_load.len()]);
+                let used = ResourceDemand {
+                    cpu: u * 0.5,
+                    ..ResourceDemand::default()
+                };
+                (s, used)
+            })
+            .collect();
+        let ctx = PlacementContext {
+            dc: &dc,
+            al: &al,
+            opto_used: &ou,
+            server_used: &su,
+            servers: &servers,
+        };
+        let placer = OpticalFirstPlacer::new();
+        let ruled = placer.place(&ctx, &chain);
+        match placer.place(&ctx, &rule_free(&chain)) {
+            Ok(free) if chain.violated_rule(&dc, &free).is_none() => {
+                prop_assert_eq!(ruled, Ok(free));
+            }
+            _ => match ruled {
+                Ok(hosts) => prop_assert!(chain.violated_rule(&dc, &hosts).is_none()),
+                Err(PlacementError::RuleUnsatisfiable { rule, .. }) => {
+                    prop_assert!(chain.rules.contains(&rule));
+                }
+                Err(other) => prop_assert!(false, "capacity error {other} with servers free"),
+            },
+        }
     }
 }
 
@@ -185,7 +266,7 @@ fn mixed_rule_kinds_compose() {
         .affine(0, 2)
         .build()
         .unwrap();
-    let hosts = ConstraintAwarePlacer::new().place(&ctx, &chain).unwrap();
+    let hosts = OpticalFirstPlacer::new().place(&ctx, &chain).unwrap();
     assert!(chain.violated_rule(&dc, &hosts).is_none());
     assert_ne!(hosts[0], hosts[1]);
     assert_eq!(hosts[2], hosts[3]);

@@ -20,7 +20,7 @@ pub use alvc_topology as topology;
 /// use alvc::prelude::*;
 ///
 /// let dc = AlvcTopologyBuilder::new().racks(4).ops_count(12).seed(7).build();
-/// let mut orch = Orchestrator::builder().quiet(true).build();
+/// let mut orch = Orchestrator::new();
 /// let vms: Vec<_> = dc.vm_ids().take(8).collect();
 /// let spec = fig5::black(vms[0], vms[7]);
 /// let id = orch.deploy_chain(&dc, "tenant-a", vms, spec,
@@ -54,8 +54,7 @@ pub mod prelude {
     };
     pub use alvc_optical::OeoCostModel;
     pub use alvc_placement::{
-        refine, ConstraintAwarePlacer, OpticalFirstPlacer, PlacementScore, RefineConfig,
-        RefineOutcome,
+        refine, OpticalFirstPlacer, PlacementScore, RefineConfig, RefineOutcome,
     };
     pub use alvc_topology::{
         AlvcTopologyBuilder, DataCenter, Element, OpsInterconnect, PowerState, ServiceMix,

@@ -18,10 +18,7 @@ fn readme_public_api_tour() -> Result<(), Error> {
     );
 
     // Direct (single-caller) style: the orchestrator via its builder.
-    let mut orch = Orchestrator::builder()
-        .sdn_table_limit(4096)
-        .quiet(true)
-        .build();
+    let mut orch = Orchestrator::builder().sdn_table_limit(4096).build();
     let vms: Vec<_> = dc.vm_ids().take(8).collect();
     let chain = orch.deploy_chain(
         &dc,
@@ -53,7 +50,7 @@ fn readme_public_api_tour() -> Result<(), Error> {
         vms.clone(),
         ruled.clone(),
         &PaperGreedy::new(),
-        &ConstraintAwarePlacer::new(), // enforces the rules during placement
+        &OpticalFirstPlacer::new(), // enforces the rules during placement
     )?;
     let hosts = orch.chain(ruled_chain).unwrap().hosts();
     assert!(ruled.violated_rule(&dc, hosts).is_none());

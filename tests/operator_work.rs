@@ -35,7 +35,7 @@ fn build() -> DataCenter {
 fn operator_intents_examine_what_they_affect() {
     let dc = build();
     let (ctor, placer) = (PaperGreedy::new(), ElectronicOnlyPlacer::new());
-    let mut orch = Orchestrator::builder().quiet(true).build();
+    let mut orch = Orchestrator::new();
 
     // One tenant per pair of racks, its chain from the first rack's first
     // VM to the second rack's last, so every path crosses the core.
