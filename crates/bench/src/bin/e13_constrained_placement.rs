@@ -27,14 +27,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use alvc_bench::{f2, print_table, Json, Op, Report, Scale};
+use alvc_bench::{f2, print_table, refine, Json, Op, RefineConfig, Report, Scale};
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::OpsAvailability;
 use alvc_nfv::{
-    ChainSpec, ControlPlane, Intent, IntentOutcome, Orchestrator, PlacementContext, PlacementError,
-    ResourceDemand, VnfPlacer, VnfSpec, VnfType,
+    ChainSpec, ControlPlane, Intent, IntentOutcome, OpticalFirstPlacer, Orchestrator,
+    PlacementContext, PlacementError, ResourceDemand, VnfPlacer, VnfSpec, VnfType,
 };
-use alvc_placement::{refine, OpticalFirstPlacer, RefineConfig};
 use alvc_topology::{OpsId, ServerId, VmId};
 
 /// Chains generated per width per tier.

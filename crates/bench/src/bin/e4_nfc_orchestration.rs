@@ -9,9 +9,8 @@ use alvc_bench::{f2, print_table, Scale};
 use alvc_core::clustering::tenant_clusters;
 use alvc_core::construction::PaperGreedy;
 use alvc_nfv::chain::fig5;
-use alvc_nfv::Orchestrator;
+use alvc_nfv::{OpticalFirstPlacer, Orchestrator};
 use alvc_optical::EnergyModel;
-use alvc_placement::OpticalFirstPlacer;
 use alvc_sim::{ChainLoad, FlowSim, FlowSizeDistribution};
 
 fn main() {

@@ -9,8 +9,7 @@ use alvc_bench::{pct, print_table, Scale};
 use alvc_core::clustering::tenant_clusters;
 use alvc_core::construction::PaperGreedy;
 use alvc_nfv::chain::fig5;
-use alvc_nfv::Orchestrator;
-use alvc_placement::OpticalFirstPlacer;
+use alvc_nfv::{OpticalFirstPlacer, Orchestrator};
 
 fn main() {
     let scale = Scale::LADDER[1];

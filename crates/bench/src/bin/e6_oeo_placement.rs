@@ -5,17 +5,24 @@
 //! a mixed chain population (light + heavy VNFs), routes them, and counts
 //! O/E/O conversions, conversion energy (∝ flow length), and added
 //! latency. The electronic-only placer is the figure's "before" picture;
-//! optical-first is the paper's proposal.
+//! optical-first is the paper's proposal. A last cell starves the optical
+//! domain (one router with room for two light VNFs), where the cost-driven
+//! placer spends that room differently from optical-first.
 
 use alvc_bench::{f2, print_table};
 use alvc_core::clustering::tenant_clusters;
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_nfv::chain::fig5;
-use alvc_nfv::{ChainSpec, ElectronicOnlyPlacer, Orchestrator, VnfPlacer, VnfSpec, VnfType};
+use alvc_nfv::placement::estimated_oeo;
+use alvc_nfv::{
+    ChainSpec, CostDrivenPlacer, ElectronicOnlyPlacer, HostLocation, OpticalFirstPlacer,
+    Orchestrator, VnfPlacer, VnfSpec, VnfType,
+};
 use alvc_optical::EnergyModel;
-use alvc_placement::{CostDrivenPlacer, OpticalFirstPlacer};
 use alvc_sim::{ChainLoad, FlowSim, FlowSizeDistribution};
-use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, VmId};
+use alvc_topology::{
+    AlvcTopologyBuilder, DataCenter, Domain, OpsInterconnect, OptoCapacity, ServiceType, VmId,
+};
 
 fn chain_population(vms: &[Vec<VmId>]) -> Vec<ChainSpec> {
     let pick = |i: usize| (vms[i][0], *vms[i].last().unwrap());
@@ -48,6 +55,53 @@ fn chain_population(vms: &[Vec<VmId>]) -> Vec<ChainSpec> {
         s.bandwidth_gbps = 1.0;
     }
     specs
+}
+
+/// The scarce-capacity cell: one server under one optoelectronic router of
+/// 2 CPU, room for two of the three firewalls of [DPI, FW, DPI, FW, FW].
+/// Per placer: host domains (`O` router, `E` server), routed and estimated
+/// O/E/O conversions.
+fn scarce_cell(placers: &[(&str, Box<dyn VnfPlacer>)]) -> Vec<Vec<String>> {
+    let mut dc = DataCenter::new();
+    let (rack, tor) = dc.add_rack();
+    let server = dc.add_server(rack);
+    let vms = [0, 1].map(|_| dc.add_vm(server, ServiceType::WebService));
+    let router = dc.add_ops(Some(OptoCapacity {
+        cpu: 2.0,
+        ..OptoCapacity::small()
+    }));
+    dc.connect_tor_ops(tor, router);
+    let (dpi, fw) = (VnfSpec::of(VnfType::Dpi), VnfSpec::of(VnfType::Firewall));
+    let spec = ChainSpec::builder("scarce")
+        .linear([dpi, fw, dpi, fw, fw])
+        .ingress(vms[0])
+        .egress(vms[1])
+        .bandwidth_gbps(1.0)
+        .build()
+        .expect("static bench chain is valid");
+    let mut rows = Vec::new();
+    for (name, placer) in placers {
+        let mut orch = Orchestrator::new();
+        let (ctor, members) = (PaperGreedy::new(), vms.to_vec());
+        let id = orch
+            .deploy_chain(&dc, "scarce", members, spec.clone(), &ctor, placer.as_ref())
+            .expect("deployment feasible");
+        let chain = orch.chain(id).unwrap();
+        let domain = |h: &HostLocation| {
+            if h.domain() == Domain::Optical {
+                'O'
+            } else {
+                'E'
+            }
+        };
+        rows.push(vec![
+            name.to_string(),
+            chain.hosts().iter().map(domain).collect(),
+            chain.oeo_conversions().to_string(),
+            estimated_oeo(chain.hosts()).to_string(),
+        ]);
+    }
+    rows
 }
 
 fn main() {
@@ -210,4 +264,16 @@ fn main() {
          hosts vs {aware_optical}/{aware_total} for the NFV-aware constructor (optoelectronic\n\
          routers priced below plain switches) — {verdict}."
     );
+
+    println!(
+        "\nscarce-capacity cell: one optoelectronic router of 2 CPU over one server,\n\
+         chain [DPI, FW, DPI, FW, FW] (O = router, E = server)\n"
+    );
+    let headers = [
+        "placer",
+        "host domains",
+        "O/E/O (routed)",
+        "O/E/O (estimated)",
+    ];
+    print_table(&headers, &scarce_cell(&placers));
 }

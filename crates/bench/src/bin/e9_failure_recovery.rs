@@ -13,8 +13,7 @@ use alvc_bench::{f2, pct, print_table, Scale};
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::{service_clusters, ClusterManager};
 use alvc_nfv::chain::fig5;
-use alvc_nfv::Orchestrator;
-use alvc_placement::OpticalFirstPlacer;
+use alvc_nfv::{OpticalFirstPlacer, Orchestrator};
 use alvc_sim::workload::FlowSizeDistribution;
 use alvc_sim::{chain_outages, ChainLoad, FailureSchedule, FlowSim};
 use alvc_topology::Element;

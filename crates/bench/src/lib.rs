@@ -3,7 +3,9 @@
 //! Each `e*` binary in `src/bin/` regenerates one of the paper's figures or
 //! quantified claims as a plain-text table. This library holds the pieces
 //! they share: standard topology scenarios, a fixed-width table printer,
-//! and the result envelope ([`Report`]) with its acceptance gates.
+//! the result envelope ([`Report`]) with its acceptance gates, and E13's
+//! placement scoring ([`score_assignment`]) and bounded local search
+//! ([`fn@refine`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,8 +13,7 @@
 use alvc_core::clustering::tenant_clusters;
 use alvc_core::construction::PaperGreedy;
 use alvc_nfv::chain::fig5;
-use alvc_nfv::{ChainSpec, Orchestrator, VnfSpec, VnfType};
-use alvc_placement::OpticalFirstPlacer;
+use alvc_nfv::{ChainSpec, OpticalFirstPlacer, Orchestrator, VnfSpec, VnfType};
 use alvc_sim::workload::ChainBlueprint;
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect};
 
@@ -275,11 +276,15 @@ pub fn pct(x: f64) -> String {
 }
 
 pub mod json;
+pub mod policy;
+pub mod refine;
 pub mod report;
 pub mod schema;
 pub mod telemetry_export;
 
 pub use json::Json;
+pub use policy::{score_assignment, PlacementScore};
+pub use refine::{refine, RefineConfig, RefineOutcome};
 pub use report::{Op, Report};
 pub use telemetry_export::telemetry_json;
 

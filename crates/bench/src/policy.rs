@@ -10,10 +10,9 @@
 
 use std::collections::HashMap;
 
+use alvc_nfv::placement::estimated_oeo;
 use alvc_nfv::{ChainSpec, HostLocation, PlacementContext};
 use alvc_topology::{Domain, OpsId, ServerId};
-
-use crate::estimate::estimated_oeo;
 
 /// Cost weight of one O/E/O conversion (the paper's headline metric).
 const W_OEO: f64 = 10.0;

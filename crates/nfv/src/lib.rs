@@ -13,8 +13,9 @@
 //!   scaling, termination, and update events during the life cycle of VNF";
 //! * [`sdn`] — the SDN controller: provisions connectivity by installing
 //!   per-chain flow rules along computed paths;
-//! * [`placement`] — the [`placement::VnfPlacer`] trait implemented by the
-//!   strategies in the `alvc-placement` crate;
+//! * [`placement`] — the [`placement::VnfPlacer`] trait and its three
+//!   strategies (electronic-only, the paper's optical-first, cost-driven),
+//!   one greedy stage walk that prunes by the chain's placement rules;
 //! * [`orchestrator`] — the network orchestrator for multi-tenant
 //!   SDN-enabled networks, "responsible for managing (provisioning,
 //!   creation, modification, upgradation, and deletion) of multiple NFCs",
@@ -67,7 +68,9 @@ pub use control::{
 pub use error::{DeployError, Error, LifecycleError, PlacementError, PowerError};
 pub use lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 pub use orchestrator::{DeployedChain, Orchestrator, OrchestratorBuilder};
-pub use placement::{ElectronicOnlyPlacer, PlacementContext, VnfPlacer};
+pub use placement::{
+    CostDrivenPlacer, ElectronicOnlyPlacer, OpticalFirstPlacer, PlacementContext, VnfPlacer,
+};
 pub use recovery::{RecoveryOutcome, RecoveryReport};
 pub use sdn::{SdnController, TableFull};
 pub use vnf::{ResourceDemand, VnfSpec, VnfType};

@@ -136,6 +136,14 @@ impl SdnController {
     pub fn install_path(&mut self, chain: NfcId, path: &HybridPath) -> usize {
         let nodes = path.nodes();
         let old = self.rules.insert(chain, nodes.to_vec()).unwrap_or_default();
+        self.total = self.total + nodes.len() - old.len();
+        if old.is_empty() {
+            // A first install: nothing can cancel.
+            for &n in nodes {
+                self.per_switch.entry(n).or_default().push(chain);
+            }
+            return nodes.len();
+        }
         // Per switch, +1 for each new rule and −1 for each old one.
         let added = nodes.iter().map(|&n| (n, 1));
         let mut delta: Vec<(NodeId, isize)> = added.chain(old.iter().map(|&n| (n, -1))).collect();
@@ -152,7 +160,6 @@ impl SdnController {
             }
             chains.extend((0..change).map(|_| chain));
         }
-        self.total = self.total + nodes.len() - old.len();
         nodes.len()
     }
 

@@ -5,12 +5,21 @@ use std::collections::HashMap;
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::{AbstractionLayer, OpsAvailability};
 use alvc_nfv::chain::fig5;
+use alvc_nfv::placement::estimated_oeo;
 use alvc_nfv::{
-    ChainSpec, ElectronicOnlyPlacer, HostLocation, PlacementContext, VnfPlacer, VnfSpec, VnfType,
+    ChainSpec, CostDrivenPlacer, ElectronicOnlyPlacer, HostLocation, OpticalFirstPlacer,
+    PlacementContext, VnfPlacer, VnfSpec, VnfType,
 };
-use alvc_placement::estimate::{domain_split, estimated_oeo};
-use alvc_placement::{CostDrivenPlacer, OpticalFirstPlacer};
-use alvc_topology::{AlvcTopologyBuilder, DataCenter, OptoCapacity, ServerId, VmId};
+use alvc_topology::{AlvcTopologyBuilder, DataCenter, Domain, OptoCapacity, ServerId, VmId};
+
+/// Number of VNFs placed in each domain: `(electronic, optical)`.
+fn domain_split(hosts: &[HostLocation]) -> (usize, usize) {
+    let e = hosts
+        .iter()
+        .filter(|h| h.domain() == Domain::Electronic)
+        .count();
+    (e, hosts.len() - e)
+}
 
 fn setup(opto_fraction: f64, seed: u64) -> (DataCenter, AbstractionLayer, Vec<ServerId>) {
     let dc = AlvcTopologyBuilder::new()

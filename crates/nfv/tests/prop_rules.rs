@@ -1,22 +1,21 @@
-//! Property tests for placement under rules:
+//! Property tests for placement under rules, for every placer:
 //!
-//! 1. assignments returned by [`OpticalFirstPlacer`] never violate the
-//!    chain's placement rules;
+//! 1. returned assignments never violate the chain's placement rules;
 //! 2. on routers and servers already loaded, the ruled placement is the
 //!    rule-free one whenever that one keeps the rules: no rules is the
-//!    empty rule set, not another algorithm;
-//! 3. the bounded refinement pass never worsens the greedy score and never
-//!    introduces a rule violation.
+//!    empty rule set, not another algorithm.
+//!
+//! Plus the orchestrator-level consequence: a ruled chain whose rule-free
+//! placement breaks a rule still deploys, rule-clean, under every placer.
 
 use std::collections::HashMap;
 
 use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::{AbstractionLayer, OpsAvailability};
 use alvc_nfv::{
-    ChainSpec, HostLocation, PlacementContext, PlacementError, ResourceDemand, VnfPlacer, VnfSpec,
-    VnfType,
+    ChainSpec, CostDrivenPlacer, ElectronicOnlyPlacer, HostLocation, OpticalFirstPlacer,
+    Orchestrator, PlacementContext, PlacementError, ResourceDemand, VnfPlacer, VnfSpec, VnfType,
 };
-use alvc_placement::{refine, OpticalFirstPlacer, RefineConfig};
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect, ServerId, VmId};
 use proptest::prelude::*;
 
@@ -69,6 +68,15 @@ fn ruled_chain(kinds: &[u8], rule_picks: &[(u8, u8, u8)]) -> Option<ChainSpec> {
     b.ingress(VmId(0)).egress(VmId(1)).build().ok()
 }
 
+/// The three placement policies.
+fn placers() -> [Box<dyn VnfPlacer>; 3] {
+    [
+        Box::new(OpticalFirstPlacer::new()),
+        Box::new(ElectronicOnlyPlacer::new()),
+        Box::new(CostDrivenPlacer::new()),
+    ]
+}
+
 /// `chain` with its rules cleared.
 fn rule_free(chain: &ChainSpec) -> ChainSpec {
     let mut free = chain.clone();
@@ -102,68 +110,26 @@ proptest! {
             server_used: &su,
             servers: &servers,
         };
-        match OpticalFirstPlacer::new().place(&ctx, &chain) {
-            Ok(hosts) => {
-                prop_assert_eq!(hosts.len(), chain.vnfs.len());
-                prop_assert!(chain.violated_rule(&dc, &hosts).is_none());
-            }
-            Err(PlacementError::RuleUnsatisfiable { rule, .. }) => {
-                prop_assert!(chain.rules.contains(&rule));
-            }
-            Err(other) => {
-                // Capacity errors are legitimate; rule-clean inputs on this
-                // roomy topology should not hit them, but a greedy prefix
-                // may corner itself.
-                prop_assert!(matches!(
-                    other,
-                    PlacementError::NoCapacity { .. } | PlacementError::NoElectronicHost
-                ));
+        for placer in placers() {
+            match placer.place(&ctx, &chain) {
+                Ok(hosts) => {
+                    prop_assert_eq!(hosts.len(), chain.vnfs.len());
+                    prop_assert!(chain.violated_rule(&dc, &hosts).is_none(), "{}", placer.name());
+                }
+                Err(PlacementError::RuleUnsatisfiable { rule, .. }) => {
+                    prop_assert!(chain.rules.contains(&rule));
+                }
+                Err(other) => {
+                    // Capacity errors are legitimate; rule-clean inputs on
+                    // this roomy topology should not hit them, but a greedy
+                    // prefix may corner itself.
+                    prop_assert!(matches!(
+                        other,
+                        PlacementError::NoCapacity { .. } | PlacementError::NoElectronicHost
+                    ));
+                }
             }
         }
-    }
-
-    /// Refinement never worsens the score, preserves feasibility, and
-    /// respects the rules, regardless of which placer produced the input.
-    #[test]
-    fn refinement_never_worsens(
-        seed in 0u64..50,
-        kinds in proptest::collection::vec(0u8..5, 1..6),
-        rule_picks in proptest::collection::vec((0u8..3, 0u8..8, 0u8..8), 0..3),
-        use_constrained in 0u8..2,
-    ) {
-        let Some(chain) = ruled_chain(&kinds, &rule_picks) else {
-            return Ok(());
-        };
-        let dc = dc_for(seed);
-        let al = al_for(&dc);
-        let servers: Vec<ServerId> = dc.server_ids().collect();
-        let (ou, su) = (HashMap::new(), HashMap::new());
-        let ctx = PlacementContext {
-            dc: &dc,
-            al: &al,
-            opto_used: &ou,
-            server_used: &su,
-            servers: &servers,
-        };
-        let use_constrained = use_constrained == 1;
-        let placed = if use_constrained {
-            OpticalFirstPlacer::new().place(&ctx, &chain)
-        } else {
-            OpticalFirstPlacer::new().place(&ctx, &rule_free(&chain))
-        };
-        let Ok(hosts) = placed else {
-            return Ok(());
-        };
-        if chain.violated_rule(&dc, &hosts).is_some() {
-            // The rule-free placement may violate rules; refinement's
-            // contract only covers rule-clean inputs.
-            return Ok(());
-        }
-        let out = refine(&ctx, &chain, hosts, RefineConfig::default());
-        prop_assert!(out.refined.cost() <= out.initial.cost());
-        prop_assert!(out.gap() >= 0.0);
-        prop_assert!(chain.violated_rule(&dc, &out.hosts).is_none());
-        prop_assert_eq!(out.hosts.len(), chain.vnfs.len());
     }
 }
 
@@ -220,19 +186,20 @@ proptest! {
             server_used: &su,
             servers: &servers,
         };
-        let placer = OpticalFirstPlacer::new();
-        let ruled = placer.place(&ctx, &chain);
-        match placer.place(&ctx, &rule_free(&chain)) {
-            Ok(free) if chain.violated_rule(&dc, &free).is_none() => {
-                prop_assert_eq!(ruled, Ok(free));
-            }
-            _ => match ruled {
-                Ok(hosts) => prop_assert!(chain.violated_rule(&dc, &hosts).is_none()),
-                Err(PlacementError::RuleUnsatisfiable { rule, .. }) => {
-                    prop_assert!(chain.rules.contains(&rule));
+        for placer in placers() {
+            let ruled = placer.place(&ctx, &chain);
+            match placer.place(&ctx, &rule_free(&chain)) {
+                Ok(free) if chain.violated_rule(&dc, &free).is_none() => {
+                    prop_assert_eq!(ruled, Ok(free), "{}", placer.name());
                 }
-                Err(other) => prop_assert!(false, "capacity error {other} with servers free"),
-            },
+                _ => match ruled {
+                    Ok(hosts) => prop_assert!(chain.violated_rule(&dc, &hosts).is_none()),
+                    Err(PlacementError::RuleUnsatisfiable { rule, .. }) => {
+                        prop_assert!(chain.rules.contains(&rule));
+                    }
+                    Err(other) => prop_assert!(false, "capacity error {other} with servers free"),
+                },
+            }
         }
     }
 }
@@ -271,4 +238,51 @@ fn mixed_rule_kinds_compose() {
     assert_ne!(hosts[0], hosts[1]);
     assert_eq!(hosts[2], hosts[3]);
     let _unused: Vec<HostLocation> = hosts;
+}
+
+/// Two racks of one server each and no optoelectronic router: a chain of
+/// three firewalls whose first and third stage must not share a host. The
+/// rule-free electronic walk returns to the first rack's only server at the
+/// third stage, and so does the least-loaded tie-break of the cost-driven
+/// walk; pruning by the rule sends that stage to the other server, so every
+/// placer's deployment passes admission.
+#[test]
+fn ruled_chains_deploy_rule_clean_under_every_placer() {
+    let dc = AlvcTopologyBuilder::new()
+        .racks(2)
+        .servers_per_rack(1)
+        .vms_per_server(2)
+        .ops_count(4)
+        .opto_fraction(0.0)
+        .seed(3)
+        .build();
+    let vms: Vec<VmId> = dc.vm_ids().collect();
+    let chain = ChainSpec::builder("aa-0-2")
+        .linear(vec![VnfSpec::of(VnfType::Firewall); 3])
+        .ingress(vms[0])
+        .egress(vms[3])
+        .bandwidth_gbps(0.1)
+        .anti_affine(0, 2)
+        .build()
+        .unwrap();
+    for placer in placers() {
+        let mut orch = Orchestrator::new();
+        let id = orch
+            .deploy_chain(
+                &dc,
+                "t",
+                vms.clone(),
+                chain.clone(),
+                &PaperGreedy::new(),
+                &*placer,
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", placer.name()));
+        let hosts = orch.chain(id).unwrap().hosts();
+        assert!(
+            chain.violated_rule(&dc, hosts).is_none(),
+            "{}",
+            placer.name()
+        );
+        assert_ne!(hosts[0], hosts[2]);
+    }
 }

@@ -66,7 +66,6 @@ pub struct LogHistogram {
     counts: Vec<u64>,
     count: u64,
     sum: f64,
-    sumsq: f64,
     min: Option<f64>,
     max: Option<f64>,
 }
@@ -89,7 +88,6 @@ impl LogHistogram {
         self.counts[bucket_index(v)] += 1;
         self.count = self.count.saturating_add(1);
         self.sum += v;
-        self.sumsq += v * v;
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
     }
@@ -107,7 +105,6 @@ impl LogHistogram {
         }
         self.count = self.count.saturating_add(other.count);
         self.sum += other.sum;
-        self.sumsq += other.sumsq;
         self.min = match (self.min, other.min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -118,8 +115,7 @@ impl LogHistogram {
         };
     }
 
-    /// Reconstructs a histogram from raw bucket counts (registry snapshots);
-    /// `sumsq` is unknown there, so [`stddev`](Self::stddev) reports 0.
+    /// Reconstructs a histogram from raw bucket counts (registry snapshots).
     pub(crate) fn from_bucket_counts(
         counts: Vec<u64>,
         sum: f64,
@@ -132,7 +128,6 @@ impl LogHistogram {
             counts,
             count,
             sum,
-            sumsq: 0.0,
             min,
             max,
         }
@@ -165,16 +160,6 @@ impl LogHistogram {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Population standard deviation, or 0 when empty.
-    pub fn stddev(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.sum / n;
-        (self.sumsq / n - mean * mean).max(0.0).sqrt()
     }
 
     /// Nearest-rank percentile, `0 <= p <= 100`.
@@ -250,7 +235,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.stddev(), 0.0);
         assert_eq!(h.percentile(50.0), 0.0);
         assert_eq!(h.percentile(99.0), 0.0);
     }

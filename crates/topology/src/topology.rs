@@ -643,19 +643,6 @@ impl DataCenter {
         (0..self.pod_count()).map(PodId)
     }
 
-    /// The pod of a physical-graph node (server, ToR, or OPS).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not part of the physical graph.
-    pub fn pod_of_node(&self, node: alvc_graph::NodeId) -> PodId {
-        match self.graph.node_weight(node).expect("node exists") {
-            PhysNode::Server(s) => self.pod_of_server(*s),
-            PhysNode::Tor(t) => self.pod_of_tor(*t),
-            PhysNode::Ops { id, .. } => self.pod_of_ops(*id),
-        }
-    }
-
     // ----- id iteration ---------------------------------------------------
 
     /// Iterates over all VM ids.

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example oeo_savings`
 
+use alvc::nfv::CostDrivenPlacer;
 use alvc::optical::EnergyModel;
-use alvc::placement::CostDrivenPlacer;
 use alvc::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -5,7 +5,6 @@ pub use alvc_energy as energy;
 pub use alvc_graph as graph;
 pub use alvc_nfv as nfv;
 pub use alvc_optical as optical;
-pub use alvc_placement as placement;
 pub use alvc_sim as sim;
 pub use alvc_telemetry as telemetry;
 pub use alvc_topology as topology;
@@ -48,14 +47,11 @@ pub mod prelude {
     pub use alvc_nfv::{
         AdmissionError, ChainSpec, ChainSpecBuilder, ChainSpecError, ControlPlane,
         ControlPlaneBuilder, DeployError, DeployedChain, ElectronicOnlyPlacer, Error, Intent,
-        IntentEffect, IntentId, IntentLog, IntentOutcome, NfcId, Orchestrator, OrchestratorBuilder,
-        PlacementRule, QosClass, StageId, StateView, TenantQuota, VnfInstanceId, VnfPlacer,
-        VnfSpec, VnfType,
+        IntentEffect, IntentId, IntentLog, IntentOutcome, NfcId, OpticalFirstPlacer, Orchestrator,
+        OrchestratorBuilder, PlacementRule, QosClass, StageId, StateView, TenantQuota,
+        VnfInstanceId, VnfPlacer, VnfSpec, VnfType,
     };
     pub use alvc_optical::OeoCostModel;
-    pub use alvc_placement::{
-        refine, OpticalFirstPlacer, PlacementScore, RefineConfig, RefineOutcome,
-    };
     pub use alvc_topology::{
         AlvcTopologyBuilder, DataCenter, Element, OpsInterconnect, PowerState, ServiceMix,
         ServiceType, VmId,

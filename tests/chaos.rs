@@ -7,8 +7,7 @@ mod common;
 use alvc::core::clustering::tenant_clusters;
 use alvc::core::construction::PaperGreedy;
 use alvc::nfv::chain::fig5;
-use alvc::nfv::{HostLocation, NfcId, Orchestrator, VnfInstanceId};
-use alvc::placement::OpticalFirstPlacer;
+use alvc::nfv::{HostLocation, NfcId, OpticalFirstPlacer, Orchestrator, VnfInstanceId};
 use alvc::topology::{
     AlvcTopologyBuilder, DataCenter, Element, OpsId, OpsInterconnect, ServerId, TorId,
 };

@@ -9,11 +9,11 @@ use alvc::core::construction::{AlConstruct, PaperGreedy, RandomSelection};
 use alvc::core::{service_clusters, OpsAvailability};
 use alvc::nfv::chain::fig5;
 use alvc::nfv::{
-    ChainSpec, ControlPlane, ElectronicOnlyPlacer, HostLocation, Intent, IntentEffect, IntentId,
-    IntentOutcome, Orchestrator, StateView, VnfPlacer, VnfSpec, VnfType,
+    ChainSpec, ControlPlane, CostDrivenPlacer, ElectronicOnlyPlacer, HostLocation, Intent,
+    IntentEffect, IntentId, IntentOutcome, OpticalFirstPlacer, Orchestrator, StateView, VnfPlacer,
+    VnfSpec, VnfType,
 };
 use alvc::optical::EnergyModel;
-use alvc::placement::{CostDrivenPlacer, OpticalFirstPlacer};
 use alvc::sim::workload::{ChainBlueprint, FlowSizeDistribution, ServiceTraffic};
 use alvc::sim::{ChainLoad, ChainWorkload, FlowSim, IntentMix, IntentOp, MixWeights};
 use alvc::topology::{

@@ -6,8 +6,7 @@
 use alvc::core::clustering::tenant_clusters;
 use alvc::core::construction::PaperGreedy;
 use alvc::nfv::chain::fig5;
-use alvc::nfv::{ElectronicOnlyPlacer, HostLocation, Orchestrator};
-use alvc::placement::OpticalFirstPlacer;
+use alvc::nfv::{ElectronicOnlyPlacer, HostLocation, OpticalFirstPlacer, Orchestrator};
 use alvc::topology::{fat_tree, leaf_spine, DataCenter, FatTreeParams, LeafSpineParams};
 
 fn fabrics() -> Vec<(&'static str, DataCenter)> {

@@ -6,9 +6,8 @@ use alvc::core::clustering::tenant_clusters;
 use alvc::core::construction::PaperGreedy;
 use alvc::core::service_clusters;
 use alvc::nfv::chain::fig5;
-use alvc::nfv::{Orchestrator, VnfState};
+use alvc::nfv::{OpticalFirstPlacer, Orchestrator, VnfState};
 use alvc::optical::EnergyModel;
-use alvc::placement::OpticalFirstPlacer;
 use alvc::sim::{ChainLoad, FlowSim, FlowSizeDistribution};
 use alvc::topology::{AlvcTopologyBuilder, DataCenter, OpsInterconnect};
 

@@ -5,8 +5,7 @@
 use alvc::core::construction::{AlConstruct, ExactCover, PaperGreedy, RandomSelection};
 use alvc::core::{service_clusters, ChurnEvent, ClusterManager, OpsAvailability, UpdateCostModel};
 use alvc::nfv::chain::fig5;
-use alvc::nfv::{ElectronicOnlyPlacer, Orchestrator, VnfPlacer};
-use alvc::placement::OpticalFirstPlacer;
+use alvc::nfv::{ElectronicOnlyPlacer, OpticalFirstPlacer, Orchestrator, VnfPlacer};
 use alvc::sim::traffic::LocalityReport;
 use alvc::sim::workload::{FlowSizeDistribution, ServiceTraffic};
 use alvc::sim::TrafficMatrix;

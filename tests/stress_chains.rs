@@ -2,8 +2,7 @@
 //! the orchestrator without leaking any resource.
 
 use alvc::core::construction::PaperGreedy;
-use alvc::nfv::{ChainSpec, Orchestrator, VnfSpec, VnfType};
-use alvc::placement::{CostDrivenPlacer, OpticalFirstPlacer};
+use alvc::nfv::{ChainSpec, CostDrivenPlacer, OpticalFirstPlacer, Orchestrator, VnfSpec, VnfType};
 use alvc::sim::workload::ChainWorkload;
 use alvc::topology::{AlvcTopologyBuilder, OpsInterconnect};
 
