@@ -62,10 +62,9 @@ impl std::fmt::Display for ClusterId {
 pub struct ClusterManager {
     clusters: BTreeMap<ClusterId, VirtualCluster>,
     /// The cluster whose layer lists each owned OPS: the layers' OPS sets
-    /// read the other way round. Written only where a layer is registered,
-    /// replaced or removed (`register_cluster`, `set_layer`,
-    /// `remove_cluster`); [`ClusterManager::verify_disjoint`] checks it
-    /// against the layers.
+    /// read the other way round. Derived, like `availability`: written only
+    /// where a layer is registered, replaced or removed, and checked by
+    /// `derivation_mismatch` after every write in debug builds.
     owner: HashMap<OpsId, ClusterId>,
     availability: OpsAvailability,
     health: ElementHealth,
@@ -112,18 +111,7 @@ impl ClusterManager {
 
     /// Finds the cluster owning `ops`, if any: one table read.
     pub fn ops_owner(&self, ops: OpsId) -> Option<ClusterId> {
-        let owner = self.owner.get(&ops).copied();
-        debug_assert_eq!(owner, self.ops_owner_scan(ops), "owner table of {ops}");
-        owner
-    }
-
-    /// [`ClusterManager::ops_owner`] by a search of every layer: the
-    /// oracle of the owner table.
-    fn ops_owner_scan(&self, ops: OpsId) -> Option<ClusterId> {
-        self.clusters
-            .values()
-            .find(|vc| vc.al().contains_ops(ops))
-            .map(|vc| vc.id())
+        self.owner.get(&ops).copied()
     }
 
     /// Finds a cluster by label. Resolves the text through the intern
@@ -177,6 +165,7 @@ impl ClusterManager {
         }
         self.clusters
             .insert(id, VirtualCluster::new(id, label, vms, al));
+        debug_assert_eq!(self.derivation_mismatch(), None, "register {id}");
         id
     }
 
@@ -232,6 +221,7 @@ impl ClusterManager {
                 self.availability.release(o);
             }
         }
+        debug_assert_eq!(self.derivation_mismatch(), None, "remove {id}");
         Some(vc)
     }
 
@@ -303,11 +293,13 @@ impl ClusterManager {
         if !self.health.fail(element) {
             return Vec::new();
         }
-        match element {
+        let repaired = match element {
             Element::Ops(ops) => self.fail_ops(dc, ops, constructor).into_iter().collect(),
             Element::Tor(tor) => self.fail_tor(dc, tor),
             Element::Server(_) => Vec::new(),
-        }
+        };
+        debug_assert_eq!(self.derivation_mismatch(), None, "fail {element}");
+        repaired
     }
 
     /// [`ClusterManager::fail`] for an OPS already marked failed: block it
@@ -380,6 +372,7 @@ impl ClusterManager {
             }
             Element::Server(_) => {}
         }
+        debug_assert_eq!(self.derivation_mismatch(), None, "restore {element}");
         true
     }
 
@@ -413,6 +406,7 @@ impl ClusterManager {
             }
         }
         self.power.set(element, state);
+        debug_assert_eq!(self.derivation_mismatch(), None, "power {element}");
         Ok(previous)
     }
 
@@ -432,6 +426,30 @@ impl ClusterManager {
             self.owner.insert(o, id);
         }
         vc.update(|_, layer| *layer = al);
+        debug_assert_eq!(self.derivation_mismatch(), None, "set layer of {id}");
+    }
+
+    /// Which of `owner` and `availability` first differs from what the
+    /// layers, `health` and `power` derive, or `None`: an OPS is owned by
+    /// the layer listing it, and blocked if owned, failed or powered off
+    /// (looked up for the ids the live bitset spans, 8 per heap byte).
+    fn derivation_mismatch(&self) -> Option<&'static str> {
+        let mut owner = HashMap::new();
+        let mut availability = OpsAvailability::with_blocked(self.health.failed_ops());
+        for vc in self.clusters.values() {
+            for &o in vc.al().ops() {
+                owner.insert(o, vc.id());
+                availability.block(o);
+            }
+        }
+        let spanned = (0..self.availability.heap_bytes() * 8).map(OpsId);
+        spanned
+            .filter(|&o| !self.power.is_on(Element::Ops(o)))
+            .for_each(|o| availability.block(o));
+        if owner != self.owner {
+            return Some("owner");
+        }
+        (availability != self.availability).then_some("availability")
     }
 
     /// Returns `true` if no live AL contains a failed OPS. (A failed ToR

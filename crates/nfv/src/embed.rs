@@ -23,18 +23,21 @@
 //! operator paths read instead of scanning every chain: the instances on
 //! each host (`spawn`, `retire`), the chain of each cluster and the chain
 //! endpoints per VM (`commit`, `release`). The SDN controller keeps the
-//! chains on each switch with the rules themselves. Debug builds check all
-//! of them against a scan of the chains after every commit and release.
+//! chains on each switch with the rules themselves. These, and the two
+//! ledgers, are derived state: [`Orchestrator::derivation_mismatch`]
+//! rebuilds them from the chains, instances and replicas.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
 
 use alvc_core::{AbstractionLayer, ClusterId, ClusterSlice};
 use alvc_graph::{EdgeId, NodeId};
 use alvc_optical::{route_flow_in_slice, route_flow_within, HybridPath};
-use alvc_topology::{DataCenter, Element, OpsId, ServerId, VmId};
+use alvc_topology::{DataCenter, Element, OpsId, ServerId};
 
 use crate::chain::{ChainSpec, Nfc, NfcId};
 use crate::error::DeployError;
+use crate::ledger::ShardedLedger;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::orchestrator::{kbps, DeployedChain, Orchestrator};
 use crate::placement::{PlacementContext, VnfPlacer};
@@ -326,10 +329,7 @@ impl Orchestrator {
                 edges: plan.edges,
             },
         );
-        debug_assert!(
-            self.indexes_match_scans(),
-            "commit of {id} left an index stale"
-        );
+        debug_assert_eq!(self.derivation_mismatch(), None, "commit of {id}");
         Ok(())
     }
 
@@ -354,10 +354,7 @@ impl Orchestrator {
         self.manager.remove_cluster(chain.cluster);
         self.changes.chain(id);
         self.changes.cluster(chain.cluster);
-        debug_assert!(
-            self.indexes_match_scans(),
-            "release of {id} left an index stale"
-        );
+        debug_assert_eq!(self.derivation_mismatch(), None, "release of {id}");
         chain
     }
 
@@ -451,53 +448,6 @@ impl Orchestrator {
         }
     }
 
-    /// Whether every reverse index holds what a scan of the chains,
-    /// instances and replicas computes: the per-switch chain lists, the
-    /// instances per host, the endpoint counts and the chain per cluster.
-    /// The oracle debug builds run after every commit and release.
-    fn indexes_match_scans(&self) -> bool {
-        let mut hosted: HashMap<HostLocation, Vec<(VnfInstanceId, NfcId)>> = HashMap::new();
-        let members = self
-            .chains
-            .values()
-            .flat_map(|c| c.instances.iter().map(|&i| (i, c.nfc.id())));
-        let replicas = self.replicas.iter().map(|(&iid, &(chain, _))| (iid, chain));
-        let mut serving: Vec<(VnfInstanceId, NfcId)> = members.chain(replicas).collect();
-        serving.sort_unstable();
-        for (iid, chain) in serving {
-            let Some(instance) = self.instances.get(&iid) else {
-                return false;
-            };
-            hosted
-                .entry(instance.host())
-                .or_default()
-                .push((iid, chain));
-        }
-        let listed = self.hosted.iter().filter(|(_, list)| !list.is_empty());
-        let hosted_ok = listed.count() == hosted.len()
-            && hosted
-                .iter()
-                .all(|(host, list)| self.hosted.get(host) == Some(list));
-
-        let mut endpoints: HashMap<VmId, u32> = HashMap::new();
-        for chain in self.chains.values() {
-            for vm in [chain.nfc.spec().ingress, chain.nfc.spec().egress] {
-                *endpoints.entry(vm).or_default() += 1;
-            }
-        }
-        let cluster_chain: HashMap<ClusterId, NfcId> = self
-            .chains
-            .values()
-            .map(|c| (c.cluster, c.nfc.id()))
-            .collect();
-
-        self.sdn.lists_match_rules()
-            && hosted_ok
-            && self.instances.len() == self.hosted.values().map(Vec::len).sum::<usize>()
-            && endpoints == self.endpoints
-            && cluster_chain == self.cluster_chain
-    }
-
     /// Commits `bandwidth_gbps` to the ledger on every edge in `edges`.
     pub(crate) fn commit_edges(&mut self, edges: &[EdgeId], bandwidth_gbps: f64) {
         let bw = kbps(bandwidth_gbps);
@@ -518,4 +468,61 @@ impl Orchestrator {
         }
         self.changes.edges(edges);
     }
+
+    /// The first structure whose live value differs from what one pass
+    /// over the primary state derives, by name (`"host_used.server"`,
+    /// `"sdn.per_switch"`, …), or `None`. Zero ledger entries and empty
+    /// lists count as absent. See DESIGN.md §18, "One derivation".
+    pub(crate) fn derivation_mismatch(&self) -> Option<&'static str> {
+        let (mut used, mut link_committed) = (HostLedger::default(), ShardedLedger::default());
+        let (mut endpoints, mut cluster_chain) = (HashMap::new(), HashMap::new());
+        let (mut serving, mut by_chain) = (BTreeMap::new(), BTreeSet::new());
+        for (&iid, &(chain, _)) in &self.replicas {
+            serving.insert(iid, chain);
+            by_chain.insert((chain, iid));
+        }
+        for (&id, chain) in &self.chains {
+            cluster_chain.insert(chain.cluster, id);
+            for vm in [chain.nfc.spec().ingress, chain.nfc.spec().egress] {
+                *endpoints.entry(vm).or_insert(0) += 1;
+            }
+            for &e in &chain.edges {
+                link_committed.commit(e, chain.bandwidth_kbps());
+            }
+            serving.extend(chain.instances.iter().map(|&iid| (iid, id)));
+        }
+        let mut hosted = HashMap::new();
+        // Paired in id order: a key that differs is reported as "instances".
+        for ((&iid, &chain), instance) in serving.iter().zip(self.instances.values()) {
+            used.charge(instance.host(), &instance.spec().demand);
+            let list: &mut Vec<_> = hosted.entry(instance.host()).or_default();
+            list.push((iid, chain));
+        }
+        let (live, zero) = (&self.host_used, |d: &_| *d == ResourceDemand::default());
+        let checks = [
+            ("instances", serving.keys().eq(self.instances.keys())),
+            ("host_used.opto", same(&live.opto, &used.opto, zero)),
+            ("host_used.server", same(&live.server, &used.server, zero)),
+            ("link_committed", link_committed == self.link_committed),
+            ("hosted", same(&self.hosted, &hosted, Vec::is_empty)),
+            ("endpoints", endpoints == self.endpoints),
+            ("cluster_chain", cluster_chain == self.cluster_chain),
+            ("chain_replicas", by_chain == self.chain_replicas),
+        ];
+        let paths = self.chains.iter().map(|(&id, c)| (id, c.path.nodes()));
+        let mut all = checks.into_iter().chain(self.sdn.derivation_of(paths));
+        all.find(|&(_, ok)| !ok).map(|(name, _)| name)
+    }
+}
+
+/// Whether `live` and `derived` hold the same entries once the `empty`
+/// ones are dropped from both.
+fn same<K: Eq + Hash, V: PartialEq>(
+    live: &HashMap<K, V>,
+    derived: &HashMap<K, V>,
+    empty: impl Fn(&V) -> bool,
+) -> bool {
+    let kept = |map: &HashMap<K, V>| map.values().filter(|v| !empty(v)).count();
+    let in_live = |(k, v): (&K, &V)| empty(v) || live.get(k) == Some(v);
+    kept(live) == kept(derived) && derived.iter().all(in_live)
 }

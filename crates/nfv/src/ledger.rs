@@ -27,9 +27,11 @@ impl ShardedLedger {
         self.links.get(&e).copied().unwrap_or(0)
     }
 
-    /// Adds `kb` kb/s of commitment on `e`.
+    /// Adds `kb` kb/s on `e`; 0 adds no entry, as a release would drop it.
     pub fn commit(&mut self, e: EdgeId, kb: u64) {
-        *self.links.entry(e).or_insert(0) += kb;
+        if kb > 0 {
+            *self.links.entry(e).or_insert(0) += kb;
+        }
     }
 
     /// Releases `kb` kb/s from `e` (saturating), dropping the entry when it
@@ -75,6 +77,17 @@ mod tests {
         assert_eq!(ledger.iter().count(), 1);
         ledger.release(EdgeId(7), 150);
         assert!(ledger.is_empty());
+        assert_eq!(ledger, ShardedLedger::default());
+    }
+
+    #[test]
+    fn a_zero_commitment_holds_no_entry() {
+        let mut ledger = ShardedLedger::default();
+        ledger.commit(EdgeId(3), 0);
+        assert!(ledger.is_empty());
+        // Another chain's round trip over the same link leaves it as it was.
+        ledger.commit(EdgeId(3), 40);
+        ledger.release(EdgeId(3), 40);
         assert_eq!(ledger, ShardedLedger::default());
     }
 

@@ -121,7 +121,7 @@ pub struct Orchestrator {
     /// The keys of `replicas` ordered by chain, so a chain's replicas are
     /// a range and not a scan of every replica in the data center. Written
     /// together with `replicas`, by `scale_out` and `scale_in` only.
-    chain_replicas: BTreeSet<(NfcId, VnfInstanceId)>,
+    pub(crate) chain_replicas: BTreeSet<(NfcId, VnfInstanceId)>,
     /// The live instances on each host, ascending by id, each with the
     /// chain it serves (a replica's chain included). Written only by
     /// `spawn` and `retire`; a host keeps its list, empty or not, once it
@@ -693,6 +693,7 @@ impl Orchestrator {
         self.changes.replica(chain, 1);
         self.changes.instance(original_iid);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_outs").incr();
+        debug_assert_eq!(self.derivation_mismatch(), None, "scale-out of {chain}");
         Ok(iid)
     }
 
@@ -713,6 +714,7 @@ impl Orchestrator {
         self.changes.replica(chain, -1);
         self.retire(replica);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_ins").incr();
+        debug_assert_eq!(self.derivation_mismatch(), None, "scale-in of {replica}");
         Ok(())
     }
 }

@@ -14,7 +14,7 @@ use alvc_topology::{DataCenter, Element, PowerOverlay, PowerState};
 
 use crate::error::PowerError;
 use crate::orchestrator::Orchestrator;
-use crate::recovery::{element_node, host_on};
+use crate::recovery::element_node;
 
 impl Orchestrator {
     /// The power state of every substrate element, as the cluster manager
@@ -35,34 +35,7 @@ impl Orchestrator {
     /// at the node, leave a rule there.
     pub fn element_in_use(&self, dc: &DataCenter, element: Element) -> bool {
         let node = element_node(dc, element);
-        let in_use = self.sdn.rules_on_switch(node) > 0 || !self.hosted_on(element).is_empty();
-        debug_assert_eq!(in_use, self.element_in_use_scan(dc, element), "{element}");
-        in_use
-    }
-
-    /// [`Orchestrator::element_in_use`] by a scan of every chain, committed
-    /// link and instance: the oracle of the two indexes it reads.
-    fn element_in_use_scan(&self, dc: &DataCenter, element: Element) -> bool {
-        let node = element_node(dc, element);
-        if self.sdn.rules_on_switch(node) > 0 {
-            return true;
-        }
-        for chain in self.chains.values() {
-            if chain.path.nodes().contains(&node) {
-                return true;
-            }
-            if chain.hosts.iter().any(|&h| host_on(h, element)) {
-                return true;
-            }
-        }
-        for e in self.link_committed.edges() {
-            if let Some((a, b)) = dc.graph().edge_endpoints(e) {
-                if a == node || b == node {
-                    return true;
-                }
-            }
-        }
-        self.instances.values().any(|i| host_on(i.host(), element))
+        self.sdn.rules_on_switch(node) > 0 || !self.hosted_on(element).is_empty()
     }
 
     /// Moves `element` to `state`, returning the previous state.
@@ -107,6 +80,7 @@ impl Orchestrator {
             "element" = element.to_string().as_str(),
             "state" = state.label(),
         );
+        debug_assert_eq!(self.derivation_mismatch(), None, "power {element}");
         Ok(previous)
     }
 }

@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 use alvc_affinity::VmMove;
 use alvc_core::construction::AlConstruct;
 use alvc_core::ClusterId;
-use alvc_topology::{DataCenter, VmId};
+use alvc_topology::DataCenter;
 
 use crate::chain::NfcId;
 use crate::orchestrator::Orchestrator;
@@ -86,8 +86,10 @@ impl Orchestrator {
                 .manager
                 .cluster(mv.from)
                 .is_some_and(|vc| vc.vms().contains(&mv.vm));
+            // A chain's ingress or egress VM is pinned: moved out of its
+            // cluster, it would strand the chain outside its own slice.
             let valid = mv.from != mv.to
-                && !self.is_endpoint(mv.vm)
+                && !self.endpoints.contains_key(&mv.vm)
                 && source_holds_vm
                 && self.manager.cluster(mv.to).is_some();
             if !valid {
@@ -134,7 +136,6 @@ impl Orchestrator {
             .filter_map(|c| self.cluster_chain.get(c).copied())
             .collect();
         stale.sort_unstable();
-        debug_assert_eq!(stale, self.chains_of_scan(&changed));
         alvc_telemetry::counter!("alvc_nfv.operator.chains_examined").add(stale.len() as u64);
         for id in stale {
             match self.recover_chain(dc, id, placer) {
@@ -165,30 +166,8 @@ impl Orchestrator {
             "chains_rerouted" = report.chains_rerouted,
             "chains_degraded" = report.chains_degraded,
         );
+        debug_assert_eq!(self.derivation_mismatch(), None, "recluster");
         report
-    }
-
-    /// Whether `vm` is a live chain's ingress or egress. Chain endpoints
-    /// are pinned: moving one out of its cluster would strand the chain's
-    /// ingress/egress outside its own slice.
-    fn is_endpoint(&self, vm: VmId) -> bool {
-        let pinned = self.endpoints.contains_key(&vm);
-        debug_assert_eq!(
-            pinned,
-            self.chains
-                .values()
-                .any(|c| c.nfc.spec().ingress == vm || c.nfc.spec().egress == vm),
-            "endpoint count of {vm}"
-        );
-        pinned
-    }
-
-    /// The chains of `clusters` in id order, by a scan of every chain: the
-    /// oracle of the chain-per-cluster index.
-    fn chains_of_scan(&self, clusters: &BTreeSet<ClusterId>) -> Vec<NfcId> {
-        let chains = self.chains.iter();
-        let of = chains.filter(|(_, c)| clusters.contains(&c.cluster));
-        of.map(|(&id, _)| id).collect()
     }
 }
 

@@ -14,9 +14,9 @@
 //! # The recovery ladder
 //!
 //! For every affected chain the orchestrator first releases the chain's
-//! network state (flow rules and bandwidth commitments — whatever the
-//! ladder decides, nothing may keep referencing the dead element), then
-//! climbs:
+//! bandwidth commitments, then climbs; the rung that re-embeds the chain
+//! swaps its flow rules for the new path's, and the last one removes them
+//! with the chain, so nothing keeps referencing the dead element:
 //!
 //! 1. **Reroute** — all VNF hosts survived: route the same hosts inside the
 //!    (repaired) slice, avoiding failed elements.
@@ -194,7 +194,6 @@ impl Orchestrator {
         let dead_replicas: Vec<VnfInstanceId> = hosted
             .filter(|iid| self.replicas.contains_key(iid))
             .collect();
-        debug_assert_eq!(dead_replicas, self.dead_replicas_scan(), "{element}");
         for replica in dead_replicas {
             let _ = self.scale_in(replica);
         }
@@ -217,6 +216,7 @@ impl Orchestrator {
             outcomes.insert(id, outcome);
         }
         alvc_telemetry::gauge!("alvc_nfv.recovery.degraded_chains").set(self.degraded.len() as f64);
+        debug_assert_eq!(self.derivation_mismatch(), None, "failure of {element}");
         RecoveryReport { element, outcomes }
     }
 
@@ -230,6 +230,7 @@ impl Orchestrator {
         if was_failed {
             alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
         }
+        debug_assert_eq!(self.derivation_mismatch(), None, "restore of {element}");
         was_failed
     }
 
@@ -317,45 +318,12 @@ impl Orchestrator {
         let mut affected: Vec<NfcId> = crossing.chain(slices).chain(hosting).collect();
         affected.sort_unstable();
         affected.dedup();
-        debug_assert_eq!(
-            affected,
-            self.affected_chains_scan(node, repaired),
-            "{element}"
-        );
         affected
     }
 
-    /// [`Orchestrator::affected_chains`] by a scan of every chain: the
-    /// oracle of the three indexes it reads.
-    fn affected_chains_scan(&self, node: NodeId, repaired: &[ClusterId]) -> Vec<NfcId> {
-        self.chains
-            .iter()
-            .filter(|(_, c)| {
-                c.path.nodes().contains(&node)
-                    || c.hosts.iter().any(|&h| !self.host_up(h))
-                    || repaired.contains(&c.cluster)
-            })
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// The live replicas on a host that is down, by a scan of every
-    /// replica: the oracle of the dead replicas `fail_element` reads off
-    /// the failed element's instance list.
-    fn dead_replicas_scan(&self) -> Vec<VnfInstanceId> {
-        let replicas = self.replicas.keys().copied();
-        replicas
-            .filter(|iid| {
-                self.instances
-                    .get(iid)
-                    .is_some_and(|i| !self.host_up(i.host()))
-            })
-            .collect()
-    }
-
-    /// Climbs the recovery ladder for one chain. The chain's flow rules
-    /// and bandwidth commitments are released up front: no exit path —
-    /// including failure — leaves state referencing a dead element.
+    /// Climbs the recovery ladder for one chain. Its bandwidth is released
+    /// up front and its rules go with a rung's commit or with the chain, so
+    /// no exit path leaves state referencing a dead element.
     /// Shared with adaptive re-clustering, which reroutes chains whose
     /// cluster's abstraction layer was rebuilt under them.
     pub(crate) fn recover_chain(
@@ -383,7 +351,6 @@ impl Orchestrator {
         let chain = self.chains.get_mut(&id).expect("affected chain exists");
         let old_edges = std::mem::take(&mut chain.edges);
         let bandwidth_gbps = chain.nfc.spec().bandwidth_gbps;
-        self.sdn.remove_chain(id);
         alvc_telemetry::counter!("alvc_nfv.operator.links_examined").add(old_edges.len() as u64);
         self.release_edges(&old_edges, bandwidth_gbps);
 

@@ -191,26 +191,36 @@ impl SdnController {
         self.per_switch.get(&switch).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether every switch's chain list holds what a scan of the chains'
-    /// switch lists finds there: the oracle of the per-switch lists.
-    pub(crate) fn lists_match_rules(&self) -> bool {
-        let mut scanned: HashMap<NodeId, Vec<NfcId>> = HashMap::new();
-        for (&chain, switches) in &self.rules {
-            for &n in switches {
-                scanned.entry(n).or_default().push(chain);
+    /// The controller's share of the orchestrator's derivation, as named
+    /// checks against `paths`, each chain's switches in path order: the
+    /// per-chain lists are the paths, each switch lists the chains crossing
+    /// it (in any order, empty lists dropped), and `total` counts the rules.
+    pub(crate) fn derivation_of<'a>(
+        &self,
+        paths: impl Iterator<Item = (NfcId, &'a [NodeId])>,
+    ) -> [(&'static str, bool); 3] {
+        let (mut rules, mut chains, mut total) = (true, 0, 0);
+        let mut per_switch: HashMap<NodeId, Vec<NfcId>> = HashMap::new();
+        for (chain, nodes) in paths {
+            rules &= self.rules.get(&chain).map(Vec::as_slice) == Some(nodes);
+            for &n in nodes {
+                per_switch.entry(n).or_default().push(chain);
             }
+            (chains, total) = (chains + 1, total + nodes.len());
         }
-        let listed = self
-            .per_switch
-            .iter()
-            .filter(|(_, chains)| !chains.is_empty());
-        listed.count() == scanned.len()
-            && scanned.into_iter().all(|(switch, mut chains)| {
-                let mut listed = self.chains_on_switch(switch).to_vec();
-                listed.sort_unstable();
-                chains.sort_unstable();
-                listed == chains
-            })
+        // Pushed in chain-id order, so each derived list is sorted.
+        let listed = self.per_switch.values().filter(|chains| !chains.is_empty());
+        let lists = listed.count() == per_switch.len()
+            && per_switch.iter().all(|(&n, chains)| {
+                let mut live = self.chains_on_switch(n).to_vec();
+                live.sort_unstable();
+                &live == chains
+            });
+        [
+            ("sdn.rules", rules && chains == self.rules.len()),
+            ("sdn.per_switch", lists),
+            ("sdn.total", total == self.total),
+        ]
     }
 
     /// The switches holding `chain`'s rules, in path order (empty if none).
@@ -238,6 +248,17 @@ mod tests {
         )
     }
 
+    /// The controller's derivation from its own per-chain lists: the
+    /// first structure that differs, by name.
+    fn derivation(ctl: &SdnController) -> Option<&'static str> {
+        let paths = ctl
+            .rules
+            .iter()
+            .map(|(&chain, nodes)| (chain, nodes.as_slice()));
+        let mut checks = ctl.derivation_of(paths).into_iter();
+        checks.find(|&(_, ok)| !ok).map(|(name, _)| name)
+    }
+
     #[test]
     fn install_creates_rule_per_node() {
         let mut ctl = SdnController::new();
@@ -246,7 +267,7 @@ mod tests {
         // In path order: each rule's ports are its neighbours in the list.
         let switches = [0, 1, 2, 3].map(NodeId);
         assert_eq!(ctl.rules_for_chain(NfcId(0)), switches);
-        assert!(ctl.lists_match_rules());
+        assert_eq!(derivation(&ctl), None);
     }
 
     #[test]
@@ -269,7 +290,7 @@ mod tests {
         assert_eq!(ctl.install_path(NfcId(0), &path(&[0, 1, 2, 3])), 4);
         assert_eq!(ctl.per_switch, before);
         assert_eq!(ctl.total_rules(), 11);
-        assert!(ctl.lists_match_rules());
+        assert_eq!(derivation(&ctl), None);
     }
 
     #[test]
@@ -281,14 +302,14 @@ mod tests {
         // Switches 0 and 1 keep their rule, 2 and 3 lose it, 8 and 9 gain
         // one; a path may cross a switch twice.
         ctl.install_path(NfcId(0), &path(&[0, 1, 8, 9, 8]));
-        assert!(ctl.lists_match_rules());
+        assert_eq!(derivation(&ctl), None);
         assert_eq!(ctl.chains_on_switch(NodeId(1)), untouched);
         assert_eq!(ctl.chains_on_switch(NodeId(2)), [NfcId(1)]);
         assert_eq!(ctl.rules_on_switch(NodeId(3)), 0);
         assert_eq!(ctl.rules_on_switch(NodeId(8)), 2);
         assert_eq!(ctl.total_rules(), 9);
         ctl.install_path(NfcId(0), &path(&[0, 8]));
-        assert!(ctl.lists_match_rules());
+        assert_eq!(derivation(&ctl), None);
         assert_eq!(ctl.rules_on_switch(NodeId(8)), 1);
         assert_eq!(ctl.total_rules(), 6);
     }

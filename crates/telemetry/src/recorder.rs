@@ -112,7 +112,8 @@ impl FlightRecorder {
     }
 
     /// Entries dropped to the drop-oldest policy so far.
-    pub(crate) fn overwritten(&self) -> u64 {
+    #[cfg(test)]
+    fn overwritten(&self) -> u64 {
         let head = self.head.load(Ordering::Relaxed);
         head.saturating_sub(self.slots.len() as u64)
     }
@@ -190,11 +191,6 @@ pub fn recorder_entries() -> Vec<RecorderEntry> {
 /// Renders the global recorder as JSON lines (oldest first).
 pub fn recorder_dump_jsonl() -> String {
     recorder().dump_jsonl()
-}
-
-/// Entries lost to drop-oldest in the global recorder so far.
-pub fn recorder_overwritten() -> u64 {
-    recorder().overwritten()
 }
 
 /// Empties the global recorder.

@@ -509,7 +509,7 @@ pub fn emit(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
 /// Takes every buffered event (this thread's buffer plus the global sink).
 /// Unflushed buffers of *other* live threads are not included until they
 /// spill or exit.
-pub fn drain_events() -> Vec<Event> {
+fn drain_events() -> Vec<Event> {
     LOCAL.with(|l| spill(&mut l.buf.borrow_mut()));
     std::mem::take(&mut *SINK.lock().expect("telemetry event sink poisoned"))
 }

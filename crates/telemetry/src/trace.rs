@@ -173,7 +173,7 @@ pub fn tracing_enabled() -> bool {
 }
 
 /// Allocates a fresh trace id (never the reserved absent id 0).
-pub fn new_trace() -> TraceId {
+fn new_trace() -> TraceId {
     TraceId(NEXT_TRACE.fetch_add(1, Ordering::Relaxed))
 }
 
