@@ -90,7 +90,7 @@ impl AffinityClusterer {
     /// absent from `stats` (no observed traffic) never move; pairs in
     /// `stats` involving unmanaged VMs are ignored.
     pub fn propose(&self, current: &[ClusterSpec], stats: &TrafficStats) -> Vec<ClusterSpec> {
-        let _span = alvc_telemetry::span!("alvc_affinity.clusterer.propose_us");
+        let _span = alvc_telemetry::span!("alvc_affinity.propose_us");
         // Universe and initial assignment.
         let mut label: BTreeMap<VmId, usize> = BTreeMap::new();
         for (i, spec) in current.iter().enumerate() {

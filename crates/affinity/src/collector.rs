@@ -123,7 +123,6 @@ impl TrafficCollector {
         self.now_ns = self.now_ns.max(now_ns);
         let now = self.now_ns;
         self.observations += 1;
-        alvc_telemetry::counter!("alvc_affinity.collector.observations").incr();
         if let Some(c) = self.pairs.get_mut(&key) {
             c.weight = c.weight * Self::decay_factor(self.config.half_life_s, c.last_ns, now)
                 + bytes as f64;
@@ -149,7 +148,6 @@ impl TrafficCollector {
                 self.error_bound = self.error_bound.max(w);
                 start += w;
                 self.evictions += 1;
-                alvc_telemetry::counter!("alvc_affinity.collector.evictions").incr();
             }
         }
         self.pairs.insert(

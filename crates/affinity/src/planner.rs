@@ -145,12 +145,12 @@ impl MigrationPlanner {
         proposed: &[ClusterSpec],
         stats: &TrafficStats,
     ) -> ReclusterPlan {
+        let _span = alvc_telemetry::span!("alvc_affinity.plan_us");
         assert_eq!(
             current.len(),
             proposed.len(),
             "proposal must cover every current cluster"
         );
-        let _span = alvc_telemetry::span!("alvc_affinity.planner.plan_latency_us");
         let before: BTreeMap<VmId, ClusterId> = current
             .iter()
             .flat_map(|(id, s)| s.vms.iter().map(move |&v| (v, *id)))
@@ -181,16 +181,6 @@ impl MigrationPlanner {
         let approved = !moves.is_empty()
             && gain >= self.policy.min_gain
             && moves.len() <= self.policy.max_moves;
-
-        alvc_telemetry::counter!("alvc_affinity.planner.plans").incr();
-        alvc_telemetry::gauge!("alvc_affinity.planner.predicted_gain").set(gain);
-        if approved {
-            alvc_telemetry::counter!("alvc_affinity.planner.moves_proposed")
-                .add(moves.len() as u64);
-        } else {
-            alvc_telemetry::counter!("alvc_affinity.planner.moves_suppressed")
-                .add(moves.len() as u64);
-        }
 
         ReclusterPlan {
             moves,

@@ -11,11 +11,12 @@
 //! bench's gates are held to [`REQUIRED`], this bin's own table, so a
 //! producer can neither drop a gate nor loosen a bound unseen; and the
 //! embedded telemetry snapshot must satisfy
-//! `schemas/telemetry_snapshot.schema.json` and, from a probes-on build,
-//! show activity in every probe family the bench exercises (DESIGN.md §9).
+//! `schemas/telemetry_snapshot.schema.json`, name only probes listed in
+//! `schemas/probes.txt`, and show activity in every probe family the
+//! bench exercises (DESIGN.md §9).
 //!
 //! A `.jsonl` is a flight-recorder dump (`ControlPlane::
-//! dump_flight_recorder()`, a post-mortem, or the e10 trace phase): every
+//! dump_flight_recorder()` or the e10 trace phase): every
 //! line must parse as an object whose `kind` selects one of the
 //! `definitions` of `schemas/trace_dump.schema.json` and satisfy it, the
 //! dump must hold at least one span, and with `--expect-breach` at least
@@ -32,6 +33,8 @@ use alvc_bench::{Json, Op};
 const RESULT_SCHEMA: &str = include_str!("../../../../schemas/bench_result.schema.json");
 const TELEMETRY_SCHEMA: &str = include_str!("../../../../schemas/telemetry_snapshot.schema.json");
 const TRACE_SCHEMA: &str = include_str!("../../../../schemas/trace_dump.schema.json");
+/// `tools/gen_probes.sh`'s inventory: `<kind> <name> <reader>` per line.
+const PROBES: &str = include_str!("../../../../schemas/probes.txt");
 
 /// One acceptance invariant a bench must carry, `(gate, op, bound)`: the
 /// gate must be present with exactly this operator and bound.
@@ -113,33 +116,36 @@ const REQUIRED: &[(&str, &[Required])] = &[
     ),
 ];
 
+/// Every probe name `tools/gen_probes.sh` found a reader for.
+fn listed_probes() -> BTreeSet<&'static str> {
+    PROBES
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.split_whitespace().nth(1))
+        .collect()
+}
+
 /// The probe families an instrumented run of `bench` must cover
 /// (DESIGN.md §9), as `(prefix, nonzero)`: at least one probe under
 /// `prefix` must exist in the snapshot, and when `nonzero` the family must
-/// show recorded activity (a counter above zero, a histogram with samples,
-/// or any gauge). Every bench deploys chains, so the selector /
-/// construction / orchestrator trio always applies; e8 additionally proves
-/// the label-interning counter exists (its `label_clones` gate holds it at
-/// zero) plus the pod-sharded construction probes; e11 must light up all
-/// three affinity subsystems and e14 the energy plane.
+/// show recorded activity (a counter above zero or a histogram with
+/// samples). Every bench deploys chains, so the selector / construction
+/// pair always applies, and every bench but e13, which deploys through the
+/// control plane only, times `Orchestrator::deploy_chain`; e8 additionally
+/// proves the label-interning counter exists (its `label_clones` gate
+/// holds it at zero) plus the pod-sharded construction probes, and e11
+/// must time the affinity clusterer and planner.
 fn required_families(bench: &str) -> Vec<(&'static str, bool)> {
     let mut families = vec![
         ("alvc_graph.selector.", true),
         ("alvc_core.construction.", true),
-        ("alvc_nfv.orchestrator.", true),
     ];
+    if bench != "constrained_placement" {
+        families.push(("alvc_nfv.orchestrator.", true));
+    }
     match bench {
         "scalability" => families.extend([("alvc_core.label.", false), ("alvc_core.shard.", true)]),
-        "reclustering" => families.extend([
-            ("alvc_affinity.collector.", true),
-            ("alvc_affinity.clusterer.", true),
-            ("alvc_affinity.planner.", true),
-        ]),
-        "energy_qos" => families.extend([
-            ("alvc_energy.power.", true),
-            ("alvc_energy.ledger.", true),
-            ("alvc_energy.consolidation.", true),
-        ]),
+        "reclustering" => families.push(("alvc_affinity.", true)),
         _ => {}
     }
     families
@@ -153,26 +159,30 @@ fn num_field(value: &Json, key: &str) -> f64 {
     value.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// Checks that every required probe family is present and, where
-/// demanded, shows nonzero activity in one of the three metric kinds.
+/// Checks that every probe the snapshot names is listed in
+/// `schemas/probes.txt` (a renamed or deleted probe, or one nothing reads,
+/// fails), that every required probe family is present and, where
+/// demanded, that it shows nonzero activity.
 fn check_probe_coverage(bench: &str, snapshot: &Json) -> Result<(), String> {
     let section = |name: &str| snapshot.get(name).and_then(Json::as_array).unwrap_or(&[]);
-    let (counters, gauges, histograms) = (
-        section("counters"),
-        section("gauges"),
-        section("histograms"),
-    );
+    let (counters, histograms) = (section("counters"), section("histograms"));
+    let listed = listed_probes();
+    for entry in counters.iter().chain(histograms) {
+        let name = str_field(entry, "name");
+        if name.starts_with("alvc_") && !listed.contains(name) {
+            return Err(format!(
+                "{bench}: probe {name:?} is not listed in schemas/probes.txt"
+            ));
+        }
+    }
     for (prefix, nonzero) in required_families(bench) {
         let named = |entry: &Json| str_field(entry, "name").starts_with(prefix);
-        let seen =
-            counters.iter().any(named) || gauges.iter().any(named) || histograms.iter().any(named);
-        if !seen {
+        if !counters.iter().chain(histograms).any(named) {
             return Err(format!("{bench}: no probe under {prefix:?}"));
         }
         let hit = counters
             .iter()
             .any(|c| named(c) && num_field(c, "value") > 0.0)
-            || gauges.iter().any(named)
             || histograms
                 .iter()
                 .any(|h| named(h) && num_field(h, "count") > 0.0);
@@ -238,7 +248,7 @@ fn check_result(doc: &Json) -> Result<String, String> {
     check_schema(snapshot, &parse_schema(TELEMETRY_SCHEMA), "telemetry")?;
     check_probe_coverage(bench, snapshot)?;
     Ok(format!(
-        "{bench}: {} gate(s) hold; all probe families covered",
+        "{bench}: {} gate(s) hold; every probe listed, all probe families covered",
         gates.len()
     ))
 }
@@ -286,12 +296,11 @@ fn check_trace(dump: &str, expect_breach: bool) -> Result<String, String> {
         return Err("--expect-breach, but no breach records".to_string());
     }
     Ok(format!(
-        "{} spans across {} traces ({} rootless — ring overwrites), {} events, \
+        "{} spans across {} traces ({} rootless — ring overwrites), \
          {} breaches; all records valid",
         count("span"),
         seen.len(),
         seen.difference(&rooted).count(),
-        count("event"),
         count("breach"),
     ))
 }
@@ -362,8 +371,9 @@ mod tests {
 
     /// An envelope for `bench` carrying every gate of its table except
     /// `without`, each sitting exactly on its bound (strict gates one step
-    /// inside), and one active counter per required probe family;
-    /// `doctored` replaces the gate of the same name.
+    /// inside), and one active counter per required probe family, named
+    /// after the family's first listed probe; `doctored` replaces the gate
+    /// of the same name.
     fn envelope(bench: &str, without: &str, doctored: Option<Json>) -> Json {
         let (_, required) = REQUIRED.iter().find(|(name, _)| *name == bench).unwrap();
         let gates: Vec<Json> = required
@@ -383,12 +393,7 @@ mod tests {
             .collect();
         let counters: Vec<Json> = required_families(bench)
             .into_iter()
-            .map(|(prefix, _)| {
-                Json::object()
-                    .field("name", format!("{prefix}probe"))
-                    .field("label", "")
-                    .field("value", 1.0)
-            })
+            .map(|(prefix, _)| counter(listed_under(prefix), 1.0))
             .collect();
         let empty = || Json::Array(Vec::new());
         Json::object()
@@ -401,9 +406,43 @@ mod tests {
                 "telemetry",
                 Json::object()
                     .field("counters", counters)
-                    .field("gauges", empty())
                     .field("histograms", empty()),
             )
+    }
+
+    fn counter(name: &str, value: f64) -> Json {
+        Json::object()
+            .field("name", name)
+            .field("label", "")
+            .field("value", value)
+    }
+
+    /// The first probe of `schemas/probes.txt` under `prefix`.
+    fn listed_under(prefix: &str) -> &'static str {
+        listed_probes()
+            .into_iter()
+            .find(|name| name.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no listed probe under {prefix:?}"))
+    }
+
+    fn histogram(name: &str, count: f64) -> Json {
+        let mut h = Json::object().field("name", name).field("label", "");
+        for key in ["count", "sum", "min", "max", "mean", "p50", "p95", "p99"] {
+            h = h.field(key, count);
+        }
+        h.field("rejected", 0.0)
+    }
+
+    /// `envelope`'s snapshot replaced by one holding `counters` and
+    /// `histograms`.
+    fn with_snapshot(bench: &str, counters: Vec<Json>, histograms: Vec<Json>) -> Json {
+        let mut doc = envelope(bench, "", None);
+        if let Json::Object(fields) = &mut doc {
+            fields.last_mut().unwrap().1 = Json::object()
+                .field("counters", counters)
+                .field("histograms", histograms);
+        }
+        doc
     }
 
     fn every_required() -> impl Iterator<Item = (&'static str, &'static str, Op, f64)> {
@@ -522,7 +561,6 @@ mod tests {
                 fields.last_mut().unwrap().1 = Json::object()
                     .field("enabled", false)
                     .field("counters", Json::Array(Vec::new()))
-                    .field("gauges", Json::Array(Vec::new()))
                     .field("histograms", Json::Array(Vec::new()));
             }
             let err = check_result(&doc).unwrap_err();
@@ -530,41 +568,65 @@ mod tests {
         }
     }
 
+    /// A required family is checked only while `schemas/probes.txt` still
+    /// lists a probe under it.
+    #[test]
+    fn every_required_family_has_a_listed_probe() {
+        for (bench, _) in REQUIRED {
+            for (prefix, _) in required_families(bench) {
+                listed_under(prefix);
+            }
+        }
+    }
+
     #[test]
     fn a_snapshot_must_cover_the_bench_families() {
-        let counter = |name: &str, value: f64| {
-            Json::object()
-                .field("name", name)
-                .field("label", "")
-                .field("value", value)
-        };
-        let with_counters = |counters: Vec<Json>| {
-            let mut doc = envelope("reclustering", "", None);
-            if let Json::Object(fields) = &mut doc {
-                fields.last_mut().unwrap().1 = Json::object()
-                    .field("counters", counters)
-                    .field("gauges", Json::Array(Vec::new()))
-                    .field("histograms", Json::Array(Vec::new()));
-            }
-            doc
-        };
-        let mut counters = vec![
+        let counters = vec![
             counter("alvc_graph.selector.pops", 9.0),
-            counter("alvc_core.construction.layers", 4.0),
-            counter("alvc_nfv.orchestrator.deploys", 4.0),
-            counter("alvc_affinity.collector.observations", 100.0),
-            counter("alvc_affinity.clusterer.rounds", 3.0),
+            counter("alvc_core.construction.layers_built", 4.0),
         ];
-        let err = check_result(&with_counters(counters.clone())).unwrap_err();
-        assert!(
-            err.contains("no probe under \"alvc_affinity.planner.\""),
-            "{err}"
-        );
-        counters.push(counter("alvc_affinity.planner.plans", 0.0));
-        let err = check_result(&with_counters(counters.clone())).unwrap_err();
+        let mut histograms = vec![histogram("alvc_nfv.orchestrator.deploy_us", 3.0)];
+        let check = |histograms: &[Json]| {
+            check_result(&with_snapshot(
+                "reclustering",
+                counters.clone(),
+                histograms.to_vec(),
+            ))
+        };
+        let err = check(&histograms).unwrap_err();
+        assert!(err.contains("no probe under \"alvc_affinity.\""), "{err}");
+        histograms.push(histogram("alvc_affinity.propose_us", 0.0));
+        let err = check(&histograms).unwrap_err();
         assert!(err.contains("no nonzero activity"), "{err}");
-        counters.push(counter("alvc_affinity.planner.approved", 1.0));
-        check_result(&with_counters(counters)).unwrap();
+        histograms.push(histogram("alvc_affinity.plan_us", 2.0));
+        check(&histograms).unwrap();
+    }
+
+    /// A deleted, renamed or unread probe in a snapshot fails, whatever
+    /// else the snapshot covers.
+    #[test]
+    fn a_snapshot_with_an_unlisted_probe_fails() {
+        for unlisted in [
+            "alvc_core.construction.layers",
+            "alvc_nfv.control.batch_latency_us",
+        ] {
+            for (bench, _) in REQUIRED {
+                let mut counters = required_families(bench)
+                    .into_iter()
+                    .map(|(prefix, _)| counter(listed_under(prefix), 1.0))
+                    .collect::<Vec<_>>();
+                let check = |counters: &[Json]| {
+                    check_result(&with_snapshot(bench, counters.to_vec(), Vec::new()))
+                };
+                check(&counters).unwrap();
+                counters.push(counter(unlisted, 1.0));
+                let err = check(&counters).unwrap_err();
+                assert!(
+                    err.contains(unlisted) && err.contains("not listed"),
+                    "{bench}: {err}"
+                );
+            }
+        }
     }
 
     const SPAN: &str = r#"{"kind":"span","trace":7,"span":1,"parent":0,"name":"intent","start_us":1,"duration_us":2,"status":"ok","code":""}"#;

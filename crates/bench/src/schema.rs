@@ -2,8 +2,8 @@
 //!
 //! Supports exactly the subset the schemas under `schemas/` use: `type`
 //! (string form), `required`, `properties`, `items`, `minimum`, and the
-//! custom `format: "probe-name"` (the `alvc_<crate>.<subsystem>.<metric>`
-//! probe naming convention from DESIGN.md §9).
+//! custom `format: "probe-name"` (the `alvc_<crate>.<name>` probe naming
+//! convention from DESIGN.md §9).
 
 use crate::json::Json;
 
@@ -41,7 +41,7 @@ pub fn validate(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
                 if let Some(s) = value.as_str() {
                     if !is_probe_name(s) {
                         return Err(format!(
-                            "{path}: {s:?} is not an alvc_<crate>.<subsystem>.<metric> probe name"
+                            "{path}: {s:?} is not an alvc_<crate>.<name> probe name"
                         ));
                     }
                 }
@@ -74,12 +74,12 @@ pub fn validate(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `true` for `alvc_<crate>.<subsystem>.<metric>` probe names: at least
-/// three non-empty dot-separated segments of `[a-z0-9_]`, the first
-/// starting with `alvc_`.
+/// `true` for `alvc_<crate>.<name>` probe names: at least two non-empty
+/// dot-separated segments of `[a-z0-9_]`, the first `alvc_` and a crate.
 fn is_probe_name(s: &str) -> bool {
     let segments: Vec<&str> = s.split('.').collect();
-    segments.len() >= 3
+    segments.len() >= 2
+        && segments[0].len() > "alvc_".len()
         && segments[0].starts_with("alvc_")
         && segments.iter().all(|seg| {
             !seg.is_empty()
@@ -125,7 +125,7 @@ mod tests {
         let schema = parse(r#"{"type": "string", "format": "probe-name"}"#);
         for good in [
             "alvc_core.shard.pod_construct_us",
-            "alvc_nfv.control.reject_latency_us",
+            "alvc_affinity.propose_us",
             "alvc_core.label.clones",
         ] {
             assert!(
@@ -135,7 +135,8 @@ mod tests {
         }
         for bad in [
             "core.label_clones",
-            "alvc_core.clones",
+            "alvc_core",
+            "alvc_.clones",
             "alvc_core..clones",
             "Alvc_Core.label.clones",
         ] {

@@ -10,7 +10,6 @@ use crate::json::Json;
 /// ```json
 /// {
 ///   "counters": [{"name": "...", "label": "...", "value": 1}],
-///   "gauges":   [{"name": "...", "label": "...", "value": 0.5}],
 ///   "histograms": [{"name": "...", "count": 9, "p50": ..., ...}]
 /// }
 /// ```
@@ -24,16 +23,6 @@ pub fn telemetry_json() -> Json {
                 .field("name", c.name.as_str())
                 .field("label", c.label.as_str())
                 .field("value", c.value)
-        })
-        .collect();
-    let gauges: Vec<Json> = snap
-        .gauges
-        .iter()
-        .map(|g| {
-            Json::object()
-                .field("name", g.name.as_str())
-                .field("label", g.label.as_str())
-                .field("value", g.value)
         })
         .collect();
     let histograms: Vec<Json> = snap
@@ -56,7 +45,6 @@ pub fn telemetry_json() -> Json {
         .collect();
     Json::object()
         .field("counters", counters)
-        .field("gauges", gauges)
         .field("histograms", histograms)
 }
 
@@ -67,7 +55,7 @@ mod tests {
     #[test]
     fn telemetry_json_has_all_sections() {
         let j = telemetry_json();
-        for section in ["counters", "gauges", "histograms"] {
+        for section in ["counters", "histograms"] {
             assert!(
                 j.get(section).and_then(Json::as_array).is_some(),
                 "{section}"

@@ -367,9 +367,6 @@ fn greedy_cover_indexed(
     let mut unmet = need.iter().filter(|&&n| n > 0).count();
     let mut chosen = vec![false; n_cands];
     let mut rounds: u64 = 0;
-    // Gain decrements, accumulated per covered element (its full candidate
-    // list is walked exactly once) so the inner decay loop stays untouched.
-    let mut decays: u64 = 0;
     let mut selector = BucketSelector::new(gains);
     while unmet > 0 {
         let c = selector
@@ -389,7 +386,6 @@ fn greedy_cover_indexed(
             need[e] -= 1;
             unmet -= usize::from(need[e] == 0);
             if adaptive && need[e] == 0 {
-                decays += elems_of(e).len() as u64;
                 for &other in elems_of(e) {
                     selector.decay(other as usize, weight(e));
                 }
@@ -397,7 +393,6 @@ fn greedy_cover_indexed(
         }
     }
     alvc_telemetry::counter!("alvc_core.construction.rounds").add(rounds);
-    alvc_telemetry::counter!("alvc_core.construction.decays").add(decays);
     chosen
 }
 
@@ -843,7 +838,6 @@ pub fn construct_layers(
     if clusters.is_empty() {
         return Vec::new();
     }
-    let _span = alvc_telemetry::span!("alvc_core.construction.construct_layers_us");
     let partition = Partition::new(dc, clusters, available);
 
     // Phases 2 and 3, one cluster at a time in cluster order: the
@@ -854,7 +848,6 @@ pub fn construct_layers(
     // unrequested bridge OPS.
     let mut pool = available.clone();
     let mut results = Vec::with_capacity(clusters.len());
-    let mut optimistic_commits: u64 = 0;
     let mut conflict_fallbacks: u64 = 0;
     let mut layers_built: u64 = 0;
     for (c, vms) in clusters.iter().enumerate() {
@@ -864,10 +857,7 @@ pub fn construct_layers(
             ctor.construct(dc, vms, restricted)
         });
         let resolved = match optimistic {
-            Some(Ok(al)) if al.ops().iter().all(|&o| pool.is_available(o)) => {
-                optimistic_commits += 1;
-                Ok(al)
-            }
+            Some(Ok(al)) if al.ops().iter().all(|&o| pool.is_available(o)) => Ok(al),
             _ => {
                 conflict_fallbacks += 1;
                 layers_built += 1;
@@ -875,23 +865,14 @@ pub fn construct_layers(
             }
         };
         if let Ok(al) = &resolved {
-            alvc_telemetry::histogram!("alvc_core.construction.al_size")
-                .record(al.ops().len() as f64);
             for &o in al.ops() {
                 pool.block(o);
             }
         }
         results.push(resolved);
     }
-    alvc_telemetry::counter!("alvc_core.construction.optimistic_commits").add(optimistic_commits);
     alvc_telemetry::counter!("alvc_core.construction.conflict_fallbacks").add(conflict_fallbacks);
     alvc_telemetry::counter!("alvc_core.construction.layers_built").add(layers_built);
-    alvc_telemetry::event!(
-        "alvc_core.construction.batch",
-        "clusters" = clusters.len(),
-        "optimistic_commits" = optimistic_commits,
-        "conflict_fallbacks" = conflict_fallbacks,
-    );
     results
 }
 

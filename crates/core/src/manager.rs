@@ -155,8 +155,6 @@ impl ClusterManager {
             al.ops().iter().all(|&o| self.availability.is_available(o)),
             "registering a layer whose OPSs are already claimed"
         );
-        alvc_telemetry::counter!("alvc_core.manager.clusters_created").incr();
-        alvc_telemetry::histogram!("alvc_core.manager.al_size").record(al.ops().len() as f64);
         let id = ClusterId(self.next_id);
         self.next_id += 1;
         for &o in al.ops() {
@@ -214,7 +212,6 @@ impl ClusterManager {
     /// is unknown.
     pub fn remove_cluster(&mut self, id: ClusterId) -> Option<VirtualCluster> {
         let vc = self.clusters.remove(&id)?;
-        alvc_telemetry::counter!("alvc_core.manager.clusters_removed").incr();
         for &o in vc.al().ops() {
             self.owner.remove(&o);
             if !self.ops_blocked(o) {
@@ -251,10 +248,7 @@ impl ClusterManager {
             }
         }
         let (al, result) = match constructor.construct(dc, &vms, &self.availability) {
-            Ok(new_al) => {
-                alvc_telemetry::counter!("alvc_core.manager.rebuilds").incr();
-                (new_al, Ok(()))
-            }
+            Ok(new_al) => (new_al, Ok(())),
             // Only this cluster's holdings were released, so the old
             // layer is always restorable.
             Err(e) => (old_al, Err(e)),
@@ -310,8 +304,6 @@ impl ClusterManager {
         ops: OpsId,
         constructor: &dyn AlConstruct,
     ) -> Option<(ClusterId, Result<(), ConstructionError>)> {
-        alvc_telemetry::counter!("alvc_core.manager.ops_failures").incr();
-        alvc_telemetry::event!("alvc_core.manager.ops_failed", "ops" = ops.index());
         self.availability.block(ops);
         let owner = self.ops_owner(ops)?;
         let vc = &self.clusters[&owner];
@@ -331,8 +323,6 @@ impl ClusterManager {
         dc: &DataCenter,
         tor: TorId,
     ) -> Vec<(ClusterId, Result<(), ConstructionError>)> {
-        alvc_telemetry::counter!("alvc_core.manager.tor_failures").incr();
-        alvc_telemetry::event!("alvc_core.manager.tor_failed", "tor" = tor.index());
         let listing: Vec<ClusterId> = self
             .clusters
             .values()
@@ -358,19 +348,10 @@ impl ClusterManager {
         if !self.health.restore(element) {
             return false;
         }
-        match element {
-            Element::Ops(ops) => {
-                alvc_telemetry::counter!("alvc_core.manager.ops_restores").incr();
-                alvc_telemetry::event!("alvc_core.manager.ops_restored", "ops" = ops.index());
-                if !self.ops_blocked(ops) && self.ops_owner(ops).is_none() {
-                    self.availability.release(ops);
-                }
+        if let Element::Ops(ops) = element {
+            if !self.ops_blocked(ops) && self.ops_owner(ops).is_none() {
+                self.availability.release(ops);
             }
-            Element::Tor(tor) => {
-                alvc_telemetry::counter!("alvc_core.manager.tor_restores").incr();
-                alvc_telemetry::event!("alvc_core.manager.tor_restored", "tor" = tor.index());
-            }
-            Element::Server(_) => {}
         }
         debug_assert_eq!(self.derivation_mismatch(), None, "restore {element}");
         true
@@ -396,13 +377,12 @@ impl ClusterManager {
                 if self.ops_owner(ops).is_some() {
                     return Err(ops);
                 }
-                alvc_telemetry::counter!("alvc_core.manager.ops_power_downs").incr();
                 self.availability.block(ops);
-            } else if previous == PowerState::PoweredOff {
-                alvc_telemetry::counter!("alvc_core.manager.ops_power_ups").incr();
-                if self.health.ops_up(ops) && self.ops_owner(ops).is_none() {
-                    self.availability.release(ops);
-                }
+            } else if previous == PowerState::PoweredOff
+                && self.health.ops_up(ops)
+                && self.ops_owner(ops).is_none()
+            {
+                self.availability.release(ops);
             }
         }
         self.power.set(element, state);

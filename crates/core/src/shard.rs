@@ -247,7 +247,7 @@ pub fn construct_layers_sharded(
     if clusters.is_empty() {
         return (Vec::new(), ShardReport::default());
     }
-    let _span = alvc_telemetry::span!("alvc_core.shard.construct_layers_sharded_us");
+    let _span = alvc_telemetry::span!("alvc_core.shard.construct_total_us");
     let mut _trace_span = alvc_telemetry::trace::child_span("core.construct_sharded");
     _trace_span.add_field("clusters", clusters.len());
     construct_with_state(dc, &ShardedState::new(dc), clusters, ctor, available)

@@ -304,18 +304,6 @@ impl ConsolidationPlanner {
             }
         }
         plan.mode = self.mode;
-
-        alvc_telemetry::counter!("alvc_energy.consolidation.plans").incr();
-        if !slo_ok {
-            alvc_telemetry::counter!("alvc_energy.consolidation.slo_vetoes").incr();
-        }
-        alvc_telemetry::gauge!("alvc_energy.consolidation.load_fraction").set(load_fraction);
-        alvc_telemetry::gauge!("alvc_energy.consolidation.consolidated")
-            .set(f64::from(self.mode == ConsolidationMode::Consolidated));
-        alvc_telemetry::histogram!("alvc_energy.consolidation.power_downs")
-            .record(plan.power_downs.len() as f64);
-        alvc_telemetry::histogram!("alvc_energy.consolidation.predicted_p99_us")
-            .record(predicted_p99_us);
         plan
     }
 }

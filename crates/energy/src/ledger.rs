@@ -119,7 +119,7 @@ impl PowerLedger {
 
     /// Takes a sample at `ts_s` (caller's monotone clock): measures the
     /// instantaneous draw, charges the *previous* draw for the elapsed
-    /// interval, and publishes the `alvc_energy.power.*` gauges.
+    /// interval.
     ///
     /// Out-of-order timestamps charge nothing (the interval is clamped to
     /// zero) rather than rewinding the ledger.
@@ -134,16 +134,6 @@ impl PowerLedger {
         self.last = Some((ts_s, power.total_w()));
         self.samples += 1;
 
-        alvc_telemetry::gauge!("alvc_energy.power.total_w").set(power.total_w());
-        alvc_telemetry::gauge_with("alvc_energy.power.family_w", "ops").set(power.ops_w);
-        alvc_telemetry::gauge_with("alvc_energy.power.family_w", "tor").set(power.tor_w);
-        alvc_telemetry::gauge_with("alvc_energy.power.family_w", "server").set(power.server_w);
-        alvc_telemetry::gauge_with("alvc_energy.power.family_w", "flow").set(power.flow_w);
-        alvc_telemetry::gauge!("alvc_energy.ledger.energy_j").set(self.energy_j);
-        alvc_telemetry::gauge!("alvc_energy.elements.powered_off").set(sample.powered_off as f64);
-        alvc_telemetry::gauge!("alvc_energy.elements.idle").set(sample.idle as f64);
-        alvc_telemetry::gauge!("alvc_energy.elements.carrying").set(sample.carrying as f64);
-        alvc_telemetry::counter!("alvc_energy.ledger.samples").incr();
         sample
     }
 }

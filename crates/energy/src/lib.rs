@@ -9,8 +9,8 @@
 //!   proportional to path length (via `alvc_optical::EnergyModel`);
 //! * [`ledger`] — [`PowerLedger`]: integrates watt-seconds from the
 //!   orchestrator's live element and flow state, tracking
-//!   `Active ⇄ Idle ⇄ PoweredOff` per element and exporting
-//!   `alvc_energy.*` telemetry gauges per family;
+//!   `Active ⇄ Idle ⇄ PoweredOff` per element and reporting each
+//!   sample's draw per family;
 //! * [`consolidate`] — [`ConsolidationPlanner`]: when traffic ebbs
 //!   (streaming load signal from `alvc_affinity`, hysteresis-gated), packs
 //!   abstraction layers onto fewer powered switches and powers vacated
@@ -25,8 +25,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library crates report progress through alvc-telemetry events, never the
-// process's stdout/stderr (enforced under cargo clippy).
+// Library crates never print to stdout/stderr (enforced under cargo
+// clippy): they report through return values and alvc-telemetry.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod consolidate;

@@ -79,18 +79,14 @@ pub(crate) struct LazySelector<K: Ord> {
 ///
 /// The counters are plain fields (they cost one register increment per
 /// operation), flushed into the global `alvc_graph.selector.*` counters
-/// when the selector drops, which is how bench runs decompose a greedy pass
-/// into heap work vs. stale refreshes vs. dead skips.
+/// when the selector drops, which is how bench runs split a greedy pass
+/// into selections vs. stale refreshes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SelectorStats {
-    /// Candidates offered.
-    pushes: u64,
     /// Successful selections.
     pops: u64,
     /// Stale entries re-pushed with a refreshed key before retrying.
     stale_refreshes: u64,
-    /// Entries discarded because the candidate was no longer selectable.
-    dead_skips: u64,
 }
 
 impl SelectorStats {
@@ -99,10 +95,8 @@ impl SelectorStats {
         if self == SelectorStats::default() {
             return;
         }
-        alvc_telemetry::counter!("alvc_graph.selector.pushes").add(self.pushes);
         alvc_telemetry::counter!("alvc_graph.selector.pops").add(self.pops);
         alvc_telemetry::counter!("alvc_graph.selector.stale_refreshes").add(self.stale_refreshes);
-        alvc_telemetry::counter!("alvc_graph.selector.dead_skips").add(self.dead_skips);
     }
 }
 
@@ -123,7 +117,6 @@ impl<K: Ord> LazySelector<K> {
 
     /// Offers candidate `id` with its current score.
     pub(crate) fn push(&mut self, id: usize, key: K) {
-        self.stats.pushes += 1;
         self.heap.push(Entry { key, id });
     }
 
@@ -138,7 +131,7 @@ impl<K: Ord> LazySelector<K> {
     pub(crate) fn pop_max(&mut self, mut current: impl FnMut(usize) -> Option<K>) -> Option<usize> {
         while let Some(top) = self.heap.pop() {
             match current(top.id) {
-                None => self.stats.dead_skips += 1,
+                None => {}
                 Some(key) if key == top.key => {
                     self.stats.pops += 1;
                     return Some(top.id);
@@ -217,11 +210,9 @@ impl BucketSelector {
         let width = gains.len().div_ceil(64);
         let top = gains.iter().copied().max().unwrap_or(0) as usize;
         let mut buckets = vec![0u64; top * width];
-        let mut pushes = 0;
         for (r, &g) in gains.iter().enumerate() {
             if g > 0 {
                 buckets[(g as usize - 1) * width + r / 64] |= 1 << (r % 64);
-                pushes += 1;
             }
         }
         BucketSelector {
@@ -229,10 +220,7 @@ impl BucketSelector {
             buckets,
             width,
             top,
-            stats: SelectorStats {
-                pushes,
-                ..SelectorStats::default()
-            },
+            stats: SelectorStats::default(),
         }
     }
 
@@ -276,9 +264,8 @@ impl BucketSelector {
     }
 }
 
-/// Flushes the pushes and pops into the global `alvc_graph.selector.*`
-/// counters, as the lazy heap does (a bucket queue has no stale refreshes
-/// or dead skips to report).
+/// Flushes the pops into the global `alvc_graph.selector.*` counters, as
+/// the lazy heap does (a bucket queue has no stale refreshes to report).
 impl Drop for BucketSelector {
     fn drop(&mut self) {
         self.stats.flush();
@@ -386,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_pushes_pops_refreshes_and_skips() {
+    fn stats_count_pops_and_refreshes() {
         let mut scores = [10usize, 7];
         let mut sel = LazySelector::with_capacity(4);
         sel.push(0, scores[0]);
@@ -399,10 +386,8 @@ mod tests {
         assert_eq!(
             sel.stats(),
             SelectorStats {
-                pushes: 2,
                 pops: 1,
                 stale_refreshes: 1,
-                dead_skips: 1,
             }
         );
     }
@@ -438,7 +423,6 @@ mod tests {
         assert_eq!(
             sel.stats,
             SelectorStats {
-                pushes: 3,
                 pops: 2,
                 ..SelectorStats::default()
             }

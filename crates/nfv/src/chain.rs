@@ -225,6 +225,12 @@ pub enum ChainSpecError {
         /// The offending value.
         weight: f64,
     },
+    /// A stage's resource demand has a component that is non-finite,
+    /// negative or off the [`ResourceDemand`](crate::ResourceDemand) grid.
+    InvalidDemand {
+        /// The offending stage position.
+        position: usize,
+    },
 }
 
 impl std::fmt::Display for ChainSpecError {
@@ -269,6 +275,13 @@ impl std::fmt::Display for ChainSpecError {
             }
             ChainSpecError::InvalidQosWeight { weight } => {
                 write!(f, "QoS weight {weight} is not finite and positive")
+            }
+            ChainSpecError::InvalidDemand { position } => {
+                write!(
+                    f,
+                    "stage {position} demands a resource amount that is not a \
+                     non-negative multiple of 1/1024"
+                )
             }
         }
     }
@@ -416,6 +429,9 @@ impl ChainSpec {
         }
         if let Some(qos) = &self.qos {
             qos.validate()?;
+        }
+        if let Some(position) = self.vnfs.iter().position(|v| !v.demand.on_grid()) {
+            return Err(ChainSpecError::InvalidDemand { position });
         }
         validate_rules(&self.rules, self.vnfs.len())?;
         Ok(())
@@ -817,7 +833,7 @@ pub mod fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vnf::VnfType;
+    use crate::vnf::{ResourceDemand, VnfType};
 
     #[test]
     fn chain_spec_basics() {
@@ -1044,6 +1060,51 @@ mod tests {
                 stage: 9,
                 stages: 1
             }
+        );
+    }
+
+    /// Off-grid demands: a negative one lowers a host's usage, a NaN
+    /// poisons the ledger, and 0.1/0.2/0.3 sum differently in history
+    /// order than in id order once the middle one is refunded.
+    #[test]
+    fn validate_rejects_demands_off_the_grid() {
+        let with_demand = |position: usize, set: fn(&mut ResourceDemand)| {
+            let mut vnfs = [VnfSpec::of(VnfType::Firewall), VnfSpec::of(VnfType::Nat)];
+            set(&mut vnfs[position].demand);
+            ChainSpec::builder("d")
+                .linear(vnfs)
+                .ingress(VmId(0))
+                .egress(VmId(1))
+                .build()
+        };
+        let rejected: [fn(&mut ResourceDemand); 7] = [
+            |d| d.cpu = -1.0,
+            |d| d.cpu = 0.1,
+            |d| d.memory_gib = 0.3,
+            |d| d.storage_gib = f64::NAN,
+            |d| d.cpu = f64::INFINITY,
+            |d| d.memory_gib = f64::NEG_INFINITY,
+            |d| d.storage_gib = 1.0 / 2048.0,
+        ];
+        for set in rejected {
+            for position in [0, 1] {
+                let err = with_demand(position, set).unwrap_err();
+                assert_eq!(err, ChainSpecError::InvalidDemand { position });
+            }
+        }
+        let accepted: [fn(&mut ResourceDemand); 3] = [
+            |d| d.cpu = 0.0,
+            |d| d.memory_gib = 1.0 / 1024.0,
+            |d| d.storage_gib = 4096.5,
+        ];
+        for set in accepted {
+            with_demand(1, set).unwrap();
+        }
+        let mut spec = with_demand(0, |_| {}).unwrap();
+        spec.vnfs[1].demand.cpu = 0.2;
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            ChainSpecError::InvalidDemand { position: 1 }
         );
     }
 

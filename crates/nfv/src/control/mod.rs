@@ -390,20 +390,14 @@ impl ControlPlane {
                 .insert(id, (ctx, alvc_telemetry::now_monotonic_us()));
         }
         let weight = self.policy.quota_for(tenant).effective_weight();
-        let depth = {
-            let mut queue = self.queue.lock();
-            queue.push(
-                Submission {
-                    id,
-                    tenant: tenant.to_string(),
-                    intent,
-                },
-                weight,
-            );
-            queue.len()
-        };
-        alvc_telemetry::counter!("alvc_nfv.control.intents_submitted").incr();
-        alvc_telemetry::gauge!("alvc_nfv.control.queue_depth").set(depth as f64);
+        self.queue.lock().push(
+            Submission {
+                id,
+                tenant: tenant.to_string(),
+                intent,
+            },
+            weight,
+        );
         id
     }
 
@@ -418,8 +412,8 @@ impl ControlPlane {
     }
 
     /// Serializes the flight recorder's current contents as JSON lines
-    /// (oldest surviving entry first) — an explicit post-mortem dump for
-    /// offline analysis with `alvc-trace`. Empty when tracing never ran.
+    /// (oldest surviving entry first), for offline analysis with
+    /// `alvc-trace`. Empty when tracing never ran.
     pub fn dump_flight_recorder(&self) -> String {
         alvc_telemetry::recorder::recorder_dump_jsonl()
     }
@@ -480,6 +474,7 @@ impl ControlPlane {
     /// submission order and publishes a fresh [`StateView`]. Returns the
     /// number executed (0 when the queue was empty).
     pub fn process_batch(&self) -> usize {
+        let _span = alvc_telemetry::span!("alvc_nfv.control.batch_us");
         self.process_n(self.batch_size)
     }
 
@@ -565,7 +560,6 @@ impl ControlPlane {
     /// Executes `batch` as one batch: admission, coalesced execution,
     /// logging, and snapshot publication.
     fn execute_batch(&self, batch: &[Submission]) -> usize {
-        let _span = alvc_telemetry::span!("alvc_nfv.control.batch_latency_us");
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let batch_index = inner.batches;
@@ -642,19 +636,16 @@ impl ControlPlane {
         }
         self.flush_deploys(inner, batch, &mut run, &mut outcomes);
 
-        // Log, publish outcomes, bump counters, swap the snapshot.
+        // Log, publish outcomes, swap the snapshot.
         let mut completed = self.completed.lock();
         for (sub, outcome) in batch.iter().zip(outcomes) {
-            if outcome.is_none() {
-                // Admission-invariant breach: snapshot the causal history
-                // before the panic below destroys the evidence.
-                alvc_telemetry::recorder::postmortem("admission_invariant");
-            }
-            let outcome = outcome.expect("every slot decided");
+            let outcome = outcome.unwrap_or_else(|| {
+                panic!(
+                    "admission invariant: {} of {} left undecided",
+                    sub.id, sub.tenant
+                )
+            });
             let trace = self.close_intent_root(sub, &outcome);
-            alvc_telemetry::counter_with("alvc_nfv.control.intents", sub.intent.kind().label())
-                .incr();
-            alvc_telemetry::counter_with("alvc_nfv.control.outcomes", outcome.label()).incr();
             inner.log.push(IntentRecord {
                 id: sub.id,
                 tenant: sub.tenant.clone(),
@@ -672,8 +663,6 @@ impl ControlPlane {
         drop(completed);
         inner.batches += 1;
         inner.intents_processed += batch.len() as u64;
-        alvc_telemetry::counter!("alvc_nfv.control.batches").incr();
-        alvc_telemetry::gauge!("alvc_nfv.control.queue_depth").set(self.queue.lock().len() as f64);
         // Publish: the spare buffer lags by the previous batch, so patch
         // that batch's marks and this one's into it, then swap it with the
         // current snapshot. `make_mut` patches in place unless a reader
@@ -719,8 +708,7 @@ impl ControlPlane {
     }
 
     /// Bumps per-tenant admission counters and records the synthetic
-    /// `intent.admission` span (and, on rejection, the admission-path
-    /// latency) for one decided slot.
+    /// `intent.admission` span for one decided slot.
     fn note_admission(
         &self,
         sub: &Submission,
@@ -730,9 +718,6 @@ impl ControlPlane {
         let us = started.elapsed().as_secs_f64() * 1e6;
         alvc_telemetry::counter_with("alvc_nfv.control.tenant_intents", &sub.tenant).incr();
         if rejected.is_some() {
-            // Rejections never reach the execution path, so the shared
-            // intent-latency histogram misses them; this one does not.
-            alvc_telemetry::histogram!("alvc_nfv.control.reject_latency_us").record(us);
             alvc_telemetry::counter_with("alvc_nfv.control.tenant_rejections", &sub.tenant).incr();
         }
         alvc_telemetry::trace::record_span(

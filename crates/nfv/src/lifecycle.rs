@@ -168,9 +168,6 @@ impl VnfInstance {
         }
         self.state = next;
         self.history.push(next);
-        // One labelled series per target state, so a snapshot decomposes
-        // lifecycle churn (e.g. how many instances reached `terminated`).
-        alvc_telemetry::counter_with("alvc_nfv.lifecycle.transitions", next.label()).incr();
         Ok(())
     }
 

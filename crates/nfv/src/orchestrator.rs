@@ -382,6 +382,7 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, Error> {
+        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_us");
         self.deploy_one(dc, (tenant.into(), vms, spec), None, constructor, placer)
     }
 
@@ -440,7 +441,6 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, Error> {
-        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
         let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
         let result = (|| -> Result<NfcId, DeployError> {
             if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
@@ -460,19 +460,8 @@ impl Orchestrator {
                     self.manager.remove_cluster(cluster);
                 })
         })();
-        match &result {
-            Ok(id) => {
-                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
-                alvc_telemetry::event!(
-                    "alvc_nfv.orchestrator.chain_deployed",
-                    "nfc" = id.index(),
-                    "tenant" = tenant.as_str(),
-                );
-            }
-            Err(e) => {
-                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                trace_span.fail(e.code());
-            }
+        if let Err(e) = &result {
+            trace_span.fail(e.code());
         }
         result.map_err(Error::from)
     }
@@ -504,8 +493,6 @@ impl Orchestrator {
             return Err(DeployError::UnknownChain(id).into());
         }
         let deployed = self.release(id);
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.teardowns").incr();
-        alvc_telemetry::event!("alvc_nfv.orchestrator.chain_torn_down", "nfc" = id.index());
         Ok(deployed)
     }
 
@@ -553,8 +540,6 @@ impl Orchestrator {
         for replica in self.replicas_of(id) {
             let _ = self.scale_in(replica);
         }
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.modifications").incr();
-        alvc_telemetry::event!("alvc_nfv.orchestrator.chain_modified", "nfc" = id.index());
         Ok(())
     }
 
@@ -692,7 +677,6 @@ impl Orchestrator {
         self.chain_replicas.insert((chain, iid));
         self.changes.replica(chain, 1);
         self.changes.instance(original_iid);
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_outs").incr();
         debug_assert_eq!(self.derivation_mismatch(), None, "scale-out of {chain}");
         Ok(iid)
     }
@@ -713,7 +697,6 @@ impl Orchestrator {
         self.chain_replicas.remove(&(chain, replica));
         self.changes.replica(chain, -1);
         self.retire(replica);
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_ins").incr();
         debug_assert_eq!(self.derivation_mismatch(), None, "scale-in of {replica}");
         Ok(())
     }

@@ -72,14 +72,6 @@ impl Orchestrator {
         self.manager
             .set_power(element, state)
             .map_err(|ops| PowerError::OpsOwned { ops })?;
-        alvc_telemetry::counter_with("alvc_nfv.power.transitions", state.label()).incr();
-        alvc_telemetry::gauge!("alvc_nfv.power.powered_off_elements")
-            .set(self.power().powered_off_count() as f64);
-        alvc_telemetry::event!(
-            "alvc_nfv.power.transition",
-            "element" = element.to_string().as_str(),
-            "state" = state.label(),
-        );
         debug_assert_eq!(self.derivation_mismatch(), None, "power {element}");
         Ok(previous)
     }

@@ -74,7 +74,6 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> ReclusterReport {
-        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.recluster_us");
         let mut trace_span = alvc_telemetry::trace::child_span("nfv.recluster");
         trace_span.add_field("moves", moves.len());
         let mut report = ReclusterReport::default();
@@ -152,20 +151,6 @@ impl Orchestrator {
         trace_span.add_field("chains_rerouted", report.chains_rerouted);
         trace_span.add_field("chains_degraded", report.chains_degraded);
         trace_span.add_field("chains_lost", report.chains_lost);
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.recluster_moves_applied")
-            .add(report.applied as u64);
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.recluster_moves_skipped")
-            .add(report.skipped as u64);
-        alvc_telemetry::counter!("alvc_nfv.orchestrator.recluster_als_rebuilt")
-            .add(report.als_rebuilt as u64);
-        alvc_telemetry::event!(
-            "alvc_nfv.orchestrator.reclustered",
-            "applied" = report.applied,
-            "skipped" = report.skipped,
-            "als_rebuilt" = report.als_rebuilt,
-            "chains_rerouted" = report.chains_rerouted,
-            "chains_degraded" = report.chains_degraded,
-        );
         debug_assert_eq!(self.derivation_mismatch(), None, "recluster");
         report
     }

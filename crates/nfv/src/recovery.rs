@@ -166,12 +166,6 @@ impl Orchestrator {
                 outcomes: BTreeMap::new(),
             };
         }
-        let _span = alvc_telemetry::span!("alvc_nfv.recovery.repair_latency_us");
-        alvc_telemetry::counter!("alvc_nfv.recovery.element_failures").incr();
-        alvc_telemetry::event!(
-            "alvc_nfv.recovery.element_failed",
-            "element" = element.to_string().as_str(),
-        );
 
         // The AL layer shrinks or rebuilds these slices' layers. A slice
         // whose rebuild failed keeps its degraded layer, and its chains
@@ -207,15 +201,8 @@ impl Orchestrator {
         let mut outcomes = BTreeMap::new();
         for id in affected {
             let outcome = self.recover_chain(dc, id, placer);
-            alvc_telemetry::counter_with("alvc_nfv.recovery.outcomes", outcome.label()).incr();
-            alvc_telemetry::event!(
-                "alvc_nfv.recovery.chain_recovered",
-                "nfc" = id.index(),
-                "outcome" = outcome.label(),
-            );
             outcomes.insert(id, outcome);
         }
-        alvc_telemetry::gauge!("alvc_nfv.recovery.degraded_chains").set(self.degraded.len() as f64);
         debug_assert_eq!(self.derivation_mismatch(), None, "failure of {element}");
         RecoveryReport { element, outcomes }
     }
@@ -227,9 +214,6 @@ impl Orchestrator {
     /// was failed.
     pub fn restore_element(&mut self, element: Element) -> bool {
         let was_failed = self.manager.restore(element);
-        if was_failed {
-            alvc_telemetry::counter!("alvc_nfv.recovery.element_restores").incr();
-        }
         debug_assert_eq!(self.derivation_mismatch(), None, "restore of {element}");
         was_failed
     }
@@ -247,29 +231,15 @@ impl Orchestrator {
         let mut outcomes = BTreeMap::new();
         for id in ids {
             let outcome = self.recover_chain(dc, id, placer);
-            alvc_telemetry::counter_with("alvc_nfv.recovery.outcomes", outcome.label()).incr();
             outcomes.insert(id, outcome);
         }
-        alvc_telemetry::gauge!("alvc_nfv.recovery.degraded_chains").set(self.degraded.len() as f64);
         outcomes
     }
 
     /// Global invariant: no chain path, flow rule, bandwidth-ledger entry,
     /// VNF host, or replica references a currently-failed element. The
     /// chaos test asserts this after every step.
-    ///
-    /// A violation snapshots the flight recorder (post-mortem reason
-    /// `verify_no_failed_references`) before returning `false`, so the
-    /// causal history leading up to the breach survives for diagnosis.
     pub fn verify_no_failed_references(&self, dc: &DataCenter) -> bool {
-        let ok = self.no_failed_references(dc);
-        if !ok {
-            alvc_telemetry::recorder::postmortem("verify_no_failed_references");
-        }
-        ok
-    }
-
-    fn no_failed_references(&self, dc: &DataCenter) -> bool {
         for element in self.health().failed() {
             let node = element_node(dc, element);
             if self.sdn.rules_on_switch(node) > 0 {
@@ -419,8 +389,6 @@ impl Orchestrator {
     /// bandwidth were already released by the ladder).
     fn discard_chain(&mut self, id: NfcId) {
         self.release(id);
-        alvc_telemetry::counter!("alvc_nfv.recovery.chains_lost").incr();
-        alvc_telemetry::event!("alvc_nfv.recovery.chain_lost", "nfc" = id.index());
     }
 }
 

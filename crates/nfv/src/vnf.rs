@@ -75,6 +75,12 @@ impl std::fmt::Display for VnfType {
 }
 
 /// Resources a VNF instance needs from its host.
+///
+/// Every component is a non-negative multiple of 1/1024 (the catalog's
+/// demands are multiples of 0.5); [`ChainSpec`](crate::ChainSpec)
+/// validation rejects any other demand. On that grid a host ledger's sums
+/// are exact (below 2^43 units), so charging and refunding in any order
+/// lands on the value the id-ordered sum of the live instances gives.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceDemand {
     /// vCPU-equivalents.
@@ -107,6 +113,14 @@ impl ResourceDemand {
             memory_gib,
             storage_gib,
         }
+    }
+
+    /// Whether every component is a finite, non-negative multiple of
+    /// 1/1024.
+    pub(crate) fn on_grid(&self) -> bool {
+        [self.cpu, self.memory_gib, self.storage_gib]
+            .iter()
+            .all(|&x| x >= 0.0 && (x * 1024.0).fract() == 0.0)
     }
 
     /// Component-wise difference, clamped at zero (used when releasing

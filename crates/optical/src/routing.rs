@@ -371,19 +371,7 @@ fn route_legs(
         latency += leg_latency;
     }
     // All waypoints co-located: the path is the first of them.
-    let full = HybridPath::new(nodes, domains, latency);
-    record_route(&full);
-    Ok(full)
-}
-
-/// O/E/O accounting probe, shared by every successful routing call: how
-/// many flows were routed and how many optical↔electronic boundary
-/// crossings their paths pay for (the cost the paper's hybrid
-/// architecture tries to minimize).
-fn record_route(path: &HybridPath) {
-    alvc_telemetry::counter!("alvc_optical.routing.routes").incr();
-    alvc_telemetry::counter!("alvc_optical.oeo.conversions").add(path.oeo_conversions() as u64);
-    alvc_telemetry::histogram!("alvc_optical.routing.path_latency_us").record(path.latency_us());
+    Ok(HybridPath::new(nodes, domains, latency))
 }
 
 /// The restricted search [`SliceSearch`] replaced, kept as the reference

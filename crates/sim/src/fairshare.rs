@@ -199,7 +199,6 @@ pub fn simulate_fair_share(dc: &DataCenter, flows: &[FairFlow]) -> FairShareRepo
             report.bytes += done.bytes;
             let fct_s = now - done.arrival_s;
             report.fct_ms.record(fct_s * 1e3);
-            alvc_telemetry::histogram!("alvc_sim.fairshare.fct_ms").record(fct_s * 1e3);
             if fct_s > 0.0 {
                 report.mean_throughput_gbps += done.bytes as f64 * 8.0 / fct_s / 1e9;
             }
@@ -224,7 +223,6 @@ pub fn simulate_fair_share(dc: &DataCenter, flows: &[FairFlow]) -> FairShareRepo
     if report.flows > 0 {
         report.mean_throughput_gbps /= report.flows as f64;
     }
-    alvc_telemetry::counter!("alvc_sim.fairshare.flows_completed").add(report.flows);
     report
 }
 

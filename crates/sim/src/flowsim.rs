@@ -151,8 +151,6 @@ impl FlowSim {
         down: &BTreeMap<usize, Vec<(u64, u64)>>,
         observer: &mut dyn FnMut(NfcId, u64, u64),
     ) -> SimReport {
-        let _span = alvc_telemetry::span!("alvc_sim.flowsim.run_us");
-        let wall_start = std::time::Instant::now();
         let horizon_ns = (horizon_s * 1e9) as u64;
         let mut queue: EventQueue<Event> = EventQueue::new();
 
@@ -180,11 +178,7 @@ impl FlowSim {
 
         let mut report = SimReport::default();
         let mut in_flight = 0usize;
-        // Event-loop accounting stays in plain locals and is flushed to the
-        // registry once after the loop, so the hot path carries no atomics.
-        let mut events_processed: u64 = 0;
         while let Some((now, event)) = queue.pop() {
-            events_processed += 1;
             match event {
                 Event::Arrival { chain_idx, bytes } => {
                     let load = &self.chains[chain_idx];
@@ -225,8 +219,6 @@ impl FlowSim {
                     entry.energy_j += self.energy.total_energy_j(&load.path, bytes);
                     let completion_us = (queue.now() - started_ns) as f64 / 1000.0;
                     entry.completion_us.record(completion_us);
-                    alvc_telemetry::histogram!("alvc_sim.flowsim.completion_us")
-                        .record(completion_us);
                     observer(load.chain, bytes, now);
                 }
             }
@@ -238,22 +230,6 @@ impl FlowSim {
             report.total_oeo += chain.oeo_conversions;
             report.total_energy_j += chain.energy_j;
         }
-
-        alvc_telemetry::counter!("alvc_sim.flowsim.events").add(events_processed);
-        alvc_telemetry::counter!("alvc_sim.flowsim.flows_completed").add(report.total_flows);
-        let wall_s = wall_start.elapsed().as_secs_f64();
-        if wall_s > 0.0 {
-            alvc_telemetry::gauge!("alvc_sim.flowsim.events_per_sec")
-                .set(events_processed as f64 / wall_s);
-        }
-        alvc_telemetry::event!(
-            "alvc_sim.flowsim.run",
-            "chains" = self.chains.len(),
-            "events" = events_processed,
-            "flows" = report.total_flows,
-            "peak_in_flight" = report.peak_in_flight,
-            "dropped" = report.dropped_flows,
-        );
         report
     }
 }

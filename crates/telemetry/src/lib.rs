@@ -1,19 +1,20 @@
 //! Dependency-light observability for the AL-VC workspace.
 //!
-//! Three kinds of signal, all addressable by static name plus optional
-//! label, all collected into one process-global registry:
+//! Two kinds of probe, both addressable by static name plus optional
+//! label, both collected into one process-global registry:
 //!
-//! - **metrics** — atomic [`Counter`]s, [`Gauge`]s, and log-bucketed
-//!   [`Histogram`]s with p50/p95/p99 [`snapshot`]s;
+//! - **metrics** — atomic [`Counter`]s and log-bucketed [`Histogram`]s
+//!   with p50/p95/p99 [`snapshot`]s;
 //! - **spans** — RAII [`Span`] guards that time a scope with the monotonic
-//!   clock and record the elapsed microseconds into a histogram;
-//! - **events** — structured key/value [`Event`]s buffered per thread and
-//!   exported as JSON lines ([`drain_events_jsonl`]), for the progress
-//!   reporting that library crates must never print to stdout.
+//!   clock and record the elapsed microseconds into a histogram.
 //!
-//! Naming convention: `alvc_<crate>.<subsystem>.<metric>`, with `_us`
-//! suffixes for microsecond-denominated histograms (see DESIGN.md §9 for
-//! the probe inventory).
+//! Beside them sit the causal [`trace`] spans, the [flight
+//! recorder](recorder) they land in, and the [`slo`] monitor.
+//!
+//! Naming convention: `alvc_<crate>.<name>`, with `_us` suffixes for
+//! microsecond-denominated histograms. A probe is kept only while
+//! something outside the library reads it by full name;
+//! `schemas/probes.txt` lists each name with its reader (DESIGN.md §9).
 //!
 //! # Hot-path usage
 //!
@@ -40,12 +41,12 @@ pub mod trace;
 mod types;
 
 pub use hist::LogHistogram;
-pub use recorder::{FlightRecorder, Postmortem, RecorderEntry};
+pub use recorder::RecorderEntry;
 pub use registry::*;
 pub use slo::{SloBreach, SloKind, SloMonitor, SloReport, SloResult, SloSpec};
-pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
+pub use snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot};
 pub use trace::{ActiveSpan, SpanId, SpanRecord, TraceCtx, TraceId};
-pub use types::{Event, FieldValue};
+pub use types::FieldValue;
 
 /// Returns a `&'static Counter` for `name`, cached per call site.
 #[macro_export]
@@ -53,15 +54,6 @@ macro_rules! counter {
     ($name:expr) => {{
         static CELL: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
         CELL.get_or_init(|| $crate::counter($name))
-    }};
-}
-
-/// Returns a `&'static Gauge` for `name`, cached per call site.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static CELL: ::std::sync::OnceLock<$crate::Gauge> = ::std::sync::OnceLock::new();
-        CELL.get_or_init(|| $crate::gauge($name))
     }};
 }
 
@@ -79,22 +71,5 @@ macro_rules! histogram {
 macro_rules! span {
     ($name:expr) => {
         $crate::span($name)
-    };
-}
-
-/// Records a structured event: `event!("name", "key" = value, ...)`.
-///
-/// Field values go through [`FieldValue::from`], so integers, floats,
-/// bools, and strings all work. The field expressions are only evaluated
-/// when event recording is enabled ([`set_events_enabled`]).
-#[macro_export]
-macro_rules! event {
-    ($name:expr $(, $key:literal = $value:expr)* $(,)?) => {
-        if $crate::events_enabled() {
-            $crate::emit(
-                $name,
-                vec![$(($key, $crate::FieldValue::from($value))),*],
-            );
-        }
     };
 }

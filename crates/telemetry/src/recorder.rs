@@ -1,6 +1,5 @@
-//! Flight recorder: a lock-free ring buffer retaining the last N spans,
-//! events, and SLO breaches, dumped as JSON lines on demand or when an
-//! invariant trips.
+//! Flight recorder: a lock-free ring buffer retaining the last N spans
+//! and SLO breaches, dumped as JSON lines on demand.
 //!
 //! The ring claims slots with a single `fetch_add` on a monotonically
 //! increasing head; each slot holds its `(sequence, entry)` pair behind a
@@ -9,75 +8,44 @@
 //! wraps, the oldest entry is silently overwritten: drop-oldest, never
 //! block the writer.
 //!
-//! A **post-mortem** is a frozen dump captured at the moment something
-//! went wrong (`verify_no_failed_references` violations, admission
-//! invariant breaches, or an explicit
-//! `ControlPlane::dump_flight_recorder()`). The library never writes
-//! files or prints; captured post-mortems are stored (capped) until a
-//! bench or test collects them with [`take_postmortems`].
+//! The library never writes files or prints: a bench or test takes the
+//! dump (`ControlPlane::dump_flight_recorder()`, [`recorder_dump_jsonl`])
+//! or the entries ([`recorder_entries`]) itself.
 
 use crate::slo::SloBreach;
 use crate::trace::SpanRecord;
-use crate::types::Event;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// One retained entry: a finished span, a structured event, or an SLO
-/// breach.
+/// One retained entry: a finished span or an SLO breach.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecorderEntry {
     /// A finished trace span.
     Span(SpanRecord),
-    /// A structured event mirrored from the event subscriber.
-    Event(Event),
     /// An SLO breach emitted by the [`crate::slo`] monitor.
     Breach(SloBreach),
 }
 
 impl RecorderEntry {
     /// Renders the entry as one JSON object (a JSON-lines record, no
-    /// trailing newline). Spans carry `"kind":"span"`, events
-    /// `"kind":"event"`, breaches `"kind":"breach"`.
+    /// trailing newline). Spans carry `"kind":"span"`, breaches
+    /// `"kind":"breach"`.
     pub(crate) fn to_json_line(&self) -> String {
         match self {
             RecorderEntry::Span(s) => s.to_json_line(),
-            RecorderEntry::Event(e) => {
-                let body = e.to_json_line();
-                // Event::to_json_line is the drain_events_jsonl format;
-                // prefix the kind tag for the mixed recorder stream.
-                let mut out = String::with_capacity(body.len() + 16);
-                out.push_str("{\"kind\":\"event\",");
-                out.push_str(&body[1..]);
-                out
-            }
             RecorderEntry::Breach(b) => b.to_json_line(),
         }
     }
 }
 
-/// A frozen flight-recorder dump captured when an invariant tripped.
-#[derive(Debug, Clone)]
-pub struct Postmortem {
-    /// Why the dump was taken (`"verify_no_failed_references"`,
-    /// `"admission-invariant"`, …).
-    pub reason: String,
-    /// Microseconds since the telemetry epoch at capture time.
-    pub ts_us: u64,
-    /// The recorder contents at capture time, as JSON lines.
-    pub dump_jsonl: String,
-}
-
 /// Default ring capacity (entries), enough for several thousand
 /// intents' worth of spans at ~4–6 spans per intent.
-pub const DEFAULT_RECORDER_CAPACITY: usize = 1 << 16;
+const DEFAULT_RECORDER_CAPACITY: usize = 1 << 16;
 
-/// Post-mortems retained before the oldest are dropped.
-const MAX_POSTMORTEMS: usize = 8;
-
-/// The ring buffer itself. Usually accessed through the global
-/// instance ([`recorder_record`], [`recorder_dump_jsonl`], …), but
-/// constructible standalone for tests.
-pub struct FlightRecorder {
+/// The ring buffer itself. Accessed through the global instance
+/// ([`recorder_dump_jsonl`], [`recorder_entries`], …), and constructible
+/// standalone for tests.
+pub(crate) struct FlightRecorder {
     slots: Vec<Mutex<Option<(u64, RecorderEntry)>>>,
     head: AtomicU64,
 }
@@ -157,13 +125,8 @@ fn global() -> &'static RwLock<Arc<FlightRecorder>> {
     R.get_or_init(|| RwLock::new(Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY))))
 }
 
-fn postmortems() -> &'static Mutex<Vec<Postmortem>> {
-    static P: OnceLock<Mutex<Vec<Postmortem>>> = OnceLock::new();
-    P.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 /// A handle on the current global recorder.
-pub fn recorder() -> Arc<FlightRecorder> {
+fn recorder() -> Arc<FlightRecorder> {
     global().read().expect("recorder lock poisoned").clone()
 }
 
@@ -179,7 +142,7 @@ pub fn configure_recorder(capacity: usize) {
 }
 
 /// Appends one entry to the global recorder.
-pub fn recorder_record(entry: RecorderEntry) {
+pub(crate) fn recorder_record(entry: RecorderEntry) {
     recorder().record(entry);
 }
 
@@ -196,30 +159,6 @@ pub fn recorder_dump_jsonl() -> String {
 /// Empties the global recorder.
 pub fn clear_recorder() {
     recorder().clear();
-}
-
-/// Captures a post-mortem: freezes the current recorder contents
-/// under `reason` for later collection with [`take_postmortems`].
-/// At most 8 post-mortems are retained (oldest dropped); the
-/// `alvc_telemetry.recorder.postmortems` counter tracks captures.
-pub fn postmortem(reason: &str) {
-    let dump = Postmortem {
-        reason: reason.to_owned(),
-        ts_us: crate::now_monotonic_us(),
-        dump_jsonl: recorder_dump_jsonl(),
-    };
-    let mut store = postmortems().lock().expect("postmortem store poisoned");
-    if store.len() >= MAX_POSTMORTEMS {
-        store.remove(0);
-    }
-    store.push(dump);
-    drop(store);
-    crate::counter("alvc_telemetry.recorder.postmortems").incr();
-}
-
-/// Takes every captured post-mortem, leaving the store empty.
-pub fn take_postmortems() -> Vec<Postmortem> {
-    std::mem::take(&mut *postmortems().lock().expect("postmortem store poisoned"))
 }
 
 #[cfg(test)]
@@ -264,16 +203,19 @@ mod tests {
     fn dump_is_one_json_object_per_line() {
         let r = FlightRecorder::new(8);
         r.record(span(1));
-        r.record(RecorderEntry::Event(crate::types::Event {
+        r.record(RecorderEntry::Breach(SloBreach {
+            slo: "p99".into(),
+            subject: String::new(),
+            observed: 2.0,
+            threshold: 1.0,
+            window: 1,
             ts_us: 5,
-            name: "alvc_test.ev",
-            fields: vec![],
         }));
         let dump = r.dump_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"kind\":\"span\""));
-        assert!(lines[1].starts_with("{\"kind\":\"event\",\"ts_us\":5"));
+        assert!(lines[1].starts_with("{\"kind\":\"breach\",\"slo\":\"p99\""));
         for line in lines {
             assert!(line.ends_with('}'));
         }

@@ -1,38 +1,24 @@
-//! The probe implementations: metric cells, handles, the registry, spans
-//! and the event subscriber.
+//! The probe implementations: metric cells, handles, the registry and
+//! spans.
 //!
-//! Everything here is std-only: atomics for the hot path, one `RwLock`ed
-//! `BTreeMap` for registration (cold — call sites cache handles via the
-//! [`counter!`](crate::counter)/[`histogram!`](crate::histogram) macros),
-//! and a thread-local event buffer that spills into a capped global sink.
+//! Everything here is std-only: atomics for the hot path, and one
+//! `RwLock`ed `BTreeMap` for registration (cold — call sites cache handles
+//! via the [`counter!`](crate::counter)/[`histogram!`](crate::histogram)
+//! macros).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::hist::{bucket_index, LogHistogram, BUCKET_COUNT};
-use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
-use crate::types::{Event, FieldValue};
+use crate::snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot};
 
 // ---------------------------------------------------------------- cells --
 
 #[derive(Default)]
 struct CounterCell {
     v: AtomicU64,
-}
-
-struct GaugeCell {
-    bits: AtomicU64,
-}
-
-impl Default for GaugeCell {
-    fn default() -> Self {
-        GaugeCell {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
 }
 
 struct HistCell {
@@ -77,18 +63,6 @@ impl HistCell {
         f64_update(&self.sum_bits, |s| s + v);
         f64_update(&self.min_bits, |m| m.min(v));
         f64_update(&self.max_bits, |m| m.max(v));
-    }
-
-    fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        self.min_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.max_bits
-            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
     }
 
     fn raw(&self) -> LogHistogram {
@@ -152,29 +126,6 @@ impl Counter {
     }
 }
 
-/// A last-write-wins (or accumulated) floating-point value.
-#[derive(Clone)]
-pub struct Gauge(Arc<GaugeCell>);
-
-impl Gauge {
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds `v` to the value.
-    #[inline]
-    pub fn add(&self, v: f64) {
-        f64_update(&self.0.bits, |cur| cur + v);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.0.bits.load(Ordering::Relaxed))
-    }
-}
-
 /// A log-bucketed latency/size histogram; non-finite samples are counted as
 /// rejected rather than recorded.
 #[derive(Clone)]
@@ -186,21 +137,12 @@ impl Histogram {
     pub fn record(&self, v: f64) {
         self.0.record(v);
     }
-
-    /// Recorded (accepted) sample count.
-    pub fn count(&self) -> u64 {
-        self.0
-            .counts
-            .iter()
-            .fold(0u64, |a, c| a.saturating_add(c.load(Ordering::Relaxed)))
-    }
 }
 
 // ------------------------------------------------------------- registry --
 
 enum Metric {
     Counter(Arc<CounterCell>),
-    Gauge(Arc<GaugeCell>),
     Hist(Arc<HistCell>),
 }
 
@@ -257,15 +199,6 @@ impl Registry {
         self.cell(name, label, pick, || Metric::Counter(Arc::default()))
     }
 
-    /// Returns (registering on first use) the gauge `name`/`label`.
-    pub fn gauge(&self, name: &'static str, label: &str) -> Gauge {
-        let pick = |m: &Metric| match m {
-            Metric::Gauge(g) => Some(Gauge(g.clone())),
-            _ => None,
-        };
-        self.cell(name, label, pick, || Metric::Gauge(Arc::default()))
-    }
-
     /// Returns (registering on first use) the histogram `name`/`label`.
     pub fn histogram(&self, name: &'static str, label: &str) -> Histogram {
         let pick = |m: &Metric| match m {
@@ -286,11 +219,6 @@ impl Registry {
                     label: label.clone(),
                     value: c.v.load(Ordering::Relaxed),
                 }),
-                Metric::Gauge(g) => snap.gauges.push(GaugeSnapshot {
-                    name: name.to_owned(),
-                    label: label.clone(),
-                    value: f64::from_bits(g.bits.load(Ordering::Relaxed)),
-                }),
                 Metric::Hist(h) => snap.histograms.push(h.snapshot(name, label)),
             }
         }
@@ -310,19 +238,6 @@ impl Registry {
             })
             .collect()
     }
-
-    /// Zeroes every metric in place. Cached handles stay valid (cells keep
-    /// their identity), which is what lets benches reset between phases.
-    pub fn reset(&self) {
-        let map = self.map.read().expect("telemetry registry poisoned");
-        for (_, _, metric) in cells(&map) {
-            match metric {
-                Metric::Counter(c) => c.v.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => g.bits.store(0f64.to_bits(), Ordering::Relaxed),
-                Metric::Hist(h) => h.reset(),
-            }
-        }
-    }
 }
 
 /// The process-wide registry used by the free functions and macros.
@@ -339,16 +254,6 @@ pub fn counter(name: &'static str) -> Counter {
 /// Global counter `name` with `label`.
 pub fn counter_with(name: &'static str, label: &str) -> Counter {
     global().counter(name, label)
-}
-
-/// Global unlabelled gauge `name`.
-pub fn gauge(name: &'static str) -> Gauge {
-    global().gauge(name, "")
-}
-
-/// Global gauge `name` with `label`.
-pub fn gauge_with(name: &'static str, label: &str) -> Gauge {
-    global().gauge(name, label)
 }
 
 /// Global unlabelled histogram `name`.
@@ -372,16 +277,6 @@ pub(crate) fn histograms_raw() -> Vec<(String, String, LogHistogram)> {
     global().histograms_raw()
 }
 
-/// Prometheus-style text rendering of the global registry.
-pub fn prometheus_text() -> String {
-    global().snapshot().to_prometheus_text()
-}
-
-/// Zeroes every metric in the global registry.
-pub fn reset() {
-    global().reset()
-}
-
 // ---------------------------------------------------------------- spans --
 
 fn epoch() -> Instant {
@@ -394,17 +289,15 @@ fn now_us() -> u64 {
 }
 
 /// Microseconds since the process-wide telemetry epoch (monotonic). The
-/// timestamp base used by events, spans, and flight-recorder entries.
+/// timestamp base of trace spans and flight-recorder entries.
 pub fn now_monotonic_us() -> u64 {
     now_us()
 }
 
 /// An RAII timing guard: on drop, records the elapsed microseconds into the
-/// histogram `name` and (when events are enabled) emits an event carrying
-/// `duration_us`.
+/// histogram `name`.
 #[must_use = "a span measures until it is dropped"]
 pub struct Span {
-    name: &'static str,
     start: Instant,
     hist: Histogram,
 }
@@ -413,7 +306,6 @@ pub struct Span {
 /// `..._us` suffix, since the recorded unit is microseconds).
 pub fn span(name: &'static str) -> Span {
     Span {
-        name,
         start: Instant::now(),
         hist: histogram(name),
     }
@@ -421,105 +313,6 @@ pub fn span(name: &'static str) -> Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let us = self.start.elapsed().as_secs_f64() * 1e6;
-        self.hist.record(us);
-        if events_enabled() {
-            emit(self.name, vec![("duration_us", FieldValue::F64(us))]);
-        }
+        self.hist.record(self.start.elapsed().as_secs_f64() * 1e6);
     }
-}
-
-// --------------------------------------------------------------- events --
-
-/// Global event switch; recording is off by default so steady-state probes
-/// cost one relaxed load when nobody is listening.
-static EVENTS_ENABLED: AtomicBool = AtomicBool::new(false);
-/// Spill target for thread-local buffers; capped at [`SINK_CAP`].
-static SINK: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-
-const SINK_CAP: usize = 1 << 16;
-const FLUSH_AT: usize = 256;
-
-struct LocalBuf {
-    buf: RefCell<Vec<Event>>,
-}
-
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        spill(&mut self.buf.borrow_mut());
-    }
-}
-
-thread_local! {
-    static LOCAL: LocalBuf = const {
-        LocalBuf {
-            buf: RefCell::new(Vec::new()),
-        }
-    };
-}
-
-fn spill(local: &mut Vec<Event>) {
-    if local.is_empty() {
-        return;
-    }
-    let mut sink = SINK.lock().expect("telemetry event sink poisoned");
-    // Events past the cap are discarded.
-    let room = SINK_CAP.saturating_sub(sink.len());
-    sink.extend(local.drain(..).take(room));
-}
-
-/// Turns structured-event recording on or off (off by default).
-pub fn set_events_enabled(on: bool) {
-    EVENTS_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether structured-event recording is currently on.
-#[inline]
-pub fn events_enabled() -> bool {
-    EVENTS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Records a structured event into the calling thread's buffer (spilling to
-/// the global sink every `FLUSH_AT` events). No-op while recording is
-/// disabled; prefer the [`event!`](crate::event) macro, which also skips
-/// building `fields`.
-pub fn emit(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-    if !events_enabled() {
-        return;
-    }
-    let ev = Event {
-        ts_us: now_us(),
-        name,
-        fields,
-    };
-    // Mirror events into the flight recorder while tracing is on, so a
-    // post-mortem interleaves spans with the events around them.
-    if crate::trace::tracing_enabled() {
-        crate::recorder::recorder_record(crate::recorder::RecorderEntry::Event(ev.clone()));
-    }
-    LOCAL.with(|l| {
-        let mut buf = l.buf.borrow_mut();
-        buf.push(ev);
-        if buf.len() >= FLUSH_AT {
-            spill(&mut buf);
-        }
-    });
-}
-
-/// Takes every buffered event (this thread's buffer plus the global sink).
-/// Unflushed buffers of *other* live threads are not included until they
-/// spill or exit.
-fn drain_events() -> Vec<Event> {
-    LOCAL.with(|l| spill(&mut l.buf.borrow_mut()));
-    std::mem::take(&mut *SINK.lock().expect("telemetry event sink poisoned"))
-}
-
-/// Drains buffered events rendered as JSON lines (one object per line).
-pub fn drain_events_jsonl() -> String {
-    let mut out = String::new();
-    for ev in drain_events() {
-        out.push_str(&ev.to_json_line());
-        out.push('\n');
-    }
-    out
 }

@@ -1,8 +1,7 @@
 //! Declarative SLO monitoring over the metrics registry.
 //!
 //! An [`SloSpec`] names one objective — a p99 latency ceiling on a
-//! histogram, a rejection-rate ceiling over a counter pair, or a bound on
-//! how many consecutive windows a gauge may dwell above a threshold. The
+//! histogram, or a rejection-rate ceiling over a counter pair. The
 //! [`SloMonitor`] holds a set of specs and evaluates them over **sliding
 //! windows**: each [`observe`](SloMonitor::observe) call diffs the current
 //! registry contents against the previous call's capture, so every window
@@ -11,9 +10,8 @@
 //! retention).
 //!
 //! Violations become [`SloBreach`] records: pushed into the
-//! [flight recorder](crate::recorder) (kind `"breach"`), counted on
-//! `alvc_telemetry.slo.breaches`, and accumulated into the [`SloReport`]
-//! that benches embed in their JSON output.
+//! [flight recorder](crate::recorder) (kind `"breach"`) and accumulated
+//! into the [`SloReport`] that benches embed in their JSON output.
 //!
 //! # Spec grammar
 //!
@@ -24,7 +22,6 @@
 //! p99-intent: p99_us(alvc_nfv.control.intent_latency_us) <= 5000
 //! pod-construct: p99_us(alvc_core.shard.pod_construct_us, *) <= 200000
 //! tenant-rejects: reject_rate(alvc_nfv.control.tenant_rejections, alvc_nfv.control.tenant_intents) <= 0.25
-//! degraded-dwell: dwell(alvc_nfv.recovery.degraded_chains > 0) <= 3
 //! ```
 //!
 //! A `*` label matches every label of the metric, producing one evaluation
@@ -60,18 +57,6 @@ pub enum SloKind {
         total: String,
         /// Ceiling as a fraction in `[0, 1]`.
         max_rate: f64,
-    },
-    /// Gauge `gauge` may stay above `threshold` for at most `max_windows`
-    /// consecutive windows.
-    GaugeDwell {
-        /// Gauge metric name.
-        gauge: String,
-        /// Label selector (exact, empty, or `*`).
-        label: String,
-        /// Dwell threshold: windows with `value > threshold` count.
-        threshold: f64,
-        /// Maximum consecutive over-threshold windows.
-        max_windows: u64,
     },
 }
 
@@ -121,32 +106,11 @@ impl SloSpec {
         }
     }
 
-    /// A dwell bound: `gauge` (selector `label`) may exceed `threshold`
-    /// for at most `max_windows` consecutive windows.
-    pub(crate) fn gauge_dwell(
-        name: impl Into<String>,
-        gauge: impl Into<String>,
-        label: impl Into<String>,
-        threshold: f64,
-        max_windows: u64,
-    ) -> SloSpec {
-        SloSpec {
-            name: name.into(),
-            kind: SloKind::GaugeDwell {
-                gauge: gauge.into(),
-                label: label.into(),
-                threshold,
-                max_windows,
-            },
-        }
-    }
-
     /// Parses one objective from the spec grammar (see the module docs):
     ///
     /// ```text
     /// [name:] p99_us(histogram[, label]) <= max_us
     /// [name:] reject_rate(rejected, total) <= max_rate
-    /// [name:] dwell(gauge[, label] > threshold) <= max_windows
     /// ```
     pub fn parse(s: &str) -> Result<SloSpec, String> {
         let s = s.trim();
@@ -198,34 +162,6 @@ impl SloSpec {
                     bound,
                 ))
             }
-            "dwell" => {
-                let (sel, thr) = args
-                    .rsplit_once('>')
-                    .ok_or_else(|| format!("dwell needs `gauge > threshold` in `{s}`"))?;
-                let threshold: f64 = thr
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad dwell threshold `{}` in `{s}`", thr.trim()))?;
-                let mut parts = sel.split(',').map(str::trim);
-                let gauge = parts
-                    .next()
-                    .filter(|g| !g.is_empty())
-                    .ok_or_else(|| format!("dwell needs a gauge name in `{s}`"))?;
-                let label = parts.next().unwrap_or("").to_owned();
-                if parts.next().is_some() {
-                    return Err(format!("dwell takes at most 2 selector args in `{s}`"));
-                }
-                if bound < 0.0 || bound.fract() != 0.0 {
-                    return Err(format!("dwell bound must be a whole window count in `{s}`"));
-                }
-                Ok(SloSpec::gauge_dwell(
-                    name.unwrap_or_else(|| format!("dwell:{gauge}")),
-                    gauge,
-                    label,
-                    threshold,
-                    bound as u64,
-                ))
-            }
             other => Err(format!("unknown SLO function `{other}` in `{s}`")),
         }
     }
@@ -239,7 +175,7 @@ pub struct SloBreach {
     pub slo: String,
     /// The subject label (tenant, pod, …); empty for unlabelled metrics.
     pub subject: String,
-    /// The observed value (µs, rate, or dwell windows).
+    /// The observed value (µs or rate).
     pub observed: f64,
     /// The configured ceiling.
     pub threshold: f64,
@@ -317,8 +253,6 @@ pub struct SloMonitor {
     prev_hists: BTreeMap<(String, String), (Vec<u64>, f64)>,
     /// Previous capture of every counter, keyed `(name, label)`.
     prev_counters: BTreeMap<(String, String), u64>,
-    /// Consecutive over-threshold windows per `(spec index, subject)`.
-    dwell: BTreeMap<(usize, String), u64>,
     /// Evaluable-window and breach tallies per spec index, plus the
     /// worst observed value.
     stats: Vec<(u64, u64, f64)>,
@@ -335,7 +269,6 @@ impl SloMonitor {
             specs,
             prev_hists: BTreeMap::new(),
             prev_counters: BTreeMap::new(),
-            dwell: BTreeMap::new(),
             stats,
             window: 0,
             breaches: Vec::new(),
@@ -444,43 +377,6 @@ impl SloMonitor {
                         self.stats[idx].0 += 1;
                     }
                 }
-                SloKind::GaugeDwell {
-                    gauge,
-                    label,
-                    threshold,
-                    max_windows,
-                } => {
-                    let mut evaluable = false;
-                    for g in &snap.gauges {
-                        if &g.name != gauge || !label_matches(label, &g.label) {
-                            continue;
-                        }
-                        evaluable = true;
-                        let key = (idx, g.label.clone());
-                        let run = self.dwell.entry(key).or_insert(0);
-                        if g.value > *threshold {
-                            *run += 1;
-                        } else {
-                            *run = 0;
-                        }
-                        let stat = &mut self.stats[idx];
-                        stat.2 = stat.2.max(*run as f64);
-                        if *run > *max_windows {
-                            new_breaches.push(SloBreach {
-                                slo: spec.name.clone(),
-                                subject: g.label.clone(),
-                                observed: *run as f64,
-                                threshold: *max_windows as f64,
-                                window: self.window,
-                                ts_us,
-                            });
-                            self.stats[idx].1 += 1;
-                        }
-                    }
-                    if evaluable {
-                        self.stats[idx].0 += 1;
-                    }
-                }
             }
         }
 
@@ -497,7 +393,6 @@ impl SloMonitor {
 
         for b in &new_breaches {
             recorder_record(RecorderEntry::Breach(b.clone()));
-            crate::counter("alvc_telemetry.slo.breaches").incr();
         }
         self.breaches.extend(new_breaches.clone());
         new_breaches
@@ -519,7 +414,6 @@ impl SloMonitor {
                     threshold: match &spec.kind {
                         SloKind::P99LatencyUs { max_us, .. } => *max_us,
                         SloKind::RejectionRate { max_rate, .. } => *max_rate,
-                        SloKind::GaugeDwell { max_windows, .. } => *max_windows as f64,
                     },
                 })
                 .collect(),
@@ -592,17 +486,6 @@ mod tests {
                 max_rate: 0.25
             }
         );
-
-        let d = SloSpec::parse("dwell(alvc_nfv.recovery.degraded_chains > 0) <= 3").unwrap();
-        assert_eq!(
-            d.kind,
-            SloKind::GaugeDwell {
-                gauge: "alvc_nfv.recovery.degraded_chains".into(),
-                label: String::new(),
-                threshold: 0.0,
-                max_windows: 3
-            }
-        );
     }
 
     #[test]
@@ -613,8 +496,6 @@ mod tests {
             "p99_us() <= 5",
             "p99_us(a, b, c) <= 5",
             "reject_rate(a) <= 0.5",
-            "dwell(g) <= 3",
-            "dwell(g > 0) <= 2.5",
             "unknown(a) <= 1",
             "p99_us(a) <= abc",
         ] {

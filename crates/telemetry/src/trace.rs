@@ -149,12 +149,10 @@ impl SpanRecord {
 static TRACING: AtomicBool = AtomicBool::new(false);
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
-/// Spans made inert because a thread's open-span stack was full.
-static DEPTH_DROPS: AtomicU64 = AtomicU64::new(0);
 
 /// Bound on each thread's open-span stack: spans opened deeper than
 /// this are inert (recorded nowhere) rather than growing memory.
-pub const MAX_SPAN_DEPTH: usize = 64;
+const MAX_SPAN_DEPTH: usize = 64;
 
 thread_local! {
     static STACK: RefCell<Vec<TraceCtx>> = const { RefCell::new(Vec::new()) };
@@ -190,11 +188,6 @@ pub(crate) fn current_ctx() -> TraceCtx {
     STACK.with(|s| s.borrow().last().copied().unwrap_or(TraceCtx::NONE))
 }
 
-/// Spans made inert because a thread's open-span stack was full.
-pub fn spans_dropped() -> u64 {
-    DEPTH_DROPS.load(Ordering::Relaxed)
-}
-
 /// RAII guard restoring the ambient stack when dropped.
 #[must_use = "the context is ambient only while the guard lives"]
 pub struct CtxGuard {
@@ -221,13 +214,11 @@ pub fn enter(ctx: TraceCtx) -> CtxGuard {
     }
     let pushed = STACK.with(|s| {
         let mut st = s.borrow_mut();
-        if st.len() >= MAX_SPAN_DEPTH {
-            DEPTH_DROPS.fetch_add(1, Ordering::Relaxed);
-            false
-        } else {
+        let room = st.len() < MAX_SPAN_DEPTH;
+        if room {
             st.push(ctx);
-            true
         }
+        room
     });
     CtxGuard { pushed }
 }
@@ -305,7 +296,6 @@ fn open_span(trace: TraceId, parent: SpanId, name: &'static str) -> ActiveSpan {
         true
     });
     if !pushed {
-        DEPTH_DROPS.fetch_add(1, Ordering::Relaxed);
         return ActiveSpan(None);
     }
     ActiveSpan(Some(Open {

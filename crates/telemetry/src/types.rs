@@ -1,8 +1,8 @@
-//! Structured event types.
+//! Span field values and their JSON rendering.
 
 use std::fmt::Write as _;
 
-/// One field value attached to a structured event.
+/// One field value attached to a trace span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer.
@@ -84,37 +84,6 @@ impl FieldValue {
     }
 }
 
-/// A structured event recorded by the thread-local subscriber.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Microseconds since the process-wide telemetry epoch (monotonic).
-    pub ts_us: u64,
-    /// Static event name, `alvc_<crate>.<subsystem>.<what>`.
-    pub name: &'static str,
-    /// Ordered key/value payload.
-    pub fields: Vec<(&'static str, FieldValue)>,
-}
-
-impl Event {
-    /// Renders the event as one JSON object (a JSON-lines record, no
-    /// trailing newline).
-    pub(crate) fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(64);
-        out.push_str("{\"ts_us\":");
-        let _ = write!(out, "{}", self.ts_us);
-        out.push_str(",\"event\":");
-        push_json_string(&mut out, self.name);
-        for (k, v) in &self.fields {
-            out.push(',');
-            push_json_string(&mut out, k);
-            out.push(':');
-            v.render_json(&mut out);
-        }
-        out.push('}');
-        out
-    }
-}
-
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -138,22 +107,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_renders_as_one_json_object() {
-        let ev = Event {
-            ts_us: 17,
-            name: "alvc_test.demo",
-            fields: vec![
-                ("n", FieldValue::U64(3)),
-                ("ratio", FieldValue::F64(0.5)),
-                ("bad", FieldValue::F64(f64::NAN)),
-                ("ok", FieldValue::Bool(true)),
-                ("who", FieldValue::Str("a\"b\\c\nd".into())),
-            ],
+    fn field_values_render_as_json() {
+        let render = |v: FieldValue| {
+            let mut out = String::new();
+            v.render_json(&mut out);
+            out
         };
+        assert_eq!(render(FieldValue::U64(3)), "3");
+        assert_eq!(render(FieldValue::F64(0.5)), "0.5");
+        assert_eq!(render(FieldValue::F64(f64::NAN)), "null");
+        assert_eq!(render(FieldValue::Bool(true)), "true");
         assert_eq!(
-            ev.to_json_line(),
-            "{\"ts_us\":17,\"event\":\"alvc_test.demo\",\"n\":3,\"ratio\":0.5,\
-             \"bad\":null,\"ok\":true,\"who\":\"a\\\"b\\\\c\\nd\"}"
+            render(FieldValue::Str("a\"b\\c\nd".into())),
+            "\"a\\\"b\\\\c\\nd\""
         );
     }
 

@@ -37,8 +37,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library crates report progress through alvc-telemetry events, never the
-// process's stdout/stderr (enforced under cargo clippy).
+// Library crates never print to stdout/stderr (enforced under cargo
+// clippy): they report through return values and alvc-telemetry.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod element;

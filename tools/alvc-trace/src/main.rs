@@ -8,9 +8,8 @@
 //! alvc-trace <dump.jsonl> --slowest 3     # render the N slowest intents
 //! ```
 //!
-//! A dump is produced by `ControlPlane::dump_flight_recorder()`, by the
-//! e10 control-plane experiment (`results/trace_dump.jsonl`), or
-//! automatically as a post-mortem when an invariant breaks.
+//! A dump is produced by `ControlPlane::dump_flight_recorder()` or by the
+//! e10 control-plane experiment (`results/trace_dump.jsonl`).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -90,7 +89,6 @@ struct Dump {
     traces: BTreeMap<u64, Vec<Span>>,
     /// Raw breach records, in dump order.
     breaches: Vec<Json>,
-    events: usize,
     skipped: usize,
 }
 
@@ -98,7 +96,6 @@ fn parse_dump(text: &str) -> Dump {
     let mut dump = Dump {
         traces: BTreeMap::new(),
         breaches: Vec::new(),
-        events: 0,
         skipped: 0,
     };
     for line in text.lines() {
@@ -116,7 +113,6 @@ fn parse_dump(text: &str) -> Dump {
                 None => dump.skipped += 1,
             },
             Some("breach") => dump.breaches.push(obj),
-            Some("event") => dump.events += 1,
             _ => dump.skipped += 1,
         }
     }
@@ -192,11 +188,10 @@ fn summarize(dump: &Dump) {
         }
     }
     println!(
-        "{} traces ({} intent roots), {} SLO breach records, {} events{}",
+        "{} traces ({} intent roots), {} SLO breach records{}",
         dump.traces.len(),
         intents,
         dump.breaches.len(),
-        dump.events,
         if dump.skipped > 0 {
             format!(", {} unparseable lines skipped", dump.skipped)
         } else {
@@ -298,7 +293,6 @@ mod tests {
 {"kind":"span","trace":7,"span":11,"parent":10,"name":"intent.admission","start_us":101,"duration_us":2.0,"status":"ok","code":""}
 {"kind":"span","trace":7,"span":12,"parent":10,"name":"intent.execute","start_us":110,"duration_us":800.0,"status":"completed","code":""}
 {"kind":"breach","slo":"intent_p99","subject":"","observed":1500.0,"threshold":1000.0,"window":3,"ts_us":999}
-{"kind":"event","name":"alvc_nfv.recovery.element_failed","ts_us":5}
 "#;
 
     #[test]
@@ -307,7 +301,6 @@ mod tests {
         assert_eq!(dump.traces.len(), 1);
         assert_eq!(dump.traces[&7].len(), 3);
         assert_eq!(dump.breaches.len(), 1);
-        assert_eq!(dump.events, 1);
         assert_eq!(dump.skipped, 0);
     }
 
