@@ -15,7 +15,10 @@
 #     git diff --exit-code schemas/public_api.txt
 #
 # Declarations inside `#[cfg(test)] mod tests` blocks are not public and
-# are excluded by the `mod tests` cutoff below. Multi-line `pub use {...}`
+# are excluded by the cutoff below: a file is read up to the first
+# column-0 `#[cfg(test)]` directly followed by `mod tests`, the rule
+# tools/gen_probes.sh uses. Any other test-only item (say a
+# `#[cfg(test)] mod reference;` declared mid-file) does not end the read. Multi-line `pub use {...}`
 # groups contribute their opening line only; that is enough for drift
 # detection since any edit to the group rewrites that region of the file.
 set -euo pipefail
@@ -25,8 +28,9 @@ out="${1:-schemas/public_api.txt}"
 surface_of() {
     # Everything above the unit-test module, declaration headers only.
     awk '
-        /^(mod tests|#\[cfg\(test\)\])/ { intest = 1 }
-        intest { next }
+        /^#\[cfg\(test\)\]/ { held = 1; next }
+        held && /^mod tests/ { exit }
+        { held = 0 }
         /^[[:space:]]*#\[macro_export\]/ { exported = 1; next }
         exported && /^[[:space:]]*macro_rules! / {
             line = $0
