@@ -45,6 +45,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut quality_json = Vec::new();
     let mut invalid_layers = 0usize;
+    let mut paper_greedy_ratio = f64::NAN;
     for (name, ctor) in &constructors {
         let mut sizes = Vec::new();
         let mut ratios = Vec::new();
@@ -62,6 +63,9 @@ fn main() {
         let mean_size = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         let max_size = *sizes.iter().max().unwrap();
         let mean_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        if *name == "paper-greedy" {
+            paper_greedy_ratio = mean_ratio;
+        }
         invalid_layers += clusters.len() - valid;
         quality_json.push(
             Json::object()
@@ -191,5 +195,12 @@ fn main() {
     );
     // Every constructor must return a layer that validates for its cluster.
     report.gate("invalid_layers", invalid_layers as f64, Op::Eq, 0.0);
+    // The paper's claim: the greedy AL is near the minimum (§III.C).
+    report.gate(
+        "paper_greedy_ratio_vs_opt",
+        (paper_greedy_ratio * 1000.0).round() / 1000.0,
+        Op::Le,
+        1.10,
+    );
     report.finish("BENCH_al_construction.json");
 }

@@ -43,7 +43,13 @@ type Required = (&'static str, Op, f64);
 /// Every bench and the gates it must carry (DESIGN.md §19 has the same
 /// table with the experiment each row comes from).
 const REQUIRED: &[(&str, &[Required])] = &[
-    ("al_construction", &[("invalid_layers", Op::Eq, 0.0)]),
+    (
+        "al_construction",
+        &[
+            ("invalid_layers", Op::Eq, 0.0),
+            ("paper_greedy_ratio_vs_opt", Op::Le, 1.10),
+        ],
+    ),
     (
         "scalability",
         &[
@@ -54,7 +60,8 @@ const REQUIRED: &[(&str, &[Required])] = &[
             ("failed_clusters", Op::Eq, 0.0),
             ("label_clones", Op::Eq, 0.0),
             ("dc1m_augment_visits", Op::Le, 1_200_000.0),
-            ("dc1m_layers_built", Op::Le, 480.0),
+            ("dc1m_layers_built", Op::Eq, 384.0),
+            ("dc1m_exchange_visits", Op::Le, 1_600_000.0),
             ("dc1m_stale_refreshes", Op::Eq, 0.0),
         ],
     ),

@@ -17,6 +17,12 @@
 //! exact branch-and-bound variant ([`ExactCover`]) quantifying how close the
 //! greedy comes to the true minimum.
 //!
+//! [`PaperGreedy`]'s adaptive cover then goes through an exchange search
+//! (`exchange`) that trades OPSs of the layer for fewer free ones while
+//! every ToR stays covered. Built as a batch
+//! ([`AlConstruct::construct_batch`]), its clusters take turns on one OPS
+//! pool and the exchange shrinks their covers together.
+//!
 //! All constructors finish with a **connectivity augmentation** pass: cover
 //! feasibility alone does not make the selected switches one connected
 //! component (the paper assumes it implicitly), so if the layer is
@@ -24,6 +30,7 @@
 //! with [`ConstructionError::Disconnected`].
 
 mod exact;
+mod exchange;
 mod paper;
 mod random;
 #[cfg(test)]
@@ -157,14 +164,53 @@ pub trait AlConstruct {
     ///
     /// See [`ConstructionError`]; in particular constructors fail rather
     /// than return a layer that does not cover or connect the cluster.
-    /// [`construct_layers`] relies on this to skip a build no covering
-    /// layer can come out of.
     fn construct(
         &self,
         dc: &DataCenter,
         vms: &[VmId],
         available: &OpsAvailability,
     ) -> Result<AbstractionLayer, ConstructionError>;
+
+    /// Builds one layer per cluster of `clusters` from one pool, the OPSs
+    /// `available` allows: the layers are pairwise OPS-disjoint, and each
+    /// `Ok` layer is valid for its cluster as [`construct`](Self::construct)
+    /// would make it.
+    ///
+    /// The provided method is the serial fold: cluster by cluster in
+    /// index order, [`construct`](Self::construct) against what the layers
+    /// before it left. A constructor that can do better with the whole
+    /// batch in view overrides it ([`PaperGreedy`] does).
+    fn construct_batch(
+        &self,
+        dc: &DataCenter,
+        clusters: &[Vec<VmId>],
+        available: &OpsAvailability,
+    ) -> Vec<Result<AbstractionLayer, ConstructionError>> {
+        fold(self, dc, clusters, available)
+    }
+}
+
+/// [`AlConstruct::construct_batch`]'s serial fold, for overrides to fall
+/// back on.
+pub(crate) fn fold<C: AlConstruct + ?Sized>(
+    ctor: &C,
+    dc: &DataCenter,
+    clusters: &[Vec<VmId>],
+    available: &OpsAvailability,
+) -> Vec<Result<AbstractionLayer, ConstructionError>> {
+    let mut pool = available.clone();
+    clusters
+        .iter()
+        .map(|vms| {
+            let built = ctor.construct(dc, vms, &pool);
+            if let Ok(al) = &built {
+                for &o in al.ops() {
+                    pool.block(o);
+                }
+            }
+            built
+        })
+        .collect()
 }
 
 // ----- shared pipeline pieces used by the concrete constructors -----------
@@ -274,7 +320,20 @@ impl Candidates {
         self.table[id]
     }
 
-    /// The ids of the ranks [`greedy_cover_indexed`] chose, in id order.
+    /// The marked ids, ascending.
+    fn marked_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        Self::ids(&self.marked, self.lo, self.hi)
+    }
+
+    /// Unmarks every candidate, for the next cover.
+    fn clear(&mut self) {
+        let lo = self.lo.min(self.hi);
+        self.marked[lo..self.hi].fill(0);
+        self.lo = usize::MAX;
+        self.hi = 0;
+    }
+
+    /// The ids of the ranks a [`GreedyCover`] chose, in id order.
     fn chosen<Id>(&self, chosen: &[bool], id: impl Fn(usize) -> Id) -> Vec<Id> {
         Self::ids(&self.marked, self.lo, self.hi)
             .filter(|&i| chosen[self.table[i] as usize])
@@ -308,99 +367,184 @@ impl DoubleEndedIterator for SetBits {
     }
 }
 
-/// The shared greedy cover loop behind [`select_tors_greedy`] and
-/// [`select_ops_greedy`]. The caller numbers the `n_cands` candidates
+/// One greedy cover, the engine behind [`select_tors_greedy`] and
+/// [`select_ops_in_turns`]. The caller numbers the `n_cands` candidates
 /// `0..n_cands` in the tie-break order `(degree, Reverse(id))`
 /// ([`Candidates::rank_by_degree`]); element `e`'s candidates are
 /// `elem_data[elem_offsets[e]..elem_offsets[e + 1]]` (CSR over ranks, no
-/// allocation per element), and the loop builds the transpose in the same
+/// allocation per element), and the cover builds the transpose in the same
 /// form. Element `e` wants `min(r, its candidates)` distinct candidates
-/// chosen; until then it adds `weights[e]` (or 1) to each candidate's
-/// gain. Each round a [`BucketSelector`] pops the candidate maximizing
-/// `(gain, rank)`, which lowers the need of every element it serves. With
-/// `adaptive`, an element whose need reaches 0 decays its candidates'
-/// gains; without, nothing decays, candidates pop in their initial order,
-/// and a pop that serves no element in need is skipped.
+/// chosen; until then it adds `weights[e]` (or 1) to each candidate's gain.
+/// Each [`pick`](Self::pick) pops the candidate maximizing `(gain, rank)`
+/// from a [`BucketSelector`], which lowers the need of every element it
+/// serves. With `adaptive`, an element whose need reaches 0 decays its
+/// candidates' gains; without, nothing decays, candidates pop in their
+/// initial order, and a pop that serves no element in need is skipped.
 ///
-/// Identical output to the per-round rescans kept as the test oracle in
-/// `reference`, in `O(cands + edges + g_max · cands / 64)` with no heap
-/// and no sort, where `g_max` is the largest initial gain. The callers
-/// give every element a candidate, so every need is met. Returns which
-/// ranks were chosen.
-fn greedy_cover_indexed(
-    n_cands: usize,
-    elem_offsets: &[u32],
-    elem_data: &[u32],
-    weights: Option<&[u32]>,
-    r: usize,
+/// Picked to the end alone, identical output to the per-round rescans kept
+/// as the test oracle in `reference`, in `O(cands + edges + g_max · cands /
+/// 64)` with no heap and no sort, where `g_max` is the largest initial
+/// gain. The callers give every element a candidate, so every need is met
+/// unless other covers take candidates away ([`lose`](Self::lose)).
+struct GreedyCover {
+    elem_offsets: Vec<u32>,
+    elem_data: Vec<u32>,
+    weights: Option<Vec<u32>>,
+    /// Rank `c` serves `members[member_offsets[c]..member_offsets[c + 1]]`.
+    member_offsets: Vec<u32>,
+    members: Vec<u32>,
+    /// Per element, its need, and how many of its candidates other covers
+    /// may still take before it cannot meet its need (its slack).
+    need: Vec<(u32, u32)>,
+    /// Elements whose need is above 0.
+    unmet: usize,
+    chosen: Vec<bool>,
+    selector: BucketSelector,
     adaptive: bool,
-) -> Vec<bool> {
-    let n_elems = elem_offsets.len() - 1;
-    let elems_of = |e: usize| &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize];
-    let weight = |e: usize| weights.map_or(1, |w| w[e]);
-    // Rank `c` serves `members[member_offsets[c]..member_offsets[c + 1]]`,
-    // ascending: counts go to `member_offsets[c + 2]`, their prefix sums
-    // make `member_offsets[c + 1]` the cursor of `c`, and filling in
-    // element order leaves it at `c`'s end.
-    let mut member_offsets = vec![0u32; n_cands + 2];
-    let mut gains = vec![0u32; n_cands];
-    for e in 0..n_elems {
-        for &c in elems_of(e) {
-            member_offsets[c as usize + 2] += 1;
-            gains[c as usize] += weight(e);
+    rounds: u64,
+}
+
+impl GreedyCover {
+    fn new(
+        n_cands: usize,
+        elem_offsets: Vec<u32>,
+        elem_data: Vec<u32>,
+        weights: Option<Vec<u32>>,
+        r: usize,
+        adaptive: bool,
+    ) -> Self {
+        let n_elems = elem_offsets.len() - 1;
+        let elems_of =
+            |e: usize| &elem_data[elem_offsets[e] as usize..elem_offsets[e + 1] as usize];
+        let weight = |e: usize| weights.as_ref().map_or(1, |w| w[e]);
+        // Counts go to `member_offsets[c + 2]`, their prefix sums make
+        // `member_offsets[c + 1]` the cursor of `c`, and filling in element
+        // order leaves it at `c`'s end, members ascending.
+        let mut member_offsets = vec![0u32; n_cands + 2];
+        let mut gains = vec![0u32; n_cands];
+        for e in 0..n_elems {
+            for &c in elems_of(e) {
+                member_offsets[c as usize + 2] += 1;
+                gains[c as usize] += weight(e);
+            }
+        }
+        for c in 2..member_offsets.len() {
+            member_offsets[c] += member_offsets[c - 1];
+        }
+        let mut members = vec![0u32; elem_data.len()];
+        for e in 0..n_elems {
+            for &c in elems_of(e) {
+                let cursor = &mut member_offsets[c as usize + 1];
+                members[*cursor as usize] = e as u32;
+                *cursor += 1;
+            }
+        }
+        member_offsets.pop();
+        let need: Vec<(u32, u32)> = (0..n_elems)
+            .map(|e| {
+                let (cands, need) = (elems_of(e).len(), elems_of(e).len().min(r));
+                (need as u32, (cands - need) as u32)
+            })
+            .collect();
+        GreedyCover {
+            unmet: need.iter().filter(|&&(n, _)| n > 0).count(),
+            need,
+            chosen: vec![false; n_cands],
+            selector: BucketSelector::new(gains),
+            member_offsets,
+            members,
+            elem_offsets,
+            elem_data,
+            weights,
+            adaptive,
+            rounds: 0,
         }
     }
-    for c in 2..member_offsets.len() {
-        member_offsets[c] += member_offsets[c - 1];
+
+    /// The elements rank `c` serves.
+    fn served(&self, c: usize) -> std::ops::Range<usize> {
+        self.member_offsets[c] as usize..self.member_offsets[c + 1] as usize
     }
-    let mut members = vec![0u32; elem_data.len()];
-    for e in 0..n_elems {
-        for &c in elems_of(e) {
-            let cursor = &mut member_offsets[c as usize + 1];
-            members[*cursor as usize] = e as u32;
-            *cursor += 1;
-        }
-    }
-    let mut need: Vec<u32> = (0..n_elems)
-        .map(|e| elems_of(e).len().min(r) as u32)
-        .collect();
-    let mut unmet = need.iter().filter(|&&n| n > 0).count();
-    let mut chosen = vec![false; n_cands];
-    let mut rounds: u64 = 0;
-    let mut selector = BucketSelector::new(gains);
-    while unmet > 0 {
-        let c = selector
-            .pop_max()
-            .expect("an element with unmet need has an unchosen candidate");
-        let served = &members[member_offsets[c] as usize..member_offsets[c + 1] as usize];
-        if !adaptive && served.iter().all(|&e| need[e as usize] == 0) {
-            continue;
-        }
-        rounds += 1;
-        chosen[c] = true;
-        for &e in served {
-            let e = e as usize;
-            if need[e] == 0 {
+
+    /// Chooses the next candidate and returns its rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no element has unmet need.
+    fn pick(&mut self) -> usize {
+        loop {
+            let c = self
+                .selector
+                .pop_max()
+                .expect("an element with unmet need has an unchosen candidate");
+            let served = self.served(c);
+            if !self.adaptive
+                && self.members[served.clone()]
+                    .iter()
+                    .all(|&e| self.need[e as usize].0 == 0)
+            {
                 continue;
             }
-            need[e] -= 1;
-            unmet -= usize::from(need[e] == 0);
-            if adaptive && need[e] == 0 {
-                for &other in elems_of(e) {
-                    selector.decay(other as usize, weight(e));
+            self.rounds += 1;
+            self.chosen[c] = true;
+            for &e in &self.members[served] {
+                let e = e as usize;
+                if self.need[e].0 == 0 {
+                    continue;
+                }
+                self.need[e].0 -= 1;
+                if self.need[e].0 == 0 {
+                    self.unmet -= 1;
+                    if self.adaptive {
+                        let weight = self.weights.as_ref().map_or(1, |w| w[e]);
+                        let others =
+                            self.elem_offsets[e] as usize..self.elem_offsets[e + 1] as usize;
+                        for &other in &self.elem_data[others] {
+                            self.selector.decay(other as usize, weight);
+                        }
+                    }
                 }
             }
+            return c;
         }
     }
-    alvc_telemetry::counter!("alvc_core.construction.rounds").add(rounds);
-    chosen
+
+    /// Another cover took rank `c`: it leaves this cover's candidates.
+    /// Returns the first element that can then no longer meet its need.
+    fn lose(&mut self, c: usize) -> Option<usize> {
+        self.selector.remove(c);
+        for &e in &self.members[self.served(c)] {
+            let (need, slack) = &mut self.need[e as usize];
+            if *need > 0 {
+                if *slack == 0 {
+                    return Some(e as usize);
+                }
+                *slack -= 1;
+            }
+        }
+        None
+    }
+
+    /// Picks until every need is met; returns which ranks were chosen.
+    fn run(mut self) -> Vec<bool> {
+        while self.unmet > 0 {
+            self.pick();
+        }
+        self.finish()
+    }
+
+    /// Which ranks were chosen, counting the rounds.
+    fn finish(self) -> Vec<bool> {
+        alvc_telemetry::counter!("alvc_core.construction.rounds").add(self.rounds);
+        self.chosen
+    }
 }
 
 /// Greedy ToR selection: repeatedly pick the ToR covering the most
 /// still-uncovered VMs; ties break toward the ToR with more OPS uplinks
 /// (the paper's "incoming and outgoing connections" weight), then the lower
-/// id. Every VM is covered once; `adaptive` as in [`greedy_cover_indexed`].
-/// Output is identical to the test-only rescan
+/// id. Every VM is covered once; `adaptive` as in [`GreedyCover`]. Output
+/// is identical to the test-only rescan
 /// `reference::select_tors_greedy_naive`.
 pub(crate) fn select_tors_greedy(
     dc: &DataCenter,
@@ -447,24 +591,117 @@ pub(crate) fn select_tors_greedy(
     for t in &mut elem_data {
         *t = cands.rank(*t as usize);
     }
-    let chosen = greedy_cover_indexed(
-        n_cands,
-        &elem_offsets,
-        &elem_data,
-        Some(&weights),
-        1,
-        adaptive,
-    );
+    let chosen =
+        GreedyCover::new(n_cands, elem_offsets, elem_data, Some(weights), 1, adaptive).run();
     Ok(cands.chosen(&chosen, TorId))
 }
 
-/// Greedy OPS selection over the selected ToRs, restricted to available
-/// OPSs: repeatedly pick the available OPS covering the most uncovered
-/// ToRs; ties break toward the OPS with more ToR links, then the lower id.
-/// `r` and `adaptive` as in [`greedy_cover_indexed`]. Output is identical
-/// to the test-only rescan `reference::select_ops_greedy_naive`. An
-/// uncoverable ToR is reported as the first of `tors` without an available
-/// uplink.
+/// Greedy OPS selection for several clusters over one pool: cluster `c`
+/// covers the ToRs `tors[c]` with OPSs `available` allows. Each cluster's
+/// rule is the paper's: pick the OPS covering the most of its uncovered
+/// ToRs; ties break toward the OPS with more ToR links, then the lower id;
+/// `r` and `adaptive` as in [`GreedyCover`]. The clusters still covering
+/// take turns in index order, one pick each, and a picked OPS leaves every
+/// other cluster's candidates, so the covers come out OPS-disjoint. For
+/// one cluster the output is identical to the test-only rescan
+/// `reference::select_ops_greedy_naive`. Returns each cluster's OPSs in
+/// id order.
+///
+/// # Errors
+///
+/// [`ConstructionError::UncoverableTor`]: the first ToR, in cluster then
+/// list order, without an available uplink; or, once the turns begin, a
+/// ToR whose last uplinks it needs went to other clusters.
+pub(crate) fn select_ops_in_turns(
+    dc: &DataCenter,
+    tors: &[&[TorId]],
+    available: &OpsAvailability,
+    r: usize,
+    adaptive: bool,
+) -> Result<Vec<Vec<OpsId>>, ConstructionError> {
+    /// One cluster's cover, with its candidate OPS ids by rank and, for
+    /// finding a rank by id, `(id, rank)` in id order.
+    struct Turns {
+        cover: GreedyCover,
+        by_rank: Vec<u32>,
+        ranked: Vec<(u32, u32)>,
+    }
+    let mut cands = Candidates::new(dc.ops_count());
+    let mut turns = Vec::with_capacity(tors.len());
+    for tors in tors {
+        let uplinks = tors.iter().map(|&t| dc.uplinks_of_tor(t).len()).sum();
+        let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
+        let mut elem_data: Vec<u32> = Vec::with_capacity(uplinks);
+        elem_offsets.push(0);
+        for &tor in *tors {
+            let first = elem_data.len();
+            for &ops in dc.uplinks_of_tor(tor) {
+                if available.is_available(ops) {
+                    cands.mark(ops.index());
+                    elem_data.push(ops.index() as u32);
+                }
+            }
+            if elem_data.len() == first {
+                return Err(ConstructionError::UncoverableTor(tor));
+            }
+            elem_offsets.push(elem_data.len() as u32);
+        }
+        let n_cands = cands.rank_by_degree(|o| dc.tors_of_ops(OpsId(o)).len());
+        for o in &mut elem_data {
+            *o = cands.rank(*o as usize);
+        }
+        let ranked: Vec<(u32, u32)> = cands
+            .marked_ids()
+            .map(|o| (o as u32, cands.rank(o)))
+            .collect();
+        let mut by_rank = vec![0u32; n_cands];
+        for &(o, rank) in &ranked {
+            by_rank[rank as usize] = o;
+        }
+        cands.clear();
+        turns.push(Turns {
+            cover: GreedyCover::new(n_cands, elem_offsets, elem_data, None, r, adaptive),
+            by_rank,
+            ranked,
+        });
+    }
+    let mut covering = true;
+    while covering {
+        covering = false;
+        for c in 0..turns.len() {
+            if turns[c].cover.unmet == 0 {
+                continue;
+            }
+            covering = true;
+            let rank = turns[c].cover.pick();
+            let ops = turns[c].by_rank[rank];
+            for (other, turn) in turns.iter_mut().enumerate() {
+                if other == c || turn.cover.unmet == 0 {
+                    continue;
+                }
+                if let Ok(i) = turn.ranked.binary_search_by_key(&ops, |&(o, _)| o) {
+                    if let Some(e) = turn.cover.lose(turn.ranked[i].1 as usize) {
+                        return Err(ConstructionError::UncoverableTor(tors[other][e]));
+                    }
+                }
+            }
+        }
+    }
+    Ok(turns
+        .into_iter()
+        .map(|turn| {
+            let chosen = turn.cover.finish();
+            let picked = turn.ranked.iter();
+            picked
+                .filter(|&&(_, rank)| chosen[rank as usize])
+                .map(|&(o, _)| OpsId(o as usize))
+                .collect()
+        })
+        .collect())
+}
+
+/// [`select_ops_in_turns`] for one cluster.
+#[cfg(test)]
 pub(crate) fn select_ops_greedy(
     dc: &DataCenter,
     tors: &[TorId],
@@ -472,29 +709,7 @@ pub(crate) fn select_ops_greedy(
     r: usize,
     adaptive: bool,
 ) -> Result<Vec<OpsId>, ConstructionError> {
-    let mut cands = Candidates::new(dc.ops_count());
-    let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
-    let mut elem_data: Vec<u32> = Vec::with_capacity(tors.len());
-    elem_offsets.push(0);
-    for &tor in tors {
-        let first = elem_data.len();
-        for &ops in dc.uplinks_of_tor(tor) {
-            if available.is_available(ops) {
-                cands.mark(ops.index());
-                elem_data.push(ops.index() as u32);
-            }
-        }
-        if elem_data.len() == first {
-            return Err(ConstructionError::UncoverableTor(tor));
-        }
-        elem_offsets.push(elem_data.len() as u32);
-    }
-    let n_cands = cands.rank_by_degree(|o| dc.tors_of_ops(OpsId(o)).len());
-    for o in &mut elem_data {
-        *o = cands.rank(*o as usize);
-    }
-    let chosen = greedy_cover_indexed(n_cands, &elem_offsets, &elem_data, None, r, adaptive);
-    Ok(cands.chosen(&chosen, OpsId))
+    select_ops_in_turns(dc, &[tors], available, r, adaptive).map(|mut covers| covers.remove(0))
 }
 
 /// Connectivity augmentation: while the layer's switches form more than one
@@ -677,203 +892,29 @@ fn join_component(
 
 // ----- batch (fleet) construction ----------------------------------------
 
-/// Phase 1 of [`construct_layers`]: each cluster's restricted pool, and
-/// the ToRs its optimistic build needs an uplink for.
-struct Partition {
-    /// Per cluster, the OPSs its optimistic build may use.
-    pools: Vec<OpsAvailability>,
-    /// Cluster `c`'s needed ToRs are
-    /// `needed[needed_ends[c]..needed_ends[c + 1]]`: its distinct ToRs if
-    /// every VM of the cluster has one ToR, none otherwise.
-    needed: Vec<TorId>,
-    needed_ends: Vec<usize>,
-}
-
-impl Partition {
-    /// The deterministic pool partition over the contested candidates.
-    /// Candidates are gathered once per distinct ToR of a cluster (a rack's
-    /// VMs all share its uplinks, and a run of them is read once), as
-    /// (OPS, requesting cluster) requests. Every pool starts without any
-    /// requested OPS; then each one, in id order, goes back to its
-    /// requester with the fewest assignments so far (then the lowest
-    /// cluster index).
-    ///
-    /// The requests are bucketed by OPS with a counting sort over the ids
-    /// they span. They are generated cluster by cluster, so each bucket
-    /// lists its requesters in cluster order, a cluster's repeats adjacent.
-    fn new(dc: &DataCenter, clusters: &[Vec<VmId>], available: &OpsAvailability) -> Self {
-        // Cluster c requested `requested[request_ends[c]..request_ends[c + 1]]`.
-        let mut requested: Vec<OpsId> = Vec::new();
-        let mut request_ends = Vec::with_capacity(clusters.len() + 1);
-        request_ends.push(0);
-        let (mut lo, mut hi) = (usize::MAX, 0);
-        let mut tor_seen_by = vec![usize::MAX; dc.tor_count()];
-        let mut needed: Vec<TorId> = Vec::new();
-        let mut needed_ends = Vec::with_capacity(clusters.len() + 1);
-        needed_ends.push(0);
-        for (c, vms) in clusters.iter().enumerate() {
-            let mut single_homed = true;
-            for (tors, _) in rack_runs(dc, vms) {
-                single_homed &= tors.len() == 1;
-                for &tor in tors {
-                    if std::mem::replace(&mut tor_seen_by[tor.index()], c) != c {
-                        needed.push(tor);
-                        for &o in dc.uplinks_of_tor(tor) {
-                            if available.is_available(o) {
-                                requested.push(o);
-                                lo = lo.min(o.index());
-                                hi = hi.max(o.index() + 1);
-                            }
-                        }
-                    }
-                }
-            }
-            if !single_homed {
-                needed.truncate(needed_ends[c]);
-            }
-            needed_ends.push(needed.len());
-            request_ends.push(requested.len());
-        }
-        // OPS `lo + k`'s requesters are
-        // `requesters[bucket_offsets[k]..bucket_offsets[k + 1]]`, filled
-        // through `bucket_offsets[k + 1]` as a cursor (see
-        // `greedy_cover_indexed`).
-        let ids = lo.min(hi)..hi;
-        let mut bucket_offsets = vec![0usize; ids.len() + 2];
-        for o in &requested {
-            bucket_offsets[o.index() - ids.start + 2] += 1;
-        }
-        for k in 2..bucket_offsets.len() {
-            bucket_offsets[k] += bucket_offsets[k - 1];
-        }
-        let mut requesters = vec![0usize; requested.len()];
-        for c in 0..clusters.len() {
-            for o in &requested[request_ends[c]..request_ends[c + 1]] {
-                let cursor = &mut bucket_offsets[o.index() - ids.start + 1];
-                requesters[*cursor] = c;
-                *cursor += 1;
-            }
-        }
-        let buckets = || {
-            ids.clone()
-                .zip(bucket_offsets.windows(2))
-                .map(|(o, b)| (OpsId(o), &requesters[b[0]..b[1]]))
-                .filter(|(_, bucket)| !bucket.is_empty())
-        };
-        let mut contested = available.clone();
-        for (o, _) in buckets() {
-            contested.block(o);
-        }
-        let mut pools = vec![contested; clusters.len()];
-        let mut assigned = vec![0usize; clusters.len()];
-        for (o, bucket) in buckets() {
-            let winner = bucket
-                .iter()
-                .copied()
-                .min_by_key(|&c| (assigned[c], c))
-                .expect("buckets are non-empty");
-            assigned[winner] += 1;
-            pools[winner].release(o);
-        }
-        Partition {
-            pools,
-            needed,
-            needed_ends,
-        }
-    }
-
-    /// Whether cluster `c`'s optimistic build must fail: a ToR it needs has
-    /// no uplink in its pool. Each of the cluster's VMs has one ToR, so a
-    /// VM on that ToR can be covered only through it, and the ToR only
-    /// through an uplink the build may use.
-    fn doomed(&self, dc: &DataCenter, c: usize) -> bool {
-        let needed = &self.needed[self.needed_ends[c]..self.needed_ends[c + 1]];
-        needed.iter().any(|&tor| {
-            !dc.uplinks_of_tor(tor)
-                .iter()
-                .any(|&o| self.pools[c].is_available(o))
-        })
-    }
-}
-
 /// Constructs one abstraction layer per VM cluster against a shared OPS
 /// pool — the batch engine behind the NFV orchestrator's bulk chain
 /// deployment, whose layers [`crate::ClusterManager::adopt_or_create`]
-/// commits.
+/// commits, and behind each pod of
+/// [`construct_layers_sharded`](crate::construct_layers_sharded).
 ///
-/// Three phases:
-///
-/// 1. **Partition** — each cluster's *candidate* OPSs (available switches
-///    adjacent to its VMs' ToRs) are computed, and every contested OPS is
-///    assigned to exactly one requesting cluster (fewest assignments so
-///    far, then lowest cluster index), yielding near-disjoint per-cluster
-///    pools.
-/// 2. **Optimistic construction** — each cluster is constructed against
-///    its restricted pool, in the calling thread: a layer costs tens of
-///    microseconds, less than spawning a thread to build it. A cluster
-///    whose VMs are all single-homed and one of whose ToRs has no uplink
-///    left in its restricted pool skips this build: such a VM can be
-///    covered only through that ToR, and the ToR only through an uplink,
-///    so every constructor must fail there ([`AlConstruct::construct`]
-///    returns no layer that does not cover its cluster).
-/// 3. **Serial commit** — in cluster order, a successful optimistic layer
-///    commits iff all its OPSs are still unclaimed; otherwise (including
-///    optimistic failures, which may be artifacts of the restricted pool,
-///    and skipped builds) the cluster is re-constructed against the true
-///    remaining availability.
+/// One call of [`AlConstruct::construct_batch`], in the calling thread:
+/// [`PaperGreedy`] lets the clusters take turns on the pool and then
+/// shrinks their covers by exchange (DESIGN.md §8); other constructors
+/// fold [`AlConstruct::construct`] over it. Each cluster is built once,
+/// counted in `alvc_core.construction.layers_built`.
 ///
 /// Guarantees: the result is **deterministic**, committed layers are
 /// pairwise **OPS-disjoint** and disjoint from `available`'s blocked set,
-/// and every `Ok` layer is a valid output of `ctor` for its cluster. The
-/// result is *not* guaranteed to equal folding [`AlConstruct::construct`]
-/// serially over the clusters: an optimistic layer built from a restricted
-/// pool may commit even though a serial pass — seeing more candidates —
-/// would have chosen differently (see `DESIGN.md`).
+/// and every `Ok` layer is valid for its cluster.
 pub fn construct_layers(
     dc: &DataCenter,
     clusters: &[Vec<VmId>],
     ctor: &dyn AlConstruct,
     available: &OpsAvailability,
 ) -> Vec<Result<AbstractionLayer, ConstructionError>> {
-    if clusters.is_empty() {
-        return Vec::new();
-    }
-    let partition = Partition::new(dc, clusters, available);
-
-    // Phases 2 and 3, one cluster at a time in cluster order: the
-    // optimistic layer is built against the cluster's restricted pool,
-    // unless that build is doomed, and commits iff all its OPSs are still
-    // unclaimed. The commit check also catches overlaps the partition
-    // cannot see, e.g. two connectivity augmentations absorbing the same
-    // unrequested bridge OPS.
-    let mut pool = available.clone();
-    let mut results = Vec::with_capacity(clusters.len());
-    let mut conflict_fallbacks: u64 = 0;
-    let mut layers_built: u64 = 0;
-    for (c, vms) in clusters.iter().enumerate() {
-        let restricted = &partition.pools[c];
-        let optimistic = (!partition.doomed(dc, c)).then(|| {
-            layers_built += 1;
-            ctor.construct(dc, vms, restricted)
-        });
-        let resolved = match optimistic {
-            Some(Ok(al)) if al.ops().iter().all(|&o| pool.is_available(o)) => Ok(al),
-            _ => {
-                conflict_fallbacks += 1;
-                layers_built += 1;
-                ctor.construct(dc, vms, &pool)
-            }
-        };
-        if let Ok(al) = &resolved {
-            for &o in al.ops() {
-                pool.block(o);
-            }
-        }
-        results.push(resolved);
-    }
-    alvc_telemetry::counter!("alvc_core.construction.conflict_fallbacks").add(conflict_fallbacks);
-    alvc_telemetry::counter!("alvc_core.construction.layers_built").add(layers_built);
-    results
+    alvc_telemetry::counter!("alvc_core.construction.layers_built").add(clusters.len() as u64);
+    ctor.construct_batch(dc, clusters, available)
 }
 
 #[cfg(test)]
@@ -1123,38 +1164,6 @@ mod tests {
     }
 
     #[test]
-    fn construct_layers_matches_serial_fold_on_full_mesh() {
-        // On a full-mesh core the bare greedy cover is already connected,
-        // so an optimistic layer that commits is exactly what the serial
-        // fold would build (extra never-winning candidates don't change the
-        // argmax) — and a layer that differs must conflict and be redone
-        // serially. Either way the batch equals the serial fold here.
-        use crate::construction::PaperGreedy;
-        let dc = AlvcTopologyBuilder::new()
-            .racks(16)
-            .servers_per_rack(2)
-            .vms_per_server(2)
-            .ops_count(32)
-            .tor_ops_degree(4)
-            .interconnect(OpsInterconnect::FullMesh)
-            .seed(23)
-            .build();
-        let vms: Vec<_> = dc.vm_ids().collect();
-        let clusters: Vec<Vec<_>> = vms.chunks(10).map(<[_]>::to_vec).collect();
-        let batch = construct_layers(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
-        let mut pool = OpsAvailability::all();
-        for (c, res) in batch.iter().enumerate() {
-            let serial = PaperGreedy::new().construct(&dc, &clusters[c], &pool);
-            assert_eq!(res, &serial, "cluster {c} diverged from the serial fold");
-            if let Ok(al) = &serial {
-                for &o in al.ops() {
-                    pool.block(o);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn construct_layers_handles_contention_and_exhaustion() {
         // 2 OPSs, many clusters: later clusters must fail cleanly with a
         // construction error, never panic or overlap.
@@ -1186,52 +1195,6 @@ mod tests {
         assert!(
             construct_layers(&dc, &[], &PaperGreedy::new(), &OpsAvailability::all()).is_empty()
         );
-    }
-
-    #[test]
-    fn a_dual_homed_vm_keeps_its_optimistic_build() {
-        // Cluster 0 (VM a on t1) wins t1's one uplink o1, so cluster 1's
-        // pool leaves t1 without an uplink. Cluster 1's VM b also hangs off
-        // t2, whose two uplinks it keeps: a layer through t2 exists, and
-        // the optimistic build must run and commit it.
-        let mut dc = DataCenter::new();
-        let (r1, t1) = dc.add_rack();
-        let (r2, t2) = dc.add_rack();
-        let s1 = dc.add_server(r1);
-        let a = dc.add_vm(s1, ServiceType::WebService);
-        let s2 = dc.add_server(r1);
-        let b = dc.add_vm(s2, ServiceType::WebService);
-        dc.add_access_link(s2, t2);
-        dc.add_server(r2);
-        let [o1, o2, o3] = [(); 3].map(|_| dc.add_ops(None));
-        dc.connect_tor_ops(t1, o1);
-        dc.connect_tor_ops(t2, o2);
-        dc.connect_tor_ops(t2, o3);
-        dc.connect_ops_ops(o2, o3);
-        let clusters = vec![vec![a], vec![b]];
-        let partition = Partition::new(&dc, &clusters, &OpsAvailability::all());
-        assert!(!partition.pools[1].is_available(o1));
-        assert!(!partition.doomed(&dc, 1), "b is covered through t2");
-        let layer = PaperGreedy::new().construct(&dc, &[b], &partition.pools[1]);
-        assert_eq!(layer.as_ref().map(AbstractionLayer::tors), Ok(&[t2][..]));
-        // Single-homed, the same VM has no way around t1.
-        let mut single = dc.clone();
-        let s3 = single.add_server(r1);
-        let c = single.add_vm(s3, ServiceType::WebService);
-        let clusters = vec![vec![a], vec![c]];
-        let partition = Partition::new(&single, &clusters, &OpsAvailability::all());
-        assert!(partition.doomed(&single, 1));
-        let results = construct_layers(
-            &single,
-            &clusters,
-            &PaperGreedy::new(),
-            &OpsAvailability::all(),
-        );
-        assert_eq!(
-            results[0].as_ref().map(AbstractionLayer::ops),
-            Ok(&[o1][..])
-        );
-        assert_eq!(results[1], Err(ConstructionError::UncoverableTor(t1)));
     }
 
     /// The flood `AbstractionLayer::components` made before the exterior
@@ -1321,17 +1284,17 @@ mod tests {
             )
     }
 
-    /// Every workspace constructor.
-    fn every_constructor() -> Vec<Box<dyn AlConstruct>> {
+    /// Every workspace constructor, and whether it augments its cover.
+    fn every_constructor() -> Vec<(Box<dyn AlConstruct>, bool)> {
         vec![
-            Box::new(PaperGreedy::new()),
-            Box::new(PaperGreedy::without_augmentation()),
-            Box::new(RandomSelection::new(3)),
-            Box::new(ExactCover::new()),
-            Box::new(PaperGreedy::static_degree()),
-            Box::new(PaperGreedy::redundant(2)),
-            Box::new(PaperGreedy::cost_aware(1.0, 2.0)),
-            Box::new(reference::NaiveGreedy::new()),
+            (Box::new(PaperGreedy::new()), true),
+            (Box::new(PaperGreedy::without_augmentation()), false),
+            (Box::new(RandomSelection::new(3)), true),
+            (Box::new(ExactCover::new()), true),
+            (Box::new(PaperGreedy::static_degree()), true),
+            (Box::new(PaperGreedy::redundant(2)), true),
+            (Box::new(PaperGreedy::cost_aware(1.0, 2.0)), true),
+            (Box::new(reference::NaiveGreedy::new()), true),
         ]
     }
 
@@ -1362,7 +1325,7 @@ mod tests {
 
     /// Single- or dual-homed builder topologies with scarce uplinks (1–3
     /// per ToR, 1–6 OPSs a pod, 1–2 pods), a random blocked set and 2–5
-    /// clusters dealt round-robin.
+    /// clusters dealt round-robin, so clusters contend for OPSs.
     fn skip_case() -> impl Strategy<Value = (DataCenter, Vec<Vec<VmId>>, OpsAvailability)> {
         (
             (1usize..3, 2usize..7, 1usize..7, 1usize..4),
@@ -1396,52 +1359,147 @@ mod tests {
             )
     }
 
-    /// The premise of `construct_layers`' skip: whenever it skips a
-    /// cluster's optimistic build, every workspace constructor fails on
-    /// that cluster's restricted pool. Over the corpus, skips must fire
-    /// often, on single- and dual-homed topologies alike, and the batch
-    /// must still hand out disjoint, valid layers.
-    #[test]
-    fn a_skipped_build_fails_for_every_constructor() {
-        use std::cell::Cell;
-        let skips = Cell::new(0usize);
-        let dual_homed_skips = Cell::new(0usize);
-        proptest::test_runner::run(
-            ProptestConfig::with_cases(512),
-            "a_skipped_build_fails_for_every_constructor",
-            skip_case(),
-            |(dc, clusters, avail)| {
-                let partition = Partition::new(&dc, &clusters, &avail);
-                let dual = dc.vm_ids().any(|vm| dc.tors_of_vm(vm).len() > 1);
-                for (c, vms) in clusters.iter().enumerate() {
-                    if !partition.doomed(&dc, c) {
-                        continue;
-                    }
-                    skips.set(skips.get() + 1);
-                    dual_homed_skips.set(dual_homed_skips.get() + usize::from(dual));
-                    for ctor in every_constructor() {
-                        let built = ctor.construct(&dc, vms, &partition.pools[c]);
-                        prop_assert!(built.is_err(), "{} built {:?}", ctor.name(), built);
+    /// VM clusters of `dc` for the batch properties: all of them in one,
+    /// or dealt round-robin into `n`.
+    fn dealt(dc: &DataCenter, n: usize) -> Vec<Vec<VmId>> {
+        let mut clusters: Vec<Vec<VmId>> = vec![Vec::new(); n];
+        for (i, vm) in dc.vm_ids().enumerate() {
+            clusters[i % n].push(vm);
+        }
+        clusters.retain(|c| !c.is_empty());
+        clusters
+    }
+
+    /// The batch contract for every workspace constructor: each `Ok` layer
+    /// covers its cluster (and, augmented, is valid), lies inside
+    /// `available`, and shares no OPS with another; a batch of one is
+    /// `construct`.
+    fn check_batch(
+        dc: &DataCenter,
+        clusters: &[Vec<VmId>],
+        avail: &OpsAvailability,
+    ) -> Result<(), TestCaseError> {
+        for (ctor, augmented) in every_constructor() {
+            let results = construct_layers(dc, clusters, &*ctor, avail);
+            prop_assert_eq!(results.len(), clusters.len());
+            let mut seen = HashSet::new();
+            for (vms, layer) in clusters.iter().zip(&results) {
+                let Ok(layer) = layer else { continue };
+                if augmented {
+                    prop_assert!(layer.validate(dc, vms).is_ok(), "{}", ctor.name());
+                } else {
+                    prop_assert!(layer.covers_vms(dc, vms).is_ok());
+                    prop_assert!(layer.covers_tors(dc).is_ok());
+                }
+                prop_assert!(layer.ops().iter().all(|&o| avail.is_available(o)));
+                prop_assert!(layer.ops().iter().all(|&o| seen.insert(o)));
+            }
+            for vms in clusters {
+                prop_assert_eq!(
+                    construct_layers(dc, std::slice::from_ref(vms), &*ctor, avail),
+                    vec![ctor.construct(dc, vms, avail)],
+                    "{}",
+                    ctor.name()
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A 1-for-0 or 2-for-1 move left on cover `ops` of `tors`, found by
+    /// trying every OPS and pair of OPSs against every free OPS: the oracle
+    /// of the incremental exchange's fixpoint.
+    fn move_left(
+        dc: &DataCenter,
+        tors: &[TorId],
+        ops: &[OpsId],
+        free: impl Fn(OpsId) -> bool,
+    ) -> Option<String> {
+        let covers = |layer: &HashSet<OpsId>| {
+            tors.iter()
+                .all(|&t| dc.uplinks_of_tor(t).iter().any(|o| layer.contains(o)))
+        };
+        let without = |gone: &[OpsId]| -> HashSet<OpsId> {
+            ops.iter().copied().filter(|o| !gone.contains(o)).collect()
+        };
+        for (i, &a) in ops.iter().enumerate() {
+            if covers(&without(&[a])) {
+                return Some(format!("1-for-0 drops {a}"));
+            }
+            for &b in &ops[i + 1..] {
+                let rest = without(&[a, b]);
+                for f in dc.ops_ids().filter(|&f| free(f)) {
+                    let mut next = rest.clone();
+                    next.insert(f);
+                    if covers(&next) {
+                        return Some(format!("2-for-1 swaps {a}, {b} for {f}"));
                     }
                 }
-                let results = construct_layers(&dc, &clusters, &PaperGreedy::new(), &avail);
-                let mut seen = HashSet::new();
-                for (c, layer) in results.iter().enumerate() {
-                    if let Ok(layer) = layer {
-                        prop_assert!(layer.validate(&dc, &clusters[c]).is_ok());
-                        prop_assert!(layer.ops().iter().all(|&o| avail.is_available(o)));
-                        prop_assert!(layer.ops().iter().all(|&o| seen.insert(o)));
-                    }
-                }
-                Ok(())
-            },
-        );
-        assert!(skips.get() > 200, "only {} skips", skips.get());
-        assert!(
-            dual_homed_skips.get() > 20,
-            "only {} skips on dual-homed topologies",
-            dual_homed_skips.get()
-        );
+            }
+        }
+        None
+    }
+
+    /// Bare covers (`PaperGreedy::new`'s before augmentation), built alone
+    /// and in a batch, leave no 1-for-0 or 2-for-1 move over the OPSs
+    /// `avail` allows and no layer holds; and the one-cluster OPS stage is
+    /// the naive rescan.
+    fn check_exchange(
+        dc: &DataCenter,
+        clusters: &[Vec<VmId>],
+        avail: &OpsAvailability,
+    ) -> Result<(), TestCaseError> {
+        let bare = PaperGreedy::without_augmentation();
+        let batch = construct_layers(dc, clusters, &bare, avail);
+        let alone = clusters
+            .iter()
+            .map(|vms| vec![bare.construct(dc, vms, avail)]);
+        for layers in alone.chain([batch]) {
+            let held: HashSet<OpsId> = layers
+                .iter()
+                .flatten()
+                .flat_map(|l| l.ops().to_vec())
+                .collect();
+            let free = |o: OpsId| avail.is_available(o) && !held.contains(&o);
+            for layer in layers.iter().flatten() {
+                let left = move_left(dc, layer.tors(), layer.ops(), free);
+                prop_assert!(left.is_none(), "{:?} left on {:?}", left, layer);
+            }
+        }
+        for vms in clusters {
+            if let Ok(tors) = select_tors_greedy(dc, vms, true) {
+                prop_assert_eq!(
+                    select_ops_in_turns(dc, &[&tors], avail, 1, true).map(|mut c| c.remove(0)),
+                    reference::select_ops_greedy_naive(dc, &tors, avail, 1, true)
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The batch contract and the exchange's fixpoint on scarce
+        /// uplinks, single- and dual-homed.
+        #[test]
+        fn batches_on_scarce_uplinks_keep_the_contract(
+            (dc, clusters, avail) in skip_case(),
+        ) {
+            check_batch(&dc, &clusters, &avail)?;
+            check_exchange(&dc, &clusters, &avail)?;
+        }
+
+        /// The same on multi-pod topologies with late cross-pod links.
+        #[test]
+        fn batches_on_multi_pod_topologies_keep_the_contract(
+            (dc, _, avail) in exterior_case(),
+            n in 1usize..4,
+        ) {
+            let clusters = dealt(&dc, n);
+            check_batch(&dc, &clusters, &avail)?;
+            check_exchange(&dc, &clusters, &avail)?;
+        }
     }
 
     #[test]

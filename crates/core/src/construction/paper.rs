@@ -7,15 +7,20 @@ use alvc_graph::cover::SetCoverInstance;
 use alvc_topology::{DataCenter, OpsId, TorId, VmId};
 
 use crate::abstraction_layer::AbstractionLayer;
+use crate::construction::exchange::exchange;
 use crate::construction::{
-    ensure_connected, select_ops_greedy, select_tors_greedy, AlConstruct, OpsAvailability,
+    ensure_connected, fold, select_ops_in_turns, select_tors_greedy, AlConstruct, OpsAvailability,
 };
 use crate::error::ConstructionError;
 
 /// The algorithm of §III.C: greedy maximum-weight ToR selection (weight =
 /// uncovered machines, tie-broken by OPS uplink count), then greedy
-/// maximum-weight OPS selection over the chosen ToRs, then connectivity
-/// augmentation.
+/// maximum-weight OPS selection over the chosen ToRs, then, for
+/// [`new`](Self::new) and [`without_augmentation`](Self::without_augmentation),
+/// an exchange search that swaps layer OPSs for fewer free ones while every
+/// ToR stays covered (the paper asks for "the minimum set of OPSs"), then
+/// connectivity augmentation. A batch of clusters
+/// ([`AlConstruct::construct_batch`]) takes turns on one OPS pool.
 ///
 /// This is the paper's contribution and the default constructor everywhere
 /// in this workspace. Its other constructors configure the same pipeline
@@ -134,6 +139,51 @@ impl Default for PaperGreedy {
     }
 }
 
+impl PaperGreedy {
+    /// The count rules' pipeline over every cluster of `clusters` at once,
+    /// or the first failure: each cluster's ToRs, then the OPS covers with
+    /// the clusters taking turns on `available`
+    /// ([`select_ops_in_turns`]), then, for the adaptive r = 1 rule, the
+    /// [`exchange`] search over the covers, then each cover's augmentation
+    /// in index order against what the others leave.
+    fn build_together<V: AsRef<[VmId]>>(
+        &self,
+        dc: &DataCenter,
+        clusters: &[V],
+        available: &OpsAvailability,
+        r: usize,
+        adaptive: bool,
+    ) -> Result<Vec<AbstractionLayer>, ConstructionError> {
+        let tors = clusters
+            .iter()
+            .map(|vms| select_tors_greedy(dc, vms.as_ref(), adaptive))
+            .collect::<Result<Vec<_>, _>>()?;
+        let tor_lists: Vec<&[TorId]> = tors.iter().map(Vec::as_slice).collect();
+        let mut covers = select_ops_in_turns(dc, &tor_lists, available, r, adaptive)?;
+        if r == 1 && adaptive {
+            exchange(dc, &tor_lists, &mut covers, available);
+        }
+        let mut pool = available.clone();
+        for &o in covers.iter().flatten() {
+            pool.block(o);
+        }
+        tors.into_iter()
+            .zip(covers)
+            .map(|(tors, ops)| {
+                let al = AbstractionLayer::new(tors, ops);
+                if self.skip_augmentation {
+                    return Ok(al);
+                }
+                let al = ensure_connected(dc, al, &pool)?;
+                for &o in al.ops() {
+                    pool.block(o);
+                }
+                Ok(al)
+            })
+            .collect()
+    }
+}
+
 impl AlConstruct for PaperGreedy {
     fn name(&self) -> &'static str {
         match self.rule {
@@ -152,28 +202,51 @@ impl AlConstruct for PaperGreedy {
         vms: &[VmId],
         available: &OpsAvailability,
     ) -> Result<AbstractionLayer, ConstructionError> {
-        let (r, adaptive) = match self.rule {
-            Rule::Count { r, adaptive } => (r, adaptive),
-            Rule::Cost { .. } => (1, true),
-        };
-        let tors = select_tors_greedy(dc, vms, adaptive)?;
-        let ops = match self.rule {
-            Rule::Count { .. } => select_ops_greedy(dc, &tors, available, r, adaptive)?,
-            Rule::Cost { plain, opto } => select_ops_by_cost(dc, &tors, available, plain, opto)?,
-        };
-        let al = AbstractionLayer::new(tors, ops);
-        if self.skip_augmentation {
-            Ok(al)
-        } else {
-            ensure_connected(dc, al, available)
+        match self.rule {
+            Rule::Count { r, adaptive } => self
+                .build_together(dc, &[vms], available, r, adaptive)
+                .map(|mut layers| layers.remove(0)),
+            Rule::Cost { plain, opto } => {
+                let tors = select_tors_greedy(dc, vms, true)?;
+                let ops = select_ops_by_cost(dc, &tors, available, plain, opto)?;
+                let al = AbstractionLayer::new(tors, ops);
+                if self.skip_augmentation {
+                    Ok(al)
+                } else {
+                    ensure_connected(dc, al, available)
+                }
+            }
         }
+    }
+
+    /// The count rules build the clusters together: their OPS covers take
+    /// turns on the one pool, the adaptive r = 1 rule's covers then shrink
+    /// by exchange, and the layers are augmented in index order (DESIGN.md
+    /// §8). For one cluster that is [`construct`](Self::construct). If that
+    /// leaves any cluster without a layer, the result is the provided
+    /// serial fold's, so a failure is always the fold's; so is every result
+    /// of the cost rule.
+    fn construct_batch(
+        &self,
+        dc: &DataCenter,
+        clusters: &[Vec<VmId>],
+        available: &OpsAvailability,
+    ) -> Vec<Result<AbstractionLayer, ConstructionError>> {
+        if let Rule::Count { r, adaptive } = self.rule {
+            if let Ok(layers) = self.build_together(dc, clusters, available, r, adaptive) {
+                return layers.into_iter().map(Ok).collect();
+            }
+            alvc_telemetry::counter!("alvc_core.construction.layers_built")
+                .add(clusters.len() as u64);
+        }
+        fold(self, dc, clusters, available)
     }
 }
 
 /// [`Rule::Cost`]'s OPS stage: the available uplinks of `tors`, in id
 /// order, each covering its ToRs at its cost, handed to
 /// [`SetCoverInstance::greedy_weighted`] (density ties go to the lower id).
-/// An uncoverable ToR is reported as by [`select_ops_greedy`].
+/// An uncoverable ToR is reported as by [`select_ops_in_turns`].
 fn select_ops_by_cost(
     dc: &DataCenter,
     tors: &[TorId],

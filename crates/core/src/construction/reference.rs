@@ -6,11 +6,11 @@
 //! replaced live here, byte-for-byte equivalent in output, as the oracle
 //! the incremental selectors are tested against on random topologies. The
 //! restarting connectivity augmentation that the one-pass
-//! `ensure_connected` replaced, and the sort-and-deduplicate grant that
-//! phase 1 of `construct_layers` replaced with a counting sort, are kept
-//! here for the same reason.
+//! `ensure_connected` replaced is kept here for the same reason, and so is
+//! the exchange search recomputed from scratch at every step
+//! ([`exchange_naive`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use alvc_topology::{DataCenter, OpsId, TorId, VmId};
 
@@ -114,65 +114,107 @@ fn rescan<Id: Copy + Ord + std::hash::Hash>(
     selected
 }
 
-/// Every (OPS, cluster) request phase 1 of `construct_layers` makes, read
-/// VM by VM: cluster `c` requests each available uplink of each distinct
-/// ToR of its VMs, once per ToR, in cluster order.
-pub(crate) fn phase1_requests(
+/// `exchange::exchange` on one cover, recomputing coverage from the data
+/// center at every step: the same passes, roots and move order, each move
+/// checked by whether the changed layer still covers `tors`. Free OPSs are
+/// those `available` allows outside the layer.
+pub(crate) fn exchange_naive(
     dc: &DataCenter,
-    clusters: &[Vec<VmId>],
+    tors: &[TorId],
+    ops: Vec<OpsId>,
     available: &OpsAvailability,
-) -> Vec<(OpsId, usize)> {
-    let mut requests = Vec::new();
-    for (c, vms) in clusters.iter().enumerate() {
-        let mut seen = HashSet::new();
-        for &vm in vms {
-            for &tor in dc.tors_of_vm(vm) {
-                if seen.insert(tor) {
-                    let uplinks = dc.uplinks_of_tor(tor).iter();
-                    requests.extend(
-                        uplinks
-                            .filter(|&&o| available.is_available(o))
-                            .map(|&o| (o, c)),
-                    );
-                }
-            }
-        }
-    }
-    requests
-}
-
-/// The grant `Partition::new` made before its counting sort, kept as the
-/// oracle for it: sort and deduplicate the requests, block every requested
-/// OPS in every pool, then give each OPS's chunk, in id order, to the
-/// requester with the fewest grants so far, then the lowest cluster index.
-pub(crate) fn pools_by_sort(
-    mut requests: Vec<(OpsId, usize)>,
-    n_clusters: usize,
-    available: &OpsAvailability,
-) -> Vec<OpsAvailability> {
-    requests.sort_unstable();
-    requests.dedup();
-    let mut contested = available.clone();
-    for &(o, _) in &requests {
-        contested.block(o);
-    }
-    let mut pools = vec![contested; n_clusters];
-    let mut assigned = vec![0usize; n_clusters];
-    for reqs in requests.chunk_by(|a, b| a.0 == b.0) {
-        let winner = reqs
+) -> Vec<OpsId> {
+    let wanted: HashSet<TorId> = tors.iter().copied().collect();
+    let served = |o: OpsId| -> Vec<TorId> {
+        let mut served: Vec<TorId> = dc.tors_of_ops(o).to_vec();
+        served.retain(|t| wanted.contains(t));
+        served.sort();
+        served
+    };
+    let servers = |layer: &BTreeSet<OpsId>, t: TorId| -> Vec<OpsId> {
+        let uplinks = dc.uplinks_of_tor(t).iter().copied();
+        uplinks.filter(|o| layer.contains(o)).collect()
+    };
+    let free_uplinks = |layer: &BTreeSet<OpsId>, t: TorId| -> Vec<OpsId> {
+        let mut free: Vec<OpsId> = dc.uplinks_of_tor(t).to_vec();
+        free.retain(|&o| available.is_available(o) && !layer.contains(&o));
+        free.sort();
+        free
+    };
+    // The sole servers, other than `a`, of the ToRs in `at`, ascending.
+    let sole_servers = |layer: &BTreeSet<OpsId>, at: &[TorId], a: OpsId| -> Vec<OpsId> {
+        let mut sole: Vec<OpsId> = at
             .iter()
-            .map(|&(_, c)| c)
-            .min_by_key(|&c| (assigned[c], c))
-            .expect("chunks are non-empty");
-        assigned[winner] += 1;
-        pools[winner].release(reqs[0].0);
+            .filter_map(|&t| match servers(layer, t)[..] {
+                [b] if b != a => Some(b),
+                _ => None,
+            })
+            .collect();
+        sole.sort();
+        sole.dedup();
+        sole
+    };
+    let applied = |layer: &mut BTreeSet<OpsId>, removed: &[OpsId], added: &[OpsId]| {
+        let mut next = layer.clone();
+        for o in removed {
+            next.remove(o);
+        }
+        next.extend(added.iter().copied());
+        let covers = tors.iter().all(|&t| !servers(&next, t).is_empty());
+        if covers {
+            *layer = next;
+        }
+        covers
+    };
+    let mut layer: BTreeSet<OpsId> = ops.into_iter().collect();
+    let mut linked = true;
+    loop {
+        let mut moved = false;
+        let roots: Vec<OpsId> = layer.iter().copied().collect();
+        for a in roots {
+            if !layer.contains(&a) {
+                continue;
+            }
+            let mut sole = served(a);
+            sole.retain(|&t| servers(&layer, t).len() == 1);
+            let Some(&t0) = sole.first() else {
+                layer.remove(&a);
+                moved = true;
+                continue;
+            };
+            let firsts = free_uplinks(&layer, t0);
+            let two = firsts.iter().any(|&f| {
+                let bs = sole_servers(&layer, &served(f), a);
+                bs.into_iter().any(|b| applied(&mut layer, &[a, b], &[f]))
+            });
+            let three = !two && linked && sole.len() == 2 && {
+                let seconds = free_uplinks(&layer, sole[1]);
+                let misses_t1 = firsts.iter().filter(|&&f| !served(f).contains(&sole[1]));
+                misses_t1.copied().collect::<Vec<_>>().into_iter().any(|f| {
+                    seconds.iter().any(|&g| {
+                        let mut both = served(f);
+                        both.extend(served(g));
+                        let bs = sole_servers(&layer, &both, a);
+                        (0..bs.len()).any(|i| {
+                            (i + 1..bs.len())
+                                .any(|j| applied(&mut layer, &[a, bs[i], bs[j]], &[f, g]))
+                        })
+                    })
+                })
+            };
+            moved |= two || three;
+        }
+        if !moved {
+            break;
+        }
+        linked = false;
     }
-    pools
+    layer.into_iter().collect()
 }
 
-/// [`super::PaperGreedy`]'s pipeline on the naive rescan selectors: the
-/// oracle for equivalence tests (`NaiveGreedy` and `PaperGreedy` must
-/// return identical layers on every input).
+/// [`super::PaperGreedy`]'s pipeline on the naive rescan selectors and
+/// [`exchange_naive`]: the oracle for equivalence tests (`NaiveGreedy` and
+/// `PaperGreedy` must return identical layers on every input).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct NaiveGreedy {
     skip_augmentation: bool,
@@ -205,6 +247,7 @@ impl AlConstruct for NaiveGreedy {
     ) -> Result<AbstractionLayer, ConstructionError> {
         let tors = select_tors_greedy_naive(dc, vms, true)?;
         let ops = select_ops_greedy_naive(dc, &tors, available, 1, true)?;
+        let ops = exchange_naive(dc, &tors, ops, available);
         let al = AbstractionLayer::new(tors, ops);
         if self.skip_augmentation {
             Ok(al)
@@ -478,71 +521,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `Partition::new`'s counting-sort grant equals the sorted grant it
-    /// replaced on 1–2 pod topologies (dual-homed or not, 1–4 uplinks a
-    /// ToR), with 1–5 clusters drawn over shared racks in id, shuffled or
-    /// rack-interleaved order, and a blocked set. The corpus must contest
-    /// OPSs (two clusters request one) and repeat requests (one cluster
-    /// requests an OPS through two ToRs) often.
-    #[test]
-    fn counting_sort_grant_matches_the_sorted_grant() {
-        use crate::construction::Partition;
-        use std::cell::Cell;
-        let (contested, repeated) = (Cell::new(0usize), Cell::new(0usize));
-        let strategy = (
-            (1usize..3, 1usize..7, 1usize..4, 1usize..10),
-            (1usize..5, 0u8..2, 1usize..6, 0u8..3, 0u64..1000),
-        );
-        proptest::test_runner::run(
-            ProptestConfig::with_cases(512),
-            "counting_sort_grant_matches_the_sorted_grant",
-            strategy,
-            |((pods, racks, servers, ops), (degree, dual, n, order, seed))| {
-                let dc = AlvcTopologyBuilder::new()
-                    .racks(racks)
-                    .servers_per_rack(servers)
-                    .vms_per_server(2)
-                    .ops_count(ops)
-                    .tor_ops_degree(degree)
-                    .dual_home_prob(if dual == 1 { 0.5 } else { 0.0 })
-                    .pods(pods)
-                    .seed(seed)
-                    .build();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let clusters: Vec<Vec<VmId>> =
-                    (0..n).map(|_| drawn_vms(&dc, order, &mut rng)).collect();
-                let blocked: Vec<OpsId> = dc
-                    .ops_ids()
-                    .filter(|_| rng.random_range(0..6u8) == 0)
-                    .collect();
-                let avail = OpsAvailability::with_blocked(blocked);
-                let requests = phase1_requests(&dc, &clusters, &avail);
-                let mut pairs = requests.clone();
-                pairs.sort_unstable();
-                let distinct = pairs.len();
-                pairs.dedup();
-                repeated.set(repeated.get() + usize::from(pairs.len() < distinct));
-                let shared = pairs.windows(2).any(|w| w[0].0 == w[1].0);
-                contested.set(contested.get() + usize::from(shared));
-                prop_assert_eq!(
-                    Partition::new(&dc, &clusters, &avail).pools,
-                    pools_by_sort(requests, clusters.len(), &avail)
-                );
-                Ok(())
-            },
-        );
-        assert!(
-            contested.get() > 200,
-            "only {} contested cases",
-            contested.get()
-        );
-        assert!(
-            repeated.get() > 100,
-            "only {} repeated cases",
-            repeated.get()
-        );
     }
 
     #[test]

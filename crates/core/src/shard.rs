@@ -33,10 +33,11 @@
 //!   its exterior list ([`DataCenter::exterior_switches_of_ops`]) once the
 //!   layer's interior OPSs there are joined, so a full-mesh interior is not
 //!   re-read per OPS; the labelling before it does the same
-//!   (`construction::ensure_connected` has the rule). Each pod's
-//!   build skips its optimistic try when its pool leaves a single-homed
-//!   cluster's ToR without an uplink, since every constructor must fail
-//!   there ([`construct_layers`]).
+//!   (`construction::ensure_connected` has the rule). Each pod builds its
+//!   sub-clusters once, as one [`AlConstruct::construct_batch`]: for
+//!   [`crate::construction::PaperGreedy`] they take turns on the pod's OPSs
+//!   and an exchange search then shrinks their covers
+//!   ([`construct_layers`]).
 //!
 //! Determinism: the pod loop, per-pod sub-batches, and the merge loop are
 //! all fixed by (pod id, cluster index). On a single-pod data center the

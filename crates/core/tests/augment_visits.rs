@@ -1,18 +1,22 @@
 //! Work, not time: what a sharded construction whose clusters span every
-//! pod costs, in three process-wide counters:
+//! pod costs, in five process-wide counters:
 //! - `alvc_core.construction.label_visits`, the neighbour visits of
 //!   component labelling;
 //! - `alvc_core.construction.augment_visits`, those of connectivity
 //!   augmentation;
-//! - `alvc_core.construction.layers_built`, the constructor calls of the
-//!   pod builds and the fallbacks.
+//! - `alvc_core.construction.layers_built`, the clusters the pod batches
+//!   build and the fallbacks;
+//! - `alvc_core.construction.exchange_moves` and `.exchange_visits`, the
+//!   moves of the exchange search that shrinks each pod's covers and the
+//!   list entries it reads.
 //!
 //! The cross-pod merges walk only the OPSs where pods meet, both walks
 //! read a pod's full-mesh interior once per pod rather than once per OPS,
-//! and a pod build whose pool cannot cover it is not tried, so these
-//! counts stay far below what the naive walks and the double build make,
-//! on any host. The counters are process-wide, so this file holds the one
-//! test that reads them.
+//! each pod builds each of its sub-clusters once, and the exchange reads
+//! only the lists around its roots, so these counts stay far below what
+//! the naive walks and a rescanning exchange make, on any host. The
+//! counters are process-wide, so this file holds the one test that reads
+//! them.
 
 use alvc_core::construction::PaperGreedy;
 use alvc_core::{construct_layers_sharded, OpsAvailability};
@@ -40,12 +44,15 @@ fn cross_pod_merges_walk_the_boundary_not_the_pod_interiors() {
         "alvc_core.construction.label_visits",
         "alvc_core.construction.augment_visits",
         "alvc_core.construction.layers_built",
+        "alvc_core.construction.exchange_moves",
+        "alvc_core.construction.exchange_visits",
     ]
     .map(alvc_telemetry::counter);
     let before = counters.each_ref().map(|c| c.value());
     let (results, report) =
         construct_layers_sharded(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
-    let [labels, walks, layers] = [0, 1, 2].map(|i| counters[i].value() - before[i]);
+    let [labels, walks, layers, moves, exchange_visits] =
+        [0, 1, 2, 3, 4].map(|i| counters[i].value() - before[i]);
     assert!(results.iter().all(Result::is_ok));
     assert_eq!((report.merged_clusters, report.fallbacks), (2, 0));
     // Labelling over whole switch lists made 1,410 visits here; with
@@ -55,7 +62,11 @@ fn cross_pod_merges_walk_the_boundary_not_the_pod_interiors() {
     // 10,055 visits here; skipping the interiors they made 955, and
     // reading exterior lists they make 100.
     assert!(walks <= 100, "{walks} augmentation visits");
-    // Eight pod builds (4 pods x 2 clusters), each committed by its first
-    // try, before and after the skip of doomed tries: 8 layers.
-    assert!(layers <= 8, "{layers} layers built");
+    // Eight pod sub-clusters (4 pods x 2 clusters), each built once.
+    assert_eq!(layers, 8, "{layers} layers built");
+    // Each pod's two covers (two racks each) are already minimal: the
+    // exchange reads the copy of the racks' uplink lists and one sweep,
+    // 164 entries, and moves nothing.
+    assert_eq!(moves, 0, "{moves} exchange moves");
+    assert!(exchange_visits <= 164, "{exchange_visits} exchange visits");
 }

@@ -262,6 +262,13 @@ impl BucketSelector {
             self.buckets[(gain as usize - 1) * self.width + word] |= bit;
         }
     }
+
+    /// Withdraws rank `rank` without selecting it, as when another cover
+    /// took the candidate: its gain becomes 0. A rank already selected, or
+    /// whose gain is 0, ignores it.
+    pub fn remove(&mut self, rank: usize) {
+        self.decay(rank, self.gains[rank]);
+    }
 }
 
 /// Flushes the pops into the global `alvc_graph.selector.*` counters, as
@@ -390,6 +397,18 @@ mod tests {
                 stale_refreshes: 1,
             }
         );
+    }
+
+    #[test]
+    fn a_removed_rank_is_never_selected() {
+        let mut sel = BucketSelector::new(vec![1, 3, 2]);
+        sel.remove(1);
+        // Removing twice, or after a selection, is ignored.
+        sel.remove(1);
+        assert_eq!(sel.pop_max(), Some(2));
+        sel.remove(2);
+        assert_eq!(sel.pop_max(), Some(0));
+        assert_eq!(sel.pop_max(), None);
     }
 
     #[test]

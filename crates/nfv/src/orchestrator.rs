@@ -387,8 +387,8 @@ impl Orchestrator {
     }
 
     /// Deploys a batch of chains at once: abstraction layers for all
-    /// tenants are constructed in bulk via [`construct_layers`] (one OPS
-    /// pool partition, built in the calling thread), then each chain is
+    /// tenants are constructed in bulk via [`construct_layers`] (one shared
+    /// OPS pool, built in the calling thread), then each chain is
     /// committed serially in request order — adopting its pre-built layer
     /// when it is still valid and conflict-free, falling back to a fresh
     /// serial construction otherwise. Placement, routing, admission, and flow-rule
