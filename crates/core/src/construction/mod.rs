@@ -1442,8 +1442,9 @@ mod tests {
 
     /// Bare covers (`PaperGreedy::new`'s before augmentation), built alone
     /// and in a batch, leave no 1-for-0 or 2-for-1 move over the OPSs
-    /// `avail` allows and no layer holds; and the one-cluster OPS stage is
-    /// the naive rescan.
+    /// `avail` allows and no layer holds; a layer built alone is the
+    /// naive pipeline's, exchange included; and the one-cluster OPS stage
+    /// is the naive rescan.
     fn check_exchange(
         dc: &DataCenter,
         clusters: &[Vec<VmId>],
@@ -1467,6 +1468,10 @@ mod tests {
             }
         }
         for vms in clusters {
+            prop_assert_eq!(
+                PaperGreedy::new().construct(dc, vms, avail),
+                reference::NaiveGreedy::new().construct(dc, vms, avail)
+            );
             if let Ok(tors) = select_tors_greedy(dc, vms, true) {
                 prop_assert_eq!(
                     select_ops_in_turns(dc, &[&tors], avail, 1, true).map(|mut c| c.remove(0)),
@@ -1477,8 +1482,42 @@ mod tests {
         Ok(())
     }
 
+    /// Topologies whose covers hold several OPSs, so exchange moves
+    /// apply: 8–20 racks over 12–48 OPSs, 3–8 uplinks a ToR, with 1–3
+    /// clusters dealt round-robin and a random blocked set.
+    fn dense_case() -> impl Strategy<Value = (DataCenter, Vec<Vec<VmId>>, OpsAvailability)> {
+        (
+            (8usize..21, 12usize..49, 3usize..9),
+            (1usize..4, 0u64..1000),
+        )
+            .prop_map(|((racks, ops, degree), (n, seed))| {
+                let dc = AlvcTopologyBuilder::new()
+                    .racks(racks)
+                    .ops_count(ops)
+                    .tor_ops_degree(degree)
+                    .interconnect(OpsInterconnect::FullMesh)
+                    .seed(seed)
+                    .build();
+                let blocked = dc
+                    .ops_ids()
+                    .filter(|o| (o.index() as u64 + seed).is_multiple_of(7));
+                let avail = OpsAvailability::with_blocked(blocked);
+                (dc.clone(), dealt(&dc, n), avail)
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The batch contract and the exchange's fixpoint where covers
+        /// leave room for moves.
+        #[test]
+        fn batches_on_dense_uplinks_keep_the_contract(
+            (dc, clusters, avail) in dense_case(),
+        ) {
+            check_batch(&dc, &clusters, &avail)?;
+            check_exchange(&dc, &clusters, &avail)?;
+        }
 
         /// The batch contract and the exchange's fixpoint on scarce
         /// uplinks, single- and dual-homed.
