@@ -30,7 +30,7 @@ const DC1M_AUGMENT_VISITS: f64 = 1_200_000.0;
 const DC1M_LAYERS_BUILT: f64 = 384.0;
 
 /// Ceiling on dc-1m's exchange visits, the list entries the exchange
-/// search reads: about twice the 0.77 M it reads (DESIGN.md §8).
+/// search reads: about 1.75 times the 0.91 M it reads (DESIGN.md §8).
 const DC1M_EXCHANGE_VISITS: f64 = 1_600_000.0;
 
 /// One sharded DC tier's outcome: its table row, its result row, and the

@@ -52,11 +52,9 @@ const BLOCKED: u32 = u32::MAX;
 /// costs `O(Δ_o + Δ_t)` list entries, plus `O(Δ_t · Δ_o)` where a move is
 /// tried, for ToR degree `Δ_t` and OPS degree `Δ_o`, and a sweep never
 /// scans the pool. The 3-for-2's `(f, g)` pairs are screened by counts of
-/// the cover OPSs each absorbs. A root that found no move is skipped until
-/// its cover moves or an uplink of one of its sole-served ToRs is freed,
-/// the only changes its search reads. The moves and the entries read (the
-/// copy included) are counted in `alvc_core.construction.exchange_moves`
-/// and `.exchange_visits`.
+/// the cover OPSs each absorbs. The moves and the entries read (the copy
+/// included) are counted in `alvc_core.construction.exchange_moves` and
+/// `.exchange_visits`.
 pub(crate) fn exchange(
     dc: &DataCenter,
     tors: &[&[TorId]],
@@ -92,14 +90,6 @@ struct OpsState {
     /// as far as counted.
     reach_stamp: u32,
     reach: u32,
-    /// What it absorbs in generation `absorbs_gen` (see
-    /// [`Exchange::absorbs`]): that range of `absorbed`, `whole` of them
-    /// wholly.
-    absorbs_gen: u32,
-    absorbs: (u32, u32),
-    whole: u32,
-    /// `moves + 1` when it was last a root without a move.
-    checked: u64,
 }
 
 /// What the search keeps per slot of the sweeping cover: the stamps of
@@ -126,21 +116,16 @@ struct Exchange {
     up_ends: Vec<u32>,
     down: Vec<u32>,
     down_ends: Vec<u32>,
-    /// Cover `c`'s slots are `slot_ends[c].0..slot_ends[c + 1].0` of
+    /// Cover `c`'s slots are `slot_ends[c]..slot_ends[c + 1]` of
     /// `slot_tor` (its ToRs as local ToRs) and `counts` (per slot, the
-    /// cover uplinks the ToR has and the XOR of their local ids);
-    /// `slot_ends[c].1` is `moves` after its last move.
-    slot_ends: Vec<(usize, u64)>,
+    /// cover uplinks the ToR has and the XOR of their local ids).
+    slot_ends: Vec<usize>,
     slot_tor: Vec<u32>,
     counts: Vec<(u32, u32)>,
-    /// Per local ToR, its slot in the sweeping cover (or NONE), and `moves`
-    /// after the last move that freed one of its uplinks.
-    slot: Vec<(u32, u64)>,
+    /// Per local ToR, its slot in the sweeping cover (or NONE).
+    slot: Vec<u32>,
     marks: Vec<SlotMarks>,
     stamp: u32,
-    /// Bumped by every move and every turn, which change what an OPS
-    /// absorbs.
-    generation: u32,
     /// The sweeping cover's first slot in `slot_tor` and `counts`.
     base: usize,
     /// Scratch for one root: its sole-served slots (ascending); the slots
@@ -148,7 +133,9 @@ struct Exchange {
     /// of its first and (for two) second sole-served slot, ascending; per
     /// second, the OPSs it wholly absorbs besides the root and, with the
     /// current first, how many the pair may absorb; the seconds' partial
-    /// entries `(b, second, share)`, by `b`; the removal candidates.
+    /// entries `(b, second, share)`, by `b`; the removal candidates; the
+    /// absorption lists ([`Exchange::absorbs`]) of the OPSs tried,
+    /// `(b, share)` with share 0 when wholly absorbed.
     sole: Vec<u32>,
     partners: Vec<(u32, u32)>,
     firsts: Vec<u32>,
@@ -156,8 +143,6 @@ struct Exchange {
     together: Vec<(u32, u32)>,
     splits: Vec<(u32, u32, u32)>,
     cands: Vec<u32>,
-    /// The generation's absorption lists: `(b, share)`, share 0 when
-    /// wholly absorbed.
     absorbed: Vec<(u32, u32)>,
     /// OPSs added to the sweeping cover in this turn.
     added: Vec<u32>,
@@ -189,7 +174,7 @@ impl Exchange {
         let mut local_tors: Vec<TorId> = Vec::with_capacity(n_slots);
         let mut slot_tor = Vec::with_capacity(n_slots);
         let mut slot_ends = Vec::with_capacity(tors.len() + 1);
-        slot_ends.push((0, 0));
+        slot_ends.push(0);
         for list in tors {
             debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "ToRs ascending");
             for &t in *list {
@@ -200,7 +185,7 @@ impl Exchange {
                 }
                 slot_tor.push(*u);
             }
-            slot_ends.push((slot_tor.len(), 0));
+            slot_ends.push(slot_tor.len());
         }
         // Their uplinks, marked over the span of ids they name, then
         // numbered in id order by a rank over the marks.
@@ -282,10 +267,9 @@ impl Exchange {
             counts: vec![(0, 0); slot_tor.len()],
             slot_ends,
             slot_tor,
-            slot: vec![(NONE, 0); local_tors.len()],
+            slot: vec![NONE; local_tors.len()],
             marks: vec![SlotMarks::default(); widest],
             stamp: 0,
-            generation: 0,
             base: 0,
             sole: Vec::with_capacity(max_down),
             partners: Vec::with_capacity(max_down),
@@ -319,21 +303,19 @@ impl Exchange {
 
     /// Gives cover `c`'s ToRs their slots.
     fn enter(&mut self, c: usize) {
-        self.generation += 1;
-        self.absorbed.clear();
-        self.base = self.slot_ends[c].0;
-        for (s, &u) in self.slot_tor[self.base..self.slot_ends[c + 1].0]
+        self.base = self.slot_ends[c];
+        for (s, &u) in self.slot_tor[self.base..self.slot_ends[c + 1]]
             .iter()
             .enumerate()
         {
-            self.slot[u as usize].0 = s as u32;
+            self.slot[u as usize] = s as u32;
         }
     }
 
     /// Takes cover `c`'s slots back.
     fn leave(&mut self, c: usize) {
-        for &u in &self.slot_tor[self.slot_ends[c].0..self.slot_ends[c + 1].0] {
-            self.slot[u as usize].0 = NONE;
+        for &u in &self.slot_tor[self.slot_ends[c]..self.slot_ends[c + 1]] {
+            self.slot[u as usize] = NONE;
         }
     }
 
@@ -354,7 +336,7 @@ impl Exchange {
 
     /// The slot of the ToR at `down[i]` in the sweeping cover.
     fn slot_at(&self, i: usize) -> Option<usize> {
-        let s = self.slot[self.down[i] as usize].0;
+        let s = self.slot[self.down[i] as usize];
         (s != NONE).then_some(s as usize)
     }
 
@@ -428,26 +410,12 @@ impl Exchange {
                 _ => {}
             }
         }
-        // A root's search reads only its cover and the free uplinks of its
-        // sole-served ToRs, so one checked after both last changed would
-        // find no move again.
-        let checked = self.ops[a as usize].checked;
-        let unchanged = |s: u32| {
-            let u = self.slot_tor[self.base + s as usize] as usize;
-            self.slot[u].1 < checked
-        };
-        if self.slot_ends[c].1 < checked && self.sole.iter().all(|&s| unchanged(s)) {
-            return;
-        }
         self.sole.sort_unstable();
+        self.absorbed.clear();
         let root = self.next_stamp();
         self.gather(root);
-        let moves = self.moves;
         if !self.two_for_one(c, a) && linked && self.sole.len() == 2 {
             self.three_for_two(c, a, root);
-        }
-        if self.moves == moves {
-            self.ops[a as usize].checked = moves + 1;
         }
     }
 
@@ -497,13 +465,10 @@ impl Exchange {
     /// What free OPS `x` would absorb: the cover OPSs all of whose
     /// sole-served ToRs `x` serves (share 0), and those it serves some of,
     /// with how many (the share). The root is among them when `x` serves
-    /// its sole-served ToRs; the callers skip it. Computed once per
-    /// generation, on first use; returns the range of `absorbed`.
-    fn absorbs(&mut self, x: u32) -> Range<usize> {
-        let state = self.ops[x as usize];
-        if state.absorbs_gen == self.generation {
-            return state.absorbs.0 as usize..state.absorbs.1 as usize;
-        }
+    /// its sole-served ToRs; the callers skip it. Appends them to
+    /// `absorbed` and returns their range there, and how many are wholly
+    /// absorbed.
+    fn absorbs(&mut self, x: u32) -> (Range<usize>, u32) {
         let start = self.absorbed.len();
         for i in self.tors_of(x) {
             let Some(s) = self.slot_at(i) else { continue };
@@ -523,12 +488,7 @@ impl Exchange {
                 whole += 1;
             }
         }
-        let end = self.absorbed.len();
-        let state = &mut self.ops[x as usize];
-        state.absorbs_gen = self.generation;
-        state.absorbs = (start as u32, end as u32);
-        state.whole = whole;
-        start..end
+        (start..self.absorbed.len(), whole)
     }
 
     /// Stamps the slots OPS `k` serves as `f`'s (or, with `g`, as `g`'s)
@@ -556,8 +516,8 @@ impl Exchange {
             if self.ops[f as usize].reach != need {
                 continue;
             }
-            let absorbs = self.absorbs(f);
-            if self.ops[f as usize].whole < 2 {
+            let (absorbs, whole) = self.absorbs(f);
+            if whole < 2 {
                 continue;
             }
             let fs = self.mark(f, false);
@@ -589,10 +549,9 @@ impl Exchange {
         self.splits.clear();
         for j in 0..self.seconds.len() {
             let g = self.seconds[j];
-            let absorbs = self.absorbs(g);
-            let state = self.ops[g as usize];
-            let serves_t0 = state.reach_stamp == root;
-            self.together.push((state.whole - u32::from(serves_t0), 0));
+            let (absorbs, whole) = self.absorbs(g);
+            let serves_t0 = self.ops[g as usize].reach_stamp == root;
+            self.together.push((whole - u32::from(serves_t0), 0));
             for &(b, share) in &self.absorbed[absorbs] {
                 if share > 0 && b != a {
                     self.splits.push((b, j as u32, share));
@@ -605,8 +564,7 @@ impl Exchange {
             if self.ops[f as usize].reach != 1 {
                 continue;
             }
-            let absorbs = self.absorbs(f);
-            let whole_f = self.ops[f as usize].whole;
+            let (absorbs, whole_f) = self.absorbs(f);
             for entry in &mut self.together {
                 entry.1 = entry.0 + whole_f;
             }
@@ -651,7 +609,7 @@ impl Exchange {
     /// wholly, and those both serve enough sole-served ToRs of between
     /// them.
     fn candidates(&mut self, a: u32, f: u32, g: u32) {
-        let (of_f, of_g) = (self.absorbs(f), self.absorbs(g));
+        let ((of_f, _), (of_g, _)) = (self.absorbs(f), self.absorbs(g));
         self.cands.clear();
         let (by_f, by_g) = (&self.absorbed[of_f], &self.absorbed[of_g]);
         for &(b, share) in by_f.iter().chain(by_g) {
@@ -703,14 +661,8 @@ impl Exchange {
 
     /// Takes `removed` out of cover `c` and puts `added` in.
     fn apply(&mut self, c: usize, removed: &[u32], added: &[u32]) {
-        self.generation += 1;
-        self.absorbed.clear();
         self.moves += 1;
-        self.slot_ends[c].1 = self.moves;
         for &k in removed {
-            for i in self.tors_of(k) {
-                self.slot[self.down[i] as usize].1 = self.moves;
-            }
             self.ops[k as usize].owner = 0;
             self.tally_counts(k, false);
         }

@@ -238,8 +238,8 @@ pub(crate) fn rack_runs<'a>(
 }
 
 /// A cover's candidates among the ToR (or OPS) ids of the data center: a
-/// bitset marking them, and a dense table that holds each one's degree,
-/// then its rank once [`Candidates::rank_by_degree`] has run. Words
+/// bitset marking them, and a dense table that holds each one's key,
+/// then its rank once [`Candidates::rank_by`] has run. Words
 /// `lo..hi` of the bitset bound the marks, so every pass reads only the
 /// marked ids of that span (which for a pod-local cluster lies in its
 /// pod) and skips the rest a word at a time.
@@ -280,27 +280,27 @@ impl Candidates {
             })
     }
 
-    /// Ranks the marked candidates in the tie-break order `(degree,
+    /// Ranks the marked candidates in the tie-break order `(key,
     /// Reverse(id))`, writing each one's rank into the table: a counting
-    /// pass over the degrees, placed in descending id order, so equal
-    /// degrees rank the lower id higher. No comparison sort. Returns the
-    /// number of candidates.
-    fn rank_by_degree(&mut self, degree: impl Fn(usize) -> usize) -> usize {
+    /// pass over the keys, placed in descending id order, so equal keys
+    /// rank the lower id higher. No comparison sort. Returns the number of
+    /// candidates.
+    fn rank_by(&mut self, mut key: impl FnMut(usize) -> usize) -> usize {
         let Candidates {
             marked,
             table,
             lo,
             hi,
         } = self;
-        let mut max_degree = 0;
+        let mut max_key = 0;
         for id in Self::ids(marked, *lo, *hi) {
-            let d = degree(id);
-            table[id] = d as u32;
-            max_degree = max_degree.max(d);
+            let k = key(id);
+            table[id] = k as u32;
+            max_key = max_key.max(k);
         }
-        // starts[d + 1] counts degree d, then starts[d] becomes the next
-        // rank of degree d.
-        let mut starts = vec![0u32; max_degree + 2];
+        // starts[k + 1] counts key k, then starts[k] becomes the next rank
+        // of key k.
+        let mut starts = vec![0u32; max_key + 2];
         for id in Self::ids(marked, *lo, *hi) {
             starts[table[id] as usize + 1] += 1;
         }
@@ -369,8 +369,8 @@ impl DoubleEndedIterator for SetBits {
 
 /// One greedy cover, the engine behind [`select_tors_greedy`] and
 /// [`select_ops_in_turns`]. The caller numbers the `n_cands` candidates
-/// `0..n_cands` in the tie-break order `(degree, Reverse(id))`
-/// ([`Candidates::rank_by_degree`]); element `e`'s candidates are
+/// `0..n_cands` in their tie-break order ([`Candidates::rank_by`]);
+/// element `e`'s candidates are
 /// `elem_data[elem_offsets[e]..elem_offsets[e + 1]]` (CSR over ranks, no
 /// allocation per element), and the cover builds the transpose in the same
 /// form. Element `e` wants `min(r, its candidates)` distinct candidates
@@ -587,7 +587,7 @@ pub(crate) fn select_tors_greedy(
         elem_offsets.push(elem_data.len() as u32);
         weights.push(len);
     }
-    let n_cands = cands.rank_by_degree(|t| dc.uplinks_of_tor(TorId(t)).len());
+    let n_cands = cands.rank_by(|t| dc.uplinks_of_tor(TorId(t)).len());
     for t in &mut elem_data {
         *t = cands.rank(*t as usize);
     }
@@ -599,26 +599,29 @@ pub(crate) fn select_tors_greedy(
 /// Greedy OPS selection for several clusters over one pool: cluster `c`
 /// covers the ToRs `tors[c]` with OPSs `available` allows. Each cluster's
 /// rule is the paper's: pick the OPS covering the most of its uncovered
-/// ToRs; ties break toward the OPS with more ToR links, then the lower id;
-/// `r` and `adaptive` as in [`GreedyCover`]. The clusters still covering
-/// take turns in index order, one pick each, and a picked OPS leaves every
-/// other cluster's candidates, so the covers come out OPS-disjoint. For
+/// ToRs; ties break toward the OPS with more ToR links, then, in a batch of
+/// several clusters, toward the one that spares the scarcest ToR outside
+/// the cluster more uplinks ([`Spare`]), then the lower id; `r` and
+/// `adaptive` as in [`GreedyCover`]. The clusters still covering take turns in index
+/// order, one pick each, and a picked OPS leaves every other cluster's
+/// candidates, so the covers come out OPS-disjoint. For
 /// one cluster the output is identical to the test-only rescan
 /// `reference::select_ops_greedy_naive`. Returns each cluster's OPSs in
-/// id order.
+/// id order, or its error.
 ///
 /// # Errors
 ///
-/// [`ConstructionError::UncoverableTor`]: the first ToR, in cluster then
-/// list order, without an available uplink; or, once the turns begin, a
-/// ToR whose last uplinks it needs went to other clusters.
+/// A cluster's [`ConstructionError::UncoverableTor`] names its first ToR,
+/// in list order, without an available uplink; or, once the turns begin,
+/// a ToR whose last uplinks it needs went to other clusters. From then on
+/// the cluster takes no turn, and the others go on.
 pub(crate) fn select_ops_in_turns(
     dc: &DataCenter,
     tors: &[&[TorId]],
     available: &OpsAvailability,
     r: usize,
     adaptive: bool,
-) -> Result<Vec<Vec<OpsId>>, ConstructionError> {
+) -> Vec<Result<Vec<OpsId>, ConstructionError>> {
     /// One cluster's cover, with its candidate OPS ids by rank and, for
     /// finding a rank by id, `(id, rank)` in id order.
     struct Turns {
@@ -627,13 +630,14 @@ pub(crate) fn select_ops_in_turns(
         ranked: Vec<(u32, u32)>,
     }
     let mut cands = Candidates::new(dc.ops_count());
+    let mut spare = (tors.len() > 1).then(|| Spare::new(dc));
     let mut turns = Vec::with_capacity(tors.len());
     for tors in tors {
         let uplinks = tors.iter().map(|&t| dc.uplinks_of_tor(t).len()).sum();
         let mut elem_offsets: Vec<u32> = Vec::with_capacity(tors.len() + 1);
         let mut elem_data: Vec<u32> = Vec::with_capacity(uplinks);
         elem_offsets.push(0);
-        for &tor in *tors {
+        let uncoverable = tors.iter().find(|&&tor| {
             let first = elem_data.len();
             for &ops in dc.uplinks_of_tor(tor) {
                 if available.is_available(ops) {
@@ -641,12 +645,25 @@ pub(crate) fn select_ops_in_turns(
                     elem_data.push(ops.index() as u32);
                 }
             }
-            if elem_data.len() == first {
-                return Err(ConstructionError::UncoverableTor(tor));
-            }
             elem_offsets.push(elem_data.len() as u32);
+            elem_data.len() == first
+        });
+        if let Some(&tor) = uncoverable {
+            cands.clear();
+            turns.push(Err(ConstructionError::UncoverableTor(tor)));
+            continue;
         }
-        let n_cands = cands.rank_by_degree(|o| dc.tors_of_ops(OpsId(o)).len());
+        if let Some(spare) = &mut spare {
+            spare.own(tors, true);
+        }
+        let n_cands = cands.rank_by(|o| {
+            let links = dc.tors_of_ops(OpsId(o)).len();
+            let spare = spare.as_mut().map_or(0, |s| s.of(dc, OpsId(o), available));
+            links * SPARE_RANKS + spare
+        });
+        if let Some(spare) = &mut spare {
+            spare.own(tors, false);
+        }
         for o in &mut elem_data {
             *o = cands.rank(*o as usize);
         }
@@ -659,45 +676,105 @@ pub(crate) fn select_ops_in_turns(
             by_rank[rank as usize] = o;
         }
         cands.clear();
-        turns.push(Turns {
+        turns.push(Ok(Turns {
             cover: GreedyCover::new(n_cands, elem_offsets, elem_data, None, r, adaptive),
             by_rank,
             ranked,
-        });
+        }));
     }
     let mut covering = true;
     while covering {
         covering = false;
         for c in 0..turns.len() {
-            if turns[c].cover.unmet == 0 {
+            let Ok(turn) = &mut turns[c] else { continue };
+            if turn.cover.unmet == 0 {
                 continue;
             }
             covering = true;
-            let rank = turns[c].cover.pick();
-            let ops = turns[c].by_rank[rank];
-            for (other, turn) in turns.iter_mut().enumerate() {
-                if other == c || turn.cover.unmet == 0 {
+            let rank = turn.cover.pick();
+            let ops = turn.by_rank[rank];
+            for other in (0..turns.len()).filter(|&other| other != c) {
+                let Ok(turn) = &mut turns[other] else {
+                    continue;
+                };
+                if turn.cover.unmet == 0 {
                     continue;
                 }
                 if let Ok(i) = turn.ranked.binary_search_by_key(&ops, |&(o, _)| o) {
                     if let Some(e) = turn.cover.lose(turn.ranked[i].1 as usize) {
-                        return Err(ConstructionError::UncoverableTor(tors[other][e]));
+                        turns[other] = Err(ConstructionError::UncoverableTor(tors[other][e]));
                     }
                 }
             }
         }
     }
-    Ok(turns
+    turns
         .into_iter()
         .map(|turn| {
+            let turn = turn?;
             let chosen = turn.cover.finish();
             let picked = turn.ranked.iter();
-            picked
+            Ok(picked
                 .filter(|&&(_, rank)| chosen[rank as usize])
                 .map(|&(o, _)| OpsId(o as usize))
-                .collect()
+                .collect())
         })
-        .collect())
+        .collect()
+}
+
+/// Spare counts from this one up rank alike in the OPS stage's tie-break.
+const SPARE_RANKS: usize = 16;
+
+/// The OPS stage's tie-break in a batch of several clusters, after the ToR
+/// links: how many uplinks `available` leaves the scarcest ToR of an OPS
+/// that is not the ranking cluster's, at most `SPARE_RANKS - 1`, which is
+/// also the value when every ToR of the OPS is the cluster's. Layers are
+/// OPS-disjoint, so every uplink a layer takes is one a neighbouring ToR
+/// can no longer use; of two otherwise equal picks, the one that keeps the
+/// neighbour nearer to running out further from it goes first. A single
+/// cluster keeps the paper's rule as it is: the foreign ToRs' uplink lists
+/// lie all over memory, and reading them took 4.2 µs of a two-rack build
+/// on dc-100k (DESIGN.md §8). Each ToR is counted once per batch.
+struct Spare {
+    /// The ranking cluster's ToRs, as a bitset over ToR ids.
+    own: Vec<u64>,
+    /// Per ToR, 1 + its spare count once counted, else 0.
+    free: Vec<u8>,
+}
+
+impl Spare {
+    fn new(dc: &DataCenter) -> Self {
+        Spare {
+            own: vec![0; dc.tor_count().div_ceil(64)],
+            free: vec![0; dc.tor_count()],
+        }
+    }
+
+    /// Marks (or unmarks) `tors` as the ranking cluster's.
+    fn own(&mut self, tors: &[TorId], on: bool) {
+        for &t in tors {
+            let bit = 1 << (t.index() % 64);
+            let word = &mut self.own[t.index() / 64];
+            *word = if on { *word | bit } else { *word & !bit };
+        }
+    }
+
+    /// The spare count of `ops`.
+    fn of(&mut self, dc: &DataCenter, ops: OpsId, available: &OpsAvailability) -> usize {
+        let mut spare = SPARE_RANKS - 1;
+        for &t in dc.tors_of_ops(ops) {
+            if self.own[t.index() / 64] & (1 << (t.index() % 64)) != 0 {
+                continue;
+            }
+            if self.free[t.index()] == 0 {
+                let uplinks = dc.uplinks_of_tor(t).iter();
+                let free = uplinks.filter(|&&o| available.is_available(o)).count();
+                self.free[t.index()] = 1 + free.min(SPARE_RANKS - 1) as u8;
+            }
+            spare = spare.min(self.free[t.index()] as usize - 1);
+        }
+        spare
+    }
 }
 
 /// [`select_ops_in_turns`] for one cluster.
@@ -709,7 +786,7 @@ pub(crate) fn select_ops_greedy(
     r: usize,
     adaptive: bool,
 ) -> Result<Vec<OpsId>, ConstructionError> {
-    select_ops_in_turns(dc, &[tors], available, r, adaptive).map(|mut covers| covers.remove(0))
+    select_ops_in_turns(dc, &[tors], available, r, adaptive).remove(0)
 }
 
 /// Connectivity augmentation: while the layer's switches form more than one
@@ -900,9 +977,11 @@ fn join_component(
 ///
 /// One call of [`AlConstruct::construct_batch`], in the calling thread:
 /// [`PaperGreedy`] lets the clusters take turns on the pool and then
-/// shrinks their covers by exchange (DESIGN.md §8); other constructors
-/// fold [`AlConstruct::construct`] over it. Each cluster is built once,
-/// counted in `alvc_core.construction.layers_built`.
+/// shrinks their covers by exchange (DESIGN.md §8), and rebuilds alone a
+/// cluster the batch leaves without a layer; other constructors fold
+/// [`AlConstruct::construct`] over it. Each cluster is built once, and
+/// each rebuild once more, counted in
+/// `alvc_core.construction.layers_built`.
 ///
 /// Guarantees: the result is **deterministic**, committed layers are
 /// pairwise **OPS-disjoint** and disjoint from `available`'s blocked set,
@@ -1063,6 +1142,51 @@ mod tests {
         );
     }
 
+    /// In a batch, of two uplinks equal in gain and ToR links, a cluster
+    /// takes the one whose other ToR has more uplinks left, and only then
+    /// the lower id; alone, it takes the lower id.
+    #[test]
+    fn batch_ties_spare_the_scarcer_neighbouring_tor() {
+        let mut dc = DataCenter::new();
+        let tors: Vec<TorId> = (0..4).map(|_| dc.add_rack().1).collect();
+        let ops: Vec<OpsId> = (0..6).map(|_| dc.add_ops(None)).collect();
+        // ToR 0 uplinks to OPSs 0 and 1, each also serving one other ToR:
+        // OPS 0 serves ToR 1 (uplinks 0, 2), OPS 1 ToR 2 (uplinks 1, 3, 4).
+        // ToR 3, with OPS 5 alone, is the batch's other cluster.
+        let links = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 2),
+            (2, 1),
+            (2, 3),
+            (2, 4),
+            (3, 5),
+        ];
+        for (t, o) in links {
+            dc.connect_tor_ops(tors[t], ops[o]);
+        }
+        let batch = |avail: &OpsAvailability| {
+            let covers = select_ops_in_turns(&dc, &[&tors[..1], &tors[3..]], avail, 1, true);
+            assert_eq!(covers[1], Ok(vec![ops[5]]));
+            covers[0].clone().unwrap()
+        };
+        let all = OpsAvailability::all();
+        assert_eq!(batch(&all), vec![ops[1]]);
+        let alone = select_ops_greedy(&dc, &tors[..1], &all, 1, true).unwrap();
+        assert_eq!(alone, vec![ops[0]]);
+        // With ToR 2 down to its uplink to OPS 1, OPS 0 spares more.
+        assert_eq!(
+            batch(&OpsAvailability::with_blocked([ops[3], ops[4]])),
+            vec![ops[0]]
+        );
+        // Equal spares leave the lower id.
+        assert_eq!(
+            batch(&OpsAvailability::with_blocked([ops[4]])),
+            vec![ops[0]]
+        );
+    }
+
     /// Rack runs cut any VM order into maximal runs of shared ToRs: the
     /// runs concatenate back to the input, every VM of a run has the run's
     /// ToRs, and neighbouring runs differ.
@@ -1094,14 +1218,14 @@ mod tests {
     }
 
     #[test]
-    fn ranks_follow_degree_then_reverse_id() {
-        // Ids 3..8 and 70 marked, degrees 2, 1, 2, 1, 2 and 1: the order
-        // (degree, Reverse(id)) is 70, 6, 4, 7, 5, 3.
+    fn ranks_follow_key_then_reverse_id() {
+        // Ids 3..8 and 70 marked, keys 2, 1, 2, 1, 2 and 1: the order
+        // (key, Reverse(id)) is 70, 6, 4, 7, 5, 3.
         let mut cands = Candidates::new(130);
         for id in (3..8).chain([70]) {
             cands.mark(id);
         }
-        let n = cands.rank_by_degree(|id| if id % 2 == 0 { 1 } else { 2 });
+        let n = cands.rank_by(|id| if id % 2 == 0 { 1 } else { 2 });
         assert_eq!(n, 6);
         assert_eq!(&cands.table[3..8], &[5, 2, 4, 1, 3]);
         assert_eq!(cands.rank(70), 0);
@@ -1110,7 +1234,7 @@ mod tests {
             cands.chosen(&chosen, OpsId),
             vec![OpsId(3), OpsId(5), OpsId(6), OpsId(70)]
         );
-        assert_eq!(Candidates::new(4).rank_by_degree(|_| 0), 0);
+        assert_eq!(Candidates::new(4).rank_by(|_| 0), 0);
         assert!(Candidates::new(0).chosen(&[], OpsId).is_empty());
     }
 
@@ -1474,7 +1598,7 @@ mod tests {
             );
             if let Ok(tors) = select_tors_greedy(dc, vms, true) {
                 prop_assert_eq!(
-                    select_ops_in_turns(dc, &[&tors], avail, 1, true).map(|mut c| c.remove(0)),
+                    select_ops_in_turns(dc, &[&tors], avail, 1, true).remove(0),
                     reference::select_ops_greedy_naive(dc, &tors, avail, 1, true)
                 );
             }

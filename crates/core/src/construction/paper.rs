@@ -141,11 +141,12 @@ impl Default for PaperGreedy {
 
 impl PaperGreedy {
     /// The count rules' pipeline over every cluster of `clusters` at once,
-    /// or the first failure: each cluster's ToRs, then the OPS covers with
+    /// a result per cluster: each cluster's ToRs, then the OPS covers with
     /// the clusters taking turns on `available`
     /// ([`select_ops_in_turns`]), then, for the adaptive r = 1 rule, the
     /// [`exchange`] search over the covers, then each cover's augmentation
-    /// in index order against what the others leave.
+    /// in index order against what the others leave. A cluster that fails
+    /// a stage drops out of the stages after it.
     fn build_together<V: AsRef<[VmId]>>(
         &self,
         dc: &DataCenter,
@@ -153,23 +154,33 @@ impl PaperGreedy {
         available: &OpsAvailability,
         r: usize,
         adaptive: bool,
-    ) -> Result<Vec<AbstractionLayer>, ConstructionError> {
-        let tors = clusters
+    ) -> Vec<Result<AbstractionLayer, ConstructionError>> {
+        let tors: Vec<_> = clusters
             .iter()
             .map(|vms| select_tors_greedy(dc, vms.as_ref(), adaptive))
-            .collect::<Result<Vec<_>, _>>()?;
-        let tor_lists: Vec<&[TorId]> = tors.iter().map(Vec::as_slice).collect();
-        let mut covers = select_ops_in_turns(dc, &tor_lists, available, r, adaptive)?;
+            .collect();
+        let tor_lists: Vec<&[TorId]> = tors.iter().flatten().map(Vec::as_slice).collect();
+        let mut covers = select_ops_in_turns(dc, &tor_lists, available, r, adaptive);
         if r == 1 && adaptive {
-            exchange(dc, &tor_lists, &mut covers, available);
+            let (lists, mut bare): (Vec<&[TorId]>, Vec<Vec<OpsId>>) = tor_lists
+                .iter()
+                .zip(&mut covers)
+                .filter_map(|(&tors, cover)| Some((tors, std::mem::take(cover.as_mut().ok()?))))
+                .unzip();
+            exchange(dc, &lists, &mut bare, available);
+            for (cover, shrunk) in covers.iter_mut().flatten().zip(bare) {
+                *cover = shrunk;
+            }
         }
         let mut pool = available.clone();
-        for &o in covers.iter().flatten() {
+        for &o in covers.iter().flatten().flatten() {
             pool.block(o);
         }
+        let mut covers = covers.into_iter();
         tors.into_iter()
-            .zip(covers)
-            .map(|(tors, ops)| {
+            .map(|tors| {
+                let tors = tors?;
+                let ops = covers.next().expect("a cover per cluster with ToRs")?;
                 let al = AbstractionLayer::new(tors, ops);
                 if self.skip_augmentation {
                     return Ok(al);
@@ -205,7 +216,7 @@ impl AlConstruct for PaperGreedy {
         match self.rule {
             Rule::Count { r, adaptive } => self
                 .build_together(dc, &[vms], available, r, adaptive)
-                .map(|mut layers| layers.remove(0)),
+                .remove(0),
             Rule::Cost { plain, opto } => {
                 let tors = select_tors_greedy(dc, vms, true)?;
                 let ops = select_ops_by_cost(dc, &tors, available, plain, opto)?;
@@ -222,24 +233,46 @@ impl AlConstruct for PaperGreedy {
     /// The count rules build the clusters together: their OPS covers take
     /// turns on the one pool, the adaptive r = 1 rule's covers then shrink
     /// by exchange, and the layers are augmented in index order (DESIGN.md
-    /// §8). For one cluster that is [`construct`](Self::construct). If that
-    /// leaves any cluster without a layer, the result is the provided
-    /// serial fold's, so a failure is always the fold's; so is every result
-    /// of the cost rule.
+    /// §8). For one cluster that is [`construct`](Self::construct). The
+    /// layers then commit in index order: a cluster left without one, or
+    /// whose layer meets one committed before it (only a rebuilt layer
+    /// can), is rebuilt alone against what the layers before it leave, and
+    /// counted again in `alvc_core.construction.layers_built`. So a
+    /// cluster fails only where the serial fold would fail it, given the
+    /// layers before it. The cost rule's batch is the serial fold.
     fn construct_batch(
         &self,
         dc: &DataCenter,
         clusters: &[Vec<VmId>],
         available: &OpsAvailability,
     ) -> Vec<Result<AbstractionLayer, ConstructionError>> {
-        if let Rule::Count { r, adaptive } = self.rule {
-            if let Ok(layers) = self.build_together(dc, clusters, available, r, adaptive) {
-                return layers.into_iter().map(Ok).collect();
-            }
-            alvc_telemetry::counter!("alvc_core.construction.layers_built")
-                .add(clusters.len() as u64);
-        }
-        fold(self, dc, clusters, available)
+        let Rule::Count { r, adaptive } = self.rule else {
+            return fold(self, dc, clusters, available);
+        };
+        let built = self.build_together(dc, clusters, available, r, adaptive);
+        let mut pool = available.clone();
+        let mut rebuilt = 0;
+        let layers = clusters
+            .iter()
+            .zip(built)
+            .map(|(vms, built)| {
+                let layer = match built {
+                    Ok(al) if al.ops().iter().all(|&o| pool.is_available(o)) => Ok(al),
+                    _ => {
+                        rebuilt += 1;
+                        self.construct(dc, vms, &pool)
+                    }
+                };
+                if let Ok(al) = &layer {
+                    for &o in al.ops() {
+                        pool.block(o);
+                    }
+                }
+                layer
+            })
+            .collect();
+        alvc_telemetry::counter!("alvc_core.construction.layers_built").add(rebuilt);
+        layers
     }
 }
 
@@ -279,6 +312,50 @@ mod tests {
     use super::*;
     use crate::construction::ExactCover;
     use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType};
+
+    /// Cluster 0 (ToRs a1, a2) takes OPS p in its first turn; cluster 1
+    /// (ToRs b1, b2) then takes o, a2's only uplink. Cluster 0 is rebuilt
+    /// alone and takes o back; cluster 1's layer now meets it, so it is
+    /// rebuilt from what is left. The batch is the serial fold's.
+    #[test]
+    fn a_cluster_the_turns_starve_is_rebuilt_alone() {
+        let mut dc = DataCenter::new();
+        let mut racks = Vec::new();
+        for _ in 0..7 {
+            let (rack, tor) = dc.add_rack();
+            let server = dc.add_server(rack);
+            racks.push((tor, dc.add_vm(server, ServiceType::WebService)));
+        }
+        let ops: Vec<OpsId> = (0..4).map(|_| dc.add_ops(None)).collect();
+        let [p, o, q, s] = [ops[0], ops[1], ops[2], ops[3]];
+        let [a1, a2, b1, b2, z1, z2, z3] = [0, 1, 2, 3, 4, 5, 6].map(|i| racks[i].0);
+        for (tor, x) in [
+            (a1, p),
+            (z1, p),
+            (z2, p),
+            (z3, p),
+            (a2, o),
+            (b1, o),
+            (b2, o),
+        ] {
+            dc.connect_tor_ops(tor, x);
+        }
+        for (tor, x) in [(b1, q), (b2, s)] {
+            dc.connect_tor_ops(tor, x);
+        }
+        dc.connect_ops_ops(p, o);
+        dc.connect_ops_ops(q, s);
+        let clusters = vec![vec![racks[0].1, racks[1].1], vec![racks[2].1, racks[3].1]];
+        let all = OpsAvailability::all();
+        let ctor = PaperGreedy::new();
+        let turns = select_ops_in_turns(&dc, &[&[a1, a2], &[b1, b2]], &all, 1, true);
+        assert_eq!(turns[0], Err(ConstructionError::UncoverableTor(a2)));
+        assert_eq!(turns[1], Ok(vec![o]));
+        let batch = ctor.construct_batch(&dc, &clusters, &all);
+        assert_eq!(batch, fold(&ctor, &dc, &clusters, &all));
+        assert_eq!(batch[0].as_ref().unwrap().ops(), &[p, o]);
+        assert_eq!(batch[1].as_ref().unwrap().ops(), &[q, s]);
+    }
 
     #[test]
     fn produces_valid_layers_on_generated_topologies() {

@@ -385,17 +385,17 @@ fn control_plane_fingerprint(placer: impl VnfPlacer + Send + Sync + 'static) -> 
 
 /// Golden fingerprints of the control-plane history above. They pin
 /// hosts, paths, chain/instance ids, views, AL choices and intent outcomes
-/// across commits, which "same run twice" cannot. The optical one was
-/// re-pinned when the layers gained the exchange search (its bulk deploys
-/// build smaller layers); the electronic one dates from before the
-/// embedding pipeline was unified.
+/// across commits, which "same run twice" cannot. Both were re-pinned when
+/// a batch's OPS stage began to break ties toward sparing the scarcest
+/// neighbouring ToR (the optical one also when the layers gained the
+/// exchange search).
 #[test]
 fn control_plane_history_matches_golden_fingerprints() {
     let electronic = control_plane_fingerprint(ElectronicOnlyPlacer::new());
     let optical = control_plane_fingerprint(OpticalFirstPlacer::new());
     assert_eq!(
         (electronic, optical),
-        (0x265f_b40c_5370_d61f, 0x80ff_dfc6_beae_f7c9),
+        (0xf7d8_585d_bfe4_5bf9, 0x8670_7dcc_f347_8aae),
         "electronic {electronic:#018x}, optical {optical:#018x}"
     );
 }
