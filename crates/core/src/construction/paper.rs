@@ -161,7 +161,11 @@ impl PaperGreedy {
             .collect();
         let tor_lists: Vec<&[TorId]> = tors.iter().flatten().map(Vec::as_slice).collect();
         let mut covers = select_ops_in_turns(dc, &tor_lists, available, r, adaptive);
-        if r == 1 && adaptive {
+        // A lone cluster's cover of one or two OPSs is already minimal:
+        // the greedy's first pick serves no fewer of its ToRs than any
+        // other OPS does, so no move can drop or replace it.
+        let minimal = matches!(covers.as_slice(), [Ok(cover)] if cover.len() <= 2);
+        if r == 1 && adaptive && !minimal {
             let (lists, mut bare): (Vec<&[TorId]>, Vec<Vec<OpsId>>) = tor_lists
                 .iter()
                 .zip(&mut covers)

@@ -14,11 +14,12 @@
 //! read a pod's full-mesh interior once per pod rather than once per OPS,
 //! each pod builds each of its sub-clusters once, and the exchange reads
 //! only the lists around its roots, so these counts stay far below what
-//! the naive walks and a rescanning exchange make, on any host. The
+//! the naive walks and a rescanning exchange make, on any host; a lone
+//! two-rack cluster skips the exchange and reads nothing. The
 //! counters are process-wide, so this file holds the one test that reads
 //! them.
 
-use alvc_core::construction::PaperGreedy;
+use alvc_core::construction::{AlConstruct, PaperGreedy};
 use alvc_core::{construct_layers_sharded, OpsAvailability};
 use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, VmId};
 
@@ -69,4 +70,18 @@ fn cross_pod_merges_walk_the_boundary_not_the_pod_interiors() {
     // 164 entries, and moves nothing.
     assert_eq!(moves, 0, "{moves} exchange moves");
     assert!(exchange_visits <= 164, "{exchange_visits} exchange visits");
+
+    // One cluster over two racks: its cover holds at most two OPSs, which
+    // no move can shrink, so the build skips the exchange altogether.
+    let two_racks: Vec<VmId> = dc
+        .vm_ids()
+        .filter(|&vm| dc.tor_of_vm(vm).index() < 2)
+        .collect();
+    let before = counters[4].value();
+    let al = PaperGreedy::new()
+        .construct(&dc, &two_racks, &OpsAvailability::all())
+        .expect("two racks are coverable");
+    assert!(al.validate(&dc, &two_racks).is_ok());
+    let skipped = counters[4].value() - before;
+    assert_eq!(skipped, 0, "{skipped} exchange visits on a two-rack build");
 }

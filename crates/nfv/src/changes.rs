@@ -5,7 +5,7 @@
 //! touched. The control plane takes the marks after every execution step to
 //! settle chain ownership and the per-tenant aggregates, accumulates them
 //! over the batch, and `StateView::apply_delta` then patches exactly those
-//! entries into the snapshot buffer it publishes next. An entry nobody
+//! entries into the published snapshot. An entry nobody
 //! marked keeps its previous value, so a mutation that forgets its mark
 //! publishes a stale view — the debug oracle in
 //! `ControlPlane::execute_batch` and the `prop_control` property test
@@ -69,9 +69,9 @@ impl ChangeSet {
     }
 
     /// Adds `other`'s marks to this set. Marks name entries to re-read
-    /// from the live orchestrator, so a union of several steps' (or
-    /// batches') marks is patched in one pass; the replica deltas are not
-    /// marks and stay behind.
+    /// from the live orchestrator, so a union of a batch's steps' marks is
+    /// patched in one pass; the replica deltas are not marks and stay
+    /// behind.
     pub(crate) fn absorb(&mut self, other: &ChangeSet) {
         self.chains.extend(&other.chains);
         self.clusters.extend(&other.clusters);

@@ -23,13 +23,14 @@
 //!   any state is touched ([`AdmissionError`]); a rejected intent leaves
 //!   zero residual SDN or ledger state and consumes none of the tenant's
 //!   per-batch rate budget.
-//! * **Lock-free snapshot reads.** [`ControlPlane::view`] hands out an
-//!   `Arc<StateView>` published at the last batch boundary; readers never
-//!   block the write path and always see a consistent world. Publication
-//!   is incremental and double-buffered: every batch, tenant or operator,
-//!   patches only the entries it touched into the snapshot retired one
-//!   publish earlier, so nothing is cloned unless a reader still holds
-//!   that one.
+//! * **Copy-on-write snapshot reads.** [`ControlPlane::view`] hands out
+//!   an `Arc<StateView>` published at the last batch boundary; readers
+//!   never block intent execution and always see a consistent world.
+//!   Publication is incremental and copy-on-write: every batch, tenant or
+//!   operator, patches only the entries it touched into the one published
+//!   snapshot — in place if no reader holds it, else into a clone that
+//!   shares every untouched chunk of its [`ChunkMap`]s. A `view()` call
+//!   waits for at most that one patch.
 //! * **Replayable log.** Every executed intent lands in the
 //!   [`IntentLog`] with its batch index and outcome — the scheduler's
 //!   drain order *is* the recorded batch order, so
@@ -62,11 +63,13 @@
 //! ```
 
 mod admission;
+pub mod chunk_map;
 mod intent;
 mod scheduler;
 mod view;
 
 pub use admission::{AdmissionError, AdmissionPolicy, TenantQuota};
+pub use chunk_map::ChunkMap;
 pub use intent::{
     Intent, IntentEffect, IntentId, IntentKind, IntentLog, IntentOutcome, IntentRecord,
 };
@@ -122,11 +125,6 @@ struct Inner {
     tenants: BTreeMap<String, TenantView>,
     /// Entries the orchestrator marked during this batch so far.
     marks: ChangeSet,
-    /// The snapshot retired by the previous publish — the buffer the next
-    /// publish patches — and the marks it has not seen: the previous
-    /// batch's.
-    spare: Arc<StateView>,
-    spare_marks: ChangeSet,
     log: IntentLog,
     batches: u64,
     intents_processed: u64,
@@ -303,10 +301,8 @@ impl ControlPlaneBuilder {
         let inner = Inner {
             orch,
             owners,
-            tenants: view.tenants.clone(),
+            tenants: view.tenants.iter().map(|(t, &u)| (t.clone(), u)).collect(),
             marks: ChangeSet::default(),
-            spare: Arc::new(view.clone()),
-            spare_marks: ChangeSet::default(),
             log: IntentLog::new(),
             batches: 0,
             intents_processed: 0,
@@ -452,7 +448,8 @@ impl ControlPlane {
 
     /// The current snapshot. A cheap `Arc` clone: readers never block
     /// intent execution and see the consistent state as of the last
-    /// batch boundary.
+    /// batch boundary. The call waits only while a batch's publication
+    /// patches the snapshot, an O(blast radius) step.
     pub fn view(&self) -> Arc<StateView> {
         self.view.read().clone()
     }
@@ -663,23 +660,21 @@ impl ControlPlane {
         drop(completed);
         inner.batches += 1;
         inner.intents_processed += batch.len() as u64;
-        // Publish: the spare buffer lags by the previous batch, so patch
-        // that batch's marks and this one's into it, then swap it with the
-        // current snapshot. `make_mut` patches in place unless a reader
-        // still holds the buffer — only then is a view cloned.
+        // Publish: patch this batch's marks into the published snapshot
+        // under the write lock. `make_mut` patches it in place unless a
+        // reader still holds it; then it patches a clone, which shares
+        // every chunk the batch left alone, and the reader keeps its value.
         let marks = std::mem::take(&mut inner.marks);
-        inner.spare_marks.absorb(&marks);
-        let view = Arc::make_mut(&mut inner.spare);
-        view.apply_delta(
+        Arc::make_mut(&mut self.view.write()).apply_delta(
             inner.batches,
             inner.intents_processed,
             &inner.orch,
             &inner.owners,
             &inner.tenants,
-            &inner.spare_marks,
+            &marks,
         );
         debug_assert_eq!(
-            *view,
+            *self.view(),
             StateView::capture(
                 inner.batches,
                 inner.intents_processed,
@@ -688,8 +683,6 @@ impl ControlPlane {
             ),
             "a mutation in this batch did not mark an entry it touched"
         );
-        std::mem::swap(&mut *self.view.write(), &mut inner.spare);
-        inner.spare_marks = marks;
         batch.len()
     }
 
@@ -1098,8 +1091,7 @@ mod tests {
         let dc = dc();
         let cp = ControlPlane::new(dc.clone());
         // Three batches, a reader holding the snapshot of each: the
-        // publisher alternates two buffers and must never patch one that
-        // is still held.
+        // publisher must never patch one that is still held.
         let v0 = cp.view();
         let web = cp.submit("web", deploy_intent(&dc, ServiceType::WebService));
         cp.process_all();
@@ -1122,6 +1114,110 @@ mod tests {
         assert_eq!(v1.tenant("web").live_chains, 1);
         assert_eq!(v2.tenant("sns").live_chains, 1);
         assert_eq!(v3.tenant("web").live_chains, 0);
+    }
+
+    /// `after`'s chunk count, how many of its chunks are `before`'s own
+    /// (`Arc::ptr_eq`), and how many of the others hold an entry whose
+    /// value `before` does not have.
+    fn chunk_sharing<K: Ord, V: PartialEq>(
+        before: &ChunkMap<K, V>,
+        after: &ChunkMap<K, V>,
+    ) -> [usize; 3] {
+        let mut counts = [after.chunks().len(), 0, 0];
+        for chunk in after.chunks() {
+            if before.chunks().iter().any(|c| Arc::ptr_eq(c, chunk)) {
+                counts[1] += 1;
+            } else if chunk.iter().any(|(k, v)| before.get(k) != Some(v)) {
+                counts[2] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Copy-on-write publication, counted: while a reader holds snapshot
+    /// *k*, a one-chain batch publishes *k + 1* into a clone that shares
+    /// every chunk except the few holding an entry the batch changed, and
+    /// the reader's snapshot keeps its value. With no reader holding it,
+    /// the snapshot is patched in place.
+    #[test]
+    fn publication_shares_every_chunk_the_batch_left_alone() {
+        let dc = Arc::new(
+            AlvcTopologyBuilder::new()
+                .racks(72)
+                .servers_per_rack(2)
+                .vms_per_server(2)
+                .ops_count(288)
+                .tor_ops_degree(4)
+                .interconnect(OpsInterconnect::FullMesh)
+                .seed(7)
+                .build(),
+        );
+        let racks: Vec<Vec<VmId>> = (0..dc.tor_count())
+            .map(|t| {
+                dc.vm_ids()
+                    .filter(|&vm| dc.tor_of_vm(vm).index() == t)
+                    .collect()
+            })
+            .collect();
+        // Adopted chains, one per rack but the last: the initial capture
+        // chunks every map.
+        let mut orch = Orchestrator::new();
+        let (ctor, placer) = (PaperGreedy::new(), ElectronicOnlyPlacer::new());
+        let (last, adopted) = racks.split_last().unwrap();
+        for vms in adopted {
+            let spec = fig5::black(vms[0], *vms.last().unwrap());
+            orch.deploy_chain(&dc, "", vms.clone(), spec, &ctor, &placer)
+                .unwrap();
+        }
+        let cp = ControlPlane::builder().orchestrator(orch).build(dc.clone());
+        let held = cp.view();
+        let before = StateView::clone(&held);
+        assert!(before.chains.chunks().len() > 1, "chains span chunks");
+
+        let spec = fig5::black(last[0], *last.last().unwrap());
+        let vms = last.clone();
+        let deploy = cp.submit("t", Intent::DeployChain { vms, spec });
+        cp.process_all();
+        assert!(cp.outcome(deploy).unwrap().is_completed());
+        let after = cp.view();
+        assert!(
+            !Arc::ptr_eq(&held, &after),
+            "a held snapshot is not patched"
+        );
+        assert_eq!(*held, before, "the reader keeps its value");
+        assert_eq!(after.chain_count(), before.chain_count() + 1);
+
+        let counts = [
+            chunk_sharing(&before.chains, &after.chains),
+            chunk_sharing(&before.instances, &after.instances),
+            chunk_sharing(&before.clusters, &after.clusters),
+            chunk_sharing(&before.link_committed_kbps, &after.link_committed_kbps),
+            chunk_sharing(&before.tenants, &after.tenants),
+        ];
+        for [total, shared, changed] in counts {
+            assert_eq!(
+                total,
+                shared + changed,
+                "{counts:?}: an unchanged chunk was copied"
+            );
+        }
+        // One new chain, its two instances and its cluster land in the
+        // last chunk of their maps; its path's links may be spread.
+        let [chains, instances, clusters, _, _] = counts;
+        for [total, shared, _] in [chains, instances, clusters] {
+            assert_eq!(shared, total - 1, "{counts:?}");
+        }
+        let [total, shared] = counts.iter().fold([0, 0], |[t, s], c| [t + c[0], s + c[1]]);
+        assert!(shared * 2 > total, "{shared} of {total} chunks shared");
+
+        // Nobody holds the snapshot now: the next batch patches it in place.
+        drop((held, after));
+        let published = Arc::as_ptr(&cp.view());
+        let chain = cp.view().chains_of("t")[0];
+        cp.submit("t", Intent::TeardownChain { chain });
+        cp.process_all();
+        assert_eq!(Arc::as_ptr(&cp.view()), published);
+        assert_eq!(cp.view().chain_count(), before.chain_count());
     }
 
     #[test]

@@ -1,30 +1,35 @@
-//! Lock-free snapshot reads: the immutable [`StateView`].
+//! Copy-on-write snapshot reads: the immutable [`StateView`].
 //!
 //! After every executed batch the control plane publishes an immutable
 //! [`StateView`] behind an `Arc`. Readers clone the `Arc` (a
 //! reference-count bump) and then read freely — chain status, slice
 //! usage, committed bandwidth — while the write path executes the next
-//! batch on the live orchestrator. Read traffic therefore never blocks
-//! intent execution, and a reader always sees a *consistent* state:
-//! exactly the world as of some batch boundary, never a half-applied
-//! intent.
+//! batch on the live orchestrator, and a reader always sees a
+//! *consistent* state: exactly the world as of some batch boundary, never
+//! a half-applied intent. A [`ControlPlane::view`] call waits only while
+//! the control plane patches the published snapshot, once per batch.
 //!
 //! Publication is **incremental**, and there is one publication path: the
 //! orchestrator marks every entry a batch mutated (see
 //! [`crate::changes`]) — tenant intents and operator intents alike — and
-//! [`StateView::apply_delta`] patches only those entries, in place, into
-//! the snapshot buffer the control plane retired one publish earlier (it
-//! keeps two and alternates). Publication cost therefore tracks the
-//! batch's blast radius, not the size of the data center or of the live
-//! tenant state; the buffer is cloned only while a reader still holds it,
-//! and per-entry `Arc`s make that clone a pile of reference-count bumps.
+//! [`StateView::apply_delta`] patches only those entries into the one
+//! published snapshot. Publication cost therefore tracks the batch's blast
+//! radius, not the size of the data center or of the live tenant state.
+//! The snapshot is patched in place when no reader holds it; otherwise
+//! `Arc::make_mut` patches a clone and the reader keeps its value. The
+//! per-entry maps are [`ChunkMap`]s, so that clone is one reference-count
+//! bump per chunk of about 64 entries, and the patch copies only the
+//! chunks holding a marked entry.
 //! [`StateView::capture`] builds the initial view and otherwise serves as
 //! the independent oracle: a debug assertion after every batch and a
 //! property test pin `apply_delta` ≡ `capture`.
 //!
-//! Every collection is a `BTreeMap`/`BTreeSet` so two views compare
-//! field-for-field deterministically; the replay property test leans on
-//! this (`replay(log)` must produce a `StateView` equal to the live one).
+//! Every collection is sorted (a [`ChunkMap`] or a `BTreeSet`) so two
+//! views compare field-for-field deterministically; the replay property
+//! test leans on this (`replay(log)` must produce a `StateView` equal to
+//! the live one).
+//!
+//! [`ControlPlane::view`]: super::ControlPlane::view
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -37,7 +42,7 @@ use crate::changes::ChangeSet;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::orchestrator::{DeployedChain, Orchestrator};
 
-use super::Owner;
+use super::{ChunkMap, Owner};
 
 /// One deployed chain as seen by readers.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,9 +105,10 @@ pub struct TenantView {
 /// An immutable, internally consistent snapshot of everything the control
 /// plane exposes to readers.
 ///
-/// Chain and cluster entries sit behind per-entry `Arc`s so a snapshot a
-/// reader still holds can be cloned cheaply at publication; `Arc`
-/// dereferences transparently, so field access reads the same as before
+/// Each per-entry map is a [`ChunkMap`], cheap to clone and copied per
+/// chunk on a patch. Chain and cluster entries sit behind their own `Arc`s
+/// as well, so copying a chunk of them bumps reference counts rather than
+/// cloning names and member lists; `Arc` dereferences transparently
 /// (`view.chains[&id].vnf_count`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StateView {
@@ -112,16 +118,16 @@ pub struct StateView {
     /// Total intents executed (completed, rejected, or failed).
     pub intents_processed: u64,
     /// Deployed chains by id.
-    pub chains: BTreeMap<NfcId, Arc<ChainView>>,
+    pub chains: ChunkMap<NfcId, Arc<ChainView>>,
     /// Live VNF instances (chain members and replicas) by id.
-    pub instances: BTreeMap<VnfInstanceId, InstanceView>,
+    pub instances: ChunkMap<VnfInstanceId, InstanceView>,
     /// Virtual clusters (slices) by id, including their membership and
     /// abstraction layers.
-    pub clusters: BTreeMap<ClusterId, Arc<ClusterSliceView>>,
+    pub clusters: ChunkMap<ClusterId, Arc<ClusterSliceView>>,
     /// Committed bandwidth per physical link, integer kb/s.
-    pub link_committed_kbps: BTreeMap<alvc_graph::EdgeId, u64>,
+    pub link_committed_kbps: ChunkMap<alvc_graph::EdgeId, u64>,
     /// Per-tenant aggregates (only tenants with live chains appear).
-    pub tenants: BTreeMap<String, TenantView>,
+    pub tenants: ChunkMap<String, TenantView>,
     /// Substrate elements currently failed.
     pub failed_elements: BTreeSet<Element>,
     /// Chains currently running outside their slice.
@@ -175,7 +181,7 @@ fn cluster_view(vc: &VirtualCluster) -> ClusterSliceView {
 /// Builds the per-tenant aggregates from scratch, for
 /// [`StateView::capture`]: O(live chains + replicas).
 fn tenant_aggregates(
-    chains: &BTreeMap<NfcId, Arc<ChainView>>,
+    chains: &ChunkMap<NfcId, Arc<ChainView>>,
     orch: &Orchestrator,
     owners: &BTreeMap<NfcId, Owner>,
 ) -> BTreeMap<String, TenantView> {
@@ -206,12 +212,14 @@ impl StateView {
         orch: &Orchestrator,
         owners: &BTreeMap<NfcId, Owner>,
     ) -> StateView {
-        let chains: BTreeMap<NfcId, Arc<ChainView>> = orch
+        let chains: ChunkMap<NfcId, Arc<ChainView>> = orch
             .chains
             .iter()
             .map(|(&id, deployed)| (id, Arc::new(chain_view(orch, owners, id, deployed))))
             .collect();
-        let tenants = tenant_aggregates(&chains, orch, owners);
+        let tenants = tenant_aggregates(&chains, orch, owners)
+            .into_iter()
+            .collect();
         let instances = orch
             .instances
             .iter()
@@ -222,7 +230,7 @@ impl StateView {
             .clusters()
             .map(|vc| (vc.id(), Arc::new(cluster_view(vc))))
             .collect();
-        let link_committed_kbps: BTreeMap<_, _> = orch.link_committed.iter().collect();
+        let link_committed_kbps: ChunkMap<_, _> = orch.link_committed.iter().collect();
         let total_committed_kbps = link_committed_kbps.values().sum();
         StateView {
             version,
@@ -242,10 +250,10 @@ impl StateView {
     /// Turns this snapshot into the next one by re-reading every entry
     /// `changes` marks from the live orchestrator — the incremental twin of
     /// [`StateView::capture`], and how every batch is published. `self`
-    /// may lag the orchestrator by several batches as long as `changes`
-    /// holds every mark made since it was current. `tenants` is the
-    /// control plane's maintained per-tenant aggregate; the tenants of the
-    /// marked chains are the only ones whose entry can have moved.
+    /// is the snapshot the previous batch published and `changes` holds
+    /// every mark made since. `tenants` is the control plane's maintained
+    /// per-tenant aggregate; the tenants of the marked chains are the only
+    /// ones whose entry can have moved.
     pub(super) fn apply_delta(
         &mut self,
         version: u64,
@@ -269,16 +277,20 @@ impl StateView {
             };
             // A chain never changes hands, so either side names the tenant.
             let Some(chain) = now.or(was) else { continue };
-            match (
-                tenants.get(&chain.tenant),
-                self.tenants.get_mut(&chain.tenant),
-            ) {
-                (Some(&aggregate), Some(entry)) => *entry = aggregate,
-                (Some(&aggregate), None) => {
-                    self.tenants.insert(chain.tenant.clone(), aggregate);
-                }
-                (None, _) => {
-                    self.tenants.remove(&chain.tenant);
+            let tenant = chain.tenant.as_str();
+            let aggregate = tenants.get(tenant);
+            if self.tenants.get(tenant) == aggregate {
+                continue;
+            }
+            match aggregate {
+                Some(&aggregate) => match self.tenants.get_mut(tenant) {
+                    Some(entry) => *entry = aggregate,
+                    None => {
+                        self.tenants.insert(chain.tenant.clone(), aggregate);
+                    }
+                },
+                None => {
+                    self.tenants.remove(tenant);
                 }
             }
         }

@@ -33,7 +33,7 @@
 //!   invalidated abstraction layers, and reroutes the chains they carried;
 //! * [`control`] — the intent-based control plane: a concurrent
 //!   multi-tenant frontend over the orchestrator with typed [`Intent`]s,
-//!   deterministic batch execution, admission control, lock-free
+//!   deterministic batch execution, admission control, copy-on-write
 //!   [`StateView`] snapshot reads, and a replayable intent log.
 
 #![forbid(unsafe_code)]
