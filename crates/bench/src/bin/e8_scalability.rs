@@ -1,40 +1,38 @@
 //! E8 (claim §I + \[15\]): scalability of AL construction.
 //!
 //! Builds the paper's greedy and the random-selection baseline up the flat
-//! ladder to ~10k VMs, then the sharded DC ladder (dc-100k, dc-1m) through
-//! `construct_layers_sharded`, demonstrating the claimed "flexibility and
+//! ladder to ~10k VMs, then the multi-pod DC ladder (dc-100k, dc-1m)
+//! through `construct_layers`, demonstrating the claimed "flexibility and
 //! scalability" as shape: the greedy's AL-size advantage holds at every
-//! scale, and the sharded path completes every cluster at 1M VMs without a
-//! serial fallback. Work is counted, not timed: each DC tier reports the
-//! neighbour visits its component labelling and connectivity augmentation
-//! made, the layers its constructor built, and the moves and list entries
-//! of the exchange search that shrinks each pod's covers; dc-1m's
-//! augmentation visits, layers built and exchange visits are gates. dc-1m
-//! also prints its greedy
-//! selector's pops and stale refreshes: the bucket-queue engine has none
-//! of the latter, and a gate holds them at zero. Construction speed is `benchmark/`'s
-//! `dc-construct` workload.
+//! scale, and one batch completes every cluster at 1M VMs, building each
+//! once. Work is counted, not timed: each DC tier reports the neighbour
+//! visits its component labelling and connectivity augmentation made, the
+//! layers its constructor built, and the moves and list entries of the
+//! exchange search that shrinks the covers; dc-1m's augmentation visits,
+//! layers built and exchange visits are gates. dc-1m also prints its
+//! greedy selector's pops and stale refreshes: the bucket-queue engine has
+//! none of the latter, and a gate holds them at zero. Construction speed
+//! is `benchmark/`'s `dc-construct` workload.
 
 use alvc_bench::{deploy_fig5_chains, f2, print_table, Json, Op, Report, Scale};
 use alvc_core::construction::{AlConstruct, PaperGreedy, RandomSelection};
-use alvc_core::{construct_layers_sharded, service_clusters, OpsAvailability};
+use alvc_core::{construct_layers, service_clusters, OpsAvailability};
 
-/// Ceiling on dc-1m's augmentation visits: about twice the 0.57 M of the
-/// boundary merge reading exterior lists. The merge that walked every
-/// pod's full-mesh interior made 29.7 M, the boundary merge over whole
-/// switch lists 3.9 M (DESIGN.md §13).
+/// Ceiling on dc-1m's augmentation visits: about twice the 0.56 M of the
+/// walk that skips closed pods' interiors and reads exterior lists
+/// (DESIGN.md §13).
 const DC1M_AUGMENT_VISITS: f64 = 1_200_000.0;
 
-/// dc-1m's layers built: one per pod sub-cluster (96 pods x 4 clusters,
-/// DESIGN.md §13).
-const DC1M_LAYERS_BUILT: f64 = 384.0;
+/// dc-1m's layers built: one per cluster, each built once, none rebuilt
+/// (DESIGN.md §13).
+const DC1M_LAYERS_BUILT: f64 = 4.0;
 
 /// Ceiling on dc-1m's exchange visits, the list entries the exchange
-/// search reads: about 1.75 times the 0.91 M it reads (DESIGN.md §8).
+/// search reads: about 1.4 times the 1.15 M it reads (DESIGN.md §8).
 const DC1M_EXCHANGE_VISITS: f64 = 1_600_000.0;
 
-/// One sharded DC tier's outcome: its table row, its result row, and the
-/// scalars the acceptance gates are computed from.
+/// One DC tier's outcome: its table row, its result row, and the scalars
+/// the acceptance gates are computed from.
 struct DcTier {
     table: Vec<String>,
     json: Json,
@@ -44,16 +42,13 @@ struct DcTier {
     selector_pops: u64,
     stale_refreshes: u64,
     failed_clusters: usize,
-    per_shard_len_mismatch: bool,
-    peak_shard_bytes_mismatch: bool,
-    all_fallback: bool,
 }
 
-/// Runs the sharded construction path on one hyperscale DC tier.
+/// Runs one batch construction on one hyperscale DC tier.
 fn run_dc_tier(scale: &Scale) -> DcTier {
     // Four services, as in the other disjointness-sensitive experiments:
-    // the sharded path constructs the clusters OPS-disjoint, and the
-    // all-service mix does not reliably fit the per-ToR uplink budget.
+    // the batch constructs the clusters OPS-disjoint, and the all-service
+    // mix does not reliably fit the per-ToR uplink budget.
     let dc = scale.build_four_services(19);
     let clusters = service_clusters(&dc);
     let specs: Vec<_> = clusters.iter().map(|c| c.vms.clone()).collect();
@@ -68,8 +63,7 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
     ]
     .map(alvc_telemetry::counter);
     let before = counters.each_ref().map(|c| c.value());
-    let (results, report) =
-        construct_layers_sharded(&dc, &specs, &PaperGreedy::new(), &OpsAvailability::all());
+    let results = construct_layers(&dc, &specs, &PaperGreedy::new(), &OpsAvailability::all());
     let [label_visits, augment_visits, layers_built, exchange_moves, exchange_visits, selector_pops, stale_refreshes] =
         [0, 1, 2, 3, 4, 5, 6].map(|i| counters[i].value() - before[i]);
     for (cluster, result) in clusters.iter().zip(&results) {
@@ -94,9 +88,6 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         layers_built.to_string(),
         exchange_moves.to_string(),
         exchange_visits.to_string(),
-        report.peak_shard_bytes().to_string(),
-        report.merged_clusters.to_string(),
-        report.fallbacks.to_string(),
     ];
     let json = Json::object()
         .field("scale", scale.name)
@@ -104,7 +95,7 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         .field("pods", scale.pods)
         .field("ops_total", scale.pods * scale.ops)
         .field("clusters", clusters.len())
-        .field("constructor", "paper-greedy (sharded)")
+        .field("constructor", "paper-greedy")
         .field("mean_al_size", (mean_al * 100.0).round() / 100.0)
         .field("label_visits", label_visits)
         .field("augment_visits", augment_visits)
@@ -112,26 +103,7 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         .field("exchange_moves", exchange_moves)
         .field("exchange_visits", exchange_visits)
         .field("selector_pops", selector_pops)
-        .field("stale_refreshes", stale_refreshes)
-        .field("peak_shard_bytes", report.peak_shard_bytes())
-        .field("mean_shard_bytes", report.mean_shard_bytes())
-        .field("merged_clusters", report.merged_clusters)
-        .field("fallbacks", report.fallbacks)
-        .field(
-            "per_shard",
-            Json::Array(
-                report
-                    .per_shard
-                    .iter()
-                    .map(|&(subs, bytes)| {
-                        Json::object()
-                            .field("sub_clusters", subs)
-                            .field("bytes", bytes)
-                    })
-                    .collect(),
-            ),
-        );
-    let max_shard_bytes = report.per_shard.iter().map(|&(_, b)| b).max().unwrap_or(0);
+        .field("stale_refreshes", stale_refreshes);
     DcTier {
         table,
         json,
@@ -141,9 +113,6 @@ fn run_dc_tier(scale: &Scale) -> DcTier {
         selector_pops,
         stale_refreshes,
         failed_clusters: results.iter().filter(|r| r.is_err()).count(),
-        per_shard_len_mismatch: report.per_shard.len() != scale.pods,
-        peak_shard_bytes_mismatch: max_shard_bytes != report.peak_shard_bytes(),
-        all_fallback: report.fallbacks >= clusters.len(),
     }
 }
 
@@ -195,10 +164,9 @@ fn main() {
          persists at every scale."
     );
     // Hyperscale tiers: the pod-10k shape replicated across pods, built
-    // once per tier and constructed through the sharded path, one pod at
-    // a time.
+    // once per tier and constructed as one batch over every pod.
     let tiers: Vec<DcTier> = Scale::DC_LADDER.iter().map(run_dc_tier).collect();
-    println!("\nsharded full-DC construction (one pod at a time, merge at boundary):\n");
+    println!("\nfull-DC construction (one batch over every pod):\n");
     let dc_table: Vec<Vec<String>> = tiers.iter().map(|t| t.table.clone()).collect();
     print_table(
         &[
@@ -212,9 +180,6 @@ fn main() {
             "layers built",
             "exchange moves",
             "exchange visits",
-            "peak shard B",
-            "merged",
-            "fallbacks",
         ],
         &dc_table,
     );
@@ -242,26 +207,12 @@ fn main() {
             ),
         ),
     );
-    let count = |flag: fn(&DcTier) -> bool| tiers.iter().filter(|t| flag(t)).count() as f64;
     report.gate(
         "greedy_not_smaller_scales",
         greedy_not_smaller as f64,
         Op::Eq,
         0.0,
     );
-    report.gate(
-        "per_shard_len_mismatches",
-        count(|t| t.per_shard_len_mismatch),
-        Op::Eq,
-        0.0,
-    );
-    report.gate(
-        "peak_shard_bytes_mismatches",
-        count(|t| t.peak_shard_bytes_mismatch),
-        Op::Eq,
-        0.0,
-    );
-    report.gate("all_fallback_tiers", count(|t| t.all_fallback), Op::Eq, 0.0);
     let failed_clusters: usize = tiers.iter().map(|t| t.failed_clusters).sum();
     report.gate("failed_clusters", failed_clusters as f64, Op::Eq, 0.0);
     report.gate("label_clones", label_clones as f64, Op::Eq, 0.0);
@@ -290,7 +241,7 @@ fn main() {
         0.0,
     );
     report.rows("flat", json_rows);
-    report.rows("sharded", tiers.into_iter().map(|t| t.json));
+    report.rows("dc", tiers.into_iter().map(|t| t.json));
     report.rows(
         "orchestration",
         [Json::object().field("chains_deployed", chains_deployed)],

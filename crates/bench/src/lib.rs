@@ -93,10 +93,10 @@ impl Scale {
         },
     ];
 
-    /// The hyperscale data-center ladder for the sharded construction
-    /// path: the pod-10k shape replicated across pods (pod-local cores
-    /// joined by a boundary ring), reaching ~100k and ~1M VMs. Used by E8's
-    /// sharded section, E12 and E13.
+    /// The hyperscale data-center ladder for multi-pod construction: the
+    /// pod-10k shape replicated across pods (pod-local cores joined by a
+    /// boundary ring), reaching ~100k and ~1M VMs. Used by E8's DC
+    /// section, E12 and E13.
     pub const DC_LADDER: [Scale; 2] = [
         Scale {
             name: "dc-100k",

@@ -124,7 +124,7 @@ mod tests {
     fn probe_name_format_enforces_convention() {
         let schema = parse(r#"{"type": "string", "format": "probe-name"}"#);
         for good in [
-            "alvc_core.shard.pod_construct_us",
+            "alvc_nfv.orchestrator.deploy_us",
             "alvc_affinity.propose_us",
             "alvc_core.label.clones",
         ] {

@@ -10,11 +10,15 @@ use crate::error::AlValidationError;
 /// walks through them — so per-call scratch over the index is sized by the
 /// switch count, not by the physical graph.
 pub(crate) struct SwitchIndex<'a> {
-    dc: &'a DataCenter,
+    pub(crate) dc: &'a DataCenter,
     tor_count: usize,
     /// Whether [`SwitchIndex::neighbors`] may read exterior lists; off only
     /// for the tests that hold the walks equal to walks over whole lists.
     exterior_lists: bool,
+    /// Whether the augmentation walk may skip the interiors of closed pods
+    /// (`construction::closed_pods`); off only for the tests that hold it
+    /// equal to the walk over the whole pool.
+    pub(crate) closed_pods: bool,
 }
 
 impl<'a> SwitchIndex<'a> {
@@ -23,6 +27,7 @@ impl<'a> SwitchIndex<'a> {
             dc,
             tor_count: dc.tor_count(),
             exterior_lists: true,
+            closed_pods: true,
         }
     }
 
@@ -31,6 +36,16 @@ impl<'a> SwitchIndex<'a> {
     pub(crate) fn whole_lists(dc: &'a DataCenter) -> Self {
         SwitchIndex {
             exterior_lists: false,
+            ..SwitchIndex::new(dc)
+        }
+    }
+
+    /// An index whose augmentation walks every available OPS, closed pods'
+    /// interiors included.
+    #[cfg(test)]
+    pub(crate) fn whole_pool(dc: &'a DataCenter) -> Self {
+        SwitchIndex {
+            closed_pods: false,
             ..SwitchIndex::new(dc)
         }
     }

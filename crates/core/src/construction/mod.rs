@@ -43,7 +43,7 @@ pub use random::RandomSelection;
 use std::collections::VecDeque;
 
 use alvc_graph::BucketSelector;
-use alvc_topology::{DataCenter, OpsId, TorId, VmId};
+use alvc_topology::{DataCenter, Element, OpsId, TorId, VmId};
 
 use crate::abstraction_layer::{AbstractionLayer, SwitchIndex, NOT_MEMBER};
 use crate::error::ConstructionError;
@@ -111,16 +111,6 @@ impl OpsAvailability {
     /// Number of blocked OPSs.
     pub fn blocked_count(&self) -> usize {
         self.blocked.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Blocks everything `other` blocks.
-    pub(crate) fn block_all(&mut self, other: &OpsAvailability) {
-        if other.blocked.len() > self.blocked.len() {
-            self.blocked.resize(other.blocked.len(), 0);
-        }
-        for (word, &theirs) in self.blocked.iter_mut().zip(&other.blocked) {
-            *word |= theirs;
-        }
     }
 
     /// Heap bytes held by the bitset.
@@ -812,6 +802,14 @@ pub(crate) fn select_ops_greedy(
 /// OPSs, where the scan does nothing, so distances, frontier order and the
 /// absorbed OPSs are those of a walk over the whole lists.
 ///
+/// The walk also skips the non-boundary OPSs outside the layer of every
+/// **closed** pod ([`closed_pods`]): one whose members form one component
+/// holding a non-boundary OPS linked to every boundary OPS of the pod.
+/// Every way out of such a pod is one hop from that OPS, so its other
+/// interior OPSs never shorten a path; the layers and errors are those of
+/// a walk over the whole pool, for a fraction of the visits on a layer
+/// that spans many pods.
+///
 /// # Errors
 ///
 /// [`ConstructionError::Disconnected`] if no such path exists.
@@ -834,24 +832,36 @@ fn connect_over(
     if n_components <= 1 {
         return Ok(al);
     }
+    let dc = switches.dc;
     let members: Vec<usize> = al.switch_slots(switches).collect();
-    // open[p]: pod p's non-boundary members not joined yet, plus its
-    // walkable non-boundary OPSs outside the layer (`components_with` left
-    // every count at 0). An OPS of pod p is scanned over its exterior list
-    // once open[p] is 0.
+    // Per pod: its boundary OPSs, and its available non-boundary OPSs
+    // outside the layer.
+    let mut boundary = vec![0u32; open.len()];
+    let mut outside = vec![0u32; open.len()];
+    for (slot, &label) in component.iter().enumerate() {
+        let Some(ops) = switches.ops_at(slot) else {
+            continue;
+        };
+        let p = dc.pod_of_ops(ops).index();
+        if dc.is_boundary_ops(ops) {
+            boundary[p] += 1;
+        } else if label == NOT_MEMBER && available.is_available(ops) {
+            outside[p] += 1;
+        }
+    }
+    let closed = closed_pods(switches, &members, &component, &boundary);
+    // open[p]: pod p's non-boundary members not joined yet, plus, unless
+    // the pod is closed, its walkable non-boundary OPSs outside the layer
+    // (`components_with` left every count at 0). An OPS of pod p is
+    // scanned over its exterior list once open[p] is 0.
     for &m in &members {
         if let Some(p) = switches.interior_pod(m) {
             open[p] += 1;
         }
     }
-    for (slot, &label) in component.iter().enumerate() {
-        let walkable = switches
-            .ops_at(slot)
-            .is_some_and(|o| available.is_available(o));
-        if walkable && label == NOT_MEMBER {
-            if let Some(p) = switches.interior_pod(slot) {
-                open[p] += 1;
-            }
+    for (p, &n) in outside.iter().enumerate() {
+        if !closed[p] {
+            open[p] += n;
         }
     }
     // dist[s]: fewest hops found so far from the joined set to slot s;
@@ -896,10 +906,12 @@ fn connect_over(
                 continue;
             }
             if component[v] == NOT_MEMBER {
-                // Walkable iff an available OPS (a foreign ToR is not).
+                // Walkable iff an available OPS (a foreign ToR is not)
+                // outside a closed pod's interior.
                 if switches
                     .ops_at(v)
                     .is_some_and(|o| available.is_available(o))
+                    && !switches.interior_pod(v).is_some_and(|p| closed[p])
                 {
                     dist[v] = d + 1;
                     prev[v] = u;
@@ -943,6 +955,74 @@ fn connect_over(
     Ok(al)
 }
 
+/// Per pod, whether [`ensure_connected`]'s walk may skip its interior: the
+/// pod is **closed** when it has a boundary OPS (`boundary[p]` counts
+/// them), the layer's members in it (`members`, labelled by `component`)
+/// lie in one component, that component holds a non-boundary OPS of the
+/// pod linked to every boundary OPS of the pod, and no member ToR's
+/// uplinks cross into or out of the pod.
+///
+/// A non-boundary OPS links only to its own pod's OPSs and to ToRs, and
+/// the walk enters a ToR only if it is a member, so from a closed pod's
+/// non-member interior the walk reaches only the pod's own members, which
+/// are in one component, and its boundary OPSs. Before that component is
+/// joined, the walk enters the pod through a boundary OPS, whose scan
+/// joins it over the spanning OPS; after, every boundary OPS of the pod
+/// is one hop from the joined set. Either way no interior path is ever
+/// absorbed, and no distance that decides one changes.
+fn closed_pods(
+    switches: &SwitchIndex<'_>,
+    members: &[usize],
+    component: &[u32],
+    boundary: &[u32],
+) -> Vec<bool> {
+    /// `label[p]` of a pod whose members lie in several components or
+    /// whose member ToRs' uplinks cross pods.
+    const OPEN: u32 = NOT_MEMBER - 1;
+    let dc = switches.dc;
+    let mut closed = vec![false; boundary.len()];
+    if !switches.closed_pods {
+        return closed;
+    }
+    // label[p]: the component of pod p's members, NOT_MEMBER while it has
+    // none.
+    let mut label = vec![NOT_MEMBER; boundary.len()];
+    for &m in members {
+        let (p, uplinks) = match switches.ops_at(m) {
+            Some(ops) => (dc.pod_of_ops(ops).index(), &[][..]),
+            None => (dc.pod_of_tor(TorId(m)).index(), dc.uplinks_of_tor(TorId(m))),
+        };
+        if label[p] == NOT_MEMBER {
+            label[p] = component[m];
+        } else if label[p] != component[m] {
+            label[p] = OPEN;
+        }
+        for q in uplinks.iter().map(|&o| dc.pod_of_ops(o).index()) {
+            if q != p {
+                label[p] = OPEN;
+                label[q] = OPEN;
+            }
+        }
+    }
+    for &m in members {
+        let Some(p) = switches.interior_pod(m) else {
+            continue;
+        };
+        if closed[p] || label[p] == OPEN || boundary[p] == 0 {
+            continue;
+        }
+        let ops = switches.ops_at(m).expect("an interior slot is an OPS's");
+        // A non-boundary OPS's exterior list holds its ToRs and the
+        // boundary OPSs of its pod it links to.
+        let linked = dc
+            .exterior_switches_of_ops(ops)
+            .filter(|s| matches!(s, Element::Ops(_)))
+            .count();
+        closed[p] = linked == boundary[p] as usize;
+    }
+    closed
+}
+
 /// [`ensure_connected`]'s join: the members of component `label` become
 /// part of the joined set (component 0, distance 0) and are queued as seeds,
 /// in slot order; each joined non-boundary OPS lowers its pod's `open`.
@@ -970,10 +1050,10 @@ fn join_component(
 // ----- batch (fleet) construction ----------------------------------------
 
 /// Constructs one abstraction layer per VM cluster against a shared OPS
-/// pool — the batch engine behind the NFV orchestrator's bulk chain
-/// deployment, whose layers [`crate::ClusterManager::adopt_or_create`]
-/// commits, and behind each pod of
-/// [`construct_layers_sharded`](crate::construct_layers_sharded).
+/// pool — the one construction entry: behind the NFV orchestrator's bulk
+/// chain deployment, whose layers
+/// [`crate::ClusterManager::adopt_or_create`] commits, and behind a whole
+/// data center's bring-up, whose service clusters span every pod.
 ///
 /// One call of [`AlConstruct::construct_batch`], in the calling thread:
 /// [`PaperGreedy`] lets the clusters take turns on the pool and then
@@ -981,7 +1061,10 @@ fn join_component(
 /// cluster the batch leaves without a layer; other constructors fold
 /// [`AlConstruct::construct`] over it. Each cluster is built once, and
 /// each rebuild once more, counted in
-/// `alvc_core.construction.layers_built`.
+/// `alvc_core.construction.layers_built`. A layer spanning pods is
+/// connected between them over their boundary OPSs, skipping the
+/// interiors of the pods it already spans (`ensure_connected`, DESIGN.md
+/// §13).
 ///
 /// Guarantees: the result is **deterministic**, committed layers are
 /// pairwise **OPS-disjoint** and disjoint from `available`'s blocked set,
@@ -999,7 +1082,7 @@ pub fn construct_layers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, ServiceType};
+    use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, PodId, ServiceType};
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -1059,19 +1142,6 @@ mod tests {
         let mut b = OpsAvailability::with_blocked([far]);
         b.release(far);
         assert_eq!(b, OpsAvailability::all());
-    }
-
-    #[test]
-    fn block_all_is_the_union_of_both_blocked_sets() {
-        let mut a = OpsAvailability::with_blocked([OpsId(1)]);
-        a.block_all(&OpsAvailability::with_blocked([OpsId(2), OpsId(200)]));
-        assert_eq!(
-            a,
-            OpsAvailability::with_blocked([OpsId(1), OpsId(2), OpsId(200)])
-        );
-        let mut long = OpsAvailability::with_blocked([OpsId(500)]);
-        long.block_all(&OpsAvailability::with_blocked([OpsId(0)]));
-        assert_eq!(long.blocked_count(), 2);
     }
 
     #[test]
@@ -1445,6 +1515,224 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Multi-pod builder topologies: 2–5 pods; none, ring or full-mesh
+    /// pod cores; 0–3 gateway lanes.
+    fn multi_pod_strategy() -> impl Strategy<Value = DataCenter> {
+        (
+            (2usize..6, 1usize..4, 1usize..3, 1usize..8),
+            (1usize..5, 0usize..4, 0u8..3, 0u64..1000),
+        )
+            .prop_map(|((pods, racks, vms, ops), (degree, lanes, core, seed))| {
+                AlvcTopologyBuilder::new()
+                    .racks(racks)
+                    .servers_per_rack(2)
+                    .vms_per_server(vms)
+                    .ops_count(ops)
+                    .tor_ops_degree(degree)
+                    .interconnect(match core {
+                        0 => OpsInterconnect::None,
+                        1 => OpsInterconnect::Ring,
+                        _ => OpsInterconnect::FullMesh,
+                    })
+                    .pods(pods)
+                    .boundary_gateways(lanes)
+                    .seed(seed)
+                    .build()
+            })
+    }
+
+    /// Clusters over every VM: dealt round-robin (`pod_pairs == false`),
+    /// so most span every pod, or one per pod `p` holding alternate VMs of
+    /// pods `p` and `p - 2`, so a walk may cross a pod the cluster has no
+    /// VM in.
+    fn clusters_of(dc: &DataCenter, n: usize, pod_pairs: bool) -> Vec<Vec<VmId>> {
+        let n = if pod_pairs { dc.pod_count() } else { n };
+        let mut clusters: Vec<Vec<VmId>> = vec![Vec::new(); n];
+        for (i, vm) in dc.vm_ids().enumerate() {
+            let c = if pod_pairs {
+                (dc.pod_of_vm(vm).index() + i % 2 * 2) % n
+            } else {
+                i % n
+            };
+            clusters[c].push(vm);
+        }
+        clusters.retain(|c| !c.is_empty());
+        clusters
+    }
+
+    /// Per pod, its boundary OPSs.
+    fn boundary_counts(dc: &DataCenter) -> Vec<u32> {
+        let mut boundary = vec![0; dc.pod_count()];
+        for o in dc.ops_ids().filter(|&o| dc.is_boundary_ops(o)) {
+            boundary[dc.pod_of_ops(o).index()] += 1;
+        }
+        boundary
+    }
+
+    /// The pods [`closed_pods`] closes for `al`, if it has more than one
+    /// component.
+    fn closed_for(dc: &DataCenter, al: &AbstractionLayer) -> Vec<bool> {
+        let switches = SwitchIndex::new(dc);
+        let (labels, n) = al.components(&switches);
+        if n <= 1 {
+            return vec![false; dc.pod_count()];
+        }
+        let members: Vec<usize> = al.switch_slots(&switches).collect();
+        closed_pods(&switches, &members, &labels, &boundary_counts(dc))
+    }
+
+    /// Augments `layers` in turn as a batch does, each against `available`
+    /// less every layer's OPSs and those the walks before it absorbed,
+    /// once skipping closed pods and once over the whole pool. Asserts the
+    /// two equal, layers and errors alike, and returns how many walks
+    /// found a closed pod.
+    fn assert_closed_equals_whole(
+        dc: &DataCenter,
+        layers: &[AbstractionLayer],
+        available: &OpsAvailability,
+    ) -> Result<usize, TestCaseError> {
+        let mut pool = available.clone();
+        for &o in layers.iter().flat_map(AbstractionLayer::ops) {
+            pool.block(o);
+        }
+        let mut closing = 0;
+        for al in layers {
+            closing += usize::from(closed_for(dc, al).contains(&true));
+            let closed = connect_over(&SwitchIndex::new(dc), al.clone(), &pool);
+            let whole = connect_over(&SwitchIndex::whole_pool(dc), al.clone(), &pool);
+            prop_assert_eq!(&closed, &whole);
+            if let Ok(al) = closed {
+                for &o in al.ops() {
+                    pool.block(o);
+                }
+            }
+        }
+        Ok(closing)
+    }
+
+    /// Skipping closed pods' interiors changes no walk: on the bare
+    /// covers of clusters that span or cross pods, augmented in turn as a
+    /// batch augments them, the layers and errors equal those of walks
+    /// over the whole pool. The rule must fire on a good share of the
+    /// corpus for that to say anything.
+    #[test]
+    fn closed_pod_walks_equal_whole_pool_walks() {
+        use std::cell::Cell;
+        let (cases, closing) = (Cell::new(0usize), Cell::new(0usize));
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(256),
+            "closed_pod_walks_equal_whole_pool_walks",
+            (multi_pod_strategy(), 1usize..5, 0u8..2),
+            |(dc, n, pod_pairs)| {
+                let clusters = clusters_of(&dc, n, pod_pairs == 1);
+                let all = OpsAvailability::all();
+                let bare = PaperGreedy::without_augmentation();
+                let covers: Vec<_> = construct_layers(&dc, &clusters, &bare, &all)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let found = assert_closed_equals_whole(&dc, &covers, &all)?;
+                cases.set(cases.get() + 1);
+                closing.set(closing.get() + usize::from(found > 0));
+                Ok(())
+            },
+        );
+        assert!(
+            closing.get() * 4 >= cases.get(),
+            "the rule fired in {} of {} cases",
+            closing.get(),
+            cases.get()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The same on drawn layers and blocked sets over topologies with
+        /// late links, some of them uplinks or core links across pods.
+        #[test]
+        fn closed_pod_walks_equal_whole_pool_walks_on_drawn_layers(
+            (dc, al, avail) in exterior_case(),
+        ) {
+            assert_closed_equals_whole(&dc, &[al], &avail)?;
+        }
+    }
+
+    /// The layer's ToR of pod 0 reaches its pod's other member, the
+    /// spanning OPS `m`, only through the non-member interior OPS `x`: the
+    /// pod's members lie in two components, so the pod stays open and the
+    /// walk absorbs `x`. A rule without the one-component condition
+    /// skipped `x` and found the layer disconnected.
+    #[test]
+    fn a_pod_whose_members_are_split_stays_open() {
+        let mut dc = DataCenter::new();
+        let (_, t0) = dc.add_rack_in_pod(PodId(0));
+        let (_, t1) = dc.add_rack_in_pod(PodId(1));
+        let [b0, m, x] = [(); 3].map(|_| dc.add_ops_in_pod(None, PodId(0)));
+        let b1 = dc.add_ops_in_pod(None, PodId(1));
+        dc.connect_tor_ops(t0, x);
+        dc.connect_tor_ops(t1, b1);
+        for (a, b) in [(b0, b1), (m, b0), (m, x)] {
+            dc.connect_ops_ops(a, b);
+        }
+        let al = AbstractionLayer::new(vec![t0, t1], vec![m, b1]);
+        assert_eq!(closed_for(&dc, &al), vec![false, false]);
+        let joined = ensure_connected(&dc, al.clone(), &OpsAvailability::all());
+        assert_eq!(
+            joined.as_ref().map(AbstractionLayer::ops),
+            Ok(&[b0, m, x, b1][..])
+        );
+        let whole = connect_over(&SwitchIndex::whole_pool(&dc), al, &OpsAvailability::all());
+        assert_eq!(joined, whole);
+    }
+
+    /// A layer ToR of pod 1 uplinks only to pod 0's interior OPS `x`: the
+    /// uplink crosses pods, so pod 0 stays open although its members form
+    /// one component around an OPS linked to its one boundary OPS, and the
+    /// walk absorbs `x`.
+    #[test]
+    fn a_cross_pod_uplink_keeps_the_pod_open() {
+        let mut dc = DataCenter::new();
+        let (_, t0) = dc.add_rack_in_pod(PodId(0));
+        let (_, t1) = dc.add_rack_in_pod(PodId(1));
+        let [b0, m, x] = [(); 3].map(|_| dc.add_ops_in_pod(None, PodId(0)));
+        let b1 = dc.add_ops_in_pod(None, PodId(1));
+        dc.connect_tor_ops(t0, m);
+        dc.connect_tor_ops(t1, x);
+        for (a, b) in [(b0, b1), (m, b0), (m, x)] {
+            dc.connect_ops_ops(a, b);
+        }
+        let al = AbstractionLayer::new(vec![t0, t1], vec![m]);
+        assert_eq!(closed_for(&dc, &al), vec![false, false]);
+        let joined = ensure_connected(&dc, al.clone(), &OpsAvailability::all());
+        assert_eq!(joined.as_ref().map(AbstractionLayer::ops), Ok(&[m, x][..]));
+        let whole = connect_over(&SwitchIndex::whole_pool(&dc), al, &OpsAvailability::all());
+        assert_eq!(joined, whole);
+    }
+
+    /// On a gatewayed full-mesh build, the bare cover of a cluster over
+    /// every pod closes each pod: its members there are one mesh, and a
+    /// mesh member links to every gateway of the pod.
+    #[test]
+    fn gatewayed_full_mesh_pods_close() {
+        let dc = AlvcTopologyBuilder::new()
+            .racks(2)
+            .ops_count(8)
+            .tor_ops_degree(2)
+            .interconnect(OpsInterconnect::FullMesh)
+            .pods(4)
+            .boundary_gateways(2)
+            .seed(3)
+            .build();
+        let vms: Vec<VmId> = dc.vm_ids().collect();
+        let cover = PaperGreedy::without_augmentation()
+            .construct(&dc, &vms, &OpsAvailability::all())
+            .expect("every rack is coverable");
+        assert_eq!(closed_for(&dc, &cover), vec![true; 4]);
+        let joined = ensure_connected(&dc, cover, &OpsAvailability::all()).expect("gateways join");
+        assert!(joined.validate(&dc, &vms).is_ok());
     }
 
     /// Single- or dual-homed builder topologies with scarce uplinks (1–3

@@ -51,7 +51,6 @@ pub mod construction;
 pub mod error;
 pub mod label;
 pub mod manager;
-pub mod shard;
 pub mod update_cost;
 mod virtual_cluster;
 
@@ -61,5 +60,4 @@ pub use construction::{construct_layers, OpsAvailability};
 pub use error::{AlValidationError, ConstructionError};
 pub use label::LabelId;
 pub use manager::{ClusterId, ClusterManager, ClusterSlice, VirtualCluster};
-pub use shard::{construct_layers_sharded, ShardReport, ShardedState};
 pub use update_cost::{ChurnEvent, UpdateCost, UpdateCostModel};

@@ -1,30 +1,29 @@
-//! Work, not time: what a sharded construction whose clusters span every
+//! Work, not time: what a batch construction whose clusters span every
 //! pod costs, in five process-wide counters:
 //! - `alvc_core.construction.label_visits`, the neighbour visits of
 //!   component labelling;
 //! - `alvc_core.construction.augment_visits`, those of connectivity
 //!   augmentation;
-//! - `alvc_core.construction.layers_built`, the clusters the pod batches
-//!   build and the fallbacks;
+//! - `alvc_core.construction.layers_built`, the clusters the batch builds;
 //! - `alvc_core.construction.exchange_moves` and `.exchange_visits`, the
-//!   moves of the exchange search that shrinks each pod's covers and the
-//!   list entries it reads.
+//!   moves of the exchange search that shrinks the covers and the list
+//!   entries it reads.
 //!
-//! The cross-pod merges walk only the OPSs where pods meet, both walks
-//! read a pod's full-mesh interior once per pod rather than once per OPS,
-//! each pod builds each of its sub-clusters once, and the exchange reads
-//! only the lists around its roots, so these counts stay far below what
-//! the naive walks and a rescanning exchange make, on any host; a lone
-//! two-rack cluster skips the exchange and reads nothing. The
-//! counters are process-wide, so this file holds the one test that reads
-//! them.
+//! The augmentation skips the interiors of closed pods and walks the OPSs
+//! where pods meet, both walks read a pod's full-mesh interior once per
+//! pod rather than once per OPS, the batch builds each cluster once, and
+//! the exchange reads only the lists around its roots, so these counts
+//! stay far below what the naive walks and a rescanning exchange make, on
+//! any host; a lone two-rack cluster skips the exchange and reads nothing.
+//! The counters are process-wide, so this file holds the one test that
+//! reads them.
 
 use alvc_core::construction::{AlConstruct, PaperGreedy};
-use alvc_core::{construct_layers_sharded, OpsAvailability};
+use alvc_core::{construct_layers, OpsAvailability};
 use alvc_topology::{AlvcTopologyBuilder, OpsInterconnect, VmId};
 
 #[test]
-fn cross_pod_merges_walk_the_boundary_not_the_pod_interiors() {
+fn cross_pod_layers_walk_the_boundary_not_the_pod_interiors() {
     let dc = AlvcTopologyBuilder::new()
         .racks(4)
         .servers_per_rack(2)
@@ -50,24 +49,21 @@ fn cross_pod_merges_walk_the_boundary_not_the_pod_interiors() {
     ]
     .map(alvc_telemetry::counter);
     let before = counters.each_ref().map(|c| c.value());
-    let (results, report) =
-        construct_layers_sharded(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
+    let results = construct_layers(&dc, &clusters, &PaperGreedy::new(), &OpsAvailability::all());
     let [labels, walks, layers, moves, exchange_visits] =
         [0, 1, 2, 3, 4].map(|i| counters[i].value() - before[i]);
     assert!(results.iter().all(Result::is_ok));
-    assert_eq!((report.merged_clusters, report.fallbacks), (2, 0));
-    // Labelling over whole switch lists made 1,410 visits here; with
-    // exterior lists it makes 658.
-    assert!(labels <= 658, "{labels} label visits");
-    // Walking the whole pool, interiors included, the two merges made
-    // 10,055 visits here; skipping the interiors they made 955, and
-    // reading exterior lists they make 100.
+    // Labelling over whole switch lists makes 705 visits here; with
+    // exterior lists it makes 329.
+    assert!(labels <= 329, "{labels} label visits");
+    // Walking the whole pool, interiors included, the two walks make 9,903
+    // visits here; skipping the closed pods' interiors they make 955, and
+    // reading exterior lists as well they make 100.
     assert!(walks <= 100, "{walks} augmentation visits");
-    // Eight pod sub-clusters (4 pods x 2 clusters), each built once.
-    assert_eq!(layers, 8, "{layers} layers built");
-    // Each pod's two covers (two racks each) are already minimal: the
-    // exchange reads the copy of the racks' uplink lists and one sweep,
-    // 164 entries, and moves nothing.
+    // Two clusters, each built once.
+    assert_eq!(layers, 2, "{layers} layers built");
+    // The covers leave no move: the exchange reads the copy of the racks'
+    // uplink lists and one sweep, 164 entries, and moves nothing.
     assert_eq!(moves, 0, "{moves} exchange moves");
     assert!(exchange_visits <= 164, "{exchange_visits} exchange visits");
 

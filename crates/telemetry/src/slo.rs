@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! p99-intent: p99_us(alvc_nfv.control.intent_latency_us) <= 5000
-//! pod-construct: p99_us(alvc_core.shard.pod_construct_us, *) <= 200000
+//! deploy: p99_us(alvc_nfv.orchestrator.deploy_us, *) <= 200000
 //! tenant-rejects: reject_rate(alvc_nfv.control.tenant_rejections, alvc_nfv.control.tenant_intents) <= 0.25
 //! ```
 //!
@@ -466,12 +466,13 @@ mod tests {
             }
         );
 
-        let p = SloSpec::parse("pods: p99_us(alvc_core.shard.pod_construct_us, *) <= 2e5").unwrap();
-        assert_eq!(p.name, "pods");
+        let p =
+            SloSpec::parse("deploy: p99_us(alvc_nfv.orchestrator.deploy_us, *) <= 2e5").unwrap();
+        assert_eq!(p.name, "deploy");
         assert_eq!(
             p.kind,
             SloKind::P99LatencyUs {
-                histogram: "alvc_core.shard.pod_construct_us".into(),
+                histogram: "alvc_nfv.orchestrator.deploy_us".into(),
                 label: "*".into(),
                 max_us: 2e5
             }

@@ -60,9 +60,9 @@ define_id!(
     /// Identifier of a pod: a locality domain grouping racks and OPSs.
     ///
     /// Pods shard the data center for hyperscale state management: every
-    /// ToR and OPS belongs to exactly one pod (default `pod-0`), and the
-    /// sharded construction/ledger layers in `alvc-core`/`alvc-nfv`
-    /// partition their state by pod.
+    /// ToR and OPS belongs to exactly one pod (default `pod-0`), the link
+    /// ledger in `alvc-nfv` partitions its state by pod, and layer
+    /// construction in `alvc-core` connects pods over their boundary OPSs.
     PodId,
     "pod-"
 );

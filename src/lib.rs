@@ -9,6 +9,9 @@ pub use alvc_sim as sim;
 pub use alvc_telemetry as telemetry;
 pub use alvc_topology as topology;
 
+#[doc(hidden)]
+pub mod shard;
+
 /// The one-stop import for AL-VC applications:
 /// `use alvc::prelude::*;` brings in everything a typical program needs —
 /// topology building, abstraction-layer construction, the orchestrator and
@@ -28,16 +31,15 @@ pub use alvc_topology as topology;
 /// # Ok::<(), Error>(())
 /// ```
 pub mod prelude {
+    #[doc(hidden)]
+    pub use crate::shard::{construct_layers_sharded, ShardReport, ShardedState};
     pub use alvc_affinity::{
         AffinityClusterer, HysteresisPolicy, MigrationPlanner, ReclusterPlan, TrafficCollector,
         TrafficStats, VmMove,
     };
     pub use alvc_core::clustering::{service_clusters, tenant_clusters};
     pub use alvc_core::construction::{AlConstruct, PaperGreedy};
-    pub use alvc_core::{
-        construct_layers_sharded, AbstractionLayer, ClusterId, ClusterManager, LabelId,
-        ShardReport, ShardedState,
-    };
+    pub use alvc_core::{AbstractionLayer, ClusterId, ClusterManager, LabelId};
     pub use alvc_energy::{
         ConsolidationConfig, ConsolidationMode, ConsolidationPlan, ConsolidationPlanner,
         PowerLedger, PowerModel,
