@@ -101,8 +101,12 @@ impl TraceTenant {
 /// that a deploy meets.
 fn slo_specs() -> Vec<SloSpec> {
     vec![
-        SloSpec::parse("induced_p99: p99_us(alvc_nfv.control.intent_latency_us) <= 0.001")
-            .expect("spec grammar"),
+        SloSpec::p99_latency_us(
+            "induced_p99",
+            "alvc_nfv.control.intent_latency_us",
+            "",
+            0.001,
+        ),
         SloSpec::rejection_rate(
             "tenant_reject_rate",
             "alvc_nfv.control.tenant_rejections",

@@ -11,11 +11,11 @@
 //!   elements down through operator `SetPowerState` intents, and the
 //!   safety valve re-powers everything the moment load (or the flash
 //!   crowd) returns. Every plan is SLO-gated: consolidation never rides
-//!   over a violated QoS class.
+//!   over a chain past its `max_latency_us` budget.
 //!
 //! Both variants integrate watt-seconds with an [`alvc_energy::PowerLedger`]
-//! and record p99 predicted chain latency per epoch, yielding the
-//! energy-vs-p99 Pareto sweep in `results/BENCH_energy_qos.json`.
+//! and record the p99 of the deployed chains' current one-way latency per
+//! epoch, yielding the energy-vs-p99 Pareto sweep in `results/BENCH_energy_qos.json`.
 //! Acceptance (DESIGN.md §17): ≥ 3 distinct diurnal load levels, zero SLO
 //! violations anywhere, consolidation cutting draw ≥ 20% at the trough,
 //! and the consolidated plane's intent log replaying bit-identically.
@@ -26,13 +26,13 @@ use std::sync::Arc;
 use alvc_affinity::{CollectorConfig, TrafficCollector};
 use alvc_bench::{f2, pct, print_table, Json, Op, Report, Scale};
 use alvc_core::construction::PaperGreedy;
+use alvc_energy::consolidate::latency_budget_check;
 use alvc_energy::{
     ConsolidationConfig, ConsolidationMode, ConsolidationPlanner, PowerLedger, PowerModel,
 };
 use alvc_nfv::chain::fig5;
 use alvc_nfv::{
-    ChainSpec, ControlPlane, ElectronicOnlyPlacer, Intent, IntentOutcome, Orchestrator, QosClass,
-    TenantQuota,
+    ChainSpec, ControlPlane, ElectronicOnlyPlacer, Intent, IntentOutcome, Orchestrator, TenantQuota,
 };
 use alvc_sim::DiurnalLoad;
 use alvc_topology::{DataCenter, PowerState, ServiceType, VmId};
@@ -52,7 +52,7 @@ const EPOCHS_PER_PHASE: u64 = 4;
 const MIN_TROUGH_SAVING: f64 = 0.20;
 const SERVICES: usize = 3;
 
-/// A fig. 5 chain over one service's VMs with the QoS class attached.
+/// A fig. 5 chain over one service's VMs with latency budget `slo_us`.
 fn qos_spec(service_index: usize, vms: &[VmId], slo_us: f64) -> ChainSpec {
     let (ingress, egress) = (vms[0], *vms.last().expect("service has VMs"));
     let mut spec = match service_index % 3 {
@@ -60,11 +60,11 @@ fn qos_spec(service_index: usize, vms: &[VmId], slo_us: f64) -> ChainSpec {
         1 => fig5::blue(ingress, egress),
         _ => fig5::green(ingress, egress),
     };
-    spec.qos = Some(QosClass::new(slo_us));
+    spec.max_latency_us = Some(slo_us);
     spec
 }
 
-/// Deploys one QoS-classed chain per service through `cp`.
+/// Deploys one budgeted chain per service through `cp`.
 fn deploy_all(cp: &ControlPlane, dc: &DataCenter, slo_us: f64) {
     for (i, &service) in ServiceType::BUILTIN[..SERVICES].iter().enumerate() {
         let vms = dc.vms_of_service(service);
@@ -100,31 +100,6 @@ fn calibrate_slo_us(dc: &DataCenter) -> f64 {
         worst = worst.max(orch.chain_latency_us(id).expect("deployed chain"));
     }
     (worst * 2.0).ceil()
-}
-
-/// Predicted p99 latency (µs) and SLO violation count over live chains.
-fn latency_stats(cp: &ControlPlane) -> (f64, usize) {
-    cp.inspect(|orch| {
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut violations = 0usize;
-        for chain in orch.chains() {
-            let Some(latency) = orch.chain_latency_us(chain.nfc().id()) else {
-                continue;
-            };
-            latencies.push(latency);
-            if let Some(qos) = chain.nfc().spec().qos {
-                if latency > qos.latency_slo_us {
-                    violations += 1;
-                }
-            }
-        }
-        if latencies.is_empty() {
-            return (0.0, violations);
-        }
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let idx = ((latencies.len() as f64 * 0.99).ceil() as usize).clamp(1, latencies.len()) - 1;
-        (latencies[idx], violations)
-    })
 }
 
 /// One service-ring epoch of traffic: every VM talks to its ring neighbor
@@ -269,8 +244,9 @@ fn run_diurnal() -> DiurnalResult {
             .inspect(|orch| consolidated_ledger.sample(&dc, orch, ts))
             .power
             .total_w();
-        let (p99_always_us, violations_always) = latency_stats(&always);
-        let (p99_consolidated_us, violations_consolidated) = latency_stats(&consolidated);
+        let (p99_always_us, violations_always) = always.inspect(latency_budget_check);
+        let (p99_consolidated_us, violations_consolidated) =
+            consolidated.inspect(latency_budget_check);
         rows.push(EpochRow {
             epoch,
             phase: day.phase(epoch).name,

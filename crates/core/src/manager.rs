@@ -323,12 +323,28 @@ impl ClusterManager {
         dc: &DataCenter,
         tor: TorId,
     ) -> Vec<(ClusterId, Result<(), ConstructionError>)> {
-        let listing: Vec<ClusterId> = self
-            .clusters
-            .values()
-            .filter(|vc| vc.al().contains_tor(tor))
-            .map(|vc| vc.id())
+        // A layer listing `tor` covers it with one of the ToR's uplinks,
+        // and `owner` names the layer of every listed OPS (a degraded
+        // layer's failed ones included): the uplinks' owners are the only
+        // candidates.
+        let mut listing: Vec<ClusterId> = dc
+            .uplinks_of_tor(tor)
+            .iter()
+            .filter_map(|&o| self.ops_owner(o))
             .collect();
+        listing.sort_unstable();
+        listing.dedup();
+        alvc_telemetry::counter!("alvc_core.manager.layers_examined").add(listing.len() as u64);
+        listing.retain(|id| self.clusters[id].al().contains_tor(tor));
+        debug_assert_eq!(
+            listing,
+            self.clusters
+                .values()
+                .filter(|vc| vc.al().contains_tor(tor))
+                .map(|vc| vc.id())
+                .collect::<Vec<_>>(),
+            "layers listing {tor}"
+        );
         for &id in &listing {
             let vc = &self.clusters[&id];
             let kept = vc.al().tors().iter().copied().filter(|&t| t != tor);

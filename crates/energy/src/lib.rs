@@ -14,14 +14,14 @@
 //! * [`consolidate`] — [`ConsolidationPlanner`]: when traffic ebbs
 //!   (streaming load signal from `alvc_affinity`, hysteresis-gated), packs
 //!   abstraction layers onto fewer powered switches and powers vacated
-//!   elements down through `Intent::SetPowerState`, never proposing a plan
-//!   whose predicted p99 violates any chain's latency SLO, and re-powers
-//!   everything the moment load returns.
+//!   elements down through `Intent::SetPowerState`, never proposing a
+//!   power-down while a deployed chain is over its latency budget, and
+//!   re-powers everything the moment load returns.
 //!
-//! Chains opt into QoS protection by attaching
-//! [`QosClass`](alvc_nfv::QosClass) to their spec; the orchestrator
-//! enforces the SLO at admission and on every reroute, and the planner
-//! treats it as an inviolable ceiling.
+//! A chain opts into latency protection by setting
+//! [`max_latency_us`](alvc_nfv::ChainSpec::max_latency_us) on its spec; the
+//! orchestrator enforces that one budget at admission and on every
+//! reroute, and the planner treats it as an inviolable ceiling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Energy-plane properties: a consolidation plan never powers off an
-//! element carrying live state, a violated SLO vetoes every consolidation
-//! action, applying a plan never perturbs a deployed chain, and one
+//! element carrying live state, a chain over its latency budget vetoes
+//! every consolidation action, applying a plan never perturbs a deployed chain, and one
 //! seeded history — deploys, load signal, planning, ledger sampling —
 //! reproduces bit-identical joules, plans, and control-plane state views.
 
@@ -13,8 +13,7 @@ use alvc_core::construction::PaperGreedy;
 use alvc_energy::{ConsolidationConfig, ConsolidationPlanner, PowerLedger, PowerModel};
 use alvc_nfv::chain::fig5;
 use alvc_nfv::{
-    ChainSpec, ControlPlane, ElectronicOnlyPlacer, Intent, NfcId, Orchestrator, QosClass,
-    TenantQuota,
+    ChainSpec, ControlPlane, ElectronicOnlyPlacer, Intent, NfcId, Orchestrator, TenantQuota,
 };
 use alvc_topology::{AlvcTopologyBuilder, DataCenter, Element, OpsInterconnect, PowerState, VmId};
 use common::carrying_elements;
@@ -33,32 +32,32 @@ fn dc_for(seed: u64, racks: usize) -> DataCenter {
         .build()
 }
 
-/// A fig. 5 chain over `vms` with a (generous) latency SLO attached.
-fn spec_for(kind: u8, ingress: VmId, egress: VmId, slo_us: f64) -> ChainSpec {
+/// A fig. 5 chain over `vms` with a (generous) latency budget.
+fn spec_for(kind: u8, ingress: VmId, egress: VmId, budget_us: f64) -> ChainSpec {
     let mut spec = match kind % 3 {
         0 => fig5::blue(ingress, egress),
         1 => fig5::black(ingress, egress),
         _ => fig5::green(ingress, egress),
     };
-    spec.qos = Some(QosClass::new(slo_us));
+    spec.max_latency_us = Some(budget_us);
     spec
 }
 
-/// Deploys up to `chains` QoS-classed chains over disjoint VM groups.
+/// Deploys up to `chains` budgeted chains over disjoint VM groups.
 /// Groups the topology cannot admit (no route, no headroom for this seed)
 /// are skipped — properties quantify over whatever actually deployed.
 fn deploy_chains(
     dc: &DataCenter,
     orch: &mut Orchestrator,
     chains: usize,
-    slo_us: f64,
+    budget_us: f64,
 ) -> Vec<NfcId> {
     let vms: Vec<VmId> = dc.vm_ids().collect();
     let group = vms.len() / chains;
     (0..chains)
         .filter_map(|i| {
             let vms = vms[i * group..(i + 1) * group].to_vec();
-            let spec = spec_for(i as u8, vms[0], *vms.last().unwrap(), slo_us);
+            let spec = spec_for(i as u8, vms[0], *vms.last().unwrap(), budget_us);
             orch.deploy_chain(
                 dc,
                 format!("t{i}"),
@@ -158,10 +157,10 @@ proptest! {
         prop_assert_eq!(sample.idle, elements.len() - off - carrying_after.len());
     }
 
-    /// SLO gate: when any QoS-classed chain's predicted latency exceeds
-    /// its SLO, the plan proposes *no* consolidation action; when every
-    /// SLO holds, applying the plan keeps every chain inside its
-    /// effective latency budget.
+    /// SLO gate: when any chain's current latency exceeds its
+    /// `max_latency_us` budget, the plan proposes *no* consolidation
+    /// action; when every budget holds, applying the plan keeps every
+    /// chain inside its budget.
     #[test]
     fn slo_violations_veto_and_safe_plans_preserve_budgets(
         seed in 0u64..40,
@@ -171,8 +170,8 @@ proptest! {
         let tight = tight == 1;
         let dc = dc_for(seed, racks);
         let mut orch = Orchestrator::new();
-        // A generous SLO first so deployment always admits; the tight case
-        // then shrinks the admitted chain's SLO below its own latency,
+        // A generous budget first so deployment always admits; the tight
+        // case then inflates the admitted chains' latency past it,
         // modeling a degraded-world prediction.
         let ids = deploy_chains(&dc, &mut orch, 2, 1e9);
         if tight {
@@ -201,19 +200,19 @@ proptest! {
 
         let violated = orch.chains().any(|c| {
             let latency = orch.chain_latency_us(c.nfc().id()).unwrap();
-            c.nfc().spec().qos.is_some_and(|q| latency > q.latency_slo_us)
+            c.nfc().spec().max_latency_us.is_some_and(|budget| latency > budget)
         });
         prop_assert_eq!(plan.slo_ok, !violated);
         if violated {
             prop_assert!(plan.power_downs.is_empty() && plan.moves.is_empty(),
-                "a violated SLO must veto consolidation: {plan:?}");
+                "a chain over budget must veto consolidation: {plan:?}");
         } else {
             for &e in &plan.power_downs {
                 orch.set_power_state(&dc, e, PowerState::PoweredOff).unwrap();
             }
             for chain in orch.chains() {
                 let latency = orch.chain_latency_us(chain.nfc().id()).unwrap();
-                if let Some(budget) = chain.nfc().spec().effective_latency_budget_us() {
+                if let Some(budget) = chain.nfc().spec().max_latency_us {
                     prop_assert!(latency <= budget, "budget violated after plan");
                 }
             }

@@ -215,16 +215,6 @@ pub enum ChainSpecError {
         /// Second stage position.
         b: usize,
     },
-    /// The QoS latency SLO is not a finite positive number.
-    InvalidSlo {
-        /// The offending value.
-        slo_us: f64,
-    },
-    /// The QoS weight is not a finite positive number.
-    InvalidQosWeight {
-        /// The offending value.
-        weight: f64,
-    },
     /// A stage's resource demand has a component that is non-finite,
     /// negative or off the [`ResourceDemand`](crate::ResourceDemand) grid.
     InvalidDemand {
@@ -270,12 +260,6 @@ impl std::fmt::Display for ChainSpecError {
             ChainSpecError::ConflictingRules { a, b } => {
                 write!(f, "stages {a} and {b} are both anti-affine and colocated")
             }
-            ChainSpecError::InvalidSlo { slo_us } => {
-                write!(f, "latency SLO {slo_us} us is not finite and positive")
-            }
-            ChainSpecError::InvalidQosWeight { weight } => {
-                write!(f, "QoS weight {weight} is not finite and positive")
-            }
             ChainSpecError::InvalidDemand { position } => {
                 write!(
                     f,
@@ -288,55 +272,6 @@ impl std::fmt::Display for ChainSpecError {
 }
 
 impl std::error::Error for ChainSpecError {}
-
-/// A chain's quality-of-service class: the latency objective the energy
-/// plane must preserve, and its relative importance.
-///
-/// Where [`ChainSpec::max_latency_us`] is a *deploy-time* budget (exceed it
-/// and admission fails), the QoS class is a *standing* objective: the
-/// orchestrator also refuses any reroute or re-placement whose predicted
-/// path latency exceeds `latency_slo_us`, and the `alvc-energy`
-/// consolidation planner never proposes a power-down whose predicted p99
-/// would violate it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QosClass {
-    /// One-way p99 latency objective for the chain's path, in
-    /// microseconds.
-    pub latency_slo_us: f64,
-    /// Relative weight of this chain when objectives conflict (e.g. which
-    /// chains the consolidation planner protects first). Default 1.0.
-    pub weight: f64,
-}
-
-impl QosClass {
-    /// A class with the given latency SLO and weight 1.0.
-    pub fn new(latency_slo_us: f64) -> Self {
-        QosClass {
-            latency_slo_us,
-            weight: 1.0,
-        }
-    }
-
-    /// Checks the class's numeric invariants.
-    ///
-    /// # Errors
-    ///
-    /// [`ChainSpecError::InvalidSlo`] or
-    /// [`ChainSpecError::InvalidQosWeight`].
-    pub(crate) fn validate(&self) -> Result<(), ChainSpecError> {
-        if !self.latency_slo_us.is_finite() || self.latency_slo_us <= 0.0 {
-            return Err(ChainSpecError::InvalidSlo {
-                slo_us: self.latency_slo_us,
-            });
-        }
-        if !self.weight.is_finite() || self.weight <= 0.0 {
-            return Err(ChainSpecError::InvalidQosWeight {
-                weight: self.weight,
-            });
-        }
-        Ok(())
-    }
-}
 
 /// A chain to deploy: what the tenant hands the orchestrator.
 #[derive(Debug, Clone, PartialEq)]
@@ -352,14 +287,13 @@ pub struct ChainSpec {
     /// Requested bandwidth.
     pub bandwidth_gbps: f64,
     /// Optional one-way latency budget for the chain's path (propagation +
-    /// switching + O/E/O conversion latency), in microseconds. Admission
-    /// rejects deployments whose routed path exceeds it.
+    /// switching + O/E/O conversion latency), in microseconds. It stands
+    /// for the chain's lifetime: deploy, modify and every recovery reroute
+    /// reject a path that exceeds it, and the `alvc-energy` consolidation
+    /// planner proposes no power-down while a deployed chain is over it.
     pub max_latency_us: Option<f64>,
     /// Placement constraints over stage positions, enforced at admission.
     pub rules: Vec<PlacementRule>,
-    /// Optional QoS class: a standing latency SLO (enforced at admission
-    /// and on every reroute) plus a relative weight.
-    pub qos: Option<QosClass>,
 }
 
 impl ChainSpec {
@@ -427,24 +361,11 @@ impl ChainSpec {
         if self.ingress == self.egress && self.vnfs.is_empty() {
             return Err(ChainSpecError::LoopWithoutStage);
         }
-        if let Some(qos) = &self.qos {
-            qos.validate()?;
-        }
         if let Some(position) = self.vnfs.iter().position(|v| !v.demand.on_grid()) {
             return Err(ChainSpecError::InvalidDemand { position });
         }
         validate_rules(&self.rules, self.vnfs.len())?;
         Ok(())
-    }
-
-    /// The effective one-way latency budget: the tighter of the deploy-time
-    /// budget and the QoS latency SLO, if either is set. Admission and
-    /// every subsequent reroute check the routed path against this.
-    pub fn effective_latency_budget_us(&self) -> Option<f64> {
-        match (self.max_latency_us, self.qos.map(|q| q.latency_slo_us)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// The first rule `hosts` violates, if any (one host per stage).
@@ -687,7 +608,6 @@ impl ChainSpecBuilder {
             bandwidth_gbps: self.bandwidth_gbps,
             max_latency_us: None,
             rules,
-            qos: None,
         };
         spec.validate()?;
         Ok(spec)

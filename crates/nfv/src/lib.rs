@@ -57,9 +57,7 @@ pub mod recovery;
 pub mod sdn;
 pub mod vnf;
 
-pub use chain::{
-    ChainSpec, ChainSpecBuilder, ChainSpecError, Nfc, NfcId, PlacementRule, QosClass, StageId,
-};
+pub use chain::{ChainSpec, ChainSpecBuilder, ChainSpecError, Nfc, NfcId, PlacementRule, StageId};
 pub use control::{
     AdmissionError, AdmissionPolicy, ChainView, ClusterSliceView, ControlPlane,
     ControlPlaneBuilder, InstanceView, Intent, IntentEffect, IntentId, IntentKind, IntentLog,

@@ -304,23 +304,22 @@ impl Orchestrator {
         path.latency_us() + self.oeo.path_conversion_latency_us(path)
     }
 
-    /// A deployed chain's predicted one-way latency (propagation +
-    /// switching + O/E/O conversion), in microseconds — the same figure
-    /// admission checks against the chain's latency budget. The energy
-    /// plane's SLO gate reads this for every chain before approving a
-    /// consolidation plan.
+    /// A deployed chain's current one-way latency as modelled
+    /// (propagation + switching + O/E/O conversion), in microseconds —
+    /// the same figure admission checks against the chain's latency
+    /// budget. The energy plane's SLO gate reads this for every chain
+    /// before approving a consolidation plan.
     pub fn chain_latency_us(&self, id: NfcId) -> Option<f64> {
         self.chain(id).map(|c| self.path_latency_us(c.path()))
     }
 
-    /// Latency-budget admission against the spec's effective budget (the
-    /// tighter of `max_latency_us` and the QoS latency SLO).
+    /// Latency-budget admission against the spec's `max_latency_us`.
     pub(crate) fn check_latency(
         &self,
         spec: &ChainSpec,
         path: &HybridPath,
     ) -> Result<(), DeployError> {
-        if let Some(budget) = spec.effective_latency_budget_us() {
+        if let Some(budget) = spec.max_latency_us {
             let path_us = self.path_latency_us(path);
             if path_us > budget {
                 return Err(DeployError::LatencyBudgetExceeded {

@@ -66,10 +66,11 @@ macro_rules! histogram {
     }};
 }
 
-/// Starts a [`Span`] recording into the histogram `name` when dropped.
+/// Starts a [`Span`] recording into the histogram `name` when dropped; the
+/// histogram is cached per call site, as in [`histogram!`].
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::span($name)
+        $crate::Span::start($crate::histogram!($name))
     };
 }

@@ -261,11 +261,6 @@ pub fn histogram(name: &'static str) -> Histogram {
     global().histogram(name, "")
 }
 
-/// Global histogram `name` with `label`.
-pub fn histogram_with(name: &'static str, label: &str) -> Histogram {
-    global().histogram(name, label)
-}
-
 /// Snapshot of the global registry.
 pub fn snapshot() -> Snapshot {
     global().snapshot()
@@ -294,20 +289,23 @@ pub fn now_monotonic_us() -> u64 {
     now_us()
 }
 
-/// An RAII timing guard: on drop, records the elapsed microseconds into the
-/// histogram `name`.
+/// An RAII timing guard: on drop, records the elapsed microseconds into its
+/// histogram. Started by [`span!`](crate::span), which caches the histogram
+/// per call site.
 #[must_use = "a span measures until it is dropped"]
 pub struct Span {
     start: Instant,
-    hist: Histogram,
+    hist: &'static Histogram,
 }
 
-/// Starts a span backed by the global histogram `name` (convention:
-/// `..._us` suffix, since the recorded unit is microseconds).
-pub fn span(name: &'static str) -> Span {
-    Span {
-        start: Instant::now(),
-        hist: histogram(name),
+impl Span {
+    /// Starts a span recording into `hist` (convention: a `..._us` name,
+    /// since the recorded unit is microseconds).
+    pub fn start(hist: &'static Histogram) -> Span {
+        Span {
+            start: Instant::now(),
+            hist,
+        }
     }
 }
 

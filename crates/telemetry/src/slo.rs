@@ -13,20 +13,10 @@
 //! [flight recorder](crate::recorder) (kind `"breach"`) and accumulated
 //! into the [`SloReport`] that benches embed in their JSON output.
 //!
-//! # Spec grammar
-//!
-//! [`SloSpec::parse`] accepts one objective per line, optionally prefixed
-//! with `name:`:
-//!
-//! ```text
-//! p99-intent: p99_us(alvc_nfv.control.intent_latency_us) <= 5000
-//! deploy: p99_us(alvc_nfv.orchestrator.deploy_us, *) <= 200000
-//! tenant-rejects: reject_rate(alvc_nfv.control.tenant_rejections, alvc_nfv.control.tenant_intents) <= 0.25
-//! ```
-//!
-//! A `*` label matches every label of the metric, producing one evaluation
-//! (and potentially one breach) per label — this is how "per-tenant" and
-//! "per-pod" objectives work without enumerating tenants or pods up front.
+//! A `*` label selector matches every label of the metric, producing one
+//! evaluation (and potentially one breach) per label — this is how
+//! "per-tenant" and "per-pod" objectives work without enumerating tenants
+//! or pods up front.
 
 use crate::hist::LogHistogram;
 use crate::recorder::{recorder_record, RecorderEntry};
@@ -103,66 +93,6 @@ impl SloSpec {
                 total: total.into(),
                 max_rate,
             },
-        }
-    }
-
-    /// Parses one objective from the spec grammar (see the module docs):
-    ///
-    /// ```text
-    /// [name:] p99_us(histogram[, label]) <= max_us
-    /// [name:] reject_rate(rejected, total) <= max_rate
-    /// ```
-    pub fn parse(s: &str) -> Result<SloSpec, String> {
-        let s = s.trim();
-        // Optional `name:` prefix — only before the function keyword.
-        let (name, body) = match s.split_once(':') {
-            Some((n, rest)) if !n.contains('(') => (Some(n.trim().to_owned()), rest.trim()),
-            _ => (None, s),
-        };
-        let (lhs, rhs) = body
-            .split_once("<=")
-            .ok_or_else(|| format!("missing `<=` in SLO spec: `{s}`"))?;
-        let (func, args) = lhs
-            .trim()
-            .strip_suffix(')')
-            .and_then(|l| l.split_once('('))
-            .ok_or_else(|| format!("expected `func(args)` before `<=` in `{s}`"))?;
-        let bound: f64 = rhs
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad bound `{}` in `{s}`", rhs.trim()))?;
-        match func.trim() {
-            "p99_us" => {
-                let mut parts = args.split(',').map(str::trim);
-                let hist = parts
-                    .next()
-                    .filter(|h| !h.is_empty())
-                    .ok_or_else(|| format!("p99_us needs a histogram name in `{s}`"))?;
-                let label = parts.next().unwrap_or("").to_owned();
-                if parts.next().is_some() {
-                    return Err(format!("p99_us takes at most 2 arguments in `{s}`"));
-                }
-                Ok(SloSpec::p99_latency_us(
-                    name.unwrap_or_else(|| format!("p99:{hist}")),
-                    hist,
-                    label,
-                    bound,
-                ))
-            }
-            "reject_rate" => {
-                let mut parts = args.split(',').map(str::trim);
-                let (rej, tot) = match (parts.next(), parts.next(), parts.next()) {
-                    (Some(r), Some(t), None) if !r.is_empty() && !t.is_empty() => (r, t),
-                    _ => return Err(format!("reject_rate needs exactly 2 counters in `{s}`")),
-                };
-                Ok(SloSpec::rejection_rate(
-                    name.unwrap_or_else(|| format!("reject_rate:{rej}")),
-                    rej,
-                    tot,
-                    bound,
-                ))
-            }
-            other => Err(format!("unknown SLO function `{other}` in `{s}`")),
         }
     }
 }
@@ -452,57 +382,6 @@ fn window_hist(current: &LogHistogram, prev: Option<&(Vec<u64>, f64)>) -> LogHis
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_covers_every_objective_form() {
-        let p = SloSpec::parse("p99_us(alvc_x.y_us) <= 5000").unwrap();
-        assert_eq!(p.name, "p99:alvc_x.y_us");
-        assert_eq!(
-            p.kind,
-            SloKind::P99LatencyUs {
-                histogram: "alvc_x.y_us".into(),
-                label: String::new(),
-                max_us: 5000.0
-            }
-        );
-
-        let p =
-            SloSpec::parse("deploy: p99_us(alvc_nfv.orchestrator.deploy_us, *) <= 2e5").unwrap();
-        assert_eq!(p.name, "deploy");
-        assert_eq!(
-            p.kind,
-            SloKind::P99LatencyUs {
-                histogram: "alvc_nfv.orchestrator.deploy_us".into(),
-                label: "*".into(),
-                max_us: 2e5
-            }
-        );
-
-        let r = SloSpec::parse("rej: reject_rate(alvc_a.rej, alvc_a.tot) <= 0.25").unwrap();
-        assert_eq!(
-            r.kind,
-            SloKind::RejectionRate {
-                rejected: "alvc_a.rej".into(),
-                total: "alvc_a.tot".into(),
-                max_rate: 0.25
-            }
-        );
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        for bad in [
-            "",
-            "p99_us(x)",
-            "p99_us() <= 5",
-            "p99_us(a, b, c) <= 5",
-            "reject_rate(a) <= 0.5",
-            "unknown(a) <= 1",
-            "p99_us(a) <= abc",
-        ] {
-            assert!(SloSpec::parse(bad).is_err(), "`{bad}` should fail");
-        }
-    }
 
     #[test]
     fn breach_renders_as_one_json_object() {

@@ -314,14 +314,6 @@ fn open_span(trace: TraceId, parent: SpanId, name: &'static str) -> ActiveSpan {
     }))
 }
 
-/// Opens a root span under a brand-new trace.
-pub fn root_span(name: &'static str) -> ActiveSpan {
-    if !tracing_enabled() {
-        return ActiveSpan(None);
-    }
-    open_span(new_trace(), SpanId::NONE, name)
-}
-
 /// Opens a child span under the ambient context (inert when there is
 /// none). The child becomes ambient itself until dropped, so nested
 /// stages parent naturally.
@@ -446,7 +438,7 @@ mod tests {
     fn disabled_tracing_is_inert() {
         // Tracing is off by default: no ambient context, inert guards.
         assert_eq!(current_ctx(), TraceCtx::NONE);
-        let s = root_span("x");
+        let s = child_span("x");
         assert_eq!(s.ctx(), TraceCtx::NONE);
         assert_eq!(
             record_span(TraceCtx::NONE, "y", 1.0, "ok", "", vec![]),

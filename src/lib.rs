@@ -50,8 +50,8 @@ pub mod prelude {
         AdmissionError, ChainSpec, ChainSpecBuilder, ChainSpecError, ControlPlane,
         ControlPlaneBuilder, DeployError, DeployedChain, ElectronicOnlyPlacer, Error, Intent,
         IntentEffect, IntentId, IntentLog, IntentOutcome, NfcId, OpticalFirstPlacer, Orchestrator,
-        OrchestratorBuilder, PlacementRule, QosClass, StageId, StateView, TenantQuota,
-        VnfInstanceId, VnfPlacer, VnfSpec, VnfType,
+        OrchestratorBuilder, PlacementRule, StageId, StateView, TenantQuota, VnfInstanceId,
+        VnfPlacer, VnfSpec, VnfType,
     };
     pub use alvc_optical::OeoCostModel;
     pub use alvc_topology::{

@@ -1,13 +1,16 @@
 //! Work, not time: an operator intent examines the chains it affects, not
-//! every live chain. Two process-wide counters say what an intent read:
+//! every live chain. Three process-wide counters say what an intent read:
 //! - `alvc_nfv.operator.chains_examined`, the chains a failure, a
 //!   re-optimization or a re-clustering looked at;
 //! - `alvc_nfv.operator.links_examined`, the committed links recovery
-//!   released for those chains.
+//!   released for those chains;
+//! - `alvc_core.manager.layers_examined`, the layers a ToR failure checked
+//!   for the ToR.
 //!
 //! With a few hundred chains live, failing an OPS that one layer owns
-//! reads that layer's chain, and powering off an OPS that carries nothing
-//! reads no chain and no link. The counters are process-wide, so this file
+//! reads that layer's chain, powering off an OPS that carries nothing
+//! reads no chain and no link, and failing a ToR checks the owners of its
+//! uplinks, not every layer. The counters are process-wide, so this file
 //! holds the one test that reads them.
 
 use alvc::core::construction::PaperGreedy;
@@ -100,4 +103,19 @@ fn operator_intents_examine_what_they_affect() {
     assert_eq!(previous, Ok(PowerState::Active));
     let [examined, released] = [0, 1].map(|i| read()[i] - before[i]);
     assert_eq!((examined, released), (0, 0), "power-off of an idle OPS");
+
+    // Fail a ToR that a layer lists.
+    let layers_examined = alvc::telemetry::counter("alvc_core.manager.layers_examined");
+    let layers = orch.manager().clusters().count();
+    let last = orch.manager().clusters().last().expect("a layer");
+    let tor = last.al().tors()[0];
+    let before = layers_examined.value();
+    let _ = orch.fail_element(&dc, Element::Tor(tor), &ctor, &placer);
+    let examined = layers_examined.value() - before;
+    // A scan of every layer reads all of them; the owner table reads the
+    // layers that own one of the ToR's uplinks.
+    assert!(
+        (1..=dc.uplinks_of_tor(tor).len() as u64).contains(&examined),
+        "{examined} layers examined for a ToR failure of {layers} layers"
+    );
 }
